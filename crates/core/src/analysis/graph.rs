@@ -7,7 +7,7 @@
 //! engine's `EvalMarks`/`DeltaView` gating, and edges wherever one node's
 //! definitions intersect another's uses.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::engine::Stratification;
 use crate::error::{Error, Result};
@@ -49,17 +49,17 @@ impl RuleKind {
 pub struct RuleNode {
     /// What kind of statement this is.
     pub kind: RuleKind,
-    /// The statement as displayed source text (used in diagnostics).
+    /// The statement as displayed source text, for the liveness diagnostics
+    /// that name a node.  [`analyze`](super::analyze) leaves it empty for
+    /// a fact that reads nothing: PL006 names readers and PL007 proper
+    /// rules, so no diagnostic can print such a node.
     pub label: String,
     /// Where the statement starts, when the program came through the parser.
     pub span: Option<Span>,
-    /// Keys the statement defines (head writes, reactive action writes).
-    pub defines: BTreeSet<DepKey>,
-    /// Keys the statement reads object-at-a-time.
-    pub uses: BTreeSet<DepKey>,
-    /// Keys the statement reads set-at-a-time (`->>` right-hand sides,
-    /// negated literals) — these force stratum separation.
-    pub strict_uses: BTreeSet<DepKey>,
+    /// The keys the statement defines (head writes, reactive action writes),
+    /// reads object-at-a-time, and reads set-at-a-time (`->>` right-hand
+    /// sides, negated literals — these force stratum separation).
+    pub info: RuleInfo,
 }
 
 impl RuleNode {
@@ -69,15 +69,8 @@ impl RuleNode {
             kind,
             label,
             span,
-            defines: info.defines,
-            uses: info.uses,
-            strict_uses: info.strict_uses,
+            info,
         }
-    }
-
-    /// All keys this node reads, strict and ordinary alike.
-    pub fn all_uses(&self) -> BTreeSet<DepKey> {
-        self.uses.union(&self.strict_uses).cloned().collect()
     }
 }
 
@@ -113,11 +106,131 @@ pub fn keys_intersect(defines: &BTreeSet<DepKey>, uses: &BTreeSet<DepKey>) -> bo
     defines.iter().any(|k| uses.contains(k))
 }
 
+/// The inverted index every traversal goes through: key → the nodes
+/// defining it.  Edges are never stored; a reader's definers are looked up
+/// per key, so a node that reads nothing — every fact of a fact-heavy text —
+/// costs O(1) in each traversal, and the analyses are linear in statements
+/// plus edges.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct DefinerIndex {
+    /// Key → the nodes whose `defines` contains it, ascending.  The entry
+    /// for [`DepKey::Unknown`] holds the wildcard definers.
+    by_key: BTreeMap<DepKey, Vec<usize>>,
+    /// The nodes with a non-empty `defines`, ascending: what a read of
+    /// [`DepKey::Unknown`] depends on.
+    defining: Vec<usize>,
+}
+
+impl DefinerIndex {
+    /// Record node `index` (greater than every node recorded so far) as the
+    /// definer of `defines`.
+    fn add(&mut self, index: usize, defines: &BTreeSet<DepKey>) {
+        for key in defines {
+            // Not the entry API: it would clone the key for every definer,
+            // and a text defines few distinct keys many times.
+            match self.by_key.get_mut(key) {
+                Some(nodes) => nodes.push(index),
+                None => {
+                    self.by_key.insert(key.clone(), vec![index]);
+                }
+            }
+        }
+        if !defines.is_empty() {
+            self.defining.push(index);
+        }
+    }
+
+    /// The nodes whose definitions intersect `keys` (in the sense of
+    /// [`keys_intersect`]), ascending.
+    fn writers_of(&self, keys: &BTreeSet<DepKey>) -> Vec<usize> {
+        if keys.is_empty() {
+            return Vec::new();
+        }
+        if keys.contains(&DepKey::Unknown) {
+            return self.defining.clone();
+        }
+        let mut out: Vec<usize> = keys
+            .iter()
+            .chain(std::iter::once(&DepKey::Unknown))
+            .filter_map(|key| self.by_key.get(key))
+            .flatten()
+            .copied()
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// The edges among the nodes summarised by `infos` (the nodes this index
+    /// was built from, in order), ordered by reader, definer, polarity.
+    fn edges<'a>(&self, infos: impl Iterator<Item = &'a RuleInfo>) -> Vec<Edge> {
+        let mut out = Vec::new();
+        for (reader, info) in infos.enumerate() {
+            let start = out.len();
+            for (keys, polarity) in [(&info.uses, Polarity::Positive), (&info.strict_uses, Polarity::Strict)] {
+                out.extend(self.writers_of(keys).into_iter().map(|definer| Edge {
+                    reader,
+                    definer,
+                    polarity,
+                }));
+            }
+            out[start..].sort_unstable();
+        }
+        out
+    }
+}
+
+/// The relaxation fixpoint behind [`DependencyGraph::stratify`], over `n`
+/// nodes and their `edges` in [`DefinerIndex::edges`] order.
+fn stratify_edges(n: usize, edges: &[Edge]) -> Result<Stratification> {
+    let mut stratum = vec![1usize; n];
+    loop {
+        let mut changed = false;
+        for reads in edges.chunk_by(|a, b| a.reader == b.reader) {
+            let r = reads[0].reader;
+            for edge in reads {
+                let floor = stratum[edge.definer] + usize::from(edge.polarity == Polarity::Strict);
+                if stratum[r] < floor {
+                    stratum[r] = floor;
+                    changed = true;
+                }
+            }
+            if stratum[r] > n {
+                return Err(Error::NotStratifiable(format!(
+                    "rule {r} depends on its own definitions through a set-at-a-time (`->>` right-hand side) \
+                     or negated use; such rules must read only methods computed in earlier strata"
+                )));
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+
+    let max = stratum.iter().copied().max().unwrap_or(0);
+    let mut strata = vec![Vec::new(); max];
+    for (r, &s) in stratum.iter().enumerate() {
+        strata[s - 1].push(r);
+    }
+    // Drop empty strata (can appear when numbering has gaps) while keeping order.
+    let strata: Vec<Vec<usize>> = strata.into_iter().filter(|s| !s.is_empty()).collect();
+    // Re-derive stratum_of from the compacted strata.
+    let mut stratum_of = vec![0usize; n];
+    for (i, group) in strata.iter().enumerate() {
+        for &r in group {
+            stratum_of[r] = i;
+        }
+    }
+    Ok(Stratification { strata, stratum_of })
+}
+
 /// The shared dependency graph over every statement of a program (and,
 /// optionally, its constraints and reactive rules).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DependencyGraph {
     nodes: Vec<RuleNode>,
+    /// Maintained by [`DependencyGraph::push`]; nodes never change once in.
+    index: DefinerIndex,
 }
 
 impl DependencyGraph {
@@ -126,20 +239,23 @@ impl DependencyGraph {
         DependencyGraph::default()
     }
 
-    /// Build a graph holding one `Rule`-kind node per dependency summary —
-    /// the exact input shape the engine's stratifier works from.
-    pub fn from_rule_infos(infos: &[RuleInfo]) -> Self {
-        let mut g = DependencyGraph::new();
-        for info in infos {
-            g.push(RuleNode::from_info(RuleKind::Rule, String::new(), None, info.clone()));
+    /// [`DependencyGraph::stratify`] for the graph of one `Rule`-kind node
+    /// per dependency summary — the exact input shape the engine's
+    /// stratifier works from — without building the nodes.
+    pub fn stratify_rule_infos(infos: &[RuleInfo]) -> Result<Stratification> {
+        let mut index = DefinerIndex::default();
+        for (i, info) in infos.iter().enumerate() {
+            index.add(i, &info.defines);
         }
-        g
+        stratify_edges(infos.len(), &index.edges(infos.iter()))
     }
 
     /// Add a node, returning its index.
     pub fn push(&mut self, node: RuleNode) -> usize {
+        let index = self.nodes.len();
+        self.index.add(index, &node.info.defines);
         self.nodes.push(node);
-        self.nodes.len() - 1
+        index
     }
 
     /// The nodes, in insertion (source) order.
@@ -157,114 +273,39 @@ impl DependencyGraph {
         self.nodes.is_empty()
     }
 
-    /// All dependency edges: one per `(reader, definer)` pair whose key sets
-    /// intersect, with [`Polarity::Strict`] when the strict uses intersect
-    /// (a pair can yield both edge polarities).
+    /// `true` when some node's `defines` contains exactly `key` (no wildcard
+    /// matching — see [`DependencyGraph::writers_of`] for that).
+    pub(super) fn defines_key(&self, key: &DepKey) -> bool {
+        self.index.by_key.contains_key(key)
+    }
+
+    /// All dependency edges, ordered by reader, then definer, then polarity:
+    /// one per `(reader, definer)` pair whose key sets intersect, with
+    /// [`Polarity::Strict`] when the strict uses intersect (a pair can yield
+    /// both edge polarities).
     pub fn edges(&self) -> Vec<Edge> {
-        let mut out = Vec::new();
-        for (r, reader) in self.nodes.iter().enumerate() {
-            for (d, definer) in self.nodes.iter().enumerate() {
-                if keys_intersect(&definer.defines, &reader.uses) {
-                    out.push(Edge {
-                        reader: r,
-                        definer: d,
-                        polarity: Polarity::Positive,
-                    });
-                }
-                if keys_intersect(&definer.defines, &reader.strict_uses) {
-                    out.push(Edge {
-                        reader: r,
-                        definer: d,
-                        polarity: Polarity::Strict,
-                    });
-                }
-            }
-        }
-        out
+        self.index.edges(self.nodes.iter().map(|n| &n.info))
     }
 
-    /// Indexes of nodes whose definitions intersect `keys`.
+    /// Indexes of nodes whose definitions intersect `keys`, ascending.
     pub fn writers_of(&self, keys: &BTreeSet<DepKey>) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| keys_intersect(&n.defines, keys))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Indexes of nodes that read any of `keys` (ordinary or strict).
-    pub fn readers_of(&self, keys: &BTreeSet<DepKey>) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| keys_intersect(keys, &n.uses) || keys_intersect(keys, &n.strict_uses))
-            .map(|(i, _)| i)
-            .collect()
+        self.index.writers_of(keys)
     }
 
     /// Compute a stratification of the graph's nodes.
     ///
     /// This hosts the engine's relaxation fixpoint: strata start at 1 and a
     /// reader is lifted to its definer's stratum (ordinary read) or above it
-    /// (strict read) until nothing changes; a stratum exceeding the node
-    /// count proves a strict cycle.  `engine/stratify.rs` delegates here, so
-    /// the strata the engine evaluates with are exactly the ones reported by
-    /// the analyzer.
+    /// (strict read), sweeping the [`edges`](DependencyGraph::edges) in
+    /// order until nothing changes; a stratum exceeding the node count
+    /// proves a strict cycle.  `engine/stratify.rs` delegates here, so the
+    /// strata the engine evaluates with are exactly the ones reported by the
+    /// analyzer.
     ///
     /// Returns [`Error::NotStratifiable`] when a node (transitively) depends
     /// on its own definitions through a strict use.
     pub fn stratify(&self) -> Result<Stratification> {
-        let infos = &self.nodes;
-        let n = infos.len();
-        let mut stratum = vec![1usize; n];
-        if n == 0 {
-            return Ok(Stratification {
-                strata: Vec::new(),
-                stratum_of: stratum,
-            });
-        }
-
-        loop {
-            let mut changed = false;
-            for (r, info_r) in infos.iter().enumerate() {
-                for (s, info_s) in infos.iter().enumerate() {
-                    if keys_intersect(&info_s.defines, &info_r.uses) && stratum[r] < stratum[s] {
-                        stratum[r] = stratum[s];
-                        changed = true;
-                    }
-                    if keys_intersect(&info_s.defines, &info_r.strict_uses) && stratum[r] < stratum[s] + 1 {
-                        stratum[r] = stratum[s] + 1;
-                        changed = true;
-                    }
-                }
-                if stratum[r] > n {
-                    return Err(Error::NotStratifiable(format!(
-                        "rule {r} depends on its own definitions through a set-at-a-time (`->>` right-hand side) \
-                         or negated use; such rules must read only methods computed in earlier strata"
-                    )));
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        let max = stratum.iter().copied().max().unwrap_or(1);
-        let mut strata = vec![Vec::new(); max];
-        for (r, &s) in stratum.iter().enumerate() {
-            strata[s - 1].push(r);
-        }
-        // Drop empty strata (can appear when numbering has gaps) while keeping order.
-        let strata: Vec<Vec<usize>> = strata.into_iter().filter(|s| !s.is_empty()).collect();
-        // Re-derive stratum_of from the compacted strata.
-        let mut stratum_of = vec![0usize; n];
-        for (i, group) in strata.iter().enumerate() {
-            for &r in group {
-                stratum_of[r] = i;
-            }
-        }
-        Ok(Stratification { strata, stratum_of })
+        stratify_edges(self.nodes.len(), &self.edges())
     }
 }
 
@@ -274,14 +315,13 @@ mod tests {
     use crate::names::Name;
 
     fn node(kind: RuleKind, defines: &[&str], uses: &[&str], strict: &[&str]) -> RuleNode {
-        RuleNode {
-            kind,
-            label: String::new(),
-            span: None,
-            defines: defines.iter().map(|s| DepKey::Known(Name::atom(*s))).collect(),
-            uses: uses.iter().map(|s| DepKey::Known(Name::atom(*s))).collect(),
-            strict_uses: strict.iter().map(|s| DepKey::Known(Name::atom(*s))).collect(),
-        }
+        let keys = |names: &[&str]| names.iter().map(|s| DepKey::Known(Name::atom(*s))).collect();
+        let info = RuleInfo {
+            defines: keys(defines),
+            uses: keys(uses),
+            strict_uses: keys(strict),
+        };
+        RuleNode::from_info(kind, String::new(), None, info)
     }
 
     #[test]
@@ -309,7 +349,7 @@ mod tests {
         let mut g = DependencyGraph::new();
         g.push(node(RuleKind::Rule, &["a"], &[], &[]));
         let mut wild = node(RuleKind::Rule, &[], &[], &[]);
-        wild.defines.insert(DepKey::Unknown);
+        wild.info.defines.insert(DepKey::Unknown);
         g.push(wild);
         let keys: BTreeSet<DepKey> = [DepKey::Known(Name::atom("a"))].into_iter().collect();
         assert_eq!(g.writers_of(&keys), vec![0, 1]);

@@ -21,31 +21,22 @@ use crate::term::{FilterValue, Term};
 
 use super::cost::MethodStats;
 use super::diagnostics::{DiagCode, Diagnostic, Diagnostics, Span};
-use super::graph::{keys_intersect, DependencyGraph, RuleKind};
+use super::graph::{DependencyGraph, RuleKind};
 
 /// PL006: report reads of keys nothing defines.
 pub(super) fn check_always_empty(graph: &DependencyGraph, stats: Option<&MethodStats>, diags: &mut Diagnostics) {
-    let mut defined: BTreeSet<DepKey> = BTreeSet::new();
-    for node in graph.nodes() {
-        defined.extend(node.defines.iter().cloned());
-    }
     // A wildcard definer (generic rules such as `X[(M.tc) ->> {Y}]`) can
     // define any key — no read is provably empty.
-    if defined.contains(&DepKey::Unknown) {
+    if graph.defines_key(&DepKey::Unknown) {
         return;
     }
-    for b in ALL_BUILTINS {
-        defined.insert(DepKey::Known(Name::atom(*b)));
-    }
-    if let Some(stats) = stats {
-        for n in stats.names() {
-            defined.insert(DepKey::Known(n.clone()));
-        }
-    }
     for node in graph.nodes() {
-        for key in node.uses.iter().chain(node.strict_uses.iter()) {
+        for key in node.info.uses.iter().chain(node.info.strict_uses.iter()) {
             let DepKey::Known(name) = key else { continue };
-            if !defined.contains(key) {
+            let defined = graph.defines_key(key)
+                || name.as_atom().is_some_and(|a| ALL_BUILTINS.contains(&a))
+                || stats.is_some_and(|s| s.count(name).is_some());
+            if !defined {
                 diags.push(Diagnostic::new(
                     DiagCode::AlwaysEmptyLiteral,
                     node.span,
@@ -59,39 +50,26 @@ pub(super) fn check_always_empty(graph: &DependencyGraph, stats: Option<&MethodS
 
 /// PL007: report rules no consumer transitively reads.
 pub(super) fn check_dead_rules(graph: &DependencyGraph, diags: &mut Diagnostics) {
+    // Backward reachability from the consumers: a node is live when some
+    // live node reads what it defines.  Each node enters the worklist once
+    // and looks its definers up through the graph's index, so a fact — which
+    // reads nothing — costs O(1) here however many facts the text has.
+    let mut live: Vec<bool> = graph.nodes().iter().map(|n| n.kind.is_consumer()).collect();
+    let mut work: Vec<usize> = (0..graph.len()).filter(|&i| live[i]).collect();
     // Without consumers there is nothing to be reachable *from*: analyzing a
     // rule library on its own should not flag every rule as dead.
-    if !graph.nodes().iter().any(|n| n.kind.is_consumer()) {
+    if work.is_empty() {
         return;
     }
-    let n = graph.len();
-    let mut live = vec![false; n];
-    for (i, node) in graph.nodes().iter().enumerate() {
-        if node.kind.is_consumer() {
-            live[i] = true;
-        }
-    }
-    // Backward reachability: a node is live when some live node reads what
-    // it defines.  The graph is small (statements, not facts); the quadratic
-    // fixpoint mirrors the stratifier's and keeps the code obvious.
-    loop {
-        let mut changed = false;
-        for (i, node) in graph.nodes().iter().enumerate() {
-            if live[i] {
-                continue;
+    while let Some(reader) = work.pop() {
+        let info = &graph.nodes()[reader].info;
+        for keys in [&info.uses, &info.strict_uses] {
+            for definer in graph.writers_of(keys) {
+                if !live[definer] {
+                    live[definer] = true;
+                    work.push(definer);
+                }
             }
-            let read_by_live = graph.nodes().iter().enumerate().any(|(j, reader)| {
-                live[j]
-                    && (keys_intersect(&node.defines, &reader.uses)
-                        || keys_intersect(&node.defines, &reader.strict_uses))
-            });
-            if read_by_live {
-                live[i] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
         }
     }
     for (i, node) in graph.nodes().iter().enumerate() {

@@ -31,6 +31,8 @@ mod cost;
 mod diagnostics;
 mod graph;
 mod liveness;
+#[cfg(test)]
+mod reference;
 mod safety;
 
 pub use cascade::{analyze_cascades, CascadeBound, CascadeReport, ReactiveRuleSummary};
@@ -42,7 +44,7 @@ use std::collections::BTreeSet;
 
 use crate::constraints::ConstraintSet;
 use crate::engine::Stratification;
-use crate::program::{literal_reads, rule_info, DepKey, Literal, Program, Rule};
+use crate::program::{literal_reads, rule_info, DepKey, Literal, Program, Rule, RuleInfo};
 use crate::structure::Structure;
 use crate::term::Term;
 
@@ -179,33 +181,56 @@ pub fn analyze(input: AnalysisInput<'_>) -> Analysis {
     // the input than their readers.
     let mut pending_plans: Vec<(String, RuleKind, Option<Span>, &[Literal])> = Vec::new();
 
-    // -- program rules, facts and queries -----------------------------------
-    let mut rule_infos = Vec::new();
+    // -- program rules and facts --------------------------------------------
     if let Some(program) = program {
         let mut proper: Vec<(&Rule, Option<Span>)> = Vec::new();
         for (i, rule) in program.rules.iter().enumerate() {
             let span = rule_spans.get(i).copied();
             let info = rule_info(rule);
-            rule_infos.push(info.clone());
             let kind = if rule.is_fact() { RuleKind::Fact } else { RuleKind::Rule };
-            graph.push(RuleNode::from_info(kind, rule.to_string(), span, info));
+            // No diagnostic names a node that reads nothing and is not a
+            // proper rule (see `RuleNode::label`): a text's facts are not
+            // rendered back to source just to label their nodes.
+            let label = if rule.is_fact() && info.uses.is_empty() && info.strict_uses.is_empty() {
+                String::new()
+            } else {
+                rule.to_string()
+            };
             safety::check_rule(rule, span, &mut diags);
             if !rule.is_fact() {
                 proper.push((rule, span));
-                pending_plans.push((rule.to_string(), kind, span, &rule.body));
+                pending_plans.push((label.clone(), kind, span, &rule.body));
             }
-        }
-        for (i, query) in program.queries.iter().enumerate() {
-            let span = query_spans.get(i).copied();
-            let label = query.to_string();
-            // A query is a body with no head: reuse the rule collectors via a
-            // synthetic ground head that defines nothing.
-            let info = rule_info(&Rule::new(Term::name("__query").empty_filters(), query.body.clone()));
-            graph.push(RuleNode::from_info(RuleKind::Query, label.clone(), span, info));
-            safety::check_body(&label, &query.body, span, &mut diags);
-            pending_plans.push((label, RuleKind::Query, span, &query.body));
+            graph.push(RuleNode::from_info(kind, label, span, info));
         }
         liveness::check_scalar_conflicts(&proper, &mut diags);
+    }
+
+    // -- stratification (PL005): the graph holds exactly the rule set the
+    // engine sees at this point, so stratify it before any consumer joins --
+    let strata = match graph.stratify() {
+        Ok(s) => Some(s),
+        Err(e) => {
+            diags.push(Diagnostic::new(
+                DiagCode::NotStratifiable,
+                None,
+                "program".to_string(),
+                e.to_string(),
+            ));
+            None
+        }
+    };
+
+    // -- queries -------------------------------------------------------------
+    for (i, query) in program.iter().flat_map(|p| p.queries.iter().enumerate()) {
+        let span = query_spans.get(i).copied();
+        let label = query.to_string();
+        // A query is a body with no head: reuse the rule collectors via a
+        // synthetic ground head that defines nothing.
+        let info = rule_info(&Rule::new(Term::name("__query").empty_filters(), query.body.clone()));
+        graph.push(RuleNode::from_info(RuleKind::Query, label.clone(), span, info));
+        safety::check_body(&label, &query.body, span, &mut diags);
+        pending_plans.push((label, RuleKind::Query, span, &query.body));
     }
 
     // -- constraint bodies ---------------------------------------------------
@@ -224,31 +249,14 @@ pub fn analyze(input: AnalysisInput<'_>) -> Analysis {
 
     // -- reactive rules ------------------------------------------------------
     for summary in &reactive {
-        let mut node = RuleNode {
-            kind: summary.kind,
-            label: summary.name.clone(),
-            span: None,
+        let mut info = RuleInfo {
             defines: summary.action_keys(),
             uses: summary.condition_reads.clone(),
             strict_uses: Default::default(),
         };
-        node.uses.extend(summary.trigger.iter().cloned());
-        graph.push(node);
+        info.uses.extend(summary.trigger.iter().cloned());
+        graph.push(RuleNode::from_info(summary.kind, summary.name.clone(), None, info));
     }
-
-    // -- stratification (PL005): over exactly the rule set the engine sees --
-    let strata = match DependencyGraph::from_rule_infos(&rule_infos).stratify() {
-        Ok(s) => Some(s),
-        Err(e) => {
-            diags.push(Diagnostic::new(
-                DiagCode::NotStratifiable,
-                None,
-                "program".to_string(),
-                e.to_string(),
-            ));
-            None
-        }
-    };
 
     // -- cost annotations ----------------------------------------------------
     // Classify each read key as derived when the completed graph knows a

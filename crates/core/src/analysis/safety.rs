@@ -10,6 +10,7 @@
 //! pins down), so `Engine::install_checked` can rely on "no errors" implying
 //! the engine will accept the program.
 
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
 use crate::names::Var;
@@ -23,15 +24,18 @@ use super::diagnostics::{DiagCode, Diagnostic, Diagnostics, Span};
 /// Run the safety checks of [`crate::program::validate_rule`] over one rule,
 /// reporting every violation instead of stopping at the first.
 pub(super) fn check_rule(rule: &Rule, span: Option<Span>, diags: &mut Diagnostics) {
-    let label = rule.to_string();
+    // Rendered when the first diagnostic needs it: a clean statement (nearly
+    // every fact of a loaded text) is never printed back to source.
+    let rendered = OnceCell::new();
+    let label = || -> &str { rendered.get_or_init(|| rule.to_string()) };
 
     // PL001 — well-formedness (Definition 3) of head and body references.
     if let Err(e) = check_well_formed(&rule.head) {
         diags.push(Diagnostic::new(
             DiagCode::IllFormed,
             span,
-            label.clone(),
-            format!("head of `{label}` is ill-formed: {e}"),
+            label().to_string(),
+            format!("head of `{}` is ill-formed: {e}", label()),
         ));
     }
     for lit in &rule.body {
@@ -39,7 +43,7 @@ pub(super) fn check_rule(rule: &Rule, span: Option<Span>, diags: &mut Diagnostic
             diags.push(Diagnostic::new(
                 DiagCode::IllFormed,
                 span,
-                label.clone(),
+                label().to_string(),
                 format!("body literal `{}` is ill-formed: {e}", lit.term),
             ));
         }
@@ -51,8 +55,11 @@ pub(super) fn check_rule(rule: &Rule, span: Option<Span>, diags: &mut Diagnostic
         diags.push(Diagnostic::new(
             DiagCode::SetValuedHead,
             span,
-            label.clone(),
-            format!("the head of `{label}` is a set-valued reference and cannot be asserted"),
+            label().to_string(),
+            format!(
+                "the head of `{}` is a set-valued reference and cannot be asserted",
+                label()
+            ),
         ));
     }
 
@@ -62,27 +69,30 @@ pub(super) fn check_rule(rule: &Rule, span: Option<Span>, diags: &mut Diagnostic
     for v in rule.head_variables() {
         if !positive.contains(&v) {
             let message = if rule.is_fact() {
-                format!("fact `{label}` is not ground: variable {v} has no binding")
+                format!("fact `{}` is not ground: variable {v} has no binding", label())
             } else {
-                format!("head variable {v} of `{label}` does not occur in a positive body literal")
+                format!(
+                    "head variable {v} of `{}` does not occur in a positive body literal",
+                    label()
+                )
             };
             diags.push(Diagnostic::new(
                 DiagCode::UnsafeHeadVariable,
                 span,
-                label.clone(),
+                label().to_string(),
                 message,
             ));
         }
     }
 
-    // PL004 — range restriction for negated literals.
-    check_negation(&label, &rule.body, span, diags);
-
-    // PL008 — singleton variables (proper rules only: facts with variables
-    // are already PL003, and in queries a single occurrence is the normal
-    // way to project an answer).  The `_` prefix marks intentional
-    // singletons, mirroring the usual logic-programming convention.
     if !rule.is_fact() {
+        // PL004 — range restriction for negated literals.
+        check_negation(label(), &rule.body, span, diags);
+
+        // PL008 — singleton variables (proper rules only: facts with variables
+        // are already PL003, and in queries a single occurrence is the normal
+        // way to project an answer).  The `_` prefix marks intentional
+        // singletons, mirroring the usual logic-programming convention.
         let mut occurrences: Vec<Var> = Vec::new();
         var_occurrences(&rule.head, &mut occurrences);
         for lit in &rule.body {
@@ -99,8 +109,11 @@ pub(super) fn check_rule(rule: &Rule, span: Option<Span>, diags: &mut Diagnostic
                 diags.push(Diagnostic::new(
                     DiagCode::SingletonVariable,
                     span,
-                    label.clone(),
-                    format!("variable {v} occurs only once in `{label}`; prefix it with `_` if this is intentional"),
+                    label().to_string(),
+                    format!(
+                        "variable {v} occurs only once in `{}`; prefix it with `_` if this is intentional",
+                        label()
+                    ),
                 ));
             }
         }

@@ -7,6 +7,15 @@
 //! objects for undefined head paths (see the `virtuals` module).  Iteration stops when
 //! no rule adds new information.
 //!
+//! A **fact** — "a ground reference asserted directly" — is data, not a rule
+//! with an empty body to schedule: it is asserted once, with empty bindings,
+//! when its stratum's first iteration commits, and no later iteration looks
+//! at it (no solve task, no delta test, no plan).  It commits *at its
+//! source-order position among the stratum's statements*, between the rules
+//! written before and after it, because the order of asserts is the order in
+//! which names resolve to objects and undefined head paths become virtual
+//! objects: object ids, and with them `canonical_dump()`, depend on it.
+//!
 //! With [`EvalOptions::delta_driven`] enabled (the default) the fixpoint is
 //! computed **semi-naively** at the granularity of body literals.  The
 //! engine captures watermarks ([`EvalMarks`]) of the structure at every
@@ -34,10 +43,12 @@
 //! commit: a single **snapshot window** ([`SnapshotWindow`], watermarks over
 //! the `Facts`/`Isa` insertion logs) is captured at the iteration boundary
 //! and shared by all rules of the stratum; every affected rule's `(rule,
-//! drivable literal, delta shard)` task is scheduled into one work queue and
+//! drivable literal, delta shard)` task — in a stratum's first iteration,
+//! one full solve per proper rule — is scheduled into one work queue and
 //! solved against the *frozen* structure (phase 1); then the single writer
 //! commits each rule's solutions in stratum order, each rule's delta runs
-//! k-way-merged in canonical `binding_key` order (phase 2).  Because phase 1
+//! k-way-merged in canonical `binding_key` order, and in the first
+//! iteration each fact where it stands in that order (phase 2).  Because phase 1
 //! is pure and phase 2 is a deterministic function of its outputs, a run
 //! under [`EvalMode::Parallel`] is **bit-identical** to a sequential one —
 //! same model, same insertion logs, same virtual-object ids, same
@@ -299,8 +310,11 @@ impl EvalOptions {
 /// (`firings`, `scalar_facts`, `set_members`, `isa_edges`, `signatures`,
 /// `virtual_objects`) describe the least fixpoint and are identical across
 /// every mode, schedule and executor.  The *scheduling* counters
-/// (`iterations`, `rules_skipped`, `delta_solves`, `full_solves`) are
-/// **per-iteration aggregates of the configured [`Schedule`]**: under the
+/// (`iterations`, `rules_skipped`, `delta_solves`, `full_solves`) and
+/// `plans_compiled` count **proper rules only**: a fact is committed as data
+/// (one of the `firings` when it adds something) and is never a solve, a
+/// skip or a compile, so a fact-only program reports 0 for all four.  They
+/// are **per-iteration aggregates of the configured [`Schedule`]**: under the
 /// default cross-rule schedule a "delta solve" is one (rule, iteration)
 /// solve against the iteration's shared snapshot window, under the legacy
 /// rule-at-a-time schedule it is a solve against that rule's private
@@ -418,6 +432,39 @@ impl EvalStats {
     }
 }
 
+/// One statement of a stratum.
+#[derive(Debug, Clone, Copy)]
+enum Step<'a> {
+    /// A fact with its dependency summary: data, asserted once when the
+    /// stratum's first iteration commits.
+    Fact(&'a Rule, &'a RuleInfo),
+    /// A proper rule, by its index into [`Run::rules`].
+    Rule(usize),
+}
+
+/// One stratum of a [`Run`].
+#[derive(Debug)]
+struct Stratum<'a> {
+    /// Every statement of the stratum, in source order — the commit order
+    /// of its first iteration.
+    steps: Vec<Step<'a>>,
+    /// The proper rules among them: all that later iterations look at.
+    proper: Vec<usize>,
+}
+
+/// What one evaluation run works from (see [`Engine::run`]).
+#[derive(Debug)]
+struct Run<'a> {
+    /// The proper rules, cloned once into the slice solve tasks index.
+    rules: Arc<[Rule]>,
+    /// Their dependency summaries, parallel to `rules`.
+    infos: Vec<&'a RuleInfo>,
+    /// The dependency keys some statement (fact or rule) writes.
+    derived: BTreeSet<DepKey>,
+    /// The strata, lowest first.
+    strata: Vec<Stratum<'a>>,
+}
+
 /// The PathLog evaluation engine.
 ///
 /// An engine owns its evaluation policy ([`EvalOptions`]) and, when the
@@ -509,18 +556,14 @@ impl Engine {
     /// stratify, assert facts and evaluate rules to the fixpoint.
     pub fn load_program(&self, structure: &mut Structure, program: &Program) -> Result<EvalStats> {
         let infos = crate::program::validate_program(program)?;
-        for rule in &program.rules {
-            register_names(structure, &rule.head);
-            for lit in &rule.body {
-                register_names(structure, &lit.term);
-            }
-        }
-        for query in &program.queries {
-            for lit in &query.body {
-                register_names(structure, &lit.term);
-            }
-        }
-        self.run(structure, &program.rules, &infos)
+        register_program_names(structure, program);
+        let stratification = stratify(&infos)?;
+        self.run(
+            structure,
+            &program.rules,
+            &infos.iter().collect::<Vec<_>>(),
+            &stratification,
+        )
     }
 
     /// Statically analyze `program` without evaluating it — see
@@ -545,6 +588,10 @@ impl Engine {
     /// default [`StaticChecks::WarnOnly`] the diagnostics are informational
     /// and installation proceeds exactly like `load_program` (including its
     /// own validation errors, which fire either way).
+    ///
+    /// The evaluation runs from the dependency summaries and the
+    /// stratification the analysis just computed — one `rule_info` pass and
+    /// one stratification per install.
     pub fn install_checked(
         &self,
         structure: &mut Structure,
@@ -554,7 +601,19 @@ impl Engine {
         if self.options.static_checks == StaticChecks::Enforce && !analysis.no_errors() {
             return Err(Error::StaticRejected(analysis.diagnostics.render()));
         }
-        let stats = self.load_program(structure, program)?;
+        let Some(stratification) = &analysis.strata else {
+            // Not stratifiable (PL005): `load_program` reports it — after
+            // any validation error, in the order it always has.
+            return self.load_program(structure, program).map(|stats| (stats, analysis));
+        };
+        program.rules.iter().try_for_each(crate::program::check_valid)?;
+        register_program_names(structure, program);
+        // The graph's first nodes are the program's rules, in order.
+        let infos: Vec<&RuleInfo> = analysis.graph.nodes()[..program.rules.len()]
+            .iter()
+            .map(|node| &node.info)
+            .collect();
+        let stats = self.run(structure, &program.rules, &infos, stratification)?;
         Ok((stats, analysis))
     }
 
@@ -570,11 +629,21 @@ impl Engine {
                 register_names(structure, &lit.term);
             }
         }
-        self.run(structure, rules, &infos)
+        let stratification = stratify(&infos)?;
+        self.run(structure, rules, &infos.iter().collect::<Vec<_>>(), &stratification)
     }
 
-    fn run(&self, structure: &mut Structure, rules: &[Rule], infos: &[RuleInfo]) -> Result<EvalStats> {
-        let stratification = stratify(infos)?;
+    /// Evaluate `rules`, given their dependency summaries and stratification.
+    /// Each stratum's facts are partitioned from its proper rules once, here:
+    /// only the rules are cloned into the slice that solve tasks, delta
+    /// tests and compiled plans index.
+    fn run(
+        &self,
+        structure: &mut Structure,
+        rules: &[Rule],
+        infos: &[&RuleInfo],
+        stratification: &Stratification,
+    ) -> Result<EvalStats> {
         let mut stats = EvalStats {
             strata: stratification.len(),
             ..EvalStats::default()
@@ -584,24 +653,54 @@ impl Engine {
         let recovered_before = self.control.tasks_recovered();
         let respawned_before = self.control.workers_respawned();
         let executor = self.executor();
-        let rules_arc: Arc<[Rule]> = rules.to_vec().into();
+
+        let mut proper_rules: Vec<Rule> = Vec::new();
+        let mut proper_infos: Vec<&RuleInfo> = Vec::new();
+        let steps: Vec<Step> = rules
+            .iter()
+            .zip(infos)
+            .map(|(rule, &info)| {
+                if rule.is_fact() {
+                    Step::Fact(rule, info)
+                } else {
+                    proper_rules.push(rule.clone());
+                    proper_infos.push(info);
+                    Step::Rule(proper_rules.len() - 1)
+                }
+            })
+            .collect();
+        // The dependency keys some statement writes — fed to
+        // [`crate::analysis::plan_rule`] so literals over to-be-derived keys
+        // estimate `Unknown` instead of `Empty`.
+        let mut derived: BTreeSet<DepKey> = BTreeSet::new();
+        for key in infos.iter().flat_map(|info| &info.defines) {
+            if !derived.contains(key) {
+                derived.insert(key.clone());
+            }
+        }
+        let run = Run {
+            rules: proper_rules.into(),
+            infos: proper_infos,
+            derived,
+            strata: stratification
+                .strata
+                .iter()
+                .map(|stratum| {
+                    let steps: Vec<Step> = stratum.iter().map(|&i| steps[i]).collect();
+                    let proper = steps
+                        .iter()
+                        .filter_map(|step| match step {
+                            Step::Rule(r) => Some(*r),
+                            Step::Fact(..) => None,
+                        })
+                        .collect();
+                    Stratum { steps, proper }
+                })
+                .collect(),
+        };
         match self.options.schedule {
-            Schedule::CrossRule => self.run_cross_rule(
-                structure,
-                &rules_arc,
-                infos,
-                &stratification,
-                executor.as_ref(),
-                &mut stats,
-            )?,
-            Schedule::RuleAtATime => self.run_rule_at_a_time(
-                structure,
-                &rules_arc,
-                infos,
-                &stratification,
-                executor.as_ref(),
-                &mut stats,
-            )?,
+            Schedule::CrossRule => self.run_cross_rule(structure, &run, executor.as_ref(), &mut stats)?,
+            Schedule::RuleAtATime => self.run_rule_at_a_time(structure, &run, executor.as_ref(), &mut stats)?,
         }
         stats.tasks_recovered = self.control.tasks_recovered().saturating_sub(recovered_before);
         stats.workers_respawned = self.control.workers_respawned().saturating_sub(respawned_before);
@@ -630,13 +729,6 @@ impl Engine {
     /// ([`Planner::CostBased`]); the naive arm has no delta passes to plan.
     fn planning(&self) -> bool {
         self.options.delta_driven && self.options.planner == Planner::CostBased
-    }
-
-    /// The dependency keys some rule writes — fed to
-    /// [`crate::analysis::plan_rule`] so literals over to-be-derived keys
-    /// estimate `Unknown` instead of `Empty`.
-    fn derived_keys(infos: &[RuleInfo]) -> BTreeSet<DepKey> {
-        infos.iter().flat_map(|i| i.defines.iter().cloned()).collect()
     }
 
     /// A monotone measure of the structure's fact content, used to decide
@@ -680,11 +772,15 @@ impl Engine {
     fn commit_frame_runs(
         &self,
         structure: &mut Structure,
-        compiled: &CompiledRule,
-        head: &crate::plan::CompiledHead,
+        plans: Option<&Arc<IterationPlans>>,
+        rule: usize,
         runs: Vec<crate::plan::FrameRun>,
         stats: &mut EvalStats,
     ) -> Result<usize> {
+        let (compiled, _) = plans
+            .and_then(|p| p.for_rule(rule))
+            .expect("frame outputs imply a compiled plan");
+        let head = compiled.head().expect("frame outputs imply a compiled head");
         let method = structure.ensure_name(&head.method);
         let merged = crate::plan::merge_frame_runs(runs, compiled.canonical());
         let mut new = 0;
@@ -696,15 +792,45 @@ impl Engine {
                 stats.firings += 1;
                 stats.set_members += 1;
             }
-            if stats.derived() > self.options.max_derived {
-                return Err(Error::LimitExceeded {
-                    kind: LimitKind::DerivedFacts,
-                    limit: self.options.max_derived,
-                    observed: stats.derived(),
-                });
-            }
+            self.check_max_derived(stats)?;
         }
         Ok(new)
+    }
+
+    /// [`Error::LimitExceeded`] once the run has derived more facts than
+    /// [`EvalOptions::max_derived`] allows.
+    fn check_max_derived(&self, stats: &EvalStats) -> Result<()> {
+        if stats.derived() > self.options.max_derived {
+            return Err(Error::LimitExceeded {
+                kind: LimitKind::DerivedFacts,
+                limit: self.options.max_derived,
+                observed: stats.derived(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Make `head` true under `bindings` and fold what that added into the
+    /// model counters: the commit step of both schedules, for a rule's
+    /// solution and — with empty bindings, the one solution of an empty
+    /// body — for a fact.
+    fn assert_solution(
+        &self,
+        structure: &mut Structure,
+        head: &Term,
+        bindings: &Bindings,
+        stats: &mut EvalStats,
+    ) -> Result<AssertEffect> {
+        let options = AssertOptions {
+            create_virtuals: self.options.create_virtuals,
+        };
+        let (_, effect) = assert_head(structure, head, bindings, options)?;
+        if effect.changed() {
+            stats.firings += 1;
+            stats.absorb(effect);
+        }
+        self.check_max_derived(stats)?;
+        Ok(effect)
     }
 
     /// The default snapshot-window cross-rule scheduler.
@@ -713,12 +839,15 @@ impl Engine {
     /// (phase 1):** slide the stratum's shared [`SnapshotWindow`] to the
     /// present; for every rule the window can drive, enqueue one task per
     /// (drivable literal, delta shard) — on the first iteration, one full
-    /// solve per rule — and hand the whole queue to the executor against the
-    /// now-frozen structure.  **Commit (phase 2):** the single writer merges
-    /// each rule's sorted runs in canonical order and asserts rule by rule
-    /// in stratum order.  Both phases are deterministic functions of the
-    /// structure content, so every mode/executor commits the same facts in
-    /// the same order and allocates identical virtual-object ids.
+    /// solve per proper rule — and hand the whole queue to the executor
+    /// against the now-frozen structure.  **Commit (phase 2):** the single
+    /// writer merges each rule's sorted runs in canonical order and asserts
+    /// statement by statement in stratum order; on the first iteration that
+    /// order includes the stratum's facts, each asserted as data at its
+    /// source position (see the module docs).  Both phases are deterministic
+    /// functions of the structure content, so every mode/executor commits
+    /// the same facts in the same order and allocates identical
+    /// virtual-object ids.
     ///
     /// Compared to the rule-at-a-time schedule, a rule sees facts derived by
     /// its stratum peers one iteration later (Jacobi instead of
@@ -728,20 +857,15 @@ impl Engine {
     fn run_cross_rule(
         &self,
         structure: &mut Structure,
-        rules: &Arc<[Rule]>,
-        infos: &[RuleInfo],
-        stratification: &Stratification,
+        run: &Run<'_>,
         executor: &dyn Executor,
         stats: &mut EvalStats,
     ) -> Result<()> {
-        let assert_options = AssertOptions {
-            create_virtuals: self.options.create_virtuals,
-        };
+        let rules = &run.rules;
         let body_reads = self.body_reads(rules);
         let workers = executor.workers();
         let planning = self.planning();
-        let derived = Self::derived_keys(infos);
-        for stratum in &stratification.strata {
+        for stratum in &run.strata {
             let mut window = SnapshotWindow::capture(structure);
             let mut first = true;
             // Compiled plans for this stratum's rules, refreshed when the
@@ -758,25 +882,33 @@ impl Engine {
                         observed: stats.iterations,
                     });
                 }
-                // Phase 1a: plan the iteration's task queue.
+                // Phase 1a: plan the iteration's task queue and, beside it,
+                // what phase 2 commits: (statement, number of its tasks).
                 let mut tasks: Vec<SolveTask> = Vec::new();
-                let mut plan: Vec<(usize, usize, usize)> = Vec::new(); // (rule, first task, task count)
+                let mut plan: Vec<(Step, usize)> = Vec::new();
                 let mut views: Vec<DeltaView> = Vec::new();
                 let mut iteration_plans: Option<Arc<IterationPlans>> = None;
                 if first || !self.options.delta_driven {
                     // Every rule solves in full: the first time it runs (no
                     // delta exists for it yet), or on every iteration of the
-                    // naive ablation arm.
-                    for &r in stratum {
-                        stats.full_solves += 1;
-                        plan.push((r, tasks.len(), 1));
-                        tasks.push(SolveTask { rule: r, delta: None });
+                    // naive ablation arm.  A fact needs no solve, and
+                    // commits with the first iteration only.
+                    for &step in &stratum.steps {
+                        match step {
+                            Step::Fact(..) if first => plan.push((step, 0)),
+                            Step::Fact(..) => {}
+                            Step::Rule(r) => {
+                                stats.full_solves += 1;
+                                plan.push((step, 1));
+                                tasks.push(SolveTask { rule: r, delta: None });
+                            }
+                        }
                     }
                 } else {
                     let dv = window.slide(structure);
                     if !dv.is_empty() {
                         let mut scheduled: Vec<(usize, Vec<usize>)> = Vec::new();
-                        for &r in stratum {
+                        for &r in &stratum.proper {
                             let delta_lits = delta_literals(structure, &body_reads[r], &dv);
                             if delta_lits.is_empty() {
                                 // Nothing in the window can drive any of
@@ -805,8 +937,13 @@ impl Engine {
                                     if plan_state.is_some() {
                                         stats.replans += 1;
                                     }
-                                    plan_state =
-                                        Some(Self::compile_stratum(rules, stratum, structure, &derived, stats));
+                                    plan_state = Some(Self::compile_stratum(
+                                        rules,
+                                        &stratum.proper,
+                                        structure,
+                                        &run.derived,
+                                        stats,
+                                    ));
                                     plan_level = level;
                                 }
                                 let compiled = plan_state.as_ref().unwrap();
@@ -842,12 +979,12 @@ impl Engine {
                                         });
                                     }
                                 }
-                                plan.push((r, start, tasks.len() - start));
+                                plan.push((Step::Rule(r), tasks.len() - start));
                             }
                         }
                     }
                 }
-                if tasks.is_empty() {
+                if plan.is_empty() {
                     // Nothing the window could drive: the stratum converged.
                     break;
                 }
@@ -862,20 +999,22 @@ impl Engine {
                 let mut outputs = executor.execute(structure, batch)?.into_iter();
                 // Phase 2: the single writer commits in stratum order.
                 let mut any_change = false;
-                for &(r, _, count) in &plan {
-                    let rule = &rules[r];
+                for &(step, count) in &plan {
+                    let r = match step {
+                        Step::Fact(fact, _) => {
+                            let effect = self.assert_solution(structure, &fact.head, &Bindings::new(), stats)?;
+                            any_change |= effect.changed();
+                            continue;
+                        }
+                        Step::Rule(r) => r,
+                    };
                     let collected: Vec<SolveOutput> = (0..count).filter_map(|_| outputs.next()).collect();
                     let collected = match take_frame_runs(collected) {
                         // All of the rule's passes ran frame-native and its
                         // compiled head commits the merged frames without
                         // `Bindings` or keys.
                         Ok(runs) => {
-                            let (c, _) = commit_plans
-                                .as_ref()
-                                .and_then(|p| p.for_rule(r))
-                                .expect("frame outputs imply a compiled plan");
-                            let head = c.head().expect("frame outputs imply a compiled head").clone();
-                            if self.commit_frame_runs(structure, c, &head, runs, stats)? > 0 {
+                            if self.commit_frame_runs(structure, commit_plans.as_ref(), r, runs, stats)? > 0 {
                                 any_change = true;
                             }
                             continue;
@@ -899,29 +1038,12 @@ impl Engine {
                                     stats.firings += 1;
                                     stats.set_members += 1;
                                 }
-                                if stats.derived() > self.options.max_derived {
-                                    return Err(Error::LimitExceeded {
-                                        kind: LimitKind::DerivedFacts,
-                                        limit: self.options.max_derived,
-                                        observed: stats.derived(),
-                                    });
-                                }
+                                self.check_max_derived(stats)?;
                                 continue;
                             }
                         }
-                        let (_, effect) = assert_head(structure, &rule.head, &bindings, assert_options)?;
-                        if effect.changed() {
-                            any_change = true;
-                            stats.firings += 1;
-                            stats.absorb(effect);
-                        }
-                        if stats.derived() > self.options.max_derived {
-                            return Err(Error::LimitExceeded {
-                                kind: LimitKind::DerivedFacts,
-                                limit: self.options.max_derived,
-                                observed: stats.derived(),
-                            });
-                        }
+                        let effect = self.assert_solution(structure, &rules[r].head, &bindings, stats)?;
+                        any_change |= effect.changed();
                     }
                 }
                 first = false;
@@ -943,19 +1065,14 @@ impl Engine {
     fn run_rule_at_a_time(
         &self,
         structure: &mut Structure,
-        rules: &Arc<[Rule]>,
-        infos: &[RuleInfo],
-        stratification: &Stratification,
+        run: &Run<'_>,
         executor: &dyn Executor,
         stats: &mut EvalStats,
     ) -> Result<()> {
-        let assert_options = AssertOptions {
-            create_virtuals: self.options.create_virtuals,
-        };
+        let rules = &run.rules;
         let body_reads = self.body_reads(rules);
         let workers = executor.workers();
         let planning = self.planning();
-        let derived = Self::derived_keys(infos);
 
         // Watermarks of the structure state each rule last solved against.
         // A rule's delta is "everything asserted since *it* last ran" — not
@@ -964,7 +1081,7 @@ impl Engine {
         // iteration) are never re-presented to it as new.
         let mut last_marks: Vec<Option<EvalMarks>> = vec![None; rules.len()];
 
-        for stratum in &stratification.strata {
+        for stratum in &run.strata {
             let mut changed_keys: Option<BTreeSet<DepKey>> = None; // None = first iteration, fire everything
                                                                    // Compiled plans for this stratum's rules (same staleness policy
                                                                    // as the cross-rule schedule: re-plan when the fact level more
@@ -984,9 +1101,35 @@ impl Engine {
                 let mut any_change = false;
                 let iter_isa_mark = structure.isa().closure_size();
 
-                for &r in stratum {
+                // A virtual object created by an assert can satisfy literals
+                // through positions that read no named key (a bare variable,
+                // a built-in filter), so object creation is published as the
+                // catch-all key — every rule is re-examined, and the
+                // per-rule window keeps that cheap.
+                let publish = |new_keys: &mut BTreeSet<DepKey>, info: &RuleInfo, effect: AssertEffect| {
+                    new_keys.extend(info.defines.iter().cloned());
+                    if effect.virtual_objects > 0 {
+                        new_keys.insert(DepKey::Unknown);
+                    }
+                };
+                for &step in &stratum.steps {
+                    let r = match step {
+                        // A fact is asserted as data, at its source position,
+                        // the first time round and never looked at again.
+                        Step::Fact(fact, info) => {
+                            if changed_keys.is_none() {
+                                let effect = self.assert_solution(structure, &fact.head, &Bindings::new(), stats)?;
+                                if effect.changed() {
+                                    any_change = true;
+                                    publish(&mut new_keys, info, effect);
+                                }
+                            }
+                            continue;
+                        }
+                        Step::Rule(r) => r,
+                    };
                     let rule = &rules[r];
-                    let info = &infos[r];
+                    let info = run.infos[r];
                     let solutions = match (&changed_keys, last_marks[r]) {
                         (Some(changed), Some(lo)) if self.options.delta_driven => {
                             if !rule_affected(info, changed) {
@@ -1019,8 +1162,13 @@ impl Engine {
                                     if plan_state.is_some() {
                                         stats.replans += 1;
                                     }
-                                    plan_state =
-                                        Some(Self::compile_stratum(rules, stratum, structure, &derived, stats));
+                                    plan_state = Some(Self::compile_stratum(
+                                        rules,
+                                        &stratum.proper,
+                                        structure,
+                                        &run.derived,
+                                        stats,
+                                    ));
                                     plan_level = level;
                                 }
                                 let compiled = plan_state.as_ref().unwrap();
@@ -1062,12 +1210,7 @@ impl Engine {
                             let commit_plans = batch.plans.clone();
                             let collected = match take_frame_runs(executor.execute(structure, batch)?) {
                                 Ok(runs) => {
-                                    let (c, _) = commit_plans
-                                        .as_ref()
-                                        .and_then(|p| p.for_rule(r))
-                                        .expect("frame outputs imply a compiled plan");
-                                    let head = c.head().expect("frame outputs imply a compiled head").clone();
-                                    if self.commit_frame_runs(structure, c, &head, runs, stats)? > 0 {
+                                    if self.commit_frame_runs(structure, commit_plans.as_ref(), r, runs, stats)? > 0 {
                                         any_change = true;
                                         // The compiled head only inserts set
                                         // members — never virtual objects —
@@ -1095,28 +1238,10 @@ impl Engine {
                         }
                     };
                     for bindings in solutions {
-                        let (_, effect) = assert_head(structure, &rule.head, &bindings, assert_options)?;
+                        let effect = self.assert_solution(structure, &rule.head, &bindings, stats)?;
                         if effect.changed() {
                             any_change = true;
-                            stats.firings += 1;
-                            stats.absorb(effect);
-                            new_keys.extend(info.defines.iter().cloned());
-                            // A fresh virtual object can satisfy literals
-                            // through positions that read no named key (a
-                            // bare variable, a built-in filter), so object
-                            // creation is published as the catch-all key —
-                            // every rule is re-examined, and the per-rule
-                            // window keeps that cheap.
-                            if effect.virtual_objects > 0 {
-                                new_keys.insert(DepKey::Unknown);
-                            }
-                        }
-                        if stats.derived() > self.options.max_derived {
-                            return Err(Error::LimitExceeded {
-                                kind: LimitKind::DerivedFacts,
-                                limit: self.options.max_derived,
-                                observed: stats.derived(),
-                            });
+                            publish(&mut new_keys, info, effect);
                         }
                     }
                 }
@@ -1297,6 +1422,22 @@ fn register_names(structure: &mut Structure, term: &Term) {
     });
     for n in names {
         structure.ensure_name(&n);
+    }
+}
+
+/// Register every name of a program, statement by statement (object ids
+/// follow first registration, so the order is part of the model's identity).
+fn register_program_names(structure: &mut Structure, program: &Program) {
+    for rule in &program.rules {
+        register_names(structure, &rule.head);
+        for lit in &rule.body {
+            register_names(structure, &lit.term);
+        }
+    }
+    for query in &program.queries {
+        for lit in &query.body {
+            register_names(structure, &lit.term);
+        }
     }
 }
 
@@ -2513,6 +2654,233 @@ mod tests {
         // validation instead — enforcement only changes *when*, not *if*.
         let engine = Engine::new();
         assert!(engine.install_checked(&mut s, &program).is_err());
+    }
+
+    /// One stratum, over a structure already holding `q : person[city ->
+    /// paris]`, with facts between the rules and four virtual objects whose
+    /// numbering tells when each statement committed.
+    fn interleaved_program() -> (Structure, Program) {
+        let mut base = Structure::new();
+        Engine::new()
+            .run_rules(
+                &mut base,
+                &[Rule::fact(
+                    Term::name("q")
+                        .isa("person")
+                        .filter(Filter::scalar("city", Term::name("paris"))),
+                )],
+            )
+            .unwrap();
+        let boss_age = |who: &str, age: i64| {
+            Rule::fact(
+                Term::name(who)
+                    .scalar("boss")
+                    .filter(Filter::scalar("age", Term::int(age))),
+            )
+        };
+        let mut program = Program::new();
+        program.push_rule(Rule::fact(Term::name("p1").isa("employee")));
+        program.push_rule(Rule::new(
+            Term::var("X").isa("person"),
+            vec![Literal::pos(Term::var("X").isa("employee"))],
+        ));
+        program.push_rule(boss_age("p1", 50));
+        program.push_rule(Rule::new(
+            Term::var("X")
+                .scalar("address")
+                .filter(Filter::scalar("city", Term::var("C"))),
+            vec![Literal::pos(
+                Term::var("X")
+                    .isa("person")
+                    .filter(Filter::scalar("city", Term::var("C"))),
+            )],
+        ));
+        program.push_rule(Rule::fact(
+            Term::name("p1").filter(Filter::scalar("city", Term::name("berlin"))),
+        ));
+        program.push_rule(boss_age("p2", 40));
+        program.push_rule(Rule::fact(Term::name("p2").isa("employee")));
+        (base, program)
+    }
+
+    /// The counters that describe the model, not the schedule.
+    fn model_counters(stats: &EvalStats) -> [usize; 6] {
+        [
+            stats.firings,
+            stats.scalar_facts,
+            stats.set_members,
+            stats.isa_edges,
+            stats.signatures,
+            stats.virtual_objects,
+        ]
+    }
+
+    #[test]
+    fn interleaved_facts_commit_at_their_source_position_in_every_configuration() {
+        let (base, program) = interleaved_program();
+        let run = |options: EvalOptions| {
+            let mut s = base.clone();
+            let (stats, analysis) = Engine::with_options(options).install_checked(&mut s, &program).unwrap();
+            assert_eq!(analysis.strata.unwrap().len(), 1, "one stratum");
+            (s, stats)
+        };
+        let (oracle, oracle_stats) = run(EvalOptions {
+            delta_driven: false,
+            ..EvalOptions::default()
+        });
+        assert_eq!(oracle_stats.virtual_objects, 4);
+        assert_eq!(oracle_stats.full_solves, 2 * oracle_stats.iterations);
+
+        // p1.boss (a fact), q.address (the rule's first firing, from stored
+        // facts), p2.boss (a fact after that rule), p1.address (a later
+        // iteration): allocated in source order within the first commit.
+        let virt = |of: &str, method: &str| {
+            let v = oracle
+                .apply_scalar(oid(&oracle, method), oid(&oracle, of), &[])
+                .unwrap();
+            assert!(oracle.is_virtual(v));
+            v
+        };
+        let allocated = [
+            virt("p1", "boss"),
+            virt("q", "address"),
+            virt("p2", "boss"),
+            virt("p1", "address"),
+        ];
+        assert!(allocated.windows(2).all(|w| w[0] < w[1]), "{allocated:?}");
+
+        let configurations = [
+            ("sequential", EvalOptions::default()),
+            (
+                "parallel x4",
+                EvalOptions {
+                    mode: EvalMode::Parallel { workers: 4 },
+                    ..EvalOptions::default()
+                },
+            ),
+            (
+                "rule-at-a-time",
+                EvalOptions {
+                    schedule: Schedule::RuleAtATime,
+                    ..EvalOptions::default()
+                },
+            ),
+        ];
+        for (what, options) in configurations {
+            let (s, stats) = run(options);
+            assert_eq!(s.canonical_dump(), oracle.canonical_dump(), "{what}");
+            assert_eq!(model_counters(&stats), model_counters(&oracle_stats), "{what}");
+            // The scheduling counters count the two proper rules only: the
+            // five facts are no solve, no skip and no compile.
+            let scheduled = stats.full_solves + stats.delta_solves + stats.rules_skipped;
+            assert!(scheduled <= 2 * stats.iterations, "{what}: {stats:?}");
+            assert!(stats.plans_compiled <= 2 * (1 + stats.replans), "{what}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn install_checked_evaluates_like_load_program() {
+        // Same model, same stats — the analysis only saves recomputing the
+        // summaries and strata — over two strata with facts in both.
+        let (base, mut program) = interleaved_program();
+        program.push_rule(Rule::fact(
+            Term::name("q").filter(Filter::set("pals", vec![Term::name("p1"), Term::name("p2")])),
+        ));
+        program.push_rule(Rule::fact(
+            Term::name("club").filter(Filter::set_ref("members", Term::name("q").set("pals"))),
+        ));
+        let engine = Engine::new();
+        let (mut loaded, mut installed) = (base.clone(), base);
+        let load_stats = engine.load_program(&mut loaded, &program).unwrap();
+        let (install_stats, _) = engine.install_checked(&mut installed, &program).unwrap();
+        assert_eq!(load_stats.strata, 2);
+        assert_eq!(install_stats, load_stats);
+        assert_eq!(installed.canonical_dump(), loaded.canonical_dump());
+        let club = oid(&installed, "club");
+        let members = oid(&installed, "members");
+        assert_eq!(installed.apply_set(members, club, &[]).unwrap().len(), 2);
+
+        // A program that is not stratifiable fails both ways with one error.
+        program.push_rule(Rule::new(
+            Term::var("X").filter(Filter::set_ref("pals", Term::var("X").set("pals"))),
+            vec![Literal::pos(Term::var("X").isa("person"))],
+        ));
+        let load_err = engine.load_program(&mut Structure::new(), &program).unwrap_err();
+        let install_err = engine.install_checked(&mut Structure::new(), &program).unwrap_err();
+        assert!(matches!(load_err, Error::NotStratifiable(_)));
+        assert_eq!(install_err.to_string(), load_err.to_string());
+    }
+
+    #[test]
+    fn facts_are_data_to_the_scheduling_counters() {
+        let mut s = Structure::new();
+        let stats = Engine::new().run_rules(&mut s, &genealogy_facts()).unwrap();
+        assert_eq!(stats.firings, 3);
+        assert_eq!(stats.set_members, 5);
+        assert_eq!(
+            (
+                stats.full_solves,
+                stats.delta_solves,
+                stats.rules_skipped,
+                stats.plans_compiled
+            ),
+            (0, 0, 0, 0)
+        );
+    }
+
+    #[test]
+    fn derived_fact_limit_is_enforced_on_facts() {
+        let engine = Engine::with_options(EvalOptions {
+            max_derived: 4,
+            ..EvalOptions::default()
+        });
+        let err = engine.run_rules(&mut Structure::new(), &genealogy_facts()).unwrap_err();
+        assert!(matches!(
+            err,
+            Error::LimitExceeded {
+                kind: LimitKind::DerivedFacts,
+                limit: 4,
+                observed: 5,
+            }
+        ));
+    }
+
+    #[test]
+    fn conflicting_scalar_facts_are_still_rejected() {
+        let age = |n: i64| Rule::fact(Term::name("mary").filter(Filter::scalar("age", Term::int(n))));
+        for schedule in [Schedule::CrossRule, Schedule::RuleAtATime] {
+            let engine = Engine::with_options(EvalOptions {
+                schedule,
+                ..EvalOptions::default()
+            });
+            let err = engine
+                .run_rules(&mut Structure::new(), &[age(30), age(31)])
+                .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "conflicting scalar results for method Oid(7) on receiver Oid(6): Oid(8) vs Oid(9)"
+            );
+        }
+    }
+
+    #[test]
+    fn non_ground_fact_is_rejected_before_any_fact_is_asserted() {
+        let mut program = Program::new();
+        program.push_rule(Rule::fact(Term::name("mary").isa("person")));
+        program.push_rule(Rule::fact(Term::var("X").isa("person")));
+        for static_checks in [StaticChecks::WarnOnly, StaticChecks::Enforce] {
+            let engine = Engine::with_options(EvalOptions {
+                static_checks,
+                ..EvalOptions::default()
+            });
+            let mut s = Structure::new();
+            let err = engine.install_checked(&mut s, &program).unwrap_err();
+            match static_checks {
+                StaticChecks::WarnOnly => assert!(matches!(err, Error::InvalidRule(_)), "{err:?}"),
+                StaticChecks::Enforce => assert!(matches!(err, Error::StaticRejected(_)), "{err:?}"),
+            }
+            assert_eq!(s.stats().isa_edges, 0, "{static_checks:?}: mary must not be asserted");
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ impl Stratification {
 /// Returns [`crate::error::Error::NotStratifiable`] when a rule
 /// (transitively) depends on its own definitions through a strict use.
 pub fn stratify(infos: &[RuleInfo]) -> Result<Stratification> {
-    DependencyGraph::from_rule_infos(infos).stratify()
+    DependencyGraph::stratify_rule_infos(infos)
 }
 
 #[cfg(test)]

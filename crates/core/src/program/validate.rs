@@ -53,6 +53,13 @@ pub struct RuleInfo {
 
 /// Validate a single rule and compute its dependency summary.
 pub fn validate_rule(rule: &Rule) -> Result<RuleInfo> {
+    check_valid(rule)?;
+    Ok(rule_info(rule))
+}
+
+/// The checks of [`validate_rule`] alone, for a caller that already holds
+/// the rule's dependency summary.
+pub(crate) fn check_valid(rule: &Rule) -> Result<()> {
     check_well_formed(&rule.head).map_err(|e| Error::InvalidRule(format!("head of `{rule}`: {e}")))?;
     for lit in &rule.body {
         check_well_formed(&lit.term).map_err(|e| Error::InvalidRule(format!("body of `{rule}`: {e}")))?;
@@ -85,8 +92,7 @@ pub fn validate_rule(rule: &Rule) -> Result<RuleInfo> {
             }
         }
     }
-
-    Ok(rule_info(rule))
+    Ok(())
 }
 
 /// Compute a rule's dependency summary without validating it.

@@ -107,6 +107,40 @@ fn assert_planner_transparent(structure: &Structure) {
     }
 }
 
+/// Facts written in the text are data to the planner: only the six proper
+/// rules of `PROGRAM` are ever compiled, solved or skipped, however many
+/// `kids` facts precede them, and the planned model still equals the
+/// unplanned one.
+#[test]
+fn facts_in_the_text_are_never_planned_or_scheduled() {
+    let facts: String = (0..60)
+        .map(|i| format!("n{i}[kids ->> {{n{}, n{}}}].\n", 2 * i + 1, 2 * i + 2))
+        .collect();
+    let program = parse_program(&format!("{facts}{PROGRAM}")).expect("program parses");
+    let run = |planner: Planner| {
+        let mut s = Structure::new();
+        let options = EvalOptions {
+            planner,
+            ..EvalOptions::default()
+        };
+        let stats = Engine::with_options(options)
+            .load_program(&mut s, &program)
+            .expect("evaluation succeeds");
+        (s.canonical_dump(), stats)
+    };
+    let (unplanned_dump, unplanned) = run(Planner::Off);
+    let (planned_dump, planned) = run(Planner::CostBased);
+    assert_eq!(planned_dump, unplanned_dump);
+    assert_eq!(without_planner_counters(planned), without_planner_counters(unplanned));
+
+    const RULES: usize = 6;
+    assert!(planned.plans_compiled > 0);
+    assert!(planned.plans_compiled <= RULES * (1 + planned.replans), "{planned:?}");
+    let scheduled = planned.full_solves + planned.delta_solves + planned.rules_skipped;
+    assert!(scheduled <= RULES * planned.iterations, "{planned:?}");
+    assert_eq!(planned.full_solves, RULES, "one full solve per proper rule");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
