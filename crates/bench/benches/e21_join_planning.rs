@@ -1,12 +1,11 @@
 //! Experiment E21: the cost-based join planner — the speed side.
 //! Benchmarks the filtered-closure workload (recursive `desc` closure plus
-//! a 3-literal join written in deliberately bad order) with the planner on
-//! and off, plus the plain E7 closure as the regression guard for the
-//! planner's overhead on bodies it cannot improve.
+//! a 3-literal join written in deliberately bad order), plus the plain E7
+//! closure as the regression guard for the planner's overhead on bodies it
+//! cannot improve.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pathlog_bench::{join_planning, transitive_closure, workloads};
-use pathlog_core::plan::Planner;
 
 fn bench_e21_join_planning(c: &mut Criterion) {
     let mut group = c.benchmark_group("e21_join_planning");
@@ -17,10 +16,7 @@ fn bench_e21_join_planning(c: &mut Criterion) {
         let label = format!("d{depth}f{fanout}");
         let s = join_planning::workload(depth, fanout);
         group.bench_with_input(BenchmarkId::new("filtered_closure_planned", &label), &s, |b, s| {
-            b.iter(|| join_planning::members(s, Planner::CostBased))
-        });
-        group.bench_with_input(BenchmarkId::new("filtered_closure_unplanned", &label), &s, |b, s| {
-            b.iter(|| join_planning::members(s, Planner::Off))
+            b.iter(|| join_planning::members(s))
         });
         // The E7 closure under the planner: single-literal recursive bodies,
         // so this measures pure planner/compile overhead on the workload the

@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pathlog_bench::{transitive_closure, workloads};
-use pathlog_core::engine::{EvalMode, EvalOptions, ExecutorKind, Schedule};
+use pathlog_core::engine::EvalMode;
 
 fn bench_parallel_eval(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_workers");
@@ -34,40 +34,5 @@ fn bench_parallel_eval(c: &mut Criterion) {
     group.finish();
 }
 
-/// The E17 axes: spawn-per-batch (scoped) vs persistent-pool (pooled)
-/// executors, crossed with the cross-rule and rule-at-a-time schedules, at a
-/// fixed 4 workers.  Note the per-iteration caveat: each `b.iter` call
-/// builds a throwaway engine, so the pooled arm pays its pool creation once
-/// per measured run — the steady-state win (pool reused across many
-/// `run_rules` calls of one engine) is what E17 reports via spawn counts.
-fn bench_executor_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("executor_ablation");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    let structure = workloads::genealogy(8, 2);
-    let schedules = [
-        ("cross_rule", Schedule::CrossRule),
-        ("rule_at_a_time", Schedule::RuleAtATime),
-    ];
-    let executors = [("pooled", ExecutorKind::Pooled), ("scoped", ExecutorKind::Scoped)];
-    for (s_label, schedule) in schedules {
-        for (e_label, executor) in executors {
-            let options = EvalOptions {
-                mode: EvalMode::Parallel { workers: 4 },
-                schedule,
-                executor,
-                ..EvalOptions::default()
-            };
-            group.bench_with_input(
-                BenchmarkId::new(format!("{s_label}_{e_label}"), "d8f2_w4"),
-                &structure,
-                |b, s| b.iter(|| transitive_closure::pathlog_desc_with_options(s, options).0 .0),
-            );
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_parallel_eval, bench_executor_ablation);
+criterion_group!(benches, bench_parallel_eval);
 criterion_main!(benches);

@@ -121,15 +121,12 @@ fn format_number(v: f64) -> String {
 fn main() {
     let args = parse_args();
     let mut report = Report::default();
-    // E17/E18/E19/E20/E21/E22 are the cross-check gates the CI matrix arms
-    // invoke in isolation via `--only e17|...|e22`; a full run includes all
+    // E18/E19/E20/E21/E22 are the cross-check gates the CI matrix arms
+    // invoke in isolation via `--only e18|...|e22`; a full run includes all
     // of them.
     let wants = |name: &str| args.only.is_none() || args.only.as_deref() == Some(name);
     if args.only.is_none() {
         all_experiments(&mut report);
-    }
-    if wants("e17") {
-        e17_executor_ablation(&mut report);
     }
     if wants("e18") {
         e18_reactive_executor(&mut report);
@@ -148,10 +145,6 @@ fn main() {
     }
     match args.only.as_deref() {
         None => println!("\nAll experiments finished; answers agreed across PathLog and the baselines."),
-        Some("e17") => println!(
-            "\nE17 cross-checks passed: every executor/schedule arm matched the sequential fixpoint \
-             (cross-rule arms bit-identical EvalStats)."
-        ),
         Some("e19") => println!(
             "\nE19 cross-checks passed: every parallel closure arm's canonical dump was bit-identical \
              to the sequential reference, and the factorized enumeration matched the materialized \
@@ -163,10 +156,9 @@ fn main() {
              and quarantined commits degraded (tainted) answers instead of dropping them."
         ),
         Some("e21") => println!(
-            "\nE21 cross-checks passed: every planned arm (sequential and 1/2/4/8 workers) was \
-             canonical-dump-identical to the unplanned sequential reference with identical \
-             non-planner EvalStats, and the planner counters were positive, mode-independent and \
-             zero under Planner::Off."
+            "\nE21 cross-checks passed: every engine arm (sequential and 2/4/8 workers) was \
+             canonical-dump-identical to the naive oracle with identical model counters, and the \
+             planner counters were positive and mode-independent."
         ),
         Some("e22") => println!(
             "\nE22 cross-checks passed: every reader session's pinned canonical dump was \
@@ -183,7 +175,7 @@ fn main() {
     if detected_cores() <= 1 {
         println!(
             "CAVEAT: this host exposes a single hardware thread — the parallel arms \
-             (E16/E17/E18/E21/E22) measure scheduling overhead, not scaling. Re-run on a \
+             (E16/E18/E21/E22) measure scheduling overhead, not scaling. Re-run on a \
              multi-core host (CI regenerates the scaling arms when it detects >1 core)."
         );
     }
@@ -293,28 +285,14 @@ fn all_experiments(report: &mut Report) {
     }
     report.table("E4/E6/E9: virtual objects (2.4, 6.1) vs XSQL views (6.3)", rows);
 
-    // E7 — transitive closure.  `desc_rules_ms` runs the default engine
-    // (cost-based planner + compiled rule bodies); `desc_unplanned_ms` is
-    // the PR 9 ablation arm on the interpreted written-order path.
+    // E7 — transitive closure.
     let mut rows = Vec::new();
     for &(depth, fanout) in &[(4usize, 2usize), (6, 2), (8, 2), (5, 3)] {
         let s = workloads::genealogy(depth, fanout);
         let db = RelationalDb::from_structure(&s);
         let (pairs, desc_ms) = time_ms(|| transitive_closure::pathlog_desc(&s));
-        let (pairs_unplanned, unplanned_ms) = time_ms(|| {
-            let mut s2 = s.clone();
-            let program = pathlog_parser::parse_program(transitive_closure::DESC_RULES).expect("valid rules");
-            pathlog_core::engine::Engine::with_options(pathlog_core::engine::EvalOptions {
-                planner: pathlog_core::plan::Planner::Off,
-                ..Default::default()
-            })
-            .load_program(&mut s2, &program)
-            .expect("rules evaluate")
-            .set_members
-        });
         let (pairs1, generic_ms) = time_ms(|| transitive_closure::pathlog_generic(&s));
         let (pairs2, rel_ms) = time_ms(|| transitive_closure::relational(&db));
-        assert_eq!(pairs, pairs_unplanned);
         assert_eq!(pairs, pairs1);
         assert_eq!(pairs, pairs2);
         rows.push(Row {
@@ -322,7 +300,6 @@ fn all_experiments(report: &mut Report) {
             values: vec![
                 ("closure_pairs".into(), pairs as f64),
                 ("desc_rules_ms".into(), desc_ms),
-                ("desc_unplanned_ms".into(), unplanned_ms),
                 ("generic_tc_ms".into(), generic_ms),
                 ("relational_ms".into(), rel_ms),
             ],
@@ -427,11 +404,10 @@ fn all_experiments(report: &mut Report) {
         // two ablations always benchmark an identical workload.
         let program = pathlog_parser::parse_program(transitive_closure::PARALLEL_ABLATION_RULES)
             .expect("ablation program parses");
-        let run = |delta: bool, planner: pathlog_core::plan::Planner| {
+        let run = |delta: bool| {
             let mut s2 = s.clone();
             let engine = pathlog_core::engine::Engine::with_options(pathlog_core::engine::EvalOptions {
                 delta_driven: delta,
-                planner,
                 ..Default::default()
             });
             engine
@@ -439,13 +415,8 @@ fn all_experiments(report: &mut Report) {
                 .expect("rules evaluate")
                 .set_members
         };
-        let (members_on, on_ms) = time_ms(|| run(true, pathlog_core::plan::Planner::CostBased));
-        // The PR 9 ablation arm: semi-naive but on the interpreted
-        // written-order path (the planner only affects delta passes, so the
-        // naive arm has no planned variant).
-        let (members_unplanned, unplanned_ms) = time_ms(|| run(true, pathlog_core::plan::Planner::Off));
-        let (members_off, off_ms) = time_ms(|| run(false, pathlog_core::plan::Planner::Off));
-        assert_eq!(members_on, members_unplanned, "planned and unplanned must agree");
+        let (members_on, on_ms) = time_ms(|| run(true));
+        let (members_off, off_ms) = time_ms(|| run(false));
         assert_eq!(members_on, members_off, "naive and semi-naive must agree");
         rows.push(Row {
             scale: format!("depth={depth} fanout={fanout}"),
@@ -454,7 +425,6 @@ fn all_experiments(report: &mut Report) {
                 // closure size E7 reports.
                 ("derived_set_members".into(), members_on as f64),
                 ("delta_on_ms".into(), on_ms),
-                ("delta_on_unplanned_ms".into(), unplanned_ms),
                 ("delta_off_ms".into(), off_ms),
                 ("speedup".into(), off_ms / on_ms),
             ],
@@ -519,38 +489,6 @@ fn all_experiments(report: &mut Report) {
             seq_stats.derived() * 5,
             "aggregated totals must be five identical runs"
         );
-        // PR 9 ablation arm: the same 4-worker run on the interpreted
-        // written-order path.  Identical except for the planner counters.
-        let mut unplanned_stats = None;
-        let (unplanned_members, unplanned_w4_ms) = time_ms(|| {
-            let ((members, stats), _) = transitive_closure::pathlog_desc_with_options(
-                &s,
-                pathlog_core::engine::EvalOptions {
-                    mode: pathlog_core::engine::EvalMode::Parallel { workers: 4 },
-                    planner: pathlog_core::plan::Planner::Off,
-                    ..Default::default()
-                },
-            );
-            unplanned_stats = Some(stats);
-            members
-        });
-        let unplanned_stats = unplanned_stats.expect("unplanned arm ran");
-        assert_eq!(
-            unplanned_members, seq_members,
-            "unplanned parallel and sequential answer counts must match"
-        );
-        let strip = |mut stats: pathlog_core::engine::EvalStats| {
-            stats.plans_compiled = 0;
-            stats.replans = 0;
-            stats.seed_flips = 0;
-            stats
-        };
-        assert_eq!(
-            strip(unplanned_stats),
-            strip(seq_stats),
-            "unplanned and planned runs must agree on every non-planner counter"
-        );
-        values.push(("workers4_unplanned_ms".into(), unplanned_w4_ms));
         values.push(("speedup_w4".into(), seq_ms / w4_ms));
         rows.push(Row {
             scale: format!("depth={depth} fanout={fanout}"),
@@ -558,76 +496,6 @@ fn all_experiments(report: &mut Report) {
         });
     }
     report.table("E16: parallel sharded delta evaluation (1/2/4/8 workers)", rows);
-}
-
-/// E17 — the executor ablation: spawn-per-batch (scoped) vs persistent pool
-/// (pooled) executors, crossed with the two iteration schedules (snapshot-
-/// window cross-rule vs legacy rule-at-a-time), at 4 workers on the
-/// deep-tree `desc` workload.  Every arm's derived counts are cross-checked
-/// against the sequential run (the binary aborts on mismatch — this is the
-/// CI gate), the cross-rule arms' full `EvalStats` too; the per-run
-/// spawned-thread counts show the pooled executor's O(workers) spawn
-/// behaviour against the scoped executor's O(solves × workers).
-fn e17_executor_ablation(report: &mut Report) {
-    use pathlog_core::engine::{EvalMode, EvalOptions, ExecutorKind, Schedule};
-    let mut rows = Vec::new();
-    for &(depth, fanout) in &[(8usize, 2usize), (10, 2)] {
-        let s = workloads::genealogy(depth, fanout);
-        let ((seq_members, seq_stats), _) = transitive_closure::pathlog_desc_with_options(&s, EvalOptions::default());
-        let (_, seq_ms) = time_ms(|| {
-            transitive_closure::pathlog_desc_with_options(&s, EvalOptions::default())
-                .0
-                 .0
-        });
-        let mut values = vec![
-            ("derived_set_members".into(), seq_members as f64),
-            ("sequential_ms".into(), seq_ms),
-        ];
-        let schedules = [
-            ("cross_rule", Schedule::CrossRule),
-            ("rule_at_a_time", Schedule::RuleAtATime),
-        ];
-        let executors = [("pooled", ExecutorKind::Pooled), ("scoped", ExecutorKind::Scoped)];
-        for (s_label, schedule) in schedules {
-            for (e_label, executor) in executors {
-                let options = EvalOptions {
-                    mode: EvalMode::Parallel { workers: 4 },
-                    schedule,
-                    executor,
-                    ..EvalOptions::default()
-                };
-                let mut spawned = 0usize;
-                let mut arm_stats = None;
-                let (members, ms) = time_ms(|| {
-                    let ((members, stats), threads) = transitive_closure::pathlog_desc_with_options(&s, options);
-                    spawned = threads;
-                    arm_stats = Some(stats);
-                    members
-                });
-                assert_eq!(
-                    members, seq_members,
-                    "E17 {s_label}/{e_label}: answer counts must match the sequential run"
-                );
-                if schedule == Schedule::CrossRule {
-                    assert_eq!(
-                        arm_stats.expect("arm ran"),
-                        seq_stats,
-                        "E17 {s_label}/{e_label}: cross-rule EvalStats must be bit-identical to sequential"
-                    );
-                }
-                values.push((format!("{s_label}_{e_label}_w4_ms"), ms));
-                values.push((format!("{s_label}_{e_label}_spawned_threads"), spawned as f64));
-            }
-        }
-        rows.push(Row {
-            scale: format!("depth={depth} fanout={fanout}"),
-            values,
-        });
-    }
-    report.table(
-        "E17: executor ablation (pooled vs scoped x cross-rule vs rule-at-a-time, 4 workers)",
-        rows,
-    );
 }
 
 /// E18 — reactive evaluation through the executor: the production
@@ -750,7 +618,7 @@ fn e18_reactive_executor(report: &mut Report) {
 
 /// E19 — columnar fact storage + factorized path answers.  The memory gate
 /// of the columnar refactor: on the depth-10 `desc` closure (at the datagen
-/// scale selected with `--scale`), every parallel/executor closure arm must
+/// scale selected with `--scale`), every parallel closure arm must
 /// produce a canonical dump bit-identical to the sequential reference, the
 /// factorized answer DAG of `X..desc` must enumerate answer-for-answer
 /// identically to the materialized tuples, and the DAG's peak-RSS increment
@@ -759,7 +627,7 @@ fn e18_reactive_executor(report: &mut Report) {
 /// second table tracks representation size across the E7 depth sweep: DAG
 /// nodes must grow sub-linearly in the tuple count.
 fn e19_columnar_factorized(report: &mut Report, scale: usize) {
-    use pathlog_core::engine::{EvalMode, EvalOptions, ExecutorKind};
+    use pathlog_core::engine::{EvalMode, EvalOptions};
     let tenfold = scale >= 10;
 
     // --- Memory arm: depth-10 transitive closure.
@@ -767,18 +635,15 @@ fn e19_columnar_factorized(report: &mut Report, scale: usize) {
     let closed = columnar_factorized::close(&s);
     let reference = closed.canonical_dump();
     for workers in [1usize, 2, 4, 8] {
-        for (label, executor) in [("pooled", ExecutorKind::Pooled), ("scoped", ExecutorKind::Scoped)] {
-            let options = EvalOptions {
-                mode: EvalMode::Parallel { workers },
-                executor,
-                ..EvalOptions::default()
-            };
-            let dump = columnar_factorized::closed_dump(&s, options);
-            assert_eq!(
-                dump, reference,
-                "E19 {label} w{workers}: canonical dump must be bit-identical to the sequential reference"
-            );
-        }
+        let options = EvalOptions {
+            mode: EvalMode::Parallel { workers },
+            ..EvalOptions::default()
+        };
+        let dump = columnar_factorized::closed_dump(&s, options);
+        assert_eq!(
+            dump, reference,
+            "E19 w{workers}: canonical dump must be bit-identical to the sequential reference"
+        );
     }
     let (fact, fact_kb) = rss::measure(|| columnar_factorized::factorized(&closed));
     let (tuples, tuples_kb) = rss::measure(|| columnar_factorized::materialized(&closed));
@@ -862,7 +727,7 @@ fn e19_columnar_factorized(report: &mut Report, scale: usize) {
 /// salary query tolerantly: every classical answer is still served, tainted
 /// answers are annotated rather than dropped.
 fn e20_constraint_commits(report: &mut Report) {
-    use pathlog_core::engine::{Engine, EvalMode, EvalOptions, ExecutorKind};
+    use pathlog_core::engine::{Engine, EvalMode, EvalOptions};
     let mut rows = Vec::new();
     for &n in &[100usize, 300] {
         let updates = 100usize;
@@ -894,7 +759,6 @@ fn e20_constraint_commits(report: &mut Report) {
         // The pooled-executor arm must agree with the sequential guard.
         let pooled_engine = Engine::with_options(EvalOptions {
             mode: EvalMode::Parallel { workers: 4 },
-            executor: ExecutorKind::Pooled,
             ..EvalOptions::default()
         });
         let pooled = constraints_commit::run_commits(n, updates, false, pooled_engine);
@@ -940,58 +804,32 @@ fn e20_constraint_commits(report: &mut Report) {
     );
 }
 
-/// E21 — the cost-based join planner (PR 9): the filtered-closure workload
-/// (a recursive closure plus a 3-literal join whose written order is
-/// deliberately bad) evaluated planned vs unplanned, sequentially and at
-/// 1/2/4/8 workers.  Every arm is counter-asserted, not just timed: the
-/// planned model must be bit-identical (canonical dump) to the unplanned
-/// sequential reference at every worker count, the non-planner `EvalStats`
-/// identical across all arms, the planner counters (`plans_compiled`,
-/// `replans`, `seed_flips`) zero when off, positive and mode-independent
-/// when on — so this table doubles as the CI gate for planned evaluation.
+/// E21 — the cost-based join planner: the filtered-closure workload (a
+/// recursive closure plus a 3-literal join whose written order is
+/// deliberately bad) evaluated sequentially and at 2/4/8 workers.  Every arm
+/// is counter-asserted, not just timed: the model must be bit-identical
+/// (canonical dump) to the naive oracle (`delta_driven: false`) at every
+/// worker count with the same model counters, and the whole `EvalStats` —
+/// planner counters (`plans_compiled`, `replans`, `seed_flips`) included —
+/// positive and mode-independent, so this table doubles as the CI gate for
+/// planned evaluation.
 fn e21_join_planning(report: &mut Report) {
     use pathlog_core::engine::{EvalMode, EvalOptions, EvalStats};
-    use pathlog_core::plan::Planner;
 
-    let strip = |mut stats: EvalStats| {
-        stats.plans_compiled = 0;
-        stats.replans = 0;
-        stats.seed_flips = 0;
-        stats
-    };
     let mut rows = Vec::new();
     for &(depth, fanout) in &[(6usize, 2usize), (8, 2), (5, 3)] {
         let s = join_planning::workload(depth, fanout);
-        // Unplanned sequential is the reference model.
-        let (ref_stats, ref_dump) = join_planning::run(
+        let (oracle_stats, oracle_dump) = join_planning::run(
             &s,
             EvalOptions {
-                planner: Planner::Off,
+                delta_driven: false,
                 ..EvalOptions::default()
             },
         );
-        assert_eq!(ref_stats.plans_compiled, 0, "E21: Planner::Off must compile nothing");
-        assert_eq!(ref_stats.seed_flips, 0, "E21: Planner::Off must never flip a seed");
-        let (_, unplanned_ms) = time_ms(|| {
-            join_planning::run(
-                &s,
-                EvalOptions {
-                    planner: Planner::Off,
-                    ..EvalOptions::default()
-                },
-            )
-            .0
-            .set_members
-        });
-        let mut values = vec![
-            ("derived_set_members".into(), ref_stats.set_members as f64),
-            ("unplanned_seq_ms".into(), unplanned_ms),
-        ];
-        let mut planned_counters: Option<(usize, usize, usize)> = None;
-        let mut planned_seq_ms = f64::NAN;
-        for workers in [0usize, 1, 2, 4, 8] {
+        let mut values = vec![("derived_set_members".into(), oracle_stats.set_members as f64)];
+        let mut seq_stats: Option<EvalStats> = None;
+        for workers in [0usize, 2, 4, 8] {
             let options = EvalOptions {
-                planner: Planner::CostBased,
                 mode: if workers == 0 {
                     EvalMode::Sequential
                 } else {
@@ -1006,41 +844,36 @@ fn e21_join_planning(report: &mut Report) {
             };
             let (stats, dump) = join_planning::run(&s, options);
             assert_eq!(
-                dump, ref_dump,
-                "E21 {label}: planned model must be bit-identical to the unplanned sequential reference"
+                dump, oracle_dump,
+                "E21 {label}: the model must be bit-identical to the naive oracle's"
             );
             assert_eq!(
-                strip(stats),
-                strip(ref_stats),
-                "E21 {label}: non-planner EvalStats must match the unplanned reference"
+                stats.model_counters(),
+                oracle_stats.model_counters(),
+                "E21 {label}: model counters must match the naive oracle's"
             );
             assert!(stats.plans_compiled > 0, "E21 {label}: the planner must compile rules");
-            let counters = (stats.plans_compiled, stats.replans, stats.seed_flips);
-            match planned_counters {
-                None => planned_counters = Some(counters),
+            match seq_stats {
+                None => seq_stats = Some(stats),
                 Some(expected) => assert_eq!(
-                    counters, expected,
-                    "E21 {label}: planner counters must not depend on mode or worker count"
+                    stats, expected,
+                    "E21 {label}: EvalStats must not depend on mode or worker count"
                 ),
             }
             let (_, ms) = time_ms(|| join_planning::run(&s, options).0.set_members);
-            if workers == 0 {
-                planned_seq_ms = ms;
-            }
             values.push((label, ms));
         }
-        let (compiled, replans, flips) = planned_counters.expect("planned arms ran");
-        values.push(("plans_compiled".into(), compiled as f64));
-        values.push(("replans".into(), replans as f64));
-        values.push(("seed_flips".into(), flips as f64));
-        values.push(("planned_speedup_seq".into(), unplanned_ms / planned_seq_ms));
+        let stats = seq_stats.expect("engine arms ran");
+        values.push(("plans_compiled".into(), stats.plans_compiled as f64));
+        values.push(("replans".into(), stats.replans as f64));
+        values.push(("seed_flips".into(), stats.seed_flips as f64));
         rows.push(Row {
             scale: format!("depth={depth} fanout={fanout}"),
             values,
         });
     }
     report.table(
-        "E21: cost-based join planning (planned vs unplanned, filtered closure, 1/2/4/8 workers)",
+        "E21: cost-based join planning (filtered closure, oracle-checked, seq/2/4/8 workers)",
         rows,
     );
 }
@@ -1116,7 +949,7 @@ fn e22_snapshot_serving(report: &mut Report) {
     );
 }
 
-/// Command-line arguments: `[--json <path>] [--only e17|e18|e19|e20|e21] [--scale 1|10]`.
+/// Command-line arguments: `[--json <path>] [--only e18|e19|e20|e21|e22] [--scale 1|10]`.
 struct Args {
     json: Option<String>,
     only: Option<String>,
@@ -1136,12 +969,12 @@ fn parse_args() -> Args {
     while let Some(flag) = raw.next() {
         match (flag.as_str(), raw.next()) {
             ("--json", Some(path)) => args.json = Some(path),
-            ("--only", Some(table)) if ["e17", "e18", "e19", "e20", "e21", "e22"].contains(&table.as_str()) => {
+            ("--only", Some(table)) if ["e18", "e19", "e20", "e21", "e22"].contains(&table.as_str()) => {
                 args.only = Some(table)
             }
             ("--scale", Some(n)) if n == "1" || n == "10" => args.scale = n.parse().expect("validated"),
             _ => {
-                eprintln!("usage: experiments [--json <path>] [--only e17|e18|e19|e20|e21|e22] [--scale 1|10]");
+                eprintln!("usage: experiments [--json <path>] [--only e18|e19|e20|e21|e22] [--scale 1|10]");
                 std::process::exit(2);
             }
         }

@@ -265,28 +265,16 @@ pub mod transitive_closure {
     /// mode (semi-naive in both cases); returns the derived set members and
     /// the run's [`EvalStats`] so callers can cross-check the modes.
     pub fn pathlog_desc_with_mode(structure: &Structure, mode: EvalMode) -> (usize, EvalStats) {
-        pathlog_desc_with_options(
-            structure,
-            EvalOptions {
-                mode,
-                ..EvalOptions::default()
-            },
-        )
-        .0
-    }
-
-    /// Evaluate the parallel-ablation program under arbitrary
-    /// [`EvalOptions`] (schedule, executor, mode) on a throwaway engine —
-    /// the E17 executor-ablation entry point.  Returns `((set members,
-    /// stats), threads spawned by the run's engine)`, so callers can report
-    /// the pooled executor's O(workers) spawn count against the scoped
-    /// executor's O(solves × workers).
-    pub fn pathlog_desc_with_options(structure: &Structure, options: EvalOptions) -> ((usize, EvalStats), usize) {
         let mut s = structure.clone();
         let program = parse_program(PARALLEL_ABLATION_RULES).expect("valid rules");
-        let engine = Engine::with_options(options);
-        let stats = engine.load_program(&mut s, &program).expect("rules evaluate");
-        ((stats.set_members, stats), engine.threads_spawned())
+        let options = EvalOptions {
+            mode,
+            ..EvalOptions::default()
+        };
+        let stats = Engine::with_options(options)
+            .load_program(&mut s, &program)
+            .expect("rules evaluate");
+        (stats.set_members, stats)
     }
 }
 
@@ -641,17 +629,16 @@ pub mod parts_explosion {
     }
 }
 
-/// Experiment E21: the cost-based join planner (PR 9).
+/// Experiment E21: the cost-based join planner.
 pub mod join_planning {
     use super::*;
 
     /// The filtered-closure workload: the recursive `desc` closure plus a
     /// 3-literal join whose *written* order is deliberately bad — the big
     /// derived `desc` relation comes first, then the `kids` join, and the
-    /// highly selective `special` class test dead last.  The interpreted
-    /// written-order path enumerates the full closure per pass; the planner
-    /// reorders to seed from `special` (a handful of objects) and join
-    /// outward, so the planned arm must be outright faster here.
+    /// highly selective `special` class test dead last.  Written order
+    /// enumerates the full closure per pass; the planner reorders to seed
+    /// from `special` (a handful of objects) and join outward.
     pub const FILTERED_CLOSURE_RULES: &str = "X[desc ->> {Y}] <- X[kids ->> {Y}].\n\
                                               X[desc ->> {Y}] <- X..desc[kids ->> {Y}].\n\
                                               X[sdesc ->> {Y}] <- X[desc ->> {Y}], Y[kids ->> {Z}], Z : special.";
@@ -679,7 +666,7 @@ pub mod join_planning {
 
     /// Evaluate the filtered-closure rules under `options`; returns the
     /// run's [`EvalStats`] and the model's canonical dump, so callers can
-    /// counter-assert planned ≡ unplanned bit for bit.
+    /// counter-assert engine ≡ oracle bit for bit.
     pub fn run(structure: &Structure, options: EvalOptions) -> (EvalStats, String) {
         let mut s = structure.clone();
         let program = parse_program(FILTERED_CLOSURE_RULES).expect("filtered-closure rules parse");
@@ -689,19 +676,10 @@ pub mod join_planning {
         (stats, s.canonical_dump())
     }
 
-    /// Evaluate with just a planner selection (sequential, all other
-    /// options default); returns the derived set members — the
-    /// Criterion-bench entry point.
-    pub fn members(structure: &Structure, planner: Planner) -> usize {
-        run(
-            structure,
-            EvalOptions {
-                planner,
-                ..EvalOptions::default()
-            },
-        )
-        .0
-        .set_members
+    /// Evaluate with default options; returns the derived set members —
+    /// the Criterion-bench entry point.
+    pub fn members(structure: &Structure) -> usize {
+        run(structure, EvalOptions::default()).0.set_members
     }
 }
 
@@ -1063,7 +1041,6 @@ pub mod serving {
         } else {
             Engine::with_options(EvalOptions {
                 mode: EvalMode::Parallel { workers },
-                executor: ExecutorKind::Pooled,
                 ..EvalOptions::default()
             })
         }
@@ -1350,7 +1327,7 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_ablation_agree() {
-        // The worker counts here must stay aligned with the E16/E17
+        // The worker counts here must stay aligned with the E16
         // cross-checks and the CI experiments job: 1/2/4/8.
         let s = workloads::genealogy(7, 2);
         let (seq_members, seq_stats) = transitive_closure::pathlog_desc_with_mode(&s, EvalMode::Sequential);
@@ -1360,30 +1337,6 @@ mod tests {
             assert_eq!(stats, seq_stats, "EvalStats must match at {workers} workers");
         }
         assert!(seq_members > 0);
-    }
-
-    #[test]
-    fn executor_and_schedule_ablation_arms_agree_on_the_fixpoint() {
-        let s = workloads::genealogy(6, 2);
-        let ((seq_members, seq_stats), _) = transitive_closure::pathlog_desc_with_options(&s, EvalOptions::default());
-        for schedule in [Schedule::CrossRule, Schedule::RuleAtATime] {
-            for executor in [ExecutorKind::Pooled, ExecutorKind::Scoped] {
-                let options = EvalOptions {
-                    mode: EvalMode::Parallel { workers: 4 },
-                    schedule,
-                    executor,
-                    ..EvalOptions::default()
-                };
-                let ((members, stats), _) = transitive_closure::pathlog_desc_with_options(&s, options);
-                assert_eq!(
-                    members, seq_members,
-                    "derived counts must match for {schedule:?}/{executor:?}"
-                );
-                if schedule == Schedule::CrossRule {
-                    assert_eq!(stats, seq_stats, "cross-rule EvalStats must match {executor:?}");
-                }
-            }
-        }
     }
 
     #[test]

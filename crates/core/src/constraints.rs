@@ -733,7 +733,7 @@ pub fn tolerant_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EvalMode, EvalOptions, ExecutorKind};
+    use crate::engine::{EvalMode, EvalOptions};
     use crate::names::Var;
 
     /// mary is a manager earning 900; peter a manager earning 1200.
@@ -906,17 +906,11 @@ mod tests {
     }
 
     #[test]
-    fn incremental_equals_full_recheck_across_executors() {
+    fn incremental_equals_full_recheck_sequentially_and_pooled() {
         for options in [
             EvalOptions::default(),
             EvalOptions {
                 mode: EvalMode::Parallel { workers: 4 },
-                executor: ExecutorKind::Pooled,
-                ..EvalOptions::default()
-            },
-            EvalOptions {
-                mode: EvalMode::Parallel { workers: 4 },
-                executor: ExecutorKind::Scoped,
                 ..EvalOptions::default()
             },
         ] {

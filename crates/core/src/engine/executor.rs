@@ -10,18 +10,13 @@
 //! recognise phases and active-store quiescence rounds.  Tasks of either
 //! shape only read: they run against a structure that is frozen for the
 //! duration of the batch, so any subset of them may execute concurrently.
-//! The [`Executor`] trait is the pluggable boundary between the engine loop
-//! (which plans batches and commits their results) and the thread
-//! management, with two implementations:
-//!
-//! * [`ScopedExecutor`] — the original spawn-per-batch path: a fresh set of
-//!   `std::thread::scope` workers per batch, ~0.5 ms of spawn cost each on
-//!   the reference container.  Kept as the reference arm of the E17
-//!   executor ablation and for tests.
-//! * [`PooledExecutor`] — a persistent [`WorkerPool`] created once per
-//!   [`Engine`](super::Engine) and reused across strata, iterations and
-//!   batches, so a whole `run_rules` call spawns O(workers) threads instead
-//!   of O(delta solves × workers).
+//! The [`Executor`] is the boundary between the engine loop (which plans
+//! batches and commits their results) and the thread management.  Without a
+//! pool (sequential evaluation) every batch runs inline on the calling
+//! thread; with one, batches are handed to a persistent [`WorkerPool`]
+//! created once per [`Engine`](super::Engine) and reused across strata,
+//! iterations and batches, so a whole `run_rules` call spawns O(workers)
+//! threads however many batches it solves.
 //!
 //! The pool is implemented without `unsafe` (this crate forbids it): the
 //! coordinator *moves* the structure into an [`Arc`]'d batch, broadcasts the
@@ -39,10 +34,9 @@
 //! few dozen at most, where a heap's constant factors would not pay), so
 //! the serial commit section of an iteration is O(solutions · runs) cheap
 //! comparisons instead of a full O(solutions · log solutions) sort.  Full
-//! solves skip the
-//! sort: they are one task per rule whose enumeration order is already
-//! deterministic (every index iterates an ordered container), and keeping
-//! them sort-free keeps the naive ablation arm honest.
+//! solves skip the sort: they are one task per rule whose enumeration order
+//! is already deterministic (every index iterates an ordered container),
+//! and that order is the oracle's commit order.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -234,11 +228,10 @@ pub struct SolveBatch {
     pub views: Vec<DeltaView>,
     /// The tasks, in deterministic schedule order.
     pub tasks: Vec<SolveTask>,
-    /// Compiled bodies + this iteration's pass orders from the cost-based
-    /// join planner ([`crate::plan`]); `None` (or a rule without an entry)
-    /// keeps the interpreted written-order path.  Delta tasks only — full
-    /// solves always run interpreted, since their enumeration order is the
-    /// commit order.
+    /// The compiled bodies and this iteration's pass orders ([`crate::plan`])
+    /// every delta task of the batch runs through.  `None` for a batch of
+    /// full solves: those run written-order through [`super::solve_body`],
+    /// since their enumeration order is the commit order.
     pub plans: Option<Arc<crate::plan::IterationPlans>>,
 }
 
@@ -303,7 +296,7 @@ impl BatchKind {
             BatchKind::Fixpoint(b) => run_task(structure, b, b.tasks[i]).map(TaskResult::Fixpoint),
             BatchKind::Conditions(b) => {
                 let task = &b.tasks[i];
-                let solutions = super::solve_body_pass(structure, &b.bodies[task.body], &task.seed, None)?;
+                let solutions = super::solve_body(structure, &b.bodies[task.body], &task.seed)?;
                 // Conditions commit in canonical `binding_key` order, so the
                 // sort happens here, on the worker.
                 Ok(TaskResult::Conditions(sorted_run(solutions)))
@@ -344,23 +337,20 @@ fn expect_conditions(results: Vec<TaskResult>) -> Vec<SortedRun> {
 /// Solve one task of `batch` against `structure`.
 fn run_task(structure: &Structure, batch: &SolveBatch, task: SolveTask) -> Result<SolveOutput> {
     let body = &batch.rules[task.rule].body;
-    let seed = Bindings::new();
     match task.delta {
-        None => {
-            let solutions = super::solve_body_pass(structure, body, &seed, None)?;
-            Ok(SolveOutput::Enumerated(solutions))
-        }
+        None => super::solve_body(structure, body, &Bindings::new()).map(SolveOutput::Enumerated),
         Some((lit, view)) => {
-            if let Some((compiled, order)) = batch.plans.as_ref().and_then(|p| p.for_rule(task.rule)) {
-                return Ok(
-                    match crate::plan::execute_delta(structure, body, compiled, order, lit, &batch.views[view])? {
-                        crate::plan::PassRun::Sorted(run) => SolveOutput::Sorted(run),
-                        crate::plan::PassRun::Frames(fr) => SolveOutput::Frames(fr),
-                    },
-                );
-            }
-            let solutions = super::solve_body_pass(structure, body, &seed, Some((lit, &batch.views[view])))?;
-            Ok(SolveOutput::Sorted(sorted_run(solutions)))
+            let (compiled, order) = batch
+                .plans
+                .as_ref()
+                .expect("a batch with delta tasks carries the iteration's plans")
+                .for_rule(task.rule);
+            Ok(
+                match crate::plan::execute_delta(structure, body, compiled, order, lit, &batch.views[view])? {
+                    crate::plan::PassRun::Sorted(run) => SolveOutput::Sorted(run),
+                    crate::plan::PassRun::Frames(fr) => SolveOutput::Frames(fr),
+                },
+            )
         }
     }
 }
@@ -368,145 +358,6 @@ fn run_task(structure: &Structure, batch: &SolveBatch, task: SolveTask) -> Resul
 /// Solve every task on the calling thread, in order.
 fn execute_inline(structure: &Structure, batch: &BatchKind) -> Result<Vec<TaskResult>> {
     (0..batch.len()).map(|i| batch.run(structure, i)).collect()
-}
-
-/// How a batch of solve tasks is mapped onto threads.
-///
-/// Implementations must return one output per task, in task order,
-/// regardless of how the tasks were scheduled, and must leave `structure`
-/// unmodified (it is `&mut` only so that pool implementations can
-/// temporarily move it into shared ownership and back — tasks themselves
-/// only read).
-pub trait Executor: fmt::Debug {
-    /// Solve every task of `batch` against the frozen `structure`.
-    fn execute(&self, structure: &mut Structure, batch: SolveBatch) -> Result<Vec<SolveOutput>>;
-
-    /// Solve every condition job of `batch` against the frozen `structure`,
-    /// returning one canonically sorted, deduplicated run per job, in job
-    /// order.  Each job is solved whole by one thread, so the runs are
-    /// bit-identical at any worker count — the contract the reactive layer's
-    /// pooled condition matching relies on.
-    fn execute_conditions(&self, structure: &mut Structure, batch: ConditionBatch) -> Result<Vec<SortedRun>>;
-
-    /// The number of worker threads this executor fans tasks over (1 means
-    /// every batch runs inline on the calling thread).
-    fn workers(&self) -> usize;
-}
-
-/// The spawn-per-batch executor: `std::thread::scope` workers created fresh
-/// for every batch, exactly the PR 3 scheduling.  Kept as the reference /
-/// ablation arm — its per-batch spawn cost (~0.5 ms per thread here) is what
-/// [`PooledExecutor`] exists to amortise.
-#[derive(Debug)]
-pub struct ScopedExecutor {
-    workers: usize,
-    spawns: Arc<AtomicUsize>,
-    control: Arc<FaultControl>,
-}
-
-impl ScopedExecutor {
-    /// An executor fanning batches over up to `workers` scoped threads,
-    /// counting every spawn into `spawns`.
-    pub fn new(workers: usize, spawns: Arc<AtomicUsize>) -> Self {
-        Self::with_control(workers, spawns, Arc::new(FaultControl::default()))
-    }
-
-    /// Like [`ScopedExecutor::new`], sharing the engine's [`FaultControl`] so
-    /// recoveries are counted where the caller can see them.
-    pub fn with_control(workers: usize, spawns: Arc<AtomicUsize>, control: Arc<FaultControl>) -> Self {
-        ScopedExecutor {
-            workers: workers.max(1),
-            spawns,
-            control,
-        }
-    }
-}
-
-impl ScopedExecutor {
-    /// The schedule shared by both batch shapes: scoped workers claim task
-    /// indices off an atomic cursor, results are re-ordered by task index.
-    /// A worker panic (injected or real) is contained: the caught task's
-    /// slot stays empty and is re-run on the coordinator after the scope —
-    /// tasks are pure reads of the frozen structure, so the recovered result
-    /// is exactly what the worker would have produced.
-    fn execute_any(&self, structure: &Structure, batch: &BatchKind) -> Result<Vec<TaskResult>> {
-        let threads = self.workers.min(batch.len());
-        if threads <= 1 {
-            return execute_inline(structure, batch);
-        }
-        self.spawns.fetch_add(threads, Ordering::Relaxed);
-        let next = AtomicUsize::new(0);
-        let control = &self.control;
-        let mut slots: Vec<Option<Result<TaskResult>>> = (0..batch.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut mine: Vec<(usize, Result<TaskResult>)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= batch.len() {
-                                break;
-                            }
-                            let run = catch_unwind(AssertUnwindSafe(|| {
-                                if control.take_task_panic() {
-                                    panic!("fault injection: task panic");
-                                }
-                                batch.run(structure, i)
-                            }));
-                            if let Ok(result) = run {
-                                mine.push((i, result));
-                            }
-                            // A panicked task leaves its slot empty; the
-                            // coordinator re-runs it below.
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for h in handles {
-                // A worker killed by a panic that escaped the catch loses its
-                // whole local result list; those tasks are recovered inline
-                // below like any other missing slot.
-                if let Ok(mine) = h.join() {
-                    for (i, result) in mine {
-                        slots[i] = Some(result);
-                    }
-                }
-            }
-        });
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(batch.run(structure, i));
-                control.note_task_recovered();
-            }
-        }
-        let completed = slots.iter().filter(|s| s.is_some()).count();
-        if completed != batch.len() {
-            return Err(Error::LostWork {
-                completed,
-                expected: batch.len(),
-            });
-        }
-        slots.into_iter().map(|s| s.expect("checked complete")).collect()
-    }
-}
-
-impl Executor for ScopedExecutor {
-    fn execute(&self, structure: &mut Structure, batch: SolveBatch) -> Result<Vec<SolveOutput>> {
-        self.execute_any(structure, &BatchKind::Fixpoint(batch))
-            .map(expect_fixpoint)
-    }
-
-    fn execute_conditions(&self, structure: &mut Structure, batch: ConditionBatch) -> Result<Vec<SortedRun>> {
-        self.execute_any(structure, &BatchKind::Conditions(batch))
-            .map(expect_conditions)
-    }
-
-    fn workers(&self) -> usize {
-        self.workers
-    }
 }
 
 /// A counting latch: the coordinator waits until `target` arrivals.
@@ -741,40 +592,67 @@ impl Drop for WorkerPool {
     }
 }
 
-/// The pooled executor: batches are broadcast to a persistent
-/// [`WorkerPool`]; the coordinator moves the structure into the shared batch,
-/// works alongside the pool, and reclaims sole ownership when every task has
-/// completed.  Thread spawns per `run_rules` drop from O(delta solves ×
-/// workers) to O(workers) — see the E17 executor ablation.
+/// How a batch of tasks is mapped onto threads: inline on the calling thread
+/// without a pool, by the Arc hand-off to the persistent [`WorkerPool`] with
+/// one (see the module docs).  Either way the result is one output per task,
+/// in task order, and `structure` is left unmodified (it is `&mut` only so
+/// that the hand-off can temporarily move it into shared ownership and back
+/// — tasks themselves only read).
 #[derive(Debug, Clone)]
-pub struct PooledExecutor {
-    pool: Arc<WorkerPool>,
+pub struct Executor {
+    pool: Option<Arc<WorkerPool>>,
 }
 
-impl PooledExecutor {
-    /// An executor backed by `pool`.
-    pub fn new(pool: Arc<WorkerPool>) -> Self {
-        PooledExecutor { pool }
+impl Executor {
+    /// An executor that runs every batch inline on the calling thread.
+    pub fn inline() -> Self {
+        Executor { pool: None }
     }
-}
 
-impl PooledExecutor {
+    /// An executor backed by `pool`.
+    pub fn pooled(pool: Arc<WorkerPool>) -> Self {
+        Executor { pool: Some(pool) }
+    }
+
+    /// Solve every task of `batch` against the frozen `structure`.
+    pub fn execute(&self, structure: &mut Structure, batch: SolveBatch) -> Result<Vec<SolveOutput>> {
+        self.execute_any(structure, BatchKind::Fixpoint(batch))
+            .map(expect_fixpoint)
+    }
+
+    /// Solve every condition job of `batch` against the frozen `structure`,
+    /// returning one canonically sorted, deduplicated run per job, in job
+    /// order.  Each job is solved whole by one thread, so the runs are
+    /// bit-identical at any worker count — the contract the reactive layer's
+    /// pooled condition matching relies on.
+    pub fn execute_conditions(&self, structure: &mut Structure, batch: ConditionBatch) -> Result<Vec<SortedRun>> {
+        self.execute_any(structure, BatchKind::Conditions(batch))
+            .map(expect_conditions)
+    }
+
+    /// The number of worker threads batches fan out over (1 means every
+    /// batch runs inline on the calling thread).
+    pub fn workers(&self) -> usize {
+        self.pool.as_ref().map_or(1, |pool| pool.workers())
+    }
+
     /// The Arc-handoff protocol shared by both batch shapes (see the type
     /// docs): move the structure in, broadcast, work, latch, reclaim.
     fn execute_any(&self, structure: &mut Structure, batch: BatchKind) -> Result<Vec<TaskResult>> {
         let n_tasks = batch.len();
-        if self.pool.workers() <= 1 || n_tasks <= 1 {
-            return execute_inline(structure, &batch);
-        }
+        let pool = match &self.pool {
+            Some(pool) if pool.workers() > 1 && n_tasks > 1 => pool,
+            _ => return execute_inline(structure, &batch),
+        };
         let shared = Arc::new(PooledBatch {
             structure: std::mem::take(structure),
             batch,
             next: AtomicUsize::new(0),
             results: Mutex::new((0..n_tasks).map(|_| None).collect()),
             progress: Latch::default(),
-            control: Arc::clone(self.pool.control()),
+            control: Arc::clone(pool.control()),
         });
-        self.pool.broadcast(&shared);
+        pool.broadcast(&shared);
         // The coordinator participates instead of blocking, which also keeps
         // the batch finite when workers died (every task it claims completes
         // on this thread).
@@ -816,22 +694,6 @@ impl PooledExecutor {
     }
 }
 
-impl Executor for PooledExecutor {
-    fn execute(&self, structure: &mut Structure, batch: SolveBatch) -> Result<Vec<SolveOutput>> {
-        self.execute_any(structure, BatchKind::Fixpoint(batch))
-            .map(expect_fixpoint)
-    }
-
-    fn execute_conditions(&self, structure: &mut Structure, batch: ConditionBatch) -> Result<Vec<SortedRun>> {
-        self.execute_any(structure, BatchKind::Conditions(batch))
-            .map(expect_conditions)
-    }
-
-    fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -847,13 +709,15 @@ mod tests {
 
     #[test]
     fn sorted_run_orders_and_deduplicates() {
-        let b1 = Bindings::from_pairs([(Var::new("X"), Oid(3))]).unwrap();
-        let b2 = Bindings::from_pairs([(Var::new("X"), Oid(1))]).unwrap();
-        let b2_dup = Bindings::from_pairs([(Var::new("X"), Oid(1))]).unwrap();
-        let run = sorted_run(vec![b1, b2, b2_dup]);
-        assert_eq!(run.len(), 2);
+        let (x, y) = (Var::new("X"), Var::new("Y"));
+        let b1 = Bindings::from_pairs([(x.clone(), Oid(3)), (y.clone(), Oid(1))]).unwrap();
+        let b2 = Bindings::from_pairs([(x.clone(), Oid(1)), (y.clone(), Oid(2))]).unwrap();
+        // Same valuation as b2, bound in the opposite order.
+        let b2_rev = Bindings::from_pairs([(y, Oid(2)), (x.clone(), Oid(1))]).unwrap();
+        let run = sorted_run(vec![b1, b2, b2_rev]);
+        assert_eq!(run.len(), 2, "order-independent duplicates collapse");
         assert!(run[0].0 < run[1].0, "ascending key order");
-        assert_eq!(run[0].1.get(&Var::new("X")), Some(Oid(1)));
+        assert_eq!(run[0].1.get(&x), Some(Oid(1)));
     }
 
     #[test]
@@ -880,8 +744,9 @@ mod tests {
         assert!(merge_sorted_runs(vec![vec![], vec![]]).is_empty());
     }
 
-    /// A small structure + rule whose batch has several tasks, executed by
-    /// every executor; all must return identical outputs in task order.
+    /// A small structure + rule whose batch has several tasks, executed
+    /// inline and through the pool; both must return identical outputs in
+    /// task order.
     fn executor_fixture() -> (Structure, SolveBatch) {
         let mut s = Structure::new();
         let kids = s.atom("kids");
@@ -903,6 +768,12 @@ mod tests {
         }
         let mut window = window;
         let dv = window.slide(&grown);
+        let compiled = crate::plan::compile(&rule, &crate::analysis::plan_rule(&rule, None, None));
+        let order = crate::plan::pass_order(&compiled, &[0], dv.entry_count());
+        let plans = crate::plan::IterationPlans {
+            compiled: Arc::new([(0, compiled)].into()),
+            orders: [(0, order)].into(),
+        };
         let rules: Arc<[Rule]> = vec![rule].into();
         let batch = SolveBatch {
             rules,
@@ -914,7 +785,7 @@ mod tests {
                     delta: Some((0, 0)),
                 },
             ],
-            plans: None,
+            plans: Some(Arc::new(plans)),
         };
         (grown, batch)
     }
@@ -931,31 +802,25 @@ mod tests {
     }
 
     #[test]
-    fn scoped_and_pooled_executors_agree_with_inline_execution() {
+    fn pooled_executor_agrees_with_inline_execution() {
         let spawns = Arc::new(AtomicUsize::new(0));
-        let (s, batch) = executor_fixture();
-        let inline = expect_fixpoint(execute_inline(&s, &BatchKind::Fixpoint(batch)).unwrap());
+        let (mut s, batch) = executor_fixture();
+        let inline = Executor::inline().execute(&mut s, batch).unwrap();
         assert_eq!(output_shape(&inline), vec![(false, 19), (true, 0)]);
 
-        let (mut s2, batch2) = executor_fixture();
-        let scoped = ScopedExecutor::new(3, Arc::clone(&spawns));
-        let scoped_out = scoped.execute(&mut s2, batch2).unwrap();
-        assert_eq!(output_shape(&scoped_out), output_shape(&inline));
-        assert_eq!(spawns.load(Ordering::Relaxed), 2, "one scoped thread per task");
-
         let pool = Arc::new(WorkerPool::new(3, &spawns));
-        let pooled = PooledExecutor::new(Arc::clone(&pool));
+        let pooled = Executor::pooled(Arc::clone(&pool));
         let (mut s3, batch3) = executor_fixture();
         let pooled_out = pooled.execute(&mut s3, batch3).unwrap();
         assert_eq!(output_shape(&pooled_out), output_shape(&inline));
         // The pool spawned exactly its workers, once.
-        assert_eq!(spawns.load(Ordering::Relaxed), 2 + 3);
+        assert_eq!(spawns.load(Ordering::Relaxed), 3);
         // The structure was moved out and back unchanged.
         assert_eq!(s3.canonical_dump(), s.canonical_dump());
         // Reuse: a second batch spawns nothing new.
         let (mut s4, batch4) = executor_fixture();
         pooled.execute(&mut s4, batch4).unwrap();
-        assert_eq!(spawns.load(Ordering::Relaxed), 2 + 3);
+        assert_eq!(spawns.load(Ordering::Relaxed), 3);
         drop(pooled);
         drop(pool); // joins the workers
     }
@@ -964,7 +829,7 @@ mod tests {
     fn pooled_executor_runs_tiny_batches_inline() {
         let spawns = Arc::new(AtomicUsize::new(0));
         let pool = Arc::new(WorkerPool::new(2, &spawns));
-        let pooled = PooledExecutor::new(pool);
+        let pooled = Executor::pooled(pool);
         let (mut s, mut batch) = executor_fixture();
         batch.tasks.truncate(1);
         let out = pooled.execute(&mut s, batch).unwrap();
@@ -972,8 +837,8 @@ mod tests {
     }
 
     /// A condition batch over the fixture's structure: one seeded and one
-    /// unseeded full body solve, executed by every executor; all must return
-    /// the same canonically sorted runs in job order.
+    /// unseeded full body solve, executed inline and through the pool; both
+    /// must return the same canonically sorted runs in job order.
     fn condition_fixture() -> (Structure, ConditionBatch) {
         let (s, _) = executor_fixture();
         let n0 = s.lookup_name(&crate::names::Name::atom("n0")).unwrap();
@@ -1005,10 +870,10 @@ mod tests {
     }
 
     #[test]
-    fn condition_batches_return_identical_sorted_runs_on_every_executor() {
+    fn condition_batches_return_identical_sorted_runs_inline_and_pooled() {
         let spawns = Arc::new(AtomicUsize::new(0));
-        let (s, batch) = condition_fixture();
-        let inline = expect_conditions(execute_inline(&s, &BatchKind::Conditions(batch)).unwrap());
+        let (mut s, batch) = condition_fixture();
+        let inline = Executor::inline().execute_conditions(&mut s, batch).unwrap();
         // 19 kids edges in full, 1 from the seeded receiver, 19 desc edges.
         assert_eq!(inline.iter().map(Vec::len).collect::<Vec<_>>(), vec![19, 1, 19]);
         // Runs are canonically sorted.
@@ -1021,13 +886,8 @@ mod tests {
                 .collect()
         };
 
-        let (mut s2, batch2) = condition_fixture();
-        let scoped = ScopedExecutor::new(3, Arc::clone(&spawns));
-        let scoped_out = scoped.execute_conditions(&mut s2, batch2).unwrap();
-        assert_eq!(keys(&scoped_out), keys(&inline));
-
         let pool = Arc::new(WorkerPool::new(3, &spawns));
-        let pooled = PooledExecutor::new(pool);
+        let pooled = Executor::pooled(pool);
         let (mut s3, batch3) = condition_fixture();
         let pooled_out = pooled.execute_conditions(&mut s3, batch3).unwrap();
         assert_eq!(keys(&pooled_out), keys(&inline));
@@ -1036,36 +896,13 @@ mod tests {
     }
 
     #[test]
-    fn scoped_executor_recovers_injected_task_panics() {
-        let spawns = Arc::new(AtomicUsize::new(0));
-        let (s, batch) = executor_fixture();
-        let baseline = output_shape(&expect_fixpoint(
-            execute_inline(&s, &BatchKind::Fixpoint(batch)).unwrap(),
-        ));
-
-        let control = Arc::new(FaultControl::default());
-        let scoped = ScopedExecutor::with_control(3, spawns, Arc::clone(&control));
-        control.inject_task_panics(1);
-        let (mut s2, batch2) = executor_fixture();
-        let out = scoped.execute(&mut s2, batch2).unwrap();
-        assert_eq!(output_shape(&out), baseline, "recovered batch is identical");
-        // Scoped workers claim every task (the coordinator does not
-        // participate), so the single armed panic was definitely consumed
-        // and its task definitely recovered.
-        assert_eq!(control.pending(), (0, 0));
-        assert_eq!(control.tasks_recovered(), 1);
-    }
-
-    #[test]
     fn pooled_executor_recovers_injected_task_panics() {
         let spawns = Arc::new(AtomicUsize::new(0));
         let control = Arc::new(FaultControl::default());
         let pool = Arc::new(WorkerPool::with_control(3, &spawns, Arc::clone(&control)));
-        let pooled = PooledExecutor::new(pool);
-        let (s, batch) = executor_fixture();
-        let baseline = output_shape(&expect_fixpoint(
-            execute_inline(&s, &BatchKind::Fixpoint(batch)).unwrap(),
-        ));
+        let pooled = Executor::pooled(pool);
+        let (mut s, batch) = executor_fixture();
+        let baseline = output_shape(&Executor::inline().execute(&mut s, batch).unwrap());
         // The coordinator races the workers for tasks and never consumes
         // injections, so whether an armed panic fires in any one batch is
         // timing-dependent; every batch must come out identical regardless,
@@ -1092,11 +929,9 @@ mod tests {
         let spawns = Arc::new(AtomicUsize::new(0));
         let control = Arc::new(FaultControl::default());
         let pool = Arc::new(WorkerPool::with_control(3, &spawns, Arc::clone(&control)));
-        let pooled = PooledExecutor::new(Arc::clone(&pool));
-        let (s, batch) = executor_fixture();
-        let baseline = output_shape(&expect_fixpoint(
-            execute_inline(&s, &BatchKind::Fixpoint(batch)).unwrap(),
-        ));
+        let pooled = Executor::pooled(Arc::clone(&pool));
+        let (mut s, batch) = executor_fixture();
+        let baseline = output_shape(&Executor::inline().execute(&mut s, batch).unwrap());
         let mut respawned = false;
         for _ in 0..200 {
             if control.pending().1 == 0 {

@@ -34,44 +34,36 @@
 //! O(|delta|).
 //!
 //! With `delta_driven: false` every rule is re-solved in full each iteration
-//! — the naive evaluation kept as the ablation arm of the
-//! `ablation_delta_driven` experiment, and as the oracle the property tests
-//! compare the semi-naive evaluation against.
+//! — naive evaluation, kept as the **reference oracle**: it only ever runs
+//! [`solve_body`] (the written-order evaluator that also answers queries),
+//! and the tests require every other configuration to reproduce its
+//! `canonical_dump()` byte for byte.
 //!
-//! Orchestration is delegated to the [`executor`] subsystem.  Under the
-//! default [`Schedule::CrossRule`] every stratum iteration is a two-phase
-//! commit: a single **snapshot window** ([`SnapshotWindow`], watermarks over
-//! the `Facts`/`Isa` insertion logs) is captured at the iteration boundary
-//! and shared by all rules of the stratum; every affected rule's `(rule,
-//! drivable literal, delta shard)` task — in a stratum's first iteration,
-//! one full solve per proper rule — is scheduled into one work queue and
-//! solved against the *frozen* structure (phase 1); then the single writer
-//! commits each rule's solutions in stratum order, each rule's delta runs
-//! k-way-merged in canonical `binding_key` order, and in the first
-//! iteration each fact where it stands in that order (phase 2).  Because phase 1
-//! is pure and phase 2 is a deterministic function of its outputs, a run
-//! under [`EvalMode::Parallel`] is **bit-identical** to a sequential one —
-//! same model, same insertion logs, same virtual-object ids, same
-//! [`EvalStats`] — no matter how many workers executed the queue or which
-//! [`Executor`] scheduled it.  Full solves and query enumeration need no
-//! sort: their order is deterministic because every fact/signature index
-//! iterates an ordered container (the one hash-ordered path, the
-//! argument-tuple application index, is a `BTreeMap` precisely so that
-//! virtual-object allocation cannot drift between runs).
-//!
-//! [`Schedule::RuleAtATime`] keeps the PR 3 scheduling — rules processed
-//! strictly in sequence, each against its own watermark window, asserting
-//! before the next rule solves — as the second arm of the E17 scheduling
-//! ablation.  Both schedules reach the same least fixpoint (the classic
-//! Jacobi vs Gauss–Seidel iteration trade: the snapshot schedule may take a
-//! few more, cheaper iterations) but they commit derivations in different
-//! orders, so virtual-object numbering and [`EvalStats`] are only
-//! comparable *within* a schedule, not across the two.
-//!
-//! The executors are the other ablation axis: [`ExecutorKind::Pooled`] (the
-//! default) reuses a persistent worker pool across all batches of an
-//! engine, [`ExecutorKind::Scoped`] spawns scoped threads per batch — see
-//! the [`executor`] module docs.
+//! There is one schedule, one executor and one delta-pass evaluator.  Every
+//! stratum iteration is a two-phase commit: a single **snapshot window**
+//! ([`SnapshotWindow`], watermarks over the `Facts`/`Isa` insertion logs) is
+//! captured at the iteration boundary and shared by all rules of the
+//! stratum; every affected rule's `(rule, drivable literal, delta shard)`
+//! task — in a stratum's first iteration, one full solve per proper rule —
+//! is scheduled into one work queue and solved against the *frozen*
+//! structure (phase 1); then the single writer commits each rule's solutions
+//! in stratum order, each rule's delta runs k-way-merged in canonical
+//! `binding_key` order, and in the first iteration each fact where it stands
+//! in that order (phase 2).  Delta tasks run through the compiled slot-frame
+//! bodies of [`crate::plan`], in the literal order its cost-based planner
+//! picks per iteration; full solves run through [`solve_body`].  The queue is
+//! handed to the [`Executor`]: inline on the calling thread under
+//! [`EvalMode::Sequential`], fanned out over a persistent [`WorkerPool`]
+//! (created once per engine, shared by its clones) under
+//! [`EvalMode::Parallel`].  Because phase 1 is pure and phase 2 is a
+//! deterministic function of its outputs, a parallel run is **bit-identical**
+//! to a sequential one — same model, same insertion logs, same
+//! virtual-object ids, same [`EvalStats`] — no matter how many workers
+//! executed the queue.  Full solves and query enumeration need no sort: their
+//! order is deterministic because every fact/signature index iterates an
+//! ordered container (the one hash-ordered path, the argument-tuple
+//! application index, is a `BTreeMap` precisely so that virtual-object
+//! allocation cannot drift between runs).
 //!
 //! Because every two-phase commit above is all-or-nothing at the iteration
 //! boundary, the same machinery carries the **check-on-commit** integrity
@@ -115,7 +107,7 @@ mod virtuals;
 
 pub use executor::{
     binding_key, merge_sorted_runs, sorted_run, BindingKey, ConditionBatch, ConditionTask, Executor, FaultControl,
-    PooledExecutor, ScopedExecutor, SolveBatch, SolveOutput, SolveTask, SortedRun, WorkerPool,
+    SolveBatch, SolveOutput, SolveTask, SortedRun, WorkerPool,
 };
 pub use stratify::{stratify, Stratification};
 pub use virtuals::{assert_head, AssertEffect, AssertOptions};
@@ -126,11 +118,9 @@ use std::sync::{Arc, OnceLock};
 
 use crate::error::{Error, LimitKind, Result};
 use crate::names::Name;
-use crate::plan::{CompiledRule, IterationPlans, Planner};
+use crate::plan::{CompiledRule, IterationPlans};
 use crate::program::{literal_reads, DepKey, Literal, Program, Query, Rule, RuleInfo};
-use crate::semantics::{
-    answers, delta_answers, Answer, Bindings, DeltaView, EvalMarks, FactorizedAnswers, SnapshotWindow,
-};
+use crate::semantics::{answers, Answer, Bindings, DeltaView, EvalMarks, FactorizedAnswers, SnapshotWindow};
 use crate::structure::{Oid, Structure};
 use crate::term::Term;
 
@@ -140,54 +130,19 @@ use crate::term::Term;
 /// slices; the single writer (the engine loop) merges their locally sorted
 /// solution runs in canonical order before asserting, so a parallel run
 /// produces a bit-identical structure, insertion log and [`EvalStats`] to a
-/// sequential run of the same [`Schedule`].
+/// sequential run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
     /// Solve every task on the calling thread (the default).
     #[default]
     Sequential,
-    /// Fan solve tasks out over up to `workers` threads (see
-    /// [`ExecutorKind`] for *which* threads).  `workers` of 0 or 1 behaves
-    /// like `Sequential`.
+    /// Fan solve tasks out over the engine's persistent pool of `workers`
+    /// threads ([`WorkerPool`]).  `workers` of 0 or 1 behaves like
+    /// `Sequential`.
     Parallel {
         /// Maximum number of worker threads.
         workers: usize,
     },
-}
-
-/// How the solves of one fixpoint iteration are scheduled against the
-/// structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Schedule {
-    /// Snapshot-window cross-rule scheduling (the default): each stratum
-    /// iteration captures one [`SnapshotWindow`] shared by all rules,
-    /// schedules every affected rule's `(rule, literal, shard)` tasks into
-    /// one queue against the frozen structure, and commits the results in a
-    /// deterministic second phase.  This is what lets *rules* — not just
-    /// the shards of one rule — solve concurrently.
-    #[default]
-    CrossRule,
-    /// The PR 3 scheduling, kept as the reference/ablation arm: rules are
-    /// processed strictly in sequence, each solved against its own
-    /// watermark window (everything asserted since *it* last ran) and
-    /// asserted before the next rule solves.  Within an iteration a rule
-    /// already sees the facts earlier rules just derived (Gauss–Seidel
-    /// style), at the price of a serial rule loop.
-    RuleAtATime,
-}
-
-/// Which [`Executor`] implementation carries [`EvalMode::Parallel`] work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutorKind {
-    /// A persistent [`WorkerPool`] created once per [`Engine`] (shared by
-    /// clones) and reused across strata, iterations and solves — O(workers)
-    /// thread spawns per engine instead of O(delta solves × workers).  The
-    /// default.
-    #[default]
-    Pooled,
-    /// Fresh `std::thread::scope` workers per batch (the PR 3 behaviour),
-    /// kept as the spawn-cost reference arm of the E17 executor ablation.
-    Scoped,
 }
 
 /// How queries treat facts quarantined by an integrity-constraint violation
@@ -242,23 +197,16 @@ pub struct EvalOptions {
     /// not change in the previous iteration, and solve affected recursive
     /// rules per body literal with that literal restricted to the
     /// iteration's delta.  Disabling this yields naive evaluation (every
-    /// rule re-solved in full each iteration) — the ablation arm.
+    /// rule re-solved in full each iteration) — the reference oracle.
     pub delta_driven: bool,
     /// Whether solve tasks are fanned out over worker threads
     /// (observationally identical, see [`EvalMode`]).
     pub mode: EvalMode,
-    /// How iterations are scheduled: one shared snapshot window per
-    /// iteration (cross-rule, the default) or rule-at-a-time windows (the
-    /// PR 3 scheduling, kept for the ablation).
-    pub schedule: Schedule,
-    /// Which executor carries parallel work: the persistent per-engine pool
-    /// (default) or spawn-per-batch scoped threads.
-    pub executor: ExecutorKind,
     /// Minimum number of delta log entries before a parallel iteration
     /// shards its delta view across workers
     /// ([`DeltaView::shards`](crate::semantics::DeltaView)).  Below the
-    /// threshold the fan-out is all thread overhead; ablations lower it to
-    /// force sharding at small scales.
+    /// threshold the fan-out is all thread overhead; tests lower it to
+    /// reach the sharded path on small inputs.
     pub shard_min_entries: usize,
     /// Whether queries degrade gracefully over quarantined (constraint-
     /// violating) facts instead of answering classically — see
@@ -267,12 +215,6 @@ pub struct EvalOptions {
     /// Whether [`Engine::install_checked`] rejects programs with
     /// `Error`-severity static diagnostics — see [`StaticChecks`].
     pub static_checks: StaticChecks,
-    /// Whether delta passes run through the cost-based join planner and the
-    /// compiled slot-frame rule bodies ([`crate::plan`], the default) or
-    /// stay on the interpreted written-order path ([`Planner::Off`], the
-    /// ablation arm).  Observationally identical either way: planned runs
-    /// are `canonical_dump()`-bit-identical to unplanned ones.
-    pub planner: Planner,
 }
 
 impl Default for EvalOptions {
@@ -283,12 +225,9 @@ impl Default for EvalOptions {
             create_virtuals: true,
             delta_driven: true,
             mode: EvalMode::Sequential,
-            schedule: Schedule::CrossRule,
-            executor: ExecutorKind::Pooled,
             shard_min_entries: crate::semantics::DEFAULT_SHARD_MIN_ENTRIES,
             tolerance: Tolerance::Strict,
             static_checks: StaticChecks::WarnOnly,
-            planner: Planner::CostBased,
         }
     }
 }
@@ -306,22 +245,20 @@ impl EvalOptions {
 
 /// Statistics of one evaluation run.
 ///
-/// **Contract (relaxed in the executor PR):** the derived-fact counters
-/// (`firings`, `scalar_facts`, `set_members`, `isa_edges`, `signatures`,
-/// `virtual_objects`) describe the least fixpoint and are identical across
-/// every mode, schedule and executor.  The *scheduling* counters
-/// (`iterations`, `rules_skipped`, `delta_solves`, `full_solves`) and
-/// `plans_compiled` count **proper rules only**: a fact is committed as data
-/// (one of the `firings` when it adds something) and is never a solve, a
-/// skip or a compile, so a fact-only program reports 0 for all four.  They
-/// are **per-iteration aggregates of the configured [`Schedule`]**: under the
-/// default cross-rule schedule a "delta solve" is one (rule, iteration)
-/// solve against the iteration's shared snapshot window, under the legacy
-/// rule-at-a-time schedule it is a solve against that rule's private
-/// window, and the two schedules legitimately report different counts for
-/// the same program (the PR 3 per-rule-window guarantee no longer pins
-/// them).  Within a schedule the counters remain bit-identical between
-/// sequential and parallel runs and between executors.
+/// **Contract:** the derived-fact counters (`firings`, `scalar_facts`,
+/// `set_members`, `isa_edges`, `signatures`, `virtual_objects`) describe the
+/// least fixpoint and are identical in every configuration, the naive oracle
+/// (`delta_driven: false`) included.  The *scheduling* counters
+/// (`iterations`, `rules_skipped`, `delta_solves`, `full_solves`) and the
+/// planner counters (`plans_compiled`, `replans`, `seed_flips`) count
+/// **proper rules only**: a fact is committed as data (one of the `firings`
+/// when it adds something) and is never a solve, a skip or a compile, so a
+/// fact-only program reports 0 for all of them.  They are per-iteration
+/// aggregates — a "delta solve" is one (rule, iteration) solve against the
+/// iteration's shared snapshot window — decided on the coordinator from the
+/// structure's content alone, so they are bit-identical between sequential
+/// and parallel runs at any worker count.  The oracle re-solves every rule
+/// in full each iteration and so reports no delta solve, skip or plan.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EvalStats {
     /// Number of strata.
@@ -354,11 +291,9 @@ pub struct EvalStats {
     /// Pool workers found dead and replaced during this run (see
     /// [`FaultControl`]).  Always 0 outside fault injection.
     pub workers_respawned: usize,
-    /// Rule bodies lowered to the compiled slot-frame IR by the cost-based
-    /// planner (counted per compile event, so a stratum that re-plans counts
-    /// its rules again).  Always 0 under [`Planner::Off`].  Like the other
-    /// planner counters this is computed on the coordinator and identical
-    /// across modes, executors and worker counts *within* a planner setting.
+    /// Rule bodies lowered to the compiled slot-frame IR of [`crate::plan`]
+    /// (counted per compile event, so a stratum that re-plans counts its
+    /// rules again).
     pub plans_compiled: usize,
     /// Re-plan events: a stratum whose fact count outgrew its last compile
     /// recompiled against fresh [`MethodStats`](crate::analysis::MethodStats).
@@ -389,8 +324,23 @@ impl EvalStats {
             .saturating_add(self.isa_edges)
     }
 
+    /// The counters that describe the model, not how it was computed:
+    /// `firings`, `scalar_facts`, `set_members`, `isa_edges`, `signatures`,
+    /// `virtual_objects` — identical in every configuration (see the
+    /// contract above).
+    pub fn model_counters(&self) -> [usize; 6] {
+        [
+            self.firings,
+            self.scalar_facts,
+            self.set_members,
+            self.isa_edges,
+            self.signatures,
+            self.virtual_objects,
+        ]
+    }
+
     /// Fold the counters of another run (a worker's partial stats, a second
-    /// stratum, an ablation arm) into this one.  Every field is summed with
+    /// stratum) into this one.  Every field is summed with
     /// saturating arithmetic, so aggregating many large runs pins at
     /// `usize::MAX` instead of wrapping (or panicking in debug builds).
     pub fn merge(&mut self, other: &EvalStats) {
@@ -435,9 +385,9 @@ impl EvalStats {
 /// One statement of a stratum.
 #[derive(Debug, Clone, Copy)]
 enum Step<'a> {
-    /// A fact with its dependency summary: data, asserted once when the
-    /// stratum's first iteration commits.
-    Fact(&'a Rule, &'a RuleInfo),
+    /// A fact: data, asserted once when the stratum's first iteration
+    /// commits.
+    Fact(&'a Rule),
     /// A proper rule, by its index into [`Run::rules`].
     Rule(usize),
 }
@@ -457,8 +407,6 @@ struct Stratum<'a> {
 struct Run<'a> {
     /// The proper rules, cloned once into the slice solve tasks index.
     rules: Arc<[Rule]>,
-    /// Their dependency summaries, parallel to `rules`.
-    infos: Vec<&'a RuleInfo>,
     /// The dependency keys some statement (fact or rule) writes.
     derived: BTreeSet<DepKey>,
     /// The strata, lowest first.
@@ -467,8 +415,8 @@ struct Run<'a> {
 
 /// The PathLog evaluation engine.
 ///
-/// An engine owns its evaluation policy ([`EvalOptions`]) and, when the
-/// pooled executor is in use, a persistent [`WorkerPool`] created lazily on
+/// An engine owns its evaluation policy ([`EvalOptions`]) and, under
+/// [`EvalMode::Parallel`], a persistent [`WorkerPool`] created lazily on
 /// the first parallel run and reused by every subsequent `run_rules` /
 /// `load_program` call.  Clones share the pool (and the thread-spawn
 /// counter), so a cloned engine costs no new threads.
@@ -479,11 +427,11 @@ pub struct Engine {
     /// `Arc` so that clones share the *slot*, not just an initialized value
     /// — cloning before the first parallel run must not mint a second pool.
     pool: Arc<OnceLock<Arc<WorkerPool>>>,
-    /// Worker threads spawned on behalf of this engine (pool + scoped),
-    /// shared across clones; see [`Engine::threads_spawned`].
+    /// Worker threads spawned on behalf of this engine, shared across
+    /// clones; see [`Engine::threads_spawned`].
     spawns: Arc<AtomicUsize>,
-    /// Fault injection hooks and recovery counters, shared with the
-    /// executors (and across clones); see [`Engine::fault_control`].
+    /// Fault injection hooks and recovery counters, shared with the pool
+    /// (and across clones); see [`Engine::fault_control`].
     control: Arc<FaultControl>,
 }
 
@@ -507,17 +455,14 @@ impl Engine {
     }
 
     /// Total worker threads spawned on behalf of this engine (and its
-    /// clones) so far: the pooled executor contributes its pool size once,
-    /// the scoped executor contributes every per-batch spawn.  The E17
-    /// executor ablation reports this to show the pooled executor's
-    /// O(workers)-per-engine spawn behaviour.
+    /// clones) so far: the pool's size, once, plus one per respawned worker.
     pub fn threads_spawned(&self) -> usize {
         self.spawns.load(Ordering::Relaxed)
     }
 
     /// The engine's [`FaultControl`]: cumulative fault-recovery counters,
     /// and the injection hooks the fault tests use to plant worker panics.
-    /// Shared by the engine's clones and all executors it creates; per-run
+    /// Shared by the engine's clones and its worker pool; per-run
     /// recovery deltas are also surfaced in
     /// [`EvalStats::tasks_recovered`]/[`EvalStats::workers_respawned`].
     pub fn fault_control(&self) -> &Arc<FaultControl> {
@@ -526,30 +471,19 @@ impl Engine {
 
     /// The executor configured by the options (inline for sequential runs;
     /// the persistent pool is created on first use and reused afterwards).
-    fn executor(&self) -> Box<dyn Executor> {
+    fn executor(&self) -> Executor {
         let workers = self.options.worker_threads();
         if workers <= 1 {
-            // Sequential: a 1-worker scoped executor runs everything inline
-            // without ever spawning.
-            return Box::new(ScopedExecutor::new(1, Arc::clone(&self.spawns)));
+            return Executor::inline();
         }
-        match self.options.executor {
-            ExecutorKind::Scoped => Box::new(ScopedExecutor::with_control(
+        let pool = self.pool.get_or_init(|| {
+            Arc::new(WorkerPool::with_control(
                 workers,
-                Arc::clone(&self.spawns),
+                &self.spawns,
                 Arc::clone(&self.control),
-            )),
-            ExecutorKind::Pooled => {
-                let pool = self.pool.get_or_init(|| {
-                    Arc::new(WorkerPool::with_control(
-                        workers,
-                        &self.spawns,
-                        Arc::clone(&self.control),
-                    ))
-                });
-                Box::new(PooledExecutor::new(Arc::clone(pool)))
-            }
-        }
+            ))
+        });
+        Executor::pooled(Arc::clone(pool))
     }
 
     /// Load a program into `structure`: validate, register every name,
@@ -655,16 +589,13 @@ impl Engine {
         let executor = self.executor();
 
         let mut proper_rules: Vec<Rule> = Vec::new();
-        let mut proper_infos: Vec<&RuleInfo> = Vec::new();
         let steps: Vec<Step> = rules
             .iter()
-            .zip(infos)
-            .map(|(rule, &info)| {
+            .map(|rule| {
                 if rule.is_fact() {
-                    Step::Fact(rule, info)
+                    Step::Fact(rule)
                 } else {
                     proper_rules.push(rule.clone());
-                    proper_infos.push(info);
                     Step::Rule(proper_rules.len() - 1)
                 }
             })
@@ -680,7 +611,6 @@ impl Engine {
         }
         let run = Run {
             rules: proper_rules.into(),
-            infos: proper_infos,
             derived,
             strata: stratification
                 .strata
@@ -691,17 +621,14 @@ impl Engine {
                         .iter()
                         .filter_map(|step| match step {
                             Step::Rule(r) => Some(*r),
-                            Step::Fact(..) => None,
+                            Step::Fact(_) => None,
                         })
                         .collect();
                     Stratum { steps, proper }
                 })
                 .collect(),
         };
-        match self.options.schedule {
-            Schedule::CrossRule => self.run_cross_rule(structure, &run, executor.as_ref(), &mut stats)?,
-            Schedule::RuleAtATime => self.run_rule_at_a_time(structure, &run, executor.as_ref(), &mut stats)?,
-        }
+        self.run_cross_rule(structure, &run, &executor, &mut stats)?;
         stats.tasks_recovered = self.control.tasks_recovered().saturating_sub(recovered_before);
         stats.workers_respawned = self.control.workers_respawned().saturating_sub(respawned_before);
         Ok(stats)
@@ -725,12 +652,6 @@ impl Engine {
             .collect()
     }
 
-    /// `true` when delta passes should be planned and compiled
-    /// ([`Planner::CostBased`]); the naive arm has no delta passes to plan.
-    fn planning(&self) -> bool {
-        self.options.delta_driven && self.options.planner == Planner::CostBased
-    }
-
     /// A monotone measure of the structure's fact content, used to decide
     /// when a stratum's compiled plans are stale (fact level more than
     /// doubled since the last compile → re-plan against fresh stats).
@@ -742,25 +663,26 @@ impl Engine {
     /// Compile the bodies of `stratum`'s rules against live
     /// [`MethodStats`](crate::analysis::MethodStats), consuming the analysis
     /// subsystem's per-literal cost annotations.  Runs on the coordinator
-    /// only, so the planner counters stay identical across modes, executors
-    /// and worker counts.
+    /// only, so the planner counters stay identical across modes and worker
+    /// counts.
     fn compile_stratum(
         rules: &[Rule],
         stratum: &[usize],
         structure: &Structure,
         derived: &BTreeSet<DepKey>,
         stats: &mut EvalStats,
-    ) -> Arc<Vec<Option<CompiledRule>>> {
+    ) -> Arc<BTreeMap<usize, CompiledRule>> {
         let method_stats = crate::analysis::MethodStats::capture(structure);
-        let mut per_rule: Vec<Option<CompiledRule>> = vec![None; rules.len()];
-        for &r in stratum {
-            let report = crate::analysis::plan_rule(&rules[r], Some(&method_stats), Some(derived));
-            per_rule[r] = crate::plan::compile(&rules[r], &report);
-            if per_rule[r].is_some() {
-                stats.plans_compiled += 1;
-            }
-        }
-        Arc::new(per_rule)
+        stats.plans_compiled += stratum.len();
+        Arc::new(
+            stratum
+                .iter()
+                .map(|&r| {
+                    let report = crate::analysis::plan_rule(&rules[r], Some(&method_stats), Some(derived));
+                    (r, crate::plan::compile(&rules[r], &report))
+                })
+                .collect(),
+        )
     }
 
     /// Commit a rule's frame-native delta outputs through its compiled head:
@@ -777,9 +699,7 @@ impl Engine {
         runs: Vec<crate::plan::FrameRun>,
         stats: &mut EvalStats,
     ) -> Result<usize> {
-        let (compiled, _) = plans
-            .and_then(|p| p.for_rule(rule))
-            .expect("frame outputs imply a compiled plan");
+        let (compiled, _) = plans.expect("frame outputs imply the iteration's plans").for_rule(rule);
         let head = compiled.head().expect("frame outputs imply a compiled head");
         let method = structure.ensure_name(&head.method);
         let merged = crate::plan::merge_frame_runs(runs, compiled.canonical());
@@ -811,9 +731,8 @@ impl Engine {
     }
 
     /// Make `head` true under `bindings` and fold what that added into the
-    /// model counters: the commit step of both schedules, for a rule's
-    /// solution and — with empty bindings, the one solution of an empty
-    /// body — for a fact.
+    /// model counters: the commit step for a rule's solution and — with
+    /// empty bindings, the one solution of an empty body — for a fact.
     fn assert_solution(
         &self,
         structure: &mut Structure,
@@ -833,7 +752,7 @@ impl Engine {
         Ok(effect)
     }
 
-    /// The default snapshot-window cross-rule scheduler.
+    /// The snapshot-window cross-rule scheduler.
     ///
     /// Each stratum iteration is a two-phase commit.  **Plan + solve
     /// (phase 1):** slide the stratum's shared [`SnapshotWindow`] to the
@@ -845,41 +764,40 @@ impl Engine {
     /// statement by statement in stratum order; on the first iteration that
     /// order includes the stratum's facts, each asserted as data at its
     /// source position (see the module docs).  Both phases are deterministic
-    /// functions of the structure content, so every mode/executor commits
-    /// the same facts in the same order and allocates identical
-    /// virtual-object ids.
+    /// functions of the structure content, so every mode commits the same
+    /// facts in the same order and allocates identical virtual-object ids.
     ///
-    /// Compared to the rule-at-a-time schedule, a rule sees facts derived by
-    /// its stratum peers one iteration later (Jacobi instead of
-    /// Gauss–Seidel); the fixpoint is the same, reached in a few more,
-    /// cheaper iterations, and the rule solves of an iteration become
-    /// independent — the parallelism the executor exploits.
+    /// A rule sees facts derived by its stratum peers one iteration later
+    /// (Jacobi, not Gauss–Seidel, iteration), which is what makes the rule
+    /// solves of an iteration independent — the parallelism the executor
+    /// exploits.
     fn run_cross_rule(
         &self,
         structure: &mut Structure,
         run: &Run<'_>,
-        executor: &dyn Executor,
+        executor: &Executor,
         stats: &mut EvalStats,
     ) -> Result<()> {
         let rules = &run.rules;
         let body_reads = self.body_reads(rules);
         let workers = executor.workers();
-        let planning = self.planning();
         for stratum in &run.strata {
             let mut window = SnapshotWindow::capture(structure);
             let mut first = true;
             // Compiled plans for this stratum's rules, refreshed when the
             // fact level more than doubles since the last compile (the
             // MethodStats the costs came from are then stale).
-            let mut plan_state: Option<Arc<Vec<Option<CompiledRule>>>> = None;
+            let mut plan_state: Option<Arc<BTreeMap<usize, CompiledRule>>> = None;
             let mut plan_level = 0usize;
+            let mut stratum_iterations = 0usize;
             loop {
                 stats.iterations += 1;
-                if stats.iterations > self.options.max_iterations {
+                stratum_iterations += 1;
+                if stratum_iterations > self.options.max_iterations {
                     return Err(Error::LimitExceeded {
                         kind: LimitKind::Iterations,
                         limit: self.options.max_iterations,
-                        observed: stats.iterations,
+                        observed: stratum_iterations,
                     });
                 }
                 // Phase 1a: plan the iteration's task queue and, beside it,
@@ -891,12 +809,12 @@ impl Engine {
                 if first || !self.options.delta_driven {
                     // Every rule solves in full: the first time it runs (no
                     // delta exists for it yet), or on every iteration of the
-                    // naive ablation arm.  A fact needs no solve, and
-                    // commits with the first iteration only.
+                    // naive oracle.  A fact needs no solve, and commits with
+                    // the first iteration only.
                     for &step in &stratum.steps {
                         match step {
-                            Step::Fact(..) if first => plan.push((step, 0)),
-                            Step::Fact(..) => {}
+                            Step::Fact(_) if first => plan.push((step, 0)),
+                            Step::Fact(_) => {}
                             Step::Rule(r) => {
                                 stats.full_solves += 1;
                                 plan.push((step, 1));
@@ -924,44 +842,39 @@ impl Engine {
                         // will actually read the views (the last window of a
                         // stratum is typically non-empty yet drives nothing).
                         if !scheduled.is_empty() {
-                            if planning {
-                                // Compile (or re-compile) the stratum's rule
-                                // bodies against live MethodStats, then pick
-                                // one shared pass order per scheduled rule
-                                // for this iteration.  All of this runs on
-                                // the coordinator, so the decisions — and the
-                                // counters — are identical at any worker
-                                // count and under either executor.
-                                let level = Self::fact_level(structure);
-                                if plan_state.is_none() || level > plan_level.saturating_mul(2) {
-                                    if plan_state.is_some() {
-                                        stats.replans += 1;
-                                    }
-                                    plan_state = Some(Self::compile_stratum(
-                                        rules,
-                                        &stratum.proper,
-                                        structure,
-                                        &run.derived,
-                                        stats,
-                                    ));
-                                    plan_level = level;
+                            // Compile (or re-compile) the stratum's rule
+                            // bodies against live MethodStats, then pick one
+                            // shared pass order per scheduled rule for this
+                            // iteration.  All of this runs on the
+                            // coordinator, so the decisions — and the
+                            // counters — are identical at any worker count.
+                            let level = Self::fact_level(structure);
+                            if plan_state.is_none() || level > plan_level.saturating_mul(2) {
+                                if plan_state.is_some() {
+                                    stats.replans += 1;
                                 }
-                                let compiled = plan_state.as_ref().unwrap();
-                                let mut orders = BTreeMap::new();
-                                for (r, delta_lits) in &scheduled {
-                                    if let Some(c) = compiled[*r].as_ref() {
-                                        let order = crate::plan::pass_order(c, delta_lits, dv.entry_count());
-                                        if !order.seeded_from_delta {
-                                            stats.seed_flips += 1;
-                                        }
-                                        orders.insert(*r, order);
-                                    }
-                                }
-                                iteration_plans = Some(Arc::new(IterationPlans {
-                                    compiled: Arc::clone(compiled),
-                                    orders,
-                                }));
+                                plan_state = Some(Self::compile_stratum(
+                                    rules,
+                                    &stratum.proper,
+                                    structure,
+                                    &run.derived,
+                                    stats,
+                                ));
+                                plan_level = level;
                             }
+                            let compiled = plan_state.as_ref().unwrap();
+                            let mut orders = BTreeMap::new();
+                            for (r, delta_lits) in &scheduled {
+                                let order = crate::plan::pass_order(&compiled[r], delta_lits, dv.entry_count());
+                                if !order.seeded_from_delta {
+                                    stats.seed_flips += 1;
+                                }
+                                orders.insert(*r, order);
+                            }
+                            iteration_plans = Some(Arc::new(IterationPlans {
+                                compiled: Arc::clone(compiled),
+                                orders,
+                            }));
                             views = match (workers > 1)
                                 .then(|| dv.shards(workers, self.options.shard_min_entries))
                                 .flatten()
@@ -1001,7 +914,7 @@ impl Engine {
                 let mut any_change = false;
                 for &(step, count) in &plan {
                     let r = match step {
-                        Step::Fact(fact, _) => {
+                        Step::Fact(fact) => {
                             let effect = self.assert_solution(structure, &fact.head, &Bindings::new(), stats)?;
                             any_change |= effect.changed();
                             continue;
@@ -1025,10 +938,7 @@ impl Engine {
                     // The compiled head fast path: method oid resolved once,
                     // direct set-member asserts, counters identical to
                     // `assert_head` by construction (see [`CompiledHead`]).
-                    let fast_head = commit_plans
-                        .as_ref()
-                        .and_then(|p| p.for_rule(r))
-                        .and_then(|(c, _)| c.head().cloned());
+                    let fast_head = commit_plans.as_ref().and_then(|p| p.for_rule(r).0.head().cloned());
                     let method = fast_head.as_ref().map(|h| structure.ensure_name(&h.method));
                     for bindings in solutions {
                         if let (Some(h), Some(m)) = (&fast_head, method) {
@@ -1055,218 +965,6 @@ impl Engine {
         Ok(())
     }
 
-    /// The legacy rule-at-a-time scheduler (the PR 3 evaluation loop), kept
-    /// as the reference arm of the scheduling ablation.  Rules are processed
-    /// strictly in sequence; each solves against its own watermark window —
-    /// everything asserted since *it* last ran, including facts earlier
-    /// rules derived in the same iteration — and asserts before the next
-    /// rule solves.  Parallelism is confined to the inside of one rule's
-    /// delta solve.
-    fn run_rule_at_a_time(
-        &self,
-        structure: &mut Structure,
-        run: &Run<'_>,
-        executor: &dyn Executor,
-        stats: &mut EvalStats,
-    ) -> Result<()> {
-        let rules = &run.rules;
-        let body_reads = self.body_reads(rules);
-        let workers = executor.workers();
-        let planning = self.planning();
-
-        // Watermarks of the structure state each rule last solved against.
-        // A rule's delta is "everything asserted since *it* last ran" — not
-        // since the iteration started — so facts a rule already joined
-        // through (e.g. those asserted by earlier rules in the same
-        // iteration) are never re-presented to it as new.
-        let mut last_marks: Vec<Option<EvalMarks>> = vec![None; rules.len()];
-
-        for stratum in &run.strata {
-            let mut changed_keys: Option<BTreeSet<DepKey>> = None; // None = first iteration, fire everything
-                                                                   // Compiled plans for this stratum's rules (same staleness policy
-                                                                   // as the cross-rule schedule: re-plan when the fact level more
-                                                                   // than doubles since the last compile).
-            let mut plan_state: Option<Arc<Vec<Option<CompiledRule>>>> = None;
-            let mut plan_level = 0usize;
-            loop {
-                stats.iterations += 1;
-                if stats.iterations > self.options.max_iterations {
-                    return Err(Error::LimitExceeded {
-                        kind: LimitKind::Iterations,
-                        limit: self.options.max_iterations,
-                        observed: stats.iterations,
-                    });
-                }
-                let mut new_keys: BTreeSet<DepKey> = BTreeSet::new();
-                let mut any_change = false;
-                let iter_isa_mark = structure.isa().closure_size();
-
-                // A virtual object created by an assert can satisfy literals
-                // through positions that read no named key (a bare variable,
-                // a built-in filter), so object creation is published as the
-                // catch-all key — every rule is re-examined, and the
-                // per-rule window keeps that cheap.
-                let publish = |new_keys: &mut BTreeSet<DepKey>, info: &RuleInfo, effect: AssertEffect| {
-                    new_keys.extend(info.defines.iter().cloned());
-                    if effect.virtual_objects > 0 {
-                        new_keys.insert(DepKey::Unknown);
-                    }
-                };
-                for &step in &stratum.steps {
-                    let r = match step {
-                        // A fact is asserted as data, at its source position,
-                        // the first time round and never looked at again.
-                        Step::Fact(fact, info) => {
-                            if changed_keys.is_none() {
-                                let effect = self.assert_solution(structure, &fact.head, &Bindings::new(), stats)?;
-                                if effect.changed() {
-                                    any_change = true;
-                                    publish(&mut new_keys, info, effect);
-                                }
-                            }
-                            continue;
-                        }
-                        Step::Rule(r) => r,
-                    };
-                    let rule = &rules[r];
-                    let info = run.infos[r];
-                    let solutions = match (&changed_keys, last_marks[r]) {
-                        (Some(changed), Some(lo)) if self.options.delta_driven => {
-                            if !rule_affected(info, changed) {
-                                stats.rules_skipped += 1;
-                                continue;
-                            }
-                            let now = EvalMarks::capture(structure);
-                            let lo_marks = lo;
-                            last_marks[r] = Some(now);
-                            if now == lo_marks {
-                                // Affected by key, but nothing actually new
-                                // since this rule last solved.
-                                stats.rules_skipped += 1;
-                                continue;
-                            }
-                            let dv = DeltaView::between(structure, &lo_marks, &now);
-                            let delta_lits = delta_literals(structure, &body_reads[r], &dv);
-                            if delta_lits.is_empty() {
-                                // Affected by iteration-level keys, but
-                                // nothing in this rule's own window can
-                                // drive any of its literals — its solutions
-                                // are unchanged.
-                                stats.rules_skipped += 1;
-                                continue;
-                            }
-                            stats.delta_solves += 1;
-                            let plans = if planning {
-                                let level = Self::fact_level(structure);
-                                if plan_state.is_none() || level > plan_level.saturating_mul(2) {
-                                    if plan_state.is_some() {
-                                        stats.replans += 1;
-                                    }
-                                    plan_state = Some(Self::compile_stratum(
-                                        rules,
-                                        &stratum.proper,
-                                        structure,
-                                        &run.derived,
-                                        stats,
-                                    ));
-                                    plan_level = level;
-                                }
-                                let compiled = plan_state.as_ref().unwrap();
-                                compiled[r].as_ref().map(|c| {
-                                    let order = crate::plan::pass_order(c, &delta_lits, dv.entry_count());
-                                    if !order.seeded_from_delta {
-                                        stats.seed_flips += 1;
-                                    }
-                                    Arc::new(IterationPlans {
-                                        compiled: Arc::clone(compiled),
-                                        orders: BTreeMap::from([(r, order)]),
-                                    })
-                                })
-                            } else {
-                                None
-                            };
-                            let views = match (workers > 1)
-                                .then(|| dv.shards(workers, self.options.shard_min_entries))
-                                .flatten()
-                            {
-                                Some(shards) => shards,
-                                None => vec![dv],
-                            };
-                            let mut tasks = Vec::with_capacity(delta_lits.len() * views.len());
-                            for &l in &delta_lits {
-                                for v in 0..views.len() {
-                                    tasks.push(SolveTask {
-                                        rule: r,
-                                        delta: Some((l, v)),
-                                    });
-                                }
-                            }
-                            let batch = SolveBatch {
-                                rules: Arc::clone(rules),
-                                views,
-                                tasks,
-                                plans,
-                            };
-                            let commit_plans = batch.plans.clone();
-                            let collected = match take_frame_runs(executor.execute(structure, batch)?) {
-                                Ok(runs) => {
-                                    if self.commit_frame_runs(structure, commit_plans.as_ref(), r, runs, stats)? > 0 {
-                                        any_change = true;
-                                        // The compiled head only inserts set
-                                        // members — never virtual objects —
-                                        // so the catch-all key stays quiet.
-                                        new_keys.extend(info.defines.iter().cloned());
-                                    }
-                                    continue;
-                                }
-                                Err(outputs) => outputs,
-                            };
-                            merge_outputs(collected)
-                        }
-                        _ => {
-                            if self.options.delta_driven {
-                                last_marks[r] = Some(EvalMarks::capture(structure));
-                            }
-                            stats.full_solves += 1;
-                            // Full solves need no canonical merge: they run
-                            // identically (and sequentially) in every mode,
-                            // and enumeration order is already deterministic
-                            // — the fact/sig indexes iterate ordered
-                            // structures, never hash maps.  Skipping the
-                            // sort keeps the naive ablation arm honest.
-                            solve_body(structure, &rule.body, &Bindings::new())?
-                        }
-                    };
-                    for bindings in solutions {
-                        let effect = self.assert_solution(structure, &rule.head, &bindings, stats)?;
-                        if effect.changed() {
-                            any_change = true;
-                            publish(&mut new_keys, info, effect);
-                        }
-                    }
-                }
-
-                // Deriving `X : c` also adds closure pairs `(X, super)` for
-                // every superclass of `c`; rules that read only a superclass
-                // key must be woken too, so publish every class actually
-                // reached by this iteration's closure growth (O(new pairs),
-                // sliced from the is-a insertion log).  Unnamed classes get
-                // the catch-all key.
-                for &(_, sup) in structure.isa().pairs_since(iter_isa_mark) {
-                    new_keys.insert(match structure.name_of(sup) {
-                        Some(n) => DepKey::Known(n.clone()),
-                        None => DepKey::Unknown,
-                    });
-                }
-                if !any_change {
-                    break;
-                }
-                changed_keys = Some(new_keys);
-            }
-        }
-        Ok(())
-    }
-
     /// Solve a batch of independent condition bodies against the frozen
     /// `structure` on this engine's configured executor — the entry point
     /// for callers outside stratified fixpoint evaluation (the reactive
@@ -1277,8 +975,8 @@ impl Engine {
     ///
     /// Every task is solved whole by one thread against the same frozen
     /// structure, so the returned runs are **bit-identical at any worker
-    /// count and under either executor** — pooled condition matching cannot
-    /// drift from a sequential run.  Under [`EvalMode::Parallel`] the tasks
+    /// count** — pooled condition matching cannot drift from a sequential
+    /// run.  Under [`EvalMode::Parallel`] the tasks
     /// fan out over this engine's persistent pool (created lazily, shared by
     /// clones, reused across calls); under [`EvalMode::Sequential`] they run
     /// inline on the calling thread.
@@ -1394,23 +1092,6 @@ fn delta_literals(structure: &Structure, reads: &[Option<BTreeSet<DepKey>>], dv:
         .collect()
 }
 
-/// Does `info` read anything in `changed`?
-fn rule_affected(info: &RuleInfo, changed: &BTreeSet<DepKey>) -> bool {
-    if changed.is_empty() {
-        return false;
-    }
-    if changed.contains(&DepKey::Unknown)
-        || info.uses.contains(&DepKey::Unknown)
-        || info.strict_uses.contains(&DepKey::Unknown)
-    {
-        return true;
-    }
-    info.uses
-        .iter()
-        .chain(info.strict_uses.iter())
-        .any(|k| changed.contains(k))
-}
-
 /// Register every name occurring in a term, making `I_N` total over the
 /// program's alphabet.
 fn register_names(structure: &mut Structure, term: &Term) {
@@ -1441,48 +1122,6 @@ fn register_program_names(structure: &mut Structure, program: &Program) {
     }
 }
 
-/// Solve a body conjunction: enumerate the variable-valuations extending
-/// `seed` that satisfy every literal.  Positive literals are processed in
-/// order; negated literals are checked last (validation guarantees their
-/// variables are bound by then).
-pub fn solve_body(structure: &Structure, body: &[Literal], seed: &Bindings) -> Result<Vec<Bindings>> {
-    solve_body_pass(structure, body, seed, None)
-}
-
-/// Solve a body conjunction semi-naively: for each literal index in
-/// `delta_literals`, solve the body once with that literal restricted to
-/// answers whose derivation reads `dv` (the iteration delta) while every
-/// other literal joins against the full structure, and return the
-/// deduplicated union in canonical order (`merge_canonical`, the same
-/// merge the engine applies, so this entry point cannot drift from the
-/// scheduled paths).  This is the per-literal decomposition of classic
-/// semi-naive evaluation: a solution that can contribute new information
-/// reads at least one delta fact in at least one literal, so it is found by
-/// the pass that restricts that literal.
-///
-/// This interpreted, written-order routine is the reference semantics and
-/// the [`Planner::Off`] ablation arm.  Under the default
-/// [`Planner::CostBased`] the engine's scheduled delta passes route through
-/// [`crate::plan::execute_delta`] instead — the same passes over a compiled,
-/// cost-reordered body — and must produce the identical canonical run.
-pub fn solve_body_delta(
-    structure: &Structure,
-    body: &[Literal],
-    seed: &Bindings,
-    delta_literals: &[usize],
-    dv: &DeltaView,
-) -> Result<Vec<Bindings>> {
-    let pass_results = delta_literals
-        .iter()
-        .map(|&d| solve_body_pass(structure, body, seed, Some((d, dv))))
-        .collect::<Result<Vec<_>>>()?;
-    Ok(merge_canonical(pass_results))
-}
-
-/// Merge one rule's task outputs into its committed solution list.  A lone
-/// full solve keeps its (deterministic) enumeration order; delta runs are
-/// k-way-merged in canonical order ([`merge_sorted_runs`]), the single
-/// writer's half of the sorted-run protocol.
 /// Partition a rule's outputs when any pass produced raw frames: `Ok` with
 /// the frame runs (empty keyed outputs from early-exit shards are dropped —
 /// a non-empty keyed output alongside frames is impossible, all passes of a
@@ -1508,6 +1147,10 @@ fn take_frame_runs(outputs: Vec<SolveOutput>) -> std::result::Result<Vec<crate::
         .collect())
 }
 
+/// Merge one rule's task outputs into its committed solution list.  A lone
+/// full solve keeps its (deterministic) enumeration order; delta runs are
+/// k-way-merged in canonical order ([`merge_sorted_runs`]), the single
+/// writer's half of the sorted-run protocol.
 fn merge_outputs(mut outputs: Vec<SolveOutput>) -> Vec<Bindings> {
     if outputs.len() == 1 && matches!(outputs[0], SolveOutput::Enumerated(_)) {
         let Some(SolveOutput::Enumerated(solutions)) = outputs.pop() else {
@@ -1529,42 +1172,24 @@ fn merge_outputs(mut outputs: Vec<SolveOutput>) -> Vec<Bindings> {
     )
 }
 
-/// Deduplicate and canonically order rule-body solutions (sorted by their
-/// order-independent [`binding_key`]).
+/// Solve a body conjunction: enumerate the variable-valuations extending
+/// `seed` that satisfy every literal.  Positive literals are joined in
+/// source order against the full structure, with per-stage deduplication;
+/// negated literals are applied as filters last (validation guarantees their
+/// variables are bound by then).
 ///
-/// This is the mode-identity boundary for [`solve_body_delta`]: every
-/// scheduled path sorts per-pass runs and merges them with
-/// [`merge_sorted_runs`], and this entry point is that same composition, so
-/// it cannot drift from the engine's own merges no matter how the passes
-/// were scheduled or sharded.
-fn merge_canonical(parts: Vec<Vec<Bindings>>) -> Vec<Bindings> {
-    merge_sorted_runs(parts.into_iter().map(sorted_run).collect())
-}
-
-/// One solve over a body: positive literals joined in source order with
-/// per-stage deduplication, negated literals applied as filters last.  With
-/// `delta` set to `(d, view)`, the answers of positive literal `d` are
-/// restricted to derivations that read the delta view; with `None` every
-/// literal joins against the full structure.
-fn solve_body_pass(
-    structure: &Structure,
-    body: &[Literal],
-    seed: &Bindings,
-    delta: Option<(usize, &DeltaView)>,
-) -> Result<Vec<Bindings>> {
+/// This written-order routine is the reference semantics: it answers
+/// queries, solves conditions and every rule's first (full) solve, and is
+/// all the naive oracle (`delta_driven: false`) ever runs.  The engine's
+/// delta passes go through [`crate::plan::execute_delta`] instead and must
+/// reach the same fixpoint.
+pub fn solve_body(structure: &Structure, body: &[Literal], seed: &Bindings) -> Result<Vec<Bindings>> {
     let mut states = vec![seed.clone()];
-    for (j, lit) in body.iter().enumerate() {
-        if !lit.positive {
-            continue;
-        }
+    for lit in body.iter().filter(|l| l.positive) {
         let mut next = Vec::new();
         let mut seen: HashSet<BindingKey> = HashSet::new();
         for s in &states {
-            let lit_answers = match delta {
-                Some((d, dv)) if j == d => delta_answers(structure, &lit.term, s, dv)?,
-                _ => answers(structure, &lit.term, s)?,
-            };
-            for a in lit_answers {
+            for a in answers(structure, &lit.term, s)? {
                 if seen.insert(binding_key(&a.bindings)) {
                     next.push(a.bindings);
                 }
@@ -1954,6 +1579,53 @@ mod tests {
     }
 
     #[test]
+    fn iteration_limit_is_counted_per_stratum() {
+        // Four strata over a stored `p[s0 ->> {a}]`, each a set-at-a-time
+        // copy of the one below:
+        //   p[s1 ->> {Y}] <- p[s0 ->> {Y}].    p[s2 ->> p..s1] <- p[s1 ->> {Y}].   ...
+        // Every stratum converges in two iterations (derive, then find
+        // nothing new), so the run takes eight in total.
+        let mut rules = vec![Rule::new(
+            Term::name("p").filter(Filter::set("s1", vec![Term::var("Y")])),
+            vec![Literal::pos(
+                Term::name("p").filter(Filter::set("s0", vec![Term::var("Y")])),
+            )],
+        )];
+        for (below, above) in [("s1", "s2"), ("s2", "s3"), ("s3", "s4")] {
+            rules.push(Rule::new(
+                Term::name("p").filter(Filter::set_ref(above, Term::name("p").set(below))),
+                vec![Literal::pos(
+                    Term::name("p").filter(Filter::set(below, vec![Term::var("Y")])),
+                )],
+            ));
+        }
+        let run = |max_iterations: usize| {
+            let mut s = Structure::new();
+            let (s0, p, a) = (s.atom("s0"), s.atom("p"), s.atom("a"));
+            s.assert_set_member(s0, p, &[], a);
+            Engine::with_options(EvalOptions {
+                max_iterations,
+                ..EvalOptions::default()
+            })
+            .run_rules(&mut s, &rules)
+        };
+        let stats = run(2).expect("no stratum needs more than two iterations");
+        assert_eq!(
+            (stats.strata, stats.iterations),
+            (4, 8),
+            "iterations stays the run total"
+        );
+        assert!(matches!(
+            run(1).unwrap_err(),
+            Error::LimitExceeded {
+                kind: LimitKind::Iterations,
+                limit: 1,
+                observed: 2,
+            }
+        ));
+    }
+
+    #[test]
     fn delta_method_resolving_to_builtin_enumerates_receivers_in_full() {
         // Regression: a path literal whose *method derivation* lands in the
         // delta and resolves to a built-in method (here `self`, via the
@@ -2302,31 +1974,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_scoped_executors_are_bit_identical() {
-        let base = binary_tree(8);
-        let rules = desc_closure_rules();
-        let run = |executor: ExecutorKind| {
-            let mut s = base.clone();
-            let stats = Engine::with_options(EvalOptions {
-                mode: EvalMode::Parallel { workers: 4 },
-                executor,
-                ..EvalOptions::default()
-            })
-            .run_rules(&mut s, &rules)
-            .unwrap();
-            (s.canonical_dump(), stats)
-        };
-        let (pooled_dump, pooled_stats) = run(ExecutorKind::Pooled);
-        let (scoped_dump, scoped_stats) = run(ExecutorKind::Scoped);
-        assert_eq!(pooled_stats, scoped_stats, "EvalStats must not depend on the executor");
-        assert_eq!(pooled_dump, scoped_dump, "models must not depend on the executor");
-        // ... and both match the sequential run.
-        let mut s = base.clone();
-        Engine::new().run_rules(&mut s, &rules).unwrap();
-        assert_eq!(s.canonical_dump(), pooled_dump);
-    }
-
-    #[test]
     fn worker_pool_is_reused_across_runs() {
         let base = binary_tree(7);
         let rules = desc_closure_rules();
@@ -2366,109 +2013,6 @@ mod tests {
             4,
             "a pre-run clone must not mint a second pool"
         );
-
-        // The scoped executor, by contrast, spawns per batch: strictly more
-        // threads over the same three runs.
-        let scoped = Engine::with_options(EvalOptions {
-            mode: EvalMode::Parallel { workers: 4 },
-            executor: ExecutorKind::Scoped,
-            ..EvalOptions::default()
-        });
-        for _ in 0..3 {
-            let mut s = base.clone();
-            scoped.run_rules(&mut s, &rules).unwrap();
-        }
-        assert!(
-            scoped.threads_spawned() > 3 * 4,
-            "scoped spawns grow with the number of solves ({} <= 12)",
-            scoped.threads_spawned()
-        );
-    }
-
-    #[test]
-    fn cross_rule_and_rule_at_a_time_schedules_reach_the_same_fixpoint() {
-        // The two schedules commit derivations in different orders (snapshot
-        // windows vs rule-at-a-time), so virtual-object *numbering* may
-        // differ — but the derived model must not, and on a virtual-free
-        // program even the dumps must agree exactly.
-        let base = binary_tree(6);
-        let mut rules = vec![
-            Rule::new(
-                Term::var("X").filter(Filter::set("desc", vec![Term::var("Y")])),
-                vec![Literal::pos(
-                    Term::var("X").filter(Filter::set("kids", vec![Term::var("Y")])),
-                )],
-            ),
-            Rule::new(
-                Term::var("X").filter(Filter::set("desc", vec![Term::var("Y")])),
-                vec![Literal::pos(
-                    Term::var("X")
-                        .set("desc")
-                        .filter(Filter::set("kids", vec![Term::var("Y")])),
-                )],
-            ),
-        ];
-        let run = |schedule: Schedule, rules: &[Rule]| {
-            let mut s = base.clone();
-            let stats = Engine::with_options(EvalOptions {
-                schedule,
-                ..EvalOptions::default()
-            })
-            .run_rules(&mut s, rules)
-            .unwrap();
-            (s, stats)
-        };
-        let (cross, cross_stats) = run(Schedule::CrossRule, &rules);
-        let (legacy, legacy_stats) = run(Schedule::RuleAtATime, &rules);
-        assert_eq!(
-            cross.canonical_dump(),
-            legacy.canonical_dump(),
-            "virtual-free programs must agree byte-for-byte across schedules"
-        );
-        assert_eq!(cross_stats.derived(), legacy_stats.derived());
-        assert_eq!(cross_stats.firings, legacy_stats.firings);
-
-        // With a virtual-object stratum on top, the schedules still derive
-        // the same *counts* (the relaxed contract: scheduling counters and
-        // oid numbering are only pinned within a schedule).
-        rules.push(Rule::new(
-            Term::var("X")
-                .scalar("summary")
-                .filter(Filter::set_ref("descendants", Term::var("X").set("desc"))),
-            vec![Literal::pos(
-                Term::var("X").filter(Filter::set("kids", vec![Term::var("Y")])),
-            )],
-        ));
-        let (cross, cross_stats) = run(Schedule::CrossRule, &rules);
-        let (legacy, legacy_stats) = run(Schedule::RuleAtATime, &rules);
-        assert_eq!(cross_stats.derived(), legacy_stats.derived());
-        assert_eq!(cross_stats.virtual_objects, legacy_stats.virtual_objects);
-        assert_eq!(cross.stats(), legacy.stats());
-    }
-
-    #[test]
-    fn rule_at_a_time_parallel_is_bit_identical_to_its_sequential() {
-        // The identity guarantee holds within each schedule: the legacy arm
-        // with workers must match the legacy arm without.
-        let base = binary_tree(8);
-        let rules = desc_closure_rules();
-        let run = |mode: EvalMode| {
-            let mut s = base.clone();
-            let stats = Engine::with_options(EvalOptions {
-                mode,
-                schedule: Schedule::RuleAtATime,
-                ..EvalOptions::default()
-            })
-            .run_rules(&mut s, &rules)
-            .unwrap();
-            (s.canonical_dump(), stats)
-        };
-        let (seq_dump, seq_stats) = run(EvalMode::Sequential);
-        for workers in [2usize, 4] {
-            let (par_dump, par_stats) = run(EvalMode::Parallel { workers });
-            assert_eq!(seq_stats, par_stats, "legacy EvalStats must match at {workers} workers");
-            assert_eq!(seq_dump, par_dump, "legacy models must match at {workers} workers");
-        }
     }
 
     #[test]
@@ -2564,19 +2108,6 @@ mod tests {
         // (generated queries legitimately probe absent attributes).
         let q = Query::single(Term::var("X").filter(Filter::set("dsc", vec![Term::var("Y")])));
         assert!(engine.query(&s, &q).unwrap().is_empty());
-    }
-
-    #[test]
-    fn merge_canonical_sorts_and_deduplicates_across_parts() {
-        let (x, y) = (Var::new("X"), Var::new("Y"));
-        let b1 = Bindings::from_pairs([(x.clone(), Oid(3)), (y.clone(), Oid(1))]).unwrap();
-        let b2 = Bindings::from_pairs([(x.clone(), Oid(1)), (y.clone(), Oid(2))]).unwrap();
-        // Same valuation as b2, bound in the opposite order.
-        let b2_rev = Bindings::from_pairs([(y.clone(), Oid(2)), (x.clone(), Oid(1))]).unwrap();
-        let merged = merge_canonical(vec![vec![b1.clone()], vec![b2.clone(), b2_rev]]);
-        assert_eq!(merged.len(), 2, "order-independent duplicates collapse");
-        assert_eq!(merged[0].get(&x), Some(Oid(1)));
-        assert_eq!(merged[1].get(&x), Some(Oid(3)));
     }
 
     #[test]
@@ -2703,18 +2234,6 @@ mod tests {
         (base, program)
     }
 
-    /// The counters that describe the model, not the schedule.
-    fn model_counters(stats: &EvalStats) -> [usize; 6] {
-        [
-            stats.firings,
-            stats.scalar_facts,
-            stats.set_members,
-            stats.isa_edges,
-            stats.signatures,
-            stats.virtual_objects,
-        ]
-    }
-
     #[test]
     fn interleaved_facts_commit_at_their_source_position_in_every_configuration() {
         let (base, program) = interleaved_program();
@@ -2758,18 +2277,11 @@ mod tests {
                     ..EvalOptions::default()
                 },
             ),
-            (
-                "rule-at-a-time",
-                EvalOptions {
-                    schedule: Schedule::RuleAtATime,
-                    ..EvalOptions::default()
-                },
-            ),
         ];
         for (what, options) in configurations {
             let (s, stats) = run(options);
             assert_eq!(s.canonical_dump(), oracle.canonical_dump(), "{what}");
-            assert_eq!(model_counters(&stats), model_counters(&oracle_stats), "{what}");
+            assert_eq!(stats.model_counters(), oracle_stats.model_counters(), "{what}");
             // The scheduling counters count the two proper rules only: the
             // five facts are no solve, no skip and no compile.
             let scheduled = stats.full_solves + stats.delta_solves + stats.rules_skipped;
@@ -2848,19 +2360,13 @@ mod tests {
     #[test]
     fn conflicting_scalar_facts_are_still_rejected() {
         let age = |n: i64| Rule::fact(Term::name("mary").filter(Filter::scalar("age", Term::int(n))));
-        for schedule in [Schedule::CrossRule, Schedule::RuleAtATime] {
-            let engine = Engine::with_options(EvalOptions {
-                schedule,
-                ..EvalOptions::default()
-            });
-            let err = engine
-                .run_rules(&mut Structure::new(), &[age(30), age(31)])
-                .unwrap_err();
-            assert_eq!(
-                err.to_string(),
-                "conflicting scalar results for method Oid(7) on receiver Oid(6): Oid(8) vs Oid(9)"
-            );
-        }
+        let err = Engine::new()
+            .run_rules(&mut Structure::new(), &[age(30), age(31)])
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "conflicting scalar results for method Oid(7) on receiver Oid(6): Oid(8) vs Oid(9)"
+        );
     }
 
     #[test]

@@ -91,12 +91,9 @@ pub mod prelude {
         tolerant_query, CheckStats, ConsistencyStatus, Constraint, ConstraintChecker, ConstraintPolicy, ConstraintSet,
         ConstraintViolation, Quarantine, TolerantAnswer, TolerantAnswers,
     };
-    pub use crate::engine::{
-        solve_body, Engine, EvalMode, EvalOptions, EvalStats, ExecutorKind, Schedule, StaticChecks, Tolerance,
-    };
+    pub use crate::engine::{solve_body, Engine, EvalMode, EvalOptions, EvalStats, StaticChecks, Tolerance};
     pub use crate::error::{Error, Result};
     pub use crate::names::{Name, Var};
-    pub use crate::plan::Planner;
     pub use crate::program::{Literal, Program, Query, Rule};
     pub use crate::scalarity::{is_scalar, is_set_valued, Scalarity};
     pub use crate::semantics::{

@@ -1,48 +1,52 @@
-//! Cost-based join planning and the compiled rule-body IR.
+//! Cost-based join planning and the compiled rule-body IR: the evaluator of
+//! every delta pass.
 //!
-//! The interpreted engine solves body literals in written order
-//! (`solve_body_pass`), deduplicating every join stage through the string-y
-//! canonical [`binding_key`](crate::engine::binding_key) — computed once for
-//! the stage's hash set and a second time when the pass's output is sorted
-//! into its canonical run.  On the delta-driven hot path (the per-literal
-//! semi-naive passes of every stratum iteration) both costs are avoidable:
-//!
-//! * **Planning.**  [`pass_order`] reorders a rule's positive literals by
-//!   estimated cost, consuming the [`RulePlanReport`] annotations the
-//!   analysis subsystem already derives from live
-//!   [`MethodStats`](crate::analysis::MethodStats) (PR 8)
-//!   rather than re-deriving them.  Delta-drivable literals cost
-//!   `min(static estimate, delta entry count)`, so a small delta seeds the
-//!   join; when an index-backed literal is estimated *below* the delta
-//!   cardinality the planner seeds from it instead (a *seed flip*, counted
-//!   in [`EvalStats::seed_flips`](crate::engine::EvalStats)).  After the
-//!   seed, literals sharing a bound variable are preferred over disconnected
-//!   ones (no accidental cross products), and built-in guards are hoisted to
-//!   the earliest position where all their variables are bound — never
-//!   earlier.  Orders are recomputed per stratum iteration as the stats
-//!   evolve ([`EvalStats::replans`](crate::engine::EvalStats)).
+//! A stratum's first iteration solves each rule body in full, in written
+//! order ([`solve_body`](crate::engine::solve_body)): the enumeration order
+//! of a full solve is its commit order, which written-order evaluation pins.
+//! Every later iteration runs per-literal semi-naive *delta passes*, and
+//! those run here — the engine has no other delta-pass evaluator.
 //!
 //! * **Compilation.**  [`compile`] lowers a rule body once into a
 //!   [`CompiledRule`]: every body variable gets a fixed *slot* index, and
 //!   each join state carries a flat `Vec<u32>` frame (slot → object id + 1,
-//!   `0` = unbound) alongside its persistent [`Bindings`] cons list.  Stage
-//!   deduplication hashes the flat frames — two `u32` words per variable,
-//!   no `Arc<str>` clones, no per-answer sort — and the canonical
-//!   [`BindingKey`] of a surviving solution is materialized exactly once at
-//!   the end, from the frame, through a pre-computed name-sorted slot
-//!   permutation.
+//!   `0` = unbound).  Stage deduplication sorts the flat frames — two `u32`
+//!   words per variable, no `Arc<str>` clones, no per-answer key — and the
+//!   canonical [`BindingKey`] of a surviving solution is materialized
+//!   exactly once at the end, from the frame, through a pre-computed
+//!   name-sorted slot permutation.  Literals of the dominant shapes carry a
+//!   pre-resolved [`Access`] path and are enumerated straight off the
+//!   fact-store indexes; the rest go through [`answers()`] /
+//!   [`delta_answers`] ([`Access::Generic`]).  Compilation is total: every
+//!   valid rule body has a compiled form.
 //!
-//! **Why only delta passes.**  A delta pass's output always flows through
-//! the sorted-run protocol (`sorted_run` / `merge_sorted_runs`), so the
-//! order in which a pass *enumerates* solutions cannot influence the order
-//! in which the single writer commits them — reordering is invisible to the
-//! structure, the insertion logs and virtual-object allocation.  Full solves
-//! (first iteration of a stratum, the naive ablation arm) and query
-//! enumeration commit in enumeration order, which written-order evaluation
-//! pins; they stay on the interpreted path.  This is what keeps the
-//! project's core invariant — planned parallel runs bit-identical to
-//! unplanned sequential runs at any worker count — true *by construction*;
-//! the E21 experiment and `properties_planner` proptests assert it.
+//! * **Planning.**  [`pass_order`] reorders a rule's positive literals by
+//!   estimated cost, consuming the [`RulePlanReport`] annotations the
+//!   analysis subsystem derives from live
+//!   [`MethodStats`](crate::analysis::MethodStats) rather than re-deriving
+//!   them.  Delta-drivable literals cost `min(static estimate, delta entry
+//!   count)`, so a small delta seeds the join; when an index-backed literal
+//!   is estimated *below* the delta cardinality the planner seeds from it
+//!   instead (a *seed flip*, counted in
+//!   [`EvalStats::seed_flips`](crate::engine::EvalStats)).  After the seed,
+//!   literals sharing a bound variable are preferred over disconnected ones
+//!   (no accidental cross products), and built-in guards are hoisted to the
+//!   earliest position where all their variables are bound — never earlier.
+//!   Orders are recomputed per stratum iteration as the stats evolve
+//!   ([`EvalStats::replans`](crate::engine::EvalStats)).  A body in which a
+//!   built-in guard *enumerates* — some variable of it is not bound by the
+//!   positive literals written before it, as `B` in `A : person, A[lt -> B],
+//!   B : person` — keeps its written order (see [`compile`]).
+//!
+//! **Why reordering is invisible.**  A delta pass's output always flows
+//! through the sorted-run protocol (`sorted_run` / `merge_sorted_runs`), so
+//! the order in which a pass *enumerates* solutions cannot influence the
+//! order in which the single writer commits them — not the structure, not
+//! the insertion logs, not virtual-object allocation.  That keeps the
+//! project's core invariant — a run at any worker count is
+//! `canonical_dump()`-bit-identical to the naive oracle
+//! (`delta_driven: false`) — true *by construction*; the `properties_planner`
+//! proptests assert it.
 //!
 //! Completeness of reordered delta passes follows from the same argument as
 //! written-order semi-naive evaluation, applied to the planned order: all of
@@ -54,11 +58,6 @@
 //! position of a variable is always at-or-before any later use, so the
 //! variable is still unbound when the restricted literal enumerates the
 //! window's new objects).
-//!
-//! Rules whose shape the compiler does not support — a built-in guard whose
-//! variables are not bound by preceding positive literals in written order —
-//! fall back to the interpreted path ([`compile`] returns `None`), as does
-//! everything when [`Planner::Off`] is selected (the ablation arm).
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -73,28 +72,15 @@ use crate::semantics::{answers, delta_answers, Bindings, DeltaView};
 use crate::structure::{Oid, Structure};
 use crate::term::{FilterValue, Term};
 
-/// Which rule-body evaluation strategy the engine's delta passes use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Planner {
-    /// Interpreted written-order solving everywhere — the ablation arm and
-    /// the reference the planned path is proven bit-identical against.
-    Off,
-    /// Cost-based literal reordering + the compiled slot-frame IR on every
-    /// delta pass (the default).  Falls back to the interpreted path per
-    /// rule when compilation does not apply.
-    #[default]
-    CostBased,
-}
-
 /// A pre-resolved `(method, receiver)` access path for frame-native
 /// enumeration of the dominant literal shapes.  Compiled stages read the
 /// fact-store indexes and write slot frames directly — no per-candidate
 /// [`Bindings`] cons cells, no [`Answer`](crate::semantics::Answer)
-/// allocation — until the first stage without a supported shape, where the
-/// executor falls back to the interpreted `answers()` machinery.
+/// allocation — until the first stage without a supported shape, which (with
+/// every stage after it) goes through [`answers()`] / [`delta_answers`].
 ///
-/// Soundness/completeness contract: a compiled delta stage may
-/// *over-approximate* the interpreted delta restriction (re-deriving a
+/// Soundness/completeness contract: a frame-native delta stage may
+/// *over-approximate* the [`delta_answers`] restriction (re-deriving a
 /// solution whose derivation does not read the window is an idempotent
 /// no-op under the sorted-run merge and the idempotent commit), but it must
 /// emit **every** solution whose derivation does, and **only** true
@@ -102,7 +88,7 @@ pub enum Planner {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Access {
     /// No supported shape — this stage (and the rest of the pass) runs
-    /// through the interpreted `answers()` path.
+    /// through [`answers()`] / [`delta_answers`].
     Generic,
     /// `R[m ->> {M}]`: variable receiver, name method, no arguments, one
     /// explicit variable member.
@@ -190,6 +176,9 @@ pub struct CompiledRule {
     negations: Vec<usize>,
     /// The head fast path, when the head has the supported shape.
     head: Option<CompiledHead>,
+    /// `true` when a built-in guard enumerates (see [`compile`]):
+    /// [`pass_order`] then keeps the written order.
+    written_order: bool,
 }
 
 impl CompiledRule {
@@ -261,14 +250,12 @@ impl CompiledRule {
 /// annotations of `report` (one [`LiteralPlan`](crate::analysis::LiteralPlan)
 /// per body literal, as produced by [`crate::analysis::plan_rule`]).
 ///
-/// Returns `None` — interpreted fallback — when a built-in guard's variables
-/// are not all bound by *preceding* positive non-builtin literals in written
-/// order: such a guard enumerates rather than filters, and reordering it is
-/// not semantics-preserving against the written-order reference.
-pub fn compile(rule: &Rule, report: &RulePlanReport) -> Option<CompiledRule> {
-    if report.literals.len() != rule.body.len() {
-        return None;
-    }
+/// A built-in guard whose variables are not all bound by *preceding*
+/// positive non-builtin literals in written order enumerates rather than
+/// filters, and moving it is not semantics-preserving against written-order
+/// evaluation: such a body compiles with its written order pinned — every
+/// [`pass_order`] of it is the written order.
+pub fn compile(rule: &Rule, report: &RulePlanReport) -> CompiledRule {
     let mut vars: Vec<Var> = Vec::new();
     let slots_of = |term: &Term, vars: &mut Vec<Var>| -> Vec<usize> {
         let mut slots: Vec<usize> = Vec::new();
@@ -292,6 +279,7 @@ pub fn compile(rule: &Rule, report: &RulePlanReport) -> Option<CompiledRule> {
     let mut positives = Vec::new();
     let mut negations = Vec::new();
     let mut bound: HashSet<usize> = HashSet::new();
+    let mut written_order = false;
     for (i, lit) in rule.body.iter().enumerate() {
         let slots = slots_of(&lit.term, &mut vars);
         if !lit.positive {
@@ -301,12 +289,7 @@ pub fn compile(rule: &Rule, report: &RulePlanReport) -> Option<CompiledRule> {
         let plan = &report.literals[i];
         let builtin = plan.access == AccessPath::Builtin;
         if builtin {
-            // The written-order reference only ever *filters* through this
-            // guard if its variables are bound by then; anything else is not
-            // safely reorderable.
-            if !slots.iter().all(|s| bound.contains(s)) {
-                return None;
-            }
+            written_order |= !slots.iter().all(|s| bound.contains(s));
         } else {
             bound.extend(slots.iter().copied());
         }
@@ -328,13 +311,14 @@ pub fn compile(rule: &Rule, report: &RulePlanReport) -> Option<CompiledRule> {
     let mut canonical: Vec<usize> = (0..vars.len()).collect();
     canonical.sort_by(|&a, &b| vars[a].0.cmp(&vars[b].0));
     let head = compile_head(&rule.head, &vars);
-    Some(CompiledRule {
+    CompiledRule {
         vars,
         canonical,
         positives,
         negations,
         head,
-    })
+        written_order,
+    }
 }
 
 /// Recognise a literal's pre-resolvable access path (see [`Access`]).
@@ -442,8 +426,16 @@ pub struct PassOrder {
 /// connected remains), with built-in guards emitted at the earliest position
 /// where all their variables are bound.  One order is computed per rule per
 /// iteration and shared by all of the rule's passes — the completeness
-/// argument in the module docs relies on that.
+/// argument in the module docs relies on that.  A body compiled with its
+/// written order pinned gets exactly that order, whatever the costs; that is
+/// no decision of the planner, so it is never reported as a seed flip.
 pub fn pass_order(compiled: &CompiledRule, drivable: &[usize], delta_entries: usize) -> PassOrder {
+    if compiled.written_order {
+        return PassOrder {
+            positions: compiled.positives.iter().map(|l| l.body_index).collect(),
+            seeded_from_delta: true,
+        };
+    }
     let mut remaining: Vec<&CompiledLiteral> = compiled.positives.iter().filter(|l| !l.builtin).collect();
     let mut builtins: Vec<&CompiledLiteral> = compiled.positives.iter().filter(|l| l.builtin).collect();
     let eff = |l: &CompiledLiteral| {
@@ -480,8 +472,8 @@ pub fn pass_order(compiled: &CompiledRule, drivable: &[usize], delta_entries: us
         positions.push(lit.body_index);
     }
     flush_builtins(&bound, &mut positions, &mut builtins);
-    // Guards whose variables are never bound cannot occur: `compile`
-    // rejected any body where the written order leaves one unbound, and the
+    // Guards whose variables are never bound cannot occur: `compile` pins
+    // the written order of any body where it leaves one unbound, and the
     // planned order binds the same variable set.
     debug_assert!(builtins.is_empty(), "unbound builtin guard survived planning");
     positions.extend(builtins.iter().map(|b| b.body_index));
@@ -492,26 +484,26 @@ pub fn pass_order(compiled: &CompiledRule, drivable: &[usize], delta_entries: us
     }
 }
 
-/// The compiled plans one iteration's solve batch carries: per-rule compiled
-/// bodies (shared across iterations of a stratum via the `Arc`) and the
-/// iteration's per-rule pass orders.  Rules without an entry fall back to
-/// the interpreted path.
+/// The compiled plans one iteration's solve batch carries: the stratum's
+/// compiled bodies by rule index (shared across iterations of the stratum
+/// via the `Arc`) and the iteration's pass order for every rule it scheduled.
 #[derive(Debug)]
 pub struct IterationPlans {
-    /// Per-rule compiled bodies, indexed like the batch's rule slice
-    /// (`None` = interpreted fallback).
-    pub compiled: Arc<Vec<Option<CompiledRule>>>,
+    /// The compiled bodies of the stratum's rules, by index into the batch's
+    /// rule slice.
+    pub compiled: Arc<BTreeMap<usize, CompiledRule>>,
     /// This iteration's execution order per scheduled rule.
     pub orders: BTreeMap<usize, PassOrder>,
 }
 
 impl IterationPlans {
-    /// The compiled body and iteration order for `rule`, when both exist.
-    pub fn for_rule(&self, rule: usize) -> Option<(&CompiledRule, &PassOrder)> {
-        match (self.compiled.get(rule), self.orders.get(&rule)) {
-            (Some(Some(c)), Some(o)) => Some((c, o)),
-            _ => None,
-        }
+    /// The compiled body and iteration order of `rule`.
+    ///
+    /// # Panics
+    /// When the iteration did not schedule `rule` — delta tasks and frame
+    /// commits exist only for scheduled rules.
+    pub fn for_rule(&self, rule: usize) -> (&CompiledRule, &PassOrder) {
+        (&self.compiled[&rule], &self.orders[&rule])
     }
 }
 
@@ -833,17 +825,18 @@ fn dedup_frames(arena: Vec<u32>, slots: usize) -> Vec<u32> {
 /// Execute one delta pass of `compiled` over `body` in the planned `order`:
 /// positive literal `delta_lit` restricted to the window `dv`, every other
 /// literal joined against the full structure.  Returns the pass's solutions
-/// as a canonical [`SortedRun`] — exactly what the interpreted path produces
-/// through `solve_body_pass` + `sorted_run` (up to the documented
-/// over-approximation of [`Access`] delta stages, absorbed by the
-/// deduplicating merge and the idempotent commit).
+/// in canonical key order: every solution of the body whose derivation reads
+/// the window through `delta_lit`, and only solutions of the body (the
+/// documented over-approximation of [`Access`] delta stages is absorbed by
+/// the deduplicating merge and the idempotent commit).
 ///
 /// Execution is two segments.  Segment 1 runs the leading stages whose
 /// literals have a resolved [`Access`] shape entirely on flat `u32` frames —
 /// no `Bindings` cons cells, no `Answer` allocation, fact-store index walks
 /// instead of term valuation.  The first built-in or generic stage ends the
 /// segment: `Bindings` are materialized once per surviving frame and the
-/// remaining stages (and all negation checks) run interpreted.
+/// remaining stages (and all negation checks) run through [`answers()`] /
+/// [`delta_answers`].
 pub fn execute_delta(
     structure: &Structure,
     body: &[Literal],
@@ -857,7 +850,7 @@ pub fn execute_delta(
 
     // Frames live in one flat arena, `slots` words per frame — one
     // allocation per stage instead of one per candidate.  A ground body has
-    // no slots (no frame representation); it runs fully interpreted.
+    // no slots (no frame representation); it runs segment 2 only.
     let mut arena: Vec<u32> = vec![0; slots];
     let mut resume = 0;
     while slots > 0 && resume < order.positions.len() {
@@ -1024,9 +1017,11 @@ pub fn execute_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
     use crate::analysis::plan_rule;
-    use crate::builtins::LT;
-    use crate::engine::{binding_key, sorted_run};
+    use crate::builtins::{LT, NEQ};
+    use crate::engine::{binding_key, solve_body};
     use crate::names::Name;
     use crate::program::Literal;
     use crate::semantics::SnapshotWindow;
@@ -1070,7 +1065,7 @@ mod tests {
 
     fn compile_with_stats(rule: &Rule, s: &Structure) -> CompiledRule {
         let stats = crate::analysis::MethodStats::capture(s);
-        compile(rule, &plan_rule(rule, Some(&stats), None)).expect("compilable")
+        compile(rule, &plan_rule(rule, Some(&stats), None))
     }
 
     #[test]
@@ -1129,10 +1124,9 @@ mod tests {
     }
 
     #[test]
-    fn builtin_before_binding_literal_is_not_compiled() {
-        // The guard reads B before any positive literal binds it: the
-        // written-order reference never filters here, so the body is not
-        // safely reorderable.
+    fn builtin_before_binding_literal_compiles_and_keeps_written_order() {
+        // The guard reads B before any positive literal binds it: written
+        // order enumerates through it, so the body is not reorderable.
         let rule = Rule::new(
             Term::var("A").isa("small"),
             vec![
@@ -1142,8 +1136,15 @@ mod tests {
             ],
         );
         let s = kids_structure();
-        let stats = crate::analysis::MethodStats::capture(&s);
-        assert!(compile(&rule, &plan_rule(&rule, Some(&stats), None)).is_none());
+        let c = compile_with_stats(&rule, &s);
+        assert!(c.positives()[1].builtin);
+        // Whichever literal the window drives and however small the delta,
+        // the order is the written one and no seed flip is reported.
+        for (drivable, delta_entries) in [(vec![0], 1), (vec![2], 1), (vec![0, 2], usize::MAX), (vec![], 0)] {
+            let order = pass_order(&c, &drivable, delta_entries);
+            assert_eq!(order.positions, vec![0, 1, 2], "{drivable:?}");
+            assert!(order.seeded_from_delta, "{drivable:?}");
+        }
     }
 
     #[test]
@@ -1184,27 +1185,69 @@ mod tests {
         }
     }
 
+    /// The oracle's solutions of `body` over `s`, as canonical keys.
+    fn oracle_keys(s: &Structure, body: &[Literal]) -> BTreeSet<BindingKey> {
+        solve_body(s, body, &Bindings::new())
+            .unwrap()
+            .iter()
+            .map(binding_key)
+            .collect()
+    }
+
+    /// Run every pass of `rule` over the window between `before` and `after`
+    /// — one per literal in `drivable`, in the order [`pass_order`] plans for
+    /// `delta_entries` — and check them against the oracle: each pass is a
+    /// canonical run of solutions the full solve over `after` also finds
+    /// (soundness), and together the passes find every solution the full
+    /// solve over `before` did not (completeness).  Returns the union.
+    fn checked_passes(
+        before: &Structure,
+        after: &Structure,
+        rule: &Rule,
+        drivable: &[usize],
+        delta_entries: usize,
+    ) -> BTreeSet<BindingKey> {
+        let dv = SnapshotWindow::capture(before).slide(after);
+        let c = compile_with_stats(rule, after);
+        let order = pass_order(&c, drivable, delta_entries);
+        let (old, new) = (oracle_keys(before, &rule.body), oracle_keys(after, &rule.body));
+        let mut found = BTreeSet::new();
+        for &delta_lit in drivable {
+            let run = keyed(
+                execute_delta(after, &rule.body, &c, &order, delta_lit, &dv).unwrap(),
+                &c,
+            );
+            assert!(run.windows(2).all(|w| w[0].0 < w[1].0), "canonical, deduplicated");
+            for (k, b) in run {
+                assert_eq!(k, binding_key(&b), "frame-materialized keys agree with binding_key");
+                assert!(new.contains(&k), "pass {delta_lit} found a non-solution {k:?}");
+                found.insert(k);
+            }
+        }
+        let missed: Vec<_> = new.difference(&old).filter(|k| !found.contains(*k)).collect();
+        assert!(missed.is_empty(), "passes {drivable:?} missed {missed:?}");
+        found
+    }
+
+    /// `kids_structure` grown by one `kids` edge `from -> to`.
+    fn with_kids_edge(from: &str, to: &str) -> (Structure, Structure) {
+        let before = kids_structure();
+        let mut after = before.clone();
+        let kids = after.ensure_name(&Name::atom("kids"));
+        let (from, to) = (after.ensure_name(&Name::atom(from)), after.ensure_name(&Name::atom(to)));
+        after.assert_set_member(kids, from, &[], to);
+        (before, after)
+    }
+
     #[test]
     fn single_literal_rule_compiles_and_executes_without_final_dedup() {
-        let mut s = kids_structure();
-        let mut window = SnapshotWindow::capture(&s);
-        let kids = s.ensure_name(&Name::atom("kids"));
-        let d = s.ensure_name(&Name::atom("d"));
-        let a = s.ensure_name(&Name::atom("a"));
-        s.assert_set_member(kids, d, &[], a);
-        let dv = window.slide(&s);
+        let (before, after) = with_kids_edge("d", "a");
         let rule = tc_rule();
-        let c = compile_with_stats(&rule, &s);
+        let c = compile_with_stats(&rule, &after);
         assert_eq!(c.slot_count(), 2);
-        let order = pass_order(&c, &[0], 1);
-        assert!(order.seeded_from_delta);
-        let run = keyed(execute_delta(&s, &rule.body, &c, &order, 0, &dv).unwrap(), &c);
-        let interpreted =
-            sorted_run(crate::engine::solve_body_delta(&s, &rule.body, &Bindings::new(), &[0], &dv).unwrap());
-        assert_eq!(
-            run.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
-            interpreted.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>()
-        );
+        assert!(pass_order(&c, &[0], 1).seeded_from_delta);
+        let found = checked_passes(&before, &after, &rule, &[0], 1);
+        assert_eq!(found.len(), 1, "exactly the new edge");
     }
 
     #[test]
@@ -1277,7 +1320,7 @@ mod tests {
     }
 
     #[test]
-    fn negated_body_executes_like_interpreted() {
+    fn negated_body_passes_agree_with_the_oracle() {
         // X[leaf_kids ->> {Y}] <- X[kids ->> {Y}], not Y[kids ->> {Z}]
         let rule = Rule::new(
             Term::var("X").filter(Filter::set("leaf_kids", vec![Term::var("Y")])),
@@ -1286,54 +1329,56 @@ mod tests {
                 Literal::neg(Term::var("Y").filter(Filter::set("kids", vec![Term::var("Z")]))),
             ],
         );
-        let mut s = kids_structure();
-        let mut window = SnapshotWindow::capture(&s);
-        let kids = s.ensure_name(&Name::atom("kids"));
-        let (b, e) = (s.ensure_name(&Name::atom("b")), s.ensure_name(&Name::atom("e")));
-        s.assert_set_member(kids, b, &[], e);
-        let dv = window.slide(&s);
-        let c = compile_with_stats(&rule, &s);
-        let order = pass_order(&c, &[0], dv.entry_count());
-        let run = keyed(execute_delta(&s, &rule.body, &c, &order, 0, &dv).unwrap(), &c);
-        let interpreted =
-            sorted_run(crate::engine::solve_body_delta(&s, &rule.body, &Bindings::new(), &[0], &dv).unwrap());
-        let keys: Vec<_> = run.iter().map(|(k, _)| k.clone()).collect();
-        let expected: Vec<_> = interpreted.iter().map(|(k, _)| k.clone()).collect();
-        assert_eq!(keys, expected);
-        assert!(!run.is_empty(), "the new edge's leaf member must survive the negation");
+        let (before, after) = with_kids_edge("b", "e");
+        let found = checked_passes(&before, &after, &rule, &[0], 1);
+        assert!(
+            !found.is_empty(),
+            "the new edge's leaf member must survive the negation"
+        );
     }
 
     #[test]
-    fn execute_delta_matches_interpreted_pass_union() {
-        let mut s = kids_structure();
-        let window = SnapshotWindow::capture(&s);
-        // Grow the structure: one new kids edge (d -> a closes a cycle).
-        let kids = s.ensure_name(&Name::atom("kids"));
-        let d = s.ensure_name(&Name::atom("d"));
-        let a = s.ensure_name(&Name::atom("a"));
-        s.assert_set_member(kids, d, &[], a);
-        let mut window = window;
-        let dv = window.slide(&s);
+    fn passes_agree_with_the_oracle_in_every_planned_order() {
+        // One new kids edge (d -> a closes a cycle) drives either literal of
+        // the join; a small delta seeds from it, a huge one flips the seed.
+        let (before, after) = with_kids_edge("d", "a");
         let rule = three_literal_rule();
-        let c = compile_with_stats(&rule, &s);
-
-        for delta_lit in [0usize, 1] {
-            let interpreted = {
-                let states =
-                    crate::engine::solve_body_delta(&s, &rule.body, &Bindings::new(), &[delta_lit], &dv).unwrap();
-                sorted_run(states)
-            };
-            for delta_entries in [1usize, usize::MAX] {
-                let order = pass_order(&c, &[delta_lit], delta_entries);
-                let run = keyed(execute_delta(&s, &rule.body, &c, &order, delta_lit, &dv).unwrap(), &c);
-                let keys: Vec<_> = run.iter().map(|(k, _)| k.clone()).collect();
-                let expected: Vec<_> = interpreted.iter().map(|(k, _)| k.clone()).collect();
-                assert_eq!(keys, expected, "delta_lit {delta_lit} entries {delta_entries}");
-                // The frame-materialized keys agree with binding_key.
-                for (k, b) in &run {
-                    assert_eq!(k, &binding_key(b));
-                }
-            }
+        for delta_entries in [1usize, usize::MAX] {
+            let found = checked_passes(&before, &after, &rule, &[0, 1], delta_entries);
+            assert!(!found.is_empty(), "entries {delta_entries}");
         }
+    }
+
+    #[test]
+    fn enumerating_guard_passes_agree_with_the_oracle() {
+        // X[peer ->> {Y}] <- X : person, X[neq@(Y) -> X], Y : person — the
+        // guard enumerates every object Y other than X before `Y : person`
+        // filters, so the passes run in written order through the generic
+        // stages.
+        let rule = Rule::new(
+            Term::var("X").filter(Filter::set("peer", vec![Term::var("Y")])),
+            vec![
+                Literal::pos(Term::var("X").isa("person")),
+                Literal::pos(
+                    Term::var("X")
+                        .filter(Filter::scalar(Term::name(NEQ), Term::var("X")).with_args(vec![Term::var("Y")])),
+                ),
+                Literal::pos(Term::var("Y").isa("person")),
+            ],
+        );
+        let before = kids_structure();
+        let mut after = before.clone();
+        let (e, person) = (
+            after.ensure_name(&Name::atom("e")),
+            after.ensure_name(&Name::atom("person")),
+        );
+        after.add_isa(e, person);
+        // A new object makes every positive literal drivable.
+        let found = checked_passes(&before, &after, &rule, &[0, 1, 2], 1);
+        assert_eq!(
+            found.len(),
+            2 * 4,
+            "e pairs with each of the four old persons, both ways"
+        );
     }
 }

@@ -59,8 +59,8 @@ pub const DEFAULT_SHARD_MIN_ENTRIES: usize = 128;
 /// advances them to the present and returns the [`DeltaView`] of everything
 /// asserted in between.  One window per stratum, slid once per fixpoint
 /// iteration, gives every rule of the stratum the *same* delta — the
-/// scheduling contract that lets their solves run concurrently (see
-/// `pathlog_core::engine::Schedule`).
+/// scheduling contract that lets their solves run concurrently (see the
+/// `pathlog_core::engine` module docs).
 ///
 /// [`slide`]: SnapshotWindow::slide
 #[derive(Debug, Clone, Copy)]

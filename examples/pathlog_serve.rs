@@ -74,7 +74,6 @@ fn guarded_store(employees: usize, workers: usize) -> ObjectStore {
     } else {
         Engine::with_options(EvalOptions {
             mode: EvalMode::Parallel { workers },
-            executor: ExecutorKind::Pooled,
             ..EvalOptions::default()
         })
     };

@@ -147,11 +147,11 @@ struct PlanExplanation {
     label: String,
     /// Statement start position.
     span: Option<(usize, usize)>,
-    /// Positive-literal body indices in chosen execution order; `None` when
-    /// the body is not compilable (interpreted fallback).
-    order: Option<Vec<usize>>,
+    /// Positive-literal body indices in chosen execution order (the written
+    /// order when a built-in guard of the body enumerates).
+    order: Vec<usize>,
     /// `true` when the pass seeds from the delta literal, `false` on a seed
-    /// flip to a cheaper stored index (meaningless when `order` is `None`).
+    /// flip to a cheaper stored index.
     seeded_from_delta: bool,
     /// `(body_index, literal text, positive, access, selectivity, estimate)`
     /// per body literal, in body order.
@@ -191,22 +191,15 @@ fn explain_plans(
                 })
                 .collect();
             let compiled = compile(rule, report);
-            let (order, seeded_from_delta) = match &compiled {
-                Some(c) => {
-                    // Order for the canonical small-delta pass: every
-                    // positive literal is drivable, the delta holds one
-                    // entry.
-                    let drivable: Vec<usize> = c.positives().iter().map(|p| p.body_index).collect();
-                    let o = pass_order(c, &drivable, 1);
-                    (Some(o.positions), o.seeded_from_delta)
-                }
-                None => (None, false),
-            };
+            // Order for the canonical small-delta pass: every positive
+            // literal is drivable, the delta holds one entry.
+            let drivable: Vec<usize> = compiled.positives().iter().map(|p| p.body_index).collect();
+            let order = pass_order(&compiled, &drivable, 1);
             PlanExplanation {
                 label: report.label.clone(),
                 span: report.span.map(|s| (s.line, s.column)),
-                order,
-                seeded_from_delta,
+                order: order.positions,
+                seeded_from_delta: order.seeded_from_delta,
                 literals,
             }
         })
@@ -221,28 +214,24 @@ fn print_plan(path: &str, p: &PlanExplanation) {
         None => path.to_string(),
     };
     println!("{prefix}: plan: {}", p.label);
-    match &p.order {
-        Some(order) => {
-            let steps: Vec<String> = order
-                .iter()
-                .map(|&i| {
-                    let (_, text, _, access, sel, est) = &p.literals[i];
-                    let est = est.map_or_else(|| "?".to_string(), |n| n.to_string());
-                    format!("[{i}] {text} ({access}/{sel}, est {est})")
-                })
-                .collect();
-            println!("{prefix}:   order: {}", steps.join(" ; "));
-            println!(
-                "{prefix}:   seed: {}",
-                if p.seeded_from_delta {
-                    "delta-driven"
-                } else {
-                    "stored index (seed flip)"
-                }
-            );
+    let steps: Vec<String> = p
+        .order
+        .iter()
+        .map(|&i| {
+            let (_, text, _, access, sel, est) = &p.literals[i];
+            let est = est.map_or_else(|| "?".to_string(), |n| n.to_string());
+            format!("[{i}] {text} ({access}/{sel}, est {est})")
+        })
+        .collect();
+    println!("{prefix}:   order: {}", steps.join(" ; "));
+    println!(
+        "{prefix}:   seed: {}",
+        if p.seeded_from_delta {
+            "delta-driven"
+        } else {
+            "stored index (seed flip)"
         }
-        None => println!("{prefix}:   interpreted (body not reorderable)"),
-    }
+    );
     let negs: Vec<String> = p
         .literals
         .iter()
@@ -262,15 +251,11 @@ fn plan_to_json(p: &PlanExplanation) -> String {
         Some((l, c)) => (l.to_string(), c.to_string()),
         None => ("null".to_string(), "null".to_string()),
     };
-    let order = match &p.order {
-        Some(o) => format!("[{}]", o.iter().map(|i| i.to_string()).collect::<Vec<_>>().join(",")),
-        None => "null".to_string(),
-    };
-    let seed = match &p.order {
-        Some(_) if p.seeded_from_delta => "\"delta\"".to_string(),
-        Some(_) => "\"index\"".to_string(),
-        None => "null".to_string(),
-    };
+    let order = format!(
+        "[{}]",
+        p.order.iter().map(|i| i.to_string()).collect::<Vec<_>>().join(",")
+    );
+    let seed = if p.seeded_from_delta { "\"delta\"" } else { "\"index\"" };
     let literals: Vec<String> = p
         .literals
         .iter()

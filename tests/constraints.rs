@@ -6,10 +6,10 @@
 //! observationally identical to full re-checking** — after any sequence of
 //! mutations, [`ConstraintChecker::check`] returns exactly the violations
 //! (same list, same order) that a from-scratch [`ConstraintChecker::check_full`]
-//! computes, at every worker count and on both executors.  The fault tests
-//! assert that injected worker panics never change a solve's outcome: the
-//! structure's `canonical_dump()` stays bit-identical and the recovery is
-//! surfaced in `EvalStats`.
+//! computes, at every worker count.  The fault tests assert that injected
+//! worker panics never change a solve's outcome: the structure's
+//! `canonical_dump()` stays bit-identical and the recovery is surfaced in
+//! `EvalStats`.
 
 use proptest::prelude::*;
 
@@ -107,13 +107,10 @@ fn genealogy_constraints() -> ConstraintSet {
 fn executor_matrix() -> Vec<EvalOptions> {
     let mut configs = vec![EvalOptions::default()]; // sequential
     for workers in [1usize, 2, 4, 8] {
-        for executor in [ExecutorKind::Pooled, ExecutorKind::Scoped] {
-            configs.push(EvalOptions {
-                mode: EvalMode::Parallel { workers },
-                executor,
-                ..EvalOptions::default()
-            });
-        }
+        configs.push(EvalOptions {
+            mode: EvalMode::Parallel { workers },
+            ..EvalOptions::default()
+        });
     }
     configs
 }
@@ -389,7 +386,6 @@ fn injected_task_panics_leave_solves_bit_identical_and_are_counted() {
     // pooled engine with task panics injected: every run must still match
     let engine = Engine::with_options(EvalOptions {
         mode: EvalMode::Parallel { workers: 3 },
-        executor: ExecutorKind::Pooled,
         ..EvalOptions::default()
     });
     engine.fault_control().inject_task_panics(3);
@@ -422,7 +418,6 @@ fn injected_worker_kills_respawn_the_pool_and_preserve_results() {
 
     let engine = Engine::with_options(EvalOptions {
         mode: EvalMode::Parallel { workers: 3 },
-        executor: ExecutorKind::Pooled,
         ..EvalOptions::default()
     });
     engine.fault_control().inject_worker_kills(2);
@@ -460,7 +455,6 @@ fn fault_injected_constraint_checks_agree_with_clean_oracle() {
 
     let engine = Engine::with_options(EvalOptions {
         mode: EvalMode::Parallel { workers: 4 },
-        executor: ExecutorKind::Pooled,
         ..EvalOptions::default()
     });
     engine.fault_control().inject_task_panics(2);

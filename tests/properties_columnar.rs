@@ -10,8 +10,7 @@
 //!    surviving facts — the per-`(method, receiver)` run grouping must not
 //!    leak arrival order into the canonical form;
 //! 3. the recursive `desc` closure is `canonical_dump()`-bit-identical to
-//!    the sequential reference at 1/2/4/8 workers under **both** executors
-//!    (persistent pool and scoped spawn-per-batch), with sharding forced at
+//!    the sequential reference at 1/2/4/8 workers, with sharding forced at
 //!    these tiny scales via `shard_min_entries`;
 //! 4. factorized path answers enumerate bit-identically to the materialized
 //!    tuples — same answers, same bindings, same order — and unsupported
@@ -277,8 +276,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Worker-count / executor sweep: the desc closure at 1/2/4/8 workers
-//    under both executors is bit-identical to the sequential reference.
+// 3. Worker-count sweep: the desc closure at 1/2/4/8 workers is
+//    bit-identical to the sequential reference.
 // ---------------------------------------------------------------------------
 
 const CLOSURE_PROGRAM: &str = "X[desc ->> {Y}] <- X[kids ->> {Y}].\n\
@@ -296,22 +295,16 @@ fn closure_dump(structure: &Structure, options: EvalOptions) -> String {
 fn assert_sweep_matches_sequential(structure: &Structure) {
     let reference = closure_dump(structure, EvalOptions::default());
     for &workers in &[1usize, 2, 4, 8] {
-        for &executor in &[ExecutorKind::Pooled, ExecutorKind::Scoped] {
-            let dump = closure_dump(
-                structure,
-                EvalOptions {
-                    mode: EvalMode::Parallel { workers },
-                    executor,
-                    // Force delta sharding even at property-test scale.
-                    shard_min_entries: 1,
-                    ..EvalOptions::default()
-                },
-            );
-            assert_eq!(
-                dump, reference,
-                "closure dump diverged at {workers} workers with {executor:?} executor"
-            );
-        }
+        let dump = closure_dump(
+            structure,
+            EvalOptions {
+                mode: EvalMode::Parallel { workers },
+                // Force delta sharding even at property-test scale.
+                shard_min_entries: 1,
+                ..EvalOptions::default()
+            },
+        );
+        assert_eq!(dump, reference, "closure dump diverged at {workers} workers");
     }
 }
 

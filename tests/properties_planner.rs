@@ -1,25 +1,32 @@
-//! Property-based tests for the cost-based join planner (PR 9): with the
-//! planner on, delta passes run through compiled slot-frame rule bodies in
-//! planner-chosen literal order — and the result must be *bit-identical*
-//! to the interpreted written-order path ([`Planner::Off`]), on random
-//! trees and random (possibly cyclic) graphs, sequentially and at 1/2/4/8
-//! workers on both the pooled and the scoped executor.
+//! Property-based tests for the engine's delta passes: they run through
+//! compiled slot-frame rule bodies in planner-chosen literal order
+//! (`pathlog_core::plan`), and the result must be *bit-identical* to the
+//! naive oracle (`delta_driven: false`, every rule re-solved in full, in
+//! written order, each iteration), on random trees and random (possibly
+//! cyclic) graphs, sequentially and at 1/2/4/8 workers.
 
 use proptest::prelude::*;
 
 use pathlog::core::structure::{Oid, Structure};
 use pathlog::prelude::*;
 
-/// The recursive closure program both planner arms evaluate: a 2-literal
-/// recursive rule, a second stratum over the closure, a 3-literal join with
-/// a deliberately bad written order (the big `desc` relation first), and a
-/// negation.
+/// The recursive closure program both evaluators run: a 2-literal recursive
+/// rule, a second stratum over the closure, a 3-literal join with a
+/// deliberately bad written order (the big `desc` relation first), a
+/// negation, and two bodies whose built-in guard *enumerates* — `self` binds
+/// `Y` to `X`, `neq` runs `Y` over every other object before `Y : parent`
+/// filters — which the planner must leave in written order.
 const PROGRAM: &str = "X[desc ->> {Y}] <- X[kids ->> {Y}].\n\
                        X[desc ->> {Y}] <- X..desc[kids ->> {Y}].\n\
                        X : parent <- X[kids ->> {Y}].\n\
                        X[gk ->> {Z}] <- X[desc ->> {Z}], Z[kids ->> {W}], Z : parent.\n\
                        X : grandparent <- X[gk ->> {Z}].\n\
-                       X : onlyparent <- X : parent, not X : grandparent.\n";
+                       X : onlyparent <- X : parent, not X : grandparent.\n\
+                       X[same ->> {Y}] <- X : grandparent, X[self -> Y], Y : parent.\n\
+                       X[peer ->> {Y}] <- X : grandparent, X[neq@(Y) -> X], Y : parent.\n";
+
+/// The proper rules of `PROGRAM`.
+const RULES: usize = 8;
 
 /// Load `PROGRAM` with the given options; returns the model dump and stats.
 fn run(structure: &Structure, options: EvalOptions) -> (String, EvalStats) {
@@ -31,96 +38,64 @@ fn run(structure: &Structure, options: EvalOptions) -> (String, EvalStats) {
     (s.canonical_dump(), stats)
 }
 
-/// Zero the planner-only counters so planned and unplanned stats become
-/// comparable: everything else (firings, derived facts, iterations, virtual
-/// objects, delta/full solves) must be identical across the two arms.
-fn without_planner_counters(mut stats: EvalStats) -> EvalStats {
-    stats.plans_compiled = 0;
-    stats.replans = 0;
-    stats.seed_flips = 0;
-    stats
-}
-
-/// Assert `CostBased ≡ Off` on `structure`: the sequential unplanned run is
-/// the reference; every planned run — sequential and 1/2/4/8 workers on
-/// both executors — must reproduce its model byte for byte and its
-/// non-planner stats exactly, and the planner counters themselves must not
-/// depend on mode, executor or worker count.
-fn assert_planner_transparent(structure: &Structure) {
-    let (ref_dump, ref_stats) = run(
+/// Assert `engine ≡ oracle` on `structure`: the naive run is the reference;
+/// every engine run — sequential and 1/2/4/8 workers — must reproduce its
+/// model byte for byte and its model counters exactly, and the engine's
+/// whole `EvalStats` (scheduling and planner counters included) must not
+/// depend on mode or worker count.
+fn assert_engine_matches_oracle(structure: &Structure) {
+    let (oracle_dump, oracle_stats) = run(
         structure,
         EvalOptions {
-            planner: Planner::Off,
+            delta_driven: false,
             ..EvalOptions::default()
         },
     );
-    assert_eq!(ref_stats.plans_compiled, 0, "Planner::Off must compile nothing");
-    assert_eq!(ref_stats.seed_flips, 0);
-
-    let mut planned_counters: Option<(usize, usize, usize)> = None;
-    let mut check = |options: EvalOptions, what: &str| {
-        let (dump, stats) = run(structure, options);
-        assert_eq!(
-            dump, ref_dump,
-            "{what}: model must be byte-identical to unplanned sequential"
-        );
-        assert_eq!(
-            without_planner_counters(stats),
-            without_planner_counters(ref_stats),
-            "{what}: non-planner stats must be identical to unplanned sequential"
-        );
-        let counters = (stats.plans_compiled, stats.replans, stats.seed_flips);
-        match planned_counters {
-            None => {
-                assert!(
-                    stats.plans_compiled > 0,
-                    "{what}: the planner must compile this program"
-                );
-                planned_counters = Some(counters);
-            }
-            Some(expected) => assert_eq!(
-                counters, expected,
-                "{what}: planner counters must not depend on mode, executor or worker count"
-            ),
-        }
-    };
-
-    check(
-        EvalOptions {
-            planner: Planner::CostBased,
-            ..EvalOptions::default()
-        },
-        "planned sequential",
+    assert_eq!(
+        (oracle_stats.delta_solves, oracle_stats.plans_compiled),
+        (0, 0),
+        "the oracle runs full solves only"
     );
+
+    let (dump, sequential) = run(structure, EvalOptions::default());
+    assert_eq!(
+        dump, oracle_dump,
+        "sequential: model must be byte-identical to the oracle"
+    );
+    assert_eq!(sequential.model_counters(), oracle_stats.model_counters());
+    assert!(sequential.plans_compiled > 0, "delta passes run compiled");
     for workers in [1usize, 2, 4, 8] {
-        for executor in [ExecutorKind::Pooled, ExecutorKind::Scoped] {
-            check(
-                EvalOptions {
-                    planner: Planner::CostBased,
-                    mode: EvalMode::Parallel { workers },
-                    executor,
-                    ..EvalOptions::default()
-                },
-                &format!("planned {executor:?} x{workers}"),
-            );
-        }
+        let (dump, stats) = run(
+            structure,
+            EvalOptions {
+                mode: EvalMode::Parallel { workers },
+                ..EvalOptions::default()
+            },
+        );
+        assert_eq!(
+            dump, oracle_dump,
+            "x{workers}: model must be byte-identical to the oracle"
+        );
+        assert_eq!(
+            stats, sequential,
+            "x{workers}: stats must not depend on the worker count"
+        );
     }
 }
 
-/// Facts written in the text are data to the planner: only the six proper
-/// rules of `PROGRAM` are ever compiled, solved or skipped, however many
-/// `kids` facts precede them, and the planned model still equals the
-/// unplanned one.
+/// Facts written in the text are data to the planner: only the proper rules
+/// of `PROGRAM` are ever compiled, solved or skipped, however many `kids`
+/// facts precede them, and the model still equals the oracle's.
 #[test]
 fn facts_in_the_text_are_never_planned_or_scheduled() {
     let facts: String = (0..60)
         .map(|i| format!("n{i}[kids ->> {{n{}, n{}}}].\n", 2 * i + 1, 2 * i + 2))
         .collect();
     let program = parse_program(&format!("{facts}{PROGRAM}")).expect("program parses");
-    let run = |planner: Planner| {
+    let run = |delta_driven: bool| {
         let mut s = Structure::new();
         let options = EvalOptions {
-            planner,
+            delta_driven,
             ..EvalOptions::default()
         };
         let stats = Engine::with_options(options)
@@ -128,12 +103,11 @@ fn facts_in_the_text_are_never_planned_or_scheduled() {
             .expect("evaluation succeeds");
         (s.canonical_dump(), stats)
     };
-    let (unplanned_dump, unplanned) = run(Planner::Off);
-    let (planned_dump, planned) = run(Planner::CostBased);
-    assert_eq!(planned_dump, unplanned_dump);
-    assert_eq!(without_planner_counters(planned), without_planner_counters(unplanned));
+    let (oracle_dump, oracle) = run(false);
+    let (planned_dump, planned) = run(true);
+    assert_eq!(planned_dump, oracle_dump);
+    assert_eq!(planned.model_counters(), oracle.model_counters());
 
-    const RULES: usize = 6;
     assert!(planned.plans_compiled > 0);
     assert!(planned.plans_compiled <= RULES * (1 + planned.replans), "{planned:?}");
     let scheduled = planned.full_solves + planned.delta_solves + planned.rules_skipped;
@@ -152,7 +126,7 @@ proptest! {
     ) {
         let structure = pathlog::datagen::genealogy_structure(
             &pathlog::datagen::GenealogyParams { roots: 1, depth, fanout, seed });
-        assert_planner_transparent(&structure);
+        assert_engine_matches_oracle(&structure);
     }
 
     #[test]
@@ -168,6 +142,6 @@ proptest! {
         for &(a, b) in &edges {
             structure.assert_set_member(kids, nodes[a as usize], &[], nodes[b as usize]);
         }
-        assert_planner_transparent(&structure);
+        assert_engine_matches_oracle(&structure);
     }
 }

@@ -7,9 +7,8 @@
 //!   commits land at epochs `> k`, even when the re-read happens on
 //!   another thread after the writer has finished the whole history.
 //! * **Engine independence** — the `(epoch, dump)` trace of a replayed
-//!   mutation history is identical at 1/2/4/8 workers under both the
-//!   pooled and the scoped executor: parallelism changes wall-clock, never
-//!   the published snapshots.
+//!   mutation history is identical at 1/2/4/8 workers: parallelism changes
+//!   wall-clock, never the published snapshots.
 //! * **Reclamation** — retention entries are freed exactly when the last
 //!   pin drops, observable on the structure `Arc`'s strong count.
 
@@ -24,28 +23,18 @@ use pathlog::prelude::*;
 const WAGE_FLOOR: i64 = 40_000;
 const EMPLOYEES: usize = 12;
 
-fn engine_for(workers: usize, executor: ExecutorKind) -> Engine {
+fn engine_for(workers: usize) -> Engine {
     if workers <= 1 {
         Engine::new()
     } else {
         Engine::with_options(EvalOptions {
             mode: EvalMode::Parallel { workers },
-            executor,
             ..EvalOptions::default()
         })
     }
 }
 
-const CONFIGS: [(usize, ExecutorKind); 8] = [
-    (1, ExecutorKind::Pooled),
-    (1, ExecutorKind::Scoped),
-    (2, ExecutorKind::Pooled),
-    (2, ExecutorKind::Scoped),
-    (4, ExecutorKind::Pooled),
-    (4, ExecutorKind::Scoped),
-    (8, ExecutorKind::Pooled),
-    (8, ExecutorKind::Scoped),
-];
+const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 // ---------------------------------------------------------------- company
 
@@ -68,7 +57,7 @@ fn company_ops() -> impl Strategy<Value = Vec<CompanyOp>> {
     )
 }
 
-fn company_store(workers: usize, executor: ExecutorKind) -> ObjectStore {
+fn company_store(workers: usize) -> ObjectStore {
     let mut db = pathlog::datagen::generate_company(&CompanyParams::scaled(EMPLOYEES));
     db.set("e0", "salary", Value::Int(WAGE_FLOOR)).expect("e0 exists");
     let constraints: ConstraintSet = [
@@ -96,7 +85,7 @@ fn company_store(workers: usize, executor: ExecutorKind) -> ObjectStore {
     ]
     .into_iter()
     .collect();
-    db.set_constraints(constraints, engine_for(workers, executor))
+    db.set_constraints(constraints, engine_for(workers))
         .expect("constraints install");
     db
 }
@@ -125,8 +114,8 @@ fn company_commit(db: &mut ObjectStore, op: &CompanyOp) {
 /// commit attempt.  Once the whole history has landed, each still-pinned
 /// session is re-dumped **on its own thread** and must reproduce the dump
 /// captured at pin time.  Returns the `(epoch, dump)` trace.
-fn company_trace(ops: &[CompanyOp], workers: usize, executor: ExecutorKind) -> Vec<(Epoch, String)> {
-    let mut db = company_store(workers, executor);
+fn company_trace(ops: &[CompanyOp], workers: usize) -> Vec<(Epoch, String)> {
+    let mut db = company_store(workers);
     let mut pinned = Vec::with_capacity(ops.len() + 1);
     let bootstrap = db.begin_session();
     pinned.push((bootstrap.epoch(), bootstrap.canonical_dump(), bootstrap));
@@ -183,7 +172,7 @@ fn family_ops() -> impl Strategy<Value = Vec<FamilyOp>> {
 /// Replay a genealogy history with reader sessions answering a person
 /// query through a parallel engine; same pin-then-re-read-on-a-thread
 /// shape as the company trace.
-fn family_trace(ops: &[FamilyOp], workers: usize, executor: ExecutorKind) -> Vec<(Epoch, String)> {
+fn family_trace(ops: &[FamilyOp], workers: usize) -> Vec<(Epoch, String)> {
     let mut db = pathlog::datagen::paper_family();
     let query = Query::single(Term::var("X").isa("person"));
     let mut pinned = Vec::with_capacity(ops.len());
@@ -199,7 +188,7 @@ fn family_trace(ops: &[FamilyOp], workers: usize, executor: ExecutorKind) -> Vec
             }
         }
         txn.commit().expect("unguarded commit");
-        let session = db.begin_session_with(engine_for(workers, executor));
+        let session = db.begin_session_with(engine_for(workers));
         let persons = session.query(&query).expect("person query serves").len();
         assert_eq!(persons, FAMILY.len(), "mutations never add persons");
         pinned.push((session.epoch(), session.canonical_dump(), session));
@@ -232,27 +221,21 @@ proptest! {
 
     #[test]
     fn company_snapshots_are_isolated_and_engine_independent(ops in company_ops()) {
-        let reference = company_trace(&ops, 1, ExecutorKind::Pooled);
+        let reference = company_trace(&ops, 1);
         prop_assert!(reference.len() == ops.len() + 1);
-        for (workers, executor) in CONFIGS {
-            let trace = company_trace(&ops, workers, executor);
-            prop_assert_eq!(
-                &trace, &reference,
-                "trace diverged at workers={} executor={:?}", workers, executor
-            );
+        for workers in WORKERS {
+            let trace = company_trace(&ops, workers);
+            prop_assert_eq!(&trace, &reference, "trace diverged at workers={}", workers);
         }
     }
 
     #[test]
     fn genealogy_snapshots_are_isolated_and_engine_independent(ops in family_ops()) {
-        let reference = family_trace(&ops, 1, ExecutorKind::Pooled);
+        let reference = family_trace(&ops, 1);
         prop_assert!(reference.len() == ops.len());
-        for (workers, executor) in CONFIGS {
-            let trace = family_trace(&ops, workers, executor);
-            prop_assert_eq!(
-                &trace, &reference,
-                "trace diverged at workers={} executor={:?}", workers, executor
-            );
+        for workers in WORKERS {
+            let trace = family_trace(&ops, workers);
+            prop_assert_eq!(&trace, &reference, "trace diverged at workers={}", workers);
         }
     }
 }
