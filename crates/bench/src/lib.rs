@@ -1047,7 +1047,7 @@ pub mod serving {
     }
 
     /// The guarded store every arm (and the oracle) starts from.
-    fn guarded_store(employees: usize, workers: usize) -> ObjectStore {
+    pub fn guarded_store(employees: usize, workers: usize) -> ObjectStore {
         let mut db = constraints_commit::store(employees);
         db.set_constraints(
             constraints_commit::constraints(ConstraintPolicy::Reject),
@@ -1060,7 +1060,7 @@ pub mod serving {
     /// Perform commit attempt `i` of the shared schedule.  Returns the
     /// published epoch for a committed transaction, `None` for the every-
     /// fifth rejected self-friendship; panics on any other outcome.
-    fn commit_step(db: &mut ObjectStore, i: usize, employees: usize) -> Option<Epoch> {
+    pub fn commit_step(db: &mut ObjectStore, i: usize, employees: usize) -> Option<Epoch> {
         let a = format!("e{}", i % employees);
         if i % 5 == 4 {
             let mut txn = db.begin();

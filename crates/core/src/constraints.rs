@@ -434,7 +434,7 @@ impl ConstraintChecker {
             return None;
         }
         let mut touched: BTreeSet<DepKey> = BTreeSet::new();
-        for &method in structure.facts().mutation_keys_since(self.mutation_mark) {
+        for method in structure.facts().mutation_keys_since(self.mutation_mark) {
             match structure.name_of(method) {
                 Some(name) => {
                     touched.insert(DepKey::Known(name.clone()));
@@ -444,7 +444,7 @@ impl ConstraintChecker {
                 None => return None,
             }
         }
-        for &(_, class) in structure.isa().pairs_since(lo.isa_pairs) {
+        for (_, class) in structure.isa().pairs_since(lo.isa_pairs) {
             match structure.name_of(class) {
                 Some(name) => {
                     touched.insert(DepKey::Known(name.clone()));

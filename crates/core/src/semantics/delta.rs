@@ -140,7 +140,7 @@ impl DeltaView {
             view.set_by_method.entry(method).or_default().push((app_idx, member));
             view.set_by_app.entry(app_idx).or_default().insert(member);
         }
-        for &(sub, sup) in structure.isa().pairs_in(lo.isa_pairs, hi.isa_pairs) {
+        for (sub, sup) in structure.isa().pairs_in(lo.isa_pairs, hi.isa_pairs) {
             view.isa_pairs.insert((sub, sup));
             view.isa_by_class.entry(sup).or_default().push(sub);
         }

@@ -17,10 +17,15 @@
 //!   committed epoch; readers [`pin`](SnapshotRegistry::pin) the current
 //!   epoch and hold it for as long as they like.  A pinned epoch stays
 //!   retained even after newer epochs supersede it (MVCC); once the last
-//!   pin drops the entry is reclaimed and the underlying structure freed
-//!   (the columnar `Arc`-shared columns make retention cheap, but the
-//!   watermark keeps the set of live versions bounded by the set of live
-//!   sessions).
+//!   pin drops the entry is reclaimed and the underlying structure freed —
+//!   outside the registry's lock, so a reader's deallocation never makes
+//!   the writer wait.  A [`Structure`] is a persistent value (see
+//!   [`crate::structure`]): consecutive epochs share every chunk and shard
+//!   the commits between them did not touch, so what a retained epoch
+//!   costs, and what freeing it gives back, is the chunks and shards that
+//!   were detached from it since — not a copy of the store.  The pin
+//!   watermark still bounds the set of live versions by the set of live
+//!   sessions.
 //! * [`reclaim_arc`] — the ownership-reclaim loop extracted from the pooled
 //!   executor's handoff, shared by anything that moves a value into an
 //!   `Arc` for a bounded window and wants it back.
@@ -141,14 +146,18 @@ impl SnapshotRegistry {
     /// with a stale epoch (`<` current) are ignored so a republish race
     /// cannot move the registry backwards.
     pub fn publish(&self, epoch: Epoch, structure: Arc<Structure>) {
-        let mut inner = self.inner.lock().expect("snapshot registry poisoned");
-        if let Some(cur) = &inner.current {
-            if epoch < cur.epoch() {
+        let superseded = {
+            let mut inner = self.inner.lock().expect("snapshot registry poisoned");
+            if inner.current.as_ref().is_some_and(|cur| epoch < cur.epoch()) {
                 return;
             }
-        }
-        inner.current = Some(Snapshot::new(epoch, structure));
-        self.epochs_published.fetch_add(1, Ordering::Relaxed);
+            self.epochs_published.fetch_add(1, Ordering::Relaxed);
+            inner.current.replace(Snapshot::new(epoch, structure))
+        };
+        // Outside the lock: if nobody pins the superseded epoch this is its
+        // last reference, and freeing an image must not make a reader's
+        // `pin` / `unpin` wait.
+        drop(superseded);
     }
 
     /// Pin the current snapshot.  Returns `None` until the first
@@ -167,23 +176,28 @@ impl SnapshotRegistry {
         self.snapshots_pinned.fetch_add(1, Ordering::Relaxed);
         Some(PinnedSnapshot {
             registry: Arc::clone(self),
-            snapshot,
+            snapshot: Some(snapshot),
         })
     }
 
     /// Drop one pin on `epoch`; frees the retention entry (and counts a
     /// reclamation) when the last pin goes.
     fn unpin(&self, epoch: Epoch) {
-        let mut inner = self.inner.lock().expect("snapshot registry poisoned");
-        let drained = match inner.pinned.get_mut(&epoch) {
-            Some(entry) => {
-                entry.pins -= 1;
-                entry.pins == 0
+        let drained = {
+            let mut inner = self.inner.lock().expect("snapshot registry poisoned");
+            match inner.pinned.get_mut(&epoch) {
+                Some(entry) if entry.pins > 1 => {
+                    entry.pins -= 1;
+                    None
+                }
+                Some(_) => inner.pinned.remove(&epoch),
+                None => None,
             }
-            None => false,
         };
-        if drained {
-            inner.pinned.remove(&epoch);
+        // The entry of a superseded epoch holds the image's last reference:
+        // free it after the guard is released, so the writer's next
+        // `publish` / `pin` does not wait for a reader's deallocation.
+        if drained.is_some() {
             self.snapshots_reclaimed.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -217,23 +231,26 @@ impl SnapshotRegistry {
 #[derive(Debug)]
 pub struct PinnedSnapshot {
     registry: Arc<SnapshotRegistry>,
-    snapshot: Snapshot,
+    /// `Some` until `drop` takes it.
+    snapshot: Option<Snapshot>,
 }
 
 impl PinnedSnapshot {
     /// The pinned view.
     pub fn snapshot(&self) -> &Snapshot {
-        &self.snapshot
+        self.snapshot
+            .as_ref()
+            .expect("a pin holds its snapshot until it is dropped")
     }
 
     /// The pinned epoch.
     pub fn epoch(&self) -> Epoch {
-        self.snapshot.epoch()
+        self.snapshot().epoch()
     }
 
     /// The frozen structure of the pinned epoch.
     pub fn structure(&self) -> &Structure {
-        self.snapshot.structure()
+        self.snapshot().structure()
     }
 }
 
@@ -243,9 +260,11 @@ impl Drop for PinnedSnapshot {
         // unpinning, so that when the last pin of a superseded epoch goes
         // the registry entry was the final strong reference and reclamation
         // really frees the snapshot.
-        let epoch = self.snapshot.epoch();
-        self.snapshot = Snapshot::new(epoch, Arc::new(Structure::new()));
-        self.registry.unpin(epoch);
+        if let Some(snapshot) = self.snapshot.take() {
+            let epoch = snapshot.epoch();
+            drop(snapshot);
+            self.registry.unpin(epoch);
+        }
     }
 }
 
@@ -326,6 +345,47 @@ mod tests {
         assert_eq!(stats.snapshots_pinned, 1);
         assert_eq!(stats.snapshots_reclaimed, 1);
         assert_eq!(registry.pinned_epochs(), 0);
+    }
+
+    #[test]
+    fn superseded_epoch_is_freed_exactly_when_its_last_holder_lets_go() {
+        let registry = registry_with(1);
+        // Unpinned: the registry's `current` is the only holder, so the
+        // publish that supersedes it frees it — no pin, no reclamation.
+        let unpinned = Arc::downgrade(registry.pin().expect("published").snapshot().structure_arc());
+        assert_eq!(
+            registry.stats().snapshots_reclaimed,
+            1,
+            "epoch 1 is still current: entry dropped, image kept"
+        );
+        assert!(unpinned.upgrade().is_some());
+        registry.publish(2, Arc::new(Structure::new()));
+        assert!(
+            unpinned.upgrade().is_none(),
+            "superseded and unpinned: freed by the publish"
+        );
+
+        // Pinned twice: freed by the second unpin, not the first, not the
+        // superseding publish.
+        let (a, b) = (registry.pin().expect("published"), registry.pin().expect("published"));
+        let pinned = Arc::downgrade(a.snapshot().structure_arc());
+        registry.publish(3, Arc::new(Structure::new()));
+        assert!(pinned.upgrade().is_some());
+        drop(a);
+        assert!(pinned.upgrade().is_some(), "one pin left");
+        assert_eq!(registry.pinned_epochs(), 1);
+        drop(b);
+        assert!(pinned.upgrade().is_none(), "last pin gone: freed");
+        assert_eq!(registry.pinned_epochs(), 0);
+        let stats = registry.stats();
+        assert_eq!(
+            (
+                stats.epochs_published,
+                stats.snapshots_pinned,
+                stats.snapshots_reclaimed
+            ),
+            (3, 3, 2)
+        );
     }
 
     #[test]

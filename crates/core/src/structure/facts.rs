@@ -9,15 +9,31 @@
 //! Facts are stored column-wise, grouped per `(method, receiver)` key:
 //! each group holds parallel columns (argument tuples in a flattened
 //! `Oid` column with an offset table, results, member runs) with rows kept
-//! **sorted by argument tuple**.  The group columns sit behind an `Arc`, so
-//! cloning a `Structure` (snapshot windows, reactive simulations) bumps a
-//! reference count per group and copies nothing; the first mutation of a
-//! group after a clone detaches just that group (copy-on-write).  Point
-//! lookups resolve with one hash probe to the group plus a binary search over
-//! its argument column — allocation-free, like the nested application index
-//! this layout replaces.  Set members are [`OidRun`] columns: sorted,
-//! deduplicated, `Arc`-shared — the engine's factorized answer DAGs
+//! **sorted by argument tuple**.  Point lookups resolve with one hash probe
+//! to the group plus a binary search over its argument column —
+//! allocation-free, like the nested application index this layout
+//! replaces.  Set members are [`OidRun`] columns: sorted, deduplicated,
+//! `Arc`-shared — the engine's factorized answer DAGs
 //! ([`crate::semantics::factorized`]) reference them zero-copy.
+//!
+//! # What a clone shares and what a write detaches
+//!
+//! Every table here — the group tables, the group directories, the dense
+//! slot / application tables, the six posting indexes, the insertion log
+//! and the mutation journal — sits on the copy-on-write containers of the
+//! `cow` module, and the columns of each group behind an `Arc` of their
+//! own.  Cloning the tables (an epoch publish, a tolerant read's scrub, a
+//! rollback snapshot, a reactive simulation) bumps one reference count per
+//! sealed chunk and per shard and copies only the tables' unsealed tails —
+//! bounded by the chunk size, not by the store.  A write then detaches
+//! exactly what it touches: the chunk holding the group's entry, that
+//! group's columns, the member run it inserts into, and one shard of each
+//! index it updates (short posting lists sit in their index bucket, long
+//! ones append to an owned tail); appends to the logs go to owned tails
+//! and detach nothing.  A re-assertion or a retraction that misses probes
+//! read-only first and detaches nothing at all.  What keeping an old clone
+//! alive costs is therefore the chunks, shards and columns detached from it
+//! since, and dropping it frees just those.
 //!
 //! Iteration hands out [`ScalarFactView`]/[`SetFactView`] values — `Copy`
 //! structs of borrowed columns — in the exact orders the previous
@@ -46,11 +62,12 @@
 //! every fixpoint run; the reactive layer retracts *between* runs.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
 
+use super::cow::{self, CowVec, ShardMap};
 use super::runs::OidRun;
 use super::Oid;
 
@@ -122,7 +139,13 @@ impl ArgsCol {
         self.offsets.len() - 1
     }
 
+    #[inline]
     fn get(&self, row: usize) -> &[Oid] {
+        // No tuple has an argument — the common case by far: every row is
+        // empty, and the offset table need not be read.
+        if self.flat.is_empty() {
+            return &[];
+        }
         &self.flat[self.offsets[row] as usize..self.offsets[row + 1] as usize]
     }
 
@@ -217,31 +240,116 @@ struct SetGroup {
     cols: Arc<SetCols>,
 }
 
+/// How many entries a posting list holds inline before it moves to the heap.
+const INLINE_POSTINGS: usize = 5;
+
+/// A posting list: dense slot / application numbers, in assertion order.
+///
+/// Most lists are a handful of entries — the facts of one receiver, the
+/// applications holding one member — and live inline in their index bucket:
+/// no allocation of their own, and nothing to clone but the bucket when
+/// their shard is detached.  A list that outgrows the inline slots moves to
+/// a chunked vector like every other table (the per-method lists run to
+/// the size of the store).
+#[derive(Debug, Clone)]
+enum Postings {
+    Inline { len: u8, slots: [u32; INLINE_POSTINGS] },
+    Chunked(Box<CowVec<u32>>),
+}
+
+impl Default for Postings {
+    fn default() -> Self {
+        Postings::Inline {
+            len: 0,
+            slots: [0; INLINE_POSTINGS],
+        }
+    }
+}
+
+impl Postings {
+    fn iter(&self) -> cow::Iter<'_, u32> {
+        match self {
+            Postings::Inline { len, slots } => slots[..usize::from(*len)].into(),
+            Postings::Chunked(list) => list.iter(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        match self {
+            Postings::Inline { len, .. } => *len == 0,
+            Postings::Chunked(list) => list.is_empty(),
+        }
+    }
+
+    fn push(&mut self, entry: u32) {
+        match self {
+            Postings::Inline { len, slots } if usize::from(*len) < INLINE_POSTINGS => {
+                slots[usize::from(*len)] = entry;
+                *len += 1;
+            }
+            Postings::Inline { slots, .. } => {
+                let mut list = CowVec::default();
+                for &moved in slots.iter() {
+                    list.push(moved);
+                }
+                list.push(entry);
+                *self = Postings::Chunked(Box::new(list));
+            }
+            Postings::Chunked(list) => list.push(entry),
+        }
+    }
+
+    /// Overwrite the entry at `pos`.
+    fn set(&mut self, pos: usize, entry: u32) {
+        match self {
+            Postings::Inline { len, slots } => slots[..usize::from(*len)][pos] = entry,
+            Postings::Chunked(list) => *list.make_mut(pos) = entry,
+        }
+    }
+
+    /// Remove the entry at `pos`, moving the last entry into its place.
+    fn swap_remove(&mut self, pos: usize) {
+        match self {
+            Postings::Inline { len, slots } => {
+                let live = &mut slots[..usize::from(*len)];
+                live[pos] = live[live.len() - 1];
+                *len -= 1;
+            }
+            Postings::Chunked(list) => {
+                list.swap_remove(pos);
+            }
+        }
+    }
+}
+
+/// A secondary index: key → posting list.
+type Index<K> = ShardMap<K, Postings>;
+
 /// The fact tables of a structure.
 #[derive(Debug, Default, Clone)]
 pub struct Facts {
-    scalar_groups: Vec<ScalarGroup>,
-    scalar_group_of: HashMap<(Oid, Oid), u32>,
+    scalar_groups: CowVec<ScalarGroup>,
+    scalar_group_of: ShardMap<(Oid, Oid), u32>,
     /// Dense slot table: `slot -> (group, row)`, in assertion order.  Slot
     /// numbers double as generation stamps (see [`Facts::scalar_index`]).
-    scalar_slots: Vec<(u32, u32)>,
-    scalar_by_method: HashMap<Oid, Vec<u32>>,
-    scalar_by_method_result: HashMap<(Oid, Oid), Vec<u32>>,
-    scalar_by_receiver: HashMap<Oid, Vec<u32>>,
+    scalar_slots: CowVec<(u32, u32)>,
+    scalar_by_method: Index<Oid>,
+    scalar_by_method_result: Index<(Oid, Oid)>,
+    scalar_by_receiver: Index<Oid>,
 
-    set_groups: Vec<SetGroup>,
-    set_group_of: HashMap<(Oid, Oid), u32>,
+    set_groups: CowVec<SetGroup>,
+    set_group_of: ShardMap<(Oid, Oid), u32>,
     /// Dense application table: `app -> (group, row)`, in creation order.
     /// Append-only: set applications are never removed.
-    set_apps: Vec<(u32, u32)>,
-    set_by_method: HashMap<Oid, Vec<u32>>,
-    set_by_method_member: HashMap<(Oid, Oid), Vec<u32>>,
-    set_by_receiver: HashMap<Oid, Vec<u32>>,
+    set_apps: CowVec<(u32, u32)>,
+    set_by_method: Index<Oid>,
+    set_by_method_member: Index<(Oid, Oid)>,
+    set_by_receiver: Index<Oid>,
 
     set_member_count: usize,
     /// Append-only insertion log of set members: `(application index,
     /// member)` in assertion order.  Backs the engine's delta slices.
-    set_log: Vec<(u32, Oid)>,
+    set_log: CowVec<(u32, Oid)>,
 
     /// Monotone count of successful retractions (scalar + set member).
     /// Watermark windows captured before a retraction are invalid (the
@@ -255,7 +363,7 @@ pub struct Facts {
     /// Unlike the fact watermarks nothing is ever removed from it, so
     /// "which method keys changed since mark `k`" stays answerable across
     /// retraction-bearing spans — see [`Facts::mutation_keys_since`].
-    mutation_log: Vec<Oid>,
+    mutation_log: CowVec<Oid>,
 }
 
 impl Facts {
@@ -266,8 +374,13 @@ impl Facts {
 
     // -- scalar ------------------------------------------------------------
 
+    #[inline]
     fn scalar_view(&self, slot: usize) -> ScalarFactView<'_> {
-        let (g, row) = self.scalar_slots[slot];
+        self.scalar_view_at(self.scalar_slots[slot])
+    }
+
+    #[inline]
+    fn scalar_view_at(&self, (g, row): (u32, u32)) -> ScalarFactView<'_> {
         let grp = &self.scalar_groups[g as usize];
         ScalarFactView {
             method: grp.method,
@@ -281,7 +394,7 @@ impl Facts {
     /// register it in the slot table and the secondary indexes.
     fn scalar_insert_row(&mut self, g: u32, row: usize, args: &[Oid], result: Oid) {
         let slot = self.scalar_slots.len() as u32;
-        let grp = &mut self.scalar_groups[g as usize];
+        let grp = self.scalar_groups.make_mut(g as usize);
         let (method, receiver) = (grp.method, grp.receiver);
         let cols = Arc::make_mut(&mut grp.cols);
         cols.args.insert(row, args);
@@ -290,15 +403,12 @@ impl Facts {
         // Rows after the insertion point shifted up by one; re-point their
         // slot-table entries.
         for &s in &cols.slots[row + 1..] {
-            self.scalar_slots[s as usize].1 += 1;
+            self.scalar_slots.make_mut(s as usize).1 += 1;
         }
         self.scalar_slots.push((g, row as u32));
-        self.scalar_by_method.entry(method).or_default().push(slot);
-        self.scalar_by_method_result
-            .entry((method, result))
-            .or_default()
-            .push(slot);
-        self.scalar_by_receiver.entry(receiver).or_default().push(slot);
+        self.scalar_by_method.get_or_default(method).push(slot);
+        self.scalar_by_method_result.get_or_default((method, result)).push(slot);
+        self.scalar_by_receiver.get_or_default(receiver).push(slot);
         self.mutation_log.push(method);
     }
 
@@ -362,6 +472,7 @@ impl Facts {
     }
 
     /// The scalar fact stored at dense slot position `idx`.
+    #[inline]
     pub fn scalar_fact_at(&self, idx: usize) -> ScalarFactView<'_> {
         self.scalar_view(idx)
     }
@@ -391,34 +502,22 @@ impl Facts {
 
     /// All scalar facts for a method.
     pub fn scalar_facts_of_method(&self, method: Oid) -> impl Iterator<Item = ScalarFactView<'_>> + '_ {
-        self.scalar_by_method
-            .get(&method)
-            .into_iter()
-            .flatten()
-            .map(move |&i| self.scalar_view(i as usize))
+        postings(&self.scalar_by_method, &method).map(move |&i| self.scalar_view(i as usize))
     }
 
     /// All scalar facts for a method with a given result.
     pub fn scalar_facts_with_result(&self, method: Oid, result: Oid) -> impl Iterator<Item = ScalarFactView<'_>> + '_ {
-        self.scalar_by_method_result
-            .get(&(method, result))
-            .into_iter()
-            .flatten()
-            .map(move |&i| self.scalar_view(i as usize))
+        postings(&self.scalar_by_method_result, &(method, result)).map(move |&i| self.scalar_view(i as usize))
     }
 
     /// All scalar facts whose receiver is `receiver`.
     pub fn scalar_facts_of_receiver(&self, receiver: Oid) -> impl Iterator<Item = ScalarFactView<'_>> + '_ {
-        self.scalar_by_receiver
-            .get(&receiver)
-            .into_iter()
-            .flatten()
-            .map(move |&i| self.scalar_view(i as usize))
+        postings(&self.scalar_by_receiver, &receiver).map(move |&i| self.scalar_view(i as usize))
     }
 
     /// Every scalar fact, in assertion order.
     pub fn scalar_facts(&self) -> impl Iterator<Item = ScalarFactView<'_>> + '_ {
-        (0..self.scalar_slots.len()).map(move |i| self.scalar_view(i))
+        self.scalar_slots.iter().map(move |&at| self.scalar_view_at(at))
     }
 
     /// Number of scalar facts.
@@ -436,8 +535,7 @@ impl Facts {
     pub fn retract_scalar(&mut self, method: Oid, receiver: Oid, args: &[Oid]) -> Option<Oid> {
         let &g = self.scalar_group_of.get(&(method, receiver))?;
         let row = self.scalar_groups[g as usize].cols.args.find(args).ok()?;
-        let grp = &mut self.scalar_groups[g as usize];
-        let cols = Arc::make_mut(&mut grp.cols);
+        let cols = Arc::make_mut(&mut self.scalar_groups.make_mut(g as usize).cols);
         let slot = cols.slots[row] as usize;
         let result = cols.results[row];
         cols.args.remove(row);
@@ -445,7 +543,7 @@ impl Facts {
         cols.slots.remove(row);
         // Rows after the removed one shifted down by one.
         for &s in &cols.slots[row..] {
-            self.scalar_slots[s as usize].1 -= 1;
+            self.scalar_slots.make_mut(s as usize).1 -= 1;
         }
         remove_index(&mut self.scalar_by_method, &method, slot);
         remove_index(&mut self.scalar_by_method_result, &(method, result), slot);
@@ -456,7 +554,7 @@ impl Facts {
         let old = self.scalar_slots.len();
         if slot < old {
             let (mg, mrow) = self.scalar_slots[slot];
-            let mgrp = &mut self.scalar_groups[mg as usize];
+            let mgrp = self.scalar_groups.make_mut(mg as usize);
             let (mmethod, mreceiver) = (mgrp.method, mgrp.receiver);
             let mcols = Arc::make_mut(&mut mgrp.cols);
             mcols.slots[mrow as usize] = slot as u32;
@@ -496,18 +594,17 @@ impl Facts {
             }
         };
         let app = self.set_apps.len();
-        let grp = &mut self.set_groups[g as usize];
-        let cols = Arc::make_mut(&mut grp.cols);
+        let cols = Arc::make_mut(&mut self.set_groups.make_mut(g as usize).cols);
         let row = cols.args.find(args).unwrap_err();
         cols.args.insert(row, args);
         cols.members.insert(row, OidRun::new());
         cols.apps.insert(row, app as u32);
         for &a in &cols.apps[row + 1..] {
-            self.set_apps[a as usize].1 += 1;
+            self.set_apps.make_mut(a as usize).1 += 1;
         }
         self.set_apps.push((g, row as u32));
-        self.set_by_method.entry(method).or_default().push(app as u32);
-        self.set_by_receiver.entry(receiver).or_default().push(app as u32);
+        self.set_by_method.get_or_default(method).push(app as u32);
+        self.set_by_receiver.get_or_default(receiver).push(app as u32);
         app
     }
 
@@ -518,19 +615,19 @@ impl Facts {
             None => self.set_create_app(method, receiver, args),
         };
         let (g, row) = self.set_apps[app];
-        let cols = Arc::make_mut(&mut self.set_groups[g as usize].cols);
-        if cols.members[row as usize].insert(member) {
-            self.set_by_method_member
-                .entry((method, member))
-                .or_default()
-                .push(app as u32);
-            self.set_member_count += 1;
-            self.set_log.push((app as u32, member));
-            self.mutation_log.push(method);
-            Assert::New
-        } else {
-            Assert::Unchanged
-        }
+        // Probe before detaching: a re-assertion must not copy anything.
+        let Err(at) = self.set_groups[g as usize].cols.members[row as usize].binary_search(&member) else {
+            return Assert::Unchanged;
+        };
+        let cols = Arc::make_mut(&mut self.set_groups.make_mut(g as usize).cols);
+        cols.members[row as usize].insert_at(at, member);
+        self.set_by_method_member
+            .get_or_default((method, member))
+            .push(app as u32);
+        self.set_member_count += 1;
+        self.set_log.push((app as u32, member));
+        self.mutation_log.push(method);
+        Assert::New
     }
 
     /// Declare an (initially empty) set-valued application, so that
@@ -562,8 +659,13 @@ impl Facts {
     }
 
     /// The set application stored at dense application index `idx`.
+    #[inline]
     pub fn set_fact_at(&self, idx: usize) -> SetFactView<'_> {
-        let (g, row) = self.set_apps[idx];
+        self.set_view_at(self.set_apps[idx])
+    }
+
+    #[inline]
+    fn set_view_at(&self, (g, row): (u32, u32)) -> SetFactView<'_> {
         let grp = &self.set_groups[g as usize];
         SetFactView {
             method: grp.method,
@@ -610,7 +712,9 @@ impl Facts {
     pub fn scalar_facts_in(&self, lo: usize, hi: usize) -> impl Iterator<Item = (usize, ScalarFactView<'_>)> + '_ {
         let hi = hi.min(self.scalar_slots.len());
         let lo = lo.min(hi);
-        (lo..hi).map(move |i| (i, self.scalar_view(i)))
+        (lo..hi)
+            .zip(self.scalar_slots.range(lo, hi))
+            .map(move |(i, &at)| (i, self.scalar_view_at(at)))
     }
 
     /// The set members inserted in the log window `[lo, hi)`, as
@@ -619,51 +723,35 @@ impl Facts {
     /// evaluation, where facts asserted *after* the window's upper watermark
     /// belong to the next window and must not leak into this one.
     pub fn set_members_in(&self, lo: usize, hi: usize) -> impl Iterator<Item = (usize, Oid)> + '_ {
-        let hi = hi.min(self.set_log.len());
-        let lo = lo.min(hi);
-        self.set_log[lo..hi].iter().map(|&(idx, member)| (idx as usize, member))
+        self.set_log.range(lo, hi).map(|&(idx, member)| (idx as usize, member))
     }
 
     /// The set members inserted at or after watermark `mark`, as
     /// `(application index, member)` pairs in insertion order.  O(delta):
-    /// a slice of the append-only insertion log.  Only meaningful across a
+    /// a walk of the append-only insertion log's last chunks.  Only meaningful across a
     /// span without retractions (see the module docs).
     pub fn set_members_since(&self, mark: usize) -> impl Iterator<Item = (usize, Oid)> + '_ {
-        self.set_log[mark.min(self.set_log.len())..]
-            .iter()
-            .map(|&(idx, member)| (idx as usize, member))
+        self.set_members_in(mark, usize::MAX)
     }
 
     /// All set facts for a method.
     pub fn set_facts_of_method(&self, method: Oid) -> impl Iterator<Item = SetFactView<'_>> + '_ {
-        self.set_by_method
-            .get(&method)
-            .into_iter()
-            .flatten()
-            .map(move |&i| self.set_fact_at(i as usize))
+        postings(&self.set_by_method, &method).map(move |&i| self.set_fact_at(i as usize))
     }
 
     /// All set facts (for a method) that contain `member`.
     pub fn set_facts_containing(&self, method: Oid, member: Oid) -> impl Iterator<Item = SetFactView<'_>> + '_ {
-        self.set_by_method_member
-            .get(&(method, member))
-            .into_iter()
-            .flatten()
-            .map(move |&i| self.set_fact_at(i as usize))
+        postings(&self.set_by_method_member, &(method, member)).map(move |&i| self.set_fact_at(i as usize))
     }
 
     /// All set facts whose receiver is `receiver`.
     pub fn set_facts_of_receiver(&self, receiver: Oid) -> impl Iterator<Item = SetFactView<'_>> + '_ {
-        self.set_by_receiver
-            .get(&receiver)
-            .into_iter()
-            .flatten()
-            .map(move |&i| self.set_fact_at(i as usize))
+        postings(&self.set_by_receiver, &receiver).map(move |&i| self.set_fact_at(i as usize))
     }
 
     /// Every set fact, in application-creation order.
     pub fn set_facts(&self) -> impl Iterator<Item = SetFactView<'_>> + '_ {
-        (0..self.set_apps.len()).map(move |i| self.set_fact_at(i))
+        self.set_apps.iter().map(move |&at| self.set_view_at(at))
     }
 
     /// Number of set-valued applications (not members).
@@ -684,10 +772,12 @@ impl Facts {
             return false;
         };
         let (g, row) = self.set_apps[app];
-        let cols = Arc::make_mut(&mut self.set_groups[g as usize].cols);
-        if !cols.members[row as usize].remove(&member) {
+        // Probe before detaching: a miss must not copy anything.
+        if !self.set_groups[g as usize].cols.members[row as usize].contains(&member) {
             return false;
         }
+        let cols = Arc::make_mut(&mut self.set_groups.make_mut(g as usize).cols);
+        cols.members[row as usize].remove(&member);
         self.set_member_count -= 1;
         remove_index(&mut self.set_by_method_member, &(method, member), app);
         self.retractions += 1;
@@ -717,15 +807,45 @@ impl Facts {
     /// method keys *may* have changed", not "which facts were added"; the
     /// incremental constraint checker uses it to keep constraints whose
     /// reads are disjoint from a retraction delta on their cached results.
-    pub fn mutation_keys_since(&self, mark: usize) -> &[Oid] {
-        &self.mutation_log[mark.min(self.mutation_log.len())..]
+    /// O(delta): a walk of the journal's last chunks.
+    pub fn mutation_keys_since(&self, mark: usize) -> impl Iterator<Item = Oid> + '_ {
+        self.mutation_log.range(mark, usize::MAX).copied()
     }
 }
 
+#[cfg(test)]
+impl cow::Sharing for Facts {
+    fn parts(&self) -> Vec<*const ()> {
+        [
+            self.scalar_groups.parts(),
+            self.scalar_group_of.parts(),
+            self.scalar_slots.parts(),
+            self.scalar_by_method.parts(),
+            self.scalar_by_method_result.parts(),
+            self.scalar_by_receiver.parts(),
+            self.set_groups.parts(),
+            self.set_group_of.parts(),
+            self.set_apps.parts(),
+            self.set_by_method.parts(),
+            self.set_by_method_member.parts(),
+            self.set_by_receiver.parts(),
+            self.set_log.parts(),
+            self.mutation_log.parts(),
+        ]
+        .concat()
+    }
+}
+
+/// The posting list under `key`, in assertion order (empty if there is none).
+fn postings<'a, K: Hash + Eq>(index: &'a Index<K>, key: &K) -> cow::Iter<'a, u32> {
+    index.get(key).map(Postings::iter).unwrap_or_default()
+}
+
 /// Remove one occurrence of `idx` from the posting list under `key`.
-fn remove_index<K: std::hash::Hash + Eq>(index: &mut HashMap<K, Vec<u32>>, key: &K, idx: usize) {
+fn remove_index<K: Hash + Eq + Clone>(index: &mut Index<K>, key: &K, idx: usize) {
     if let Some(list) = index.get_mut(key) {
-        if let Some(pos) = list.iter().position(|&i| i as usize == idx) {
+        let pos = list.iter().position(|&i| i as usize == idx);
+        if let Some(pos) = pos {
             list.swap_remove(pos);
         }
         if list.is_empty() {
@@ -735,10 +855,11 @@ fn remove_index<K: std::hash::Hash + Eq>(index: &mut HashMap<K, Vec<u32>>, key: 
 }
 
 /// Re-point one occurrence of `old` to `new` in the posting list under `key`.
-fn replace_index<K: std::hash::Hash + Eq>(index: &mut HashMap<K, Vec<u32>>, key: &K, old: usize, new: usize) {
+fn replace_index<K: Hash + Eq + Clone>(index: &mut Index<K>, key: &K, old: usize, new: usize) {
     if let Some(list) = index.get_mut(key) {
-        if let Some(pos) = list.iter().position(|&i| i as usize == old) {
-            list[pos] = new as u32;
+        let pos = list.iter().position(|&i| i as usize == old);
+        if let Some(pos) = pos {
+            list.set(pos, new as u32);
         }
     }
 }
@@ -771,7 +892,7 @@ mod tests {
         // Duplicates change nothing and are not journaled.
         f.assert_scalar(o(1), o(10), &[], o(20)).unwrap();
         f.assert_set_member(o(2), o(10), &[], o(30));
-        assert_eq!(f.mutation_keys_since(0), &[o(1), o(2)]);
+        assert_eq!(f.mutation_keys_since(0).collect::<Vec<_>>(), [o(1), o(2)]);
         let mark = f.mutation_len();
         // Retractions append too — the journal survives them.
         assert!(f.retract_scalar(o(1), o(10), &[]).is_some());
@@ -779,10 +900,10 @@ mod tests {
         // Failed retractions are not journaled.
         assert!(f.retract_scalar(o(1), o(10), &[]).is_none());
         assert!(!f.retract_set_member(o(2), o(10), &[], o(30)));
-        assert_eq!(f.mutation_keys_since(mark), &[o(1), o(2)]);
+        assert_eq!(f.mutation_keys_since(mark).collect::<Vec<_>>(), [o(1), o(2)]);
         assert_eq!(f.num_retractions(), 2);
         // Out-of-range marks clamp instead of panicking.
-        assert!(f.mutation_keys_since(999).is_empty());
+        assert_eq!(f.mutation_keys_since(999).count(), 0);
     }
 
     #[test]

@@ -15,13 +15,20 @@
 //!
 //! Extents and ancestor sets are stored as [`OidRun`] columns: sorted,
 //! deduplicated, `Arc`-shared.  Membership tests are binary searches over a
-//! contiguous run, iteration is ascending-`Oid` (the same order the previous
-//! `BTreeSet` backing produced), and cloning a structure shares every run
-//! copy-on-write.  Class extents are handed to the factorized answer DAGs
-//! ([`crate::semantics::factorized`]) zero-copy.
+//! contiguous run and iteration is ascending-`Oid` (the same order the
+//! previous `BTreeSet` backing produced).  Class extents are handed to the
+//! factorized answer DAGs ([`crate::semantics::factorized`]) zero-copy.
+//!
+//! The four object → run maps and the closure log sit on the copy-on-write
+//! containers of the `cow` module: cloning the hierarchy bumps one
+//! reference count per map shard and sealed log chunk and copies neither a
+//! map entry nor a run.  Adding an edge detaches the shards holding the
+//! entries it changes and the runs it inserts into — a class's extent is
+//! one run, so the first new member of a large class after a clone copies
+//! that extent once; the other shards and runs stay shared.  Re-asserting a
+//! stored edge probes read-only and detaches nothing.
 
-use std::collections::HashMap;
-
+use super::cow::{CowVec, ShardMap};
 use super::runs::OidRun;
 use super::Oid;
 
@@ -29,19 +36,19 @@ use super::Oid;
 #[derive(Debug, Default, Clone)]
 pub struct Isa {
     /// Direct edges `sub -> sup`, as asserted.
-    direct_up: HashMap<Oid, OidRun>,
+    direct_up: ShardMap<Oid, OidRun>,
     /// Direct edges `sup -> sub`.
-    direct_down: HashMap<Oid, OidRun>,
+    direct_down: ShardMap<Oid, OidRun>,
     /// Transitive closure: all (strict) ancestors of an object.
-    up: HashMap<Oid, OidRun>,
+    up: ShardMap<Oid, OidRun>,
     /// Transitive closure: all (strict) descendants of an object.
-    down: HashMap<Oid, OidRun>,
+    down: ShardMap<Oid, OidRun>,
     /// Number of pairs in the transitive closure.
     pairs: usize,
     /// Append-only insertion log of closure pairs `(sub, sup)`, in the order
     /// they entered the closure.  Backs the engine's semi-naive delta slices
     /// (is-a edges are never retracted, so the log never goes stale).
-    log: Vec<(Oid, Oid)>,
+    log: CowVec<(Oid, Oid)>,
 }
 
 impl Isa {
@@ -52,8 +59,13 @@ impl Isa {
 
     /// Assert `sub isa sup`.  Returns `true` if the transitive closure grew.
     pub fn add(&mut self, sub: Oid, sup: Oid) -> bool {
-        self.direct_up.entry(sub).or_default().insert(sup);
-        self.direct_down.entry(sup).or_default().insert(sub);
+        // Probe before writing: re-asserting a stored edge (every `intern`
+        // of a known value does) must not detach anything.
+        if self.direct_up.get(&sub).is_some_and(|s| s.contains(&sup)) {
+            return false;
+        }
+        self.direct_up.get_or_default(sub).insert(sup);
+        self.direct_down.get_or_default(sup).insert(sub);
 
         if self.up.get(&sub).is_some_and(|s| s.contains(&sup)) {
             return false;
@@ -72,12 +84,16 @@ impl Isa {
                 if lo == hi {
                     continue;
                 }
-                if self.up.entry(lo).or_default().insert(hi) {
-                    self.down.entry(hi).or_default().insert(lo);
-                    self.pairs += 1;
-                    self.log.push((lo, hi));
-                    grew = true;
-                }
+                let at = match self.up.get(&lo).map(|ups| ups.binary_search(&hi)) {
+                    Some(Ok(_)) => continue,
+                    Some(Err(at)) => at,
+                    None => 0,
+                };
+                self.up.get_or_default(lo).insert_at(at, hi);
+                self.down.get_or_default(hi).insert(lo);
+                self.pairs += 1;
+                self.log.push((lo, hi));
+                grew = true;
             }
         }
         grew
@@ -130,22 +146,36 @@ impl Isa {
     }
 
     /// The closure pairs `(sub, sup)` added at or after watermark `mark`, in
-    /// insertion order.  O(delta): a slice of the append-only insertion log.
-    pub fn pairs_since(&self, mark: usize) -> &[(Oid, Oid)] {
-        &self.log[mark.min(self.log.len())..]
+    /// insertion order.  O(delta): a walk of the append-only insertion
+    /// log's last chunks.
+    pub fn pairs_since(&self, mark: usize) -> impl Iterator<Item = (Oid, Oid)> + '_ {
+        self.pairs_in(mark, usize::MAX)
     }
 
     /// The closure pairs added in the log window `[lo, hi)` — the bounded
     /// counterpart of [`Isa::pairs_since`] used by snapshot-window
     /// evaluation.  Both bounds are clamped to the log.
-    pub fn pairs_in(&self, lo: usize, hi: usize) -> &[(Oid, Oid)] {
-        let hi = hi.min(self.log.len());
-        &self.log[lo.min(hi)..hi]
+    pub fn pairs_in(&self, lo: usize, hi: usize) -> impl Iterator<Item = (Oid, Oid)> + '_ {
+        self.log.range(lo, hi).copied()
     }
 
     /// Number of directly asserted edges.
     pub fn direct_size(&self) -> usize {
         self.direct_up.values().map(|r| r.len()).sum()
+    }
+}
+
+#[cfg(test)]
+impl super::cow::Sharing for Isa {
+    fn parts(&self) -> Vec<*const ()> {
+        [
+            self.direct_up.parts(),
+            self.direct_down.parts(),
+            self.up.parts(),
+            self.down.parts(),
+            self.log.parts(),
+        ]
+        .concat()
     }
 }
 
@@ -230,15 +260,15 @@ mod tests {
         assert_eq!(mark, 1);
         // Duplicate edge: closure unchanged, log unchanged.
         isa.add(o(1), o(10));
-        assert_eq!(isa.pairs_since(mark).len(), 0);
+        assert_eq!(isa.pairs_since(mark).count(), 0);
         // One asserted edge can add several closure pairs at once.
         isa.add(o(10), o(11));
-        let delta: std::collections::BTreeSet<(Oid, Oid)> = isa.pairs_since(mark).iter().copied().collect();
+        let delta: std::collections::BTreeSet<(Oid, Oid)> = isa.pairs_since(mark).collect();
         assert_eq!(delta, [(o(1), o(11)), (o(10), o(11))].into_iter().collect());
-        assert_eq!(isa.pairs_since(isa.closure_size()).len(), 0);
-        assert_eq!(isa.pairs_since(1_000).len(), 0);
+        assert_eq!(isa.pairs_since(isa.closure_size()).count(), 0);
+        assert_eq!(isa.pairs_since(1_000).count(), 0);
         // The full log replays the whole closure.
-        assert_eq!(isa.pairs_since(0).len(), isa.closure_size());
+        assert_eq!(isa.pairs_since(0).count(), isa.closure_size());
     }
 
     #[test]
@@ -249,11 +279,11 @@ mod tests {
         isa.add(o(2), o(10));
         let hi = isa.closure_size();
         isa.add(o(3), o(10)); // past the window
-        assert_eq!(isa.pairs_in(lo, hi), &[(o(2), o(10))]);
-        assert_eq!(isa.pairs_in(0, isa.closure_size()).len(), 3);
+        assert_eq!(isa.pairs_in(lo, hi).collect::<Vec<_>>(), [(o(2), o(10))]);
+        assert_eq!(isa.pairs_in(0, isa.closure_size()).count(), 3);
         // Clamped bounds degrade to empty slices instead of panicking.
-        assert!(isa.pairs_in(7, 100).is_empty());
-        assert!(isa.pairs_in(2, 1).is_empty());
+        assert_eq!(isa.pairs_in(7, 100).count(), 0);
+        assert_eq!(isa.pairs_in(2, 1).count(), 0);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! [`ObjectStore`](https://docs.rs/pathlog-oodb)) and the intensional part
 //! (facts derived by rules, including virtual objects).
 
+mod cow;
 mod facts;
 mod isa;
 mod runs;
@@ -29,11 +30,15 @@ pub use runs::OidRun;
 pub use sigs::{Signature, Signatures};
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
+use std::sync::Arc;
 
 use crate::builtins;
 use crate::names::Name;
+
+use cow::{CowVec, ShardMap};
 
 /// An object identifier — a dense index into the universe.
 ///
@@ -61,7 +66,8 @@ impl fmt::Display for Oid {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectInfo {
     /// The name denoting this object, if any (virtual objects have none).
-    pub name: Option<Name>,
+    /// One allocation shared with the name table's key.
+    pub name: Option<Arc<Name>>,
     /// `true` if the object was created by rule evaluation (a *virtual*
     /// object in the sense of Section 2 / \[AB91\]).
     pub is_virtual: bool,
@@ -125,16 +131,62 @@ impl EvalMarks {
     }
 }
 
+/// The name interpretation `I_N`, name → object.
+///
+/// Names arrive from program text, so they are hashed with SipHash under a
+/// per-table secret — once: the table is keyed by that 64-bit hash and
+/// holds the name beside the oid, so a probe is one strong hash of the
+/// name, a cheap probe by the hash, and one name comparison.
+#[derive(Debug, Clone, Default)]
+struct NameTable {
+    by_hash: ShardMap<u64, (Arc<Name>, Oid)>,
+    /// Names whose hash another name already holds in `by_hash`.  With
+    /// 64-bit SipHash this stays empty; it exists so that a collision is
+    /// a slower probe, never a wrong one.
+    collided: CowVec<(Arc<Name>, Oid)>,
+    hasher: RandomState,
+}
+
+impl NameTable {
+    fn hash(&self, name: &Name) -> u64 {
+        self.hasher.hash_one(name)
+    }
+
+    fn get(&self, hash: u64, name: &Name) -> Option<Oid> {
+        match self.by_hash.get(&hash)? {
+            (stored, oid) if **stored == *name => Some(*oid),
+            _ => self.collided.iter().find(|(stored, _)| **stored == *name).map(|e| e.1),
+        }
+    }
+
+    /// Register `name`, which [`NameTable::get`] did not find.
+    fn insert(&mut self, hash: u64, name: Arc<Name>, oid: Oid) {
+        if self.by_hash.contains_key(&hash) {
+            self.collided.push((name, oid));
+        } else {
+            self.by_hash.insert(hash, (name, oid));
+        }
+    }
+}
+
 /// A mutable semantic structure with indexes.
+///
+/// A structure is a *persistent* value: every table sits on the
+/// copy-on-write containers of the `cow` module, so `clone()` bumps one
+/// reference count per sealed chunk / shard and copies no more than each
+/// table's unsealed tail — less than one chunk, whatever the store holds;
+/// the first write to either side afterwards detaches only the chunks and
+/// shards it touches, and neither side ever sees the other's writes.  That
+/// is what makes an epoch publish, a tolerant read's scrub or a rollback
+/// snapshot cost O(delta) instead of O(store).
 #[derive(Debug, Clone)]
 pub struct Structure {
-    objects: Vec<ObjectInfo>,
-    names: HashMap<Name, Oid>,
+    objects: CowVec<ObjectInfo>,
+    names: NameTable,
     isa: Isa,
     facts: Facts,
     sigs: Signatures,
     self_method: Oid,
-    comparison_methods: HashMap<Oid, &'static str>,
 }
 
 impl Default for Structure {
@@ -144,25 +196,29 @@ impl Default for Structure {
 }
 
 impl Structure {
-    /// An empty structure with the built-in methods pre-registered.
+    /// An empty structure with the built-in methods pre-registered: they
+    /// take the first oids, in [`builtins::ALL_BUILTINS`] order, which is
+    /// what lets [`Structure::is_comparison_method`] index that table by oid.
     pub fn new() -> Self {
         let mut s = Structure {
-            objects: Vec::new(),
-            names: HashMap::new(),
+            objects: CowVec::default(),
+            names: NameTable::default(),
             isa: Isa::new(),
             facts: Facts::new(),
             sigs: Signatures::new(),
             self_method: Oid(0),
-            comparison_methods: HashMap::new(),
         };
-        s.self_method = s.ensure_name(&Name::atom(builtins::SELF_METHOD));
         for &b in builtins::ALL_BUILTINS {
-            let oid = s.ensure_name(&Name::atom(b));
-            if builtins::is_comparison(b) {
-                s.comparison_methods.insert(oid, b);
-            }
+            s.ensure_name(&Name::atom(b));
         }
+        s.self_method = s.atom(builtins::SELF_METHOD);
         s
+    }
+
+    /// The comparison built-in `method` denotes, if it is one.
+    fn comparison(&self, method: Oid) -> Option<&'static str> {
+        let builtin = *builtins::ALL_BUILTINS.get(method.index())?;
+        builtins::is_comparison(builtin).then_some(builtin)
     }
 
     // -- universe and names -------------------------------------------------
@@ -170,15 +226,17 @@ impl Structure {
     /// The object denoted by `name`, creating it if necessary (`I_N` is a
     /// total function in the paper; the engine registers every name it sees).
     pub fn ensure_name(&mut self, name: &Name) -> Oid {
-        if let Some(&oid) = self.names.get(name) {
+        let hash = self.names.hash(name);
+        if let Some(oid) = self.names.get(hash, name) {
             return oid;
         }
         let oid = Oid(self.objects.len() as u32);
+        let name = Arc::new(name.clone());
         self.objects.push(ObjectInfo {
-            name: Some(name.clone()),
+            name: Some(Arc::clone(&name)),
             is_virtual: false,
         });
-        self.names.insert(name.clone(), oid);
+        self.names.insert(hash, name, oid);
         oid
     }
 
@@ -199,7 +257,7 @@ impl Structure {
 
     /// The object denoted by `name`, if registered.
     pub fn lookup_name(&self, name: &Name) -> Option<Oid> {
-        self.names.get(name).copied()
+        self.names.get(self.names.hash(name), name)
     }
 
     /// The object denoted by `name`, or [`crate::error::Error::UnknownName`].
@@ -216,7 +274,7 @@ impl Structure {
 
     /// The name denoting `oid`, if it has one.
     pub fn name_of(&self, oid: Oid) -> Option<&Name> {
-        self.objects.get(oid.index()).and_then(|o| o.name.as_ref())
+        self.objects.get(oid.index()).and_then(|o| o.name.as_deref())
     }
 
     /// A printable identification of `oid`: its name, or `_#<oid>` for
@@ -264,16 +322,15 @@ impl Structure {
     }
 
     /// Iterate over all registered names and the objects they denote, in
-    /// interned-oid order.
-    ///
-    /// The underlying map iterates in a per-process random order; sorting by
-    /// oid here keeps every consumer that materialises the alphabet
-    /// (persistence, the relational baseline loader, canonical dumps)
-    /// deterministic run-to-run.
+    /// interned-oid order — a walk of the universe, not of the name table
+    /// (whose iteration order is unspecified), so every consumer that
+    /// materialises the alphabet (persistence, the relational baseline
+    /// loader, canonical dumps) is deterministic run-to-run.
     pub fn names(&self) -> impl Iterator<Item = (&Name, Oid)> + '_ {
-        let mut all: Vec<(&Name, Oid)> = self.names.iter().map(|(n, &o)| (n, o)).collect();
-        all.sort_unstable_by_key(|&(_, o)| o);
-        all.into_iter()
+        self.objects
+            .iter()
+            .enumerate()
+            .filter_map(|(i, o)| Some((o.name.as_deref()?, Oid(i as u32))))
     }
 
     /// The object of the built-in `self` method.
@@ -286,7 +343,7 @@ impl Structure {
     /// Built-in methods apply to arbitrary receivers without stored facts, so
     /// index-driven receiver seeding must not be used for them.
     pub fn is_comparison_method(&self, oid: Oid) -> bool {
-        self.comparison_methods.contains_key(&oid)
+        self.comparison(oid).is_some()
     }
 
     // -- class hierarchy ----------------------------------------------------
@@ -354,7 +411,7 @@ impl Structure {
         if method == self.self_method && args.is_empty() {
             return Some(receiver);
         }
-        if let Some(&cmp) = self.comparison_methods.get(&method) {
+        if let Some(cmp) = self.comparison(method) {
             if args.len() == 1 {
                 let lhs = self.name_of(receiver)?;
                 let rhs = self.name_of(args[0])?;
@@ -381,7 +438,7 @@ impl Structure {
     /// Retraction is an extension beyond the paper used by the production /
     /// active-rule layer; the deductive engine itself only adds facts.
     pub fn retract_scalar(&mut self, method: Oid, receiver: Oid, args: &[Oid]) -> Option<Oid> {
-        if method == self.self_method || self.comparison_methods.contains_key(&method) {
+        if method == self.self_method || self.is_comparison_method(method) {
             return None;
         }
         self.facts.retract_scalar(method, receiver, args)
@@ -453,7 +510,7 @@ impl Structure {
         for (method, receiver, args, member) in members {
             let _ = writeln!(out, "member {method} {receiver} {args:?} ->> {member}");
         }
-        let mut pairs: Vec<(Oid, Oid)> = self.isa.pairs_since(0).to_vec();
+        let mut pairs: Vec<(Oid, Oid)> = self.isa.pairs_since(0).collect();
         pairs.sort_unstable();
         for (sub, sup) in pairs {
             let _ = writeln!(out, "isa {sub} : {sup}");
@@ -494,8 +551,82 @@ impl fmt::Display for StructureStats {
 }
 
 #[cfg(test)]
+impl cow::Sharing for Structure {
+    fn parts(&self) -> Vec<*const ()> {
+        [
+            self.objects.parts(),
+            self.names.by_hash.parts(),
+            self.names.collided.parts(),
+            self.isa.parts(),
+            self.facts.parts(),
+            self.sigs.parts(),
+        ]
+        .concat()
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use super::cow::Sharing;
     use super::*;
+
+    /// A store of `n` employees, two friends and a salary each.
+    fn store_of(n: usize) -> (Structure, Vec<Oid>, Oid) {
+        let mut s = Structure::new();
+        let (employee, friends, salary) = (s.atom("employee"), s.atom("friends"), s.atom("salary"));
+        let people: Vec<Oid> = (0..n).map(|i| s.atom(&format!("e{i}"))).collect();
+        for (i, &p) in people.iter().enumerate() {
+            s.add_isa(p, employee);
+            let pay = s.int(1000 + (i % 97) as i64);
+            s.assert_scalar(salary, p, &[], pay).unwrap();
+            s.assert_set_member(friends, p, &[], people[(i + 1) % n]);
+            s.assert_set_member(friends, p, &[], people[(i * 7 + 3) % n]);
+        }
+        (s, people, friends)
+    }
+
+    #[test]
+    fn one_write_after_a_clone_detaches_a_constant_number_of_parts() {
+        let detached_at = |n: usize| {
+            let (a, people, friends) = store_of(n);
+            let mut b = a.clone();
+            assert_eq!(b.detached_from(&a), 0, "a clone shares every chunk and shard");
+            assert!(b
+                .assert_set_member(friends, people[n / 2], &[], people[n / 2 + 2])
+                .is_new());
+            assert_eq!(
+                b.canonical_dump().lines().count(),
+                a.canonical_dump().lines().count() + 1
+            );
+            (b.detached_from(&a), a.parts().len())
+        };
+        let (small, small_parts) = detached_at(1_500);
+        let (large, large_parts) = detached_at(12_000);
+        // The group's chunk and the member index's shard; the logs and the
+        // posting list only grow their owned tails.
+        assert!((1..=4).contains(&small), "{small} parts detached");
+        assert!(large <= 4, "{large} parts detached");
+        assert!(
+            large_parts > 4 * small_parts,
+            "the store grew ({small_parts} -> {large_parts} parts), the write did not"
+        );
+    }
+
+    #[test]
+    fn names_whose_hashes_collide_are_both_found() {
+        let mut names = NameTable::default();
+        let (a, b) = (Arc::new(Name::atom("a")), Arc::new(Name::atom("b")));
+        names.insert(7, Arc::clone(&a), Oid(1));
+        names.insert(7, Arc::clone(&b), Oid(2));
+        assert_eq!(names.get(7, &a), Some(Oid(1)));
+        assert_eq!(
+            names.get(7, &b),
+            Some(Oid(2)),
+            "the second holder of a hash is found too"
+        );
+        assert_eq!(names.get(7, &Name::atom("c")), None);
+        assert_eq!(names.get(8, &a), None);
+    }
 
     #[test]
     fn names_are_interned_once() {

@@ -55,6 +55,14 @@ impl OidRun {
         }
     }
 
+    /// Insert `oid` at `pos`, the `Err` position a binary search of the run
+    /// reported for it — for callers that probe read-only first and only
+    /// then take the run mutably.
+    pub(super) fn insert_at(&mut self, pos: usize, oid: Oid) {
+        debug_assert!(self.0.binary_search(&oid) == Err(pos));
+        Arc::make_mut(&mut self.0).insert(pos, oid);
+    }
+
     /// Remove `oid`.  Returns `true` if it was present.
     pub fn remove(&mut self, oid: &Oid) -> bool {
         match self.0.binary_search(oid) {

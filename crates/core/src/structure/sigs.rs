@@ -12,8 +12,7 @@
 //! Signatures are inherited by subclasses of the declaring class.  The type
 //! checker lives in [`crate::typing`]; this module only stores declarations.
 
-use std::collections::HashMap;
-
+use super::cow::{CowVec, ShardMap};
 use super::Oid;
 
 /// One signature declaration.
@@ -34,8 +33,8 @@ pub struct Signature {
 /// All signature declarations of a structure.
 #[derive(Debug, Default, Clone)]
 pub struct Signatures {
-    sigs: Vec<Signature>,
-    by_method: HashMap<Oid, Vec<usize>>,
+    sigs: CowVec<Signature>,
+    by_method: ShardMap<Oid, CowVec<usize>>,
 }
 
 impl Signatures {
@@ -50,7 +49,7 @@ impl Signatures {
             return false;
         }
         let method = sig.method;
-        self.by_method.entry(method).or_default().push(self.sigs.len());
+        self.by_method.get_or_default(method).push(self.sigs.len());
         self.sigs.push(sig);
         true
     }
@@ -64,8 +63,8 @@ impl Signatures {
     pub fn for_method(&self, method: Oid) -> impl Iterator<Item = &Signature> + '_ {
         self.by_method
             .get(&method)
-            .into_iter()
-            .flatten()
+            .map(CowVec::iter)
+            .unwrap_or_default()
             .map(move |&i| &self.sigs[i])
     }
 
@@ -82,6 +81,13 @@ impl Signatures {
     /// `true` if there are no declarations.
     pub fn is_empty(&self) -> bool {
         self.sigs.is_empty()
+    }
+}
+
+#[cfg(test)]
+impl super::cow::Sharing for Signatures {
+    fn parts(&self) -> Vec<*const ()> {
+        [self.sigs.parts(), self.by_method.parts()].concat()
     }
 }
 

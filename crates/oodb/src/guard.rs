@@ -161,8 +161,10 @@ pub struct ConstraintGuard {
     /// still-standing ones after every successful commit, so a violation
     /// that gets fixed and later reintroduced counts as new again.
     accepted: BTreeSet<ConstraintViolation>,
-    /// Oid-level quarantine ledger over the current shadow.
-    quarantine: Quarantine,
+    /// Oid-level quarantine ledger over the current shadow.  Shared with
+    /// the epochs published since it last changed: a commit that tags or
+    /// releases nothing republishes the same ledger.
+    quarantine: Arc<Quarantine>,
     /// Name-level mirror of the ledger, used to rebuild `quarantine` when
     /// the shadow is rebuilt.
     tagged: Vec<TaggedFact>,
@@ -199,7 +201,7 @@ impl ConstraintGuard {
             checker,
             shadow,
             accepted: baseline.iter().cloned().collect(),
-            quarantine: Quarantine::new(),
+            quarantine: Arc::default(),
             tagged: Vec::new(),
             diagnostics,
             synced_version: store.version(),
@@ -219,6 +221,11 @@ impl ConstraintGuard {
 
     /// The quarantine ledger.
     pub fn quarantine(&self) -> &Quarantine {
+        &self.quarantine
+    }
+
+    /// The ledger's shared handle, for publishing it with an epoch.
+    pub(crate) fn quarantine_shared(&self) -> &Arc<Quarantine> {
         &self.quarantine
     }
 
@@ -398,7 +405,7 @@ impl ConstraintGuard {
             TaggedFact::Scalar { obj, attr, constraint } => {
                 let m = self.shadow.atom(attr);
                 let r = self.shadow.atom(obj);
-                self.quarantine.tag_scalar(m, r, Vec::new(), constraint.clone());
+                Arc::make_mut(&mut self.quarantine).tag_scalar(m, r, Vec::new(), constraint.clone());
             }
             TaggedFact::Member {
                 obj,
@@ -409,7 +416,7 @@ impl ConstraintGuard {
                 let m = self.shadow.atom(attr);
                 let r = self.shadow.atom(obj);
                 let v = self.shadow.intern(value);
-                self.quarantine.tag_set_member(m, r, Vec::new(), v, constraint.clone());
+                Arc::make_mut(&mut self.quarantine).tag_set_member(m, r, Vec::new(), v, constraint.clone());
             }
         }
     }
@@ -417,7 +424,7 @@ impl ConstraintGuard {
     /// Rebuild the oid-level ledger from the name-level mirror after a
     /// shadow rebuild.
     fn rebuild_quarantine(&mut self) {
-        self.quarantine = Quarantine::new();
+        self.quarantine = Arc::default();
         for tag in std::mem::take(&mut self.tagged) {
             self.apply_tag(&tag);
             self.tagged.push(tag);
@@ -434,7 +441,7 @@ impl ConstraintGuard {
             .filter(|c| !still_violated.contains(c))
             .collect();
         for constraint in cleared {
-            self.quarantine.clear_constraint(&constraint);
+            Arc::make_mut(&mut self.quarantine).clear_constraint(&constraint);
             self.tagged.retain(|tag| match tag {
                 TaggedFact::Scalar { constraint: c, .. } | TaggedFact::Member { constraint: c, .. } => {
                     **c != *constraint

@@ -47,7 +47,7 @@ pub(crate) struct ServingState {
     /// image, so publishing clones it instead of keeping a second copy).
     image: Option<StoreImage>,
     /// Quarantine ledger aligned with the *current* published snapshot
-    /// (cloned from the guard at publish time).  `None` when the snapshot
+    /// (the guard's own, shared until a later commit changes a tag).  `None` when the snapshot
     /// was built without a synced guard; sessions then answer tolerant
     /// queries with an empty ledger, i.e. everything clean.
     quarantine: Option<Arc<Quarantine>>,
@@ -72,7 +72,7 @@ impl ServingState {
         match store.constraint_guard() {
             Some(guard) if guard_synced(guard, version) => {
                 self.image = None;
-                self.quarantine = Some(Arc::new(guard.quarantine().clone()));
+                self.quarantine = Some(Arc::clone(guard.quarantine_shared()));
                 self.registry.publish(version, Arc::new(guard.shadow().clone()));
             }
             _ => {
@@ -227,7 +227,7 @@ impl Session {
     /// snapshot, flagging answers that depend on quarantined facts.
     ///
     /// The quarantine ledger is the one aligned with this session's epoch
-    /// (cloned from the constraint guard at publish time).  Sessions whose
+    /// (the constraint guard's at publish time, shared, not copied).  Sessions whose
     /// snapshot was built without a synced guard carry an empty ledger, so
     /// every answer reports clean.
     pub fn tolerant_query(&self, query: &Query) -> pathlog_core::error::Result<TolerantAnswers> {

@@ -417,3 +417,164 @@ proptest! {
         assert_factorized_matches(&structure, &Term::var("X").scalar("m0").set("m1"), false);
     }
 }
+
+// ---------------------------------------------------------------------------
+// 5. A structure is a persistent value: a clone shares its tables with the
+//    original, and neither ever sees the other's later writes.
+// ---------------------------------------------------------------------------
+
+use pathlog::core::semantics::{DeltaView, EvalMarks};
+
+#[derive(Debug, Clone)]
+enum HistOp {
+    Name(u16),
+    Isa(u16, u16),
+    Scalar(u8, u16, u16),
+    Member(u8, u16, u16),
+    RetractScalar(u8, u16),
+    RetractMember(u8, u16, u16),
+    /// `count` scalar facts and as many set members over consecutive
+    /// objects — long enough runs to seal chunks and to double shard
+    /// counts, so that clones really share sealed storage.
+    Bulk(u16, u16),
+}
+
+fn hist_op() -> impl Strategy<Value = HistOp> {
+    let m = 0u8..NUM_METHODS;
+    let o = 0u16..40;
+    prop_oneof![
+        (0u16..2000).prop_map(HistOp::Name),
+        (o.clone(), o.clone()).prop_map(|(a, b)| HistOp::Isa(a, b)),
+        (m.clone(), o.clone(), o.clone()).prop_map(|(m, r, v)| HistOp::Scalar(m, r, v)),
+        (m.clone(), o.clone(), o.clone()).prop_map(|(m, r, v)| HistOp::Member(m, r, v)),
+        (m.clone(), o.clone()).prop_map(|(m, r)| HistOp::RetractScalar(m, r)),
+        (m, o.clone(), o).prop_map(|(m, r, v)| HistOp::RetractMember(m, r, v)),
+        (0u16..1200, 1u16..700).prop_map(|(start, count)| HistOp::Bulk(start, count)),
+    ]
+}
+
+fn apply_hist(s: &mut Structure, op: &HistOp) {
+    let obj = |s: &mut Structure, k: u16| s.atom(&format!("x{k}"));
+    let method = |s: &mut Structure, m: u8| s.atom(&format!("m{m}"));
+    match *op {
+        HistOp::Name(k) => {
+            s.int(i64::from(k));
+        }
+        HistOp::Isa(a, b) => {
+            let (a, b) = (obj(s, a), obj(s, b));
+            s.add_isa(a, b);
+        }
+        HistOp::Scalar(m, r, v) => {
+            let (m, r, v) = (method(s, m), obj(s, r), obj(s, v));
+            // A conflicting result is an error and changes nothing.
+            let _ = s.assert_scalar(m, r, &[], v);
+        }
+        HistOp::Member(m, r, v) => {
+            let (m, r, v) = (method(s, m), obj(s, r), obj(s, v));
+            s.assert_set_member(m, r, &[], v);
+        }
+        HistOp::RetractScalar(m, r) => {
+            let (m, r) = (method(s, m), obj(s, r));
+            s.retract_scalar(m, r, &[]);
+        }
+        HistOp::RetractMember(m, r, v) => {
+            let (m, r, v) = (method(s, m), obj(s, r), obj(s, v));
+            s.retract_set_member(m, r, &[], v);
+        }
+        HistOp::Bulk(start, count) => {
+            let (pay, pals, staff) = (s.atom("pay"), s.atom("pals"), s.atom("staff"));
+            for k in start..start + count {
+                let (who, next) = (obj(s, k), obj(s, k + 1));
+                let grade = s.int(i64::from(k % 13));
+                s.add_isa(who, staff);
+                let _ = s.assert_scalar(pay, who, &[], grade);
+                s.assert_set_member(pals, who, &[], next);
+            }
+        }
+    }
+}
+
+/// Everything a reader can observe of a structure, orders included: the
+/// canonical dump, the counters, the watermarks, the assertion-order
+/// enumerations and the delta window since `since`.
+fn observed(s: &Structure, since: &EvalMarks) -> Vec<String> {
+    let now = EvalMarks::capture(s);
+    let facts = s.facts();
+    let window = DeltaView::between(s, since, &now);
+    let touched: Vec<Oid> = s.objects().filter(|&o| window.has_new_facts_for(o)).collect();
+    vec![
+        s.canonical_dump(),
+        format!("{:?} {now:?} retractions {}", s.stats(), s.retractions()),
+        format!("{:?}", s.names().collect::<Vec<_>>()),
+        format!("{:?}", facts.scalar_facts().collect::<Vec<_>>()),
+        format!("{:?}", facts.set_facts().collect::<Vec<_>>()),
+        format!(
+            "{:?}",
+            facts
+                .scalar_facts_in(since.scalar_facts, now.scalar_facts)
+                .collect::<Vec<_>>()
+        ),
+        format!(
+            "{:?}",
+            facts
+                .set_members_in(since.set_member_inserts, now.set_member_inserts)
+                .collect::<Vec<_>>()
+        ),
+        format!(
+            "{:?}",
+            s.isa().pairs_in(since.isa_pairs, now.isa_pairs).collect::<Vec<_>>()
+        ),
+        format!("{:?}", facts.mutation_keys_since(0).collect::<Vec<_>>()),
+        format!("{:?}", s.isa().direct_edges().collect::<Vec<_>>()),
+        format!(
+            "window: {} entries, empty {}, new objects {}, touched {touched:?}",
+            window.entry_count(),
+            window.is_empty(),
+            window.has_new_objects()
+        ),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Clones taken at random points of a random history, every version
+    /// mutated on afterwards: each equals the structure built from scratch
+    /// by replaying its own history, down to enumeration orders, watermarks
+    /// and delta windows.
+    #[test]
+    fn every_clone_equals_a_replay_of_its_own_history(
+        steps in prop::collection::vec((0usize..6, prop_oneof![
+            hist_op().prop_map(Some),
+            hist_op().prop_map(Some),
+            hist_op().prop_map(Some),
+            (0u8..1).prop_map(|_| None),
+        ]), 0..60),
+    ) {
+        let mut versions: Vec<(Structure, Vec<HistOp>)> = vec![(Structure::new(), Vec::new())];
+        for (which, step) in steps {
+            let at = which % versions.len();
+            match step {
+                Some(op) => {
+                    apply_hist(&mut versions[at].0, &op);
+                    versions[at].1.push(op);
+                }
+                None => {
+                    let copy = versions[at].clone();
+                    versions.push(copy);
+                }
+            }
+        }
+        for (structure, history) in &versions {
+            let mut replay = Structure::new();
+            let mut since = EvalMarks::capture(&replay);
+            for (i, op) in history.iter().enumerate() {
+                if i == history.len() / 2 {
+                    since = EvalMarks::capture(&replay);
+                }
+                apply_hist(&mut replay, op);
+            }
+            prop_assert_eq!(observed(structure, &since), observed(&replay, &since));
+        }
+    }
+}

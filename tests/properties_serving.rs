@@ -214,6 +214,83 @@ fn family_trace(ops: &[FamilyOp], workers: usize) -> Vec<(Epoch, String)> {
     trace
 }
 
+/// A session pinned at epoch *e* shares its image's storage with the
+/// guard's shadow and with every later epoch (a publish copies nothing
+/// that a commit did not touch), so this is the isolation that sharing must
+/// not break: fifty further commit attempts — friend edges added and
+/// removed again, salaries overwritten (a retraction and an assertion
+/// each), self-friendships and starvation wages rejected and rolled back,
+/// other sessions pinned and dropped in between — leave the pinned dump,
+/// counters and answers exactly as they were.
+#[test]
+fn a_pinned_session_is_untouched_by_fifty_later_commits() {
+    let mut db = company_store(1);
+    for (a, b) in [(0, 1), (2, 3), (4, 5)] {
+        company_commit(&mut db, &CompanyOp::AddFriend { a, b });
+    }
+    let salaries = Query::single(
+        Term::var("X")
+            .isa("employee")
+            .filter(Filter::scalar("salary", Term::var("S"))),
+    );
+    let session = db.begin_session();
+    let at_pin = session.canonical_dump();
+    let stats_at_pin = session.structure().stats();
+    let answers_at_pin = session.query(&salaries).expect("query").len();
+    let tolerant_at_pin = session.tolerant_query(&salaries).expect("tolerant query").answers.len();
+
+    let name = |i: usize| format!("e{}", i % EMPLOYEES);
+    let (mut committed, mut rejected) = (0, 0);
+    for i in 0..50usize {
+        let mut txn = db.begin();
+        match i % 5 {
+            0 => txn
+                .add(&name(i), "friends", Value::obj(name(i + 3)))
+                .expect("stage add"),
+            1 => txn
+                .add(&name(i), "friends", Value::obj(name(i)))
+                .expect("stage self-friendship"),
+            2 => assert!(
+                txn.remove(&name(i - 2), "friends", &Value::obj(name(i + 1)))
+                    .expect("stage remove"),
+                "the edge added two steps ago is there to be removed"
+            ),
+            3 => txn
+                .set(&name(i), "salary", Value::Int(WAGE_FLOOR + 1_000 + i as i64))
+                .expect("stage salary"),
+            _ => txn
+                .set(&name(i), "salary", Value::Int(WAGE_FLOOR - 1 - i as i64))
+                .expect("stage starvation wage"),
+        }
+        match txn.commit() {
+            Ok(_) => committed += 1,
+            Err(CommitError::Rejected { .. }) => rejected += 1,
+            Err(other) => panic!("unexpected commit outcome: {other}"),
+        }
+        if i % 7 == 0 {
+            drop(db.begin_session());
+        }
+    }
+    assert_eq!((committed, rejected), (30, 20));
+
+    assert_eq!(
+        session.canonical_dump(),
+        at_pin,
+        "the pinned image changed under later commits"
+    );
+    assert_eq!(session.structure().stats(), stats_at_pin);
+    assert_eq!(session.query(&salaries).expect("query").len(), answers_at_pin);
+    assert_eq!(
+        session.tolerant_query(&salaries).expect("tolerant query").answers.len(),
+        tolerant_at_pin
+    );
+    let now = db.begin_session();
+    assert!(now.epoch() > session.epoch());
+    assert_ne!(now.canonical_dump(), at_pin, "thirty commits landed");
+    drop((session, now));
+    assert_eq!(db.pinned_epochs(), 0, "all epochs reclaimed after sessions drop");
+}
+
 // ------------------------------------------------------------- properties
 
 proptest! {
