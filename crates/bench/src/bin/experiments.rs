@@ -718,14 +718,15 @@ fn e19_columnar_factorized(report: &mut Report, scale: usize) {
 /// E20 — check-on-commit integrity constraints: guarded transactions over
 /// the datagen company store.  The incremental arm re-solves only the
 /// constraints whose read keys intersect the commit's delta; the full arm
-/// (an out-of-band touch before every transaction forces a shadow rebuild)
-/// re-solves everything.  Both arms must reject the same violations in the
-/// same order while the incremental arm performs strictly fewer condition
-/// solves (counter-asserted — the CI gate), and the pooled-executor arm
-/// must agree with the sequential one.  The quarantine arm commits pay cuts
-/// below the wage floor under `ConstraintPolicy::Quarantine` and serves the
-/// salary query tolerantly: every classical answer is still served, tainted
-/// answers are annotated rather than dropped.
+/// (the guard installed anew before every transaction, counters summed over
+/// the installs) re-solves everything.  Both arms must reject the same
+/// violations in the same order while the incremental arm performs strictly
+/// fewer condition solves (counter-asserted — the CI gate), and the
+/// pooled-executor arm must agree with the sequential one.  The quarantine
+/// arm commits pay cuts below the wage floor under
+/// `ConstraintPolicy::Quarantine` and serves the salary query tolerantly:
+/// every classical answer is still served, tainted answers are annotated
+/// rather than dropped.
 fn e20_constraint_commits(report: &mut Report) {
     use pathlog_core::engine::{Engine, EvalMode, EvalOptions};
     let mut rows = Vec::new();

@@ -377,9 +377,7 @@ impl ConstraintChecker {
             self.stats.constraints_skipped += skipped;
         }
         self.solve_into_cache(structure, &affected)?;
-        self.marks = Some(EvalMarks::capture(structure));
-        self.retractions = structure.retractions();
-        self.mutation_mark = structure.facts().mutation_len();
+        self.skip_to(structure);
         Ok(self.cache.iter().flatten().cloned().collect())
     }
 
@@ -393,10 +391,28 @@ impl ConstraintChecker {
             self.stats.full_checks += 1;
         }
         self.solve_into_cache(structure, &all)?;
+        self.skip_to(structure);
+        Ok(self.cache.iter().flatten().cloned().collect())
+    }
+
+    /// Has `structure` been left alone since the last completed check —
+    /// nothing asserted, retracted, created or declared?
+    pub fn is_current(&self, structure: &Structure) -> bool {
+        self.marks == Some(EvalMarks::capture(structure))
+            && self.retractions == structure.retractions()
+            && self.mutation_mark == structure.facts().mutation_len()
+    }
+
+    /// Move the checker's position to `structure` as it is now, keeping
+    /// the cached results — what a completed check does last.  A caller
+    /// that undid, fact for fact, everything it did since a moment at which
+    /// [`ConstraintChecker::is_current`] held may call this itself: the
+    /// facts are those the cache was solved over, and the span in between
+    /// need not be looked at.
+    pub fn skip_to(&mut self, structure: &Structure) {
         self.marks = Some(EvalMarks::capture(structure));
         self.retractions = structure.retractions();
         self.mutation_mark = structure.facts().mutation_len();
-        Ok(self.cache.iter().flatten().cloned().collect())
     }
 
     /// The delta window since the last completed check, or `None` when no
@@ -903,6 +919,30 @@ mod tests {
         checker.check(&mut s).unwrap();
         assert_eq!(checker.stats().condition_solves, solves_before + 1);
         assert_eq!(checker.stats().retraction_skips, 0);
+    }
+
+    #[test]
+    fn an_undone_span_can_be_skipped() {
+        let (mut s, engine) = fixture();
+        let mut checker = ConstraintChecker::new([underpaid()].into_iter().collect(), engine);
+        let before = checker.check(&mut s).unwrap();
+        assert!(checker.is_current(&s));
+        // Overwrite mary's salary with a value never named before, then put
+        // the old one back: the facts are those of the check again.
+        let salary = s.lookup_name(&Name::atom("salary")).unwrap();
+        let mary = s.lookup_name(&Name::atom("mary")).unwrap();
+        let old = s.retract_scalar(salary, mary, &[]).unwrap();
+        let seven = s.ensure_name(&Name::Int(7));
+        s.assert_scalar(salary, mary, &[], seven).unwrap();
+        s.retract_scalar(salary, mary, &[]);
+        s.assert_scalar(salary, mary, &[], old).unwrap();
+        assert!(!checker.is_current(&s));
+        let stats = checker.stats();
+        checker.skip_to(&s);
+        assert!(checker.is_current(&s));
+        assert_eq!(checker.check(&mut s).unwrap(), before, "the cache answers");
+        assert_eq!(checker.stats().condition_solves, stats.condition_solves);
+        assert_eq!(checker.stats().full_checks, stats.full_checks);
     }
 
     #[test]

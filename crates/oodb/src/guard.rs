@@ -2,32 +2,32 @@
 //!
 //! [`ConstraintGuard`] is installed into an [`ObjectStore`] via
 //! [`ObjectStore::set_constraints`] and consulted by every
-//! [`Transaction::commit`](crate::Transaction::commit).  It keeps a
-//! **shadow** [`Structure`] — the PathLog image of the store, as produced by
-//! [`ObjectStore::to_structure`] — permanently in sync, so constraint
-//! checking is *incremental*: the shadow's watermarks survive across
-//! commits, and each check re-solves only the constraints whose read keys
-//! intersect the facts the transaction actually changed (see
-//! [`pathlog_core::constraints`]).
+//! [`Transaction::commit`](crate::Transaction::commit).  It owns no
+//! structure: it checks the store's own image ([`ObjectStore::image`]),
+//! which the store's mutators keep current, so constraint checking is
+//! *incremental* — the image's watermarks survive across commits, and each
+//! check re-solves only the constraints whose read keys intersect the facts
+//! changed since the last one (see [`pathlog_core::constraints`]).
 //!
 //! ## Commit protocol
 //!
 //! A commit is **atomic with respect to constraints**: either every change
 //! in the transaction's undo log becomes durable, or none does.
 //!
-//! 1. The transaction's log is replayed onto the shadow (or, if the store
-//!    was mutated out-of-band since the last sync, the shadow is rebuilt
-//!    from scratch — sound, just not incremental).
+//! 1. When `commit` is called the image already holds the transaction's
+//!    changes (and any direct mutation made since the last check), applied
+//!    by the mutators that made them.
 //! 2. The checker re-solves the affected constraints.  Violations that were
 //!    already *accepted* — present at install time, or warned/quarantined by
 //!    an earlier commit and still standing — do not block anything: the
 //!    guard is inconsistency-tolerant and polices **new** damage only.
 //! 3. New violations are dispatched per the violated constraint's
 //!    [`ConstraintPolicy`]:
-//!    * **Reject** — the shadow is reverted, the commit fails with
-//!      [`CommitError::Rejected`], and the transaction's `Drop` rolls the
-//!      store back.  `rolled_back` in the error is the full log length: the
-//!      committed/rolled-back boundary is all-or-nothing by construction.
+//!    * **Reject** — the commit fails with [`CommitError::Rejected`], and
+//!      the transaction's `Drop` rolls the store back through the same
+//!      mutators, which takes the image back with it.  `rolled_back` in the
+//!      error is the full log length: the committed/rolled-back boundary is
+//!      all-or-nothing by construction.
 //!    * **Warn** — the commit succeeds; the violations are listed in
 //!      [`CommitReceipt::warnings`].
 //!    * **Quarantine** — the commit succeeds; the transaction's facts that
@@ -35,6 +35,17 @@
 //!      [`Quarantine`] ledger (not removed), and
 //!      [`ObjectStore::tolerant_query`] degrades gracefully: answers
 //!      depending on tagged facts carry a tainted consistency status.
+//!
+//! A transaction dropped without ever reaching step 2 is undone the same
+//! way.  If the checker had seen everything in the image when it began, the
+//! image then holds the facts of the last check again and the checker's
+//! watermarks are moved past the changes and their inverses
+//! ([`ConstraintChecker::skip_to`]): the abort costs the next check nothing.
+//!
+//! [`ObjectStore::delete_object`] and [`ObjectStore::schema_mut`] drop the
+//! image; the store rebuilds it (at once after a deletion, before the next
+//! transaction or session after a schema change) and the guard starts over
+//! on it as at install time ([`ConstraintGuard::rebaseline`]).
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -51,7 +62,7 @@ use pathlog_core::program::{DepKey, Query};
 use pathlog_core::structure::Structure;
 
 use crate::image::StoreImage;
-use crate::store::{ObjectStore, Value};
+use crate::store::Value;
 use crate::txn::Change;
 
 /// Proof of a successful commit, making the committed/rolled-back boundary
@@ -72,8 +83,7 @@ pub struct CommitReceipt {
     /// were tagged in the quarantine ledger.
     pub quarantined: Vec<ConstraintViolation>,
     /// The epoch this commit published to the store's snapshot serving
-    /// layer — the store `version` after the commit, one version authority
-    /// shared with the guard's out-of-band detection.  `None` when serving
+    /// layer — the store `version` after the commit.  `None` when serving
     /// is inactive (no reader session ever started on the store).
     pub epoch: Option<u64>,
 }
@@ -131,7 +141,7 @@ impl fmt::Display for CommitError {
 
 impl std::error::Error for CommitError {}
 
-/// A quarantined fact remembered by name, so the ledger survives shadow
+/// A quarantined fact remembered by name, so the ledger survives image
 /// rebuilds (oids are not stable across [`ObjectStore::to_structure`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum TaggedFact {
@@ -148,65 +158,79 @@ enum TaggedFact {
     },
 }
 
-/// The installed guard: checker + shadow + quarantine ledger.
+/// The installed guard: checker + accepted violations + quarantine ledger,
+/// all over the store's image ([`ObjectStore::image`](crate::ObjectStore::image)).
 #[derive(Debug, Clone)]
 pub struct ConstraintGuard {
     checker: ConstraintChecker,
-    /// The PathLog image of the store, kept in sync change-by-change (via
-    /// [`StoreImage`]'s log replay) so the checker's watermarks stay valid
-    /// across commits.
-    shadow: StoreImage,
     /// Violations that do not block commits: present at install time, or
     /// admitted by an earlier commit under Warn/Quarantine.  Pruned to the
     /// still-standing ones after every successful commit, so a violation
     /// that gets fixed and later reintroduced counts as new again.
     accepted: BTreeSet<ConstraintViolation>,
-    /// Oid-level quarantine ledger over the current shadow.  Shared with
-    /// the epochs published since it last changed: a commit that tags or
-    /// releases nothing republishes the same ledger.
+    /// Oid-level quarantine ledger over the store's image.  Shared with
+    /// the sessions started since it last changed.
     quarantine: Arc<Quarantine>,
     /// Name-level mirror of the ledger, used to rebuild `quarantine` when
-    /// the shadow is rebuilt.
+    /// the image is rebuilt.
     tagged: Vec<TaggedFact>,
     /// Install-time static-analysis report over the constraint set
     /// (safety of denial bodies, always-empty reads against the store's
     /// image).  Advisory: installation proceeds regardless.
     diagnostics: Diagnostics,
-    /// [`ObjectStore::version`] at the last moment shadow == store.  This
-    /// is the *same* counter the serving layer publishes as the snapshot
-    /// epoch ([`CommitReceipt::epoch`]) — one version authority, so a
-    /// reader session starting between two commits can never make the
-    /// guard look out-of-sync (no shadow-rebuild false positive).
-    synced_version: u64,
+    /// Why the last re-baseline could not check the rebuilt image.  While
+    /// set, every commit fails with it as [`CommitError::Check`]; the next
+    /// rebuild of the image, or a new
+    /// [`ObjectStore::set_constraints`], tries again.
+    baseline_error: Option<String>,
 }
 
 impl ConstraintGuard {
-    /// Build a guard over the store's current contents and check it fully
-    /// once.  Returns the guard and the install-time violations (accepted,
-    /// not fatal — see the module docs).
+    /// Build a guard over the store's `image` and check it fully once.
+    /// Returns the guard and the install-time violations (accepted, not
+    /// fatal — see the module docs).
     pub(crate) fn install(
         constraints: ConstraintSet,
         engine: Engine,
-        store: &ObjectStore,
+        image: &mut StoreImage,
     ) -> pathlog_core::error::Result<(Self, Vec<ConstraintViolation>)> {
-        let mut shadow = StoreImage::of_store(store);
         let diagnostics = AnalysisInput::new()
             .constraints(&constraints)
-            .structure(shadow.structure())
+            .structure(image.structure())
             .run()
             .diagnostics;
         let mut checker = ConstraintChecker::new(constraints, engine);
-        let baseline = checker.check_full(shadow.structure_mut())?;
+        let baseline = checker.check_full(image.structure_mut())?;
         let guard = ConstraintGuard {
             checker,
-            shadow,
             accepted: baseline.iter().cloned().collect(),
             quarantine: Arc::default(),
             tagged: Vec::new(),
             diagnostics,
-            synced_version: store.version(),
+            baseline_error: None,
         };
         Ok((guard, baseline))
+    }
+
+    /// Start over on a rebuilt `image`: install again, then re-tag the
+    /// ledger by name.  Whatever stands now is accepted — this is how damage
+    /// done by [`ObjectStore::delete_object`] enters the baseline.  If the
+    /// full check fails the guard knows nothing about the image and refuses
+    /// every commit with that error (see `baseline_error`).
+    pub(crate) fn rebaseline(&mut self, image: &mut StoreImage) {
+        let tagged = std::mem::take(&mut self.tagged);
+        match Self::install(self.constraints().clone(), self.checker.engine().clone(), image) {
+            Ok((fresh, _)) => *self = fresh,
+            Err(e) => {
+                self.baseline_error = Some(e.to_string());
+                self.quarantine = Arc::default();
+            }
+        }
+        for tag in tagged {
+            self.apply_tag(image, &tag);
+            self.tagged.push(tag);
+        }
+        self.release_cleared_quarantines();
     }
 
     /// The constraints being enforced.
@@ -214,7 +238,8 @@ impl ConstraintGuard {
         self.checker.constraints()
     }
 
-    /// Lifetime checker counters (incremental vs full solves).
+    /// Checker counters (incremental vs full solves) since the guard was
+    /// installed or last re-baselined.
     pub fn stats(&self) -> CheckStats {
         self.checker.stats()
     }
@@ -224,7 +249,7 @@ impl ConstraintGuard {
         &self.quarantine
     }
 
-    /// The ledger's shared handle, for publishing it with an epoch.
+    /// The ledger's shared handle, for handing it to a session.
     pub(crate) fn quarantine_shared(&self) -> &Arc<Quarantine> {
         &self.quarantine
     }
@@ -237,63 +262,50 @@ impl ConstraintGuard {
         &self.diagnostics
     }
 
-    /// The shadow structure (the store's PathLog image, post last sync).
-    pub fn shadow(&self) -> &Structure {
-        self.shadow.structure()
-    }
-
     /// Violations currently tolerated (install-time baseline plus
     /// warned/quarantined ones still standing).
     pub fn accepted(&self) -> &BTreeSet<ConstraintViolation> {
         &self.accepted
     }
 
-    pub(crate) fn synced_version(&self) -> u64 {
-        self.synced_version
+    /// Answer `query` over `image` (the store's) in the guard engine's
+    /// tolerance mode.
+    pub(crate) fn tolerant_query(
+        &self,
+        image: &Structure,
+        query: &Query,
+    ) -> pathlog_core::error::Result<TolerantAnswers> {
+        tolerant_query(self.checker.engine(), image, &self.quarantine, query)
     }
 
-    pub(crate) fn set_synced_version(&mut self, version: u64) {
-        self.synced_version = version;
+    /// Has the checker seen everything `image` holds?
+    pub(crate) fn is_current(&self, image: &StoreImage) -> bool {
+        self.checker.is_current(image.structure())
     }
 
-    /// Answer `query` over the shadow in the guard engine's tolerance mode.
-    pub fn tolerant_query(&self, query: &Query) -> pathlog_core::error::Result<TolerantAnswers> {
-        tolerant_query(self.checker.engine(), self.shadow.structure(), &self.quarantine, query)
+    /// A transaction that began with the checker current was undone, fact
+    /// for fact, before any check saw it: the last check's results stand
+    /// for `image` as it is now.
+    pub(crate) fn skip_undone(&mut self, image: &StoreImage) {
+        self.checker.skip_to(image.structure());
     }
 
-    /// The commit protocol (see the module docs).  `store` already contains
-    /// the transaction's mutations; `log` is its undo log;
-    /// `begin_version` is the store version when the transaction began.
+    /// The commit protocol (see the module docs).  `image` is the store's,
+    /// already holding the transaction's mutations; `log` is its undo log.
     pub(crate) fn check_commit(
         &mut self,
-        store: &ObjectStore,
+        image: &mut StoreImage,
         log: &[Change],
-        begin_version: u64,
     ) -> Result<CommitReceipt, CommitError> {
-        let in_sync = self.synced_version == begin_version;
-        if in_sync {
-            self.shadow.apply(log);
-        } else {
-            // Out-of-band mutations since the last sync: the incremental
-            // window is unsound, rebuild the shadow (which already includes
-            // the transaction's changes) and re-tag the quarantine ledger.
-            self.shadow = StoreImage::of_store(store);
-            self.rebuild_quarantine();
+        if let Some(e) = &self.baseline_error {
+            return Err(CommitError::Check(format!(
+                "the rebuilt image could not be checked: {e}"
+            )));
         }
-        let current = if in_sync {
-            self.checker.check(self.shadow.structure_mut())
-        } else {
-            self.checker.check_full(self.shadow.structure_mut())
-        };
-        let current = match current {
-            Ok(v) => v,
-            Err(e) => {
-                if in_sync {
-                    self.shadow.revert(log);
-                }
-                return Err(CommitError::Check(e.to_string()));
-            }
-        };
+        let current = self
+            .checker
+            .check(image.structure_mut())
+            .map_err(|e| CommitError::Check(e.to_string()))?;
 
         let mut rejected = Vec::new();
         let mut warnings = Vec::new();
@@ -316,10 +328,6 @@ impl ConstraintGuard {
         }
 
         if !rejected.is_empty() {
-            // Whether applied incrementally or baked into a rebuild, the
-            // shadow holds the transaction's changes; undo them so it
-            // matches the store the transaction's `Drop` will roll back to.
-            self.shadow.revert(log);
             return Err(CommitError::Rejected {
                 violations: rejected,
                 rolled_back: log.len(),
@@ -329,7 +337,7 @@ impl ConstraintGuard {
         // Quarantine: tag the transaction's facts that feed each violated
         // constraint (matched on the constraint's read keys).
         for violation in &quarantined {
-            self.tag_transaction_facts(log, violation);
+            self.tag_transaction_facts(image, log, violation);
         }
 
         // The commit stands: newly admitted violations join the accepted
@@ -344,7 +352,6 @@ impl ConstraintGuard {
             .chain(quarantined.iter().cloned())
             .collect();
         self.release_cleared_quarantines();
-        self.synced_version = store.version();
         Ok(CommitReceipt {
             committed: log.len(),
             checked: true,
@@ -357,7 +364,7 @@ impl ConstraintGuard {
     /// Tag the transaction's own additions that feed `violation`'s
     /// constraint: every logged fact whose attribute is one of the
     /// constraint's read keys.
-    fn tag_transaction_facts(&mut self, log: &[Change], violation: &ConstraintViolation) {
+    fn tag_transaction_facts(&mut self, image: &mut StoreImage, log: &[Change], violation: &ConstraintViolation) {
         let Some(constraint) = self.checker.constraints().get(&violation.constraint) else {
             return;
         };
@@ -392,7 +399,7 @@ impl ConstraintGuard {
             }
         }
         for tag in new_tags {
-            self.apply_tag(&tag);
+            self.apply_tag(image, &tag);
             if !self.tagged.contains(&tag) {
                 self.tagged.push(tag);
             }
@@ -400,11 +407,11 @@ impl ConstraintGuard {
     }
 
     /// Mirror one name-level tag into the oid-level ledger.
-    fn apply_tag(&mut self, tag: &TaggedFact) {
+    fn apply_tag(&mut self, image: &mut StoreImage, tag: &TaggedFact) {
         match tag {
             TaggedFact::Scalar { obj, attr, constraint } => {
-                let m = self.shadow.atom(attr);
-                let r = self.shadow.atom(obj);
+                let m = image.atom(attr);
+                let r = image.atom(obj);
                 Arc::make_mut(&mut self.quarantine).tag_scalar(m, r, Vec::new(), constraint.clone());
             }
             TaggedFact::Member {
@@ -413,21 +420,11 @@ impl ConstraintGuard {
                 value,
                 constraint,
             } => {
-                let m = self.shadow.atom(attr);
-                let r = self.shadow.atom(obj);
-                let v = self.shadow.intern(value);
+                let m = image.atom(attr);
+                let r = image.atom(obj);
+                let v = image.intern(value);
                 Arc::make_mut(&mut self.quarantine).tag_set_member(m, r, Vec::new(), v, constraint.clone());
             }
-        }
-    }
-
-    /// Rebuild the oid-level ledger from the name-level mirror after a
-    /// shadow rebuild.
-    fn rebuild_quarantine(&mut self) {
-        self.quarantine = Arc::default();
-        for tag in std::mem::take(&mut self.tagged) {
-            self.apply_tag(&tag);
-            self.tagged.push(tag);
         }
     }
 
@@ -455,6 +452,7 @@ impl ConstraintGuard {
 mod tests {
     use super::*;
     use crate::schema::Schema;
+    use crate::ObjectStore;
     use pathlog_core::builtins::LT;
     use pathlog_core::constraints::{ConsistencyStatus, Constraint};
     use pathlog_core::engine::{EvalOptions, Tolerance};
@@ -494,7 +492,7 @@ mod tests {
     }
 
     /// Two managers above the line, plus `bench` whose salary interns the
-    /// 1000 threshold into the shadow (comparison builtins relate interned
+    /// 1000 threshold into the image (comparison builtins relate interned
     /// integers).
     fn company() -> ObjectStore {
         let mut db = ObjectStore::with_schema(Schema::company());
@@ -631,6 +629,7 @@ mod tests {
         assert!(receipt.warnings.is_empty());
         let guard = db.constraint_guard().unwrap();
         assert!(!guard.quarantine().is_empty(), "violating facts were tagged");
+        let image = db.image().unwrap().structure();
 
         let out = db.tolerant_query(&manager_salaries()).unwrap();
         assert!(out.any_tainted());
@@ -638,7 +637,7 @@ mod tests {
             let is_m1 = answer
                 .bindings
                 .iter()
-                .any(|(var, oid)| var.name() == "X" && guard.shadow().display_name(oid) == "m1");
+                .any(|(var, oid)| var.name() == "X" && image.display_name(oid) == "m1");
             match (&answer.status, is_m1) {
                 (ConsistencyStatus::Tainted(by), true) => {
                     assert!(by.iter().any(|c| &**c == "manager_underpaid"));
@@ -748,43 +747,162 @@ mod tests {
     }
 
     #[test]
-    fn out_of_band_mutations_force_a_sound_rebuild() {
+    fn a_rejected_commit_is_rechecked_by_key_not_in_full() {
         let mut db = company();
         db.set_constraints(
-            [underpaid(ConstraintPolicy::Reject)].into_iter().collect(),
+            [underpaid(ConstraintPolicy::Reject), kid_manager()]
+                .into_iter()
+                .collect(),
+            Engine::new(),
+        )
+        .unwrap();
+        let reject_a_pay_cut = |db: &mut ObjectStore| {
+            let mut txn = db.begin();
+            txn.set("m1", "salary", Value::Int(100)).unwrap();
+            assert!(matches!(txn.commit(), Err(CommitError::Rejected { .. })));
+        };
+        // (the first one names a value never seen before, and a new object
+        // makes any check a full one)
+        reject_a_pay_cut(&mut db);
+        let before = db.constraint_guard().unwrap().stats();
+        // The check saw the change, so the rollback is its inverse in the
+        // image, and the next check narrows by the keys the two touched.
+        reject_a_pay_cut(&mut db);
+        let stats = db.constraint_guard().unwrap().stats();
+        assert_eq!(stats.full_checks, before.full_checks);
+        assert_eq!(
+            stats.retraction_skips,
+            before.retraction_skips + 1,
+            "kid_manager reads nothing the rolled-back commit touched"
+        );
+        assert_eq!(db.get("m1", "salary"), Some(&Value::Int(1500)));
+    }
+
+    #[test]
+    fn a_direct_mutation_is_checked_incrementally_with_the_next_commit() {
+        let mut db = company();
+        db.set_constraints(
+            [underpaid(ConstraintPolicy::Reject), kid_manager()]
+                .into_iter()
+                .collect(),
             Engine::new(),
         )
         .unwrap();
         let installed = db.constraint_guard().unwrap().stats();
 
-        // mutate the store directly, bypassing transactions
-        db.set("m1", "age", Value::Int(55)).unwrap();
+        // mutate the store directly, bypassing transactions: the mutator
+        // itself keeps the image current
+        db.add("m1", "assistants", Value::obj("bench")).unwrap();
 
         let receipt = {
             let mut txn = db.begin();
-            txn.set("m1", "salary", Value::Int(1700)).unwrap();
+            txn.set("m3", "salary", Value::Int(1200)).unwrap();
             txn.commit().unwrap()
         };
         assert!(receipt.is_clean());
         let stats = db.constraint_guard().unwrap().stats();
+        assert_eq!(stats.full_checks, installed.full_checks, "nothing was rebuilt");
         assert_eq!(
-            stats.full_checks,
-            installed.full_checks + 1,
-            "rebuild re-checked everything"
+            stats.condition_solves,
+            installed.condition_solves + 1,
+            "only the salary constraint was re-solved"
         );
 
-        // the rebuilt shadow reflects both mutations and still rejects damage
+        // damage done directly is found by, and attributed to, the next commit
+        db.set("m2", "salary", Value::Int(400)).unwrap();
         let err = {
             let mut txn = db.begin();
-            txn.set("m2", "salary", Value::Int(400)).unwrap();
+            txn.set("m1", "age", Value::Int(56)).unwrap();
             txn.commit().unwrap_err()
         };
         assert!(matches!(err, CommitError::Rejected { .. }));
-        assert_eq!(db.get("m2", "salary"), Some(&Value::Int(1200)));
+        assert_eq!(db.get("m1", "age"), None, "the transaction rolled back");
         assert_eq!(
-            db.get("m1", "age"),
-            Some(&Value::Int(55)),
-            "out-of-band change survives"
+            db.get("m2", "salary"),
+            Some(&Value::Int(400)),
+            "the direct change is not the transaction's to undo"
         );
+
+        // and damage staged in a transaction is still rejected
+        db.set("m2", "salary", Value::Int(1200)).unwrap();
+        let err = {
+            let mut txn = db.begin();
+            txn.set("m3", "salary", Value::Int(400)).unwrap();
+            txn.commit().unwrap_err()
+        };
+        assert!(matches!(err, CommitError::Rejected { .. }));
+        assert_eq!(db.get("m3", "salary"), Some(&Value::Int(1200)));
+    }
+
+    #[test]
+    fn a_dropped_transaction_hides_no_direct_damage() {
+        let mut db = company();
+        // (a named value from the start: no new object below forces the
+        // full check that would find the damage regardless)
+        db.set("bench", "age", Value::Int(400)).unwrap();
+        db.set_constraints(
+            [underpaid(ConstraintPolicy::Reject)].into_iter().collect(),
+            Engine::new(),
+        )
+        .unwrap();
+        db.set("m2", "salary", Value::Int(400)).unwrap();
+        {
+            // begins on an image the checker has not caught up with: undone
+            // unchecked, it must not move the checker past the damage
+            let mut txn = db.begin();
+            txn.set("m3", "salary", Value::Int(1500)).unwrap();
+        }
+        let err = {
+            let mut txn = db.begin();
+            txn.add("m2", "assistants", Value::obj("bench")).unwrap();
+            txn.commit().unwrap_err()
+        };
+        let CommitError::Rejected { violations, .. } = err else {
+            panic!("expected rejection, got {err:?}");
+        };
+        assert!(violations[0].witnesses[1].starts_with("m2[salary"), "{violations:?}");
+    }
+
+    #[test]
+    fn a_dropped_image_is_rebuilt_and_the_guard_starts_over_on_it() {
+        let mut db = company();
+        let engine = Engine::with_options(EvalOptions {
+            tolerance: Tolerance::Tolerant,
+            ..EvalOptions::default()
+        });
+        db.set_constraints([underpaid(ConstraintPolicy::Quarantine)].into_iter().collect(), engine)
+            .unwrap();
+        {
+            let mut txn = db.begin();
+            txn.set("m1", "salary", Value::Int(900)).unwrap();
+            assert_eq!(txn.commit().unwrap().quarantined.len(), 1);
+        }
+        // the image cannot follow a deletion: it is rebuilt from the store
+        // as it is now, the quarantined violation re-accepted and its fact
+        // re-tagged
+        db.delete_object("m3", crate::DeleteMode::Restrict).unwrap();
+        let image = db.image().unwrap().structure();
+        assert!(image.lookup_name(&Name::atom("m3")).is_none());
+        let guard = db.constraint_guard().unwrap();
+        assert_eq!(guard.accepted().len(), 1);
+        assert_eq!(guard.stats().checks, 1, "the re-baseline: the counters restarted");
+        assert!(db.tolerant_query(&manager_salaries()).unwrap().any_tainted());
+
+        // a schema change can only drop it ...
+        db.schema_mut()
+            .attr("badge", crate::AttrKind::Scalar, "employee", crate::Range::Integer)
+            .unwrap();
+        assert!(db.image().is_none());
+        let err = db.tolerant_query(&manager_salaries()).unwrap_err();
+        assert!(err.to_string().contains("no image"), "{err}");
+        // ... until the next transaction, before its first change
+        let receipt = {
+            let mut txn = db.begin();
+            txn.set("m2", "badge", Value::Int(7)).unwrap();
+            txn.commit().unwrap()
+        };
+        assert!(receipt.is_clean(), "{receipt:?}");
+        assert_eq!(db.constraint_guard().unwrap().accepted().len(), 1);
+        assert!(db.tolerant_query(&manager_salaries()).unwrap().any_tainted());
     }
 }

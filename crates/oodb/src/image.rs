@@ -1,27 +1,28 @@
-//! A maintained PathLog image of an [`ObjectStore`](crate::ObjectStore).
+//! The PathLog image of an [`ObjectStore`](crate::ObjectStore).
 //!
-//! Both the constraint guard's shadow and the serving layer's published
-//! snapshots need the same thing: a [`Structure`] that starts as
+//! The constraint guard checks commits against, and the serving layer
+//! publishes snapshots of, one [`Structure`] that starts as
 //! [`ObjectStore::to_structure`](crate::ObjectStore::to_structure) and is
-//! then kept in sync by replaying transaction logs instead of being rebuilt
-//! from scratch.  [`StoreImage`] is that replay logic, extracted from the
-//! guard so there is exactly one implementation of the `Change` → structure
-//! mapping (and one interning convention for the pseudo value classes).
+//! then kept current by the store's own mutators: each of them applies its
+//! one change through the per-change methods below, the one implementation
+//! of the change → structure mapping.  (`to_structure` maps whole stores
+//! with code of its own, tuned for bulk; `tests/properties_serving.rs`
+//! holds the two to the same facts.)
 
 use pathlog_core::prelude::*;
 
 use crate::store::ObjectStore;
-use crate::txn::Change;
 use crate::Value;
 
-/// A [`Structure`] image of an object store, kept current by replaying
-/// transaction undo logs (the crate-private `Change` records).
+/// A [`Structure`] image of an object store, owned by the store (see
+/// [`ObjectStore::image`]) and updated where the store mutates.
 ///
 /// The image's facts are always exactly those of
-/// [`ObjectStore::to_structure`] at the same store version — oid
-/// *assignment* may differ after replays (interning order is append-only),
-/// but `canonical_dump()` is insertion-order invariant, so images built by
-/// different replay histories are bit-identical at the dump level.
+/// [`ObjectStore::to_structure`] — oid *assignment* may differ (interning
+/// is append-only, so the name of a superseded value stays in the table,
+/// still classified into its value class), but `canonical_dump()` is
+/// insertion-order invariant, so the images of two stores with the same
+/// history are bit-identical at the dump level.
 #[derive(Debug, Clone)]
 pub struct StoreImage {
     structure: Structure,
@@ -68,159 +69,49 @@ impl StoreImage {
         self.structure.atom(name)
     }
 
-    /// Replay a transaction's undo log onto the image, in order.
-    pub(crate) fn apply(&mut self, log: &[Change]) {
-        for change in log {
-            match change {
-                Change::ScalarSet {
-                    obj,
-                    attr,
-                    value,
-                    previous,
-                } => {
-                    let m = self.structure.atom(attr);
-                    let r = self.structure.atom(obj);
-                    let v = self.intern(value);
-                    if previous.is_some() {
-                        self.structure.retract_scalar(m, r, &[]);
-                    }
-                    self.structure
-                        .assert_scalar(m, r, &[], v)
-                        .expect("previous scalar value was just retracted");
-                }
-                Change::SetAdded { obj, attr, value } => {
-                    let m = self.structure.atom(attr);
-                    let r = self.structure.atom(obj);
-                    let v = self.intern(value);
-                    self.structure.assert_set_member(m, r, &[], v);
-                }
-                Change::SetRemoved { obj, attr, value } => {
-                    let m = self.structure.atom(attr);
-                    let r = self.structure.atom(obj);
-                    let v = self.intern(value);
-                    self.structure.retract_set_member(m, r, &[], v);
-                }
-                Change::ScalarCleared { obj, attr, .. } => {
-                    let m = self.structure.atom(attr);
-                    let r = self.structure.atom(obj);
-                    self.structure.retract_scalar(m, r, &[]);
-                }
-            }
+    // -- one method per store mutator ---------------------------------------
+
+    /// [`ObjectStore::create`]: a new object, member of `classes` (its own
+    /// class and every superclass — the hierarchy is flattened).
+    pub(crate) fn create<'a>(&mut self, name: &str, classes: impl Iterator<Item = &'a str>) {
+        let o = self.structure.atom(name);
+        for class in classes {
+            let c = self.structure.atom(class);
+            self.structure.add_isa(o, c);
         }
     }
 
-    /// Undo [`StoreImage::apply`]: inverse operations in reverse order,
-    /// mirroring the transaction's own rollback.
-    pub(crate) fn revert(&mut self, log: &[Change]) {
-        for change in log.iter().rev() {
-            match change {
-                Change::ScalarSet {
-                    obj, attr, previous, ..
-                } => {
-                    let m = self.structure.atom(attr);
-                    let r = self.structure.atom(obj);
-                    self.structure.retract_scalar(m, r, &[]);
-                    if let Some(previous) = previous {
-                        let v = self.intern(previous);
-                        self.structure
-                            .assert_scalar(m, r, &[], v)
-                            .expect("restoring a previously valid image value");
-                    }
-                }
-                Change::SetAdded { obj, attr, value } => {
-                    let m = self.structure.atom(attr);
-                    let r = self.structure.atom(obj);
-                    let v = self.intern(value);
-                    self.structure.retract_set_member(m, r, &[], v);
-                }
-                Change::SetRemoved { obj, attr, value } => {
-                    let m = self.structure.atom(attr);
-                    let r = self.structure.atom(obj);
-                    let v = self.intern(value);
-                    self.structure.assert_set_member(m, r, &[], v);
-                }
-                Change::ScalarCleared { obj, attr, previous } => {
-                    let m = self.structure.atom(attr);
-                    let r = self.structure.atom(obj);
-                    let v = self.intern(previous);
-                    self.structure
-                        .assert_scalar(m, r, &[], v)
-                        .expect("restoring a previously cleared image value");
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::Schema;
-
-    fn store() -> ObjectStore {
-        let mut db = ObjectStore::with_schema(Schema::company());
-        db.create("ann", "person").unwrap();
-        db.create("bob", "person").unwrap();
-        db.set("ann", "age", Value::Int(30)).unwrap();
-        db
+    /// [`ObjectStore::set`]: `obj[attr -> value]`, replacing the old value.
+    pub(crate) fn set_scalar(&mut self, obj: &str, attr: &str, value: &Value) {
+        let m = self.structure.atom(attr);
+        let r = self.structure.atom(obj);
+        let v = self.intern(value);
+        self.structure.retract_scalar(m, r, &[]);
+        self.structure
+            .assert_scalar(m, r, &[], v)
+            .expect("the previous scalar value was just retracted");
     }
 
-    /// Two images with the same replay history are bit-identical — the
-    /// invariant the serving cross-checks build on.  (Replay is *not*
-    /// dump-identical to a fresh `to_structure` rebuild: interning is
-    /// append-only, so superseded value names stay in the table.  Identity
-    /// is between identical histories, which is exactly what a sequential
-    /// oracle replays.)
-    #[test]
-    fn identical_histories_are_dump_identical() {
-        let mut db = store();
-        let mut a = StoreImage::of_store(&db);
-        let b0 = a.clone();
-        let mut txn = db.begin();
-        txn.set("ann", "age", Value::Int(31)).unwrap();
-        txn.add("ann", "friends", Value::obj("bob")).unwrap();
-        let log = txn.log_snapshot();
-        txn.commit().unwrap();
-        // one bulk apply vs change-by-change
-        a.apply(&log);
-        let mut b = b0;
-        for change in &log {
-            b.apply(std::slice::from_ref(change));
-        }
-        assert_eq!(a.structure().canonical_dump(), b.structure().canonical_dump());
-        // and the replayed facts match the store semantically
-        let engine = pathlog_core::engine::Engine::new();
-        let q = pathlog_core::program::Query::single(pathlog_core::term::Term::name("ann").filter(
-            pathlog_core::term::Filter::scalar(
-                pathlog_core::term::Term::name("age"),
-                pathlog_core::term::Term::var("A"),
-            ),
-        ));
-        let sols = engine.query(a.structure(), &q).unwrap();
-        assert_eq!(sols.len(), 1, "ann has exactly one (updated) age in the image");
+    /// [`ObjectStore::clear`]: `obj` loses its `attr` value.
+    pub(crate) fn clear_scalar(&mut self, obj: &str, attr: &str) {
+        let m = self.structure.atom(attr);
+        let r = self.structure.atom(obj);
+        self.structure.retract_scalar(m, r, &[]);
     }
 
-    #[test]
-    fn revert_undoes_apply_at_the_fact_level() {
-        let mut db = store();
-        let mut once = StoreImage::of_store(&db);
-        let mut round_trip = once.clone();
-        let mut txn = db.begin();
-        txn.set("ann", "age", Value::Int(40)).unwrap();
-        txn.add("bob", "friends", Value::obj("ann")).unwrap();
-        txn.remove("bob", "friends", &Value::obj("ann")).unwrap();
-        txn.clear("ann", "age").unwrap();
-        txn.set("ann", "age", Value::Int(41)).unwrap();
-        let log = txn.log_snapshot();
-        drop(txn); // roll back the store too
-        once.apply(&log);
-        round_trip.apply(&log);
-        round_trip.revert(&log);
-        round_trip.apply(&log);
-        // revert + re-apply converges on the single-apply image exactly
-        assert_eq!(
-            round_trip.structure().canonical_dump(),
-            once.structure().canonical_dump()
-        );
+    /// [`ObjectStore::add`]: `obj[attr ->> {value}]`.
+    pub(crate) fn add_member(&mut self, obj: &str, attr: &str, value: &Value) {
+        let m = self.structure.atom(attr);
+        let r = self.structure.atom(obj);
+        let v = self.intern(value);
+        self.structure.assert_set_member(m, r, &[], v);
+    }
+
+    /// [`ObjectStore::remove`]: `value` leaves `obj`'s `attr` set.
+    pub(crate) fn remove_member(&mut self, obj: &str, attr: &str, value: &Value) {
+        let m = self.structure.atom(attr);
+        let r = self.structure.atom(obj);
+        let v = self.intern(value);
+        self.structure.retract_set_member(m, r, &[], v);
     }
 }

@@ -13,10 +13,13 @@
 //! pins anymore.
 //!
 //! One version authority: the published epoch **is** the store's `version`
-//! counter — the same number the constraint guard uses for out-of-band
-//! mutation detection.  Starting a session never bumps it, so a session
-//! start racing a commit can never push the guard onto the
-//! full-shadow-rebuild path.
+//! counter.  Every effective mutation bumps it, a rolled-back transaction
+//! puts it back and starting a session leaves it alone, so "the registry's
+//! current epoch equals the store's version" is the whole test for "the
+//! published snapshot is current" — a session started after a rollback
+//! re-pins the epoch it would have pinned before.  What gets published is
+//! always a clone of the store's one image ([`ObjectStore::image`]), which
+//! shares every table the next commit does not touch.
 //!
 //! [`Transaction`]: crate::Transaction
 //! [`SnapshotRegistry`]: pathlog_core::snapshot::SnapshotRegistry
@@ -31,29 +34,13 @@ use pathlog_core::snapshot::{Epoch, PinnedSnapshot, Snapshot, SnapshotRegistry, 
 use pathlog_core::structure::Structure;
 use pathlog_core::term::Term;
 
-use crate::image::StoreImage;
 use crate::store::ObjectStore;
-use crate::txn::Change;
 
-/// The store side of the serving layer: the snapshot registry plus the
-/// bookkeeping needed to publish cheaply (an incrementally maintained
-/// [`StoreImage`] when no guard is installed; the guard's shadow is reused
-/// directly when one is).
+/// The store side of the serving layer: the snapshot registry, present
+/// once a reader session was started.
 #[derive(Debug, Default)]
 pub(crate) struct ServingState {
     registry: Arc<SnapshotRegistry>,
-    /// PathLog image replayed commit-by-commit — maintained only while no
-    /// constraint guard is installed (the guard's shadow already is that
-    /// image, so publishing clones it instead of keeping a second copy).
-    image: Option<StoreImage>,
-    /// Quarantine ledger aligned with the *current* published snapshot
-    /// (the guard's own, shared until a later commit changes a tag).  `None` when the snapshot
-    /// was built without a synced guard; sessions then answer tolerant
-    /// queries with an empty ledger, i.e. everything clean.
-    quarantine: Option<Arc<Quarantine>>,
-    /// Store `version` the current published snapshot reflects.  `None`
-    /// until the first publish.
-    synced_version: Option<u64>,
 }
 
 /// Serving state is deliberately **not** carried across store clones: a
@@ -63,41 +50,6 @@ impl Clone for ServingState {
     fn clone(&self) -> Self {
         ServingState::default()
     }
-}
-
-impl ServingState {
-    /// Publish the store's current image at `version`, preferring the
-    /// guard's shadow (quarantine-aligned) when it is in sync.
-    fn publish(&mut self, store: &ObjectStore, version: u64, log: Option<(&[Change], u64)>) {
-        match store.constraint_guard() {
-            Some(guard) if guard_synced(guard, version) => {
-                self.image = None;
-                self.quarantine = Some(Arc::clone(guard.quarantine_shared()));
-                self.registry.publish(version, Arc::new(guard.shadow().clone()));
-            }
-            _ => {
-                let image = match (self.image.take(), log) {
-                    (Some(mut image), Some((log, begin_version))) if self.synced_version == Some(begin_version) => {
-                        image.apply(log);
-                        image
-                    }
-                    _ => StoreImage::of_store(store),
-                };
-                self.quarantine = None;
-                self.registry.publish(version, Arc::new(image.structure().clone()));
-                self.image = Some(image);
-            }
-        }
-        self.synced_version = Some(version);
-    }
-
-    fn registry(&self) -> &Arc<SnapshotRegistry> {
-        &self.registry
-    }
-}
-
-fn guard_synced(guard: &crate::guard::ConstraintGuard, version: u64) -> bool {
-    guard.synced_version() == version
 }
 
 impl ObjectStore {
@@ -115,47 +67,38 @@ impl ObjectStore {
     /// up to now and none after, bit-identically, for as long as it lives.
     /// Sessions are `Send` and lock-free on the read path — hand them to as
     /// many reader threads as you like while this `&mut self` writer keeps
-    /// committing.  Needs `&mut self` only to lazily build/refresh the
-    /// published snapshot; the store `version` is **not** bumped (one
+    /// committing.  Needs `&mut self` only to build the image on first
+    /// need and publish it; the store `version` is **not** bumped (one
     /// version authority — see the module docs).
     pub fn begin_session_with(&mut self, engine: Engine) -> Session {
-        let version = self.version();
-        let mut serving = self.serving.take().unwrap_or_default();
-        if serving.synced_version != Some(version) {
-            serving.publish(self, version, None);
+        let registry = Arc::clone(&self.serving.get_or_insert_with(Default::default).registry);
+        if registry.current_epoch() != Some(self.version()) {
+            self.ensure_image();
+            self.publish();
         }
-        let pin = serving.registry().pin().expect("a snapshot was just published");
-        let quarantine = serving.quarantine.clone();
-        self.serving = Some(serving);
         Session {
-            pin,
-            quarantine,
+            pin: registry.pin().expect("a snapshot was just published"),
+            quarantine: self
+                .constraint_guard()
+                .map(|guard| Arc::clone(guard.quarantine_shared()))
+                .unwrap_or_default(),
             engine,
         }
     }
 
-    /// Publish the post-commit image as a new epoch.  Returns the epoch
-    /// (the store `version` after the commit), or `None` while serving is
-    /// inactive (no session ever started).
-    pub(crate) fn publish_after_commit(&mut self, log: &[Change], begin_version: u64) -> Option<Epoch> {
-        let mut serving = self.serving.take()?;
-        let version = self.version();
-        serving.publish(self, version, Some((log, begin_version)));
-        self.serving = Some(serving);
-        Some(version)
-    }
-
-    /// After a rollback the store content is back at its `begin_version`
-    /// state; if the published snapshot reflected that state, fast-forward
-    /// the serving sync point past the rollback's version bumps so the next
-    /// session/commit publishes incrementally instead of rebuilding.
-    pub(crate) fn resync_serving_after_rollback(&mut self, begin_version: u64) {
-        let version = self.version();
-        if let Some(serving) = self.serving.as_deref_mut() {
-            if serving.synced_version == Some(begin_version) {
-                serving.synced_version = Some(version);
-            }
-        }
+    /// Publish the image as the epoch of the store's `version` and return
+    /// it — `None` while serving is inactive (no session ever started).
+    /// Sharing makes the clone cost what the commit changed, not what the
+    /// store holds.
+    pub(crate) fn publish(&mut self) -> Option<Epoch> {
+        let serving = self.serving.as_deref()?;
+        let image = self
+            .image()
+            .expect("built when serving started or the transaction began");
+        serving
+            .registry
+            .publish(self.version(), Arc::new(image.structure().clone()));
+        Some(self.version())
     }
 
     /// Lifetime snapshot-serving counters (zeros while serving is
@@ -180,7 +123,7 @@ impl ObjectStore {
 #[derive(Debug)]
 pub struct Session {
     pin: PinnedSnapshot,
-    quarantine: Option<Arc<Quarantine>>,
+    quarantine: Arc<Quarantine>,
     engine: Engine,
 }
 
@@ -226,24 +169,19 @@ impl Session {
     /// Answer a query in inconsistency-tolerant mode against the pinned
     /// snapshot, flagging answers that depend on quarantined facts.
     ///
-    /// The quarantine ledger is the one aligned with this session's epoch
-    /// (the constraint guard's at publish time, shared, not copied).  Sessions whose
-    /// snapshot was built without a synced guard carry an empty ledger, so
-    /// every answer reports clean.
+    /// The quarantine ledger is the constraint guard's when the session
+    /// started (shared, not copied; it changes only with a commit, which
+    /// publishes a new epoch).  A session of an unguarded store carries an
+    /// empty ledger, so every answer reports clean.
     pub fn tolerant_query(&self, query: &Query) -> pathlog_core::error::Result<TolerantAnswers> {
-        static EMPTY: std::sync::OnceLock<Quarantine> = std::sync::OnceLock::new();
-        let quarantine = match self.quarantine.as_deref() {
-            Some(q) => q,
-            None => EMPTY.get_or_init(Quarantine::default),
-        };
-        tolerant_query(&self.engine, self.structure(), quarantine, query)
+        tolerant_query(&self.engine, self.structure(), &self.quarantine, query)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Schema, Value};
+    use crate::{AttrKind, Range, Schema, Value};
     use pathlog_core::term::Filter;
 
     fn store() -> ObjectStore {
@@ -361,6 +299,26 @@ mod tests {
         // The rollback fast-forwarded the sync point; the second session
         // re-pinned the existing snapshot instead of publishing a new one.
         assert_eq!(db.serving_stats().epochs_published, 1);
+    }
+
+    #[test]
+    fn a_schema_change_reaches_the_next_session() {
+        let mut db = store();
+        let before = db.begin_session();
+        db.schema_mut()
+            .attr("badge", AttrKind::Scalar, "employee", Range::Integer)
+            .unwrap();
+        let after = db.begin_session();
+        assert_eq!(
+            after.structure().signatures().len(),
+            db.to_structure().signatures().len(),
+            "the new attribute's signature is in the image"
+        );
+        assert_eq!(
+            after.structure().signatures().len(),
+            before.structure().signatures().len() + 1
+        );
+        assert!(after.epoch() > before.epoch(), "not the stale snapshot re-pinned");
     }
 
     #[test]

@@ -12,7 +12,10 @@ use pathlog_core::names::Name;
 use pathlog_core::structure::{Oid, Signature, Structure};
 
 use crate::error::{Result, StoreError};
+use crate::guard::{CommitError, CommitReceipt};
+use crate::image::StoreImage;
 use crate::schema::{AttrKind, Range, Schema};
+use crate::txn::Change;
 
 /// A value stored in an attribute.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -99,12 +102,18 @@ pub struct ObjectStore {
     sets: HashMap<(ObjId, String), BTreeSet<Value>>,
     /// Tombstones of deleted objects (object ids stay stable).
     deleted: BTreeSet<ObjId>,
-    /// Monotone mutation counter, bumped on every effective change.  The
-    /// constraint guard uses it to detect out-of-band mutations (anything
-    /// not routed through the transaction whose commit it is checking) and
-    /// fall back to a full shadow rebuild instead of trusting stale
-    /// watermarks.
+    /// Mutation counter, bumped on every effective change and put back by a
+    /// rolled-back transaction ([`ObjectStore::rolled_back`]): equal
+    /// versions mean equal contents.  The serving layer publishes it as the
+    /// snapshot epoch.
     version: u64,
+    /// The store's PathLog image — the one structure commits are checked
+    /// against and snapshots are published from.  Built on first need
+    /// ([`ObjectStore::ensure_image`]) and from then on updated by every
+    /// mutator below, so it always holds the facts of
+    /// [`ObjectStore::to_structure`]; dropped by the two operations it
+    /// cannot follow ([`ObjectStore::drop_image`]).
+    image: Option<StoreImage>,
     /// Check-on-commit integrity constraints, if installed (see
     /// [`ObjectStore::set_constraints`]).
     constraints: Option<Box<crate::guard::ConstraintGuard>>,
@@ -134,7 +143,12 @@ impl ObjectStore {
     }
 
     /// Mutable access to the schema (for incremental schema definition).
+    /// The image's signatures and class memberships derive from the schema,
+    /// so the image is dropped — by the call, whether or not the caller
+    /// then changes anything — and rebuilt by the next transaction or
+    /// session.
     pub fn schema_mut(&mut self) -> &mut Schema {
+        self.drop_image();
         &mut self.schema
     }
 
@@ -155,12 +169,75 @@ impl ObjectStore {
         self.by_name.insert(name.to_owned(), id);
         self.by_class.entry(class.to_owned()).or_default().push(id);
         self.version += 1;
+        if let Some(image) = &mut self.image {
+            let classes = self.schema.classes().map(|c| c.name.as_str());
+            image.create(name, classes.filter(|c| self.schema.is_subclass(class, c)));
+        }
         Ok(id)
     }
 
-    /// The current value of the monotone mutation counter.
+    /// The current value of the mutation counter.
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// The store's maintained PathLog image, if one was built (by
+    /// [`ObjectStore::set_constraints`] or a reader session) and not
+    /// dropped since.
+    pub fn image(&self) -> Option<&StoreImage> {
+        self.image.as_ref()
+    }
+
+    /// Build the image unless the store has one — the only place one is
+    /// built.  An installed guard's watermarks, accepted violations and
+    /// quarantine oids belonged to the image that was dropped, so it starts
+    /// over on the new one.
+    pub(crate) fn ensure_image(&mut self) {
+        if self.image.is_none() {
+            let mut image = StoreImage::of_store(self);
+            if let Some(guard) = self.constraints.as_deref_mut() {
+                guard.rebaseline(&mut image);
+            }
+            self.image = Some(image);
+        }
+    }
+
+    /// [`ObjectStore::ensure_image`] if anything reads the image: a guard
+    /// checks it, serving publishes it.
+    pub(crate) fn ensure_image_if_used(&mut self) {
+        if self.constraints.is_some() || self.serving.is_some() {
+            self.ensure_image();
+        }
+    }
+
+    /// Forget the image: [`ObjectStore::delete_object`] cannot be applied
+    /// to it (a structure retracts no is-a pair) and neither can a schema
+    /// change.  The version moves, so no published epoch passes for current.
+    fn drop_image(&mut self) {
+        self.image = None;
+        self.version += 1;
+    }
+
+    /// The commit check: the installed guard looks at the image, which
+    /// already holds the changes of `log`.  Unchecked without a guard.
+    pub(crate) fn check_commit(&mut self, log: &[Change]) -> std::result::Result<CommitReceipt, CommitError> {
+        match self.constraints.as_deref_mut() {
+            Some(guard) => guard.check_commit(self.image.as_mut().expect("built by `begin`"), log),
+            None => Ok(CommitReceipt::unchecked(log.len())),
+        }
+    }
+
+    /// A transaction undid its changes: the contents are those of its
+    /// `begin()` again, and so is the `version` — an epoch published then is
+    /// still the current one.  `unseen` says that the guard was current at
+    /// `begin()` and checked nothing since: the image holds the facts of its
+    /// last check again, and the guard is told so, or it would take the
+    /// changes and their inverses for a delta to re-solve.
+    pub(crate) fn rolled_back(&mut self, version: u64, unseen: bool) {
+        self.version = version;
+        if let (true, Some(guard), Some(image)) = (unseen, self.constraints.as_deref_mut(), &self.image) {
+            guard.skip_undone(image);
+        }
     }
 
     /// The id of a named object.
@@ -202,6 +279,9 @@ impl ObjectStore {
         let taken = self.scalar.remove(&(id, attr.to_owned()));
         if taken.is_some() {
             self.version += 1;
+            if let Some(image) = &mut self.image {
+                image.clear_scalar(&self.objects[id.0 as usize].name, attr);
+            }
         }
         taken
     }
@@ -214,6 +294,9 @@ impl ObjectStore {
             .is_some_and(|s| s.remove(value));
         if removed {
             self.version += 1;
+            if let Some(image) = &mut self.image {
+                image.remove_member(&self.objects[id.0 as usize].name, attr, value);
+            }
         }
         removed
     }
@@ -229,7 +312,8 @@ impl ObjectStore {
         self.scalar.retain(|(oid, _), _| *oid != id);
         self.sets.retain(|(oid, _), _| *oid != id);
         self.deleted.insert(id);
-        self.version += 1;
+        self.drop_image();
+        self.ensure_image_if_used();
     }
 
     /// Objects whose class is exactly `class` or a subclass of it.
@@ -294,6 +378,9 @@ impl ObjectStore {
             .id_of(obj)
             .ok_or_else(|| StoreError::Unknown(format!("object {obj}")))?;
         self.attr_check(id, attr, AttrKind::Scalar, &value)?;
+        if let Some(image) = &mut self.image {
+            image.set_scalar(obj, attr, &value);
+        }
         self.scalar.insert((id, attr.to_owned()), value);
         self.version += 1;
         Ok(())
@@ -305,6 +392,9 @@ impl ObjectStore {
             .id_of(obj)
             .ok_or_else(|| StoreError::Unknown(format!("object {obj}")))?;
         self.attr_check(id, attr, AttrKind::Set, &value)?;
+        if let Some(image) = &mut self.image {
+            image.add_member(obj, attr, &value);
+        }
         if self.sets.entry((id, attr.to_owned())).or_default().insert(value) {
             self.version += 1;
         }
@@ -356,12 +446,16 @@ impl ObjectStore {
     /// Install integrity constraints, checked on every
     /// [`Transaction::commit`](crate::Transaction::commit).
     ///
-    /// The guard keeps a shadow [`Structure`] in sync with the store and
-    /// re-checks **incrementally**: after a transaction, only constraints
-    /// whose read keys intersect the delta are re-solved (see
-    /// [`pathlog_core::constraints`]).  Constraint solving runs on (a clone
-    /// of) `engine`, so pooled engines share worker threads with query
-    /// evaluation; give the engine
+    /// The guard checks against the store's image
+    /// ([`ObjectStore::image`]), which the store's mutators keep current,
+    /// and re-checks **incrementally**: only constraints whose read keys
+    /// intersect the facts changed since the last check are re-solved (see
+    /// [`pathlog_core::constraints`]).  That delta is everything since the
+    /// last check, not just the committing transaction: a direct mutation
+    /// of a guarded store ([`ObjectStore::set`] and friends outside a
+    /// transaction) is checked with, and its damage attributed to, the next
+    /// commit.  Constraint solving runs on (a clone of) `engine`, so pooled
+    /// engines share worker threads with query evaluation; give the engine
     /// [`Tolerance::Tolerant`](pathlog_core::engine::Tolerance) options if
     /// [`ObjectStore::tolerant_query`] should degrade instead of answering
     /// classically.
@@ -374,7 +468,9 @@ impl ObjectStore {
         constraints: pathlog_core::constraints::ConstraintSet,
         engine: pathlog_core::engine::Engine,
     ) -> Result<Vec<pathlog_core::constraints::ConstraintViolation>> {
-        let (guard, baseline) = crate::guard::ConstraintGuard::install(constraints, engine, self)
+        self.ensure_image();
+        let image = self.image.as_mut().expect("just built");
+        let (guard, baseline) = crate::guard::ConstraintGuard::install(constraints, engine, image)
             .map_err(|e| StoreError::Constraint(e.to_string()))?;
         self.constraints = Some(Box::new(guard));
         Ok(baseline)
@@ -391,9 +487,11 @@ impl ObjectStore {
     }
 
     /// Answer a query in inconsistency-tolerant mode: evaluate over the
-    /// guard's shadow structure, flagging answers that depend on quarantined
-    /// facts (see [`pathlog_core::constraints::tolerant_query`]).  Requires
-    /// constraints to be installed.
+    /// store's image, flagging answers that depend on quarantined facts
+    /// (see [`pathlog_core::constraints::tolerant_query`]).  Requires
+    /// constraints to be installed, and the image: between a
+    /// [`ObjectStore::schema_mut`] call and the next transaction or session
+    /// there is none.
     pub fn tolerant_query(
         &self,
         query: &pathlog_core::program::Query,
@@ -402,34 +500,14 @@ impl ObjectStore {
             .constraints
             .as_deref()
             .ok_or_else(|| StoreError::Unknown("constraint guard (none installed)".into()))?;
+        let image = self.image.as_ref().ok_or_else(|| {
+            StoreError::Constraint(
+                "no image: `schema_mut` dropped it, the next transaction or session rebuilds it".into(),
+            )
+        })?;
         guard
-            .tolerant_query(query)
+            .tolerant_query(image.structure(), query)
             .map_err(|e| StoreError::Constraint(e.to_string()))
-    }
-
-    /// Detach the guard for the duration of a commit check (borrow dance:
-    /// the guard needs `&ObjectStore` while being mutated itself).
-    pub(crate) fn take_guard(&mut self) -> Option<Box<crate::guard::ConstraintGuard>> {
-        self.constraints.take()
-    }
-
-    /// Re-attach a guard detached by [`ObjectStore::take_guard`].
-    pub(crate) fn restore_guard(&mut self, guard: Box<crate::guard::ConstraintGuard>) {
-        self.constraints = Some(guard);
-    }
-
-    /// After a transaction rollback the store is back in its pre-transaction
-    /// state.  If the guard was in sync when the transaction began, its
-    /// shadow (never touched, or reverted by a rejected commit) still
-    /// matches — fast-forward its synced version so the next commit keeps
-    /// the incremental path instead of rebuilding.
-    pub(crate) fn resync_guard_after_rollback(&mut self, begin_version: u64) {
-        let version = self.version;
-        if let Some(guard) = self.constraints.as_deref_mut() {
-            if guard.synced_version() == begin_version {
-                guard.set_synced_version(version);
-            }
-        }
     }
 
     /// Convert the store into a PathLog semantic structure: objects with
@@ -622,6 +700,61 @@ mod tests {
         let vehicles = s.lookup_name(&Name::atom("vehicles")).unwrap();
         assert_eq!(s.apply_set(vehicles, e1, &[]).unwrap().len(), 1);
         assert!(s.signatures().len() >= 15, "schema attributes become signatures");
+    }
+
+    /// The scalar facts and set members of a structure, by name.
+    fn facts(s: &Structure) -> BTreeSet<String> {
+        let name = |oid| format!("{:?}", s.name_of(oid));
+        let scalars = s.facts().scalar_facts();
+        let scalars = scalars.map(|f| format!("{}[{} -> {}]", name(f.receiver), name(f.method), name(f.result)));
+        let members = s.facts().set_facts().flat_map(|f| {
+            let members = f.members.iter();
+            members.map(move |&m| format!("{}[{} ->> {}]", name(f.receiver), name(f.method), name(m)))
+        });
+        scalars.chain(members).collect()
+    }
+
+    /// A history with every kind of step the image follows: direct
+    /// mutations, a committed transaction and an aborted one.
+    fn history(db: &mut ObjectStore) {
+        db.ensure_image();
+        db.create("e2", "employee").unwrap();
+        db.add("e2", "friends", Value::obj("e1")).unwrap();
+        let mut txn = db.begin();
+        txn.set("e1", "age", Value::Int(31)).unwrap();
+        txn.remove("e1", "vehicles", &Value::obj("a1")).unwrap();
+        txn.commit().unwrap();
+        let mut txn = db.begin();
+        txn.set("e2", "age", Value::Int(40)).unwrap();
+        txn.add("e1", "friends", Value::obj("e2")).unwrap();
+        txn.remove("e2", "friends", &Value::obj("e1")).unwrap();
+        txn.clear("e1", "age").unwrap();
+        txn.set("e1", "age", Value::Int(41)).unwrap();
+        drop(txn);
+    }
+
+    #[test]
+    fn the_mutators_keep_the_image_and_an_abort_restores_it() {
+        let mut db = small_company();
+        assert!(db.image().is_none(), "nobody needed one yet");
+        history(&mut db);
+        let image = db.image().unwrap().structure();
+        assert_eq!(facts(image), facts(&db.to_structure()));
+        assert!(facts(image).contains(r#"Some(Atom("e1"))[Some(Atom("age")) -> Some(Int(31))]"#));
+        // interning is append-only: the aborted values stay named, and classified
+        let (forty, integer) = (Name::Int(40), Name::atom("integer"));
+        assert!(image.in_class(image.lookup_name(&forty).unwrap(), image.lookup_name(&integer).unwrap()));
+    }
+
+    #[test]
+    fn identical_histories_are_dump_identical() {
+        // the invariant the serving cross-checks build on: what a sequential
+        // oracle replays is exactly an identical history
+        let (mut a, mut b) = (small_company(), small_company());
+        history(&mut a);
+        history(&mut b);
+        let (a, b) = (a.image().unwrap().structure(), b.image().unwrap().structure());
+        assert_eq!(a.canonical_dump(), b.canonical_dump());
     }
 
     #[test]

@@ -22,8 +22,7 @@ pub enum DeleteMode {
     Cascade,
 }
 
-/// One undoable change.  Also the unit of shadow synchronisation: the
-/// constraint guard replays these onto its shadow structure at commit time.
+/// One undoable change.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Change {
     /// A scalar attribute was set to `value`; `previous` restores the old
@@ -126,6 +125,11 @@ impl ObjectStore {
     /// be referenced; with [`DeleteMode::Cascade`] referencing attribute
     /// values are removed first.  The object's own attribute values are
     /// always removed.
+    ///
+    /// The store's image cannot follow a deletion, so a guarded or served
+    /// store rebuilds it here, and an installed guard re-baselines on it:
+    /// violations a deletion leaves standing (a cascade can cause some) are
+    /// accepted like install-time ones, not held against the next commit.
     pub fn delete_object(&mut self, name: &str, mode: DeleteMode) -> Result<()> {
         let id = self
             .id_of(name)
@@ -167,8 +171,14 @@ impl ObjectStore {
     /// Start a transaction; mutations through it are undone on drop unless
     /// [`Transaction::commit`] is called (and succeeds).
     pub fn begin(&mut self) -> Transaction<'_> {
+        // A guard or a publish needs the image at commit, and a dropped one
+        // must be rebuilt (and the guard re-baselined on it) before the
+        // transaction's first change, not with it.
+        self.ensure_image_if_used();
+        let guard_and_image = self.constraint_guard().zip(self.image());
         Transaction {
             begin_version: self.version(),
+            unseen: guard_and_image.is_some_and(|(guard, image)| guard.is_current(image)),
             store: self,
             log: Vec::new(),
             committed: false,
@@ -182,10 +192,14 @@ pub struct Transaction<'a> {
     store: &'a mut ObjectStore,
     log: Vec<Change>,
     committed: bool,
-    /// [`ObjectStore::version`] when the transaction began; the constraint
-    /// guard compares it against its own sync point to decide between
-    /// incremental checking and a full shadow rebuild.
+    /// [`ObjectStore::version`] when the transaction began; a rollback
+    /// puts it back.
     begin_version: u64,
+    /// The guard's checker had seen everything in the image when the
+    /// transaction began, and has seen nothing of the transaction (the
+    /// commit check clears this).  Undone in that state, the transaction
+    /// costs the next check nothing: see [`ObjectStore::rolled_back`].
+    unseen: bool,
 }
 
 impl<'a> Transaction<'a> {
@@ -266,34 +280,17 @@ impl<'a> Transaction<'a> {
     /// [`ObjectStore::begin_session`]); the receipt's
     /// [`epoch`](CommitReceipt::epoch) records it.
     pub fn commit(mut self) -> std::result::Result<CommitReceipt, CommitError> {
-        let Some(mut guard) = self.store.take_guard() else {
-            self.committed = true;
-            let mut receipt = CommitReceipt::unchecked(self.log.len());
-            receipt.epoch = self.store.publish_after_commit(&self.log, self.begin_version);
-            return Ok(receipt);
-        };
-        let outcome = guard.check_commit(self.store, &self.log, self.begin_version);
-        self.store.restore_guard(guard);
-        match outcome {
-            Ok(mut receipt) => {
-                self.committed = true;
-                receipt.epoch = self.store.publish_after_commit(&self.log, self.begin_version);
-                Ok(receipt)
-            }
-            // on Err: `committed` stays false, so dropping `self` rolls back
-            Err(e) => Err(e),
-        }
+        self.unseen = false;
+        // on Err: `committed` stays false, so dropping `self` rolls back
+        let mut receipt = self.store.check_commit(&self.log)?;
+        self.committed = true;
+        receipt.epoch = self.store.publish();
+        Ok(receipt)
     }
 
     /// Number of undoable changes recorded so far.
     pub fn len(&self) -> usize {
         self.log.len()
-    }
-
-    /// A copy of the undo log (for replay tests of [`crate::StoreImage`]).
-    #[cfg(test)]
-    pub(crate) fn log_snapshot(&self) -> Vec<Change> {
-        self.log.clone()
     }
 
     /// `true` if nothing was changed yet.
@@ -307,17 +304,12 @@ impl Drop for Transaction<'_> {
         if self.committed {
             return;
         }
-        // roll back in reverse order
+        // Roll back in reverse order, through the mutators that made the
+        // changes: that takes the image back too.
         for change in self.log.drain(..).rev().collect::<Vec<_>>() {
             change.undo(self.store);
         }
-        // The store is back in its pre-transaction state; if the guard's
-        // shadow (or the serving layer's published snapshot) matched it
-        // then — untouched abort, or reverted by a rejected commit —
-        // fast-forward the sync points past the rollback mutations so the
-        // next commit stays incremental.
-        self.store.resync_guard_after_rollback(self.begin_version);
-        self.store.resync_serving_after_rollback(self.begin_version);
+        self.store.rolled_back(self.begin_version, self.unseen);
     }
 }
 

@@ -11,13 +11,20 @@
 //!   wall-clock, never the published snapshots.
 //! * **Reclamation** — retention entries are freed exactly when the last
 //!   pin drops, observable on the structure `Arc`'s strong count.
+//! * **One image** (PR 15) — whatever reaches the store, and however
+//!   (committed, rejected or dropped transactions, direct mutators,
+//!   `create`, `delete_object`), the store's image holds the facts of a
+//!   fresh `to_structure()`, and an epoch is published by a successful
+//!   commit or by a session that finds the store changed, never by a
+//!   rollback.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use pathlog::core::snapshot::SnapshotRegistry;
-use pathlog::oodb::{CommitError, ObjectStore, Value};
+use pathlog::oodb::{CommitError, DeleteMode, ObjectStore, Session, Transaction, Value};
 use pathlog::prelude::*;
 
 const WAGE_FLOOR: i64 = 40_000;
@@ -36,25 +43,236 @@ fn engine_for(workers: usize) -> Engine {
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
-// ---------------------------------------------------------------- company
+// -------------------------------------------------------------- histories
 
-/// A random guarded-commit attempt over the company store.  Salaries below
-/// the wage floor and self-friendships are staged too — the guard must
-/// reject them identically in every configuration.
+/// One attribute write, the unit both stores' histories are made of.
 #[derive(Debug, Clone)]
-enum CompanyOp {
-    SetSalary { employee: usize, amount: i64 },
-    AddFriend { a: usize, b: usize },
+struct Write {
+    obj: String,
+    attr: &'static str,
+    value: Value,
 }
 
-fn company_ops() -> impl Strategy<Value = Vec<CompanyOp>> {
+impl Write {
+    fn set_valued(&self) -> bool {
+        matches!(self.attr, "friends" | "kids")
+    }
+
+    /// Stage the write in a transaction.  It may name an object a `Delete`
+    /// step removed; nothing is staged then.
+    fn stage(&self, txn: &mut Transaction<'_>) {
+        let _ = match self.set_valued() {
+            true => txn.add(&self.obj, self.attr, self.value.clone()),
+            false => txn.set(&self.obj, self.attr, self.value.clone()),
+        };
+    }
+
+    /// Apply the write to the store directly; `true` if it changed it.
+    fn direct(&self, db: &mut ObjectStore) -> bool {
+        if self.set_valued() {
+            let present = db
+                .get_set(&self.obj, self.attr)
+                .is_some_and(|members| members.contains(&self.value));
+            db.add(&self.obj, self.attr, self.value.clone()).is_ok() && !present
+        } else {
+            db.set(&self.obj, self.attr, self.value.clone()).is_ok()
+        }
+    }
+}
+
+/// How a write reaches the store.
+#[derive(Debug, Clone, Copy)]
+enum Via {
+    /// Through a transaction that commits — or is rejected by the guard.
+    Commit,
+    /// Through a transaction dropped uncommitted.
+    Abort,
+    /// Through the store's own mutator, outside any transaction.
+    Direct,
+}
+
+/// One step of a random history over a store whose objects are drawn from
+/// a fixed pool of names (`Create` and `Delete` index into it).
+#[derive(Debug, Clone)]
+enum Step {
+    Write(Write, Via),
+    Create(usize),
+    Delete(usize),
+}
+
+/// Histories of 1–15 steps: half of them committing writes, the rest
+/// aborted and direct writes, creations and deletions (never of the pool's
+/// first object).
+fn steps(writes: impl Strategy<Value = Write>, pool: usize) -> impl Strategy<Value = Vec<Step>> {
     prop::collection::vec(
-        prop_oneof![
-            (0..EMPLOYEES, 30_000i64..80_000).prop_map(|(employee, amount)| CompanyOp::SetSalary { employee, amount }),
-            (0..EMPLOYEES, 0..EMPLOYEES).prop_map(|(a, b)| CompanyOp::AddFriend { a, b }),
-        ],
+        (writes, 0..10usize, 1..pool).prop_map(|(write, kind, object)| match kind {
+            0..=4 => Step::Write(write, Via::Commit),
+            5 => Step::Write(write, Via::Abort),
+            6 | 7 => Step::Write(write, Via::Direct),
+            8 => Step::Create(object),
+            _ => Step::Delete(object),
+        }),
         1..16,
     )
+}
+
+/// What a structure holds, by name (oids differ between an image that
+/// followed a history and one built afterwards): scalar facts, set
+/// members, is-a pairs, signatures.
+fn named_facts(s: &Structure) -> [BTreeSet<String>; 4] {
+    let name = |oid: Oid| format!("{:?}", s.name_of(oid));
+    let names = |oids: &[Oid]| oids.iter().map(|&o| name(o)).collect::<Vec<_>>().join(",");
+    let scalars = s.facts().scalar_facts();
+    let members = s.facts().set_facts().flat_map(|f| {
+        let members = f.members.iter();
+        members.map(move |&m| (f.method, f.receiver, m))
+    });
+    [
+        scalars
+            .map(|f| format!("{}[{} -> {}]", name(f.receiver), name(f.method), name(f.result)))
+            .collect(),
+        members
+            .map(|(method, receiver, m)| format!("{}[{} ->> {}]", name(receiver), name(method), name(m)))
+            .collect(),
+        s.isa()
+            .pairs_since(0)
+            .map(|(sub, sup)| format!("{} : {}", name(sub), name(sup)))
+            .collect(),
+        s.signatures()
+            .iter()
+            .map(|sig| {
+                let arrow = if sig.set_valued { "=>>" } else { "=>" };
+                let (args, results) = (names(&sig.arg_classes), names(&sig.result_classes));
+                format!("{}[{}@({args}) {arrow} ({results})]", name(sig.class), name(sig.method))
+            })
+            .collect(),
+    ]
+}
+
+/// The one-image invariant: the store's image and a fresh `to_structure()`
+/// hold the same facts.  Interning is append-only, so the image may still
+/// name a value that was overwritten or rolled back, classified into its
+/// value class; those memberships are all it may hold beyond the rebuild.
+fn assert_image_is_the_store(db: &ObjectStore) {
+    let image = db.image().expect("a session was started").structure();
+    let [scalars, members, isa, signatures] = named_facts(image);
+    let [fresh_scalars, fresh_members, fresh_isa, fresh_signatures] = named_facts(&db.to_structure());
+    assert_eq!(scalars, fresh_scalars);
+    assert_eq!(members, fresh_members);
+    assert_eq!(signatures, fresh_signatures);
+    assert!(
+        fresh_isa.is_subset(&isa),
+        "the image lost {:?}",
+        fresh_isa.difference(&isa)
+    );
+    for extra in isa.difference(&fresh_isa) {
+        let value_class = [
+            r#": Some(Atom("integer"))"#,
+            r#": Some(Atom("string"))"#,
+            r#": Some(Atom("atom"))"#,
+        ];
+        assert!(
+            value_class.iter().any(|c| extra.ends_with(c)),
+            "the image invented {extra}"
+        );
+    }
+}
+
+/// A store under a random history.  `published` is what the history should
+/// have cost the registry: one epoch per successful commit, and one per
+/// session that found the store changed outside a commit (`dirty`) — in
+/// particular none for a rejected or dropped transaction.
+struct History {
+    db: ObjectStore,
+    /// Names `Create` / `Delete` steps index into.
+    pool: Vec<String>,
+    /// The class `Create` steps instantiate.
+    class: &'static str,
+    published: usize,
+    dirty: bool,
+}
+
+impl History {
+    fn new(db: ObjectStore, pool: Vec<String>, class: &'static str) -> Self {
+        History {
+            db,
+            pool,
+            class,
+            published: 0,
+            dirty: true,
+        }
+    }
+
+    fn step(&mut self, step: &Step) {
+        match step {
+            Step::Write(write, Via::Direct) => self.dirty |= write.direct(&mut self.db),
+            Step::Write(write, via) => {
+                let mut txn = self.db.begin();
+                write.stage(&mut txn);
+                if matches!(via, Via::Abort) {
+                    return;
+                }
+                match txn.commit() {
+                    Ok(receipt) => {
+                        assert_eq!(receipt.epoch, Some(self.db.version()));
+                        self.published += 1;
+                        self.dirty = false;
+                    }
+                    Err(CommitError::Rejected { .. }) => {}
+                    Err(other) => panic!("unexpected commit outcome: {other}"),
+                }
+            }
+            Step::Create(object) => self.dirty |= self.db.create(&self.pool[*object], self.class).is_ok(),
+            Step::Delete(object) => {
+                self.dirty |= self.db.delete_object(&self.pool[*object], DeleteMode::Cascade).is_ok()
+            }
+        }
+    }
+
+    /// Start a session and hold the store to the invariants.
+    fn session(&mut self, engine: Engine) -> Session {
+        let session = self.db.begin_session_with(engine);
+        self.published += usize::from(std::mem::take(&mut self.dirty));
+        assert_eq!(self.db.serving_stats().epochs_published, self.published);
+        assert_eq!(session.epoch(), self.db.version());
+        assert_image_is_the_store(&self.db);
+        session
+    }
+}
+
+// ---------------------------------------------------------------- company
+
+/// A random write over the guarded company store.  Salaries below the wage
+/// floor and self-friendships are written too — the guard must reject them
+/// identically in every configuration, and when they arrive directly, the
+/// commits after them.
+fn company_write() -> impl Strategy<Value = Write> {
+    prop_oneof![
+        (0..EMPLOYEES, 30_000i64..80_000).prop_map(|(employee, amount)| Write {
+            obj: format!("e{employee}"),
+            attr: "salary",
+            value: Value::Int(amount),
+        }),
+        (0..EMPLOYEES, 0..EMPLOYEES).prop_map(|(a, b)| friendship(a, b)),
+    ]
+}
+
+fn friendship(a: usize, b: usize) -> Write {
+    Write {
+        obj: format!("e{a}"),
+        attr: "friends",
+        value: Value::obj(format!("e{b}")),
+    }
+}
+
+/// The objects of a history: `named` ones that exist from the start, then
+/// three that only a `Create` step brings in.
+fn pool(named: impl Iterator<Item = String>) -> Vec<String> {
+    named.chain((0..3).map(|i| format!("x{i}"))).collect()
+}
+
+fn company_pool() -> Vec<String> {
+    pool((0..EMPLOYEES).map(|i| format!("e{i}")))
 }
 
 fn company_store(workers: usize) -> ObjectStore {
@@ -90,38 +308,29 @@ fn company_store(workers: usize) -> ObjectStore {
     db
 }
 
-/// Apply one commit attempt; `Ok(())` whether the guard accepted or
-/// rejected it (both are part of the history), panicking on anything else.
-fn company_commit(db: &mut ObjectStore, op: &CompanyOp) {
+/// One guarded commit attempt; accepted or rejected (both are part of a
+/// history), panicking on anything else.
+fn company_commit(db: &mut ObjectStore, write: &Write) {
     let mut txn = db.begin();
-    match op {
-        CompanyOp::SetSalary { employee, amount } => {
-            txn.set(&format!("e{employee}"), "salary", Value::Int(*amount))
-                .expect("stage salary");
-        }
-        CompanyOp::AddFriend { a, b } => {
-            txn.add(&format!("e{a}"), "friends", Value::obj(format!("e{b}")))
-                .expect("stage friend edge");
-        }
-    }
+    write.stage(&mut txn);
     match txn.commit() {
         Ok(_) | Err(CommitError::Rejected { .. }) => {}
         Err(other) => panic!("unexpected commit outcome: {other}"),
     }
 }
 
-/// Replay `ops`, pinning a session after the bootstrap and after every
-/// commit attempt.  Once the whole history has landed, each still-pinned
-/// session is re-dumped **on its own thread** and must reproduce the dump
-/// captured at pin time.  Returns the `(epoch, dump)` trace.
-fn company_trace(ops: &[CompanyOp], workers: usize) -> Vec<(Epoch, String)> {
-    let mut db = company_store(workers);
-    let mut pinned = Vec::with_capacity(ops.len() + 1);
-    let bootstrap = db.begin_session();
+/// Replay `steps` over `history`, pinning a session (through `session`)
+/// after the bootstrap and after every step.  Once the whole history has
+/// landed, each still-pinned session is re-dumped **on its own thread** and
+/// must reproduce the dump captured at pin time.  Returns the
+/// `(epoch, dump)` trace.
+fn trace(mut history: History, steps: &[Step], session: impl Fn(&mut History) -> Session) -> Vec<(Epoch, String)> {
+    let mut pinned = Vec::with_capacity(steps.len() + 1);
+    let bootstrap = session(&mut history);
     pinned.push((bootstrap.epoch(), bootstrap.canonical_dump(), bootstrap));
-    for op in ops {
-        company_commit(&mut db, op);
-        let session = db.begin_session();
+    for step in steps {
+        history.step(step);
+        let session = session(&mut history);
         pinned.push((session.epoch(), session.canonical_dump(), session));
     }
     let readers: Vec<_> = pinned
@@ -141,81 +350,63 @@ fn company_trace(ops: &[CompanyOp], workers: usize) -> Vec<(Epoch, String)> {
         .into_iter()
         .map(|h| h.join().expect("reader thread exits cleanly"))
         .collect();
-    assert_eq!(db.pinned_epochs(), 0, "all epochs reclaimed after sessions drop");
+    assert_eq!(
+        history.db.pinned_epochs(),
+        0,
+        "all epochs reclaimed after sessions drop"
+    );
     trace
+}
+
+/// The trace of a history over the guarded company store, constraints
+/// checked on `workers` threads.
+fn company_trace(steps: &[Step], workers: usize) -> Vec<(Epoch, String)> {
+    let history = History::new(company_store(workers), company_pool(), "employee");
+    trace(history, steps, |history| history.session(Engine::new()))
 }
 
 // -------------------------------------------------------------- genealogy
 
-/// A random unguarded mutation over the Section 6 family: kid edges and
-/// age updates, committed without constraints so publishing exercises the
-/// incremental [`StoreImage`](pathlog::oodb::StoreImage) replay path
-/// instead of the guard's shadow.
-#[derive(Debug, Clone)]
-enum FamilyOp {
-    AddKid { parent: usize, child: usize },
-    SetAge { person: usize, age: i64 },
-}
-
 const FAMILY: [&str; 6] = ["peter", "tim", "mary", "sally", "tom", "paul"];
 
-fn family_ops() -> impl Strategy<Value = Vec<FamilyOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0..FAMILY.len(), 0..FAMILY.len()).prop_map(|(parent, child)| FamilyOp::AddKid { parent, child }),
-            (0..FAMILY.len(), 1i64..100).prop_map(|(person, age)| FamilyOp::SetAge { person, age }),
-        ],
-        1..16,
-    )
+/// A random write over the Section 6 family: kid edges and age updates.
+/// The store has no constraints, so its image exists for the sessions
+/// alone.
+fn family_write() -> impl Strategy<Value = Write> {
+    prop_oneof![
+        (0..FAMILY.len(), 0..FAMILY.len()).prop_map(|(parent, child)| Write {
+            obj: FAMILY[parent].into(),
+            attr: "kids",
+            value: Value::obj(FAMILY[child]),
+        }),
+        (0..FAMILY.len(), 1i64..100).prop_map(|(person, age)| Write {
+            obj: FAMILY[person].into(),
+            attr: "age",
+            value: Value::Int(age),
+        }),
+    ]
 }
 
-/// Replay a genealogy history with reader sessions answering a person
-/// query through a parallel engine; same pin-then-re-read-on-a-thread
-/// shape as the company trace.
-fn family_trace(ops: &[FamilyOp], workers: usize) -> Vec<(Epoch, String)> {
-    let mut db = pathlog::datagen::paper_family();
+fn family_pool() -> Vec<String> {
+    pool(FAMILY.iter().map(|name| name.to_string()))
+}
+
+/// The trace of a history over the unguarded genealogy store, with reader
+/// sessions answering a person query through an engine of `workers`
+/// threads.
+fn family_trace(steps: &[Step], workers: usize) -> Vec<(Epoch, String)> {
     let query = Query::single(Term::var("X").isa("person"));
-    let mut pinned = Vec::with_capacity(ops.len());
-    for op in ops {
-        let mut txn = db.begin();
-        match op {
-            FamilyOp::AddKid { parent, child } => {
-                txn.add(FAMILY[*parent], "kids", Value::obj(FAMILY[*child]))
-                    .expect("stage kid edge");
-            }
-            FamilyOp::SetAge { person, age } => {
-                txn.set(FAMILY[*person], "age", Value::Int(*age)).expect("stage age");
-            }
-        }
-        txn.commit().expect("unguarded commit");
-        let session = db.begin_session_with(engine_for(workers));
+    let history = History::new(pathlog::datagen::paper_family(), family_pool(), "person");
+    trace(history, steps, |history| {
+        let session = history.session(engine_for(workers));
         let persons = session.query(&query).expect("person query serves").len();
-        assert_eq!(persons, FAMILY.len(), "mutations never add persons");
-        pinned.push((session.epoch(), session.canonical_dump(), session));
-    }
-    let readers: Vec<_> = pinned
-        .into_iter()
-        .map(|(epoch, at_pin, session)| {
-            std::thread::spawn(move || {
-                assert_eq!(
-                    at_pin,
-                    session.canonical_dump(),
-                    "epoch {epoch}: a pinned session's dump changed under later commits"
-                );
-                (epoch, at_pin)
-            })
-        })
-        .collect();
-    let trace = readers
-        .into_iter()
-        .map(|h| h.join().expect("reader thread exits cleanly"))
-        .collect();
-    assert_eq!(db.pinned_epochs(), 0, "all epochs reclaimed after sessions drop");
-    trace
+        assert_eq!(persons, history.db.members_of("person").len());
+        session
+    })
 }
 
 /// A session pinned at epoch *e* shares its image's storage with the
-/// guard's shadow and with every later epoch (a publish copies nothing
+/// store's image and with every later epoch (a publish copies nothing
 /// that a commit did not touch), so this is the isolation that sharing must
 /// not break: fifty further commit attempts — friend edges added and
 /// removed again, salaries overwritten (a retraction and an assertion
@@ -226,7 +417,7 @@ fn family_trace(ops: &[FamilyOp], workers: usize) -> Vec<(Epoch, String)> {
 fn a_pinned_session_is_untouched_by_fifty_later_commits() {
     let mut db = company_store(1);
     for (a, b) in [(0, 1), (2, 3), (4, 5)] {
-        company_commit(&mut db, &CompanyOp::AddFriend { a, b });
+        company_commit(&mut db, &friendship(a, b));
     }
     let salaries = Query::single(
         Term::var("X")
@@ -297,21 +488,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn company_snapshots_are_isolated_and_engine_independent(ops in company_ops()) {
-        let reference = company_trace(&ops, 1);
-        prop_assert!(reference.len() == ops.len() + 1);
+    fn company_snapshots_are_isolated_and_engine_independent(steps in steps(company_write(), company_pool().len())) {
+        let reference = company_trace(&steps, 1);
+        prop_assert!(reference.len() == steps.len() + 1);
         for workers in WORKERS {
-            let trace = company_trace(&ops, workers);
+            let trace = company_trace(&steps, workers);
             prop_assert_eq!(&trace, &reference, "trace diverged at workers={}", workers);
         }
     }
 
     #[test]
-    fn genealogy_snapshots_are_isolated_and_engine_independent(ops in family_ops()) {
-        let reference = family_trace(&ops, 1);
-        prop_assert!(reference.len() == ops.len());
+    fn genealogy_snapshots_are_isolated_and_engine_independent(steps in steps(family_write(), family_pool().len())) {
+        let reference = family_trace(&steps, 1);
+        prop_assert!(reference.len() == steps.len() + 1);
         for workers in WORKERS {
-            let trace = family_trace(&ops, workers);
+            let trace = family_trace(&steps, workers);
             prop_assert_eq!(&trace, &reference, "trace diverged at workers={}", workers);
         }
     }
