@@ -17,19 +17,16 @@ fn bench_serving(c: &mut Criterion) {
     let employees = 60usize;
     let commits = 40usize;
     for &sessions in &[4usize, 16] {
-        for &workers in &[1usize, 4] {
-            let params = ServingParams {
-                employees,
-                sessions,
-                commits,
-                workers,
-            };
-            group.bench_with_input(
-                BenchmarkId::new("concurrent", format!("sessions{sessions}_workers{workers}")),
-                &params,
-                |b, p| b.iter(|| serving::run(p).reads),
-            );
-        }
+        let params = ServingParams {
+            employees,
+            sessions,
+            commits,
+        };
+        group.bench_with_input(
+            BenchmarkId::new("concurrent", format!("sessions{sessions}")),
+            &params,
+            |b, p| b.iter(|| serving::run(p).reads),
+        );
     }
     group.bench_function(BenchmarkId::new("sequential_oracle", "replay"), |b| {
         b.iter(|| serving::sequential_oracle(employees, commits).len())
@@ -46,7 +43,7 @@ fn bench_publish_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("publish_cost");
     group.sample_size(30);
     for employees in [500usize, 2_000, 10_000] {
-        let mut db = serving::guarded_store(employees, 1);
+        let mut db = serving::guarded_store(employees);
         let image = db.to_structure();
         let friends = image
             .lookup_name(&Name::atom("friends"))

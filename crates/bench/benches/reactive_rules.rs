@@ -1,7 +1,7 @@
 //! Experiment E13: production rules and active triggers over the company
 //! workload (the paper's "other kinds of rule languages"), and the E18
-//! reactive-executor ablation (delta-gated vs full re-matching, pooled vs
-//! sequential condition batches).
+//! reactive ablation (delta-gated vs full production re-matching, plus the
+//! active fan-out workload).
 //!
 //! Series: running the minimum-wage production rule set to quiescence, and
 //! pushing a batch of salary updates through a two-level trigger cascade,
@@ -9,8 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pathlog_bench::{reactive_rules, workloads};
-use pathlog_core::engine::EvalMode;
-use pathlog_reactive::{ActiveOptions, CascadeSchedule, ProductionOptions};
+use pathlog_reactive::ProductionOptions;
 
 fn bench_reactive_rules(c: &mut Criterion) {
     let mut group = c.benchmark_group("e13_reactive_rules");
@@ -33,8 +32,8 @@ fn bench_reactive_rules(c: &mut Criterion) {
     group.finish();
 }
 
-/// The E18 axes: delta-gated vs full production re-matching, and the
-/// active rounds schedule sequential vs pooled at 4 workers.
+/// The E18 arms: delta-gated vs full production re-matching, and the active
+/// fan-out workload.
 fn bench_reactive_executor(c: &mut Criterion) {
     let mut group = c.benchmark_group("e18_reactive_executor");
     group.sample_size(10);
@@ -70,24 +69,9 @@ fn bench_reactive_executor(c: &mut Criterion) {
                 })
             },
         );
-        let rounds = ActiveOptions {
-            schedule: CascadeSchedule::Rounds,
-            ..ActiveOptions::default()
-        };
-        group.bench_with_input(
-            BenchmarkId::new("active_rounds_seq_50", employees),
-            &structure,
-            |b, s| b.iter(|| reactive_rules::active_fanout_updates(s, 50, rounds).0.firings),
-        );
-        let pooled = ActiveOptions {
-            mode: EvalMode::Parallel { workers: 4 },
-            ..rounds
-        };
-        group.bench_with_input(
-            BenchmarkId::new("active_rounds_pooled4_50", employees),
-            &structure,
-            |b, s| b.iter(|| reactive_rules::active_fanout_updates(s, 50, pooled).0.firings),
-        );
+        group.bench_with_input(BenchmarkId::new("active_fanout_50", employees), &structure, |b, s| {
+            b.iter(|| reactive_rules::active_fanout_updates(s, 50).0.firings)
+        });
     }
     group.finish();
 }

@@ -45,8 +45,8 @@ struct Report {
 
 /// The number of hardware threads the host exposes.  Recorded in the JSON
 /// meta block so committed BENCH results are interpretable: on a 1-core
-/// container the parallel arms can only measure scheduling overhead, and a
-/// reader must be able to tell that from the document alone.
+/// container E22's reader threads time-slice with the writer, and a reader
+/// must be able to tell that from the document alone.
 fn detected_cores() -> usize {
     std::thread::available_parallelism().map(usize::from).unwrap_or(1)
 }
@@ -146,9 +146,8 @@ fn main() {
     match args.only.as_deref() {
         None => println!("\nAll experiments finished; answers agreed across PathLog and the baselines."),
         Some("e19") => println!(
-            "\nE19 cross-checks passed: every parallel closure arm's canonical dump was bit-identical \
-             to the sequential reference, and the factorized enumeration matched the materialized \
-             tuples answer-for-answer."
+            "\nE19 cross-checks passed: the factorized enumeration matched the materialized tuples \
+             answer-for-answer."
         ),
         Some("e20") => println!(
             "\nE20 cross-checks passed: incremental check-on-commit rejected the same violations in \
@@ -156,27 +155,24 @@ fn main() {
              and quarantined commits degraded (tainted) answers instead of dropping them."
         ),
         Some("e21") => println!(
-            "\nE21 cross-checks passed: every engine arm (sequential and 2/4/8 workers) was \
-             canonical-dump-identical to the naive oracle with identical model counters, and the \
-             planner counters were positive and mode-independent."
+            "\nE21 cross-checks passed: the planned run was canonical-dump-identical to the naive \
+             oracle with identical model counters, and the planner counters were positive."
         ),
         Some("e22") => println!(
             "\nE22 cross-checks passed: every reader session's pinned canonical dump was \
-             bit-identical to the sequential oracle's dump for that epoch at every sessions x \
-             workers arm, and every retained epoch was reclaimed once its last session dropped."
+             bit-identical to the sequential oracle's dump for that epoch at every session count, \
+             and every retained epoch was reclaimed once its last session dropped."
         ),
         Some(_) => println!(
-            "\nE18 cross-checks passed: pooled reactive evaluation matched the sequential runs \
-             bit-for-bit (firing traces, stats, canonical dumps), and delta-gated matching solved \
-             strictly fewer conditions than full re-matching."
+            "\nE18 cross-checks passed: delta-gated matching fired what full re-matching fired \
+             (firing traces, canonical dumps) while solving strictly fewer conditions."
         ),
     }
     println!("(detected cores: {})", detected_cores());
     if detected_cores() <= 1 {
         println!(
-            "CAVEAT: this host exposes a single hardware thread — the parallel arms \
-             (E16/E18/E21/E22) measure scheduling overhead, not scaling. Re-run on a \
-             multi-core host (CI regenerates the scaling arms when it detects >1 core)."
+            "CAVEAT: this host exposes a single hardware thread — E22's reader threads share it \
+             with the writer, so its latencies measure time-slicing, not concurrency."
         );
     }
     if let Some(path) = args.json {
@@ -192,7 +188,7 @@ fn main() {
     }
 }
 
-/// E1–E16: the full answer-size + timing table set.
+/// E1–E15: the full answer-size + timing table set.
 fn all_experiments(report: &mut Report) {
     let scales = [200usize, 1_000, 5_000];
 
@@ -400,10 +396,8 @@ fn all_experiments(report: &mut Report) {
     let mut rows = Vec::new();
     for &(depth, fanout) in &[(8usize, 2usize), (10, 2)] {
         let s = workloads::genealogy(depth, fanout);
-        // The same program E16 runs through `pathlog_desc_with_mode`, so the
-        // two ablations always benchmark an identical workload.
-        let program = pathlog_parser::parse_program(transitive_closure::PARALLEL_ABLATION_RULES)
-            .expect("ablation program parses");
+        let program =
+            pathlog_parser::parse_program(transitive_closure::ABLATION_RULES).expect("ablation program parses");
         let run = |delta: bool| {
             let mut s2 = s.clone();
             let engine = pathlog_core::engine::Engine::with_options(pathlog_core::engine::EvalOptions {
@@ -431,91 +425,24 @@ fn all_experiments(report: &mut Report) {
         });
     }
     report.table("E15: ablation_delta_driven (semi-naive vs naive evaluation)", rows);
-
-    // E16 — parallel sharded delta evaluation: the same semi-naive workload
-    // with the per-rule delta solves fanned over 1/2/4/8 worker threads.
-    // Every parallel arm is cross-checked against the sequential run: the
-    // derived-member counts and the full EvalStats must be identical (the
-    // merge is canonical, so parallel mode is observationally equal), which
-    // makes this table double as the CI smoke gate for parallel evaluation.
-    let mut rows = Vec::new();
-    for &(depth, fanout) in &[(8usize, 2usize), (10, 2)] {
-        let s = workloads::genealogy(depth, fanout);
-        // Capture the EvalStats from inside the timed closure instead of
-        // re-running the whole fixpoint once more per arm just to fetch them.
-        let mut seq_stats = None;
-        let (seq_members, seq_ms) = time_ms(|| {
-            let (members, stats) =
-                transitive_closure::pathlog_desc_with_mode(&s, pathlog_core::engine::EvalMode::Sequential);
-            seq_stats = Some(stats);
-            members
-        });
-        let seq_stats = seq_stats.expect("sequential arm ran");
-        // Aggregate the arms' counters with EvalStats::merge.  The final
-        // total is implied by the per-arm equality asserts above it — this
-        // exists to exercise the saturating merge end-to-end, not to add
-        // coverage.
-        let mut aggregate = seq_stats;
-        let mut values = vec![
-            ("derived_set_members".into(), seq_members as f64),
-            ("sequential_ms".into(), seq_ms),
-        ];
-        let mut w4_ms = seq_ms;
-        for workers in [1usize, 2, 4, 8] {
-            let mode = pathlog_core::engine::EvalMode::Parallel { workers };
-            let mut par_stats = None;
-            let (members, ms) = time_ms(|| {
-                let (members, stats) = transitive_closure::pathlog_desc_with_mode(&s, mode);
-                par_stats = Some(stats);
-                members
-            });
-            let stats = par_stats.expect("parallel arm ran");
-            assert_eq!(
-                members, seq_members,
-                "parallel ({workers} workers) and sequential answer counts must match"
-            );
-            assert_eq!(
-                stats, seq_stats,
-                "parallel ({workers} workers) and sequential EvalStats must match"
-            );
-            aggregate.merge(&stats);
-            if workers == 4 {
-                w4_ms = ms;
-            }
-            values.push((format!("workers{workers}_ms"), ms));
-        }
-        assert_eq!(
-            aggregate.derived(),
-            seq_stats.derived() * 5,
-            "aggregated totals must be five identical runs"
-        );
-        values.push(("speedup_w4".into(), seq_ms / w4_ms));
-        rows.push(Row {
-            scale: format!("depth={depth} fanout={fanout}"),
-            values,
-        });
-    }
-    report.table("E16: parallel sharded delta evaluation (1/2/4/8 workers)", rows);
 }
 
-/// E18 — reactive evaluation through the executor: the production
-/// classification workload (delta-gated vs full re-match, pooled at 1/2/4/8
-/// workers) and the active-store fan-out workload (snapshot-rounds schedule
-/// at 1/2/4/8 workers, mutations/sec).  Every arm is cross-checked against
-/// the sequential run — firing traces, stats and canonical dumps must be
-/// bit-identical, and delta gating must solve strictly fewer conditions
-/// than full re-matching (counter-asserted, not just timed) — so this table
-/// doubles as the CI gate for pooled reactive evaluation.
+/// E18 — reactive evaluation: the production classification workload
+/// (delta-gated vs full re-match) and the active-store fan-out workload
+/// (mutations/sec).  The production arms are cross-checked — firing traces
+/// and canonical dumps must be identical, and delta gating must solve
+/// strictly fewer conditions than full re-matching (counter-asserted, not
+/// just timed) — so this table doubles as the CI gate for gated matching.
 fn e18_reactive_executor(report: &mut Report) {
-    use pathlog_core::engine::EvalMode;
-    use pathlog_reactive::{ActiveOptions, CascadeSchedule, ProductionOptions};
+    use pathlog_reactive::ProductionOptions;
     let mut rows = Vec::new();
     for &n in &[100usize, 300] {
         let s = workloads::company(n);
 
-        // --- Production arm: sequential delta-gated reference.
-        let (seq_stats, seq_trace, seq_dump) = reactive_rules::production_classify(&s, ProductionOptions::default());
-        let (_, seq_ms) = time_ms(|| {
+        // --- Production arm: the delta-gated reference.
+        let (gated_stats, gated_trace, gated_dump) =
+            reactive_rules::production_classify(&s, ProductionOptions::default());
+        let (_, gated_ms) = time_ms(|| {
             reactive_rules::production_classify(&s, ProductionOptions::default())
                 .0
                 .firings
@@ -527,124 +454,59 @@ fn e18_reactive_executor(report: &mut Report) {
         };
         let (full_stats, full_trace, full_dump) = reactive_rules::production_classify(&s, full_options);
         let (_, full_ms) = time_ms(|| reactive_rules::production_classify(&s, full_options).0.firings);
-        assert_eq!(full_trace, seq_trace, "E18: full re-match must fire identically");
-        assert_eq!(full_dump, seq_dump, "E18: full re-match must reach the same structure");
-        assert_eq!(full_stats.firings, seq_stats.firings);
+        assert_eq!(full_trace, gated_trace, "E18: full re-match must fire identically");
+        assert_eq!(
+            full_dump, gated_dump,
+            "E18: full re-match must reach the same structure"
+        );
+        assert_eq!(full_stats.firings, gated_stats.firings);
         assert!(
-            seq_stats.condition_solves < full_stats.condition_solves,
+            gated_stats.condition_solves < full_stats.condition_solves,
             "E18: delta gating must reduce condition solves ({} vs {})",
-            seq_stats.condition_solves,
+            gated_stats.condition_solves,
             full_stats.condition_solves
         );
-        let mut values = vec![
-            ("production_firings".into(), seq_stats.firings as f64),
-            ("gated_condition_solves".into(), seq_stats.condition_solves as f64),
-            ("full_condition_solves".into(), full_stats.condition_solves as f64),
-            ("production_seq_ms".into(), seq_ms),
-            ("production_full_rematch_ms".into(), full_ms),
-        ];
-        for workers in [1usize, 2, 4, 8] {
-            let options = ProductionOptions {
-                mode: EvalMode::Parallel { workers },
-                ..ProductionOptions::default()
-            };
-            let mut arm = None;
-            let (_, ms) = time_ms(|| {
-                let (stats, trace, dump) = reactive_rules::production_classify(&s, options);
-                let firings = stats.firings;
-                arm = Some((stats, trace, dump));
-                firings
-            });
-            let (stats, trace, dump) = arm.expect("arm ran");
-            assert_eq!(stats, seq_stats, "E18: pooled ({workers}w) production stats must match");
-            assert_eq!(trace, seq_trace, "E18: pooled ({workers}w) firing order must match");
-            assert_eq!(dump, seq_dump, "E18: pooled ({workers}w) structure must match");
-            values.push((format!("production_w{workers}_ms"), ms));
-        }
 
-        // --- Active arm: snapshot-rounds schedule, 3 external mutations per
-        // update; the immediate schedule must agree on this fan-out workload
-        // (no two rules of one event interact).
+        // --- Active arm: 3 external mutations per update.
         let updates = 50usize;
-        let rounds = ActiveOptions {
-            schedule: CascadeSchedule::Rounds,
-            ..ActiveOptions::default()
-        };
-        let (rounds_stats, rounds_dump) = reactive_rules::active_fanout_updates(&s, updates, rounds);
-        let (_, rounds_ms) = time_ms(|| reactive_rules::active_fanout_updates(&s, updates, rounds).0.firings);
-        let (imm_stats, imm_dump) = reactive_rules::active_fanout_updates(&s, updates, ActiveOptions::default());
-        assert_eq!(
-            imm_stats, rounds_stats,
-            "E18: immediate and rounds schedules must agree on the fan-out workload"
-        );
-        assert_eq!(
-            imm_dump, rounds_dump,
-            "E18: the schedules must reach the same structure"
-        );
-        let mutations_per_sec = |ms: f64| (updates as f64 * 3.0) / (ms / 1e3);
-        values.push(("active_firings".into(), rounds_stats.firings as f64));
-        values.push(("active_seq_mutations_per_sec".into(), mutations_per_sec(rounds_ms)));
-        for workers in [1usize, 2, 4, 8] {
-            let options = ActiveOptions {
-                schedule: CascadeSchedule::Rounds,
-                mode: EvalMode::Parallel { workers },
-                ..ActiveOptions::default()
-            };
-            let mut arm = None;
-            let (_, ms) = time_ms(|| {
-                let (stats, dump) = reactive_rules::active_fanout_updates(&s, updates, options);
-                let firings = stats.firings;
-                arm = Some((stats, dump));
-                firings
-            });
-            let (stats, dump) = arm.expect("arm ran");
-            assert_eq!(stats, rounds_stats, "E18: pooled ({workers}w) active stats must match");
-            assert_eq!(
-                dump, rounds_dump,
-                "E18: pooled ({workers}w) active structure must match"
-            );
-            values.push((format!("active_w{workers}_mutations_per_sec"), mutations_per_sec(ms)));
-        }
+        let (active_stats, _) = reactive_rules::active_fanout_updates(&s, updates);
+        let (_, active_ms) = time_ms(|| reactive_rules::active_fanout_updates(&s, updates).0.firings);
         rows.push(Row {
             scale: format!("employees={n}"),
-            values,
+            values: vec![
+                ("production_firings".into(), gated_stats.firings as f64),
+                ("gated_condition_solves".into(), gated_stats.condition_solves as f64),
+                ("full_condition_solves".into(), full_stats.condition_solves as f64),
+                ("production_gated_ms".into(), gated_ms),
+                ("production_full_rematch_ms".into(), full_ms),
+                ("active_firings".into(), active_stats.firings as f64),
+                (
+                    "active_mutations_per_sec".into(),
+                    (updates as f64 * 3.0) / (active_ms / 1e3),
+                ),
+            ],
         });
     }
     report.table(
-        "E18: reactive evaluation through the executor (delta-gated production + pooled active rounds)",
+        "E18: reactive evaluation (delta-gated vs full production re-matching + active fan-out)",
         rows,
     );
 }
 
 /// E19 — columnar fact storage + factorized path answers.  The memory gate
 /// of the columnar refactor: on the depth-10 `desc` closure (at the datagen
-/// scale selected with `--scale`), every parallel closure arm must
-/// produce a canonical dump bit-identical to the sequential reference, the
-/// factorized answer DAG of `X..desc` must enumerate answer-for-answer
+/// scale selected with `--scale`) the factorized answer DAG of `X..desc` must enumerate answer-for-answer
 /// identically to the materialized tuples, and the DAG's peak-RSS increment
 /// is reported against the tuple representation's (factorized measured
 /// first, so allocator reuse biases the comparison *against* it).  The
 /// second table tracks representation size across the E7 depth sweep: DAG
 /// nodes must grow sub-linearly in the tuple count.
 fn e19_columnar_factorized(report: &mut Report, scale: usize) {
-    use pathlog_core::engine::{EvalMode, EvalOptions};
     let tenfold = scale >= 10;
 
     // --- Memory arm: depth-10 transitive closure.
     let s = workloads::genealogy_at_scale(10, 2, tenfold);
     let closed = columnar_factorized::close(&s);
-    let reference = closed.canonical_dump();
-    for workers in [1usize, 2, 4, 8] {
-        let options = EvalOptions {
-            mode: EvalMode::Parallel { workers },
-            ..EvalOptions::default()
-        };
-        let dump = columnar_factorized::closed_dump(&s, options);
-        assert_eq!(
-            dump, reference,
-            "E19 w{workers}: canonical dump must be bit-identical to the sequential reference"
-        );
-    }
     let (fact, fact_kb) = rss::measure(|| columnar_factorized::factorized(&closed));
     let (tuples, tuples_kb) = rss::measure(|| columnar_factorized::materialized(&closed));
     assert!(fact.is_factorized(), "E19: X..desc must take the factorized path");
@@ -721,22 +583,20 @@ fn e19_columnar_factorized(report: &mut Report, scale: usize) {
 /// (the guard installed anew before every transaction, counters summed over
 /// the installs) re-solves everything.  Both arms must reject the same
 /// violations in the same order while the incremental arm performs strictly
-/// fewer condition solves (counter-asserted — the CI gate), and the
-/// pooled-executor arm must agree with the sequential one.  The quarantine
+/// fewer condition solves (counter-asserted — the CI gate).  The quarantine
 /// arm commits pay cuts below the wage floor under
 /// `ConstraintPolicy::Quarantine` and serves the salary query tolerantly:
 /// every classical answer is still served, tainted answers are annotated
 /// rather than dropped.
 fn e20_constraint_commits(report: &mut Report) {
-    use pathlog_core::engine::{Engine, EvalMode, EvalOptions};
     let mut rows = Vec::new();
     for &n in &[100usize, 300] {
         let updates = 100usize;
 
-        let inc = constraints_commit::run_commits(n, updates, false, Engine::new());
-        let (_, inc_ms) = time_ms(|| constraints_commit::run_commits(n, updates, false, Engine::new()).committed);
-        let full = constraints_commit::run_commits(n, updates, true, Engine::new());
-        let (_, full_ms) = time_ms(|| constraints_commit::run_commits(n, updates, true, Engine::new()).committed);
+        let inc = constraints_commit::run_commits(n, updates, false);
+        let (_, inc_ms) = time_ms(|| constraints_commit::run_commits(n, updates, false).committed);
+        let full = constraints_commit::run_commits(n, updates, true);
+        let (_, full_ms) = time_ms(|| constraints_commit::run_commits(n, updates, true).committed);
         assert_eq!(
             inc.rejections, full.rejections,
             "E20: incremental and full re-check must reject the same violations in the same order"
@@ -756,18 +616,6 @@ fn e20_constraint_commits(report: &mut Report) {
             inc.stats.constraints_skipped > 0,
             "E20: delta gating must skip unaffected constraints"
         );
-
-        // The pooled-executor arm must agree with the sequential guard.
-        let pooled_engine = Engine::with_options(EvalOptions {
-            mode: EvalMode::Parallel { workers: 4 },
-            ..EvalOptions::default()
-        });
-        let pooled = constraints_commit::run_commits(n, updates, false, pooled_engine);
-        assert_eq!(
-            pooled.rejections, inc.rejections,
-            "E20: the pooled guard must reject identically to the sequential one"
-        );
-        assert_eq!(pooled.stats.condition_solves, inc.stats.condition_solves);
 
         // Quarantine arm: pay cuts commit tagged; answers degrade, not drop.
         let cuts = 10usize;
@@ -807,15 +655,13 @@ fn e20_constraint_commits(report: &mut Report) {
 
 /// E21 — the cost-based join planner: the filtered-closure workload (a
 /// recursive closure plus a 3-literal join whose written order is
-/// deliberately bad) evaluated sequentially and at 2/4/8 workers.  Every arm
-/// is counter-asserted, not just timed: the model must be bit-identical
-/// (canonical dump) to the naive oracle (`delta_driven: false`) at every
-/// worker count with the same model counters, and the whole `EvalStats` —
-/// planner counters (`plans_compiled`, `replans`, `seed_flips`) included —
-/// positive and mode-independent, so this table doubles as the CI gate for
+/// deliberately bad).  The run is counter-asserted, not just timed: the
+/// model must be bit-identical (canonical dump) to the naive oracle
+/// (`delta_driven: false`) with the same model counters, and the planner
+/// must have compiled the rules, so this table doubles as the CI gate for
 /// planned evaluation.
 fn e21_join_planning(report: &mut Report) {
-    use pathlog_core::engine::{EvalMode, EvalOptions, EvalStats};
+    use pathlog_core::engine::EvalOptions;
 
     let mut rows = Vec::new();
     for &(depth, fanout) in &[(6usize, 2usize), (8, 2), (5, 3)] {
@@ -827,61 +673,35 @@ fn e21_join_planning(report: &mut Report) {
                 ..EvalOptions::default()
             },
         );
-        let mut values = vec![("derived_set_members".into(), oracle_stats.set_members as f64)];
-        let mut seq_stats: Option<EvalStats> = None;
-        for workers in [0usize, 2, 4, 8] {
-            let options = EvalOptions {
-                mode: if workers == 0 {
-                    EvalMode::Sequential
-                } else {
-                    EvalMode::Parallel { workers }
-                },
-                ..EvalOptions::default()
-            };
-            let label = if workers == 0 {
-                "planned_seq_ms".to_string()
-            } else {
-                format!("planned_w{workers}_ms")
-            };
-            let (stats, dump) = join_planning::run(&s, options);
-            assert_eq!(
-                dump, oracle_dump,
-                "E21 {label}: the model must be bit-identical to the naive oracle's"
-            );
-            assert_eq!(
-                stats.model_counters(),
-                oracle_stats.model_counters(),
-                "E21 {label}: model counters must match the naive oracle's"
-            );
-            assert!(stats.plans_compiled > 0, "E21 {label}: the planner must compile rules");
-            match seq_stats {
-                None => seq_stats = Some(stats),
-                Some(expected) => assert_eq!(
-                    stats, expected,
-                    "E21 {label}: EvalStats must not depend on mode or worker count"
-                ),
-            }
-            let (_, ms) = time_ms(|| join_planning::run(&s, options).0.set_members);
-            values.push((label, ms));
-        }
-        let stats = seq_stats.expect("engine arms ran");
-        values.push(("plans_compiled".into(), stats.plans_compiled as f64));
-        values.push(("replans".into(), stats.replans as f64));
-        values.push(("seed_flips".into(), stats.seed_flips as f64));
+        let (stats, dump) = join_planning::run(&s, EvalOptions::default());
+        assert_eq!(
+            dump, oracle_dump,
+            "E21: the model must be bit-identical to the naive oracle's"
+        );
+        assert_eq!(
+            stats.model_counters(),
+            oracle_stats.model_counters(),
+            "E21: model counters must match the naive oracle's"
+        );
+        assert!(stats.plans_compiled > 0, "E21: the planner must compile rules");
+        let (_, ms) = time_ms(|| join_planning::run(&s, EvalOptions::default()).0.set_members);
         rows.push(Row {
             scale: format!("depth={depth} fanout={fanout}"),
-            values,
+            values: vec![
+                ("derived_set_members".into(), oracle_stats.set_members as f64),
+                ("planned_ms".into(), ms),
+                ("plans_compiled".into(), stats.plans_compiled as f64),
+                ("replans".into(), stats.replans as f64),
+                ("seed_flips".into(), stats.seed_flips as f64),
+            ],
         });
     }
-    report.table(
-        "E21: cost-based join planning (filtered closure, oracle-checked, seq/2/4/8 workers)",
-        rows,
-    );
+    report.table("E21: cost-based join planning (filtered closure, oracle-checked)", rows);
 }
 
 /// E22 — the MVCC snapshot serving layer (PR 10): concurrent pinned-snapshot
-/// reader sessions over the single-writer guarded commit pipeline, a
-/// sessions x check-workers grid.  Every arm is oracle-checked, not just
+/// reader sessions over the single-writer guarded commit pipeline, at 4 and
+/// 16 sessions.  Every arm is oracle-checked, not just
 /// timed: each reader reports its pinned epoch's canonical dump, and every
 /// observed `(epoch, dump)` pair must be bit-identical to what a sequential
 /// replay of the identical history records — snapshot isolation holds even
@@ -894,60 +714,53 @@ fn e22_snapshot_serving(report: &mut Report) {
     let oracle = serving::sequential_oracle(employees, commits);
     let mut rows = Vec::new();
     for &sessions in &[4usize, 16] {
-        for &workers in &[1usize, 4] {
-            let params = serving::ServingParams {
-                employees,
-                sessions,
-                commits,
-                workers,
-            };
-            let run = serving::run(&params);
-            assert_eq!(run.committed + run.rejected, commits);
-            assert!(run.rejected > 0, "E22: the schedule must exercise rejected commits");
+        let params = serving::ServingParams {
+            employees,
+            sessions,
+            commits,
+        };
+        let run = serving::run(&params);
+        assert_eq!(run.committed + run.rejected, commits);
+        assert!(run.rejected > 0, "E22: the schedule must exercise rejected commits");
+        assert_eq!(
+            run.dumps.len(),
+            run.committed + 1,
+            "E22: readers must observe every published epoch"
+        );
+        for (epoch, dump) in &run.dumps {
             assert_eq!(
-                run.dumps.len(),
-                run.committed + 1,
-                "E22: readers must observe every published epoch"
+                oracle.get(epoch),
+                Some(dump),
+                "E22: epoch {epoch} dump diverged from the sequential oracle (sessions={sessions})"
             );
-            for (epoch, dump) in &run.dumps {
-                assert_eq!(
-                    oracle.get(epoch),
-                    Some(dump),
-                    "E22: epoch {epoch} dump diverged from the sequential oracle \
-                     (sessions={sessions} workers={workers})"
-                );
-            }
-            let reads_per_epoch = run.reads as f64 / run.stats.epochs_published as f64;
-            let (_, serve_ms) = time_ms(|| serving::run(&params).reads);
-            rows.push(Row {
-                scale: format!("sessions={sessions} workers={workers}"),
-                values: vec![
-                    ("reads".into(), run.reads as f64),
-                    ("epochs_published".into(), run.stats.epochs_published as f64),
-                    ("reads_per_epoch".into(), reads_per_epoch),
-                    ("read_p50_us".into(), serving::percentile_us(&run.read_us, 50.0) as f64),
-                    ("read_p95_us".into(), serving::percentile_us(&run.read_us, 95.0) as f64),
-                    ("read_p99_us".into(), serving::percentile_us(&run.read_us, 99.0) as f64),
-                    (
-                        "commit_p50_us".into(),
-                        serving::percentile_us(&run.commit_us, 50.0) as f64,
-                    ),
-                    (
-                        "commit_p99_us".into(),
-                        serving::percentile_us(&run.commit_us, 99.0) as f64,
-                    ),
-                    ("snapshots_pinned".into(), run.stats.snapshots_pinned as f64),
-                    ("snapshots_reclaimed".into(), run.stats.snapshots_reclaimed as f64),
-                    ("pinned_after".into(), run.pinned_after as f64),
-                    ("run_ms".into(), serve_ms),
-                ],
-            });
         }
+        let reads_per_epoch = run.reads as f64 / run.stats.epochs_published as f64;
+        let (_, serve_ms) = time_ms(|| serving::run(&params).reads);
+        rows.push(Row {
+            scale: format!("sessions={sessions}"),
+            values: vec![
+                ("reads".into(), run.reads as f64),
+                ("epochs_published".into(), run.stats.epochs_published as f64),
+                ("reads_per_epoch".into(), reads_per_epoch),
+                ("read_p50_us".into(), serving::percentile_us(&run.read_us, 50.0) as f64),
+                ("read_p95_us".into(), serving::percentile_us(&run.read_us, 95.0) as f64),
+                ("read_p99_us".into(), serving::percentile_us(&run.read_us, 99.0) as f64),
+                (
+                    "commit_p50_us".into(),
+                    serving::percentile_us(&run.commit_us, 50.0) as f64,
+                ),
+                (
+                    "commit_p99_us".into(),
+                    serving::percentile_us(&run.commit_us, 99.0) as f64,
+                ),
+                ("snapshots_pinned".into(), run.stats.snapshots_pinned as f64),
+                ("snapshots_reclaimed".into(), run.stats.snapshots_reclaimed as f64),
+                ("pinned_after".into(), run.pinned_after as f64),
+                ("run_ms".into(), serve_ms),
+            ],
+        });
     }
-    report.table(
-        "E22: MVCC snapshot serving (reader sessions x check workers, oracle-checked)",
-        rows,
-    );
+    report.table("E22: MVCC snapshot serving (reader sessions, oracle-checked)", rows);
 }
 
 /// Command-line arguments: `[--json <path>] [--only e18|e19|e20|e21|e22] [--scale 1|10]`.

@@ -254,28 +254,13 @@ pub mod transitive_closure {
         tc::transitive_closure(&base).len()
     }
 
-    /// The deep-tree closure workload of the parallel ablation: the `desc`
-    /// rules plus the set-copying summary rule (a second stratum with
-    /// virtual-object heads), the same program as `ablation_delta_driven`.
-    pub const PARALLEL_ABLATION_RULES: &str = "X[desc ->> {Y}] <- X[kids ->> {Y}].\n\
-                                               X[desc ->> {Y}] <- X..desc[kids ->> {Y}].\n\
-                                               X.summary[descendants ->> X..desc] <- X[kids ->> {Y}].";
-
-    /// Evaluate the parallel-ablation program under an explicit evaluation
-    /// mode (semi-naive in both cases); returns the derived set members and
-    /// the run's [`EvalStats`] so callers can cross-check the modes.
-    pub fn pathlog_desc_with_mode(structure: &Structure, mode: EvalMode) -> (usize, EvalStats) {
-        let mut s = structure.clone();
-        let program = parse_program(PARALLEL_ABLATION_RULES).expect("valid rules");
-        let options = EvalOptions {
-            mode,
-            ..EvalOptions::default()
-        };
-        let stats = Engine::with_options(options)
-            .load_program(&mut s, &program)
-            .expect("rules evaluate");
-        (stats.set_members, stats)
-    }
+    /// The deep-tree closure workload of the E15 `delta_driven` ablation:
+    /// the `desc` rules plus the set-copying summary rule (a second stratum
+    /// with virtual-object heads), the same program as the
+    /// `ablation_delta_driven` bench group.
+    pub const ABLATION_RULES: &str = "X[desc ->> {Y}] <- X[kids ->> {Y}].\n\
+                                      X[desc ->> {Y}] <- X..desc[kids ->> {Y}].\n\
+                                      X.summary[descendants ->> X..desc] <- X[kids ->> {Y}].";
 }
 
 /// Experiment E10: parser throughput over the paper's concrete syntax.
@@ -489,18 +474,13 @@ pub mod reactive_rules {
     }
 
     /// E18 active workload: `updates` salary updates through a store whose
-    /// fan-out rule set matches several rules per event (the batch shape the
-    /// pooled rounds schedule parallelises) plus a second-level audit
-    /// cascade.  Each update performs three external mutations (retract
+    /// fan-out rule set matches several rules per event plus a second-level
+    /// audit cascade.  Each update performs three external mutations (retract
     /// salary, retract the stale bonus, assert the new salary).  Returns the
     /// aggregated statistics and the final structure's canonical dump.
-    pub fn active_fanout_updates(
-        structure: &Structure,
-        updates: usize,
-        options: pathlog_reactive::ActiveOptions,
-    ) -> (pathlog_reactive::ActiveStats, String) {
+    pub fn active_fanout_updates(structure: &Structure, updates: usize) -> (pathlog_reactive::ActiveStats, String) {
         use pathlog_reactive::ActiveStats;
-        let mut store = ActiveStore::with_options(structure.clone(), options);
+        let mut store = ActiveStore::new(structure.clone());
         store.add_rule(EcaRule::new(
             "mark-paid",
             Event::ScalarAsserted(Name::atom("salary")),
@@ -741,18 +721,6 @@ pub mod columnar_factorized {
         s
     }
 
-    /// Run the closure under arbitrary options and return the canonical
-    /// dump — the E19 bit-identity cross-check against the sequential
-    /// reference.
-    pub fn closed_dump(structure: &Structure, options: EvalOptions) -> String {
-        let mut s = structure.clone();
-        let program = parse_program(transitive_closure::DESC_RULES).expect("closure rules parse");
-        Engine::with_options(options)
-            .load_program(&mut s, &program)
-            .expect("closure evaluates");
-        s.canonical_dump()
-    }
-
     /// Materialize the exploded answer tuples of [`QUERY`].
     pub fn materialized(closed: &Structure) -> Vec<Answer> {
         let term = parse_term(QUERY).expect("query parses");
@@ -868,10 +836,10 @@ pub mod constraints_commit {
     /// ablation the incremental path is measured against.  (Touching the
     /// store directly would not do: the store's image follows a direct
     /// mutation and the next commit checks it as one more delta.)
-    pub fn run_commits(employees: usize, updates: usize, force_full: bool, engine: Engine) -> CommitRun {
+    pub fn run_commits(employees: usize, updates: usize, force_full: bool) -> CommitRun {
         let mut db = store(employees);
         let baseline = db
-            .set_constraints(constraints(ConstraintPolicy::Reject), engine.clone())
+            .set_constraints(constraints(ConstraintPolicy::Reject), Engine::new())
             .expect("constraints install");
         let (mut committed, mut rejected) = (0usize, 0usize);
         let mut rejections = Vec::new();
@@ -887,7 +855,7 @@ pub mod constraints_commit {
         for i in 0..updates {
             if force_full {
                 retire(&db);
-                db.set_constraints(constraints(ConstraintPolicy::Reject), engine.clone())
+                db.set_constraints(constraints(ConstraintPolicy::Reject), Engine::new())
                     .expect("constraints re-install");
             }
             let a = format!("e{}", i % employees);
@@ -1016,9 +984,6 @@ pub mod serving {
         /// Writer commit attempts (every fifth is rejected by the guard and
         /// publishes no epoch).
         pub commits: usize,
-        /// Constraint-check worker threads on the commit pipeline (`<= 1`
-        /// means a sequential engine).
-        pub workers: usize,
     }
 
     /// The outcome of one serving run.  Construction already asserts the
@@ -1048,25 +1013,11 @@ pub mod serving {
         pub pinned_after: usize,
     }
 
-    fn check_engine(workers: usize) -> Engine {
-        if workers <= 1 {
-            Engine::new()
-        } else {
-            Engine::with_options(EvalOptions {
-                mode: EvalMode::Parallel { workers },
-                ..EvalOptions::default()
-            })
-        }
-    }
-
     /// The guarded store every arm (and the oracle) starts from.
-    pub fn guarded_store(employees: usize, workers: usize) -> ObjectStore {
+    pub fn guarded_store(employees: usize) -> ObjectStore {
         let mut db = constraints_commit::store(employees);
-        db.set_constraints(
-            constraints_commit::constraints(ConstraintPolicy::Reject),
-            check_engine(workers),
-        )
-        .expect("constraints install");
+        db.set_constraints(constraints_commit::constraints(ConstraintPolicy::Reject), Engine::new())
+            .expect("constraints install");
         db
     }
 
@@ -1102,9 +1053,8 @@ pub mod serving {
             employees,
             sessions,
             commits,
-            workers,
         } = *params;
-        let mut db = guarded_store(employees, workers);
+        let mut db = guarded_store(employees);
 
         let (result_tx, result_rx) = mpsc::channel::<(Epoch, String, usize, u64)>();
         let mut feeds = Vec::with_capacity(sessions);
@@ -1208,7 +1158,7 @@ pub mod serving {
     /// Identical histories assign identical oids, so each concurrent
     /// arm's observed dumps must match these bit-for-bit.
     pub fn sequential_oracle(employees: usize, commits: usize) -> BTreeMap<Epoch, String> {
-        let mut db = guarded_store(employees, 1);
+        let mut db = guarded_store(employees);
         let mut dumps = BTreeMap::new();
         let bootstrap = db.begin_session();
         dumps.insert(bootstrap.epoch(), bootstrap.canonical_dump());
@@ -1339,20 +1289,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_ablation_agree() {
-        // The worker counts here must stay aligned with the E16
-        // cross-checks and the CI experiments job: 1/2/4/8.
-        let s = workloads::genealogy(7, 2);
-        let (seq_members, seq_stats) = transitive_closure::pathlog_desc_with_mode(&s, EvalMode::Sequential);
-        for workers in [1usize, 2, 4, 8] {
-            let (members, stats) = transitive_closure::pathlog_desc_with_mode(&s, EvalMode::Parallel { workers });
-            assert_eq!(members, seq_members, "answer counts must match at {workers} workers");
-            assert_eq!(stats, seq_stats, "EvalStats must match at {workers} workers");
-        }
-        assert!(seq_members > 0);
-    }
-
-    #[test]
     fn all_paper_expressions_parse() {
         assert_eq!(parsing::parse_all(), parsing::PAPER_EXPRESSIONS.len());
     }
@@ -1397,8 +1333,8 @@ mod tests {
 
     #[test]
     fn guarded_commits_cross_check_incremental_against_full_rechecks() {
-        let inc = constraints_commit::run_commits(60, 20, false, Engine::new());
-        let full = constraints_commit::run_commits(60, 20, true, Engine::new());
+        let inc = constraints_commit::run_commits(60, 20, false);
+        let full = constraints_commit::run_commits(60, 20, true);
         assert_eq!(inc.rejections, full.rejections, "same violations in the same order");
         assert_eq!(inc.committed, full.committed);
         assert!(inc.rejected > 0);
@@ -1424,7 +1360,6 @@ mod tests {
             employees: 30,
             sessions: 4,
             commits: 15,
-            workers: 2,
         });
         assert_eq!(run.committed + run.rejected, 15);
         assert_eq!(run.rejected, 3);

@@ -18,9 +18,9 @@
 //! watermark windows (the fact store swap-removes slots), so the checker
 //! also snapshots [`Structure::retractions`] and falls back to a full
 //! re-check whenever it moved — sound degradation, never a missed
-//! violation.  Affected constraints are batched through the engine's
-//! pooled condition solving ([`Engine::solve_conditions`]), so checking
-//! parallelises exactly like the reactive layer's recognise phases.
+//! violation.  An affected constraint's body is solved through
+//! [`solve_condition`], the call the reactive layer's recognise phases
+//! make too.  A check only reads the structure it is given.
 //!
 //! **Tolerant degradation.**  Under the `Quarantine` policy a violation
 //! does not roll the data back; the offending facts are *tagged* in a
@@ -38,8 +38,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::analysis::keys_intersect;
-use crate::engine::executor::ConditionTask;
-use crate::engine::{Engine, SortedRun, Tolerance};
+use crate::engine::{solve_condition, Engine, SortedRun, Tolerance};
 use crate::error::Result;
 use crate::names::Name;
 use crate::program::{validate_rule, DepKey, Literal, Query, Rule};
@@ -283,8 +282,8 @@ pub struct CheckStats {
     pub retraction_skips: usize,
 }
 
-/// The incremental constraint checker: watermark-gated, delta-driven,
-/// pooled (see the module docs).
+/// The incremental constraint checker: watermark-gated and delta-driven
+/// (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ConstraintChecker {
     constraints: ConstraintSet,
@@ -304,9 +303,10 @@ pub struct ConstraintChecker {
 }
 
 impl ConstraintChecker {
-    /// A checker over `constraints`, solving on (a clone of) `engine` —
-    /// clones share the engine's worker pool, so checking reuses the same
-    /// threads as evaluation.
+    /// A checker over `constraints`.  The check depends on no engine
+    /// option; `engine` is kept for the owner's queries over the checked
+    /// structure ([`ConstraintChecker::engine`], e.g. its
+    /// [`Tolerance`]).
     pub fn new(constraints: ConstraintSet, engine: Engine) -> Self {
         let cache = vec![Vec::new(); constraints.len()];
         ConstraintChecker {
@@ -325,7 +325,7 @@ impl ConstraintChecker {
         &self.constraints
     }
 
-    /// The engine the checker solves on.
+    /// The engine the checker was built with.
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
@@ -340,7 +340,7 @@ impl ConstraintChecker {
     /// Returns the violations grouped by constraint in declaration order,
     /// each group sorted by valuation — the exact list a full re-check
     /// returns.
-    pub fn check(&mut self, structure: &mut Structure) -> Result<Vec<ConstraintViolation>> {
+    pub fn check(&mut self, structure: &Structure) -> Result<Vec<ConstraintViolation>> {
         let mut via_retraction = false;
         let affected: Vec<usize> = match self.window(structure) {
             None => match self.retraction_affected(structure) {
@@ -384,7 +384,7 @@ impl ConstraintChecker {
     /// Current violations with every constraint re-solved unconditionally —
     /// the classical baseline (and the oracle the property tests compare
     /// [`ConstraintChecker::check`] against).
-    pub fn check_full(&mut self, structure: &mut Structure) -> Result<Vec<ConstraintViolation>> {
+    pub fn check_full(&mut self, structure: &Structure) -> Result<Vec<ConstraintViolation>> {
         let all: Vec<usize> = (0..self.constraints.len()).collect();
         self.stats.checks += 1;
         if !all.is_empty() {
@@ -478,27 +478,17 @@ impl ConstraintChecker {
         )
     }
 
-    /// Solve the bodies of the `affected` constraints as one pooled
-    /// condition batch and refresh their cache entries.
-    fn solve_into_cache(&mut self, structure: &mut Structure, affected: &[usize]) -> Result<()> {
-        if affected.is_empty() {
-            return Ok(());
-        }
-        let bodies: Arc<[Vec<Literal>]> = affected
+    /// Solve the bodies of the `affected` constraints and refresh their
+    /// cache entries — all of them, or on an error none.
+    fn solve_into_cache(&mut self, structure: &Structure, affected: &[usize]) -> Result<()> {
+        self.stats.condition_solves += affected.len();
+        let constraints = &self.constraints.constraints;
+        let runs = affected
             .iter()
-            .map(|&i| self.constraints.constraints[i].body.clone())
-            .collect::<Vec<_>>()
-            .into();
-        let tasks: Vec<ConditionTask> = (0..affected.len())
-            .map(|body| ConditionTask {
-                body,
-                seed: Bindings::new(),
-            })
-            .collect();
-        self.stats.condition_solves += tasks.len();
-        let runs = self.engine.solve_conditions(structure, bodies, tasks)?;
+            .map(|&i| solve_condition(structure, &constraints[i].body, &Bindings::new()))
+            .collect::<Result<Vec<SortedRun>>>()?;
         for (&i, run) in affected.iter().zip(runs) {
-            self.cache[i] = violations_of(&self.constraints.constraints[i], structure, run);
+            self.cache[i] = violations_of(&constraints[i], structure, run);
         }
         Ok(())
     }
@@ -749,7 +739,7 @@ pub fn tolerant_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EvalMode, EvalOptions};
+    use crate::engine::EvalOptions;
     use crate::names::Var;
 
     /// mary is a manager earning 900; peter a manager earning 1200.
@@ -795,9 +785,9 @@ mod tests {
 
     #[test]
     fn violations_carry_binding_and_ground_witnesses() {
-        let (mut s, engine) = fixture();
+        let (s, engine) = fixture();
         let mut checker = ConstraintChecker::new([underpaid()].into_iter().collect(), engine);
-        let violations = checker.check(&mut s).unwrap();
+        let violations = checker.check(&s).unwrap();
         assert_eq!(violations.len(), 1);
         let v = &violations[0];
         assert_eq!(&*v.constraint, "manager_underpaid");
@@ -827,7 +817,7 @@ mod tests {
         };
         let set: ConstraintSet = [underpaid(), kids_orphan].into_iter().collect();
         let mut checker = ConstraintChecker::new(set, engine.clone());
-        let first = checker.check(&mut s).unwrap();
+        let first = checker.check(&s).unwrap();
         assert_eq!(first.len(), 1);
         assert_eq!(checker.stats().condition_solves, 2, "first check solves everything");
 
@@ -838,11 +828,11 @@ mod tests {
         let cheap = s.int(10);
         let manager = s.lookup_name(&Name::atom("manager")).unwrap();
         s.add_isa(anna, manager);
-        checker.check(&mut s).unwrap();
+        checker.check(&s).unwrap();
         let base = checker.stats().condition_solves;
         // A salary-only mutation: only the salary-reading constraint re-solves.
         s.assert_scalar(salary, anna, &[], cheap).unwrap();
-        let after = checker.check(&mut s).unwrap();
+        let after = checker.check(&s).unwrap();
         assert_eq!(after.len(), 2, "anna now violates underpaid too");
         assert_eq!(
             checker.stats().condition_solves,
@@ -852,7 +842,7 @@ mod tests {
         assert!(checker.stats().constraints_skipped >= 1);
 
         // No mutation at all: nothing re-solves, the cache answers.
-        let again = checker.check(&mut s).unwrap();
+        let again = checker.check(&s).unwrap();
         assert_eq!(again, after);
         assert_eq!(checker.stats().condition_solves, base + 1);
     }
@@ -861,7 +851,7 @@ mod tests {
     fn retraction_forces_a_sound_full_recheck() {
         let (mut s, engine) = fixture();
         let mut checker = ConstraintChecker::new([underpaid()].into_iter().collect(), engine);
-        assert_eq!(checker.check(&mut s).unwrap().len(), 1);
+        assert_eq!(checker.check(&s).unwrap().len(), 1);
         // Repair the violation by retracting mary's salary: a delta view
         // cannot see retractions, but the mutation journal reports `salary`
         // as touched, which the constraint reads — so it re-solves and
@@ -870,7 +860,7 @@ mod tests {
         let mary = s.lookup_name(&Name::atom("mary")).unwrap();
         assert!(s.retract_scalar(salary, mary, &[]).is_some());
         let solves_before = checker.stats().condition_solves;
-        assert!(checker.check(&mut s).unwrap().is_empty());
+        assert!(checker.check(&s).unwrap().is_empty());
         assert_eq!(checker.stats().condition_solves, solves_before + 1);
         assert_eq!(checker.stats().retraction_skips, 0);
     }
@@ -884,13 +874,13 @@ mod tests {
         let chess = s.atom("chess");
         s.assert_scalar(hobby, mary, &[], chess).unwrap();
         let mut checker = ConstraintChecker::new([underpaid()].into_iter().collect(), engine);
-        assert_eq!(checker.check(&mut s).unwrap().len(), 1);
+        assert_eq!(checker.check(&s).unwrap().len(), 1);
         let solves_before = checker.stats().condition_solves;
         // Retracting mary's hobby touches no key `underpaid` reads: the
         // journal-gated retraction path keeps the cached violation instead
         // of re-solving.
         assert!(s.retract_scalar(hobby, mary, &[]).is_some());
-        let violations = checker.check(&mut s).unwrap();
+        let violations = checker.check(&s).unwrap();
         assert_eq!(violations.len(), 1, "cached violation survives");
         assert_eq!(checker.stats().condition_solves, solves_before);
         assert_eq!(checker.stats().retraction_skips, 1);
@@ -898,7 +888,7 @@ mod tests {
         // through a *related* retraction is still observed.
         let salary = s.lookup_name(&Name::atom("salary")).unwrap();
         assert!(s.retract_scalar(salary, mary, &[]).is_some());
-        assert!(checker.check(&mut s).unwrap().is_empty());
+        assert!(checker.check(&s).unwrap().is_empty());
         assert_eq!(checker.stats().condition_solves, solves_before + 1);
     }
 
@@ -910,13 +900,13 @@ mod tests {
         let chess = s.atom("chess");
         s.assert_scalar(hobby, mary, &[], chess).unwrap();
         let mut checker = ConstraintChecker::new([underpaid()].into_iter().collect(), engine);
-        checker.check(&mut s).unwrap();
+        checker.check(&s).unwrap();
         let solves_before = checker.stats().condition_solves;
         // An unrelated retraction *plus* a new object in the same span:
         // the conservative catch-all wins and everything re-solves.
         assert!(s.retract_scalar(hobby, mary, &[]).is_some());
         s.atom("brand_new");
-        checker.check(&mut s).unwrap();
+        checker.check(&s).unwrap();
         assert_eq!(checker.stats().condition_solves, solves_before + 1);
         assert_eq!(checker.stats().retraction_skips, 0);
     }
@@ -925,7 +915,7 @@ mod tests {
     fn an_undone_span_can_be_skipped() {
         let (mut s, engine) = fixture();
         let mut checker = ConstraintChecker::new([underpaid()].into_iter().collect(), engine);
-        let before = checker.check(&mut s).unwrap();
+        let before = checker.check(&s).unwrap();
         assert!(checker.is_current(&s));
         // Overwrite mary's salary with a value never named before, then put
         // the old one back: the facts are those of the check again.
@@ -940,42 +930,25 @@ mod tests {
         let stats = checker.stats();
         checker.skip_to(&s);
         assert!(checker.is_current(&s));
-        assert_eq!(checker.check(&mut s).unwrap(), before, "the cache answers");
+        assert_eq!(checker.check(&s).unwrap(), before, "the cache answers");
         assert_eq!(checker.stats().condition_solves, stats.condition_solves);
         assert_eq!(checker.stats().full_checks, stats.full_checks);
     }
 
     #[test]
-    fn incremental_equals_full_recheck_sequentially_and_pooled() {
-        for options in [
-            EvalOptions::default(),
-            EvalOptions {
-                mode: EvalMode::Parallel { workers: 4 },
-                ..EvalOptions::default()
-            },
-        ] {
-            let (mut s, _) = fixture();
-            let engine = Engine::with_options(options);
-            let set = || -> ConstraintSet { [underpaid()].into_iter().collect() };
-            let mut incremental = ConstraintChecker::new(set(), engine.clone());
-            let mut full = ConstraintChecker::new(set(), engine.clone());
-            assert_eq!(
-                incremental.check(&mut s).unwrap(),
-                full.check_full(&mut s).unwrap(),
-                "{options:?}"
-            );
-            let anna = s.atom("anna");
-            let manager = s.lookup_name(&Name::atom("manager")).unwrap();
-            let salary = s.lookup_name(&Name::atom("salary")).unwrap();
-            let low = s.int(3);
-            s.add_isa(anna, manager);
-            s.assert_scalar(salary, anna, &[], low).unwrap();
-            assert_eq!(
-                incremental.check(&mut s).unwrap(),
-                full.check_full(&mut s).unwrap(),
-                "{options:?}"
-            );
-        }
+    fn incremental_equals_full_recheck() {
+        let (mut s, engine) = fixture();
+        let set = || -> ConstraintSet { [underpaid()].into_iter().collect() };
+        let mut incremental = ConstraintChecker::new(set(), engine.clone());
+        let mut full = ConstraintChecker::new(set(), engine);
+        assert_eq!(incremental.check(&s).unwrap(), full.check_full(&s).unwrap());
+        let anna = s.atom("anna");
+        let manager = s.lookup_name(&Name::atom("manager")).unwrap();
+        let salary = s.lookup_name(&Name::atom("salary")).unwrap();
+        let low = s.int(3);
+        s.add_isa(anna, manager);
+        s.assert_scalar(salary, anna, &[], low).unwrap();
+        assert_eq!(incremental.check(&s).unwrap(), full.check_full(&s).unwrap());
     }
 
     #[test]

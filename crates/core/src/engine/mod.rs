@@ -39,36 +39,32 @@
 //! and the tests require every other configuration to reproduce its
 //! `canonical_dump()` byte for byte.
 //!
-//! There is one schedule, one executor and one delta-pass evaluator.  Every
+//! There is one schedule, one delta-pass evaluator and one thread.  Every
 //! stratum iteration is a two-phase commit: a single **snapshot window**
 //! ([`SnapshotWindow`], watermarks over the `Facts`/`Isa` insertion logs) is
 //! captured at the iteration boundary and shared by all rules of the
-//! stratum; every affected rule's `(rule, drivable literal, delta shard)`
-//! task — in a stratum's first iteration, one full solve per proper rule —
-//! is scheduled into one work queue and solved against the *frozen*
-//! structure (phase 1); then the single writer commits each rule's solutions
-//! in stratum order, each rule's delta runs k-way-merged in canonical
-//! `binding_key` order, and in the first iteration each fact where it stands
-//! in that order (phase 2).  Delta tasks run through the compiled slot-frame
-//! bodies of [`crate::plan`], in the literal order its cost-based planner
-//! picks per iteration; full solves run through [`solve_body`].  The queue is
-//! handed to the [`Executor`]: inline on the calling thread under
-//! [`EvalMode::Sequential`], fanned out over a persistent [`WorkerPool`]
-//! (created once per engine, shared by its clones) under
-//! [`EvalMode::Parallel`].  Because phase 1 is pure and phase 2 is a
-//! deterministic function of its outputs, a parallel run is **bit-identical**
-//! to a sequential one — same model, same insertion logs, same
-//! virtual-object ids, same [`EvalStats`] — no matter how many workers
-//! executed the queue.  Full solves and query enumeration need no sort: their
-//! order is deterministic because every fact/signature index iterates an
-//! ordered container (the one hash-ordered path, the argument-tuple
-//! application index, is a `BTreeMap` precisely so that virtual-object
-//! allocation cannot drift between runs).
+//! stratum; every affected rule's `(rule, drivable literal)` task — in a
+//! stratum's first iteration, one full solve per proper rule — is planned
+//! into one task list and solved, in order, against the structure as it
+//! stands at the boundary (phase 1, which only reads); then the same thread
+//! commits each rule's solutions in stratum order, each rule's delta runs
+//! k-way-merged in canonical `binding_key` order ([`merge_sorted_runs`]), and
+//! in the first iteration each fact where it stands in that order
+//! (phase 2).  Delta tasks run through the compiled slot-frame bodies of
+//! [`crate::plan`], in the literal order its cost-based planner picks per
+//! iteration; full solves run through [`solve_body`].  Phase 2 is a
+//! deterministic function of the structure's content, so two runs of one
+//! program over equal structures are **bit-identical** — same model, same
+//! insertion logs, same virtual-object ids, same [`EvalStats`].  Full solves
+//! and query enumeration need no sort: their order is deterministic because
+//! every fact/signature index iterates an ordered container (the one
+//! hash-ordered path, the argument-tuple application index, is a `BTreeMap`
+//! precisely so that virtual-object allocation cannot drift between runs).
 //!
 //! Because every two-phase commit above is all-or-nothing at the iteration
 //! boundary, the same machinery carries the **check-on-commit** integrity
 //! constraints of [`crate::constraints`]: a [`ConstraintChecker`] re-solves
-//! (through [`Engine::solve_conditions`], batched like reactive recognise
+//! (through [`solve_condition`], like the reactive layer's recognise
 //! phases) only the denial rules whose read keys intersect a mutation
 //! batch's delta, and the object store's transaction layer
 //! (`pathlog_oodb::Transaction::commit`) either commits a batch whose check
@@ -101,20 +97,16 @@
 //! runs in `pathlog_shell --check`, the oodb constraint guard and the
 //! reactive installers.
 
-pub mod executor;
+mod runs;
 mod stratify;
 mod virtuals;
 
-pub use executor::{
-    binding_key, merge_sorted_runs, sorted_run, BindingKey, ConditionBatch, ConditionTask, Executor, FaultControl,
-    SolveBatch, SolveOutput, SolveTask, SortedRun, WorkerPool,
-};
+pub use runs::{binding_key, merge_sorted_runs, sorted_run, BindingKey, SortedRun};
+use runs::{SolveOutput, SolveTask};
 pub use stratify::{stratify, Stratification};
 pub use virtuals::{assert_head, AssertEffect, AssertOptions};
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
 
 use crate::error::{Error, LimitKind, Result};
 use crate::names::Name;
@@ -123,27 +115,6 @@ use crate::program::{literal_reads, DepKey, Literal, Program, Query, Rule, RuleI
 use crate::semantics::{answers, Answer, Bindings, DeltaView, EvalMarks, FactorizedAnswers, SnapshotWindow};
 use crate::structure::{Oid, Structure};
 use crate::term::Term;
-
-/// Whether solve work is fanned out over worker threads.
-///
-/// Workers only read the shared `Structure` and immutable [`DeltaView`]
-/// slices; the single writer (the engine loop) merges their locally sorted
-/// solution runs in canonical order before asserting, so a parallel run
-/// produces a bit-identical structure, insertion log and [`EvalStats`] to a
-/// sequential run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalMode {
-    /// Solve every task on the calling thread (the default).
-    #[default]
-    Sequential,
-    /// Fan solve tasks out over the engine's persistent pool of `workers`
-    /// threads ([`WorkerPool`]).  `workers` of 0 or 1 behaves like
-    /// `Sequential`.
-    Parallel {
-        /// Maximum number of worker threads.
-        workers: usize,
-    },
-}
 
 /// How queries treat facts quarantined by an integrity-constraint violation
 /// (see the [`constraints`](crate::constraints) module).
@@ -199,15 +170,6 @@ pub struct EvalOptions {
     /// iteration's delta.  Disabling this yields naive evaluation (every
     /// rule re-solved in full each iteration) — the reference oracle.
     pub delta_driven: bool,
-    /// Whether solve tasks are fanned out over worker threads
-    /// (observationally identical, see [`EvalMode`]).
-    pub mode: EvalMode,
-    /// Minimum number of delta log entries before a parallel iteration
-    /// shards its delta view across workers
-    /// ([`DeltaView::shards`](crate::semantics::DeltaView)).  Below the
-    /// threshold the fan-out is all thread overhead; tests lower it to
-    /// reach the sharded path on small inputs.
-    pub shard_min_entries: usize,
     /// Whether queries degrade gracefully over quarantined (constraint-
     /// violating) facts instead of answering classically — see
     /// [`Tolerance`].
@@ -224,21 +186,8 @@ impl Default for EvalOptions {
             max_derived: 50_000_000,
             create_virtuals: true,
             delta_driven: true,
-            mode: EvalMode::Sequential,
-            shard_min_entries: crate::semantics::DEFAULT_SHARD_MIN_ENTRIES,
             tolerance: Tolerance::Strict,
             static_checks: StaticChecks::WarnOnly,
-        }
-    }
-}
-
-impl EvalOptions {
-    /// The number of worker threads the configured mode may use (1 for
-    /// sequential evaluation).
-    fn worker_threads(&self) -> usize {
-        match self.mode {
-            EvalMode::Sequential => 1,
-            EvalMode::Parallel { workers } => workers.max(1),
         }
     }
 }
@@ -255,10 +204,10 @@ impl EvalOptions {
 /// when it adds something) and is never a solve, a skip or a compile, so a
 /// fact-only program reports 0 for all of them.  They are per-iteration
 /// aggregates — a "delta solve" is one (rule, iteration) solve against the
-/// iteration's shared snapshot window — decided on the coordinator from the
-/// structure's content alone, so they are bit-identical between sequential
-/// and parallel runs at any worker count.  The oracle re-solves every rule
-/// in full each iteration and so reports no delta solve, skip or plan.
+/// iteration's shared snapshot window — decided from the structure's content
+/// alone, so two runs of one program over equal structures report the same
+/// values.  The oracle re-solves every rule in full each iteration and so
+/// reports no delta solve, skip or plan.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EvalStats {
     /// Number of strata.
@@ -283,14 +232,6 @@ pub struct EvalStats {
     pub delta_solves: usize,
     /// Rule evaluations solved against the full structure.
     pub full_solves: usize,
-    /// Tasks whose worker panicked and that were re-run on the coordinator
-    /// during this run (see [`FaultControl`]).  Always 0 outside fault
-    /// injection; excluded from the cross-mode identity contract above,
-    /// since only parallel runs have workers to lose.
-    pub tasks_recovered: usize,
-    /// Pool workers found dead and replaced during this run (see
-    /// [`FaultControl`]).  Always 0 outside fault injection.
-    pub workers_respawned: usize,
     /// Rule bodies lowered to the compiled slot-frame IR of [`crate::plan`]
     /// (counted per compile event, so a stratum that re-plans counts its
     /// rules again).
@@ -303,9 +244,8 @@ pub struct EvalStats {
     pub seed_flips: usize,
     /// Snapshots published by a serving layer the evaluation ran behind
     /// (see [`crate::snapshot::SnapshotRegistry`]).  Always 0 for direct
-    /// engine runs — like the fault counters, these serving counters are
-    /// excluded from the cross-mode identity contract and only become
-    /// non-zero when a session layer folds its
+    /// engine runs: the serving counters are outside the contract above and
+    /// only become non-zero when a session layer folds its
     /// [`SnapshotStats`](crate::snapshot::SnapshotStats) in.
     pub epochs_published: usize,
     /// Reader-session pin events recorded by the serving layer; 0 for
@@ -339,8 +279,7 @@ impl EvalStats {
         ]
     }
 
-    /// Fold the counters of another run (a worker's partial stats, a second
-    /// stratum) into this one.  Every field is summed with
+    /// Fold the counters of another run into this one.  Every field is summed with
     /// saturating arithmetic, so aggregating many large runs pins at
     /// `usize::MAX` instead of wrapping (or panicking in debug builds).
     pub fn merge(&mut self, other: &EvalStats) {
@@ -355,8 +294,6 @@ impl EvalStats {
         self.rules_skipped = self.rules_skipped.saturating_add(other.rules_skipped);
         self.delta_solves = self.delta_solves.saturating_add(other.delta_solves);
         self.full_solves = self.full_solves.saturating_add(other.full_solves);
-        self.tasks_recovered = self.tasks_recovered.saturating_add(other.tasks_recovered);
-        self.workers_respawned = self.workers_respawned.saturating_add(other.workers_respawned);
         self.plans_compiled = self.plans_compiled.saturating_add(other.plans_compiled);
         self.replans = self.replans.saturating_add(other.replans);
         self.seed_flips = self.seed_flips.saturating_add(other.seed_flips);
@@ -405,34 +342,19 @@ struct Stratum<'a> {
 /// What one evaluation run works from (see [`Engine::run`]).
 #[derive(Debug)]
 struct Run<'a> {
-    /// The proper rules, cloned once into the slice solve tasks index.
-    rules: Arc<[Rule]>,
+    /// The proper rules: the slice solve tasks index.
+    rules: Vec<&'a Rule>,
     /// The dependency keys some statement (fact or rule) writes.
     derived: BTreeSet<DepKey>,
     /// The strata, lowest first.
     strata: Vec<Stratum<'a>>,
 }
 
-/// The PathLog evaluation engine.
-///
-/// An engine owns its evaluation policy ([`EvalOptions`]) and, under
-/// [`EvalMode::Parallel`], a persistent [`WorkerPool`] created lazily on
-/// the first parallel run and reused by every subsequent `run_rules` /
-/// `load_program` call.  Clones share the pool (and the thread-spawn
-/// counter), so a cloned engine costs no new threads.
+/// The PathLog evaluation engine: an evaluation policy ([`EvalOptions`])
+/// and the entry points that run programs, rules and queries under it.
 #[derive(Debug, Default, Clone)]
 pub struct Engine {
     options: EvalOptions,
-    /// Lazily created persistent worker pool.  The cell itself is behind an
-    /// `Arc` so that clones share the *slot*, not just an initialized value
-    /// — cloning before the first parallel run must not mint a second pool.
-    pool: Arc<OnceLock<Arc<WorkerPool>>>,
-    /// Worker threads spawned on behalf of this engine, shared across
-    /// clones; see [`Engine::threads_spawned`].
-    spawns: Arc<AtomicUsize>,
-    /// Fault injection hooks and recovery counters, shared with the pool
-    /// (and across clones); see [`Engine::fault_control`].
-    control: Arc<FaultControl>,
 }
 
 impl Engine {
@@ -443,47 +365,12 @@ impl Engine {
 
     /// An engine with the given options.
     pub fn with_options(options: EvalOptions) -> Self {
-        Engine {
-            options,
-            ..Engine::default()
-        }
+        Engine { options }
     }
 
     /// The options in use.
     pub fn options(&self) -> &EvalOptions {
         &self.options
-    }
-
-    /// Total worker threads spawned on behalf of this engine (and its
-    /// clones) so far: the pool's size, once, plus one per respawned worker.
-    pub fn threads_spawned(&self) -> usize {
-        self.spawns.load(Ordering::Relaxed)
-    }
-
-    /// The engine's [`FaultControl`]: cumulative fault-recovery counters,
-    /// and the injection hooks the fault tests use to plant worker panics.
-    /// Shared by the engine's clones and its worker pool; per-run
-    /// recovery deltas are also surfaced in
-    /// [`EvalStats::tasks_recovered`]/[`EvalStats::workers_respawned`].
-    pub fn fault_control(&self) -> &Arc<FaultControl> {
-        &self.control
-    }
-
-    /// The executor configured by the options (inline for sequential runs;
-    /// the persistent pool is created on first use and reused afterwards).
-    fn executor(&self) -> Executor {
-        let workers = self.options.worker_threads();
-        if workers <= 1 {
-            return Executor::inline();
-        }
-        let pool = self.pool.get_or_init(|| {
-            Arc::new(WorkerPool::with_control(
-                workers,
-                &self.spawns,
-                Arc::clone(&self.control),
-            ))
-        });
-        Executor::pooled(Arc::clone(pool))
     }
 
     /// Load a program into `structure`: validate, register every name,
@@ -569,8 +456,8 @@ impl Engine {
 
     /// Evaluate `rules`, given their dependency summaries and stratification.
     /// Each stratum's facts are partitioned from its proper rules once, here:
-    /// only the rules are cloned into the slice that solve tasks, delta
-    /// tests and compiled plans index.
+    /// only the rules enter the slice that solve tasks, delta tests and
+    /// compiled plans index.
     fn run(
         &self,
         structure: &mut Structure,
@@ -582,20 +469,14 @@ impl Engine {
             strata: stratification.len(),
             ..EvalStats::default()
         };
-        // Snapshot the shared recovery counters so the stats report this
-        // run's deltas (the control is cumulative across runs and clones).
-        let recovered_before = self.control.tasks_recovered();
-        let respawned_before = self.control.workers_respawned();
-        let executor = self.executor();
-
-        let mut proper_rules: Vec<Rule> = Vec::new();
+        let mut proper_rules: Vec<&Rule> = Vec::new();
         let steps: Vec<Step> = rules
             .iter()
             .map(|rule| {
                 if rule.is_fact() {
                     Step::Fact(rule)
                 } else {
-                    proper_rules.push(rule.clone());
+                    proper_rules.push(rule);
                     Step::Rule(proper_rules.len() - 1)
                 }
             })
@@ -610,7 +491,7 @@ impl Engine {
             }
         }
         let run = Run {
-            rules: proper_rules.into(),
+            rules: proper_rules,
             derived,
             strata: stratification
                 .strata
@@ -628,16 +509,14 @@ impl Engine {
                 })
                 .collect(),
         };
-        self.run_cross_rule(structure, &run, &executor, &mut stats)?;
-        stats.tasks_recovered = self.control.tasks_recovered().saturating_sub(recovered_before);
-        stats.workers_respawned = self.control.workers_respawned().saturating_sub(respawned_before);
+        self.run_cross_rule(structure, &run, &mut stats)?;
         Ok(stats)
     }
 
     /// Per-literal read keys, used to pick which body literals an iteration
     /// delta can drive (positive literals only; negated and set-at-a-time
     /// reads are stratified below the current stratum).
-    fn body_reads(&self, rules: &[Rule]) -> Vec<Vec<Option<BTreeSet<DepKey>>>> {
+    fn body_reads(&self, rules: &[&Rule]) -> Vec<Vec<Option<BTreeSet<DepKey>>>> {
         if !self.options.delta_driven {
             return Vec::new();
         }
@@ -662,31 +541,27 @@ impl Engine {
 
     /// Compile the bodies of `stratum`'s rules against live
     /// [`MethodStats`](crate::analysis::MethodStats), consuming the analysis
-    /// subsystem's per-literal cost annotations.  Runs on the coordinator
-    /// only, so the planner counters stay identical across modes and worker
-    /// counts.
+    /// subsystem's per-literal cost annotations.
     fn compile_stratum(
-        rules: &[Rule],
+        rules: &[&Rule],
         stratum: &[usize],
         structure: &Structure,
         derived: &BTreeSet<DepKey>,
         stats: &mut EvalStats,
-    ) -> Arc<BTreeMap<usize, CompiledRule>> {
+    ) -> BTreeMap<usize, CompiledRule> {
         let method_stats = crate::analysis::MethodStats::capture(structure);
         stats.plans_compiled += stratum.len();
-        Arc::new(
-            stratum
-                .iter()
-                .map(|&r| {
-                    let report = crate::analysis::plan_rule(&rules[r], Some(&method_stats), Some(derived));
-                    (r, crate::plan::compile(&rules[r], &report))
-                })
-                .collect(),
-        )
+        stratum
+            .iter()
+            .map(|&r| {
+                let report = crate::analysis::plan_rule(rules[r], Some(&method_stats), Some(derived));
+                (r, crate::plan::compile(rules[r], &report))
+            })
+            .collect()
     }
 
     /// Commit a rule's frame-native delta outputs through its compiled head:
-    /// merge the sharded runs into canonical key order and assert each frame
+    /// merge its passes' runs into canonical key order and assert each frame
     /// directly, reading the head oids out of the frame slots.  Counters are
     /// identical to the generic path by construction (the compiled head
     /// shape can only insert set members).  Returns the number of *new*
@@ -694,7 +569,7 @@ impl Engine {
     fn commit_frame_runs(
         &self,
         structure: &mut Structure,
-        plans: Option<&Arc<IterationPlans>>,
+        plans: Option<&IterationPlans<'_>>,
         rule: usize,
         runs: Vec<crate::plan::FrameRun>,
         stats: &mut EvalStats,
@@ -756,38 +631,30 @@ impl Engine {
     ///
     /// Each stratum iteration is a two-phase commit.  **Plan + solve
     /// (phase 1):** slide the stratum's shared [`SnapshotWindow`] to the
-    /// present; for every rule the window can drive, enqueue one task per
-    /// (drivable literal, delta shard) — on the first iteration, one full
-    /// solve per proper rule — and hand the whole queue to the executor
-    /// against the now-frozen structure.  **Commit (phase 2):** the single
-    /// writer merges each rule's sorted runs in canonical order and asserts
-    /// statement by statement in stratum order; on the first iteration that
-    /// order includes the stratum's facts, each asserted as data at its
-    /// source position (see the module docs).  Both phases are deterministic
-    /// functions of the structure content, so every mode commits the same
-    /// facts in the same order and allocates identical virtual-object ids.
+    /// present; for every rule the window can drive, plan one task per
+    /// drivable literal — on the first iteration, one full solve per proper
+    /// rule — and solve the list in order; nothing is written meanwhile.
+    /// **Commit (phase 2):** merge each rule's sorted runs in canonical order
+    /// and assert statement by statement in stratum order; on the first
+    /// iteration that order includes the stratum's facts, each asserted as
+    /// data at its source position (see the module docs).  Both phases are
+    /// deterministic functions of the structure content, so every run
+    /// commits the same facts in the same order and allocates identical
+    /// virtual-object ids.
     ///
     /// A rule sees facts derived by its stratum peers one iteration later
-    /// (Jacobi, not Gauss–Seidel, iteration), which is what makes the rule
-    /// solves of an iteration independent — the parallelism the executor
-    /// exploits.
-    fn run_cross_rule(
-        &self,
-        structure: &mut Structure,
-        run: &Run<'_>,
-        executor: &Executor,
-        stats: &mut EvalStats,
-    ) -> Result<()> {
+    /// (Jacobi, not Gauss–Seidel, iteration): every solve of an iteration
+    /// reads the structure as it stood at the iteration boundary.
+    fn run_cross_rule(&self, structure: &mut Structure, run: &Run<'_>, stats: &mut EvalStats) -> Result<()> {
         let rules = &run.rules;
         let body_reads = self.body_reads(rules);
-        let workers = executor.workers();
         for stratum in &run.strata {
             let mut window = SnapshotWindow::capture(structure);
             let mut first = true;
             // Compiled plans for this stratum's rules, refreshed when the
             // fact level more than doubles since the last compile (the
             // MethodStats the costs came from are then stale).
-            let mut plan_state: Option<Arc<BTreeMap<usize, CompiledRule>>> = None;
+            let mut plan_state: Option<BTreeMap<usize, CompiledRule>> = None;
             let mut plan_level = 0usize;
             let mut stratum_iterations = 0usize;
             loop {
@@ -800,12 +667,13 @@ impl Engine {
                         observed: stratum_iterations,
                     });
                 }
-                // Phase 1a: plan the iteration's task queue and, beside it,
+                // Phase 1a: plan the iteration's task list and, beside it,
                 // what phase 2 commits: (statement, number of its tasks).
                 let mut tasks: Vec<SolveTask> = Vec::new();
                 let mut plan: Vec<(Step, usize)> = Vec::new();
-                let mut views: Vec<DeltaView> = Vec::new();
-                let mut iteration_plans: Option<Arc<IterationPlans>> = None;
+                // The window and the plans this iteration's delta tasks
+                // read; `None` while every rule solves in full.
+                let mut delta: Option<(IterationPlans<'_>, DeltaView)> = None;
                 if first || !self.options.delta_driven {
                     // Every rule solves in full: the first time it runs (no
                     // delta exists for it yet), or on every iteration of the
@@ -838,16 +706,14 @@ impl Engine {
                                 scheduled.push((r, delta_lits));
                             }
                         }
-                        // Sharding is only worth computing when something
-                        // will actually read the views (the last window of a
-                        // stratum is typically non-empty yet drives nothing).
+                        // Plans are only worth computing when something will
+                        // actually run (the last window of a stratum is
+                        // typically non-empty yet drives nothing).
                         if !scheduled.is_empty() {
                             // Compile (or re-compile) the stratum's rule
                             // bodies against live MethodStats, then pick one
                             // shared pass order per scheduled rule for this
-                            // iteration.  All of this runs on the
-                            // coordinator, so the decisions — and the
-                            // counters — are identical at any worker count.
+                            // iteration.
                             let level = Self::fact_level(structure);
                             if plan_state.is_none() || level > plan_level.saturating_mul(2) {
                                 if plan_state.is_some() {
@@ -862,7 +728,7 @@ impl Engine {
                                 ));
                                 plan_level = level;
                             }
-                            let compiled = plan_state.as_ref().unwrap();
+                            let compiled = plan_state.as_ref().expect("compiled just above");
                             let mut orders = BTreeMap::new();
                             for (r, delta_lits) in &scheduled {
                                 let order = crate::plan::pass_order(&compiled[r], delta_lits, dv.entry_count());
@@ -871,29 +737,14 @@ impl Engine {
                                 }
                                 orders.insert(*r, order);
                             }
-                            iteration_plans = Some(Arc::new(IterationPlans {
-                                compiled: Arc::clone(compiled),
-                                orders,
-                            }));
-                            views = match (workers > 1)
-                                .then(|| dv.shards(workers, self.options.shard_min_entries))
-                                .flatten()
-                            {
-                                Some(shards) => shards,
-                                None => vec![dv],
-                            };
                             for (r, delta_lits) in scheduled {
-                                let start = tasks.len();
-                                for l in delta_lits {
-                                    for v in 0..views.len() {
-                                        tasks.push(SolveTask {
-                                            rule: r,
-                                            delta: Some((l, v)),
-                                        });
-                                    }
-                                }
-                                plan.push((Step::Rule(r), tasks.len() - start));
+                                plan.push((Step::Rule(r), delta_lits.len()));
+                                tasks.extend(delta_lits.into_iter().map(|l| SolveTask {
+                                    rule: r,
+                                    delta: Some(l),
+                                }));
                             }
+                            delta = Some((IterationPlans { compiled, orders }, dv));
                         }
                     }
                 }
@@ -901,16 +752,15 @@ impl Engine {
                     // Nothing the window could drive: the stratum converged.
                     break;
                 }
-                // Phase 1b: solve the queue against the frozen structure.
-                let batch = SolveBatch {
-                    rules: Arc::clone(rules),
-                    views,
-                    tasks,
-                    plans: iteration_plans,
-                };
-                let commit_plans = batch.plans.clone();
-                let mut outputs = executor.execute(structure, batch)?.into_iter();
-                // Phase 2: the single writer commits in stratum order.
+                // Phase 1b: solve the list; the structure is only read.
+                let delta = delta.as_ref().map(|(plans, dv)| (plans, dv));
+                let outputs = tasks
+                    .iter()
+                    .map(|&task| runs::run_task(structure, rules, delta, task))
+                    .collect::<Result<Vec<SolveOutput>>>()?;
+                let mut outputs = outputs.into_iter();
+                let commit_plans = delta.map(|(plans, _)| plans);
+                // Phase 2: commit in stratum order.
                 let mut any_change = false;
                 for &(step, count) in &plan {
                     let r = match step {
@@ -927,7 +777,7 @@ impl Engine {
                         // compiled head commits the merged frames without
                         // `Bindings` or keys.
                         Ok(runs) => {
-                            if self.commit_frame_runs(structure, commit_plans.as_ref(), r, runs, stats)? > 0 {
+                            if self.commit_frame_runs(structure, commit_plans, r, runs, stats)? > 0 {
                                 any_change = true;
                             }
                             continue;
@@ -938,7 +788,7 @@ impl Engine {
                     // The compiled head fast path: method oid resolved once,
                     // direct set-member asserts, counters identical to
                     // `assert_head` by construction (see [`CompiledHead`]).
-                    let fast_head = commit_plans.as_ref().and_then(|p| p.for_rule(r).0.head().cloned());
+                    let fast_head = commit_plans.and_then(|p| p.for_rule(r).0.head().cloned());
                     let method = fast_head.as_ref().map(|h| structure.ensure_name(&h.method));
                     for bindings in solutions {
                         if let (Some(h), Some(m)) = (&fast_head, method) {
@@ -965,41 +815,12 @@ impl Engine {
         Ok(())
     }
 
-    /// Solve a batch of independent condition bodies against the frozen
-    /// `structure` on this engine's configured executor — the entry point
-    /// for callers outside stratified fixpoint evaluation (the reactive
-    /// layer's production recognise phases and active-store quiescence
-    /// rounds).  Each task solves `bodies[task.body]` from `task.seed`;
-    /// the result is one canonically sorted, deduplicated run per task, in
-    /// task order ([`SortedRun`], keyed by [`binding_key`]).
-    ///
-    /// Every task is solved whole by one thread against the same frozen
-    /// structure, so the returned runs are **bit-identical at any worker
-    /// count** — pooled condition matching cannot drift from a sequential
-    /// run.  Under [`EvalMode::Parallel`] the tasks
-    /// fan out over this engine's persistent pool (created lazily, shared by
-    /// clones, reused across calls); under [`EvalMode::Sequential`] they run
-    /// inline on the calling thread.
-    pub fn solve_conditions(
-        &self,
-        structure: &mut Structure,
-        bodies: Arc<[Vec<Literal>]>,
-        tasks: Vec<ConditionTask>,
-    ) -> Result<Vec<SortedRun>> {
-        if tasks.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.executor()
-            .execute_conditions(structure, ConditionBatch { bodies, tasks })
-    }
-
     /// Answer a query: the variable-valuations that satisfy its body.
     ///
     /// Enumeration order is deterministic (a function of the structure's
     /// content only — every index iterates an ordered container, never a
-    /// hash map), so repeated runs and sequential/parallel-evaluated
-    /// structures emit byte-identical answer lists without a sort on this
-    /// hot path.
+    /// hash map), so repeated runs emit byte-identical answer lists without
+    /// a sort on this hot path.
     ///
     /// Unknown names in a query body are permitted and simply denote no
     /// object — queries are often generated (SQL frontend, F-logic
@@ -1123,9 +944,9 @@ fn register_program_names(structure: &mut Structure, program: &Program) {
 }
 
 /// Partition a rule's outputs when any pass produced raw frames: `Ok` with
-/// the frame runs (empty keyed outputs from early-exit shards are dropped —
+/// the frame runs (empty keyed outputs from early-exit passes are dropped —
 /// a non-empty keyed output alongside frames is impossible, all passes of a
-/// rule take the same execution path against the same frozen structure), or
+/// rule take the same execution path against the same structure), or
 /// `Err` giving the outputs back for the keyed merge.
 fn take_frame_runs(outputs: Vec<SolveOutput>) -> std::result::Result<Vec<crate::plan::FrameRun>, Vec<SolveOutput>> {
     if !outputs.iter().any(|o| matches!(o, SolveOutput::Frames(_))) {
@@ -1149,8 +970,8 @@ fn take_frame_runs(outputs: Vec<SolveOutput>) -> std::result::Result<Vec<crate::
 
 /// Merge one rule's task outputs into its committed solution list.  A lone
 /// full solve keeps its (deterministic) enumeration order; delta runs are
-/// k-way-merged in canonical order ([`merge_sorted_runs`]), the single
-/// writer's half of the sorted-run protocol.
+/// k-way-merged in canonical order ([`merge_sorted_runs`]), the commit
+/// step's half of the sorted-run protocol.
 fn merge_outputs(mut outputs: Vec<SolveOutput>) -> Vec<Bindings> {
     if outputs.len() == 1 && matches!(outputs[0], SolveOutput::Enumerated(_)) {
         let Some(SolveOutput::Enumerated(solutions)) = outputs.pop() else {
@@ -1214,6 +1035,16 @@ pub fn solve_body(structure: &Structure, body: &[Literal], seed: &Bindings) -> R
         }
     }
     Ok(states)
+}
+
+/// Solve one condition body against `structure`, extending `seed`: the
+/// [`solve_body`] solutions as a canonically sorted, deduplicated
+/// [`SortedRun`] (keyed by [`binding_key`]), so the order in which a caller
+/// acts on them is a function of the structure's content alone.  The entry
+/// point for callers outside stratified fixpoint evaluation — the constraint
+/// checker and the reactive layer's production recognise phases.
+pub fn solve_condition(structure: &Structure, body: &[Literal], seed: &Bindings) -> Result<SortedRun> {
+    solve_body(structure, body, seed).map(sorted_run)
 }
 
 #[cfg(test)]
@@ -1880,141 +1711,6 @@ mod tests {
         assert_eq!(semi.0.len(), 4, "y, x, goal and bonus are all out");
     }
 
-    /// A complete binary tree of `depth` levels of `kids` facts, big enough
-    /// that per-iteration closure deltas exceed the sharding threshold.
-    fn binary_tree(depth: u32) -> Structure {
-        let mut s = Structure::new();
-        let kids = s.atom("kids");
-        let nodes: Vec<Oid> = (0..(1u32 << depth) - 1).map(|i| s.atom(&format!("n{i}"))).collect();
-        for i in 0..nodes.len() {
-            for child in [2 * i + 1, 2 * i + 2] {
-                if child < nodes.len() {
-                    s.assert_set_member(kids, nodes[i], &[], nodes[child]);
-                }
-            }
-        }
-        s
-    }
-
-    fn desc_closure_rules() -> Vec<Rule> {
-        vec![
-            Rule::new(
-                Term::var("X").filter(Filter::set("desc", vec![Term::var("Y")])),
-                vec![Literal::pos(
-                    Term::var("X").filter(Filter::set("kids", vec![Term::var("Y")])),
-                )],
-            ),
-            Rule::new(
-                Term::var("X").filter(Filter::set("desc", vec![Term::var("Y")])),
-                vec![Literal::pos(
-                    Term::var("X")
-                        .set("desc")
-                        .filter(Filter::set("kids", vec![Term::var("Y")])),
-                )],
-            ),
-            // A second stratum with a virtual-object head, so parallel mode
-            // also has to reproduce virtual allocation order exactly.
-            Rule::new(
-                Term::var("X")
-                    .scalar("summary")
-                    .filter(Filter::set_ref("descendants", Term::var("X").set("desc"))),
-                vec![Literal::pos(
-                    Term::var("X").filter(Filter::set("kids", vec![Term::var("Y")])),
-                )],
-            ),
-        ]
-    }
-
-    #[test]
-    fn parallel_mode_is_bit_identical_to_sequential() {
-        let base = binary_tree(8);
-        let rules = desc_closure_rules();
-        let run = |mode: EvalMode| {
-            let mut s = base.clone();
-            let stats = Engine::with_options(EvalOptions {
-                mode,
-                ..EvalOptions::default()
-            })
-            .run_rules(&mut s, &rules)
-            .unwrap();
-            (s, stats)
-        };
-        let (seq, seq_stats) = run(EvalMode::Sequential);
-        for workers in [2usize, 4, 8] {
-            let (par, par_stats) = run(EvalMode::Parallel { workers });
-            assert_eq!(seq_stats, par_stats, "EvalStats must match at {workers} workers");
-            assert_eq!(
-                seq.canonical_dump(),
-                par.canonical_dump(),
-                "models must be byte-identical at {workers} workers"
-            );
-        }
-        // Sanity: the workload is big enough that deltas actually sharded.
-        assert!(seq_stats.delta_solves > 0);
-        assert!(seq.stats().set_members > 2_000);
-    }
-
-    #[test]
-    fn parallel_mode_with_zero_or_one_worker_degrades_to_sequential() {
-        let base = binary_tree(4);
-        let rules = desc_closure_rules();
-        let run = |mode: EvalMode| {
-            let mut s = base.clone();
-            let stats = Engine::with_options(EvalOptions {
-                mode,
-                ..EvalOptions::default()
-            })
-            .run_rules(&mut s, &rules)
-            .unwrap();
-            (s.canonical_dump(), stats)
-        };
-        let seq = run(EvalMode::Sequential);
-        assert_eq!(seq, run(EvalMode::Parallel { workers: 0 }));
-        assert_eq!(seq, run(EvalMode::Parallel { workers: 1 }));
-    }
-
-    #[test]
-    fn worker_pool_is_reused_across_runs() {
-        let base = binary_tree(7);
-        let rules = desc_closure_rules();
-        let engine = Engine::with_options(EvalOptions {
-            mode: EvalMode::Parallel { workers: 4 },
-            ..EvalOptions::default()
-        });
-        assert_eq!(engine.threads_spawned(), 0, "the pool is created lazily");
-        for _ in 0..3 {
-            let mut s = base.clone();
-            engine.run_rules(&mut s, &rules).unwrap();
-            assert_eq!(
-                engine.threads_spawned(),
-                4,
-                "repeated runs reuse the pool instead of spawning"
-            );
-        }
-        // A clone shares the pool (and the counter).
-        let clone = engine.clone();
-        let mut s = base.clone();
-        clone.run_rules(&mut s, &rules).unwrap();
-        assert_eq!(clone.threads_spawned(), 4);
-
-        // Cloning *before* the first parallel run must share the pool slot
-        // too: whichever copy runs first initializes the one shared pool.
-        let fresh = Engine::with_options(EvalOptions {
-            mode: EvalMode::Parallel { workers: 4 },
-            ..EvalOptions::default()
-        });
-        let early_clone = fresh.clone();
-        let mut s = base.clone();
-        fresh.run_rules(&mut s, &rules).unwrap();
-        let mut s = base.clone();
-        early_clone.run_rules(&mut s, &rules).unwrap();
-        assert_eq!(
-            fresh.threads_spawned(),
-            4,
-            "a pre-run clone must not mint a second pool"
-        );
-    }
-
     #[test]
     fn eval_stats_merge_is_saturating_and_fieldwise() {
         let mut a = EvalStats {
@@ -2029,8 +1725,6 @@ mod tests {
             rules_skipped: 8,
             delta_solves: 9,
             full_solves: 10,
-            tasks_recovered: 11,
-            workers_respawned: 12,
             plans_compiled: 13,
             replans: 14,
             seed_flips: 15,
@@ -2050,8 +1744,6 @@ mod tests {
             rules_skipped: 90,
             delta_solves: 100,
             full_solves: 110,
-            tasks_recovered: 120,
-            workers_respawned: 130,
             plans_compiled: 140,
             replans: 150,
             seed_flips: 160,
@@ -2071,8 +1763,6 @@ mod tests {
         assert_eq!(a.rules_skipped, 98);
         assert_eq!(a.delta_solves, 109);
         assert_eq!(a.full_solves, 120);
-        assert_eq!(a.tasks_recovered, 131);
-        assert_eq!(a.workers_respawned, 142);
         assert_eq!(a.plans_compiled, 153);
         assert_eq!(a.replans, 164);
         assert_eq!(a.seed_flips, 175);
@@ -2268,26 +1958,14 @@ mod tests {
         ];
         assert!(allocated.windows(2).all(|w| w[0] < w[1]), "{allocated:?}");
 
-        let configurations = [
-            ("sequential", EvalOptions::default()),
-            (
-                "parallel x4",
-                EvalOptions {
-                    mode: EvalMode::Parallel { workers: 4 },
-                    ..EvalOptions::default()
-                },
-            ),
-        ];
-        for (what, options) in configurations {
-            let (s, stats) = run(options);
-            assert_eq!(s.canonical_dump(), oracle.canonical_dump(), "{what}");
-            assert_eq!(stats.model_counters(), oracle_stats.model_counters(), "{what}");
-            // The scheduling counters count the two proper rules only: the
-            // five facts are no solve, no skip and no compile.
-            let scheduled = stats.full_solves + stats.delta_solves + stats.rules_skipped;
-            assert!(scheduled <= 2 * stats.iterations, "{what}: {stats:?}");
-            assert!(stats.plans_compiled <= 2 * (1 + stats.replans), "{what}: {stats:?}");
-        }
+        let (s, stats) = run(EvalOptions::default());
+        assert_eq!(s.canonical_dump(), oracle.canonical_dump());
+        assert_eq!(stats.model_counters(), oracle_stats.model_counters());
+        // The scheduling counters count the two proper rules only: the
+        // five facts are no solve, no skip and no compile.
+        let scheduled = stats.full_solves + stats.delta_solves + stats.rules_skipped;
+        assert!(scheduled <= 2 * stats.iterations, "{stats:?}");
+        assert!(stats.plans_compiled <= 2 * (1 + stats.replans), "{stats:?}");
     }
 
     #[test]

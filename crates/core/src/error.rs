@@ -54,17 +54,6 @@ pub enum Error {
         /// The value actually observed when the limit tripped.
         observed: usize,
     },
-    /// A parallel executor failed to produce a result for every task of a
-    /// batch — `completed` of `expected` results arrived.  This is a
-    /// defensive invariant check: the executors recover panicked tasks by
-    /// re-running them on the coordinator, so this error indicates a
-    /// scheduling bug, not a task panic.
-    LostWork {
-        /// Task results that did arrive.
-        completed: usize,
-        /// Tasks the batch contained.
-        expected: usize,
-    },
     /// The static analyzer reported `Error`-severity diagnostics and the
     /// engine was configured to enforce them
     /// ([`StaticChecks::Enforce`](crate::engine::StaticChecks)).  Carries
@@ -85,9 +74,6 @@ impl fmt::Display for Error {
             Error::TypeViolation(m) => write!(f, "type violation: {m}"),
             Error::LimitExceeded { kind, limit, observed } => {
                 write!(f, "limit exceeded: {kind} over budget ({observed} > {limit})")
-            }
-            Error::LostWork { completed, expected } => {
-                write!(f, "parallel solve lost work items: {completed} of {expected} completed")
             }
             Error::StaticRejected(report) => {
                 write!(f, "program rejected by static analysis:\n{report}")
@@ -134,14 +120,5 @@ mod tests {
             observed: 150,
         };
         assert!(e.to_string().contains("derived facts"));
-    }
-
-    #[test]
-    fn lost_work_reports_counts() {
-        let e = Error::LostWork {
-            completed: 3,
-            expected: 5,
-        };
-        assert!(e.to_string().contains("3 of 5"));
     }
 }

@@ -41,12 +41,11 @@
 //! **Why reordering is invisible.**  A delta pass's output always flows
 //! through the sorted-run protocol (`sorted_run` / `merge_sorted_runs`), so
 //! the order in which a pass *enumerates* solutions cannot influence the
-//! order in which the single writer commits them — not the structure, not
+//! order in which the engine commits them — not the structure, not
 //! the insertion logs, not virtual-object allocation.  That keeps the
-//! project's core invariant — a run at any worker count is
-//! `canonical_dump()`-bit-identical to the naive oracle
-//! (`delta_driven: false`) — true *by construction*; the `properties_planner`
-//! proptests assert it.
+//! project's core invariant — a run is `canonical_dump()`-bit-identical to
+//! the naive oracle (`delta_driven: false`) — true *by construction*; the
+//! `properties_planner` proptests assert it.
 //!
 //! Completeness of reordered delta passes follows from the same argument as
 //! written-order semi-naive evaluation, applied to the planned order: all of
@@ -60,11 +59,9 @@
 //! window's new objects).
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
 
 use crate::analysis::{AccessPath, RulePlanReport};
-use crate::engine::executor::SortedRun;
-use crate::engine::BindingKey;
+use crate::engine::{BindingKey, SortedRun};
 use crate::error::Result;
 use crate::names::{Name, Var};
 use crate::program::{Literal, Rule};
@@ -484,19 +481,20 @@ pub fn pass_order(compiled: &CompiledRule, drivable: &[usize], delta_entries: us
     }
 }
 
-/// The compiled plans one iteration's solve batch carries: the stratum's
-/// compiled bodies by rule index (shared across iterations of the stratum
-/// via the `Arc`) and the iteration's pass order for every rule it scheduled.
+/// The compiled plans one iteration's delta tasks run through: the stratum's
+/// compiled bodies by rule index (compiled once, borrowed by every iteration
+/// until a re-plan) and the iteration's pass order for every rule it
+/// scheduled.
 #[derive(Debug)]
-pub struct IterationPlans {
-    /// The compiled bodies of the stratum's rules, by index into the batch's
+pub struct IterationPlans<'a> {
+    /// The compiled bodies of the stratum's rules, by index into the run's
     /// rule slice.
-    pub compiled: Arc<BTreeMap<usize, CompiledRule>>,
+    pub compiled: &'a BTreeMap<usize, CompiledRule>,
     /// This iteration's execution order per scheduled rule.
     pub orders: BTreeMap<usize, PassOrder>,
 }
 
-impl IterationPlans {
+impl IterationPlans<'_> {
     /// The compiled body and iteration order of `rule`.
     ///
     /// # Panics
@@ -763,7 +761,7 @@ pub enum PassRun {
     Frames(FrameRun),
 }
 
-/// Merge sharded [`FrameRun`]s of one rule into a single deduplicated run in
+/// Merge the [`FrameRun`]s of one rule's passes into a single deduplicated run in
 /// canonical key order (the projection through `canonical`).  Frames that
 /// compare equal under the projection are equal outright — every frame of a
 /// pass binds every slot — so adjacent deduplication after the sort is
@@ -775,7 +773,7 @@ pub fn merge_frame_runs(mut runs: Vec<FrameRun>, canonical: &[usize]) -> FrameRu
     let slots = runs.first().map_or(0, |r| r.slots);
     let mut arena: Vec<u32> = Vec::with_capacity(runs.iter().map(|r| r.arena.len()).sum());
     for r in runs {
-        debug_assert_eq!(r.slots, slots, "sharded runs of one rule share a slot layout");
+        debug_assert_eq!(r.slots, slots, "runs of one rule share a slot layout");
         arena.extend_from_slice(&r.arena);
     }
     if slots == 0 {

@@ -48,10 +48,6 @@ use super::{valuate, Bindings};
 
 pub use crate::structure::EvalMarks;
 
-/// Default fan-out threshold for [`DeltaView::shards`]: below this many log
-/// entries a sharded solve is all thread overhead.
-pub const DEFAULT_SHARD_MIN_ENTRIES: usize = 128;
-
 /// A sliding snapshot window over a structure's insertion logs — the
 /// iteration-boundary plumbing of the engine's cross-rule scheduling.
 ///
@@ -222,89 +218,6 @@ impl DeltaView {
         let scalars: usize = self.scalar_by_method.values().map(Vec::len).sum();
         let members: usize = self.set_by_method.values().map(Vec::len).sum();
         scalars + members + self.isa_pairs.len()
-    }
-
-    /// Split the view into `n` disjoint sub-views for parallel delta solves.
-    ///
-    /// Each per-method / per-class entry list is cut into `n` contiguous
-    /// chunks and chunk `j` goes to shard `j`, so a single hot method (the
-    /// usual shape of a recursive closure delta) is spread across all
-    /// workers.  Sharding is sound because every delta answer's derivation
-    /// reads at least one concrete log entry against the *full* structure
-    /// elsewhere: the shard holding that entry re-derives the answer, shards
-    /// not holding it derive at most a subset of the full view's answers, so
-    /// the deduplicated union over shards equals the answers of `self`.
-    ///
-    /// The object window and the signature flag cannot be partitioned by
-    /// method; every shard keeps them (answers driven only by those are
-    /// found by several shards and deduplicated at the merge).  The scalar
-    /// watermark range is likewise kept global: it is only used for "is this
-    /// fact new" membership tests, where the full range is conservative but
-    /// sound.
-    ///
-    /// Returns `None` when `n < 2` or the window holds fewer than
-    /// `min_entries` log entries, below which a sharded solve is all thread
-    /// overhead.  The threshold is a tunable
-    /// ([`EvalOptions::shard_min_entries`](crate::engine::EvalOptions)), so
-    /// ablations can force sharding at small scales; the engine default is
-    /// [`DEFAULT_SHARD_MIN_ENTRIES`].
-    pub fn shards(&self, n: usize, min_entries: usize) -> Option<Vec<DeltaView>> {
-        if n < 2 || self.entry_count() < min_entries {
-            return None;
-        }
-        let mut shards: Vec<DeltaView> = (0..n)
-            .map(|_| DeltaView {
-                scalar_lo: self.scalar_lo,
-                scalar_hi: self.scalar_hi,
-                object_lo: self.object_lo,
-                object_hi: self.object_hi,
-                sigs_changed: self.sigs_changed,
-                ..DeltaView::default()
-            })
-            .collect();
-        // Keys are visited in sorted order so each shard's entry vectors are
-        // deterministic regardless of hash-map iteration order.
-        let chunk = |len: usize, j: usize| (j * len / n, (j + 1) * len / n);
-        let mut scalar_methods: Vec<Oid> = self.scalar_by_method.keys().copied().collect();
-        scalar_methods.sort_unstable();
-        for m in scalar_methods {
-            let entries = &self.scalar_by_method[&m];
-            for (j, shard) in shards.iter_mut().enumerate() {
-                let (lo, hi) = chunk(entries.len(), j);
-                if lo < hi {
-                    shard.scalar_by_method.insert(m, entries[lo..hi].to_vec());
-                }
-            }
-        }
-        let mut set_methods: Vec<Oid> = self.set_by_method.keys().copied().collect();
-        set_methods.sort_unstable();
-        for m in set_methods {
-            let entries = &self.set_by_method[&m];
-            for (j, shard) in shards.iter_mut().enumerate() {
-                let (lo, hi) = chunk(entries.len(), j);
-                if lo < hi {
-                    shard.set_by_method.insert(m, entries[lo..hi].to_vec());
-                    for &(app_idx, member) in &entries[lo..hi] {
-                        shard.set_by_app.entry(app_idx).or_default().insert(member);
-                    }
-                }
-            }
-        }
-        let mut classes: Vec<Oid> = self.isa_by_class.keys().copied().collect();
-        classes.sort_unstable();
-        for c in classes {
-            let instances = &self.isa_by_class[&c];
-            for (j, shard) in shards.iter_mut().enumerate() {
-                let (lo, hi) = chunk(instances.len(), j);
-                if lo < hi {
-                    shard.isa_by_class.insert(c, instances[lo..hi].to_vec());
-                    for &sub in &instances[lo..hi] {
-                        shard.isa_pairs.insert((sub, c));
-                    }
-                }
-            }
-        }
-        Some(shards)
     }
 }
 
@@ -1160,76 +1073,5 @@ mod tests {
         let mut key: Vec<(String, u32)> = b.iter().map(|(v, o)| (v.0.to_string(), o.0)).collect();
         key.sort();
         key
-    }
-
-    #[test]
-    fn small_deltas_are_not_worth_sharding() {
-        let (s, mark) = base_and_delta();
-        let dv = DeltaView::between(&s, &mark, &EvalMarks::capture(&s));
-        assert!(dv.entry_count() < DEFAULT_SHARD_MIN_ENTRIES);
-        assert!(dv.shards(4, DEFAULT_SHARD_MIN_ENTRIES).is_none());
-        assert!(
-            dv.shards(1, DEFAULT_SHARD_MIN_ENTRIES).is_none(),
-            "a single shard is never useful"
-        );
-        // The threshold is a tunable: lowering it forces sharding even of a
-        // tiny delta (the E19 ablation relies on this).
-        assert!(dv.entry_count() > 1);
-        assert!(dv.shards(4, 1).is_some(), "min_entries = 1 forces sharding");
-    }
-
-    /// A wide delta (many new members of one method, new isa pairs, new
-    /// scalar facts) whose sharded delta answers must union to the full ones.
-    #[test]
-    fn shard_union_equals_full_delta_answers() {
-        let mut s = Structure::new();
-        let (kids, desc, person, age) = (s.atom("kids"), s.atom("desc"), s.atom("person"), s.atom("age"));
-        let nodes: Vec<Oid> = (0..120).map(|i| s.atom(&format!("n{i}"))).collect();
-        for w in nodes.windows(2) {
-            s.assert_set_member(kids, w[0], &[], w[1]);
-        }
-        let mark = EvalMarks::capture(&s);
-        // Delta: ~120 desc members on one hot method, plus isa + scalar noise.
-        for (i, w) in nodes.windows(2).enumerate() {
-            s.assert_set_member(desc, w[0], &[], w[1]);
-            if i % 3 == 0 {
-                s.add_isa(w[1], person);
-            }
-            if i % 4 == 0 {
-                let v = s.int(i as i64);
-                s.assert_scalar(age, w[1], &[], v).unwrap();
-            }
-        }
-        let dv = DeltaView::between(&s, &mark, &EvalMarks::capture(&s));
-        let shards = dv
-            .shards(4, DEFAULT_SHARD_MIN_ENTRIES)
-            .expect("delta is large enough to shard");
-        assert_eq!(shards.len(), 4);
-        let terms = vec![
-            Term::var("X").set("desc"),
-            Term::var("X")
-                .set("desc")
-                .filter(TFilter::set("kids", vec![Term::var("Y")])),
-            Term::var("X").isa("person"),
-            Term::var("X").scalar("age"),
-            Term::var("X").filter(TFilter::scalar("age", Term::var("A"))),
-        ];
-        for t in terms {
-            let full: BTreeSet<(Vec<(String, u32)>, Oid)> = delta_answers(&s, &t, &Bindings::new(), &dv)
-                .unwrap()
-                .into_iter()
-                .map(|a| (canon(&a.bindings), a.object))
-                .collect();
-            let mut union: BTreeSet<(Vec<(String, u32)>, Oid)> = BTreeSet::new();
-            for shard in &shards {
-                for a in delta_answers(&s, &t, &Bindings::new(), shard).unwrap() {
-                    union.insert((canon(&a.bindings), a.object));
-                }
-            }
-            assert_eq!(union, full, "sharded union differs from full delta for {t}");
-        }
-        // Every log entry landed in exactly one shard.
-        let total: usize = shards.iter().map(DeltaView::entry_count).sum();
-        assert_eq!(total, dv.entry_count());
     }
 }

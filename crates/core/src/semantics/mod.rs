@@ -19,7 +19,7 @@ pub mod factorized;
 pub mod model;
 
 pub use answers::{answers, answers_matching, Answer};
-pub use delta::{delta_answers, DeltaView, EvalMarks, SnapshotWindow, DEFAULT_SHARD_MIN_ENTRIES};
+pub use delta::{delta_answers, DeltaView, EvalMarks, SnapshotWindow};
 pub use factorized::{factorized_answers, AnswerDag, FactorizedAnswers};
 pub use model::{is_model, violations, Violation};
 

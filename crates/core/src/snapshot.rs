@@ -1,13 +1,6 @@
 //! Epoch-stamped immutable snapshots of a [`Structure`] and the registry
 //! that serves them to concurrent reader sessions.
 //!
-//! The executor's Arc-handoff (see [`crate::engine`]'s pooled executor)
-//! already freezes the structure into an immutable `Arc` for the duration of
-//! one evaluation window: the coordinator moves the structure in, workers
-//! read it through `Weak` handles, and sole ownership is reclaimed once the
-//! window closes.  This module promotes that per-window snapshot into a
-//! first-class serving primitive:
-//!
 //! * [`Snapshot`] — an immutable, **epoch-stamped** `Arc<Structure>` view.
 //!   `Engine::query` / `query_term` / `tolerant_query` all take
 //!   `&Structure`, so a snapshot can be queried from any thread without
@@ -26,9 +19,6 @@
 //!   were detached from it since — not a copy of the store.  The pin
 //!   watermark still bounds the set of live versions by the set of live
 //!   sessions.
-//! * [`reclaim_arc`] — the ownership-reclaim loop extracted from the pooled
-//!   executor's handoff, shared by anything that moves a value into an
-//!   `Arc` for a bounded window and wants it back.
 //!
 //! Epochs are supplied by the *caller* of `publish` — the registry does not
 //! invent a parallel counter.  The object-store layer passes its own
@@ -73,7 +63,7 @@ impl Snapshot {
     }
 
     /// The shared handle itself — used by reclamation tests to observe the
-    /// strong count and by executors that hand the `Arc` to workers.
+    /// strong count.
     pub fn structure_arc(&self) -> &Arc<Structure> {
         &self.structure
     }
@@ -268,30 +258,6 @@ impl Drop for PinnedSnapshot {
     }
 }
 
-/// Reclaim sole ownership of a value moved into an [`Arc`] for a bounded
-/// sharing window.
-///
-/// This is the handoff-reclaim loop extracted from the pooled executor:
-/// after the coordination point (latch, pin count, …) the only other holders
-/// are threads in the instant between their last touch and their drop, which
-/// resolves within a yield or two — so spin with [`std::thread::yield_now`]
-/// instead of blocking.
-///
-/// Callers must ensure every long-lived holder has let go (workers hold only
-/// `Weak` handles; sessions hold pins counted elsewhere) or this will spin
-/// until they do.
-pub fn reclaim_arc<T>(mut shared: Arc<T>) -> T {
-    loop {
-        match Arc::try_unwrap(shared) {
-            Ok(inner) => break inner,
-            Err(still_shared) => {
-                shared = still_shared;
-                std::thread::yield_now();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,12 +394,6 @@ mod tests {
         assert_eq!(a.epochs_published, usize::MAX);
         assert_eq!(a.snapshots_pinned, 3);
         assert_eq!(a.snapshots_reclaimed, 5);
-    }
-
-    #[test]
-    fn reclaim_arc_returns_sole_ownership() {
-        let arc = Arc::new(42usize);
-        assert_eq!(reclaim_arc(arc), 42);
     }
 
     #[test]

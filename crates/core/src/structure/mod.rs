@@ -483,10 +483,10 @@ impl Structure {
     /// pairs, each section sorted by `(method/class, receiver, args)` oids.
     ///
     /// Two structures holding the same model produce identical bytes no
-    /// matter in which order their facts were asserted by which evaluation
-    /// mode — this is the emission boundary tests diff to show that
-    /// sequential and parallel (or two repeated) runs agree exactly,
-    /// without depending on hash-map iteration order.
+    /// matter in which order their facts were asserted — this is the
+    /// emission boundary tests diff to show that the engine and the naive
+    /// oracle (or two repeated runs) agree exactly, without depending on
+    /// hash-map iteration order.
     pub fn canonical_dump(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

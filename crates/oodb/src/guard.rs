@@ -192,7 +192,7 @@ impl ConstraintGuard {
     pub(crate) fn install(
         constraints: ConstraintSet,
         engine: Engine,
-        image: &mut StoreImage,
+        image: &StoreImage,
     ) -> pathlog_core::error::Result<(Self, Vec<ConstraintViolation>)> {
         let diagnostics = AnalysisInput::new()
             .constraints(&constraints)
@@ -200,7 +200,7 @@ impl ConstraintGuard {
             .run()
             .diagnostics;
         let mut checker = ConstraintChecker::new(constraints, engine);
-        let baseline = checker.check_full(image.structure_mut())?;
+        let baseline = checker.check_full(image.structure())?;
         let guard = ConstraintGuard {
             checker,
             accepted: baseline.iter().cloned().collect(),
@@ -292,6 +292,9 @@ impl ConstraintGuard {
 
     /// The commit protocol (see the module docs).  `image` is the store's,
     /// already holding the transaction's mutations; `log` is its undo log.
+    /// The check only reads the image ([`ConstraintChecker::check`] takes
+    /// `&Structure`); it is `&mut` for the quarantine tags of step 3, which
+    /// intern the names they tag.
     pub(crate) fn check_commit(
         &mut self,
         image: &mut StoreImage,
@@ -304,7 +307,7 @@ impl ConstraintGuard {
         }
         let current = self
             .checker
-            .check(image.structure_mut())
+            .check(image.structure())
             .map_err(|e| CommitError::Check(e.to_string()))?;
 
         let mut rejected = Vec::new();

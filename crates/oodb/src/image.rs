@@ -41,12 +41,6 @@ impl StoreImage {
         &self.structure
     }
 
-    /// Mutable access for checkers that thread watermarks through the
-    /// image (the guard's incremental `ConstraintChecker`).
-    pub(crate) fn structure_mut(&mut self) -> &mut Structure {
-        &mut self.structure
-    }
-
     /// Intern a store value, classifying literals into the pseudo value
     /// classes exactly like [`ObjectStore::to_structure`].
     pub(crate) fn intern(&mut self, value: &Value) -> Oid {

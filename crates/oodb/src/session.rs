@@ -61,7 +61,7 @@ impl ObjectStore {
     }
 
     /// Start a pinned-snapshot reader session that answers queries with
-    /// `engine` (clones of a pooled engine share its worker pool).
+    /// `engine`.
     ///
     /// The session pins the store's **current** epoch: it sees every commit
     /// up to now and none after, bit-identically, for as long as it lives.

@@ -454,8 +454,7 @@ impl ObjectStore {
     /// last check, not just the committing transaction: a direct mutation
     /// of a guarded store ([`ObjectStore::set`] and friends outside a
     /// transaction) is checked with, and its damage attributed to, the next
-    /// commit.  Constraint solving runs on (a clone of) `engine`, so pooled
-    /// engines share worker threads with query evaluation; give the engine
+    /// commit.  Constraint solving runs on `engine`; give it
     /// [`Tolerance::Tolerant`](pathlog_core::engine::Tolerance) options if
     /// [`ObjectStore::tolerant_query`] should degrade instead of answering
     /// classically.
@@ -469,7 +468,7 @@ impl ObjectStore {
         engine: pathlog_core::engine::Engine,
     ) -> Result<Vec<pathlog_core::constraints::ConstraintViolation>> {
         self.ensure_image();
-        let image = self.image.as_mut().expect("just built");
+        let image = self.image.as_ref().expect("just built");
         let (guard, baseline) = crate::guard::ConstraintGuard::install(constraints, engine, image)
             .map_err(|e| StoreError::Constraint(e.to_string()))?;
         self.constraints = Some(Box::new(guard));

@@ -5,7 +5,10 @@
 //! through the store is an *event*.  Each [`EcaRule`] names the event kind it
 //! reacts to, a PathLog body as its *condition*, and a list of mutation
 //! templates as its *action*.  Actions are themselves primitive mutations, so
-//! they can trigger further rules; cascades are bounded by
+//! they can trigger further rules; cascades run depth-first — a rule's
+//! actions are applied, and their cascades run to completion, before the
+//! next rule of the same event solves its condition, so rules can chain
+//! within one event in priority order — and are bounded by
 //! [`ActiveOptions::max_cascade_depth`] and
 //! [`ActiveOptions::max_total_firings`].
 //!
@@ -17,26 +20,6 @@
 //! | scalar asserted / retracted | `Receiver`, `Value` |
 //! | set member added / removed | `Receiver`, `Member` |
 //! | class membership added | `Object`, `Class` |
-
-//! **Scheduling.**  Two cascade schedules are available
-//! ([`ActiveOptions::schedule`]):
-//!
-//! * [`CascadeSchedule::Immediate`] (the default) — the classic depth-first
-//!   semantics: a rule's actions are applied (and their cascades run to
-//!   completion) before the next rule of the same event even solves its
-//!   condition, so rules can chain within one event in priority order.
-//! * [`CascadeSchedule::Rounds`] — breadth-first snapshot rounds: all
-//!   mutations of one cascade level are applied first, then *every*
-//!   candidate `(rule, event seed)` condition of the level is solved as one
-//!   [`ConditionBatch`](pathlog_core::engine::ConditionBatch) against the
-//!   frozen structure — fanned over the shared persistent worker pool when
-//!   [`ActiveOptions::mode`] is parallel — and matches commit in canonical
-//!   (event, priority, rule, `binding_key`) order, their actions forming the
-//!   next level.  Pooled runs are **bit-identical** to sequential runs of
-//!   the same schedule (same firings, stats and structure); the two
-//!   schedules themselves agree whenever no two rules matching the *same*
-//!   event interact, and differ exactly where Gauss–Seidel and Jacobi
-//!   iteration would.
 //!
 //! **Errors and partial commits.**  A cascade that exceeds
 //! [`ActiveOptions::max_cascade_depth`] or
@@ -45,12 +28,12 @@
 //! default the store keeps everything committed before the error (partial
 //! commit — see [`ReactiveError::LimitExceeded`]).  Set
 //! [`ActiveOptions::rollback_on_error`] to restore the pre-mutation
-//! structure instead (one structure clone per external mutation).
+//! structure instead; the snapshot it restores from is a
+//! [`Structure::clone`], which shares every table with the live structure.
 
 use std::fmt;
-use std::sync::Arc;
 
-use pathlog_core::engine::{solve_body, ConditionTask, Engine, EvalMode, EvalOptions};
+use pathlog_core::engine::solve_body;
 use pathlog_core::names::{Name, Var};
 use pathlog_core::program::Literal;
 use pathlog_core::semantics::{valuate, Bindings};
@@ -234,22 +217,6 @@ impl fmt::Display for EcaRule {
     }
 }
 
-/// How trigger cascades are scheduled (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CascadeSchedule {
-    /// Depth-first, immediate application (the default): each firing's
-    /// actions — and their entire cascades — run before the next rule of
-    /// the same event solves its condition (Gauss–Seidel style; rules can
-    /// chain within one event).
-    #[default]
-    Immediate,
-    /// Breadth-first snapshot rounds: one cascade level's mutations apply,
-    /// then every candidate condition of the level is solved as one batch
-    /// against the frozen structure (Jacobi style; the batch is what the
-    /// worker pool parallelises).
-    Rounds,
-}
-
 /// Options of the active store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActiveOptions {
@@ -264,19 +231,11 @@ pub struct ActiveOptions {
     pub max_cascade_depth: usize,
     /// Maximum number of rule firings for a single external mutation.
     pub max_total_firings: usize,
-    /// How cascades are scheduled (depth-first immediate, or batchable
-    /// breadth-first rounds).
-    pub schedule: CascadeSchedule,
-    /// How a round's condition batch is executed under
-    /// [`CascadeSchedule::Rounds`]: inline, or fanned over the shared
-    /// persistent worker pool.  Ignored by the immediate schedule (its
-    /// solves are inherently serial).  Pooled runs are bit-identical to
-    /// sequential runs of the rounds schedule.
-    pub mode: EvalMode,
     /// Restore the pre-mutation structure when a cascade errors (depth /
     /// firing limit, invalid action) instead of keeping the partially
-    /// committed mutations.  Costs one structure clone per external
-    /// mutation; see the module docs.
+    /// committed mutations.  The snapshot taken per external mutation is a
+    /// [`Structure::clone`]: it shares every table, and a cascade's writes
+    /// detach only the chunks they touch.
     pub rollback_on_error: bool,
 }
 
@@ -285,8 +244,6 @@ impl Default for ActiveOptions {
         ActiveOptions {
             max_cascade_depth: 32,
             max_total_firings: 100_000,
-            schedule: CascadeSchedule::Immediate,
-            mode: EvalMode::Sequential,
             rollback_on_error: false,
         }
     }
@@ -319,22 +276,11 @@ impl ActiveStats {
 }
 
 /// A structure wrapped with ECA triggers.
-///
-/// The embedded deductive [`Engine`] carries the executor configuration for
-/// [`CascadeSchedule::Rounds`]: in parallel mode its persistent worker pool
-/// is created lazily on the first batched round and reused across
-/// mutations and clones.
 #[derive(Debug, Clone, Default)]
 pub struct ActiveStore {
     structure: Structure,
     rules: Vec<EcaRule>,
     options: ActiveOptions,
-    core: Engine,
-    /// Condition bodies shared with the executor, built lazily from `rules`
-    /// and invalidated by [`ActiveStore::add_rule`] (the rule set cannot
-    /// change mid-cascade, so one Arc serves every round of every
-    /// mutation).
-    condition_bodies: Option<Arc<[Vec<Literal>]>>,
     /// Notify-stream fan-out (see [`crate::notify`]).  Not cloned with the
     /// store: a clone is an independent store and starts unobserved.
     subscribers: Subscribers,
@@ -355,11 +301,6 @@ impl ActiveStore {
             structure,
             rules: Vec::new(),
             options,
-            core: Engine::with_options(EvalOptions {
-                mode: options.mode,
-                ..EvalOptions::default()
-            }),
-            condition_bodies: None,
             subscribers: Subscribers::default(),
             epoch: 0,
         }
@@ -368,7 +309,6 @@ impl ActiveStore {
     /// Register a trigger.
     pub fn add_rule(&mut self, rule: EcaRule) -> &mut Self {
         self.rules.push(rule);
-        self.condition_bodies = None;
         self
     }
 
@@ -406,20 +346,6 @@ impl ActiveStore {
     /// would otherwise only catch at runtime, mid-mutation.
     pub fn analyze(&self) -> pathlog_core::analysis::Analysis {
         crate::analyze::analyze_eca_rules(&self.rules, self.options.max_cascade_depth, Some(&self.structure))
-    }
-
-    /// The cached condition-body slice the executor's batches index into.
-    fn condition_bodies(&mut self) -> Arc<[Vec<Literal>]> {
-        if self.condition_bodies.is_none() {
-            self.condition_bodies = Some(
-                self.rules
-                    .iter()
-                    .map(|r| r.condition.clone())
-                    .collect::<Vec<_>>()
-                    .into(),
-            );
-        }
-        Arc::clone(self.condition_bodies.as_ref().expect("just built"))
     }
 
     /// The registered triggers.
@@ -547,8 +473,7 @@ impl ActiveStore {
 
     // -------------------------------------------------------------- internal
 
-    /// Run one external mutation and its cascade under the configured
-    /// schedule.  On error the structure keeps the mutations committed
+    /// Run one external mutation and its cascade.  On error the structure keeps the mutations committed
     /// before the failure (partial commit) unless
     /// [`ActiveOptions::rollback_on_error`] restores the snapshot taken
     /// here.
@@ -556,11 +481,7 @@ impl ActiveStore {
         self.epoch = self.epoch.saturating_add(1);
         let snapshot = self.options.rollback_on_error.then(|| self.structure.clone());
         let mut stats = ActiveStats::default();
-        let result = match self.options.schedule {
-            CascadeSchedule::Immediate => self.mutate(mutation, 0, &mut stats),
-            CascadeSchedule::Rounds => self.mutate_rounds(mutation, &mut stats),
-        };
-        match result {
+        match self.mutate(mutation, 0, &mut stats) {
             Ok(()) => {
                 self.notify(stats.max_depth_reached, NotificationKind::Quiescent { stats });
                 Ok(stats)
@@ -580,7 +501,7 @@ impl ActiveStore {
 
     /// Apply one primitive mutation.  Returns whether the structure actually
     /// changed, the event seed bindings, and the watched (kind, method/class)
-    /// pair — shared by both cascade schedules.
+    /// pair.
     fn apply_mutation(&mut self, mutation: Mutation) -> Result<(bool, Bindings, (EventKind, Oid))> {
         Ok(match mutation {
             Mutation::AssertScalar {
@@ -649,7 +570,8 @@ impl ActiveStore {
         matching
     }
 
-    /// The depth-first immediate schedule (see the module docs).
+    /// One mutation and, depth-first, everything it triggers (see the module
+    /// docs).
     fn mutate(&mut self, mutation: Mutation, depth: usize, stats: &mut ActiveStats) -> Result<()> {
         if depth > self.options.max_cascade_depth {
             return Err(ReactiveError::LimitExceeded(format!(
@@ -691,91 +613,6 @@ impl ActiveStore {
                     self.mutate(next, depth + 1, stats)?;
                 }
             }
-        }
-        Ok(())
-    }
-
-    /// The breadth-first snapshot-rounds schedule (see the module docs):
-    /// round `d` applies every depth-`d` mutation, batch-solves every
-    /// candidate condition of the raised events against the frozen
-    /// structure on the shared executor, and commits the matches — their
-    /// actions become round `d + 1`.
-    fn mutate_rounds(&mut self, external: Mutation, stats: &mut ActiveStats) -> Result<()> {
-        let bodies = self.condition_bodies();
-        let mut queue: Vec<Mutation> = vec![external];
-        let mut depth = 0usize;
-        while !queue.is_empty() {
-            if depth > self.options.max_cascade_depth {
-                return Err(ReactiveError::LimitExceeded(format!(
-                    "trigger cascade exceeded depth {}",
-                    self.options.max_cascade_depth
-                )));
-            }
-            stats.max_depth_reached = stats.max_depth_reached.max(depth);
-
-            // 1. Apply the round's mutations; real changes raise events in
-            // application order.
-            let mut events: Vec<(EventKind, Oid, Bindings)> = Vec::new();
-            for mutation in std::mem::take(&mut queue) {
-                let (changed, seed, watched) = self.apply_mutation(mutation)?;
-                if changed {
-                    stats.mutations = stats.mutations.saturating_add(1);
-                    self.notify_change(depth, watched.0, watched.1);
-                    events.push((watched.0, watched.1, seed));
-                }
-            }
-
-            // 2. The round's candidates: every (event, matching rule) pair,
-            // in commit order (event raise order, then priority, then rule
-            // definition order).
-            let mut candidates: Vec<(usize, usize)> = Vec::new();
-            for (e, &(kind, method, _)) in events.iter().enumerate() {
-                candidates.extend(self.matching_rules(kind, method).into_iter().map(|r| (e, r)));
-            }
-            if candidates.is_empty() {
-                break;
-            }
-
-            // 3. Batch-solve every candidate's condition against the frozen
-            // structure (this is the batch the worker pool parallelises).
-            let tasks = candidates
-                .iter()
-                .map(|&(e, r)| ConditionTask {
-                    body: r,
-                    seed: events[e].2.clone(),
-                })
-                .collect();
-            let runs = self
-                .core
-                .solve_conditions(&mut self.structure, Arc::clone(&bodies), tasks)?;
-
-            // 4. Commit: fire in candidate order, solutions in canonical
-            // `binding_key` order; compiled actions form the next round.
-            for (&(_, r), run) in candidates.iter().zip(runs) {
-                if run.is_empty() {
-                    continue;
-                }
-                let rule = self.rules[r].clone();
-                for (_, solution) in run {
-                    stats.firings = stats.firings.saturating_add(1);
-                    if stats.firings > self.options.max_total_firings {
-                        return Err(ReactiveError::LimitExceeded(format!(
-                            "more than {} trigger firings for one mutation",
-                            self.options.max_total_firings
-                        )));
-                    }
-                    self.notify(
-                        depth,
-                        NotificationKind::Firing {
-                            rule: rule.name.clone(),
-                        },
-                    );
-                    for action in &rule.actions {
-                        queue.push(self.compile_action(action, &solution)?);
-                    }
-                }
-            }
-            depth += 1;
         }
         Ok(())
     }
@@ -1160,41 +997,38 @@ mod tests {
     /// and the first mutation at depth `N + 1` errors.
     #[test]
     fn max_cascade_depth_permits_exactly_n_trigger_levels() {
-        for schedule in [CascadeSchedule::Immediate, CascadeSchedule::Rounds] {
-            // 3 chain rules → deepest triggered mutation at depth 3.
-            let options = |max_cascade_depth| ActiveOptions {
-                max_cascade_depth,
-                schedule,
-                ..ActiveOptions::default()
-            };
-            let mut store = chain_store(3, options(3));
-            let (c0, a, b) = (store.oid("c0"), store.oid("a"), store.oid("b"));
-            let stats = store.assert_scalar(c0, a, b).unwrap();
-            assert_eq!(stats.max_depth_reached, 3, "{schedule:?}: N levels fit exactly");
-            assert_eq!(stats.mutations, 4, "{schedule:?}: external + 3 triggered");
+        // 3 chain rules → deepest triggered mutation at depth 3.
+        let options = |max_cascade_depth| ActiveOptions {
+            max_cascade_depth,
+            ..ActiveOptions::default()
+        };
+        let mut store = chain_store(3, options(3));
+        let (c0, a, b) = (store.oid("c0"), store.oid("a"), store.oid("b"));
+        let stats = store.assert_scalar(c0, a, b).unwrap();
+        assert_eq!(stats.max_depth_reached, 3, "N levels fit exactly");
+        assert_eq!(stats.mutations, 4, "external + 3 triggered");
 
-            let mut store = chain_store(3, options(2));
-            let (c0, a, b) = (store.oid("c0"), store.oid("a"), store.oid("b"));
-            let err = store.assert_scalar(c0, a, b).unwrap_err();
-            assert!(matches!(err, ReactiveError::LimitExceeded(_)), "{schedule:?}");
+        let mut store = chain_store(3, options(2));
+        let (c0, a, b) = (store.oid("c0"), store.oid("a"), store.oid("b"));
+        let err = store.assert_scalar(c0, a, b).unwrap_err();
+        assert!(matches!(err, ReactiveError::LimitExceeded(_)));
 
-            // N = 0: only the external mutation may mutate.  A rule still
-            // fires on it, but its first action mutation errors...
-            let mut store = chain_store(1, options(0));
-            let (c0, a, b) = (store.oid("c0"), store.oid("a"), store.oid("b"));
-            assert!(store.assert_scalar(c0, a, b).is_err(), "{schedule:?}");
-            // ...while an action-free rule fires without error.
-            let mut store = ActiveStore::with_options(Structure::new(), options(0));
-            store.add_rule(EcaRule::new(
-                "observe",
-                Event::ScalarAsserted(Name::atom("c0")),
-                vec![],
-                vec![],
-            ));
-            let (c0, a, b) = (store.oid("c0"), store.oid("a"), store.oid("b"));
-            let stats = store.assert_scalar(c0, a, b).unwrap();
-            assert_eq!((stats.firings, stats.max_depth_reached), (1, 0), "{schedule:?}");
-        }
+        // N = 0: only the external mutation may mutate.  A rule still
+        // fires on it, but its first action mutation errors...
+        let mut store = chain_store(1, options(0));
+        let (c0, a, b) = (store.oid("c0"), store.oid("a"), store.oid("b"));
+        assert!(store.assert_scalar(c0, a, b).is_err());
+        // ...while an action-free rule fires without error.
+        let mut store = ActiveStore::with_options(Structure::new(), options(0));
+        store.add_rule(EcaRule::new(
+            "observe",
+            Event::ScalarAsserted(Name::atom("c0")),
+            vec![],
+            vec![],
+        ));
+        let (c0, a, b) = (store.oid("c0"), store.oid("a"), store.oid("b"));
+        let stats = store.assert_scalar(c0, a, b).unwrap();
+        assert_eq!((stats.firings, stats.max_depth_reached), (1, 0));
     }
 
     /// Pins the documented partial-commit semantics: a cascade aborted by
@@ -1224,130 +1058,22 @@ mod tests {
 
     #[test]
     fn rollback_on_error_restores_the_pre_mutation_structure() {
-        for schedule in [CascadeSchedule::Immediate, CascadeSchedule::Rounds] {
-            let mut store = chain_store(
-                4,
-                ActiveOptions {
-                    max_cascade_depth: 2,
-                    rollback_on_error: true,
-                    schedule,
-                    ..ActiveOptions::default()
-                },
-            );
-            let (c0, a, b) = (store.oid("c0"), store.oid("a"), store.oid("b"));
-            let before = store.structure().canonical_dump();
-            assert!(store.assert_scalar(c0, a, b).is_err());
-            assert_eq!(
-                store.structure().canonical_dump(),
-                before,
-                "{schedule:?}: rollback must restore the snapshot"
-            );
-        }
-    }
-
-    /// On chain workloads (one matching rule per event) the two schedules
-    /// agree exactly, and pooled rounds are bit-identical to sequential
-    /// rounds.
-    #[test]
-    fn rounds_schedule_matches_immediate_on_chains_and_is_pool_stable() {
-        let run = |schedule, mode| {
-            let mut store = chain_store(
-                5,
-                ActiveOptions {
-                    schedule,
-                    mode,
-                    ..ActiveOptions::default()
-                },
-            );
-            let (c0, a, b) = (store.oid("c0"), store.oid("a"), store.oid("b"));
-            let stats = store.assert_scalar(c0, a, b).unwrap();
-            (stats, store.into_structure().canonical_dump())
-        };
-        let (imm_stats, imm_dump) = run(CascadeSchedule::Immediate, EvalMode::Sequential);
-        let (seq_stats, seq_dump) = run(CascadeSchedule::Rounds, EvalMode::Sequential);
-        assert_eq!(imm_stats, seq_stats);
-        assert_eq!(imm_dump, seq_dump);
-        for workers in [1usize, 2, 4] {
-            let (stats, dump) = run(CascadeSchedule::Rounds, EvalMode::Parallel { workers });
-            assert_eq!(stats, seq_stats, "stats must match at {workers} workers");
-            assert_eq!(dump, seq_dump, "models must match at {workers} workers");
-        }
-    }
-
-    /// A fan-out workload where one event matches several rules with
-    /// conditions — the batch shape the pool parallelises; pooled and
-    /// sequential rounds must stay bit-identical.
-    #[test]
-    fn pooled_rounds_match_sequential_rounds_on_fanout_rule_sets() {
-        let run = |mode| {
-            let mut s = Structure::new();
-            let employee = s.atom("employee");
-            for i in 0..6 {
-                let p = s.atom(&format!("p{i}"));
-                s.add_isa(p, employee);
-            }
-            let mut store = ActiveStore::with_options(
-                s,
-                ActiveOptions {
-                    schedule: CascadeSchedule::Rounds,
-                    mode,
-                    ..ActiveOptions::default()
-                },
-            );
-            store.add_rule(EcaRule::new(
-                "mark-paid",
-                Event::ScalarAsserted(Name::atom("salary")),
-                vec![Literal::pos(Term::var("Receiver").isa("employee"))],
-                vec![EcaAction::AddIsA {
-                    object: Term::var("Receiver"),
-                    class: Name::atom("paid"),
-                }],
-            ));
-            store.add_rule(EcaRule::new(
-                "keep-history",
-                Event::ScalarAsserted(Name::atom("salary")),
-                vec![Literal::pos(Term::var("Receiver").isa("employee"))],
-                vec![EcaAction::AddSetMember {
-                    receiver: Term::var("Receiver"),
-                    method: Name::atom("payHistory"),
-                    member: Term::var("Value"),
-                }],
-            ));
-            store.add_rule(EcaRule::new(
-                "derive-bonus",
-                Event::ScalarAsserted(Name::atom("salary")),
-                vec![],
-                vec![EcaAction::AssertScalar {
-                    receiver: Term::var("Receiver"),
-                    method: Name::atom("bonusBase"),
-                    value: Term::var("Value"),
-                }],
-            ));
-            store.add_rule(EcaRule::new(
-                "audit",
-                Event::ScalarAsserted(Name::atom("bonusBase")),
-                vec![],
-                vec![EcaAction::AddIsA {
-                    object: Term::var("Receiver"),
-                    class: Name::atom("audited"),
-                }],
-            ));
-            let salary = store.oid("salary");
-            let mut total = ActiveStats::default();
-            for i in 0..6 {
-                let p = store.oid(&format!("p{i}"));
-                let amount = store.int(1000 + i as i64);
-                total.merge(&store.assert_scalar(salary, p, amount).unwrap());
-            }
-            (total, store.into_structure().canonical_dump())
-        };
-        let (seq_stats, seq_dump) = run(EvalMode::Sequential);
-        assert_eq!(seq_stats.firings, 24, "4 firings per salary assert");
-        for workers in [1usize, 2, 4, 8] {
-            let (stats, dump) = run(EvalMode::Parallel { workers });
-            assert_eq!(stats, seq_stats, "stats must match at {workers} workers");
-            assert_eq!(dump, seq_dump, "models must match at {workers} workers");
-        }
+        let mut store = chain_store(
+            4,
+            ActiveOptions {
+                max_cascade_depth: 2,
+                rollback_on_error: true,
+                ..ActiveOptions::default()
+            },
+        );
+        let (c0, a, b) = (store.oid("c0"), store.oid("a"), store.oid("b"));
+        let before = store.structure().canonical_dump();
+        assert!(store.assert_scalar(c0, a, b).is_err());
+        assert_eq!(
+            store.structure().canonical_dump(),
+            before,
+            "rollback must restore the snapshot"
+        );
     }
 
     #[test]

@@ -56,15 +56,10 @@ pub mod notify;
 pub mod production;
 
 pub use action::{apply_action, Action, ActionEffect};
-pub use active::{ActiveOptions, ActiveStats, ActiveStore, CascadeSchedule, EcaAction, EcaRule, Event};
+pub use active::{ActiveOptions, ActiveStats, ActiveStore, EcaAction, EcaRule, Event};
 pub use analyze::{analyze_eca_rules, analyze_production_rules, summarize_eca, summarize_production};
 pub use error::{ReactiveError, Result};
 pub use notify::{Notification, NotificationKind, Subscription};
 pub use production::{
     ConflictResolution, Firing, ProductionEngine, ProductionOptions, ProductionRule, ProductionStats,
 };
-
-/// Re-exported evaluation mode ([`pathlog_core::engine::EvalMode`]): both
-/// [`ProductionOptions`] and [`ActiveOptions`] surface it to fan condition
-/// batches over the engine's persistent worker pool.
-pub use pathlog_core::engine::EvalMode;

@@ -20,10 +20,8 @@
 //! **Delivery.**  Channels are unbounded ([`std::sync::mpsc`]): the mutating
 //! thread never blocks on a slow subscriber, and notifications within one
 //! subscription are received in exactly the order the store emitted them
-//! (commit order under both cascade schedules — under
-//! [`CascadeSchedule::Rounds`](crate::CascadeSchedule::Rounds) that order is
-//! bit-identical between sequential and pooled runs, so a notification
-//! stream is as reproducible as the structure itself).  A dropped
+//! (commit order, which is a function of the store's content and rules — a
+//! notification stream is as reproducible as the structure itself).  A dropped
 //! [`Subscription`] is pruned from the store at the next emission; dropping
 //! the store ends every stream (the blocking iterator returns `None`).
 //!
@@ -235,19 +233,13 @@ impl Iterator for Subscription {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::active::{ActiveOptions, ActiveStore, CascadeSchedule, EcaAction, EcaRule};
+    use crate::active::{ActiveOptions, ActiveStore, EcaAction, EcaRule};
     use pathlog_core::names::Name;
     use pathlog_core::structure::Structure;
     use pathlog_core::term::Term;
 
-    fn chain_store(levels: usize, schedule: CascadeSchedule) -> ActiveStore {
-        let mut store = ActiveStore::with_options(
-            Structure::new(),
-            ActiveOptions {
-                schedule,
-                ..ActiveOptions::default()
-            },
-        );
+    fn chain_store(levels: usize) -> ActiveStore {
+        let mut store = ActiveStore::new(Structure::new());
         for k in 0..levels {
             store.add_rule(EcaRule::new(
                 format!("link-{k}"),
@@ -265,76 +257,35 @@ mod tests {
 
     #[test]
     fn an_epoch_streams_changes_firings_and_a_quiescent_barrier() {
-        for schedule in [CascadeSchedule::Immediate, CascadeSchedule::Rounds] {
-            let mut store = chain_store(2, schedule);
-            let sub = store.subscribe();
-            let (c0, a, b) = (store.oid("c0"), store.oid("a"), store.oid("b"));
-            let stats = store.assert_scalar(c0, a, b).unwrap();
+        let mut store = chain_store(2);
+        let sub = store.subscribe();
+        let (c0, a, b) = (store.oid("c0"), store.oid("a"), store.oid("b"));
+        let stats = store.assert_scalar(c0, a, b).unwrap();
 
-            let epoch = sub.next_epoch(Duration::from_secs(5)).expect("epoch completes");
-            assert!(epoch.iter().all(|n| n.epoch == 1), "{schedule:?}: one epoch");
-            let changes = epoch
-                .iter()
-                .filter(|n| matches!(n.kind, NotificationKind::Change { .. }))
-                .count();
-            let firings = epoch
-                .iter()
-                .filter(|n| matches!(n.kind, NotificationKind::Firing { .. }))
-                .count();
-            assert_eq!(changes, 3, "{schedule:?}: external + 2 triggered mutations");
-            assert_eq!(firings, 2, "{schedule:?}: each link fires once");
-            match &epoch.last().unwrap().kind {
-                NotificationKind::Quiescent { stats: s } => assert_eq!(*s, stats, "{schedule:?}"),
-                other => panic!("{schedule:?}: expected Quiescent barrier, got {other:?}"),
-            }
-            // rounds stamp the cascade depth
-            let max_round = epoch.iter().map(|n| n.round).max().unwrap();
-            assert_eq!(max_round, 2, "{schedule:?}: deepest triggered round");
+        let epoch = sub.next_epoch(Duration::from_secs(5)).expect("epoch completes");
+        assert!(epoch.iter().all(|n| n.epoch == 1), "one epoch");
+        let changes = epoch
+            .iter()
+            .filter(|n| matches!(n.kind, NotificationKind::Change { .. }))
+            .count();
+        let firings = epoch
+            .iter()
+            .filter(|n| matches!(n.kind, NotificationKind::Firing { .. }))
+            .count();
+        assert_eq!(changes, 3, "external + 2 triggered mutations");
+        assert_eq!(firings, 2, "each link fires once");
+        match &epoch.last().unwrap().kind {
+            NotificationKind::Quiescent { stats: s } => assert_eq!(*s, stats),
+            other => panic!("expected Quiescent barrier, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn sequential_and_pooled_rounds_emit_identical_streams() {
-        use pathlog_core::engine::EvalMode;
-        let run = |mode| {
-            let mut store = ActiveStore::with_options(
-                Structure::new(),
-                ActiveOptions {
-                    schedule: CascadeSchedule::Rounds,
-                    mode,
-                    ..ActiveOptions::default()
-                },
-            );
-            for k in 0..3 {
-                store.add_rule(EcaRule::new(
-                    format!("link-{k}"),
-                    Event::ScalarAsserted(Name::atom(format!("c{k}"))),
-                    vec![],
-                    vec![EcaAction::AssertScalar {
-                        receiver: Term::var("Receiver"),
-                        method: Name::atom(format!("c{}", k + 1)),
-                        value: Term::var("Value"),
-                    }],
-                ));
-            }
-            let sub = store.subscribe();
-            let (c0, a, b) = (store.oid("c0"), store.oid("a"), store.oid("b"));
-            store.assert_scalar(c0, a, b).unwrap();
-            sub.drain()
-        };
-        let sequential = run(EvalMode::Sequential);
-        for workers in [2usize, 4] {
-            assert_eq!(
-                run(EvalMode::Parallel { workers }),
-                sequential,
-                "streams must be bit-identical at {workers} workers"
-            );
-        }
+        // `round` stamps the cascade depth
+        let max_round = epoch.iter().map(|n| n.round).max().unwrap();
+        assert_eq!(max_round, 2, "deepest triggered round");
     }
 
     #[test]
     fn epochs_number_external_mutations() {
-        let mut store = chain_store(1, CascadeSchedule::Immediate);
+        let mut store = chain_store(1);
         let sub = store.subscribe();
         let (c0, a, b, c) = (store.oid("c0"), store.oid("a"), store.oid("b"), store.oid("c"));
         store.assert_scalar(c0, a, b).unwrap();
@@ -347,7 +298,7 @@ mod tests {
 
     #[test]
     fn unchanged_mutations_emit_no_change_notifications() {
-        let mut store = chain_store(0, CascadeSchedule::Immediate);
+        let mut store = chain_store(0);
         let sub = store.subscribe();
         let (v, m, a1) = (store.oid("vehicles"), store.oid("mary"), store.oid("a1"));
         store.add_set_member(v, m, a1).unwrap();
@@ -400,7 +351,7 @@ mod tests {
 
     #[test]
     fn dropped_subscriptions_are_pruned_and_store_drop_ends_streams() {
-        let mut store = chain_store(0, CascadeSchedule::Immediate);
+        let mut store = chain_store(0);
         let kept = store.subscribe();
         let dropped = store.subscribe();
         assert_eq!(store.subscriber_count(), 2);
@@ -422,7 +373,7 @@ mod tests {
 
     #[test]
     fn cloned_stores_start_with_no_subscribers() {
-        let mut store = chain_store(0, CascadeSchedule::Immediate);
+        let mut store = chain_store(0);
         let sub = store.subscribe();
         let mut copy = store.clone();
         assert_eq!(copy.subscriber_count(), 0);
@@ -433,7 +384,7 @@ mod tests {
 
     #[test]
     fn a_consumer_thread_streams_notifications_concurrently() {
-        let mut store = chain_store(1, CascadeSchedule::Rounds);
+        let mut store = chain_store(1);
         let sub = store.subscribe();
         let consumer = std::thread::spawn(move || {
             let mut barriers = 0usize;

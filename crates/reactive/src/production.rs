@@ -18,15 +18,11 @@
 //! fixpoint guarantee of the bottom-up semantics is replaced by explicit
 //! cycle limits.
 //!
-//! **Scheduling.**  The recognise phase of a cycle solves every rule's
-//! condition against the *same* frozen structure, which makes it a natural
-//! [`ConditionBatch`](pathlog_core::engine::ConditionBatch): the engine
-//! routes it through the deductive engine's executor subsystem, so with
-//! [`ProductionOptions::mode`] set to [`EvalMode::Parallel`] the condition
-//! solves of a cycle fan out over a persistent worker pool.  Matches commit
-//! in canonical priority-then-`binding_key` order, so pooled runs are
-//! **bit-identical** to sequential ones — same firing order, same trace,
-//! same statistics, same structure.
+//! **Scheduling.**  The recognise phase of a cycle solves the conditions of
+//! the rules it must re-match against the structure as the last firing left
+//! it ([`solve_condition`]), and matches commit in canonical
+//! priority-then-`binding_key` order, so two runs over equal structures
+//! have the same firing order, trace, statistics and final structure.
 //!
 //! **Delta gating.**  With [`ProductionOptions::delta_gated`] (the default)
 //! a rule's condition is only re-solved when the firings since its last
@@ -43,9 +39,8 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
 
-use pathlog_core::engine::{BindingKey, ConditionTask, Engine, EvalMode, EvalOptions, SortedRun};
+use pathlog_core::engine::{solve_condition, BindingKey, SortedRun};
 use pathlog_core::program::{literal_reads, DepKey, Literal};
 use pathlog_core::semantics::{Bindings, DeltaView, EvalMarks};
 use pathlog_core::structure::{Oid, Structure};
@@ -126,10 +121,6 @@ pub struct ProductionOptions {
     pub conflict_resolution: ConflictResolution,
     /// Create virtual objects for undefined scalar paths in assert actions.
     pub create_virtuals: bool,
-    /// How a cycle's condition batch is executed: inline on the calling
-    /// thread, or fanned over the shared persistent worker pool.  Pooled
-    /// runs are bit-identical to sequential ones (see the module docs).
-    pub mode: EvalMode,
     /// Skip re-solving conditions whose solution set provably did not change
     /// since the rule's last watermark (see the module docs).  Disabling
     /// this re-matches every rule every cycle — the ablation arm of the E18
@@ -145,7 +136,6 @@ impl Default for ProductionOptions {
             refractory: true,
             conflict_resolution: ConflictResolution::Priority,
             create_virtuals: true,
-            mode: EvalMode::Sequential,
             delta_gated: true,
         }
     }
@@ -200,21 +190,10 @@ pub struct Firing {
 }
 
 /// The production rule engine.
-///
-/// The embedded deductive [`Engine`] carries the executor configuration: in
-/// parallel mode its persistent worker pool is created lazily on the first
-/// batched recognise phase and reused across cycles, runs and clones.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProductionEngine {
     rules: Vec<ProductionRule>,
     options: ProductionOptions,
-    core: Engine,
-}
-
-impl Default for ProductionEngine {
-    fn default() -> Self {
-        Self::with_options(ProductionOptions::default())
-    }
 }
 
 impl ProductionEngine {
@@ -228,10 +207,6 @@ impl ProductionEngine {
         ProductionEngine {
             rules: Vec::new(),
             options,
-            core: Engine::with_options(EvalOptions {
-                mode: options.mode,
-                ..EvalOptions::default()
-            }),
         }
     }
 
@@ -298,12 +273,6 @@ impl ProductionEngine {
         let mut fired: Vec<BTreeSet<BindingKey>> = vec![BTreeSet::new(); self.rules.len()];
 
         // Per-rule condition caches for delta-gated re-matching.
-        let bodies: Arc<[Vec<Literal>]> = self
-            .rules
-            .iter()
-            .map(|r| r.condition.clone())
-            .collect::<Vec<_>>()
-            .into();
         let reads: Vec<BTreeSet<DepKey>> = self
             .rules
             .iter()
@@ -329,12 +298,11 @@ impl ProductionEngine {
             stats.cycles = stats.cycles.saturating_add(1);
 
             // Recognise: re-solve the rules whose solutions may have
-            // changed, as one batch against the frozen structure.
+            // changed.
             let now = EvalMarks::capture(structure);
             // The delta windows of this cycle, one per distinct lower
             // watermark (rules last solved in the same cycle share one).
             let mut windows: Vec<(EvalMarks, DeltaView)> = Vec::new();
-            let mut dirty: Vec<usize> = Vec::new();
             for r in 0..self.rules.len() {
                 let must_solve = match marks[r] {
                     None => true,
@@ -360,7 +328,10 @@ impl ProductionEngine {
                     }
                 };
                 if must_solve {
-                    dirty.push(r);
+                    cache[r] = solve_condition(structure, &self.rules[r].condition, &Bindings::new())?;
+                    stats.condition_solves = stats.condition_solves.saturating_add(1);
+                    marks[r] = Some(now);
+                    retract_marks[r] = retractions;
                 } else {
                     stats.condition_skips = stats.condition_skips.saturating_add(1);
                     // The skipped window was proven irrelevant to this rule,
@@ -368,22 +339,6 @@ impl ProductionEngine {
                     // stays O(that cycle's delta) instead of re-slicing an
                     // ever-growing window back to the rule's last solve.
                     marks[r] = Some(now);
-                }
-            }
-            if !dirty.is_empty() {
-                let tasks = dirty
-                    .iter()
-                    .map(|&r| ConditionTask {
-                        body: r,
-                        seed: Bindings::new(),
-                    })
-                    .collect();
-                let runs = self.core.solve_conditions(structure, Arc::clone(&bodies), tasks)?;
-                for (&r, run) in dirty.iter().zip(runs) {
-                    stats.condition_solves = stats.condition_solves.saturating_add(1);
-                    cache[r] = run;
-                    marks[r] = Some(now);
-                    retract_marks[r] = retractions;
                 }
             }
 
@@ -631,28 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_runs_are_bit_identical_to_sequential_runs() {
-        let (seq_stats, seq_trace, seq_dump) = {
-            let mut s = payroll_with_threshold();
-            let engine = classification_engine(ProductionOptions::default());
-            let (stats, trace) = engine.run_traced(&mut s).unwrap();
-            (stats, trace, s.canonical_dump())
-        };
-        assert_eq!(seq_stats.firings, 6, "3 staff + 2 low-band + 1 high-band");
-        for workers in [1usize, 2, 4] {
-            let mut s = payroll_with_threshold();
-            let engine = classification_engine(ProductionOptions {
-                mode: EvalMode::Parallel { workers },
-                ..ProductionOptions::default()
-            });
-            let (stats, trace) = engine.run_traced(&mut s).unwrap();
-            assert_eq!(stats, seq_stats, "stats must match at {workers} workers");
-            assert_eq!(trace, seq_trace, "firing order must match at {workers} workers");
-            assert_eq!(s.canonical_dump(), seq_dump, "models must match at {workers} workers");
-        }
-    }
-
-    #[test]
     fn delta_gating_skips_unaffected_rules_without_changing_the_run() {
         let run = |delta_gated: bool| {
             let mut s = payroll_with_threshold();
@@ -665,6 +598,7 @@ mod tests {
         };
         let (gated, gated_trace, gated_dump) = run(true);
         let (full, full_trace, full_dump) = run(false);
+        assert_eq!(gated.firings, 6, "3 staff + 2 low-band + 1 high-band");
         assert_eq!(gated.firings, full.firings);
         assert_eq!(gated.asserted, full.asserted);
         assert_eq!(gated_trace, full_trace);

@@ -20,7 +20,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release --example pathlog_serve -- --sessions 16 --commits 40 --workers 4
+//! cargo run --release --example pathlog_serve -- --sessions 16 --commits 40
 //! ```
 
 use std::collections::BTreeMap;
@@ -38,7 +38,6 @@ const WAGE_FLOOR: i64 = 40_000;
 struct Args {
     sessions: usize,
     commits: usize,
-    workers: usize,
     employees: usize,
 }
 
@@ -46,7 +45,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         sessions: 16,
         commits: 40,
-        workers: 4,
         employees: 60,
     };
     let mut raw = std::env::args().skip(1);
@@ -55,10 +53,9 @@ fn parse_args() -> Args {
         match (flag.as_str(), value) {
             ("--sessions", Some(n)) if n > 0 => args.sessions = n,
             ("--commits", Some(n)) if n > 0 => args.commits = n,
-            ("--workers", Some(n)) if n > 0 => args.workers = n,
             ("--employees", Some(n)) if n > 0 => args.employees = n,
             _ => {
-                eprintln!("usage: pathlog_serve [--sessions N] [--commits N] [--workers N] [--employees N]");
+                eprintln!("usage: pathlog_serve [--sessions N] [--commits N] [--employees N]");
                 std::process::exit(2);
             }
         }
@@ -68,15 +65,7 @@ fn parse_args() -> Args {
 
 /// The guarded company store every run starts from.  One salary is pinned
 /// to the exact floor so the comparison literal's threshold is interned.
-fn guarded_store(employees: usize, workers: usize) -> ObjectStore {
-    let engine = if workers <= 1 {
-        Engine::new()
-    } else {
-        Engine::with_options(EvalOptions {
-            mode: EvalMode::Parallel { workers },
-            ..EvalOptions::default()
-        })
-    };
+fn guarded_store(employees: usize) -> ObjectStore {
     let mut db = pathlog::datagen::generate_company(&CompanyParams::scaled(employees));
     db.set("e0", "salary", Value::Int(WAGE_FLOOR)).expect("e0 exists");
     let constraints: ConstraintSet = [
@@ -104,7 +93,8 @@ fn guarded_store(employees: usize, workers: usize) -> ObjectStore {
     ]
     .into_iter()
     .collect();
-    db.set_constraints(constraints, engine).expect("constraints install");
+    db.set_constraints(constraints, Engine::new())
+        .expect("constraints install");
     db
 }
 
@@ -142,7 +132,7 @@ fn salary_query() -> Query {
 /// Sequential oracle: replay the identical history with no concurrency,
 /// recording the canonical dump a session pins after every commit attempt.
 fn sequential_oracle(args: &Args) -> BTreeMap<Epoch, String> {
-    let mut db = guarded_store(args.employees, 1);
+    let mut db = guarded_store(args.employees);
     let mut dumps = BTreeMap::new();
     let bootstrap = db.begin_session();
     dumps.insert(bootstrap.epoch(), bootstrap.canonical_dump());
@@ -168,7 +158,7 @@ fn percentile(samples: &[u64], p: f64) -> u64 {
 /// Fan pinned sessions to reader threads while the writer replays the
 /// commit schedule, then cross-check every observed dump against `oracle`.
 fn serve(args: &Args, oracle: &BTreeMap<Epoch, String>) {
-    let mut db = guarded_store(args.employees, args.workers);
+    let mut db = guarded_store(args.employees);
 
     let (result_tx, result_rx) = mpsc::channel::<(Epoch, String, u64)>();
     let mut feeds = Vec::with_capacity(args.sessions);

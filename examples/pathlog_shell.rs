@@ -17,18 +17,9 @@
 //! Commands: `:stats` prints structure statistics, `:check` runs the type
 //! checker, `:quit` exits.
 //!
-//! Evaluation is drivable from the command line: `--mode seq|par` selects
-//! sequential or parallel rule evaluation and `--workers N` sets the worker
-//! count (implies `--mode par` unless `seq` is given explicitly), e.g.
-//! `cargo run --example pathlog_shell -- --mode par --workers 4`.  Parallel
-//! runs use the engine's persistent worker pool and are bit-identical to
-//! sequential ones.
-//!
 //! `--reactive` skips the interactive loop and runs the active-database
-//! demo instead: salary updates pushed through an ECA trigger fan-out on
-//! the pooled snapshot-rounds schedule (`--mode`/`--workers` select the
-//! executor exactly as for the deductive engine), cross-checked against a
-//! sequential run of the same store.
+//! demo instead: salary updates pushed through an ECA trigger fan-out,
+//! cross-checked against a second run of the same store.
 //!
 //! `--check FILE...` skips the interactive loop too and runs the static
 //! analyzer over each program file instead, printing one
@@ -50,9 +41,9 @@ use std::io::{self, BufRead, Write};
 use pathlog::core::names::Name;
 use pathlog::core::program::Literal;
 use pathlog::prelude::*;
-use pathlog::reactive::{ActiveOptions, ActiveStats, ActiveStore, CascadeSchedule, EcaAction, EcaRule, Event};
+use pathlog::reactive::{ActiveStats, ActiveStore, EcaAction, EcaRule, Event};
 
-/// What the command line asked for beyond evaluation options.
+/// What the command line asked for.
 enum ShellMode {
     /// The interactive read-eval loop.
     Interactive,
@@ -67,35 +58,19 @@ enum ShellMode {
     },
 }
 
-/// Parse `--workers N` / `--mode seq|par` / `--reactive` /
-/// `--check`/`--explain [--json] FILE...`; returns the evaluation options
-/// and the requested mode.
-fn options_from_args() -> (EvalOptions, ShellMode) {
-    let mut workers: Option<usize> = None;
-    let mut mode: Option<&'static str> = None;
+/// Parse `--reactive` / `--check`/`--explain [--json] FILE...`.
+fn mode_from_args() -> ShellMode {
     let mut reactive = false;
     let mut check = false;
     let mut explain = false;
     let mut json = false;
     let mut files: Vec<String> = Vec::new();
     let usage = || -> ! {
-        eprintln!(
-            "usage: pathlog_shell [--mode seq|par] [--workers N] [--reactive] [--check|--explain [--json] FILE...]"
-        );
+        eprintln!("usage: pathlog_shell [--reactive] [--check|--explain [--json] FILE...]");
         std::process::exit(2);
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--workers" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => workers = Some(n),
-                _ => usage(),
-            },
-            "--mode" => match args.next().as_deref() {
-                Some("seq") => mode = Some("seq"),
-                Some("par") => mode = Some("par"),
-                _ => usage(),
-            },
             "--reactive" => reactive = true,
             "--check" => check = true,
             "--explain" => explain = true,
@@ -110,34 +85,13 @@ fn options_from_args() -> (EvalOptions, ShellMode) {
     if (check || explain) && (files.is_empty() || reactive) {
         usage();
     }
-    let parallel = match mode {
-        Some("par") => true,
-        Some(_) => false,
-        // `--workers N` alone means "evaluate in parallel with N workers".
-        None => workers.is_some(),
-    };
-    let eval_mode = if parallel {
-        let workers = workers
-            .or_else(|| std::thread::available_parallelism().ok().map(usize::from))
-            .unwrap_or(2);
-        EvalMode::Parallel { workers }
-    } else {
-        EvalMode::Sequential
-    };
-    let shell_mode = if check || explain {
+    if check || explain {
         ShellMode::Check { files, json, explain }
     } else if reactive {
         ShellMode::Reactive
     } else {
         ShellMode::Interactive
-    };
-    (
-        EvalOptions {
-            mode: eval_mode,
-            ..EvalOptions::default()
-        },
-        shell_mode,
-    )
+    }
 }
 
 /// One rule's join-plan explanation: what the cost-based planner would do
@@ -283,14 +237,13 @@ fn plan_to_json(p: &PlanExplanation) -> String {
 /// diagnostic, 1 otherwise.
 ///
 /// With `json` the document is an object, not a bare array: a `"meta"`
-/// block records the evaluation options and the invocation's engine
-/// counters — including the serving-layer counters `epochs_published`,
-/// `snapshots_pinned` and `snapshots_reclaimed` from [`EvalStats`] — then
-/// the per-file entries follow under `"files"`.  The static gate performs
+/// block records the invocation's serving-layer counters
+/// (`epochs_published`, `snapshots_pinned` and `snapshots_reclaimed` from
+/// [`EvalStats`]), then the per-file entries follow under `"files"`.  The static gate performs
 /// no evaluation, so its counters are zero; the keys exist so downstream
 /// tooling reads one stable schema whether or not a shell invocation
 /// evaluated anything.
-fn check_files(files: &[String], json: bool, explain: bool, options: &EvalOptions) -> i32 {
+fn check_files(files: &[String], json: bool, explain: bool) -> i32 {
     use pathlog::core::analysis::{json_escape, AnalysisInput};
     use pathlog::parser::parse_program_spanned;
 
@@ -385,13 +338,8 @@ fn check_files(files: &[String], json: bool, explain: bool, options: &EvalOption
     }
     if json {
         let stats = EvalStats::default();
-        let (mode, workers) = match options.mode {
-            EvalMode::Sequential => ("seq", 1),
-            EvalMode::Parallel { workers } => ("par", workers),
-        };
         println!(
-            "{{\"meta\":{{\"mode\":\"{mode}\",\"workers\":{workers},\
-             \"epochs_published\":{},\"snapshots_pinned\":{},\"snapshots_reclaimed\":{}}},\
+            "{{\"meta\":{{\"epochs_published\":{},\"snapshots_pinned\":{},\"snapshots_reclaimed\":{}}},\
              \"files\":[{}]}}",
             stats.epochs_published,
             stats.snapshots_pinned,
@@ -403,22 +351,15 @@ fn check_files(files: &[String], json: bool, explain: bool, options: &EvalOption
 }
 
 /// An active store over a tiny payroll with a salary-event fan-out (three
-/// rules on one event, one cascaded audit rule) on the given schedule/mode.
-fn demo_store(schedule: CascadeSchedule, mode: EvalMode) -> ActiveStore {
+/// rules on one event, one cascaded audit rule).
+fn demo_store() -> ActiveStore {
     let mut s = Structure::new();
     let employee = s.atom("employee");
     for name in ["ann", "bob", "cleo"] {
         let p = s.atom(name);
         s.add_isa(p, employee);
     }
-    let mut store = ActiveStore::with_options(
-        s,
-        ActiveOptions {
-            schedule,
-            mode,
-            ..ActiveOptions::default()
-        },
-    );
+    let mut store = ActiveStore::new(s);
     store.add_rule(EcaRule::new(
         "mark-paid",
         Event::ScalarAsserted(Name::atom("salary")),
@@ -480,51 +421,41 @@ fn run_demo(store: &mut ActiveStore, verbose: bool) -> (ActiveStats, String) {
     (total, store.structure().canonical_dump())
 }
 
-/// The `--reactive` demo: the pooled active store versus a sequential run of
-/// the same rule set (the results must be bit-identical).
-fn reactive_demo(options: EvalOptions) {
-    match options.mode {
-        EvalMode::Sequential => println!("reactive demo: snapshot-rounds schedule, sequential"),
-        EvalMode::Parallel { workers } => {
-            println!("reactive demo: snapshot-rounds schedule, pooled condition batches ({workers} workers)")
-        }
-    }
-    let mut store = demo_store(CascadeSchedule::Rounds, options.mode);
+/// The `--reactive` demo: the salary updates through the trigger fan-out,
+/// twice (the results must be bit-identical).
+fn reactive_demo() {
+    println!("reactive demo: depth-first trigger cascades");
+    let mut store = demo_store();
     let (total, dump) = run_demo(&mut store, true);
     println!(
         "quiescent: {} firings, {} mutations, max cascade depth {}",
         total.firings, total.mutations, total.max_depth_reached
     );
-    let mut reference = demo_store(CascadeSchedule::Rounds, EvalMode::Sequential);
+    let mut reference = demo_store();
     let (ref_total, ref_dump) = run_demo(&mut reference, false);
-    assert_eq!(total, ref_total, "pooled stats must match sequential");
-    assert_eq!(dump, ref_dump, "pooled structure must match sequential");
-    println!("cross-check: bit-identical to the sequential run");
+    assert_eq!(total, ref_total, "a second run must repeat the stats");
+    assert_eq!(dump, ref_dump, "a second run must repeat the structure");
+    println!("cross-check: bit-identical to a second run");
     let structure = store.into_structure();
     let audited = structure.lookup_name(&Name::atom("audited")).expect("audited class");
     println!("audited employees: {}", structure.instances_of(audited).count());
 }
 
 fn main() {
-    let (options, mode) = options_from_args();
-    match mode {
-        ShellMode::Check { files, json, explain } => std::process::exit(check_files(&files, json, explain, &options)),
+    match mode_from_args() {
+        ShellMode::Check { files, json, explain } => std::process::exit(check_files(&files, json, explain)),
         ShellMode::Reactive => {
-            reactive_demo(options);
+            reactive_demo();
             return;
         }
         ShellMode::Interactive => {}
     }
     let mut structure = Structure::new();
-    let engine = Engine::with_options(options);
+    let engine = Engine::new();
     let stdin = io::stdin();
     let mut stdout = io::stdout();
 
     println!("PathLog shell — facts, rules (head <- body.) and queries (?- body.)");
-    match options.mode {
-        EvalMode::Sequential => println!("evaluation: sequential (use --mode par / --workers N for parallel)"),
-        EvalMode::Parallel { workers } => println!("evaluation: parallel, {workers} workers (pooled executor)"),
-    }
     print!("pathlog> ");
     stdout.flush().unwrap();
 

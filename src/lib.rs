@@ -62,8 +62,7 @@ pub mod prelude {
         parse_program, parse_program_spanned, parse_query, parse_rule, parse_term, SpannedProgram,
     };
     pub use pathlog_reactive::{
-        Action, ActiveOptions, ActiveStore, CascadeSchedule, EcaRule, ProductionEngine, ProductionOptions,
-        ProductionRule,
+        Action, ActiveOptions, ActiveStore, EcaRule, ProductionEngine, ProductionOptions, ProductionRule,
     };
     pub use pathlog_sqlfront::Catalog;
 }

@@ -1,15 +1,11 @@
 //! Integrity constraints: property tests for the incremental checker, the
-//! check-on-commit guard, tolerant evaluation, and the fault-hardened
-//! executor.
+//! check-on-commit guard and tolerant evaluation.
 //!
 //! The central property (the E20 contract): **incremental checking is
 //! observationally identical to full re-checking** — after any sequence of
 //! mutations, [`ConstraintChecker::check`] returns exactly the violations
 //! (same list, same order) that a from-scratch [`ConstraintChecker::check_full`]
-//! computes, at every worker count.  The fault tests assert that injected
-//! worker panics never change a solve's outcome: the structure's
-//! `canonical_dump()` stays bit-identical and the recovery is surfaced in
-//! `EvalStats`.
+//! computes.
 
 use proptest::prelude::*;
 
@@ -101,18 +97,6 @@ fn genealogy_constraints() -> ConstraintSet {
     ]
     .into_iter()
     .collect()
-}
-
-/// The evaluation matrix the equivalence property quantifies over.
-fn executor_matrix() -> Vec<EvalOptions> {
-    let mut configs = vec![EvalOptions::default()]; // sequential
-    for workers in [1usize, 2, 4, 8] {
-        configs.push(EvalOptions {
-            mode: EvalMode::Parallel { workers },
-            ..EvalOptions::default()
-        });
-    }
-    configs
 }
 
 /// One random mutation against a structure with known member/value pools.
@@ -219,8 +203,7 @@ fn people_of(s: &Structure, prefix: &str) -> Vec<Oid> {
 }
 
 /// Run `mutations` in chunks over `structure`, checking after every chunk
-/// that every incremental checker in the executor matrix agrees exactly
-/// with the sequential full-recheck oracle.
+/// that the incremental checker agrees exactly with the full-recheck oracle.
 fn assert_incremental_equals_full(
     mut structure: Structure,
     constraints: ConstraintSet,
@@ -232,26 +215,20 @@ fn assert_incremental_equals_full(
     let arena = Arena::new(&mut structure, people);
 
     let mut oracle = ConstraintChecker::new(constraints.clone(), Engine::new());
-    let mut incremental: Vec<ConstraintChecker> = executor_matrix()
-        .into_iter()
-        .map(|options| ConstraintChecker::new(constraints.clone(), Engine::with_options(options)))
-        .collect();
+    let mut incremental = ConstraintChecker::new(constraints, Engine::new());
 
     for step in mutations.chunks(chunk.max(1)) {
         for m in step {
             arena.apply(&mut structure, m);
         }
-        let expected = oracle.check_full(&mut structure).unwrap();
-        for (i, checker) in incremental.iter_mut().enumerate() {
-            let got = checker.check(&mut structure).unwrap();
-            assert_eq!(got, expected, "config #{i} diverged from the full re-check");
-        }
+        let expected = oracle.check_full(&structure).unwrap();
+        let got = incremental.check(&structure).unwrap();
+        assert_eq!(got, expected, "the incremental check diverged from the full re-check");
     }
 }
 
 // ---------------------------------------------------------------------------
-// 1. incremental == full re-check, quantified over mutation sequences and
-//    the 1/2/4/8-worker × Pooled/Scoped matrix
+// 1. incremental == full re-check, quantified over mutation sequences
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -337,140 +314,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// 3. fault injection: solves survive injected worker faults bit-identically
-// ---------------------------------------------------------------------------
-
-/// Transitive-closure rules over `kids`, enough work to fan out.
-fn descendant_rules() -> Vec<Rule> {
-    vec![
-        Rule::new(
-            Term::var("X").filter(Filter::set("desc", vec![Term::var("Y")])),
-            vec![Literal::pos(
-                Term::var("X").filter(Filter::set("kids", vec![Term::var("Y")])),
-            )],
-        ),
-        Rule::new(
-            Term::var("X").filter(Filter::set("desc", vec![Term::var("Y")])),
-            vec![
-                Literal::pos(Term::var("X").filter(Filter::set("desc", vec![Term::var("Z")]))),
-                Literal::pos(Term::var("Z").filter(Filter::set("kids", vec![Term::var("Y")]))),
-            ],
-        ),
-    ]
-}
-
-/// One fixed structure, cloned per run: `ObjectStore::to_structure` interns
-/// hash-map entries in iteration order, so two conversions of the same
-/// store number their oids differently — bit-identity is only meaningful
-/// across runs over clones of the *same* structure.
-fn genealogy_structure_for_faults() -> Structure {
-    generate_genealogy(&GenealogyParams {
-        roots: 3,
-        depth: 3,
-        fanout: 3,
-        seed: 7,
-    })
-    .to_structure()
-}
-
-#[test]
-fn injected_task_panics_leave_solves_bit_identical_and_are_counted() {
-    let rules = descendant_rules();
-    let base = genealogy_structure_for_faults();
-
-    // clean sequential oracle
-    let mut baseline = base.clone();
-    Engine::new().run_rules(&mut baseline, &rules).unwrap();
-    let expected = baseline.canonical_dump();
-
-    // pooled engine with task panics injected: every run must still match
-    let engine = Engine::with_options(EvalOptions {
-        mode: EvalMode::Parallel { workers: 3 },
-        ..EvalOptions::default()
-    });
-    engine.fault_control().inject_task_panics(3);
-    let mut recovered_total = 0;
-    for _ in 0..50 {
-        let mut s = base.clone();
-        let stats = engine.run_rules(&mut s, &rules).unwrap();
-        assert_eq!(s.canonical_dump(), expected, "a fault changed the result");
-        recovered_total += stats.tasks_recovered;
-        if engine.fault_control().pending() == (0, 0) {
-            break;
-        }
-    }
-    assert_eq!(engine.fault_control().pending(), (0, 0), "injections never consumed");
-    assert!(recovered_total >= 1, "recovery must be surfaced in EvalStats");
-    assert_eq!(
-        recovered_total,
-        engine.fault_control().tasks_recovered(),
-        "per-run EvalStats deltas must sum to the control's lifetime counter"
-    );
-}
-
-#[test]
-fn injected_worker_kills_respawn_the_pool_and_preserve_results() {
-    let rules = descendant_rules();
-    let base = genealogy_structure_for_faults();
-    let mut baseline = base.clone();
-    Engine::new().run_rules(&mut baseline, &rules).unwrap();
-    let expected = baseline.canonical_dump();
-
-    let engine = Engine::with_options(EvalOptions {
-        mode: EvalMode::Parallel { workers: 3 },
-        ..EvalOptions::default()
-    });
-    engine.fault_control().inject_worker_kills(2);
-    let mut respawned_total = 0;
-    for _ in 0..50 {
-        let mut s = base.clone();
-        let stats = engine.run_rules(&mut s, &rules).unwrap();
-        assert_eq!(s.canonical_dump(), expected, "a killed worker changed the result");
-        respawned_total += stats.workers_respawned;
-        if engine.fault_control().pending() == (0, 0) && respawned_total >= 1 {
-            break;
-        }
-    }
-    assert_eq!(engine.fault_control().pending(), (0, 0));
-    assert!(respawned_total >= 1, "the pool must respawn killed workers");
-
-    // the healed pool keeps solving correctly with no faults pending
-    let mut s = base.clone();
-    engine.run_rules(&mut s, &rules).unwrap();
-    assert_eq!(s.canonical_dump(), expected);
-}
-
-#[test]
-fn fault_injected_constraint_checks_agree_with_clean_oracle() {
-    let db = generate_company(&CompanyParams {
-        employees: 15,
-        manager_fraction: 0.4,
-        seed: 11,
-        ..CompanyParams::default()
-    });
-    let mut s = db.to_structure();
-    s.int(40_000);
-    let mut oracle = ConstraintChecker::new(company_constraints(), Engine::new());
-    let expected = oracle.check_full(&mut s).unwrap();
-
-    let engine = Engine::with_options(EvalOptions {
-        mode: EvalMode::Parallel { workers: 4 },
-        ..EvalOptions::default()
-    });
-    engine.fault_control().inject_task_panics(2);
-    let mut checker = ConstraintChecker::new(company_constraints(), engine.clone());
-    for _ in 0..50 {
-        let got = checker.check_full(&mut s).unwrap();
-        assert_eq!(got, expected, "a fault changed the violation set");
-        if engine.fault_control().pending() == (0, 0) {
-            break;
-        }
-    }
-    assert_eq!(engine.fault_control().pending(), (0, 0));
-}
-
-// ---------------------------------------------------------------------------
-// 4. check-on-commit over a generated store
+// 3. check-on-commit over a generated store
 // ---------------------------------------------------------------------------
 
 #[test]

@@ -160,10 +160,9 @@ fn queries_through_the_full_stack_with_parsed_program() {
 
 /// Regression for the determinism bugfix sweep: two evaluations of the same
 /// program — in the same process, so every hash map gets a different random
-/// seed — must produce byte-identical canonical dumps, and parallel delta
-/// evaluation must match the sequential bytes too.  Before solutions were
-/// merged in canonical order, virtual objects were allocated in hash-map
-/// iteration order and the dumps differed run-to-run.
+/// seed — must produce byte-identical canonical dumps and equal `EvalStats`.
+/// Before solutions were merged in canonical order, virtual objects were
+/// allocated in hash-map iteration order and the dumps differed run-to-run.
 #[test]
 fn repeated_and_parallel_runs_emit_byte_identical_models() {
     let structure = pathlog::datagen::genealogy_structure(&pathlog::datagen::GenealogyParams {
@@ -178,23 +177,15 @@ fn repeated_and_parallel_runs_emit_byte_identical_models() {
          X.summary[descendants ->> X..desc] <- X[kids ->> {Y}].",
     )
     .unwrap();
-    let run = |mode: EvalMode| {
+    let run = || {
         let mut s = structure.clone();
-        let stats = Engine::with_options(EvalOptions {
-            mode,
-            ..EvalOptions::default()
-        })
-        .load_program(&mut s, &program)
-        .unwrap();
+        let stats = Engine::new().load_program(&mut s, &program).unwrap();
         (s.canonical_dump(), stats)
     };
-    let (dump1, stats1) = run(EvalMode::Sequential);
-    let (dump2, stats2) = run(EvalMode::Sequential);
-    assert_eq!(dump1, dump2, "two sequential runs must emit identical bytes");
+    let (dump1, stats1) = run();
+    let (dump2, stats2) = run();
+    assert_eq!(dump1, dump2, "two runs must emit identical bytes");
     assert_eq!(stats1, stats2);
-    let (dump4, stats4) = run(EvalMode::Parallel { workers: 4 });
-    assert_eq!(dump1, dump4, "parallel evaluation must emit identical bytes");
-    assert_eq!(stats1, stats4);
     assert!(stats1.virtual_objects > 0, "the summary rule creates virtual objects");
 }
 

@@ -9,10 +9,7 @@
 //! 2. `canonical_dump()` is invariant under the insertion order of the
 //!    surviving facts — the per-`(method, receiver)` run grouping must not
 //!    leak arrival order into the canonical form;
-//! 3. the recursive `desc` closure is `canonical_dump()`-bit-identical to
-//!    the sequential reference at 1/2/4/8 workers, with sharding forced at
-//!    these tiny scales via `shard_min_entries`;
-//! 4. factorized path answers enumerate bit-identically to the materialized
+//! 3. factorized path answers enumerate bit-identically to the materialized
 //!    tuples — same answers, same bindings, same order — and unsupported
 //!    shapes fall back to materialization with identical results.
 
@@ -276,70 +273,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Worker-count sweep: the desc closure at 1/2/4/8 workers is
-//    bit-identical to the sequential reference.
-// ---------------------------------------------------------------------------
-
-const CLOSURE_PROGRAM: &str = "X[desc ->> {Y}] <- X[kids ->> {Y}].\n\
-                               X[desc ->> {Y}] <- X..desc[kids ->> {Y}].\n";
-
-fn closure_dump(structure: &Structure, options: EvalOptions) -> String {
-    let program = parse_program(CLOSURE_PROGRAM).expect("closure program parses");
-    let mut s = structure.clone();
-    Engine::with_options(options)
-        .load_program(&mut s, &program)
-        .expect("closure evaluation succeeds");
-    s.canonical_dump()
-}
-
-fn assert_sweep_matches_sequential(structure: &Structure) {
-    let reference = closure_dump(structure, EvalOptions::default());
-    for &workers in &[1usize, 2, 4, 8] {
-        let dump = closure_dump(
-            structure,
-            EvalOptions {
-                mode: EvalMode::Parallel { workers },
-                // Force delta sharding even at property-test scale.
-                shard_min_entries: 1,
-                ..EvalOptions::default()
-            },
-        );
-        assert_eq!(dump, reference, "closure dump diverged at {workers} workers");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn closure_sweep_is_bit_identical_on_random_trees(
-        depth in 1usize..5,
-        fanout in 1usize..4,
-        seed in 0u64..300,
-    ) {
-        let structure = pathlog::datagen::genealogy_structure(
-            &pathlog::datagen::GenealogyParams { roots: 1, depth, fanout, seed });
-        assert_sweep_matches_sequential(&structure);
-    }
-
-    #[test]
-    fn closure_sweep_is_bit_identical_on_random_graphs(
-        edges in prop::collection::vec((0u8..10, 0u8..10), 1..35),
-    ) {
-        // Arbitrary directed graphs — cycles and self-loops included — so
-        // the sharded columnar delta views converge over non-tree shapes.
-        let mut structure = Structure::new();
-        let kids = structure.atom("kids");
-        let nodes: Vec<Oid> = (0..10).map(|i| structure.atom(&format!("n{i}"))).collect();
-        for &(a, b) in &edges {
-            structure.assert_set_member(kids, nodes[a as usize], &[], nodes[b as usize]);
-        }
-        assert_sweep_matches_sequential(&structure);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// 4. Factorized answers enumerate bit-identically to materialized tuples.
+// 3. Factorized answers enumerate bit-identically to materialized tuples.
 // ---------------------------------------------------------------------------
 
 /// Factorized and materialized answers must agree answer-for-answer — same

@@ -1,24 +1,19 @@
 //! Property-based tests for the extension layers added around the core
 //! reproduction: retraction in the fact store, the object-SQL frontend, the
 //! F-logic translation, the equivalence of naive and semi-naive
-//! (per-literal delta-join) evaluation, the observational equivalence of
-//! sequential and parallel (sharded-delta) evaluation, the reuse of one
-//! engine's persistent worker pool across repeated runs, and the
-//! equivalence of pooled and sequential *reactive* evaluation (production
-//! recognise batches and active-store snapshot rounds).
+//! (per-literal delta-join) evaluation, the run-to-run identity of repeated
+//! evaluations on one engine, and the equivalence of delta-gated and full
+//! re-matching in the production engine.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use pathlog::core::names::Name;
 use pathlog::core::structure::{Oid, Structure};
 use pathlog::core::term::Term;
 use pathlog::flogic::Translator;
 use pathlog::prelude::*;
-use pathlog::reactive::{
-    Action, ActiveOptions, ActiveStats, CascadeSchedule, EcaAction, EcaRule, Event, ProductionOptions,
-};
+use pathlog::reactive::{Action, ProductionOptions};
 use pathlog::sqlfront;
 
 // ---------------------------------------------------------------------------
@@ -311,31 +306,6 @@ fn assert_equivalent(semi: &Structure, naive: &Structure, query: &str) {
     assert_eq!(answers(semi), answers(naive), "query answers differ");
 }
 
-/// Run the same program sequentially and with `workers` parallel delta
-/// workers (both semi-naive), returning both structures and stats.
-fn run_parallel_modes(
-    structure: &Structure,
-    program_text: &str,
-    workers: usize,
-) -> (Structure, Structure, EvalStats, EvalStats) {
-    let program = parse_program(program_text).expect("generated program parses");
-    let mut seq = structure.clone();
-    let seq_stats = Engine::with_options(EvalOptions {
-        mode: EvalMode::Sequential,
-        ..EvalOptions::default()
-    })
-    .load_program(&mut seq, &program)
-    .expect("sequential evaluation succeeds");
-    let mut par = structure.clone();
-    let par_stats = Engine::with_options(EvalOptions {
-        mode: EvalMode::Parallel { workers },
-        ..EvalOptions::default()
-    })
-    .load_program(&mut par, &program)
-    .expect("parallel evaluation succeeds");
-    (seq, par, seq_stats, par_stats)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -364,60 +334,15 @@ proptest! {
     }
 
     #[test]
-    fn parallel_and_sequential_agree_on_random_trees(
-        depth in 1usize..6,
-        fanout in 1usize..4,
-        seed in 0u64..300,
-    ) {
-        let structure = pathlog::datagen::genealogy_structure(
-            &pathlog::datagen::GenealogyParams { roots: 1, depth, fanout, seed });
-        let program = "X[desc ->> {Y}] <- X[kids ->> {Y}].\n\
-                       X[desc ->> {Y}] <- X..desc[kids ->> {Y}].\n\
-                       X.summary[descendants ->> X..desc] <- X[kids ->> {Y}].\n";
-        let (seq, par, seq_stats, par_stats) = run_parallel_modes(&structure, program, 4);
-        prop_assert_eq!(seq_stats, par_stats, "EvalStats must be identical");
-        prop_assert_eq!(seq.canonical_dump(), par.canonical_dump(), "models must be byte-identical");
-        // The totals survive aggregation across the two runs too.
-        let mut total = seq_stats;
-        total.merge(&par_stats);
-        prop_assert_eq!(total.derived(), seq_stats.derived() * 2);
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree_on_random_graphs(
-        edges in prop::collection::vec((0u8..12, 0u8..12), 1..40),
-    ) {
-        // Cyclic graphs: convergence takes a different number of iterations
-        // per strongly connected component, so the per-rule delta windows
-        // that parallel mode shards are exercised on non-tree shapes.
-        let mut structure = Structure::new();
-        let kids = structure.atom("kids");
-        let nodes: Vec<Oid> = (0..12).map(|i| structure.atom(&format!("n{i}"))).collect();
-        for &(a, b) in &edges {
-            structure.assert_set_member(kids, nodes[a as usize], &[], nodes[b as usize]);
-        }
-        let program = "X[desc ->> {Y}] <- X[kids ->> {Y}].\n\
-                       X[desc ->> {Y}] <- X..desc[kids ->> {Y}].\n\
-                       X : parent <- X[kids ->> {Y}].\n";
-        let (seq, par, seq_stats, par_stats) = run_parallel_modes(&structure, program, 4);
-        prop_assert_eq!(seq_stats, par_stats, "EvalStats must be identical");
-        prop_assert_eq!(seq.canonical_dump(), par.canonical_dump(), "models must be byte-identical");
-        assert_equivalent(&seq, &par, "?- X[desc ->> {Y}].");
-    }
-
-    #[test]
     fn reused_pooled_engine_matches_fresh_sequential_engines_on_random_trees(
         depth in 1usize..5,
         fanout in 1usize..4,
         seed in 0u64..300,
     ) {
-        // One long-lived engine whose persistent worker pool is reused by
-        // every `load_program` call; each run must be canonical_dump()-
-        // identical to a throwaway sequential engine on the same input.
-        let reused = Engine::with_options(EvalOptions {
-            mode: EvalMode::Parallel { workers: 4 },
-            ..EvalOptions::default()
-        });
+        // One long-lived engine serving every `load_program` call; each run
+        // must be canonical_dump()- and EvalStats-identical to a throwaway
+        // engine on the same input (an engine carries nothing between runs).
+        let reused = Engine::new();
         let structure = pathlog::datagen::genealogy_structure(
             &pathlog::datagen::GenealogyParams { roots: 1, depth, fanout, seed });
         let program = parse_program(
@@ -425,27 +350,23 @@ proptest! {
              X[desc ->> {Y}] <- X..desc[kids ->> {Y}].\n\
              X.summary[descendants ->> X..desc] <- X[kids ->> {Y}].\n").unwrap();
         for round in 0..3 {
-            let mut pooled = structure.clone();
-            let pooled_stats = reused.load_program(&mut pooled, &program).expect("pooled run succeeds");
+            let mut again = structure.clone();
+            let again_stats = reused.load_program(&mut again, &program).expect("repeated run succeeds");
             let mut fresh = structure.clone();
-            let fresh_stats = Engine::new().load_program(&mut fresh, &program).expect("sequential run succeeds");
-            prop_assert_eq!(pooled_stats, fresh_stats, "EvalStats must match in round {}", round);
-            prop_assert_eq!(pooled.canonical_dump(), fresh.canonical_dump(),
+            let fresh_stats = Engine::new().load_program(&mut fresh, &program).expect("fresh run succeeds");
+            prop_assert_eq!(again_stats, fresh_stats, "EvalStats must match in round {}", round);
+            prop_assert_eq!(again.canonical_dump(), fresh.canonical_dump(),
                 "models must be byte-identical in round {}", round);
         }
-        // Reuse, not respawn: the engine never spawned more than its pool.
-        prop_assert!(reused.threads_spawned() <= 4,
-            "pool must be reused across runs (spawned {})", reused.threads_spawned());
     }
 
     #[test]
     fn reused_pooled_engine_matches_fresh_sequential_engines_on_random_graphs(
         edges in prop::collection::vec((0u8..10, 0u8..10), 1..30),
     ) {
-        let reused = Engine::with_options(EvalOptions {
-            mode: EvalMode::Parallel { workers: 4 },
-            ..EvalOptions::default()
-        });
+        // Cyclic graphs: convergence takes a different number of iterations
+        // per strongly connected component.
+        let reused = Engine::new();
         let mut structure = Structure::new();
         let kids = structure.atom("kids");
         let nodes: Vec<Oid> = (0..10).map(|i| structure.atom(&format!("n{i}"))).collect();
@@ -457,22 +378,19 @@ proptest! {
              X[desc ->> {Y}] <- X..desc[kids ->> {Y}].\n\
              X : parent <- X[kids ->> {Y}].\n").unwrap();
         for round in 0..2 {
-            let mut pooled = structure.clone();
-            reused.load_program(&mut pooled, &program).expect("pooled run succeeds");
+            let mut again = structure.clone();
+            let again_stats = reused.load_program(&mut again, &program).expect("repeated run succeeds");
             let mut fresh = structure.clone();
-            Engine::new().load_program(&mut fresh, &program).expect("sequential run succeeds");
-            prop_assert_eq!(pooled.canonical_dump(), fresh.canonical_dump(),
+            let fresh_stats = Engine::new().load_program(&mut fresh, &program).expect("fresh run succeeds");
+            prop_assert_eq!(again_stats, fresh_stats, "EvalStats must match in round {}", round);
+            prop_assert_eq!(again.canonical_dump(), fresh.canonical_dump(),
                 "models must be byte-identical in round {}", round);
         }
-        prop_assert!(reused.threads_spawned() <= 4);
     }
 
     // -----------------------------------------------------------------------
-    // 5. Reactive evaluation through the executor: pooled condition batches
-    //    must be bit-identical to sequential runs — production recognise
-    //    phases (with and without delta gating) on random trees, and
-    //    active-store snapshot rounds on random (possibly cyclic) graphs
-    //    with repeated mutations reusing one store's pool.
+    // 5. Production recognise phases: delta-gated matching must fire
+    //    exactly what full re-matching fires, on random trees.
     // -----------------------------------------------------------------------
 
     #[test]
@@ -480,7 +398,6 @@ proptest! {
         depth in 1usize..4,
         fanout in 1usize..4,
         seed in 0u64..300,
-        workers in prop::sample::select(vec![1usize, 2, 4, 8]),
     ) {
         let structure = pathlog::datagen::genealogy_structure(
             &pathlog::datagen::GenealogyParams { roots: 1, depth, fanout, seed });
@@ -504,84 +421,14 @@ proptest! {
             (stats, trace, s.canonical_dump())
         };
         let base = ProductionOptions { max_cycles: 100_000, ..ProductionOptions::default() };
-        let (seq_stats, seq_trace, seq_dump) = run(base);
-        // Pooled ≡ sequential, bit for bit.
-        let (par_stats, par_trace, par_dump) = run(ProductionOptions {
-            mode: EvalMode::Parallel { workers },
-            ..base
-        });
-        prop_assert_eq!(par_stats, seq_stats, "stats must match at {} workers", workers);
-        prop_assert_eq!(par_trace, seq_trace, "firing order must match at {} workers", workers);
-        prop_assert_eq!(par_dump, seq_dump.clone(), "models must match at {} workers", workers);
+        let (gated_stats, gated_trace, gated_dump) = run(base);
         // Delta gating is an optimisation, not a semantics change.
         let (full_stats, full_trace, full_dump) = run(ProductionOptions { delta_gated: false, ..base });
-        prop_assert_eq!(full_stats.firings, seq_stats.firings);
-        prop_assert_eq!(full_trace, seq_trace);
-        prop_assert_eq!(full_dump, seq_dump);
-        prop_assert!(full_stats.condition_solves >= seq_stats.condition_solves,
-            "gating may only reduce solves ({} vs {})", seq_stats.condition_solves, full_stats.condition_solves);
-    }
-
-    #[test]
-    fn pooled_active_rounds_match_sequential_on_random_graphs(
-        edges in prop::collection::vec((0u8..8, 0u8..8), 1..25),
-        workers in prop::sample::select(vec![1usize, 2, 4, 8]),
-    ) {
-        // One store per mode; every edge insertion is an external mutation
-        // reusing the same store (and, pooled, the same worker pool).  The
-        // trigger fan-out: two rules on the same event plus a cascaded rule.
-        let run = |mode: EvalMode| {
-            let mut s = Structure::new();
-            let person = s.atom("person");
-            let nodes: Vec<Oid> = (0..8).map(|i| s.atom(&format!("n{i}"))).collect();
-            for &n in &nodes {
-                s.add_isa(n, person);
-            }
-            let mut store = ActiveStore::with_options(s, ActiveOptions {
-                schedule: CascadeSchedule::Rounds,
-                mode,
-                ..ActiveOptions::default()
-            });
-            store.add_rule(EcaRule::new(
-                "track-member",
-                Event::SetMemberAdded(Name::atom("kids")),
-                vec![Literal::pos(Term::var("Member").isa("person"))],
-                vec![EcaAction::AddIsA {
-                    object: Term::var("Member"),
-                    class: Name::atom("child"),
-                }],
-            ));
-            store.add_rule(EcaRule::new(
-                "mirror",
-                Event::SetMemberAdded(Name::atom("kids")),
-                vec![],
-                vec![EcaAction::AddSetMember {
-                    receiver: Term::var("Member"),
-                    method: Name::atom("parents"),
-                    member: Term::var("Receiver"),
-                }],
-            ));
-            store.add_rule(EcaRule::new(
-                "on-parenthood",
-                Event::SetMemberAdded(Name::atom("parents")),
-                vec![],
-                vec![EcaAction::AddIsA {
-                    object: Term::var("Member"),
-                    class: Name::atom("parent"),
-                }],
-            ));
-            let kids = store.oid("kids");
-            let mut total = ActiveStats::default();
-            for &(a, b) in &edges {
-                let (from, to) = (store.oid(&format!("n{a}")), store.oid(&format!("n{b}")));
-                total.merge(&store.add_set_member(kids, from, to).expect("triggers run"));
-            }
-            (total, store.into_structure().canonical_dump())
-        };
-        let (seq_stats, seq_dump) = run(EvalMode::Sequential);
-        let (par_stats, par_dump) = run(EvalMode::Parallel { workers });
-        prop_assert_eq!(par_stats, seq_stats, "stats must match at {} workers", workers);
-        prop_assert_eq!(par_dump, seq_dump, "models must match at {} workers", workers);
+        prop_assert_eq!(full_stats.firings, gated_stats.firings);
+        prop_assert_eq!(full_trace, gated_trace);
+        prop_assert_eq!(full_dump, gated_dump);
+        prop_assert!(full_stats.condition_solves >= gated_stats.condition_solves,
+            "gating may only reduce solves ({} vs {})", gated_stats.condition_solves, full_stats.condition_solves);
     }
 
     #[test]

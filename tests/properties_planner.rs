@@ -3,7 +3,7 @@
 //! (`pathlog_core::plan`), and the result must be *bit-identical* to the
 //! naive oracle (`delta_driven: false`, every rule re-solved in full, in
 //! written order, each iteration), on random trees and random (possibly
-//! cyclic) graphs, sequentially and at 1/2/4/8 workers.
+//! cyclic) graphs.
 
 use proptest::prelude::*;
 
@@ -11,13 +11,17 @@ use pathlog::core::structure::{Oid, Structure};
 use pathlog::prelude::*;
 
 /// The recursive closure program both evaluators run: a 2-literal recursive
-/// rule, a second stratum over the closure, a 3-literal join with a
-/// deliberately bad written order (the big `desc` relation first), a
-/// negation, and two bodies whose built-in guard *enumerates* — `self` binds
-/// `Y` to `X`, `neq` runs `Y` over every other object before `Y : parent`
-/// filters — which the planner must leave in written order.
+/// rule, the non-linear closure rule — both of its literals read `desc`, so
+/// every iteration that grows `desc` runs two delta passes for it and the
+/// writer merges two sorted runs — a second stratum over the closure, a
+/// 3-literal join with a deliberately bad written order (the big `desc`
+/// relation first), a negation, and two bodies whose built-in guard
+/// *enumerates* — `self` binds `Y` to `X`, `neq` runs `Y` over every other
+/// object before `Y : parent` filters — which the planner must leave in
+/// written order.
 const PROGRAM: &str = "X[desc ->> {Y}] <- X[kids ->> {Y}].\n\
                        X[desc ->> {Y}] <- X..desc[kids ->> {Y}].\n\
+                       X[desc ->> {Z}] <- X[desc ->> {Y}], Y[desc ->> {Z}].\n\
                        X : parent <- X[kids ->> {Y}].\n\
                        X[gk ->> {Z}] <- X[desc ->> {Z}], Z[kids ->> {W}], Z : parent.\n\
                        X : grandparent <- X[gk ->> {Z}].\n\
@@ -26,7 +30,7 @@ const PROGRAM: &str = "X[desc ->> {Y}] <- X[kids ->> {Y}].\n\
                        X[peer ->> {Y}] <- X : grandparent, X[neq@(Y) -> X], Y : parent.\n";
 
 /// The proper rules of `PROGRAM`.
-const RULES: usize = 8;
+const RULES: usize = 9;
 
 /// Load `PROGRAM` with the given options; returns the model dump and stats.
 fn run(structure: &Structure, options: EvalOptions) -> (String, EvalStats) {
@@ -39,10 +43,9 @@ fn run(structure: &Structure, options: EvalOptions) -> (String, EvalStats) {
 }
 
 /// Assert `engine ≡ oracle` on `structure`: the naive run is the reference;
-/// every engine run — sequential and 1/2/4/8 workers — must reproduce its
-/// model byte for byte and its model counters exactly, and the engine's
-/// whole `EvalStats` (scheduling and planner counters included) must not
-/// depend on mode or worker count.
+/// the engine must reproduce its model byte for byte and its model counters
+/// exactly, and a second engine run must repeat the first's whole `EvalStats`
+/// (scheduling and planner counters included).
 fn assert_engine_matches_oracle(structure: &Structure) {
     let (oracle_dump, oracle_stats) = run(
         structure,
@@ -57,30 +60,13 @@ fn assert_engine_matches_oracle(structure: &Structure) {
         "the oracle runs full solves only"
     );
 
-    let (dump, sequential) = run(structure, EvalOptions::default());
-    assert_eq!(
-        dump, oracle_dump,
-        "sequential: model must be byte-identical to the oracle"
-    );
-    assert_eq!(sequential.model_counters(), oracle_stats.model_counters());
-    assert!(sequential.plans_compiled > 0, "delta passes run compiled");
-    for workers in [1usize, 2, 4, 8] {
-        let (dump, stats) = run(
-            structure,
-            EvalOptions {
-                mode: EvalMode::Parallel { workers },
-                ..EvalOptions::default()
-            },
-        );
-        assert_eq!(
-            dump, oracle_dump,
-            "x{workers}: model must be byte-identical to the oracle"
-        );
-        assert_eq!(
-            stats, sequential,
-            "x{workers}: stats must not depend on the worker count"
-        );
-    }
+    let (dump, stats) = run(structure, EvalOptions::default());
+    assert_eq!(dump, oracle_dump, "model must be byte-identical to the oracle");
+    assert_eq!(stats.model_counters(), oracle_stats.model_counters());
+    assert!(stats.plans_compiled > 0, "delta passes run compiled");
+    let (again_dump, again) = run(structure, EvalOptions::default());
+    assert_eq!(again_dump, dump);
+    assert_eq!(again, stats, "stats must repeat run to run");
 }
 
 /// Facts written in the text are data to the planner: only the proper rules

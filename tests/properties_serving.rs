@@ -6,9 +6,8 @@
 //!   the epoch-`k` canonical dump bit-identically no matter how many
 //!   commits land at epochs `> k`, even when the re-read happens on
 //!   another thread after the writer has finished the whole history.
-//! * **Engine independence** — the `(epoch, dump)` trace of a replayed
-//!   mutation history is identical at 1/2/4/8 workers: parallelism changes
-//!   wall-clock, never the published snapshots.
+//! * **Engine independence** — the `(epoch, dump)` trace of a mutation
+//!   history is the same on every store and engine that replays it.
 //! * **Reclamation** — retention entries are freed exactly when the last
 //!   pin drops, observable on the structure `Arc`'s strong count.
 //! * **One image** (PR 15) — whatever reaches the store, and however
@@ -29,19 +28,6 @@ use pathlog::prelude::*;
 
 const WAGE_FLOOR: i64 = 40_000;
 const EMPLOYEES: usize = 12;
-
-fn engine_for(workers: usize) -> Engine {
-    if workers <= 1 {
-        Engine::new()
-    } else {
-        Engine::with_options(EvalOptions {
-            mode: EvalMode::Parallel { workers },
-            ..EvalOptions::default()
-        })
-    }
-}
-
-const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 // -------------------------------------------------------------- histories
 
@@ -275,7 +261,7 @@ fn company_pool() -> Vec<String> {
     pool((0..EMPLOYEES).map(|i| format!("e{i}")))
 }
 
-fn company_store(workers: usize) -> ObjectStore {
+fn company_store() -> ObjectStore {
     let mut db = pathlog::datagen::generate_company(&CompanyParams::scaled(EMPLOYEES));
     db.set("e0", "salary", Value::Int(WAGE_FLOOR)).expect("e0 exists");
     let constraints: ConstraintSet = [
@@ -303,7 +289,7 @@ fn company_store(workers: usize) -> ObjectStore {
     ]
     .into_iter()
     .collect();
-    db.set_constraints(constraints, engine_for(workers))
+    db.set_constraints(constraints, Engine::new())
         .expect("constraints install");
     db
 }
@@ -358,10 +344,9 @@ fn trace(mut history: History, steps: &[Step], session: impl Fn(&mut History) ->
     trace
 }
 
-/// The trace of a history over the guarded company store, constraints
-/// checked on `workers` threads.
-fn company_trace(steps: &[Step], workers: usize) -> Vec<(Epoch, String)> {
-    let history = History::new(company_store(workers), company_pool(), "employee");
+/// The trace of a history over the guarded company store.
+fn company_trace(steps: &[Step]) -> Vec<(Epoch, String)> {
+    let history = History::new(company_store(), company_pool(), "employee");
     trace(history, steps, |history| history.session(Engine::new()))
 }
 
@@ -392,13 +377,12 @@ fn family_pool() -> Vec<String> {
 }
 
 /// The trace of a history over the unguarded genealogy store, with reader
-/// sessions answering a person query through an engine of `workers`
-/// threads.
-fn family_trace(steps: &[Step], workers: usize) -> Vec<(Epoch, String)> {
+/// sessions answering a person query.
+fn family_trace(steps: &[Step]) -> Vec<(Epoch, String)> {
     let query = Query::single(Term::var("X").isa("person"));
     let history = History::new(pathlog::datagen::paper_family(), family_pool(), "person");
     trace(history, steps, |history| {
-        let session = history.session(engine_for(workers));
+        let session = history.session(Engine::new());
         let persons = session.query(&query).expect("person query serves").len();
         assert_eq!(persons, history.db.members_of("person").len());
         session
@@ -415,7 +399,7 @@ fn family_trace(steps: &[Step], workers: usize) -> Vec<(Epoch, String)> {
 /// counters and answers exactly as they were.
 #[test]
 fn a_pinned_session_is_untouched_by_fifty_later_commits() {
-    let mut db = company_store(1);
+    let mut db = company_store();
     for (a, b) in [(0, 1), (2, 3), (4, 5)] {
         company_commit(&mut db, &friendship(a, b));
     }
@@ -489,22 +473,16 @@ proptest! {
 
     #[test]
     fn company_snapshots_are_isolated_and_engine_independent(steps in steps(company_write(), company_pool().len())) {
-        let reference = company_trace(&steps, 1);
+        let reference = company_trace(&steps);
         prop_assert!(reference.len() == steps.len() + 1);
-        for workers in WORKERS {
-            let trace = company_trace(&steps, workers);
-            prop_assert_eq!(&trace, &reference, "trace diverged at workers={}", workers);
-        }
+        prop_assert_eq!(company_trace(&steps), reference, "a replay on a second store diverged");
     }
 
     #[test]
     fn genealogy_snapshots_are_isolated_and_engine_independent(steps in steps(family_write(), family_pool().len())) {
-        let reference = family_trace(&steps, 1);
+        let reference = family_trace(&steps);
         prop_assert!(reference.len() == steps.len() + 1);
-        for workers in WORKERS {
-            let trace = family_trace(&steps, workers);
-            prop_assert_eq!(&trace, &reference, "trace diverged at workers={}", workers);
-        }
+        prop_assert_eq!(family_trace(&steps), reference, "a replay on a second store diverged");
     }
 }
 
