@@ -24,14 +24,14 @@
 //! form the iteration's *delta* ([`DeltaView`], an O(delta) slice of the
 //! fact-store insertion logs).  A rule whose read set intersects the changed
 //! dependency keys is then solved once per affected body literal, with that
-//! literal restricted to answers whose derivation reads the delta
-//! ([`crate::semantics::delta_answers`]) while the remaining literals join
-//! against the full structure.  Any firing that could add new information
-//! reads at least one fact derived in the previous iteration, so the union
-//! of these per-literal delta solves is complete; rules none of whose keys
-//! changed are skipped outright.  On recursive workloads (the transitive
-//! closures of Section 6) this turns each iteration from O(|closure|) into
-//! O(|delta|).
+//! literal restricted to solutions whose derivation reads the delta (the
+//! window-restricted atom steps of [`crate::plan::atoms`]) while the
+//! remaining literals join against the full structure.  Any firing that
+//! could add new information reads at least one fact derived in the
+//! previous iteration, so the union of these per-literal delta solves is
+//! complete; rules none of whose keys changed are skipped outright.  On
+//! recursive workloads (the transitive closures of Section 6) this turns
+//! each iteration from O(|closure|) into O(|delta|).
 //!
 //! With `delta_driven: false` every rule is re-solved in full each iteration
 //! — naive evaluation, kept as the **reference oracle**: it only ever runs
@@ -48,11 +48,13 @@
 //! into one task list and solved, in order, against the structure as it
 //! stands at the boundary (phase 1, which only reads); then the same thread
 //! commits each rule's solutions in stratum order, each rule's delta runs
-//! k-way-merged in canonical `binding_key` order ([`merge_sorted_runs`]), and
-//! in the first iteration each fact where it stands in that order
-//! (phase 2).  Delta tasks run through the compiled slot-frame bodies of
-//! [`crate::plan`], in the literal order its cost-based planner picks per
-//! iteration; full solves run through [`solve_body`].  Phase 2 is a
+//! merged in canonical `binding_key` order
+//! ([`merge_frame_runs`](crate::plan::merge_frame_runs)), and in the first
+//! iteration each fact where it stands in that order (phase 2).  Delta tasks
+//! run through the compiled slot-frame bodies of [`crate::plan`], in the
+//! literal order its cost-based planner picks per iteration, and return
+//! frames — the one pass output; full solves run through [`solve_body`] and
+//! return their solutions in enumeration order.  Phase 2 is a
 //! deterministic function of the structure's content, so two runs of one
 //! program over equal structures are **bit-identical** — same model, same
 //! insertion logs, same virtual-object ids, same [`EvalStats`].  Full solves
@@ -101,7 +103,7 @@ mod runs;
 mod stratify;
 mod virtuals;
 
-pub use runs::{binding_key, merge_sorted_runs, sorted_run, BindingKey, SortedRun};
+pub use runs::{binding_key, sorted_run, BindingKey, SortedRun};
 use runs::{SolveOutput, SolveTask};
 pub use stratify::{stratify, Stratification};
 pub use virtuals::{assert_head, AssertEffect, AssertOptions};
@@ -560,36 +562,44 @@ impl Engine {
             .collect()
     }
 
-    /// Commit a rule's frame-native delta outputs through its compiled head:
-    /// merge its passes' runs into canonical key order and assert each frame
-    /// directly, reading the head oids out of the frame slots.  Counters are
-    /// identical to the generic path by construction (the compiled head
-    /// shape can only insert set members).  Returns the number of *new*
-    /// facts committed.
+    /// Commit a rule's delta outputs: merge its passes' runs into canonical
+    /// key order and assert the head for each frame — through the compiled
+    /// head when it has one (method oid resolved once, head oids read
+    /// straight out of the frame slots, direct set-member asserts; counters
+    /// identical to `assert_head` by construction, see
+    /// [`CompiledHead`](crate::plan::CompiledHead)), else through
+    /// [`assert_head`] on the frame's [`Bindings`].  Returns whether anything
+    /// new was committed.
     fn commit_frame_runs(
         &self,
         structure: &mut Structure,
-        plans: Option<&IterationPlans<'_>>,
-        rule: usize,
+        head: &Term,
+        compiled: &CompiledRule,
         runs: Vec<crate::plan::FrameRun>,
         stats: &mut EvalStats,
-    ) -> Result<usize> {
-        let (compiled, _) = plans.expect("frame outputs imply the iteration's plans").for_rule(rule);
-        let head = compiled.head().expect("frame outputs imply a compiled head");
-        let method = structure.ensure_name(&head.method);
+    ) -> Result<bool> {
         let merged = crate::plan::merge_frame_runs(runs, compiled.canonical());
-        let mut new = 0;
+        let mut changed = false;
+        let Some(fast) = compiled.head() else {
+            for f in merged.frames() {
+                changed |= self
+                    .assert_solution(structure, head, &compiled.bindings_of(f), stats)?
+                    .changed();
+            }
+            return Ok(changed);
+        };
+        let method = structure.ensure_name(&fast.method);
         for f in merged.frames() {
-            let recv = Oid(f[head.receiver_slot] - 1);
-            let member = Oid(f[head.member_slot] - 1);
+            let recv = Oid(f[fast.receiver_slot] - 1);
+            let member = Oid(f[fast.member_slot] - 1);
             if structure.assert_set_member(method, recv, &[], member).is_new() {
-                new += 1;
+                changed = true;
                 stats.firings += 1;
                 stats.set_members += 1;
             }
             self.check_max_derived(stats)?;
         }
-        Ok(new)
+        Ok(changed)
     }
 
     /// [`Error::LimitExceeded`] once the run has derived more facts than
@@ -634,7 +644,7 @@ impl Engine {
     /// present; for every rule the window can drive, plan one task per
     /// drivable literal — on the first iteration, one full solve per proper
     /// rule — and solve the list in order; nothing is written meanwhile.
-    /// **Commit (phase 2):** merge each rule's sorted runs in canonical order
+    /// **Commit (phase 2):** merge each rule's frame runs in canonical order
     /// and assert statement by statement in stratum order; on the first
     /// iteration that order includes the stratum's facts, each asserted as
     /// data at its source position (see the module docs).  Both phases are
@@ -771,39 +781,23 @@ impl Engine {
                         }
                         Step::Rule(r) => r,
                     };
-                    let collected: Vec<SolveOutput> = (0..count).filter_map(|_| outputs.next()).collect();
-                    let collected = match take_frame_runs(collected) {
-                        // All of the rule's passes ran frame-native and its
-                        // compiled head commits the merged frames without
-                        // `Bindings` or keys.
-                        Ok(runs) => {
-                            if self.commit_frame_runs(structure, commit_plans, r, runs, stats)? > 0 {
-                                any_change = true;
-                            }
-                            continue;
-                        }
-                        Err(outputs) => outputs,
-                    };
-                    let solutions = merge_outputs(collected);
-                    // The compiled head fast path: method oid resolved once,
-                    // direct set-member asserts, counters identical to
-                    // `assert_head` by construction (see [`CompiledHead`]).
-                    let fast_head = commit_plans.and_then(|p| p.for_rule(r).0.head().cloned());
-                    let method = fast_head.as_ref().map(|h| structure.ensure_name(&h.method));
-                    for bindings in solutions {
-                        if let (Some(h), Some(m)) = (&fast_head, method) {
-                            if let (Some(recv), Some(member)) = (bindings.get(&h.receiver), bindings.get(&h.member)) {
-                                if structure.assert_set_member(m, recv, &[], member).is_new() {
-                                    any_change = true;
-                                    stats.firings += 1;
-                                    stats.set_members += 1;
+                    // A full solve is one task, committed in its enumeration
+                    // order; a rule's delta passes all return frames.
+                    let mut runs = Vec::with_capacity(count);
+                    for output in (0..count).filter_map(|_| outputs.next()) {
+                        match output {
+                            SolveOutput::Enumerated(solutions) => {
+                                for bindings in solutions {
+                                    let effect = self.assert_solution(structure, &rules[r].head, &bindings, stats)?;
+                                    any_change |= effect.changed();
                                 }
-                                self.check_max_derived(stats)?;
-                                continue;
                             }
+                            SolveOutput::Frames(run) => runs.push(run),
                         }
-                        let effect = self.assert_solution(structure, &rules[r].head, &bindings, stats)?;
-                        any_change |= effect.changed();
+                    }
+                    if let Some(plans) = commit_plans {
+                        let compiled = plans.for_rule(r).0;
+                        any_change |= self.commit_frame_runs(structure, &rules[r].head, compiled, runs, stats)?;
                     }
                 }
                 first = false;
@@ -941,56 +935,6 @@ fn register_program_names(structure: &mut Structure, program: &Program) {
             register_names(structure, &lit.term);
         }
     }
-}
-
-/// Partition a rule's outputs when any pass produced raw frames: `Ok` with
-/// the frame runs (empty keyed outputs from early-exit passes are dropped —
-/// a non-empty keyed output alongside frames is impossible, all passes of a
-/// rule take the same execution path against the same structure), or
-/// `Err` giving the outputs back for the keyed merge.
-fn take_frame_runs(outputs: Vec<SolveOutput>) -> std::result::Result<Vec<crate::plan::FrameRun>, Vec<SolveOutput>> {
-    if !outputs.iter().any(|o| matches!(o, SolveOutput::Frames(_))) {
-        return Err(outputs);
-    }
-    Ok(outputs
-        .into_iter()
-        .filter_map(|o| match o {
-            SolveOutput::Frames(fr) => Some(fr),
-            SolveOutput::Sorted(run) => {
-                debug_assert!(run.is_empty(), "non-empty keyed output mixed with frame outputs");
-                None
-            }
-            SolveOutput::Enumerated(solutions) => {
-                debug_assert!(solutions.is_empty(), "enumerated output mixed with frame outputs");
-                None
-            }
-        })
-        .collect())
-}
-
-/// Merge one rule's task outputs into its committed solution list.  A lone
-/// full solve keeps its (deterministic) enumeration order; delta runs are
-/// k-way-merged in canonical order ([`merge_sorted_runs`]), the commit
-/// step's half of the sorted-run protocol.
-fn merge_outputs(mut outputs: Vec<SolveOutput>) -> Vec<Bindings> {
-    if outputs.len() == 1 && matches!(outputs[0], SolveOutput::Enumerated(_)) {
-        let Some(SolveOutput::Enumerated(solutions)) = outputs.pop() else {
-            unreachable!("just matched a single Enumerated output")
-        };
-        return solutions;
-    }
-    merge_sorted_runs(
-        outputs
-            .into_iter()
-            .map(|o| match o {
-                SolveOutput::Sorted(run) => run,
-                SolveOutput::Enumerated(solutions) => sorted_run(solutions),
-                // Frame outputs are drained by `take_frame_runs` before any
-                // keyed merge.
-                SolveOutput::Frames(_) => unreachable!("frame outputs reach only the compiled-head commit"),
-            })
-            .collect(),
-    )
 }
 
 /// Solve a body conjunction: enumerate the variable-valuations extending

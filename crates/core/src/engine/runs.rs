@@ -1,5 +1,4 @@
-//! The sorted-run half of the commit protocol: what one solve task returns
-//! and how the commit step merges it.
+//! What one solve task is and returns, and the canonical order of solutions.
 //!
 //! An iteration of the fixpoint plans a list of *solve tasks* — one full
 //! body solve per rule on the first iteration of a stratum, one
@@ -8,18 +7,20 @@
 //! stands at the iteration boundary ([`run_task`]).  Tasks only read; their
 //! outputs are committed afterwards.
 //!
-//! **Sorted runs.**  Each delta task returns its solutions as a *sorted run*
-//! — deduplicated and ordered by the canonical, valuation-order independent
-//! [`BindingKey`].  A rule with several drivable literals yields several
-//! runs, which the commit step k-way-merges ([`merge_sorted_runs`]): the
-//! per-element min is found by a linear scan over the run heads (the run
-//! count — the rule's drivable literals — is a handful at most, where a
-//! heap's constant factors would not pay).  The merged list is a function of
-//! the *union* of the runs only, so the order in which a pass enumerates
-//! solutions never reaches the structure.  Full solves skip the sort: they
-//! are one task per rule whose enumeration order is already deterministic
-//! (every index iterates an ordered container), and that order is the
-//! oracle's commit order.
+//! **Canonical order.**  The [`BindingKey`] of a solution — its bound
+//! `(variable, object)` pairs in sorted order — is valuation-order
+//! independent, so ordering solutions by it makes the order in which a
+//! caller acts on them a function of the structure's content alone.  A delta
+//! pass returns its solutions as slot frames in exactly that order
+//! ([`crate::plan::FrameRun`]; every frame binds every slot, so key order is
+//! the object-id sequence in variable-name order), and the commit step
+//! merges a rule's runs in it ([`crate::plan::merge_frame_runs`]): the order
+//! in which a pass enumerates solutions never reaches the structure.  Full
+//! solves skip the sort: they are one task per rule whose enumeration order
+//! is already deterministic (every index iterates an ordered container), and
+//! that order is the oracle's commit order.  The keyed [`SortedRun`] remains
+//! for [`solve_condition`](super::solve_condition)'s callers — the constraint
+//! checker and the reactive layer — which solve conditions, not rule bodies.
 
 use crate::error::Result;
 use crate::plan::IterationPlans;
@@ -35,8 +36,8 @@ use crate::structure::Structure;
 /// allocated, in every configuration.
 pub type BindingKey = Vec<(std::sync::Arc<str>, u32)>;
 
-/// A locally sorted, deduplicated sequence of keyed solutions — the output
-/// of one delta task, ready for the k-way merge.
+/// A canonically sorted, deduplicated sequence of keyed solutions — what
+/// [`solve_condition`](super::solve_condition) returns.
 pub type SortedRun = Vec<(BindingKey, Bindings)>;
 
 /// The canonical key of `b` (see [`BindingKey`]).
@@ -53,43 +54,6 @@ pub fn sorted_run(solutions: Vec<Bindings>) -> SortedRun {
     run.sort_by(|a, b| a.0.cmp(&b.0));
     run.dedup_by(|a, b| a.0 == b.0);
     run
-}
-
-/// K-way-merge canonically sorted runs into one deduplicated solution list
-/// in [`BindingKey`] order.  Duplicate keys across runs collapse to the
-/// first occurrence (all of them denote the same valuation).  This is the
-/// commit step's merge point: the merged list is a function of the *union*
-/// of the runs only, so any split of the same answer set — one run per
-/// drivable literal, or one big run — commits the same solutions in the same
-/// order.
-pub fn merge_sorted_runs(runs: Vec<SortedRun>) -> Vec<Bindings> {
-    let mut runs: Vec<SortedRun> = runs.into_iter().filter(|r| !r.is_empty()).collect();
-    match runs.len() {
-        0 => Vec::new(),
-        1 => runs.pop().expect("one run").into_iter().map(|(_, b)| b).collect(),
-        _ => {
-            let mut cursor = vec![0usize; runs.len()];
-            let mut out: Vec<Bindings> = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-            let mut last: Option<BindingKey> = None;
-            loop {
-                let mut min: Option<usize> = None;
-                for (i, run) in runs.iter().enumerate() {
-                    if cursor[i] < run.len() && min.is_none_or(|j| run[cursor[i]].0 < runs[j][cursor[j]].0) {
-                        min = Some(i);
-                    }
-                }
-                let Some(i) = min else { break };
-                let slot = &mut runs[i][cursor[i]];
-                let (key, b) = std::mem::replace(slot, (Vec::new(), Bindings::new()));
-                cursor[i] += 1;
-                if last.as_ref() != Some(&key) {
-                    out.push(b);
-                    last = Some(key);
-                }
-            }
-            out
-        }
-    }
 }
 
 /// One unit of solve work: a rule body solved in full (`delta: None`), or
@@ -111,10 +75,7 @@ pub(super) enum SolveOutput {
     /// A full solve's buffer in its (deterministic) enumeration order —
     /// deliberately unsorted, see the module docs.
     Enumerated(Vec<Bindings>),
-    /// A delta pass's locally sorted, deduplicated run.
-    Sorted(SortedRun),
-    /// A compiled delta pass's raw slot frames in canonical key order, for
-    /// rules whose compiled head commits without `Bindings` or keys.
+    /// A delta pass's slot frames in canonical key order.
     Frames(crate::plan::FrameRun),
 }
 
@@ -129,18 +90,12 @@ pub(super) fn run_task(
     delta: Option<(&IterationPlans, &DeltaView)>,
     task: SolveTask,
 ) -> Result<SolveOutput> {
-    let body = &rules[task.rule].body;
     match task.delta {
-        None => super::solve_body(structure, body, &Bindings::new()).map(SolveOutput::Enumerated),
+        None => super::solve_body(structure, &rules[task.rule].body, &Bindings::new()).map(SolveOutput::Enumerated),
         Some(lit) => {
             let (plans, dv) = delta.expect("a delta task runs in an iteration that has a window");
             let (compiled, order) = plans.for_rule(task.rule);
-            Ok(
-                match crate::plan::execute_delta(structure, body, compiled, order, lit, dv)? {
-                    crate::plan::PassRun::Sorted(run) => SolveOutput::Sorted(run),
-                    crate::plan::PassRun::Frames(fr) => SolveOutput::Frames(fr),
-                },
-            )
+            crate::plan::execute_delta(structure, compiled, order, lit, dv).map(SolveOutput::Frames)
         }
     }
 }
@@ -150,11 +105,6 @@ mod tests {
     use super::*;
     use crate::names::Var;
     use crate::structure::Oid;
-
-    fn keyed(pairs: &[(&str, u32)]) -> (BindingKey, Bindings) {
-        let bindings = Bindings::from_pairs(pairs.iter().map(|&(v, o)| (Var::new(v), Oid(o)))).unwrap();
-        (binding_key(&bindings), bindings)
-    }
 
     #[test]
     fn sorted_run_orders_and_deduplicates() {
@@ -167,32 +117,5 @@ mod tests {
         assert_eq!(run.len(), 2, "order-independent duplicates collapse");
         assert!(run[0].0 < run[1].0, "ascending key order");
         assert_eq!(run[0].1.get(&x), Some(Oid(1)));
-    }
-
-    #[test]
-    fn merge_sorted_runs_is_a_canonical_union() {
-        let (k1, b1) = keyed(&[("X", 1), ("Y", 2)]);
-        let (k2, b2) = keyed(&[("X", 2), ("Y", 1)]);
-        let (k3, b3) = keyed(&[("X", 3), ("Y", 3)]);
-        // k2 appears in both runs; the merge must emit it once.
-        let merged = merge_sorted_runs(vec![
-            vec![(k1.clone(), b1), (k2.clone(), b2.clone())],
-            vec![(k2, b2), (k3, b3)],
-        ]);
-        assert_eq!(merged.len(), 3);
-        let xs: Vec<Option<Oid>> = merged.iter().map(|b| b.get(&Var::new("X"))).collect();
-        assert_eq!(xs, vec![Some(Oid(1)), Some(Oid(2)), Some(Oid(3))]);
-        // Merging the same answers as one big run yields the same list.
-        let (k1, b1) = keyed(&[("X", 1), ("Y", 2)]);
-        let (k2, b2) = keyed(&[("X", 2), ("Y", 1)]);
-        let (k3, b3) = keyed(&[("X", 3), ("Y", 3)]);
-        let single = merge_sorted_runs(vec![vec![(k1, b1), (k2, b2), (k3, b3)]]);
-        let xs1: Vec<Option<Oid>> = single.iter().map(|b| b.get(&Var::new("X"))).collect();
-        assert_eq!(
-            xs, xs1,
-            "how the answers are split into runs must not change the committed order"
-        );
-        assert!(merge_sorted_runs(vec![]).is_empty());
-        assert!(merge_sorted_runs(vec![vec![], vec![]]).is_empty());
     }
 }

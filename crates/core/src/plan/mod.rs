@@ -9,16 +9,16 @@
 //!
 //! * **Compilation.**  [`compile`] lowers a rule body once into a
 //!   [`CompiledRule`]: every body variable gets a fixed *slot* index, and
-//!   each join state carries a flat `Vec<u32>` frame (slot → object id + 1,
-//!   `0` = unbound).  Stage deduplication sorts the flat frames — two `u32`
-//!   words per variable, no `Arc<str>` clones, no per-answer key — and the
-//!   canonical [`BindingKey`] of a surviving solution is materialized
-//!   exactly once at the end, from the frame, through a pre-computed
-//!   name-sorted slot permutation.  Literals of the dominant shapes carry a
-//!   pre-resolved [`Access`] path and are enumerated straight off the
-//!   fact-store indexes; the rest go through [`answers()`] /
-//!   [`delta_answers`] ([`Access::Generic`]).  Compilation is total: every
-//!   valid rule body has a compiled form.
+//!   each join state carries a flat frame of `u32` words (slot → object id +
+//!   1, `0` = unbound).  Every body literal, positive or negated, is lowered
+//!   to a short sequence of primitive [`Atom`]s — one method application or
+//!   class test each, joined through slots, per-literal temporaries and
+//!   names resolved once per pass (module [`atoms`]) — and there is no other
+//!   compiled form: no literal shape falls back to term interpretation.
+//!   Stage deduplication sorts the flat frames — no `Arc<str>` clones, no
+//!   per-answer key — and a pass returns frames ([`FrameRun`]);
+//!   [`Bindings`] are materialized from a frame at commit, and under the
+//!   strict right-hand side of an `m ->> t` check, only.
 //!
 //! * **Planning.**  [`pass_order`] reorders a rule's positive literals by
 //!   estimated cost, consuming the [`RulePlanReport`] annotations the
@@ -38,14 +38,15 @@
 //!   positive literals written before it, as `B` in `A : person, A[lt -> B],
 //!   B : person` — keeps its written order (see [`compile`]).
 //!
-//! **Why reordering is invisible.**  A delta pass's output always flows
-//! through the sorted-run protocol (`sorted_run` / `merge_sorted_runs`), so
-//! the order in which a pass *enumerates* solutions cannot influence the
-//! order in which the engine commits them — not the structure, not
-//! the insertion logs, not virtual-object allocation.  That keeps the
-//! project's core invariant — a run is `canonical_dump()`-bit-identical to
-//! the naive oracle (`delta_driven: false`) — true *by construction*; the
-//! `properties_planner` proptests assert it.
+//! **Why reordering is invisible.**  A delta pass's output is a frame run in
+//! canonical key order and a rule's runs are merged in that order
+//! ([`merge_frame_runs`]), so the order in which a pass *enumerates*
+//! solutions cannot influence the order in which the engine commits them —
+//! not the structure, not the insertion logs, not virtual-object
+//! allocation.  That keeps the project's core invariant — a run is
+//! `canonical_dump()`-bit-identical to the naive oracle (`delta_driven:
+//! false`) — true *by construction*; the `properties_planner` proptests
+//! assert it.
 //!
 //! Completeness of reordered delta passes follows from the same argument as
 //! written-order semi-naive evaluation, applied to the planned order: all of
@@ -56,69 +57,25 @@
 //! delta-reading extension (new-object channels included: the first binding
 //! position of a variable is always at-or-before any later use, so the
 //! variable is still unbound when the restricted literal enumerates the
-//! window's new objects).
+//! window's new objects).  Within the restricted literal the same argument
+//! applies to its atoms (see [`atoms`]).
+
+pub mod atoms;
 
 use std::collections::{BTreeMap, HashSet};
+use std::ops::Range;
 
 use crate::analysis::{AccessPath, RulePlanReport};
-use crate::engine::{BindingKey, SortedRun};
 use crate::error::Result;
 use crate::names::{Name, Var};
-use crate::program::{Literal, Rule};
-use crate::semantics::{answers, delta_answers, Bindings, DeltaView};
+use crate::program::Rule;
+use crate::semantics::{Bindings, DeltaView};
 use crate::structure::{Oid, Structure};
 use crate::term::{FilterValue, Term};
 
-/// A pre-resolved `(method, receiver)` access path for frame-native
-/// enumeration of the dominant literal shapes.  Compiled stages read the
-/// fact-store indexes and write slot frames directly — no per-candidate
-/// [`Bindings`] cons cells, no [`Answer`](crate::semantics::Answer)
-/// allocation — until the first stage without a supported shape, which (with
-/// every stage after it) goes through [`answers()`] / [`delta_answers`].
-///
-/// Soundness/completeness contract: a frame-native delta stage may
-/// *over-approximate* the [`delta_answers`] restriction (re-deriving a
-/// solution whose derivation does not read the window is an idempotent
-/// no-op under the sorted-run merge and the idempotent commit), but it must
-/// emit **every** solution whose derivation does, and **only** true
-/// solutions of the literal against the full structure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Access {
-    /// No supported shape — this stage (and the rest of the pass) runs
-    /// through [`answers()`] / [`delta_answers`].
-    Generic,
-    /// `R[m ->> {M}]`: variable receiver, name method, no arguments, one
-    /// explicit variable member.
-    SetMember {
-        /// The method name.
-        method: Name,
-        /// Receiver slot.
-        receiver: usize,
-        /// Member slot.
-        member: usize,
-    },
-    /// `O..p[f ->> {M}]`: a set-valued path from a variable origin through a
-    /// name method, filtered by one explicit-member set filter.
-    PathSetMember {
-        /// The path method name (`p`).
-        path: Name,
-        /// Origin slot (`O`).
-        origin: usize,
-        /// The filter method name (`f`).
-        filter: Name,
-        /// Member slot (`M`).
-        member: usize,
-    },
-    /// `V : c`: variable instance of a named class.
-    IsaInstance {
-        /// The class name.
-        class: Name,
-        /// Instance slot.
-        instance: usize,
-    },
-}
+pub use atoms::{Atom, Call, Operand};
 
-/// One positive body literal of a [`CompiledRule`].
+/// One body literal of a [`CompiledRule`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledLiteral {
     /// Index of the literal in the rule body.
@@ -131,8 +88,10 @@ pub struct CompiledLiteral {
     /// Estimated stored-fact cost from the [`RulePlanReport`] annotation
     /// (`usize::MAX` when unknown — e.g. a derived-only literal).
     pub cost: usize,
-    /// The pre-resolved access path for frame-native enumeration.
-    pub access: Access,
+    /// The literal's atoms, in lowering order.
+    pub atoms: Vec<Atom>,
+    /// The range of [`CompiledRule::names`] the atoms use.
+    names: Range<usize>,
 }
 
 /// A pre-resolved head access path for the dominant recursive head shape
@@ -146,31 +105,31 @@ pub struct CompiledLiteral {
 pub struct CompiledHead {
     /// The head method name (resolved to an oid at commit time).
     pub method: Name,
-    /// The variable the receiver is bound to.
-    pub receiver: Var,
-    /// The variable the inserted set member is bound to.
-    pub member: Var,
-    /// The receiver variable's body slot.
+    /// The body slot of the receiver variable.
     pub receiver_slot: usize,
-    /// The member variable's body slot.
+    /// The body slot of the variable the inserted set member is bound to.
     pub member_slot: usize,
 }
 
 /// A rule body lowered to the slot-addressed form: fixed slot indices for
-/// every body variable, per-literal slot lists and cost annotations, and the
-/// name-sorted slot permutation that materializes canonical binding keys
-/// without a per-solution sort.
+/// every body variable, the atoms of every literal with per-literal slot
+/// lists and cost annotations, and the name-sorted slot permutation that
+/// orders frames like their canonical binding keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledRule {
     /// Slot `i` holds the binding of `vars[i]`.
     vars: Vec<Var>,
-    /// Slot indices in variable-name order — [`BindingKey`] materialization
-    /// order.
+    /// Slot indices in variable-name order: comparing frames slot by slot in
+    /// this order is comparing their [`BindingKey`](crate::engine::BindingKey)s.
     canonical: Vec<usize>,
+    /// The names the atoms mention ([`Operand::Name`]), literal by literal.
+    names: Vec<Name>,
+    /// The most temporaries any literal needs.
+    temps: usize,
     /// The positive literals, in body order.
     positives: Vec<CompiledLiteral>,
-    /// Body indices of the negated literals, in body order.
-    negations: Vec<usize>,
+    /// The negated literals, in body order.
+    negations: Vec<CompiledLiteral>,
     /// The head fast path, when the head has the supported shape.
     head: Option<CompiledHead>,
     /// `true` when a built-in guard enumerates (see [`compile`]):
@@ -189,10 +148,9 @@ impl CompiledRule {
         &self.vars[i]
     }
 
-    /// The slot of `var`, if it occurs in the body.  Bodies bind a handful
-    /// of variables, so a linear scan beats hashing.
-    pub fn slot_of(&self, var: &Var) -> Option<usize> {
-        self.vars.iter().position(|v| v == var)
+    /// The names the atoms mention, indexed by [`Operand::Name`].
+    pub fn names(&self) -> &[Name] {
+        &self.names
     }
 
     /// The compiled positive literals, in body order.
@@ -200,8 +158,8 @@ impl CompiledRule {
         &self.positives
     }
 
-    /// Body indices of the negated literals.
-    pub fn negations(&self) -> &[usize] {
+    /// The compiled negated literals, in body order.
+    pub fn negations(&self) -> &[CompiledLiteral] {
         &self.negations
     }
 
@@ -215,27 +173,15 @@ impl CompiledRule {
         &self.canonical
     }
 
-    /// The canonical [`BindingKey`] of a slot frame: `(name, oid)` pairs in
-    /// name-sorted order, unbound slots skipped.  Identical to
-    /// [`binding_key`](crate::engine::binding_key) of the corresponding
-    /// [`Bindings`], computed without sorting per solution.
-    fn key_of(&self, frame: &[u32]) -> BindingKey {
-        self.canonical
-            .iter()
-            .filter_map(|&s| {
-                let v = frame[s];
-                (v != 0).then(|| (self.vars[s].0.clone(), v - 1))
-            })
-            .collect()
-    }
-
-    /// Materialize the [`Bindings`] of a slot frame (bound slots only).
-    fn bindings_of(&self, frame: &[u32]) -> Bindings {
+    /// Materialize the [`Bindings`] of a slot frame (bound slots only): the
+    /// commit step's input for a head without a compiled form, and what the
+    /// strict right-hand side of an `m ->> t` check is valuated under.
+    pub fn bindings_of(&self, frame: &[u32]) -> Bindings {
         let mut b = Bindings::new();
         for (s, &v) in frame.iter().enumerate() {
             if v != 0 {
                 b = b
-                    .bind(&self.vars[s], crate::structure::Oid(v - 1))
+                    .bind(&self.vars[s], Oid(v - 1))
                     .expect("distinct slot variables cannot conflict");
             }
         }
@@ -246,6 +192,8 @@ impl CompiledRule {
 /// Lower `rule`'s body into slot-addressed form, consuming the cost
 /// annotations of `report` (one [`LiteralPlan`](crate::analysis::LiteralPlan)
 /// per body literal, as produced by [`crate::analysis::plan_rule`]).
+/// Compilation is total: every valid rule body has a compiled form, and every
+/// literal of it the same one (see [`atoms`]).
 ///
 /// A built-in guard whose variables are not all bound by *preceding*
 /// positive non-builtin literals in written order enumerates rather than
@@ -273,36 +221,36 @@ pub fn compile(rule: &Rule, report: &RulePlanReport) -> CompiledRule {
         slots
     };
 
+    let mut names = Vec::new();
+    let mut temps = 0;
     let mut positives = Vec::new();
     let mut negations = Vec::new();
     let mut bound: HashSet<usize> = HashSet::new();
     let mut written_order = false;
     for (i, lit) in rule.body.iter().enumerate() {
         let slots = slots_of(&lit.term, &mut vars);
-        if !lit.positive {
-            negations.push(i);
-            continue;
-        }
         let plan = &report.literals[i];
         let builtin = plan.access == AccessPath::Builtin;
-        if builtin {
+        let (atoms, lit_names, lit_temps) = atoms::lower(&lit.term, &vars, &mut names);
+        temps = temps.max(lit_temps);
+        if lit.positive && builtin {
             written_order |= !slots.iter().all(|s| bound.contains(s));
-        } else {
+        } else if lit.positive {
             bound.extend(slots.iter().copied());
         }
-        let cost = plan.estimated_facts.unwrap_or(usize::MAX);
-        let access = if builtin {
-            Access::Generic
-        } else {
-            compile_access(&lit.term, &vars)
-        };
-        positives.push(CompiledLiteral {
+        let compiled = CompiledLiteral {
             body_index: i,
             slots,
             builtin,
-            cost,
-            access,
-        });
+            cost: plan.estimated_facts.unwrap_or(usize::MAX),
+            atoms,
+            names: lit_names,
+        };
+        if lit.positive {
+            positives.push(compiled);
+        } else {
+            negations.push(compiled);
+        }
     }
 
     let mut canonical: Vec<usize> = (0..vars.len()).collect();
@@ -311,69 +259,12 @@ pub fn compile(rule: &Rule, report: &RulePlanReport) -> CompiledRule {
     CompiledRule {
         vars,
         canonical,
+        names,
+        temps,
         positives,
         negations,
         head,
         written_order,
-    }
-}
-
-/// Recognise a literal's pre-resolvable access path (see [`Access`]).
-fn compile_access(term: &Term, vars: &[Var]) -> Access {
-    let slot = |v: &Var| vars.iter().position(|w| w == v);
-    match term {
-        Term::IsA(i) => {
-            if let (Term::Var(v), Term::Name(c)) = (&i.receiver, &i.class) {
-                if let Some(instance) = slot(v) {
-                    return Access::IsaInstance {
-                        class: c.clone(),
-                        instance,
-                    };
-                }
-            }
-            Access::Generic
-        }
-        Term::Molecule(m) => {
-            let [f] = m.filters.as_slice() else {
-                return Access::Generic;
-            };
-            let (Term::Name(fm), [], FilterValue::SetExplicit(values)) = (&f.method, f.args.as_slice(), &f.value)
-            else {
-                return Access::Generic;
-            };
-            let [Term::Var(mv)] = values.as_slice() else {
-                return Access::Generic;
-            };
-            let Some(member) = slot(mv) else {
-                return Access::Generic;
-            };
-            match &m.receiver {
-                Term::Var(rv) => match slot(rv) {
-                    Some(receiver) => Access::SetMember {
-                        method: fm.clone(),
-                        receiver,
-                        member,
-                    },
-                    None => Access::Generic,
-                },
-                Term::Path(p) if p.set_valued && p.args.is_empty() => {
-                    let (Term::Var(ov), Term::Name(pm)) = (&p.receiver, &p.method) else {
-                        return Access::Generic;
-                    };
-                    match slot(ov) {
-                        Some(origin) => Access::PathSetMember {
-                            path: pm.clone(),
-                            origin,
-                            filter: fm.clone(),
-                            member,
-                        },
-                        None => Access::Generic,
-                    }
-                }
-                _ => Access::Generic,
-            }
-        }
-        _ => Access::Generic,
     }
 }
 
@@ -395,8 +286,6 @@ fn compile_head(head: &Term, vars: &[Var]) -> Option<CompiledHead> {
     let member_slot = vars.iter().position(|v| v == member)?;
     Some(CompiledHead {
         method: method.clone(),
-        receiver: receiver.clone(),
-        member: member.clone(),
         receiver_slot,
         member_slot,
     })
@@ -505,412 +394,71 @@ impl IterationPlans<'_> {
     }
 }
 
-/// An [`Access`] with its names resolved to object ids against a concrete
-/// structure, once per pass.  A non-generic access whose name the structure
-/// does not know denotes nothing — the literal can have no stored facts and
-/// no delta entries, so the pass is empty (`resolve_access` returns `Err`).
-enum ResolvedAccess {
-    SetMember {
-        method: Oid,
-        receiver: usize,
-        member: usize,
-    },
-    PathSetMember {
-        path: Oid,
-        origin: usize,
-        filter: Oid,
-        member: usize,
-    },
-    IsaInstance {
-        class: Oid,
-        instance: usize,
-    },
-}
-
-/// Resolve `access` against `structure`: `Ok(None)` = generic stage,
-/// `Ok(Some(op))` = frame-native stage, `Err(())` = a name is unknown and
-/// the stage (hence the pass) has no solutions.
-#[allow(clippy::result_unit_err)]
-fn resolve_access(structure: &Structure, access: &Access) -> std::result::Result<Option<ResolvedAccess>, ()> {
-    let oid = |n: &Name| structure.lookup_name(n).ok_or(());
-    match access {
-        Access::Generic => Ok(None),
-        Access::SetMember {
-            method,
-            receiver,
-            member,
-        } => Ok(Some(ResolvedAccess::SetMember {
-            method: oid(method)?,
-            receiver: *receiver,
-            member: *member,
-        })),
-        Access::PathSetMember {
-            path,
-            origin,
-            filter,
-            member,
-        } => Ok(Some(ResolvedAccess::PathSetMember {
-            path: oid(path)?,
-            origin: *origin,
-            filter: oid(filter)?,
-            member: *member,
-        })),
-        Access::IsaInstance { class, instance } => Ok(Some(ResolvedAccess::IsaInstance {
-            class: oid(class)?,
-            instance: *instance,
-        })),
-    }
-}
-
-/// Enumerate one frame-native stage against the full structure.  `emit`
-/// receives the slot assignments of one candidate; the caller rejects
-/// assignments conflicting with already-bound slots.
-fn step_full(structure: &Structure, op: &ResolvedAccess, frame: &[u32], emit: &mut impl FnMut(&[(usize, Oid)])) {
-    let facts = structure.facts();
-    match *op {
-        ResolvedAccess::SetMember {
-            method,
-            receiver,
-            member,
-        } => match (frame[receiver], frame[member]) {
-            (0, 0) => {
-                for fact in facts.set_facts_of_method(method) {
-                    if fact.args.is_empty() {
-                        for &m in fact.members.iter() {
-                            emit(&[(receiver, fact.receiver), (member, m)]);
-                        }
-                    }
-                }
-            }
-            (0, mv) => {
-                for fact in facts.set_facts_containing(method, Oid(mv - 1)) {
-                    if fact.args.is_empty() {
-                        emit(&[(receiver, fact.receiver)]);
-                    }
-                }
-            }
-            (rv, 0) => {
-                for fact in facts.set_facts_of_method_receiver(method, Oid(rv - 1)) {
-                    if fact.args.is_empty() {
-                        for &m in fact.members.iter() {
-                            emit(&[(member, m)]);
-                        }
-                    }
-                }
-            }
-            (rv, mv) => {
-                if structure
-                    .apply_set(method, Oid(rv - 1), &[])
-                    .is_some_and(|run| run.contains(&Oid(mv - 1)))
-                {
-                    emit(&[]);
-                }
-            }
-        },
-        ResolvedAccess::PathSetMember {
-            path,
-            origin,
-            filter,
-            member,
-        } => {
-            let path_facts: Box<dyn Iterator<Item = crate::structure::SetFactView<'_>>> = match frame[origin] {
-                0 => Box::new(facts.set_facts_of_method(path)),
-                ov => Box::new(facts.set_facts_of_method_receiver(path, Oid(ov - 1))),
-            };
-            for pf in path_facts {
-                if !pf.args.is_empty() {
-                    continue;
-                }
-                for &t in pf.members.iter() {
-                    for ff in facts.set_facts_of_method_receiver(filter, t) {
-                        if ff.args.is_empty() {
-                            for &y in ff.members.iter() {
-                                emit(&[(origin, pf.receiver), (member, y)]);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        ResolvedAccess::IsaInstance { class, instance } => match frame[instance] {
-            0 => {
-                for o in structure.instances_of(class) {
-                    emit(&[(instance, o)]);
-                }
-            }
-            iv => {
-                if structure.in_class(Oid(iv - 1), class) {
-                    emit(&[]);
-                }
-            }
-        },
-    }
-}
-
-/// Enumerate one frame-native stage restricted to the window `dv`.
-///
-/// Completeness rests on fact monotonicity: an answer of one of these
-/// literal shapes is attributable to the window iff at least one fact it
-/// reads entered the window's log — set-member insertion logs for the set
-/// shapes (a new object cannot carry pre-window facts, so no separate
-/// new-object channel is needed), and the *closure-pair* insertion log for
-/// is-a (transitively derived memberships are logged pairs themselves).
-fn step_delta(
-    structure: &Structure,
-    dv: &DeltaView,
-    op: &ResolvedAccess,
-    frame: &[u32],
-    emit: &mut impl FnMut(&[(usize, Oid)]),
-) {
-    let _ = frame;
-    let facts = structure.facts();
-    match *op {
-        ResolvedAccess::SetMember {
-            method,
-            receiver,
-            member,
-        } => {
-            for &(app_idx, m) in dv.new_set_entries_of_method(method) {
-                let fact = facts.set_fact_at(app_idx);
-                if fact.args.is_empty() {
-                    emit(&[(receiver, fact.receiver), (member, m)]);
-                }
-            }
-        }
-        ResolvedAccess::PathSetMember {
-            path,
-            origin,
-            filter,
-            member,
-        } => {
-            // Channel A: a new path entry `t` of some origin, joined with
-            // the filter's full member sets.
-            for &(app_idx, t) in dv.new_set_entries_of_method(path) {
-                let pf = facts.set_fact_at(app_idx);
-                if !pf.args.is_empty() {
-                    continue;
-                }
-                for ff in facts.set_facts_of_method_receiver(filter, t) {
-                    if ff.args.is_empty() {
-                        for &y in ff.members.iter() {
-                            emit(&[(origin, pf.receiver), (member, y)]);
-                        }
-                    }
-                }
-            }
-            // Channel B: a new filter entry `y` under receiver `t`, joined
-            // backwards through the member index of the path method.
-            for &(app_idx, y) in dv.new_set_entries_of_method(filter) {
-                let ff = facts.set_fact_at(app_idx);
-                if !ff.args.is_empty() {
-                    continue;
-                }
-                for pf in facts.set_facts_containing(path, ff.receiver) {
-                    if pf.args.is_empty() {
-                        emit(&[(origin, pf.receiver), (member, y)]);
-                    }
-                }
-            }
-        }
-        ResolvedAccess::IsaInstance { class, instance } => {
-            for &o in dv.new_instances_of(class) {
-                emit(&[(instance, o)]);
-            }
-        }
-    }
-}
-
-/// A pass's solutions as raw slot frames in canonical key order, deduplicated
-/// — the allocation-free counterpart of a [`SortedRun`], produced when every
-/// stage of a pass ran frame-native *and* the rule's head has a compiled
-/// fast path (so the commit loop never needs `Bindings` or keys: it reads
-/// the head oids straight out of each frame).
+/// A pass's solutions as raw slot frames in canonical key order, deduplicated:
+/// what every delta pass returns.  The commit loop reads a compiled head's
+/// oids straight out of each frame, and materializes [`Bindings`] from it for
+/// any other head.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameRun {
-    /// The frames, `slots` words each, in canonical key order.
-    pub arena: Vec<u32>,
+    /// The frames, `slots` words each.
+    arena: Vec<u32>,
     /// Words per frame.
-    pub slots: usize,
+    slots: usize,
+    /// Number of frames — carried, not derived from the arena: a ground body
+    /// has no slots, and holds (one empty frame) or does not (none).
+    len: usize,
 }
 
 impl FrameRun {
-    /// The frames, in canonical key order.
+    fn new(slots: usize) -> Self {
+        FrameRun {
+            arena: Vec::new(),
+            slots,
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, frame: &[u32]) {
+        debug_assert_eq!(frame.len(), self.slots);
+        self.arena.extend_from_slice(frame);
+        self.len += 1;
+    }
+
+    /// The frames, in order.
     pub fn frames(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        self.arena.chunks_exact(self.slots.max(1))
+        (0..self.len).map(move |i| &self.arena[i * self.slots..(i + 1) * self.slots])
     }
 
     /// Number of frames.
     pub fn len(&self) -> usize {
-        self.arena.len().checked_div(self.slots).unwrap_or(0)
+        self.len
     }
 
     /// Is the run empty?
     pub fn is_empty(&self) -> bool {
-        self.arena.is_empty()
+        self.len == 0
     }
-}
 
-/// The output of one compiled delta pass: a keyed sorted run for the generic
-/// commit path, or raw frames when the rule's compiled head can commit them
-/// directly.
-#[derive(Debug)]
-pub enum PassRun {
-    /// Keyed solutions for the generic merge + `assert_head` commit.
-    Sorted(SortedRun),
-    /// Raw canonical-order frames for the compiled-head commit.
-    Frames(FrameRun),
-}
-
-/// Merge the [`FrameRun`]s of one rule's passes into a single deduplicated run in
-/// canonical key order (the projection through `canonical`).  Frames that
-/// compare equal under the projection are equal outright — every frame of a
-/// pass binds every slot — so adjacent deduplication after the sort is
-/// exact.
-pub fn merge_frame_runs(mut runs: Vec<FrameRun>, canonical: &[usize]) -> FrameRun {
-    if runs.len() == 1 {
-        return runs.pop().expect("just checked length");
-    }
-    let slots = runs.first().map_or(0, |r| r.slots);
-    let mut arena: Vec<u32> = Vec::with_capacity(runs.iter().map(|r| r.arena.len()).sum());
-    for r in runs {
-        debug_assert_eq!(r.slots, slots, "runs of one rule share a slot layout");
-        arena.extend_from_slice(&r.arena);
-    }
-    if slots == 0 {
-        return FrameRun { arena, slots };
-    }
-    let n = arena.len() / slots;
-    let mut idx: Vec<u32> = (0..n as u32).collect();
-    let frame = |i: u32| &arena[i as usize * slots..i as usize * slots + slots];
-    idx.sort_unstable_by(|&a, &b| {
-        let (fa, fb) = (frame(a), frame(b));
-        for &s in canonical {
-            match fa[s].cmp(&fb[s]) {
-                std::cmp::Ordering::Equal => continue,
-                ord => return ord,
-            }
+    /// The run in canonical key order (the projection through `canonical`),
+    /// duplicates dropped.  Frames that compare equal under the projection
+    /// are equal outright — `canonical` permutes every slot — so adjacent
+    /// deduplication after the sort is exact.  Sorting an index permutation
+    /// over the flat arena beats a hash set: no per-frame allocation, and
+    /// the rebuilt arena is scanned in order by the next stage.
+    fn sorted_dedup(self, canonical: &[usize]) -> FrameRun {
+        let slots = self.slots;
+        if self.len < 2 {
+            return self;
         }
-        std::cmp::Ordering::Equal
-    });
-    idx.dedup_by(|&mut a, &mut b| frame(a) == frame(b));
-    let mut out = Vec::with_capacity(idx.len() * slots);
-    for i in idx {
-        out.extend_from_slice(frame(i));
-    }
-    FrameRun { arena: out, slots }
-}
-
-/// Sort-and-deduplicate a flat frame arena (`slots` words per frame),
-/// returning the compacted arena.  Frames between stages are value sets —
-/// the final canonical sort fixes the output order — so any deterministic
-/// intermediate order will do.
-fn dedup_frames(arena: Vec<u32>, slots: usize) -> Vec<u32> {
-    let n = arena.len() / slots;
-    if n < 2 {
-        return arena;
-    }
-    let mut idx: Vec<u32> = (0..n as u32).collect();
-    let frame = |i: u32| &arena[i as usize * slots..i as usize * slots + slots];
-    idx.sort_unstable_by(|&a, &b| frame(a).cmp(frame(b)));
-    idx.dedup_by(|&mut a, &mut b| frame(a) == frame(b));
-    let mut out = Vec::with_capacity(idx.len() * slots);
-    for i in idx {
-        out.extend_from_slice(frame(i));
-    }
-    out
-}
-
-/// Execute one delta pass of `compiled` over `body` in the planned `order`:
-/// positive literal `delta_lit` restricted to the window `dv`, every other
-/// literal joined against the full structure.  Returns the pass's solutions
-/// in canonical key order: every solution of the body whose derivation reads
-/// the window through `delta_lit`, and only solutions of the body (the
-/// documented over-approximation of [`Access`] delta stages is absorbed by
-/// the deduplicating merge and the idempotent commit).
-///
-/// Execution is two segments.  Segment 1 runs the leading stages whose
-/// literals have a resolved [`Access`] shape entirely on flat `u32` frames —
-/// no `Bindings` cons cells, no `Answer` allocation, fact-store index walks
-/// instead of term valuation.  The first built-in or generic stage ends the
-/// segment: `Bindings` are materialized once per surviving frame and the
-/// remaining stages (and all negation checks) run through [`answers()`] /
-/// [`delta_answers`].
-pub fn execute_delta(
-    structure: &Structure,
-    body: &[Literal],
-    compiled: &CompiledRule,
-    order: &PassOrder,
-    delta_lit: usize,
-    dv: &DeltaView,
-) -> Result<PassRun> {
-    let slots = compiled.slot_count();
-    let last_stage = order.positions.len().saturating_sub(1);
-
-    // Frames live in one flat arena, `slots` words per frame — one
-    // allocation per stage instead of one per candidate.  A ground body has
-    // no slots (no frame representation); it runs segment 2 only.
-    let mut arena: Vec<u32> = vec![0; slots];
-    let mut resume = 0;
-    while slots > 0 && resume < order.positions.len() {
-        let j = order.positions[resume];
-        let lit = compiled
-            .positives
-            .iter()
-            .find(|l| l.body_index == j)
-            .expect("planned positions index positive literals");
-        if lit.builtin {
-            break;
+        if slots == 0 {
+            return FrameRun { len: 1, ..self };
         }
-        let op = match resolve_access(structure, &lit.access) {
-            Ok(Some(op)) => op,
-            Ok(None) => break,
-            Err(()) => return Ok(PassRun::Sorted(Vec::new())),
-        };
-        // Intermediate stages deduplicate — a duplicate frame would fan out
-        // duplicated downstream work.  Frames are just value sets here
-        // (the final canonical sort fixes the output order), so sort-based
-        // deduplication over the arena beats a hash set: no per-candidate
-        // allocation, and the rebuilt arena is scanned in order by the next
-        // stage.  The final stage feeds the canonical sort, which
-        // deduplicates anyway, so it skips the extra pass.
-        let dedup = resume != last_stage || !compiled.negations.is_empty();
-        let mut next: Vec<u32> = Vec::new();
-        for frame in arena.chunks_exact(slots) {
-            let mut emit = |assign: &[(usize, Oid)]| {
-                let base = next.len();
-                next.extend_from_slice(frame);
-                for &(s, o) in assign {
-                    let v = o.0 + 1;
-                    let cell = &mut next[base + s];
-                    if *cell != 0 && *cell != v {
-                        next.truncate(base);
-                        return;
-                    }
-                    *cell = v;
-                }
-            };
-            if j == delta_lit {
-                step_delta(structure, dv, &op, frame, &mut emit);
-            } else {
-                step_full(structure, &op, frame, &mut emit);
-            }
-        }
-        arena = if dedup { dedup_frames(next, slots) } else { next };
-        if arena.is_empty() {
-            return Ok(PassRun::Sorted(Vec::new()));
-        }
-        resume += 1;
-    }
-
-    if slots > 0 && resume > last_stage && compiled.negations.is_empty() {
-        // Every stage ran frame-native: sort and deduplicate the raw frames
-        // through an index permutation into canonical key order.
-        let mut idx: Vec<u32> = (0..(arena.len() / slots) as u32).collect();
-        let canon = &compiled.canonical;
+        let arena = &self.arena;
         let frame = |i: u32| &arena[i as usize * slots..i as usize * slots + slots];
+        let mut idx: Vec<u32> = (0..self.len as u32).collect();
         idx.sort_unstable_by(|&a, &b| {
             let (fa, fb) = (frame(a), frame(b));
-            for &s in canon {
+            for &s in canonical {
                 match fa[s].cmp(&fb[s]) {
                     std::cmp::Ordering::Equal => continue,
                     ord => return ord,
@@ -919,97 +467,84 @@ pub fn execute_delta(
             std::cmp::Ordering::Equal
         });
         idx.dedup_by(|&mut a, &mut b| frame(a) == frame(b));
-        if compiled.head.is_some() {
-            // The compiled head commits straight from the frames — no keys,
-            // no `Bindings`, no per-solution allocation at all.
-            let mut out = Vec::with_capacity(idx.len() * slots);
-            for i in idx {
-                out.extend_from_slice(frame(i));
-            }
-            return Ok(PassRun::Frames(FrameRun { arena: out, slots }));
+        let mut out = Vec::with_capacity(idx.len() * slots);
+        for &i in &idx {
+            out.extend_from_slice(frame(i));
         }
-        return Ok(PassRun::Sorted(
-            idx.into_iter()
-                .map(|i| {
-                    let f = frame(i);
-                    (compiled.key_of(f), compiled.bindings_of(f))
-                })
-                .collect(),
-        ));
+        FrameRun {
+            arena: out,
+            slots,
+            len: idx.len(),
+        }
     }
+}
 
-    let mut states: Vec<(Vec<u32>, Bindings)> = if slots == 0 {
-        vec![(Vec::new(), Bindings::new())]
-    } else {
-        arena
-            .chunks_exact(slots)
-            .map(|f| {
-                let b = compiled.bindings_of(f);
-                (f.to_vec(), b)
-            })
-            .collect()
-    };
-    for (pos, &j) in order.positions.iter().enumerate().skip(resume) {
-        let lit = &body[j];
-        let dedup = pos != last_stage || !compiled.negations.is_empty();
-        let mut next: Vec<(Vec<u32>, Bindings)> = Vec::new();
-        let mut seen: HashSet<Vec<u32>> = HashSet::new();
-        for (frame, s) in &states {
-            let base_len = s.len();
-            let lit_answers = if j == delta_lit {
-                delta_answers(structure, &lit.term, s, dv)?
-            } else {
-                answers(structure, &lit.term, s)?
-            };
-            for a in lit_answers {
-                let mut f = frame.clone();
-                for (v, oid) in a.bindings.added_since(base_len) {
-                    match compiled.slot_of(v) {
-                        Some(slot) => f[slot] = oid.0 + 1,
-                        // Answers only bind variables occurring in the
-                        // literal, all of which have slots.
-                        None => debug_assert!(false, "answer bound a variable without a slot"),
-                    }
-                }
-                if !dedup || seen.insert(f.clone()) {
-                    next.push((f, a.bindings));
-                }
-            }
-        }
-        states = next;
-        if states.is_empty() {
-            return Ok(PassRun::Sorted(Vec::new()));
-        }
+/// Merge the [`FrameRun`]s of one rule's passes into a single deduplicated
+/// run in canonical key order.  The merged run is a function of the *union*
+/// of the runs only, so any split of the same solutions — one run per
+/// drivable literal, or one big run — commits them in the same order.
+pub fn merge_frame_runs(mut runs: Vec<FrameRun>, canonical: &[usize]) -> FrameRun {
+    if runs.len() == 1 {
+        return runs.pop().expect("just checked length");
     }
-    for &j in &compiled.negations {
-        let lit = &body[j];
-        let mut next = Vec::with_capacity(states.len());
-        for (f, s) in states {
-            if answers(structure, &lit.term, &s)?.is_empty() {
-                next.push((f, s));
-            }
-        }
-        states = next;
-        if states.is_empty() {
-            return Ok(PassRun::Sorted(Vec::new()));
-        }
+    let mut all = FrameRun::new(canonical.len());
+    for r in runs {
+        debug_assert_eq!(r.slots, all.slots, "runs of one rule share a slot layout");
+        all.arena.extend_from_slice(&r.arena);
+        all.len += r.len;
     }
-    // Canonical order without touching strings: every surviving frame binds
-    // every slot, so all keys carry the same variable-name sequence and key
-    // order reduces to the object-id sequence in canonical slot order.  Sort
-    // and deduplicate on the `u32` frames, then materialize one key per
-    // distinct solution.
-    states.sort_by(|a, b| {
-        compiled
-            .canonical
+    all.sorted_dedup(canonical)
+}
+
+/// Execute one delta pass of `compiled` in the planned `order`: positive
+/// literal `delta_lit` restricted to the window `dv`, every other literal
+/// joined against the full structure, the negated literals applied as
+/// anti-joins last.  Returns the pass's solutions in canonical key order:
+/// every solution of the body whose derivation reads the window through
+/// `delta_lit`, and only solutions of the body (the over-approximation a
+/// restricted atom step is allowed — see [`atoms`] — is absorbed by the
+/// deduplicating merge and the idempotent commit).
+///
+/// Frames live in one flat arena per stage, `slots` words each — one
+/// allocation per stage instead of one per candidate.  Every stage
+/// deduplicates: a duplicate frame would fan out duplicated downstream work
+/// (or, after the last stage, duplicated negation probes and commits), and
+/// frames between stages are just value sets, so the canonical order the
+/// result needs serves every stage.
+pub fn execute_delta(
+    structure: &Structure,
+    compiled: &CompiledRule,
+    order: &PassOrder,
+    delta_lit: usize,
+    dv: &DeltaView,
+) -> Result<FrameRun> {
+    let mut machine = atoms::Machine::new(structure, dv, compiled);
+    // The one solution of the empty join: a frame binding nothing.
+    let mut frames = FrameRun::new(compiled.slot_count());
+    frames.push(&vec![0; compiled.slot_count()]);
+    for &j in &order.positions {
+        let lit = compiled
+            .positives
             .iter()
-            .map(|&s| a.0[s])
-            .cmp(compiled.canonical.iter().map(|&s| b.0[s]))
-    });
-    states.dedup_by(|a, b| a.0 == b.0);
-    Ok(PassRun::Sorted(
-        states.into_iter().map(|(f, b)| (compiled.key_of(&f), b)).collect(),
-    ))
+            .find(|l| l.body_index == j)
+            .expect("planned positions index positive literals");
+        if !machine.knows(lit) {
+            return Ok(FrameRun::new(compiled.slot_count()));
+        }
+        frames = machine
+            .join(lit, j == delta_lit, &frames)?
+            .sorted_dedup(&compiled.canonical);
+        if frames.is_empty() {
+            return Ok(frames);
+        }
+    }
+    for lit in &compiled.negations {
+        // A literal naming an unknown object holds of nothing.
+        if machine.knows(lit) {
+            frames = machine.anti_join(lit, &frames)?;
+        }
+    }
+    Ok(frames)
 }
 
 #[cfg(test)]
@@ -1019,7 +554,7 @@ mod tests {
 
     use crate::analysis::plan_rule;
     use crate::builtins::{LT, NEQ};
-    use crate::engine::{binding_key, solve_body};
+    use crate::engine::{binding_key, solve_body, BindingKey};
     use crate::names::Name;
     use crate::program::Literal;
     use crate::semantics::SnapshotWindow;
@@ -1075,7 +610,6 @@ mod tests {
         assert_eq!(c.slot_var(0), &Var::new("X"));
         assert_eq!(c.slot_var(1), &Var::new("Y"));
         assert_eq!(c.slot_var(2), &Var::new("Z"));
-        assert_eq!(c.slot_of(&Var::new("Z")), Some(2));
         assert_eq!(c.canonical, vec![0, 1, 2]);
         assert_eq!(c.positives().len(), 3);
         assert_eq!(c.positives()[1].slots, vec![1, 2]);
@@ -1093,7 +627,7 @@ mod tests {
         let s = kids_structure();
         let c = compile_with_stats(&rule, &s);
         assert_eq!(c.positives().len(), 1);
-        assert_eq!(c.negations(), &[1]);
+        assert_eq!(c.negations().iter().map(|l| l.body_index).collect::<Vec<_>>(), vec![1]);
         let order = pass_order(&c, &[0], 10);
         assert_eq!(order.positions, vec![0]);
     }
@@ -1170,19 +704,6 @@ mod tests {
         assert!(!order.seeded_from_delta);
     }
 
-    /// Normalize a pass output to a keyed run (frame runs materialize their
-    /// keys and bindings through the compiled rule, exactly as the keyed
-    /// exit would have).
-    fn keyed(run: PassRun, compiled: &CompiledRule) -> SortedRun {
-        match run {
-            PassRun::Sorted(r) => r,
-            PassRun::Frames(fr) => fr
-                .frames()
-                .map(|f| (compiled.key_of(f), compiled.bindings_of(f)))
-                .collect(),
-        }
-    }
-
     /// The oracle's solutions of `body` over `s`, as canonical keys.
     fn oracle_keys(s: &Structure, body: &[Literal]) -> BTreeSet<BindingKey> {
         solve_body(s, body, &Bindings::new())
@@ -1211,13 +732,11 @@ mod tests {
         let (old, new) = (oracle_keys(before, &rule.body), oracle_keys(after, &rule.body));
         let mut found = BTreeSet::new();
         for &delta_lit in drivable {
-            let run = keyed(
-                execute_delta(after, &rule.body, &c, &order, delta_lit, &dv).unwrap(),
-                &c,
-            );
-            assert!(run.windows(2).all(|w| w[0].0 < w[1].0), "canonical, deduplicated");
-            for (k, b) in run {
-                assert_eq!(k, binding_key(&b), "frame-materialized keys agree with binding_key");
+            let run = execute_delta(after, &c, &order, delta_lit, &dv).unwrap();
+            let keys: Vec<BindingKey> = run.frames().map(|f| binding_key(&c.bindings_of(f))).collect();
+            assert_eq!(keys.len(), run.len());
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "canonical, deduplicated");
+            for k in keys {
                 assert!(new.contains(&k), "pass {delta_lit} found a non-solution {k:?}");
                 found.insert(k);
             }
@@ -1238,7 +757,7 @@ mod tests {
     }
 
     #[test]
-    fn single_literal_rule_compiles_and_executes_without_final_dedup() {
+    fn single_literal_rule_compiles_and_executes() {
         let (before, after) = with_kids_edge("d", "a");
         let rule = tc_rule();
         let c = compile_with_stats(&rule, &after);
@@ -1249,9 +768,15 @@ mod tests {
     }
 
     #[test]
-    fn access_paths_and_head_are_recognised() {
+    fn literals_lower_to_atoms_and_the_head_is_recognised() {
+        use Operand::{Name as N, Slot, Temp};
         let s = kids_structure();
-        // X[desc ->> {Y}] <- X..desc[kids ->> {Y}], X : person
+        let call = |method, receiver| Call {
+            method,
+            receiver,
+            args: vec![],
+        };
+        // X[desc ->> {Y}] <- X..desc[kids ->> {Y}], X : person, not X.boss[], Z
         let rule = Rule::new(
             Term::var("X").filter(Filter::set("desc", vec![Term::var("Y")])),
             vec![
@@ -1261,41 +786,53 @@ mod tests {
                         .filter(Filter::set("kids", vec![Term::var("Y")])),
                 ),
                 Literal::pos(Term::var("X").isa("person")),
+                Literal::neg(Term::var("X").scalar("boss").empty_filters()),
+                Literal::pos(Term::var("Z")),
             ],
         );
         let c = compile_with_stats(&rule, &s);
+        assert_eq!(c.names(), ["desc", "kids", "person", "boss"].map(Name::atom));
+        // A path is one application into a temporary; the molecule applies
+        // its filter to it.
         assert_eq!(
-            c.positives()[0].access,
-            Access::PathSetMember {
-                path: Name::atom("desc"),
-                origin: 0,
-                filter: Name::atom("kids"),
-                member: 1,
-            }
+            c.positives()[0].atoms,
+            vec![
+                Atom::Member {
+                    call: call(N(0), Slot(0)),
+                    member: Temp(0)
+                },
+                Atom::Member {
+                    call: call(N(1), Temp(0)),
+                    member: Slot(1)
+                },
+            ]
         );
         assert_eq!(
-            c.positives()[1].access,
-            Access::IsaInstance {
-                class: Name::atom("person"),
-                instance: 0,
-            }
+            c.positives()[1].atoms,
+            vec![Atom::Isa {
+                instance: Slot(0),
+                class: N(2)
+            }]
         );
+        assert_eq!(
+            c.negations()[0].atoms,
+            vec![
+                Atom::Scalar {
+                    call: call(N(3), Slot(0)),
+                    result: Temp(0)
+                },
+                Atom::Object { cell: Temp(0) },
+            ]
+        );
+        assert_eq!(c.positives()[2].atoms, vec![Atom::Object { cell: Slot(2) }]);
         let tc = compile_with_stats(&tc_rule(), &s);
-        assert_eq!(
-            tc.positives()[0].access,
-            Access::SetMember {
-                method: Name::atom("kids"),
-                receiver: 0,
-                member: 1,
-            }
-        );
         let head = tc.head().expect("X[desc ->> {Y}] has the compiled head shape");
         assert_eq!(head.method, Name::atom("desc"));
         assert_eq!((head.receiver_slot, head.member_slot), (0, 1));
     }
 
     #[test]
-    fn compiled_head_rules_return_frame_runs() {
+    fn passes_return_frames_a_compiled_head_reads_directly() {
         let mut s = kids_structure();
         let mut window = SnapshotWindow::capture(&s);
         let kids = s.ensure_name(&Name::atom("kids"));
@@ -1305,16 +842,56 @@ mod tests {
         let rule = tc_rule();
         let c = compile_with_stats(&rule, &s);
         let order = pass_order(&c, &[0], 1);
-        let PassRun::Frames(fr) = execute_delta(&s, &rule.body, &c, &order, 0, &dv).unwrap() else {
-            panic!("compiled-head rule with frame-native stages must yield frames");
-        };
-        assert_eq!(fr.slots, 2);
+        let fr = execute_delta(&s, &c, &order, 0, &dv).unwrap();
         let head = c.head().unwrap();
         let frames: Vec<(Oid, Oid)> = fr
             .frames()
             .map(|f| (Oid(f[head.receiver_slot] - 1), Oid(f[head.member_slot] - 1)))
             .collect();
         assert_eq!(frames, vec![(b, a)]);
+    }
+
+    #[test]
+    fn ground_body_yields_one_empty_frame_when_it_holds() {
+        // flag[on ->> {yes}] <- a[kids ->> {e}]: no variable, no slot.
+        let rule = Rule::new(
+            Term::name("flag").filter(Filter::set("on", vec![Term::name("yes")])),
+            vec![Literal::pos(
+                Term::name("a").filter(Filter::set("kids", vec![Term::name("e")])),
+            )],
+        );
+        let (before, after) = with_kids_edge("a", "e");
+        let found = checked_passes(&before, &after, &rule, &[0], 1);
+        assert_eq!(found, BTreeSet::from([vec![]]), "the one solution binds nothing");
+        let (before, after) = with_kids_edge("b", "e");
+        assert!(checked_passes(&before, &after, &rule, &[0], 1).is_empty());
+    }
+
+    #[test]
+    fn merged_runs_are_a_canonical_union() {
+        // Slots X, Y with Y first in name order ("B" < "C"): canonical [1, 0].
+        let run = |frames: &[[u32; 2]]| {
+            let mut r = FrameRun::new(2);
+            frames.iter().for_each(|f| r.push(f));
+            r
+        };
+        let canonical = [1, 0];
+        let (a, b) = (run(&[[9, 1], [2, 2]]), run(&[[2, 2], [1, 3]]));
+        let merged = merge_frame_runs(vec![a.clone(), b.clone()], &canonical);
+        let frames: Vec<&[u32]> = merged.frames().collect();
+        assert_eq!(frames, [[9, 1], [2, 2], [1, 3]], "Y-major order, the shared frame once");
+        // How the solutions are split into runs does not change the order.
+        let one = run(&[[1, 3], [2, 2], [9, 1], [2, 2]]).sorted_dedup(&canonical);
+        assert_eq!(one, merged);
+        assert_eq!(merge_frame_runs(vec![b, a], &canonical), merged);
+        // Without slots a run holds at most the one empty frame.
+        let unit = || {
+            let mut r = FrameRun::new(0);
+            r.push(&[]);
+            r
+        };
+        assert_eq!(merge_frame_runs(vec![unit(), FrameRun::new(0), unit()], &[]).len(), 1);
+        assert!(merge_frame_runs(vec![FrameRun::new(0), FrameRun::new(0)], &[]).is_empty());
     }
 
     #[test]
@@ -1378,5 +955,123 @@ mod tests {
             2 * 4,
             "e pairs with each of the four old persons, both ways"
         );
+    }
+
+    /// Base structure and the same grown by a window: one new `desc`
+    /// member, one new is-a pair, one new scalar fact (and its new objects).
+    fn base_and_delta() -> (Structure, Structure) {
+        let mut s = Structure::new();
+        let (kids, desc, person) = (s.atom("kids"), s.atom("desc"), s.atom("person"));
+        let (peter, tim, mary, sally) = (s.atom("peter"), s.atom("tim"), s.atom("mary"), s.atom("sally"));
+        s.assert_set_member(kids, peter, &[], tim);
+        s.assert_set_member(kids, peter, &[], mary);
+        s.assert_set_member(kids, tim, &[], sally);
+        s.assert_set_member(desc, peter, &[], tim);
+        s.assert_set_member(desc, peter, &[], mary);
+        s.add_isa(peter, person);
+        let before = s.clone();
+        s.assert_set_member(desc, peter, &[], sally);
+        s.add_isa(tim, person);
+        let age = s.atom("age");
+        let five = s.int(5);
+        s.assert_scalar(age, sally, &[], five).unwrap();
+        (before, s)
+    }
+
+    /// The solutions of the one-literal body `term` whose derivation reads
+    /// the window between `before` and `after`, as `(variable, object name)`
+    /// lists — checked sound and complete against the oracle on the way.
+    fn restricted(before: &Structure, after: &Structure, term: Term) -> Vec<Vec<(String, String)>> {
+        let rule = Rule::new(Term::name("h"), vec![Literal::pos(term)]);
+        checked_passes(before, after, &rule, &[0], 1)
+            .into_iter()
+            .map(|key| {
+                key.iter()
+                    .map(|(v, o)| (v.to_string(), after.display_name(Oid(*o)).into_owned()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn pairs(solution: &[(&str, &str)]) -> Vec<(String, String)> {
+        solution.iter().map(|(v, o)| (v.to_string(), o.to_string())).collect()
+    }
+
+    #[test]
+    fn restricted_set_path_enumerates_only_new_members() {
+        let (before, after) = base_and_delta();
+        // X..desc[Y] — full: three members; restricted: the new one.
+        let t = Term::var("X").set("desc").selector(Term::var("Y"));
+        let rule = Rule::new(Term::name("h"), vec![Literal::pos(t.clone())]);
+        assert_eq!(oracle_keys(&after, &rule.body).len(), 3);
+        assert_eq!(
+            restricted(&before, &after, t),
+            vec![pairs(&[("X", "peter"), ("Y", "sally")])]
+        );
+        // X..kids did not change.
+        let t = Term::var("X").set("kids").selector(Term::var("Y"));
+        assert!(restricted(&before, &after, t).is_empty());
+    }
+
+    #[test]
+    fn restricted_scalar_path_and_filter() {
+        let (before, after) = base_and_delta();
+        // Only sally's age is new — as a path and as a molecule filter.
+        let expected = vec![pairs(&[("A", "5"), ("X", "sally")])];
+        let t = Term::var("X").scalar("age").selector(Term::var("A"));
+        assert_eq!(restricted(&before, &after, t), expected);
+        let t = Term::var("X").filter(Filter::scalar("age", Term::var("A")));
+        assert_eq!(restricted(&before, &after, t), expected);
+    }
+
+    #[test]
+    fn restricted_isa_enumerates_only_new_pairs() {
+        let (before, after) = base_and_delta();
+        let t = Term::var("X").isa("person");
+        assert_eq!(restricted(&before, &after, t), vec![pairs(&[("X", "tim")])]);
+    }
+
+    #[test]
+    fn restricted_recursive_literal_matches_semi_naive_expectation() {
+        // X..desc[kids ->> {Y}]: the new desc member sally has no kids, so no
+        // join reads the window — the old (peter via tim, sally) one may be
+        // re-derived by an over-approximating step but need not be.
+        let (before, after) = base_and_delta();
+        let t = || {
+            Term::var("X")
+                .set("desc")
+                .filter(Filter::set("kids", vec![Term::var("Y")]))
+        };
+        let old = pairs(&[("X", "peter"), ("Y", "sally")]);
+        assert!(restricted(&before, &after, t()).iter().all(|s| *s == old));
+        // A kid for sally: both the new desc edge and the new kids fact
+        // derive the same join, reported once.
+        let mut grown = after.clone();
+        let (kids, sally) = (grown.atom("kids"), grown.atom("sally"));
+        let tom = grown.atom("tom");
+        grown.assert_set_member(kids, sally, &[], tom);
+        let found = restricted(&before, &grown, t());
+        assert!(found.contains(&pairs(&[("X", "peter"), ("Y", "tom")])));
+        assert!(found.iter().all(|s| s[0].1 == "peter"), "{found:?}");
+    }
+
+    #[test]
+    fn empty_window_yields_no_solutions_and_every_shape_stays_sound() {
+        let (before, after) = base_and_delta();
+        let terms = [
+            Term::var("X").set("desc"),
+            Term::var("X").set("kids"),
+            Term::var("X").scalar("age"),
+            Term::var("X").isa("person"),
+            Term::var("X").filter(Filter::set("desc", vec![Term::var("Y")])),
+            Term::var("X")
+                .set("desc")
+                .filter(Filter::set("kids", vec![Term::var("Y")])),
+        ];
+        for t in terms {
+            assert!(restricted(&after, &after, t.clone()).is_empty(), "{t}");
+            // Soundness and completeness are `checked_passes`' own asserts.
+            restricted(&before, &after, t);
+        }
     }
 }

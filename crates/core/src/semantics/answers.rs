@@ -91,7 +91,7 @@ pub fn answers_matching(structure: &Structure, term: &Term, seed: &Bindings, exp
 }
 
 /// Answers of a path `t0 (.|..) m @ (args)`.
-pub(crate) fn path_answers(structure: &Structure, p: &crate::term::Path, seed: &Bindings) -> Result<Vec<Answer>> {
+fn path_answers(structure: &Structure, p: &crate::term::Path, seed: &Bindings) -> Result<Vec<Answer>> {
     let mut out = Vec::new();
     for recv in receiver_answers_for_path(structure, p, seed)? {
         for ma in method_answers(structure, &p.method, &recv.bindings, recv.object, p.set_valued)? {
@@ -114,11 +114,7 @@ pub(crate) fn path_answers(structure: &Structure, p: &crate::term::Path, seed: &
 /// Answers of the receiver of a path.  If the receiver is an unbound
 /// variable and the method is a ground name, seed candidates from the
 /// per-method index instead of the whole universe.
-pub(crate) fn receiver_answers_for_path(
-    structure: &Structure,
-    p: &crate::term::Path,
-    seed: &Bindings,
-) -> Result<Vec<Answer>> {
+fn receiver_answers_for_path(structure: &Structure, p: &crate::term::Path, seed: &Bindings) -> Result<Vec<Answer>> {
     if let Some(method) = resolved_method_oid(structure, &p.method, seed) {
         if let Some(seeded) = index_seeded_receivers(structure, &p.receiver, seed, method, p.set_valued) {
             return Ok(seeded);
@@ -132,10 +128,8 @@ pub(crate) fn receiver_answers_for_path(
 /// unbound variable and the method is not a built-in (`self` and the
 /// comparison methods apply without stored facts, so the indexes would
 /// wrongly restrict them); returns `None` when the caller must fall back to
-/// full receiver enumeration.  Shared by the full enumeration above and the
-/// delta enumeration's method-derivation part, so the built-in guard lives
-/// in exactly one place.
-pub(crate) fn index_seeded_receivers(
+/// full receiver enumeration.
+fn index_seeded_receivers(
     structure: &Structure,
     receiver: &Term,
     seed: &Bindings,
@@ -166,7 +160,7 @@ pub(crate) fn index_seeded_receivers(
 /// Answers of a method position.  An unbound variable is seeded from the
 /// methods defined on the receiver (this is what makes the generic
 /// `X[(M.tc) ->> {Y}]` rules of Section 6 evaluable).
-pub(crate) fn method_answers(
+fn method_answers(
     structure: &Structure,
     method: &Term,
     seed: &Bindings,
@@ -192,7 +186,7 @@ pub(crate) fn method_answers(
 }
 
 /// Enumerate bindings and concrete argument tuples for a call argument list.
-pub(crate) fn arg_answers(structure: &Structure, args: &[Term], seed: &Bindings) -> Result<Vec<(Bindings, Vec<Oid>)>> {
+fn arg_answers(structure: &Structure, args: &[Term], seed: &Bindings) -> Result<Vec<(Bindings, Vec<Oid>)>> {
     let mut states = vec![(seed.clone(), Vec::new())];
     for arg in args {
         let mut next = Vec::new();
@@ -209,7 +203,7 @@ pub(crate) fn arg_answers(structure: &Structure, args: &[Term], seed: &Bindings)
 }
 
 /// Answers of `t0 : c`.
-pub(crate) fn isa_answers(structure: &Structure, i: &crate::term::IsA, seed: &Bindings) -> Result<Vec<Answer>> {
+fn isa_answers(structure: &Structure, i: &crate::term::IsA, seed: &Bindings) -> Result<Vec<Answer>> {
     // Unbound-variable receiver: enumerate the extent of the class.
     if let Term::Var(v) = &i.receiver {
         if seed.get(v).is_none() {
@@ -271,7 +265,7 @@ fn molecule_answers(structure: &Structure, m: &crate::term::Molecule, seed: &Bin
 
 /// Answers of the receiver of a molecule, seeding unbound variables from the
 /// most selective usable filter.
-pub(crate) fn receiver_answers_for_molecule(
+fn receiver_answers_for_molecule(
     structure: &Structure,
     m: &crate::term::Molecule,
     seed: &Bindings,
@@ -347,12 +341,7 @@ pub(crate) fn receiver_answers_for_molecule(
 }
 
 /// All valuations extending `seed` under which `receiver` satisfies `filter`.
-pub(crate) fn filter_answers(
-    structure: &Structure,
-    receiver: Oid,
-    filter: &Filter,
-    seed: &Bindings,
-) -> Result<Vec<Bindings>> {
+fn filter_answers(structure: &Structure, receiver: Oid, filter: &Filter, seed: &Bindings) -> Result<Vec<Bindings>> {
     // Fast path for the overwhelmingly common shape — a ground zero-argument
     // method — skipping the method/argument enumeration ceremony.
     if filter.args.is_empty() {
@@ -376,7 +365,7 @@ pub(crate) fn filter_answers(
 }
 
 /// Match a filter's value for an already-resolved method application.
-pub(crate) fn filter_value_answers(
+fn filter_value_answers(
     structure: &Structure,
     receiver: Oid,
     filter: &Filter,
@@ -393,15 +382,7 @@ pub(crate) fn filter_value_answers(
         }
         FilterValue::SetRef(rt) => {
             let members = structure.apply_set(method, receiver, args);
-            // The right-hand side is read set-at-a-time; it must be
-            // evaluable under the current valuation (the engine's
-            // stratification and safety checks guarantee this).
-            let required = valuate(structure, rt, bindings).map_err(|e| match e {
-                Error::NotGround(msg) => Error::NotGround(format!(
-                    "set-valued right-hand side `{rt}` must be bound by earlier literals: {msg}"
-                )),
-                other => other,
-            })?;
+            let required = required_members(structure, rt, bindings)?;
             let ok = match members {
                 Some(ms) => required.iter().all(|x| ms.contains(x)),
                 None => required.is_empty(),
@@ -454,13 +435,21 @@ pub(crate) fn filter_value_answers(
     Ok(out)
 }
 
+/// The objects the strict right-hand side `rt` of an `m ->> rt` filter
+/// requires.  It is read set-at-a-time (Definition 4, item 7), so it must be
+/// evaluable under the current valuation — the engine's stratification and
+/// safety checks guarantee this.
+pub(crate) fn required_members(structure: &Structure, rt: &Term, bindings: &Bindings) -> Result<BTreeSet<Oid>> {
+    valuate(structure, rt, bindings).map_err(|e| match e {
+        Error::NotGround(msg) => Error::NotGround(format!(
+            "set-valued right-hand side `{rt}` must be bound by earlier literals: {msg}"
+        )),
+        other => other,
+    })
+}
+
 /// Valuations under which `element` denotes a member of `members`.
-pub(crate) fn element_answers(
-    structure: &Structure,
-    element: &Term,
-    seed: &Bindings,
-    members: &OidRun,
-) -> Result<Vec<Bindings>> {
+fn element_answers(structure: &Structure, element: &Term, seed: &Bindings, members: &OidRun) -> Result<Vec<Bindings>> {
     // Unbound variable: bind to every member (this is the paper's
     // "p1[assistants ->> {X[salary -> 1000]}]" access pattern).
     if let Term::Var(v) = element {
@@ -507,7 +496,7 @@ pub(crate) fn resolved_method_oid(structure: &Structure, method: &Term, seed: &B
 
 /// If `term` evaluates, under `seed`, to exactly one object without needing
 /// further bindings, that object.
-pub(crate) fn single_ground_object(structure: &Structure, term: &Term, seed: &Bindings) -> Option<Oid> {
+fn single_ground_object(structure: &Structure, term: &Term, seed: &Bindings) -> Option<Oid> {
     if !term.variables().iter().all(|v| seed.is_bound(v)) {
         return None;
     }

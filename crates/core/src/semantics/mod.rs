@@ -19,7 +19,7 @@ pub mod factorized;
 pub mod model;
 
 pub use answers::{answers, answers_matching, Answer};
-pub use delta::{delta_answers, DeltaView, EvalMarks, SnapshotWindow};
+pub use delta::{DeltaView, EvalMarks, SnapshotWindow};
 pub use factorized::{factorized_answers, AnswerDag, FactorizedAnswers};
 pub use model::{is_model, violations, Violation};
 
@@ -119,16 +119,6 @@ impl Bindings {
     /// Iterate over the bound variables (most recently bound first).
     pub fn iter(&self) -> impl Iterator<Item = (&Var, Oid)> + '_ {
         std::iter::successors(self.head.as_deref(), |n| n.next.as_deref()).map(|n| (&n.var, n.oid))
-    }
-
-    /// Iterate over the bindings added on top of a prefix valuation of
-    /// length `base_len` (most recently bound first).  Extending a valuation
-    /// only ever prepends distinct variables to the shared cons list, so the
-    /// first `len - base_len` nodes are exactly the extension — the compiled
-    /// join path uses this to update its flat slot frames without re-walking
-    /// the seed's bindings.
-    pub fn added_since(&self, base_len: usize) -> impl Iterator<Item = (&Var, Oid)> + '_ {
-        self.iter().take(self.len.saturating_sub(base_len))
     }
 
     /// Build a valuation from pairs (later pairs win is *not* supported —

@@ -1,19 +1,27 @@
 //! Property-based tests for the engine's delta passes: they run through
-//! compiled slot-frame rule bodies in planner-chosen literal order
-//! (`pathlog_core::plan`), and the result must be *bit-identical* to the
-//! naive oracle (`delta_driven: false`, every rule re-solved in full, in
-//! written order, each iteration), on random trees and random (possibly
-//! cyclic) graphs.
+//! compiled slot-frame rule bodies — every literal lowered to primitive atoms
+//! — in planner-chosen literal order (`pathlog_core::plan`), and the result
+//! must be *bit-identical* to the naive oracle (`delta_driven: false`, every
+//! rule re-solved in full, in written order, each iteration), on random trees
+//! and random (possibly cyclic) graphs, for one program of planner-relevant
+//! rules and a table of rule families covering every literal shape.
 
 use proptest::prelude::*;
 
+use std::collections::BTreeSet;
+
+use pathlog::core::analysis::{plan_rule, MethodStats};
+use pathlog::core::engine::{binding_key, solve_body, BindingKey};
+use pathlog::core::plan::{compile, execute_delta, PassOrder};
+use pathlog::core::program::Literal;
+use pathlog::core::semantics::{Bindings, SnapshotWindow};
 use pathlog::core::structure::{Oid, Structure};
 use pathlog::prelude::*;
 
 /// The recursive closure program both evaluators run: a 2-literal recursive
 /// rule, the non-linear closure rule — both of its literals read `desc`, so
 /// every iteration that grows `desc` runs two delta passes for it and the
-/// writer merges two sorted runs — a second stratum over the closure, a
+/// commit merges two frame runs — a second stratum over the closure, a
 /// 3-literal join with a deliberately bad written order (the big `desc`
 /// relation first), a negation, and two bodies whose built-in guard
 /// *enumerates* — `self` binds `Y` to `X`, `neq` runs `Y` over every other
@@ -32,9 +40,154 @@ const PROGRAM: &str = "X[desc ->> {Y}] <- X[kids ->> {Y}].\n\
 /// The proper rules of `PROGRAM`.
 const RULES: usize = 9;
 
-/// Load `PROGRAM` with the given options; returns the model dump and stats.
-fn run(structure: &Structure, options: EvalOptions) -> (String, EvalStats) {
-    let program = parse_program(PROGRAM).expect("program parses");
+/// What every family of `SHAPES` starts with: `kids` (the company's
+/// `assistants` count as kids too) and a frontier `reached` that advances one
+/// generation per iteration from the roots (and from `n0`, for graphs without
+/// one), dragging scalar facts (`id`, `kind`, `hop@(Y)`) and set members
+/// (`next`) along — so the recursive stratum runs several delta iterations
+/// whose windows hold every kind of fact, and whatever a family derives into
+/// `seen` feeds back into it.
+const FRONTIER: &str = "X[kids ->> {Y}] <- X[assistants ->> {Y}].\n\
+                        X : parent <- X[kids ->> {Y}].\n\
+                        Y : child <- X[kids ->> {Y}].\n\
+                        X : root <- X : parent, not X : child.\n\
+                        n0 : reached.\n\
+                        X : reached <- X : root.\n\
+                        Y : reached <- X : reached, X[kids ->> {Y}].\n\
+                        X : reached <- X : seen.\n\
+                        X[id -> X] <- X : reached.\n\
+                        X[kind -> inner] <- X : reached, X[kids ->> {Y}].\n\
+                        X[hop@(Y) -> X] <- X : reached, X[kids ->> {Y}].\n\
+                        X[next ->> {Y}] <- X : reached, X[kids ->> {Y}].\n";
+
+/// The closure rules two families build on.
+const DESC: &str = "X[kids ->> {Y}] <- X[assistants ->> {Y}].\n\
+                    X[desc ->> {Y}] <- X[kids ->> {Y}].\n\
+                    X[desc ->> {Y}] <- X..desc[kids ->> {Y}].\n";
+
+/// One rule family per literal shape the compiled IR has to lower — name,
+/// what precedes it, the family's own rules — each with the shape inside a
+/// recursive stratum, so that delta passes (not only the first, written-order
+/// full solve) evaluate it.  `V` stands for a variable, `n` for a name, `c`
+/// for a class, `m` for a method.  Node names are those of the random trees
+/// (`p0_0`, …) and graphs (`n0`, …).
+const SHAPES: &[(&str, &str, &str)] = &[
+    // V : c[m -> V]
+    ("isa_scalar_filter", FRONTIER, "Z : seen <- X : reached[id -> Z]."),
+    // V : c.m[m -> V]
+    ("isa_path_filter", FRONTIER, "Z : seen <- X : reached.id[id -> Z]."),
+    // V : c[m -> V].m[m -> V]
+    (
+        "isa_filter_path_filter",
+        FRONTIER,
+        "Z : seen <- X : reached[id -> W].id[id -> Z].",
+    ),
+    // V.m[m -> V]
+    ("scalar_path_filter", FRONTIER, "Z : seen <- X.id[id -> Z]."),
+    // V..m..m[m -> V]
+    ("set_path_path_filter", FRONTIER, "Z : seen <- X..next..next[id -> Z]."),
+    // V[M ->> {V}] and V..(M.tc)[M ->> {V}]: the paper's generic closure
+    // (6.4).  Its heads define an unknown key, which every reader depends
+    // on, so no negation may stand beside it.
+    (
+        "generic_closure",
+        "X[kids ->> {Y}] <- X[assistants ->> {Y}].\n",
+        "kids : baseMethod.\n\
+         X[(M.tc) ->> {Y}] <- M : baseMethod, X[M ->> {Y}].\n\
+         X[(M.tc) ->> {Y}] <- M : baseMethod, X..(M.tc)[M ->> {Y}].",
+    ),
+    // V.(n.n): the method is itself a path, whose fact is derived mid-stratum.
+    (
+        "path_as_method",
+        FRONTIER,
+        "conf[alias -> id] <- X : reached.\n\
+         X : seen <- X.(conf.alias).",
+    ),
+    // A bare V behind a ground guard, and a virtual-object head a later rule
+    // reads: every `X.tag` is created mid-stratum and must become a thing.
+    (
+        "bare_variable_and_virtual_head",
+        FRONTIER,
+        "go[on -> yes] <- X : reached.\n\
+         Z : thing <- go[on -> yes], Z.\n\
+         X.tag[of -> X] <- X : reached, X : thing.\n\
+         Z : seen <- X.tag[of -> Z].",
+    ),
+    // n[m -> n] and n[m ->> {V}]
+    (
+        "ground_literals",
+        FRONTIER,
+        "Y : seen <- n0[id -> n0], n0[next ->> {Y}].\n\
+         Y : seen <- p0_0[id -> p0_0], p0_0[next ->> {Y}].",
+    ),
+    // A body without variables in a recursive stratum: the closure makes the
+    // ground rule fire, the flag adds an edge, the edge feeds the closure.
+    (
+        "ground_body",
+        DESC,
+        "flag[on ->> {yes}] <- n0[desc ->> {n3}].\n\
+         flag[on ->> {yes}] <- p0_0[desc ->> {p0_2}].\n\
+         n3[kids ->> {n0}] <- flag[on ->> {yes}].\n\
+         p0_2[kids ->> {p0_1}] <- flag[on ->> {yes}].",
+    ),
+    // V[m -> n]
+    ("scalar_filter_name", FRONTIER, "X : seen <- X[kind -> inner]."),
+    // V[m ->> {n}]
+    (
+        "set_filter_name",
+        FRONTIER,
+        "X : seen <- X[next ->> {n3}].\n\
+         X : seen <- X[next ->> {p0_2}].",
+    ),
+    // V[m@(V) -> V]
+    ("method_arguments", FRONTIER, "Y : seen <- X[hop@(Y) -> D]."),
+    // V[m ->> {V}; m -> V]
+    (
+        "multi_filter_molecule",
+        FRONTIER,
+        "Y : seen <- X[next ->> {Y}; id -> C].",
+    ),
+    // V[m ->> {V[m -> n]}]
+    (
+        "nested_element",
+        FRONTIER,
+        "Y : seen <- X[next ->> {Y[kind -> inner]}].",
+    ),
+    // V[m ->> V..m]: strict right-hand sides from a lower stratum (which
+    // `parent` then belongs to as well, so only the growing `desc` can drive
+    // the rules): grandkids, which `desc` covers an iteration late, and
+    // siblings, which it covers on cycles only.
+    (
+        "strict_superset",
+        DESC,
+        "X : parent <- X[kids ->> {Y}].\n\
+         X[gk ->> {Z}] <- X : parent, X[kids ->> {Y}], Y[kids ->> {Z}].\n\
+         Y[sibs ->> {Z}] <- X : parent, X[kids ->> {Y}], X[kids ->> {Z}].\n\
+         X : covered <- X : parent, X[desc ->> X..gk].\n\
+         X : closed <- X : parent, X[desc ->> X..sibs].\n\
+         X[desc ->> {X}] <- X : covered.\n\
+         X[desc ->> {X}] <- X : closed.",
+    ),
+    // V[M -> V]: an unbound method variable ranges over the stored methods
+    // and `self`.
+    (
+        "scalar_method_variable",
+        FRONTIER,
+        "X[via ->> {M}] <- X : reached, X[M -> Y].",
+    ),
+    // not V..m[m -> n], in a stratum whose second rule reads the first's
+    // head: a parent of a tip is an uptip unless a kid of its has kids.
+    (
+        "negated_path",
+        FRONTIER,
+        "X : tip <- X : reached, not X..next[kind -> inner].\n\
+         Y : uptip <- X : tip, Y[kids ->> {X}], not Y..next[kind -> inner].",
+    ),
+];
+
+/// Load `text` with the given options; returns the model dump and stats.
+fn run(text: &str, structure: &Structure, options: EvalOptions) -> (String, EvalStats) {
+    let program = parse_program(text).expect("program parses");
     let mut s = structure.clone();
     let stats = Engine::with_options(options)
         .load_program(&mut s, &program)
@@ -42,12 +195,14 @@ fn run(structure: &Structure, options: EvalOptions) -> (String, EvalStats) {
     (s.canonical_dump(), stats)
 }
 
-/// Assert `engine ≡ oracle` on `structure`: the naive run is the reference;
-/// the engine must reproduce its model byte for byte and its model counters
-/// exactly, and a second engine run must repeat the first's whole `EvalStats`
-/// (scheduling and planner counters included).
-fn assert_engine_matches_oracle(structure: &Structure) {
+/// Assert `engine ≡ oracle` for the program `name` — `text` — on
+/// `structure`: the naive run is the reference; the engine must reproduce
+/// its model byte for byte and its model counters exactly, and a second
+/// engine run must repeat the first's whole `EvalStats` (scheduling and
+/// planner counters included).  Returns the engine's stats.
+fn assert_engine_matches_oracle(name: &str, text: &str, structure: &Structure) -> EvalStats {
     let (oracle_dump, oracle_stats) = run(
+        text,
         structure,
         EvalOptions {
             delta_driven: false,
@@ -57,16 +212,28 @@ fn assert_engine_matches_oracle(structure: &Structure) {
     assert_eq!(
         (oracle_stats.delta_solves, oracle_stats.plans_compiled),
         (0, 0),
-        "the oracle runs full solves only"
+        "{name}: the oracle runs full solves only"
     );
 
-    let (dump, stats) = run(structure, EvalOptions::default());
-    assert_eq!(dump, oracle_dump, "model must be byte-identical to the oracle");
-    assert_eq!(stats.model_counters(), oracle_stats.model_counters());
-    assert!(stats.plans_compiled > 0, "delta passes run compiled");
-    let (again_dump, again) = run(structure, EvalOptions::default());
-    assert_eq!(again_dump, dump);
-    assert_eq!(again, stats, "stats must repeat run to run");
+    let (dump, stats) = run(text, structure, EvalOptions::default());
+    assert_eq!(dump, oracle_dump, "{name}: model must be byte-identical to the oracle");
+    assert_eq!(stats.model_counters(), oracle_stats.model_counters(), "{name}");
+    let (again_dump, again) = run(text, structure, EvalOptions::default());
+    assert_eq!(again_dump, dump, "{name}");
+    assert_eq!(again, stats, "{name}: stats must repeat run to run");
+    stats
+}
+
+/// `PROGRAM` and every family of `SHAPES` against the oracle on `structure`;
+/// returns each one's delta solves, `PROGRAM`'s first.
+fn assert_every_program_matches_oracle(structure: &Structure) -> Vec<usize> {
+    let families = SHAPES
+        .iter()
+        .map(|(name, prelude, rules)| (*name, format!("{prelude}{rules}")));
+    std::iter::once(("PROGRAM", PROGRAM.to_string()))
+        .chain(families)
+        .map(|(name, text)| assert_engine_matches_oracle(name, &text, structure).delta_solves)
+        .collect()
 }
 
 /// Facts written in the text are data to the planner: only the proper rules
@@ -101,6 +268,148 @@ fn facts_in_the_text_are_never_planned_or_scheduled() {
     assert_eq!(planned.full_solves, RULES, "one full solve per proper rule");
 }
 
+/// The shape table over three fixed inputs — a tree, a cyclic graph and a
+/// small company — on which every family must actually reach its delta
+/// passes: a family whose recursive stratum never ran one would hold the
+/// oracle vacuously.
+#[test]
+fn every_shape_runs_delta_passes_and_matches_the_oracle() {
+    let tree = pathlog::datagen::genealogy_structure(&pathlog::datagen::GenealogyParams {
+        roots: 1,
+        depth: 3,
+        fanout: 2,
+        seed: 7,
+    });
+    let mut graph = Structure::new();
+    let kids = graph.atom("kids");
+    let nodes: Vec<Oid> = (0..8).map(|i| graph.atom(&format!("n{i}"))).collect();
+    for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 1), (0, 4), (4, 5), (5, 3), (6, 7)] {
+        graph.assert_set_member(kids, nodes[a], &[], nodes[b]);
+    }
+    let company = pathlog::datagen::company_structure(&pathlog::datagen::CompanyParams::scaled(30));
+    let mut delta_solves = vec![0; 1 + SHAPES.len()];
+    for structure in [&tree, &graph, &company] {
+        for (total, n) in delta_solves
+            .iter_mut()
+            .zip(assert_every_program_matches_oracle(structure))
+        {
+            *total += n;
+        }
+    }
+    for ((name, _, _), n) in SHAPES.iter().zip(&delta_solves[1..]) {
+        assert!(*n > 0, "family `{name}` never ran a delta pass");
+    }
+}
+
+/// Bodies over the `FRONTIER` vocabulary whose literals, once their order is
+/// permuted, meet the atom steps with every pattern of bound and unbound
+/// operands: method, receiver, argument, value and class each bound by an
+/// earlier literal in one order and enumerated from an index in another.
+const JOINS: &[&str] = &[
+    "X : out <- X[kind -> inner], X[next ->> {Y}], Y : reached.",
+    "X : out <- X : reached, X[M -> Y], Y : C.",
+    "X : out <- X : fresh, X[M ->> {Y}], M : baseMethod.",
+    "X : out <- X : fresh, X[hop@(Y) -> D], Y[id -> Z].",
+    "X : out <- X : fresh, X[pair@(A) ->> {B}], B : reached.",
+    "X : out <- X..next[id -> Y], Y[kids ->> {Z}], Z[id -> Z].",
+    "X : out <- X.id.kind[self -> K], X : C, Y[kind -> K].",
+    "X : out <- X[next ->> X..kids], X[kids ->> {Y}], not Y..next[kind -> inner].",
+    "X : out <- X[next ->> {Y[kind -> inner]}; id -> X], Y : parent.",
+    // Signature filters match the declarations table, whichever of class,
+    // method and result the other literals have bound.
+    "X : out <- X : C, C[kind => R], X[kind -> Y].",
+    "X : out <- X : fresh, X[M => R], X[M -> Y].",
+    // `pair@(X)` is undefined on `X` itself — the empty set, which covers
+    // the kids of a leaf only.
+    "X : out <- X : reached, not X[pair@(X) ->> X..kids].",
+];
+
+/// The solutions of `body` over `s` by the written-order reference, as keys.
+fn oracle_keys(s: &Structure, body: &[Literal]) -> BTreeSet<BindingKey> {
+    let solutions = solve_body(s, body, &Bindings::new()).expect("body solves");
+    solutions.iter().map(binding_key).collect()
+}
+
+/// Every order of its literals — not only the planned one — is an execution
+/// the atom steps must get right: over the window in which the frontier of a
+/// tree advances into a grafted branch (and two old parents turn `fresh`, so
+/// that new solutions join old facts too), each order's passes (one per
+/// restricted literal) find only solutions of the body, and between them
+/// every solution the window added.
+#[test]
+fn passes_match_the_oracle_in_every_literal_order() {
+    let program = parse_program(&format!(
+        "{FRONTIER}next : baseMethod.\nkids : baseMethod.\nreached[id => reached].\n\
+         X[pair@(Y) ->> {{X, Y}}] <- X : reached, X[kids ->> {{Y}}]."
+    ))
+    .expect("parses");
+    let mut before = pathlog::datagen::genealogy_structure(&pathlog::datagen::GenealogyParams {
+        roots: 1,
+        depth: 2,
+        fanout: 2,
+        seed: 3,
+    });
+    Engine::new().load_program(&mut before, &program).expect("evaluates");
+    let mut after = before.clone();
+    let kids = after.atom("kids");
+    let graft = ["p0_1", "g1", "g2", "g3"].map(|n| after.atom(n));
+    for (a, b) in [(0, 1), (0, 2), (1, 3)] {
+        after.assert_set_member(kids, graft[a], &[], graft[b]);
+    }
+    let fresh = after.atom("fresh");
+    for n in ["p0_0", "p0_4", "g1"] {
+        let n = after.atom(n);
+        after.add_isa(n, fresh);
+    }
+    Engine::new().load_program(&mut after, &program).expect("evaluates");
+    let declaration = "fresh[kind => inner]. p0_0[kind => inner]. parent[kind => inner]. parent[kind =>> reached].";
+    let declaration = parse_program(declaration).expect("parses");
+    Engine::new().load_program(&mut after, &declaration).expect("evaluates");
+    let dv = SnapshotWindow::capture(&before).slide(&after);
+    assert!(dv.has_new_objects() && dv.sigs_changed() && dv.entry_count() > 10);
+
+    let stats = MethodStats::capture(&after);
+    for text in JOINS {
+        let rule = &parse_program(text).expect("parses").rules[0];
+        let compiled = compile(rule, &plan_rule(rule, Some(&stats), None));
+        let (old, new) = (oracle_keys(&before, &rule.body), oracle_keys(&after, &rule.body));
+        assert!(new.len() > old.len(), "`{text}` gains no solution in the window");
+        let positives: Vec<usize> = compiled.positives().iter().map(|l| l.body_index).collect();
+        for positions in permutations(&positives) {
+            let order = PassOrder {
+                positions,
+                seeded_from_delta: true,
+            };
+            let mut found = BTreeSet::new();
+            for &delta_lit in &positives {
+                let run = execute_delta(&after, &compiled, &order, delta_lit, &dv).expect("pass runs");
+                for frame in run.frames() {
+                    let key = binding_key(&compiled.bindings_of(frame));
+                    assert!(new.contains(&key), "`{text}` {order:?}: {key:?} is no solution");
+                    found.insert(key);
+                }
+            }
+            let missed: Vec<_> = new.difference(&old).filter(|k| !found.contains(*k)).collect();
+            assert!(missed.is_empty(), "`{text}` {order:?} missed {missed:?}");
+        }
+    }
+}
+
+fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
+    if items.len() <= 1 {
+        return vec![items.to_vec()];
+    }
+    let mut out = Vec::new();
+    for &first in items {
+        let rest: Vec<usize> = items.iter().copied().filter(|&x| x != first).collect();
+        for mut tail in permutations(&rest) {
+            tail.insert(0, first);
+            out.push(tail);
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -112,7 +421,8 @@ proptest! {
     ) {
         let structure = pathlog::datagen::genealogy_structure(
             &pathlog::datagen::GenealogyParams { roots: 1, depth, fanout, seed });
-        assert_engine_matches_oracle(&structure);
+        let delta_solves = assert_every_program_matches_oracle(&structure);
+        prop_assert!(delta_solves[0] > 0, "delta passes run compiled");
     }
 
     #[test]
@@ -128,6 +438,7 @@ proptest! {
         for &(a, b) in &edges {
             structure.assert_set_member(kids, nodes[a as usize], &[], nodes[b as usize]);
         }
-        assert_engine_matches_oracle(&structure);
+        let delta_solves = assert_every_program_matches_oracle(&structure);
+        prop_assert!(delta_solves[0] > 0, "delta passes run compiled");
     }
 }
