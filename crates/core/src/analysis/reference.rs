@@ -274,10 +274,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     /// A fact-heavy text: a thousand and more fact nodes around and between
-    /// a few generated statements.
+    /// a few generated statements.  The statements are drawn stratifiable
+    /// (the filler facts read nothing, so they cannot close a cycle): on a
+    /// strict cycle the reference relaxes until a stratum passes the node
+    /// count, which is cubic in the thousand facts — tens of seconds for a
+    /// message the two tests above already compare.
     #[test]
     fn indexed_equals_reference_among_a_thousand_facts(
-        nodes in prop::collection::vec(arb_node(), 1..8),
+        nodes in prop::collection::vec(arb_node(), 1..8)
+            .prop_filter("stratifiable", |nodes| reference_stratify(nodes).is_ok()),
         facts in 1000usize..1100,
     ) {
         let per_gap = facts / nodes.len() + 1;

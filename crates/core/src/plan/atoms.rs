@@ -103,7 +103,14 @@ pub enum Atom {
     /// The check `I_->>(method)(receiver, args) ⊇ ν(rhs)` of an `m ->> t`
     /// filter.  The strict right-hand side is valuated set-at-a-time
     /// (Definition 4, item 7) under the frame's bindings, so the atoms
-    /// binding its variables must precede this one.
+    /// binding its variables must precede this one.  With the receiver
+    /// unbound the check ranges over the *defined* applications, not the
+    /// universe — an object without an application is missed even when the
+    /// required set is empty.  [`answers()`](crate::semantics::answers())
+    /// reads it the same way, so the two evaluators agree and the reading is
+    /// still open; the planner keeps it from arising by reordering: a literal
+    /// holding this atom is planned like a guard (see
+    /// [`compile`](super::compile)).
     Superset {
         /// The application.
         call: Call,

@@ -30,12 +30,13 @@
 //!   instead (a *seed flip*, counted in
 //!   [`EvalStats::seed_flips`](crate::engine::EvalStats)).  After the seed,
 //!   literals sharing a bound variable are preferred over disconnected ones
-//!   (no accidental cross products), and built-in guards are hoisted to the
-//!   earliest position where all their variables are bound — never earlier.
+//!   (no accidental cross products), and guards — built-ins, and literals
+//!   holding a strict `m ->> t` check — are hoisted to the earliest position
+//!   where all their variables are bound — never earlier.
 //!   Orders are recomputed per stratum iteration as the stats evolve
 //!   ([`EvalStats::replans`](crate::engine::EvalStats)).  A body in which a
-//!   built-in guard *enumerates* — some variable of it is not bound by the
-//!   positive literals written before it, as `B` in `A : person, A[lt -> B],
+//!   guard *enumerates* — some variable of it is not bound by the positive
+//!   literals written before it, as `B` in `A : person, A[lt -> B],
 //!   B : person` — keeps its written order (see [`compile`]).
 //!
 //! **Why reordering is invisible.**  A delta pass's output is a frame run in
@@ -82,9 +83,10 @@ pub struct CompiledLiteral {
     pub body_index: usize,
     /// Slots of the variables occurring in the literal.
     pub slots: Vec<usize>,
-    /// `true` for built-in guards (comparisons / `self`), which are hoisted
-    /// rather than cost-ordered.
-    pub builtin: bool,
+    /// `true` for a literal planned as a guard — a built-in (comparisons /
+    /// `self`) or one holding a strict `m ->> t` check ([`Atom::Superset`]) —
+    /// which is hoisted rather than cost-ordered.
+    pub guard: bool,
     /// Estimated stored-fact cost from the [`RulePlanReport`] annotation
     /// (`usize::MAX` when unknown — e.g. a derived-only literal).
     pub cost: usize,
@@ -132,7 +134,7 @@ pub struct CompiledRule {
     negations: Vec<CompiledLiteral>,
     /// The head fast path, when the head has the supported shape.
     head: Option<CompiledHead>,
-    /// `true` when a built-in guard enumerates (see [`compile`]):
+    /// `true` when a guard enumerates (see [`compile`]):
     /// [`pass_order`] then keeps the written order.
     written_order: bool,
 }
@@ -195,11 +197,13 @@ impl CompiledRule {
 /// Compilation is total: every valid rule body has a compiled form, and every
 /// literal of it the same one (see [`atoms`]).
 ///
-/// A built-in guard whose variables are not all bound by *preceding*
-/// positive non-builtin literals in written order enumerates rather than
-/// filters, and moving it is not semantics-preserving against written-order
-/// evaluation: such a body compiles with its written order pinned — every
-/// [`pass_order`] of it is the written order.
+/// A guard — a built-in, or a literal holding a strict `m ->> t` check —
+/// whose variables are not all bound by *preceding* positive non-guard
+/// literals in written order enumerates rather than filters (a strict check
+/// with an unbound receiver ranges over the defined applications only, see
+/// [`Atom::Superset`]), and moving it is not semantics-preserving against
+/// written-order evaluation: such a body compiles with its written order
+/// pinned — every [`pass_order`] of it is the written order.
 pub fn compile(rule: &Rule, report: &RulePlanReport) -> CompiledRule {
     let mut vars: Vec<Var> = Vec::new();
     let slots_of = |term: &Term, vars: &mut Vec<Var>| -> Vec<usize> {
@@ -230,10 +234,10 @@ pub fn compile(rule: &Rule, report: &RulePlanReport) -> CompiledRule {
     for (i, lit) in rule.body.iter().enumerate() {
         let slots = slots_of(&lit.term, &mut vars);
         let plan = &report.literals[i];
-        let builtin = plan.access == AccessPath::Builtin;
         let (atoms, lit_names, lit_temps) = atoms::lower(&lit.term, &vars, &mut names);
         temps = temps.max(lit_temps);
-        if lit.positive && builtin {
+        let guard = plan.access == AccessPath::Builtin || atoms.iter().any(|a| matches!(a, Atom::Superset { .. }));
+        if lit.positive && guard {
             written_order |= !slots.iter().all(|s| bound.contains(s));
         } else if lit.positive {
             bound.extend(slots.iter().copied());
@@ -241,7 +245,7 @@ pub fn compile(rule: &Rule, report: &RulePlanReport) -> CompiledRule {
         let compiled = CompiledLiteral {
             body_index: i,
             slots,
-            builtin,
+            guard,
             cost: plan.estimated_facts.unwrap_or(usize::MAX),
             atoms,
             names: lit_names,
@@ -297,7 +301,8 @@ pub struct PassOrder {
     /// Body indices of the positive literals, in execution order.
     pub positions: Vec<usize>,
     /// `false` when the planner put a literal cheaper than the delta ahead
-    /// of every delta-drivable literal — a *seed flip*.
+    /// of every delta-drivable literal — a *seed flip* (also reported when
+    /// the only drivable literal is a guard waiting for its variables).
     pub seeded_from_delta: bool,
 }
 
@@ -309,8 +314,8 @@ pub struct PassOrder {
 /// delta_entries)`.  The order is greedy: cheapest literal first, then
 /// repeatedly the cheapest literal *connected* to the bound variables (ties
 /// broken by body position; disconnected literals only when nothing
-/// connected remains), with built-in guards emitted at the earliest position
-/// where all their variables are bound.  One order is computed per rule per
+/// connected remains), with guards emitted at the earliest position where
+/// all their variables are bound.  One order is computed per rule per
 /// iteration and shared by all of the rule's passes — the completeness
 /// argument in the module docs relies on that.  A body compiled with its
 /// written order pinned gets exactly that order, whatever the costs; that is
@@ -322,8 +327,8 @@ pub fn pass_order(compiled: &CompiledRule, drivable: &[usize], delta_entries: us
             seeded_from_delta: true,
         };
     }
-    let mut remaining: Vec<&CompiledLiteral> = compiled.positives.iter().filter(|l| !l.builtin).collect();
-    let mut builtins: Vec<&CompiledLiteral> = compiled.positives.iter().filter(|l| l.builtin).collect();
+    let mut remaining: Vec<&CompiledLiteral> = compiled.positives.iter().filter(|l| !l.guard).collect();
+    let mut guards: Vec<&CompiledLiteral> = compiled.positives.iter().filter(|l| l.guard).collect();
     let eff = |l: &CompiledLiteral| {
         if drivable.contains(&l.body_index) {
             l.cost.min(delta_entries)
@@ -333,8 +338,8 @@ pub fn pass_order(compiled: &CompiledRule, drivable: &[usize], delta_entries: us
     };
     let mut positions = Vec::with_capacity(compiled.positives.len());
     let mut bound: HashSet<usize> = HashSet::new();
-    let flush_builtins = |bound: &HashSet<usize>, positions: &mut Vec<usize>, builtins: &mut Vec<&CompiledLiteral>| {
-        builtins.retain(|b| {
+    let flush_guards = |bound: &HashSet<usize>, positions: &mut Vec<usize>, guards: &mut Vec<&CompiledLiteral>| {
+        guards.retain(|b| {
             if b.slots.iter().all(|s| bound.contains(s)) {
                 positions.push(b.body_index);
                 false
@@ -344,7 +349,7 @@ pub fn pass_order(compiled: &CompiledRule, drivable: &[usize], delta_entries: us
         });
     };
     while !remaining.is_empty() {
-        flush_builtins(&bound, &mut positions, &mut builtins);
+        flush_guards(&bound, &mut positions, &mut guards);
         let connected =
             |l: &CompiledLiteral| bound.is_empty() || l.slots.is_empty() || l.slots.iter().any(|s| bound.contains(s));
         let next = remaining
@@ -357,12 +362,12 @@ pub fn pass_order(compiled: &CompiledRule, drivable: &[usize], delta_entries: us
         bound.extend(lit.slots.iter().copied());
         positions.push(lit.body_index);
     }
-    flush_builtins(&bound, &mut positions, &mut builtins);
+    flush_guards(&bound, &mut positions, &mut guards);
     // Guards whose variables are never bound cannot occur: `compile` pins
     // the written order of any body where it leaves one unbound, and the
     // planned order binds the same variable set.
-    debug_assert!(builtins.is_empty(), "unbound builtin guard survived planning");
-    positions.extend(builtins.iter().map(|b| b.body_index));
+    debug_assert!(guards.is_empty(), "unbound guard survived planning");
+    positions.extend(guards.iter().map(|b| b.body_index));
     let seeded_from_delta = positions.first().is_some_and(|j| drivable.contains(j));
     PassOrder {
         positions,
@@ -647,12 +652,40 @@ mod tests {
         );
         let s = kids_structure();
         let c = compile_with_stats(&rule, &s);
-        assert!(c.positives()[2].builtin);
+        assert!(c.positives()[2].guard);
         let order = pass_order(&c, &[0, 1], usize::MAX);
         // Both person literals precede the guard; the guard sits right after
         // the position that binds its second variable.
         assert_eq!(order.positions.len(), 3);
         assert_eq!(order.positions[2], 2);
+    }
+
+    #[test]
+    fn strict_superset_literal_is_planned_like_a_guard() {
+        // X : person, X[kids ->> X..desc] — the strict check must not seed
+        // the join, however small the delta that drives it: with X unbound it
+        // ranges over the defined `kids` applications and misses `d`, which
+        // has none and needs none.
+        let strict = Literal::pos(Term::var("X").filter(Filter::set_ref("kids", Term::var("X").set("desc"))));
+        let rule = Rule::new(
+            Term::var("X").isa("covered"),
+            vec![Literal::pos(Term::var("X").isa("person")), strict.clone()],
+        );
+        let s = kids_structure();
+        let c = compile_with_stats(&rule, &s);
+        assert!(c.positives()[1].guard && !c.written_order);
+        for (drivable, delta_entries) in [(vec![1], 1), (vec![0, 1], usize::MAX)] {
+            assert_eq!(pass_order(&c, &drivable, delta_entries).positions, vec![0, 1]);
+        }
+        // Written first, its receiver is unbound in written order too: the
+        // body is pinned, as for an enumerating built-in.
+        let rule = Rule::new(
+            Term::var("X").isa("covered"),
+            vec![strict, Literal::pos(Term::var("X").isa("person"))],
+        );
+        let c = compile_with_stats(&rule, &s);
+        assert!(c.written_order);
+        assert_eq!(pass_order(&c, &[1], 1).positions, vec![0, 1]);
     }
 
     #[test]
@@ -669,7 +702,7 @@ mod tests {
         );
         let s = kids_structure();
         let c = compile_with_stats(&rule, &s);
-        assert!(c.positives()[1].builtin);
+        assert!(c.positives()[1].guard);
         // Whichever literal the window drives and however small the delta,
         // the order is the written one and no seed flip is reported.
         for (drivable, delta_entries) in [(vec![0], 1), (vec![2], 1), (vec![0, 2], usize::MAX), (vec![], 0)] {

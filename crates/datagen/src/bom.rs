@@ -52,16 +52,6 @@ impl BomParams {
         }
     }
 
-    /// The 10x preset: ten times the default assembly count (the memory
-    /// experiments' large-scale arm, selected with `--scale 10` in the
-    /// experiments binary).
-    pub fn scaled10() -> Self {
-        BomParams {
-            assemblies: 20,
-            ..Self::default()
-        }
-    }
-
     /// Upper bound on the number of parts this parameter set can generate
     /// (reached only when `sharing` is 0).
     pub fn max_parts(&self) -> usize {

@@ -62,13 +62,6 @@ impl CompanyParams {
             ..Self::default()
         }
     }
-
-    /// The 10x preset: ten times the default employee count (the memory
-    /// experiments' large-scale arm, selected with `--scale 10` in the
-    /// experiments binary).
-    pub fn scaled10() -> Self {
-        Self::scaled(10_000)
-    }
 }
 
 /// The colours vehicles are painted with.

@@ -36,17 +36,6 @@ impl Default for GenealogyParams {
 }
 
 impl GenealogyParams {
-    /// The 10x preset: ten independent trees instead of one, giving ten
-    /// times the default person count at unchanged depth (the memory
-    /// experiments' large-scale arm, selected with `--scale 10` in the
-    /// experiments binary).
-    pub fn scaled10() -> Self {
-        GenealogyParams {
-            roots: 10,
-            ..Self::default()
-        }
-    }
-
     /// Total number of persons this parameter set generates.
     pub fn expected_persons(&self) -> usize {
         // roots * (fanout^(depth+1) - 1) / (fanout - 1), handling fanout <= 1

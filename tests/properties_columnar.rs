@@ -352,6 +352,42 @@ proptest! {
     }
 }
 
+/// What factorizing buys (experiment E19's size claim, a pure count): over
+/// the `desc` closure of a fan-out-2 genealogy the answer DAG of `X..desc`
+/// shares the fact table's member runs, so it has fewer nodes than there are
+/// answers at every depth, and fewer per answer the deeper the tree.
+#[test]
+fn factorized_closure_answers_grow_sublinearly_in_the_answer_count() {
+    let rules = pathlog::parser::parse_program(
+        "X[desc ->> {Y}] <- X[kids ->> {Y}].\n\
+         X[desc ->> {Y}] <- X..desc[kids ->> {Y}].",
+    )
+    .expect("closure rules parse");
+    let query = Term::var("X").set("desc");
+    let nodes_per_answer: Vec<f64> = [4, 6, 8, 10]
+        .into_iter()
+        .map(|depth| {
+            let mut closed = pathlog::datagen::genealogy_structure(&GenealogyParams {
+                roots: 1,
+                depth,
+                fanout: 2,
+                seed: 42,
+            });
+            Engine::new()
+                .load_program(&mut closed, &rules)
+                .expect("closure evaluates");
+            assert_factorized_matches(&closed, &query, true);
+            let dag = Engine::new()
+                .query_term_factorized(&closed, &query)
+                .expect("factorized query succeeds");
+            let (nodes, answers) = (dag.node_count() as u64, dag.count());
+            assert!(nodes < answers, "depth {depth}: {nodes} nodes for {answers} answers");
+            nodes as f64 / answers as f64
+        })
+        .collect();
+    assert!(nodes_per_answer[3] < nodes_per_answer[0], "{nodes_per_answer:?}");
+}
+
 // ---------------------------------------------------------------------------
 // 5. A structure is a persistent value: a clone shares its tables with the
 //    original, and neither ever sees the other's later writes.

@@ -168,6 +168,15 @@ const SHAPES: &[(&str, &str, &str)] = &[
          X[desc ->> {X}] <- X : covered.\n\
          X[desc ->> {X}] <- X : closed.",
     ),
+    // V : c, V[m ->> V..m] with the strict literal written after the one
+    // that binds its receiver: a leaf has no `next` application and no kids,
+    // so it is `seen` — but only if the check runs under a bound receiver
+    // (an unbound one ranges over the defined applications, which miss it).
+    (
+        "strict_superset_after_binder",
+        FRONTIER,
+        "X : seen <- X : reached, X[next ->> X..kids].",
+    ),
     // V[M -> V]: an unbound method variable ranges over the stored methods
     // and `self`.
     (
