@@ -258,9 +258,10 @@ impl FromIterator<Constraint> for ConstraintSet {
     }
 }
 
-/// Counters of one checker's lifetime, the observable the E20 experiment
-/// asserts on: incremental checking must perform strictly fewer condition
-/// solves than full re-checking on the same mutation workload.
+/// Counters of one checker's lifetime, the observable incremental checking
+/// is judged by: it must perform strictly fewer condition solves than full
+/// re-checking on the same mutation workload (`pathbench` reports them as
+/// `constraints.*`).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CheckStats {
     /// Calls to [`ConstraintChecker::check`].

@@ -35,9 +35,8 @@
 //!
 //! With `delta_driven: false` every rule is re-solved in full each iteration
 //! — naive evaluation, kept as the **reference oracle**: it only ever runs
-//! [`solve_body`] (the written-order evaluator that also answers queries),
-//! and the tests require every other configuration to reproduce its
-//! `canonical_dump()` byte for byte.
+//! [`solve_body`] (the written-order evaluator), and the tests require every
+//! other configuration to reproduce its `canonical_dump()` byte for byte.
 //!
 //! There is one schedule, one delta-pass evaluator and one thread.  Every
 //! stratum iteration is a two-phase commit: a single **snapshot window**
@@ -58,10 +57,17 @@
 //! deterministic function of the structure's content, so two runs of one
 //! program over equal structures are **bit-identical** — same model, same
 //! insertion logs, same virtual-object ids, same [`EvalStats`].  Full solves
-//! and query enumeration need no sort: their order is deterministic because
-//! every fact/signature index iterates an ordered container (the one
-//! hash-ordered path, the argument-tuple application index, is a `BTreeMap`
-//! precisely so that virtual-object allocation cannot drift between runs).
+//! need no sort: their order is deterministic because every fact/signature
+//! index iterates an ordered container (the one hash-ordered path, the
+//! argument-tuple application index, is a `BTreeMap` precisely so that
+//! virtual-object allocation cannot drift between runs).
+//!
+//! **Queries** ([`Engine::query`], [`Engine::query_term`]) run through the
+//! same compiled atoms as the delta passes, with no literal restricted and
+//! in the literal and atom order the structure's live index cardinalities
+//! suggest ([`crate::plan::plan_query`]); they count in no planner
+//! statistic, and their answers are sorted into canonical key order, so no
+//! plan shows in a result.
 //!
 //! Because every two-phase commit above is all-or-nothing at the iteration
 //! boundary, the same machinery carries the **check-on-commit** integrity
@@ -809,23 +815,38 @@ impl Engine {
         Ok(())
     }
 
-    /// Answer a query: the variable-valuations that satisfy its body.
+    /// Answer a query: the variable-valuations that satisfy its body, each
+    /// once.
     ///
-    /// Enumeration order is deterministic (a function of the structure's
-    /// content only — every index iterates an ordered container, never a
-    /// hash map), so repeated runs emit byte-identical answer lists without
-    /// a sort on this hot path.
+    /// **Order.**  Answers come in canonical key order — ascending
+    /// [`binding_key`], the order of [`sorted_run`] — whatever order the body
+    /// was written in and whatever plan ran it: the body is compiled to the
+    /// primitive atoms of [`crate::plan`] and run in the literal and atom
+    /// order that the live index cardinalities of `structure` suggest
+    /// ([`plan_query`](crate::plan::plan_query)), as frames; [`Bindings`]
+    /// are built here, at the boundary.  [`solve_body`] is the written-order
+    /// reference the answers are tested against, as sets of keys.
     ///
     /// Unknown names in a query body are permitted and simply denote no
     /// object — queries are often generated (SQL frontend, F-logic
     /// translation) against structures that may lack some attribute, and
-    /// "no solutions" is the correct answer there.
+    /// "no solutions" is the correct answer there (a negated literal that
+    /// mentions one holds of nothing).
     pub fn query(&self, structure: &Structure, query: &Query) -> Result<Vec<Bindings>> {
-        solve_body(structure, &query.body, &Bindings::new())
+        let compiled = crate::plan::compile_query(query.body.iter().map(|lit| (lit.positive, &lit.term)));
+        let run = crate::plan::execute_query(structure, &compiled)?;
+        Ok(run.frames().map(|f| compiled.bindings_of(f)).collect())
     }
 
-    /// Answers (valuation + denoted object) of a single reference, in
-    /// deterministic enumeration order.
+    /// Answers (valuation + denoted object) of a single reference: one per
+    /// derivation path — `e..vehicles.color` answers once per vehicle, not
+    /// once per colour — so equal answers may repeat.
+    ///
+    /// **Order.**  Canonical `(key, object)` order, duplicates kept: by
+    /// [`binding_key`] of the valuation, then by object — independent of the
+    /// plan, as for [`Engine::query`].  The written-order reference is
+    /// [`answers()`](crate::semantics::answers()), which yields the same
+    /// multiset in enumeration order.
     ///
     /// Unlike [`Engine::query`], a *symbolic* name the structure has never
     /// seen is reported as [`Error::UnknownName`]: a hand-written reference
@@ -833,15 +854,22 @@ impl Engine {
     /// return no answers.  Integer and string literals stay permissive.
     pub fn query_term(&self, structure: &Structure, term: &Term) -> Result<Vec<Answer>> {
         require_registered_names(structure, term)?;
-        answers(structure, term, &Bindings::new())
+        let compiled = crate::plan::compile_query([(true, term)]);
+        let run = crate::plan::execute_term(structure, &compiled)?;
+        let slots = compiled.slot_count();
+        Ok(run
+            .frames()
+            .map(|f| Answer::new(compiled.bindings_of(&f[..slots]), Oid(f[slots] - 1)))
+            .collect())
     }
 
     /// Answers of a single reference as a factorized representation: a DAG
     /// of unions and products over shared fact-table runs when `term` has a
-    /// supported path shape, exploded tuples otherwise.  Enumeration order
-    /// is identical to [`Engine::query_term`] — the representations are
-    /// interchangeable — but for product-shaped answer sets the DAG is
-    /// asymptotically smaller than the tuple list.
+    /// supported path shape, exploded tuples otherwise.  Enumeration is, in
+    /// order, that of the written-order reference
+    /// [`answers()`](crate::semantics::answers()), and so the same multiset
+    /// as [`Engine::query_term`] (which sorts) — but for product-shaped
+    /// answer sets the DAG is asymptotically smaller than the tuple list.
     pub fn query_term_factorized(&self, structure: &Structure, term: &Term) -> Result<FactorizedAnswers> {
         require_registered_names(structure, term)?;
         crate::semantics::factorized_answers(structure, term, &Bindings::new())
@@ -943,11 +971,12 @@ fn register_program_names(structure: &mut Structure, program: &Program) {
 /// negated literals are applied as filters last (validation guarantees their
 /// variables are bound by then).
 ///
-/// This written-order routine is the reference semantics: it answers
-/// queries, solves conditions and every rule's first (full) solve, and is
-/// all the naive oracle (`delta_driven: false`) ever runs.  The engine's
-/// delta passes go through [`crate::plan::execute_delta`] instead and must
-/// reach the same fixpoint.
+/// This written-order routine is the reference semantics: it solves
+/// conditions and every rule's first (full) solve, and is all the naive
+/// oracle (`delta_driven: false`) ever runs.  The engine's delta passes go
+/// through [`crate::plan::execute_delta`] and its queries through
+/// [`crate::plan::execute_query`] instead; the passes must reach the same
+/// fixpoint, a query the same set of solutions.
 pub fn solve_body(structure: &Structure, body: &[Literal], seed: &Bindings) -> Result<Vec<Bindings>> {
     let mut states = vec![seed.clone()];
     for lit in body.iter().filter(|l| l.positive) {

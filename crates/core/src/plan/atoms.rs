@@ -34,6 +34,21 @@
 //! applications.  The restricted atom runs first (the window seeds the
 //! chain; the others follow in lowering order and find their operands
 //! bound), except the order-sensitive [`Atom::Superset`].
+//!
+//! **Ordered steps.**  A query runs every literal unrestricted, and its atoms
+//! need not run in lowering order: every step accepts any pattern of bound
+//! operands, so within a literal any order yields the same completions —
+//! the same assignments to slots *and* temporaries, each once.  Before a
+//! query's literal runs, `Machine::order_atoms` orders its atoms greedily
+//! by [`AtomStep::cardinality`], the size of the index the step would walk
+//! under the operands bound so far, read in O(1) from the posting lists of
+//! the fact store and the extents of the class hierarchy — ties in lowering
+//! order.  The order depends on which operands are bound, not on what they
+//! hold, so it is computed once per literal, not per frame.  Two atoms are
+//! barriers no atom is moved across: [`Atom::Superset`] valuates its strict
+//! right-hand side under exactly the bindings written-order evaluation
+//! gives it, and [`Atom::Signature`] seeds an unbound method variable from
+//! the receiver's facts.  A wrong cardinality costs time, never an answer.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -129,10 +144,20 @@ pub enum Atom {
     },
 }
 
+/// What [`lower`] makes of one literal.
+pub(super) struct Lowered {
+    pub(super) atoms: Vec<Atom>,
+    /// The range of the rule's names the atoms use.
+    pub(super) names: Range<usize>,
+    /// Number of temporaries.
+    pub(super) temps: usize,
+    /// The operand holding the object the literal denotes.
+    pub(super) denoted: Operand,
+}
+
 /// Lower `term` — a body literal over `vars`, the rule's slot variables — to
-/// its atoms.  Names are appended to `names`; returns the atoms, the range
-/// of `names` they use and the number of temporaries.
-pub(super) fn lower(term: &Term, vars: &[Var], names: &mut Vec<Name>) -> (Vec<Atom>, Range<usize>, usize) {
+/// its atoms.  Names are appended to `names`.
+pub(super) fn lower(term: &Term, vars: &[Var], names: &mut Vec<Name>) -> Lowered {
     let first_name = names.len();
     let mut l = Lowering {
         vars,
@@ -145,7 +170,12 @@ pub(super) fn lower(term: &Term, vars: &[Var], names: &mut Vec<Name>) -> (Vec<At
     if l.atoms.is_empty() {
         l.atoms.push(Atom::Object { cell: denoted });
     }
-    (l.atoms, first_name..l.names.len(), l.temps)
+    Lowered {
+        atoms: l.atoms,
+        names: first_name..l.names.len(),
+        temps: l.temps,
+        denoted,
+    }
 }
 
 struct Lowering<'a> {
@@ -283,6 +313,9 @@ pub(super) struct Machine<'a> {
     trail: Vec<usize>,
     /// The frames the literal in hand has produced.
     out: FrameRun,
+    /// `Some` when every completion also emits the object this operand
+    /// holds, as one more word of the frame ([`Machine::emit_denoted`]).
+    denoted: Option<Operand>,
     /// `Some` while an anti-join probes a frame: has a completion been seen?
     probe: Option<bool>,
 }
@@ -303,8 +336,17 @@ impl<'a> Machine<'a> {
             temp_base: slots + rule.names.len(),
             trail: Vec::new(),
             out: FrameRun::new(slots),
+            denoted: None,
             probe: None,
         }
+    }
+
+    /// From here on a completion emits its frame and, as one more word, the
+    /// object `denoted` holds: what a reference denotes along one derivation
+    /// path, temporaries included.
+    pub(super) fn emit_denoted(&mut self, denoted: Operand) {
+        self.denoted = Some(denoted);
+        self.out = FrameRun::new(self.slots + 1);
     }
 
     /// Does the structure know every name of `lit`?  A name it does not know
@@ -315,18 +357,29 @@ impl<'a> Machine<'a> {
             .all(|&c| c != 0)
     }
 
+    /// The atoms of `lit` in the order of `steps` — in lowering order without.
+    fn chain(lit: &'a CompiledLiteral, steps: Option<&[AtomStep]>) -> Vec<usize> {
+        match steps {
+            Some(steps) => steps.iter().map(|s| s.atom).collect(),
+            None => (0..lit.atoms.len()).collect(),
+        }
+    }
+
     /// Extend every frame of `frames` by the solutions of positive literal
-    /// `lit` — with `restricted`, by those whose derivation reads the window
-    /// (see the module docs).
-    pub(super) fn join(&mut self, lit: &'a CompiledLiteral, restricted: bool, frames: &FrameRun) -> Result<FrameRun> {
+    /// `lit`, its atoms run in the order of `steps` (lowering order without)
+    /// — with `restricted`, by those whose derivation reads the window (see
+    /// the module docs).
+    pub(super) fn join(
+        &mut self,
+        lit: &'a CompiledLiteral,
+        steps: Option<&[AtomStep]>,
+        restricted: bool,
+        frames: &FrameRun,
+    ) -> Result<FrameRun> {
+        let order = Self::chain(lit, steps);
         let chain = |delta: Option<usize>| {
-            let mut chain: Vec<(&Atom, bool)> = lit
-                .atoms
-                .iter()
-                .enumerate()
-                .map(|(i, atom)| (atom, delta == Some(i)))
-                .collect();
-            // Stable: the restricted atom first, the rest in lowering order.
+            let mut chain: Vec<(&Atom, bool)> = order.iter().map(|&i| (&lit.atoms[i], delta == Some(i))).collect();
+            // Stable: the restricted atom first, the rest in the given order.
             chain.sort_by_key(|&(atom, restricted)| !restricted || matches!(atom, Atom::Superset { .. }));
             chain
         };
@@ -341,12 +394,21 @@ impl<'a> Machine<'a> {
                 self.solve(chain)?;
             }
         }
-        Ok(std::mem::replace(&mut self.out, FrameRun::new(self.slots)))
+        let emitted = FrameRun::new(self.out.slots);
+        Ok(std::mem::replace(&mut self.out, emitted))
     }
 
     /// The frames of `frames` that negated literal `lit` does not hold of.
-    pub(super) fn anti_join(&mut self, lit: &'a CompiledLiteral, frames: &FrameRun) -> Result<FrameRun> {
-        let chain: Vec<(&Atom, bool)> = lit.atoms.iter().map(|atom| (atom, false)).collect();
+    pub(super) fn anti_join(
+        &mut self,
+        lit: &'a CompiledLiteral,
+        steps: Option<&[AtomStep]>,
+        frames: &FrameRun,
+    ) -> Result<FrameRun> {
+        let chain: Vec<(&Atom, bool)> = Self::chain(lit, steps)
+            .into_iter()
+            .map(|i| (&lit.atoms[i], false))
+            .collect();
         let mut kept = FrameRun::new(self.slots);
         for frame in frames.frames() {
             self.cells[..self.slots].copy_from_slice(frame);
@@ -368,7 +430,10 @@ impl<'a> Machine<'a> {
         let Some((&(atom, restricted), rest)) = steps.split_first() else {
             match &mut self.probe {
                 Some(seen) => *seen = true,
-                None => self.out.push(&self.cells[..self.slots]),
+                None => {
+                    let object = self.denoted.map(|op| self.cells[self.index(op)]);
+                    self.out.push_with(&self.cells[..self.slots], object);
+                }
             }
             return Ok(());
         };
@@ -773,4 +838,189 @@ impl<'a> Machine<'a> {
             .iter()
             .try_for_each(|&c| self.with(r, c, &mut |m| m.each_result(rest, classes, &mut *k)))
     }
+}
+
+/// One atom of a literal as a query runs it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AtomStep {
+    /// Index into [`CompiledLiteral::atoms`].
+    pub atom: usize,
+    /// The size of the index the step walks under the operands bound when
+    /// it was chosen: `1` for a probe or a lookup keyed by a bound receiver,
+    /// a posting-list length otherwise (`usize::MAX`: a built-in with an
+    /// unbound operand, which would range over the universe; `0` throughout
+    /// a literal that names an object the structure does not know).
+    pub cardinality: usize,
+}
+
+/// What planning knows of an operand.
+enum Known {
+    /// Nothing: the step enumerates it.
+    Free,
+    /// It is bound, to an object that differs from frame to frame.
+    InFrame,
+    /// It is a name: bound to this object in every frame.
+    Object(Oid),
+}
+
+fn each_operand(atom: &Atom, f: &mut impl FnMut(Operand)) {
+    let call_operands = |call: &Call, f: &mut dyn FnMut(Operand)| {
+        f(call.method);
+        f(call.receiver);
+        call.args.iter().for_each(|&a| f(a));
+    };
+    match atom {
+        Atom::Scalar { call, result: value } | Atom::Member { call, member: value } => {
+            call_operands(call, f);
+            f(*value);
+        }
+        Atom::Isa { instance, class } => {
+            f(*instance);
+            f(*class);
+        }
+        Atom::Object { cell } => f(*cell),
+        Atom::Superset { call, .. } => call_operands(call, f),
+        Atom::Signature { call, results, .. } => {
+            call_operands(call, f);
+            results.iter().for_each(|&r| f(r));
+        }
+    }
+}
+
+/// Planning: the order of a literal's atoms in a query.  `bound` marks the
+/// cells — slots, names, temporaries, as [`Machine::index`] numbers them —
+/// that hold an object when the literal runs.
+impl<'a> Machine<'a> {
+    /// The marks before any literal has run: the names the structure knows.
+    pub(super) fn names_bound(&self) -> Vec<bool> {
+        self.cells.iter().map(|&c| c != 0).collect()
+    }
+
+    fn known(&self, op: Operand, bound: &[bool]) -> Known {
+        match (op, self.get(op)) {
+            (Operand::Name(_), Some(object)) => Known::Object(object),
+            _ if bound[self.index(op)] => Known::InFrame,
+            _ => Known::Free,
+        }
+    }
+
+    /// The size of the index `atom`'s unrestricted step walks when the cells
+    /// marked in `bound` are (see [`AtomStep::cardinality`]) — mirroring the
+    /// arms of the step functions above.  `None` when it is a posting-list
+    /// length and `read` says not to fetch one.
+    fn cardinality(&self, atom: &Atom, bound: &[bool], read: bool) -> Option<usize> {
+        let s = self.structure;
+        let facts = s.facts();
+        let is_bound = |op: Operand| !matches!(self.known(op, bound), Known::Free);
+        // One posting list of an index of `all` entries, selected by `key`:
+        // its length when the key is a name; when only the frame knows the
+        // key there is no count to read, and the list is charged the
+        // geometric mean of a lookup and the full walk.
+        let keyed = |key: Operand, list: &dyn Fn(Oid) -> usize, all: &dyn Fn() -> usize| {
+            read.then(|| match self.known(key, bound) {
+                Known::Object(k) => list(k),
+                Known::InFrame => all().isqrt(),
+                Known::Free => all(),
+            })
+        };
+        match atom {
+            Atom::Scalar { call, result } => match self.known(call.method, bound) {
+                Known::Object(m) if is_builtin(s, m) => {
+                    let applied = is_bound(call.receiver) && call.args.iter().all(|&a| is_bound(a));
+                    Some(if applied { 1 } else { usize::MAX })
+                }
+                _ if is_bound(call.receiver) => Some(1),
+                Known::Object(m) => keyed(*result, &|v| facts.count_scalar_with_result(m, v), &|| {
+                    facts.count_scalar_of_method(m)
+                }),
+                // Every stored fact, and `self` of every object.
+                _ => Some(facts.num_scalar().saturating_add(s.num_objects())),
+            },
+            Atom::Member { call, .. } | Atom::Superset { call, .. } if is_bound(call.receiver) => Some(1),
+            Atom::Member { call, member } => match self.known(call.method, bound) {
+                Known::Object(m) => keyed(*member, &|x| facts.count_set_containing(m, x), &|| {
+                    facts.count_set_of_method(m)
+                }),
+                _ => Some(facts.num_set_applications()),
+            },
+            Atom::Superset { call, .. } => match self.known(call.method, bound) {
+                Known::Object(m) => read.then(|| facts.count_set_of_method(m)),
+                _ => Some(facts.num_set_applications()),
+            },
+            Atom::Isa { instance, .. } if is_bound(*instance) => Some(1),
+            Atom::Isa { class, .. } => keyed(*class, &|c| s.isa().extent_size(c), &|| s.isa().closure_size()),
+            Atom::Object { cell } if is_bound(*cell) => Some(1),
+            Atom::Object { .. } => Some(s.num_objects()),
+            Atom::Signature { .. } => Some(s.signatures().len()),
+        }
+    }
+
+    /// The cheapest of `candidates` (atoms of `lit`) under `bound`, the
+    /// earliest of equals.  A probe or a keyed lookup is taken without a
+    /// posting list being read: an anchored query plans without touching an
+    /// index it will not walk.
+    fn cheapest(&self, lit: &CompiledLiteral, candidates: &[usize], bound: &[bool]) -> Option<(usize, AtomStep)> {
+        let costed = |read| {
+            candidates.iter().enumerate().filter_map(move |(at, &atom)| {
+                let cardinality = self.cardinality(&lit.atoms[atom], bound, read)?;
+                Some((at, AtomStep { atom, cardinality }))
+            })
+        };
+        let keyed = costed(false).find(|(_, step)| step.cardinality <= 1);
+        keyed.or_else(|| costed(true).min_by_key(|(at, step)| (step.cardinality, *at)))
+    }
+
+    /// The cardinality of the step `lit` would start with when nothing but
+    /// `names` ([`Machine::names_bound`]) is bound: what the literal costs as
+    /// the seed of a join (`0` when it names an object the structure does
+    /// not know).
+    pub(super) fn seed_cardinality(&self, lit: &CompiledLiteral, names: &[bool]) -> usize {
+        if !self.knows(lit) {
+            return 0;
+        }
+        let first_segment: Vec<usize> = (0..lit.atoms.len())
+            .take_while(|&i| i == 0 || !is_barrier(&lit.atoms[i - 1]))
+            .collect();
+        self.cheapest(lit, &first_segment, names)
+            .map_or(usize::MAX, |(_, step)| step.cardinality)
+    }
+
+    /// Order the atoms of `lit` for a run under `bound` (see the module
+    /// docs), and mark in `bound` what the literal binds.
+    pub(super) fn order_atoms(&self, lit: &CompiledLiteral, bound: &mut [bool]) -> Vec<AtomStep> {
+        if !self.knows(lit) {
+            // It has no solution (see `knows`): no step walks anything.
+            let unrun = |atom| AtomStep { atom, cardinality: 0 };
+            return (0..lit.atoms.len()).map(unrun).collect();
+        }
+        bound[self.temp_base..].fill(false);
+        let mut steps = Vec::with_capacity(lit.atoms.len());
+        let mut segment: Vec<usize> = Vec::new();
+        for i in 0..=lit.atoms.len() {
+            if lit.atoms.get(i).is_some_and(|a| !is_barrier(a)) {
+                segment.push(i);
+                continue;
+            }
+            // A barrier, or the end: the segment before it runs, cheapest
+            // step first, then the barrier itself.
+            while let Some((at, step)) = self.cheapest(lit, &segment, bound) {
+                segment.remove(at);
+                steps.push(step);
+                each_operand(&lit.atoms[step.atom], &mut |op| bound[self.index(op)] = true);
+            }
+            if let Some(barrier) = lit.atoms.get(i) {
+                let cardinality = self
+                    .cardinality(barrier, bound, true)
+                    .expect("known once lists are read");
+                steps.push(AtomStep { atom: i, cardinality });
+                each_operand(barrier, &mut |op| bound[self.index(op)] = true);
+            }
+        }
+        steps
+    }
+}
+
+/// No atom is moved across one of these (see the module docs).
+fn is_barrier(atom: &Atom) -> bool {
+    matches!(atom, Atom::Superset { .. } | Atom::Signature { .. })
 }

@@ -1,11 +1,15 @@
-//! Cost-based join planning and the compiled rule-body IR: the evaluator of
-//! every delta pass.
+//! Cost-based join planning and the compiled body IR: the evaluator of every
+//! delta pass and of every query.
 //!
 //! A stratum's first iteration solves each rule body in full, in written
 //! order ([`solve_body`](crate::engine::solve_body)): the enumeration order
 //! of a full solve is its commit order, which written-order evaluation pins.
 //! Every later iteration runs per-literal semi-naive *delta passes*, and
-//! those run here — the engine has no other delta-pass evaluator.
+//! those run here — the engine has no other delta-pass evaluator.  So does
+//! every query ([`Engine::query`](crate::engine::Engine::query),
+//! [`Engine::query_term`](crate::engine::Engine::query_term)): a query body
+//! is a headless rule body ([`compile_query`]) run with no literal
+//! restricted ([`execute_query`], [`execute_term`]).
 //!
 //! * **Compilation.**  [`compile`] lowers a rule body once into a
 //!   [`CompiledRule`]: every body variable gets a fixed *slot* index, and
@@ -39,6 +43,17 @@
 //!   literals written before it, as `B` in `A : person, A[lt -> B],
 //!   B : person` — keeps its written order (see [`compile`]).
 //!
+//! * **Query plans.**  A query is planned once, when it is asked
+//!   ([`plan_query`]): the same greedy literal order, each literal costed by
+//!   the cheapest step it could start with — a posting-list length read
+//!   from the live structure, not a [`RulePlanReport`] estimate, which is
+//!   derived from a walk over every fact — and within each literal the atoms
+//!   ordered by the size of the index each step would walk ([`atoms`],
+//!   "Ordered steps").  `X : employee[age -> 33; city -> boston]` starts
+//!   from the receivers of `age -> 33`, not from the extent of `employee`.
+//!   A plan decides how long a query takes, never what it answers or in
+//!   which order: answers leave in canonical key order.
+//!
 //! **Why reordering is invisible.**  A delta pass's output is a frame run in
 //! canonical key order and a rule's runs are merged in that order
 //! ([`merge_frame_runs`]), so the order in which a pass *enumerates*
@@ -67,6 +82,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::ops::Range;
 
 use crate::analysis::{AccessPath, RulePlanReport};
+use crate::builtins::{is_comparison, SELF_METHOD};
 use crate::error::Result;
 use crate::names::{Name, Var};
 use crate::program::Rule;
@@ -74,7 +90,7 @@ use crate::semantics::{Bindings, DeltaView};
 use crate::structure::{Oid, Structure};
 use crate::term::{FilterValue, Term};
 
-pub use atoms::{Atom, Call, Operand};
+pub use atoms::{Atom, AtomStep, Call, Operand};
 
 /// One body literal of a [`CompiledRule`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,10 +104,15 @@ pub struct CompiledLiteral {
     /// which is hoisted rather than cost-ordered.
     pub guard: bool,
     /// Estimated stored-fact cost from the [`RulePlanReport`] annotation
-    /// (`usize::MAX` when unknown — e.g. a derived-only literal).
+    /// (`usize::MAX` when unknown — e.g. a derived-only literal, or any
+    /// literal of a query body, which is costed when the query is planned:
+    /// [`LiteralSteps::cost`]).
     pub cost: usize,
     /// The literal's atoms, in lowering order.
     pub atoms: Vec<Atom>,
+    /// The operand holding the object the literal denotes as a reference
+    /// (what [`execute_term`] answers with).
+    pub denoted: Operand,
     /// The range of [`CompiledRule::names`] the atoms use.
     names: Range<usize>,
 }
@@ -165,6 +186,16 @@ impl CompiledRule {
         &self.negations
     }
 
+    /// The compiled literal at `body_index`, positive or negated.
+    ///
+    /// # Panics
+    /// When the body has no such literal.
+    pub fn literal(&self, body_index: usize) -> &CompiledLiteral {
+        let mut all = self.positives.iter().chain(&self.negations);
+        all.find(|l| l.body_index == body_index)
+            .expect("a literal of this body")
+    }
+
     /// The compiled head fast path, when the head shape supports one.
     pub fn head(&self) -> Option<&CompiledHead> {
         self.head.as_ref()
@@ -173,6 +204,37 @@ impl CompiledRule {
     /// Slot indices in variable-name order — the canonical key projection.
     pub fn canonical(&self) -> &[usize] {
         &self.canonical
+    }
+
+    /// `atom` — one of this body's — as the one-application reference it
+    /// stands for, in PathLog syntax: `X[age -> 33]`, `X[vehicles ->> {_1}]`,
+    /// `_1 : automobile`; temporaries are `_1`, `_2`, ….  For plan output.
+    pub fn atom_text(&self, atom: &Atom) -> String {
+        let op = |op: &Operand| match *op {
+            Operand::Slot(i) => self.vars[i].to_string(),
+            Operand::Temp(i) => format!("_{}", i + 1),
+            Operand::Name(i) => self.names[i].to_string(),
+        };
+        let list = |ops: &[Operand]| ops.iter().map(op).collect::<Vec<_>>().join(", ");
+        let applied = |call: &Call| match call.args.as_slice() {
+            [] => format!("{}[{}", op(&call.receiver), op(&call.method)),
+            args => format!("{}[{}@({})", op(&call.receiver), op(&call.method), list(args)),
+        };
+        match atom {
+            Atom::Scalar { call, result } => format!("{} -> {}]", applied(call), op(result)),
+            Atom::Member { call, member } => format!("{} ->> {{{}}}]", applied(call), op(member)),
+            Atom::Isa { instance, class } => format!("{} : {}", op(instance), op(class)),
+            Atom::Object { cell } => format!("{}[]", op(cell)),
+            Atom::Superset { call, rhs } => format!("{} ->> {rhs}]", applied(call)),
+            Atom::Signature {
+                call,
+                set_valued,
+                results,
+            } => {
+                let arrow = if *set_valued { "=>>" } else { "=>" };
+                format!("{} {arrow} ({})]", applied(call), list(results))
+            }
+        }
     }
 
     /// Materialize the [`Bindings`] of a slot frame (bound slots only): the
@@ -205,6 +267,44 @@ impl CompiledRule {
 /// written-order evaluation: such a body compiles with its written order
 /// pinned — every [`pass_order`] of it is the written order.
 pub fn compile(rule: &Rule, report: &RulePlanReport) -> CompiledRule {
+    let body = rule.body.iter().map(|lit| (lit.positive, &lit.term));
+    compile_body(body, Some(&rule.head), |i, _, _| {
+        let plan = &report.literals[i];
+        (
+            plan.access == AccessPath::Builtin,
+            plan.estimated_facts.unwrap_or(usize::MAX),
+        )
+    })
+}
+
+/// Lower a query body — `(positive, reference)` per literal — like a rule
+/// body without a head: same slots, same atoms, same guards and the same
+/// written-order pin.  Nothing is read from a structure and no estimate is
+/// attached ([`CompiledLiteral::cost`] is `usize::MAX`): a query is costed
+/// against the structure it is asked of, by [`plan_query`].
+pub fn compile_query<'t>(body: impl IntoIterator<Item = (bool, &'t Term)>) -> CompiledRule {
+    // A literal all of whose applications are built-ins never touches the
+    // fact store (what `AccessPath::Builtin` says of a rule's literal).
+    let builtin = |op: Operand, names: &[Name]| match op {
+        Operand::Name(i) => names[i].as_atom().is_some_and(|n| is_comparison(n) || n == SELF_METHOD),
+        _ => false,
+    };
+    compile_body(body.into_iter(), None, |_, atoms, names| {
+        let builtins_only = atoms
+            .iter()
+            .all(|a| matches!(a, Atom::Scalar { call, .. } if builtin(call.method, names)));
+        (builtins_only, usize::MAX)
+    })
+}
+
+/// The lowering [`compile`] and [`compile_query`] share.  `annotate` says of
+/// literal `i`, given its atoms and the names compiled so far, whether it
+/// applies built-ins only and what it is estimated to cost.
+fn compile_body<'t>(
+    body: impl Iterator<Item = (bool, &'t Term)>,
+    head: Option<&Term>,
+    annotate: impl Fn(usize, &[Atom], &[Name]) -> (bool, usize),
+) -> CompiledRule {
     let mut vars: Vec<Var> = Vec::new();
     let slots_of = |term: &Term, vars: &mut Vec<Var>| -> Vec<usize> {
         let mut slots: Vec<usize> = Vec::new();
@@ -229,28 +329,29 @@ pub fn compile(rule: &Rule, report: &RulePlanReport) -> CompiledRule {
     let mut temps = 0;
     let mut positives = Vec::new();
     let mut negations = Vec::new();
-    let mut bound: HashSet<usize> = HashSet::new();
+    let mut bound: Vec<usize> = Vec::new();
     let mut written_order = false;
-    for (i, lit) in rule.body.iter().enumerate() {
-        let slots = slots_of(&lit.term, &mut vars);
-        let plan = &report.literals[i];
-        let (atoms, lit_names, lit_temps) = atoms::lower(&lit.term, &vars, &mut names);
-        temps = temps.max(lit_temps);
-        let guard = plan.access == AccessPath::Builtin || atoms.iter().any(|a| matches!(a, Atom::Superset { .. }));
-        if lit.positive && guard {
+    for (i, (positive, term)) in body.enumerate() {
+        let slots = slots_of(term, &mut vars);
+        let lowered = atoms::lower(term, &vars, &mut names);
+        temps = temps.max(lowered.temps);
+        let (builtins_only, cost) = annotate(i, &lowered.atoms, &names);
+        let guard = builtins_only || lowered.atoms.iter().any(|a| matches!(a, Atom::Superset { .. }));
+        if positive && guard {
             written_order |= !slots.iter().all(|s| bound.contains(s));
-        } else if lit.positive {
+        } else if positive {
             bound.extend(slots.iter().copied());
         }
         let compiled = CompiledLiteral {
             body_index: i,
             slots,
             guard,
-            cost: plan.estimated_facts.unwrap_or(usize::MAX),
-            atoms,
-            names: lit_names,
+            cost,
+            atoms: lowered.atoms,
+            denoted: lowered.denoted,
+            names: lowered.names,
         };
-        if lit.positive {
+        if positive {
             positives.push(compiled);
         } else {
             negations.push(compiled);
@@ -259,7 +360,7 @@ pub fn compile(rule: &Rule, report: &RulePlanReport) -> CompiledRule {
 
     let mut canonical: Vec<usize> = (0..vars.len()).collect();
     canonical.sort_by(|&a, &b| vars[a].0.cmp(&vars[b].0));
-    let head = compile_head(&rule.head, &vars);
+    let head = head.and_then(|head| compile_head(head, &vars));
     CompiledRule {
         vars,
         canonical,
@@ -321,21 +422,28 @@ pub struct PassOrder {
 /// written order pinned gets exactly that order, whatever the costs; that is
 /// no decision of the planner, so it is never reported as a seed flip.
 pub fn pass_order(compiled: &CompiledRule, drivable: &[usize], delta_entries: usize) -> PassOrder {
-    if compiled.written_order {
-        return PassOrder {
-            positions: compiled.positives.iter().map(|l| l.body_index).collect(),
-            seeded_from_delta: true,
-        };
-    }
-    let mut remaining: Vec<&CompiledLiteral> = compiled.positives.iter().filter(|l| !l.guard).collect();
-    let mut guards: Vec<&CompiledLiteral> = compiled.positives.iter().filter(|l| l.guard).collect();
-    let eff = |l: &CompiledLiteral| {
+    let positions = literal_order(compiled, |l| {
         if drivable.contains(&l.body_index) {
             l.cost.min(delta_entries)
         } else {
             l.cost
         }
-    };
+    });
+    let seeded_from_delta = compiled.written_order || positions.first().is_some_and(|j| drivable.contains(j));
+    PassOrder {
+        positions,
+        seeded_from_delta,
+    }
+}
+
+/// The greedy order of [`pass_order`] under any cost of a literal: body
+/// indices of the positive literals, in execution order.
+fn literal_order(compiled: &CompiledRule, cost: impl Fn(&CompiledLiteral) -> usize) -> Vec<usize> {
+    if compiled.written_order {
+        return compiled.positives.iter().map(|l| l.body_index).collect();
+    }
+    let mut remaining: Vec<&CompiledLiteral> = compiled.positives.iter().filter(|l| !l.guard).collect();
+    let mut guards: Vec<&CompiledLiteral> = compiled.positives.iter().filter(|l| l.guard).collect();
     let mut positions = Vec::with_capacity(compiled.positives.len());
     let mut bound: HashSet<usize> = HashSet::new();
     let flush_guards = |bound: &HashSet<usize>, positions: &mut Vec<usize>, guards: &mut Vec<&CompiledLiteral>| {
@@ -355,7 +463,7 @@ pub fn pass_order(compiled: &CompiledRule, drivable: &[usize], delta_entries: us
         let next = remaining
             .iter()
             .enumerate()
-            .min_by_key(|(_, l)| (!connected(l), eff(l), l.body_index))
+            .min_by_key(|(_, l)| (!connected(l), cost(l), l.body_index))
             .map(|(i, _)| i)
             .expect("remaining is non-empty");
         let lit = remaining.remove(next);
@@ -368,11 +476,7 @@ pub fn pass_order(compiled: &CompiledRule, drivable: &[usize], delta_entries: us
     // planned order binds the same variable set.
     debug_assert!(guards.is_empty(), "unbound guard survived planning");
     positions.extend(guards.iter().map(|b| b.body_index));
-    let seeded_from_delta = positions.first().is_some_and(|j| drivable.contains(j));
-    PassOrder {
-        positions,
-        seeded_from_delta,
-    }
+    positions
 }
 
 /// The compiled plans one iteration's delta tasks run through: the stratum's
@@ -400,14 +504,18 @@ impl IterationPlans<'_> {
 }
 
 /// A pass's solutions as raw slot frames in canonical key order, deduplicated:
-/// what every delta pass returns.  The commit loop reads a compiled head's
-/// oids straight out of each frame, and materializes [`Bindings`] from it for
-/// any other head.
+/// what every delta pass and [`execute_query`] return.  The commit loop reads
+/// a compiled head's oids straight out of each frame, and materializes
+/// [`Bindings`] from it for any other head; a query's answers are
+/// materialized from its frames at the API boundary.  The frames of
+/// [`execute_term`] are one word wider — the denoted object — and keep their
+/// duplicates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameRun {
     /// The frames, `slots` words each.
     arena: Vec<u32>,
-    /// Words per frame.
+    /// Words per frame: the body's slots, and after them the denoted object
+    /// when the run carries one.
     slots: usize,
     /// Number of frames — carried, not derived from the arena: a ground body
     /// has no slots, and holds (one empty frame) or does not (none).
@@ -424,8 +532,14 @@ impl FrameRun {
     }
 
     fn push(&mut self, frame: &[u32]) {
-        debug_assert_eq!(frame.len(), self.slots);
+        self.push_with(frame, None);
+    }
+
+    /// Push `frame` and, after it, the word `last` when given.
+    fn push_with(&mut self, frame: &[u32], last: Option<u32>) {
+        debug_assert_eq!(frame.len() + usize::from(last.is_some()), self.slots);
         self.arena.extend_from_slice(frame);
+        self.arena.extend(last);
         self.len += 1;
     }
 
@@ -451,6 +565,13 @@ impl FrameRun {
     /// over the flat arena beats a hash set: no per-frame allocation, and
     /// the rebuilt arena is scanned in order by the next stage.
     fn sorted_dedup(self, canonical: &[usize]) -> FrameRun {
+        self.sorted(canonical, true)
+    }
+
+    /// The run in the order of its projection through `canonical` — the
+    /// slots — and then of any words after the slots, with duplicates
+    /// dropped (`dedup`) or kept.
+    fn sorted(self, canonical: &[usize], dedup: bool) -> FrameRun {
         let slots = self.slots;
         if self.len < 2 {
             return self;
@@ -463,7 +584,7 @@ impl FrameRun {
         let mut idx: Vec<u32> = (0..self.len as u32).collect();
         idx.sort_unstable_by(|&a, &b| {
             let (fa, fb) = (frame(a), frame(b));
-            for &s in canonical {
+            for s in canonical.iter().copied().chain(canonical.len()..slots) {
                 match fa[s].cmp(&fb[s]) {
                     std::cmp::Ordering::Equal => continue,
                     ord => return ord,
@@ -471,7 +592,9 @@ impl FrameRun {
             }
             std::cmp::Ordering::Equal
         });
-        idx.dedup_by(|&mut a, &mut b| frame(a) == frame(b));
+        if dedup {
+            idx.dedup_by(|&mut a, &mut b| frame(a) == frame(b));
+        }
         let mut out = Vec::with_capacity(idx.len() * slots);
         for &i in &idx {
             out.extend_from_slice(frame(i));
@@ -508,14 +631,8 @@ pub fn merge_frame_runs(mut runs: Vec<FrameRun>, canonical: &[usize]) -> FrameRu
 /// every solution of the body whose derivation reads the window through
 /// `delta_lit`, and only solutions of the body (the over-approximation a
 /// restricted atom step is allowed — see [`atoms`] — is absorbed by the
-/// deduplicating merge and the idempotent commit).
-///
-/// Frames live in one flat arena per stage, `slots` words each — one
-/// allocation per stage instead of one per candidate.  Every stage
-/// deduplicates: a duplicate frame would fan out duplicated downstream work
-/// (or, after the last stage, duplicated negation probes and commits), and
-/// frames between stages are just value sets, so the canonical order the
-/// result needs serves every stage.
+/// deduplicating merge and the idempotent commit).  Every literal's atoms
+/// run in lowering order, the restricted one first.
 pub fn execute_delta(
     structure: &Structure,
     compiled: &CompiledRule,
@@ -524,32 +641,175 @@ pub fn execute_delta(
     dv: &DeltaView,
 ) -> Result<FrameRun> {
     let mut machine = atoms::Machine::new(structure, dv, compiled);
+    let positives = order.positions.iter().map(|&j| Stage {
+        lit: compiled.literal(j),
+        steps: None,
+        restricted: j == delta_lit,
+    });
+    let negations = compiled.negations.iter().map(|lit| Stage {
+        lit,
+        steps: None,
+        restricted: false,
+    });
+    run(&mut machine, compiled, positives, negations, true)
+}
+
+/// One literal of an execution.
+struct Stage<'a, 'p> {
+    lit: &'a CompiledLiteral,
+    /// The order of its atoms; lowering order without.
+    steps: Option<&'p [AtomStep]>,
+    /// Restricted to the window?
+    restricted: bool,
+}
+
+/// Join `positives` in order from the one empty frame, then drop the frames
+/// one of `negations` holds of.
+///
+/// Frames live in one flat arena per stage — one allocation per stage
+/// instead of one per candidate.  With `dedup` every stage deduplicates: a
+/// duplicate frame would fan out duplicated downstream work (or, after the
+/// last stage, duplicated negation probes and commits), and frames between
+/// stages are just value sets, so the canonical order the result needs
+/// serves every stage.  Without, a stage sorts only — every completion is an
+/// answer ([`execute_term`]).
+fn run<'a, 'p>(
+    machine: &mut atoms::Machine<'a>,
+    compiled: &'a CompiledRule,
+    positives: impl Iterator<Item = Stage<'a, 'p>>,
+    negations: impl Iterator<Item = Stage<'a, 'p>>,
+    dedup: bool,
+) -> Result<FrameRun> {
     // The one solution of the empty join: a frame binding nothing.
     let mut frames = FrameRun::new(compiled.slot_count());
     frames.push(&vec![0; compiled.slot_count()]);
-    for &j in &order.positions {
-        let lit = compiled
-            .positives
-            .iter()
-            .find(|l| l.body_index == j)
-            .expect("planned positions index positive literals");
+    for Stage { lit, steps, restricted } in positives {
+        // A name the structure does not know denotes nothing.
         if !machine.knows(lit) {
             return Ok(FrameRun::new(compiled.slot_count()));
         }
         frames = machine
-            .join(lit, j == delta_lit, &frames)?
-            .sorted_dedup(&compiled.canonical);
+            .join(lit, steps, restricted, &frames)?
+            .sorted(&compiled.canonical, dedup);
         if frames.is_empty() {
             return Ok(frames);
         }
     }
-    for lit in &compiled.negations {
+    for Stage { lit, steps, .. } in negations {
         // A literal naming an unknown object holds of nothing.
         if machine.knows(lit) {
-            frames = machine.anti_join(lit, &frames)?;
+            frames = machine.anti_join(lit, steps, &frames)?;
         }
     }
     Ok(frames)
+}
+
+/// One literal of a [`QueryPlan`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LiteralSteps {
+    /// Index of the literal in the query body.
+    pub body_index: usize,
+    /// What a positive literal was ordered by: the cardinality of the
+    /// cheapest step it could start with when only names are bound.  (Of the
+    /// only positive literal and of a negated one, which are not ordered:
+    /// the cardinality of its first step.)
+    pub cost: usize,
+    /// Its atoms in execution order, each with the cardinality it was
+    /// chosen at.
+    pub atoms: Vec<AtomStep>,
+}
+
+/// How a query runs over one structure: the order of its positive literals
+/// and, per literal, of its atoms.  What `pathlog_shell --explain` prints.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QueryPlan {
+    /// The positive literals, in execution order.
+    pub positives: Vec<LiteralSteps>,
+    /// The negated literals, in body order: anti-joins after the positives.
+    pub negations: Vec<LiteralSteps>,
+}
+
+/// Plan `compiled`, a query body, against the live cardinalities of
+/// `structure` (see the module docs, "Query plans").  O(literals² + atoms²)
+/// posting-list lookups; no fact is read.
+pub fn plan_query(structure: &Structure, compiled: &CompiledRule) -> QueryPlan {
+    let dv = DeltaView::empty(structure);
+    plan_with(&atoms::Machine::new(structure, &dv, compiled), compiled)
+}
+
+fn plan_with(machine: &atoms::Machine<'_>, compiled: &CompiledRule) -> QueryPlan {
+    let names = machine.names_bound();
+    let steps = |lit: &CompiledLiteral, cost: Option<usize>, bound: &mut [bool]| {
+        let atoms = machine.order_atoms(lit, bound);
+        LiteralSteps {
+            body_index: lit.body_index,
+            cost: cost.unwrap_or(atoms[0].cardinality),
+            atoms,
+        }
+    };
+    let mut bound = names.clone();
+    let positives = match compiled.positives.as_slice() {
+        // Nothing to order: the literal starts with its first step.
+        [only] => vec![steps(only, None, &mut bound)],
+        literals => {
+            let seeds: Vec<(usize, usize)> = literals
+                .iter()
+                .map(|l| (l.body_index, machine.seed_cardinality(l, &names)))
+                .collect();
+            let seed = |j: usize| seeds.iter().find(|s| s.0 == j).expect("a positive literal").1;
+            literal_order(compiled, |l| seed(l.body_index))
+                .into_iter()
+                .map(|j| steps(compiled.literal(j), Some(seed(j)), &mut bound))
+                .collect()
+        }
+    };
+    // What a negated literal binds is bound for that literal only.
+    let negations = compiled
+        .negations
+        .iter()
+        .map(|lit| steps(lit, None, &mut bound.clone()));
+    QueryPlan {
+        positives,
+        negations: negations.collect(),
+    }
+}
+
+/// Answer the query body `compiled` over `structure`: its solutions as
+/// frames in canonical key order, deduplicated — a delta pass with no
+/// literal restricted, over the empty window, in the order of the body's
+/// [`QueryPlan`].
+pub fn execute_query(structure: &Structure, compiled: &CompiledRule) -> Result<FrameRun> {
+    execute_planned(structure, compiled, false)
+}
+
+/// Answer the single reference `compiled` was compiled from
+/// (`compile_query([(true, term)])`): **one frame per derivation path** —
+/// per completion of the literal's atoms, temporaries included — each
+/// followed by one more word, the object the reference denotes along that
+/// path (object id + 1).  `e..vehicles.color` answers once per vehicle.
+/// Frames are in canonical `(key, object)` order; duplicates are kept.
+pub fn execute_term(structure: &Structure, compiled: &CompiledRule) -> Result<FrameRun> {
+    debug_assert_eq!((compiled.positives.len(), compiled.negations.len()), (1, 0));
+    execute_planned(structure, compiled, true)
+}
+
+fn execute_planned(structure: &Structure, compiled: &CompiledRule, denoting: bool) -> Result<FrameRun> {
+    let dv = DeltaView::empty(structure);
+    let mut machine = atoms::Machine::new(structure, &dv, compiled);
+    let plan = plan_with(&machine, compiled);
+    if denoting {
+        machine.emit_denoted(compiled.positives[0].denoted);
+    }
+    fn stage<'a, 'p>(compiled: &'a CompiledRule, planned: &'p LiteralSteps) -> Stage<'a, 'p> {
+        Stage {
+            lit: compiled.literal(planned.body_index),
+            steps: Some(&planned.atoms),
+            restricted: false,
+        }
+    }
+    let positives = plan.positives.iter().map(|l| stage(compiled, l));
+    let negations = plan.negations.iter().map(|l| stage(compiled, l));
+    run(&mut machine, compiled, positives, negations, !denoting)
 }
 
 #[cfg(test)]
@@ -898,6 +1158,59 @@ mod tests {
         assert_eq!(found, BTreeSet::from([vec![]]), "the one solution binds nothing");
         let (before, after) = with_kids_edge("b", "e");
         assert!(checked_passes(&before, &after, &rule, &[0], 1).is_empty());
+    }
+
+    #[test]
+    fn a_query_is_a_pass_with_nothing_restricted() {
+        let s = kids_structure();
+        let query = |body: &[Literal]| {
+            let compiled = compile_query(body.iter().map(|l| (l.positive, &l.term)));
+            let run = execute_query(&s, &compiled).unwrap();
+            let keys: Vec<BindingKey> = run.frames().map(|f| binding_key(&compiled.bindings_of(f))).collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "canonical, deduplicated");
+            assert_eq!(keys.iter().cloned().collect::<BTreeSet<_>>(), oracle_keys(&s, body));
+            keys
+        };
+        // Z : person, X[kids ->> {Y}], Y[kids ->> {Z}] — the class test
+        // written first is planned last: it probes what the joins bound.
+        let mut body = three_literal_rule().body;
+        body.rotate_right(1);
+        assert_eq!(query(&body).len(), 2);
+        let compiled = compile_query(body.iter().map(|l| (l.positive, &l.term)));
+        let plan = plan_query(&s, &compiled);
+        let order: Vec<usize> = plan.positives.iter().map(|l| l.body_index).collect();
+        assert_eq!(order, [1, 2, 0], "{plan:?}");
+        assert_eq!((plan.positives[0].cost, plan.positives[2].cost), (3, 4));
+        // A ground body holds (one empty frame) or does not (none).
+        let edge = |to| Literal::pos(Term::name("a").filter(Filter::set("kids", vec![Term::name(to)])));
+        assert_eq!(query(&[edge("b")]), vec![vec![]]);
+        assert!(query(&[edge("c")]).is_empty());
+        assert!(query(&[edge("b"), Literal::neg(Term::name("a").isa("person"))]).is_empty());
+    }
+
+    #[test]
+    fn a_reference_denotes_once_per_derivation_path() {
+        // a and d both have the kids b and c, who share the kid e:
+        // `X..kids..kids` denotes e twice for each X.
+        let mut s = Structure::new();
+        let kids = s.atom("kids");
+        let [a, b, c, d, e] = ["a", "b", "c", "d", "e"].map(|n| s.atom(n));
+        for (parent, kid) in [(a, b), (a, c), (d, b), (d, c), (b, e), (c, e)] {
+            s.assert_set_member(kids, parent, &[], kid);
+        }
+        let term = Term::var("X").set("kids").set("kids");
+        let compiled = compile_query([(true, &term)]);
+        let lit = &compiled.positives()[0];
+        assert_eq!(lit.denoted, Operand::Temp(1));
+        let texts: Vec<String> = lit.atoms.iter().map(|a| compiled.atom_text(a)).collect();
+        assert_eq!(texts, ["X[kids ->> {_1}]", "_1[kids ->> {_2}]"]);
+        let run = execute_term(&s, &compiled).unwrap();
+        let answers: Vec<(Oid, Oid)> = run.frames().map(|f| (Oid(f[0] - 1), Oid(f[1] - 1))).collect();
+        assert_eq!(
+            answers,
+            [(a, e), (a, e), (d, e), (d, e)],
+            "(key, object) order, duplicates kept"
+        );
     }
 
     #[test]

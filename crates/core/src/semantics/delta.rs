@@ -111,6 +111,14 @@ impl DeltaView {
         view
     }
 
+    /// The empty window at `structure`'s present: nothing entered it, so
+    /// every restricted step finds nothing — what the atoms of a query,
+    /// which restricts no literal, run over.
+    pub fn empty(structure: &Structure) -> Self {
+        let now = EvalMarks::capture(structure);
+        DeltaView::between(structure, &now, &now)
+    }
+
     /// Is the delta empty (no new facts of any kind)?
     pub fn is_empty(&self) -> bool {
         self.new_scalar_facts().is_empty()

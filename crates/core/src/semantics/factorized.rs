@@ -19,12 +19,15 @@
 //! specialised to the two query shapes the engine's closure paths emit.
 //!
 //! Enumeration ([`AnswerDag::for_each`]) is lazy and yields answers in
-//! exactly the order the materializing enumerator
+//! exactly the order the written-order reference enumerator
 //! ([`answers`]) produces them — receivers in
 //! ascending `Oid` order (the order `BTreeSet`-seeded receiver candidates
-//! enumerate), members in ascending run order — so canonical dumps and
-//! deterministic downstream merges are unaffected by which representation
-//! produced the answers.
+//! enumerate), members in ascending run order.  Against
+//! [`Engine::query_term`](crate::engine::Engine::query_term), which runs the
+//! compiled atoms and returns canonical `(key, object)` order, the contract
+//! is the same *multiset* of answers: in order for the factorized shapes
+//! (their enumeration order happens to be the canonical one), up to order
+//! for a materialized fallback.
 //!
 //! [`factorized_answers`] builds a DAG for the supported shapes and falls
 //! back to materialized answers otherwise; callers treat both through
@@ -250,8 +253,8 @@ impl FactorizedAnswers {
         }
     }
 
-    /// Enumerate the answers in canonical order without materializing
-    /// tuples (for the DAG case; the fallback just iterates).
+    /// Enumerate the answers in the reference's order without
+    /// materializing tuples (for the DAG case; the fallback just iterates).
     pub fn for_each(&self, f: &mut dyn FnMut(&Bindings, Oid)) {
         match self {
             FactorizedAnswers::Dag(d) => d.for_each(f),
@@ -276,8 +279,8 @@ impl FactorizedAnswers {
 /// term is a supported path shape.
 ///
 /// The factorized result enumerates bit-identically to
-/// [`answers`] — same answers, same order — so the
-/// two representations are interchangeable everywhere downstream.
+/// [`answers`] — same answers, same order — and holds the same multiset of
+/// answers as [`Engine::query_term`](crate::engine::Engine::query_term).
 pub fn factorized_answers(structure: &Structure, term: &Term, seed: &Bindings) -> Result<FactorizedAnswers> {
     match try_factorize(structure, term, seed) {
         Some(dag) => Ok(FactorizedAnswers::Dag(dag)),

@@ -274,11 +274,15 @@ impl Postings {
         }
     }
 
-    fn is_empty(&self) -> bool {
+    fn len(&self) -> usize {
         match self {
-            Postings::Inline { len, .. } => *len == 0,
-            Postings::Chunked(list) => list.is_empty(),
+            Postings::Inline { len, .. } => usize::from(*len),
+            Postings::Chunked(list) => list.len(),
         }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     fn push(&mut self, entry: u32) {
@@ -508,6 +512,18 @@ impl Facts {
     /// All scalar facts for a method with a given result.
     pub fn scalar_facts_with_result(&self, method: Oid, result: Oid) -> impl Iterator<Item = ScalarFactView<'_>> + '_ {
         postings(&self.scalar_by_method_result, &(method, result)).map(move |&i| self.scalar_view(i as usize))
+    }
+
+    /// How many facts [`Facts::scalar_facts_of_method`] walks.  O(1), as
+    /// every `count_*`: the length of one posting list, which the query
+    /// planner orders atoms by ([`crate::plan`]).
+    pub fn count_scalar_of_method(&self, method: Oid) -> usize {
+        posting_len(&self.scalar_by_method, &method)
+    }
+
+    /// How many facts [`Facts::scalar_facts_with_result`] walks.
+    pub fn count_scalar_with_result(&self, method: Oid, result: Oid) -> usize {
+        posting_len(&self.scalar_by_method_result, &(method, result))
     }
 
     /// All scalar facts whose receiver is `receiver`.
@@ -744,6 +760,16 @@ impl Facts {
         postings(&self.set_by_method_member, &(method, member)).map(move |&i| self.set_fact_at(i as usize))
     }
 
+    /// How many applications [`Facts::set_facts_of_method`] walks.
+    pub fn count_set_of_method(&self, method: Oid) -> usize {
+        posting_len(&self.set_by_method, &method)
+    }
+
+    /// How many applications [`Facts::set_facts_containing`] walks.
+    pub fn count_set_containing(&self, method: Oid, member: Oid) -> usize {
+        posting_len(&self.set_by_method_member, &(method, member))
+    }
+
     /// All set facts whose receiver is `receiver`.
     pub fn set_facts_of_receiver(&self, receiver: Oid) -> impl Iterator<Item = SetFactView<'_>> + '_ {
         postings(&self.set_by_receiver, &receiver).map(move |&i| self.set_fact_at(i as usize))
@@ -839,6 +865,11 @@ impl cow::Sharing for Facts {
 /// The posting list under `key`, in assertion order (empty if there is none).
 fn postings<'a, K: Hash + Eq>(index: &'a Index<K>, key: &K) -> cow::Iter<'a, u32> {
     index.get(key).map(Postings::iter).unwrap_or_default()
+}
+
+/// The length of the posting list under `key`.
+fn posting_len<K: Hash + Eq>(index: &Index<K>, key: &K) -> usize {
+    index.get(key).map_or(0, Postings::len)
 }
 
 /// Remove one occurrence of `idx` from the posting list under `key`.
@@ -968,6 +999,34 @@ mod tests {
         assert_eq!(f.set_facts_containing(o(2), o(31)).count(), 1);
         assert_eq!(f.set_facts_of_receiver(o(11)).count(), 1);
         assert_eq!(f.set_facts().count(), 2);
+
+        // The counts are the lengths of the lists the walks above read —
+        // inline or chunked, and after a retraction.
+        for r in 40..50 {
+            f.assert_scalar(o(1), o(r), &[], o(21)).unwrap();
+            f.assert_set_member(o(2), o(r), &[], o(31));
+        }
+        f.retract_scalar(o(1), o(10), &[]);
+        f.retract_set_member(o(2), o(11), &[], o(30));
+        assert_eq!(f.count_scalar_of_method(o(1)), f.scalar_facts_of_method(o(1)).count());
+        assert_eq!(f.count_scalar_of_method(o(1)), 12);
+        assert_eq!(
+            (
+                f.count_scalar_with_result(o(1), o(20)),
+                f.count_scalar_with_result(o(1), o(21))
+            ),
+            (1, 11)
+        );
+        assert_eq!(f.count_scalar_with_result(o(1), o(99)), 0);
+        assert_eq!(f.count_set_of_method(o(2)), f.set_facts_of_method(o(2)).count());
+        assert_eq!(
+            (f.count_set_containing(o(2), o(30)), f.count_set_containing(o(2), o(31))),
+            (1, 11)
+        );
+        assert_eq!(
+            (f.count_set_of_method(o(7)), f.count_set_containing(o(2), o(99))),
+            (0, 0)
+        );
     }
 
     #[test]

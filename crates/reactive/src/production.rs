@@ -123,9 +123,9 @@ pub struct ProductionOptions {
     pub create_virtuals: bool,
     /// Skip re-solving conditions whose solution set provably did not change
     /// since the rule's last watermark (see the module docs).  Disabling
-    /// this re-matches every rule every cycle — the ablation arm of the E18
-    /// experiment; firings, trace and final structure are identical either
-    /// way.
+    /// this re-matches every rule every cycle; firings, trace and final
+    /// structure are identical either way (`tests/properties_ext.rs` holds
+    /// the gated run to the ungated one).
     pub delta_gated: bool,
 }
 

@@ -33,8 +33,12 @@
 //! the chosen literal order, the seed side (delta-driven or flipped to a
 //! cheaper stored index) and the per-literal access-path / selectivity /
 //! fact-count estimates, next to the PL0xx diagnostics.  Estimates come
-//! from the program's own facts.  With `--json` the per-file object gains
-//! a `"plans"` array carrying the same information.
+//! from the program's own facts.  For every `?-` query it prints the plan
+//! the engine runs it by over those facts: the literal order and, per
+//! literal, the order of its atoms, each with the cardinality — the length
+//! of the index it walks — it was chosen at.  With `--json` the per-file
+//! object gains a `"plans"` and a `"queries"` array carrying the same
+//! information.
 
 use std::io::{self, BufRead, Write};
 
@@ -229,10 +233,142 @@ fn plan_to_json(p: &PlanExplanation) -> String {
     )
 }
 
+/// One query's plan over the file's facts (see [`pathlog::core::plan::plan_query`]).
+struct QueryExplanation {
+    /// The query as source text.
+    label: String,
+    /// Statement start position.
+    span: Option<(usize, usize)>,
+    /// The literals in execution order: positives, then the negated ones.
+    literals: Vec<ExplainedLiteral>,
+}
+
+/// One literal of a [`QueryExplanation`].
+struct ExplainedLiteral {
+    body_index: usize,
+    text: String,
+    positive: bool,
+    /// What the literal was ordered by.
+    cost: usize,
+    /// Its atoms in execution order, each with the cardinality it was
+    /// chosen at.
+    atoms: Vec<(String, usize)>,
+}
+
+/// Plan every query of `program` against `facts`.
+fn explain_queries(
+    program: &pathlog::core::program::Program,
+    spans: &[(usize, usize)],
+    facts: &Structure,
+) -> Vec<QueryExplanation> {
+    use pathlog::core::plan::{compile_query, plan_query, LiteralSteps};
+
+    let explain = |(q, query): (usize, &Query)| {
+        let compiled = compile_query(query.body.iter().map(|l| (l.positive, &l.term)));
+        let plan = plan_query(facts, &compiled);
+        let literal = |steps: &LiteralSteps| {
+            let (written, lit) = (&query.body[steps.body_index], compiled.literal(steps.body_index));
+            let atoms = steps.atoms.iter();
+            ExplainedLiteral {
+                body_index: steps.body_index,
+                text: written.to_string(),
+                positive: written.positive,
+                cost: steps.cost,
+                atoms: atoms
+                    .map(|s| (compiled.atom_text(&lit.atoms[s.atom]), s.cardinality))
+                    .collect(),
+            }
+        };
+        let literals = plan.positives.iter().chain(&plan.negations).map(literal);
+        QueryExplanation {
+            label: query.to_string(),
+            span: spans.get(q).copied(),
+            literals: literals.collect(),
+        }
+    };
+    program.queries.iter().enumerate().map(explain).collect()
+}
+
+/// A cardinality as text: `usize::MAX` is a built-in ranging over the
+/// universe.
+fn cardinality_text(n: usize) -> String {
+    if n == usize::MAX {
+        "universe".to_string()
+    } else {
+        n.to_string()
+    }
+}
+
+/// Print one query's plan, `path:line:col:`-prefixed like the rule plans.
+fn print_query_plan(path: &str, q: &QueryExplanation) {
+    let prefix = match q.span {
+        Some((l, c)) => format!("{path}:{l}:{c}"),
+        None => path.to_string(),
+    };
+    println!("{prefix}: query plan: {}", q.label);
+    for l in &q.literals {
+        let atoms: Vec<String> = l
+            .atoms
+            .iter()
+            .map(|(atom, n)| format!("{atom} ({})", cardinality_text(*n)))
+            .collect();
+        let role = if l.positive { "join" } else { "anti-join" };
+        println!(
+            "{prefix}:   {role} [{}] {} (cost {}): {}",
+            l.body_index,
+            l.text,
+            cardinality_text(l.cost),
+            atoms.join(" ; ")
+        );
+    }
+}
+
+/// Serialize one query's plan as a JSON object (`null`: the universe).
+fn query_plan_to_json(q: &QueryExplanation) -> String {
+    use pathlog::core::analysis::json_escape;
+
+    let number = |n: usize| {
+        if n == usize::MAX {
+            "null".to_string()
+        } else {
+            n.to_string()
+        }
+    };
+    let (line, column) = match q.span {
+        Some((l, c)) => (l.to_string(), c.to_string()),
+        None => ("null".to_string(), "null".to_string()),
+    };
+    let literals: Vec<String> = q
+        .literals
+        .iter()
+        .map(|l| {
+            let atoms: Vec<String> = l
+                .atoms
+                .iter()
+                .map(|(atom, n)| format!("{{\"atom\":\"{}\",\"cardinality\":{}}}", json_escape(atom), number(*n)))
+                .collect();
+            format!(
+                "{{\"index\":{},\"literal\":\"{}\",\"positive\":{},\"cost\":{},\"atoms\":[{}]}}",
+                l.body_index,
+                json_escape(&l.text),
+                l.positive,
+                number(l.cost),
+                atoms.join(",")
+            )
+        })
+        .collect();
+    format!(
+        "{{\"query\":\"{}\",\"line\":{line},\"column\":{column},\"literals\":[{}]}}",
+        json_escape(&q.label),
+        literals.join(",")
+    )
+}
+
 /// `--check` / `--explain` mode: parse and statically analyze each file.
 /// Prints one line (or, with `json`, one JSON object) per diagnostic —
 /// plus, with `explain`, the planner's chosen literal order, seed side and
-/// per-literal estimates for each proper rule — and returns the process
+/// per-literal estimates for each proper rule, and the plan of each query —
+/// and returns the process
 /// exit code: 0 when every file parses and carries no `Error`-severity
 /// diagnostic, 1 otherwise.
 ///
@@ -294,10 +430,15 @@ fn check_files(files: &[String], json: bool, explain: bool) -> i32 {
                 } else {
                     Vec::new()
                 };
+                let queries = match &facts_structure {
+                    Some(facts) => explain_queries(&spanned.program, &spanned.query_spans, facts),
+                    None => Vec::new(),
+                };
                 if json {
                     let plans_json = if explain {
                         let entries: Vec<String> = plans.iter().map(plan_to_json).collect();
-                        format!(",\"plans\":[{}]", entries.join(","))
+                        let asked: Vec<String> = queries.iter().map(query_plan_to_json).collect();
+                        format!(",\"plans\":[{}],\"queries\":[{}]", entries.join(","), asked.join(","))
                     } else {
                         String::new()
                     };
@@ -315,6 +456,9 @@ fn check_files(files: &[String], json: bool, explain: bool) -> i32 {
                     }
                     for p in &plans {
                         print_plan(path, p);
+                    }
+                    for q in &queries {
+                        print_query_plan(path, q);
                     }
                 }
             }

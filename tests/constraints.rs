@@ -1,7 +1,7 @@
 //! Integrity constraints: property tests for the incremental checker, the
 //! check-on-commit guard and tolerant evaluation.
 //!
-//! The central property (the E20 contract): **incremental checking is
+//! The central property: **incremental checking is
 //! observationally identical to full re-checking** — after any sequence of
 //! mutations, [`ConstraintChecker::check`] returns exactly the violations
 //! (same list, same order) that a from-scratch [`ConstraintChecker::check_full`]

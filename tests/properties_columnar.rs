@@ -17,6 +17,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
+use pathlog::core::engine::{binding_key, BindingKey};
+use pathlog::core::semantics::{answers, Answer, Bindings};
 use pathlog::core::structure::{Oid, Structure};
 use pathlog::prelude::*;
 
@@ -276,11 +278,13 @@ proptest! {
 // 3. Factorized answers enumerate bit-identically to materialized tuples.
 // ---------------------------------------------------------------------------
 
-/// Factorized and materialized answers must agree answer-for-answer — same
-/// bindings, same object, same enumeration order.
+/// Factorized answers must agree answer-for-answer — same bindings, same
+/// object, same enumeration order — with the written-order reference
+/// `answers()`, and as a multiset of `(key, object)` with
+/// `Engine::query_term`, which returns it in canonical order.
 fn assert_factorized_matches(structure: &Structure, term: &pathlog::core::term::Term, expect_factorized: bool) {
     let engine = Engine::new();
-    let materialized = engine.query_term(structure, term).expect("materialized query succeeds");
+    let reference = answers(structure, term, &Bindings::new()).expect("the reference enumerates");
     let factorized = engine
         .query_term_factorized(structure, term)
         .expect("factorized query succeeds");
@@ -291,12 +295,12 @@ fn assert_factorized_matches(structure: &Structure, term: &pathlog::core::term::
     );
     assert_eq!(
         factorized.count(),
-        materialized.len() as u64,
+        reference.len() as u64,
         "answer counts differ for {term:?}"
     );
     let mut index = 0usize;
     factorized.for_each(&mut |bindings, object| {
-        let expected = &materialized[index];
+        let expected = &reference[index];
         assert_eq!(object, expected.object, "object differs at answer {index} of {term:?}");
         assert_eq!(
             bindings, &expected.bindings,
@@ -304,12 +308,20 @@ fn assert_factorized_matches(structure: &Structure, term: &pathlog::core::term::
         );
         index += 1;
     });
-    assert_eq!(index, materialized.len(), "enumeration lengths differ for {term:?}");
-    assert_eq!(
-        factorized.into_answers(),
-        materialized,
-        "collected answers differ for {term:?}"
+    assert_eq!(index, reference.len(), "enumeration lengths differ for {term:?}");
+
+    let keyed = |answers: &[Answer]| -> Vec<(BindingKey, Oid)> {
+        answers.iter().map(|a| (binding_key(&a.bindings), a.object)).collect()
+    };
+    let materialized = keyed(&engine.query_term(structure, term).expect("materialized query succeeds"));
+    assert!(
+        materialized.is_sorted(),
+        "query_term answers in canonical order: {term:?}"
     );
+    let mut collected = keyed(&factorized.into_answers());
+    assert_eq!(collected, keyed(&reference), "collected answers differ for {term:?}");
+    collected.sort();
+    assert_eq!(collected, materialized, "answer multisets differ for {term:?}");
 }
 
 proptest! {

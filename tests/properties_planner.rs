@@ -5,6 +5,13 @@
 //! rule re-solved in full, in written order, each iteration), on random trees
 //! and random (possibly cyclic) graphs, for one program of planner-relevant
 //! rules and a table of rule families covering every literal shape.
+//!
+//! The read side runs the same atoms with nothing restricted, in the literal
+//! and atom order the live index cardinalities suggest: over the models of
+//! those programs, `Engine::query` must equal the written-order reference
+//! `solve_body` as a set of keys and `Engine::query_term` must equal
+//! `answers()` as a multiset of `(key, object)`, both in canonical order,
+//! errors included (the last section).
 
 use proptest::prelude::*;
 
@@ -12,7 +19,7 @@ use std::collections::BTreeSet;
 
 use pathlog::core::analysis::{plan_rule, MethodStats};
 use pathlog::core::engine::{binding_key, solve_body, BindingKey};
-use pathlog::core::plan::{compile, execute_delta, PassOrder};
+use pathlog::core::plan::{compile, compile_query, execute_delta, plan_query, PassOrder};
 use pathlog::core::program::Literal;
 use pathlog::core::semantics::{Bindings, SnapshotWindow};
 use pathlog::core::structure::{Oid, Structure};
@@ -339,14 +346,11 @@ fn oracle_keys(s: &Structure, body: &[Literal]) -> BTreeSet<BindingKey> {
     solutions.iter().map(binding_key).collect()
 }
 
-/// Every order of its literals — not only the planned one — is an execution
-/// the atom steps must get right: over the window in which the frontier of a
-/// tree advances into a grafted branch (and two old parents turn `fresh`, so
-/// that new solutions join old facts too), each order's passes (one per
-/// restricted literal) find only solutions of the body, and between them
-/// every solution the window added.
-#[test]
-fn passes_match_the_oracle_in_every_literal_order() {
+/// The structures the `JOINS` bodies are written for: a tree closed under
+/// `FRONTIER`, with `pair@(Y)` sets, base methods and a signature — and the
+/// same after the frontier advanced into a grafted branch, two old parents
+/// turned `fresh` and four more declarations were made.
+fn joins_structures() -> (Structure, Structure) {
     let program = parse_program(&format!(
         "{FRONTIER}next : baseMethod.\nkids : baseMethod.\nreached[id => reached].\n\
          X[pair@(Y) ->> {{X, Y}}] <- X : reached, X[kids ->> {{Y}}]."
@@ -374,6 +378,18 @@ fn passes_match_the_oracle_in_every_literal_order() {
     let declaration = "fresh[kind => inner]. p0_0[kind => inner]. parent[kind => inner]. parent[kind =>> reached].";
     let declaration = parse_program(declaration).expect("parses");
     Engine::new().load_program(&mut after, &declaration).expect("evaluates");
+    (before, after)
+}
+
+/// Every order of its literals — not only the planned one — is an execution
+/// the atom steps must get right: over the window in which the frontier of a
+/// tree advances into a grafted branch (and two old parents turn `fresh`, so
+/// that new solutions join old facts too), each order's passes (one per
+/// restricted literal) find only solutions of the body, and between them
+/// every solution the window added.
+#[test]
+fn passes_match_the_oracle_in_every_literal_order() {
+    let (before, after) = joins_structures();
     let dv = SnapshotWindow::capture(&before).slide(&after);
     assert!(dv.has_new_objects() && dv.sigs_changed() && dv.entry_count() > 10);
 
@@ -450,4 +466,365 @@ proptest! {
         let delta_solves = assert_every_program_matches_oracle(&structure);
         prop_assert!(delta_solves[0] > 0, "delta passes run compiled");
     }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn queries_match_the_reference_on_random_graphs(
+        program in 0usize..SHAPES.len() + 1,
+        edges in prop::collection::vec((0u8..12, 0u8..12), 1..40),
+        ages in prop::collection::vec((0u8..12, 28i64..32), 0..12),
+    ) {
+        // The model of one program — a different one from case to case —
+        // over a random (possibly cyclic) graph whose nodes carry a few
+        // scalar facts, so that the result index has lists of every length,
+        // empty included.
+        let mut structure = Structure::new();
+        let (kids, age) = (structure.atom("kids"), structure.atom("age"));
+        let nodes: Vec<Oid> = (0..12).map(|i| structure.atom(&format!("n{i}"))).collect();
+        for &(a, b) in &edges {
+            structure.assert_set_member(kids, nodes[a as usize], &[], nodes[b as usize]);
+        }
+        for &(n, years) in &ages {
+            let years = structure.int(years);
+            // First wins: a second age for a node is a conflict, not a fact.
+            let _ = structure.assert_scalar(age, nodes[n as usize], &[], years);
+        }
+        let bodies = query_bodies();
+        let (name, text) = &programs()[program];
+        let model = closed(text, &structure);
+        assert_queries_match_the_reference(name, &model, &bodies, &mut BTreeSet::new());
+        assert_queries_match_the_reference(name, &model, &reversed(&bodies), &mut BTreeSet::new());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Queries: the same atoms, nothing restricted, ordered by live cardinalities.
+// ---------------------------------------------------------------------------
+
+/// What a body of `QUERIES` must do on at least one of the fixed inputs, so
+/// that no arm is held vacuously.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Expect {
+    /// Have a solution.
+    Solutions,
+    /// Nothing: it may have no solution anywhere.
+    Nothing,
+    /// Raise `Error::NotGround` from both evaluators.
+    NotGround,
+}
+
+/// Query bodies that — with every rule body of `PROGRAM`, `SHAPES` and
+/// `JOINS` — meet every atom kind and access arm with bound and unbound
+/// operands.  Vocabulary: the generated company (`e3`, `age`, `vehicles`, …),
+/// the trees and graphs (`p0_0`, `n0`, `kids`) and what `FRONTIER`, `DESC`
+/// and the families derive from them.
+const QUERIES: &[(&str, Expect)] = {
+    use Expect::{NotGround, Nothing, Solutions};
+    &[
+        // Scalar: receiver from the result index, from the method index, bound.
+        ("X[age -> 33]", Solutions),
+        ("X[age -> A]", Solutions),
+        ("e3[age -> A; city -> C]", Solutions),
+        ("X : employee[age -> 33; city -> C].boss[city -> D]", Solutions),
+        // The selective filter written last, and an inverse lookup whose key
+        // only the frame knows.
+        ("X : employee, X[city -> C], X[age -> 33]", Solutions),
+        ("B : employee, X[boss -> B]", Solutions),
+        ("X[boss -> B], B[city -> boston]", Solutions),
+        // Member: receiver from the member index, from the method index, bound.
+        ("X..vehicles[color -> red]", Solutions),
+        ("X[assistants ->> {e16}]", Solutions),
+        ("e1[assistants ->> {X[city -> C]}]", Solutions),
+        ("Y : reached, X[kids ->> {Y}]", Solutions),
+        ("X[next ->> {Y}; next ->> {Z}]", Solutions),
+        // One answer per derivation path: temporaries count.
+        ("e3..vehicles.color", Solutions),
+        ("e1.boss.boss.worksFor", Solutions),
+        ("X..kids..kids", Solutions),
+        (
+            "X : manager..vehicles[color -> red].producedBy[cityOf -> detroit; president -> P]",
+            Solutions,
+        ),
+        // An unbound method: over a receiver's facts, over every fact.
+        ("X[(M.tc) ->> {Y}]", Solutions),
+        ("X[M ->> {Y}]", Solutions),
+        ("n0[M ->> {Y}]", Solutions),
+        ("X.M", Solutions),
+        ("e3.M", Solutions),
+        ("M : baseMethod, X[M ->> {Y}]", Solutions),
+        // Objects and classes.
+        ("X[]", Solutions),
+        ("X", Solutions),
+        ("X : C", Solutions),
+        ("n1 : C", Solutions),
+        ("C : baseMethod, X : C", Nothing),
+        // Built-ins with an unbound operand range over the universe.
+        ("X[self -> Y]", Solutions),
+        ("e3.age[lt@(Y) -> A]", Solutions),
+        ("X[age -> A], A[lt@(40) -> A]", Solutions),
+        ("A[lt@(40) -> A], X[age -> A]", Solutions),
+        ("X : grandparent, X[neq@(Y) -> X], Y : parent", Solutions),
+        // Signatures, with the method bound and unbound.
+        ("C[kind => R]", Solutions),
+        ("C[kind =>> R]", Solutions),
+        ("X[M => R]", Solutions),
+        ("reached[M => R]", Nothing),
+        // A strict `m ->> t`: bound receiver, unbound receiver, ground
+        // right-hand side, and behind a negation.
+        ("X : parent, X[desc ->> X..kids]", Solutions),
+        ("X[desc ->> X..kids]", Solutions),
+        ("X[kids ->> n1..kids]", Solutions),
+        ("X[desc ->> X..kids; desc ->> {Y}]", Solutions),
+        ("X : reached, not X[next ->> X..kids]", Nothing),
+        // Its variable bound only by a later literal, a later filter.
+        ("X[kids ->> Y..kids], Y : parent", NotGround),
+        ("X[kids ->> Y..kids; kids ->> {Y}]", NotGround),
+        // … a later filter that could bind it first from a shorter list (no
+        // program derives as many classes as the graphs have parents).
+        ("X[kids ->> Y..kids; kids ->> {Y : C}]", NotGround),
+        ("X : parent, not X[kids ->> Y..kids]", NotGround),
+        // Negation; a variable only a negated literal mentions.
+        ("X : parent, not X : grandparent", Solutions),
+        ("X : reached, not X..next[kind -> inner]", Solutions),
+        ("X : employee, not X[boss -> B]", Solutions),
+        // Ground bodies: one empty frame or none.
+        ("n0[kids ->> {n1}]", Solutions),
+        ("n0[kids ->> {n0}], n1 : reached", Nothing),
+        ("e3 : employee, not e3 : manager", Solutions),
+        ("not n0 : reached", Nothing),
+        // A name no structure has seen: no solution; negated, it holds of
+        // nothing.
+        ("X : nosuchclass", Nothing),
+        ("X[nosuchmethod -> Y]", Nothing),
+        ("X : reached, not X : nosuchclass", Solutions),
+        ("not nosuchobject[kids ->> {X}]", Solutions),
+    ]
+};
+
+/// Every query body there is: `QUERIES`, and the bodies of the rules of
+/// `PROGRAM`, `SHAPES` and `JOINS`.
+fn query_bodies() -> Vec<(String, Vec<Literal>, Expect)> {
+    let families = SHAPES.iter().map(|(_, prelude, rules)| format!("{prelude}{rules}"));
+    let programs = families.chain([PROGRAM.to_string(), JOINS.join("\n")]);
+    let mut bodies: Vec<(String, Vec<Literal>, Expect)> = Vec::new();
+    for text in programs {
+        for rule in parse_program(&text).expect("parses").rules {
+            let shown: Vec<String> = rule.body.iter().map(|l| l.to_string()).collect();
+            let shown = shown.join(", ");
+            if !rule.body.is_empty() && !bodies.iter().any(|(t, _, _)| *t == shown) {
+                bodies.push((shown, rule.body, Expect::Solutions));
+            }
+        }
+    }
+    for (text, expect) in QUERIES {
+        let body = parse_query(text).expect("parses").body;
+        bodies.push((text.to_string(), body, *expect));
+    }
+    bodies
+}
+
+/// `bodies` with their literals reversed: guards enumerate, binders come
+/// last, and the planner has an order to repair.
+fn reversed(bodies: &[(String, Vec<Literal>, Expect)]) -> Vec<(String, Vec<Literal>, Expect)> {
+    let several = bodies.iter().filter(|(_, body, _)| body.len() > 1);
+    several
+        .map(|(text, body, _)| {
+            let body: Vec<Literal> = body.iter().rev().cloned().collect();
+            (format!("{text} (reversed)"), body, Expect::Nothing)
+        })
+        .collect()
+}
+
+/// Does `term` mention a symbolic name `s` has never seen?  Then
+/// `Engine::query_term` reports it instead of answering.
+fn mentions_unknown_atom(s: &Structure, term: &Term) -> bool {
+    let mut unknown = false;
+    term.visit(&mut |t| {
+        if let Term::Name(n @ Name::Atom(_)) = t {
+            unknown |= s.lookup_name(n).is_none();
+        }
+    });
+    unknown
+}
+
+/// `Engine::query` ≡ `solve_body` and, literal by literal, `Engine::query_term`
+/// ≡ `answers()` on `s`, for every body of `bodies`: the same keys (as a set;
+/// as a multiset with the denoted object for a reference), in canonical
+/// order, or the same error.  Records in `met` which bodies had a solution
+/// (`Ok`) or raised `NotGround` (`Err`).
+fn assert_queries_match_the_reference(
+    label: &str,
+    s: &Structure,
+    bodies: &[(String, Vec<Literal>, Expect)],
+    met: &mut BTreeSet<(String, bool)>,
+) {
+    let engine = Engine::new();
+    for (text, body, _) in bodies {
+        let reference =
+            solve_body(s, body, &Bindings::new()).map(|b| b.iter().map(binding_key).collect::<BTreeSet<_>>());
+        let asked = engine.query(s, &Query::new(body.clone()));
+        let asked = asked.map(|b| b.iter().map(binding_key).collect::<Vec<_>>());
+        match (&reference, &asked) {
+            (Ok(reference), Ok(asked)) => {
+                assert!(
+                    asked.windows(2).all(|w| w[0] < w[1]),
+                    "{label}: `{text}` answers in canonical order, each once: {asked:?}"
+                );
+                let asked: BTreeSet<BindingKey> = asked.iter().cloned().collect();
+                assert_eq!(&asked, reference, "{label}: `{text}`");
+                if !asked.is_empty() {
+                    met.insert((text.clone(), true));
+                }
+            }
+            (Err(reference), Err(asked)) => {
+                assert_eq!(asked, reference, "{label}: `{text}`");
+                if matches!(asked, Error::NotGround(_)) {
+                    met.insert((text.clone(), false));
+                }
+            }
+            _ => panic!("{label}: `{text}`: the reference says {reference:?}, the engine {asked:?}"),
+        }
+
+        for lit in body.iter().filter(|l| l.positive) {
+            let term = &lit.term;
+            let asked = engine.query_term(s, term);
+            if mentions_unknown_atom(s, term) {
+                assert!(
+                    matches!(asked, Err(Error::UnknownName(_))),
+                    "{label}: `{term}` names an unknown atom: {asked:?}"
+                );
+                continue;
+            }
+            let keyed = |answers: Vec<Answer>| -> Vec<(BindingKey, Oid)> {
+                answers.iter().map(|a| (binding_key(&a.bindings), a.object)).collect()
+            };
+            let reference = answers(s, term, &Bindings::new()).map(|a| {
+                let mut a = keyed(a);
+                a.sort();
+                a
+            });
+            assert_eq!(
+                asked.map(keyed),
+                reference,
+                "{label}: `{term}` denotes once per derivation path, in canonical order"
+            );
+        }
+    }
+}
+
+/// The model of `text` over `structure`.
+fn closed(text: &str, structure: &Structure) -> Structure {
+    let mut s = structure.clone();
+    let program = parse_program(text).expect("program parses");
+    Engine::new()
+        .load_program(&mut s, &program)
+        .expect("evaluation succeeds");
+    s
+}
+
+/// `PROGRAM` and every family of `SHAPES`, by name.
+fn programs() -> Vec<(&'static str, String)> {
+    let families = SHAPES
+        .iter()
+        .map(|(name, prelude, rules)| (*name, format!("{prelude}{rules}")));
+    std::iter::once(("PROGRAM", PROGRAM.to_string()))
+        .chain(families)
+        .collect()
+}
+
+/// The read side over fixed inputs — the models of every program over a
+/// tree, a cyclic graph and a small company, and the structure the `JOINS`
+/// are written for — on which every body must also do what `QUERIES` says
+/// it does: have a solution, or raise `NotGround`.
+#[test]
+fn queries_match_the_written_order_reference() {
+    let tree = pathlog::datagen::genealogy_structure(&pathlog::datagen::GenealogyParams {
+        roots: 1,
+        depth: 3,
+        fanout: 2,
+        seed: 7,
+    });
+    let mut graph = Structure::new();
+    let kids = graph.atom("kids");
+    let nodes: Vec<Oid> = (0..8).map(|i| graph.atom(&format!("n{i}"))).collect();
+    // With a diamond — n0 reaches n2 through n1 and through n4 — so that
+    // `X..kids..kids` denotes n2 twice for the same X.
+    for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 1), (0, 4), (4, 5), (4, 2), (5, 3), (6, 7)] {
+        graph.assert_set_member(kids, nodes[a], &[], nodes[b]);
+    }
+    let company = pathlog::datagen::company_structure(&pathlog::datagen::CompanyParams::scaled(30));
+    let bodies = query_bodies();
+    let backwards = reversed(&bodies);
+    let mut met = BTreeSet::new();
+    for (input, structure) in [("tree", &tree), ("graph", &graph)] {
+        for (name, text) in programs() {
+            let (label, model) = (format!("{name} over the {input}"), closed(&text, structure));
+            assert_queries_match_the_reference(&label, &model, &bodies, &mut met);
+            assert_queries_match_the_reference(&label, &model, &backwards, &mut met);
+        }
+    }
+    // The company's universe is the largest: it is spared the reversed
+    // bodies, whose enumerating guards are quadratic in it, and all but two
+    // of the models — the vocabulary it adds is its own.
+    for (name, text) in &programs()[..2] {
+        let (label, model) = (format!("{name} over the company"), closed(text, &company));
+        assert_queries_match_the_reference(&label, &model, &bodies, &mut met);
+    }
+    let (_, joins) = joins_structures();
+    assert_queries_match_the_reference("joins", &joins, &bodies, &mut met);
+    assert_queries_match_the_reference("joins", &joins, &backwards, &mut met);
+    let unmet: Vec<&String> = bodies
+        .iter()
+        .filter(|(text, _, expect)| match expect {
+            Expect::Solutions => !met.contains(&(text.clone(), true)),
+            Expect::NotGround => !met.contains(&(text.clone(), false)),
+            Expect::Nothing => false,
+        })
+        .map(|(text, _, _)| text)
+        .collect();
+    assert!(
+        unmet.is_empty(),
+        "never had a solution / never raised NotGround: {unmet:#?}"
+    );
+}
+
+/// A body written in the bad order — the class test first, the selective
+/// filter last — is planned from the filter's posting list, and its atoms
+/// likewise; a strict `m ->> t` stays where it was written.
+#[test]
+fn query_plans_start_from_the_shortest_posting_list() {
+    let company = pathlog::datagen::company_structure(&pathlog::datagen::CompanyParams::scaled(200));
+    let plan = |text: &str| {
+        let body = parse_query(text).expect("parses").body;
+        let compiled = compile_query(body.iter().map(|l| (l.positive, &l.term)));
+        let plan = plan_query(&company, &compiled);
+        (compiled, plan)
+    };
+    let (_, literals) = plan("X : employee, X[city -> C], X[age -> 30]");
+    let order: Vec<usize> = literals.positives.iter().map(|l| l.body_index).collect();
+    assert_eq!(order, [2, 0, 1], "{literals:?}");
+    let costs: Vec<usize> = literals.positives.iter().map(|l| l.cost).collect();
+    assert!(costs[0] < 20 && costs[1] >= 200 && costs[2] >= 200, "{costs:?}");
+
+    // Within the one literal of reference (2.1): `age -> 30` seeds, the
+    // class test and the other filters probe, `boss` is looked up.
+    let (compiled, atoms) = plan("X : employee[age -> 30; city -> boston].boss[city -> boston]");
+    let steps = &atoms.positives[0].atoms;
+    assert_eq!(steps.iter().map(|s| s.atom).collect::<Vec<_>>(), [1, 0, 2, 3, 4]);
+    assert!(
+        steps[0].cardinality < 20 && steps[1..].iter().all(|s| s.cardinality == 1),
+        "{steps:?}"
+    );
+    assert_eq!(compiled.positives()[0].atoms.len(), 5);
+
+    // Nothing crosses the strict check: `age` may not run before it.
+    let (_, strict) = plan("X[assistants ->> e3..assistants; age -> 30]");
+    assert_eq!(
+        strict.positives[0].atoms.iter().map(|s| s.atom).collect::<Vec<_>>(),
+        [0, 1]
+    );
 }
