@@ -10,17 +10,18 @@
 //!
 //! **Incremental checking.**  Re-solving every constraint after every
 //! mutation batch is the classical-but-wasteful baseline.  The
-//! [`ConstraintChecker`] reuses the engine's semi-naive machinery instead:
-//! it keeps the [`EvalMarks`] watermarks of its last check, builds the
-//! [`DeltaView`] of everything asserted since, and re-solves only the
-//! constraints whose `literal_reads` keys intersect the delta — the same
-//! key-gating the fixpoint loop applies to rules.  Retractions invalidate
-//! watermark windows (the fact store swap-removes slots), so the checker
-//! also snapshots [`Structure::retractions`] and falls back to a full
-//! re-check whenever it moved — sound degradation, never a missed
-//! violation.  An affected constraint's body is solved through
-//! [`solve_condition`], the call the reactive layer's recognise phases
-//! make too.  A check only reads the structure it is given.
+//! [`ConstraintChecker`] remembers where the structure stood at its last
+//! check — the [`EvalMarks`] watermarks and the length of the facts'
+//! mutation journal — and re-solves only the constraints whose
+//! `literal_reads` keys intersect the keys mutated since (Decker: re-evaluate
+//! only what an update can affect).  The journal records the method of every
+//! successful assert *and* retract, so one gating path serves spans with and
+//! without retractions ([`ConstraintChecker::check`]); a skipped constraint
+//! answers from its cached violations.  A denial body is just a query body:
+//! it is compiled once, when the [`Constraint`] is built
+//! ([`compile_query`]), and solved the way [`Engine::query`] solves a query
+//! ([`execute_query`]) — the commit path has no evaluator of its own.  A
+//! check only reads the structure it is given.
 //!
 //! **Tolerant degradation.**  Under the `Quarantine` policy a violation
 //! does not roll the data back; the offending facts are *tagged* in a
@@ -38,11 +39,12 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::analysis::keys_intersect;
-use crate::engine::{solve_condition, Engine, SortedRun, Tolerance};
+use crate::engine::{Engine, Tolerance};
 use crate::error::Result;
 use crate::names::Name;
+use crate::plan::{compile_query, execute_query, CompiledRule, FrameRun};
 use crate::program::{validate_rule, DepKey, Literal, Query, Rule};
-use crate::semantics::{Bindings, DeltaView, EvalMarks};
+use crate::semantics::{Bindings, EvalMarks};
 use crate::structure::{Oid, Structure};
 use crate::term::{Filter, FilterValue, IsA, Molecule, Path, Term};
 
@@ -75,6 +77,8 @@ pub struct Constraint {
     reads: BTreeSet<DepKey>,
     /// The body reads an unknown key and must be re-solved on any delta.
     catch_all: bool,
+    /// The body lowered to atoms, once: what a check runs.
+    compiled: CompiledRule,
 }
 
 impl Constraint {
@@ -88,12 +92,14 @@ impl Constraint {
         let info = validate_rule(&probe)?;
         let reads: BTreeSet<DepKey> = info.uses.union(&info.strict_uses).cloned().collect();
         let catch_all = reads.contains(&DepKey::Unknown);
+        let compiled = compile_query(body.iter().map(|lit| (lit.positive, &lit.term)));
         Ok(Constraint {
             name,
             body,
             policy,
             reads,
             catch_all,
+            compiled,
         })
     }
 
@@ -117,15 +123,30 @@ impl Constraint {
         &self.reads
     }
 
-    /// Does the delta touch anything this constraint reads?
-    fn affected_by(&self, structure: &Structure, dv: &DeltaView) -> bool {
-        if self.catch_all {
-            return true;
+    /// The violation a solution `frame` of the compiled body stands for: its
+    /// bound slots in variable order, and the body's literals as ground facts.
+    fn violation(&self, structure: &Structure, frame: &[u32]) -> ConstraintViolation {
+        let bindings = self.compiled.bindings_of(frame);
+        let witnesses = self
+            .body
+            .iter()
+            .map(|lit| {
+                let ground = substitute(&lit.term, structure, &bindings);
+                if lit.positive {
+                    ground.to_string()
+                } else {
+                    format!("not {ground}")
+                }
+            })
+            .collect();
+        let bound = self.compiled.canonical().iter().filter(|&&slot| frame[slot] != 0);
+        ConstraintViolation {
+            constraint: Arc::clone(&self.name),
+            binding: bound
+                .map(|&slot| (self.compiled.slot_var(slot).0.clone(), Oid(frame[slot] - 1)))
+                .collect(),
+            witnesses,
         }
-        self.reads.iter().any(|key| match key {
-            DepKey::Unknown => true,
-            DepKey::Known(name) => structure.lookup_name(name).is_some_and(|oid| dv.has_new_facts_for(oid)),
-        })
     }
 }
 
@@ -267,35 +288,28 @@ pub struct CheckStats {
     /// Calls to [`ConstraintChecker::check`].
     pub checks: usize,
     /// Checks that had to re-solve every constraint (first check, new
-    /// objects, signature changes, or a retraction touching every
-    /// constraint's reads).
+    /// objects, signature changes, or a span touching every constraint's
+    /// reads).
     pub full_checks: usize,
     /// Constraint bodies actually solved.
     pub condition_solves: usize,
-    /// Constraint solves skipped because the (retraction-free) delta did
-    /// not touch their read keys.
+    /// Constraint solves skipped on a retraction-free span because no key
+    /// mutated since the last check intersects their reads.
     pub constraints_skipped: usize,
-    /// Constraint solves skipped on a retraction-bearing span because no
-    /// key mutated since the last check intersects their reads (see the
-    /// mutation journal, [`Facts::mutation_keys_since`]).
-    ///
-    /// [`Facts::mutation_keys_since`]: crate::structure::Facts::mutation_keys_since
+    /// The same skips on a span in which [`Structure::retractions`] moved.
     pub retraction_skips: usize,
 }
 
-/// The incremental constraint checker: watermark-gated and delta-driven
-/// (see the module docs).
+/// The incremental constraint checker, gated by the keys mutated since its
+/// last check (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ConstraintChecker {
     constraints: ConstraintSet,
-    engine: Engine,
     /// Watermarks of the last completed check; `None` before the first.
     marks: Option<EvalMarks>,
     /// [`Structure::retractions`] at the last completed check.
     retractions: usize,
     /// Length of the facts' mutation journal at the last completed check.
-    /// The journal survives retractions, so this mark stays usable when
-    /// the watermark window does not.
     mutation_mark: usize,
     /// Violations per constraint as of the last check, each list sorted by
     /// valuation.  Skipped constraints answer from this cache.
@@ -304,15 +318,11 @@ pub struct ConstraintChecker {
 }
 
 impl ConstraintChecker {
-    /// A checker over `constraints`.  The check depends on no engine
-    /// option; `engine` is kept for the owner's queries over the checked
-    /// structure ([`ConstraintChecker::engine`], e.g. its
-    /// [`Tolerance`]).
-    pub fn new(constraints: ConstraintSet, engine: Engine) -> Self {
+    /// A checker over `constraints`.
+    pub fn new(constraints: ConstraintSet) -> Self {
         let cache = vec![Vec::new(); constraints.len()];
         ConstraintChecker {
             constraints,
-            engine,
             marks: None,
             retractions: 0,
             mutation_mark: 0,
@@ -326,74 +336,27 @@ impl ConstraintChecker {
         &self.constraints
     }
 
-    /// The engine the checker was built with.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
     /// Lifetime counters (see [`CheckStats`]).
     pub fn stats(&self) -> CheckStats {
         self.stats
     }
 
     /// Current violations of every constraint, re-solving only the
-    /// constraints the delta since the last check can have affected.
+    /// constraints the mutations since the last check can have affected.
     /// Returns the violations grouped by constraint in declaration order,
     /// each group sorted by valuation — the exact list a full re-check
     /// returns.
     pub fn check(&mut self, structure: &Structure) -> Result<Vec<ConstraintViolation>> {
-        let mut via_retraction = false;
-        let affected: Vec<usize> = match self.window(structure) {
-            None => match self.retraction_affected(structure) {
-                Some(affected) => {
-                    via_retraction = true;
-                    affected
-                }
-                None => (0..self.constraints.len()).collect(),
-            },
-            Some(dv) if dv.is_empty() => Vec::new(),
-            Some(dv) if dv.has_new_objects() || dv.sigs_changed() => {
-                // New objects can satisfy literals through positions that
-                // read no named key; signature changes have no per-fact
-                // stamps.  Same conservative catch-alls as the fixpoint
-                // loop.
-                (0..self.constraints.len()).collect()
-            }
-            Some(dv) => self
-                .constraints
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.affected_by(structure, &dv))
-                .map(|(i, _)| i)
-                .collect(),
-        };
-        self.stats.checks += 1;
-        if affected.len() == self.constraints.len() && !affected.is_empty() {
-            self.stats.full_checks += 1;
-        }
-        let skipped = self.constraints.len() - affected.len();
-        if via_retraction {
-            self.stats.retraction_skips += skipped;
-        } else {
-            self.stats.constraints_skipped += skipped;
-        }
-        self.solve_into_cache(structure, &affected)?;
-        self.skip_to(structure);
-        Ok(self.cache.iter().flatten().cloned().collect())
+        let affected = self.affected(structure);
+        self.resolve(structure, affected)
     }
 
     /// Current violations with every constraint re-solved unconditionally —
-    /// the classical baseline (and the oracle the property tests compare
-    /// [`ConstraintChecker::check`] against).
+    /// the classical baseline.  It gates nothing but solves the way
+    /// [`ConstraintChecker::check`] does, so the property tests compare both
+    /// against a written-order reference of their own.
     pub fn check_full(&mut self, structure: &Structure) -> Result<Vec<ConstraintViolation>> {
-        let all: Vec<usize> = (0..self.constraints.len()).collect();
-        self.stats.checks += 1;
-        if !all.is_empty() {
-            self.stats.full_checks += 1;
-        }
-        self.solve_into_cache(structure, &all)?;
-        self.skip_to(structure);
-        Ok(self.cache.iter().flatten().cloned().collect())
+        self.resolve(structure, None)
     }
 
     /// Has `structure` been left alone since the last completed check —
@@ -416,110 +379,76 @@ impl ConstraintChecker {
         self.mutation_mark = structure.facts().mutation_len();
     }
 
-    /// The delta window since the last completed check, or `None` when no
-    /// sound window exists (first check, or a retraction invalidated the
-    /// watermarks).
-    fn window(&self, structure: &Structure) -> Option<DeltaView> {
-        let lo = self.marks.as_ref()?;
-        if structure.retractions() != self.retractions {
-            return None;
-        }
-        let hi = EvalMarks::capture(structure);
-        Some(DeltaView::between(structure, lo, &hi))
-    }
-
-    /// The constraints a retraction-bearing span since the last check can
-    /// have affected, or `None` when no sound narrowing exists (first
-    /// check, new objects, signature changes, or an anonymous mutated
-    /// method).
+    /// The constraints the span since the last check can have affected, or
+    /// `None` for every one of them when no sound narrowing exists: first
+    /// check, new objects (they can satisfy literals through positions that
+    /// read no named key), signature changes (no per-fact stamps) — the
+    /// conservative catch-alls of the fixpoint loop — or an anonymous
+    /// mutated method.
     ///
-    /// Watermark windows die with the first retraction (the scalar slot
-    /// table reorders, the set-insertion log over-reports), but the facts'
-    /// mutation journal does not: it records the method key of every
-    /// successful assert *and* retract.  A constraint whose reads are
-    /// disjoint from every key mutated since the last check — including
-    /// the is-a closure pairs added in the span, which the append-only isa
-    /// log still reports soundly — can neither have gained nor lost a
-    /// violation, so its cached result stands.
-    fn retraction_affected(&self, structure: &Structure) -> Option<Vec<usize>> {
+    /// The facts' mutation journal records the method key of every
+    /// successful assert *and* retract, and the append-only is-a log the
+    /// closure pairs added in the span; neither is disturbed by a
+    /// retraction, as a watermark window over the fact tables would be.  A
+    /// constraint whose reads are disjoint from every key so touched can
+    /// neither have gained nor lost a violation, so its cached violations
+    /// stand; when nothing was touched, every constraint's do.
+    fn affected(&self, structure: &Structure) -> Option<Vec<usize>> {
         let lo = self.marks.as_ref()?;
         let hi = EvalMarks::capture(structure);
         if hi.objects != lo.objects || hi.signatures != lo.signatures {
-            // Same conservative catch-alls as the delta path: new objects
-            // can satisfy literals through positions that read no named
-            // key, signature changes have no per-fact stamps.
             return None;
         }
+        let methods = structure.facts().mutation_keys_since(self.mutation_mark);
+        let classes = structure.isa().pairs_since(lo.isa_pairs).map(|(_, class)| class);
         let mut touched: BTreeSet<DepKey> = BTreeSet::new();
-        for method in structure.facts().mutation_keys_since(self.mutation_mark) {
-            match structure.name_of(method) {
-                Some(name) => {
-                    touched.insert(DepKey::Known(name.clone()));
-                }
-                // An anonymous (virtual) method is only readable through a
-                // variable key, but keep the fallback maximally defensive.
-                None => return None,
-            }
+        for key in methods.chain(classes) {
+            // An anonymous (virtual) method is only readable through a
+            // variable key, but keep the fallback maximally defensive.
+            touched.insert(DepKey::Known(structure.name_of(key)?.clone()));
         }
-        for (_, class) in structure.isa().pairs_since(lo.isa_pairs) {
-            match structure.name_of(class) {
-                Some(name) => {
-                    touched.insert(DepKey::Known(name.clone()));
-                }
-                None => return None,
-            }
+        if touched.is_empty() {
+            return Some(Vec::new());
         }
+        let constraints = self.constraints.iter().enumerate();
         Some(
-            self.constraints
-                .iter()
-                .enumerate()
+            constraints
                 .filter(|(_, c)| c.catch_all || keys_intersect(&touched, &c.reads))
                 .map(|(i, _)| i)
                 .collect(),
         )
     }
 
-    /// Solve the bodies of the `affected` constraints and refresh their
-    /// cache entries — all of them, or on an error none.
-    fn solve_into_cache(&mut self, structure: &Structure, affected: &[usize]) -> Result<()> {
+    /// One check: count, solve the `affected` constraints (`None`: all of
+    /// them), move to `structure` and answer from the cache.
+    fn resolve(&mut self, structure: &Structure, affected: Option<Vec<usize>>) -> Result<Vec<ConstraintViolation>> {
+        let affected = affected.unwrap_or_else(|| (0..self.constraints.len()).collect());
+        let skipped = self.constraints.len() - affected.len();
+        self.stats.checks += 1;
+        if skipped == 0 && !affected.is_empty() {
+            self.stats.full_checks += 1;
+        }
+        if structure.retractions() == self.retractions {
+            self.stats.constraints_skipped += skipped;
+        } else {
+            self.stats.retraction_skips += skipped;
+        }
         self.stats.condition_solves += affected.len();
+        // Solve first, refresh after: every affected cache entry, or on an
+        // error none.
         let constraints = &self.constraints.constraints;
         let runs = affected
             .iter()
-            .map(|&i| solve_condition(structure, &constraints[i].body, &Bindings::new()))
-            .collect::<Result<Vec<SortedRun>>>()?;
+            .map(|&i| execute_query(structure, &constraints[i].compiled))
+            .collect::<Result<Vec<FrameRun>>>()?;
         for (&i, run) in affected.iter().zip(runs) {
-            self.cache[i] = violations_of(&constraints[i], structure, run);
+            // A run is in canonical key order: violations sorted by valuation.
+            let violation = |frame| constraints[i].violation(structure, frame);
+            self.cache[i] = run.frames().map(violation).collect();
         }
-        Ok(())
+        self.skip_to(structure);
+        Ok(self.cache.iter().flatten().cloned().collect())
     }
-}
-
-/// Convert one constraint's solved run into sorted violations.  The run is
-/// already in canonical [`binding_key`](crate::engine::binding_key) order,
-/// which sorts the violations by valuation deterministically.
-fn violations_of(constraint: &Constraint, structure: &Structure, run: SortedRun) -> Vec<ConstraintViolation> {
-    run.into_iter()
-        .map(|(key, bindings)| {
-            let witnesses = constraint
-                .body
-                .iter()
-                .map(|lit| {
-                    let ground = substitute(&lit.term, structure, &bindings);
-                    if lit.positive {
-                        ground.to_string()
-                    } else {
-                        format!("not {ground}")
-                    }
-                })
-                .collect();
-            ConstraintViolation {
-                constraint: Arc::clone(&constraint.name),
-                binding: key.into_iter().map(|(var, oid)| (var, Oid(oid))).collect(),
-                witnesses,
-            }
-        })
-        .collect()
 }
 
 // --- quarantine & tolerant evaluation -----------------------------------
@@ -776,6 +705,15 @@ mod tests {
         Constraint::new("manager_underpaid", underpaid_body(), ConstraintPolicy::Reject).unwrap()
     }
 
+    /// `X[kids ->> {Y}], not Y : manager` — every kid is a manager.
+    fn kid_not_manager() -> Constraint {
+        let body = vec![
+            Literal::pos(Term::var("X").filter(Filter::set("kids", vec![Term::var("Y")]))),
+            Literal::neg(Term::var("Y").isa("manager")),
+        ];
+        Constraint::new("kid_not_manager", body, ConstraintPolicy::Reject).unwrap()
+    }
+
     /// `?- X : manager[salary -> S].`
     fn manager_salary_query() -> Query {
         Query::new(vec![
@@ -786,8 +724,8 @@ mod tests {
 
     #[test]
     fn violations_carry_binding_and_ground_witnesses() {
-        let (s, engine) = fixture();
-        let mut checker = ConstraintChecker::new([underpaid()].into_iter().collect(), engine);
+        let (s, _) = fixture();
+        let mut checker = ConstraintChecker::new([underpaid()].into_iter().collect());
         let violations = checker.check(&s).unwrap();
         assert_eq!(violations.len(), 1);
         let v = &violations[0];
@@ -807,17 +745,9 @@ mod tests {
 
     #[test]
     fn unaffected_constraints_are_skipped_and_answer_from_cache() {
-        let (mut s, engine) = fixture();
-        let kids_orphan = {
-            // `X[kids ->> {Y}], not Y : manager` — every kid is a manager.
-            let body = vec![
-                Literal::pos(Term::var("X").filter(Filter::set("kids", vec![Term::var("Y")]))),
-                Literal::neg(Term::var("Y").isa("manager")),
-            ];
-            Constraint::new("kid_not_manager", body, ConstraintPolicy::Reject).unwrap()
-        };
-        let set: ConstraintSet = [underpaid(), kids_orphan].into_iter().collect();
-        let mut checker = ConstraintChecker::new(set, engine.clone());
+        let (mut s, _) = fixture();
+        let set: ConstraintSet = [underpaid(), kid_not_manager()].into_iter().collect();
+        let mut checker = ConstraintChecker::new(set);
         let first = checker.check(&s).unwrap();
         assert_eq!(first.len(), 1);
         assert_eq!(checker.stats().condition_solves, 2, "first check solves everything");
@@ -850,13 +780,12 @@ mod tests {
 
     #[test]
     fn retraction_forces_a_sound_full_recheck() {
-        let (mut s, engine) = fixture();
-        let mut checker = ConstraintChecker::new([underpaid()].into_iter().collect(), engine);
+        let (mut s, _) = fixture();
+        let mut checker = ConstraintChecker::new([underpaid()].into_iter().collect());
         assert_eq!(checker.check(&s).unwrap().len(), 1);
-        // Repair the violation by retracting mary's salary: a delta view
-        // cannot see retractions, but the mutation journal reports `salary`
-        // as touched, which the constraint reads — so it re-solves and
-        // reports the store consistent.
+        // Repair the violation by retracting mary's salary: the mutation
+        // journal reports `salary` as touched, which the constraint reads —
+        // so it re-solves and reports the store consistent.
         let salary = s.lookup_name(&Name::atom("salary")).unwrap();
         let mary = s.lookup_name(&Name::atom("mary")).unwrap();
         assert!(s.retract_scalar(salary, mary, &[]).is_some());
@@ -868,13 +797,13 @@ mod tests {
 
     #[test]
     fn unrelated_retractions_answer_from_cache() {
-        let (mut s, engine) = fixture();
+        let (mut s, _) = fixture();
         // A second fact table the constraint does not read.
         let hobby = s.atom("hobby");
         let mary = s.lookup_name(&Name::atom("mary")).unwrap();
         let chess = s.atom("chess");
         s.assert_scalar(hobby, mary, &[], chess).unwrap();
-        let mut checker = ConstraintChecker::new([underpaid()].into_iter().collect(), engine);
+        let mut checker = ConstraintChecker::new([underpaid()].into_iter().collect());
         assert_eq!(checker.check(&s).unwrap().len(), 1);
         let solves_before = checker.stats().condition_solves;
         // Retracting mary's hobby touches no key `underpaid` reads: the
@@ -895,12 +824,12 @@ mod tests {
 
     #[test]
     fn retraction_narrowing_falls_back_on_new_objects() {
-        let (mut s, engine) = fixture();
+        let (mut s, _) = fixture();
         let hobby = s.atom("hobby");
         let mary = s.lookup_name(&Name::atom("mary")).unwrap();
         let chess = s.atom("chess");
         s.assert_scalar(hobby, mary, &[], chess).unwrap();
-        let mut checker = ConstraintChecker::new([underpaid()].into_iter().collect(), engine);
+        let mut checker = ConstraintChecker::new([underpaid()].into_iter().collect());
         checker.check(&s).unwrap();
         let solves_before = checker.stats().condition_solves;
         // An unrelated retraction *plus* a new object in the same span:
@@ -912,10 +841,121 @@ mod tests {
         assert_eq!(checker.stats().retraction_skips, 0);
     }
 
+    /// One gating path, the observable of two: violations found and
+    /// `(checks, full_checks, condition_solves, constraints_skipped,
+    /// retraction_skips)` after each kind of span, as the checker with a
+    /// watermark-window arm beside the journal produced them.
+    #[test]
+    fn counters_tell_each_kind_of_span_apart() {
+        let (mut s, _) = fixture();
+        let oid = |s: &Structure, n: &str| s.lookup_name(&Name::atom(n)).unwrap();
+        let (mary, peter) = (oid(&s, "mary"), oid(&s, "peter"));
+        let (salary, manager) = (oid(&s, "salary"), oid(&s, "manager"));
+        let (kids, hobby, chess, anna) = (s.atom("kids"), s.atom("hobby"), s.atom("chess"), s.atom("anna"));
+        let low = s.int(10);
+        s.assert_set_member(kids, mary, &[], peter);
+        s.assert_scalar(hobby, mary, &[], chess).unwrap();
+        let mut checker = ConstraintChecker::new([underpaid(), kid_not_manager()].into_iter().collect());
+        let mut step = |s: &Structure, span: &str, violations: usize, counters: (usize, usize, usize, usize, usize)| {
+            assert_eq!(checker.check(s).unwrap().len(), violations, "{span}");
+            let c = checker.stats();
+            let got = (
+                c.checks,
+                c.full_checks,
+                c.condition_solves,
+                c.constraints_skipped,
+                c.retraction_skips,
+            );
+            assert_eq!(got, counters, "{span}");
+        };
+        step(&s, "first check", 1, (1, 1, 2, 0, 0));
+        step(&s, "nothing happened", 1, (2, 1, 2, 2, 0));
+        // Insertion-only spans: a key one constraint reads, a key neither
+        // reads, a class both read.
+        s.assert_scalar(salary, anna, &[], low).unwrap();
+        step(&s, "salary asserted", 1, (3, 1, 3, 3, 0));
+        s.assert_scalar(hobby, anna, &[], chess).unwrap();
+        step(&s, "hobby asserted", 1, (4, 1, 3, 5, 0));
+        s.add_isa(anna, manager);
+        step(&s, "anna : manager", 2, (5, 2, 5, 5, 0));
+        // Retraction-bearing spans, with and without an insertion.
+        assert!(s.retract_set_member(kids, mary, &[], peter));
+        step(&s, "kid retracted", 2, (6, 2, 6, 5, 1));
+        assert!(s.retract_scalar(hobby, mary, &[]).is_some());
+        step(&s, "hobby retracted", 2, (7, 2, 6, 5, 3));
+        assert!(s.retract_scalar(salary, anna, &[]).is_some());
+        s.assert_scalar(hobby, mary, &[], chess).unwrap();
+        step(&s, "salary retracted, hobby asserted", 1, (8, 2, 7, 5, 4));
+        s.assert_set_member(kids, mary, &[], anna);
+        assert!(s.retract_scalar(hobby, mary, &[]).is_some());
+        step(&s, "kid asserted, hobby retracted", 1, (9, 2, 8, 5, 5));
+        // The catch-alls: a new object, a signature change.
+        s.atom("brand_new");
+        step(&s, "new object", 1, (10, 3, 10, 5, 5));
+        s.add_signature(crate::structure::Signature {
+            class: manager,
+            method: salary,
+            arg_classes: Box::new([]),
+            result_classes: vec![manager],
+            set_valued: false,
+        });
+        step(&s, "signature declared", 1, (11, 4, 12, 5, 5));
+        step(&s, "nothing happened again", 1, (12, 4, 12, 7, 5));
+    }
+
+    /// A name the structure has never seen denotes nothing: a constraint
+    /// reading it is satisfied (a negated literal holds of nothing), not an
+    /// error — and is violated once the name is asserted under.
+    #[test]
+    fn constraints_over_unseen_names_hold_until_the_names_are_asserted() {
+        let (mut s, _) = fixture();
+        let forbid = |name: &str, body| Constraint::new(name, body, ConstraintPolicy::Reject).unwrap();
+        let scalar = |receiver: Term, method: &str, result: &str| {
+            Literal::pos(receiver.filter(Filter::scalar(method, Term::var(result))))
+        };
+        let set: ConstraintSet = [
+            forbid("nicknamed", vec![scalar(Term::var("X"), "nickname", "Y")]),
+            forbid("zed_paid", vec![scalar(Term::name("zed"), "salary", "S")]),
+            forbid(
+                "manager_not_ghost",
+                vec![
+                    Literal::pos(Term::var("X").isa("manager")),
+                    Literal::neg(Term::var("X").isa("ghost")),
+                ],
+            ),
+        ]
+        .into_iter()
+        .collect();
+        let mut checker = ConstraintChecker::new(set);
+        let violated = |checker: &mut ConstraintChecker, s: &Structure| -> Vec<String> {
+            let violations = checker.check(s).unwrap();
+            assert_eq!(violations, checker.check_full(s).unwrap());
+            violations.iter().map(|v| v.witnesses.join(", ")).collect()
+        };
+        let ghostless = ["mary : manager, not mary : ghost", "peter : manager, not peter : ghost"];
+        assert_eq!(violated(&mut checker, &s), ghostless);
+        // Named, nothing asserted under the names yet.
+        let (nickname, zed, ghost, m) = (s.atom("nickname"), s.atom("zed"), s.atom("ghost"), s.atom("m"));
+        assert_eq!(violated(&mut checker, &s), ghostless);
+        let oid = |n: &str| s.lookup_name(&Name::atom(n)).unwrap();
+        let (mary, salary) = (oid("mary"), oid("salary"));
+        s.assert_scalar(nickname, mary, &[], m).unwrap();
+        s.assert_scalar(salary, zed, &[], m).unwrap();
+        s.add_isa(mary, ghost);
+        assert_eq!(
+            violated(&mut checker, &s),
+            [
+                "mary[nickname -> m]",
+                "zed[salary -> m]",
+                "peter : manager, not peter : ghost"
+            ]
+        );
+    }
+
     #[test]
     fn an_undone_span_can_be_skipped() {
-        let (mut s, engine) = fixture();
-        let mut checker = ConstraintChecker::new([underpaid()].into_iter().collect(), engine);
+        let (mut s, _) = fixture();
+        let mut checker = ConstraintChecker::new([underpaid()].into_iter().collect());
         let before = checker.check(&s).unwrap();
         assert!(checker.is_current(&s));
         // Overwrite mary's salary with a value never named before, then put
@@ -938,10 +978,10 @@ mod tests {
 
     #[test]
     fn incremental_equals_full_recheck() {
-        let (mut s, engine) = fixture();
+        let (mut s, _) = fixture();
         let set = || -> ConstraintSet { [underpaid()].into_iter().collect() };
-        let mut incremental = ConstraintChecker::new(set(), engine.clone());
-        let mut full = ConstraintChecker::new(set(), engine);
+        let mut incremental = ConstraintChecker::new(set());
+        let mut full = ConstraintChecker::new(set());
         assert_eq!(incremental.check(&s).unwrap(), full.check_full(&s).unwrap());
         let anna = s.atom("anna");
         let manager = s.lookup_name(&Name::atom("manager")).unwrap();

@@ -72,9 +72,9 @@
 //! Because every two-phase commit above is all-or-nothing at the iteration
 //! boundary, the same machinery carries the **check-on-commit** integrity
 //! constraints of [`crate::constraints`]: a [`ConstraintChecker`] re-solves
-//! (through [`solve_condition`], like the reactive layer's recognise
-//! phases) only the denial rules whose read keys intersect a mutation
-//! batch's delta, and the object store's transaction layer
+//! (as queries, on the compiled atoms) only the denial rules whose read
+//! keys intersect the keys a mutation batch touched, and the object store's
+//! transaction layer
 //! (`pathlog_oodb::Transaction::commit`) either commits a batch whose check
 //! passes or rolls the whole batch back — there are no partially-checked
 //! states.  [`EvalOptions::tolerance`] selects what an *inconsistent*
@@ -971,12 +971,13 @@ fn register_program_names(structure: &mut Structure, program: &Program) {
 /// negated literals are applied as filters last (validation guarantees their
 /// variables are bound by then).
 ///
-/// This written-order routine is the reference semantics: it solves
-/// conditions and every rule's first (full) solve, and is all the naive
-/// oracle (`delta_driven: false`) ever runs.  The engine's delta passes go
-/// through [`crate::plan::execute_delta`] and its queries through
-/// [`crate::plan::execute_query`] instead; the passes must reach the same
-/// fixpoint, a query the same set of solutions.
+/// This written-order routine is the reference semantics: it solves every
+/// rule's first (full) solve and the reactive layer's conditions, and is all
+/// the naive oracle (`delta_driven: false`) ever runs.  The engine's delta
+/// passes go through [`crate::plan::execute_delta`], its queries and the
+/// constraint checker's denial bodies through [`crate::plan::execute_query`]
+/// instead; the passes must reach the same fixpoint, a query or a check the
+/// same set of solutions.
 pub fn solve_body(structure: &Structure, body: &[Literal], seed: &Bindings) -> Result<Vec<Bindings>> {
     let mut states = vec![seed.clone()];
     for lit in body.iter().filter(|l| l.positive) {
@@ -1013,9 +1014,14 @@ pub fn solve_body(structure: &Structure, body: &[Literal], seed: &Bindings) -> R
 /// Solve one condition body against `structure`, extending `seed`: the
 /// [`solve_body`] solutions as a canonically sorted, deduplicated
 /// [`SortedRun`] (keyed by [`binding_key`]), so the order in which a caller
-/// acts on them is a function of the structure's content alone.  The entry
-/// point for callers outside stratified fixpoint evaluation — the constraint
-/// checker and the reactive layer's production recognise phases.
+/// acts on them is a function of the structure's content alone.
+///
+/// One caller is left: the production engine's recognise phase
+/// (`pathlog_reactive::production`).  The constraint checker solves its
+/// denial bodies as compiled queries; the production engine would run twice
+/// as fast that way too, but the benchmark's memory sampler charges a
+/// `reactive_cascade` run per recorded op, so that move waits until the
+/// sampler is bounded (ROADMAP, "Benchmark remainder").
 pub fn solve_condition(structure: &Structure, body: &[Literal], seed: &Bindings) -> Result<SortedRun> {
     solve_body(structure, body, seed).map(sorted_run)
 }

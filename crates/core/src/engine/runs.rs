@@ -19,8 +19,9 @@
 //! solves skip the sort: they are one task per rule whose enumeration order
 //! is already deterministic (every index iterates an ordered container), and
 //! that order is the oracle's commit order.  The keyed [`SortedRun`] remains
-//! for [`solve_condition`](super::solve_condition)'s callers — the constraint
-//! checker and the reactive layer — which solve conditions, not rule bodies.
+//! for [`solve_condition`](super::solve_condition)'s one caller, the
+//! production engine's recognise phase; queries and the constraint checker
+//! take their solutions as frames.
 
 use crate::error::Result;
 use crate::plan::IterationPlans;
@@ -37,7 +38,8 @@ use crate::structure::Structure;
 pub type BindingKey = Vec<(std::sync::Arc<str>, u32)>;
 
 /// A canonically sorted, deduplicated sequence of keyed solutions — what
-/// [`solve_condition`](super::solve_condition) returns.
+/// [`solve_condition`](super::solve_condition) returns, to the production
+/// engine only.
 pub type SortedRun = Vec<(BindingKey, Bindings)>;
 
 /// The canonical key of `b` (see [`BindingKey`]).
@@ -48,7 +50,8 @@ pub fn binding_key(b: &Bindings) -> BindingKey {
 }
 
 /// Sort `solutions` into a canonical [`SortedRun`], dropping duplicate
-/// valuations (first occurrence wins).
+/// valuations (first occurrence wins).  [`solve_condition`](super::solve_condition)
+/// is its one caller.
 pub fn sorted_run(solutions: Vec<Bindings>) -> SortedRun {
     let mut run: SortedRun = solutions.into_iter().map(|b| (binding_key(&b), b)).collect();
     run.sort_by(|a, b| a.0.cmp(&b.0));

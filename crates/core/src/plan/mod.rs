@@ -1,5 +1,5 @@
 //! Cost-based join planning and the compiled body IR: the evaluator of every
-//! delta pass and of every query.
+//! delta pass, of every query and of every commit check.
 //!
 //! A stratum's first iteration solves each rule body in full, in written
 //! order ([`solve_body`](crate::engine::solve_body)): the enumeration order
@@ -9,7 +9,12 @@
 //! every query ([`Engine::query`](crate::engine::Engine::query),
 //! [`Engine::query_term`](crate::engine::Engine::query_term)): a query body
 //! is a headless rule body ([`compile_query`]) run with no literal
-//! restricted ([`execute_query`], [`execute_term`]).
+//! restricted ([`execute_query`], [`execute_term`]).  And so does every
+//! integrity constraint ([`crate::constraints`]): a denial body is a query
+//! body, compiled when the constraint is built and executed per check.  What
+//! still runs on `solve_body` outside a first iteration is the reactive
+//! layer (production and trigger conditions) and the oracles — the model
+//! check of [`crate::semantics::is_model`] and the tests' references.
 //!
 //! * **Compilation.**  [`compile`] lowers a rule body once into a
 //!   [`CompiledRule`]: every body variable gets a fixed *slot* index, and
@@ -507,9 +512,9 @@ impl IterationPlans<'_> {
 /// what every delta pass and [`execute_query`] return.  The commit loop reads
 /// a compiled head's oids straight out of each frame, and materializes
 /// [`Bindings`] from it for any other head; a query's answers are
-/// materialized from its frames at the API boundary.  The frames of
-/// [`execute_term`] are one word wider — the denoted object — and keep their
-/// duplicates.
+/// materialized from its frames at the API boundary, as are the violations
+/// of a denial body.  The frames of [`execute_term`] are one word wider — the
+/// denoted object — and keep their duplicates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameRun {
     /// The frames, `slots` words each.

@@ -5,9 +5,8 @@
 //! [`Transaction::commit`](crate::Transaction::commit).  It owns no
 //! structure: it checks the store's own image ([`ObjectStore::image`]),
 //! which the store's mutators keep current, so constraint checking is
-//! *incremental* — the image's watermarks survive across commits, and each
-//! check re-solves only the constraints whose read keys intersect the facts
-//! changed since the last one (see [`pathlog_core::constraints`]).
+//! *incremental* — each check re-solves only the constraints whose read keys
+//! were mutated since the last one (see [`pathlog_core::constraints`]).
 //!
 //! ## Commit protocol
 //!
@@ -39,7 +38,7 @@
 //! A transaction dropped without ever reaching step 2 is undone the same
 //! way.  If the checker had seen everything in the image when it began, the
 //! image then holds the facts of the last check again and the checker's
-//! watermarks are moved past the changes and their inverses
+//! position is moved past the changes and their inverses
 //! ([`ConstraintChecker::skip_to`]): the abort costs the next check nothing.
 //!
 //! [`ObjectStore::delete_object`] and [`ObjectStore::schema_mut`] drop the
@@ -163,6 +162,8 @@ enum TaggedFact {
 #[derive(Debug, Clone)]
 pub struct ConstraintGuard {
     checker: ConstraintChecker,
+    /// What `set_constraints` was handed; answers the store's tolerant queries.
+    engine: Engine,
     /// Violations that do not block commits: present at install time, or
     /// admitted by an earlier commit under Warn/Quarantine.  Pruned to the
     /// still-standing ones after every successful commit, so a violation
@@ -199,10 +200,11 @@ impl ConstraintGuard {
             .structure(image.structure())
             .run()
             .diagnostics;
-        let mut checker = ConstraintChecker::new(constraints, engine);
+        let mut checker = ConstraintChecker::new(constraints);
         let baseline = checker.check_full(image.structure())?;
         let guard = ConstraintGuard {
             checker,
+            engine,
             accepted: baseline.iter().cloned().collect(),
             quarantine: Arc::default(),
             tagged: Vec::new(),
@@ -219,7 +221,7 @@ impl ConstraintGuard {
     /// every commit with that error (see `baseline_error`).
     pub(crate) fn rebaseline(&mut self, image: &mut StoreImage) {
         let tagged = std::mem::take(&mut self.tagged);
-        match Self::install(self.constraints().clone(), self.checker.engine().clone(), image) {
+        match Self::install(self.constraints().clone(), self.engine.clone(), image) {
             Ok((fresh, _)) => *self = fresh,
             Err(e) => {
                 self.baseline_error = Some(e.to_string());
@@ -268,14 +270,13 @@ impl ConstraintGuard {
         &self.accepted
     }
 
-    /// Answer `query` over `image` (the store's) in the guard engine's
-    /// tolerance mode.
+    /// Answer `query` over the store's `image` in the engine's tolerance mode.
     pub(crate) fn tolerant_query(
         &self,
         image: &Structure,
         query: &Query,
     ) -> pathlog_core::error::Result<TolerantAnswers> {
-        tolerant_query(self.checker.engine(), image, &self.quarantine, query)
+        tolerant_query(&self.engine, image, &self.quarantine, query)
     }
 
     /// Has the checker seen everything `image` holds?

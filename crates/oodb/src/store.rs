@@ -454,10 +454,9 @@ impl ObjectStore {
     /// last check, not just the committing transaction: a direct mutation
     /// of a guarded store ([`ObjectStore::set`] and friends outside a
     /// transaction) is checked with, and its damage attributed to, the next
-    /// commit.  Constraint solving runs on `engine`; give it
+    /// commit.  `engine` answers [`ObjectStore::tolerant_query`]: give it
     /// [`Tolerance::Tolerant`](pathlog_core::engine::Tolerance) options if
-    /// [`ObjectStore::tolerant_query`] should degrade instead of answering
-    /// classically.
+    /// that should degrade instead of answering classically.
     ///
     /// Returns the violations already present at install time.  Those are
     /// *accepted*: the guard is inconsistency-tolerant and only blocks

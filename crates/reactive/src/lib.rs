@@ -5,7 +5,7 @@
 //! rules or active rules", because path expressions are merely a way to
 //! *reference* objects while rule evaluation is an orthogonal concern.  This
 //! crate substantiates that claim with two additional rule systems that share
-//! the deductive engine's matcher
+//! the deductive engine's written-order matcher
 //! ([`solve_body`](pathlog_core::engine::solve_body)) and its reference
 //! syntax:
 //!

@@ -7,8 +7,8 @@
 //!
 //! * the **condition** of a rule is an ordinary PathLog body (a conjunction
 //!   of references, evaluated by
-//!   [`solve_body`](pathlog_core::engine::solve_body) — the same matcher the
-//!   deductive engine uses);
+//!   [`solve_body`](pathlog_core::engine::solve_body) — the deductive
+//!   engine's written-order reference matcher, not the compiled atoms);
 //! * the **actions** assert or retract references ([`Action`]);
 //! * one instantiation fires per cycle, chosen by a conflict-resolution
 //!   strategy; refractoriness prevents the same instantiation from firing

@@ -5,11 +5,18 @@
 //! observationally identical to full re-checking** — after any sequence of
 //! mutations, [`ConstraintChecker::check`] returns exactly the violations
 //! (same list, same order) that a from-scratch [`ConstraintChecker::check_full`]
-//! computes.
+//! computes.  The two share their evaluator (the compiled atoms every query
+//! runs on), so neither can vouch for it: both are also held to
+//! [`reference_violations`], which solves each denial body with `solve_body`,
+//! the written-order interpreter no checker calls.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
 use pathlog::core::builtins::{GT, LT};
+use pathlog::core::engine::{binding_key, solve_body, BindingKey};
 use pathlog::core::names::Name;
 use pathlog::core::structure::Oid;
 use pathlog::datagen::{generate_company, generate_genealogy, CompanyParams, GenealogyParams};
@@ -100,6 +107,9 @@ fn genealogy_constraints() -> ConstraintSet {
 }
 
 /// One random mutation against a structure with known member/value pools.
+/// `MintSalary` writes a salary never named before — a new object of the
+/// universe, which forces the full re-check — and `ClearSalary` retracts one
+/// without re-asserting.
 #[derive(Debug, Clone)]
 enum Mutation {
     SetSalary { person: usize, salary: usize },
@@ -109,6 +119,16 @@ enum Mutation {
     AddKid { person: usize, kid: usize },
     RemoveKid { person: usize, kid: usize },
     Promote { person: usize },
+    MintSalary { person: usize, value: i64 },
+    ClearSalary { person: usize },
+}
+
+impl Mutation {
+    /// The variant's name: the first word of its `Debug` form.
+    fn variant(&self) -> String {
+        let debug = format!("{self:?}");
+        debug.split(' ').next().unwrap_or_default().to_owned()
+    }
 }
 
 fn mutation_strategy() -> impl Strategy<Value = Mutation> {
@@ -120,14 +140,53 @@ fn mutation_strategy() -> impl Strategy<Value = Mutation> {
         (p.clone(), p.clone()).prop_map(|(person, friend)| Mutation::RemoveFriend { person, friend }),
         (p.clone(), p.clone()).prop_map(|(person, kid)| Mutation::AddKid { person, kid }),
         (p.clone(), p.clone()).prop_map(|(person, kid)| Mutation::RemoveKid { person, kid }),
-        p.prop_map(|person| Mutation::Promote { person }),
+        p.clone().prop_map(|person| Mutation::Promote { person }),
+        (p.clone(), 0i64..100_000).prop_map(|(person, value)| Mutation::MintSalary { person, value }),
+        p.prop_map(|person| Mutation::ClearSalary { person }),
     ]
 }
 
+/// How many cases of one property drew each [`Mutation`] variant, printed
+/// when the property's last case has run (`cargo test -- --nocapture`): a
+/// history that never mints an object, or never retracts without
+/// re-asserting, checks less than the property's name says.
+struct Tally {
+    history: &'static str,
+    cases: u32,
+    drew: Mutex<(u32, BTreeMap<String, u32>)>,
+}
+
+impl Tally {
+    const fn new(history: &'static str, cases: u32) -> Self {
+        Tally {
+            history,
+            cases,
+            drew: Mutex::new((0, BTreeMap::new())),
+        }
+    }
+
+    fn record(&self, mutations: &[Mutation]) {
+        let mut drew = self.drew.lock().unwrap();
+        drew.0 += 1;
+        let variants: BTreeSet<String> = mutations.iter().map(Mutation::variant).collect();
+        for variant in variants {
+            *drew.1.entry(variant).or_default() += 1;
+        }
+        if drew.0 == self.cases {
+            println!(
+                "{}: {} cases; cases that drew each variant: {:?}",
+                self.history, self.cases, drew.1
+            );
+        }
+    }
+}
+
+static COMPANY_HISTORIES: Tally = Tally::new("company histories", 12);
+static GENEALOGY_HISTORIES: Tally = Tally::new("genealogy histories", 8);
+
 /// Everything a mutation needs: person oids and pre-interned method/value
-/// pools (pre-interning keeps the checks incremental — fresh oids would
-/// conservatively re-solve everything, which is sound but not the
-/// interesting path).
+/// pools (pre-interning keeps the checks incremental — a fresh oid
+/// conservatively re-solves everything, which only `MintSalary` does).
 struct Arena {
     people: Vec<Oid>,
     salaries: Vec<Oid>,
@@ -159,12 +218,21 @@ impl Arena {
 
     fn apply(&self, s: &mut Structure, m: &Mutation) {
         let person = |i: usize| self.people[i % self.people.len()];
+        let set_salary = |s: &mut Structure, r: Oid, salary: Oid| {
+            s.retract_scalar(self.salary, r, &[]);
+            s.assert_scalar(self.salary, r, &[], salary)
+                .expect("salary just retracted");
+        };
         match *m {
             Mutation::SetSalary { person: p, salary } => {
-                let r = person(p);
-                s.retract_scalar(self.salary, r, &[]);
-                s.assert_scalar(self.salary, r, &[], self.salaries[salary % self.salaries.len()])
-                    .expect("salary just retracted");
+                set_salary(s, person(p), self.salaries[salary % self.salaries.len()]);
+            }
+            Mutation::MintSalary { person: p, value } => {
+                let minted = s.int(value);
+                set_salary(s, person(p), minted);
+            }
+            Mutation::ClearSalary { person: p } => {
+                s.retract_scalar(self.salary, person(p), &[]);
             }
             Mutation::SetAge { person: p, age } => {
                 let r = person(p);
@@ -202,8 +270,31 @@ fn people_of(s: &Structure, prefix: &str) -> Vec<Oid> {
     out.into_iter().map(|(_, oid)| oid).collect()
 }
 
+/// A violating valuation, as [`ConstraintViolation::binding`] holds it.
+type Binding = Vec<(Arc<str>, Oid)>;
+
+/// What the constraints forbid in `s`, found without the checker's
+/// evaluator: every denial body solved in written order by `solve_body`, its
+/// solutions in `binding_key` order — `(constraint, binding)` pairs in the
+/// order the checker reports its violations.
+fn reference_violations(s: &Structure, constraints: &ConstraintSet) -> Vec<(Arc<str>, Binding)> {
+    let mut pairs = Vec::new();
+    for constraint in constraints.iter() {
+        let solutions = solve_body(s, constraint.body(), &Bindings::new()).expect("the body solves");
+        let mut keys: Vec<BindingKey> = solutions.iter().map(binding_key).collect();
+        keys.sort();
+        keys.dedup();
+        for key in keys {
+            let binding = key.into_iter().map(|(var, oid)| (var, Oid(oid))).collect();
+            pairs.push((constraint.name().clone(), binding));
+        }
+    }
+    pairs
+}
+
 /// Run `mutations` in chunks over `structure`, checking after every chunk
-/// that the incremental checker agrees exactly with the full-recheck oracle.
+/// that the incremental checker, the full re-check and the written-order
+/// reference agree exactly.
 fn assert_incremental_equals_full(
     mut structure: Structure,
     constraints: ConstraintSet,
@@ -214,16 +305,22 @@ fn assert_incremental_equals_full(
     assert!(!people.is_empty());
     let arena = Arena::new(&mut structure, people);
 
-    let mut oracle = ConstraintChecker::new(constraints.clone(), Engine::new());
-    let mut incremental = ConstraintChecker::new(constraints, Engine::new());
+    let mut full = ConstraintChecker::new(constraints.clone());
+    let mut incremental = ConstraintChecker::new(constraints.clone());
 
     for step in mutations.chunks(chunk.max(1)) {
         for m in step {
             arena.apply(&mut structure, m);
         }
-        let expected = oracle.check_full(&structure).unwrap();
+        let expected = full.check_full(&structure).unwrap();
         let got = incremental.check(&structure).unwrap();
         assert_eq!(got, expected, "the incremental check diverged from the full re-check");
+        let pairs: Vec<_> = got.into_iter().map(|v| (v.constraint, v.binding)).collect();
+        let reference = reference_violations(&structure, &constraints);
+        assert_eq!(
+            pairs, reference,
+            "both checks diverged from the written-order reference"
+        );
     }
 }
 
@@ -232,7 +329,7 @@ fn assert_incremental_equals_full(
 // ---------------------------------------------------------------------------
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(COMPANY_HISTORIES.cases))]
 
     #[test]
     fn incremental_equals_full_on_company_mutations(
@@ -246,11 +343,12 @@ proptest! {
             ..CompanyParams::default()
         });
         assert_incremental_equals_full(db.to_structure(), company_constraints(), &mutations, 4);
+        COMPANY_HISTORIES.record(&mutations);
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(GENEALOGY_HISTORIES.cases))]
 
     #[test]
     fn incremental_equals_full_on_genealogy_mutations(
@@ -264,6 +362,7 @@ proptest! {
             seed,
         });
         assert_incremental_equals_full(db.to_structure(), genealogy_constraints(), &mutations, 4);
+        GENEALOGY_HISTORIES.record(&mutations);
     }
 }
 
