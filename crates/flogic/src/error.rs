@@ -1,9 +1,8 @@
-//! Error type shared by translation and evaluation.
+//! Error type of the translation.
 
 use std::fmt;
 
-/// Errors raised while translating PathLog into flat molecules or while
-/// evaluating a flat program.
+/// Errors raised while translating PathLog into flat molecules.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlogicError {
     /// The reference uses a construct the flat translation cannot express.
@@ -15,11 +14,6 @@ pub enum FlogicError {
     Untranslatable(String),
     /// A rule head that is not assertable (set-valued, or a bare variable).
     InvalidHead(String),
-    /// The fixpoint computation exceeded a resource limit.
-    LimitExceeded(String),
-    /// A query or rule body referenced a skolem term whose arguments are not
-    /// all bound.
-    UnboundSkolem(String),
 }
 
 impl fmt::Display for FlogicError {
@@ -27,8 +21,6 @@ impl fmt::Display for FlogicError {
         match self {
             FlogicError::Untranslatable(m) => write!(f, "untranslatable reference: {m}"),
             FlogicError::InvalidHead(m) => write!(f, "invalid rule head: {m}"),
-            FlogicError::LimitExceeded(m) => write!(f, "limit exceeded: {m}"),
-            FlogicError::UnboundSkolem(m) => write!(f, "unbound skolem term: {m}"),
         }
     }
 }
@@ -48,8 +40,6 @@ mod tests {
             .to_string()
             .contains("untranslatable"));
         assert!(FlogicError::InvalidHead("x".into()).to_string().contains("head"));
-        assert!(FlogicError::LimitExceeded("x".into()).to_string().contains("limit"));
-        assert!(FlogicError::UnboundSkolem("x".into()).to_string().contains("skolem"));
     }
 
     #[test]

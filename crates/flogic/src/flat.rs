@@ -6,7 +6,6 @@
 //! semantics reduces to, and it is what PathLog's direct semantics makes
 //! unnecessary to spell out.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use pathlog_core::names::{Name, Var};
@@ -73,15 +72,6 @@ impl FlatTerm {
     /// A skolem term.
     pub fn skolem(functor: impl Into<String>, args: Vec<FlatTerm>) -> Self {
         FlatTerm::Skolem(Box::new(SkolemTerm::new(functor, args)))
-    }
-
-    /// `true` if the term is (or contains) no variable.
-    pub fn is_ground(&self) -> bool {
-        match self {
-            FlatTerm::Name(_) => true,
-            FlatTerm::Var(_) => false,
-            FlatTerm::Skolem(s) => s.args.iter().all(FlatTerm::is_ground),
-        }
     }
 
     /// All variables occurring in the term, in order of first occurrence.
@@ -230,11 +220,6 @@ impl FlatAtom {
         }
         out
     }
-
-    /// `true` if no position contains a variable.
-    pub fn is_ground(&self) -> bool {
-        self.variables().is_empty()
-    }
 }
 
 fn fmt_call(f: &mut fmt::Formatter<'_>, method: &FlatTerm, args: &[FlatTerm]) -> fmt::Result {
@@ -294,15 +279,6 @@ pub enum FlatLiteral {
 }
 
 impl FlatLiteral {
-    /// Variables of the literal that are bound by matching it (negative
-    /// groups bind nothing — they only test).
-    pub fn binding_variables(&self) -> Vec<Var> {
-        match self {
-            FlatLiteral::Pos(a) => a.variables(),
-            FlatLiteral::NegGroup(_) => Vec::new(),
-        }
-    }
-
     /// Number of atoms in the literal.
     pub fn atom_count(&self) -> usize {
         match self {
@@ -349,26 +325,6 @@ impl FlatRule {
     /// A fact (empty body).
     pub fn fact(head: Vec<FlatAtom>) -> Self {
         FlatRule { head, body: Vec::new() }
-    }
-
-    /// `true` if the body is empty.
-    pub fn is_fact(&self) -> bool {
-        self.body.is_empty()
-    }
-
-    /// Head variables that no positive body literal binds.  A well-formed
-    /// translated rule has none (skolem arguments come from the body).
-    pub fn unsafe_head_variables(&self) -> Vec<Var> {
-        let bound: BTreeSet<Var> = self.body.iter().flat_map(|l| l.binding_variables()).collect();
-        let mut out = Vec::new();
-        for a in &self.head {
-            for v in a.variables() {
-                if !bound.contains(&v) && !out.contains(&v) {
-                    out.push(v);
-                }
-            }
-        }
-        out
     }
 
     /// Total number of atoms (head + body).
@@ -472,12 +428,11 @@ mod tests {
     }
 
     #[test]
-    fn skolem_display_and_groundness() {
+    fn skolem_display_and_variables() {
         let sk = FlatTerm::skolem("address", vec![FlatTerm::name("mary")]);
         assert_eq!(sk.to_string(), "address(mary)");
-        assert!(sk.is_ground());
+        assert!(sk.variables().is_empty());
         let sk2 = FlatTerm::skolem("address", vec![x()]);
-        assert!(!sk2.is_ground());
         assert_eq!(sk2.variables(), vec![Var::new("X")]);
     }
 
@@ -512,11 +467,10 @@ mod tests {
         };
         let vars: Vec<String> = a.variables().iter().map(|v| v.name().to_string()).collect();
         assert_eq!(vars, vec!["A", "M", "B", "C"]);
-        assert!(!a.is_ground());
     }
 
     #[test]
-    fn rule_display_and_safety() {
+    fn rule_display_and_atom_count() {
         let head = vec![FlatAtom::scalar(x(), FlatTerm::name("power"), FlatTerm::var("Y"))];
         let body = vec![
             FlatLiteral::Pos(FlatAtom::isa(x(), FlatTerm::name("automobile"))),
@@ -532,27 +486,16 @@ mod tests {
             rule.to_string(),
             "X[power -> Y] <- X : automobile, X[engine -> E], E[power -> Y]."
         );
-        assert!(rule.unsafe_head_variables().is_empty());
         assert_eq!(rule.atom_count(), 4);
     }
 
     #[test]
-    fn unsafe_head_variables_are_detected() {
-        let rule = FlatRule::new(
-            vec![FlatAtom::scalar(x(), FlatTerm::name("a"), FlatTerm::var("Z"))],
-            vec![FlatLiteral::Pos(FlatAtom::isa(x(), FlatTerm::name("c")))],
-        );
-        assert_eq!(rule.unsafe_head_variables(), vec![Var::new("Z")]);
-    }
-
-    #[test]
-    fn negative_groups_bind_nothing() {
+    fn negative_groups_display_as_one_literal() {
         let neg = FlatLiteral::NegGroup(vec![FlatAtom::scalar(
             x(),
             FlatTerm::name("spouse"),
             FlatTerm::var("S"),
         )]);
-        assert!(neg.binding_variables().is_empty());
         assert_eq!(neg.atom_count(), 1);
         assert_eq!(neg.to_string(), "not (X[spouse -> S])");
     }
@@ -560,7 +503,7 @@ mod tests {
     #[test]
     fn facts_and_program_counts() {
         let fact = FlatRule::fact(vec![FlatAtom::isa(FlatTerm::name("p1"), FlatTerm::name("employee"))]);
-        assert!(fact.is_fact());
+        assert!(fact.body.is_empty());
         let mut prog = FlatProgram::new();
         prog.rules.push(fact);
         prog.queries.push(FlatQuery {

@@ -14,17 +14,18 @@
 //! * [`translate`] rewrites PathLog references, rules and queries into
 //!   conjunctions of flat molecules, introducing one auxiliary variable per
 //!   path step in bodies and one skolem term per path step in rule heads.
-//! * [`eval`] is a bottom-up evaluator for flat programs over the same
-//!   [`Structure`](pathlog_core::structure::Structure) the direct engine
-//!   uses, so answers can be compared one-to-one.
+//! * [`lower`] turns a flat program into PathLog rules whose every literal
+//!   is one flat molecule (skolem terms become head paths under reserved
+//!   methods), so the direct engine's planner evaluates the translation and
+//!   answers can be compared one-to-one.
 //!
 //! Two properties of the paper are made measurable here:
 //!
 //! 1. **Compactness** — a single two-dimensional PathLog reference expands
 //!    into a conjunction of flat atoms ([`translate::Translation::conjuncts`]
 //!    counts them); this is the "second dimension" claim of Section 2.
-//! 2. **Equivalence** — on the paper's examples the translated program derives
-//!    exactly the answers of the direct semantics (integration test
+//! 2. **Equivalence** — on the paper's examples the lowered translation
+//!    derives exactly the answers of the direct semantics (integration test
 //!    `tests/flogic_equivalence.rs`), confirming that the direct semantics is
 //!    a conservative generalisation, not a different language.
 //!
@@ -45,11 +46,10 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod eval;
 pub mod flat;
+pub mod lower;
 pub mod translate;
 
 pub use error::{FlogicError, Result};
-pub use eval::{FlatBindings, FlatEngine, FlatEvalOptions, FlatStats};
 pub use flat::{FlatAtom, FlatLiteral, FlatProgram, FlatQuery, FlatRule, FlatTerm, SkolemTerm};
 pub use translate::{TranslationStats, Translator};

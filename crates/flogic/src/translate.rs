@@ -496,7 +496,6 @@ mod tests {
         assert!(flat.head[1].to_string().starts_with("address(X)[street -> "));
         // body: X : person plus the two look-ups for X.street / X.city.
         assert_eq!(flat.body.len(), 3);
-        assert!(flat.unsafe_head_variables().is_empty());
     }
 
     #[test]

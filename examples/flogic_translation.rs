@@ -3,15 +3,16 @@
 //!
 //! For each paper scenario the example prints the single PathLog formulation,
 //! the conjunction of flat atoms it expands into (with auxiliary variables in
-//! bodies and skolem function terms in heads), and checks that both
-//! evaluators produce the same number of answers.  It closes with the one
+//! bodies and skolem function terms in heads), lowers that conjunction to
+//! one-molecule rules, runs them on the same engine as the direct program and
+//! checks that both produce the same number of answers.  It closes with the one
 //! intended divergence: where an extensional fact already defines a path,
 //! PathLog's method-based virtual objects reuse it while the skolem
 //! translation conflicts with it.
 //!
 //! Run with `cargo run --example flogic_translation`.
 
-use pathlog::flogic::{FlatEngine, Translator};
+use pathlog::flogic::{lower, Translator};
 use pathlog::prelude::*;
 
 fn main() {
@@ -68,6 +69,13 @@ fn main() {
         for query in &flat.queries {
             println!("      {query}");
         }
+        let lowered = lower::lower(&flat);
+        if !lowered.rules.is_empty() {
+            println!("   lowered to one-molecule rules (skolem f(X) is the path X.f'):");
+            for rule in &lowered.rules {
+                println!("      {rule}");
+            }
+        }
 
         // Both roads produce the same number of answers.
         let mut direct = structure.clone();
@@ -80,14 +88,17 @@ fn main() {
             .len();
 
         let mut translated = structure.clone();
-        let flat_engine = FlatEngine::new();
-        flat_engine
-            .run(&mut translated, &flat)
-            .expect("flat evaluation succeeds");
-        let translated_answers = flat_engine
-            .query(&translated, &flat.queries[0])
-            .expect("flat query succeeds")
-            .len();
+        Engine::new()
+            .load_program(&mut translated, &lowered)
+            .expect("lowered evaluation succeeds");
+        let translated_answers = lower::answers(
+            &Engine::new(),
+            &translated,
+            &lowered.queries[0],
+            &flat.queries[0].answer_variables,
+        )
+        .expect("lowered query succeeds")
+        .len();
 
         assert_eq!(direct_answers, translated_answers);
         println!("   answers: {direct_answers} (identical under both semantics)\n");
@@ -110,7 +121,7 @@ fn main() {
     );
 
     let (flat, _) = Translator::new().program(&program).expect("program translates");
-    match FlatEngine::new().run(&mut Structure::new(), &flat) {
+    match Engine::new().load_program(&mut Structure::new(), &lower::lower(&flat)) {
         Err(error) => println!("   translation      : {error}"),
         Ok(_) => unreachable!("the skolem term boss(p2) must conflict with the stored boss b2"),
     }

@@ -11,7 +11,8 @@
 //! * [`baseline`] ([`pathlog_baseline`]) — relational, one-dimensional-path
 //!   and view-based comparison systems;
 //! * [`flogic`] ([`pathlog_flogic`]) — the F-logic translation baseline the
-//!   paper contrasts its direct semantics with;
+//!   paper contrasts its direct semantics with, lowered to one-molecule
+//!   rules that run on the core engine;
 //! * [`sqlfront`] ([`pathlog_sqlfront`]) — an O2SQL/XSQL-style object-SQL
 //!   frontend compiled to PathLog queries and view rules;
 //! * [`reactive`] ([`pathlog_reactive`]) — production rules and active (ECA)
@@ -56,7 +57,7 @@ pub mod prelude {
     pub use pathlog_baseline::{OneDimQuery, RelationalDb, ViewDef};
     pub use pathlog_core::prelude::*;
     pub use pathlog_datagen::{CompanyParams, GenealogyParams};
-    pub use pathlog_flogic::{FlatEngine, Translator};
+    pub use pathlog_flogic::Translator;
     pub use pathlog_oodb::{ObjectStore, Schema, Value};
     pub use pathlog_parser::{
         parse_program, parse_program_spanned, parse_query, parse_rule, parse_term, SpannedProgram,

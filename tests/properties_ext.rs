@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use pathlog::core::structure::{Oid, Structure};
 use pathlog::core::term::Term;
-use pathlog::flogic::Translator;
+use pathlog::flogic::{lower, Translator};
 use pathlog::prelude::*;
 use pathlog::reactive::{Action, ProductionOptions};
 use pathlog::sqlfront;
@@ -198,8 +198,71 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // 3. F-logic translation: one flat atom per navigation step, and equivalence
-//    with the direct semantics on chain references over a known structure.
+//    of the lowered translation with the direct semantics on a table of
+//    reference shapes over generated genealogies and company data.
 // ---------------------------------------------------------------------------
+
+/// The generated data a shape reads: `person`s with `age` and `kids`, or the
+/// company workload.
+#[derive(Debug, Clone, Copy)]
+enum Data {
+    Genealogy,
+    Company,
+}
+
+/// Translated ≡ direct: each program's one query is compared on its named
+/// projections.
+const FLOGIC_SHAPES: &[(Data, &str)] = &[
+    // Chains of `.` and `..`.
+    (Data::Genealogy, "?- X..kids..kids[Z]."),
+    (Data::Company, "?- X : employee.boss.worksFor[D]."),
+    (Data::Company, "?- X..vehicles.producedBy.president.city[C]."),
+    // Molecules with several filters.
+    (Data::Genealogy, "?- X : person[age -> A; kids ->> {Y}]."),
+    (
+        Data::Company,
+        "?- X : employee[city -> C; worksFor -> D]..vehicles : automobile[cylinders -> 4; color -> K].",
+    ),
+    // `[Z]` selectors (`self`).
+    (Data::Genealogy, "?- X..kids[Y].age[A]."),
+    // A comparison built-in.
+    (Data::Genealogy, "?- X[age -> A]..kids[age -> B], B.lt@(A)."),
+    (Data::Company, "?- X : employee[age -> A], A.ge@(40)."),
+    // `not` over one atom, and over a path of several (an auxiliary rule).
+    (Data::Genealogy, "?- X[age -> A]..kids[Y], not Y[age -> A]."),
+    (Data::Genealogy, "?- X : person, not X..kids..kids."),
+    (Data::Company, "?- X : employee, not X.boss.boss."),
+    // A virtual-object head rule.
+    (
+        Data::Company,
+        "X.address[city -> X.city] <- X : employee.\n?- X : employee.address[city -> C].",
+    ),
+];
+
+/// The answers of `text`'s one query over `base`, by variable and display
+/// name: directly, or translated, lowered and projected.
+fn named_flogic_answers(base: &Structure, text: &str, translated: bool) -> BTreeSet<BTreeMap<String, String>> {
+    let program = parse_program(text).expect("shape parses");
+    let (flat, _) = Translator::new().program(&program).expect("shape translates");
+    let lowered = lower::lower(&flat);
+    let mut structure = base.clone();
+    let engine = Engine::new();
+    let answers = if translated {
+        engine
+            .load_program(&mut structure, &lowered)
+            .expect("lowered program runs");
+        let variables = &flat.queries[0].answer_variables;
+        lower::answers(&engine, &structure, &lowered.queries[0], variables)
+    } else {
+        engine
+            .load_program(&mut structure, &program)
+            .expect("direct program runs");
+        engine.query(&structure, &program.queries[0])
+    };
+    let name = |(v, o): (&Var, Oid)| (v.name().to_string(), structure.display_name(o).into_owned());
+    let answers = answers.expect("query evaluates").into_iter();
+    answers.map(|b| b.iter().map(name).collect()).collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -230,14 +293,17 @@ proptest! {
         fanout in 1usize..4,
         seed in 0u64..500,
     ) {
-        let structure = pathlog::datagen::genealogy_structure(
+        let genealogy = pathlog::datagen::genealogy_structure(
             &pathlog::datagen::GenealogyParams { roots: 1, depth, fanout, seed });
-        let program = parse_program("?- X[kids ->> {Y}].").unwrap();
-
-        let direct = Engine::new().query(&structure, &program.queries[0]).unwrap().len();
-        let (flat, _) = Translator::new().program(&program).unwrap();
-        let translated = pathlog::flogic::FlatEngine::new().query(&structure, &flat.queries[0]).unwrap().len();
-        prop_assert_eq!(direct, translated);
+        let company = pathlog::datagen::company_structure(&CompanyParams { seed, ..CompanyParams::scaled(30) });
+        for &(data, text) in FLOGIC_SHAPES {
+            let base = match data {
+                Data::Genealogy => &genealogy,
+                Data::Company => &company,
+            };
+            let direct = named_flogic_answers(base, text, false);
+            prop_assert_eq!(&direct, &named_flogic_answers(base, text, true), "`{}`", text);
+        }
     }
 }
 
