@@ -35,8 +35,9 @@
 //!
 //! With `delta_driven: false` every rule is re-solved in full each iteration
 //! — naive evaluation, kept as the **reference oracle**: it only ever runs
-//! [`solve_body`] (the written-order evaluator), and the tests require every
-//! other configuration to reproduce its `canonical_dump()` byte for byte.
+//! [`solve_body`] (the written-order evaluator), commits its solutions in
+//! canonical key order ([`sorted_run`]), and the tests require every other
+//! configuration to reproduce its `canonical_dump()` byte for byte.
 //!
 //! There is one schedule, one delta-pass evaluator and one thread.  Every
 //! stratum iteration is a two-phase commit: a single **snapshot window**
@@ -46,35 +47,35 @@
 //! stratum's first iteration, one full solve per proper rule — is planned
 //! into one task list and solved, in order, against the structure as it
 //! stands at the boundary (phase 1, which only reads); then the same thread
-//! commits each rule's solutions in stratum order, each rule's delta runs
-//! merged in canonical `binding_key` order
-//! ([`merge_frame_runs`](crate::plan::merge_frame_runs)), and in the first
-//! iteration each fact where it stands in that order (phase 2).  Delta tasks
-//! run through the compiled slot-frame bodies of [`crate::plan`], in the
-//! literal order its cost-based planner picks per iteration, and return
-//! frames — the one pass output; full solves run through [`solve_body`] and
-//! return their solutions in enumeration order.  Phase 2 is a
-//! deterministic function of the structure's content, so two runs of one
-//! program over equal structures are **bit-identical** — same model, same
-//! insertion logs, same virtual-object ids, same [`EvalStats`].  Full solves
-//! need no sort: their order is deterministic because every fact/signature
-//! index iterates an ordered container (the one hash-ordered path, the
-//! argument-tuple application index, is a `BTreeMap` precisely so that
-//! virtual-object allocation cannot drift between runs).
+//! commits each rule's solutions in stratum order, in canonical
+//! `binding_key` order (a rule's delta runs merged by
+//! [`merge_frame_runs`](crate::plan::merge_frame_runs)), and in the first
+//! iteration each fact where it stands in that order (phase 2).  Every task
+//! runs through the compiled slot-frame bodies of [`crate::plan`] and returns
+//! frames: a delta pass in the literal order the cost-based planner picks
+//! per iteration, a full solve over a body compiled for it and ordered by
+//! the structure's live index cardinalities, as a query is
+//! ([`crate::plan::execute_query`]).  Phase 2 is a deterministic function of
+//! the structure's content, so two runs of one program over equal structures
+//! are **bit-identical** — same model, same insertion logs, same
+//! virtual-object ids, same [`EvalStats`] — and since every configuration
+//! commits in the one canonical order, whatever plan ran a solve, the engine
+//! and the oracle mint the same virtual objects under the same ids.
 //!
 //! **The commit step pays once for what it derives.**  A head of the shape
-//! `X[m ->> {Y}]` ([`CompiledHead`](crate::plan::CompiledHead), for delta
-//! frames and full-solve solutions alike) commits each run of consecutive
-//! solutions with one receiver and ascending members as one sorted merge
-//! ([`Structure::assert_set_members`]); a `m ->> t` head filter merges the
-//! valuated set the same way.  Any other head fires once per *head
-//! valuation* of a batch: a solution whose projection onto the head's
-//! variables an earlier solution of the same batch already committed is
-//! skipped, because asserting the head again under the same valuation adds
-//! nothing.  Both keep the order of every insertion, and so the logs, the
-//! object ids and every [`EvalStats`] counter, exactly as one assert per
-//! solution would leave them — [`EvalOptions::max_derived`] included, which
-//! fails at the same fact with the same count.
+//! `X[m ->> {Y}]` ([`CompiledHead`](crate::plan::CompiledHead), over the
+//! frames of a full solve and of a delta pass alike) commits each run of
+//! consecutive solutions with one receiver and ascending members as one
+//! sorted merge ([`Structure::assert_set_members`]); a `m ->> t` head filter
+//! merges its set the same way — when `t` is one stored application
+//! (`V..m`, `V..m@(A, …)`), the stored run itself.  Any other head fires
+//! once per *head valuation* of a batch: a solution whose projection onto
+//! the head's variables an earlier solution of the same batch already
+//! committed is skipped, because asserting the head again under the same
+//! valuation adds nothing.  Both keep the order of every insertion, and so
+//! the logs, the object ids and every [`EvalStats`] counter, exactly as one
+//! assert per solution would leave them — [`EvalOptions::max_derived`]
+//! included, which fails at the same fact with the same count.
 //!
 //! **Queries** ([`Engine::query`], [`Engine::query_term`]) run through the
 //! same compiled atoms as the delta passes, with no literal restricted and
@@ -582,14 +583,14 @@ impl Engine {
             .collect()
     }
 
-    /// Commit a rule's delta outputs: merge its passes' runs into canonical
-    /// key order and assert the head for each frame — through the compiled
-    /// head when it has one (method oid resolved once, head oids read
-    /// straight out of the frame slots, set members asserted a run at a
-    /// time; counters identical to `assert_head` by construction, see
-    /// [`CompiledHead`](crate::plan::CompiledHead)), else through
-    /// [`assert_head`] on the [`Bindings`] of the first frame of each head
-    /// valuation.  Returns whether anything new was committed.
+    /// Commit a rule's frame runs — its full solve's, or its delta passes':
+    /// merge them into canonical key order and assert the head for each
+    /// frame — through the compiled head when it has one (method oid
+    /// resolved once, head oids read straight out of the frame slots, set
+    /// members asserted a run at a time; counters identical to `assert_head`
+    /// by construction, see [`CompiledHead`](crate::plan::CompiledHead)),
+    /// else through [`assert_head`] on the [`Bindings`] of the first frame of
+    /// each head valuation.  Returns whether anything new was committed.
     fn commit_frame_runs(
         &self,
         structure: &mut Structure,
@@ -617,40 +618,23 @@ impl Engine {
         self.commit_member_runs(structure, method, merged.frames().map(pair), stats)
     }
 
-    /// Commit a full solve's solutions in their enumeration order: through
-    /// the compiled head when the head has the `X[m ->> {Y}]` shape
-    /// ([`compile_head`](crate::plan::compile_head) over the head's own
-    /// variables), else through [`assert_head`] on the first solution of each
-    /// head valuation.  Returns whether anything new was committed.
+    /// Commit the naive oracle's full solve of `rule`: [`assert_head`] on
+    /// the first solution of each head valuation, in canonical key order —
+    /// the order, and so the facts, log entries, object ids and counters, of
+    /// the engine's compiled commit.  Returns whether anything new was
+    /// committed.
     fn commit_solutions(
         &self,
         structure: &mut Structure,
         rule: &Rule,
-        solutions: &[Bindings],
+        solutions: &SortedRun,
         stats: &mut EvalStats,
     ) -> Result<bool> {
-        if solutions.is_empty() {
-            return Ok(false);
-        }
-        let mut head_vars = Vec::new();
-        collect_vars(&rule.head, &mut head_vars);
-        if let Some(fast) = crate::plan::compile_head(&rule.head, &head_vars) {
-            let (receiver, member) = (&head_vars[fast.receiver_slot], &head_vars[fast.member_slot]);
-            let pairs: Option<Vec<(Oid, Oid)>> = solutions
-                .iter()
-                .map(|b| Some((b.get(receiver)?, b.get(member)?)))
-                .collect();
-            // An unbound head variable is `assert_head`'s error to report.
-            if let Some(pairs) = pairs {
-                let method = structure.ensure_name(&fast.method);
-                return self.commit_member_runs(structure, method, pairs.into_iter(), stats);
-            }
-        }
         let mut vars = Vec::new();
         rule.body.iter().for_each(|lit| collect_vars(&lit.term, &mut vars));
         let mut fired = HeadValuations::new(&rule.head, &vars);
         let mut changed = false;
-        for b in solutions {
+        for (_, b) in solutions {
             if fired.first(|i| b.get(&vars[i]).map_or(0, |o| o.0 + 1)) {
                 changed |= self.assert_solution(structure, &rule.head, b, stats)?.changed();
             }
@@ -889,7 +873,7 @@ impl Engine {
                 let delta = delta.as_ref().map(|(plans, dv)| (plans, dv));
                 let outputs = tasks
                     .iter()
-                    .map(|&task| runs::run_task(structure, rules, delta, task))
+                    .map(|&task| runs::run_task(structure, rules, self.options.delta_driven, delta, task))
                     .collect::<Result<Vec<SolveOutput>>>()?;
                 let mut outputs = outputs.into_iter();
                 let commit_plans = delta.map(|(plans, _)| plans);
@@ -904,13 +888,18 @@ impl Engine {
                         }
                         Step::Rule(r) => r,
                     };
-                    // A full solve is one task, committed in its enumeration
-                    // order; a rule's delta passes all return frames.
+                    // A full solve is one task, committed over the body it
+                    // was compiled with (the oracle's, as solutions); a
+                    // rule's delta passes all return frames.
                     let mut runs = Vec::with_capacity(count);
                     for output in (0..count).filter_map(|_| outputs.next()) {
                         match output {
-                            SolveOutput::Enumerated(solutions) => {
+                            SolveOutput::Sorted(solutions) => {
                                 any_change |= self.commit_solutions(structure, rules[r], &solutions, stats)?;
+                            }
+                            SolveOutput::Planned(body, run) => {
+                                any_change |=
+                                    self.commit_frame_runs(structure, &rules[r].head, &body, vec![run], stats)?;
                             }
                             SolveOutput::Frames(run) => runs.push(run),
                         }
@@ -1146,13 +1135,14 @@ fn register_program_names(structure: &mut Structure, program: &Program) {
 /// negated literals are applied as filters last (validation guarantees their
 /// variables are bound by then).
 ///
-/// This written-order routine is the reference semantics: it solves every
-/// rule's first (full) solve and the reactive layer's conditions, and is all
-/// the naive oracle (`delta_driven: false`) ever runs.  The engine's delta
-/// passes go through [`crate::plan::execute_delta`], its queries and the
-/// constraint checker's denial bodies through [`crate::plan::execute_query`]
-/// instead; the passes must reach the same fixpoint, a query or a check the
-/// same set of solutions.
+/// This written-order routine is the reference semantics: it is all the
+/// naive oracle (`delta_driven: false`) ever runs, and it solves the
+/// reactive layer's conditions and the model check of
+/// [`crate::semantics::is_model`].  The engine runs no body through it: its
+/// delta passes go through [`crate::plan::execute_delta`], its full solves,
+/// its queries and the constraint checker's denial bodies through
+/// [`crate::plan::execute_query`]; the passes must reach the same fixpoint,
+/// a full solve, a query or a check the same set of solutions.
 pub fn solve_body(structure: &Structure, body: &[Literal], seed: &Bindings) -> Result<Vec<Bindings>> {
     let mut states = vec![seed.clone()];
     for lit in body.iter().filter(|l| l.positive) {
@@ -2407,6 +2397,307 @@ mod tests {
         );
         assert_eq!(stats.virtual_objects, 2, "p1.boss and p3.boss");
         assert_eq!(s.apply_scalar(oid(&s, "boss"), oid(&s, "p2"), &[]), None);
+    }
+
+    /// Three things, three `m` facts naming them in the opposite order, and a
+    /// rule above a negation that tags each thing once: its full solve's
+    /// written order is `B`-major (`b1` names `a3` first), its canonical
+    /// order `A`-major.
+    fn tag_program() -> Vec<Rule> {
+        let thing = |a: &str| Rule::fact(Term::name(a).isa("thing"));
+        let m = |b: &str, a: &str| Rule::fact(Term::name(b).filter(Filter::scalar("m", Term::name(a))));
+        vec![
+            thing("a1"),
+            thing("a2"),
+            thing("a3"),
+            m("b1", "a3"),
+            m("b2", "a1"),
+            m("b3", "a2"),
+            Rule::fact(Term::name("b9").isa("skip")),
+            Rule::new(
+                Term::var("X").isa("skip"),
+                vec![Literal::pos(Term::var("X").isa("skipper"))],
+            ),
+            Rule::new(
+                Term::var("A")
+                    .scalar("tag")
+                    .filter(Filter::scalar("of", Term::var("B"))),
+                vec![
+                    Literal::pos(Term::var("B").filter(Filter::scalar("m", Term::var("A")))),
+                    Literal::neg(Term::var("B").isa("skip")),
+                ],
+            ),
+        ]
+    }
+
+    #[test]
+    fn a_full_solve_mints_in_canonical_order_in_both_modes() {
+        let rules = tag_program();
+        run_checked(&rules);
+        for delta_driven in [true, false] {
+            let mut s = Structure::new();
+            let engine = Engine::with_options(EvalOptions {
+                delta_driven,
+                ..EvalOptions::default()
+            });
+            let stats = engine.run_rules(&mut s, &rules).unwrap();
+            assert_eq!((stats.strata, stats.virtual_objects), (2, 3), "{stats:?}");
+            let tags = ["a1", "a2", "a3"].map(|a| s.apply_scalar(oid(&s, "tag"), oid(&s, a), &[]).unwrap());
+            assert_eq!(tags, [Oid(19), Oid(20), Oid(21)], "delta_driven: {delta_driven}");
+            let of = |tag: Oid| {
+                s.display_name(s.apply_scalar(oid(&s, "of"), tag, &[]).unwrap())
+                    .into_owned()
+            };
+            assert_eq!(tags.map(of), ["b2", "b3", "b1"]);
+        }
+    }
+
+    /// [`run_checked`], and the virtual objects the run minted, in id order,
+    /// each with the receiver and method of the path that defined it.
+    fn run_checked_minting(rules: &[Rule]) -> (Structure, EvalStats, Vec<(String, String)>) {
+        let (s, stats) = run_checked(rules);
+        let minted: Vec<(String, String)> = s
+            .facts()
+            .scalar_facts()
+            .filter(|f| s.is_virtual(f.result))
+            .map(|f| {
+                (
+                    s.display_name(f.receiver).into_owned(),
+                    s.display_name(f.method).into_owned(),
+                )
+            })
+            .collect();
+        assert_eq!(minted.len(), stats.virtual_objects);
+        (s, stats, minted)
+    }
+
+    /// The stored members of `method` on `receiver`, by name.
+    fn members(s: &Structure, method: &str, receiver: &str) -> Option<Vec<String>> {
+        let run = s.apply_set(oid(s, method), oid(s, receiver), &[])?;
+        Some(run.iter().map(|&m| s.display_name(m).into_owned()).collect())
+    }
+
+    #[test]
+    fn a_summary_head_takes_each_desc_run_as_stored() {
+        // X.summary[descendants ->> X..desc] <- X[kids ->> {Y}]: one stored
+        // `desc` run per parent, copied whole into its summary.
+        let mut rules = wide_genealogy();
+        rules.extend(desc_rules());
+        rules.push(Rule::new(
+            Term::var("X")
+                .scalar("summary")
+                .filter(Filter::set_ref("descendants", Term::var("X").set("desc"))),
+            vec![Literal::pos(
+                Term::var("X").filter(Filter::set("kids", vec![Term::var("Y")])),
+            )],
+        ));
+        let (s, stats, minted) = run_checked_minting(&rules);
+        assert_eq!(
+            stats,
+            EvalStats {
+                strata: 2,
+                iterations: 6,
+                firings: 56,
+                scalar_facts: 7,
+                set_members: 108,
+                virtual_objects: 7,
+                rules_skipped: 2,
+                delta_solves: 5,
+                full_solves: 3,
+                plans_compiled: 3,
+                ..EvalStats::default()
+            }
+        );
+        let parents = ["peter", "k0", "k1", "k2", "k3", "k4", "k5"];
+        assert_eq!(minted, parents.map(|p| (p.to_string(), "summary".to_string())));
+        for p in parents {
+            let summary = s.apply_scalar(oid(&s, "summary"), oid(&s, p), &[]).unwrap();
+            let copied = s.apply_set(oid(&s, "descendants"), summary, &[]).unwrap();
+            assert_eq!(copied, s.apply_set(oid(&s, "desc"), oid(&s, p), &[]).unwrap(), "{p}");
+        }
+    }
+
+    #[test]
+    fn an_argument_carrying_head_takes_each_application_as_stored() {
+        // X[gk@(Y) ->> {Z}] <- X[kids ->> {Y}], Y[kids ->> {Z}].
+        // X.card[via ->> X..gk@(Y)] <- X[kids ->> {Y}].
+        // peter's card takes the grandkids under each of its six kids; a
+        // kid's card finds no `gk@(g)` application (its kids have none) and
+        // stays empty.
+        let mut rules = wide_genealogy();
+        rules.push(Rule::new(
+            Term::var("X").filter(Filter::set("gk", vec![Term::var("Z")]).with_args(vec![Term::var("Y")])),
+            vec![
+                Literal::pos(Term::var("X").filter(Filter::set("kids", vec![Term::var("Y")]))),
+                Literal::pos(Term::var("Y").filter(Filter::set("kids", vec![Term::var("Z")]))),
+            ],
+        ));
+        rules.push(Rule::new(
+            Term::var("X").scalar("card").filter(Filter::set_ref(
+                "via",
+                Term::var("X").set_args("gk", vec![Term::var("Y")]),
+            )),
+            vec![Literal::pos(
+                Term::var("X").filter(Filter::set("kids", vec![Term::var("Y")])),
+            )],
+        ));
+        let (s, stats, minted) = run_checked_minting(&rules);
+        assert_eq!(
+            stats,
+            EvalStats {
+                strata: 2,
+                iterations: 5,
+                firings: 37,
+                scalar_facts: 7,
+                set_members: 60,
+                virtual_objects: 7,
+                rules_skipped: 1,
+                delta_solves: 2,
+                full_solves: 2,
+                plans_compiled: 2,
+                ..EvalStats::default()
+            }
+        );
+        assert_eq!(minted.len(), 7);
+        assert!(minted.iter().all(|(_, method)| method == "card"));
+        let card = |who: &str| s.apply_scalar(oid(&s, "card"), oid(&s, who), &[]).unwrap();
+        assert_eq!(s.apply_set(oid(&s, "via"), card("peter"), &[]).unwrap().len(), 18);
+        assert_eq!(
+            s.apply_set(oid(&s, "via"), card("k0"), &[]),
+            None,
+            "undefined: nothing asserted"
+        );
+    }
+
+    #[test]
+    fn a_head_over_a_named_receiver_takes_its_run_as_stored() {
+        // X[sibs ->> peter..kids] <- peter[kids ->> {X}].
+        let mut rules = wide_genealogy();
+        rules.push(Rule::new(
+            Term::var("X").filter(Filter::set_ref("sibs", Term::name("peter").set("kids"))),
+            vec![Literal::pos(
+                Term::name("peter").filter(Filter::set("kids", vec![Term::var("X")])),
+            )],
+        ));
+        let (s, stats, minted) = run_checked_minting(&rules);
+        assert_eq!(
+            stats,
+            EvalStats {
+                strata: 2,
+                iterations: 4,
+                firings: 13,
+                set_members: 60,
+                rules_skipped: 1,
+                full_solves: 1,
+                ..EvalStats::default()
+            }
+        );
+        assert!(minted.is_empty());
+        let kids: Vec<String> = (0..6).map(|i| format!("k{i}")).collect();
+        for k in &kids {
+            assert_eq!(members(&s, "sibs", k).as_ref(), Some(&kids), "{k}");
+        }
+    }
+
+    #[test]
+    fn a_head_over_an_undefined_application_asserts_nothing() {
+        // X.card[ckids ->> X..kids] <- Y[kids ->> {X}]: the grandkids have no
+        // `kids` application — their cards are minted and stay empty, and
+        // no error is raised.
+        let mut rules = wide_genealogy();
+        rules.push(Rule::new(
+            Term::var("X")
+                .scalar("card")
+                .filter(Filter::set_ref("ckids", Term::var("X").set("kids"))),
+            vec![Literal::pos(
+                Term::var("Y").filter(Filter::set("kids", vec![Term::var("X")])),
+            )],
+        ));
+        let (s, stats, minted) = run_checked_minting(&rules);
+        assert_eq!(
+            stats,
+            EvalStats {
+                strata: 2,
+                iterations: 4,
+                firings: 31,
+                scalar_facts: 24,
+                set_members: 42,
+                virtual_objects: 24,
+                delta_solves: 1,
+                full_solves: 1,
+                plans_compiled: 1,
+                ..EvalStats::default()
+            }
+        );
+        assert_eq!(minted.len(), 24);
+        let card = |who: &str| s.apply_scalar(oid(&s, "card"), oid(&s, who), &[]).unwrap();
+        assert_eq!(s.apply_set(oid(&s, "ckids"), card("k0"), &[]).unwrap().len(), 3);
+        assert_eq!(s.apply_set(oid(&s, "ckids"), card("g00"), &[]), None);
+    }
+
+    #[test]
+    fn a_two_step_head_is_valuated() {
+        // X[gkids ->> X..kids..kids] <- X[kids ->> {Y}]: no one stored
+        // application, so the set is valuated.
+        let mut rules = wide_genealogy();
+        rules.push(Rule::new(
+            Term::var("X").filter(Filter::set_ref("gkids", Term::var("X").set("kids").set("kids"))),
+            vec![Literal::pos(
+                Term::var("X").filter(Filter::set("kids", vec![Term::var("Y")])),
+            )],
+        ));
+        let (s, stats, minted) = run_checked_minting(&rules);
+        assert_eq!(
+            stats,
+            EvalStats {
+                strata: 2,
+                iterations: 4,
+                firings: 8,
+                set_members: 42,
+                rules_skipped: 1,
+                full_solves: 1,
+                ..EvalStats::default()
+            }
+        );
+        assert!(minted.is_empty());
+        assert_eq!(members(&s, "gkids", "peter").map(|m| m.len()), Some(18));
+        assert_eq!(members(&s, "gkids", "k0"), None, "the empty set is not asserted");
+    }
+
+    #[test]
+    fn the_derived_fact_limit_fails_inside_a_stored_run_as_before() {
+        // The summary program with room for part of peter's 24
+        // descendants: the set is merged whole, as the valuated set was,
+        // and the limit reports what it held.
+        let mut rules = wide_genealogy();
+        rules.extend(desc_rules());
+        rules.push(Rule::new(
+            Term::var("X")
+                .scalar("summary")
+                .filter(Filter::set_ref("descendants", Term::var("X").set("desc"))),
+            vec![Literal::pos(
+                Term::var("X").filter(Filter::set("kids", vec![Term::var("Y")])),
+            )],
+        ));
+        for delta_driven in [true, false] {
+            let engine = Engine::with_options(EvalOptions {
+                max_derived: 80,
+                delta_driven,
+                ..EvalOptions::default()
+            });
+            let err = engine.run_rules(&mut Structure::new(), &rules).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::LimitExceeded {
+                        kind: LimitKind::DerivedFacts,
+                        limit: 80,
+                        observed: 91,
+                    }
+                ),
+                "delta_driven: {delta_driven}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -10,21 +10,29 @@
 //! **Canonical order.**  The [`BindingKey`] of a solution — its bound
 //! `(variable, object)` pairs in sorted order — is valuation-order
 //! independent, so ordering solutions by it makes the order in which a
-//! caller acts on them a function of the structure's content alone.  A delta
-//! pass returns its solutions as slot frames in exactly that order
-//! ([`crate::plan::FrameRun`]; every frame binds every slot, so key order is
-//! the object-id sequence in variable-name order), and the commit step
-//! merges a rule's runs in it ([`crate::plan::merge_frame_runs`]): the order
-//! in which a pass enumerates solutions never reaches the structure.  Full
-//! solves skip the sort: they are one task per rule whose enumeration order
-//! is already deterministic (every index iterates an ordered container), and
-//! that order is the oracle's commit order.  The keyed [`SortedRun`] remains
-//! for [`solve_condition`](super::solve_condition)'s one caller, the
-//! production engine's recognise phase; queries and the constraint checker
-//! take their solutions as frames.
+//! caller acts on them a function of the structure's content alone.  Every
+//! task's output is in exactly that order, and the commit step acts on it in
+//! that order: the order in which a solve *enumerates* solutions never
+//! reaches the structure, and every configuration mints virtual objects in
+//! one order.
+//!
+//! * A delta pass and the engine's full solve run through the compiled body
+//!   ([`crate::plan`]) and return slot frames in canonical order
+//!   ([`crate::plan::FrameRun`]; every frame binds every positive variable,
+//!   so key order is the object-id sequence in variable-name order); the
+//!   commit step merges a rule's runs in it
+//!   ([`crate::plan::merge_frame_runs`]).
+//! * The naive oracle's full solve runs written-order through
+//!   [`solve_body`](super::solve_body) and sorts its solutions by key
+//!   ([`sorted_run`]), so that engine ≡ oracle holds byte for byte.
+//!
+//! The keyed [`SortedRun`] also serves
+//! [`solve_condition`](super::solve_condition)'s one caller, the production
+//! engine's recognise phase; queries and the constraint checker take their
+//! solutions as frames.
 
 use crate::error::Result;
-use crate::plan::IterationPlans;
+use crate::plan::{CompiledRule, FrameRun, IterationPlans};
 use crate::program::Rule;
 use crate::semantics::{Bindings, DeltaView};
 use crate::structure::Structure;
@@ -38,8 +46,8 @@ use crate::structure::Structure;
 pub type BindingKey = Vec<(std::sync::Arc<str>, u32)>;
 
 /// A canonically sorted, deduplicated sequence of keyed solutions — what
-/// [`solve_condition`](super::solve_condition) returns, to the production
-/// engine only.
+/// the naive oracle's full solves commit and
+/// [`solve_condition`](super::solve_condition) returns.
 pub type SortedRun = Vec<(BindingKey, Bindings)>;
 
 /// The canonical key of `b` (see [`BindingKey`]).
@@ -50,8 +58,7 @@ pub fn binding_key(b: &Bindings) -> BindingKey {
 }
 
 /// Sort `solutions` into a canonical [`SortedRun`], dropping duplicate
-/// valuations (first occurrence wins).  [`solve_condition`](super::solve_condition)
-/// is its one caller.
+/// valuations (first occurrence wins).
 pub fn sorted_run(solutions: Vec<Bindings>) -> SortedRun {
     let mut run: SortedRun = solutions.into_iter().map(|b| (binding_key(&b), b)).collect();
     run.sort_by(|a, b| a.0.cmp(&b.0));
@@ -72,29 +79,41 @@ pub(super) struct SolveTask {
     pub(super) delta: Option<usize>,
 }
 
-/// The result of one task.
+/// The result of one task, in canonical key order.
 #[derive(Debug)]
 pub(super) enum SolveOutput {
-    /// A full solve's buffer in its (deterministic) enumeration order —
-    /// deliberately unsorted, see the module docs.
-    Enumerated(Vec<Bindings>),
-    /// A delta pass's slot frames in canonical key order.
-    Frames(crate::plan::FrameRun),
+    /// The naive oracle's full solve: the [`solve_body`](super::solve_body)
+    /// solutions, sorted.
+    Sorted(SortedRun),
+    /// The engine's full solve: the body compiled for the task, and its
+    /// frames.
+    Planned(CompiledRule, FrameRun),
+    /// A delta pass's frames, over the iteration's compiled body.
+    Frames(FrameRun),
 }
 
 /// Solve `task` against `structure`.  A delta pass runs through the compiled
 /// body and this iteration's pass order ([`crate::plan`]) over the
-/// iteration's window, both in `delta`; a full solve runs written-order
-/// through [`super::solve_body`], since its enumeration order is the commit
-/// order.
+/// iteration's window, both in `delta`.  A full solve compiles the body for
+/// itself — as a query is compiled, counted in no planner statistic — and
+/// runs it in the order the structure's live index cardinalities suggest
+/// ([`crate::plan::execute_query`]); only the naive oracle (`delta_driven:
+/// false`) solves written-order, through [`super::solve_body`].
 pub(super) fn run_task(
     structure: &Structure,
     rules: &[&Rule],
+    delta_driven: bool,
     delta: Option<(&IterationPlans, &DeltaView)>,
     task: SolveTask,
 ) -> Result<SolveOutput> {
+    let rule = rules[task.rule];
     match task.delta {
-        None => super::solve_body(structure, &rules[task.rule].body, &Bindings::new()).map(SolveOutput::Enumerated),
+        None if delta_driven => {
+            let compiled = crate::plan::compile(rule, &crate::analysis::plan_rule(rule, None, None));
+            let run = crate::plan::execute_query(structure, &compiled)?;
+            Ok(SolveOutput::Planned(compiled, run))
+        }
+        None => super::solve_body(structure, &rule.body, &Bindings::new()).map(|s| SolveOutput::Sorted(sorted_run(s))),
         Some(lit) => {
             let (plans, dv) = delta.expect("a delta task runs in an iteration that has a window");
             let (compiled, order) = plans.for_rule(task.rule);

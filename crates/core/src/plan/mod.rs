@@ -1,20 +1,21 @@
 //! Cost-based join planning and the compiled body IR: the evaluator of every
-//! delta pass, of every query and of every commit check.
+//! rule body the engine solves, of every query and of every commit check.
 //!
-//! A stratum's first iteration solves each rule body in full, in written
-//! order ([`solve_body`](crate::engine::solve_body)): the enumeration order
-//! of a full solve is its commit order, which written-order evaluation pins.
-//! Every later iteration runs per-literal semi-naive *delta passes*, and
-//! those run here — the engine has no other delta-pass evaluator.  So does
-//! every query ([`Engine::query`](crate::engine::Engine::query),
+//! A stratum's first iteration solves each rule body in full: the body is
+//! compiled for that one solve ([`compile`]) and run with no literal
+//! restricted ([`execute_query`]), as a query is.  Every later iteration runs
+//! per-literal semi-naive *delta passes*, and those run here too — the
+//! engine has no other body evaluator.  So does every query
+//! ([`Engine::query`](crate::engine::Engine::query),
 //! [`Engine::query_term`](crate::engine::Engine::query_term)): a query body
 //! is a headless rule body ([`compile_query`]) run with no literal
 //! restricted ([`execute_query`], [`execute_term`]).  And so does every
 //! integrity constraint ([`crate::constraints`]): a denial body is a query
 //! body, compiled when the constraint is built and executed per check.  What
-//! still runs on `solve_body` outside a first iteration is the reactive
-//! layer (production and trigger conditions) and the oracles — the model
-//! check of [`crate::semantics::is_model`] and the tests' references.
+//! still runs on the written-order [`solve_body`](crate::engine::solve_body)
+//! is the reactive layer (production and trigger conditions) and the
+//! oracles — the naive fixpoint (`delta_driven: false`), the model check of
+//! [`crate::semantics::is_model`] and the tests' references.
 //!
 //! * **Compilation.**  [`compile`] lowers a rule body once into a
 //!   [`CompiledRule`]: every body variable gets a fixed *slot* index, and
@@ -59,15 +60,16 @@
 //!   A plan decides how long a query takes, never what it answers or in
 //!   which order: answers leave in canonical key order.
 //!
-//! **Why reordering is invisible.**  A delta pass's output is a frame run in
-//! canonical key order and a rule's runs are merged in that order
-//! ([`merge_frame_runs`]), so the order in which a pass *enumerates*
-//! solutions cannot influence the order in which the engine commits them —
-//! not the structure, not the insertion logs, not virtual-object
-//! allocation.  That keeps the project's core invariant — a run is
-//! `canonical_dump()`-bit-identical to the naive oracle (`delta_driven:
-//! false`) — true *by construction*; the `properties_planner` proptests
-//! assert it.
+//! **Why reordering is invisible.**  A full solve's or a delta pass's output
+//! is a frame run in canonical key order and a rule's runs are merged in
+//! that order ([`merge_frame_runs`]), so the order in which a solve
+//! *enumerates* solutions cannot influence the order in which the engine
+//! commits them — not the structure, not the insertion logs, not
+//! virtual-object allocation.  The naive oracle (`delta_driven: false`)
+//! sorts its written-order solutions into the same order before it commits
+//! them.  That keeps the project's core invariant — a run is
+//! `canonical_dump()`-bit-identical to the oracle — true *by construction*;
+//! the `properties_planner` proptests assert it.
 //!
 //! Completeness of reordered delta passes follows from the same argument as
 //! written-order semi-naive evaluation, applied to the planned order: all of
@@ -131,9 +133,8 @@ pub struct CompiledLiteral {
 /// ([`Structure::assert_set_members`]), skipping the generic head-term walk
 /// of `assert_head` — with effect counters identical by construction (this
 /// shape can never create virtual objects, scalar facts, is-a edges or
-/// signatures).  A delta pass's frames carry it in their [`CompiledRule`];
-/// the commit of a first-iteration full solve recognises the same shape over
-/// the head's own variables.
+/// signatures).  The frames of a full solve and of a delta pass carry it in
+/// their [`CompiledRule`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledHead {
     /// The head method name (resolved to an oid at commit time).
@@ -384,11 +385,10 @@ fn compile_body<'t>(
 }
 
 /// Recognise the `X[m ->> {Y}]` head shape for the commit fast path, with
-/// the receiver and member slots numbered by `vars`: a body's slot variables
-/// for the frames of a delta pass, the head's own variables for the
-/// solutions of a full solve.  Both head variables must be among `vars`
-/// (range restriction); anything else keeps the generic `assert_head` walk.
-pub(crate) fn compile_head(head: &Term, vars: &[Var]) -> Option<CompiledHead> {
+/// the receiver and member slots numbered by the body's slot variables
+/// `vars`.  Both head variables must be among them (range restriction);
+/// anything else keeps the generic `assert_head` walk.
+fn compile_head(head: &Term, vars: &[Var]) -> Option<CompiledHead> {
     let Term::Molecule(m) = head else { return None };
     let (Term::Var(receiver), [f]) = (&m.receiver, m.filters.as_slice()) else {
         return None;

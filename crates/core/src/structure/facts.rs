@@ -645,7 +645,9 @@ impl Facts {
     /// A set arrives as a sorted run and is merged as one: one group lookup,
     /// a read-only probe of every member (a batch of re-assertions detaches
     /// nothing), then one detach of the group's columns and one sorted merge
-    /// into its member run.  The posting lists, the insertion log and the
+    /// into its member run, which places the last new member where the probe
+    /// found its place — a single member costs one binary search, as a plain
+    /// insert does.  The posting lists, the insertion log and the
     /// mutation journal receive the new members in ascending order — what a
     /// loop of [`Facts::assert_set_member`] over `members` would append.  An
     /// empty batch asserts nothing, and does not define the application.
@@ -661,7 +663,14 @@ impl Facts {
         let (g, row) = self.set_apps[app];
         let stored = &self.set_groups[g as usize].cols.members[row as usize];
         let is_new = |x: &Oid| !stored.contains(x);
-        let new = members.iter().filter(|x| is_new(x)).count();
+        // The probe counts the new members and keeps where the last of them
+        // goes: the merge starts there without searching again.
+        let (mut new, mut last_at) = (0, 0);
+        for x in members {
+            if let Err(at) = stored.binary_search(x) {
+                (new, last_at) = (new + 1, at);
+            }
+        }
         if new == 0 {
             return 0;
         }
@@ -675,7 +684,7 @@ impl Facts {
             &owned
         };
         let cols = Arc::make_mut(&mut self.set_groups.make_mut(g as usize).cols);
-        cols.members[row as usize].merge_new(batch);
+        cols.members[row as usize].merge_new(batch, last_at);
         for &member in batch {
             self.set_by_method_member
                 .get_or_default((method, member))

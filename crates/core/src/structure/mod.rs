@@ -490,10 +490,16 @@ impl Structure {
     /// pairs, each section sorted by `(method/class, receiver, args)` oids.
     ///
     /// Two structures holding the same model produce identical bytes no
-    /// matter in which order their facts were asserted — this is the
-    /// emission boundary tests diff to show that the engine and the naive
-    /// oracle (or two repeated runs) agree exactly, without depending on
-    /// hash-map iteration order.
+    /// matter in which order their facts were asserted, without depending
+    /// on hash-map iteration order.  Object ids are printed as they are,
+    /// and a virtual object's id is the order in which it was minted, which
+    /// the order of commits fixes.  The contract is **engine ≡ oracle ≡
+    /// every configuration**: every evaluation commits in one canonical
+    /// order, so the engine, the naive oracle and two repeated runs agree
+    /// byte for byte, and this is the emission boundary tests diff to show
+    /// it.  It is no contract between revisions — a change of commit order
+    /// renumbers virtual objects; `examples/model_dump.rs --normalised`
+    /// prints each by its defining path instead.
     pub fn canonical_dump(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

@@ -64,18 +64,25 @@ impl OidRun {
     }
 
     /// Merge `batch` — ascending, distinct, none of it a member yet — into
-    /// the run: from the back, one binary search and one block move per
-    /// element, so a batch of `k` into a run of `n` costs O(k log n + n) and
-    /// one element is a plain insert.  Copies the underlying vector only
-    /// when shared.
-    pub(super) fn merge_new(&mut self, batch: &[Oid]) {
+    /// the run, given `last_at`, the `Err` position a binary search of the
+    /// run reported for the batch's last element: from the back, one block
+    /// move per element and one binary search for each element before the
+    /// last, so a batch of `k` into a run of `n` costs O(k log n + n) and
+    /// one element is a plain insert at the probed position.  Copies the
+    /// underlying vector only when shared.
+    pub(super) fn merge_new(&mut self, batch: &[Oid], last_at: usize) {
         debug_assert!(batch.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(batch.iter().all(|x| !self.contains(x)));
+        debug_assert!(batch.last().is_none_or(|x| self.0.binary_search(x) == Err(last_at)));
         let run = Arc::make_mut(&mut self.0);
         let mut end = run.len();
         run.resize(end + batch.len(), Oid(0));
         for (j, &x) in batch.iter().enumerate().rev() {
-            let at = run[..end].partition_point(|&y| y < x);
+            let at = if j + 1 == batch.len() {
+                last_at
+            } else {
+                run[..end].partition_point(|&y| y < x)
+            };
             run.copy_within(at..end, at + j + 1);
             run[at + j] = x;
             end = at;
@@ -162,15 +169,17 @@ mod tests {
 
     #[test]
     fn merge_new_interleaves_a_batch_and_detaches_only_the_merged_side() {
+        // Where a binary search of `r` puts `x`.
+        let at = |r: &OidRun, x: u32| r.binary_search(&o(x)).unwrap_err();
         let mut r = OidRun::from_iter([o(2), o(5), o(9)]);
         let shared = r.clone();
-        r.merge_new(&[o(0), o(3), o(4), o(10)]);
+        r.merge_new(&[o(0), o(3), o(4), o(10)], at(&r, 10));
         assert_eq!(r.as_slice(), &[o(0), o(2), o(3), o(4), o(5), o(9), o(10)]);
         assert_eq!(shared.as_slice(), &[o(2), o(5), o(9)], "copy-on-write detaches");
-        r.merge_new(&[o(1)]);
+        r.merge_new(&[o(1)], at(&r, 1));
         assert_eq!(r.len(), 8);
         let mut empty = OidRun::new();
-        empty.merge_new(&[o(7), o(8)]);
+        empty.merge_new(&[o(7), o(8)], 0);
         assert_eq!(empty.as_slice(), &[o(7), o(8)]);
     }
 

@@ -1,11 +1,12 @@
 //! Model dump: everything a program run leaves behind, in one text, so that
 //! two builds can be compared with `diff`.
 //!
-//! Runs every `examples/programs/*.pl` and the rules of the `tc_fixpoint`
-//! benchmark workload over its tree of stored facts at depth 6, each under
-//! `delta_driven` true and false and installed both through
-//! `Engine::install_checked` and `Engine::load_program`, and prints per run
-//! the `EvalStats`, the number of answers of each query, the
+//! Runs every `examples/programs/*.pl`, the rules of the `tc_fixpoint`
+//! benchmark workload over its tree of stored facts at depth 6, and a
+//! program whose full solve enumerates its solutions in another order than
+//! the canonical one, each under `delta_driven` true and false and installed
+//! both through `Engine::install_checked` and `Engine::load_program`, and
+//! prints per run the `EvalStats`, the number of answers of each query, the
 //! `canonical_dump()`, the set-member insertion log and the mutation
 //! journal.  Two builds evaluate identically when their outputs are equal:
 //!
@@ -14,7 +15,20 @@
 //! # the same in a checkout of the other revision, into before.txt
 //! diff before.txt after.txt
 //! ```
+//!
+//! Object ids and the order of the logs follow the order in which an
+//! evaluation commits.  With `--normalised` every object is printed by what
+//! defines it — a name as written, a virtual object as the path that minted
+//! it, `receiver.method@(args)` with each part printed the same way — and
+//! the dump, the insertion log and the journal as sorted lines: two builds
+//! that commit in different orders but derive the same model print the
+//! same text.
+//!
+//! ```sh
+//! cargo run -q --offline --release --example model_dump -- --normalised > after.txt
+//! ```
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -31,6 +45,17 @@ X.summary[descendants ->> X..desc] <- X[kids ->> {Y}].
 ?- p0[desc ->> {Y}].
 ?- X : leaf.
 ?- X[sdesc ->> {Y}].
+";
+
+/// Three `tag` objects minted by the full solve of a rule above a negation:
+/// written order enumerates `B[m -> A]` `B`-major (`b1` names `a3` first),
+/// the canonical order is `A`-major.
+const TAGS: &str = "a1 : thing. a2 : thing. a3 : thing.
+b1[m -> a3]. b2[m -> a1]. b3[m -> a2].
+b9 : skip.
+X : skip <- X : skipper.
+A.tag[of -> B] <- B[m -> A], not B : skip.
+?- X.tag[of -> Y].
 ";
 
 /// The `tc_fixpoint` workload's stored facts, built the way it builds them:
@@ -54,9 +79,84 @@ fn tree(depth: u32) -> Structure {
     s
 }
 
+/// Every object of `s` by what defines it: a named object by its name, a
+/// virtual object by the first scalar fact that has it as its result — the
+/// one it was minted for — as `receiver.method@(args)`, a virtual method in
+/// parentheses.  Those parts existed before the object was minted, so they
+/// have lower ids and are labelled first.
+fn labels(s: &Structure) -> Vec<String> {
+    let mut minted: HashMap<Oid, (Oid, Oid, Vec<Oid>)> = HashMap::new();
+    for f in s.facts().scalar_facts().filter(|f| s.is_virtual(f.result)) {
+        minted
+            .entry(f.result)
+            .or_insert_with(|| (f.receiver, f.method, f.args.to_vec()));
+    }
+    let mut labels: Vec<String> = Vec::with_capacity(s.num_objects());
+    for oid in s.objects() {
+        let label = match (s.name_of(oid), minted.get(&oid)) {
+            (Some(name), _) => name.to_string(),
+            (None, Some((receiver, method, args))) => {
+                let method = if s.is_virtual(*method) {
+                    format!("({})", labels[method.index()])
+                } else {
+                    labels[method.index()].clone()
+                };
+                let args: Vec<&str> = args.iter().map(|a| labels[a.index()].as_str()).collect();
+                match args.as_slice() {
+                    [] => format!("{}.{method}", labels[receiver.index()]),
+                    args => format!("{}.{method}@({})", labels[receiver.index()], args.join(", ")),
+                }
+            }
+            (None, None) => s.display_name(oid).into_owned(),
+        };
+        labels.push(label);
+    }
+    labels
+}
+
+/// `canonical_dump()`, the insertion log and the journal of `s` with every
+/// object printed by its label, each section as sorted lines.
+fn normalised(out: &mut String, s: &Structure) {
+    let labels = labels(s);
+    let l = |o: Oid| labels[o.index()].as_str();
+    let list = |oids: &[Oid]| oids.iter().map(|&o| l(o)).collect::<Vec<_>>().join(", ");
+    let facts = s.facts();
+    let mut lines: Vec<String> = s.objects().map(|o| format!("object {}", l(o))).collect();
+    for f in facts.scalar_facts() {
+        let (m, r, args, result) = (l(f.method), l(f.receiver), list(f.args), l(f.result));
+        lines.push(format!("scalar {m} {r} [{args}] -> {result}"));
+    }
+    for f in facts.set_facts() {
+        let (m, r, args) = (l(f.method), l(f.receiver), list(f.args));
+        lines.extend(
+            f.members
+                .iter()
+                .map(|&x| format!("member {m} {r} [{args}] ->> {}", l(x))),
+        );
+    }
+    lines.extend(
+        s.isa()
+            .pairs_since(0)
+            .map(|(sub, sup)| format!("isa {} : {}", l(sub), l(sup))),
+    );
+    for (app, member) in facts.set_members_since(0) {
+        let f = facts.set_fact_at(app);
+        let (m, r, args) = (l(f.method), l(f.receiver), list(f.args));
+        lines.push(format!("log {m} {r} [{args}] ->> {}", l(member)));
+    }
+    lines.sort_unstable();
+    writeln!(out, "objects: {}", s.num_objects()).unwrap();
+    for line in lines {
+        writeln!(out, "{line}").unwrap();
+    }
+    let mut journal: Vec<&str> = facts.mutation_keys_since(0).map(l).collect();
+    journal.sort_unstable();
+    writeln!(out, "journal {}", journal.join(" ")).unwrap();
+}
+
 /// One run of `program` over a copy of `base` under `delta_driven`,
 /// installed checked or loaded.
-fn dump_run(out: &mut String, base: &Structure, program: &Program, delta_driven: bool, checked: bool) {
+fn dump_run(out: &mut String, base: &Structure, program: &Program, delta_driven: bool, checked: bool, norm: bool) {
     let engine = Engine::with_options(EvalOptions {
         delta_driven,
         ..EvalOptions::default()
@@ -80,6 +180,10 @@ fn dump_run(out: &mut String, base: &Structure, program: &Program, delta_driven:
         })
         .collect();
     writeln!(out, "answers [{}]", answers.join(", ")).unwrap();
+    if norm {
+        normalised(out, &structure);
+        return;
+    }
     out.push_str(&structure.canonical_dump());
     let facts = structure.facts();
     for (app, member) in facts.set_members_since(0) {
@@ -90,6 +194,7 @@ fn dump_run(out: &mut String, base: &Structure, program: &Program, delta_driven:
 }
 
 fn main() {
+    let norm = std::env::args().skip(1).any(|arg| arg == "--normalised");
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/programs");
     let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
         .expect("examples/programs exists")
@@ -106,6 +211,7 @@ fn main() {
         })
         .collect();
     runs.push(("tc_fixpoint depth 6".to_string(), tree(6), TREE_RULES.to_string()));
+    runs.push(("tags".to_string(), Structure::new(), TAGS.to_string()));
 
     let mut out = String::new();
     for (name, base, text) in &runs {
@@ -120,7 +226,7 @@ fn main() {
             for checked in [true, false] {
                 let install = if checked { "install_checked" } else { "load_program" };
                 writeln!(out, "== {name} delta_driven={delta_driven} {install}").unwrap();
-                dump_run(&mut out, base, &program, delta_driven, checked);
+                dump_run(&mut out, base, &program, delta_driven, checked, norm);
             }
         }
     }

@@ -2,9 +2,16 @@
 //! compiled slot-frame rule bodies — every literal lowered to primitive atoms
 //! — in planner-chosen literal order (`pathlog_core::plan`), and the result
 //! must be *bit-identical* to the naive oracle (`delta_driven: false`, every
-//! rule re-solved in full, in written order, each iteration), on random trees
+//! rule re-solved in full, in written order, each iteration, and its
+//! solutions committed in canonical order), on random trees
 //! and random (possibly cyclic) graphs, for one program of planner-relevant
 //! rules and a table of rule families covering every literal shape.
+//!
+//! A stratum's first, full solve runs the same atoms with nothing
+//! restricted, planned like a query, and commits in canonical order, as the
+//! oracle's sorted written-order solutions do: every rule body of the table
+//! and of `JOINS`, as the body of a rule that mints one virtual object per
+//! solution, must mint the oracle's objects under the oracle's ids.
 //!
 //! The read side runs the same atoms with nothing restricted, in the literal
 //! and atom order the live index cardinalities suggest: over the models of
@@ -346,16 +353,21 @@ fn oracle_keys(s: &Structure, body: &[Literal]) -> BTreeSet<BindingKey> {
     solutions.iter().map(binding_key).collect()
 }
 
+/// What the `JOINS` bodies read: `FRONTIER`, `pair@(Y)` sets, base methods
+/// and a signature.
+fn joins_program() -> String {
+    format!(
+        "{FRONTIER}next : baseMethod.\nkids : baseMethod.\nreached[id => reached].\n\
+         X[pair@(Y) ->> {{X, Y}}] <- X : reached, X[kids ->> {{Y}}]."
+    )
+}
+
 /// The structures the `JOINS` bodies are written for: a tree closed under
 /// `FRONTIER`, with `pair@(Y)` sets, base methods and a signature — and the
 /// same after the frontier advanced into a grafted branch, two old parents
 /// turned `fresh` and four more declarations were made.
 fn joins_structures() -> (Structure, Structure) {
-    let program = parse_program(&format!(
-        "{FRONTIER}next : baseMethod.\nkids : baseMethod.\nreached[id => reached].\n\
-         X[pair@(Y) ->> {{X, Y}}] <- X : reached, X[kids ->> {{Y}}]."
-    ))
-    .expect("parses");
+    let program = parse_program(&joins_program()).expect("parses");
     let mut before = pathlog::datagen::genealogy_structure(&pathlog::datagen::GenealogyParams {
         roots: 1,
         depth: 2,
@@ -420,6 +432,125 @@ fn passes_match_the_oracle_in_every_literal_order() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Full solves: the same atoms, planned like a query, committed in canonical
+// order.
+// ---------------------------------------------------------------------------
+
+/// The rule that mints one virtual object per solution of `body` — its
+/// positive variables `V1, …, Vk` key `mint.key@(V1, …, Vk)[of -> V1]` — so
+/// that the object ids record the order in which the solutions were
+/// committed.  `None` for the empty body of a fact, which has no solve, and
+/// for a body with a bare variable, which ranges over the objects the rule
+/// mints and so would mint without end.
+fn minting_rule(body: &[Literal]) -> Option<Rule> {
+    if body.is_empty() {
+        return None;
+    }
+    let mut vars: Vec<Term> = Vec::new();
+    for lit in body.iter().filter(|l| l.positive) {
+        if matches!(lit.term, Term::Var(_)) {
+            return None;
+        }
+        for v in lit.term.variables() {
+            let v = Term::Var(v);
+            if !vars.contains(&v) {
+                vars.push(v);
+            }
+        }
+    }
+    let of = vars.first().cloned().unwrap_or(Term::name("mint"));
+    let head = Term::name("mint")
+        .scalar_args("key", vars)
+        .filter(Filter::scalar("of", of));
+    Some(Rule::new(head, body.to_vec()))
+}
+
+/// Assert that the minting rule over `body`, installed by itself over
+/// `model` — the structure its body was written for, so that its one full
+/// solve does all the work — mints the same objects under the same ids with
+/// the engine as with the naive oracle (equal `canonical_dump()` and model
+/// counters), that the engine solved it in full once, and that the result
+/// is a model of the rule.  Returns how many objects were minted.
+fn assert_full_solve_matches_oracle(label: &str, model: &Structure, body: &[Literal]) -> usize {
+    let Some(rule) = minting_rule(body) else {
+        return 0;
+    };
+    let program = Program {
+        rules: vec![rule],
+        ..Program::new()
+    };
+    let run = |delta_driven: bool| {
+        let mut s = model.clone();
+        let options = EvalOptions {
+            delta_driven,
+            ..EvalOptions::default()
+        };
+        let stats = Engine::with_options(options)
+            .load_program(&mut s, &program)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        (s, stats)
+    };
+    let (oracle, oracle_stats) = run(false);
+    let (s, stats) = run(true);
+    assert_eq!(
+        s.canonical_dump(),
+        oracle.canonical_dump(),
+        "{label}: `{}` mints what the oracle mints, in its order",
+        program.rules[0]
+    );
+    assert_eq!(stats.model_counters(), oracle_stats.model_counters(), "{label}");
+    assert_eq!(stats.full_solves, 1, "{label}: one full solve, planned: {stats:?}");
+    assert!(is_model(&s, &program).expect("the rule checks"), "{label}");
+    stats.virtual_objects
+}
+
+/// Every body of `SHAPES` over the model of its family on `structure`: how
+/// many objects each minted.
+fn assert_every_shape_body_mints_like_the_oracle(input: &str, structure: &Structure) -> Vec<usize> {
+    let mut minted = Vec::new();
+    for (name, prelude, rules) in SHAPES {
+        let text = format!("{prelude}{rules}");
+        let model = closed(&text, structure);
+        for rule in parse_program(rules).expect("parses").rules {
+            let label = format!("{name} over the {input}: `{rule}`");
+            minted.push(assert_full_solve_matches_oracle(&label, &model, &rule.body));
+        }
+    }
+    minted
+}
+
+/// The full solve of every `SHAPES` and `JOINS` body, over the fixed inputs
+/// of the delta-pass and query tests: each body that can mint must mint on
+/// one of them, so that none is held vacuously.
+#[test]
+fn full_solves_mint_like_the_oracle_for_every_body() {
+    let (tree, graph) = tree_and_diamond_graph();
+    let on_tree = assert_every_shape_body_mints_like_the_oracle("tree", &tree);
+    let on_graph = assert_every_shape_body_mints_like_the_oracle("graph", &graph);
+    let minted = on_tree.iter().zip(&on_graph).map(|(a, b)| a + b);
+    let bodies = SHAPES.iter().flat_map(|(name, _, rules)| {
+        parse_program(rules)
+            .expect("parses")
+            .rules
+            .into_iter()
+            .map(move |r| (name, r))
+    });
+    let unminted: Vec<String> = bodies
+        .zip(minted)
+        .filter(|((_, rule), n)| *n == 0 && minting_rule(&rule.body).is_some())
+        .map(|((name, rule), _)| format!("{name}: `{rule}`"))
+        .collect();
+    assert!(unminted.is_empty(), "never minted: {unminted:#?}");
+
+    let (_, joins) = joins_structures();
+    for text in JOINS {
+        let rule = &parse_program(text).expect("parses").rules[0];
+        let minted = assert_full_solve_matches_oracle(&format!("`{text}`"), &joins, &rule.body);
+        assert!(minted > 0, "`{text}` never minted");
+    }
+}
+
 fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
     if items.len() <= 1 {
         return vec![items.to_vec()];
@@ -467,6 +598,28 @@ proptest! {
         prop_assert!(delta_solves[0] > 0, "delta passes run compiled");
     }
 
+    #[test]
+    fn full_solves_mint_like_the_oracle_on_random_graphs(
+        edges in prop::collection::vec((0u8..12, 0u8..12), 1..40),
+    ) {
+        // The shapes' bodies over their families' models, and the joins'
+        // over the model of what they read, on a random (possibly cyclic)
+        // graph: the written order and the planned one enumerate these
+        // differently, and the ids must not show it.
+        let mut structure = Structure::new();
+        let kids = structure.atom("kids");
+        let nodes: Vec<Oid> = (0..12).map(|i| structure.atom(&format!("n{i}"))).collect();
+        for &(a, b) in &edges {
+            structure.assert_set_member(kids, nodes[a as usize], &[], nodes[b as usize]);
+        }
+        let minted = assert_every_shape_body_mints_like_the_oracle("random graph", &structure);
+        prop_assert!(minted.iter().any(|&n| n > 0), "some body mints");
+        let model = closed(&joins_program(), &structure);
+        for text in JOINS {
+            let rule = &parse_program(text).expect("parses").rules[0];
+            assert_full_solve_matches_oracle(&format!("`{text}` over a random graph"), &model, &rule.body);
+        }
+    }
 }
 
 proptest! {
@@ -736,12 +889,10 @@ fn programs() -> Vec<(&'static str, String)> {
         .collect()
 }
 
-/// The read side over fixed inputs — the models of every program over a
-/// tree, a cyclic graph and a small company, and the structure the `JOINS`
-/// are written for — on which every body must also do what `QUERIES` says
-/// it does: have a solution, or raise `NotGround`.
-#[test]
-fn queries_match_the_written_order_reference() {
+/// The fixed tree and cyclic graph of the query and full-solve tests.  The
+/// graph has a diamond — n0 reaches n2 through n1 and through n4 — so that
+/// `X..kids..kids` denotes n2 twice for the same X.
+fn tree_and_diamond_graph() -> (Structure, Structure) {
     let tree = pathlog::datagen::genealogy_structure(&pathlog::datagen::GenealogyParams {
         roots: 1,
         depth: 3,
@@ -751,11 +902,19 @@ fn queries_match_the_written_order_reference() {
     let mut graph = Structure::new();
     let kids = graph.atom("kids");
     let nodes: Vec<Oid> = (0..8).map(|i| graph.atom(&format!("n{i}"))).collect();
-    // With a diamond — n0 reaches n2 through n1 and through n4 — so that
-    // `X..kids..kids` denotes n2 twice for the same X.
     for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 1), (0, 4), (4, 5), (4, 2), (5, 3), (6, 7)] {
         graph.assert_set_member(kids, nodes[a], &[], nodes[b]);
     }
+    (tree, graph)
+}
+
+/// The read side over fixed inputs — the models of every program over a
+/// tree, a cyclic graph and a small company, and the structure the `JOINS`
+/// are written for — on which every body must also do what `QUERIES` says
+/// it does: have a solution, or raise `NotGround`.
+#[test]
+fn queries_match_the_written_order_reference() {
+    let (tree, graph) = tree_and_diamond_graph();
     let company = pathlog::datagen::company_structure(&pathlog::datagen::CompanyParams::scaled(30));
     let bodies = query_bodies();
     let backwards = reversed(&bodies);
