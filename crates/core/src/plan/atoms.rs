@@ -442,7 +442,7 @@ impl<'a> Machine<'a> {
             Atom::Scalar { call, result } => self.scalar(call, *result, restricted, k),
             Atom::Member { call, member } => self.member(call, *member, restricted, k),
             Atom::Isa { instance, class } => self.isa(*instance, *class, restricted, k),
-            Atom::Object { cell } => self.each_object(&[*cell], restricted, k),
+            Atom::Object { cell } => self.each_object(std::iter::once(*cell), restricted, k),
             Atom::Superset { call, rhs } => self.superset(call, rhs, restricted, k),
             Atom::Signature {
                 call,
@@ -522,9 +522,16 @@ impl<'a> Machine<'a> {
     /// Continue with every unbound operand of `ops` ranging over the
     /// universe — with `need_new`, over the combinations in which at least
     /// one of them is an object the window created (none, when all are
-    /// bound: a bound operand reads nothing).
-    fn each_object(&mut self, ops: &[Operand], need_new: bool, k: &mut impl Cont<'a>) -> Result<()> {
-        let Some((&op, rest)) = ops.split_first() else {
+    /// bound: a bound operand reads nothing).  `ops` is an iterator so that
+    /// a caller chains its operands without allocating.
+    fn each_object(
+        &mut self,
+        ops: impl Iterator<Item = Operand> + Clone,
+        need_new: bool,
+        k: &mut impl Cont<'a>,
+    ) -> Result<()> {
+        let mut rest = ops;
+        let Some(op) = rest.next() else {
             return if need_new { Ok(()) } else { k(self) };
         };
         if self.get(op).is_some() {
@@ -532,7 +539,7 @@ impl<'a> Machine<'a> {
         }
         let new = self.dv.new_objects();
         // The last unbound operand supplies the new object if none has.
-        let last = rest.iter().all(|&r| self.get(r).is_some());
+        let last = rest.clone().all(|r| self.get(r).is_some());
         let candidates = if need_new && last {
             new.clone()
         } else {
@@ -540,7 +547,7 @@ impl<'a> Machine<'a> {
         };
         for i in candidates {
             let still = need_new && !new.contains(&i);
-            self.with(op, Oid(i as u32), &mut |m| m.each_object(rest, still, &mut *k))?;
+            self.with(op, Oid(i as u32), &mut |m| m.each_object(rest.clone(), still, &mut *k))?;
         }
         Ok(())
     }
@@ -556,9 +563,8 @@ impl<'a> Machine<'a> {
         restricted: bool,
         k: &mut impl Cont<'a>,
     ) -> Result<()> {
-        let mut ops = vec![call.receiver];
-        ops.extend(&call.args);
-        self.each_object(&ops, restricted, &mut |m| {
+        let ops = std::iter::once(call.receiver).chain(call.args.iter().copied());
+        self.each_object(ops, restricted, &mut |m| {
             let receiver = m.get(call.receiver).expect("enumerated above");
             let args = m.bound(&call.args).expect("enumerated above");
             match m.structure.apply_scalar(method, receiver, &args) {
@@ -804,7 +810,7 @@ impl<'a> Machine<'a> {
             // As `answers()` seeds it: an unbound method variable ranges
             // over the methods with facts stored on the receiver (and
             // `self`), not over the declarations.
-            return self.each_object(&[call.receiver], false, &mut |m| {
+            return self.each_object(std::iter::once(call.receiver), false, &mut |m| {
                 let r = m.get(call.receiver).expect("enumerated above");
                 let methods: BTreeSet<Oid> = if set_valued {
                     s.facts().set_facts_of_receiver(r).map(|f| f.method).collect()

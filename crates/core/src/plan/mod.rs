@@ -583,6 +583,10 @@ impl FrameRun {
     /// The run in the order of its projection through `canonical` — the
     /// slots — and then of any words after the slots, with duplicates
     /// dropped (`dedup`) or kept.
+    ///
+    /// A run whose leading key never descends — what a first atom seeded
+    /// from an extent or an index enumerates — is sorted one segment of
+    /// equal leading keys at a time; any other run, as a whole.
     fn sorted(self, canonical: &[usize], dedup: bool) -> FrameRun {
         let slots = self.slots;
         if self.len < 2 {
@@ -593,17 +597,23 @@ impl FrameRun {
         }
         let arena = &self.arena;
         let frame = |i: u32| &arena[i as usize * slots..i as usize * slots + slots];
-        let mut idx: Vec<u32> = (0..self.len as u32).collect();
-        idx.sort_unstable_by(|&a, &b| {
+        let key_order = || canonical.iter().copied().chain(canonical.len()..slots);
+        let by_key = |&a: &u32, &b: &u32| {
             let (fa, fb) = (frame(a), frame(b));
-            for s in canonical.iter().copied().chain(canonical.len()..slots) {
-                match fa[s].cmp(&fb[s]) {
-                    std::cmp::Ordering::Equal => continue,
-                    ord => return ord,
-                }
+            key_order()
+                .map(|s| fa[s].cmp(&fb[s]))
+                .find(|ord| ord.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        };
+        let lead = key_order().next().expect("a run with slots has a key");
+        let mut idx: Vec<u32> = (0..self.len as u32).collect();
+        if arena[lead..].iter().step_by(slots).is_sorted() {
+            for segment in idx.chunk_by_mut(|&a, &b| frame(a)[lead] == frame(b)[lead]) {
+                segment.sort_unstable_by(by_key);
             }
-            std::cmp::Ordering::Equal
-        });
+        } else {
+            idx.sort_unstable_by(by_key);
+        }
         if dedup {
             idx.dedup_by(|&mut a, &mut b| frame(a) == frame(b));
         }
@@ -1250,6 +1260,77 @@ mod tests {
         };
         assert_eq!(merge_frame_runs(vec![unit(), FrameRun::new(0), unit()], &[]).len(), 1);
         assert!(merge_frame_runs(vec![FrameRun::new(0), FrameRun::new(0)], &[]).is_empty());
+    }
+
+    /// `FrameRun::sorted` over `frames` equals a plain full sort by the key
+    /// `canonical` projects (then the words after the slots), with
+    /// duplicates dropped or kept.
+    fn assert_sorts_like_a_full_sort(frames: &[Vec<u32>], width: usize, canonical: &[usize], dedups: &[bool]) {
+        let key = |f: &Vec<u32>| -> Vec<u32> {
+            let order = canonical.iter().copied().chain(canonical.len()..width);
+            order.map(|s| f[s]).collect()
+        };
+        for &dedup in dedups {
+            let mut run = FrameRun::new(width);
+            frames.iter().for_each(|f| run.push(f));
+            let got: Vec<Vec<u32>> = run.sorted(canonical, dedup).frames().map(<[u32]>::to_vec).collect();
+            let mut want = frames.to_vec();
+            want.sort_by_key(key);
+            if dedup {
+                want.dedup();
+            }
+            assert_eq!(got, want, "{frames:?} by {canonical:?}, dedup {dedup}");
+        }
+    }
+
+    #[test]
+    fn segment_sorted_runs_equal_a_full_sort() {
+        let both = [false, true];
+        // Slots X, Y, Z with canonical order [2, 0, 1]: the lead is slot 2.
+        let canonical = [2, 0, 1];
+        let ascending = vec![
+            vec![9, 4, 1],
+            vec![3, 8, 1],
+            vec![9, 4, 1],
+            vec![3, 2, 1],
+            vec![5, 5, 2],
+            vec![1, 9, 3],
+            vec![7, 1, 3],
+            vec![1, 9, 3],
+            vec![1, 0, 3],
+        ];
+        assert_sorts_like_a_full_sort(&ascending, 3, &canonical, &both);
+        // The lead descends once: at the first pair, at the last.
+        let mut first = ascending.clone();
+        first[0][2] = 4;
+        assert_sorts_like_a_full_sort(&first, 3, &canonical, &both);
+        let mut last = ascending.clone();
+        last[8][2] = 0;
+        assert_sorts_like_a_full_sort(&last, 3, &canonical, &both);
+        // Every lead distinct, every lead equal.
+        let distinct: Vec<Vec<u32>> = (0..6).map(|i| vec![6 - i, i, i]).collect();
+        assert_sorts_like_a_full_sort(&distinct, 3, &canonical, &both);
+        let equal: Vec<Vec<u32>> = (0..6).map(|i| vec![i % 2, 6 - i, 4]).collect();
+        assert_sorts_like_a_full_sort(&equal, 3, &canonical, &both);
+        // No frame, one frame.
+        assert_sorts_like_a_full_sort(&[], 3, &canonical, &both);
+        assert_sorts_like_a_full_sort(&[vec![2, 1, 0]], 3, &canonical, &both);
+        // The denoted word after the slots (`execute_term`): it orders
+        // frames of equal keys, and is the whole key of a body without
+        // variables.
+        let denoting = vec![
+            vec![5, 1, 7],
+            vec![5, 1, 3],
+            vec![2, 1, 3],
+            vec![2, 1, 3],
+            vec![4, 2, 1],
+        ];
+        assert_sorts_like_a_full_sort(&denoting, 3, &[1, 0], &both);
+        let ground = vec![vec![4], vec![4], vec![6], vec![5]];
+        assert_sorts_like_a_full_sort(&ground, 1, &[], &both);
+        // A body with no slots: its runs hold the one empty frame at most.
+        assert_sorts_like_a_full_sort(&[vec![], vec![], vec![]], 0, &[], &[true]);
+        assert_sorts_like_a_full_sort(&[], 0, &[], &[true]);
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //!
 //! * [`CowVec`] — a vector cut into chunks of [`CHUNK`] elements, each
 //!   behind an `Arc`.  Backs the dense tables and append-only logs
-//!   (objects, group tables, slot / application tables, insertion logs) and
-//!   the posting lists too long to sit inline in their index.
+//!   (objects, the scalar row table, the set group and application tables,
+//!   insertion logs) and the posting lists too long to sit inline in their
+//!   index.
 //! * [`ShardMap`] — a hash map cut into shards of about [`SHARD_TARGET`]
 //!   entries, each an `Arc`-shared `HashMap`, picked from the key's hash.
-//!   Backs the name table (keyed by the name's SipHash), the group
-//!   directories, the posting indexes, the is-a maps and the signature
-//!   index.
+//!   Backs the name table (keyed by the name's SipHash), the scalar and set
+//!   application directories, the posting indexes, the is-a maps and the
+//!   signature index.
 //!
 //! # Invariants
 //!

@@ -4,46 +4,59 @@
 //! A scalar fact states `I_->(method)(receiver, args...) = result`; a set
 //! fact states `member ∈ I_->>(method)(receiver, args...)`.
 //!
-//! # Columnar layout
+//! # Layout
 //!
-//! Facts are stored column-wise, grouped per `(method, receiver)` key:
-//! each group holds parallel columns (argument tuples in a flattened
-//! `Oid` column with an offset table, results, member runs) with rows kept
-//! **sorted by argument tuple**.  Point lookups resolve with one hash probe
-//! to the group plus a binary search over its argument column —
-//! allocation-free, like the nested application index this layout
-//! replaces.  Set members are [`OidRun`] columns: sorted, deduplicated,
-//! `Arc`-shared — the engine's factorized answer DAGs
+//! **A scalar fact is one row.**  Scalar methods are partial functions, so
+//! `I_->` is stored as a function: one row per fact in the dense slot table
+//! — method, receiver, result, and the argument tuple as an `Arc`-shared
+//! slice (none for a zero-argument row, which so allocates nothing).  The
+//! `(method, receiver)` directory maps each application to the slots of its
+//! rows, kept **in argument-tuple order** (the zero-argument row first): an
+//! only row's slot inline in the directory entry, several in an
+//! `Arc`-shared list.  A point lookup is one directory probe and a binary
+//! search over those slots' argument tuples — for the common single-row
+//! application, one probe and one row read — with nothing allocated.
+//!
+//! **Set facts are grouped per `(method, receiver)`**: each group holds
+//! parallel columns (argument tuples in a flattened `Oid` column with an
+//! offset table, member runs) with rows kept sorted by argument tuple, and
+//! a point lookup is one hash probe to the group plus a binary search over
+//! its argument column.  Set members are [`OidRun`] columns: sorted,
+//! deduplicated, `Arc`-shared — the engine's factorized answer DAGs
 //! ([`crate::semantics::factorized`]) reference them zero-copy.
 //!
 //! # What a clone shares and what a write detaches
 //!
-//! Every table here — the group tables, the group directories, the dense
-//! slot / application tables, the six posting indexes, the insertion log
-//! and the mutation journal — sits on the copy-on-write containers of the
-//! `cow` module, and the columns of each group behind an `Arc` of their
-//! own.  Cloning the tables (an epoch publish, a tolerant read's scrub, a
-//! rollback snapshot, a reactive simulation) bumps one reference count per
-//! sealed chunk and per shard and copies only the tables' unsealed tails —
-//! bounded by the chunk size, not by the store.  A write then detaches
-//! exactly what it touches: the chunk holding the group's entry, that
-//! group's columns, the member run it inserts into, and one shard of each
-//! index it updates (short posting lists sit in their index bucket, long
-//! ones append to an owned tail); appends to the logs go to owned tails
-//! and detach nothing.  A re-assertion or a retraction that misses probes
-//! read-only first and detaches nothing at all.  What keeping an old clone
-//! alive costs is therefore the chunks, shards and columns detached from it
-//! since, and dropping it frees just those.
+//! Every table here — the scalar row table and directory, the set group
+//! table, directory and application table, the six posting indexes, the
+//! insertion log and the mutation journal — sits on the copy-on-write
+//! containers of the `cow` module; a scalar row's argument tuple, the slot
+//! list of a scalar application with several rows and a set group's
+//! columns sit behind an `Arc` of their own.  Cloning the tables (an epoch
+//! publish, a tolerant read's scrub, a rollback snapshot, a reactive
+//! simulation) bumps one reference count per sealed chunk and per shard and
+//! copies only the tables' unsealed tails — bounded by the chunk size, not
+//! by the store.  A write then detaches exactly what it touches: a new
+//! scalar fact appends its row to an owned tail and detaches the directory
+//! shard of its application; a set write detaches the chunk holding the
+//! group's entry, that group's columns and the member run it inserts into;
+//! and either detaches one shard of each index it updates (short posting
+//! lists sit in their index bucket, long ones append to an owned tail).
+//! Appends to the logs go to owned tails and detach nothing.  A
+//! re-assertion or a retraction that misses probes read-only first and
+//! detaches nothing at all.  What keeping an old clone alive costs is
+//! therefore the chunks, shards and lists detached from it since, and
+//! dropping it frees just those.
 //!
 //! Iteration hands out [`ScalarFactView`]/[`SetFactView`] values — `Copy`
-//! structs of borrowed columns — in the exact orders the previous
-//! row-oriented backing produced: global enumeration follows assertion
-//! order (through the dense slot/application tables), per-`(method,
-//! receiver)` enumeration follows argument-tuple order (zero-argument row
-//! first), and secondary indexes (`by_method`, `by_receiver`,
-//! `by_method_result`, `by_method_member`) keep posting lists in assertion
-//! order.  Canonical dumps and deterministic enumeration downstream are
-//! byte-identical to the row backend (property-tested).
+//! structs of borrowed rows and columns — in fixed orders: global
+//! enumeration follows assertion order (through the dense slot/application
+//! tables), per-`(method, receiver)` enumeration follows argument-tuple
+//! order (zero-argument row first), and secondary indexes (`by_method`,
+//! `by_receiver`, `by_method_result`, `by_method_member`) keep posting
+//! lists in assertion order.  Canonical dumps and deterministic enumeration
+//! downstream do not depend on the layout (property-tested against a
+//! row-oriented shadow).
 //!
 //! Two properties of the storage are load-bearing for the engine's
 //! semi-naive evaluation (see [`crate::semantics::delta`]):
@@ -51,9 +64,9 @@
 //! * **insertion order**: scalar facts keep their dense slot position and
 //!   set-member insertions are recorded in an append-only log, so "the facts
 //!   added since watermark `k`" is an O(delta) slice;
-//! * **allocation-free lookups**: point lookups resolve through the group
-//!   table instead of building a boxed `(method, receiver, args)` key per
-//!   call.
+//! * **allocation-free lookups**: point lookups resolve through the
+//!   directories instead of building a boxed `(method, receiver, args)` key
+//!   per call.
 //!
 //! Watermark slices are only meaningful across a span without retractions:
 //! [`Facts::retract_scalar`] reorders the dense slot table (swap-remove) and
@@ -72,7 +85,7 @@ use super::runs::OidRun;
 use super::Oid;
 
 /// A borrowed view of one stored scalar fact: `method(receiver, args...) ->
-/// result`.  Cheap to copy; the argument tuple borrows the group's column.
+/// result`.  Cheap to copy; the argument tuple borrows the stored row's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScalarFactView<'a> {
     /// The method object.
@@ -173,44 +186,77 @@ impl ArgsCol {
             *off += len;
         }
     }
-
-    fn remove(&mut self, row: usize) {
-        let lo = self.offsets[row] as usize;
-        let hi = self.offsets[row + 1] as usize;
-        self.flat.drain(lo..hi);
-        let len = (hi - lo) as u32;
-        self.offsets.remove(row + 1);
-        for off in &mut self.offsets[row + 1..] {
-            *off -= len;
-        }
-    }
 }
 
-/// The columns of one scalar `(method, receiver)` group, rows sorted by
-/// argument tuple.  `slots[row]` is the row's dense global slot (assertion
-/// order), kept in sync with [`Facts::scalar_slots`].
+/// One scalar fact, a row of the dense slot table.
 #[derive(Debug, Clone)]
-struct ScalarCols {
-    args: ArgsCol,
-    results: Vec<Oid>,
-    slots: Vec<u32>,
-}
-
-impl ScalarCols {
-    fn new() -> Self {
-        ScalarCols {
-            args: ArgsCol::new(),
-            results: Vec::new(),
-            slots: Vec::new(),
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct ScalarGroup {
+struct ScalarRow {
     method: Oid,
     receiver: Oid,
-    cols: Arc<ScalarCols>,
+    result: Oid,
+    /// The argument tuple; `None` for a zero-argument row.
+    args: Option<Arc<[Oid]>>,
+}
+
+impl ScalarRow {
+    #[inline]
+    fn args(&self) -> &[Oid] {
+        self.args.as_deref().unwrap_or(&[])
+    }
+
+    #[inline]
+    fn view(&self) -> ScalarFactView<'_> {
+        ScalarFactView {
+            method: self.method,
+            receiver: self.receiver,
+            args: self.args(),
+            result: self.result,
+        }
+    }
+}
+
+/// The rows of one scalar `(method, receiver)` application: their slots, in
+/// argument-tuple order.  Never empty: the last row's retraction removes
+/// the directory entry.
+#[derive(Debug, Clone)]
+enum AppRows {
+    /// The only row, inline — almost every application has one.
+    One(u32),
+    /// Several, `Arc`-shared so that detaching a directory shard copies no
+    /// list.
+    Many(Arc<Vec<u32>>),
+}
+
+impl AppRows {
+    #[inline]
+    fn slots(&self) -> &[u32] {
+        match self {
+            AppRows::One(slot) => std::slice::from_ref(slot),
+            AppRows::Many(list) => list,
+        }
+    }
+
+    /// The slot list, to write: an only row becomes a list of one.
+    fn list(&mut self) -> &mut Vec<u32> {
+        if let AppRows::One(slot) = *self {
+            *self = AppRows::Many(Arc::new(vec![slot]));
+        }
+        match self {
+            AppRows::Many(list) => Arc::make_mut(list),
+            AppRows::One(_) => unreachable!("made a list above"),
+        }
+    }
+
+    /// Re-point the row at slot `old` to slot `new`.
+    fn replace(&mut self, old: u32, new: u32) {
+        if let AppRows::One(slot) = self {
+            *slot = new;
+            return;
+        }
+        let list = self.list();
+        let pos = list.iter().position(|&s| s == old).expect("a row of this application");
+        list[pos] = new;
+    }
 }
 
 /// The columns of one set-valued `(method, receiver)` group, rows sorted by
@@ -332,11 +378,11 @@ type Index<K> = ShardMap<K, Postings>;
 /// The fact tables of a structure.
 #[derive(Debug, Default, Clone)]
 pub struct Facts {
-    scalar_groups: CowVec<ScalarGroup>,
-    scalar_group_of: ShardMap<(Oid, Oid), u32>,
-    /// Dense slot table: `slot -> (group, row)`, in assertion order.  Slot
+    /// Dense slot table: one row per scalar fact, in assertion order.  Slot
     /// numbers double as generation stamps (see [`Facts::scalar_index`]).
-    scalar_slots: CowVec<(u32, u32)>,
+    scalar_rows: CowVec<ScalarRow>,
+    /// `(method, receiver)` → the slots of the application's rows.
+    scalar_dir: ShardMap<(Oid, Oid), AppRows>,
     scalar_by_method: Index<Oid>,
     scalar_by_method_result: Index<(Oid, Oid)>,
     scalar_by_receiver: Index<Oid>,
@@ -378,42 +424,20 @@ impl Facts {
 
     // -- scalar ------------------------------------------------------------
 
+    /// The row of `args` among `slots` — the rows of one application, in
+    /// argument-tuple order: `Ok(position)` if present, `Err(insertion
+    /// position)` otherwise.
     #[inline]
-    fn scalar_view(&self, slot: usize) -> ScalarFactView<'_> {
-        self.scalar_view_at(self.scalar_slots[slot])
+    fn row_of(&self, slots: &[u32], args: &[Oid]) -> std::result::Result<usize, usize> {
+        slots.binary_search_by(|&slot| self.scalar_rows[slot as usize].args().cmp(args))
     }
 
+    /// The slot of the scalar fact for `(method, receiver, args)`.
     #[inline]
-    fn scalar_view_at(&self, (g, row): (u32, u32)) -> ScalarFactView<'_> {
-        let grp = &self.scalar_groups[g as usize];
-        ScalarFactView {
-            method: grp.method,
-            receiver: grp.receiver,
-            args: grp.cols.args.get(row as usize),
-            result: grp.cols.results[row as usize],
-        }
-    }
-
-    /// Insert a new row into group `g` (which must not contain `args`) and
-    /// register it in the slot table and the secondary indexes.
-    fn scalar_insert_row(&mut self, g: u32, row: usize, args: &[Oid], result: Oid) {
-        let slot = self.scalar_slots.len() as u32;
-        let grp = self.scalar_groups.make_mut(g as usize);
-        let (method, receiver) = (grp.method, grp.receiver);
-        let cols = Arc::make_mut(&mut grp.cols);
-        cols.args.insert(row, args);
-        cols.results.insert(row, result);
-        cols.slots.insert(row, slot);
-        // Rows after the insertion point shifted up by one; re-point their
-        // slot-table entries.
-        for &s in &cols.slots[row + 1..] {
-            self.scalar_slots.make_mut(s as usize).1 += 1;
-        }
-        self.scalar_slots.push((g, row as u32));
-        self.scalar_by_method.get_or_default(method).push(slot);
-        self.scalar_by_method_result.get_or_default((method, result)).push(slot);
-        self.scalar_by_receiver.get_or_default(receiver).push(slot);
-        self.mutation_log.push(method);
+    fn scalar_find(&self, method: Oid, receiver: Oid, args: &[Oid]) -> Option<usize> {
+        let slots = self.scalar_dir.get(&(method, receiver))?.slots();
+        let pos = self.row_of(slots, args).ok()?;
+        Some(slots[pos] as usize)
     }
 
     /// Assert `I_->(method)(receiver, args) = result`.
@@ -422,46 +446,58 @@ impl Facts {
     /// same application: scalar methods are partial functions, so conflicting
     /// results indicate an inconsistent program.
     pub fn assert_scalar(&mut self, method: Oid, receiver: Oid, args: &[Oid], result: Oid) -> Result<Assert> {
-        if let Some(&g) = self.scalar_group_of.get(&(method, receiver)) {
-            match self.scalar_groups[g as usize].cols.args.find(args) {
-                Ok(row) => {
-                    let existing = self.scalar_groups[g as usize].cols.results[row];
+        let key = (method, receiver);
+        // Where the new row goes among the application's, if it has any.
+        let pos = match self.scalar_dir.get(&key) {
+            None => None,
+            Some(rows) => match self.row_of(rows.slots(), args) {
+                Err(pos) => Some(pos),
+                Ok(pos) => {
+                    let existing = self.scalar_rows[rows.slots()[pos] as usize].result;
                     if existing == result {
                         return Ok(Assert::Unchanged);
                     }
-                    Err(Error::Other(format!(
+                    return Err(Error::Other(format!(
                         "conflicting scalar results for method {:?} on receiver {:?}: {:?} vs {:?}",
                         method, receiver, existing, result
-                    )))
+                    )));
                 }
-                Err(row) => {
-                    self.scalar_insert_row(g, row, args, result);
-                    Ok(Assert::New)
-                }
+            },
+        };
+        let slot = self.scalar_rows.len() as u32;
+        self.scalar_rows.push(ScalarRow {
+            method,
+            receiver,
+            result,
+            args: (!args.is_empty()).then(|| args.into()),
+        });
+        match pos {
+            Some(pos) => self
+                .scalar_dir
+                .get_mut(&key)
+                .expect("probed above")
+                .list()
+                .insert(pos, slot),
+            None => {
+                self.scalar_dir.insert(key, AppRows::One(slot));
             }
-        } else {
-            let g = self.scalar_groups.len() as u32;
-            self.scalar_groups.push(ScalarGroup {
-                method,
-                receiver,
-                cols: Arc::new(ScalarCols::new()),
-            });
-            self.scalar_group_of.insert((method, receiver), g);
-            self.scalar_insert_row(g, 0, args, result);
-            Ok(Assert::New)
         }
+        self.scalar_by_method.get_or_default(method).push(slot);
+        self.scalar_by_method_result.get_or_default((method, result)).push(slot);
+        self.scalar_by_receiver.get_or_default(receiver).push(slot);
+        self.mutation_log.push(method);
+        Ok(Assert::New)
     }
 
     /// Look up the scalar result of a method application, if defined.
     ///
-    /// One hash probe to the `(method, receiver)` group plus a binary search
-    /// over its argument column: allocation-free for both the zero-argument
+    /// One directory probe to the `(method, receiver)` application plus a
+    /// binary search over its rows' argument tuples — for an application of
+    /// one row, one row read: allocation-free for both the zero-argument
     /// common case and applications with arguments.
     pub fn scalar_result(&self, method: Oid, receiver: Oid, args: &[Oid]) -> Option<Oid> {
-        let &g = self.scalar_group_of.get(&(method, receiver))?;
-        let cols = &self.scalar_groups[g as usize].cols;
-        let row = cols.args.find(args).ok()?;
-        Some(cols.results[row])
+        let slot = self.scalar_find(method, receiver, args)?;
+        Some(self.scalar_rows[slot].result)
     }
 
     /// The dense slot position of the scalar fact for `(method, receiver,
@@ -469,49 +505,36 @@ impl Facts {
     /// stable while no scalar fact is retracted, so they double as generation
     /// stamps: `index >= k` means "asserted at or after watermark `k`".
     pub fn scalar_index(&self, method: Oid, receiver: Oid, args: &[Oid]) -> Option<usize> {
-        let &g = self.scalar_group_of.get(&(method, receiver))?;
-        let cols = &self.scalar_groups[g as usize].cols;
-        let row = cols.args.find(args).ok()?;
-        Some(cols.slots[row] as usize)
+        self.scalar_find(method, receiver, args)
     }
 
     /// The scalar fact stored at dense slot position `idx`.
     #[inline]
     pub fn scalar_fact_at(&self, idx: usize) -> ScalarFactView<'_> {
-        self.scalar_view(idx)
+        self.scalar_rows[idx].view()
     }
 
     /// All scalar facts for the compound `(method, receiver)` key — every
     /// argument tuple the method is defined for on this receiver, in
-    /// argument-tuple order (zero-argument row first): a contiguous walk of
-    /// the group's columns.
+    /// argument-tuple order (zero-argument row first): the rows the
+    /// application's directory entry lists.
     pub fn scalar_facts_of_method_receiver(
         &self,
         method: Oid,
         receiver: Oid,
     ) -> impl Iterator<Item = ScalarFactView<'_>> + '_ {
-        self.scalar_group_of
-            .get(&(method, receiver))
-            .into_iter()
-            .flat_map(move |&g| {
-                let grp = &self.scalar_groups[g as usize];
-                (0..grp.cols.results.len()).map(move |row| ScalarFactView {
-                    method: grp.method,
-                    receiver: grp.receiver,
-                    args: grp.cols.args.get(row),
-                    result: grp.cols.results[row],
-                })
-            })
+        let slots = self.scalar_dir.get(&(method, receiver)).map_or(&[][..], AppRows::slots);
+        slots.iter().map(move |&slot| self.scalar_fact_at(slot as usize))
     }
 
     /// All scalar facts for a method.
     pub fn scalar_facts_of_method(&self, method: Oid) -> impl Iterator<Item = ScalarFactView<'_>> + '_ {
-        postings(&self.scalar_by_method, &method).map(move |&i| self.scalar_view(i as usize))
+        postings(&self.scalar_by_method, &method).map(move |&i| self.scalar_fact_at(i as usize))
     }
 
     /// All scalar facts for a method with a given result.
     pub fn scalar_facts_with_result(&self, method: Oid, result: Oid) -> impl Iterator<Item = ScalarFactView<'_>> + '_ {
-        postings(&self.scalar_by_method_result, &(method, result)).map(move |&i| self.scalar_view(i as usize))
+        postings(&self.scalar_by_method_result, &(method, result)).map(move |&i| self.scalar_fact_at(i as usize))
     }
 
     /// How many facts [`Facts::scalar_facts_of_method`] walks.  O(1), as
@@ -534,17 +557,17 @@ impl Facts {
 
     /// All scalar facts whose receiver is `receiver`.
     pub fn scalar_facts_of_receiver(&self, receiver: Oid) -> impl Iterator<Item = ScalarFactView<'_>> + '_ {
-        postings(&self.scalar_by_receiver, &receiver).map(move |&i| self.scalar_view(i as usize))
+        postings(&self.scalar_by_receiver, &receiver).map(move |&i| self.scalar_fact_at(i as usize))
     }
 
     /// Every scalar fact, in assertion order.
     pub fn scalar_facts(&self) -> impl Iterator<Item = ScalarFactView<'_>> + '_ {
-        self.scalar_slots.iter().map(move |&at| self.scalar_view_at(at))
+        self.scalar_rows.iter().map(ScalarRow::view)
     }
 
     /// Number of scalar facts.
     pub fn num_scalar(&self) -> usize {
-        self.scalar_slots.len()
+        self.scalar_rows.len()
     }
 
     /// Retract the scalar fact for `(method, receiver, args)`, if present.
@@ -555,35 +578,33 @@ impl Facts {
     /// active-rule layer (`pathlog-reactive`) and for the object store's
     /// update operations.
     pub fn retract_scalar(&mut self, method: Oid, receiver: Oid, args: &[Oid]) -> Option<Oid> {
-        let &g = self.scalar_group_of.get(&(method, receiver))?;
-        let row = self.scalar_groups[g as usize].cols.args.find(args).ok()?;
-        let cols = Arc::make_mut(&mut self.scalar_groups.make_mut(g as usize).cols);
-        let slot = cols.slots[row] as usize;
-        let result = cols.results[row];
-        cols.args.remove(row);
-        cols.results.remove(row);
-        cols.slots.remove(row);
-        // Rows after the removed one shifted down by one.
-        for &s in &cols.slots[row..] {
-            self.scalar_slots.make_mut(s as usize).1 -= 1;
+        let key = (method, receiver);
+        let rows = self.scalar_dir.get(&key)?;
+        let pos = self.row_of(rows.slots(), args).ok()?;
+        let slot = rows.slots()[pos] as usize;
+        if rows.slots().len() == 1 {
+            self.scalar_dir.remove(&key);
+        } else {
+            self.scalar_dir.get_mut(&key).expect("probed above").list().remove(pos);
         }
+        // `swap_remove` moves the previously-last row (if any) into `slot`;
+        // re-point its directory entry and every index entry that referred
+        // to its old position.
+        let result = self.scalar_rows.swap_remove(slot).result;
         remove_index(&mut self.scalar_by_method, &method, slot);
         remove_index(&mut self.scalar_by_method_result, &(method, result), slot);
         remove_index(&mut self.scalar_by_receiver, &receiver, slot);
-        // `swap_remove` moves the previously-last slot (if any) into `slot`;
-        // re-point every index entry that referred to its old position.
-        self.scalar_slots.swap_remove(slot);
-        let old = self.scalar_slots.len();
+        let old = self.scalar_rows.len();
         if slot < old {
-            let (mg, mrow) = self.scalar_slots[slot];
-            let mgrp = self.scalar_groups.make_mut(mg as usize);
-            let (mmethod, mreceiver) = (mgrp.method, mgrp.receiver);
-            let mcols = Arc::make_mut(&mut mgrp.cols);
-            mcols.slots[mrow as usize] = slot as u32;
-            let mresult = mcols.results[mrow as usize];
-            replace_index(&mut self.scalar_by_method, &mmethod, old, slot);
-            replace_index(&mut self.scalar_by_method_result, &(mmethod, mresult), old, slot);
-            replace_index(&mut self.scalar_by_receiver, &mreceiver, old, slot);
+            let moved = &self.scalar_rows[slot];
+            let (m, r, res) = (moved.method, moved.receiver, moved.result);
+            self.scalar_dir
+                .get_mut(&(m, r))
+                .expect("a stored row has its application")
+                .replace(old as u32, slot as u32);
+            replace_index(&mut self.scalar_by_method, &m, old, slot);
+            replace_index(&mut self.scalar_by_method_result, &(m, res), old, slot);
+            replace_index(&mut self.scalar_by_receiver, &r, old, slot);
         }
         self.retractions += 1;
         self.mutation_log.push(method);
@@ -776,11 +797,11 @@ impl Facts {
     /// instead of panicking.  Yields `(position, fact)` pairs in assertion
     /// order; O(window).
     pub fn scalar_facts_in(&self, lo: usize, hi: usize) -> impl Iterator<Item = (usize, ScalarFactView<'_>)> + '_ {
-        let hi = hi.min(self.scalar_slots.len());
+        let hi = hi.min(self.scalar_rows.len());
         let lo = lo.min(hi);
         (lo..hi)
-            .zip(self.scalar_slots.range(lo, hi))
-            .map(move |(i, &at)| (i, self.scalar_view_at(at)))
+            .zip(self.scalar_rows.range(lo, hi))
+            .map(|(i, row)| (i, row.view()))
     }
 
     /// The set members inserted in the log window `[lo, hi)`, as
@@ -904,9 +925,8 @@ impl Facts {
 impl cow::Sharing for Facts {
     fn parts(&self) -> Vec<*const ()> {
         [
-            self.scalar_groups.parts(),
-            self.scalar_group_of.parts(),
-            self.scalar_slots.parts(),
+            self.scalar_rows.parts(),
+            self.scalar_dir.parts(),
             self.scalar_by_method.parts(),
             self.scalar_by_method_result.parts(),
             self.scalar_by_receiver.parts(),
@@ -958,6 +978,7 @@ fn replace_index<K: Hash + Eq + Clone>(index: &mut Index<K>, key: &K, old: usize
 
 #[cfg(test)]
 mod tests {
+    use super::cow::{Sharing, CHUNK};
     use super::*;
     use std::collections::BTreeSet;
 
@@ -1178,7 +1199,7 @@ mod tests {
     #[test]
     fn generation_stamps_survive_in_group_row_shifts() {
         let mut f = Facts::new();
-        // The second assertion lands *before* the first in the group's
+        // The second assertion lands *before* the first in the application's
         // sorted rows ([] < [5]); the global stamps must stay in assertion
         // order regardless.
         f.assert_scalar(o(1), o(10), &[o(5)], o(20)).unwrap();
@@ -1298,7 +1319,7 @@ mod tests {
     #[test]
     fn retract_scalar_within_one_group_keeps_the_slot_table_consistent() {
         let mut f = Facts::new();
-        // Three rows in one group; retract the middle one by tuple order.
+        // Three rows of one application; retract the middle one by tuple order.
         f.assert_scalar(o(1), o(10), &[], o(20)).unwrap();
         f.assert_scalar(o(1), o(10), &[o(3)], o(21)).unwrap();
         f.assert_scalar(o(1), o(10), &[o(5)], o(22)).unwrap();
@@ -1336,13 +1357,122 @@ mod tests {
         f.assert_scalar(o(1), o(10), &[], o(20)).unwrap();
         let snap = f.clone();
         assert!(Arc::ptr_eq(&f.set_groups[0].cols, &snap.set_groups[0].cols));
-        assert!(Arc::ptr_eq(&f.scalar_groups[0].cols, &snap.scalar_groups[0].cols));
+        assert_eq!(f.scalar_dir.detached_from(&snap.scalar_dir), 0);
         // Mutating one side detaches only the touched group.
         f.assert_set_member(o(2), o(10), &[], o(31));
         assert!(!Arc::ptr_eq(&f.set_groups[0].cols, &snap.set_groups[0].cols));
-        assert!(Arc::ptr_eq(&f.scalar_groups[0].cols, &snap.scalar_groups[0].cols));
+        assert_eq!(f.scalar_dir.detached_from(&snap.scalar_dir), 0);
         assert_eq!(snap.set_result(o(2), o(10), &[]).unwrap().len(), 1);
         assert_eq!(f.set_result(o(2), o(10), &[]).unwrap().len(), 2);
+    }
+
+    /// Every scalar fact of `f`, checked against all the ways to reach it:
+    /// its slot, the point probes, its application's rows.
+    fn assert_scalar_rows_resolve(f: &Facts) {
+        for (slot, fact) in f.scalar_facts().enumerate() {
+            let (m, r, args) = (fact.method, fact.receiver, fact.args);
+            assert_eq!(f.scalar_index(m, r, args), Some(slot));
+            assert_eq!(f.scalar_result(m, r, args), Some(fact.result));
+            assert_eq!(f.scalar_fact_at(slot), fact);
+            let tuples: Vec<&[Oid]> = f.scalar_facts_of_method_receiver(m, r).map(|g| g.args).collect();
+            assert!(tuples.windows(2).all(|w| w[0] < w[1]), "{tuples:?}");
+            assert!(tuples.contains(&args));
+        }
+    }
+
+    #[test]
+    fn an_application_of_several_rows_keeps_them_in_tuple_order() {
+        let mut f = Facts::new();
+        // Six argument tuples and the zero-argument row, out of order.
+        for k in [5, 2, 9, 1, 7, 3] {
+            f.assert_scalar(o(1), o(10), &[o(k), o(k + 1)], o(100 + k)).unwrap();
+        }
+        f.assert_scalar(o(1), o(10), &[], o(100)).unwrap();
+        assert!(matches!(f.scalar_dir.get(&(o(1), o(10))), Some(AppRows::Many(_))));
+        let results = |f: &Facts| -> Vec<u32> {
+            f.scalar_facts_of_method_receiver(o(1), o(10))
+                .map(|s| s.result.0)
+                .collect()
+        };
+        assert_eq!(results(&f), [100, 101, 102, 103, 105, 107, 109]);
+        assert_scalar_rows_resolve(&f);
+        // A clone shares the slot list until one side writes it.
+        let snap = f.clone();
+        let list = |f: &Facts| match f.scalar_dir.get(&(o(1), o(10))) {
+            Some(AppRows::Many(list)) => Arc::as_ptr(list),
+            _ => unreachable!("several rows"),
+        };
+        assert_eq!(list(&f), list(&snap));
+        assert_eq!(f.retract_scalar(o(1), o(10), &[o(5), o(6)]), Some(o(105)));
+        assert_eq!(f.retract_scalar(o(1), o(10), &[]), Some(o(100)));
+        assert_ne!(list(&f), list(&snap));
+        assert_eq!(results(&f), [101, 102, 103, 107, 109]);
+        assert_eq!(results(&snap), [100, 101, 102, 103, 105, 107, 109]);
+        assert_scalar_rows_resolve(&f);
+        assert_scalar_rows_resolve(&snap);
+        // A second row turns an only row into a list, and the last row's
+        // retraction removes the entry.
+        f.assert_scalar(o(2), o(10), &[o(4)], o(1)).unwrap();
+        assert!(matches!(f.scalar_dir.get(&(o(2), o(10))), Some(AppRows::One(_))));
+        f.assert_scalar(o(2), o(10), &[], o(0)).unwrap();
+        let second: Vec<u32> = f
+            .scalar_facts_of_method_receiver(o(2), o(10))
+            .map(|s| s.result.0)
+            .collect();
+        assert_eq!(second, [0, 1]);
+        assert_scalar_rows_resolve(&f);
+        assert!(f.retract_scalar(o(2), o(10), &[]).is_some());
+        assert!(f.retract_scalar(o(2), o(10), &[o(4)]).is_some());
+        assert!(f.scalar_dir.get(&(o(2), o(10))).is_none());
+        assert_scalar_rows_resolve(&f);
+    }
+
+    #[test]
+    fn argument_tuples_of_any_length_read_back_and_survive_a_clone() {
+        let mut f = Facts::new();
+        // Wider than a chunk of the slot table: a tuple has no length bound.
+        let wide: Vec<Oid> = (0..2 * CHUNK as u32 + 1).map(o).collect();
+        assert!(f.assert_scalar(o(2), o(0), &wide, o(1)).unwrap().is_new());
+        assert!(!f.assert_scalar(o(2), o(0), &wide, o(1)).unwrap().is_new());
+        assert!(f.assert_scalar(o(2), o(0), &wide[..CHUNK + 1], o(2)).unwrap().is_new());
+        assert!(f.assert_scalar(o(2), o(0), &wide, o(3)).is_err());
+        assert_eq!(f.scalar_result(o(2), o(0), &wide), Some(o(1)));
+        assert_eq!(f.scalar_result(o(2), o(0), &wide[..CHUNK + 1]), Some(o(2)));
+        assert_eq!(f.scalar_result(o(2), o(0), &wide[..CHUNK]), None);
+        let tuples: Vec<usize> = f
+            .scalar_facts_of_method_receiver(o(2), o(0))
+            .map(|s| s.args.len())
+            .collect();
+        assert_eq!(tuples, [CHUNK + 1, 2 * CHUNK + 1]);
+        assert_scalar_rows_resolve(&f);
+        // A clone keeps the tuples the original retracts.
+        let snap = f.clone();
+        assert_eq!(f.retract_scalar(o(2), o(0), &wide), Some(o(1)));
+        assert_eq!(f.scalar_result(o(2), o(0), &wide), None);
+        assert_eq!(snap.scalar_result(o(2), o(0), &wide), Some(o(1)));
+        assert_eq!(snap.scalar_fact_at(0).args, &wide[..]);
+        assert_scalar_rows_resolve(&f);
+        assert_scalar_rows_resolve(&snap);
+    }
+
+    #[test]
+    fn a_scalar_write_to_a_clone_detaches_a_constant_number_of_parts() {
+        let mut a = Facts::new();
+        // Not a multiple of the shard target: one more key doubles no map.
+        for k in 0..7 * CHUNK as u32 {
+            a.assert_scalar(o(1), o(k), &[], o(k % 7)).unwrap();
+        }
+        let mut b = a.clone();
+        assert_eq!(b.detached_from(&a), 0);
+        // A new fact appends a row: its application's directory shard and
+        // one shard per posting index.
+        b.assert_scalar(o(2), o(3), &[], o(4)).unwrap();
+        assert!(b.detached_from(&a) <= 4, "{}", b.detached_from(&a));
+        // A re-assertion and a retraction that misses detach nothing.
+        let mut c = a.clone();
+        c.assert_scalar(o(1), o(5), &[], o(5)).unwrap();
+        assert!(c.retract_scalar(o(1), o(5), &[o(9)]).is_none());
+        assert_eq!(c.detached_from(&a), 0);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! 1. the columnar `Facts`/`Isa` backend agrees, line for line, with an
 //!    independent row-oriented shadow model of `canonical_dump()` under any
 //!    interleaving of asserts and retracts (random trees *and* cyclic isa
-//!    graphs);
+//!    graphs; zero- and one-argument scalar applications of the same
+//!    methods on the same receivers);
 //! 2. `canonical_dump()` is invariant under the insertion order of the
 //!    surviving facts — the per-`(method, receiver)` run grouping must not
 //!    leak arrival order into the canonical form;
@@ -39,11 +40,42 @@ fn intern_universe(structure: &mut Structure) -> (Vec<Oid>, Vec<Oid>) {
 
 #[derive(Debug, Clone)]
 enum Op {
-    AssertScalar { method: u8, receiver: u8, value: u8 },
-    RetractScalar { method: u8, receiver: u8 },
-    AddMember { method: u8, receiver: u8, member: u8 },
-    RemoveMember { method: u8, receiver: u8, member: u8 },
-    AddIsa { sub: u8, sup: u8 },
+    AssertScalar {
+        method: u8,
+        receiver: u8,
+        value: u8,
+    },
+    RetractScalar {
+        method: u8,
+        receiver: u8,
+    },
+    /// A one-argument application of the same methods on the same
+    /// receivers: applications of mixed arity.
+    AssertScalarArg {
+        method: u8,
+        receiver: u8,
+        arg: u8,
+        value: u8,
+    },
+    RetractScalarArg {
+        method: u8,
+        receiver: u8,
+        arg: u8,
+    },
+    AddMember {
+        method: u8,
+        receiver: u8,
+        member: u8,
+    },
+    RemoveMember {
+        method: u8,
+        receiver: u8,
+        member: u8,
+    },
+    AddIsa {
+        sub: u8,
+        sup: u8,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -56,6 +88,19 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             value
         }),
         (m.clone(), o.clone()).prop_map(|(method, receiver)| Op::RetractScalar { method, receiver }),
+        (m.clone(), o.clone(), o.clone(), o.clone()).prop_map(|(method, receiver, arg, value)| {
+            Op::AssertScalarArg {
+                method,
+                receiver,
+                arg,
+                value,
+            }
+        }),
+        (m.clone(), o.clone(), o.clone()).prop_map(|(method, receiver, arg)| Op::RetractScalarArg {
+            method,
+            receiver,
+            arg
+        }),
         (m.clone(), o.clone(), o.clone()).prop_map(|(method, receiver, member)| Op::AddMember {
             method,
             receiver,
@@ -73,10 +118,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Row-oriented shadow of the fact store: plain maps keyed by
-/// `(method, receiver)`, exactly what the pre-columnar backend stored.
+/// `(method, receiver)` — and the argument, if any, for scalars.
 #[derive(Default)]
 struct Shadow {
-    scalars: BTreeMap<(u8, u8), u8>,
+    scalars: BTreeMap<(u8, u8, Option<u8>), u8>,
     sets: BTreeMap<(u8, u8), BTreeSet<u8>>,
     isa_direct: Vec<(u8, u8)>,
 }
@@ -96,12 +141,36 @@ impl Shadow {
                     objects[value as usize],
                 );
                 if outcome.is_ok() {
-                    self.scalars.insert((method, receiver), value);
+                    self.scalars.insert((method, receiver, None), value);
                 }
             }
             Op::RetractScalar { method, receiver } => {
                 structure.retract_scalar(methods[method as usize], objects[receiver as usize], &[]);
-                self.scalars.remove(&(method, receiver));
+                self.scalars.remove(&(method, receiver, None));
+            }
+            Op::AssertScalarArg {
+                method,
+                receiver,
+                arg,
+                value,
+            } => {
+                let outcome = structure.assert_scalar(
+                    methods[method as usize],
+                    objects[receiver as usize],
+                    &[objects[arg as usize]],
+                    objects[value as usize],
+                );
+                if outcome.is_ok() {
+                    self.scalars.insert((method, receiver, Some(arg)), value);
+                }
+            }
+            Op::RetractScalarArg { method, receiver, arg } => {
+                structure.retract_scalar(
+                    methods[method as usize],
+                    objects[receiver as usize],
+                    &[objects[arg as usize]],
+                );
+                self.scalars.remove(&(method, receiver, Some(arg)));
             }
             Op::AddMember {
                 method,
@@ -167,15 +236,18 @@ impl Shadow {
     /// `Structure::canonical_dump()` — independently of the columnar store.
     fn expected_sections(&self, methods: &[Oid], objects: &[Oid]) -> Vec<String> {
         let no_args: &[Oid] = &[];
-        let mut scalar_rows: Vec<(Oid, Oid, Oid)> = self
+        let mut scalar_rows: Vec<(Oid, Oid, Vec<Oid>, Oid)> = self
             .scalars
             .iter()
-            .map(|(&(m, r), &v)| (methods[m as usize], objects[r as usize], objects[v as usize]))
+            .map(|(&(m, r, a), &v)| {
+                let args = a.map(|a| objects[a as usize]).into_iter().collect();
+                (methods[m as usize], objects[r as usize], args, objects[v as usize])
+            })
             .collect();
         scalar_rows.sort_unstable();
         let mut out: Vec<String> = scalar_rows
             .into_iter()
-            .map(|(m, r, v)| format!("scalar {m} {r} {no_args:?} -> {v}"))
+            .map(|(m, r, args, v)| format!("scalar {m} {r} {args:?} -> {v}"))
             .collect();
         let mut member_rows: Vec<(Oid, Oid, Oid)> = self
             .sets
@@ -259,11 +331,13 @@ proptest! {
         for (m, r, v) in members {
             second.assert_set_member(methods2[m as usize], objects2[r as usize], &[], objects2[v as usize]);
         }
-        let mut scalars: Vec<(u8, u8, u8)> = shadow.scalars.iter().map(|(&(m, r), &v)| (m, r, v)).collect();
+        let mut scalars: Vec<(u8, u8, Option<u8>, u8)> =
+            shadow.scalars.iter().map(|(&(m, r, a), &v)| (m, r, a, v)).collect();
         scalars.reverse();
-        for (m, r, v) in scalars {
+        for (m, r, a, v) in scalars {
+            let args: Vec<Oid> = a.map(|a| objects2[a as usize]).into_iter().collect();
             second
-                .assert_scalar(methods2[m as usize], objects2[r as usize], &[], objects2[v as usize])
+                .assert_scalar(methods2[m as usize], objects2[r as usize], &args, objects2[v as usize])
                 .expect("replaying a conflict-free final state succeeds");
         }
         prop_assert_eq!(
@@ -412,8 +486,12 @@ enum HistOp {
     Name(u16),
     Isa(u16, u16),
     Scalar(u8, u16, u16),
+    /// Method, receiver, argument, result: a one-argument application
+    /// beside the zero-argument ones of `Scalar`.
+    ScalarArg(u8, u16, u16, u16),
     Member(u8, u16, u16),
     RetractScalar(u8, u16),
+    RetractScalarArg(u8, u16, u16),
     RetractMember(u8, u16, u16),
     /// `count` scalar facts and as many set members over consecutive
     /// objects — long enough runs to seal chunks and to double shard
@@ -428,8 +506,10 @@ fn hist_op() -> impl Strategy<Value = HistOp> {
         (0u16..2000).prop_map(HistOp::Name),
         (o.clone(), o.clone()).prop_map(|(a, b)| HistOp::Isa(a, b)),
         (m.clone(), o.clone(), o.clone()).prop_map(|(m, r, v)| HistOp::Scalar(m, r, v)),
+        (m.clone(), o.clone(), o.clone(), o.clone()).prop_map(|(m, r, a, v)| HistOp::ScalarArg(m, r, a, v)),
         (m.clone(), o.clone(), o.clone()).prop_map(|(m, r, v)| HistOp::Member(m, r, v)),
         (m.clone(), o.clone()).prop_map(|(m, r)| HistOp::RetractScalar(m, r)),
+        (m.clone(), o.clone(), o.clone()).prop_map(|(m, r, a)| HistOp::RetractScalarArg(m, r, a)),
         (m, o.clone(), o).prop_map(|(m, r, v)| HistOp::RetractMember(m, r, v)),
         (0u16..1200, 1u16..700).prop_map(|(start, count)| HistOp::Bulk(start, count)),
     ]
@@ -451,6 +531,10 @@ fn apply_hist(s: &mut Structure, op: &HistOp) {
             // A conflicting result is an error and changes nothing.
             let _ = s.assert_scalar(m, r, &[], v);
         }
+        HistOp::ScalarArg(m, r, a, v) => {
+            let (m, r, a, v) = (method(s, m), obj(s, r), obj(s, a), obj(s, v));
+            let _ = s.assert_scalar(m, r, &[a], v);
+        }
         HistOp::Member(m, r, v) => {
             let (m, r, v) = (method(s, m), obj(s, r), obj(s, v));
             s.assert_set_member(m, r, &[], v);
@@ -458,6 +542,10 @@ fn apply_hist(s: &mut Structure, op: &HistOp) {
         HistOp::RetractScalar(m, r) => {
             let (m, r) = (method(s, m), obj(s, r));
             s.retract_scalar(m, r, &[]);
+        }
+        HistOp::RetractScalarArg(m, r, a) => {
+            let (m, r, a) = (method(s, m), obj(s, r), obj(s, a));
+            s.retract_scalar(m, r, &[a]);
         }
         HistOp::RetractMember(m, r, v) => {
             let (m, r, v) = (method(s, m), obj(s, r), obj(s, v));
@@ -476,14 +564,49 @@ fn apply_hist(s: &mut Structure, op: &HistOp) {
     }
 }
 
+/// The scalar methods a history writes: the three of `hist_op` and `Bulk`'s
+/// `pay`.
+const SCALAR_METHODS: [&str; 4] = ["m0", "m1", "m2", "pay"];
+
+/// Every keyed scalar enumeration, in its own order — per application
+/// (argument-tuple order), per method, per method and result and per
+/// receiver (posting order) — for every scalar method a history writes and
+/// every object: one line per non-empty list.
+fn scalar_enumerations(s: &Structure) -> Vec<String> {
+    let facts = s.facts();
+    let methods = SCALAR_METHODS.into_iter().filter_map(|m| s.lookup_name(&Name::atom(m)));
+    let mut out = Vec::new();
+    for method in methods {
+        out.push(format!(
+            "{method}: {:?}",
+            facts.scalar_facts_of_method(method).collect::<Vec<_>>()
+        ));
+        for o in s.objects() {
+            let applied: Vec<_> = facts.scalar_facts_of_method_receiver(method, o).collect();
+            let valued: Vec<_> = facts.scalar_facts_with_result(method, o).collect();
+            if !applied.is_empty() || !valued.is_empty() {
+                out.push(format!("{method} {o}: {applied:?} {valued:?}"));
+            }
+        }
+    }
+    for o in s.objects() {
+        let received: Vec<_> = facts.scalar_facts_of_receiver(o).collect();
+        if !received.is_empty() {
+            out.push(format!("{o}: {received:?}"));
+        }
+    }
+    out
+}
+
 /// Everything a reader can observe of a structure, orders included: the
-/// canonical dump, the counters, the watermarks, the assertion-order
-/// enumerations and the delta window since `since`.
+/// canonical dump, the counters, the watermarks, the assertion-order and
+/// keyed enumerations and the delta window since `since`.
 fn observed(s: &Structure, since: &EvalMarks) -> Vec<String> {
     let now = EvalMarks::capture(s);
     let facts = s.facts();
     let window = DeltaView::between(s, since, &now);
     let touched: Vec<Oid> = s.objects().filter(|&o| window.has_new_facts_for(o)).collect();
+    let keyed = scalar_enumerations(s);
     vec![
         s.canonical_dump(),
         format!("{:?} {now:?} retractions {}", s.stats(), s.retractions()),
@@ -514,6 +637,7 @@ fn observed(s: &Structure, since: &EvalMarks) -> Vec<String> {
             window.is_empty(),
             window.has_new_objects()
         ),
+        keyed.join("\n"),
     ]
 }
 
