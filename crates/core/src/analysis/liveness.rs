@@ -19,9 +19,9 @@ use crate::names::Name;
 use crate::program::{DepKey, Rule};
 use crate::term::{FilterValue, Term};
 
-use super::cost::MethodStats;
 use super::diagnostics::{DiagCode, Diagnostic, Diagnostics, Span};
 use super::graph::{DependencyGraph, RuleKind};
+use super::stats::MethodStats;
 
 /// PL006: report reads of keys nothing defines.
 pub(super) fn check_always_empty(graph: &DependencyGraph, stats: Option<&MethodStats>, diags: &mut Diagnostics) {

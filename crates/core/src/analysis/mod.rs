@@ -1,5 +1,4 @@
-//! Static program analysis: dependency graphs, safety/lint diagnostics and
-//! cost annotations.
+//! Static program analysis: dependency graphs and safety/lint diagnostics.
 //!
 //! Every consumer of PathLog rule sets — the engine's stratifier, the
 //! constraint checker's read-key gating, the reactive crate's trigger
@@ -14,10 +13,10 @@
 //!   lints (PL006–PL009) and cascade warnings (PL010–PL011);
 //! * the engine's [`Stratification`] (bit-identical to what evaluation
 //!   uses — `engine/stratify.rs` delegates to the same graph);
-//! * per-rule [`RulePlanReport`]s annotating each body literal with its
-//!   access path and selectivity class — the front end for cost-based join
-//!   planning;
 //! * a [`CascadeReport`] bounding reactive trigger cascades statically.
+//!
+//! Join order is no concern of the analyzer: every body is planned when it
+//! runs, against the live structure ([`crate::plan`]).
 //!
 //! The analyzer never rejects anything itself; `Engine::install_checked`
 //! turns `Error`-severity diagnostics into [`crate::error::Error::StaticRejected`]
@@ -27,40 +26,22 @@
 //! carries at least one `Error`-severity diagnostic here.
 
 mod cascade;
-mod cost;
 mod diagnostics;
 mod graph;
 mod liveness;
-#[cfg(test)]
-mod reference;
 mod safety;
+mod stats;
 
 pub use cascade::{analyze_cascades, CascadeBound, CascadeReport, ReactiveRuleSummary};
-pub use cost::{AccessPath, LiteralPlan, MethodStats, RulePlanReport, Selectivity};
 pub use diagnostics::{json_escape, DiagCode, Diagnostic, Diagnostics, Severity, Span};
 pub use graph::{keys_intersect, DependencyGraph, Edge, Polarity, RuleKind, RuleNode};
-
-use std::collections::BTreeSet;
+pub use stats::MethodStats;
 
 use crate::constraints::ConstraintSet;
 use crate::engine::Stratification;
-use crate::program::{literal_reads, rule_info, DepKey, Literal, Program, Rule, RuleInfo};
+use crate::program::{rule_info, Program, Rule, RuleInfo};
 use crate::structure::Structure;
 use crate::term::Term;
-
-/// Annotate one rule's body with per-literal access paths, selectivity
-/// classes and fact-count estimates — the same annotations [`analyze`]
-/// attaches, exposed as the entry point the engine's cost-based join
-/// planner ([`crate::plan`]) consumes against *live* [`MethodStats`] at
-/// evaluation time.  `derived` is the set of dependency keys some rule
-/// writes (e.g. the union of every rule's `defines`): keys with no stored
-/// facts that appear there classify as [`Selectivity::Unknown`] instead of
-/// `Empty`, so a planner never orders a to-be-derived literal as if it
-/// pruned everything.
-pub fn plan_rule(rule: &Rule, stats: Option<&MethodStats>, derived: Option<&BTreeSet<DepKey>>) -> RulePlanReport {
-    let kind = if rule.is_fact() { RuleKind::Fact } else { RuleKind::Rule };
-    cost::plan_body(&rule.to_string(), kind, None, &rule.body, stats, derived)
-}
 
 /// Everything one analysis run looks at.  Build with the fluent setters and
 /// pass to [`analyze`] (or call [`AnalysisInput::run`]).
@@ -122,8 +103,8 @@ impl<'a> AnalysisInput<'a> {
         self
     }
 
-    /// Use this structure's stored facts for liveness (externally stored
-    /// keys are not "always empty") and for selectivity estimates.
+    /// Use this structure's stored facts for liveness: externally stored
+    /// keys are not "always empty" (PL006).
     pub fn structure(mut self, structure: &'a Structure) -> Self {
         self.structure = Some(structure);
         self
@@ -146,9 +127,6 @@ pub struct Analysis {
     pub strata: Option<Stratification>,
     /// All diagnostics, sorted by source position.
     pub diagnostics: Diagnostics,
-    /// Per-statement plan reports (proper rules, queries and constraints —
-    /// facts have no body to plan).
-    pub plans: Vec<RulePlanReport>,
     /// Cascade analysis, when reactive rules were supplied.
     pub cascade: Option<CascadeReport>,
 }
@@ -175,11 +153,6 @@ pub fn analyze(input: AnalysisInput<'_>) -> Analysis {
     let stats = structure.map(MethodStats::capture);
     let mut diags = Diagnostics::new();
     let mut graph = DependencyGraph::new();
-    // Plan inputs are collected while the graph is built and planned *after*
-    // it is complete: selectivity classification needs to know which read
-    // keys some rule writes (`writers_of`), and writers may appear later in
-    // the input than their readers.
-    let mut pending_plans: Vec<(String, RuleKind, Option<Span>, &[Literal])> = Vec::new();
 
     // -- program rules and facts --------------------------------------------
     if let Some(program) = program {
@@ -199,7 +172,6 @@ pub fn analyze(input: AnalysisInput<'_>) -> Analysis {
             safety::check_rule(rule, span, &mut diags);
             if !rule.is_fact() {
                 proper.push((rule, span));
-                pending_plans.push((label.clone(), kind, span, &rule.body));
             }
             graph.push(RuleNode::from_info(kind, label, span, info));
         }
@@ -228,9 +200,8 @@ pub fn analyze(input: AnalysisInput<'_>) -> Analysis {
         // A query is a body with no head: reuse the rule collectors via a
         // synthetic ground head that defines nothing.
         let info = rule_info(&Rule::new(Term::name("__query").empty_filters(), query.body.clone()));
-        graph.push(RuleNode::from_info(RuleKind::Query, label.clone(), span, info));
         safety::check_body(&label, &query.body, span, &mut diags);
-        pending_plans.push((label, RuleKind::Query, span, &query.body));
+        graph.push(RuleNode::from_info(RuleKind::Query, label, span, info));
     }
 
     // -- constraint bodies ---------------------------------------------------
@@ -241,9 +212,8 @@ pub fn analyze(input: AnalysisInput<'_>) -> Analysis {
                 Term::name("__constraint").empty_filters(),
                 c.body().to_vec(),
             ));
-            graph.push(RuleNode::from_info(RuleKind::Constraint, label.clone(), None, info));
             safety::check_body(&label, c.body(), None, &mut diags);
-            pending_plans.push((label, RuleKind::Constraint, None, c.body()));
+            graph.push(RuleNode::from_info(RuleKind::Constraint, label, None, info));
         }
     }
 
@@ -257,27 +227,6 @@ pub fn analyze(input: AnalysisInput<'_>) -> Analysis {
         info.uses.extend(summary.trigger.iter().cloned());
         graph.push(RuleNode::from_info(summary.kind, summary.name.clone(), None, info));
     }
-
-    // -- cost annotations ----------------------------------------------------
-    // Classify each read key as derived when the completed graph knows a
-    // writer for it, so factless-but-written keys report `Unknown` instead
-    // of `Empty` (the planner must not order a to-be-derived literal as if
-    // it pruned everything).
-    let derived: BTreeSet<DepKey> = pending_plans
-        .iter()
-        .flat_map(|(_, _, _, body)| body.iter())
-        .flat_map(|lit| literal_reads(&lit.term))
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .filter(|key| {
-            let singleton: BTreeSet<DepKey> = std::iter::once(key.clone()).collect();
-            !graph.writers_of(&singleton).is_empty()
-        })
-        .collect();
-    let plans: Vec<RulePlanReport> = pending_plans
-        .into_iter()
-        .map(|(label, kind, span, body)| cost::plan_body(&label, kind, span, body, stats.as_ref(), Some(&derived)))
-        .collect();
 
     // -- liveness ------------------------------------------------------------
     liveness::check_always_empty(&graph, stats.as_ref(), &mut diags);
@@ -295,10 +244,12 @@ pub fn analyze(input: AnalysisInput<'_>) -> Analysis {
         graph,
         strata,
         diagnostics: diags,
-        plans,
         cascade,
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -336,7 +287,6 @@ mod tests {
         assert!(a.diagnostics.is_empty(), "{}", a.diagnostics);
         assert!(a.strata.is_some());
         assert_eq!(a.graph.len(), 4); // 1 fact + 2 rules + 1 query
-        assert_eq!(a.plans.len(), 3); // 2 rules + 1 query
     }
 
     #[test]
@@ -401,7 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn structure_facts_quiet_pl006_and_feed_selectivity() {
+    fn structure_facts_quiet_pl006() {
         let mut p = Program::new();
         p.push_rule(Rule::new(
             Term::var("X").isa("adult"),
@@ -416,7 +366,6 @@ mod tests {
         s.assert_scalar(age, mary, &[], thirty).unwrap();
         let a = AnalysisInput::new().program(&p).structure(&s).run();
         assert!(a.diagnostics.is_empty(), "{}", a.diagnostics);
-        assert_eq!(a.plans[0].literals[0].selectivity, Selectivity::Singleton);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! reaches the structure, and every configuration mints virtual objects in
 //! one order.
 //!
-//! * A delta pass and the engine's full solve run through the compiled body
-//!   ([`crate::plan`]) and return slot frames in canonical order
+//! * A delta pass and the engine's full solve run through the rule's one
+//!   compiled body ([`crate::plan`]) and return slot frames in canonical order
 //!   ([`crate::plan::FrameRun`]; every frame binds every positive variable,
 //!   so key order is the object-id sequence in variable-name order); the
 //!   commit step merges a rule's runs in it
@@ -31,8 +31,10 @@
 //! engine's recognise phase; queries and the constraint checker take their
 //! solutions as frames.
 
+use std::collections::BTreeMap;
+
 use crate::error::Result;
-use crate::plan::{CompiledRule, FrameRun, IterationPlans};
+use crate::plan::{BodyPlan, CompiledRule, FrameRun};
 use crate::program::Rule;
 use crate::semantics::{Bindings, DeltaView};
 use crate::structure::Structure;
@@ -85,41 +87,36 @@ pub(super) enum SolveOutput {
     /// The naive oracle's full solve: the [`solve_body`](super::solve_body)
     /// solutions, sorted.
     Sorted(SortedRun),
-    /// The engine's full solve: the body compiled for the task, and its
-    /// frames.
-    Planned(CompiledRule, FrameRun),
-    /// A delta pass's frames, over the iteration's compiled body.
+    /// A full solve's or a delta pass's frames, over the rule's compiled
+    /// body.
     Frames(FrameRun),
 }
 
-/// Solve `task` against `structure`.  A delta pass runs through the compiled
-/// body and this iteration's pass order ([`crate::plan`]) over the
-/// iteration's window, both in `delta`.  A full solve compiles the body for
-/// itself — as a query is compiled, counted in no planner statistic — and
-/// runs it in the order the structure's live index cardinalities suggest
-/// ([`crate::plan::execute_query`]); only the naive oracle (`delta_driven:
-/// false`) solves written-order, through [`super::solve_body`].
+/// Solve `task` against `structure`, through the rule's body in `compiled`
+/// ([`crate::plan`]): a full solve in the order the structure's live index
+/// cardinalities suggest ([`crate::plan::execute_query`]), a delta pass by
+/// its rule's plan for the iteration over the iteration's window, both in
+/// `delta`.  The naive oracle (`delta_driven: false`) compiles nothing, and
+/// solves written-order through [`super::solve_body`].
 pub(super) fn run_task(
     structure: &Structure,
     rules: &[&Rule],
-    delta_driven: bool,
-    delta: Option<(&IterationPlans, &DeltaView)>,
+    compiled: &BTreeMap<usize, CompiledRule>,
+    delta: Option<(&BTreeMap<usize, BodyPlan>, &DeltaView)>,
     task: SolveTask,
 ) -> Result<SolveOutput> {
-    let rule = rules[task.rule];
-    match task.delta {
-        None if delta_driven => {
-            let compiled = crate::plan::compile(rule, &crate::analysis::plan_rule(rule, None, None));
-            let run = crate::plan::execute_query(structure, &compiled)?;
-            Ok(SolveOutput::Planned(compiled, run))
-        }
-        None => super::solve_body(structure, &rule.body, &Bindings::new()).map(|s| SolveOutput::Sorted(sorted_run(s))),
+    let Some(body) = compiled.get(&task.rule) else {
+        let solutions = super::solve_body(structure, &rules[task.rule].body, &Bindings::new())?;
+        return Ok(SolveOutput::Sorted(sorted_run(solutions)));
+    };
+    let run = match task.delta {
+        None => crate::plan::execute_query(structure, body)?,
         Some(lit) => {
             let (plans, dv) = delta.expect("a delta task runs in an iteration that has a window");
-            let (compiled, order) = plans.for_rule(task.rule);
-            crate::plan::execute_delta(structure, compiled, order, lit, dv).map(SolveOutput::Frames)
+            crate::plan::execute_delta(structure, body, &plans[&task.rule], lit, dv)?
         }
-    }
+    };
+    Ok(SolveOutput::Frames(run))
 }
 
 #[cfg(test)]

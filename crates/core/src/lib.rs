@@ -29,7 +29,7 @@
 //!   the pin/reclaim registry behind the MVCC serving layer;
 //! * [`typing`] — signature-based type checking;
 //! * [`analysis`] — static program analysis: dependency graphs, `PL0xx`
-//!   diagnostics, cascade bounds and per-literal cost annotations;
+//!   diagnostics and cascade bounds;
 //! * [`builtins`] — the `self` method and comparison extensions.
 //!
 //! ## Quick example
@@ -85,7 +85,7 @@ pub mod wellformed;
 pub mod prelude {
     pub use crate::analysis::{
         analyze, Analysis, AnalysisInput, CascadeBound, CascadeReport, DiagCode, Diagnostic, Diagnostics,
-        ReactiveRuleSummary, RulePlanReport, Severity, Span,
+        ReactiveRuleSummary, Severity, Span,
     };
     pub use crate::constraints::{
         tolerant_query, CheckStats, ConsistencyStatus, Constraint, ConstraintChecker, ConstraintPolicy, ConstraintSet,

@@ -35,20 +35,22 @@
 //! chain; the others follow in lowering order and find their operands
 //! bound), except the order-sensitive [`Atom::Superset`].
 //!
-//! **Ordered steps.**  A query runs every literal unrestricted, and its atoms
-//! need not run in lowering order: every step accepts any pattern of bound
-//! operands, so within a literal any order yields the same completions —
-//! the same assignments to slots *and* temporaries, each once.  Before a
-//! query's literal runs, `Machine::order_atoms` orders its atoms greedily
-//! by [`AtomStep::cardinality`], the size of the index the step would walk
-//! under the operands bound so far, read in O(1) from the posting lists of
-//! the fact store and the extents of the class hierarchy — ties in lowering
-//! order.  The order depends on which operands are bound, not on what they
-//! hold, so it is computed once per literal, not per frame.  Two atoms are
-//! barriers no atom is moved across: [`Atom::Superset`] valuates its strict
-//! right-hand side under exactly the bindings written-order evaluation
-//! gives it, and [`Atom::Signature`] seeds an unbound method variable from
-//! the receiver's facts.  A wrong cardinality costs time, never an answer.
+//! **Ordered steps.**  The atoms of an unrestricted literal — every literal
+//! of a query or a full solve, every literal of a delta pass but the
+//! restricted one — need not run in lowering order: every step accepts any
+//! pattern of bound operands, so within a literal any order yields the same
+//! completions — the same assignments to slots *and* temporaries, each
+//! once.  When a body is planned, `Machine::order_atoms` orders each
+//! literal's atoms greedily by [`AtomStep::cardinality`], the size of the
+//! index the step would walk under the operands bound so far, read in O(1)
+//! from the posting lists of the fact store and the extents of the class
+//! hierarchy — ties in lowering order.  The order depends on which operands
+//! are bound, not on what they hold, so it is computed once per literal, not
+//! per frame.  Two atoms are barriers no atom is moved across:
+//! [`Atom::Superset`] valuates its strict right-hand side under exactly the
+//! bindings written-order evaluation gives it, and [`Atom::Signature`] seeds
+//! an unbound method variable from the receiver's facts.  A wrong
+//! cardinality costs time, never an answer.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -398,17 +400,15 @@ impl<'a> Machine<'a> {
         Ok(std::mem::replace(&mut self.out, emitted))
     }
 
-    /// The frames of `frames` that negated literal `lit` does not hold of.
+    /// The frames of `frames` that negated literal `lit`, its atoms run in
+    /// the order of `steps`, does not hold of.
     pub(super) fn anti_join(
         &mut self,
         lit: &'a CompiledLiteral,
-        steps: Option<&[AtomStep]>,
+        steps: &[AtomStep],
         frames: &FrameRun,
     ) -> Result<FrameRun> {
-        let chain: Vec<(&Atom, bool)> = Self::chain(lit, steps)
-            .into_iter()
-            .map(|i| (&lit.atoms[i], false))
-            .collect();
+        let chain: Vec<(&Atom, bool)> = steps.iter().map(|s| (&lit.atoms[s.atom], false)).collect();
         let mut kept = FrameRun::new(self.slots);
         for frame in frames.frames() {
             self.cells[..self.slots].copy_from_slice(frame);
@@ -846,7 +846,7 @@ impl<'a> Machine<'a> {
     }
 }
 
-/// One atom of a literal as a query runs it.
+/// One atom of a literal as a plan runs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AtomStep {
     /// Index into [`CompiledLiteral::atoms`].
@@ -893,7 +893,7 @@ fn each_operand(atom: &Atom, f: &mut impl FnMut(Operand)) {
     }
 }
 
-/// Planning: the order of a literal's atoms in a query.  `bound` marks the
+/// Planning: the order of a literal's atoms in a plan.  `bound` marks the
 /// cells — slots, names, temporaries, as [`Machine::index`] numbers them —
 /// that hold an object when the literal runs.
 impl<'a> Machine<'a> {
@@ -963,7 +963,7 @@ impl<'a> Machine<'a> {
 
     /// The cheapest of `candidates` (atoms of `lit`) under `bound`, the
     /// earliest of equals.  A probe or a keyed lookup is taken without a
-    /// posting list being read: an anchored query plans without touching an
+    /// posting list being read: an anchored body plans without touching an
     /// index it will not walk.
     fn cheapest(&self, lit: &CompiledLiteral, candidates: &[usize], bound: &[bool]) -> Option<(usize, AtomStep)> {
         let costed = |read| {

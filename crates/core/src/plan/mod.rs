@@ -1,11 +1,12 @@
 //! Cost-based join planning and the compiled body IR: the evaluator of every
 //! rule body the engine solves, of every query and of every commit check.
 //!
-//! A stratum's first iteration solves each rule body in full: the body is
-//! compiled for that one solve ([`compile`]) and run with no literal
-//! restricted ([`execute_query`]), as a query is.  Every later iteration runs
-//! per-literal semi-naive *delta passes*, and those run here too — the
-//! engine has no other body evaluator.  So does every query
+//! Each proper rule is compiled once per run, when its stratum starts
+//! ([`compile`]).  The stratum's first iteration solves the body in full,
+//! with no literal restricted ([`execute_query`]), as a query is.  Every
+//! later iteration runs per-literal semi-naive *delta passes* over the same
+//! compiled body ([`execute_delta`]) — the engine has no other body
+//! evaluator.  So does every query
 //! ([`Engine::query`](crate::engine::Engine::query),
 //! [`Engine::query_term`](crate::engine::Engine::query_term)): a query body
 //! is a headless rule body ([`compile_query`]) run with no literal
@@ -30,35 +31,32 @@
 //!   [`Bindings`] are materialized from a frame at commit, and under the
 //!   strict right-hand side of an `m ->> t` check, only.
 //!
-//! * **Planning.**  [`pass_order`] reorders a rule's positive literals by
-//!   estimated cost, consuming the [`RulePlanReport`] annotations the
-//!   analysis subsystem derives from live
-//!   [`MethodStats`](crate::analysis::MethodStats) rather than re-deriving
-//!   them.  Delta-drivable literals cost `min(static estimate, delta entry
-//!   count)`, so a small delta seeds the join; when an index-backed literal
-//!   is estimated *below* the delta cardinality the planner seeds from it
-//!   instead (a *seed flip*, counted in
-//!   [`EvalStats::seed_flips`](crate::engine::EvalStats)).  After the seed,
-//!   literals sharing a bound variable are preferred over disconnected ones
-//!   (no accidental cross products), and guards — built-ins, and literals
-//!   holding a strict `m ->> t` check — are hoisted to the earliest position
-//!   where all their variables are bound — never earlier.
-//!   Orders are recomputed per stratum iteration as the stats evolve
-//!   ([`EvalStats::replans`](crate::engine::EvalStats)).  A body in which a
-//!   guard *enumerates* — some variable of it is not bound by the positive
+//! * **Planning.**  One planner orders every body against the live
+//!   structure ([`plan_pass`]): a query when it is asked ([`plan_query`]), a
+//!   rule's full solve likewise, and a rule's delta passes once per
+//!   iteration, one plan shared by all of the rule's passes.  Each positive
+//!   literal is costed by the cheapest step it could start with when only
+//!   names are bound — a posting-list length read in O(1) from the fact
+//!   store or the class hierarchy — and a delta-drivable literal by
+//!   `min(that length, delta entry count)`, so a small delta seeds the join;
+//!   when a literal's posting list is *shorter* than the delta the planner
+//!   seeds from it instead (a *seed flip*, counted in
+//!   [`EvalStats::seed_flips`](crate::engine::EvalStats)).  The order is
+//!   greedy: after the seed, literals sharing a bound variable are preferred
+//!   over disconnected ones (no accidental cross products), and guards —
+//!   built-ins, and literals holding a strict `m ->> t` check — are hoisted
+//!   to the earliest position where all their variables are bound — never
+//!   earlier.  Within each literal the atoms are ordered by the size of the
+//!   index each step would walk under what the literals before it bound
+//!   ([`atoms`], "Ordered steps"): `X : employee[age -> 33; city -> boston]`
+//!   starts from the receivers of `age -> 33`, not from the extent of
+//!   `employee`.  A pass's restricted literal is the one exception: the
+//!   window seeds its chain ([`execute_delta`]).  A body in which a guard
+//!   *enumerates* — some variable of it is not bound by the positive
 //!   literals written before it, as `B` in `A : person, A[lt -> B],
-//!   B : person` — keeps its written order (see [`compile`]).
-//!
-//! * **Query plans.**  A query is planned once, when it is asked
-//!   ([`plan_query`]): the same greedy literal order, each literal costed by
-//!   the cheapest step it could start with — a posting-list length read
-//!   from the live structure, not a [`RulePlanReport`] estimate, which is
-//!   derived from a walk over every fact — and within each literal the atoms
-//!   ordered by the size of the index each step would walk ([`atoms`],
-//!   "Ordered steps").  `X : employee[age -> 33; city -> boston]` starts
-//!   from the receivers of `age -> 33`, not from the extent of `employee`.
-//!   A plan decides how long a query takes, never what it answers or in
-//!   which order: answers leave in canonical key order.
+//!   B : person` — keeps its written order (see [`compile`]).  A plan
+//!   decides how long a solve takes, never what it finds or in which order:
+//!   solutions leave in canonical key order.
 //!
 //! **Why reordering is invisible.**  A full solve's or a delta pass's output
 //! is a frame run in canonical key order and a rule's runs are merged in
@@ -85,10 +83,9 @@
 
 pub mod atoms;
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::ops::Range;
 
-use crate::analysis::{AccessPath, RulePlanReport};
 use crate::builtins::{is_comparison, SELF_METHOD};
 use crate::error::Result;
 use crate::names::{Name, Var};
@@ -110,11 +107,6 @@ pub struct CompiledLiteral {
     /// `self`) or one holding a strict `m ->> t` check ([`Atom::Superset`]) —
     /// which is hoisted rather than cost-ordered.
     pub guard: bool,
-    /// Estimated stored-fact cost from the [`RulePlanReport`] annotation
-    /// (`usize::MAX` when unknown — e.g. a derived-only literal, or any
-    /// literal of a query body, which is costed when the query is planned:
-    /// [`LiteralSteps::cost`]).
-    pub cost: usize,
     /// The literal's atoms, in lowering order.
     pub atoms: Vec<Atom>,
     /// The operand holding the object the literal denotes as a reference
@@ -147,8 +139,8 @@ pub struct CompiledHead {
 
 /// A rule body lowered to the slot-addressed form: fixed slot indices for
 /// every body variable, the atoms of every literal with per-literal slot
-/// lists and cost annotations, and the name-sorted slot permutation that
-/// orders frames like their canonical binding keys.
+/// lists, and the name-sorted slot permutation that orders frames like their
+/// canonical binding keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledRule {
     /// Slot `i` holds the binding of `vars[i]`.
@@ -166,8 +158,8 @@ pub struct CompiledRule {
     negations: Vec<CompiledLiteral>,
     /// The head fast path, when the head has the supported shape.
     head: Option<CompiledHead>,
-    /// `true` when a guard enumerates (see [`compile`]):
-    /// [`pass_order`] then keeps the written order.
+    /// `true` when a guard enumerates (see [`compile`]): every plan then
+    /// keeps the written order.
     written_order: bool,
 }
 
@@ -264,58 +256,40 @@ impl CompiledRule {
     }
 }
 
-/// Lower `rule`'s body into slot-addressed form, consuming the cost
-/// annotations of `report` (one [`LiteralPlan`](crate::analysis::LiteralPlan)
-/// per body literal, as produced by [`crate::analysis::plan_rule`]).
-/// Compilation is total: every valid rule body has a compiled form, and every
-/// literal of it the same one (see [`atoms`]).
+/// Lower `rule`'s body into slot-addressed form.  Nothing is read from a
+/// structure: a body is costed against the structure it runs over, when it
+/// is planned ([`plan_pass`]).  Compilation is total: every valid rule body
+/// has a compiled form, and every literal of it the same one (see
+/// [`atoms`]).
 ///
-/// A guard — a built-in, or a literal holding a strict `m ->> t` check —
-/// whose variables are not all bound by *preceding* positive non-guard
-/// literals in written order enumerates rather than filters (a strict check
-/// with an unbound receiver ranges over the defined applications only, see
-/// [`Atom::Superset`]), and moving it is not semantics-preserving against
-/// written-order evaluation: such a body compiles with its written order
-/// pinned — every [`pass_order`] of it is the written order.
-pub fn compile(rule: &Rule, report: &RulePlanReport) -> CompiledRule {
+/// A guard — a literal applying built-ins only, or one holding a strict
+/// `m ->> t` check — whose variables are not all bound by *preceding*
+/// positive non-guard literals in written order enumerates rather than
+/// filters (a strict check with an unbound receiver ranges over the defined
+/// applications only, see [`Atom::Superset`]), and moving it is not
+/// semantics-preserving against written-order evaluation: such a body
+/// compiles with its written order pinned — every plan of it is the written
+/// order.
+pub fn compile(rule: &Rule) -> CompiledRule {
     let body = rule.body.iter().map(|lit| (lit.positive, &lit.term));
-    compile_body(body, Some(&rule.head), |i, _, _| {
-        let plan = &report.literals[i];
-        (
-            plan.access == AccessPath::Builtin,
-            plan.estimated_facts.unwrap_or(usize::MAX),
-        )
-    })
+    compile_body(body, Some(&rule.head))
 }
 
 /// Lower a query body — `(positive, reference)` per literal — like a rule
 /// body without a head: same slots, same atoms, same guards and the same
-/// written-order pin.  Nothing is read from a structure and no estimate is
-/// attached ([`CompiledLiteral::cost`] is `usize::MAX`): a query is costed
-/// against the structure it is asked of, by [`plan_query`].
+/// written-order pin.
 pub fn compile_query<'t>(body: impl IntoIterator<Item = (bool, &'t Term)>) -> CompiledRule {
+    compile_body(body.into_iter(), None)
+}
+
+/// The lowering [`compile`] and [`compile_query`] share.
+fn compile_body<'t>(body: impl Iterator<Item = (bool, &'t Term)>, head: Option<&Term>) -> CompiledRule {
     // A literal all of whose applications are built-ins never touches the
-    // fact store (what `AccessPath::Builtin` says of a rule's literal).
+    // fact store.
     let builtin = |op: Operand, names: &[Name]| match op {
         Operand::Name(i) => names[i].as_atom().is_some_and(|n| is_comparison(n) || n == SELF_METHOD),
         _ => false,
     };
-    compile_body(body.into_iter(), None, |_, atoms, names| {
-        let builtins_only = atoms
-            .iter()
-            .all(|a| matches!(a, Atom::Scalar { call, .. } if builtin(call.method, names)));
-        (builtins_only, usize::MAX)
-    })
-}
-
-/// The lowering [`compile`] and [`compile_query`] share.  `annotate` says of
-/// literal `i`, given its atoms and the names compiled so far, whether it
-/// applies built-ins only and what it is estimated to cost.
-fn compile_body<'t>(
-    body: impl Iterator<Item = (bool, &'t Term)>,
-    head: Option<&Term>,
-    annotate: impl Fn(usize, &[Atom], &[Name]) -> (bool, usize),
-) -> CompiledRule {
     let mut vars: Vec<Var> = Vec::new();
     let slots_of = |term: &Term, vars: &mut Vec<Var>| -> Vec<usize> {
         let mut slots: Vec<usize> = Vec::new();
@@ -346,7 +320,8 @@ fn compile_body<'t>(
         let slots = slots_of(term, &mut vars);
         let lowered = atoms::lower(term, &vars, &mut names);
         temps = temps.max(lowered.temps);
-        let (builtins_only, cost) = annotate(i, &lowered.atoms, &names);
+        let builtin_call = |a: &Atom| matches!(a, Atom::Scalar { call, .. } if builtin(call.method, &names));
+        let builtins_only = lowered.atoms.iter().all(builtin_call);
         let guard = builtins_only || lowered.atoms.iter().any(|a| matches!(a, Atom::Superset { .. }));
         if positive && guard {
             written_order |= !slots.iter().all(|s| bound.contains(s));
@@ -357,7 +332,6 @@ fn compile_body<'t>(
             body_index: i,
             slots,
             guard,
-            cost,
             atoms: lowered.atoms,
             denoted: lowered.denoted,
             names: lowered.names,
@@ -408,50 +382,10 @@ fn compile_head(head: &Term, vars: &[Var]) -> Option<CompiledHead> {
     })
 }
 
-/// The execution order of one iteration's delta passes over a compiled rule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PassOrder {
-    /// Body indices of the positive literals, in execution order.
-    pub positions: Vec<usize>,
-    /// `false` when the planner put a literal cheaper than the delta ahead
-    /// of every delta-drivable literal — a *seed flip* (also reported when
-    /// the only drivable literal is a guard waiting for its variables).
-    pub seeded_from_delta: bool,
-}
-
-/// Order a compiled rule's positive literals for the current iteration.
-///
-/// `drivable` are the body indices the iteration window can drive (the
-/// engine's `delta_literals` selection) and `delta_entries` the window's
-/// entry count; a drivable literal costs `min(static estimate,
-/// delta_entries)`.  The order is greedy: cheapest literal first, then
-/// repeatedly the cheapest literal *connected* to the bound variables (ties
-/// broken by body position; disconnected literals only when nothing
-/// connected remains), with guards emitted at the earliest position where
-/// all their variables are bound.  One order is computed per rule per
-/// iteration and shared by all of the rule's passes — the completeness
-/// argument in the module docs relies on that.  A body compiled with its
-/// written order pinned gets exactly that order, whatever the costs; that is
-/// no decision of the planner, so it is never reported as a seed flip.
-pub fn pass_order(compiled: &CompiledRule, drivable: &[usize], delta_entries: usize) -> PassOrder {
-    let positions = literal_order(compiled, |l| {
-        if drivable.contains(&l.body_index) {
-            l.cost.min(delta_entries)
-        } else {
-            l.cost
-        }
-    });
-    let seeded_from_delta = compiled.written_order || positions.first().is_some_and(|j| drivable.contains(j));
-    PassOrder {
-        positions,
-        seeded_from_delta,
-    }
-}
-
-/// The greedy order of [`pass_order`] under any cost of a literal: body
+/// The greedy order of [`plan_pass`] under any cost of a literal: body
 /// indices of the positive literals, in execution order.
 fn literal_order(compiled: &CompiledRule, cost: impl Fn(&CompiledLiteral) -> usize) -> Vec<usize> {
-    if compiled.written_order {
+    if compiled.written_order || compiled.positives.len() < 2 {
         return compiled.positives.iter().map(|l| l.body_index).collect();
     }
     let mut remaining: Vec<&CompiledLiteral> = compiled.positives.iter().filter(|l| !l.guard).collect();
@@ -489,30 +423,6 @@ fn literal_order(compiled: &CompiledRule, cost: impl Fn(&CompiledLiteral) -> usi
     debug_assert!(guards.is_empty(), "unbound guard survived planning");
     positions.extend(guards.iter().map(|b| b.body_index));
     positions
-}
-
-/// The compiled plans one iteration's delta tasks run through: the stratum's
-/// compiled bodies by rule index (compiled once, borrowed by every iteration
-/// until a re-plan) and the iteration's pass order for every rule it
-/// scheduled.
-#[derive(Debug)]
-pub struct IterationPlans<'a> {
-    /// The compiled bodies of the stratum's rules, by index into the run's
-    /// rule slice.
-    pub compiled: &'a BTreeMap<usize, CompiledRule>,
-    /// This iteration's execution order per scheduled rule.
-    pub orders: BTreeMap<usize, PassOrder>,
-}
-
-impl IterationPlans<'_> {
-    /// The compiled body and iteration order of `rule`.
-    ///
-    /// # Panics
-    /// When the iteration did not schedule `rule` — delta tasks and frame
-    /// commits exist only for scheduled rules.
-    pub fn for_rule(&self, rule: usize) -> (&CompiledRule, &PassOrder) {
-        (&self.compiled[&rule], &self.orders[&rule])
-    }
 }
 
 /// A pass's solutions as raw slot frames in canonical key order, deduplicated:
@@ -646,47 +556,30 @@ pub fn merge_frame_runs(mut runs: Vec<FrameRun>, canonical: &[usize]) -> FrameRu
     all.sorted_dedup(canonical)
 }
 
-/// Execute one delta pass of `compiled` in the planned `order`: positive
-/// literal `delta_lit` restricted to the window `dv`, every other literal
-/// joined against the full structure, the negated literals applied as
-/// anti-joins last.  Returns the pass's solutions in canonical key order:
-/// every solution of the body whose derivation reads the window through
-/// `delta_lit`, and only solutions of the body (the over-approximation a
-/// restricted atom step is allowed — see [`atoms`] — is absorbed by the
-/// deduplicating merge and the idempotent commit).  Every literal's atoms
-/// run in lowering order, the restricted one first.
+/// Execute one delta pass of `compiled` by its iteration's `plan`
+/// ([`plan_pass`]): positive literal `delta_lit` restricted to the window
+/// `dv`, every other literal joined against the full structure, the negated
+/// literals applied as anti-joins last.  Returns the pass's solutions in
+/// canonical key order: every solution of the body whose derivation reads the
+/// window through `delta_lit`, and only solutions of the body (the
+/// over-approximation a restricted atom step is allowed — see [`atoms`] — is
+/// absorbed by the deduplicating merge and the idempotent commit).  Every
+/// unrestricted literal runs its planned atom steps; the restricted one runs
+/// with each atom restricted in turn first, the rest in lowering order.
 pub fn execute_delta(
     structure: &Structure,
     compiled: &CompiledRule,
-    order: &PassOrder,
+    plan: &BodyPlan,
     delta_lit: usize,
     dv: &DeltaView,
 ) -> Result<FrameRun> {
     let mut machine = atoms::Machine::new(structure, dv, compiled);
-    let positives = order.positions.iter().map(|&j| Stage {
-        lit: compiled.literal(j),
-        steps: None,
-        restricted: j == delta_lit,
-    });
-    let negations = compiled.negations.iter().map(|lit| Stage {
-        lit,
-        steps: None,
-        restricted: false,
-    });
-    run(&mut machine, compiled, positives, negations, true)
+    run(&mut machine, compiled, plan, Some(delta_lit), true)
 }
 
-/// One literal of an execution.
-struct Stage<'a, 'p> {
-    lit: &'a CompiledLiteral,
-    /// The order of its atoms; lowering order without.
-    steps: Option<&'p [AtomStep]>,
-    /// Restricted to the window?
-    restricted: bool,
-}
-
-/// Join `positives` in order from the one empty frame, then drop the frames
-/// one of `negations` holds of.
+/// Join the positive literals of `plan` in order from the one empty frame —
+/// `delta_lit` restricted to the machine's window — then drop the frames one
+/// of its negated literals holds of.
 ///
 /// Frames live in one flat arena per stage — one allocation per stage
 /// instead of one per candidate.  With `dedup` every stage deduplicates: a
@@ -695,21 +588,25 @@ struct Stage<'a, 'p> {
 /// stages are just value sets, so the canonical order the result needs
 /// serves every stage.  Without, a stage sorts only — every completion is an
 /// answer ([`execute_term`]).
-fn run<'a, 'p>(
+fn run<'a>(
     machine: &mut atoms::Machine<'a>,
     compiled: &'a CompiledRule,
-    positives: impl Iterator<Item = Stage<'a, 'p>>,
-    negations: impl Iterator<Item = Stage<'a, 'p>>,
+    plan: &BodyPlan,
+    delta_lit: Option<usize>,
     dedup: bool,
 ) -> Result<FrameRun> {
     // The one solution of the empty join: a frame binding nothing.
     let mut frames = FrameRun::new(compiled.slot_count());
     frames.push(&vec![0; compiled.slot_count()]);
-    for Stage { lit, steps, restricted } in positives {
+    for planned in &plan.positives {
+        let lit = compiled.literal(planned.body_index);
         // A name the structure does not know denotes nothing.
         if !machine.knows(lit) {
             return Ok(FrameRun::new(compiled.slot_count()));
         }
+        // The window seeds a restricted literal's chain (see `atoms`).
+        let restricted = delta_lit == Some(planned.body_index);
+        let steps = (!restricted).then_some(planned.atoms.as_slice());
         frames = machine
             .join(lit, steps, restricted, &frames)?
             .sorted(&compiled.canonical, dedup);
@@ -717,50 +614,131 @@ fn run<'a, 'p>(
             return Ok(frames);
         }
     }
-    for Stage { lit, steps, .. } in negations {
+    for planned in &plan.negations {
+        let lit = compiled.literal(planned.body_index);
         // A literal naming an unknown object holds of nothing.
         if machine.knows(lit) {
-            frames = machine.anti_join(lit, steps, &frames)?;
+            frames = machine.anti_join(lit, &planned.atoms, &frames)?;
         }
     }
     Ok(frames)
 }
 
-/// One literal of a [`QueryPlan`].
+/// One literal of a [`BodyPlan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiteralSteps {
-    /// Index of the literal in the query body.
+    /// Index of the literal in the body.
     pub body_index: usize,
     /// What a positive literal was ordered by: the cardinality of the
-    /// cheapest step it could start with when only names are bound.  (Of the
-    /// only positive literal and of a negated one, which are not ordered:
-    /// the cardinality of its first step.)
+    /// cheapest step it could start with when only names are bound — for a
+    /// drivable literal of a pass, at most the window's entry count.  (Of
+    /// the only positive literal and of a negated one, which are not
+    /// ordered: the cardinality of its first step.)
     pub cost: usize,
     /// Its atoms in execution order, each with the cardinality it was
     /// chosen at.
     pub atoms: Vec<AtomStep>,
 }
 
-/// How a query runs over one structure: the order of its positive literals
+/// How a body runs over one structure: the order of its positive literals
 /// and, per literal, of its atoms.  What `pathlog_shell --explain` prints.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryPlan {
+pub struct BodyPlan {
     /// The positive literals, in execution order.
     pub positives: Vec<LiteralSteps>,
     /// The negated literals, in body order: anti-joins after the positives.
     pub negations: Vec<LiteralSteps>,
+    /// `false` when the planner put a literal cheaper than the delta ahead
+    /// of every delta-drivable literal — a *seed flip* (also reported when
+    /// the only drivable literal is a guard waiting for its variables).  A
+    /// plan with nothing drivable never reports one.
+    pub seeded_from_delta: bool,
 }
 
-/// Plan `compiled`, a query body, against the live cardinalities of
-/// `structure` (see the module docs, "Query plans").  O(literals² + atoms²)
+/// Plan `compiled` against the live cardinalities of `structure` (see the
+/// module docs, "Planning").  `drivable` are the body indices a delta window
+/// can drive — the engine's `delta_literals` selection; none for a full
+/// solve or a query — and `delta_entries` the window's entry count; a
+/// drivable literal costs `min(posting-list length, delta_entries)`.  The
+/// literal order is greedy: cheapest literal first, then repeatedly the
+/// cheapest literal *connected* to the bound variables (ties broken by body
+/// position; disconnected literals only when nothing connected remains),
+/// with guards emitted at the earliest position where all their variables
+/// are bound.  The engine plans once per rule and iteration, and all of the
+/// rule's passes share the plan — the completeness argument in the module
+/// docs relies on that.  A body compiled with its written order pinned gets
+/// exactly that order, whatever the costs; that is no decision of the
+/// planner, so it is never reported as a seed flip.  O(literals² + atoms²)
 /// posting-list lookups; no fact is read.
-pub fn plan_query(structure: &Structure, compiled: &CompiledRule) -> QueryPlan {
+pub fn plan_pass(structure: &Structure, compiled: &CompiledRule, drivable: &[usize], delta_entries: usize) -> BodyPlan {
     let dv = DeltaView::empty(structure);
-    plan_with(&atoms::Machine::new(structure, &dv, compiled), compiled)
+    plan_with(
+        &atoms::Machine::new(structure, &dv, compiled),
+        compiled,
+        drivable,
+        delta_entries,
+    )
 }
 
-fn plan_with(machine: &atoms::Machine<'_>, compiled: &CompiledRule) -> QueryPlan {
-    let names = machine.names_bound();
+/// Plan `compiled`, a query body: [`plan_pass`] with nothing drivable.
+pub fn plan_query(structure: &Structure, compiled: &CompiledRule) -> BodyPlan {
+    plan_pass(structure, compiled, &[], 0)
+}
+
+/// The atom steps [`plan_pass`] gives each literal of `compiled` when its
+/// positive literals run in the order of `positions` (body indices, every
+/// positive literal once).  A pinned order is no decision of the planner:
+/// the plan reports no seed flip.
+pub fn plan_in_order(structure: &Structure, compiled: &CompiledRule, positions: &[usize]) -> BodyPlan {
+    let dv = DeltaView::empty(structure);
+    steps_in_order(
+        &atoms::Machine::new(structure, &dv, compiled),
+        compiled,
+        positions,
+        |_| None,
+        true,
+    )
+}
+
+fn plan_with(
+    machine: &atoms::Machine<'_>,
+    compiled: &CompiledRule,
+    drivable: &[usize],
+    delta_entries: usize,
+) -> BodyPlan {
+    let costs: Vec<(usize, usize)> = match compiled.positives.as_slice() {
+        // Nothing to order: the literal starts with its first step.
+        [_] => Vec::new(),
+        literals => {
+            let names = machine.names_bound();
+            let cost = |l: &CompiledLiteral| {
+                let seed = machine.seed_cardinality(l, &names);
+                if drivable.contains(&l.body_index) {
+                    seed.min(delta_entries)
+                } else {
+                    seed
+                }
+            };
+            literals.iter().map(|l| (l.body_index, cost(l))).collect()
+        }
+    };
+    let cost = |j: usize| costs.iter().find(|c| c.0 == j).map(|c| c.1);
+    let positions = literal_order(compiled, |l| cost(l.body_index).unwrap_or(0));
+    let seeded_from_delta =
+        compiled.written_order || drivable.is_empty() || positions.first().is_some_and(|j| drivable.contains(j));
+    steps_in_order(machine, compiled, &positions, cost, seeded_from_delta)
+}
+
+/// Order the atoms of every literal of `compiled`, the positive ones run in
+/// the order of `positions` and costed by `cost` (by their first step
+/// without).
+fn steps_in_order(
+    machine: &atoms::Machine<'_>,
+    compiled: &CompiledRule,
+    positions: &[usize],
+    cost: impl Fn(usize) -> Option<usize>,
+    seeded_from_delta: bool,
+) -> BodyPlan {
     let steps = |lit: &CompiledLiteral, cost: Option<usize>, bound: &mut [bool]| {
         let atoms = machine.order_atoms(lit, bound);
         LiteralSteps {
@@ -769,37 +747,28 @@ fn plan_with(machine: &atoms::Machine<'_>, compiled: &CompiledRule) -> QueryPlan
             atoms,
         }
     };
-    let mut bound = names.clone();
-    let positives = match compiled.positives.as_slice() {
-        // Nothing to order: the literal starts with its first step.
-        [only] => vec![steps(only, None, &mut bound)],
-        literals => {
-            let seeds: Vec<(usize, usize)> = literals
-                .iter()
-                .map(|l| (l.body_index, machine.seed_cardinality(l, &names)))
-                .collect();
-            let seed = |j: usize| seeds.iter().find(|s| s.0 == j).expect("a positive literal").1;
-            literal_order(compiled, |l| seed(l.body_index))
-                .into_iter()
-                .map(|j| steps(compiled.literal(j), Some(seed(j)), &mut bound))
-                .collect()
-        }
-    };
+    let mut bound = machine.names_bound();
+    let positives = positions
+        .iter()
+        .map(|&j| steps(compiled.literal(j), cost(j), &mut bound))
+        .collect();
     // What a negated literal binds is bound for that literal only.
     let negations = compiled
         .negations
         .iter()
-        .map(|lit| steps(lit, None, &mut bound.clone()));
-    QueryPlan {
+        .map(|lit| steps(lit, None, &mut bound.clone()))
+        .collect();
+    BodyPlan {
         positives,
-        negations: negations.collect(),
+        negations,
+        seeded_from_delta,
     }
 }
 
 /// Answer the query body `compiled` over `structure`: its solutions as
 /// frames in canonical key order, deduplicated — a delta pass with no
-/// literal restricted, over the empty window, in the order of the body's
-/// [`QueryPlan`].
+/// literal restricted, over the empty window, in the order of
+/// [`plan_query`].
 pub fn execute_query(structure: &Structure, compiled: &CompiledRule) -> Result<FrameRun> {
     execute_planned(structure, compiled, false)
 }
@@ -818,20 +787,11 @@ pub fn execute_term(structure: &Structure, compiled: &CompiledRule) -> Result<Fr
 fn execute_planned(structure: &Structure, compiled: &CompiledRule, denoting: bool) -> Result<FrameRun> {
     let dv = DeltaView::empty(structure);
     let mut machine = atoms::Machine::new(structure, &dv, compiled);
-    let plan = plan_with(&machine, compiled);
+    let plan = plan_with(&machine, compiled, &[], 0);
     if denoting {
         machine.emit_denoted(compiled.positives[0].denoted);
     }
-    fn stage<'a, 'p>(compiled: &'a CompiledRule, planned: &'p LiteralSteps) -> Stage<'a, 'p> {
-        Stage {
-            lit: compiled.literal(planned.body_index),
-            steps: Some(&planned.atoms),
-            restricted: false,
-        }
-    }
-    let positives = plan.positives.iter().map(|l| stage(compiled, l));
-    let negations = plan.negations.iter().map(|l| stage(compiled, l));
-    run(&mut machine, compiled, positives, negations, !denoting)
+    run(&mut machine, compiled, &plan, None, !denoting)
 }
 
 #[cfg(test)]
@@ -839,7 +799,6 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
-    use crate::analysis::plan_rule;
     use crate::builtins::{LT, NEQ};
     use crate::engine::{binding_key, solve_body, BindingKey};
     use crate::names::Name;
@@ -883,16 +842,14 @@ mod tests {
         )
     }
 
-    fn compile_with_stats(rule: &Rule, s: &Structure) -> CompiledRule {
-        let stats = crate::analysis::MethodStats::capture(s);
-        compile(rule, &plan_rule(rule, Some(&stats), None))
+    /// The body indices of `plan`'s positive literals, in execution order.
+    fn order(plan: &BodyPlan) -> Vec<usize> {
+        plan.positives.iter().map(|l| l.body_index).collect()
     }
 
     #[test]
     fn slots_are_first_occurrence_ordered_and_canonical_is_name_sorted() {
-        let s = kids_structure();
-        let rule = three_literal_rule();
-        let c = compile_with_stats(&rule, &s);
+        let c = compile(&three_literal_rule());
         assert_eq!(c.slot_count(), 3);
         assert_eq!(c.slot_var(0), &Var::new("X"));
         assert_eq!(c.slot_var(1), &Var::new("Y"));
@@ -911,12 +868,12 @@ mod tests {
                 Literal::neg(Term::var("X").filter(Filter::set("kids", vec![Term::var("_Y")]))),
             ],
         );
-        let s = kids_structure();
-        let c = compile_with_stats(&rule, &s);
+        let c = compile(&rule);
         assert_eq!(c.positives().len(), 1);
         assert_eq!(c.negations().iter().map(|l| l.body_index).collect::<Vec<_>>(), vec![1]);
-        let order = pass_order(&c, &[0], 10);
-        assert_eq!(order.positions, vec![0]);
+        let plan = plan_pass(&kids_structure(), &c, &[0], 10);
+        assert_eq!(order(&plan), vec![0]);
+        assert_eq!(plan.negations.iter().map(|l| l.body_index).collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
@@ -932,14 +889,13 @@ mod tests {
                 Literal::pos(Term::var("A").filter(Filter::scalar(Term::name(LT), Term::var("B")))),
             ],
         );
-        let s = kids_structure();
-        let c = compile_with_stats(&rule, &s);
+        let c = compile(&rule);
         assert!(c.positives()[2].guard);
-        let order = pass_order(&c, &[0, 1], usize::MAX);
+        let positions = order(&plan_pass(&kids_structure(), &c, &[0, 1], usize::MAX));
         // Both person literals precede the guard; the guard sits right after
         // the position that binds its second variable.
-        assert_eq!(order.positions.len(), 3);
-        assert_eq!(order.positions[2], 2);
+        assert_eq!(positions.len(), 3);
+        assert_eq!(positions[2], 2);
     }
 
     #[test]
@@ -954,10 +910,10 @@ mod tests {
             vec![Literal::pos(Term::var("X").isa("person")), strict.clone()],
         );
         let s = kids_structure();
-        let c = compile_with_stats(&rule, &s);
+        let c = compile(&rule);
         assert!(c.positives()[1].guard && !c.written_order);
         for (drivable, delta_entries) in [(vec![1], 1), (vec![0, 1], usize::MAX)] {
-            assert_eq!(pass_order(&c, &drivable, delta_entries).positions, vec![0, 1]);
+            assert_eq!(order(&plan_pass(&s, &c, &drivable, delta_entries)), vec![0, 1]);
         }
         // Written first, its receiver is unbound in written order too: the
         // body is pinned, as for an enumerating built-in.
@@ -965,9 +921,9 @@ mod tests {
             Term::var("X").isa("covered"),
             vec![strict, Literal::pos(Term::var("X").isa("person"))],
         );
-        let c = compile_with_stats(&rule, &s);
+        let c = compile(&rule);
         assert!(c.written_order);
-        assert_eq!(pass_order(&c, &[1], 1).positions, vec![0, 1]);
+        assert_eq!(order(&plan_pass(&s, &c, &[1], 1)), vec![0, 1]);
     }
 
     #[test]
@@ -983,40 +939,39 @@ mod tests {
             ],
         );
         let s = kids_structure();
-        let c = compile_with_stats(&rule, &s);
+        let c = compile(&rule);
         assert!(c.positives()[1].guard);
         // Whichever literal the window drives and however small the delta,
         // the order is the written one and no seed flip is reported.
         for (drivable, delta_entries) in [(vec![0], 1), (vec![2], 1), (vec![0, 2], usize::MAX), (vec![], 0)] {
-            let order = pass_order(&c, &drivable, delta_entries);
-            assert_eq!(order.positions, vec![0, 1, 2], "{drivable:?}");
-            assert!(order.seeded_from_delta, "{drivable:?}");
+            let plan = plan_pass(&s, &c, &drivable, delta_entries);
+            assert_eq!(order(&plan), vec![0, 1, 2], "{drivable:?}");
+            assert!(plan.seeded_from_delta, "{drivable:?}");
         }
     }
 
     #[test]
     fn small_delta_seeds_the_drivable_literal() {
-        let s = kids_structure();
-        let rule = three_literal_rule();
-        let c = compile_with_stats(&rule, &s);
-        // Delta of 1 entry drives literal 1: it seeds, its join partner
-        // (literal 0, connected through Y) comes before the disconnected
-        // person scan would otherwise win on cost.
-        let order = pass_order(&c, &[1], 1);
-        assert!(order.seeded_from_delta);
-        assert_eq!(order.positions[0], 1);
-        assert_eq!(order.positions[1], 0);
+        let c = compile(&three_literal_rule());
+        // A delta of 1 entry drives literal 1: it seeds, below the 3 `kids`
+        // members of literal 0 and the 4 persons of literal 2; then the
+        // shorter of its two join partners, both connected (literal 0 through
+        // Y, literal 2 through Z).
+        let plan = plan_pass(&kids_structure(), &c, &[1], 1);
+        assert!(plan.seeded_from_delta);
+        let costs: Vec<usize> = plan.positives.iter().map(|l| l.cost).collect();
+        assert_eq!((order(&plan), costs), (vec![1, 0, 2], vec![1, 3, 4]));
     }
 
     #[test]
     fn huge_delta_flips_the_seed_side() {
-        let s = kids_structure();
-        let rule = three_literal_rule();
-        let c = compile_with_stats(&rule, &s);
-        // With a delta larger than every static estimate the planner seeds
-        // from the cheapest index-backed literal instead.
-        let order = pass_order(&c, &[1], 1_000_000);
-        assert!(!order.seeded_from_delta);
+        let c = compile(&three_literal_rule());
+        // With a delta longer than every posting list the planner seeds from
+        // the shortest one instead: literal 0's 3 `kids` members, which tie
+        // with the drivable literal 1 and come first in the body.
+        let plan = plan_pass(&kids_structure(), &c, &[1], 1_000_000);
+        assert!(!plan.seeded_from_delta);
+        assert_eq!((plan.positives[0].body_index, plan.positives[0].cost), (0, 3));
     }
 
     /// The oracle's solutions of `body` over `s`, as canonical keys.
@@ -1029,7 +984,7 @@ mod tests {
     }
 
     /// Run every pass of `rule` over the window between `before` and `after`
-    /// — one per literal in `drivable`, in the order [`pass_order`] plans for
+    /// — one per literal in `drivable`, by the plan [`plan_pass`] makes for
     /// `delta_entries` — and check them against the oracle: each pass is a
     /// canonical run of solutions the full solve over `after` also finds
     /// (soundness), and together the passes find every solution the full
@@ -1042,12 +997,12 @@ mod tests {
         delta_entries: usize,
     ) -> BTreeSet<BindingKey> {
         let dv = SnapshotWindow::capture(before).slide(after);
-        let c = compile_with_stats(rule, after);
-        let order = pass_order(&c, drivable, delta_entries);
+        let c = compile(rule);
+        let plan = plan_pass(after, &c, drivable, delta_entries);
         let (old, new) = (oracle_keys(before, &rule.body), oracle_keys(after, &rule.body));
         let mut found = BTreeSet::new();
         for &delta_lit in drivable {
-            let run = execute_delta(after, &c, &order, delta_lit, &dv).unwrap();
+            let run = execute_delta(after, &c, &plan, delta_lit, &dv).unwrap();
             let keys: Vec<BindingKey> = run.frames().map(|f| binding_key(&c.bindings_of(f))).collect();
             assert_eq!(keys.len(), run.len());
             assert!(keys.windows(2).all(|w| w[0] < w[1]), "canonical, deduplicated");
@@ -1075,9 +1030,9 @@ mod tests {
     fn single_literal_rule_compiles_and_executes() {
         let (before, after) = with_kids_edge("d", "a");
         let rule = tc_rule();
-        let c = compile_with_stats(&rule, &after);
+        let c = compile(&rule);
         assert_eq!(c.slot_count(), 2);
-        assert!(pass_order(&c, &[0], 1).seeded_from_delta);
+        assert!(plan_pass(&after, &c, &[0], 1).seeded_from_delta);
         let found = checked_passes(&before, &after, &rule, &[0], 1);
         assert_eq!(found.len(), 1, "exactly the new edge");
     }
@@ -1085,7 +1040,6 @@ mod tests {
     #[test]
     fn literals_lower_to_atoms_and_the_head_is_recognised() {
         use Operand::{Name as N, Slot, Temp};
-        let s = kids_structure();
         let call = |method, receiver| Call {
             method,
             receiver,
@@ -1105,7 +1059,7 @@ mod tests {
                 Literal::pos(Term::var("Z")),
             ],
         );
-        let c = compile_with_stats(&rule, &s);
+        let c = compile(&rule);
         assert_eq!(c.names(), ["desc", "kids", "person", "boss"].map(Name::atom));
         // A path is one application into a temporary; the molecule applies
         // its filter to it.
@@ -1140,7 +1094,7 @@ mod tests {
             ]
         );
         assert_eq!(c.positives()[2].atoms, vec![Atom::Object { cell: Slot(2) }]);
-        let tc = compile_with_stats(&tc_rule(), &s);
+        let tc = compile(&tc_rule());
         let head = tc.head().expect("X[desc ->> {Y}] has the compiled head shape");
         assert_eq!(head.method, Name::atom("desc"));
         assert_eq!((head.receiver_slot, head.member_slot), (0, 1));
@@ -1155,15 +1109,61 @@ mod tests {
         s.assert_set_member(kids, b, &[], a);
         let dv = window.slide(&s);
         let rule = tc_rule();
-        let c = compile_with_stats(&rule, &s);
-        let order = pass_order(&c, &[0], 1);
-        let fr = execute_delta(&s, &c, &order, 0, &dv).unwrap();
+        let c = compile(&rule);
+        let plan = plan_pass(&s, &c, &[0], 1);
+        let fr = execute_delta(&s, &c, &plan, 0, &dv).unwrap();
         let head = c.head().unwrap();
         let frames: Vec<(Oid, Oid)> = fr
             .frames()
             .map(|f| (Oid(f[head.receiver_slot] - 1), Oid(f[head.member_slot] - 1)))
             .collect();
         assert_eq!(frames, vec![(b, a)]);
+    }
+
+    #[test]
+    fn an_unrestricted_literal_of_a_pass_starts_from_the_shorter_posting_list() {
+        // Ten employees, two of them 33; the window gives five of them a kid.
+        let mut before = Structure::new();
+        let (employee, age, kids) = (before.atom("employee"), before.atom("age"), before.atom("kids"));
+        let people: Vec<Oid> = (0..10).map(|i| before.atom(&format!("e{i}"))).collect();
+        for (i, &p) in people.iter().enumerate() {
+            before.add_isa(p, employee);
+            let years = before.int(if i < 2 { 33 } else { 40 });
+            before.assert_scalar(age, p, &[], years).unwrap();
+        }
+        let mut after = before.clone();
+        for i in [0, 1, 5, 6, 7] {
+            let kid = after.atom(&format!("k{i}"));
+            after.assert_set_member(kids, people[i], &[], kid);
+        }
+        let dv = SnapshotWindow::capture(&before).slide(&after);
+        // X[pals ->> {Y}] <- X : employee[age -> 33], X[kids ->> {Y}]
+        let rule = Rule::new(
+            Term::var("X").filter(Filter::set("pals", vec![Term::var("Y")])),
+            vec![
+                Literal::pos(
+                    Term::var("X")
+                        .isa("employee")
+                        .filter(Filter::scalar("age", Term::int(33))),
+                ),
+                Literal::pos(Term::var("X").filter(Filter::set("kids", vec![Term::var("Y")]))),
+            ],
+        );
+        let c = compile(&rule);
+        // The two receivers of `age -> 33` undercut the five window entries
+        // that drive literal 1: literal 0 seeds, from `age -> 33` rather than
+        // from the ten members of `employee`, which it then probes.
+        let plan = plan_pass(&after, &c, &[1], dv.entry_count());
+        assert!(!plan.seeded_from_delta, "{plan:?}");
+        let seed = &plan.positives[0];
+        let atoms: Vec<(usize, usize)> = seed.atoms.iter().map(|s| (s.atom, s.cardinality)).collect();
+        assert_eq!((seed.body_index, seed.cost, atoms), (0, 2, vec![(1, 2), (0, 1)]));
+        // The same pass with literal 0's atoms in lowering order.
+        let mut lowered = plan.clone();
+        lowered.positives[0].atoms.sort_by_key(|s| s.atom);
+        let pass = |plan: &BodyPlan| execute_delta(&after, &c, plan, 1, &dv).unwrap();
+        assert_eq!(pass(&plan), pass(&lowered));
+        assert_eq!(pass(&plan).len(), 2, "the new kids of e0 and e1");
     }
 
     #[test]

@@ -29,16 +29,15 @@
 //! gate CI runs over the example corpus.
 //!
 //! `--explain FILE...` (alone or combined with `--check`) additionally
-//! prints what the cost-based join planner would do with each proper rule:
-//! the chosen literal order, the seed side (delta-driven or flipped to a
-//! cheaper stored index) and the per-literal access-path / selectivity /
-//! fact-count estimates, next to the PL0xx diagnostics.  Estimates come
-//! from the program's own facts.  For every `?-` query it prints the plan
-//! the engine runs it by over those facts: the literal order and, per
-//! literal, the order of its atoms, each with the cardinality — the length
-//! of the index it walks — it was chosen at.  With `--json` the per-file
-//! object gains a `"plans"` and a `"queries"` array carrying the same
-//! information.
+//! prints, next to the PL0xx diagnostics, the plans the engine runs the
+//! file's bodies by over the file's own facts: for every `?-` query the
+//! query's plan, and for every proper rule the plan of its delta pass with
+//! every positive literal drivable and a one-entry window, with its seed
+//! side (delta-driven, or flipped to a shorter stored posting list).  A plan
+//! is the literal order and, per literal, the order of its atoms, each with
+//! the cardinality — the length of the index it walks — it was chosen at.
+//! With `--json` the per-file object gains a `"plans"` and a `"queries"`
+//! array carrying the same information.
 
 use std::io::{self, BufRead, Write};
 
@@ -98,152 +97,21 @@ fn mode_from_args() -> ShellMode {
     }
 }
 
-/// One rule's join-plan explanation: what the cost-based planner would do
-/// with a small delta on any of the rule's drivable literals.
-struct PlanExplanation {
-    /// The rule as source text.
+/// One body's plan over the file's facts: a `?-` query's, or a proper rule's
+/// delta pass (see [`pathlog::core::plan::plan_pass`]).
+struct Explanation {
+    /// The statement as source text.
     label: String,
     /// Statement start position.
     span: Option<(usize, usize)>,
-    /// Positive-literal body indices in chosen execution order (the written
-    /// order when a built-in guard of the body enumerates).
-    order: Vec<usize>,
-    /// `true` when the pass seeds from the delta literal, `false` on a seed
-    /// flip to a cheaper stored index.
-    seeded_from_delta: bool,
-    /// `(body_index, literal text, positive, access, selectivity, estimate)`
-    /// per body literal, in body order.
-    literals: Vec<(usize, String, bool, String, String, Option<usize>)>,
-}
-
-/// Explain what the join planner does with each proper rule of `program`,
-/// consuming the analysis' per-rule cost annotations (which already carry
-/// the access-path / selectivity / fact-count estimates).
-fn explain_plans(
-    program: &pathlog::core::program::Program,
-    analysis: &pathlog::core::analysis::Analysis,
-) -> Vec<PlanExplanation> {
-    use pathlog::core::analysis::RuleKind;
-    use pathlog::core::plan::{compile, pass_order};
-
-    let reports = analysis.plans.iter().filter(|p| p.kind == RuleKind::Rule);
-    program
-        .rules
-        .iter()
-        .filter(|r| !r.is_fact())
-        .zip(reports)
-        .map(|(rule, report)| {
-            let literals = report
-                .literals
-                .iter()
-                .enumerate()
-                .map(|(i, lp)| {
-                    (
-                        i,
-                        lp.literal.clone(),
-                        lp.positive,
-                        format!("{:?}", lp.access),
-                        format!("{:?}", lp.selectivity),
-                        lp.estimated_facts,
-                    )
-                })
-                .collect();
-            let compiled = compile(rule, report);
-            // Order for the canonical small-delta pass: every positive
-            // literal is drivable, the delta holds one entry.
-            let drivable: Vec<usize> = compiled.positives().iter().map(|p| p.body_index).collect();
-            let order = pass_order(&compiled, &drivable, 1);
-            PlanExplanation {
-                label: report.label.clone(),
-                span: report.span.map(|s| (s.line, s.column)),
-                order: order.positions,
-                seeded_from_delta: order.seeded_from_delta,
-                literals,
-            }
-        })
-        .collect()
-}
-
-/// Print one rule's plan explanation, `path:line:col:`-prefixed so the
-/// lines sit greppably next to the PL0xx diagnostics.
-fn print_plan(path: &str, p: &PlanExplanation) {
-    let prefix = match p.span {
-        Some((l, c)) => format!("{path}:{l}:{c}"),
-        None => path.to_string(),
-    };
-    println!("{prefix}: plan: {}", p.label);
-    let steps: Vec<String> = p
-        .order
-        .iter()
-        .map(|&i| {
-            let (_, text, _, access, sel, est) = &p.literals[i];
-            let est = est.map_or_else(|| "?".to_string(), |n| n.to_string());
-            format!("[{i}] {text} ({access}/{sel}, est {est})")
-        })
-        .collect();
-    println!("{prefix}:   order: {}", steps.join(" ; "));
-    println!(
-        "{prefix}:   seed: {}",
-        if p.seeded_from_delta {
-            "delta-driven"
-        } else {
-            "stored index (seed flip)"
-        }
-    );
-    let negs: Vec<String> = p
-        .literals
-        .iter()
-        .filter(|(_, _, positive, _, _, _)| !positive)
-        .map(|(i, text, _, _, _, _)| format!("[{i}] {text}"))
-        .collect();
-    if !negs.is_empty() {
-        println!("{prefix}:   negations after joins: {}", negs.join(" ; "));
-    }
-}
-
-/// Serialize one rule's plan explanation as a JSON object.
-fn plan_to_json(p: &PlanExplanation) -> String {
-    use pathlog::core::analysis::json_escape;
-
-    let (line, column) = match p.span {
-        Some((l, c)) => (l.to_string(), c.to_string()),
-        None => ("null".to_string(), "null".to_string()),
-    };
-    let order = format!(
-        "[{}]",
-        p.order.iter().map(|i| i.to_string()).collect::<Vec<_>>().join(",")
-    );
-    let seed = if p.seeded_from_delta { "\"delta\"" } else { "\"index\"" };
-    let literals: Vec<String> = p
-        .literals
-        .iter()
-        .map(|(i, text, positive, access, sel, est)| {
-            format!(
-                "{{\"index\":{i},\"literal\":\"{}\",\"positive\":{positive},\"access\":\"{access}\",\
-                 \"selectivity\":\"{sel}\",\"estimated_facts\":{}}}",
-                json_escape(text),
-                est.map_or_else(|| "null".to_string(), |n| n.to_string())
-            )
-        })
-        .collect();
-    format!(
-        "{{\"rule\":\"{}\",\"line\":{line},\"column\":{column},\"order\":{order},\"seed\":{seed},\"literals\":[{}]}}",
-        json_escape(&p.label),
-        literals.join(",")
-    )
-}
-
-/// One query's plan over the file's facts (see [`pathlog::core::plan::plan_query`]).
-struct QueryExplanation {
-    /// The query as source text.
-    label: String,
-    /// Statement start position.
-    span: Option<(usize, usize)>,
+    /// For a rule: does its pass seed from the delta (`false`: a seed flip to
+    /// a shorter posting list)?  `None` for a query.
+    seeded_from_delta: Option<bool>,
     /// The literals in execution order: positives, then the negated ones.
     literals: Vec<ExplainedLiteral>,
 }
 
-/// One literal of a [`QueryExplanation`].
+/// One literal of an [`Explanation`].
 struct ExplainedLiteral {
     body_index: usize,
     text: String,
@@ -255,36 +123,84 @@ struct ExplainedLiteral {
     atoms: Vec<(String, usize)>,
 }
 
+/// Explain `plan`, of the compiled `body` written as `literals`.
+fn explanation(
+    label: String,
+    span: Option<(usize, usize)>,
+    literals: &[Literal],
+    body: &pathlog::core::plan::CompiledRule,
+    plan: &pathlog::core::plan::BodyPlan,
+    seeded_from_delta: Option<bool>,
+) -> Explanation {
+    let literal = |steps: &pathlog::core::plan::LiteralSteps| {
+        let (written, lit) = (&literals[steps.body_index], body.literal(steps.body_index));
+        ExplainedLiteral {
+            body_index: steps.body_index,
+            text: written.to_string(),
+            positive: written.positive,
+            cost: steps.cost,
+            atoms: steps
+                .atoms
+                .iter()
+                .map(|s| (body.atom_text(&lit.atoms[s.atom]), s.cardinality))
+                .collect(),
+        }
+    };
+    Explanation {
+        label,
+        span,
+        seeded_from_delta,
+        literals: plan.positives.iter().chain(&plan.negations).map(literal).collect(),
+    }
+}
+
+/// Plan every proper rule of `program` against `facts` as a delta pass with
+/// every positive literal drivable and a one-entry window.
+fn explain_rules(
+    program: &pathlog::core::program::Program,
+    spans: &[(usize, usize)],
+    facts: &Structure,
+) -> Vec<Explanation> {
+    use pathlog::core::plan::{compile, plan_pass};
+
+    let rules = program.rules.iter().enumerate().filter(|(_, r)| !r.is_fact());
+    rules
+        .map(|(i, rule)| {
+            let body = compile(rule);
+            let drivable: Vec<usize> = body.positives().iter().map(|p| p.body_index).collect();
+            let plan = plan_pass(facts, &body, &drivable, 1);
+            let seeded = Some(plan.seeded_from_delta);
+            explanation(
+                rule.to_string(),
+                spans.get(i).copied(),
+                &rule.body,
+                &body,
+                &plan,
+                seeded,
+            )
+        })
+        .collect()
+}
+
 /// Plan every query of `program` against `facts`.
 fn explain_queries(
     program: &pathlog::core::program::Program,
     spans: &[(usize, usize)],
     facts: &Structure,
-) -> Vec<QueryExplanation> {
-    use pathlog::core::plan::{compile_query, plan_query, LiteralSteps};
+) -> Vec<Explanation> {
+    use pathlog::core::plan::{compile_query, plan_query};
 
     let explain = |(q, query): (usize, &Query)| {
-        let compiled = compile_query(query.body.iter().map(|l| (l.positive, &l.term)));
-        let plan = plan_query(facts, &compiled);
-        let literal = |steps: &LiteralSteps| {
-            let (written, lit) = (&query.body[steps.body_index], compiled.literal(steps.body_index));
-            let atoms = steps.atoms.iter();
-            ExplainedLiteral {
-                body_index: steps.body_index,
-                text: written.to_string(),
-                positive: written.positive,
-                cost: steps.cost,
-                atoms: atoms
-                    .map(|s| (compiled.atom_text(&lit.atoms[s.atom]), s.cardinality))
-                    .collect(),
-            }
-        };
-        let literals = plan.positives.iter().chain(&plan.negations).map(literal);
-        QueryExplanation {
-            label: query.to_string(),
-            span: spans.get(q).copied(),
-            literals: literals.collect(),
-        }
+        let body = compile_query(query.body.iter().map(|l| (l.positive, &l.term)));
+        let plan = plan_query(facts, &body);
+        explanation(
+            query.to_string(),
+            spans.get(q).copied(),
+            &query.body,
+            &body,
+            &plan,
+            None,
+        )
     };
     program.queries.iter().enumerate().map(explain).collect()
 }
@@ -299,14 +215,26 @@ fn cardinality_text(n: usize) -> String {
     }
 }
 
-/// Print one query's plan, `path:line:col:`-prefixed like the rule plans.
-fn print_query_plan(path: &str, q: &QueryExplanation) {
-    let prefix = match q.span {
+/// Print one plan, `path:line:col:`-prefixed so the lines sit greppably next
+/// to the PL0xx diagnostics.
+fn print_plan(path: &str, e: &Explanation) {
+    let prefix = match e.span {
         Some((l, c)) => format!("{path}:{l}:{c}"),
         None => path.to_string(),
     };
-    println!("{prefix}: query plan: {}", q.label);
-    for l in &q.literals {
+    match e.seeded_from_delta {
+        Some(seeded) => {
+            println!("{prefix}: plan: {}", e.label);
+            let seed = if seeded {
+                "delta-driven"
+            } else {
+                "stored index (seed flip)"
+            };
+            println!("{prefix}:   seed: {seed}");
+        }
+        None => println!("{prefix}: query plan: {}", e.label),
+    }
+    for l in &e.literals {
         let atoms: Vec<String> = l
             .atoms
             .iter()
@@ -323,8 +251,8 @@ fn print_query_plan(path: &str, q: &QueryExplanation) {
     }
 }
 
-/// Serialize one query's plan as a JSON object (`null`: the universe).
-fn query_plan_to_json(q: &QueryExplanation) -> String {
+/// Serialize one plan as a JSON object (`null`: the universe).
+fn plan_to_json(e: &Explanation) -> String {
     use pathlog::core::analysis::json_escape;
 
     let number = |n: usize| {
@@ -334,11 +262,11 @@ fn query_plan_to_json(q: &QueryExplanation) -> String {
             n.to_string()
         }
     };
-    let (line, column) = match q.span {
+    let (line, column) = match e.span {
         Some((l, c)) => (l.to_string(), c.to_string()),
         None => ("null".to_string(), "null".to_string()),
     };
-    let literals: Vec<String> = q
+    let literals: Vec<String> = e
         .literals
         .iter()
         .map(|l| {
@@ -357,19 +285,22 @@ fn query_plan_to_json(q: &QueryExplanation) -> String {
             )
         })
         .collect();
+    let (kind, seed) = match e.seeded_from_delta {
+        Some(true) => ("rule", ",\"seed\":\"delta\""),
+        Some(false) => ("rule", ",\"seed\":\"index\""),
+        None => ("query", ""),
+    };
     format!(
-        "{{\"query\":\"{}\",\"line\":{line},\"column\":{column},\"literals\":[{}]}}",
-        json_escape(&q.label),
+        "{{\"{kind}\":\"{}\",\"line\":{line},\"column\":{column}{seed},\"literals\":[{}]}}",
+        json_escape(&e.label),
         literals.join(",")
     )
 }
 
 /// `--check` / `--explain` mode: parse and statically analyze each file.
-/// Prints one line (or, with `json`, one JSON object) per diagnostic —
-/// plus, with `explain`, the planner's chosen literal order, seed side and
-/// per-literal estimates for each proper rule, and the plan of each query —
-/// and returns the process
-/// exit code: 0 when every file parses and carries no `Error`-severity
+/// Prints one line (or, with `json`, one JSON object) per diagnostic — plus,
+/// with `explain`, the plan of each proper rule's delta pass and of each
+/// query over the file's facts — and returns the process exit code: 0 when every file parses and carries no `Error`-severity
 /// diagnostic, 1 otherwise.
 ///
 /// With `json` the document is an object, not a bare array: a `"meta"`
@@ -404,9 +335,9 @@ fn check_files(files: &[String], json: bool, explain: bool) -> i32 {
         };
         match parse_program_spanned(&source) {
             Ok(spanned) => {
-                // Explain mode estimates selectivities from the program's
-                // own facts: load just the fact statements into a scratch
-                // structure and hand it to the analyzer.
+                // Explain mode plans over the program's own facts: load just
+                // the fact statements into a scratch structure, which the
+                // analyzer reads for liveness too.
                 let facts_structure = explain.then(|| {
                     let facts = pathlog::core::program::Program {
                         rules: spanned.program.rules.iter().filter(|r| r.is_fact()).cloned().collect(),
@@ -425,19 +356,17 @@ fn check_files(files: &[String], json: bool, explain: bool) -> i32 {
                 }
                 let analysis = input.run();
                 failed |= !analysis.no_errors();
-                let plans = if explain {
-                    explain_plans(&spanned.program, &analysis)
-                } else {
-                    Vec::new()
-                };
-                let queries = match &facts_structure {
-                    Some(facts) => explain_queries(&spanned.program, &spanned.query_spans, facts),
-                    None => Vec::new(),
+                let (plans, queries) = match &facts_structure {
+                    Some(facts) => (
+                        explain_rules(&spanned.program, &spanned.rule_spans, facts),
+                        explain_queries(&spanned.program, &spanned.query_spans, facts),
+                    ),
+                    None => (Vec::new(), Vec::new()),
                 };
                 if json {
                     let plans_json = if explain {
                         let entries: Vec<String> = plans.iter().map(plan_to_json).collect();
-                        let asked: Vec<String> = queries.iter().map(query_plan_to_json).collect();
+                        let asked: Vec<String> = queries.iter().map(plan_to_json).collect();
                         format!(",\"plans\":[{}],\"queries\":[{}]", entries.join(","), asked.join(","))
                     } else {
                         String::new()
@@ -454,11 +383,8 @@ fn check_files(files: &[String], json: bool, explain: bool) -> i32 {
                     for d in analysis.diagnostics.iter() {
                         println!("{path}:{d}");
                     }
-                    for p in &plans {
-                        print_plan(path, p);
-                    }
-                    for q in &queries {
-                        print_query_plan(path, q);
+                    for e in plans.iter().chain(&queries) {
+                        print_plan(path, e);
                     }
                 }
             }

@@ -1,6 +1,7 @@
 //! Property-based tests for the engine's delta passes: they run through
 //! compiled slot-frame rule bodies — every literal lowered to primitive atoms
-//! — in planner-chosen literal order (`pathlog_core::plan`), and the result
+//! — in the literal and atom order the planner chooses from live index
+//! cardinalities (`pathlog_core::plan`), and the result
 //! must be *bit-identical* to the naive oracle (`delta_driven: false`, every
 //! rule re-solved in full, in written order, each iteration, and its
 //! solutions committed in canonical order), on random trees
@@ -24,9 +25,8 @@ use proptest::prelude::*;
 
 use std::collections::BTreeSet;
 
-use pathlog::core::analysis::{plan_rule, MethodStats};
 use pathlog::core::engine::{binding_key, solve_body, BindingKey};
-use pathlog::core::plan::{compile, compile_query, execute_delta, plan_query, PassOrder};
+use pathlog::core::plan::{compile, compile_query, execute_delta, plan_in_order, plan_query, AtomStep};
 use pathlog::core::program::Literal;
 use pathlog::core::semantics::{Bindings, SnapshotWindow};
 use pathlog::core::structure::{Oid, Structure};
@@ -284,8 +284,11 @@ fn facts_in_the_text_are_never_planned_or_scheduled() {
     assert_eq!(planned_dump, oracle_dump);
     assert_eq!(planned.model_counters(), oracle.model_counters());
 
-    assert!(planned.plans_compiled > 0);
-    assert!(planned.plans_compiled <= RULES * (1 + planned.replans), "{planned:?}");
+    assert_eq!(
+        (planned.plans_compiled, planned.replans),
+        (RULES, 0),
+        "one compile per proper rule"
+    );
     let scheduled = planned.full_solves + planned.delta_solves + planned.rules_skipped;
     assert!(scheduled <= RULES * planned.iterations, "{planned:?}");
     assert_eq!(planned.full_solves, RULES, "one full solve per proper rule");
@@ -398,36 +401,41 @@ fn joins_structures() -> (Structure, Structure) {
 /// tree advances into a grafted branch (and two old parents turn `fresh`, so
 /// that new solutions join old facts too), each order's passes (one per
 /// restricted literal) find only solutions of the body, and between them
-/// every solution the window added.
+/// every solution the window added — with every unrestricted literal's atoms
+/// in lowering order, and in the order the planner gives them under that
+/// literal order.
 #[test]
 fn passes_match_the_oracle_in_every_literal_order() {
     let (before, after) = joins_structures();
     let dv = SnapshotWindow::capture(&before).slide(&after);
     assert!(dv.has_new_objects() && dv.sigs_changed() && dv.entry_count() > 10);
 
-    let stats = MethodStats::capture(&after);
     for text in JOINS {
         let rule = &parse_program(text).expect("parses").rules[0];
-        let compiled = compile(rule, &plan_rule(rule, Some(&stats), None));
+        let compiled = compile(rule);
         let (old, new) = (oracle_keys(&before, &rule.body), oracle_keys(&after, &rule.body));
         assert!(new.len() > old.len(), "`{text}` gains no solution in the window");
         let positives: Vec<usize> = compiled.positives().iter().map(|l| l.body_index).collect();
         for positions in permutations(&positives) {
-            let order = PassOrder {
-                positions,
-                seeded_from_delta: true,
-            };
-            let mut found = BTreeSet::new();
-            for &delta_lit in &positives {
-                let run = execute_delta(&after, &compiled, &order, delta_lit, &dv).expect("pass runs");
-                for frame in run.frames() {
-                    let key = binding_key(&compiled.bindings_of(frame));
-                    assert!(new.contains(&key), "`{text}` {order:?}: {key:?} is no solution");
-                    found.insert(key);
-                }
+            let planned = plan_in_order(&after, &compiled, &positions);
+            let mut lowered = planned.clone();
+            for l in lowered.positives.iter_mut().chain(&mut lowered.negations) {
+                let atoms = 0..compiled.literal(l.body_index).atoms.len();
+                l.atoms = atoms.map(|atom| AtomStep { atom, cardinality: 0 }).collect();
             }
-            let missed: Vec<_> = new.difference(&old).filter(|k| !found.contains(*k)).collect();
-            assert!(missed.is_empty(), "`{text}` {order:?} missed {missed:?}");
+            for plan in [&lowered, &planned] {
+                let mut found = BTreeSet::new();
+                for &delta_lit in &positives {
+                    let run = execute_delta(&after, &compiled, plan, delta_lit, &dv).expect("pass runs");
+                    for frame in run.frames() {
+                        let key = binding_key(&compiled.bindings_of(frame));
+                        assert!(new.contains(&key), "`{text}` {plan:?}: {key:?} is no solution");
+                        found.insert(key);
+                    }
+                }
+                let missed: Vec<_> = new.difference(&old).filter(|k| !found.contains(*k)).collect();
+                assert!(missed.is_empty(), "`{text}` {plan:?} missed {missed:?}");
+            }
         }
     }
 }
@@ -586,8 +594,8 @@ proptest! {
         edges in prop::collection::vec((0u8..12, 0u8..12), 1..40),
     ) {
         // Cyclic graphs: convergence takes a different number of iterations
-        // per strongly connected component, exercising re-planning and the
-        // seed-flip decision on non-tree shapes.
+        // per strongly connected component, exercising the per-iteration
+        // plans and the seed-flip decision on non-tree shapes.
         let mut structure = Structure::new();
         let kids = structure.atom("kids");
         let nodes: Vec<Oid> = (0..12).map(|i| structure.atom(&format!("n{i}"))).collect();
