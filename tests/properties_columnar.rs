@@ -5,8 +5,8 @@
 //! 1. the columnar `Facts`/`Isa` backend agrees, line for line, with an
 //!    independent row-oriented shadow model of `canonical_dump()` under any
 //!    interleaving of asserts and retracts (random trees *and* cyclic isa
-//!    graphs; zero- and one-argument scalar applications of the same
-//!    methods on the same receivers);
+//!    graphs; zero- and one-argument applications of the same methods on
+//!    the same receivers, scalar and set-valued);
 //! 2. `canonical_dump()` is invariant under the insertion order of the
 //!    surviving facts — the per-`(method, receiver)` run grouping must not
 //!    leak arrival order into the canonical form;
@@ -72,6 +72,20 @@ enum Op {
         receiver: u8,
         member: u8,
     },
+    /// A one-argument set application beside the zero-argument one of
+    /// `AddMember`.
+    AddMemberArg {
+        method: u8,
+        receiver: u8,
+        arg: u8,
+        member: u8,
+    },
+    RemoveMemberArg {
+        method: u8,
+        receiver: u8,
+        arg: u8,
+        member: u8,
+    },
     AddIsa {
         sub: u8,
         sup: u8,
@@ -111,6 +125,22 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             receiver,
             member
         }),
+        (m.clone(), o.clone(), o.clone(), o.clone()).prop_map(|(method, receiver, arg, member)| {
+            Op::AddMemberArg {
+                method,
+                receiver,
+                arg,
+                member,
+            }
+        }),
+        (m.clone(), o.clone(), o.clone(), o.clone()).prop_map(|(method, receiver, arg, member)| {
+            Op::RemoveMemberArg {
+                method,
+                receiver,
+                arg,
+                member,
+            }
+        }),
         // Cycles and self-loops included: `sub` and `sup` range over the
         // same objects, so random sequences build cyclic isa graphs.
         (o.clone(), o).prop_map(|(sub, sup)| Op::AddIsa { sub, sup }),
@@ -118,11 +148,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Row-oriented shadow of the fact store: plain maps keyed by
-/// `(method, receiver)` — and the argument, if any, for scalars.
+/// `(method, receiver)` and the argument, if any.
 #[derive(Default)]
 struct Shadow {
     scalars: BTreeMap<(u8, u8, Option<u8>), u8>,
-    sets: BTreeMap<(u8, u8), BTreeSet<u8>>,
+    sets: BTreeMap<(u8, u8, Option<u8>), BTreeSet<u8>>,
     isa_direct: Vec<(u8, u8)>,
 }
 
@@ -183,7 +213,7 @@ impl Shadow {
                     &[],
                     objects[member as usize],
                 );
-                self.sets.entry((method, receiver)).or_default().insert(member);
+                self.sets.entry((method, receiver, None)).or_default().insert(member);
             }
             Op::RemoveMember {
                 method,
@@ -196,7 +226,37 @@ impl Shadow {
                     &[],
                     objects[member as usize],
                 );
-                if let Some(s) = self.sets.get_mut(&(method, receiver)) {
+                if let Some(s) = self.sets.get_mut(&(method, receiver, None)) {
+                    s.remove(&member);
+                }
+            }
+            Op::AddMemberArg {
+                method,
+                receiver,
+                arg,
+                member,
+            } => {
+                structure.assert_set_member(
+                    methods[method as usize],
+                    objects[receiver as usize],
+                    &[objects[arg as usize]],
+                    objects[member as usize],
+                );
+                self.sets.entry((method, receiver, Some(arg))).or_default().insert(member);
+            }
+            Op::RemoveMemberArg {
+                method,
+                receiver,
+                arg,
+                member,
+            } => {
+                structure.retract_set_member(
+                    methods[method as usize],
+                    objects[receiver as usize],
+                    &[objects[arg as usize]],
+                    objects[member as usize],
+                );
+                if let Some(s) = self.sets.get_mut(&(method, receiver, Some(arg))) {
                     s.remove(&member);
                 }
             }
@@ -235,7 +295,6 @@ impl Shadow {
     /// from the shadow rows, using the same format strings and sort keys as
     /// `Structure::canonical_dump()` — independently of the columnar store.
     fn expected_sections(&self, methods: &[Oid], objects: &[Oid]) -> Vec<String> {
-        let no_args: &[Oid] = &[];
         let mut scalar_rows: Vec<(Oid, Oid, Vec<Oid>, Oid)> = self
             .scalars
             .iter()
@@ -249,20 +308,21 @@ impl Shadow {
             .into_iter()
             .map(|(m, r, args, v)| format!("scalar {m} {r} {args:?} -> {v}"))
             .collect();
-        let mut member_rows: Vec<(Oid, Oid, Oid)> = self
+        let mut member_rows: Vec<(Oid, Oid, Vec<Oid>, Oid)> = self
             .sets
             .iter()
-            .flat_map(|(&(m, r), members)| {
+            .flat_map(|(&(m, r, a), members)| {
+                let args: Vec<Oid> = a.map(|a| objects[a as usize]).into_iter().collect();
                 members
                     .iter()
-                    .map(move |&v| (methods[m as usize], objects[r as usize], objects[v as usize]))
+                    .map(move |&v| (methods[m as usize], objects[r as usize], args.clone(), objects[v as usize]))
             })
             .collect();
         member_rows.sort_unstable();
         out.extend(
             member_rows
                 .into_iter()
-                .map(|(m, r, v)| format!("member {m} {r} {no_args:?} ->> {v}")),
+                .map(|(m, r, args, v)| format!("member {m} {r} {args:?} ->> {v}")),
         );
         let mut isa_rows: Vec<(Oid, Oid)> = self
             .isa_closure()
@@ -322,14 +382,15 @@ proptest! {
         for (a, b) in isa_edges {
             second.add_isa(objects2[a as usize], objects2[b as usize]);
         }
-        let mut members: Vec<(u8, u8, u8)> = shadow
+        let mut members: Vec<(u8, u8, Option<u8>, u8)> = shadow
             .sets
             .iter()
-            .flat_map(|(&(m, r), s)| s.iter().map(move |&v| (m, r, v)))
+            .flat_map(|(&(m, r, a), s)| s.iter().map(move |&v| (m, r, a, v)))
             .collect();
         members.reverse();
-        for (m, r, v) in members {
-            second.assert_set_member(methods2[m as usize], objects2[r as usize], &[], objects2[v as usize]);
+        for (m, r, a, v) in members {
+            let args: Vec<Oid> = a.map(|a| objects2[a as usize]).into_iter().collect();
+            second.assert_set_member(methods2[m as usize], objects2[r as usize], &args, objects2[v as usize]);
         }
         let mut scalars: Vec<(u8, u8, Option<u8>, u8)> =
             shadow.scalars.iter().map(|(&(m, r, a), &v)| (m, r, a, v)).collect();
@@ -490,9 +551,13 @@ enum HistOp {
     /// beside the zero-argument ones of `Scalar`.
     ScalarArg(u8, u16, u16, u16),
     Member(u8, u16, u16),
+    /// Method, receiver, argument, member: a one-argument set application
+    /// beside the zero-argument ones of `Member`.
+    MemberArg(u8, u16, u16, u16),
     RetractScalar(u8, u16),
     RetractScalarArg(u8, u16, u16),
     RetractMember(u8, u16, u16),
+    RetractMemberArg(u8, u16, u16, u16),
     /// `count` scalar facts and as many set members over consecutive
     /// objects — long enough runs to seal chunks and to double shard
     /// counts, so that clones really share sealed storage.
@@ -508,9 +573,11 @@ fn hist_op() -> impl Strategy<Value = HistOp> {
         (m.clone(), o.clone(), o.clone()).prop_map(|(m, r, v)| HistOp::Scalar(m, r, v)),
         (m.clone(), o.clone(), o.clone(), o.clone()).prop_map(|(m, r, a, v)| HistOp::ScalarArg(m, r, a, v)),
         (m.clone(), o.clone(), o.clone()).prop_map(|(m, r, v)| HistOp::Member(m, r, v)),
+        (m.clone(), o.clone(), o.clone(), o.clone()).prop_map(|(m, r, a, v)| HistOp::MemberArg(m, r, a, v)),
         (m.clone(), o.clone()).prop_map(|(m, r)| HistOp::RetractScalar(m, r)),
         (m.clone(), o.clone(), o.clone()).prop_map(|(m, r, a)| HistOp::RetractScalarArg(m, r, a)),
-        (m, o.clone(), o).prop_map(|(m, r, v)| HistOp::RetractMember(m, r, v)),
+        (m.clone(), o.clone(), o.clone()).prop_map(|(m, r, v)| HistOp::RetractMember(m, r, v)),
+        (m, o.clone(), o.clone(), o).prop_map(|(m, r, a, v)| HistOp::RetractMemberArg(m, r, a, v)),
         (0u16..1200, 1u16..700).prop_map(|(start, count)| HistOp::Bulk(start, count)),
     ]
 }
@@ -539,6 +606,10 @@ fn apply_hist(s: &mut Structure, op: &HistOp) {
             let (m, r, v) = (method(s, m), obj(s, r), obj(s, v));
             s.assert_set_member(m, r, &[], v);
         }
+        HistOp::MemberArg(m, r, a, v) => {
+            let (m, r, a, v) = (method(s, m), obj(s, r), obj(s, a), obj(s, v));
+            s.assert_set_member(m, r, &[a], v);
+        }
         HistOp::RetractScalar(m, r) => {
             let (m, r) = (method(s, m), obj(s, r));
             s.retract_scalar(m, r, &[]);
@@ -550,6 +621,10 @@ fn apply_hist(s: &mut Structure, op: &HistOp) {
         HistOp::RetractMember(m, r, v) => {
             let (m, r, v) = (method(s, m), obj(s, r), obj(s, v));
             s.retract_set_member(m, r, &[], v);
+        }
+        HistOp::RetractMemberArg(m, r, a, v) => {
+            let (m, r, a, v) = (method(s, m), obj(s, r), obj(s, a), obj(s, v));
+            s.retract_set_member(m, r, &[a], v);
         }
         HistOp::Bulk(start, count) => {
             let (pay, pals, staff) = (s.atom("pay"), s.atom("pals"), s.atom("staff"));
@@ -598,6 +673,40 @@ fn scalar_enumerations(s: &Structure) -> Vec<String> {
     out
 }
 
+/// The set methods a history writes: the three of `hist_op` and `Bulk`'s
+/// `pals`.
+const SET_METHODS: [&str; 4] = ["m0", "m1", "m2", "pals"];
+
+/// Every keyed set enumeration, in its own order — per application
+/// (argument-tuple order), per method, per method and member and per
+/// receiver (posting order) — for every set method a history writes and
+/// every object: one line per non-empty list.
+fn set_enumerations(s: &Structure) -> Vec<String> {
+    let facts = s.facts();
+    let methods = SET_METHODS.into_iter().filter_map(|m| s.lookup_name(&Name::atom(m)));
+    let mut out = Vec::new();
+    for method in methods {
+        out.push(format!(
+            "{method}: {:?}",
+            facts.set_facts_of_method(method).collect::<Vec<_>>()
+        ));
+        for o in s.objects() {
+            let applied: Vec<_> = facts.set_facts_of_method_receiver(method, o).collect();
+            let holding: Vec<_> = facts.set_facts_containing(method, o).collect();
+            if !applied.is_empty() || !holding.is_empty() {
+                out.push(format!("{method} {o}: {applied:?} {holding:?}"));
+            }
+        }
+    }
+    for o in s.objects() {
+        let received: Vec<_> = facts.set_facts_of_receiver(o).collect();
+        if !received.is_empty() {
+            out.push(format!("{o}: {received:?}"));
+        }
+    }
+    out
+}
+
 /// Everything a reader can observe of a structure, orders included: the
 /// canonical dump, the counters, the watermarks, the assertion-order and
 /// keyed enumerations and the delta window since `since`.
@@ -606,7 +715,7 @@ fn observed(s: &Structure, since: &EvalMarks) -> Vec<String> {
     let facts = s.facts();
     let window = DeltaView::between(s, since, &now);
     let touched: Vec<Oid> = s.objects().filter(|&o| window.has_new_facts_for(o)).collect();
-    let keyed = scalar_enumerations(s);
+    let keyed = [scalar_enumerations(s), set_enumerations(s)].concat();
     vec![
         s.canonical_dump(),
         format!("{:?} {now:?} retractions {}", s.stats(), s.retractions()),
@@ -691,14 +800,11 @@ proptest! {
 //    the writes must not reach.
 // ---------------------------------------------------------------------------
 
-/// The methods a batch writes: the three of `hist_op` and `Bulk`'s `pals`.
-const BATCH_METHODS: [&str; 4] = ["m0", "m1", "m2", "pals"];
-
-/// One batch: method, receiver, argument tuple (empty or one object) and
-/// members, all over the objects `x0..x40` `hist_op` writes to.
+/// One batch: a set method, receiver, argument tuple (empty or one object)
+/// and members, all over the objects `x0..x40` `hist_op` writes to.
 fn batch() -> impl Strategy<Value = (usize, u16, Vec<u16>, Vec<u16>)> {
     (
-        0usize..BATCH_METHODS.len(),
+        0usize..SET_METHODS.len(),
         0u16..40,
         prop::collection::vec(0u16..40, 0..2),
         prop::collection::vec(0u16..42, 0..12),
@@ -714,7 +820,7 @@ fn interned(s: &Structure, name: &str) -> Oid {
 /// batch writes and every object it names: one line per pair.
 fn postings_of(s: &Structure) -> Vec<String> {
     let mut out = Vec::new();
-    for name in BATCH_METHODS {
+    for name in SET_METHODS {
         let method = interned(s, name);
         for k in 0..42 {
             let member = interned(s, &format!("x{k}"));
@@ -746,7 +852,7 @@ proptest! {
         let mut parent = Structure::new();
         // Every name a batch uses exists before the clones are taken.
         apply_hist(&mut parent, &HistOp::Bulk(0, 41));
-        for name in BATCH_METHODS {
+        for name in SET_METHODS {
             parent.atom(name);
         }
         for op in &history {
@@ -757,7 +863,7 @@ proptest! {
         let (mut bulk, mut single) = (parent.clone(), parent.clone());
         let object = |k: u16| interned(&parent, &format!("x{k}"));
         for (m, receiver, args, members) in batches {
-            let method = interned(&parent, BATCH_METHODS[m]);
+            let method = interned(&parent, SET_METHODS[m]);
             let receiver = object(receiver);
             let args: Vec<Oid> = args.into_iter().map(object).collect();
             let mut members: Vec<Oid> = members.into_iter().map(object).collect();
