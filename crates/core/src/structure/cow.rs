@@ -4,9 +4,8 @@
 //!
 //! * [`CowVec`] — a vector cut into chunks of [`CHUNK`] elements, each
 //!   behind an `Arc`.  Backs the dense tables and append-only logs
-//!   (objects, the scalar row table, the set group and application tables,
-//!   insertion logs) and the posting lists too long to sit inline in their
-//!   index.
+//!   (objects, the scalar and set row tables, insertion logs) and the
+//!   posting lists too long to sit inline in their index.
 //! * [`ShardMap`] — a hash map cut into shards of about [`SHARD_TARGET`]
 //!   entries, each an `Arc`-shared `HashMap`, picked from the key's hash.
 //!   Backs the name table (keyed by the name's SipHash), the scalar and set

@@ -6,40 +6,39 @@
 //!
 //! # Layout
 //!
-//! **A scalar fact is one row.**  Scalar methods are partial functions, so
-//! `I_->` is stored as a function: one row per fact in the dense slot table
-//! — method, receiver, result, and the argument tuple as an `Arc`-shared
-//! slice (none for a zero-argument row, which so allocates nothing).  The
-//! `(method, receiver)` directory maps each application to the slots of its
-//! rows, kept **in argument-tuple order** (the zero-argument row first): an
-//! only row's slot inline in the directory entry, several in an
+//! **An application is one row, for both kinds of method.**  A scalar
+//! method is a partial function and a set-valued application holds one
+//! member set, so both `I_->` and `I_->>` are stored as functions of
+//! `(method, receiver, args)`: one row per application in a dense table —
+//! method, receiver, value, and the argument tuple as an `Arc`-shared slice
+//! (none for a zero-argument row, which so allocates nothing).  A scalar
+//! row's value is its result; a set row's is its members, an [`OidRun`]:
+//! sorted, deduplicated, `Arc`-shared — the engine's factorized answer DAGs
+//! ([`crate::semantics::factorized`]) reference them zero-copy.
+//!
+//! Each table's `(method, receiver)` directory maps a pair to the slots of
+//! its rows, kept **in argument-tuple order** (the zero-argument row
+//! first): an only row's slot inline in the directory entry, several in an
 //! `Arc`-shared list.  A point lookup is one directory probe and a binary
 //! search over those slots' argument tuples — for the common single-row
-//! application, one probe and one row read — with nothing allocated.
-//!
-//! **Set facts are grouped per `(method, receiver)`**: each group holds
-//! parallel columns (argument tuples in a flattened `Oid` column with an
-//! offset table, member runs) with rows kept sorted by argument tuple, and
-//! a point lookup is one hash probe to the group plus a binary search over
-//! its argument column.  Set members are [`OidRun`] columns: sorted,
-//! deduplicated, `Arc`-shared — the engine's factorized answer DAGs
-//! ([`crate::semantics::factorized`]) reference them zero-copy.
+//! pair, one probe and one row read — with nothing allocated.  Set rows are
+//! never removed (a retraction empties a run, the application stays
+//! defined), so a set row's slot is its application index.
 //!
 //! # What a clone shares and what a write detaches
 //!
-//! Every table here — the scalar row table and directory, the set group
-//! table, directory and application table, the six posting indexes, the
-//! insertion log and the mutation journal — sits on the copy-on-write
-//! containers of the `cow` module; a scalar row's argument tuple, the slot
-//! list of a scalar application with several rows and a set group's
-//! columns sit behind an `Arc` of their own.  Cloning the tables (an epoch
+//! Every table here — the two row tables and their directories, the six
+//! posting indexes, the insertion log and the mutation journal — sits on
+//! the copy-on-write containers of the `cow` module; a row's argument
+//! tuple, a set row's member run and the slot list of a pair with several
+//! rows sit behind an `Arc` of their own.  Cloning the tables (an epoch
 //! publish, a tolerant read's scrub, a rollback snapshot, a reactive
 //! simulation) bumps one reference count per sealed chunk and per shard and
 //! copies only the tables' unsealed tails — bounded by the chunk size, not
-//! by the store.  A write then detaches exactly what it touches: a new
-//! scalar fact appends its row to an owned tail and detaches the directory
-//! shard of its application; a set write detaches the chunk holding the
-//! group's entry, that group's columns and the member run it inserts into;
+//! by the store.  A write then detaches exactly what it touches: a new row
+//! — a scalar fact or a set application — appends to an owned tail and
+//! detaches the directory shard of its pair; a new set member detaches the
+//! chunk holding its application's row and the member run it inserts into;
 //! and either detaches one shard of each index it updates (short posting
 //! lists sit in their index bucket, long ones append to an owned tail).
 //! Appends to the logs go to owned tails and detach nothing.  A
@@ -49,14 +48,13 @@
 //! dropping it frees just those.
 //!
 //! Iteration hands out [`ScalarFactView`]/[`SetFactView`] values — `Copy`
-//! structs of borrowed rows and columns — in fixed orders: global
-//! enumeration follows assertion order (through the dense slot/application
-//! tables), per-`(method, receiver)` enumeration follows argument-tuple
-//! order (zero-argument row first), and secondary indexes (`by_method`,
-//! `by_receiver`, `by_method_result`, `by_method_member`) keep posting
-//! lists in assertion order.  Canonical dumps and deterministic enumeration
-//! downstream do not depend on the layout (property-tested against a
-//! row-oriented shadow).
+//! structs of borrowed rows — in fixed orders: global enumeration follows
+//! assertion order (through the dense row tables), per-`(method, receiver)`
+//! enumeration follows argument-tuple order (zero-argument row first), and
+//! secondary indexes (`by_method`, `by_receiver`, `by_method_result`,
+//! `by_method_member`) keep posting lists in assertion order.  Canonical
+//! dumps and deterministic enumeration downstream do not depend on the
+//! layout (property-tested against a row-oriented shadow).
 //!
 //! Two properties of the storage are load-bearing for the engine's
 //! semi-naive evaluation (see [`crate::semantics::delta`]):
@@ -74,7 +72,6 @@
 //! deductive engine only ever adds facts while evaluating, so this holds for
 //! every fixpoint run; the reactive layer retracts *between* runs.
 
-use std::cmp::Ordering;
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -100,7 +97,7 @@ pub struct ScalarFactView<'a> {
 
 /// A borrowed view of one stored set-valued application (one per `(method,
 /// receiver, args)`, holding all members).  Cheap to copy; the members
-/// reference the group's `Arc`-shared run.
+/// reference the stored row's `Arc`-shared run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SetFactView<'a> {
     /// The method object.
@@ -129,98 +126,55 @@ impl Assert {
     }
 }
 
-/// A flattened column of argument tuples: all tuples concatenated in
-/// `flat`, with `offsets[row]..offsets[row + 1]` delimiting row `row`.
-/// Rows are kept sorted by tuple (lexicographic slice order, so the
-/// zero-argument tuple sorts first), which makes point lookups a binary
-/// search and per-group enumeration deterministic without sorting.
+/// One row of an application table: the application `method(receiver,
+/// args...)` and its value — a scalar fact's result, a set application's
+/// member run.
 #[derive(Debug, Clone)]
-struct ArgsCol {
-    flat: Vec<Oid>,
-    offsets: Vec<u32>,
-}
-
-impl ArgsCol {
-    fn new() -> Self {
-        ArgsCol {
-            flat: Vec::new(),
-            offsets: vec![0],
-        }
-    }
-
-    fn rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    #[inline]
-    fn get(&self, row: usize) -> &[Oid] {
-        // No tuple has an argument — the common case by far: every row is
-        // empty, and the offset table need not be read.
-        if self.flat.is_empty() {
-            return &[];
-        }
-        &self.flat[self.offsets[row] as usize..self.offsets[row + 1] as usize]
-    }
-
-    /// Binary search for the row holding `args`: `Ok(row)` if present,
-    /// `Err(insertion_row)` otherwise.
-    fn find(&self, args: &[Oid]) -> std::result::Result<usize, usize> {
-        let (mut lo, mut hi) = (0, self.rows());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match self.get(mid).cmp(args) {
-                Ordering::Less => lo = mid + 1,
-                Ordering::Greater => hi = mid,
-                Ordering::Equal => return Ok(mid),
-            }
-        }
-        Err(lo)
-    }
-
-    fn insert(&mut self, row: usize, args: &[Oid]) {
-        let at = self.offsets[row] as usize;
-        self.flat.splice(at..at, args.iter().copied());
-        let len = args.len() as u32;
-        self.offsets.insert(row + 1, self.offsets[row] + len);
-        for off in &mut self.offsets[row + 2..] {
-            *off += len;
-        }
-    }
-}
-
-/// One scalar fact, a row of the dense slot table.
-#[derive(Debug, Clone)]
-struct ScalarRow {
+struct Row<V> {
     method: Oid,
     receiver: Oid,
-    result: Oid,
     /// The argument tuple; `None` for a zero-argument row.
     args: Option<Arc<[Oid]>>,
+    value: V,
 }
 
-impl ScalarRow {
+impl<V> Row<V> {
     #[inline]
     fn args(&self) -> &[Oid] {
         self.args.as_deref().unwrap_or(&[])
     }
+}
 
+impl Row<Oid> {
     #[inline]
     fn view(&self) -> ScalarFactView<'_> {
         ScalarFactView {
             method: self.method,
             receiver: self.receiver,
             args: self.args(),
-            result: self.result,
+            result: self.value,
         }
     }
 }
 
-/// The rows of one scalar `(method, receiver)` application: their slots, in
-/// argument-tuple order.  Never empty: the last row's retraction removes
-/// the directory entry.
+impl Row<OidRun> {
+    #[inline]
+    fn view(&self) -> SetFactView<'_> {
+        SetFactView {
+            method: self.method,
+            receiver: self.receiver,
+            args: self.args(),
+            members: &self.value,
+        }
+    }
+}
+
+/// The rows of one `(method, receiver)` pair: their slots, in
+/// argument-tuple order.  Never empty: the last scalar row's retraction
+/// removes the directory entry, and set rows are never removed.
 #[derive(Debug, Clone)]
 enum AppRows {
-    /// The only row, inline — almost every application has one.
+    /// The only row, inline — almost every pair has one.
     One(u32),
     /// Several, `Arc`-shared so that detaching a directory shard copies no
     /// list.
@@ -254,36 +208,96 @@ impl AppRows {
             return;
         }
         let list = self.list();
-        let pos = list.iter().position(|&s| s == old).expect("a row of this application");
+        let pos = list.iter().position(|&s| s == old).expect("a row of this pair");
         list[pos] = new;
     }
 }
 
-/// The columns of one set-valued `(method, receiver)` group, rows sorted by
-/// argument tuple.  `apps[row]` is the row's dense global application index
-/// (creation order), kept in sync with [`Facts::set_apps`].
-#[derive(Debug, Clone)]
-struct SetCols {
-    args: ArgsCol,
-    members: Vec<OidRun>,
-    apps: Vec<u32>,
+/// Where an argument tuple's row is among a `(method, receiver)` pair's.
+enum Probe {
+    /// Stored, at this slot.
+    At(usize),
+    /// Not stored: a new row takes this position in the pair's slot list,
+    /// or opens the pair (`None`).
+    Vacant(Option<usize>),
 }
 
-impl SetCols {
-    fn new() -> Self {
-        SetCols {
-            args: ArgsCol::new(),
-            members: Vec::new(),
-            apps: Vec::new(),
+/// A dense row table and its `(method, receiver)` directory: how `I_->` and
+/// `I_->>` are both stored (see the module docs).
+#[derive(Debug, Clone)]
+struct AppTable<V> {
+    /// One row per application, in creation order.
+    rows: CowVec<Row<V>>,
+    /// `(method, receiver)` → the slots of the pair's rows.
+    dir: ShardMap<(Oid, Oid), AppRows>,
+}
+
+impl<V> Default for AppTable<V> {
+    fn default() -> Self {
+        AppTable {
+            rows: CowVec::default(),
+            dir: ShardMap::default(),
         }
     }
 }
 
-#[derive(Debug, Clone)]
-struct SetGroup {
-    method: Oid,
-    receiver: Oid,
-    cols: Arc<SetCols>,
+impl<V: Clone> AppTable<V> {
+    /// The slots of the rows of `(method, receiver)`, in argument-tuple
+    /// order.
+    #[inline]
+    fn slots(&self, method: Oid, receiver: Oid) -> &[u32] {
+        self.dir.get(&(method, receiver)).map_or(&[], AppRows::slots)
+    }
+
+    /// The row of `args` among `slots` — the rows of one pair, in
+    /// argument-tuple order: `Ok(position)` if present, `Err(insertion
+    /// position)` otherwise.
+    #[inline]
+    fn row_of(&self, slots: &[u32], args: &[Oid]) -> std::result::Result<usize, usize> {
+        slots.binary_search_by(|&slot| self.rows[slot as usize].args().cmp(args))
+    }
+
+    /// Where the row of `(method, receiver, args)` is, or would go.
+    #[inline]
+    fn probe(&self, method: Oid, receiver: Oid, args: &[Oid]) -> Probe {
+        let Some(rows) = self.dir.get(&(method, receiver)) else {
+            return Probe::Vacant(None);
+        };
+        match self.row_of(rows.slots(), args) {
+            Ok(pos) => Probe::At(rows.slots()[pos] as usize),
+            Err(pos) => Probe::Vacant(Some(pos)),
+        }
+    }
+
+    /// The slot of the row of `(method, receiver, args)`.
+    #[inline]
+    fn find(&self, method: Oid, receiver: Oid, args: &[Oid]) -> Option<usize> {
+        match self.probe(method, receiver, args) {
+            Probe::At(slot) => Some(slot),
+            Probe::Vacant(_) => None,
+        }
+    }
+
+    /// Append the row `(method, receiver, args)` with `value` and list it
+    /// at `vacant`, the place [`AppTable::probe`] reported; returns its
+    /// slot.
+    fn insert(&mut self, method: Oid, receiver: Oid, args: &[Oid], value: V, vacant: Option<usize>) -> u32 {
+        let slot = self.rows.len() as u32;
+        self.rows.push(Row {
+            method,
+            receiver,
+            args: (!args.is_empty()).then(|| args.into()),
+            value,
+        });
+        let key = (method, receiver);
+        match vacant {
+            Some(pos) => self.dir.get_mut(&key).expect("probed").list().insert(pos, slot),
+            None => {
+                self.dir.insert(key, AppRows::One(slot));
+            }
+        }
+        slot
+    }
 }
 
 /// How many entries a posting list holds inline before it moves to the heap.
@@ -378,20 +392,16 @@ type Index<K> = ShardMap<K, Postings>;
 /// The fact tables of a structure.
 #[derive(Debug, Default, Clone)]
 pub struct Facts {
-    /// Dense slot table: one row per scalar fact, in assertion order.  Slot
-    /// numbers double as generation stamps (see [`Facts::scalar_index`]).
-    scalar_rows: CowVec<ScalarRow>,
-    /// `(method, receiver)` → the slots of the application's rows.
-    scalar_dir: ShardMap<(Oid, Oid), AppRows>,
+    /// `I_->`: one row per scalar fact, in assertion order.  Slot numbers
+    /// double as generation stamps (see [`Facts::scalar_index`]).
+    scalar: AppTable<Oid>,
     scalar_by_method: Index<Oid>,
     scalar_by_method_result: Index<(Oid, Oid)>,
     scalar_by_receiver: Index<Oid>,
 
-    set_groups: CowVec<SetGroup>,
-    set_group_of: ShardMap<(Oid, Oid), u32>,
-    /// Dense application table: `app -> (group, row)`, in creation order.
-    /// Append-only: set applications are never removed.
-    set_apps: CowVec<(u32, u32)>,
+    /// `I_->>`: one row per set application, in creation order.
+    /// Append-only, so a slot is the dense application index.
+    sets: AppTable<OidRun>,
     set_by_method: Index<Oid>,
     set_by_method_member: Index<(Oid, Oid)>,
     set_by_receiver: Index<Oid>,
@@ -424,64 +434,26 @@ impl Facts {
 
     // -- scalar ------------------------------------------------------------
 
-    /// The row of `args` among `slots` — the rows of one application, in
-    /// argument-tuple order: `Ok(position)` if present, `Err(insertion
-    /// position)` otherwise.
-    #[inline]
-    fn row_of(&self, slots: &[u32], args: &[Oid]) -> std::result::Result<usize, usize> {
-        slots.binary_search_by(|&slot| self.scalar_rows[slot as usize].args().cmp(args))
-    }
-
-    /// The slot of the scalar fact for `(method, receiver, args)`.
-    #[inline]
-    fn scalar_find(&self, method: Oid, receiver: Oid, args: &[Oid]) -> Option<usize> {
-        let slots = self.scalar_dir.get(&(method, receiver))?.slots();
-        let pos = self.row_of(slots, args).ok()?;
-        Some(slots[pos] as usize)
-    }
-
     /// Assert `I_->(method)(receiver, args) = result`.
     ///
     /// Returns an error if a *different* result is already stored for the
     /// same application: scalar methods are partial functions, so conflicting
     /// results indicate an inconsistent program.
     pub fn assert_scalar(&mut self, method: Oid, receiver: Oid, args: &[Oid], result: Oid) -> Result<Assert> {
-        let key = (method, receiver);
-        // Where the new row goes among the application's, if it has any.
-        let pos = match self.scalar_dir.get(&key) {
-            None => None,
-            Some(rows) => match self.row_of(rows.slots(), args) {
-                Err(pos) => Some(pos),
-                Ok(pos) => {
-                    let existing = self.scalar_rows[rows.slots()[pos] as usize].result;
-                    if existing == result {
-                        return Ok(Assert::Unchanged);
-                    }
-                    return Err(Error::Other(format!(
-                        "conflicting scalar results for method {:?} on receiver {:?}: {:?} vs {:?}",
-                        method, receiver, existing, result
-                    )));
+        let vacant = match self.scalar.probe(method, receiver, args) {
+            Probe::Vacant(pos) => pos,
+            Probe::At(slot) => {
+                let existing = self.scalar.rows[slot].value;
+                if existing == result {
+                    return Ok(Assert::Unchanged);
                 }
-            },
-        };
-        let slot = self.scalar_rows.len() as u32;
-        self.scalar_rows.push(ScalarRow {
-            method,
-            receiver,
-            result,
-            args: (!args.is_empty()).then(|| args.into()),
-        });
-        match pos {
-            Some(pos) => self
-                .scalar_dir
-                .get_mut(&key)
-                .expect("probed above")
-                .list()
-                .insert(pos, slot),
-            None => {
-                self.scalar_dir.insert(key, AppRows::One(slot));
+                return Err(Error::Other(format!(
+                    "conflicting scalar results for method {:?} on receiver {:?}: {:?} vs {:?}",
+                    method, receiver, existing, result
+                )));
             }
-        }
+        };
+        let slot = self.scalar.insert(method, receiver, args, result, vacant);
         self.scalar_by_method.get_or_default(method).push(slot);
         self.scalar_by_method_result.get_or_default((method, result)).push(slot);
         self.scalar_by_receiver.get_or_default(receiver).push(slot);
@@ -491,13 +463,13 @@ impl Facts {
 
     /// Look up the scalar result of a method application, if defined.
     ///
-    /// One directory probe to the `(method, receiver)` application plus a
-    /// binary search over its rows' argument tuples — for an application of
-    /// one row, one row read: allocation-free for both the zero-argument
-    /// common case and applications with arguments.
+    /// One directory probe to the `(method, receiver)` pair plus a binary
+    /// search over its rows' argument tuples — for a pair of one row, one
+    /// row read: allocation-free for both the zero-argument common case and
+    /// applications with arguments.
     pub fn scalar_result(&self, method: Oid, receiver: Oid, args: &[Oid]) -> Option<Oid> {
-        let slot = self.scalar_find(method, receiver, args)?;
-        Some(self.scalar_rows[slot].result)
+        let slot = self.scalar.find(method, receiver, args)?;
+        Some(self.scalar.rows[slot].value)
     }
 
     /// The dense slot position of the scalar fact for `(method, receiver,
@@ -505,25 +477,25 @@ impl Facts {
     /// stable while no scalar fact is retracted, so they double as generation
     /// stamps: `index >= k` means "asserted at or after watermark `k`".
     pub fn scalar_index(&self, method: Oid, receiver: Oid, args: &[Oid]) -> Option<usize> {
-        self.scalar_find(method, receiver, args)
+        self.scalar.find(method, receiver, args)
     }
 
     /// The scalar fact stored at dense slot position `idx`.
     #[inline]
     pub fn scalar_fact_at(&self, idx: usize) -> ScalarFactView<'_> {
-        self.scalar_rows[idx].view()
+        self.scalar.rows[idx].view()
     }
 
     /// All scalar facts for the compound `(method, receiver)` key — every
     /// argument tuple the method is defined for on this receiver, in
-    /// argument-tuple order (zero-argument row first): the rows the
-    /// application's directory entry lists.
+    /// argument-tuple order (zero-argument row first): the rows the pair's
+    /// directory entry lists.
     pub fn scalar_facts_of_method_receiver(
         &self,
         method: Oid,
         receiver: Oid,
     ) -> impl Iterator<Item = ScalarFactView<'_>> + '_ {
-        let slots = self.scalar_dir.get(&(method, receiver)).map_or(&[][..], AppRows::slots);
+        let slots = self.scalar.slots(method, receiver);
         slots.iter().map(move |&slot| self.scalar_fact_at(slot as usize))
     }
 
@@ -562,12 +534,12 @@ impl Facts {
 
     /// Every scalar fact, in assertion order.
     pub fn scalar_facts(&self) -> impl Iterator<Item = ScalarFactView<'_>> + '_ {
-        self.scalar_rows.iter().map(ScalarRow::view)
+        self.scalar.rows.iter().map(|row| row.view())
     }
 
     /// Number of scalar facts.
     pub fn num_scalar(&self) -> usize {
-        self.scalar_rows.len()
+        self.scalar.rows.len()
     }
 
     /// Retract the scalar fact for `(method, receiver, args)`, if present.
@@ -579,28 +551,29 @@ impl Facts {
     /// update operations.
     pub fn retract_scalar(&mut self, method: Oid, receiver: Oid, args: &[Oid]) -> Option<Oid> {
         let key = (method, receiver);
-        let rows = self.scalar_dir.get(&key)?;
-        let pos = self.row_of(rows.slots(), args).ok()?;
+        let rows = self.scalar.dir.get(&key)?;
+        let pos = self.scalar.row_of(rows.slots(), args).ok()?;
         let slot = rows.slots()[pos] as usize;
         if rows.slots().len() == 1 {
-            self.scalar_dir.remove(&key);
+            self.scalar.dir.remove(&key);
         } else {
-            self.scalar_dir.get_mut(&key).expect("probed above").list().remove(pos);
+            self.scalar.dir.get_mut(&key).expect("probed above").list().remove(pos);
         }
         // `swap_remove` moves the previously-last row (if any) into `slot`;
         // re-point its directory entry and every index entry that referred
         // to its old position.
-        let result = self.scalar_rows.swap_remove(slot).result;
+        let result = self.scalar.rows.swap_remove(slot).value;
         remove_index(&mut self.scalar_by_method, &method, slot);
         remove_index(&mut self.scalar_by_method_result, &(method, result), slot);
         remove_index(&mut self.scalar_by_receiver, &receiver, slot);
-        let old = self.scalar_rows.len();
+        let old = self.scalar.rows.len();
         if slot < old {
-            let moved = &self.scalar_rows[slot];
-            let (m, r, res) = (moved.method, moved.receiver, moved.result);
-            self.scalar_dir
+            let moved = &self.scalar.rows[slot];
+            let (m, r, res) = (moved.method, moved.receiver, moved.value);
+            self.scalar
+                .dir
                 .get_mut(&(m, r))
-                .expect("a stored row has its application")
+                .expect("a stored row has its pair")
                 .replace(old as u32, slot as u32);
             replace_index(&mut self.scalar_by_method, &m, old, slot);
             replace_index(&mut self.scalar_by_method_result, &(m, res), old, slot);
@@ -613,42 +586,18 @@ impl Facts {
 
     // -- set-valued --------------------------------------------------------
 
-    fn set_find(&self, method: Oid, receiver: Oid, args: &[Oid]) -> Option<usize> {
-        let &g = self.set_group_of.get(&(method, receiver))?;
-        let cols = &self.set_groups[g as usize].cols;
-        let row = cols.args.find(args).ok()?;
-        Some(cols.apps[row] as usize)
-    }
-
-    /// Create the (initially empty) application row for `(method, receiver,
-    /// args)` and register it; `args` must not already have a row.
-    fn set_create_app(&mut self, method: Oid, receiver: Oid, args: &[Oid]) -> usize {
-        let g = match self.set_group_of.get(&(method, receiver)) {
-            Some(&g) => g,
-            None => {
-                let g = self.set_groups.len() as u32;
-                self.set_groups.push(SetGroup {
-                    method,
-                    receiver,
-                    cols: Arc::new(SetCols::new()),
-                });
-                self.set_group_of.insert((method, receiver), g);
-                g
-            }
+    /// The application index of `(method, receiver, args)`, opening the
+    /// application — empty, and registered in the method and receiver
+    /// indexes — if it is not defined yet.
+    fn set_app(&mut self, method: Oid, receiver: Oid, args: &[Oid]) -> usize {
+        let vacant = match self.sets.probe(method, receiver, args) {
+            Probe::At(app) => return app,
+            Probe::Vacant(pos) => pos,
         };
-        let app = self.set_apps.len();
-        let cols = Arc::make_mut(&mut self.set_groups.make_mut(g as usize).cols);
-        let row = cols.args.find(args).unwrap_err();
-        cols.args.insert(row, args);
-        cols.members.insert(row, OidRun::new());
-        cols.apps.insert(row, app as u32);
-        for &a in &cols.apps[row + 1..] {
-            self.set_apps.make_mut(a as usize).1 += 1;
-        }
-        self.set_apps.push((g, row as u32));
-        self.set_by_method.get_or_default(method).push(app as u32);
-        self.set_by_receiver.get_or_default(receiver).push(app as u32);
-        app
+        let app = self.sets.insert(method, receiver, args, OidRun::new(), vacant);
+        self.set_by_method.get_or_default(method).push(app);
+        self.set_by_receiver.get_or_default(receiver).push(app);
+        app as usize
     }
 
     /// Assert `member ∈ I_->>(method)(receiver, args)`: the one-element case
@@ -663,26 +612,23 @@ impl Facts {
     /// Assert every one of `members` — ascending and distinct — into
     /// `I_->>(method)(receiver, args)`; returns how many were new.
     ///
-    /// A set arrives as a sorted run and is merged as one: one group lookup,
-    /// a read-only probe of every member (a batch of re-assertions detaches
-    /// nothing), then one detach of the group's columns and one sorted merge
-    /// into its member run, which places the last new member where the probe
-    /// found its place — a single member costs one binary search, as a plain
-    /// insert does.  The posting lists, the insertion log and the
-    /// mutation journal receive the new members in ascending order — what a
-    /// loop of [`Facts::assert_set_member`] over `members` would append.  An
-    /// empty batch asserts nothing, and does not define the application.
+    /// A set arrives as a sorted run and is merged as one: one application
+    /// lookup, a read-only probe of every member (a batch of re-assertions
+    /// detaches nothing), then one detach of the application's row and one
+    /// sorted merge into its member run, which places the last new member
+    /// where the probe found its place — a single member costs one binary
+    /// search, as a plain insert does.  The posting lists, the insertion log
+    /// and the mutation journal receive the new members in ascending order —
+    /// what a loop of [`Facts::assert_set_member`] over `members` would
+    /// append.  An empty batch asserts nothing, and does not define the
+    /// application.
     pub fn assert_set_members(&mut self, method: Oid, receiver: Oid, args: &[Oid], members: &[Oid]) -> usize {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "ascending and distinct");
         if members.is_empty() {
             return 0;
         }
-        let app = match self.set_find(method, receiver, args) {
-            Some(app) => app,
-            None => self.set_create_app(method, receiver, args),
-        };
-        let (g, row) = self.set_apps[app];
-        let stored = &self.set_groups[g as usize].cols.members[row as usize];
+        let app = self.set_app(method, receiver, args);
+        let stored = &self.sets.rows[app].value;
         let is_new = |x: &Oid| !stored.contains(x);
         // The probe counts the new members and keeps where the last of them
         // goes: the merge starts there without searching again.
@@ -704,8 +650,7 @@ impl Facts {
             owned = members.iter().copied().filter(is_new).collect();
             &owned
         };
-        let cols = Arc::make_mut(&mut self.set_groups.make_mut(g as usize).cols);
-        cols.members[row as usize].merge_new(batch, last_at);
+        self.sets.rows.make_mut(app).value.merge_new(batch, last_at);
         for &member in batch {
             self.set_by_method_member
                 .get_or_default((method, member))
@@ -721,68 +666,43 @@ impl Facts {
     /// `set_result` reports it as defined.  Used when loading data where a
     /// set attribute exists but has no members.
     pub fn declare_set(&mut self, method: Oid, receiver: Oid, args: &[Oid]) {
-        if self.set_find(method, receiver, args).is_none() {
-            self.set_create_app(method, receiver, args);
-        }
+        self.set_app(method, receiver, args);
     }
 
     /// Look up the member run of a set-valued application, if defined.
     ///
-    /// One hash probe to the `(method, receiver)` group plus a binary search
-    /// over its argument column; the returned run is the stored column
-    /// itself (sorted, `Arc`-shared).
+    /// One directory probe to the `(method, receiver)` pair plus a binary
+    /// search over its rows' argument tuples, as for a scalar; the returned
+    /// run is the stored one itself (sorted, `Arc`-shared).
     pub fn set_result(&self, method: Oid, receiver: Oid, args: &[Oid]) -> Option<&OidRun> {
-        let &g = self.set_group_of.get(&(method, receiver))?;
-        let cols = &self.set_groups[g as usize].cols;
-        let row = cols.args.find(args).ok()?;
-        Some(&cols.members[row])
+        let app = self.sets.find(method, receiver, args)?;
+        Some(&self.sets.rows[app].value)
     }
 
     /// The dense application index for `(method, receiver, args)`, if
     /// defined.  Used with [`Facts::set_members_since`] to identify
     /// applications in delta slices.
     pub fn set_index(&self, method: Oid, receiver: Oid, args: &[Oid]) -> Option<usize> {
-        self.set_find(method, receiver, args)
+        self.sets.find(method, receiver, args)
     }
 
     /// The set application stored at dense application index `idx`.
     #[inline]
     pub fn set_fact_at(&self, idx: usize) -> SetFactView<'_> {
-        self.set_view_at(self.set_apps[idx])
-    }
-
-    #[inline]
-    fn set_view_at(&self, (g, row): (u32, u32)) -> SetFactView<'_> {
-        let grp = &self.set_groups[g as usize];
-        SetFactView {
-            method: grp.method,
-            receiver: grp.receiver,
-            args: grp.cols.args.get(row as usize),
-            members: &grp.cols.members[row as usize],
-        }
+        self.sets.rows[idx].view()
     }
 
     /// All set applications for the compound `(method, receiver)` key —
     /// every argument tuple the method is defined for on this receiver, in
-    /// argument-tuple order (zero-argument row first): a contiguous walk of
-    /// the group's columns.
+    /// argument-tuple order (zero-argument row first): the rows the pair's
+    /// directory entry lists.
     pub fn set_facts_of_method_receiver(
         &self,
         method: Oid,
         receiver: Oid,
     ) -> impl Iterator<Item = SetFactView<'_>> + '_ {
-        self.set_group_of
-            .get(&(method, receiver))
-            .into_iter()
-            .flat_map(move |&g| {
-                let grp = &self.set_groups[g as usize];
-                (0..grp.cols.members.len()).map(move |row| SetFactView {
-                    method: grp.method,
-                    receiver: grp.receiver,
-                    args: grp.cols.args.get(row),
-                    members: &grp.cols.members[row],
-                })
-            })
+        let apps = self.sets.slots(method, receiver);
+        apps.iter().map(move |&app| self.set_fact_at(app as usize))
     }
 
     /// Number of set-member insertions recorded so far — the current
@@ -797,10 +717,10 @@ impl Facts {
     /// instead of panicking.  Yields `(position, fact)` pairs in assertion
     /// order; O(window).
     pub fn scalar_facts_in(&self, lo: usize, hi: usize) -> impl Iterator<Item = (usize, ScalarFactView<'_>)> + '_ {
-        let hi = hi.min(self.scalar_rows.len());
+        let hi = hi.min(self.scalar.rows.len());
         let lo = lo.min(hi);
         (lo..hi)
-            .zip(self.scalar_rows.range(lo, hi))
+            .zip(self.scalar.rows.range(lo, hi))
             .map(|(i, row)| (i, row.view()))
     }
 
@@ -859,12 +779,12 @@ impl Facts {
 
     /// Every set fact, in application-creation order.
     pub fn set_facts(&self) -> impl Iterator<Item = SetFactView<'_>> + '_ {
-        self.set_apps.iter().map(move |&at| self.set_view_at(at))
+        self.sets.rows.iter().map(|row| row.view())
     }
 
     /// Number of set-valued applications (not members).
     pub fn num_set_applications(&self) -> usize {
-        self.set_apps.len()
+        self.sets.rows.len()
     }
 
     /// Total number of set members across all applications.
@@ -876,16 +796,14 @@ impl Facts {
     /// if the member was present.  The application itself stays defined
     /// (possibly empty), mirroring [`Facts::declare_set`].
     pub fn retract_set_member(&mut self, method: Oid, receiver: Oid, args: &[Oid], member: Oid) -> bool {
-        let Some(app) = self.set_find(method, receiver, args) else {
+        let Some(app) = self.sets.find(method, receiver, args) else {
             return false;
         };
-        let (g, row) = self.set_apps[app];
         // Probe before detaching: a miss must not copy anything.
-        if !self.set_groups[g as usize].cols.members[row as usize].contains(&member) {
+        if !self.sets.rows[app].value.contains(&member) {
             return false;
         }
-        let cols = Arc::make_mut(&mut self.set_groups.make_mut(g as usize).cols);
-        cols.members[row as usize].remove(&member);
+        self.sets.rows.make_mut(app).value.remove(&member);
         self.set_member_count -= 1;
         remove_index(&mut self.set_by_method_member, &(method, member), app);
         self.retractions += 1;
@@ -925,14 +843,13 @@ impl Facts {
 impl cow::Sharing for Facts {
     fn parts(&self) -> Vec<*const ()> {
         [
-            self.scalar_rows.parts(),
-            self.scalar_dir.parts(),
+            self.scalar.rows.parts(),
+            self.scalar.dir.parts(),
             self.scalar_by_method.parts(),
             self.scalar_by_method_result.parts(),
             self.scalar_by_receiver.parts(),
-            self.set_groups.parts(),
-            self.set_group_of.parts(),
-            self.set_apps.parts(),
+            self.sets.rows.parts(),
+            self.sets.dir.parts(),
             self.set_by_method.parts(),
             self.set_by_method_member.parts(),
             self.set_by_receiver.parts(),
@@ -1065,15 +982,19 @@ mod tests {
         assert_eq!(log, [o(30), o(32), o(40)]);
         assert_eq!(f.mutation_keys_since(1).count(), 3);
         assert_eq!((f.num_set_members(), f.count_set_containing(o(2), o(32))), (4, 1));
-        // A batch of re-assertions changes nothing and detaches nothing.
+        // A batch of re-assertions changes nothing and detaches nothing —
+        // not even the sealed chunk holding the application's row.
+        for r in 100..100 + CHUNK as u32 {
+            f.declare_set(o(3), o(r), &[]);
+        }
         let again = f.clone();
         assert_eq!(f.assert_set_members(o(2), o(10), &[], &[o(30), o(40)]), 0);
-        assert!(Arc::ptr_eq(&f.set_groups[0].cols, &again.set_groups[0].cols));
+        assert_eq!(f.sets.rows.detached_from(&again.sets.rows), 0);
         // An empty batch does not define its application.
         assert_eq!(f.assert_set_members(o(2), o(11), &[o(7)], &[]), 0);
         assert_eq!(f.set_result(o(2), o(11), &[o(7)]), None);
         assert_eq!(f.assert_set_members(o(2), o(11), &[o(7)], &[o(1), o(2)]), 2);
-        assert_eq!(f.num_set_applications(), 2);
+        assert_eq!(f.num_set_applications(), CHUNK + 2);
         assert_eq!(snap.set_result(o(2), o(10), &[]).unwrap().as_slice(), &[o(31)]);
     }
 
@@ -1197,7 +1118,7 @@ mod tests {
     }
 
     #[test]
-    fn generation_stamps_survive_in_group_row_shifts() {
+    fn generation_stamps_survive_out_of_order_tuples() {
         let mut f = Facts::new();
         // The second assertion lands *before* the first in the application's
         // sorted rows ([] < [5]); the global stamps must stay in assertion
@@ -1237,21 +1158,31 @@ mod tests {
     }
 
     #[test]
-    fn application_indices_survive_in_group_row_shifts() {
+    fn set_applications_keep_creation_indices_and_list_in_tuple_order() {
         let mut f = Facts::new();
-        // Two applications in one group, the second sorting before the
-        // first; the log's application indices must keep resolving to the
-        // right rows after the shift.
-        f.assert_set_member(o(2), o(10), &[o(7)], o(30));
-        f.assert_set_member(o(2), o(10), &[], o(31));
-        let delta: Vec<(Oid, Oid)> = f
-            .set_members_since(0)
-            .map(|(idx, member)| {
-                let fact = f.set_fact_at(idx);
-                (member, fact.args.first().copied().unwrap_or(o(0)))
-            })
+        // Three tuples of one pair, opened out of tuple order.
+        for (args, member) in [(&[o(5)][..], o(30)), (&[], o(31)), (&[o(3)], o(32))] {
+            f.assert_set_member(o(2), o(10), args, member);
+        }
+        let index = |args: &[Oid]| f.set_index(o(2), o(10), args);
+        assert_eq!(
+            [index(&[o(5)]), index(&[]), index(&[o(3)])],
+            [Some(0), Some(1), Some(2)]
+        );
+        let listed: Vec<(&[Oid], Oid)> = f
+            .set_facts_of_method_receiver(o(2), o(10))
+            .map(|s| (s.args, s.members[0]))
             .collect();
-        assert_eq!(delta, vec![(o(30), o(7)), (o(31), o(0))]);
+        assert_eq!(listed, [(&[][..], o(31)), (&[o(3)], o(32)), (&[o(5)], o(30))]);
+        // The log's application indices resolve to the rows they name, and
+        // global enumeration is creation order.
+        let logged: Vec<(Oid, &[Oid])> = f
+            .set_members_since(0)
+            .map(|(app, member)| (member, f.set_fact_at(app).args))
+            .collect();
+        assert_eq!(logged, [(o(30), &[o(5)][..]), (o(31), &[]), (o(32), &[o(3)])]);
+        let created: Vec<Oid> = f.set_facts().map(|s| s.members[0]).collect();
+        assert_eq!(created, [o(30), o(31), o(32)]);
     }
 
     #[test]
@@ -1317,9 +1248,9 @@ mod tests {
     }
 
     #[test]
-    fn retract_scalar_within_one_group_keeps_the_slot_table_consistent() {
+    fn retract_scalar_within_one_pair_keeps_the_slot_table_consistent() {
         let mut f = Facts::new();
-        // Three rows of one application; retract the middle one by tuple order.
+        // Three rows of one pair; retract the middle one by tuple order.
         f.assert_scalar(o(1), o(10), &[], o(20)).unwrap();
         f.assert_scalar(o(1), o(10), &[o(3)], o(21)).unwrap();
         f.assert_scalar(o(1), o(10), &[o(5)], o(22)).unwrap();
@@ -1351,17 +1282,20 @@ mod tests {
     }
 
     #[test]
-    fn cloned_tables_share_group_columns_until_mutated() {
+    fn cloned_tables_share_set_rows_until_mutated() {
         let mut f = Facts::new();
-        f.assert_set_member(o(2), o(10), &[], o(30));
+        // Two sealed chunks of set rows.
+        for r in 0..2 * CHUNK as u32 {
+            f.assert_set_member(o(2), o(r), &[], o(30));
+        }
         f.assert_scalar(o(1), o(10), &[], o(20)).unwrap();
         let snap = f.clone();
-        assert!(Arc::ptr_eq(&f.set_groups[0].cols, &snap.set_groups[0].cols));
-        assert_eq!(f.scalar_dir.detached_from(&snap.scalar_dir), 0);
-        // Mutating one side detaches only the touched group.
+        assert_eq!(f.sets.rows.detached_from(&snap.sets.rows), 0);
+        assert_eq!(f.scalar.dir.detached_from(&snap.scalar.dir), 0);
+        // Mutating one side detaches only the chunk of the touched row.
         f.assert_set_member(o(2), o(10), &[], o(31));
-        assert!(!Arc::ptr_eq(&f.set_groups[0].cols, &snap.set_groups[0].cols));
-        assert_eq!(f.scalar_dir.detached_from(&snap.scalar_dir), 0);
+        assert_eq!(f.sets.rows.detached_from(&snap.sets.rows), 1);
+        assert_eq!(f.scalar.dir.detached_from(&snap.scalar.dir), 0);
         assert_eq!(snap.set_result(o(2), o(10), &[]).unwrap().len(), 1);
         assert_eq!(f.set_result(o(2), o(10), &[]).unwrap().len(), 2);
     }
@@ -1388,7 +1322,7 @@ mod tests {
             f.assert_scalar(o(1), o(10), &[o(k), o(k + 1)], o(100 + k)).unwrap();
         }
         f.assert_scalar(o(1), o(10), &[], o(100)).unwrap();
-        assert!(matches!(f.scalar_dir.get(&(o(1), o(10))), Some(AppRows::Many(_))));
+        assert!(matches!(f.scalar.dir.get(&(o(1), o(10))), Some(AppRows::Many(_))));
         let results = |f: &Facts| -> Vec<u32> {
             f.scalar_facts_of_method_receiver(o(1), o(10))
                 .map(|s| s.result.0)
@@ -1398,7 +1332,7 @@ mod tests {
         assert_scalar_rows_resolve(&f);
         // A clone shares the slot list until one side writes it.
         let snap = f.clone();
-        let list = |f: &Facts| match f.scalar_dir.get(&(o(1), o(10))) {
+        let list = |f: &Facts| match f.scalar.dir.get(&(o(1), o(10))) {
             Some(AppRows::Many(list)) => Arc::as_ptr(list),
             _ => unreachable!("several rows"),
         };
@@ -1413,7 +1347,7 @@ mod tests {
         // A second row turns an only row into a list, and the last row's
         // retraction removes the entry.
         f.assert_scalar(o(2), o(10), &[o(4)], o(1)).unwrap();
-        assert!(matches!(f.scalar_dir.get(&(o(2), o(10))), Some(AppRows::One(_))));
+        assert!(matches!(f.scalar.dir.get(&(o(2), o(10))), Some(AppRows::One(_))));
         f.assert_scalar(o(2), o(10), &[], o(0)).unwrap();
         let second: Vec<u32> = f
             .scalar_facts_of_method_receiver(o(2), o(10))
@@ -1423,7 +1357,7 @@ mod tests {
         assert_scalar_rows_resolve(&f);
         assert!(f.retract_scalar(o(2), o(10), &[]).is_some());
         assert!(f.retract_scalar(o(2), o(10), &[o(4)]).is_some());
-        assert!(f.scalar_dir.get(&(o(2), o(10))).is_none());
+        assert!(f.scalar.dir.get(&(o(2), o(10))).is_none());
         assert_scalar_rows_resolve(&f);
     }
 

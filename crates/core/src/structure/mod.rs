@@ -611,14 +611,27 @@ mod tests {
                 b.canonical_dump().lines().count(),
                 a.canonical_dump().lines().count() + 1
             );
-            (b.detached_from(&a), a.parts().len())
+            // A new argument tuple of a pair the store has: a row of its own.
+            let mut c = a.clone();
+            assert!(c
+                .assert_set_member(friends, people[n / 2], &[people[0]], people[1])
+                .is_new());
+            assert_eq!(
+                c.facts().set_facts_of_method_receiver(friends, people[n / 2]).count(),
+                2
+            );
+            (b.detached_from(&a), c.detached_from(&a), a.parts().len())
         };
-        let (small, small_parts) = detached_at(1_500);
-        let (large, large_parts) = detached_at(12_000);
-        // The group's chunk and the member index's shard; the logs and the
+        let (small, small_tuple, small_parts) = detached_at(1_500);
+        let (large, large_tuple, large_parts) = detached_at(12_000);
+        // The row's chunk and the member index's shard; the logs and the
         // posting list only grow their owned tails.
         assert!((1..=4).contains(&small), "{small} parts detached");
         assert!(large <= 4, "{large} parts detached");
+        // The new row goes to the owned tail: the directory shard of its
+        // pair and one shard per posting index it joins.
+        assert!((1..=4).contains(&small_tuple), "{small_tuple} parts detached");
+        assert!(large_tuple <= 4, "{large_tuple} parts detached");
         assert!(
             large_parts > 4 * small_parts,
             "the store grew ({small_parts} -> {large_parts} parts), the write did not"

@@ -242,7 +242,10 @@ impl Shadow {
                     &[objects[arg as usize]],
                     objects[member as usize],
                 );
-                self.sets.entry((method, receiver, Some(arg))).or_default().insert(member);
+                self.sets
+                    .entry((method, receiver, Some(arg)))
+                    .or_default()
+                    .insert(member);
             }
             Op::RemoveMemberArg {
                 method,
@@ -313,9 +316,14 @@ impl Shadow {
             .iter()
             .flat_map(|(&(m, r, a), members)| {
                 let args: Vec<Oid> = a.map(|a| objects[a as usize]).into_iter().collect();
-                members
-                    .iter()
-                    .map(move |&v| (methods[m as usize], objects[r as usize], args.clone(), objects[v as usize]))
+                members.iter().map(move |&v| {
+                    (
+                        methods[m as usize],
+                        objects[r as usize],
+                        args.clone(),
+                        objects[v as usize],
+                    )
+                })
             })
             .collect();
         member_rows.sort_unstable();
@@ -333,6 +341,51 @@ impl Shadow {
         out.extend(isa_rows.into_iter().map(|(a, b)| format!("isa {a} : {b}")));
         out
     }
+
+    /// Every `(method, receiver)` pair's scalar results and member sets, in
+    /// argument-tuple order (the zero-argument application first).
+    fn expected_applications(&self, objects: &[Oid]) -> Vec<String> {
+        let args = |a: Option<u8>| -> Vec<Oid> { a.map(|a| objects[a as usize]).into_iter().collect() };
+        let mut out = Vec::new();
+        for m in 0..NUM_METHODS {
+            for r in 0..NUM_OBJECTS {
+                let keys = (m, r, None)..=(m, r, Some(u8::MAX));
+                let scalars: Vec<(Vec<Oid>, Oid)> = self
+                    .scalars
+                    .range(keys.clone())
+                    .map(|(&(_, _, a), &v)| (args(a), objects[v as usize]))
+                    .collect();
+                let sets: Vec<(Vec<Oid>, Vec<Oid>)> = self
+                    .sets
+                    .range(keys)
+                    .map(|(&(_, _, a), s)| (args(a), s.iter().map(|&v| objects[v as usize]).collect()))
+                    .collect();
+                out.push(format!("{m} {r}: {scalars:?} {sets:?}"));
+            }
+        }
+        out
+    }
+}
+
+/// What `scalar_facts_of_method_receiver` and `set_facts_of_method_receiver`
+/// list for every pair, in the shape of [`Shadow::expected_applications`].
+fn applications(structure: &Structure, methods: &[Oid], objects: &[Oid]) -> Vec<String> {
+    let facts = structure.facts();
+    let mut out = Vec::new();
+    for (m, &method) in methods.iter().enumerate() {
+        for (r, &receiver) in objects.iter().enumerate() {
+            let scalars: Vec<(Vec<Oid>, Oid)> = facts
+                .scalar_facts_of_method_receiver(method, receiver)
+                .map(|f| (f.args.to_vec(), f.result))
+                .collect();
+            let sets: Vec<(Vec<Oid>, Vec<Oid>)> = facts
+                .set_facts_of_method_receiver(method, receiver)
+                .map(|f| (f.args.to_vec(), f.members.to_vec()))
+                .collect();
+            out.push(format!("{m} {r}: {scalars:?} {sets:?}"));
+        }
+    }
+    out
 }
 
 /// The fact/isa lines of a canonical dump (the header lines name the object
@@ -359,6 +412,11 @@ proptest! {
             fact_sections(&structure.canonical_dump()),
             shadow.expected_sections(&methods, &objects),
             "columnar sections must match the row-oriented shadow"
+        );
+        prop_assert_eq!(
+            applications(&structure, &methods, &objects),
+            shadow.expected_applications(&objects),
+            "each pair lists its applications in argument-tuple order"
         );
     }
 
