@@ -106,6 +106,52 @@ fn genealogy_constraints() -> ConstraintSet {
     .collect()
 }
 
+/// Constraints of the shapes a check cannot narrow in one obvious way: a
+/// negated literal, a key read through a path (`X.boss[salary -> S]`) and
+/// through a name (`e3[salary -> S]`), one method read twice, and variables
+/// that only built-ins and a bare `Y` range over (a fresh object can
+/// satisfy them without a fact of its own).
+fn edge_constraints() -> ConstraintSet {
+    let forbid = |name: &str, body| Constraint::new(name, body, ConstraintPolicy::Reject).unwrap();
+    let friends = |x: &str, y: &str| Literal::pos(Term::var(x).filter(Filter::set("friends", vec![Term::var(y)])));
+    [
+        forbid(
+            "kid_not_manager",
+            vec![
+                Literal::pos(Term::var("X").filter(Filter::set("kids", vec![Term::var("Y")]))),
+                Literal::neg(Term::var("Y").isa("manager")),
+            ],
+        ),
+        forbid(
+            "boss_underpaid",
+            vec![
+                Literal::pos(Term::var("X").isa("manager")),
+                Literal::pos(
+                    Term::var("X")
+                        .scalar("boss")
+                        .filter(Filter::scalar("salary", Term::var("S"))),
+                ),
+                lt_filter("S", 40_000),
+            ],
+        ),
+        forbid(
+            "e3_underpaid",
+            vec![
+                Literal::pos(Term::name("e3").filter(Filter::scalar("salary", Term::var("S")))),
+                lt_filter("S", 40_000),
+            ],
+        ),
+        forbid("mutual_friends", vec![friends("X", "Y"), friends("Y", "X")]),
+        forbid("cheap_value", vec![lt_filter("Y", 40_000)]),
+        forbid(
+            "cheap_object",
+            vec![Literal::pos(Term::var("Y")), lt_filter("Y", 40_000)],
+        ),
+    ]
+    .into_iter()
+    .collect()
+}
+
 /// One random mutation against a structure with known member/value pools.
 /// `MintSalary` writes a salary never named before — a new object of the
 /// universe, which forces the full re-check — and `ClearSalary` retracts one
@@ -183,6 +229,7 @@ impl Tally {
 
 static COMPANY_HISTORIES: Tally = Tally::new("company histories", 12);
 static GENEALOGY_HISTORIES: Tally = Tally::new("genealogy histories", 8);
+static EDGE_HISTORIES: Tally = Tally::new("edge-shape histories", 12);
 
 /// Everything a mutation needs: person oids and pre-interned method/value
 /// pools (pre-interning keeps the checks incremental — a fresh oid
@@ -292,16 +339,18 @@ fn reference_violations(s: &Structure, constraints: &ConstraintSet) -> Vec<(Arc<
     pairs
 }
 
-/// Run `mutations` in chunks over `structure`, checking after every chunk
-/// that the incremental checker, the full re-check and the written-order
-/// reference agree exactly.
+/// Run `mutations` in chunks over `structure`, on the objects whose names
+/// start with `people`, checking after every chunk that the incremental
+/// checker, the full re-check and the written-order reference agree
+/// exactly.
 fn assert_incremental_equals_full(
     mut structure: Structure,
+    people: &str,
     constraints: ConstraintSet,
     mutations: &[Mutation],
     chunk: usize,
 ) {
-    let people = people_of(&structure, "");
+    let people = people_of(&structure, people);
     assert!(!people.is_empty());
     let arena = Arena::new(&mut structure, people);
 
@@ -342,7 +391,7 @@ proptest! {
             seed,
             ..CompanyParams::default()
         });
-        assert_incremental_equals_full(db.to_structure(), company_constraints(), &mutations, 4);
+        assert_incremental_equals_full(db.to_structure(), "", company_constraints(), &mutations, 4);
         COMPANY_HISTORIES.record(&mutations);
     }
 }
@@ -361,8 +410,29 @@ proptest! {
             fanout: 2,
             seed,
         });
-        assert_incremental_equals_full(db.to_structure(), genealogy_constraints(), &mutations, 4);
+        assert_incremental_equals_full(db.to_structure(), "", genealogy_constraints(), &mutations, 4);
         GENEALOGY_HISTORIES.record(&mutations);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(EDGE_HISTORIES.cases))]
+
+    #[test]
+    fn incremental_equals_full_on_edge_shapes(
+        seed in 0u64..4,
+        chunk in 1usize..4,
+        mutations in proptest::collection::vec(mutation_strategy(), 1..25),
+    ) {
+        let db = generate_company(&CompanyParams {
+            employees: 12,
+            manager_fraction: 0.3,
+            seed,
+            ..CompanyParams::default()
+        });
+        // On the employees themselves: their bosses and `e3` among them.
+        assert_incremental_equals_full(db.to_structure(), "e", edge_constraints(), &mutations, chunk);
+        EDGE_HISTORIES.record(&mutations);
     }
 }
 
