@@ -10,18 +10,43 @@
 //!
 //! **Incremental checking.**  Re-solving every constraint after every
 //! mutation batch is the classical-but-wasteful baseline.  The
-//! [`ConstraintChecker`] remembers where the structure stood at its last
-//! check — the [`EvalMarks`] watermarks and the length of the facts'
-//! mutation journal — and re-solves only the constraints whose
-//! `literal_reads` keys intersect the keys mutated since (Decker: re-evaluate
-//! only what an update can affect).  The journal records the method of every
-//! successful assert *and* retract, so one gating path serves spans with and
-//! without retractions ([`ConstraintChecker::check`]); a skipped constraint
-//! answers from its cached violations.  A denial body is just a query body:
-//! it is compiled once, when the [`Constraint`] is built
-//! ([`compile_query`]), and solved the way [`Engine::query`] solves a query
-//! ([`execute_query`]) — the commit path has no evaluator of its own.  A
-//! check only reads the structure it is given.
+//! [`ConstraintChecker`] keeps each constraint's solutions as of its last
+//! check — one canonical [`FrameRun`], one frame per violation — and
+//! remembers where the structure stood then: the [`EvalMarks`] watermarks
+//! and the length of the facts' mutation journal.  A check evaluates only
+//! the instances of a denial that the span since can have affected
+//! (Decker's rule):
+//!
+//! * The *touched keys* are the `(method, receiver)` pairs the journal
+//!   records for every successful assert *and* retract, and the `(class,
+//!   instance)` pairs the is-a closure gained.
+//! * A constraint that reads no touched key keeps its run.
+//! * One that reads a touched key through a variable — the receiver of a
+//!   method application or the instance of a class test, in a positive
+//!   literal or in a negated one, whose variables safety binds — drops the
+//!   frames holding a touched receiver in that variable's slot, re-solves
+//!   the body from seed frames binding the slot to those receivers
+//!   ([`execute_seeded`]) and merges what it finds back in canonical order.
+//!   That finds what an insertion added and what a retraction took alike,
+//!   so the journal needs no sign.
+//! * A constraint is re-solved whole ([`execute_query`]) on the first check,
+//!   on a signature change, when it reads an unknown key (a variable method
+//!   or class), when a touched key is read through a receiver that is no
+//!   variable (a path temporary as in `X.boss[salary -> S]`, a name, the
+//!   right-hand side of `->>`), when its written order is pinned (see
+//!   [`compile`](crate::plan::compile)), and when there are more seeds than
+//!   the whole solve would start from ([`start_cardinality`]).
+//! * A new object has no facts but the ones the journal and the is-a log
+//!   record.  It re-solves only an *object-sensitive* constraint, one with a
+//!   variable no stored fact binds (only built-ins and a bare `X` range over
+//!   it), and one whose last solve met a name the structure did not know.
+//!
+//! A denial body is just a query body: it is compiled once, when the
+//! [`Constraint`] is built ([`compile_query`]), and solved the way
+//! [`Engine::query`] solves a query — the commit path has no evaluator of
+//! its own.  A check only reads the structure it is given, and renders a
+//! violation only when it is reported ([`ConstraintChecker::check`],
+//! [`ConstraintChecker::violations_beyond`]).
 //!
 //! **Tolerant degradation.**  Under the `Quarantine` policy a violation
 //! does not roll the data back; the offending facts are *tagged* in a
@@ -38,12 +63,16 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::analysis::keys_intersect;
 use crate::engine::{Engine, Tolerance};
 use crate::error::Result;
 use crate::names::Name;
-use crate::plan::{compile_query, execute_query, CompiledRule, FrameRun};
-use crate::program::{validate_rule, DepKey, Literal, Query, Rule};
+use crate::plan::atoms::each_operand;
+use crate::plan::is_builtin;
+use crate::plan::{
+    compile_query, execute_query, execute_seeded, start_cardinality, Atom, CompiledLiteral, CompiledRule, FrameRun,
+    Operand,
+};
+use crate::program::{literal_reads, validate_rule, DepKey, Literal, Query, Rule};
 use crate::semantics::{Bindings, EvalMarks};
 use crate::structure::{Oid, Structure};
 use crate::term::{Filter, FilterValue, IsA, Molecule, Path, Term};
@@ -79,6 +108,13 @@ pub struct Constraint {
     catch_all: bool,
     /// The body lowered to atoms, once: what a check runs.
     compiled: CompiledRule,
+    /// Per known key of `reads`, the slots of the variables the body reads
+    /// it through — `None` when it also reads it through another receiver:
+    /// touching the key then re-solves the body whole.
+    seed_slots: Vec<(Name, Option<Vec<usize>>)>,
+    /// A variable of the body is bound by no stored fact: a new object can
+    /// satisfy it without a fact of its own (see the module docs).
+    object_sensitive: bool,
 }
 
 impl Constraint {
@@ -93,6 +129,8 @@ impl Constraint {
         let reads: BTreeSet<DepKey> = info.uses.union(&info.strict_uses).cloned().collect();
         let catch_all = reads.contains(&DepKey::Unknown);
         let compiled = compile_query(body.iter().map(|lit| (lit.positive, &lit.term)));
+        let seed_slots = seed_slots(&compiled, &reads);
+        let object_sensitive = catch_all || object_sensitive(&compiled);
         Ok(Constraint {
             name,
             body,
@@ -100,6 +138,8 @@ impl Constraint {
             reads,
             catch_all,
             compiled,
+            seed_slots,
+            object_sensitive,
         })
     }
 
@@ -146,6 +186,125 @@ impl Constraint {
                 .map(|&slot| (self.compiled.slot_var(slot).0.clone(), Oid(frame[slot] - 1)))
                 .collect(),
             witnesses,
+        }
+    }
+}
+
+/// The atoms of every literal of `compiled`, positive and negated.
+fn all_atoms(compiled: &CompiledRule) -> impl Iterator<Item = &Atom> {
+    let literals = compiled.positives().iter().chain(compiled.negations());
+    literals.flat_map(|lit| &lit.atoms)
+}
+
+/// The key `atom` reads a stored fact of (a method, a class) and the operand
+/// it reads it through (the receiver, the instance).
+fn read_through(compiled: &CompiledRule, atom: &Atom) -> Option<(Operand, Operand)> {
+    match atom {
+        Atom::Scalar { call, .. } | Atom::Member { call, .. } | Atom::Superset { call, .. } => {
+            Some((call.method, call.receiver))
+        }
+        Atom::Isa { instance, class } => Some((*class, *instance)),
+        Atom::Object { .. } | Atom::Signature { .. } => None,
+    }
+    .filter(|(key, _)| !is_builtin(*key, compiled.names()))
+}
+
+/// [`Constraint::seed_slots`]: per known key of `reads`, the slots the body
+/// reads it through, or `None` when some read of it goes through a
+/// temporary, a name or a `->>` right-hand side — or through no atom that
+/// reads stored facts at all (a signature filter's method, a built-in).
+fn seed_slots(compiled: &CompiledRule, reads: &BTreeSet<DepKey>) -> Vec<(Name, Option<Vec<usize>>)> {
+    let mut slots: BTreeMap<Name, Option<Vec<usize>>> = BTreeMap::new();
+    for atom in all_atoms(compiled) {
+        if let Some((Operand::Name(key), receiver)) = read_through(compiled, atom) {
+            let entry = slots
+                .entry(compiled.names()[key].clone())
+                .or_insert_with(|| Some(Vec::new()));
+            match (entry.as_mut(), receiver) {
+                (Some(seeds), Operand::Slot(slot)) if !seeds.contains(&slot) => seeds.push(slot),
+                (Some(_), Operand::Slot(_)) => {}
+                _ => *entry = None,
+            }
+        }
+        if let Atom::Superset { rhs, .. } = atom {
+            for key in literal_reads(rhs) {
+                if let DepKey::Known(name) = key {
+                    slots.insert(name, None);
+                }
+            }
+        }
+    }
+    let known = reads.iter().filter_map(|key| match key {
+        DepKey::Known(name) => Some(name),
+        DepKey::Unknown => None,
+    });
+    known
+        .map(|name| (name.clone(), slots.get(name).cloned().flatten()))
+        .collect()
+}
+
+/// [`Constraint::object_sensitive`]: some variable or temporary is bound by
+/// no stored fact — not an operand of an atom of a positive literal that
+/// reads one (a temporary: of its own literal), nor the result of a
+/// built-in applied to such operands.  Built-ins and a bare `X` range over
+/// the universe.
+fn object_sensitive(compiled: &CompiledRule) -> bool {
+    let mut slots: Vec<Operand> = Vec::new();
+    loop {
+        let before = slots.len();
+        for lit in compiled.positives() {
+            for op in fact_bound(compiled, lit, &slots) {
+                if matches!(op, Operand::Slot(_)) && !slots.contains(&op) {
+                    slots.push(op);
+                }
+            }
+        }
+        if slots.len() == before {
+            break;
+        }
+    }
+    let mut literals = compiled.positives().iter().chain(compiled.negations());
+    literals.any(|lit| {
+        let bound = fact_bound(compiled, lit, &slots);
+        let mut loose = lit.slots.iter().any(|&s| !bound.contains(&Operand::Slot(s)));
+        for atom in &lit.atoms {
+            each_operand(atom, &mut |op| {
+                loose |= !matches!(op, Operand::Name(_)) && !bound.contains(&op);
+            });
+        }
+        loose
+    })
+}
+
+/// The operands of `lit` a stored fact binds when `slots` are bound by
+/// others: `slots`, every operand of an atom reading a stored fact, and the
+/// result of a built-in whose operands are bound so.
+fn fact_bound(compiled: &CompiledRule, lit: &CompiledLiteral, slots: &[Operand]) -> Vec<Operand> {
+    let mut bound = slots.to_vec();
+    loop {
+        let before = bound.len();
+        for atom in &lit.atoms {
+            let mut found = Vec::new();
+            match atom {
+                Atom::Scalar { call, result } if is_builtin(call.method, compiled.names()) => {
+                    let known = |op: &Operand| matches!(op, Operand::Name(_)) || bound.contains(op);
+                    if known(&call.receiver) && call.args.iter().all(known) {
+                        found.push(*result);
+                    }
+                }
+                _ if matches!(read_through(compiled, atom), Some((Operand::Name(_), _))) => {
+                    each_operand(atom, &mut |op| found.push(op));
+                }
+                _ => {}
+            }
+            for op in found {
+                if !bound.contains(&op) {
+                    bound.push(op);
+                }
+            }
+        }
+        if bound.len() == before {
+            return bound;
         }
     }
 }
@@ -285,23 +444,40 @@ impl FromIterator<Constraint> for ConstraintSet {
 /// `constraints.*`).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CheckStats {
-    /// Calls to [`ConstraintChecker::check`].
+    /// Calls to [`ConstraintChecker::check`], [`ConstraintChecker::check_full`]
+    /// and [`ConstraintChecker::refresh`]: one per check.
     pub checks: usize,
-    /// Checks that had to re-solve every constraint (first check, new
-    /// objects, signature changes, or a span touching every constraint's
-    /// reads).
+    /// Checks that solved every constraint whole: the first check, a
+    /// signature change, or a span that left no constraint to skip or to
+    /// re-check by receiver.
     pub full_checks: usize,
-    /// Constraint bodies actually solved.
+    /// Constraints re-checked, whole or from seeds.
     pub condition_solves: usize,
+    /// The constraints of `condition_solves` re-checked from the receivers
+    /// the span touched rather than solved whole.
+    pub seeded_checks: usize,
     /// Constraint solves skipped on a retraction-free span because no key
-    /// mutated since the last check intersects their reads.
+    /// mutated since the last check is one they read.
     pub constraints_skipped: usize,
     /// The same skips on a span in which [`Structure::retractions`] moved.
     pub retraction_skips: usize,
 }
 
-/// The incremental constraint checker, gated by the keys mutated since its
-/// last check (see the module docs).
+/// What one check does with one constraint (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Recheck {
+    /// Nothing it reads was touched: its run stands.
+    Skip,
+    /// Solve the body whole.
+    Whole,
+    /// Re-solve it for the touched receivers: per slot, the ascending,
+    /// distinct objects it is seeded with.
+    Seeded(Vec<(usize, Vec<Oid>)>),
+}
+
+/// The incremental constraint checker, which re-checks only the instances
+/// of a constraint that the mutations since its last check touched (see
+/// the module docs).
 #[derive(Debug, Clone)]
 pub struct ConstraintChecker {
     constraints: ConstraintSet,
@@ -311,22 +487,39 @@ pub struct ConstraintChecker {
     retractions: usize,
     /// Length of the facts' mutation journal at the last completed check.
     mutation_mark: usize,
-    /// Violations per constraint as of the last check, each list sorted by
-    /// valuation.  Skipped constraints answer from this cache.
-    cache: Vec<Vec<ConstraintViolation>>,
+    /// Per constraint, its solutions as of the last check — one frame per
+    /// violation, in canonical key order: what a skipped constraint answers
+    /// with, and what a seeded re-check patches.
+    runs: Vec<FrameRun>,
+    /// Per constraint, the check (by [`CheckStats::checks`]) that last
+    /// changed its run.
+    changed_at: Vec<usize>,
+    /// Per constraint, the frames its run gained when it last changed.
+    gained: Vec<FrameRun>,
+    /// Per constraint, did the last solve meet a name the structure did not
+    /// know (`true` before the first)?  A new object can be that name; a
+    /// known name stays known.
+    unknown_names: Vec<bool>,
     stats: CheckStats,
 }
 
 impl ConstraintChecker {
     /// A checker over `constraints`.
     pub fn new(constraints: ConstraintSet) -> Self {
-        let cache = vec![Vec::new(); constraints.len()];
+        let runs: Vec<FrameRun> = constraints
+            .iter()
+            .map(|c| FrameRun::new(c.compiled.slot_count()))
+            .collect();
+        let n = constraints.len();
         ConstraintChecker {
             constraints,
             marks: None,
             retractions: 0,
             mutation_mark: 0,
-            cache,
+            gained: runs.clone(),
+            runs,
+            changed_at: vec![0; n],
+            unknown_names: vec![true; n],
             stats: CheckStats::default(),
         }
     }
@@ -341,14 +534,14 @@ impl ConstraintChecker {
         self.stats
     }
 
-    /// Current violations of every constraint, re-solving only the
-    /// constraints the mutations since the last check can have affected.
+    /// Current violations of every constraint, re-checking only the
+    /// instances the mutations since the last check can have affected.
     /// Returns the violations grouped by constraint in declaration order,
     /// each group sorted by valuation — the exact list a full re-check
     /// returns.
     pub fn check(&mut self, structure: &Structure) -> Result<Vec<ConstraintViolation>> {
-        let affected = self.affected(structure);
-        self.resolve(structure, affected)
+        self.refresh(structure)?;
+        Ok(self.violations(structure))
     }
 
     /// Current violations with every constraint re-solved unconditionally —
@@ -356,7 +549,59 @@ impl ConstraintChecker {
     /// [`ConstraintChecker::check`] does, so the property tests compare both
     /// against a written-order reference of their own.
     pub fn check_full(&mut self, structure: &Structure) -> Result<Vec<ConstraintViolation>> {
-        self.resolve(structure, None)
+        self.resolve(structure, vec![Recheck::Whole; self.constraints.len()])?;
+        Ok(self.violations(structure))
+    }
+
+    /// The check of [`ConstraintChecker::check`] without its report: bring
+    /// every constraint's run up to date with `structure` and render
+    /// nothing.  What a commit reports is read off the runs afterwards
+    /// ([`ConstraintChecker::violations_beyond`]).
+    pub fn refresh(&mut self, structure: &Structure) -> Result<()> {
+        let rechecks = self.affected(structure);
+        self.resolve(structure, rechecks)
+    }
+
+    /// Constraint `i`'s solutions as of the last check: one frame per
+    /// violation, in canonical key order.
+    pub fn run(&self, i: usize) -> &FrameRun {
+        &self.runs[i]
+    }
+
+    /// The check (by [`CheckStats::checks`]) that last changed constraint
+    /// `i`'s run: it holds the same frames since.
+    pub fn changed_at(&self, i: usize) -> usize {
+        self.changed_at[i]
+    }
+
+    /// The frames constraint `i`'s run gained when it last changed — its
+    /// new violations against the run before, which a commit reports
+    /// without a walk of the whole run.
+    pub fn gained(&self, i: usize) -> &FrameRun {
+        &self.gained[i]
+    }
+
+    /// The violations of constraint `i` as of the last check that
+    /// `accepted` — an earlier run of the constraint — does not hold, in
+    /// valuation order: a merge walk, which renders the new ones only.
+    pub fn violations_beyond(&self, i: usize, accepted: &FrameRun, structure: &Structure) -> Vec<ConstraintViolation> {
+        let canonical = self.constraints.constraints[i].compiled.canonical();
+        self.render(i, &self.runs[i].difference(accepted, canonical), structure)
+    }
+
+    /// The violations `run` — a run of constraint `i` — holds, rendered.
+    pub fn render(&self, i: usize, run: &FrameRun, structure: &Structure) -> Vec<ConstraintViolation> {
+        let constraint = &self.constraints.constraints[i];
+        run.frames()
+            .map(|frame| constraint.violation(structure, frame))
+            .collect()
+    }
+
+    /// Every constraint's cached run, rendered in report order.
+    fn violations(&self, structure: &Structure) -> Vec<ConstraintViolation> {
+        (0..self.runs.len())
+            .flat_map(|i| self.render(i, &self.runs[i], structure))
+            .collect()
     }
 
     /// Has `structure` been left alone since the last completed check —
@@ -379,53 +624,87 @@ impl ConstraintChecker {
         self.mutation_mark = structure.facts().mutation_len();
     }
 
-    /// The constraints the span since the last check can have affected, or
-    /// `None` for every one of them when no sound narrowing exists: first
-    /// check, new objects (they can satisfy literals through positions that
-    /// read no named key), signature changes (no per-fact stamps) — the
-    /// conservative catch-alls of the fixpoint loop — or an anonymous
-    /// mutated method.
-    ///
-    /// The facts' mutation journal records the method key of every
-    /// successful assert *and* retract, and the append-only is-a log the
-    /// closure pairs added in the span; neither is disturbed by a
-    /// retraction, as a watermark window over the fact tables would be.  A
-    /// constraint whose reads are disjoint from every key so touched can
-    /// neither have gained nor lost a violation, so its cached violations
-    /// stand; when nothing was touched, every constraint's do.
-    fn affected(&self, structure: &Structure) -> Option<Vec<usize>> {
-        let lo = self.marks.as_ref()?;
+    /// What the span since the last check asks of each constraint (see the
+    /// module docs).  Every constraint is solved whole on the first check
+    /// and after a signature change (declarations carry no per-fact stamps).
+    /// Otherwise the touched keys are the methods of the facts' mutation
+    /// journal and the classes of the is-a pairs the closure gained, each
+    /// with the receivers (instances) it was touched at — neither log is
+    /// disturbed by a retraction, as a watermark window over the fact tables
+    /// would be.  A constraint reading none of them keeps its run; one
+    /// reading an unknown key, or a touched key through a receiver that is
+    /// no variable, or whose order is pinned, is solved whole; the rest are
+    /// seeded with the touched receivers — unless that is more seeds than
+    /// the whole solve starts from.  New objects alone touch nothing but an
+    /// object-sensitive constraint and one whose last solve met an unknown
+    /// name.
+    fn affected(&self, structure: &Structure) -> Vec<Recheck> {
+        let all_whole = vec![Recheck::Whole; self.constraints.len()];
+        let Some(lo) = self.marks.as_ref() else {
+            return all_whole;
+        };
         let hi = EvalMarks::capture(structure);
-        if hi.objects != lo.objects || hi.signatures != lo.signatures {
-            return None;
+        if hi.signatures != lo.signatures {
+            return all_whole;
         }
-        let methods = structure.facts().mutation_keys_since(self.mutation_mark);
-        let classes = structure.isa().pairs_since(lo.isa_pairs).map(|(_, class)| class);
-        let mut touched: BTreeSet<DepKey> = BTreeSet::new();
-        for key in methods.chain(classes) {
-            // An anonymous (virtual) method is only readable through a
-            // variable key, but keep the fallback maximally defensive.
-            touched.insert(DepKey::Known(structure.name_of(key)?.clone()));
+        let new_objects = hi.objects != lo.objects;
+        let methods = structure.facts().mutations_since(self.mutation_mark);
+        let classes = structure.isa().pairs_since(lo.isa_pairs).map(|(o, c)| (c, o));
+        let mut touched: BTreeMap<Oid, Vec<Oid>> = BTreeMap::new();
+        for (key, receiver) in methods.chain(classes) {
+            touched.entry(key).or_default().push(receiver);
         }
-        if touched.is_empty() {
-            return Some(Vec::new());
-        }
-        let constraints = self.constraints.iter().enumerate();
-        Some(
-            constraints
-                .filter(|(_, c)| c.catch_all || keys_intersect(&touched, &c.reads))
-                .map(|(i, _)| i)
-                .collect(),
-        )
+        let recheck = |(i, c): (usize, &Constraint)| {
+            if new_objects && (c.object_sensitive || self.unknown_names[i]) {
+                return Recheck::Whole;
+            }
+            if touched.is_empty() {
+                return Recheck::Skip;
+            }
+            if c.catch_all {
+                return Recheck::Whole;
+            }
+            let mut seeds: BTreeMap<usize, Vec<Oid>> = BTreeMap::new();
+            for (name, slots) in &c.seed_slots {
+                let Some(receivers) = structure.lookup_name(name).and_then(|key| touched.get(&key)) else {
+                    continue;
+                };
+                let Some(slots) = slots else {
+                    return Recheck::Whole;
+                };
+                for &slot in slots {
+                    seeds.entry(slot).or_default().extend(receivers);
+                }
+            }
+            if seeds.is_empty() {
+                return Recheck::Skip;
+            }
+            if c.compiled.written_order() {
+                return Recheck::Whole;
+            }
+            for objects in seeds.values_mut() {
+                objects.sort_unstable();
+                objects.dedup();
+            }
+            // One seed costs a few probes; more are weighed against what
+            // the whole solve would start from.
+            let count: usize = seeds.values().map(Vec::len).sum();
+            if count > 1 && count > start_cardinality(structure, &c.compiled) {
+                return Recheck::Whole;
+            }
+            Recheck::Seeded(seeds.into_iter().collect())
+        };
+        self.constraints.iter().enumerate().map(recheck).collect()
     }
 
-    /// One check: count, solve the `affected` constraints (`None`: all of
-    /// them), move to `structure` and answer from the cache.
-    fn resolve(&mut self, structure: &Structure, affected: Option<Vec<usize>>) -> Result<Vec<ConstraintViolation>> {
-        let affected = affected.unwrap_or_else(|| (0..self.constraints.len()).collect());
-        let skipped = self.constraints.len() - affected.len();
+    /// One check: count, re-check the constraints as `rechecks` says and
+    /// move to `structure`.
+    fn resolve(&mut self, structure: &Structure, rechecks: Vec<Recheck>) -> Result<()> {
+        let count = |kind: fn(&Recheck) -> bool| rechecks.iter().filter(|r| kind(r)).count();
+        let skipped = count(|r| *r == Recheck::Skip);
+        let whole = count(|r| *r == Recheck::Whole);
         self.stats.checks += 1;
-        if skipped == 0 && !affected.is_empty() {
+        if whole == rechecks.len() && whole > 0 {
             self.stats.full_checks += 1;
         }
         if structure.retractions() == self.retractions {
@@ -433,21 +712,56 @@ impl ConstraintChecker {
         } else {
             self.stats.retraction_skips += skipped;
         }
-        self.stats.condition_solves += affected.len();
-        // Solve first, refresh after: every affected cache entry, or on an
-        // error none.
+        self.stats.condition_solves += rechecks.len() - skipped;
+        self.stats.seeded_checks += rechecks.len() - skipped - whole;
+        // Solve first, refresh after: every re-checked run, or on an error
+        // none.
         let constraints = &self.constraints.constraints;
-        let runs = affected
-            .iter()
-            .map(|&i| execute_query(structure, &constraints[i].compiled))
-            .collect::<Result<Vec<FrameRun>>>()?;
-        for (&i, run) in affected.iter().zip(runs) {
-            // A run is in canonical key order: violations sorted by valuation.
-            let violation = |frame| constraints[i].violation(structure, frame);
-            self.cache[i] = run.frames().map(violation).collect();
+        let mut solved = Vec::new();
+        for (i, recheck) in rechecks.iter().enumerate() {
+            let compiled = &constraints[i].compiled;
+            let (old, canonical) = (&self.runs[i], compiled.canonical());
+            let changed = match recheck {
+                Recheck::Skip => continue,
+                Recheck::Whole => {
+                    let run = execute_query(structure, compiled)?;
+                    (run != *old).then(|| (run.difference(old, canonical), run))
+                }
+                Recheck::Seeded(seeds) => {
+                    // The frames holding a touched receiver in a seeded slot
+                    // are replaced by what the seeded solves find now.
+                    let touched = |frame: &[u32]| {
+                        seeds.iter().any(|(slot, objects)| {
+                            frame[*slot]
+                                .checked_sub(1)
+                                .is_some_and(|o| objects.binary_search(&Oid(o)).is_ok())
+                        })
+                    };
+                    let mut found = FrameRun::new(compiled.slot_count());
+                    for (slot, objects) in seeds {
+                        found = found.merge(execute_seeded(structure, compiled, *slot, objects)?, canonical);
+                    }
+                    let dropped = old.filtered(touched);
+                    (found != dropped).then(|| {
+                        let gained = found.difference(&dropped, canonical);
+                        (gained, old.filtered(|frame| !touched(frame)).merge(found, canonical))
+                    })
+                }
+            };
+            solved.push((i, changed));
+        }
+        for (i, changed) in solved {
+            if self.unknown_names[i] {
+                let names = constraints[i].compiled.names();
+                self.unknown_names[i] = names.iter().any(|n| structure.lookup_name(n).is_none());
+            }
+            if let Some((gained, run)) = changed {
+                (self.gained[i], self.runs[i]) = (gained, run);
+                self.changed_at[i] = self.stats.checks;
+            }
         }
         self.skip_to(structure);
-        Ok(self.cache.iter().flatten().cloned().collect())
+        Ok(())
     }
 }
 
@@ -753,7 +1067,7 @@ mod tests {
         assert_eq!(checker.stats().condition_solves, 2, "first check solves everything");
 
         // Register the objects the mutation will use, then let a check
-        // absorb them (new objects conservatively re-solve everything).
+        // absorb them (the class test touches both constraints).
         let salary = s.lookup_name(&Name::atom("salary")).unwrap();
         let anna = s.atom("anna");
         let cheap = s.int(10);
@@ -823,28 +1137,46 @@ mod tests {
     }
 
     #[test]
-    fn retraction_narrowing_falls_back_on_new_objects() {
+    fn new_objects_recheck_only_object_sensitive_constraints() {
         let (mut s, _) = fixture();
         let hobby = s.atom("hobby");
         let mary = s.lookup_name(&Name::atom("mary")).unwrap();
         let chess = s.atom("chess");
         s.assert_scalar(hobby, mary, &[], chess).unwrap();
-        let mut checker = ConstraintChecker::new([underpaid()].into_iter().collect());
-        checker.check(&s).unwrap();
+        // `Y[lt@(1000) -> Y]`: no stored fact binds `Y`, any object can.
+        let cheap = Constraint::new(
+            "cheap",
+            vec![Literal::pos(Term::var("Y").filter(Filter {
+                method: Term::name(crate::builtins::LT),
+                args: vec![Term::int(1000)],
+                value: FilterValue::Scalar(Term::var("Y")),
+            }))],
+            ConstraintPolicy::Reject,
+        )
+        .unwrap();
+        assert!(cheap.object_sensitive && !underpaid().object_sensitive);
+        let mut checker = ConstraintChecker::new([underpaid(), cheap].into_iter().collect());
+        assert_eq!(checker.check(&s).unwrap().len(), 2, "mary, and 900");
         let solves_before = checker.stats().condition_solves;
-        // An unrelated retraction *plus* a new object in the same span:
-        // the conservative catch-all wins and everything re-solves.
+        // An unrelated retraction *plus* a new object in the same span: the
+        // object has no fact `underpaid` could read, so only `cheap`
+        // re-solves — and finds it.
         assert!(s.retract_scalar(hobby, mary, &[]).is_some());
-        s.atom("brand_new");
-        checker.check(&s).unwrap();
+        s.int(7);
+        let violations = checker.check(&s).unwrap();
+        assert_eq!(violations.len(), 3);
         assert_eq!(checker.stats().condition_solves, solves_before + 1);
-        assert_eq!(checker.stats().retraction_skips, 0);
+        assert_eq!(checker.stats().retraction_skips, 1);
+        assert_eq!(violations, checker.check_full(&s).unwrap());
     }
 
     /// One gating path, the observable of two: violations found and
-    /// `(checks, full_checks, condition_solves, constraints_skipped,
-    /// retraction_skips)` after each kind of span, as the checker with a
-    /// watermark-window arm beside the journal produced them.
+    /// `(checks, full_checks, condition_solves, seeded_checks,
+    /// constraints_skipped, retraction_skips)` after each kind of span.  A
+    /// touched constraint is re-checked for the touched receivers — a salary
+    /// for its employee, a class membership or a kid for the instance and
+    /// the parent — and only the first check and a signature change solve
+    /// everything whole.
     #[test]
     fn counters_tell_each_kind_of_span_apart() {
         let (mut s, _) = fixture();
@@ -856,42 +1188,44 @@ mod tests {
         s.assert_set_member(kids, mary, &[], peter);
         s.assert_scalar(hobby, mary, &[], chess).unwrap();
         let mut checker = ConstraintChecker::new([underpaid(), kid_not_manager()].into_iter().collect());
-        let mut step = |s: &Structure, span: &str, violations: usize, counters: (usize, usize, usize, usize, usize)| {
+        type Counters = (usize, usize, usize, usize, usize, usize);
+        let mut step = |s: &Structure, span: &str, violations: usize, counters: Counters| {
             assert_eq!(checker.check(s).unwrap().len(), violations, "{span}");
             let c = checker.stats();
             let got = (
                 c.checks,
                 c.full_checks,
                 c.condition_solves,
+                c.seeded_checks,
                 c.constraints_skipped,
                 c.retraction_skips,
             );
             assert_eq!(got, counters, "{span}");
         };
-        step(&s, "first check", 1, (1, 1, 2, 0, 0));
-        step(&s, "nothing happened", 1, (2, 1, 2, 2, 0));
+        step(&s, "first check", 1, (1, 1, 2, 0, 0, 0));
+        step(&s, "nothing happened", 1, (2, 1, 2, 0, 2, 0));
         // Insertion-only spans: a key one constraint reads, a key neither
         // reads, a class both read.
         s.assert_scalar(salary, anna, &[], low).unwrap();
-        step(&s, "salary asserted", 1, (3, 1, 3, 3, 0));
+        step(&s, "salary asserted", 1, (3, 1, 3, 1, 3, 0));
         s.assert_scalar(hobby, anna, &[], chess).unwrap();
-        step(&s, "hobby asserted", 1, (4, 1, 3, 5, 0));
+        step(&s, "hobby asserted", 1, (4, 1, 3, 1, 5, 0));
         s.add_isa(anna, manager);
-        step(&s, "anna : manager", 2, (5, 2, 5, 5, 0));
+        step(&s, "anna : manager", 2, (5, 1, 5, 3, 5, 0));
         // Retraction-bearing spans, with and without an insertion.
         assert!(s.retract_set_member(kids, mary, &[], peter));
-        step(&s, "kid retracted", 2, (6, 2, 6, 5, 1));
+        step(&s, "kid retracted", 2, (6, 1, 6, 4, 5, 1));
         assert!(s.retract_scalar(hobby, mary, &[]).is_some());
-        step(&s, "hobby retracted", 2, (7, 2, 6, 5, 3));
+        step(&s, "hobby retracted", 2, (7, 1, 6, 4, 5, 3));
         assert!(s.retract_scalar(salary, anna, &[]).is_some());
         s.assert_scalar(hobby, mary, &[], chess).unwrap();
-        step(&s, "salary retracted, hobby asserted", 1, (8, 2, 7, 5, 4));
+        step(&s, "salary retracted, hobby asserted", 1, (8, 1, 7, 5, 5, 4));
         s.assert_set_member(kids, mary, &[], anna);
         assert!(s.retract_scalar(hobby, mary, &[]).is_some());
-        step(&s, "kid asserted, hobby retracted", 1, (9, 2, 8, 5, 5));
-        // The catch-alls: a new object, a signature change.
+        step(&s, "kid asserted, hobby retracted", 1, (9, 1, 8, 6, 5, 5));
+        // A new object touches neither; a signature change touches both.
         s.atom("brand_new");
-        step(&s, "new object", 1, (10, 3, 10, 5, 5));
+        step(&s, "new object", 1, (10, 1, 8, 6, 7, 5));
         s.add_signature(crate::structure::Signature {
             class: manager,
             method: salary,
@@ -899,8 +1233,43 @@ mod tests {
             result_classes: vec![manager],
             set_valued: false,
         });
-        step(&s, "signature declared", 1, (11, 4, 12, 5, 5));
-        step(&s, "nothing happened again", 1, (12, 4, 12, 7, 5));
+        step(&s, "signature declared", 1, (11, 2, 10, 6, 7, 5));
+        step(&s, "nothing happened again", 1, (12, 2, 10, 6, 9, 5));
+    }
+
+    /// Which keys a constraint is re-checked by receiver for, and which ones
+    /// re-solve it whole.
+    #[test]
+    fn seed_slots_name_the_variables_a_key_is_read_through() {
+        let slots = |c: &Constraint| -> Vec<(String, Option<Vec<usize>>)> {
+            c.seed_slots.iter().map(|(n, s)| (n.to_string(), s.clone())).collect()
+        };
+        // X : manager[salary -> S], S < 1000: both keys through X (slot 0);
+        // the built-in reads no stored fact.
+        let seeds = vec![
+            ("lt".to_owned(), None),
+            ("manager".to_owned(), Some(vec![0])),
+            ("salary".to_owned(), Some(vec![0])),
+        ];
+        assert_eq!(slots(&underpaid()), seeds);
+        // X[kids ->> {Y}], not Y : manager: the negated class test reads
+        // through Y, which safety binds.
+        let seeds = vec![
+            ("kids".to_owned(), Some(vec![0])),
+            ("manager".to_owned(), Some(vec![1])),
+        ];
+        assert_eq!(slots(&kid_not_manager()), seeds);
+        // X.boss[salary -> S]: `boss` through X, `salary` through a path
+        // temporary.
+        let body = vec![Literal::pos(
+            Term::var("X")
+                .scalar("boss")
+                .filter(Filter::scalar("salary", Term::var("S"))),
+        )];
+        let boss = Constraint::new("boss_paid", body, ConstraintPolicy::Reject).unwrap();
+        let seeds = vec![("boss".to_owned(), Some(vec![0])), ("salary".to_owned(), None)];
+        assert_eq!(slots(&boss), seeds);
+        assert!(!boss.object_sensitive);
     }
 
     /// A name the structure has never seen denotes nothing: a constraint
@@ -950,6 +1319,32 @@ mod tests {
                 "peter : manager, not peter : ghost"
             ]
         );
+    }
+
+    /// A threshold the structure does not know yet holds of nothing; naming
+    /// it — a new object, with no fact of its own — re-solves the
+    /// constraint that met it unknown.
+    #[test]
+    fn a_name_that_becomes_known_is_noticed() {
+        let (mut s, _) = fixture();
+        let body = |limit| {
+            let mut body = underpaid_body();
+            body[2] = Literal::pos(Term::var("S").filter(Filter {
+                method: Term::name(crate::builtins::LT),
+                args: vec![Term::int(limit)],
+                value: FilterValue::Scalar(Term::var("S")),
+            }));
+            body
+        };
+        let below = Constraint::new("below_5000", body(5000), ConstraintPolicy::Reject).unwrap();
+        assert!(!below.object_sensitive);
+        let mut checker = ConstraintChecker::new([underpaid(), below].into_iter().collect());
+        assert_eq!(checker.check(&s).unwrap().len(), 1, "5000 is no object yet");
+        s.int(5000);
+        let violations = checker.check(&s).unwrap();
+        assert_eq!(violations.len(), 3, "mary and peter earn below it");
+        assert_eq!(checker.stats().constraints_skipped, 1, "underpaid knew all its names");
+        assert_eq!(violations, checker.check_full(&s).unwrap());
     }
 
     #[test]

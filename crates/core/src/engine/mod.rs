@@ -91,7 +91,8 @@
 //! boundary, the same machinery carries the **check-on-commit** integrity
 //! constraints of [`crate::constraints`]: a [`ConstraintChecker`] re-solves
 //! (as queries, on the compiled atoms) only the denial rules whose read
-//! keys intersect the keys a mutation batch touched, and the object store's
+//! keys a mutation batch touched, for the receivers it touched them at, and
+//! the object store's
 //! transaction layer
 //! (`pathlog_oodb::Transaction::commit`) either commits a batch whose check
 //! passes or rolls the whole batch back — there are no partially-checked

@@ -869,7 +869,9 @@ enum Known {
     Object(Oid),
 }
 
-fn each_operand(atom: &Atom, f: &mut impl FnMut(Operand)) {
+/// Call `f` with every operand of `atom` (the strict right-hand side of a
+/// `->>` check is a term, not an operand).
+pub(crate) fn each_operand(atom: &Atom, f: &mut impl FnMut(Operand)) {
     let call_operands = |call: &Call, f: &mut dyn FnMut(Operand)| {
         f(call.method);
         f(call.receiver);

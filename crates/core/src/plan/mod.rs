@@ -12,7 +12,9 @@
 //! is a headless rule body ([`compile_query`]) run with no literal
 //! restricted ([`execute_query`], [`execute_term`]).  And so does every
 //! integrity constraint ([`crate::constraints`]): a denial body is a query
-//! body, compiled when the constraint is built and executed per check.  What
+//! body, compiled when the constraint is built and executed per check —
+//! whole, or from seed frames binding one variable to the objects a commit
+//! touched ([`execute_seeded`]).  What
 //! still runs on the written-order [`solve_body`](crate::engine::solve_body)
 //! is the reactive layer (production and trigger conditions) and the
 //! oracles — the naive fixpoint (`delta_driven: false`), the model check of
@@ -83,7 +85,7 @@
 
 pub mod atoms;
 
-use std::collections::HashSet;
+use std::cmp::Ordering;
 use std::ops::Range;
 
 use crate::builtins::{is_comparison, SELF_METHOD};
@@ -199,6 +201,11 @@ impl CompiledRule {
             .expect("a literal of this body")
     }
 
+    /// Is every plan of this body its written order (see [`compile`])?
+    pub(crate) fn written_order(&self) -> bool {
+        self.written_order
+    }
+
     /// The compiled head fast path, when the head shape supports one.
     pub fn head(&self) -> Option<&CompiledHead> {
         self.head.as_ref()
@@ -284,12 +291,6 @@ pub fn compile_query<'t>(body: impl IntoIterator<Item = (bool, &'t Term)>) -> Co
 
 /// The lowering [`compile`] and [`compile_query`] share.
 fn compile_body<'t>(body: impl Iterator<Item = (bool, &'t Term)>, head: Option<&Term>) -> CompiledRule {
-    // A literal all of whose applications are built-ins never touches the
-    // fact store.
-    let builtin = |op: Operand, names: &[Name]| match op {
-        Operand::Name(i) => names[i].as_atom().is_some_and(|n| is_comparison(n) || n == SELF_METHOD),
-        _ => false,
-    };
     let mut vars: Vec<Var> = Vec::new();
     let slots_of = |term: &Term, vars: &mut Vec<Var>| -> Vec<usize> {
         let mut slots: Vec<usize> = Vec::new();
@@ -320,7 +321,7 @@ fn compile_body<'t>(body: impl Iterator<Item = (bool, &'t Term)>, head: Option<&
         let slots = slots_of(term, &mut vars);
         let lowered = atoms::lower(term, &vars, &mut names);
         temps = temps.max(lowered.temps);
-        let builtin_call = |a: &Atom| matches!(a, Atom::Scalar { call, .. } if builtin(call.method, &names));
+        let builtin_call = |a: &Atom| matches!(a, Atom::Scalar { call, .. } if is_builtin(call.method, &names));
         let builtins_only = lowered.atoms.iter().all(builtin_call);
         let guard = builtins_only || lowered.atoms.iter().any(|a| matches!(a, Atom::Superset { .. }));
         if positive && guard {
@@ -358,6 +359,16 @@ fn compile_body<'t>(body: impl Iterator<Item = (bool, &'t Term)>, head: Option<&
     }
 }
 
+/// Is `op` one of `names` naming a built-in method — a comparison, `self`?
+/// A literal all of whose applications are built-ins never touches the fact
+/// store.
+pub(crate) fn is_builtin(op: Operand, names: &[Name]) -> bool {
+    match op {
+        Operand::Name(i) => names[i].as_atom().is_some_and(|n| is_comparison(n) || n == SELF_METHOD),
+        _ => false,
+    }
+}
+
 /// Recognise the `X[m ->> {Y}]` head shape for the commit fast path, with
 /// the receiver and member slots numbered by the body's slot variables
 /// `vars`.  Both head variables must be among them (range restriction);
@@ -382,17 +393,21 @@ fn compile_head(head: &Term, vars: &[Var]) -> Option<CompiledHead> {
     })
 }
 
-/// The greedy order of [`plan_pass`] under any cost of a literal: body
-/// indices of the positive literals, in execution order.
-fn literal_order(compiled: &CompiledRule, cost: impl Fn(&CompiledLiteral) -> usize) -> Vec<usize> {
+/// The greedy order of [`plan_pass`] under any cost of a literal, from the
+/// slots `bound` before the first literal runs: body indices of the
+/// positive literals, in execution order.
+fn literal_order(
+    compiled: &CompiledRule,
+    mut bound: Vec<usize>,
+    cost: impl Fn(&CompiledLiteral) -> usize,
+) -> Vec<usize> {
     if compiled.written_order || compiled.positives.len() < 2 {
         return compiled.positives.iter().map(|l| l.body_index).collect();
     }
     let mut remaining: Vec<&CompiledLiteral> = compiled.positives.iter().filter(|l| !l.guard).collect();
     let mut guards: Vec<&CompiledLiteral> = compiled.positives.iter().filter(|l| l.guard).collect();
     let mut positions = Vec::with_capacity(compiled.positives.len());
-    let mut bound: HashSet<usize> = HashSet::new();
-    let flush_guards = |bound: &HashSet<usize>, positions: &mut Vec<usize>, guards: &mut Vec<&CompiledLiteral>| {
+    let flush_guards = |bound: &[usize], positions: &mut Vec<usize>, guards: &mut Vec<&CompiledLiteral>| {
         guards.retain(|b| {
             if b.slots.iter().all(|s| bound.contains(s)) {
                 positions.push(b.body_index);
@@ -445,12 +460,19 @@ pub struct FrameRun {
 }
 
 impl FrameRun {
-    fn new(slots: usize) -> Self {
+    pub(crate) fn new(slots: usize) -> Self {
         FrameRun {
             arena: Vec::new(),
             slots,
             len: 0,
         }
+    }
+
+    /// The one solution of the empty join: a frame binding nothing.
+    fn unit(slots: usize) -> Self {
+        let mut run = FrameRun::new(slots);
+        run.push(&vec![0; slots]);
+        run
     }
 
     fn push(&mut self, frame: &[u32]) {
@@ -478,6 +500,53 @@ impl FrameRun {
     /// Is the run empty?
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The frames `keep` holds of, in order.
+    pub(crate) fn filtered(&self, mut keep: impl FnMut(&[u32]) -> bool) -> FrameRun {
+        let mut out = FrameRun::new(self.slots);
+        for frame in self.frames().filter(|f| keep(f)) {
+            out.arena.extend_from_slice(frame);
+            out.len += 1;
+        }
+        out
+    }
+
+    /// The union of this run and `other`, both in canonical key order (the
+    /// projection through `canonical`), in that order too and deduplicated:
+    /// one merge walk.
+    pub(crate) fn merge(self, other: FrameRun, canonical: &[usize]) -> FrameRun {
+        debug_assert_eq!(self.slots, other.slots, "runs of one body share a slot layout");
+        if other.is_empty() {
+            return self;
+        }
+        if self.is_empty() {
+            return other;
+        }
+        let mut out = FrameRun::new(self.slots);
+        let (mut a, mut b) = (self.frames().peekable(), other.frames().peekable());
+        while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+            match key_cmp(canonical, x, y) {
+                Ordering::Less => out.push(a.next().expect("peeked")),
+                Ordering::Greater => out.push(b.next().expect("peeked")),
+                Ordering::Equal => {
+                    out.push(a.next().expect("peeked"));
+                    b.next();
+                }
+            }
+        }
+        a.chain(b).for_each(|frame| out.push(frame));
+        out
+    }
+
+    /// The frames of this run that `other` lacks, both in canonical key
+    /// order, and the result too: one merge walk.
+    pub(crate) fn difference(&self, other: &FrameRun, canonical: &[usize]) -> FrameRun {
+        let mut theirs = other.frames().peekable();
+        self.filtered(|frame| {
+            while theirs.next_if(|t| key_cmp(canonical, t, frame).is_lt()).is_some() {}
+            theirs.next_if(|t| key_cmp(canonical, t, frame).is_eq()).is_none()
+        })
     }
 
     /// The run in canonical key order (the projection through `canonical`),
@@ -539,6 +608,15 @@ impl FrameRun {
     }
 }
 
+/// Compare two frames by their projection through `canonical`.
+fn key_cmp(canonical: &[usize], a: &[u32], b: &[u32]) -> Ordering {
+    canonical
+        .iter()
+        .map(|&s| a[s].cmp(&b[s]))
+        .find(|ord| ord.is_ne())
+        .unwrap_or(Ordering::Equal)
+}
+
 /// Merge the [`FrameRun`]s of one rule's passes into a single deduplicated
 /// run in canonical key order.  The merged run is a function of the *union*
 /// of the runs only, so any split of the same solutions — one run per
@@ -574,11 +652,13 @@ pub fn execute_delta(
     dv: &DeltaView,
 ) -> Result<FrameRun> {
     let mut machine = atoms::Machine::new(structure, dv, compiled);
-    run(&mut machine, compiled, plan, Some(delta_lit), true)
+    let start = FrameRun::unit(compiled.slot_count());
+    run(&mut machine, compiled, plan, Some(delta_lit), true, start)
 }
 
-/// Join the positive literals of `plan` in order from the one empty frame —
-/// `delta_lit` restricted to the machine's window — then drop the frames one
+/// Join the positive literals of `plan` in order from the frames of `start`
+/// — the one empty frame, or the seeds of [`execute_seeded`] — with
+/// `delta_lit` restricted to the machine's window, then drop the frames one
 /// of its negated literals holds of.
 ///
 /// Frames live in one flat arena per stage — one allocation per stage
@@ -594,10 +674,9 @@ fn run<'a>(
     plan: &BodyPlan,
     delta_lit: Option<usize>,
     dedup: bool,
+    start: FrameRun,
 ) -> Result<FrameRun> {
-    // The one solution of the empty join: a frame binding nothing.
-    let mut frames = FrameRun::new(compiled.slot_count());
-    frames.push(&vec![0; compiled.slot_count()]);
+    let mut frames = start;
     for planned in &plan.positives {
         let lit = compiled.literal(planned.body_index);
         // A name the structure does not know denotes nothing.
@@ -672,12 +751,8 @@ pub struct BodyPlan {
 /// posting-list lookups; no fact is read.
 pub fn plan_pass(structure: &Structure, compiled: &CompiledRule, drivable: &[usize], delta_entries: usize) -> BodyPlan {
     let dv = DeltaView::empty(structure);
-    plan_with(
-        &atoms::Machine::new(structure, &dv, compiled),
-        compiled,
-        drivable,
-        delta_entries,
-    )
+    let machine = atoms::Machine::new(structure, &dv, compiled);
+    plan_with(&machine, compiled, drivable, delta_entries, machine.names_bound())
 }
 
 /// Plan `compiled`, a query body: [`plan_pass`] with nothing drivable.
@@ -691,28 +766,26 @@ pub fn plan_query(structure: &Structure, compiled: &CompiledRule) -> BodyPlan {
 /// the plan reports no seed flip.
 pub fn plan_in_order(structure: &Structure, compiled: &CompiledRule, positions: &[usize]) -> BodyPlan {
     let dv = DeltaView::empty(structure);
-    steps_in_order(
-        &atoms::Machine::new(structure, &dv, compiled),
-        compiled,
-        positions,
-        |_| None,
-        true,
-    )
+    let machine = atoms::Machine::new(structure, &dv, compiled);
+    steps_in_order(&machine, compiled, positions, |_| None, true, machine.names_bound())
 }
 
+/// [`plan_pass`] with the cells marked in `bound` — the names the structure
+/// knows ([`atoms::Machine::names_bound`]) and any slot every starting frame
+/// binds — bound before the first literal runs.
 fn plan_with(
     machine: &atoms::Machine<'_>,
     compiled: &CompiledRule,
     drivable: &[usize],
     delta_entries: usize,
+    bound: Vec<bool>,
 ) -> BodyPlan {
     let costs: Vec<(usize, usize)> = match compiled.positives.as_slice() {
         // Nothing to order: the literal starts with its first step.
         [_] => Vec::new(),
         literals => {
-            let names = machine.names_bound();
             let cost = |l: &CompiledLiteral| {
-                let seed = machine.seed_cardinality(l, &names);
+                let seed = machine.seed_cardinality(l, &bound);
                 if drivable.contains(&l.body_index) {
                     seed.min(delta_entries)
                 } else {
@@ -723,21 +796,23 @@ fn plan_with(
         }
     };
     let cost = |j: usize| costs.iter().find(|c| c.0 == j).map(|c| c.1);
-    let positions = literal_order(compiled, |l| cost(l.body_index).unwrap_or(0));
+    let seeded_slots = (0..compiled.slot_count()).filter(|&s| bound[s]);
+    let positions = literal_order(compiled, seeded_slots.collect(), |l| cost(l.body_index).unwrap_or(0));
     let seeded_from_delta =
         compiled.written_order || drivable.is_empty() || positions.first().is_some_and(|j| drivable.contains(j));
-    steps_in_order(machine, compiled, &positions, cost, seeded_from_delta)
+    steps_in_order(machine, compiled, &positions, cost, seeded_from_delta, bound)
 }
 
 /// Order the atoms of every literal of `compiled`, the positive ones run in
 /// the order of `positions` and costed by `cost` (by their first step
-/// without).
+/// without), from the cells marked in `bound`.
 fn steps_in_order(
     machine: &atoms::Machine<'_>,
     compiled: &CompiledRule,
     positions: &[usize],
     cost: impl Fn(usize) -> Option<usize>,
     seeded_from_delta: bool,
+    mut bound: Vec<bool>,
 ) -> BodyPlan {
     let steps = |lit: &CompiledLiteral, cost: Option<usize>, bound: &mut [bool]| {
         let atoms = machine.order_atoms(lit, bound);
@@ -747,7 +822,6 @@ fn steps_in_order(
             atoms,
         }
     };
-    let mut bound = machine.names_bound();
     let positives = positions
         .iter()
         .map(|&j| steps(compiled.literal(j), cost(j), &mut bound))
@@ -787,11 +861,42 @@ pub fn execute_term(structure: &Structure, compiled: &CompiledRule) -> Result<Fr
 fn execute_planned(structure: &Structure, compiled: &CompiledRule, denoting: bool) -> Result<FrameRun> {
     let dv = DeltaView::empty(structure);
     let mut machine = atoms::Machine::new(structure, &dv, compiled);
-    let plan = plan_with(&machine, compiled, &[], 0);
+    let plan = plan_with(&machine, compiled, &[], 0, machine.names_bound());
     if denoting {
         machine.emit_denoted(compiled.positives[0].denoted);
     }
-    run(&mut machine, compiled, &plan, None, !denoting)
+    let start = FrameRun::unit(compiled.slot_count());
+    run(&mut machine, compiled, &plan, None, !denoting, start)
+}
+
+/// The solutions of the query body `compiled` that bind `slot` to one of
+/// `seeds`, as frames in canonical key order, deduplicated — the frames of
+/// [`execute_query`] holding a seed at `slot`.  The join starts from one
+/// frame per seed and is planned with the slot bound ([`plan_pass`] costs
+/// the literals that read it as probes), so it costs what the seeds reach,
+/// not what the relation holds.  `slot` must be one a positive literal
+/// binds.
+pub fn execute_seeded(structure: &Structure, compiled: &CompiledRule, slot: usize, seeds: &[Oid]) -> Result<FrameRun> {
+    let dv = DeltaView::empty(structure);
+    let mut machine = atoms::Machine::new(structure, &dv, compiled);
+    let mut bound = machine.names_bound();
+    bound[slot] = true;
+    let plan = plan_with(&machine, compiled, &[], 0, bound);
+    let mut start = FrameRun::new(compiled.slot_count());
+    let mut frame = vec![0; compiled.slot_count()];
+    for seed in seeds {
+        frame[slot] = seed.0 + 1;
+        start.push(&frame);
+    }
+    run(&mut machine, compiled, &plan, None, true, start)
+}
+
+/// How many candidates a solve of the query body `compiled` starts from:
+/// the cost of the first literal [`plan_query`] runs — a seeded solve
+/// ([`execute_seeded`]) with more seeds than this costs more than a whole
+/// one.
+pub fn start_cardinality(structure: &Structure, compiled: &CompiledRule) -> usize {
+    plan_query(structure, compiled).positives.first().map_or(0, |l| l.cost)
 }
 
 #[cfg(test)]

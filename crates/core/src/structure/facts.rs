@@ -73,6 +73,7 @@
 //! every fixpoint run; the reactive layer retracts *between* runs.
 
 use std::hash::Hash;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
@@ -389,6 +390,23 @@ impl Postings {
 /// A secondary index: key → posting list.
 type Index<K> = ShardMap<K, Postings>;
 
+/// How many of the journal's last entries a mutation is compared with
+/// before it is journaled (see [`Facts::journal`]).
+const JOURNAL_WINDOW: usize = 4;
+
+/// [`Facts::read_mark`]: atomic, because a reader takes the journal's
+/// length through `&Facts` and a structure is shared between threads.  It
+/// publishes no other data, and the journal is written only through
+/// `&mut Facts`, which every earlier read happens before: `Relaxed`.
+#[derive(Debug, Default)]
+struct ReadMark(AtomicUsize);
+
+impl Clone for ReadMark {
+    fn clone(&self) -> Self {
+        ReadMark(AtomicUsize::new(self.0.load(Ordering::Relaxed)))
+    }
+}
+
 /// The fact tables of a structure.
 #[derive(Debug, Default, Clone)]
 pub struct Facts {
@@ -418,12 +436,15 @@ pub struct Facts {
     /// back to a full pass — see [`Facts::num_retractions`].
     retractions: usize,
 
-    /// Append-only journal of the method objects touched by every
-    /// successful mutation — asserts *and* retracts, scalar and set.
+    /// Append-only journal of the `(method, receiver)` pair touched by
+    /// every successful mutation — asserts *and* retracts, scalar and set.
     /// Unlike the fact watermarks nothing is ever removed from it, so
-    /// "which method keys changed since mark `k`" stays answerable across
-    /// retraction-bearing spans — see [`Facts::mutation_keys_since`].
-    mutation_log: CowVec<Oid>,
+    /// "which applications changed since mark `k`" stays answerable across
+    /// retraction-bearing spans — see [`Facts::mutations_since`].
+    mutation_log: CowVec<(Oid, Oid)>,
+    /// The longest the journal was when a reader last took its length
+    /// ([`Facts::mutation_len`]): no reader's span starts after it.
+    read_mark: ReadMark,
 }
 
 impl Facts {
@@ -457,7 +478,7 @@ impl Facts {
         self.scalar_by_method.get_or_default(method).push(slot);
         self.scalar_by_method_result.get_or_default((method, result)).push(slot);
         self.scalar_by_receiver.get_or_default(receiver).push(slot);
-        self.mutation_log.push(method);
+        self.journal(method, receiver);
         Ok(Assert::New)
     }
 
@@ -580,7 +601,7 @@ impl Facts {
             replace_index(&mut self.scalar_by_receiver, &r, old, slot);
         }
         self.retractions += 1;
-        self.mutation_log.push(method);
+        self.journal(method, receiver);
         Some(result)
     }
 
@@ -617,11 +638,11 @@ impl Facts {
     /// detaches nothing), then one detach of the application's row and one
     /// sorted merge into its member run, which places the last new member
     /// where the probe found its place — a single member costs one binary
-    /// search, as a plain insert does.  The posting lists, the insertion log
-    /// and the mutation journal receive the new members in ascending order —
-    /// what a loop of [`Facts::assert_set_member`] over `members` would
-    /// append.  An empty batch asserts nothing, and does not define the
-    /// application.
+    /// search, as a plain insert does.  The posting lists and the insertion
+    /// log receive the new members in ascending order, and the mutation
+    /// journal the `(method, receiver)` pair — what a loop of
+    /// [`Facts::assert_set_member`] over `members` would append.  An empty
+    /// batch asserts nothing, and does not define the application.
     pub fn assert_set_members(&mut self, method: Oid, receiver: Oid, args: &[Oid], members: &[Oid]) -> usize {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "ascending and distinct");
         if members.is_empty() {
@@ -656,8 +677,8 @@ impl Facts {
                 .get_or_default((method, member))
                 .push(app as u32);
             self.set_log.push((app as u32, member));
-            self.mutation_log.push(method);
         }
+        self.journal(method, receiver);
         self.set_member_count += new;
         new
     }
@@ -807,7 +828,7 @@ impl Facts {
         self.set_member_count -= 1;
         remove_index(&mut self.set_by_method_member, &(method, member), app);
         self.retractions += 1;
-        self.mutation_log.push(method);
+        self.journal(method, receiver);
         true
     }
 
@@ -819,23 +840,54 @@ impl Facts {
         self.retractions
     }
 
-    /// Length of the mutation journal — the current watermark for
-    /// [`Facts::mutation_keys_since`].
-    pub fn mutation_len(&self) -> usize {
-        self.mutation_log.len()
+    /// Journal a mutation of `(method, receiver)` — unless one of the last
+    /// [`JOURNAL_WINDOW`] entries, all made since a reader last took the
+    /// journal's length, already holds the pair: every reader's span then
+    /// holds it already, and a structure nobody checks (a reactive store
+    /// updating the same facts over and over) journals each pair once, not
+    /// once per update.
+    fn journal(&mut self, method: Oid, receiver: Oid) {
+        let len = self.mutation_log.len();
+        let since = (*self.read_mark.0.get_mut()).max(len.saturating_sub(JOURNAL_WINDOW));
+        if self
+            .mutation_log
+            .range(since, len)
+            .all(|&entry| entry != (method, receiver))
+        {
+            self.mutation_log.push((method, receiver));
+        }
     }
 
-    /// The method objects touched by every successful mutation (assert or
-    /// retract, scalar or set member) at or after watermark `mark`, in
-    /// mutation order, with repeats.  The journal is append-only even
-    /// across retractions, so — unlike the fact-count watermarks — this
-    /// slice stays sound over retraction-bearing spans.  It answers "which
-    /// method keys *may* have changed", not "which facts were added"; the
-    /// incremental constraint checker uses it to keep constraints whose
-    /// reads are disjoint from a retraction delta on their cached results.
-    /// O(delta): a walk of the journal's last chunks.
-    pub fn mutation_keys_since(&self, mark: usize) -> impl Iterator<Item = Oid> + '_ {
+    /// Length of the mutation journal — the current watermark for
+    /// [`Facts::mutations_since`].  Taking it marks a span boundary: a
+    /// mutation of a pair the journal already holds since the boundary is
+    /// folded into that entry, one made across it never is.
+    pub fn mutation_len(&self) -> usize {
+        let len = self.mutation_log.len();
+        self.read_mark.0.fetch_max(len, Ordering::Relaxed);
+        len
+    }
+
+    /// The `(method, receiver)` pairs touched by every successful mutation
+    /// (assert or retract, scalar or set member) at or after watermark
+    /// `mark`, in mutation order — each at least once since the mark, a
+    /// repeat made in the same span possibly folded into an earlier entry.
+    /// The journal is append-only even across retractions, so — unlike the
+    /// fact-count watermarks — this slice stays sound over
+    /// retraction-bearing spans.  It answers "which applications *may* have
+    /// changed", not "which facts were added", and carries no sign: the
+    /// incremental constraint checker re-solves a touched constraint for the
+    /// touched receivers only, which finds what an insertion added and what
+    /// a retraction took alike.  O(delta): a walk of the journal's last
+    /// chunks.
+    pub fn mutations_since(&self, mark: usize) -> impl Iterator<Item = (Oid, Oid)> + '_ {
         self.mutation_log.range(mark, usize::MAX).copied()
+    }
+
+    /// The method projection of [`Facts::mutations_since`]: which method
+    /// keys *may* have changed since `mark`.
+    pub fn mutation_keys_since(&self, mark: usize) -> impl Iterator<Item = Oid> + '_ {
+        self.mutations_since(mark).map(|(method, _)| method)
     }
 }
 
@@ -931,9 +983,35 @@ mod tests {
         assert!(f.retract_scalar(o(1), o(10), &[]).is_none());
         assert!(!f.retract_set_member(o(2), o(10), &[], o(30)));
         assert_eq!(f.mutation_keys_since(mark).collect::<Vec<_>>(), [o(1), o(2)]);
+        assert_eq!(
+            f.mutations_since(mark).collect::<Vec<_>>(),
+            [(o(1), o(10)), (o(2), o(10))]
+        );
         assert_eq!(f.num_retractions(), 2);
         // Out-of-range marks clamp instead of panicking.
         assert_eq!(f.mutation_keys_since(999).count(), 0);
+    }
+
+    #[test]
+    fn a_repeat_since_the_last_read_is_folded_into_the_journal() {
+        let mut f = Facts::new();
+        f.assert_scalar(o(1), o(10), &[], o(20)).unwrap();
+        f.retract_scalar(o(1), o(10), &[]);
+        f.assert_scalar(o(1), o(10), &[], o(21)).unwrap();
+        assert_eq!(f.mutations_since(0).collect::<Vec<_>>(), [(o(1), o(10))], "one span");
+        let mark = f.mutation_len();
+        f.retract_scalar(o(1), o(10), &[]);
+        assert_eq!(
+            f.mutations_since(mark).collect::<Vec<_>>(),
+            [(o(1), o(10))],
+            "a span a reader took holds it again"
+        );
+        // Only the last few entries are looked at.
+        for r in 11..11 + JOURNAL_WINDOW as u32 {
+            f.assert_scalar(o(1), o(r), &[], o(20)).unwrap();
+        }
+        f.assert_scalar(o(1), o(10), &[], o(20)).unwrap();
+        assert_eq!(f.mutations_since(mark).count(), 2 + JOURNAL_WINDOW);
     }
 
     #[test]
@@ -980,7 +1058,11 @@ mod tests {
         );
         let log: Vec<Oid> = f.set_members_since(1).map(|(_, m)| m).collect();
         assert_eq!(log, [o(30), o(32), o(40)]);
-        assert_eq!(f.mutation_keys_since(1).count(), 3);
+        assert_eq!(
+            f.mutations_since(0).collect::<Vec<_>>(),
+            [(o(2), o(10))],
+            "one pair, journaled once"
+        );
         assert_eq!((f.num_set_members(), f.count_set_containing(o(2), o(32))), (4, 1));
         // A batch of re-assertions changes nothing and detaches nothing —
         // not even the sealed chunk holding the application's row.

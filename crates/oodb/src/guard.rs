@@ -6,7 +6,8 @@
 //! structure: it checks the store's own image ([`ObjectStore::image`]),
 //! which the store's mutators keep current, so constraint checking is
 //! *incremental* — each check re-solves only the constraints whose read keys
-//! were mutated since the last one (see [`pathlog_core::constraints`]).
+//! were mutated since the last one, for the objects they were mutated at
+//! (see [`pathlog_core::constraints`]).
 //!
 //! ## Commit protocol
 //!
@@ -16,10 +17,16 @@
 //! 1. When `commit` is called the image already holds the transaction's
 //!    changes (and any direct mutation made since the last check), applied
 //!    by the mutators that made them.
-//! 2. The checker re-solves the affected constraints.  Violations that were
-//!    already *accepted* — present at install time, or warned/quarantined by
-//!    an earlier commit and still standing — do not block anything: the
-//!    guard is inconsistency-tolerant and polices **new** damage only.
+//! 2. The checker re-checks the instances of the constraints that the
+//!    changes since its last check touched, and renders nothing
+//!    ([`ConstraintChecker::refresh`]).  Violations that were already
+//!    *accepted* — present at install time, or warned/quarantined by an
+//!    earlier commit and still standing — do not block anything: the guard
+//!    is inconsistency-tolerant and polices **new** damage only.  It keeps
+//!    one accepted run per constraint and looks only at the constraints
+//!    whose run changed since the last commit that stood: what the run
+//!    gained, or after a rejection a merge walk of the run against the
+//!    accepted one.  Only the new violations are rendered.
 //! 3. New violations are dispatched per the violated constraint's
 //!    [`ConstraintPolicy`]:
 //!    * **Reject** — the commit fails with [`CommitError::Rejected`], and
@@ -44,7 +51,9 @@
 //! [`ObjectStore::delete_object`] and [`ObjectStore::schema_mut`] drop the
 //! image; the store rebuilds it (at once after a deletion, before the next
 //! transaction or session after a schema change) and the guard starts over
-//! on it as at install time ([`ConstraintGuard::rebaseline`]).
+//! on it as at install time ([`ConstraintGuard::rebaseline`]).  A schema
+//! handed back unchanged, with nothing written meanwhile, gets its image
+//! back instead, and the guard keeps its place.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -57,6 +66,7 @@ use pathlog_core::constraints::{
 };
 use pathlog_core::engine::Engine;
 use pathlog_core::names::Name;
+use pathlog_core::plan::FrameRun;
 use pathlog_core::program::{DepKey, Query};
 use pathlog_core::structure::Structure;
 
@@ -164,11 +174,16 @@ pub struct ConstraintGuard {
     checker: ConstraintChecker,
     /// What `set_constraints` was handed; answers the store's tolerant queries.
     engine: Engine,
-    /// Violations that do not block commits: present at install time, or
-    /// admitted by an earlier commit under Warn/Quarantine.  Pruned to the
-    /// still-standing ones after every successful commit, so a violation
-    /// that gets fixed and later reintroduced counts as new again.
-    accepted: BTreeSet<ConstraintViolation>,
+    /// Per constraint, the violations that do not block commits: present at
+    /// install time, or admitted by an earlier commit under Warn/Quarantine —
+    /// a run of the checker's.  A successful commit leaves every one equal
+    /// to the checker's run, so a violation that gets fixed and later
+    /// reintroduced counts as new again.
+    accepted: Vec<FrameRun>,
+    /// The check (by [`CheckStats::checks`]) after which `accepted` last
+    /// equalled the checker's runs: a constraint whose run has not changed
+    /// since has nothing new.
+    settled: usize,
     /// Oid-level quarantine ledger over the store's image.  Shared with
     /// the sessions started since it last changed.
     quarantine: Arc<Quarantine>,
@@ -203,9 +218,12 @@ impl ConstraintGuard {
         let mut checker = ConstraintChecker::new(constraints);
         let baseline = checker.check_full(image.structure())?;
         let guard = ConstraintGuard {
+            accepted: (0..checker.constraints().len())
+                .map(|i| checker.run(i).clone())
+                .collect(),
+            settled: checker.stats().checks,
             checker,
             engine,
-            accepted: baseline.iter().cloned().collect(),
             quarantine: Arc::default(),
             tagged: Vec::new(),
             diagnostics,
@@ -265,9 +283,13 @@ impl ConstraintGuard {
     }
 
     /// Violations currently tolerated (install-time baseline plus
-    /// warned/quarantined ones still standing).
-    pub fn accepted(&self) -> &BTreeSet<ConstraintViolation> {
-        &self.accepted
+    /// warned/quarantined ones still standing), rendered against the
+    /// store's `image` ([`ObjectStore::image`](crate::ObjectStore::image)):
+    /// the guard keeps them as frames.
+    pub fn accepted(&self, image: &StoreImage) -> BTreeSet<ConstraintViolation> {
+        let runs = self.accepted.iter().enumerate();
+        runs.flat_map(|(i, run)| self.checker.render(i, run, image.structure()))
+            .collect()
     }
 
     /// Answer `query` over the store's `image` in the engine's tolerance mode.
@@ -306,28 +328,31 @@ impl ConstraintGuard {
                 "the rebuilt image could not be checked: {e}"
             )));
         }
-        let current = self
-            .checker
-            .check(image.structure())
+        self.checker
+            .refresh(image.structure())
             .map_err(|e| CommitError::Check(e.to_string()))?;
 
+        // Only a constraint whose run changed since the last commit that
+        // stood can hold a violation `accepted` lacks.  If this is the first
+        // check since, the run it changed was `accepted` itself, and what it
+        // gained is what is new.
+        let first_since_settled = self.checker.stats().checks == self.settled + 1;
         let mut rejected = Vec::new();
         let mut warnings = Vec::new();
         let mut quarantined = Vec::new();
-        for violation in &current {
-            if self.accepted.contains(violation) {
+        for (i, constraint) in self.checker.constraints().iter().enumerate() {
+            if self.checker.changed_at(i) <= self.settled {
                 continue;
             }
-            let policy = self
-                .checker
-                .constraints()
-                .get(&violation.constraint)
-                .map(|c| c.policy())
-                .unwrap_or(ConstraintPolicy::Reject);
-            match policy {
-                ConstraintPolicy::Reject => rejected.push(violation.clone()),
-                ConstraintPolicy::Warn => warnings.push(violation.clone()),
-                ConstraintPolicy::Quarantine => quarantined.push(violation.clone()),
+            let new = if first_since_settled {
+                self.checker.render(i, self.checker.gained(i), image.structure())
+            } else {
+                self.checker.violations_beyond(i, &self.accepted[i], image.structure())
+            };
+            match constraint.policy() {
+                ConstraintPolicy::Reject => rejected.extend(new),
+                ConstraintPolicy::Warn => warnings.extend(new),
+                ConstraintPolicy::Quarantine => quarantined.extend(new),
             }
         }
 
@@ -345,16 +370,15 @@ impl ConstraintGuard {
         }
 
         // The commit stands: newly admitted violations join the accepted
-        // set; accepted violations that no longer hold are pruned (their
-        // quarantine tags are released too).
-        let standing: BTreeSet<ConstraintViolation> = current.iter().cloned().collect();
-        self.accepted = self
-            .accepted
-            .intersection(&standing)
-            .cloned()
-            .chain(warnings.iter().cloned())
-            .chain(quarantined.iter().cloned())
-            .collect();
+        // ones and accepted violations that no longer hold are pruned (their
+        // quarantine tags are released too) — `accepted` is the checker's
+        // runs again.
+        for i in 0..self.accepted.len() {
+            if self.checker.changed_at(i) > self.settled {
+                self.accepted[i] = self.checker.run(i).clone();
+            }
+        }
+        self.settled = self.checker.stats().checks;
         self.release_cleared_quarantines();
         Ok(CommitReceipt {
             committed: log.len(),
@@ -434,7 +458,11 @@ impl ConstraintGuard {
 
     /// Drop quarantine tags of constraints whose violations all cleared.
     fn release_cleared_quarantines(&mut self) {
-        let still_violated: BTreeSet<&Arc<str>> = self.accepted.iter().map(|v| &v.constraint).collect();
+        let constraints = self.checker.constraints().iter().zip(&self.accepted);
+        let still_violated: BTreeSet<&Arc<str>> = constraints
+            .filter(|(_, run)| !run.is_empty())
+            .map(|(c, _)| c.name())
+            .collect();
         let cleared: Vec<Arc<str>> = self
             .quarantine
             .constraints()
@@ -688,6 +716,25 @@ mod tests {
             stats.full_checks, after_install.full_checks,
             "no full re-check happened"
         );
+
+        // a salary never seen before is a new object, with no fact of its
+        // own: the salary constraint is re-checked for m3 alone, the other
+        // skipped, and nothing is checked in full
+        {
+            let mut txn = db.begin();
+            txn.set("m3", "salary", Value::Int(1250)).unwrap();
+            txn.commit().unwrap();
+        }
+        let stats = db.constraint_guard().unwrap().stats();
+        assert_eq!(stats.condition_solves, after_install.condition_solves + 2);
+        assert_eq!(stats.seeded_checks, after_install.seeded_checks + 2);
+        assert_eq!(stats.constraints_skipped, after_install.constraints_skipped + 3);
+        assert_eq!(
+            stats.retraction_skips,
+            after_install.retraction_skips + 1,
+            "the old salary was retracted"
+        );
+        assert_eq!(stats.full_checks, after_install.full_checks);
     }
 
     #[test]
@@ -765,15 +812,20 @@ mod tests {
             txn.set("m1", "salary", Value::Int(100)).unwrap();
             assert!(matches!(txn.commit(), Err(CommitError::Rejected { .. })));
         };
-        // (the first one names a value never seen before, and a new object
-        // makes any check a full one)
+        // (the first one names a value never seen before: a new object,
+        // which no constraint here is sensitive to)
+        let installed = db.constraint_guard().unwrap().stats();
         reject_a_pay_cut(&mut db);
         let before = db.constraint_guard().unwrap().stats();
+        assert_eq!(before.full_checks, installed.full_checks);
+        assert_eq!(before.seeded_checks, installed.seeded_checks + 1);
         // The check saw the change, so the rollback is its inverse in the
-        // image, and the next check narrows by the keys the two touched.
+        // image, and the next check narrows by the receivers the two
+        // touched.
         reject_a_pay_cut(&mut db);
         let stats = db.constraint_guard().unwrap().stats();
         assert_eq!(stats.full_checks, before.full_checks);
+        assert_eq!(stats.seeded_checks, before.seeded_checks + 1);
         assert_eq!(
             stats.retraction_skips,
             before.retraction_skips + 1,
@@ -841,9 +893,6 @@ mod tests {
     #[test]
     fn a_dropped_transaction_hides_no_direct_damage() {
         let mut db = company();
-        // (a named value from the start: no new object below forces the
-        // full check that would find the damage regardless)
-        db.set("bench", "age", Value::Int(400)).unwrap();
         db.set_constraints(
             [underpaid(ConstraintPolicy::Reject)].into_iter().collect(),
             Engine::new(),
@@ -888,7 +937,7 @@ mod tests {
         let image = db.image().unwrap().structure();
         assert!(image.lookup_name(&Name::atom("m3")).is_none());
         let guard = db.constraint_guard().unwrap();
-        assert_eq!(guard.accepted().len(), 1);
+        assert_eq!(guard.accepted(db.image().unwrap()).len(), 1);
         assert_eq!(guard.stats().checks, 1, "the re-baseline: the counters restarted");
         assert!(db.tolerant_query(&manager_salaries()).unwrap().any_tainted());
 
@@ -906,7 +955,36 @@ mod tests {
             txn.commit().unwrap()
         };
         assert!(receipt.is_clean(), "{receipt:?}");
-        assert_eq!(db.constraint_guard().unwrap().accepted().len(), 1);
+        assert_eq!(db.constraint_guard().unwrap().accepted(db.image().unwrap()).len(), 1);
         assert!(db.tolerant_query(&manager_salaries()).unwrap().any_tainted());
+    }
+
+    #[test]
+    fn a_schema_left_as_it_was_keeps_the_image_and_the_guard() {
+        let mut db = company();
+        db.set_constraints(
+            [underpaid(ConstraintPolicy::Reject)].into_iter().collect(),
+            Engine::new(),
+        )
+        .unwrap();
+        let installed = db.constraint_guard().unwrap().stats();
+        // borrowed and handed back unchanged, twice
+        let _ = db.schema_mut();
+        let _ = db.schema_mut();
+        assert!(db.image().is_none(), "the image is parked until it is needed");
+        {
+            let mut txn = db.begin();
+            txn.set("m3", "salary", Value::Int(1500)).unwrap();
+            txn.commit().unwrap();
+        }
+        let stats = db.constraint_guard().unwrap().stats();
+        assert_eq!(stats.full_checks, installed.full_checks, "nothing was rebuilt");
+        assert_eq!(stats.checks, installed.checks + 1);
+        // a write while the image is parked, or a real schema change, still
+        // rebuilds it
+        let _ = db.schema_mut();
+        db.set("m2", "salary", Value::Int(1300)).unwrap();
+        db.begin().commit().unwrap();
+        assert_eq!(db.constraint_guard().unwrap().stats().checks, 2, "re-baselined");
     }
 }

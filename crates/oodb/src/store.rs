@@ -91,6 +91,16 @@ impl StoreStats {
     }
 }
 
+/// An image taken away by [`ObjectStore::schema_mut`].
+#[derive(Debug, Clone)]
+struct ParkedImage {
+    image: StoreImage,
+    /// The schema the image was built from.
+    schema: Schema,
+    /// The store's `version` when it was taken away.
+    version: u64,
+}
+
 /// The in-memory object store.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
@@ -114,6 +124,10 @@ pub struct ObjectStore {
     /// [`ObjectStore::to_structure`]; dropped by the two operations it
     /// cannot follow ([`ObjectStore::drop_image`]).
     image: Option<StoreImage>,
+    /// The image [`ObjectStore::schema_mut`] took away, with the schema it
+    /// was built from and the `version` it holds the facts of: the next
+    /// [`ObjectStore::ensure_image`] takes it back if neither moved.
+    parked: Option<Box<ParkedImage>>,
     /// Check-on-commit integrity constraints, if installed (see
     /// [`ObjectStore::set_constraints`]).
     constraints: Option<Box<crate::guard::ConstraintGuard>>,
@@ -144,11 +158,22 @@ impl ObjectStore {
 
     /// Mutable access to the schema (for incremental schema definition).
     /// The image's signatures and class memberships derive from the schema,
-    /// so the image is dropped — by the call, whether or not the caller
-    /// then changes anything — and rebuilt by the next transaction or
-    /// session.
+    /// so the image is dropped by the call and the next transaction or
+    /// session rebuilds it — unless the schema is still the one it was
+    /// built from and nothing was written since: then that image is taken
+    /// back as it was, and an installed guard keeps its place on it.
     pub fn schema_mut(&mut self) -> &mut Schema {
+        let current = self.image.take().map(|image| (image, self.schema.clone()));
+        let parked = self.parked.take().filter(|p| p.version == self.version);
+        let kept = current.or(parked.map(|p| (p.image, p.schema)));
         self.drop_image();
+        self.parked = kept.map(|(image, schema)| {
+            Box::new(ParkedImage {
+                image,
+                schema,
+                version: self.version,
+            })
+        });
         &mut self.schema
     }
 
@@ -193,13 +218,19 @@ impl ObjectStore {
     /// quarantine oids belonged to the image that was dropped, so it starts
     /// over on the new one.
     pub(crate) fn ensure_image(&mut self) {
-        if self.image.is_none() {
-            let mut image = StoreImage::of_store(self);
-            if let Some(guard) = self.constraints.as_deref_mut() {
-                guard.rebaseline(&mut image);
-            }
-            self.image = Some(image);
+        if self.image.is_some() {
+            return;
         }
+        let parked = self.parked.take();
+        if let Some(p) = parked.filter(|p| p.version == self.version && p.schema == self.schema) {
+            self.image = Some(p.image);
+            return;
+        }
+        let mut image = StoreImage::of_store(self);
+        if let Some(guard) = self.constraints.as_deref_mut() {
+            guard.rebaseline(&mut image);
+        }
+        self.image = Some(image);
     }
 
     /// [`ObjectStore::ensure_image`] if anything reads the image: a guard
@@ -215,6 +246,7 @@ impl ObjectStore {
     /// change.  The version moves, so no published epoch passes for current.
     fn drop_image(&mut self) {
         self.image = None;
+        self.parked = None;
         self.version += 1;
     }
 
@@ -448,10 +480,11 @@ impl ObjectStore {
     ///
     /// The guard checks against the store's image
     /// ([`ObjectStore::image`]), which the store's mutators keep current,
-    /// and re-checks **incrementally**: only constraints whose read keys
-    /// intersect the facts changed since the last check are re-solved (see
-    /// [`pathlog_core::constraints`]).  That delta is everything since the
-    /// last check, not just the committing transaction: a direct mutation
+    /// and re-checks **incrementally**: only constraints that read a key
+    /// changed since the last check are re-solved, and only for the objects
+    /// it changed at (see [`pathlog_core::constraints`]).  That delta is
+    /// everything since the last check, not just the committing
+    /// transaction: a direct mutation
     /// of a guarded store ([`ObjectStore::set`] and friends outside a
     /// transaction) is checked with, and its damage attributed to, the next
     /// commit.  `engine` answers [`ObjectStore::tolerant_query`]: give it

@@ -154,8 +154,9 @@ fn edge_constraints() -> ConstraintSet {
 
 /// One random mutation against a structure with known member/value pools.
 /// `MintSalary` writes a salary never named before — a new object of the
-/// universe, which forces the full re-check — and `ClearSalary` retracts one
-/// without re-asserting.
+/// universe, which re-solves whole only the constraints a new object can
+/// satisfy without a fact of its own, and the others for its employee — and
+/// `ClearSalary` retracts one without re-asserting.
 #[derive(Debug, Clone)]
 enum Mutation {
     SetSalary { person: usize, salary: usize },
@@ -232,8 +233,8 @@ static GENEALOGY_HISTORIES: Tally = Tally::new("genealogy histories", 8);
 static EDGE_HISTORIES: Tally = Tally::new("edge-shape histories", 12);
 
 /// Everything a mutation needs: person oids and pre-interned method/value
-/// pools (pre-interning keeps the checks incremental — a fresh oid
-/// conservatively re-solves everything, which only `MintSalary` does).
+/// pools (pre-interning keeps most new objects out of the histories —
+/// only `MintSalary` makes one).
 struct Arena {
     people: Vec<Oid>,
     salaries: Vec<Oid>,
@@ -553,4 +554,214 @@ fn generated_store_commits_are_guarded_and_incremental() {
         other => panic!("expected rejection, got {other:?}"),
     }
     assert_eq!(db.get_set("e0", "friends").cloned(), before, "rolled back in full");
+}
+
+// ---------------------------------------------------------------------------
+// 4. the guard's receipts against a shadow of full re-checks
+// ---------------------------------------------------------------------------
+
+/// One write to employee `e{person}` of a generated company.
+#[derive(Debug, Clone)]
+enum Write {
+    /// A salary from a small pool (`value < 4`), or one never named before.
+    Salary {
+        person: usize,
+        value: i64,
+    },
+    Befriend {
+        person: usize,
+        friend: usize,
+    },
+    Unfriend {
+        person: usize,
+        friend: usize,
+    },
+}
+
+/// One step of a guarded history.
+#[derive(Debug, Clone)]
+enum Step {
+    /// A transaction, committed.
+    Commit(Vec<Write>),
+    /// A transaction, dropped uncommitted.
+    Abort(Vec<Write>),
+    /// A write straight to the store, checked with the next commit.
+    Direct(Write),
+}
+
+fn write_strategy() -> impl Strategy<Value = Write> {
+    let p = 0usize..10;
+    prop_oneof![
+        (p.clone(), 0i64..4).prop_map(|(person, value)| Write::Salary { person, value }),
+        (p.clone(), 0i64..100_000).prop_map(|(person, value)| Write::Salary { person, value }),
+        (p.clone(), p.clone()).prop_map(|(person, friend)| Write::Befriend { person, friend }),
+        (p.clone(), p).prop_map(|(person, friend)| Write::Unfriend { person, friend }),
+    ]
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let writes = || proptest::collection::vec(write_strategy(), 1..4);
+    prop_oneof![
+        writes().prop_map(Step::Commit),
+        writes().prop_map(Step::Commit),
+        writes().prop_map(Step::Abort),
+        write_strategy().prop_map(Step::Direct),
+    ]
+}
+
+/// The guarded constraints: one of each policy, a method read twice, a
+/// class test.
+fn guarded_constraints() -> ConstraintSet {
+    let friends = |x: &str, y: &str| Literal::pos(Term::var(x).filter(Filter::set("friends", vec![Term::var(y)])));
+    let paid = |class: &str| {
+        Literal::pos(
+            Term::var("X")
+                .isa(class)
+                .filter(Filter::scalar("salary", Term::var("S"))),
+        )
+    };
+    [
+        Constraint::new("self_friend", vec![friends("X", "X")], ConstraintPolicy::Reject),
+        Constraint::new(
+            "mutual_friends",
+            vec![friends("X", "Y"), friends("Y", "X")],
+            ConstraintPolicy::Warn,
+        ),
+        Constraint::new(
+            "underpaid",
+            vec![paid("employee"), lt_filter("S", 35_000)],
+            ConstraintPolicy::Quarantine,
+        ),
+        Constraint::new(
+            "manager_underpaid",
+            vec![paid("manager"), lt_filter("S", 32_000)],
+            ConstraintPolicy::Reject,
+        ),
+    ]
+    .into_iter()
+    .map(Result::unwrap)
+    .collect()
+}
+
+/// What a write does: `(object, attribute, value, remove)`.
+fn resolved(w: &Write) -> (String, &'static str, pathlog::oodb::Value, bool) {
+    use pathlog::oodb::Value;
+    const POOL: [i64; 4] = [20_000, 31_000, 33_000, 50_000];
+    let name = |i: usize| format!("e{i}");
+    match *w {
+        Write::Salary { person, value } => {
+            let pooled = usize::try_from(value).ok().and_then(|v| POOL.get(v));
+            (
+                name(person),
+                "salary",
+                Value::Int(pooled.copied().unwrap_or(value)),
+                false,
+            )
+        }
+        Write::Befriend { person, friend } => (name(person), "friends", Value::obj(name(friend)), false),
+        Write::Unfriend { person, friend } => (name(person), "friends", Value::obj(name(friend)), true),
+    }
+}
+
+/// Apply a write through `$target`, a transaction or the store itself.
+macro_rules! apply_write {
+    ($target:expr, $write:expr) => {{
+        let (obj, attr, value, remove) = resolved($write);
+        let done = if remove {
+            $target.remove(&obj, attr, &value).map(drop)
+        } else if attr == "salary" {
+            $target.set(&obj, attr, value)
+        } else {
+            $target.add(&obj, attr, value)
+        };
+        done.expect("the company schema takes every write");
+    }};
+}
+
+/// A violation as the shadow keeps it.
+type Accepted = BTreeSet<(Arc<str>, Binding)>;
+
+fn pairs<'v>(violations: impl IntoIterator<Item = &'v ConstraintViolation>) -> Accepted {
+    violations
+        .into_iter()
+        .map(|v| (v.constraint.clone(), v.binding.clone()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Every receipt and rejection of a guarded store, and its accepted
+    /// violations, against a shadow that re-checks in full: a commit reports
+    /// exactly the violations of a full re-check of the staged image that
+    /// the shadow has not accepted, grouped by policy in report order, and a
+    /// commit that stands makes the shadow accept what the re-check found.
+    #[test]
+    fn guarded_commits_equal_a_full_recheck_shadow(
+        seed in 0u64..4,
+        steps in proptest::collection::vec(step_strategy(), 1..20),
+    ) {
+        use pathlog::oodb::{CommitError, CommitReceipt, Value};
+        let mut db = generate_company(&CompanyParams {
+            employees: 10,
+            manager_fraction: 0.3,
+            seed,
+            ..CompanyParams::default()
+        });
+        // the comparison thresholds, as objects of the image
+        db.set("e0", "salary", Value::Int(35_000)).unwrap();
+        db.set("e1", "salary", Value::Int(32_000)).unwrap();
+        let constraints = guarded_constraints();
+        let baseline = db.set_constraints(constraints.clone(), Engine::new()).unwrap();
+        let mut accepted = pairs(&baseline);
+        let policy = |v: &ConstraintViolation| constraints.get(&v.constraint).unwrap().policy();
+        for step in &steps {
+            match step {
+                Step::Commit(writes) => {
+                    let mut txn = db.begin();
+                    for w in writes {
+                        apply_write!(txn, w);
+                    }
+                    let staged = txn.len();
+                    let image = txn.store().image().unwrap().structure();
+                    let current = ConstraintChecker::new(constraints.clone()).check_full(image).unwrap();
+                    let new: Vec<&ConstraintViolation> = current
+                        .iter()
+                        .filter(|v| !accepted.contains(&(v.constraint.clone(), v.binding.clone())))
+                        .collect();
+                    let of = |p: ConstraintPolicy| -> Vec<ConstraintViolation> {
+                        new.iter().filter(|v| policy(v) == p).map(|&v| v.clone()).collect()
+                    };
+                    let rejected = of(ConstraintPolicy::Reject);
+                    let outcome = txn.commit();
+                    if rejected.is_empty() {
+                        let receipt = CommitReceipt {
+                            committed: staged,
+                            checked: true,
+                            warnings: of(ConstraintPolicy::Warn),
+                            quarantined: of(ConstraintPolicy::Quarantine),
+                            epoch: None,
+                        };
+                        prop_assert_eq!(outcome, Ok(receipt));
+                        accepted = pairs(&current);
+                    } else {
+                        let rejection = CommitError::Rejected {
+                            violations: rejected,
+                            rolled_back: staged,
+                        };
+                        prop_assert_eq!(outcome, Err(rejection));
+                    }
+                }
+                Step::Abort(writes) => {
+                    let mut txn = db.begin();
+                    for w in writes {
+                        apply_write!(txn, w);
+                    }
+                }
+                Step::Direct(w) => apply_write!(db, w),
+            }
+            let accepted_now = db.constraint_guard().unwrap().accepted(db.image().unwrap());
+            prop_assert_eq!(pairs(&accepted_now), accepted.clone());
+        }
+    }
 }
