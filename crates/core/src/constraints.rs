@@ -494,8 +494,6 @@ pub struct ConstraintChecker {
     /// Per constraint, the check (by [`CheckStats::checks`]) that last
     /// changed its run.
     changed_at: Vec<usize>,
-    /// Per constraint, the frames its run gained when it last changed.
-    gained: Vec<FrameRun>,
     /// Per constraint, did the last solve meet a name the structure did not
     /// know (`true` before the first)?  A new object can be that name; a
     /// known name stays known.
@@ -506,7 +504,7 @@ pub struct ConstraintChecker {
 impl ConstraintChecker {
     /// A checker over `constraints`.
     pub fn new(constraints: ConstraintSet) -> Self {
-        let runs: Vec<FrameRun> = constraints
+        let runs = constraints
             .iter()
             .map(|c| FrameRun::new(c.compiled.slot_count()))
             .collect();
@@ -516,7 +514,6 @@ impl ConstraintChecker {
             marks: None,
             retractions: 0,
             mutation_mark: 0,
-            gained: runs.clone(),
             runs,
             changed_at: vec![0; n],
             unknown_names: vec![true; n],
@@ -572,13 +569,6 @@ impl ConstraintChecker {
     /// `i`'s run: it holds the same frames since.
     pub fn changed_at(&self, i: usize) -> usize {
         self.changed_at[i]
-    }
-
-    /// The frames constraint `i`'s run gained when it last changed — its
-    /// new violations against the run before, which a commit reports
-    /// without a walk of the whole run.
-    pub fn gained(&self, i: usize) -> &FrameRun {
-        &self.gained[i]
     }
 
     /// The violations of constraint `i` as of the last check that
@@ -725,7 +715,7 @@ impl ConstraintChecker {
                 Recheck::Skip => continue,
                 Recheck::Whole => {
                     let run = execute_query(structure, compiled)?;
-                    (run != *old).then(|| (run.difference(old, canonical), run))
+                    (run != *old).then_some(run)
                 }
                 Recheck::Seeded(seeds) => {
                     // The frames holding a touched receiver in a seeded slot
@@ -741,11 +731,8 @@ impl ConstraintChecker {
                     for (slot, objects) in seeds {
                         found = found.merge(execute_seeded(structure, compiled, *slot, objects)?, canonical);
                     }
-                    let dropped = old.filtered(touched);
-                    (found != dropped).then(|| {
-                        let gained = found.difference(&dropped, canonical);
-                        (gained, old.filtered(|frame| !touched(frame)).merge(found, canonical))
-                    })
+                    (found != old.filtered(touched))
+                        .then(|| old.filtered(|frame| !touched(frame)).merge(found, canonical))
                 }
             };
             solved.push((i, changed));
@@ -755,8 +742,8 @@ impl ConstraintChecker {
                 let names = constraints[i].compiled.names();
                 self.unknown_names[i] = names.iter().any(|n| structure.lookup_name(n).is_none());
             }
-            if let Some((gained, run)) = changed {
-                (self.gained[i], self.runs[i]) = (gained, run);
+            if let Some(run) = changed {
+                self.runs[i] = run;
                 self.changed_at[i] = self.stats.checks;
             }
         }
@@ -1369,6 +1356,29 @@ mod tests {
         assert_eq!(checker.check(&s).unwrap(), before, "the cache answers");
         assert_eq!(checker.stats().condition_solves, stats.condition_solves);
         assert_eq!(checker.stats().full_checks, stats.full_checks);
+    }
+
+    /// A check of a clone moves the checker to the journal's length there;
+    /// a later mutation of the original must not fold into an entry made
+    /// before that.
+    #[test]
+    fn checking_a_clone_then_the_original_sees_the_original_s_mutations() {
+        let (mut s, _) = fixture();
+        let mut checker = ConstraintChecker::new([underpaid()].into_iter().collect());
+        assert_eq!(checker.check(&s).unwrap().len(), 1);
+        let salary = s.lookup_name(&Name::atom("salary")).unwrap();
+        let peter = s.lookup_name(&Name::atom("peter")).unwrap();
+        let (raise, cut) = (s.int(1300), s.int(10));
+        // peter's salary is the journal's last entry when the clone is made.
+        s.retract_scalar(salary, peter, &[]);
+        s.assert_scalar(salary, peter, &[], raise).unwrap();
+        assert_eq!(checker.check(&s.clone()).unwrap().len(), 1);
+        s.retract_scalar(salary, peter, &[]);
+        s.assert_scalar(salary, peter, &[], cut).unwrap();
+        let violations = checker.check(&s).unwrap();
+        assert_eq!(violations.len(), 2, "peter now earns 10");
+        let full = ConstraintChecker::new([underpaid()].into_iter().collect()).check_full(&s);
+        assert_eq!(violations, full.unwrap());
     }
 
     #[test]

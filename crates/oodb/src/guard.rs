@@ -24,9 +24,9 @@
 //!    earlier commit and still standing — do not block anything: the guard
 //!    is inconsistency-tolerant and polices **new** damage only.  It keeps
 //!    one accepted run per constraint and looks only at the constraints
-//!    whose run changed since the last commit that stood: what the run
-//!    gained, or after a rejection a merge walk of the run against the
-//!    accepted one.  Only the new violations are rendered.
+//!    whose run changed since the last commit that stood, with a merge walk
+//!    of the run against the accepted one.  Only the new violations are
+//!    rendered.
 //! 3. New violations are dispatched per the violated constraint's
 //!    [`ConstraintPolicy`]:
 //!    * **Reject** — the commit fails with [`CommitError::Rejected`], and
@@ -333,10 +333,7 @@ impl ConstraintGuard {
             .map_err(|e| CommitError::Check(e.to_string()))?;
 
         // Only a constraint whose run changed since the last commit that
-        // stood can hold a violation `accepted` lacks.  If this is the first
-        // check since, the run it changed was `accepted` itself, and what it
-        // gained is what is new.
-        let first_since_settled = self.checker.stats().checks == self.settled + 1;
+        // stood can hold a violation `accepted` lacks.
         let mut rejected = Vec::new();
         let mut warnings = Vec::new();
         let mut quarantined = Vec::new();
@@ -344,11 +341,7 @@ impl ConstraintGuard {
             if self.checker.changed_at(i) <= self.settled {
                 continue;
             }
-            let new = if first_since_settled {
-                self.checker.render(i, self.checker.gained(i), image.structure())
-            } else {
-                self.checker.violations_beyond(i, &self.accepted[i], image.structure())
-            };
+            let new = self.checker.violations_beyond(i, &self.accepted[i], image.structure());
             match constraint.policy() {
                 ConstraintPolicy::Reject => rejected.extend(new),
                 ConstraintPolicy::Warn => warnings.extend(new),

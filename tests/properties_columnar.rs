@@ -620,6 +620,9 @@ enum HistOp {
     /// objects — long enough runs to seal chunks and to double shard
     /// counts, so that clones really share sealed storage.
     Bulk(u16, u16),
+    /// The structure was cloned here.  A clone is a boundary of the
+    /// mutation journal's spans in both copies, so a replay clones too.
+    Cloned,
 }
 
 fn hist_op() -> impl Strategy<Value = HistOp> {
@@ -694,6 +697,7 @@ fn apply_hist(s: &mut Structure, op: &HistOp) {
                 s.assert_set_member(pals, who, &[], next);
             }
         }
+        HistOp::Cloned => drop(s.clone()),
     }
 }
 
@@ -835,6 +839,9 @@ proptest! {
                 None => {
                     let copy = versions[at].clone();
                     versions.push(copy);
+                    for version in [at, versions.len() - 1] {
+                        versions[version].1.push(HistOp::Cloned);
+                    }
                 }
             }
         }
