@@ -10,42 +10,22 @@
 //!
 //! **Incremental checking.**  Re-solving every constraint after every
 //! mutation batch is the classical-but-wasteful baseline.  The
-//! [`ConstraintChecker`] keeps each constraint's solutions as of its last
-//! check — one canonical [`FrameRun`], one frame per violation — and
-//! remembers where the structure stood then: the [`EvalMarks`] watermarks
-//! and the length of the facts' mutation journal.  A check evaluates only
-//! the instances of a denial that the span since can have affected
-//! (Decker's rule):
-//!
-//! * The *touched keys* are the `(method, receiver)` pairs the journal
-//!   records for every successful assert *and* retract, and the `(class,
-//!   instance)` pairs the is-a closure gained.
-//! * A constraint that reads no touched key keeps its run.
-//! * One that reads a touched key through a variable — the receiver of a
-//!   method application or the instance of a class test, in a positive
-//!   literal or in a negated one, whose variables safety binds — drops the
-//!   frames holding a touched receiver in that variable's slot, re-solves
-//!   the body from seed frames binding the slot to those receivers
-//!   ([`execute_seeded`]) and merges what it finds back in canonical order.
-//!   That finds what an insertion added and what a retraction took alike,
-//!   so the journal needs no sign.
-//! * A constraint is re-solved whole ([`execute_query`]) on the first check,
-//!   on a signature change, when it reads an unknown key (a variable method
-//!   or class), when a touched key is read through a receiver that is no
-//!   variable (a path temporary as in `X.boss[salary -> S]`, a name, the
-//!   right-hand side of `->>`), when its written order is pinned (see
-//!   [`compile`](crate::plan::compile)), and when there are more seeds than
-//!   the whole solve would start from ([`start_cardinality`]).
-//! * A new object has no facts but the ones the journal and the is-a log
-//!   record.  It re-solves only an *object-sensitive* constraint, one with a
-//!   variable no stored fact binds (only built-ins and a bare `X` range over
-//!   it), and one whose last solve met a name the structure did not know.
+//! [`ConstraintChecker`] holds one [`Condition`] per constraint — the
+//! incremental matcher the production engine shares (see
+//! [`crate::plan::condition`]).  Each keeps the constraint's solutions as of
+//! its last check, one canonical [`FrameRun`] with one frame per violation,
+//! and where the structure stood then.  A check evaluates only the instances
+//! of a denial that the span since can have affected (Decker's rule): a
+//! constraint reading no `(method, receiver)` pair the mutation journal
+//! touched keeps its run, one reading a touched pair through a variable is
+//! re-solved from seed frames binding it to the touched receivers, and the
+//! fallbacks that solve it whole are listed in the matcher's docs.
 //!
 //! A denial body is just a query body: it is compiled once, when the
-//! [`Constraint`] is built ([`compile_query`]), and solved the way
-//! [`Engine::query`] solves a query — the commit path has no evaluator of
-//! its own.  A check only reads the structure it is given, and renders a
-//! violation only when it is reported ([`ConstraintChecker::check`],
+//! [`Constraint`] is built, and solved the way [`Engine::query`] solves a
+//! query — the commit path has no evaluator of its own.  A check only reads
+//! the structure it is given, and renders a violation only when it is
+//! reported ([`ConstraintChecker::check`],
 //! [`ConstraintChecker::violations_beyond`]).
 //!
 //! **Tolerant degradation.**  Under the `Quarantine` policy a violation
@@ -66,14 +46,9 @@ use std::sync::Arc;
 use crate::engine::{Engine, Tolerance};
 use crate::error::Result;
 use crate::names::Name;
-use crate::plan::atoms::each_operand;
-use crate::plan::is_builtin;
-use crate::plan::{
-    compile_query, execute_query, execute_seeded, start_cardinality, Atom, CompiledLiteral, CompiledRule, FrameRun,
-    Operand,
-};
-use crate::program::{literal_reads, validate_rule, DepKey, Literal, Query, Rule};
-use crate::semantics::{Bindings, EvalMarks};
+use crate::plan::{Condition, FrameRun, Mark, Recheck, Span};
+use crate::program::{validate_rule, DepKey, Literal, Query, Rule};
+use crate::semantics::Bindings;
 use crate::structure::{Oid, Structure};
 use crate::term::{Filter, FilterValue, IsA, Molecule, Path, Term};
 
@@ -100,21 +75,8 @@ pub struct Constraint {
     name: Arc<str>,
     body: Vec<Literal>,
     policy: ConstraintPolicy,
-    /// Every method/class key the body reads (positive *and* negated —
-    /// an insertion under a negated key can *remove* a violation, and the
-    /// checker must notice that too).
-    reads: BTreeSet<DepKey>,
-    /// The body reads an unknown key and must be re-solved on any delta.
-    catch_all: bool,
-    /// The body lowered to atoms, once: what a check runs.
-    compiled: CompiledRule,
-    /// Per known key of `reads`, the slots of the variables the body reads
-    /// it through — `None` when it also reads it through another receiver:
-    /// touching the key then re-solves the body whole.
-    seed_slots: Vec<(Name, Option<Vec<usize>>)>,
-    /// A variable of the body is bound by no stored fact: a new object can
-    /// satisfy it without a fact of its own (see the module docs).
-    object_sensitive: bool,
+    /// The body compiled, matched nothing yet: each checker matches a copy.
+    condition: Condition,
 }
 
 impl Constraint {
@@ -124,22 +86,13 @@ impl Constraint {
     /// same diagnostics unsafe rules get.
     pub fn new(name: impl Into<Arc<str>>, body: Vec<Literal>, policy: ConstraintPolicy) -> Result<Self> {
         let name = name.into();
-        let probe = Rule::new(Term::Name(Name::atom(format!("ic_{name}"))), body.clone());
-        let info = validate_rule(&probe)?;
-        let reads: BTreeSet<DepKey> = info.uses.union(&info.strict_uses).cloned().collect();
-        let catch_all = reads.contains(&DepKey::Unknown);
-        let compiled = compile_query(body.iter().map(|lit| (lit.positive, &lit.term)));
-        let seed_slots = seed_slots(&compiled, &reads);
-        let object_sensitive = catch_all || object_sensitive(&compiled);
+        validate_rule(&Rule::new(Term::Name(Name::atom(format!("ic_{name}"))), body.clone()))?;
+        let condition = Condition::new(&body);
         Ok(Constraint {
             name,
             body,
             policy,
-            reads,
-            catch_all,
-            compiled,
-            seed_slots,
-            object_sensitive,
+            condition,
         })
     }
 
@@ -158,15 +111,17 @@ impl Constraint {
         self.policy
     }
 
-    /// The dependency keys the body reads (used for delta gating).
+    /// Every method/class key the body reads, positive *and* negated — an
+    /// insertion under a negated key can *remove* a violation.
     pub fn reads(&self) -> &BTreeSet<DepKey> {
-        &self.reads
+        self.condition.reads()
     }
 
     /// The violation a solution `frame` of the compiled body stands for: its
     /// bound slots in variable order, and the body's literals as ground facts.
     fn violation(&self, structure: &Structure, frame: &[u32]) -> ConstraintViolation {
-        let bindings = self.compiled.bindings_of(frame);
+        let compiled = self.condition.compiled();
+        let bindings = compiled.bindings_of(frame);
         let witnesses = self
             .body
             .iter()
@@ -179,132 +134,13 @@ impl Constraint {
                 }
             })
             .collect();
-        let bound = self.compiled.canonical().iter().filter(|&&slot| frame[slot] != 0);
+        let bound = compiled.canonical().iter().filter(|&&slot| frame[slot] != 0);
         ConstraintViolation {
             constraint: Arc::clone(&self.name),
             binding: bound
-                .map(|&slot| (self.compiled.slot_var(slot).0.clone(), Oid(frame[slot] - 1)))
+                .map(|&slot| (compiled.slot_var(slot).0.clone(), Oid(frame[slot] - 1)))
                 .collect(),
             witnesses,
-        }
-    }
-}
-
-/// The atoms of every literal of `compiled`, positive and negated.
-fn all_atoms(compiled: &CompiledRule) -> impl Iterator<Item = &Atom> {
-    let literals = compiled.positives().iter().chain(compiled.negations());
-    literals.flat_map(|lit| &lit.atoms)
-}
-
-/// The key `atom` reads a stored fact of (a method, a class) and the operand
-/// it reads it through (the receiver, the instance).
-fn read_through(compiled: &CompiledRule, atom: &Atom) -> Option<(Operand, Operand)> {
-    match atom {
-        Atom::Scalar { call, .. } | Atom::Member { call, .. } | Atom::Superset { call, .. } => {
-            Some((call.method, call.receiver))
-        }
-        Atom::Isa { instance, class } => Some((*class, *instance)),
-        Atom::Object { .. } | Atom::Signature { .. } => None,
-    }
-    .filter(|(key, _)| !is_builtin(*key, compiled.names()))
-}
-
-/// [`Constraint::seed_slots`]: per known key of `reads`, the slots the body
-/// reads it through, or `None` when some read of it goes through a
-/// temporary, a name or a `->>` right-hand side — or through no atom that
-/// reads stored facts at all (a signature filter's method, a built-in).
-fn seed_slots(compiled: &CompiledRule, reads: &BTreeSet<DepKey>) -> Vec<(Name, Option<Vec<usize>>)> {
-    let mut slots: BTreeMap<Name, Option<Vec<usize>>> = BTreeMap::new();
-    for atom in all_atoms(compiled) {
-        if let Some((Operand::Name(key), receiver)) = read_through(compiled, atom) {
-            let entry = slots
-                .entry(compiled.names()[key].clone())
-                .or_insert_with(|| Some(Vec::new()));
-            match (entry.as_mut(), receiver) {
-                (Some(seeds), Operand::Slot(slot)) if !seeds.contains(&slot) => seeds.push(slot),
-                (Some(_), Operand::Slot(_)) => {}
-                _ => *entry = None,
-            }
-        }
-        if let Atom::Superset { rhs, .. } = atom {
-            for key in literal_reads(rhs) {
-                if let DepKey::Known(name) = key {
-                    slots.insert(name, None);
-                }
-            }
-        }
-    }
-    let known = reads.iter().filter_map(|key| match key {
-        DepKey::Known(name) => Some(name),
-        DepKey::Unknown => None,
-    });
-    known
-        .map(|name| (name.clone(), slots.get(name).cloned().flatten()))
-        .collect()
-}
-
-/// [`Constraint::object_sensitive`]: some variable or temporary is bound by
-/// no stored fact — not an operand of an atom of a positive literal that
-/// reads one (a temporary: of its own literal), nor the result of a
-/// built-in applied to such operands.  Built-ins and a bare `X` range over
-/// the universe.
-fn object_sensitive(compiled: &CompiledRule) -> bool {
-    let mut slots: Vec<Operand> = Vec::new();
-    loop {
-        let before = slots.len();
-        for lit in compiled.positives() {
-            for op in fact_bound(compiled, lit, &slots) {
-                if matches!(op, Operand::Slot(_)) && !slots.contains(&op) {
-                    slots.push(op);
-                }
-            }
-        }
-        if slots.len() == before {
-            break;
-        }
-    }
-    let mut literals = compiled.positives().iter().chain(compiled.negations());
-    literals.any(|lit| {
-        let bound = fact_bound(compiled, lit, &slots);
-        let mut loose = lit.slots.iter().any(|&s| !bound.contains(&Operand::Slot(s)));
-        for atom in &lit.atoms {
-            each_operand(atom, &mut |op| {
-                loose |= !matches!(op, Operand::Name(_)) && !bound.contains(&op);
-            });
-        }
-        loose
-    })
-}
-
-/// The operands of `lit` a stored fact binds when `slots` are bound by
-/// others: `slots`, every operand of an atom reading a stored fact, and the
-/// result of a built-in whose operands are bound so.
-fn fact_bound(compiled: &CompiledRule, lit: &CompiledLiteral, slots: &[Operand]) -> Vec<Operand> {
-    let mut bound = slots.to_vec();
-    loop {
-        let before = bound.len();
-        for atom in &lit.atoms {
-            let mut found = Vec::new();
-            match atom {
-                Atom::Scalar { call, result } if is_builtin(call.method, compiled.names()) => {
-                    let known = |op: &Operand| matches!(op, Operand::Name(_)) || bound.contains(op);
-                    if known(&call.receiver) && call.args.iter().all(known) {
-                        found.push(*result);
-                    }
-                }
-                _ if matches!(read_through(compiled, atom), Some((Operand::Name(_), _))) => {
-                    each_operand(atom, &mut |op| found.push(op));
-                }
-                _ => {}
-            }
-            for op in found {
-                if !bound.contains(&op) {
-                    bound.push(op);
-                }
-            }
-        }
-        if bound.len() == before {
-            return bound;
         }
     }
 }
@@ -463,60 +299,30 @@ pub struct CheckStats {
     pub retraction_skips: usize,
 }
 
-/// What one check does with one constraint (see the module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Recheck {
-    /// Nothing it reads was touched: its run stands.
-    Skip,
-    /// Solve the body whole.
-    Whole,
-    /// Re-solve it for the touched receivers: per slot, the ascending,
-    /// distinct objects it is seeded with.
-    Seeded(Vec<(usize, Vec<Oid>)>),
-}
-
 /// The incremental constraint checker, which re-checks only the instances
 /// of a constraint that the mutations since its last check touched (see
 /// the module docs).
 #[derive(Debug, Clone)]
 pub struct ConstraintChecker {
     constraints: ConstraintSet,
-    /// Watermarks of the last completed check; `None` before the first.
-    marks: Option<EvalMarks>,
-    /// [`Structure::retractions`] at the last completed check.
-    retractions: usize,
-    /// Length of the facts' mutation journal at the last completed check.
-    mutation_mark: usize,
-    /// Per constraint, its solutions as of the last check — one frame per
-    /// violation, in canonical key order: what a skipped constraint answers
-    /// with, and what a seeded re-check patches.
-    runs: Vec<FrameRun>,
+    /// Per constraint, its matcher: the solutions as of the last check — one
+    /// frame per violation, in canonical key order — and where the structure
+    /// stood then.
+    conditions: Vec<Condition>,
     /// Per constraint, the check (by [`CheckStats::checks`]) that last
     /// changed its run.
     changed_at: Vec<usize>,
-    /// Per constraint, did the last solve meet a name the structure did not
-    /// know (`true` before the first)?  A new object can be that name; a
-    /// known name stays known.
-    unknown_names: Vec<bool>,
     stats: CheckStats,
 }
 
 impl ConstraintChecker {
     /// A checker over `constraints`.
     pub fn new(constraints: ConstraintSet) -> Self {
-        let runs = constraints
-            .iter()
-            .map(|c| FrameRun::new(c.compiled.slot_count()))
-            .collect();
-        let n = constraints.len();
+        let conditions: Vec<Condition> = constraints.iter().map(|c| c.condition.clone()).collect();
         ConstraintChecker {
+            changed_at: vec![0; conditions.len()],
             constraints,
-            marks: None,
-            retractions: 0,
-            mutation_mark: 0,
-            runs,
-            changed_at: vec![0; n],
-            unknown_names: vec![true; n],
+            conditions,
             stats: CheckStats::default(),
         }
     }
@@ -546,7 +352,7 @@ impl ConstraintChecker {
     /// [`ConstraintChecker::check`] does, so the property tests compare both
     /// against a written-order reference of their own.
     pub fn check_full(&mut self, structure: &Structure) -> Result<Vec<ConstraintViolation>> {
-        self.resolve(structure, vec![Recheck::Whole; self.constraints.len()])?;
+        self.recheck(structure, true)?;
         Ok(self.violations(structure))
     }
 
@@ -555,14 +361,13 @@ impl ConstraintChecker {
     /// nothing.  What a commit reports is read off the runs afterwards
     /// ([`ConstraintChecker::violations_beyond`]).
     pub fn refresh(&mut self, structure: &Structure) -> Result<()> {
-        let rechecks = self.affected(structure);
-        self.resolve(structure, rechecks)
+        self.recheck(structure, false)
     }
 
     /// Constraint `i`'s solutions as of the last check: one frame per
     /// violation, in canonical key order.
     pub fn run(&self, i: usize) -> &FrameRun {
-        &self.runs[i]
+        self.conditions[i].run()
     }
 
     /// The check (by [`CheckStats::checks`]) that last changed constraint
@@ -575,8 +380,9 @@ impl ConstraintChecker {
     /// `accepted` — an earlier run of the constraint — does not hold, in
     /// valuation order: a merge walk, which renders the new ones only.
     pub fn violations_beyond(&self, i: usize, accepted: &FrameRun, structure: &Structure) -> Vec<ConstraintViolation> {
-        let canonical = self.constraints.constraints[i].compiled.canonical();
-        self.render(i, &self.runs[i].difference(accepted, canonical), structure)
+        let condition = &self.conditions[i];
+        let canonical = condition.compiled().canonical();
+        self.render(i, &condition.run().difference(accepted, canonical), structure)
     }
 
     /// The violations `run` — a run of constraint `i` — holds, rendered.
@@ -589,17 +395,16 @@ impl ConstraintChecker {
 
     /// Every constraint's cached run, rendered in report order.
     fn violations(&self, structure: &Structure) -> Vec<ConstraintViolation> {
-        (0..self.runs.len())
-            .flat_map(|i| self.render(i, &self.runs[i], structure))
+        (0..self.conditions.len())
+            .flat_map(|i| self.render(i, self.run(i), structure))
             .collect()
     }
 
     /// Has `structure` been left alone since the last completed check —
     /// nothing asserted, retracted, created or declared?
     pub fn is_current(&self, structure: &Structure) -> bool {
-        self.marks == Some(EvalMarks::capture(structure))
-            && self.retractions == structure.retractions()
-            && self.mutation_mark == structure.facts().mutation_len()
+        let now = Mark::capture(structure);
+        self.stats.checks > 0 && self.conditions.iter().all(|c| c.mark() == Some(&now))
     }
 
     /// Move the checker's position to `structure` as it is now, keeping
@@ -609,145 +414,42 @@ impl ConstraintChecker {
     /// facts are those the cache was solved over, and the span in between
     /// need not be looked at.
     pub fn skip_to(&mut self, structure: &Structure) {
-        self.marks = Some(EvalMarks::capture(structure));
-        self.retractions = structure.retractions();
-        self.mutation_mark = structure.facts().mutation_len();
+        let now = Mark::capture(structure);
+        for condition in &mut self.conditions {
+            condition.skip_to(now);
+        }
     }
 
-    /// What the span since the last check asks of each constraint (see the
-    /// module docs).  Every constraint is solved whole on the first check
-    /// and after a signature change (declarations carry no per-fact stamps).
-    /// Otherwise the touched keys are the methods of the facts' mutation
-    /// journal and the classes of the is-a pairs the closure gained, each
-    /// with the receivers (instances) it was touched at — neither log is
-    /// disturbed by a retraction, as a watermark window over the fact tables
-    /// would be.  A constraint reading none of them keeps its run; one
-    /// reading an unknown key, or a touched key through a receiver that is
-    /// no variable, or whose order is pinned, is solved whole; the rest are
-    /// seeded with the touched receivers — unless that is more seeds than
-    /// the whole solve starts from.  New objects alone touch nothing but an
-    /// object-sensitive constraint and one whose last solve met an unknown
-    /// name.
-    fn affected(&self, structure: &Structure) -> Vec<Recheck> {
-        let all_whole = vec![Recheck::Whole; self.constraints.len()];
-        let Some(lo) = self.marks.as_ref() else {
-            return all_whole;
-        };
-        let hi = EvalMarks::capture(structure);
-        if hi.signatures != lo.signatures {
-            return all_whole;
-        }
-        let new_objects = hi.objects != lo.objects;
-        let methods = structure.facts().mutations_since(self.mutation_mark);
-        let classes = structure.isa().pairs_since(lo.isa_pairs).map(|(o, c)| (c, o));
-        let mut touched: BTreeMap<Oid, Vec<Oid>> = BTreeMap::new();
-        for (key, receiver) in methods.chain(classes) {
-            touched.entry(key).or_default().push(receiver);
-        }
-        let recheck = |(i, c): (usize, &Constraint)| {
-            if new_objects && (c.object_sensitive || self.unknown_names[i]) {
-                return Recheck::Whole;
-            }
-            if touched.is_empty() {
-                return Recheck::Skip;
-            }
-            if c.catch_all {
-                return Recheck::Whole;
-            }
-            let mut seeds: BTreeMap<usize, Vec<Oid>> = BTreeMap::new();
-            for (name, slots) in &c.seed_slots {
-                let Some(receivers) = structure.lookup_name(name).and_then(|key| touched.get(&key)) else {
-                    continue;
-                };
-                let Some(slots) = slots else {
-                    return Recheck::Whole;
-                };
-                for &slot in slots {
-                    seeds.entry(slot).or_default().extend(receivers);
-                }
-            }
-            if seeds.is_empty() {
-                return Recheck::Skip;
-            }
-            if c.compiled.written_order() {
-                return Recheck::Whole;
-            }
-            for objects in seeds.values_mut() {
-                objects.sort_unstable();
-                objects.dedup();
-            }
-            // One seed costs a few probes; more are weighed against what
-            // the whole solve would start from.
-            let count: usize = seeds.values().map(Vec::len).sum();
-            if count > 1 && count > start_cardinality(structure, &c.compiled) {
-                return Recheck::Whole;
-            }
-            Recheck::Seeded(seeds.into_iter().collect())
-        };
-        self.constraints.iter().enumerate().map(recheck).collect()
-    }
-
-    /// One check: count, re-check the constraints as `rechecks` says and
-    /// move to `structure`.
-    fn resolve(&mut self, structure: &Structure, rechecks: Vec<Recheck>) -> Result<()> {
-        let count = |kind: fn(&Recheck) -> bool| rechecks.iter().filter(|r| kind(r)).count();
-        let skipped = count(|r| *r == Recheck::Skip);
-        let whole = count(|r| *r == Recheck::Whole);
+    /// One check: count, and bring every constraint's run up to date with
+    /// `structure` — re-checked as the span since its last check asks
+    /// ([`Condition::affected`]), or whole when `full`.  Constraints that
+    /// stood at one mark share the span.
+    fn recheck(&mut self, structure: &Structure, full: bool) -> Result<()> {
         self.stats.checks += 1;
-        if whole == rechecks.len() && whole > 0 {
-            self.stats.full_checks += 1;
-        }
-        if structure.retractions() == self.retractions {
-            self.stats.constraints_skipped += skipped;
-        } else {
-            self.stats.retraction_skips += skipped;
-        }
-        self.stats.condition_solves += rechecks.len() - skipped;
-        self.stats.seeded_checks += rechecks.len() - skipped - whole;
-        // Solve first, refresh after: every re-checked run, or on an error
-        // none.
-        let constraints = &self.constraints.constraints;
-        let mut solved = Vec::new();
-        for (i, recheck) in rechecks.iter().enumerate() {
-            let compiled = &constraints[i].compiled;
-            let (old, canonical) = (&self.runs[i], compiled.canonical());
-            let changed = match recheck {
-                Recheck::Skip => continue,
-                Recheck::Whole => {
-                    let run = execute_query(structure, compiled)?;
-                    (run != *old).then_some(run)
-                }
-                Recheck::Seeded(seeds) => {
-                    // The frames holding a touched receiver in a seeded slot
-                    // are replaced by what the seeded solves find now.
-                    let touched = |frame: &[u32]| {
-                        seeds.iter().any(|(slot, objects)| {
-                            frame[*slot]
-                                .checked_sub(1)
-                                .is_some_and(|o| objects.binary_search(&Oid(o)).is_ok())
-                        })
-                    };
-                    let mut found = FrameRun::new(compiled.slot_count());
-                    for (slot, objects) in seeds {
-                        found = found.merge(execute_seeded(structure, compiled, *slot, objects)?, canonical);
-                    }
-                    (found != old.filtered(touched))
-                        .then(|| old.filtered(|frame| !touched(frame)).merge(found, canonical))
-                }
+        let (mut whole, mut seeded) = (0, 0);
+        let mut shared: Option<Span> = None;
+        for (i, condition) in self.conditions.iter_mut().enumerate() {
+            let span = Span::shared(&mut shared, structure, condition);
+            let recheck = if full {
+                Recheck::Whole
+            } else {
+                condition.affected(structure, span)
             };
-            solved.push((i, changed));
-        }
-        for (i, changed) in solved {
-            if self.unknown_names[i] {
-                let names = constraints[i].compiled.names();
-                self.unknown_names[i] = names.iter().any(|n| structure.lookup_name(n).is_none());
+            match recheck {
+                Recheck::Skip if span.retracted() => self.stats.retraction_skips += 1,
+                Recheck::Skip => self.stats.constraints_skipped += 1,
+                Recheck::Whole => whole += 1,
+                Recheck::Seeded(_) => seeded += 1,
             }
-            if let Some(run) = changed {
-                self.runs[i] = run;
+            if condition.resolve(structure, span, &recheck)?.is_some() {
                 self.changed_at[i] = self.stats.checks;
             }
         }
-        self.skip_to(structure);
+        if whole == self.conditions.len() && whole > 0 {
+            self.stats.full_checks += 1;
+        }
+        self.stats.condition_solves += whole + seeded;
+        self.stats.seeded_checks += seeded;
         Ok(())
     }
 }
@@ -1141,7 +843,7 @@ mod tests {
             ConstraintPolicy::Reject,
         )
         .unwrap();
-        assert!(cheap.object_sensitive && !underpaid().object_sensitive);
+        assert!(cheap.condition.is_object_sensitive() && !underpaid().condition.is_object_sensitive());
         let mut checker = ConstraintChecker::new([underpaid(), cheap].into_iter().collect());
         assert_eq!(checker.check(&s).unwrap().len(), 2, "mary, and 900");
         let solves_before = checker.stats().condition_solves;
@@ -1228,9 +930,11 @@ mod tests {
     /// re-solve it whole.
     #[test]
     fn seed_slots_name_the_variables_a_key_is_read_through() {
-        let slots = |c: &Constraint| -> Vec<(String, Option<Vec<usize>>)> {
-            c.seed_slots.iter().map(|(n, s)| (n.to_string(), s.clone())).collect()
+        let named = |condition: &Condition| -> Vec<(String, Option<Vec<usize>>)> {
+            let slots = condition.seed_slots().iter();
+            slots.map(|(n, s)| (n.to_string(), s.clone())).collect()
         };
+        let slots = |c: &Constraint| named(&c.condition);
         // X : manager[salary -> S], S < 1000: both keys through X (slot 0);
         // the built-in reads no stored fact.
         let seeds = vec![
@@ -1256,7 +960,16 @@ mod tests {
         let boss = Constraint::new("boss_paid", body, ConstraintPolicy::Reject).unwrap();
         let seeds = vec![("boss".to_owned(), Some(vec![0])), ("salary".to_owned(), None)];
         assert_eq!(slots(&boss), seeds);
-        assert!(!boss.object_sensitive);
+        assert!(!boss.condition.is_object_sensitive());
+        // X : employee, not Y[boss -> X]: no constraint (safety rejects it),
+        // but a production condition may read Y existentially.  Y has no
+        // value to seed, so touching `boss` re-solves the body whole.
+        let body = [
+            Literal::pos(Term::var("X").isa("employee")),
+            Literal::neg(Term::var("Y").filter(Filter::scalar("boss", Term::var("X")))),
+        ];
+        let seeds = vec![("boss".to_owned(), None), ("employee".to_owned(), Some(vec![0]))];
+        assert_eq!(named(&Condition::new(&body)), seeds);
     }
 
     /// A name the structure has never seen denotes nothing: a constraint
@@ -1324,7 +1037,7 @@ mod tests {
             body
         };
         let below = Constraint::new("below_5000", body(5000), ConstraintPolicy::Reject).unwrap();
-        assert!(!below.object_sensitive);
+        assert!(!below.condition.is_object_sensitive());
         let mut checker = ConstraintChecker::new([underpaid(), below].into_iter().collect());
         assert_eq!(checker.check(&s).unwrap().len(), 1, "5000 is no object yet");
         s.int(5000);

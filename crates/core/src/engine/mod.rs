@@ -1093,21 +1093,6 @@ pub fn solve_body(structure: &Structure, body: &[Literal], seed: &Bindings) -> R
     Ok(states)
 }
 
-/// Solve one condition body against `structure`, extending `seed`: the
-/// [`solve_body`] solutions as a canonically sorted, deduplicated
-/// [`SortedRun`] (keyed by [`binding_key`]), so the order in which a caller
-/// acts on them is a function of the structure's content alone.
-///
-/// One caller is left: the production engine's recognise phase
-/// (`pathlog_reactive::production`).  The constraint checker solves its
-/// denial bodies as compiled queries; the production engine would run twice
-/// as fast that way too, but the benchmark's memory sampler charges a
-/// `reactive_cascade` run per recorded op, so that move waits until the
-/// sampler is bounded (ROADMAP, "Benchmark remainder").
-pub fn solve_condition(structure: &Structure, body: &[Literal], seed: &Bindings) -> Result<SortedRun> {
-    solve_body(structure, body, seed).map(sorted_run)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,9 +26,7 @@
 //!   [`solve_body`](super::solve_body) and sorts its solutions by key
 //!   ([`sorted_run`]), so that engine ≡ oracle holds byte for byte.
 //!
-//! The keyed [`SortedRun`] also serves
-//! [`solve_condition`](super::solve_condition)'s one caller, the production
-//! engine's recognise phase; queries and the constraint checker take their
+//! Queries, the constraint checker and the production engine take their
 //! solutions as frames.
 
 use std::collections::BTreeMap;
@@ -48,8 +46,7 @@ use crate::structure::Structure;
 pub type BindingKey = Vec<(std::sync::Arc<str>, u32)>;
 
 /// A canonically sorted, deduplicated sequence of keyed solutions — what
-/// the naive oracle's full solves commit and
-/// [`solve_condition`](super::solve_condition) returns.
+/// the naive oracle's full solves commit.
 pub type SortedRun = Vec<(BindingKey, Bindings)>;
 
 /// The canonical key of `b` (see [`BindingKey`]).

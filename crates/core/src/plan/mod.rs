@@ -11,14 +11,15 @@
 //! [`Engine::query_term`](crate::engine::Engine::query_term)): a query body
 //! is a headless rule body ([`compile_query`]) run with no literal
 //! restricted ([`execute_query`], [`execute_term`]).  And so does every
-//! integrity constraint ([`crate::constraints`]): a denial body is a query
-//! body, compiled when the constraint is built and executed per check —
-//! whole, or from seed frames binding one variable to the objects a commit
-//! touched ([`execute_seeded`]).  What
-//! still runs on the written-order [`solve_body`](crate::engine::solve_body)
-//! is the reactive layer (production and trigger conditions) and the
-//! oracles — the naive fixpoint (`delta_driven: false`), the model check of
-//! [`crate::semantics::is_model`] and the tests' references.
+//! integrity constraint ([`crate::constraints`]) and every production rule
+//! condition: a denial body or a condition is a query body, compiled once
+//! and matched incrementally ([`Condition`]) — whole, or from seed frames
+//! binding one variable to the objects a span touched ([`execute_seeded`]).
+//! What still runs on the written-order
+//! [`solve_body`](crate::engine::solve_body) is the trigger conditions of
+//! the active layer and the oracles — the naive fixpoint (`delta_driven:
+//! false`), the model check of [`crate::semantics::is_model`] and the tests'
+//! references.
 //!
 //! * **Compilation.**  [`compile`] lowers a rule body once into a
 //!   [`CompiledRule`]: every body variable gets a fixed *slot* index, and
@@ -84,6 +85,7 @@
 //! applies to its atoms (see [`atoms`]).
 
 pub mod atoms;
+pub mod condition;
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -97,6 +99,7 @@ use crate::structure::{Oid, Structure};
 use crate::term::{FilterValue, Term};
 
 pub use atoms::{Atom, AtomStep, Call, Operand};
+pub use condition::{Change, Condition, Mark, Recheck, Span};
 
 /// One body literal of a [`CompiledRule`].
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -309,7 +309,7 @@ impl<'a, T> Iterator for Iter<'a, T> {
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct FastHasher(u64);
 
-type FastBuild = BuildHasherDefault<FastHasher>;
+pub(crate) type FastBuild = BuildHasherDefault<FastHasher>;
 
 /// 2^64 / φ, odd: the usual multiplicative-hashing constant.
 const MIX: u64 = 0x9E37_79B9_7F4A_7C15;

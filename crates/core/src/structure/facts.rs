@@ -72,13 +72,14 @@
 //! deductive engine only ever adds facts while evaluating, so this holds for
 //! every fixpoint run; the reactive layer retracts *between* runs.
 
+use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
 
-use super::cow::{self, CowVec, ShardMap};
+use super::cow::{self, CowVec, FastBuild, ShardMap};
 use super::runs::OidRun;
 use super::Oid;
 
@@ -364,6 +365,14 @@ impl Postings {
         }
     }
 
+    /// The last entry.
+    fn last(&self) -> Option<u32> {
+        match self {
+            Postings::Inline { len, slots } => usize::from(*len).checked_sub(1).map(|pos| slots[pos]),
+            Postings::Chunked(list) => list.len().checked_sub(1).and_then(|pos| list.get(pos)).copied(),
+        }
+    }
+
     /// Overwrite the entry at `pos`.
     fn set(&mut self, pos: usize, entry: u32) {
         match self {
@@ -390,15 +399,6 @@ impl Postings {
 /// A secondary index: key → posting list.
 type Index<K> = ShardMap<K, Postings>;
 
-/// How many of the journal's last entries a mutation is compared with
-/// before it is journaled (see [`Journal::push`]).  An active store
-/// updating an object rewrites a few pairs in turn — `pathbench`'s
-/// `reactive_cascade` two, `(salary, e)` and `(bonusBase, e)` — and a
-/// window of one folds none of them: that workload's peak RSS then reads
-/// about 8 MB (40 %) above a per-method journal's at 515 103 ops.  Two is
-/// the smallest window that keeps it level.
-const JOURNAL_WINDOW: usize = 2;
-
 /// The mutation journal behind [`Facts::mutations_since`]: append-only,
 /// one `(method, receiver)` pair per successful mutation, a repeat made
 /// since the last read folded into the earlier entry.
@@ -412,7 +412,25 @@ struct Journal {
     /// and the log is written only through `&mut Facts`, which every
     /// earlier read happens before: `Relaxed`.
     read_mark: AtomicUsize,
+    /// The pairs `log` holds from `span_start` on, as bit blocks: per
+    /// method and run of [`SPAN_BLOCK`] receivers, one bit per receiver.
+    /// Objects are numbered densely, so a bulk build that gives many
+    /// receivers the same method fills one cache-line block per 512 of
+    /// them: a small table, where a hash set of the pairs would take an
+    /// entry (and a cache miss) per pair.
+    span: HashMap<(Oid, u32), [u64; 8], FastBuild>,
+    /// The read mark `span` was collected since: while it is the read mark,
+    /// `span` is what every reader's span ends with.
+    span_start: usize,
 }
+
+/// How many receivers one bit block of [`Journal::span`] covers.
+const SPAN_BLOCK: u32 = 512;
+
+/// The largest table [`Journal::push`] empties in place when a span ends;
+/// a larger one is dropped, so that emptying stays O(the span) after one
+/// long unread span.
+const SPAN_KEEP: usize = 64;
 
 impl Clone for Journal {
     /// Both copies count as read at the current length: a reader may take
@@ -423,6 +441,8 @@ impl Clone for Journal {
         Journal {
             log: self.log.clone(),
             read_mark: AtomicUsize::new(len),
+            span: HashMap::default(),
+            span_start: len,
         }
     }
 }
@@ -435,15 +455,25 @@ impl Journal {
         len
     }
 
-    /// Journal a mutation of `(method, receiver)` — unless one of the last
-    /// [`JOURNAL_WINDOW`] entries, all made since the last read, already
-    /// holds the pair: every reader's span then holds it already.  So a
-    /// structure nobody checks (a reactive store updating the same facts
-    /// over and over) journals each pair once, not once per update.
+    /// Journal a mutation of `(method, receiver)` — unless an entry made
+    /// since the last read already holds the pair: every reader's span then
+    /// holds it already.  So a structure nobody checks (a reactive store
+    /// updating the same facts over and over) journals each pair once, not
+    /// once per update.
     fn push(&mut self, method: Oid, receiver: Oid) {
-        let len = self.log.len();
-        let since = (*self.read_mark.get_mut()).max(len.saturating_sub(JOURNAL_WINDOW));
-        if self.log.range(since, len).all(|&entry| entry != (method, receiver)) {
+        let read = *self.read_mark.get_mut();
+        if read != self.span_start {
+            self.span_start = read;
+            if self.span.capacity() > SPAN_KEEP {
+                self.span = HashMap::default();
+            } else {
+                self.span.clear();
+            }
+        }
+        let block = self.span.entry((method, receiver.0 / SPAN_BLOCK)).or_insert([0; 8]);
+        let (word, bit) = ((receiver.0 % SPAN_BLOCK / 64) as usize, 1 << (receiver.0 % 64));
+        if block[word] & bit == 0 {
+            block[word] |= bit;
             self.log.push((method, receiver));
         }
     }
@@ -623,22 +653,24 @@ impl Facts {
         // re-point its directory entry and every index entry that referred
         // to its old position.
         let result = self.scalar.rows.swap_remove(slot).value;
-        remove_index(&mut self.scalar_by_method, &method, slot);
-        remove_index(&mut self.scalar_by_method_result, &(method, result), slot);
-        remove_index(&mut self.scalar_by_receiver, &receiver, slot);
         let old = self.scalar.rows.len();
-        if slot < old {
+        let moved = (slot < old).then(|| {
             let moved = &self.scalar.rows[slot];
-            let (m, r, res) = (moved.method, moved.receiver, moved.value);
+            (moved.method, moved.receiver, moved.value)
+        });
+        if let Some((m, r, _)) = moved {
             self.scalar
                 .dir
                 .get_mut(&(m, r))
                 .expect("a stored row has its pair")
                 .replace(old as u32, slot as u32);
-            replace_index(&mut self.scalar_by_method, &m, old, slot);
-            replace_index(&mut self.scalar_by_method_result, &(m, res), old, slot);
-            replace_index(&mut self.scalar_by_receiver, &r, old, slot);
         }
+        let by_method = moved.map(|(m, _, _)| (m, old));
+        swap_remove_index(&mut self.scalar_by_method, &method, slot, by_method);
+        let by_result = moved.map(|(m, _, res)| ((m, res), old));
+        swap_remove_index(&mut self.scalar_by_method_result, &(method, result), slot, by_result);
+        let by_receiver = moved.map(|(_, r, _)| (r, old));
+        swap_remove_index(&mut self.scalar_by_receiver, &receiver, slot, by_receiver);
         self.retractions += 1;
         self.journal.push(method, receiver);
         Some(result)
@@ -896,10 +928,10 @@ impl Facts {
     /// fact-count watermarks — this slice stays sound over
     /// retraction-bearing spans.  It answers "which applications *may* have
     /// changed", not "which facts were added", and carries no sign: the
-    /// incremental constraint checker re-solves a touched constraint for the
-    /// touched receivers only, which finds what an insertion added and what
-    /// a retraction took alike.  O(delta): a walk of the journal's last
-    /// chunks.
+    /// incremental matcher ([`crate::plan::Condition`]) re-solves a touched
+    /// condition for the touched receivers only, which finds what an
+    /// insertion added and what a retraction took alike.  O(delta): a walk
+    /// of the journal's last chunks.
     pub fn mutations_since(&self, mark: usize) -> impl Iterator<Item = (Oid, Oid)> + '_ {
         self.journal.log.range(mark, usize::MAX).copied()
     }
@@ -942,6 +974,26 @@ fn posting_len<K: Hash + Eq>(index: &Index<K>, key: &K) -> usize {
     index.get(key).map_or(0, Postings::len)
 }
 
+/// Take row `slot` out of the posting list under `key` and, when the last
+/// row `old` moved into `slot`, re-point the moved row's entry under its
+/// key `moved.0` from `old` to `slot`: a row table's swap-remove, mirrored
+/// in one index.  Rows are appended, so the moved row's entry is usually
+/// its list's last; under the same key the two steps then come to one pop.
+fn swap_remove_index<K: Hash + Eq + Clone>(index: &mut Index<K>, key: &K, slot: usize, moved: Option<(K, usize)>) {
+    let Some((moved_key, old)) = moved else {
+        return remove_index(index, key, slot);
+    };
+    if moved_key == *key {
+        let list = index.get_mut(key).expect("a stored row is indexed");
+        if list.last() == Some(old as u32) {
+            list.swap_remove(list.len() - 1);
+            return;
+        }
+    }
+    remove_index(index, key, slot);
+    replace_index(index, &moved_key, old, slot);
+}
+
 /// Remove one occurrence of `idx` from the posting list under `key`.
 fn remove_index<K: Hash + Eq + Clone>(index: &mut Index<K>, key: &K, idx: usize) {
     if let Some(list) = index.get_mut(key) {
@@ -955,10 +1007,12 @@ fn remove_index<K: Hash + Eq + Clone>(index: &mut Index<K>, key: &K, idx: usize)
     }
 }
 
-/// Re-point one occurrence of `old` to `new` in the posting list under `key`.
+/// Re-point the one occurrence of `old` to `new` in the posting list under
+/// `key`, looked for at the end first.
 fn replace_index<K: Hash + Eq + Clone>(index: &mut Index<K>, key: &K, old: usize, new: usize) {
     if let Some(list) = index.get_mut(key) {
-        let pos = list.iter().position(|&i| i as usize == old);
+        let last = (list.last() == Some(old as u32)).then(|| list.len() - 1);
+        let pos = last.or_else(|| list.iter().position(|&i| i as usize == old));
         if let Some(pos) = pos {
             list.set(pos, new as u32);
         }
@@ -1026,12 +1080,51 @@ mod tests {
             [(o(1), o(10))],
             "a span a reader took holds it again"
         );
-        // Only the last few entries are looked at.
-        for r in 11..11 + JOURNAL_WINDOW as u32 {
+        // However many other pairs were journaled since.
+        for r in 11..14 {
             f.assert_scalar(o(1), o(r), &[], o(20)).unwrap();
         }
         f.assert_scalar(o(1), o(10), &[], o(20)).unwrap();
-        assert_eq!(f.mutations_since(mark).count(), 2 + JOURNAL_WINDOW);
+        assert_eq!(f.mutations_since(mark).count(), 4);
+    }
+
+    /// A structure nobody reads journals each pair once however often it is
+    /// mutated; after a read, a mutation of each pair journals it once more.
+    #[test]
+    fn an_unread_journal_holds_each_pair_once() {
+        let mut f = Facts::new();
+        let pairs = 50;
+        for round in 0..10_000u32 {
+            for r in 0..pairs {
+                f.retract_scalar(o(1), o(100 + r), &[]);
+                f.assert_scalar(o(1), o(100 + r), &[], o(round % 7)).unwrap();
+            }
+        }
+        assert!(f.journal.log.len() <= pairs as usize, "{}", f.journal.log.len());
+        let mark = f.mutation_len();
+        for r in 0..pairs {
+            f.retract_scalar(o(1), o(100 + r), &[]);
+        }
+        assert_eq!(f.journal.log.len(), mark + pairs as usize);
+    }
+
+    /// Receivers at the edges of a bit word and of a bit block, under two
+    /// methods, fold apart: each pair is journaled once per span.
+    #[test]
+    fn the_journal_folds_each_pair_apart_across_bit_blocks() {
+        let mut f = Facts::new();
+        let receivers = [0, 63, 64, 511, 512, 1023, 1024, u32::MAX - 1];
+        for _ in 0..3 {
+            for method in [1, 2] {
+                for &r in &receivers {
+                    f.retract_scalar(o(method), o(r), &[]);
+                    f.assert_scalar(o(method), o(r), &[], o(7)).unwrap();
+                }
+            }
+        }
+        let journaled: BTreeSet<(Oid, Oid)> = f.mutations_since(0).collect();
+        assert_eq!(f.mutations_since(0).count(), 2 * receivers.len());
+        assert_eq!(journaled.len(), 2 * receivers.len());
     }
 
     /// A reader may take its mark from a clone and go on with the original,

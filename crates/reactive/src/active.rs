@@ -32,6 +32,7 @@
 //! [`Structure::clone`], which shares every table with the live structure.
 
 use std::fmt;
+use std::sync::Arc;
 
 use pathlog_core::engine::solve_body;
 use pathlog_core::names::{Name, Var};
@@ -279,7 +280,9 @@ impl ActiveStats {
 #[derive(Debug, Clone, Default)]
 pub struct ActiveStore {
     structure: Structure,
-    rules: Vec<EcaRule>,
+    /// Shared, so that a cascade holds the rules while it mutates the store
+    /// without copying one.
+    rules: Arc<Vec<EcaRule>>,
     options: ActiveOptions,
     /// Notify-stream fan-out (see [`crate::notify`]).  Not cloned with the
     /// store: a clone is an independent store and starts unobserved.
@@ -299,7 +302,7 @@ impl ActiveStore {
     pub fn with_options(structure: Structure, options: ActiveOptions) -> Self {
         ActiveStore {
             structure,
-            rules: Vec::new(),
+            rules: Arc::default(),
             options,
             subscribers: Subscribers::default(),
             epoch: 0,
@@ -308,7 +311,7 @@ impl ActiveStore {
 
     /// Register a trigger.
     pub fn add_rule(&mut self, rule: EcaRule) -> &mut Self {
-        self.rules.push(rule);
+        Arc::make_mut(&mut self.rules).push(rule);
         self
     }
 
@@ -591,8 +594,9 @@ impl ActiveStore {
         self.notify_change(depth, watched.0, watched.1);
 
         // 2. Fire each matching rule for every solution of its condition.
+        let rules = Arc::clone(&self.rules);
         for index in self.matching_rules(watched.0, watched.1) {
-            let rule = self.rules[index].clone();
+            let rule = &rules[index];
             let solutions = solve_body(&self.structure, &rule.condition, &seed)?;
             for solution in solutions {
                 stats.firings = stats.firings.saturating_add(1);

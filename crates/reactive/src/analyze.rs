@@ -5,7 +5,7 @@
 //! about this crate's rule types; it consumes
 //! [`ReactiveRuleSummary`] values describing what each rule's trigger,
 //! condition and actions read and write in the same `(method/class)`
-//! dependency keys the delta gating uses.  This module derives those
+//! dependency keys the incremental matcher reads.  This module derives those
 //! summaries ([`summarize_production`], [`summarize_eca`]), runs the full
 //! analysis over a rule set ([`analyze_production_rules`],
 //! [`analyze_eca_rules`]) and backs the engines' `analyze` /

@@ -6,9 +6,8 @@
 //! classic recognise–act production system:
 //!
 //! * the **condition** of a rule is an ordinary PathLog body (a conjunction
-//!   of references, evaluated by
-//!   [`solve_body`](pathlog_core::engine::solve_body) — the deductive
-//!   engine's written-order reference matcher, not the compiled atoms);
+//!   of references), compiled once per run and matched by the same compiled
+//!   atoms that answer queries and check constraints;
 //! * the **actions** assert or retract references ([`Action`]);
 //! * one instantiation fires per cycle, chosen by a conflict-resolution
 //!   strategy; refractoriness prevents the same instantiation from firing
@@ -18,31 +17,37 @@
 //! fixpoint guarantee of the bottom-up semantics is replaced by explicit
 //! cycle limits.
 //!
-//! **Scheduling.**  The recognise phase of a cycle solves the conditions of
-//! the rules it must re-match against the structure as the last firing left
-//! it ([`solve_condition`]), and matches commit in canonical
-//! priority-then-`binding_key` order, so two runs over equal structures
-//! have the same firing order, trace, statistics and final structure.
+//! **Scheduling.**  The recognise phase of a cycle brings every rule's
+//! condition up to date with the structure as the last firing left it, and
+//! the instantiations fire in canonical priority-then-rule-then-key order
+//! (the key of a solution is its bound `(variable, object)` pairs in
+//! variable order), so two runs over equal structures have the same firing
+//! order, trace, statistics and final structure.
 //!
-//! **Delta gating.**  With [`ProductionOptions::delta_gated`] (the default)
-//! a rule's condition is only re-solved when the firings since its last
-//! solve could have changed its solution set: when a fact was *retracted*
-//! (conditions are not monotone under retraction), when objects or
-//! signature declarations were created, or when the
-//! [`DeltaView`] sliced from the
-//! insertion logs since the rule's watermark contains facts of a
-//! method/class any condition literal reads.  Otherwise the cached solution
-//! run is reused verbatim, turning O(rules × cycles) full re-matching into
-//! delta-gated matching — observationally identical to full re-matching
-//! (property-tested), with [`ProductionStats::condition_solves`] /
-//! [`ProductionStats::condition_skips`] recording the difference.
+//! **Incremental matching.**  Each rule's condition is a [`Condition`], the
+//! incremental matcher the constraint checker shares.  It keeps the
+//! condition's solutions as one canonical frame run and re-solves, after a
+//! firing, only the instances the firing can have affected: a condition
+//! that reads no `(method, receiver)` pair the firing touched is skipped,
+//! one that reads a touched pair through a variable a positive literal
+//! binds is re-solved from seeds binding that variable to the touched
+//! receivers, and the rest are solved whole (the matcher's docs list when).
+//! Asserts and retracts are treated alike.
+//! [`ProductionStats::condition_solves`] and
+//! [`ProductionStats::condition_skips`] count the re-solves and the skips.
+//!
+//! The conflict set is an *agenda*: each refresh feeds it the frames its
+//! condition's run gained and takes out the ones it lost, so resolving a
+//! cycle is taking the agenda's first entry.  Refraction is a per-rule set
+//! of fired frames, consulted only when a frame is gained.  A firing's
+//! variable bindings are built for the one frame that fires, for its
+//! actions.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
-use pathlog_core::engine::{solve_condition, BindingKey, SortedRun};
-use pathlog_core::program::{literal_reads, DepKey, Literal};
-use pathlog_core::semantics::{Bindings, DeltaView, EvalMarks};
+use pathlog_core::plan::{Condition, Recheck, Span};
+use pathlog_core::program::Literal;
 use pathlog_core::structure::{Oid, Structure};
 
 use crate::action::{apply_action, Action, ActionEffect};
@@ -121,12 +126,6 @@ pub struct ProductionOptions {
     pub conflict_resolution: ConflictResolution,
     /// Create virtual objects for undefined scalar paths in assert actions.
     pub create_virtuals: bool,
-    /// Skip re-solving conditions whose solution set provably did not change
-    /// since the rule's last watermark (see the module docs).  Disabling
-    /// this re-matches every rule every cycle; firings, trace and final
-    /// structure are identical either way (`tests/properties_ext.rs` holds
-    /// the gated run to the ungated one).
-    pub delta_gated: bool,
 }
 
 impl Default for ProductionOptions {
@@ -136,7 +135,6 @@ impl Default for ProductionOptions {
             refractory: true,
             conflict_resolution: ConflictResolution::Priority,
             create_virtuals: true,
-            delta_gated: true,
         }
     }
 }
@@ -156,10 +154,11 @@ pub struct ProductionStats {
     pub retracted: usize,
     /// Virtual objects created by actions.
     pub virtual_objects: usize,
-    /// Conditions solved (one per dirty rule per cycle).
+    /// Conditions re-solved, whole or from seeds (at most one per rule per
+    /// cycle).
     pub condition_solves: usize,
-    /// Condition solves skipped because the rule's cached solutions were
-    /// provably still valid (delta-gated matching only).
+    /// Condition solves skipped because the firings since the rule's last
+    /// refresh touched nothing its condition reads.
     pub condition_skips: usize,
 }
 
@@ -270,23 +269,11 @@ impl ProductionEngine {
     pub fn run_traced(&self, structure: &mut Structure) -> Result<(ProductionStats, Vec<Firing>)> {
         let mut stats = ProductionStats::default();
         let mut trace = Vec::new();
-        let mut fired: Vec<BTreeSet<BindingKey>> = vec![BTreeSet::new(); self.rules.len()];
-
-        // Per-rule condition caches for delta-gated re-matching.
-        let reads: Vec<BTreeSet<DepKey>> = self
-            .rules
-            .iter()
-            .map(|r| r.condition.iter().flat_map(|l| literal_reads(&l.term)).collect())
-            .collect();
-        let mut cache: Vec<SortedRun> = vec![Vec::new(); self.rules.len()];
-        let mut marks: Vec<Option<EvalMarks>> = vec![None; self.rules.len()];
-        // Insertion-log windows are only meaningful across retraction-free
-        // spans, and a retraction can both remove solutions (positive
-        // literals) and add them (negated literals) — so any retraction
-        // since a rule's watermark forces a re-solve.  The counter ticks
-        // once per retracting action.
-        let mut retractions: usize = 0;
-        let mut retract_marks: Vec<usize> = vec![0; self.rules.len()];
+        let mut conditions: Vec<Condition> = self.rules.iter().map(|r| Condition::new(&r.condition)).collect();
+        // Per rule, the keys of the frames it fired.
+        let mut fired: Vec<BTreeSet<Key>> = vec![BTreeSet::new(); self.rules.len()];
+        // Every frame of every run that may fire, in firing order.
+        let mut agenda: BTreeSet<(i64, usize, Key)> = BTreeSet::new();
 
         loop {
             if stats.cycles >= self.options.max_cycles {
@@ -297,80 +284,50 @@ impl ProductionEngine {
             }
             stats.cycles = stats.cycles.saturating_add(1);
 
-            // Recognise: re-solve the rules whose solutions may have
-            // changed.
-            let now = EvalMarks::capture(structure);
-            // The delta windows of this cycle, one per distinct lower
-            // watermark (rules last solved in the same cycle share one).
-            let mut windows: Vec<(EvalMarks, DeltaView)> = Vec::new();
-            for r in 0..self.rules.len() {
-                let must_solve = match marks[r] {
-                    None => true,
-                    Some(_) if !self.options.delta_gated => true,
-                    Some(_) if retract_marks[r] != retractions => true,
-                    Some(lo) if lo == now => false,
-                    Some(lo) => {
-                        let view = match windows.iter().position(|(m, _)| *m == lo) {
-                            Some(i) => &windows[i].1,
-                            None => {
-                                windows.push((lo, DeltaView::between(structure, &lo, &now)));
-                                &windows.last().expect("just pushed").1
-                            }
-                        };
-                        view.has_new_objects()
-                            || view.sigs_changed()
-                            || reads[r].iter().any(|k| match k {
-                                DepKey::Unknown => true,
-                                DepKey::Known(name) => structure
-                                    .lookup_name(name)
-                                    .is_some_and(|oid| view.has_new_facts_for(oid)),
-                            })
-                    }
-                };
-                if must_solve {
-                    cache[r] = solve_condition(structure, &self.rules[r].condition, &Bindings::new())?;
-                    stats.condition_solves = stats.condition_solves.saturating_add(1);
-                    marks[r] = Some(now);
-                    retract_marks[r] = retractions;
-                } else {
+            // Recognise: bring every condition up to date with the
+            // structure, and move what its run gained and lost to the agenda.
+            let mut shared = None;
+            for (r, condition) in conditions.iter_mut().enumerate() {
+                let span = Span::shared(&mut shared, structure, condition);
+                let recheck = condition.affected(structure, span);
+                if recheck == Recheck::Skip {
                     stats.condition_skips = stats.condition_skips.saturating_add(1);
-                    // The skipped window was proven irrelevant to this rule,
-                    // so slide its watermark forward: the next cycle's check
-                    // stays O(that cycle's delta) instead of re-slicing an
-                    // ever-growing window back to the rule's last solve.
-                    marks[r] = Some(now);
+                } else {
+                    stats.condition_solves = stats.condition_solves.saturating_add(1);
+                }
+                let Some(change) = condition.resolve(structure, span, &recheck)? else {
+                    continue;
+                };
+                let canonical = condition.compiled().canonical();
+                let rank = self.rank(r);
+                for frame in change.lost.frames() {
+                    agenda.remove(&(rank, r, key_of(canonical, frame)));
+                }
+                for frame in change.gained.frames() {
+                    let key = key_of(canonical, frame);
+                    if !(self.options.refractory && fired[r].contains(&key)) {
+                        agenda.insert((rank, r, key));
+                    }
                 }
             }
 
-            // Resolve: the first unfired instantiation in canonical
-            // priority-then-rule-then-`binding_key` order.  Within a rule's
-            // run the keys ascend, so its first unfired entry is its best
-            // candidate.
-            let mut best: Option<(i64, usize, &BindingKey, &Bindings)> = None;
-            for (r, run) in cache.iter().enumerate() {
-                let rank = match self.options.conflict_resolution {
-                    // Negated so that smaller ranks win for higher priorities.
-                    ConflictResolution::Priority => -self.rules[r].priority,
-                    ConflictResolution::DefinitionOrder => 0,
-                };
-                if let Some((key, bindings)) = run
-                    .iter()
-                    .find(|(key, _)| !(self.options.refractory && fired[r].contains(key)))
-                {
-                    let better = match &best {
-                        None => true,
-                        Some((brank, br, bkey, _)) => (rank, r, key) < (*brank, *br, *bkey),
-                    };
-                    if better {
-                        best = Some((rank, r, key, bindings));
-                    }
-                }
-            }
-            let Some((_, index, key, bindings)) = best else {
+            // Resolve: the agenda's first entry.  Without refraction it
+            // stays there until its condition loses it.
+            let next = if self.options.refractory {
+                agenda.pop_first()
+            } else {
+                agenda.first().cloned()
+            };
+            let Some((_, index, key)) = next else {
                 break; // quiescence
             };
-            let (key, bindings) = (key.clone(), bindings.clone());
             let rule = &self.rules[index];
+            let compiled = conditions[index].compiled();
+            let mut frame = vec![0; compiled.slot_count()];
+            for (&slot, &word) in compiled.canonical().iter().zip(&key) {
+                frame[slot] = word;
+            }
+            let bindings = compiled.bindings_of(&frame);
 
             // Act.
             for action in &rule.actions {
@@ -378,15 +335,15 @@ impl ProductionEngine {
                 stats.asserted = stats.asserted.saturating_add(effect.asserted);
                 stats.retracted = stats.retracted.saturating_add(effect.retracted);
                 stats.virtual_objects = stats.virtual_objects.saturating_add(effect.virtual_objects);
-                if effect.retracted > 0 {
-                    retractions += 1;
-                }
             }
             stats.firings = stats.firings.saturating_add(1);
+            let bound = compiled.canonical().iter().zip(&key).filter(|(_, &word)| word != 0);
             trace.push(Firing {
                 cycle: stats.cycles,
                 rule: rule.name.clone(),
-                bindings: key.iter().map(|(v, o)| (v.to_string(), Oid(*o))).collect(),
+                bindings: bound
+                    .map(|(&slot, &word)| (compiled.slot_var(slot).0.to_string(), Oid(word - 1)))
+                    .collect(),
             });
             if self.options.refractory {
                 fired[index].insert(key);
@@ -394,6 +351,24 @@ impl ProductionEngine {
         }
         Ok((stats, trace))
     }
+
+    /// Rule `r`'s place in the conflict resolution order: smaller fires
+    /// first.
+    fn rank(&self, r: usize) -> i64 {
+        match self.options.conflict_resolution {
+            ConflictResolution::Priority => -self.rules[r].priority,
+            ConflictResolution::DefinitionOrder => 0,
+        }
+    }
+}
+
+/// A frame of a condition's run projected through its canonical slot order:
+/// keys compare as the solutions' `(variable, object)` pairs do.
+type Key = Box<[u32]>;
+
+/// The key of `frame`.
+fn key_of(canonical: &[usize], frame: &[u32]) -> Key {
+    canonical.iter().map(|&slot| frame[slot]).collect()
 }
 
 #[cfg(test)]
@@ -542,107 +517,6 @@ mod tests {
         ));
         let err = engine.run(&mut s).unwrap_err();
         assert!(matches!(err, ReactiveError::LimitExceeded(_)));
-    }
-
-    /// A three-phase classification cascade whose later phases stop touching
-    /// the earlier phases' read keys — the shape delta gating exploits.
-    fn classification_engine(options: ProductionOptions) -> ProductionEngine {
-        let mut engine = ProductionEngine::with_options(options);
-        engine.add_rule(ProductionRule::new(
-            "staff",
-            vec![lit(Term::var("X").isa("employee"))],
-            vec![Action::Assert(Term::var("X").isa("staff"))],
-        ));
-        engine.add_rule(ProductionRule::new(
-            "low-band",
-            vec![
-                lit(Term::var("X")
-                    .isa("staff")
-                    .filter(Filter::scalar("salary", Term::var("S")))),
-                lit(Term::var("S").scalar_args("lt", vec![Term::int(1600)])),
-            ],
-            vec![Action::Assert(Term::var("X").isa("lowBand"))],
-        ));
-        engine.add_rule(ProductionRule::new(
-            "high-band",
-            vec![
-                lit(Term::var("X")
-                    .isa("staff")
-                    .filter(Filter::scalar("salary", Term::var("S")))),
-                lit(Term::var("S").scalar_args("ge", vec![Term::int(1600)])),
-            ],
-            vec![Action::Assert(Term::var("X").isa("highBand"))],
-        ));
-        engine
-    }
-
-    /// The payroll structure with the classification threshold interned (a
-    /// comparison literal can only valuate constants that exist in the
-    /// universe).
-    fn payroll_with_threshold() -> Structure {
-        let mut s = payroll();
-        s.int(1600);
-        s
-    }
-
-    #[test]
-    fn delta_gating_skips_unaffected_rules_without_changing_the_run() {
-        let run = |delta_gated: bool| {
-            let mut s = payroll_with_threshold();
-            let engine = classification_engine(ProductionOptions {
-                delta_gated,
-                ..ProductionOptions::default()
-            });
-            let (stats, trace) = engine.run_traced(&mut s).unwrap();
-            (stats, trace, s.canonical_dump())
-        };
-        let (gated, gated_trace, gated_dump) = run(true);
-        let (full, full_trace, full_dump) = run(false);
-        assert_eq!(gated.firings, 6, "3 staff + 2 low-band + 1 high-band");
-        assert_eq!(gated.firings, full.firings);
-        assert_eq!(gated.asserted, full.asserted);
-        assert_eq!(gated_trace, full_trace);
-        assert_eq!(gated_dump, full_dump);
-        // The full arm re-solves every rule every cycle; the gated arm only
-        // re-solves rules whose read keys the last firing touched.
-        assert_eq!(full.condition_solves, full.cycles * 3);
-        assert_eq!(full.condition_skips, 0);
-        assert!(
-            gated.condition_solves < full.condition_solves,
-            "gating must reduce solves ({} vs {})",
-            gated.condition_solves,
-            full.condition_solves
-        );
-        assert!(gated.condition_skips > 0);
-    }
-
-    #[test]
-    fn retraction_invalidates_cached_conditions() {
-        // The minimum-wage rule retracts the fact its own condition reads;
-        // gating must re-solve after the retraction or it would refire on
-        // the stale cached instantiation.
-        for delta_gated in [true, false] {
-            let mut s = payroll();
-            let mut engine = ProductionEngine::with_options(ProductionOptions {
-                delta_gated,
-                ..ProductionOptions::default()
-            });
-            engine.add_rule(ProductionRule::new(
-                "minimum-wage",
-                vec![
-                    lit(Term::var("X")
-                        .isa("employee")
-                        .filter(Filter::scalar("salary", Term::var("S")))),
-                    lit(Term::var("S").scalar_args("lt", vec![Term::int(1000)])),
-                ],
-                vec![
-                    Action::Retract(Term::var("X").filter(Filter::scalar("salary", Term::var("S")))),
-                    Action::Assert(Term::var("X").filter(Filter::scalar("salary", Term::int(1000)))),
-                ],
-            ));
-            let stats = engine.run(&mut s).unwrap();
-            assert_eq!(stats.firings, 1, "delta_gated={delta_gated}");
-        }
     }
 
     #[test]

@@ -2,18 +2,20 @@
 //! reproduction: retraction in the fact store, the object-SQL frontend, the
 //! F-logic translation, the equivalence of naive and semi-naive
 //! (per-literal delta-join) evaluation, the run-to-run identity of repeated
-//! evaluations on one engine, and the equivalence of delta-gated and full
-//! re-matching in the production engine.
+//! evaluations on one engine, and the equivalence of the production engine's
+//! incremental matching with re-solving every rule every cycle.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
+use pathlog::core::engine::{binding_key, solve_body, BindingKey};
+use pathlog::core::semantics::Bindings;
 use pathlog::core::structure::{Oid, Structure};
 use pathlog::core::term::Term;
 use pathlog::flogic::{lower, Translator};
 use pathlog::prelude::*;
-use pathlog::reactive::{Action, ProductionOptions};
+use pathlog::reactive::{apply_action, Action, ConflictResolution, Firing, ProductionOptions};
 use pathlog::sqlfront;
 
 // ---------------------------------------------------------------------------
@@ -343,6 +345,147 @@ fn run_both_modes(structure: &Structure, program_text: &str) -> (Structure, Stru
     (semi, naive, semi_stats, naive_stats)
 }
 
+/// A production rule from concrete syntax: `body` is a rule body, and each
+/// action an assert (`+reference`) or a retract (`-molecule`).
+fn production_rule(name: &str, body: &str, actions: &[&str]) -> ProductionRule {
+    let condition = parse_rule(&format!("p <- {body}.")).expect("condition parses").body;
+    let actions = actions
+        .iter()
+        .map(|action| {
+            let term = parse_term(&action[1..]).expect("action parses");
+            if action.starts_with('+') {
+                Action::Assert(term)
+            } else {
+                Action::Retract(term)
+            }
+        })
+        .collect();
+    ProductionRule::new(name, condition, actions)
+}
+
+/// Rule sets over a company, one per shape a refresh of a condition treats
+/// differently: retract + assert of the fact the condition reads, negated
+/// literals, a path receiver (re-solved whole when the salary it reads
+/// through a temporary is touched), a negated literal read through a
+/// variable no positive literal binds (`Y`, read existentially, so touching
+/// `boss` re-solves the condition whole), and an assert that mints virtual
+/// objects which a second condition reads.
+fn company_rule_sets() -> Vec<ProductionEngine> {
+    let sets = [
+        vec![production_rule(
+            "minimum-wage",
+            "X : employee[salary -> S], S.lt@(60000)",
+            &["-X[salary -> S]", "+X[salary -> 60000]"],
+        )],
+        vec![
+            production_rule("staff", "X : employee, not X : manager", &["+X : staff"]),
+            production_rule(
+                "cap",
+                "X : staff[salary -> S], S.ge@(100000), not X : capped",
+                &["-X[salary -> S]", "+X[salary -> 100000]", "+X : capped"],
+            ),
+        ],
+        vec![
+            production_rule(
+                "raise",
+                "X : manager[salary -> S], S.lt@(100000)",
+                &["-X[salary -> S]", "+X[salary -> 100000]"],
+            )
+            .with_priority(1),
+            production_rule(
+                "poorly-bossed",
+                "X : employee, X.boss[salary -> S], S.lt@(60000)",
+                &["+X : poorlyBossed"],
+            ),
+        ],
+        vec![
+            production_rule("idle", "X : employee, not Y[boss -> X]", &["+X : idle"]),
+            production_rule(
+                "self-managed",
+                "X : manager[boss -> B]",
+                &["-X[boss -> B]", "+X[boss -> X]"],
+            ),
+        ],
+        vec![
+            production_rule("office", "X : manager[worksFor -> D]", &["+X.office[building -> D]"]),
+            production_rule("seated", "X.office[building -> D], D : department", &["+X : seated"]),
+        ],
+    ];
+    sets.into_iter()
+        .map(|rules| {
+            let mut engine = ProductionEngine::new();
+            for rule in rules {
+                engine.add_rule(rule);
+            }
+            engine
+        })
+        .collect()
+}
+
+/// What `engine` must do to `s`, re-solving every rule's condition every
+/// cycle on the written-order reference matcher ([`solve_body`]) and firing
+/// the first unfired solution in priority-then-rule-then-key order: the
+/// firing trace.
+fn full_rematch(engine: &ProductionEngine, s: &mut Structure) -> Vec<Firing> {
+    let options = engine.options();
+    let rank = |rule: &ProductionRule| match options.conflict_resolution {
+        ConflictResolution::Priority => -rule.priority,
+        ConflictResolution::DefinitionOrder => 0,
+    };
+    let mut fired: Vec<BTreeSet<BindingKey>> = vec![BTreeSet::new(); engine.rules().len()];
+    let mut trace = Vec::new();
+    for cycle in 1..=options.max_cycles {
+        let mut best: Option<(i64, usize, BindingKey, Bindings)> = None;
+        for (r, rule) in engine.rules().iter().enumerate() {
+            let solutions = solve_body(s, &rule.condition, &Bindings::new()).expect("reference solve");
+            let keyed = solutions.into_iter().map(|b| (binding_key(&b), b));
+            let unfired = keyed.filter(|(key, _)| !(options.refractory && fired[r].contains(key)));
+            if let Some((key, bindings)) = unfired.min_by(|a, b| a.0.cmp(&b.0)) {
+                let better = best.as_ref().is_none_or(|b| (b.0, b.1, &b.2) > (rank(rule), r, &key));
+                if better {
+                    best = Some((rank(rule), r, key, bindings));
+                }
+            }
+        }
+        let Some((_, r, key, bindings)) = best else {
+            return trace;
+        };
+        for action in &engine.rules()[r].actions {
+            apply_action(s, action, &bindings, options.create_virtuals).expect("reference action");
+        }
+        trace.push(Firing {
+            cycle,
+            rule: engine.rules()[r].name.clone(),
+            bindings: key.iter().map(|(v, o)| (v.to_string(), Oid(*o))).collect(),
+        });
+        if options.refractory {
+            fired[r].insert(key);
+        }
+    }
+    panic!("the reference found no quiescence in {} cycles", options.max_cycles)
+}
+
+/// Run `engine` and the reference over copies of `structure`: equal firings,
+/// traces and final structures.
+fn assert_matches_full_rematch(
+    engine: &ProductionEngine,
+    structure: &Structure,
+) -> std::result::Result<pathlog::reactive::ProductionStats, TestCaseError> {
+    let mut s = structure.clone();
+    let (stats, trace) = engine.run_traced(&mut s).expect("production run reaches quiescence");
+    let mut reference = structure.clone();
+    let want = full_rematch(engine, &mut reference);
+    prop_assert_eq!(stats.firings, want.len());
+    prop_assert_eq!(
+        &trace,
+        &want,
+        "rules: {:?}",
+        engine.rules().iter().map(|r| &r.name).collect::<Vec<_>>()
+    );
+    prop_assert_eq!(s.canonical_dump(), reference.canonical_dump());
+    Ok(stats)
+}
+
 /// Compare everything that identifies the least fixpoint: structure-level
 /// counts plus the answers of the closure query (named objects get identical
 /// oids in both runs, so binding sets are comparable exactly).  Panics on
@@ -455,8 +598,9 @@ proptest! {
     }
 
     // -----------------------------------------------------------------------
-    // 5. Production recognise phases: delta-gated matching must fire
-    //    exactly what full re-matching fires, on random trees.
+    // 5. Production recognise phases: incremental matching must fire
+    //    exactly what re-solving every rule every cycle fires, on random
+    //    trees.
     // -----------------------------------------------------------------------
 
     #[test]
@@ -473,28 +617,34 @@ proptest! {
             "X[desc ->> {Y}] <- X[kids ->> {Y}].\n\
              X[desc ->> {Y}] <- X..desc[kids ->> {Y}].\n\
              X : lineage <- X[desc ->> {Y}].\n").unwrap().rules;
-        let run = |options: ProductionOptions| {
-            let mut s = structure.clone();
-            let mut engine = ProductionEngine::with_options(options);
-            for rule in &rules {
-                engine.add_rule(ProductionRule::new(
-                    "r",
-                    rule.body.clone(),
-                    vec![Action::Assert(rule.head.clone())],
-                ));
-            }
-            let (stats, trace) = engine.run_traced(&mut s).expect("production run reaches quiescence");
-            (stats, trace, s.canonical_dump())
-        };
-        let base = ProductionOptions { max_cycles: 100_000, ..ProductionOptions::default() };
-        let (gated_stats, gated_trace, gated_dump) = run(base);
-        // Delta gating is an optimisation, not a semantics change.
-        let (full_stats, full_trace, full_dump) = run(ProductionOptions { delta_gated: false, ..base });
-        prop_assert_eq!(full_stats.firings, gated_stats.firings);
-        prop_assert_eq!(full_trace, gated_trace);
-        prop_assert_eq!(full_dump, gated_dump);
-        prop_assert!(full_stats.condition_solves >= gated_stats.condition_solves,
-            "gating may only reduce solves ({} vs {})", gated_stats.condition_solves, full_stats.condition_solves);
+        let mut engine = ProductionEngine::with_options(
+            ProductionOptions { max_cycles: 100_000, ..ProductionOptions::default() });
+        for rule in &rules {
+            engine.add_rule(ProductionRule::new(
+                "r",
+                rule.body.clone(),
+                vec![Action::Assert(rule.head.clone())],
+            ));
+        }
+        let stats = assert_matches_full_rematch(&engine, &structure)?;
+        prop_assert!(stats.condition_solves <= stats.cycles * rules.len(),
+            "incremental matching may only reduce solves ({} in {} cycles)", stats.condition_solves, stats.cycles);
+    }
+
+    #[test]
+    fn production_matches_a_full_rematch_reference(
+        employees in 4usize..20,
+        seed in 0u64..500,
+    ) {
+        let mut structure = pathlog::datagen::company_structure(
+            &CompanyParams { employees, seed, manager_fraction: 0.3, ..CompanyParams::default() });
+        // The comparisons' thresholds must be objects of the universe.
+        for threshold in [60_000, 100_000] {
+            structure.int(threshold);
+        }
+        for engine in company_rule_sets() {
+            assert_matches_full_rematch(&engine, &structure)?;
+        }
     }
 
     #[test]
@@ -524,4 +674,74 @@ proptest! {
         assert_equivalent(&semi, &naive, "?- X[desc ->> {Y}].");
         assert_equivalent(&semi, &naive, "?- X : found.");
     }
+}
+
+// ---------------------------------------------------------------------------
+// 6. Production matching on a fixed payroll against the same reference: the
+//    rules a firing does not touch are skipped, and a rule that retracts
+//    what its own condition read does not refire on it.
+// ---------------------------------------------------------------------------
+
+/// Three employees with salaries, and the thresholds the rules compare with
+/// (a comparison literal valuates only objects of the universe).
+fn payroll() -> Structure {
+    let mut s = Structure::new();
+    let employee = s.atom("employee");
+    let salary = s.atom("salary");
+    for (name, pay) in [("ann", 900), ("bob", 1500), ("cleo", 2000)] {
+        let p = s.atom(name);
+        let v = s.int(pay);
+        s.add_isa(p, employee);
+        s.assert_scalar(salary, p, &[], v).unwrap();
+    }
+    for threshold in [1000, 1600] {
+        s.int(threshold);
+    }
+    s
+}
+
+#[test]
+fn incremental_matching_skips_unaffected_rules_without_changing_the_run() {
+    // A three-phase classification cascade whose later phases stop touching
+    // the earlier phases' read keys.
+    let mut engine = ProductionEngine::new();
+    engine.add_rule(production_rule("staff", "X : employee", &["+X : staff"]));
+    engine.add_rule(production_rule(
+        "low-band",
+        "X : staff[salary -> S], S.lt@(1600)",
+        &["+X : lowBand"],
+    ));
+    engine.add_rule(production_rule(
+        "high-band",
+        "X : staff[salary -> S], S.ge@(1600)",
+        &["+X : highBand"],
+    ));
+    let stats = assert_matches_full_rematch(&engine, &payroll()).unwrap();
+    assert_eq!(stats.firings, 6, "3 staff + 2 low-band + 1 high-band");
+    assert_eq!(stats.cycles, stats.firings + 1, "the last cycle finds nothing to fire");
+    // The reference re-solves every rule every cycle; the engine only
+    // re-solves rules whose read keys the last firing touched.
+    assert_eq!(stats.condition_solves + stats.condition_skips, stats.cycles * 3);
+    assert!(
+        stats.condition_solves < stats.cycles * 3,
+        "incremental matching must reduce solves ({} of {})",
+        stats.condition_solves,
+        stats.cycles * 3
+    );
+    assert!(stats.condition_skips > 0);
+}
+
+#[test]
+fn retraction_invalidates_cached_conditions() {
+    // The minimum-wage rule retracts the fact its own condition reads; the
+    // engine must re-solve after the retraction or it would refire on the
+    // stale cached instantiation.
+    let mut engine = ProductionEngine::new();
+    engine.add_rule(production_rule(
+        "minimum-wage",
+        "X : employee[salary -> S], S.lt@(1000)",
+        &["-X[salary -> S]", "+X[salary -> 1000]"],
+    ));
+    let stats = assert_matches_full_rematch(&engine, &payroll()).unwrap();
+    assert_eq!(stats.firings, 1, "only ann is below minimum wage");
 }
