@@ -16,29 +16,30 @@
 //! which names resolve to objects and undefined head paths become virtual
 //! objects: object ids, and with them `canonical_dump()`, depend on it.
 //!
-//! With [`EvalOptions::delta_driven`] enabled (the default) the fixpoint is
-//! computed **semi-naively** at the granularity of body literals.  The
-//! engine captures watermarks ([`EvalMarks`](crate::semantics::EvalMarks))
-//! of the structure at every iteration boundary; the facts between two
-//! consecutive watermarks — new scalar results, set members, is-a closure
-//! pairs, objects and signatures — form the iteration's *delta*
-//! ([`DeltaView`], an O(delta) slice of the fact-store insertion logs).  A
-//! rule whose read set intersects the changed dependency keys is then
-//! solved once per affected body literal, with that literal restricted to
-//! solutions whose derivation reads the delta (the window-restricted atom
-//! steps of [`crate::plan::atoms`]) while the remaining literals join
-//! against the full structure.  Any firing that
+//! The fixpoint is computed **semi-naively** at the granularity of body
+//! literals.  The engine captures watermarks
+//! ([`EvalMarks`](crate::semantics::EvalMarks)) of the structure at every
+//! iteration boundary; the facts between two consecutive watermarks — new
+//! scalar results, set members, is-a closure pairs, objects and signatures —
+//! form the iteration's *delta* ([`DeltaView`], an O(delta) slice of the
+//! fact-store insertion logs).  A rule whose read set intersects the changed
+//! dependency keys is then solved once per affected body literal, with that
+//! literal restricted to solutions whose derivation reads the delta (the
+//! window-restricted atom steps of [`crate::plan::atoms`]) while the
+//! remaining literals join against the full structure.  Any firing that
 //! could add new information reads at least one fact derived in the
 //! previous iteration, so the union of these per-literal delta solves is
 //! complete; rules none of whose keys changed are skipped outright.  On
 //! recursive workloads (the transitive closures of Section 6) this turns
 //! each iteration from O(|closure|) into O(|delta|).
 //!
-//! With `delta_driven: false` every rule is re-solved in full each iteration
-//! — naive evaluation, kept as the **reference oracle**: it only ever runs
-//! [`solve_body`] (the written-order evaluator), commits its solutions in
-//! canonical key order ([`sorted_run`]), and the tests require every other
-//! configuration to reproduce its `canonical_dump()` byte for byte.
+//! The **reference** the engine is tested against is
+//! [`crate::semantics::fixpoint`]: the least fixpoint computed the plain
+//! way, every rule re-solved in full, in written order
+//! ([`solve_body`](crate::semantics::solve_body)), each iteration, its
+//! solutions committed in canonical key order.  It shares only the
+//! stratifier and [`assert_head`] with this module, and the tests require
+//! the engine to reproduce its `canonical_dump()` byte for byte.
 //!
 //! There is one schedule, one delta-pass evaluator and one thread.  Every
 //! stratum iteration is a two-phase commit: a single **snapshot window**
@@ -60,10 +61,9 @@
 //! iteration ([`crate::plan::plan_pass`]).  Phase 2 is a deterministic
 //! function of the structure's content, so two runs of one program over
 //! equal structures are **bit-identical** — same model, same insertion
-//! logs, same virtual-object ids, same [`EvalStats`] — and since every
-//! configuration commits in the one canonical order, whatever plan ran a
-//! solve, the engine and the oracle mint the same virtual objects under the
-//! same ids.
+//! logs, same virtual-object ids, same [`EvalStats`] — and since the
+//! commit order is the canonical one whatever plan ran a solve, the engine
+//! and the reference mint the same virtual objects under the same ids.
 //!
 //! **The commit step pays once for what it derives.**  A head of the shape
 //! `X[m ->> {Y}]` ([`CompiledHead`](crate::plan::CompiledHead), over the
@@ -128,8 +128,8 @@ mod runs;
 mod stratify;
 mod virtuals;
 
-pub use runs::{binding_key, sorted_run, BindingKey, SortedRun};
-use runs::{SolveOutput, SolveTask};
+use runs::SolveTask;
+pub use runs::{binding_key, BindingKey};
 pub use stratify::{stratify, Stratification};
 pub use virtuals::{assert_head, AssertEffect, AssertOptions};
 
@@ -138,8 +138,8 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use crate::error::{Error, LimitKind, Result};
 use crate::names::{Name, Var};
 use crate::plan::{BodyPlan, CompiledRule};
-use crate::program::{literal_reads, DepKey, Literal, Program, Query, Rule};
-use crate::semantics::{answers, Answer, Bindings, DeltaView, FactorizedAnswers, SnapshotWindow};
+use crate::program::{literal_reads, DepKey, Program, Query, Rule};
+use crate::semantics::{Answer, Bindings, DeltaView, FactorizedAnswers, SnapshotWindow};
 use crate::structure::{Oid, Structure};
 use crate::term::Term;
 
@@ -191,12 +191,6 @@ pub struct EvalOptions {
     pub max_derived: usize,
     /// Create virtual objects for undefined scalar paths in rule heads.
     pub create_virtuals: bool,
-    /// Evaluate the fixpoint semi-naively: skip rules whose dependencies did
-    /// not change in the previous iteration, and solve affected recursive
-    /// rules per body literal with that literal restricted to the
-    /// iteration's delta.  Disabling this yields naive evaluation (every
-    /// rule re-solved in full each iteration) — the reference oracle.
-    pub delta_driven: bool,
     /// Whether queries degrade gracefully over quarantined (constraint-
     /// violating) facts instead of answering classically — see
     /// [`Tolerance`].
@@ -212,7 +206,6 @@ impl Default for EvalOptions {
             max_iterations: 100_000,
             max_derived: 50_000_000,
             create_virtuals: true,
-            delta_driven: true,
             tolerance: Tolerance::Strict,
             static_checks: StaticChecks::WarnOnly,
         }
@@ -223,8 +216,8 @@ impl Default for EvalOptions {
 ///
 /// **Contract:** the derived-fact counters (`firings`, `scalar_facts`,
 /// `set_members`, `isa_edges`, `signatures`, `virtual_objects`) describe the
-/// least fixpoint and are identical in every configuration, the naive oracle
-/// (`delta_driven: false`) included.  The *scheduling* counters
+/// least fixpoint: the engine's equal those of the reference
+/// [`fixpoint`](crate::semantics::fixpoint).  The *scheduling* counters
 /// (`iterations`, `rules_skipped`, `delta_solves`, `full_solves`) and the
 /// planner counters (`plans_compiled`, `replans`, `seed_flips`) count
 /// **proper rules only**: a fact is committed as data (one of the `firings`
@@ -233,8 +226,7 @@ impl Default for EvalOptions {
 /// aggregates — a "delta solve" is one (rule, iteration) solve against the
 /// iteration's shared snapshot window — decided from the structure's content
 /// alone, so two runs of one program over equal structures report the same
-/// values.  The oracle re-solves every rule in full each iteration and so
-/// reports no delta solve, skip or plan.
+/// values.  The reference reports `strata` and `iterations` only.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EvalStats {
     /// Number of strata.
@@ -260,8 +252,7 @@ pub struct EvalStats {
     /// Rule evaluations solved against the full structure.
     pub full_solves: usize,
     /// Rule bodies lowered to the compiled slot-frame IR of [`crate::plan`]:
-    /// one per proper rule per run, when its stratum starts (none for the
-    /// naive oracle, which compiles nothing).
+    /// one per proper rule per run, when its stratum starts.
     pub plans_compiled: usize,
     /// Always 0: a compiled body holds no estimate that could go stale —
     /// every plan reads the live index cardinalities.  Kept only because the
@@ -339,7 +330,8 @@ impl EvalStats {
         self.snapshots_reclaimed = self.snapshots_reclaimed.saturating_add(snap.snapshots_reclaimed);
     }
 
-    fn absorb(&mut self, e: AssertEffect) {
+    /// Fold what one head assert added into the model counters.
+    pub(crate) fn absorb(&mut self, e: AssertEffect) {
         self.scalar_facts = self.scalar_facts.saturating_add(e.scalar_facts);
         self.set_members = self.set_members.saturating_add(e.set_members);
         self.isa_edges = self.isa_edges.saturating_add(e.isa_edges);
@@ -404,7 +396,7 @@ impl Engine {
     /// stratify, assert facts and evaluate rules to the fixpoint.
     pub fn load_program(&self, structure: &mut Structure, program: &Program) -> Result<EvalStats> {
         let infos = crate::program::validate_program(program)?;
-        register_program_names(structure, program);
+        register_program_names(structure, &program.rules, &program.queries);
         let stratification = stratify(&infos)?;
         self.run(structure, &program.rules, &stratification)
     }
@@ -448,7 +440,7 @@ impl Engine {
             return self.load_program(structure, program).map(|stats| (stats, analysis));
         };
         program.rules.iter().try_for_each(crate::program::check_valid)?;
-        register_program_names(structure, program);
+        register_program_names(structure, &program.rules, &program.queries);
         let stats = self.run(structure, &program.rules, stratification)?;
         Ok((stats, analysis))
     }
@@ -459,12 +451,7 @@ impl Engine {
             .iter()
             .map(crate::program::validate_rule)
             .collect::<Result<Vec<_>>>()?;
-        for rule in rules {
-            register_names(structure, &rule.head);
-            for lit in &rule.body {
-                register_names(structure, &lit.term);
-            }
-        }
+        register_program_names(structure, rules, &[]);
         let stratification = stratify(&infos)?;
         self.run(structure, rules, &stratification)
     }
@@ -511,24 +498,6 @@ impl Engine {
         Ok(stats)
     }
 
-    /// Per-literal read keys, used to pick which body literals an iteration
-    /// delta can drive (positive literals only; negated and set-at-a-time
-    /// reads are stratified below the current stratum).
-    fn body_reads(&self, rules: &[&Rule]) -> Vec<Vec<Option<BTreeSet<DepKey>>>> {
-        if !self.options.delta_driven {
-            return Vec::new();
-        }
-        rules
-            .iter()
-            .map(|rule| {
-                rule.body
-                    .iter()
-                    .map(|lit| lit.positive.then(|| literal_reads(&lit.term)))
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Commit a rule's frame runs — its full solve's, or its delta passes':
     /// merge them into canonical key order and assert the head for each
     /// frame — through the compiled head when it has one (method oid
@@ -547,12 +516,9 @@ impl Engine {
     ) -> Result<bool> {
         let merged = crate::plan::merge_frame_runs(runs, compiled.canonical());
         let Some(fast) = compiled.head() else {
-            let vars: Vec<Var> = (0..compiled.slot_count())
-                .map(|i| compiled.slot_var(i).clone())
-                .collect();
-            let mut fired = HeadValuations::new(head, &vars);
+            let mut fired = HeadValuations::new(head, compiled);
             let mut changed = false;
-            for f in merged.frames().filter(|f| fired.first(|i| f[i])) {
+            for f in merged.frames().filter(|f| fired.first(f)) {
                 changed |= self
                     .assert_solution(structure, head, &compiled.bindings_of(f), stats)?
                     .changed();
@@ -562,30 +528,6 @@ impl Engine {
         let method = structure.ensure_name(&fast.method);
         let pair = |f: &[u32]| (Oid(f[fast.receiver_slot] - 1), Oid(f[fast.member_slot] - 1));
         self.commit_member_runs(structure, method, merged.frames().map(pair), stats)
-    }
-
-    /// Commit the naive oracle's full solve of `rule`: [`assert_head`] on
-    /// the first solution of each head valuation, in canonical key order —
-    /// the order, and so the facts, log entries, object ids and counters, of
-    /// the engine's compiled commit.  Returns whether anything new was
-    /// committed.
-    fn commit_solutions(
-        &self,
-        structure: &mut Structure,
-        rule: &Rule,
-        solutions: &SortedRun,
-        stats: &mut EvalStats,
-    ) -> Result<bool> {
-        let mut vars = Vec::new();
-        rule.body.iter().for_each(|lit| collect_vars(&lit.term, &mut vars));
-        let mut fired = HeadValuations::new(&rule.head, &vars);
-        let mut changed = false;
-        for (_, b) in solutions {
-            if fired.first(|i| b.get(&vars[i]).map_or(0, |o| o.0 + 1)) {
-                changed |= self.assert_solution(structure, &rule.head, b, stats)?.changed();
-            }
-        }
-        Ok(changed)
     }
 
     /// Commit the compiled head `X[m ->> {Y}]` (`method` resolved) over
@@ -712,18 +654,25 @@ impl Engine {
     /// reads the structure as it stood at the iteration boundary.
     fn run_cross_rule(&self, structure: &mut Structure, run: &Run<'_>, stats: &mut EvalStats) -> Result<()> {
         let rules = &run.rules;
-        let body_reads = self.body_reads(rules);
+        // Per-literal read keys, used to pick which body literals an
+        // iteration delta can drive (positive literals only; negated and
+        // set-at-a-time reads are stratified below the current stratum).
+        let body_reads: Vec<Vec<Option<BTreeSet<DepKey>>>> = rules
+            .iter()
+            .map(|rule| {
+                rule.body
+                    .iter()
+                    .map(|lit| lit.positive.then(|| literal_reads(&lit.term)))
+                    .collect()
+            })
+            .collect();
         for stratum in &run.strata {
             let mut window = SnapshotWindow::capture(structure);
             let mut first = true;
             // Each proper rule is compiled once, for its full solve and every
-            // later delta pass; the naive oracle compiles nothing.
-            let compiled: BTreeMap<usize, CompiledRule> = if self.options.delta_driven {
-                let compile = |&r: &usize| (r, crate::plan::compile(rules[r]));
-                stratum.proper.iter().map(compile).collect()
-            } else {
-                BTreeMap::new()
-            };
+            // later delta pass.
+            let compile = |&r: &usize| (r, crate::plan::compile(rules[r]));
+            let compiled: BTreeMap<usize, CompiledRule> = stratum.proper.iter().map(compile).collect();
             stats.plans_compiled += compiled.len();
             let mut stratum_iterations = 0usize;
             loop {
@@ -743,15 +692,13 @@ impl Engine {
                 // The window and the plans this iteration's delta tasks
                 // read; `None` while every rule solves in full.
                 let mut delta: Option<(BTreeMap<usize, BodyPlan>, DeltaView)> = None;
-                if first || !self.options.delta_driven {
-                    // Every rule solves in full: the first time it runs (no
-                    // delta exists for it yet), or on every iteration of the
-                    // naive oracle.  A fact needs no solve, and commits with
-                    // the first iteration only.
+                if first {
+                    // Every rule solves in full the first time it runs: no
+                    // delta exists for it yet.  A fact needs no solve, and
+                    // commits with the first iteration only.
                     for &step in &stratum.steps {
                         match step {
-                            Step::Fact(_) if first => plan.push((step, 0)),
-                            Step::Fact(_) => {}
+                            Step::Fact(_) => plan.push((step, 0)),
                             Step::Rule(r) => {
                                 stats.full_solves += 1;
                                 plan.push((step, 1));
@@ -796,8 +743,8 @@ impl Engine {
                 let delta = delta.as_ref().map(|(passes, dv)| (passes, dv));
                 let outputs = tasks
                     .iter()
-                    .map(|&task| runs::run_task(structure, rules, &compiled, delta, task))
-                    .collect::<Result<Vec<SolveOutput>>>()?;
+                    .map(|&task| runs::run_task(structure, &compiled, delta, task))
+                    .collect::<Result<Vec<_>>>()?;
                 let mut outputs = outputs.into_iter();
                 // Phase 2: commit in stratum order.
                 let mut any_change = false;
@@ -810,21 +757,10 @@ impl Engine {
                         }
                         Step::Rule(r) => r,
                     };
-                    // The oracle's full solve commits as solutions; every
-                    // other task returns frames over the rule's one
-                    // compiled body, committed together.
-                    let mut runs = Vec::with_capacity(count);
-                    for output in (0..count).filter_map(|_| outputs.next()) {
-                        match output {
-                            SolveOutput::Sorted(solutions) => {
-                                any_change |= self.commit_solutions(structure, rules[r], &solutions, stats)?;
-                            }
-                            SolveOutput::Frames(run) => runs.push(run),
-                        }
-                    }
-                    if !runs.is_empty() {
-                        any_change |= self.commit_frame_runs(structure, &rules[r].head, &compiled[&r], runs, stats)?;
-                    }
+                    // Every task returns frames over the rule's one compiled
+                    // body; a rule's runs commit together.
+                    let runs = outputs.by_ref().take(count).collect();
+                    any_change |= self.commit_frame_runs(structure, &rules[r].head, &compiled[&r], runs, stats)?;
                 }
                 first = false;
                 if !any_change {
@@ -839,12 +775,13 @@ impl Engine {
     /// once.
     ///
     /// **Order.**  Answers come in canonical key order — ascending
-    /// [`binding_key`], the order of [`sorted_run`] — whatever order the body
+    /// [`binding_key`] — whatever order the body
     /// was written in and whatever plan ran it: the body is compiled to the
     /// primitive atoms of [`crate::plan`] and run in the literal and atom
     /// order that the live index cardinalities of `structure` suggest
     /// ([`plan_query`](crate::plan::plan_query)), as frames; [`Bindings`]
-    /// are built here, at the boundary.  [`solve_body`] is the written-order
+    /// are built here, at the boundary.
+    /// [`solve_body`](crate::semantics::solve_body) is the written-order
     /// reference the answers are tested against, as sets of keys.
     ///
     /// Unknown names in a query body are permitted and simply denote no
@@ -895,12 +832,21 @@ impl Engine {
         crate::semantics::factorized_answers(structure, term, &Bindings::new())
     }
 
-    /// The objects denoted by a ground reference.  Like
-    /// [`Engine::query_term`], unregistered names are an
-    /// [`Error::UnknownName`] instead of a silently empty valuation.
+    /// The objects denoted by a ground reference ([`Engine::query_term`]'s
+    /// objects, each once); its reference is
+    /// [`valuate`](crate::semantics::valuate).  Unregistered names are an
+    /// [`Error::UnknownName`], a variable is [`Error::NotGround`].
     pub fn eval_ground(&self, structure: &Structure, term: &Term) -> Result<BTreeSet<Oid>> {
         require_registered_names(structure, term)?;
-        crate::semantics::valuate(structure, term, &Bindings::new())
+        let compiled = crate::plan::compile_query([(true, term)]);
+        if compiled.slot_count() > 0 {
+            return Err(Error::NotGround(format!(
+                "variable {} is unbound",
+                compiled.slot_var(0)
+            )));
+        }
+        let run = crate::plan::execute_term(structure, &compiled)?;
+        Ok(run.frames().map(|f| Oid(f[0] - 1)).collect())
     }
 }
 
@@ -975,14 +921,14 @@ struct HeadValuations {
 }
 
 impl HeadValuations {
-    /// For solutions over `vars`, committed to `head`.
-    fn new(head: &Term, vars: &[Var]) -> Self {
-        let mut head_vars = Vec::new();
-        collect_vars(head, &mut head_vars);
-        let projection = if vars.iter().all(|v| head_vars.contains(v)) {
+    /// For the frames of `compiled`, committed to `head`.
+    fn new(head: &Term, compiled: &CompiledRule) -> Self {
+        let head_vars = head.variables();
+        let slots: Vec<&Var> = (0..compiled.slot_count()).map(|i| compiled.slot_var(i)).collect();
+        let projection = if slots.iter().all(|v| head_vars.contains(v)) {
             None
         } else {
-            head_vars.iter().map(|v| vars.iter().position(|w| w == v)).collect()
+            head_vars.iter().map(|v| slots.iter().position(|w| *w == v)).collect()
         };
         HeadValuations {
             projection,
@@ -991,29 +937,16 @@ impl HeadValuations {
         }
     }
 
-    /// Is this the first solution of the batch with its head valuation?
-    /// `word(i)` is the solution's value of variable `i` (`0` = unbound,
-    /// else object id + 1).
-    fn first(&mut self, word: impl Fn(usize) -> u32) -> bool {
+    /// Is this solution's slot frame the first of the batch with its head
+    /// valuation?
+    fn first(&mut self, frame: &[u32]) -> bool {
         let Some(projection) = &self.projection else {
             return true;
         };
         self.key.clear();
-        self.key.extend(projection.iter().map(|&i| word(i)));
+        self.key.extend(projection.iter().map(|&i| frame[i]));
         !self.seen.contains(self.key.as_slice()) && self.seen.insert(self.key.clone())
     }
-}
-
-/// Append the variables of `term` not yet in `vars`, in order of first
-/// occurrence.
-fn collect_vars(term: &Term, vars: &mut Vec<Var>) {
-    term.visit(&mut |t| {
-        if let Term::Var(v) = t {
-            if !vars.contains(v) {
-                vars.push(v.clone());
-            }
-        }
-    });
 }
 
 /// Register every name occurring in a term, making `I_N` total over the
@@ -1030,67 +963,21 @@ fn register_names(structure: &mut Structure, term: &Term) {
     }
 }
 
-/// Register every name of a program, statement by statement (object ids
-/// follow first registration, so the order is part of the model's identity).
-fn register_program_names(structure: &mut Structure, program: &Program) {
-    for rule in &program.rules {
+/// Register every name of a program's rules and then its queries, statement
+/// by statement (object ids follow first registration, so the order is part
+/// of the model's identity).
+pub(crate) fn register_program_names(structure: &mut Structure, rules: &[Rule], queries: &[Query]) {
+    for rule in rules {
         register_names(structure, &rule.head);
         for lit in &rule.body {
             register_names(structure, &lit.term);
         }
     }
-    for query in &program.queries {
+    for query in queries {
         for lit in &query.body {
             register_names(structure, &lit.term);
         }
     }
-}
-
-/// Solve a body conjunction: enumerate the variable-valuations extending
-/// `seed` that satisfy every literal.  Positive literals are joined in
-/// source order against the full structure, with per-stage deduplication;
-/// negated literals are applied as filters last (validation guarantees their
-/// variables are bound by then).
-///
-/// This written-order routine is the reference semantics: it is all the
-/// naive oracle (`delta_driven: false`) ever runs, and it solves the
-/// reactive layer's conditions and the model check of
-/// [`crate::semantics::is_model`].  The engine runs no body through it: its
-/// delta passes go through [`crate::plan::execute_delta`], its full solves,
-/// its queries and the constraint checker's denial bodies through
-/// [`crate::plan::execute_query`]; the passes must reach the same fixpoint,
-/// a full solve, a query or a check the same set of solutions.
-pub fn solve_body(structure: &Structure, body: &[Literal], seed: &Bindings) -> Result<Vec<Bindings>> {
-    let mut states = vec![seed.clone()];
-    for lit in body.iter().filter(|l| l.positive) {
-        let mut next = Vec::new();
-        let mut seen: HashSet<BindingKey> = HashSet::new();
-        for s in &states {
-            for a in answers(structure, &lit.term, s)? {
-                if seen.insert(binding_key(&a.bindings)) {
-                    next.push(a.bindings);
-                }
-            }
-        }
-        states = next;
-        if states.is_empty() {
-            return Ok(states);
-        }
-    }
-    // then negated literals as filters
-    for lit in body.iter().filter(|l| !l.positive) {
-        let mut next = Vec::new();
-        for s in states {
-            if answers(structure, &lit.term, &s)?.is_empty() {
-                next.push(s);
-            }
-        }
-        states = next;
-        if states.is_empty() {
-            break;
-        }
-    }
-    Ok(states)
 }
 
 #[cfg(test)]
@@ -1099,6 +986,20 @@ mod tests {
     use crate::names::Var;
     use crate::program::{Literal, Program, Query, Rule};
     use crate::term::Filter;
+
+    /// Run `rules` over `s` with the engine, or with the reference
+    /// [`fixpoint`](crate::semantics::fixpoint) when `reference`.
+    fn run_with(reference: bool, s: &mut Structure, rules: &[Rule], options: EvalOptions) -> Result<EvalStats> {
+        if reference {
+            let program = Program {
+                rules: rules.to_vec(),
+                ..Program::new()
+            };
+            crate::semantics::fixpoint(s, &program, &options)
+        } else {
+            Engine::with_options(options).run_rules(s, rules)
+        }
+    }
 
     fn oid(s: &Structure, n: &str) -> Oid {
         s.lookup_name(&Name::atom(n)).unwrap()
@@ -1536,22 +1437,17 @@ mod tests {
                 )],
             ),
         ];
-        for delta_driven in [true, false] {
+        for reference in [false, true] {
             let mut s = Structure::new();
             let (go, seed, yes) = (s.atom("go"), s.atom("seed"), s.atom("yes"));
             s.assert_scalar(go, seed, &[], yes).unwrap();
             let (tim, person) = (s.atom("tim"), s.atom("person"));
             s.add_isa(tim, person);
-            Engine::with_options(EvalOptions {
-                delta_driven,
-                ..EvalOptions::default()
-            })
-            .run_rules(&mut s, &rules)
-            .unwrap();
+            run_with(reference, &mut s, &rules, EvalOptions::default()).unwrap();
             let copied = oid(&s, "copied");
             assert!(
                 s.in_class(oid(&s, "tim"), copied),
-                "tim must be copied (delta_driven: {delta_driven})"
+                "tim must be copied (reference: {reference})"
             );
         }
     }
@@ -1593,19 +1489,14 @@ mod tests {
                 ),
             ],
         ));
-        let run = |delta_driven: bool| {
+        let run = |reference: bool| {
             let mut s = Structure::new();
-            Engine::with_options(EvalOptions {
-                delta_driven,
-                ..EvalOptions::default()
-            })
-            .run_rules(&mut s, &rules)
-            .unwrap();
+            run_with(reference, &mut s, &rules, EvalOptions::default()).unwrap();
             let thing = oid(&s, "thing");
             (s.num_objects(), s.extent_size(thing), s.stats().isa_edges)
         };
-        let semi = run(true);
-        let naive = run(false);
+        let semi = run(false);
+        let naive = run(true);
         assert_eq!(semi, naive, "semi-naive and naive must classify the same objects");
         // Every object — including the virtual tc method — is a thing.
         assert_eq!(
@@ -1635,23 +1526,18 @@ mod tests {
                 )],
             ),
         ];
-        let run = |delta_driven: bool| {
+        let run = |reference: bool| {
             let mut s = Structure::new();
             let (student, person) = (s.atom("student"), s.atom("person"));
             s.add_isa(student, person);
             let (go, tim, yes) = (s.atom("go"), s.atom("tim"), s.atom("yes"));
             s.assert_scalar(go, tim, &[], yes).unwrap();
-            Engine::with_options(EvalOptions {
-                delta_driven,
-                ..EvalOptions::default()
-            })
-            .run_rules(&mut s, &rules)
-            .unwrap();
+            run_with(reference, &mut s, &rules, EvalOptions::default()).unwrap();
             let mark = oid(&s, "mark");
             s.apply_set(mark, oid(&s, "x"), &[]).map(|m| m.len()).unwrap_or(0)
         };
-        let semi = run(true);
-        let naive = run(false);
+        let semi = run(false);
+        let naive = run(true);
         assert_eq!(semi, naive, "semi-naive must mark the same objects as naive");
         assert_eq!(semi, 2, "both student (the class) and tim are persons");
     }
@@ -1673,19 +1559,14 @@ mod tests {
                 )],
             ),
         ];
-        let run = |delta_driven: bool| {
+        let run = |reference: bool| {
             let mut s = Structure::new();
-            Engine::with_options(EvalOptions {
-                delta_driven,
-                ..EvalOptions::default()
-            })
-            .run_rules(&mut s, &rules)
-            .unwrap();
+            run_with(reference, &mut s, &rules, EvalOptions::default()).unwrap();
             let thing = oid(&s, "thing");
             (s.num_objects(), s.extent_size(thing), s.stats().isa_edges)
         };
-        let semi = run(true);
-        let naive = run(false);
+        let semi = run(false);
+        let naive = run(true);
         assert_eq!(semi, naive, "the virtual object must be classified in both modes");
         assert_eq!(semi.1, semi.0 - 1, "every object except `thing` itself is a thing");
     }
@@ -1739,20 +1620,15 @@ mod tests {
                 vec![Literal::pos(Term::var("X").isa("out"))],
             ),
         ];
-        let run = |delta_driven: bool| {
+        let run = |reference: bool| {
             let mut s = Structure::new();
-            Engine::with_options(EvalOptions {
-                delta_driven,
-                ..EvalOptions::default()
-            })
-            .run_rules(&mut s, &rules)
-            .unwrap();
+            run_with(reference, &mut s, &rules, EvalOptions::default()).unwrap();
             let out = oid(&s, "out");
             let extent: BTreeSet<Oid> = s.instances_of(out).collect();
             (extent, s.stats().isa_edges, s.stats().set_members)
         };
-        let semi = run(true);
-        let naive = run(false);
+        let semi = run(false);
+        let naive = run(true);
         assert_eq!(semi, naive, "semi-naive must reach the naive fixpoint");
         assert_eq!(semi.0.len(), 4, "y, x, goal and bonus are all out");
     }
@@ -1847,6 +1723,65 @@ mod tests {
     }
 
     #[test]
+    fn eval_ground_denotes_what_valuate_does_and_rejects_variables() {
+        let mut rules = genealogy_facts();
+        rules.extend(desc_rules());
+        let mut s = Structure::new();
+        let engine = Engine::new();
+        engine.run_rules(&mut s, &rules).unwrap();
+        let grounds = [
+            Term::name("peter").set("desc"),
+            Term::name("peter").set("kids").set("kids"),
+            Term::name("mary").filter(Filter::set("kids", vec![Term::name("tom")])),
+            Term::name("mary").filter(Filter::set("kids", vec![Term::name("peter")])),
+            Term::name("tim").set("desc"),
+        ];
+        for t in &grounds {
+            let expected = crate::semantics::valuate(&s, t, &Bindings::new()).unwrap();
+            assert_eq!(engine.eval_ground(&s, t).unwrap(), expected, "{t}");
+        }
+        // A reference with a variable is not ground, as `valuate` says.
+        let open = Term::name("peter")
+            .set("kids")
+            .filter(Filter::set("kids", vec![Term::var("Y")]));
+        let expected = crate::semantics::valuate(&s, &open, &Bindings::new()).unwrap_err();
+        let err = engine.eval_ground(&s, &open).unwrap_err();
+        assert!(matches!(err, Error::NotGround(_)), "{err:?}");
+        assert_eq!(err.to_string(), expected.to_string());
+    }
+
+    #[test]
+    fn the_reference_registers_query_names_as_load_program_does() {
+        // `ghost` occurs in a `?-` query only.  Both register it after the
+        // rules' names and before anything is minted, so the boss objects
+        // get the same ids either way — one past where they would be
+        // without the query.
+        let mut program = Program::new();
+        program.push_rule(Rule::fact(Term::name("p1").isa("employee")));
+        program.push_rule(Rule::new(
+            Term::var("X")
+                .scalar("boss")
+                .filter(Filter::scalar("age", Term::int(50))),
+            vec![Literal::pos(Term::var("X").isa("employee"))],
+        ));
+        let boss = |s: &Structure| s.apply_scalar(oid(s, "boss"), oid(s, "p1"), &[]).unwrap();
+        let mut unqueried = Structure::new();
+        Engine::new().load_program(&mut unqueried, &program).unwrap();
+        program.push_query(Query::single(
+            Term::var("X").filter(Filter::scalar("ghost", Term::var("Y"))),
+        ));
+        let mut loaded = Structure::new();
+        Engine::new().load_program(&mut loaded, &program).unwrap();
+        let mut reference = Structure::new();
+        crate::semantics::fixpoint(&mut reference, &program, &EvalOptions::default()).unwrap();
+        assert_eq!(reference.canonical_dump(), loaded.canonical_dump());
+        assert_eq!(oid(&reference, "ghost"), oid(&loaded, "ghost"));
+        assert!(oid(&loaded, "ghost") < boss(&loaded));
+        assert_eq!(boss(&reference), boss(&loaded));
+        assert_eq!(boss(&loaded), Oid(boss(&unqueried).0 + 1));
+    }
+
+    #[test]
     fn delta_and_naive_agree() {
         let mut rules = genealogy_facts();
         rules.push(Rule::new(
@@ -1864,19 +1799,9 @@ mod tests {
             )],
         ));
         let mut s1 = Structure::new();
-        Engine::with_options(EvalOptions {
-            delta_driven: true,
-            ..EvalOptions::default()
-        })
-        .run_rules(&mut s1, &rules)
-        .unwrap();
+        run_with(false, &mut s1, &rules, EvalOptions::default()).unwrap();
         let mut s2 = Structure::new();
-        Engine::with_options(EvalOptions {
-            delta_driven: false,
-            ..EvalOptions::default()
-        })
-        .run_rules(&mut s2, &rules)
-        .unwrap();
+        run_with(true, &mut s2, &rules, EvalOptions::default()).unwrap();
         assert_eq!(s1.stats().set_members, s2.stats().set_members);
         assert_eq!(s1.stats().scalar_facts, s2.stats().scalar_facts);
     }
@@ -1973,18 +1898,9 @@ mod tests {
     #[test]
     fn interleaved_facts_commit_at_their_source_position_in_every_configuration() {
         let (base, program) = interleaved_program();
-        let run = |options: EvalOptions| {
-            let mut s = base.clone();
-            let (stats, analysis) = Engine::with_options(options).install_checked(&mut s, &program).unwrap();
-            assert_eq!(analysis.strata.unwrap().len(), 1, "one stratum");
-            (s, stats)
-        };
-        let (oracle, oracle_stats) = run(EvalOptions {
-            delta_driven: false,
-            ..EvalOptions::default()
-        });
+        let mut oracle = base.clone();
+        let oracle_stats = crate::semantics::fixpoint(&mut oracle, &program, &EvalOptions::default()).unwrap();
         assert_eq!(oracle_stats.virtual_objects, 4);
-        assert_eq!(oracle_stats.full_solves, 2 * oracle_stats.iterations);
 
         // p1.boss (a fact), q.address (the rule's first firing, from stored
         // facts), p2.boss (a fact after that rule), p1.address (a later
@@ -2004,7 +1920,9 @@ mod tests {
         ];
         assert!(allocated.windows(2).all(|w| w[0] < w[1]), "{allocated:?}");
 
-        let (s, stats) = run(EvalOptions::default());
+        let mut s = base.clone();
+        let (stats, analysis) = Engine::new().install_checked(&mut s, &program).unwrap();
+        assert_eq!(analysis.strata.unwrap().len(), 1, "one stratum");
         assert_eq!(s.canonical_dump(), oracle.canonical_dump());
         assert_eq!(stats.model_counters(), oracle_stats.model_counters());
         // The scheduling counters count the two proper rules only: the
@@ -2123,25 +2041,25 @@ mod tests {
         let mut base = Structure::new();
         Engine::new().run_rules(&mut base, &wide_genealogy()).unwrap();
         let stored = base.facts().num_set_member_inserts();
-        for delta_driven in [true, false] {
-            let run = |max_derived: usize| {
-                let mut s = base.clone();
-                let engine = Engine::with_options(EvalOptions {
-                    max_derived,
-                    delta_driven,
-                    ..EvalOptions::default()
-                });
-                let outcome = engine.run_rules(&mut s, &desc_rules());
-                (outcome, s.facts().set_members_since(0).collect::<Vec<_>>())
+        let run = |reference: bool, max_derived: usize| {
+            let mut s = base.clone();
+            let options = EvalOptions {
+                max_derived,
+                ..EvalOptions::default()
             };
-            let (stats, log) = run(usize::MAX);
-            let total = stats.unwrap().derived();
-            assert_eq!((total, log.len()), (24 + 6 * 3, stored + total));
+            let outcome = run_with(reference, &mut s, &desc_rules(), options);
+            (outcome, s.facts().set_members_since(0).collect::<Vec<_>>())
+        };
+        let (stats, log) = run(false, usize::MAX);
+        let total = stats.unwrap().derived();
+        assert_eq!((total, log.len()), (24 + 6 * 3, stored + total));
+        assert_eq!(run(true, usize::MAX).1, log, "the reference logs what the engine logs");
+        for reference in [false, true] {
             // Every limit fails at the fact one past it — mid-batch for most
-            // of them — having asserted exactly what the unlimited run had
-            // asserted up to that fact.
+            // of them — having asserted exactly what the unlimited engine
+            // run had asserted up to that fact.
             for limit in 0..total {
-                let (outcome, prefix) = run(limit);
+                let (outcome, prefix) = run(reference, limit);
                 assert!(
                     matches!(
                         outcome,
@@ -2151,38 +2069,35 @@ mod tests {
                             observed,
                         }) if l == limit && observed == limit + 1
                     ),
-                    "limit {limit} (delta_driven: {delta_driven}): {outcome:?}"
+                    "limit {limit} (reference: {reference}): {outcome:?}"
                 );
                 assert_eq!(
                     prefix,
                     log[..stored + limit + 1],
-                    "limit {limit} (delta_driven: {delta_driven})"
+                    "limit {limit} (reference: {reference})"
                 );
             }
         }
     }
 
-    /// Load `rules` with the engine and with the naive oracle: the two must
-    /// reach the same model, counters included, and it must be a model of
-    /// the rules.  Returns the engine's run.
+    /// Load `rules` with the engine and with the reference fixpoint: the two
+    /// must reach the same model, counters included, and each must be a
+    /// model of the rules.  Returns the engine's run.
     fn run_checked(rules: &[Rule]) -> (Structure, EvalStats) {
-        let run = |delta_driven| {
+        let run = |reference| {
             let mut s = Structure::new();
-            let engine = Engine::with_options(EvalOptions {
-                delta_driven,
-                ..EvalOptions::default()
-            });
-            let stats = engine.run_rules(&mut s, rules).unwrap();
+            let stats = run_with(reference, &mut s, rules, EvalOptions::default()).unwrap();
             (s, stats)
         };
-        let (s, stats) = run(true);
-        let (oracle, oracle_stats) = run(false);
+        let (s, stats) = run(false);
+        let (oracle, oracle_stats) = run(true);
         assert_eq!(s.canonical_dump(), oracle.canonical_dump());
         assert_eq!(stats.model_counters(), oracle_stats.model_counters());
         let program = Program {
             rules: rules.to_vec(),
             ..Program::new()
         };
+        assert!(crate::semantics::is_model(&oracle, &program).unwrap());
         assert!(crate::semantics::is_model(&s, &program).unwrap());
         (s, stats)
     }
@@ -2336,16 +2251,12 @@ mod tests {
     fn a_full_solve_mints_in_canonical_order_in_both_modes() {
         let rules = tag_program();
         run_checked(&rules);
-        for delta_driven in [true, false] {
+        for reference in [false, true] {
             let mut s = Structure::new();
-            let engine = Engine::with_options(EvalOptions {
-                delta_driven,
-                ..EvalOptions::default()
-            });
-            let stats = engine.run_rules(&mut s, &rules).unwrap();
+            let stats = run_with(reference, &mut s, &rules, EvalOptions::default()).unwrap();
             assert_eq!((stats.strata, stats.virtual_objects), (2, 3), "{stats:?}");
             let tags = ["a1", "a2", "a3"].map(|a| s.apply_scalar(oid(&s, "tag"), oid(&s, a), &[]).unwrap());
-            assert_eq!(tags, [Oid(19), Oid(20), Oid(21)], "delta_driven: {delta_driven}");
+            assert_eq!(tags, [Oid(19), Oid(20), Oid(21)], "reference: {reference}");
             let of = |tag: Oid| {
                 s.display_name(s.apply_scalar(oid(&s, "of"), tag, &[]).unwrap())
                     .into_owned()
@@ -2583,13 +2494,12 @@ mod tests {
                 Term::var("X").filter(Filter::set("kids", vec![Term::var("Y")])),
             )],
         ));
-        for delta_driven in [true, false] {
-            let engine = Engine::with_options(EvalOptions {
+        for reference in [false, true] {
+            let options = EvalOptions {
                 max_derived: 80,
-                delta_driven,
                 ..EvalOptions::default()
-            });
-            let err = engine.run_rules(&mut Structure::new(), &rules).unwrap_err();
+            };
+            let err = run_with(reference, &mut Structure::new(), &rules, options).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -2599,7 +2509,7 @@ mod tests {
                         observed: 91,
                     }
                 ),
-                "delta_driven: {delta_driven}: {err:?}"
+                "reference: {reference}: {err:?}"
             );
         }
     }

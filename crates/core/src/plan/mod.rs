@@ -16,10 +16,10 @@
 //! and matched incrementally ([`Condition`]) — whole, or from seed frames
 //! binding one variable to the objects a span touched ([`execute_seeded`]).
 //! What still runs on the written-order
-//! [`solve_body`](crate::engine::solve_body) is the trigger conditions of
-//! the active layer and the oracles — the naive fixpoint (`delta_driven:
-//! false`), the model check of [`crate::semantics::is_model`] and the tests'
-//! references.
+//! [`solve_body`](crate::semantics::solve_body) is the trigger conditions of
+//! the active layer and the references — the reference fixpoint
+//! [`crate::semantics::fixpoint`], the model check of
+//! [`crate::semantics::is_model`] and the tests' references.
 //!
 //! * **Compilation.**  [`compile`] lowers a rule body once into a
 //!   [`CompiledRule`]: every body variable gets a fixed *slot* index, and
@@ -66,11 +66,11 @@
 //! that order ([`merge_frame_runs`]), so the order in which a solve
 //! *enumerates* solutions cannot influence the order in which the engine
 //! commits them — not the structure, not the insertion logs, not
-//! virtual-object allocation.  The naive oracle (`delta_driven: false`)
-//! sorts its written-order solutions into the same order before it commits
-//! them.  That keeps the project's core invariant — a run is
-//! `canonical_dump()`-bit-identical to the oracle — true *by construction*;
-//! the `properties_planner` proptests assert it.
+//! virtual-object allocation.  The reference fixpoint
+//! ([`crate::semantics::fixpoint`]) sorts its written-order solutions into
+//! the same order before it commits them.  That keeps the project's core
+//! invariant — a run is `canonical_dump()`-bit-identical to the reference —
+//! true *by construction*; the `properties_planner` proptests assert it.
 //!
 //! Completeness of reordered delta passes follows from the same argument as
 //! written-order semi-naive evaluation, applied to the planned order: all of
@@ -908,10 +908,10 @@ mod tests {
     use std::collections::BTreeSet;
 
     use crate::builtins::{LT, NEQ};
-    use crate::engine::{binding_key, solve_body, BindingKey};
+    use crate::engine::{binding_key, BindingKey};
     use crate::names::Name;
     use crate::program::Literal;
-    use crate::semantics::SnapshotWindow;
+    use crate::semantics::{solve_body, SnapshotWindow};
     use crate::term::Filter;
 
     fn kids_structure() -> Structure {

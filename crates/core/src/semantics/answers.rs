@@ -24,9 +24,11 @@
 //! universe, which is correct but slow; the rule compiler orders body
 //! literals to avoid this.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
+use crate::engine::{binding_key, BindingKey};
 use crate::error::{Error, Result};
+use crate::program::Literal;
 use crate::structure::{Oid, OidRun, Structure};
 use crate::term::{Filter, FilterValue, Term};
 
@@ -88,6 +90,52 @@ pub fn answers_matching(structure: &Structure, term: &Term, seed: &Bindings, exp
             .map(|a| a.bindings)
             .collect()),
     }
+}
+
+/// Solve a body conjunction: enumerate the variable-valuations extending
+/// `seed` that satisfy every literal.  Positive literals are joined in
+/// source order against the full structure, with per-stage deduplication;
+/// negated literals are applied as filters last (validation guarantees their
+/// variables are bound by then).
+///
+/// This written-order routine is the reference semantics of a body: the
+/// reference fixpoint ([`super::fixpoint`]), the model check
+/// ([`super::is_model`]) and the reactive layer's trigger conditions run it.
+/// The engine runs no body through it: its delta passes go through
+/// [`crate::plan::execute_delta`], its full solves, its queries and the
+/// constraint checker's denial bodies through [`crate::plan::execute_query`];
+/// a full solve, a query or a check must reach the same set of solutions.
+pub fn solve_body(structure: &Structure, body: &[Literal], seed: &Bindings) -> Result<Vec<Bindings>> {
+    let mut states = vec![seed.clone()];
+    for lit in body.iter().filter(|l| l.positive) {
+        let mut next = Vec::new();
+        let mut seen: HashSet<BindingKey> = HashSet::new();
+        for s in &states {
+            for a in answers(structure, &lit.term, s)? {
+                if seen.insert(binding_key(&a.bindings)) {
+                    next.push(a.bindings);
+                }
+            }
+        }
+        states = next;
+        if states.is_empty() {
+            return Ok(states);
+        }
+    }
+    // then negated literals as filters
+    for lit in body.iter().filter(|l| !l.positive) {
+        let mut next = Vec::new();
+        for s in states {
+            if answers(structure, &lit.term, &s)?.is_empty() {
+                next.push(s);
+            }
+        }
+        states = next;
+        if states.is_empty() {
+            break;
+        }
+    }
+    Ok(states)
 }
 
 /// Answers of a path `t0 (.|..) m @ (args)`.

@@ -11,17 +11,20 @@
 //! ([`Bindings`]).  [`valuate`] requires every variable of the reference to
 //! be bound (it implements the mathematical definition); the companion module
 //! [`answers`](mod@answers) enumerates the variable-valuations under which a reference
-//! denotes something, which is what rule evaluation needs.
+//! denotes something, which is what rule evaluation needs, and joins a rule
+//! body's answers in written order ([`solve_body`]).  On that evaluator the
+//! [`model`] module checks Definition 5 ([`is_model`]) and computes the
+//! reference least fixpoint of Section 6 ([`fixpoint`]).
 
 pub mod answers;
 pub mod delta;
 pub mod factorized;
 pub mod model;
 
-pub use answers::{answers, answers_matching, Answer};
+pub use answers::{answers, answers_matching, solve_body, Answer};
 pub use delta::{DeltaView, EvalMarks, SnapshotWindow};
 pub use factorized::{factorized_answers, AnswerDag, FactorizedAnswers};
-pub use model::{is_model, violations, Violation};
+pub use model::{fixpoint, is_model, violations, Violation};
 
 use std::collections::BTreeSet;
 

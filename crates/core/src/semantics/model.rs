@@ -1,17 +1,88 @@
-//! Model checking: is a structure a model of a program?
+//! Model checking and the reference fixpoint (Section 6 of the paper).
 //!
-//! The engine computes a fixpoint that is intended to be a *model* of the
-//! program: for every rule and every variable-valuation that satisfies the
-//! body, the head must be entailed (Definition 5).  This module checks that
-//! property directly against the definitions — independently of how the
-//! engine derived the structure — and is used by the test suite to validate
-//! the engine on every example and on randomly generated programs.
+//! The engine computes the *least model* of a program: for every rule and
+//! every variable-valuation that satisfies the body, the head is entailed
+//! (Definition 5).  The tests hold it to two references written from the
+//! definitions: [`is_model`] checks that property of any structure, and
+//! [`fixpoint`] computes the least fixpoint the plain way.
 
-use crate::engine::solve_body;
-use crate::error::Result;
-use crate::program::{Program, Rule};
-use crate::semantics::{entails, Bindings};
+use crate::engine::{assert_head, binding_key, stratify, AssertOptions, EvalOptions, EvalStats};
+use crate::error::{Error, LimitKind, Result};
+use crate::program::{validate_program, Program, Rule};
+use crate::semantics::{entails, solve_body, Bindings};
 use crate::structure::Structure;
+
+/// Load `program` into `structure` by the least-fixpoint definition of
+/// Section 6: the reference that
+/// [`Engine::load_program`](crate::engine::Engine::load_program) is tested
+/// against.
+///
+/// It validates the program, registers its names the way `load_program`
+/// does and stratifies it.  Each stratum then runs Jacobi iterations until
+/// one adds nothing: every rule is solved in full by [`solve_body`] against
+/// the structure as it stood at the iteration boundary, and then its head
+/// asserted ([`assert_head`]) statement by statement in source order, each
+/// rule's solutions in canonical [`binding_key`] order, a fact (one empty
+/// solution) in the first iteration only.  That is the engine's commit
+/// order, so the two mint the same virtual objects under the same ids.
+///
+/// The limits and `create_virtuals` of `options` apply as in the engine: a
+/// limit fails at the same fact, with the same count observed.  Of the
+/// scheduling counters only `strata` and `iterations` are reported.
+pub fn fixpoint(structure: &mut Structure, program: &Program, options: &EvalOptions) -> Result<EvalStats> {
+    let infos = validate_program(program)?;
+    crate::engine::register_program_names(structure, &program.rules, &program.queries);
+    let stratification = stratify(&infos)?;
+    let mut stats = EvalStats {
+        strata: stratification.len(),
+        ..EvalStats::default()
+    };
+    let assert = AssertOptions {
+        create_virtuals: options.create_virtuals,
+    };
+    for stratum in &stratification.strata {
+        for iteration in 1.. {
+            stats.iterations += 1;
+            if iteration > options.max_iterations {
+                return Err(Error::LimitExceeded {
+                    kind: LimitKind::Iterations,
+                    limit: options.max_iterations,
+                    observed: iteration,
+                });
+            }
+            let mut solved: Vec<(&Rule, Vec<Bindings>)> = Vec::new();
+            for rule in stratum.iter().map(|&i| &program.rules[i]) {
+                if iteration == 1 || !rule.is_fact() {
+                    let mut solutions = solve_body(structure, &rule.body, &Bindings::new())?;
+                    solutions.sort_by_cached_key(binding_key);
+                    solved.push((rule, solutions));
+                }
+            }
+            let mut changed = false;
+            for (rule, solutions) in solved {
+                for bindings in &solutions {
+                    let (_, effect) = assert_head(structure, &rule.head, bindings, assert)?;
+                    if effect.changed() {
+                        changed = true;
+                        stats.firings += 1;
+                        stats.absorb(effect);
+                    }
+                    if stats.derived() > options.max_derived {
+                        return Err(Error::LimitExceeded {
+                            kind: LimitKind::DerivedFacts,
+                            limit: options.max_derived,
+                            observed: stats.derived(),
+                        });
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+    Ok(stats)
+}
 
 /// A witness that a rule is violated: the offending rule and a body
 /// valuation under which the head is not entailed.

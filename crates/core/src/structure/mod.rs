@@ -493,11 +493,11 @@ impl Structure {
     /// matter in which order their facts were asserted, without depending
     /// on hash-map iteration order.  Object ids are printed as they are,
     /// and a virtual object's id is the order in which it was minted, which
-    /// the order of commits fixes.  The contract is **engine ≡ oracle ≡
-    /// every configuration**: every evaluation commits in one canonical
-    /// order, so the engine, the naive oracle and two repeated runs agree
-    /// byte for byte, and this is the emission boundary tests diff to show
-    /// it.  It is no contract between revisions — a change of commit order
+    /// the order of commits fixes.  The contract is **engine ≡
+    /// reference**: the engine and the reference fixpoint
+    /// ([`crate::semantics::fixpoint`]) commit in one canonical order, so
+    /// they and two repeated runs agree byte for byte, and this is the
+    /// emission boundary tests diff to show it.  It is no contract between revisions — a change of commit order
     /// renumbers virtual objects; `examples/model_dump.rs --normalised`
     /// prints each by its defining path instead.
     pub fn canonical_dump(&self) -> String {

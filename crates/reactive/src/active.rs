@@ -34,10 +34,9 @@
 use std::fmt;
 use std::sync::Arc;
 
-use pathlog_core::engine::solve_body;
 use pathlog_core::names::{Name, Var};
 use pathlog_core::program::Literal;
-use pathlog_core::semantics::{valuate, Bindings};
+use pathlog_core::semantics::{solve_body, valuate, Bindings};
 use pathlog_core::structure::{Oid, Structure};
 use pathlog_core::term::Term;
 

@@ -5,9 +5,10 @@
 //! rules or active rules", because path expressions are merely a way to
 //! *reference* objects while rule evaluation is an orthogonal concern.  This
 //! crate substantiates that claim with two additional rule systems that share
-//! the deductive engine's written-order matcher
-//! ([`solve_body`](pathlog_core::engine::solve_body)) and its reference
-//! syntax:
+//! the deductive engine's reference syntax; production conditions match on
+//! the compiled atoms ([`Condition`](pathlog_core::plan::Condition)), trigger
+//! conditions on the written-order reference matcher
+//! ([`solve_body`](pathlog_core::semantics::solve_body)):
 //!
 //! * [`production`] — a forward-chaining recognise–act production system:
 //!   conditions are PathLog bodies, actions assert or retract references,

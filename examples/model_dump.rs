@@ -2,13 +2,20 @@
 //! two builds can be compared with `diff`.
 //!
 //! Runs every `examples/programs/*.pl`, the rules of the `tc_fixpoint`
-//! benchmark workload over its tree of stored facts at depth 6, and a
-//! program whose full solve enumerates its solutions in another order than
-//! the canonical one, each under `delta_driven` true and false and installed
-//! both through `Engine::install_checked` and `Engine::load_program`, and
-//! prints per run the `EvalStats`, the number of answers of each query, the
-//! `canonical_dump()`, the set-member insertion log and the mutation
-//! journal.  Two builds evaluate identically when their outputs are equal:
+//! benchmark workload over its tree of stored facts at depth 6, a program
+//! whose full solve enumerates its solutions in another order than the
+//! canonical one, and one whose facts mint objects between its rules'
+//! firings, each installed by the engine both through
+//! `Engine::install_checked` and `Engine::load_program`, and loaded by the
+//! reference fixpoint (`pathlog::core::semantics::fixpoint`), and prints per
+//! run the `EvalStats`, the number of answers of each query (the
+//! reference's by the written-order `solve_body`), the `canonical_dump()`,
+//! the set-member insertion log and the mutation journal.
+//!
+//! It is a gate: it exits non-zero, after printing everything, unless each
+//! engine run left exactly what the reference left — every printed line but
+//! the stats, and the stats' `model_counters()`.  Two builds evaluate
+//! identically when their outputs are equal:
 //!
 //! ```sh
 //! cargo run -q --offline --release --example model_dump > after.txt
@@ -32,6 +39,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use pathlog::core::semantics::{fixpoint, solve_body};
 use pathlog::parser::parse_program;
 use pathlog::prelude::*;
 
@@ -56,6 +64,20 @@ b9 : skip.
 X : skip <- X : skipper.
 A.tag[of -> B] <- B[m -> A], not B : skip.
 ?- X.tag[of -> Y].
+";
+
+/// One stratum whose facts mint virtual objects between the rules' firings:
+/// over a stored `q : person[city -> paris]`, the first iteration mints
+/// `p1.boss` (a fact), `q.address` (the rule written after it) and `p2.boss`
+/// (a fact written after that rule), in that order.
+const INTERLEAVED: &str = "p1 : employee.
+X : person <- X : employee.
+p1.boss[age -> 50].
+X.address[city -> C] <- X : person[city -> C].
+p1[city -> berlin].
+p2.boss[age -> 40].
+p2 : employee.
+?- X.address[city -> C].
 ";
 
 /// The `tc_fixpoint` workload's stored facts, built the way it builds them:
@@ -154,43 +176,68 @@ fn normalised(out: &mut String, s: &Structure) {
     writeln!(out, "journal {}", journal.join(" ")).unwrap();
 }
 
-/// One run of `program` over a copy of `base` under `delta_driven`,
-/// installed checked or loaded.
-fn dump_run(out: &mut String, base: &Structure, program: &Program, delta_driven: bool, checked: bool, norm: bool) {
-    let engine = Engine::with_options(EvalOptions {
-        delta_driven,
-        ..EvalOptions::default()
-    });
-    let mut structure = base.clone();
-    let stats = if checked {
-        engine.install_checked(&mut structure, program).map(|(stats, _)| stats)
-    } else {
-        engine.load_program(&mut structure, program)
-    };
-    match stats {
-        Ok(stats) => writeln!(out, "stats {stats:?}").unwrap(),
-        Err(e) => writeln!(out, "error {e}").unwrap(),
+/// What loads a program in a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Loader {
+    /// The engine, through `Engine::install_checked`.
+    Checked,
+    /// The engine, through `Engine::load_program`.
+    Loaded,
+    /// The reference fixpoint.
+    Reference,
+}
+
+impl Loader {
+    fn label(self) -> &'static str {
+        match self {
+            Loader::Checked => "engine install_checked",
+            Loader::Loaded => "engine load_program",
+            Loader::Reference => "reference",
+        }
     }
+}
+
+/// A run's stats, or its error.
+type Outcome = std::result::Result<EvalStats, String>;
+
+/// One run of `program` over a copy of `base`: its outcome and the rest of
+/// its block — answer counts, dump, insertion log and journal.
+fn dump_run(base: &Structure, program: &Program, loader: Loader, norm: bool) -> (Outcome, String) {
+    let engine = Engine::new();
+    let mut structure = base.clone();
+    let stats = match loader {
+        Loader::Checked => engine.install_checked(&mut structure, program).map(|(stats, _)| stats),
+        Loader::Loaded => engine.load_program(&mut structure, program),
+        Loader::Reference => fixpoint(&mut structure, program, &EvalOptions::default()),
+    };
+    let mut out = String::new();
     let answers: Vec<String> = program
         .queries
         .iter()
-        .map(|q| match engine.query(&structure, q) {
-            Ok(answers) => answers.len().to_string(),
-            Err(e) => format!("error {e}"),
+        .map(|q| {
+            let answers = match loader {
+                Loader::Reference => solve_body(&structure, &q.body, &Bindings::new()).map(|a| a.len()),
+                _ => engine.query(&structure, q).map(|a| a.len()),
+            };
+            match answers {
+                Ok(n) => n.to_string(),
+                Err(e) => format!("error {e}"),
+            }
         })
         .collect();
     writeln!(out, "answers [{}]", answers.join(", ")).unwrap();
     if norm {
-        normalised(out, &structure);
-        return;
+        normalised(&mut out, &structure);
+    } else {
+        out.push_str(&structure.canonical_dump());
+        let facts = structure.facts();
+        for (app, member) in facts.set_members_since(0) {
+            writeln!(out, "log {app} {member}").unwrap();
+        }
+        let journal: Vec<String> = facts.mutation_keys_since(0).map(|m| m.to_string()).collect();
+        writeln!(out, "journal {}", journal.join(" ")).unwrap();
     }
-    out.push_str(&structure.canonical_dump());
-    let facts = structure.facts();
-    for (app, member) in facts.set_members_since(0) {
-        writeln!(out, "log {app} {member}").unwrap();
-    }
-    let journal: Vec<String> = facts.mutation_keys_since(0).map(|m| m.to_string()).collect();
-    writeln!(out, "journal {}", journal.join(" ")).unwrap();
+    (stats.map_err(|e| e.to_string()), out)
 }
 
 fn main() {
@@ -212,8 +259,15 @@ fn main() {
         .collect();
     runs.push(("tc_fixpoint depth 6".to_string(), tree(6), TREE_RULES.to_string()));
     runs.push(("tags".to_string(), Structure::new(), TAGS.to_string()));
+    let mut stored = Structure::new();
+    let q = parse_program("q : person[city -> paris].").expect("the stored fact parses");
+    Engine::new()
+        .load_program(&mut stored, &q)
+        .expect("the stored fact loads");
+    runs.push(("interleaved".to_string(), stored, INTERLEAVED.to_string()));
 
     let mut out = String::new();
+    let mut mismatches: Vec<String> = Vec::new();
     for (name, base, text) in &runs {
         let program = match parse_program(text) {
             Ok(program) => program,
@@ -222,13 +276,30 @@ fn main() {
                 continue;
             }
         };
-        for delta_driven in [true, false] {
-            for checked in [true, false] {
-                let install = if checked { "install_checked" } else { "load_program" };
-                writeln!(out, "== {name} delta_driven={delta_driven} {install}").unwrap();
-                dump_run(&mut out, base, &program, delta_driven, checked, norm);
+        let (reference_stats, reference) = dump_run(base, &program, Loader::Reference, norm);
+        let counters = |stats: &Outcome| stats.as_ref().map(EvalStats::model_counters).map_err(String::clone);
+        for loader in [Loader::Checked, Loader::Loaded, Loader::Reference] {
+            let (stats, block) = match loader {
+                Loader::Reference => (reference_stats.clone(), reference.clone()),
+                _ => dump_run(base, &program, loader, norm),
+            };
+            writeln!(out, "== {name} {}", loader.label()).unwrap();
+            match &stats {
+                Ok(stats) => writeln!(out, "stats {stats:?}").unwrap(),
+                Err(e) => writeln!(out, "error {e}").unwrap(),
+            }
+            out.push_str(&block);
+            if block != reference || counters(&stats) != counters(&reference_stats) {
+                mismatches.push(format!("{name} {}", loader.label()));
             }
         }
     }
     print!("{out}");
+    if !mismatches.is_empty() {
+        eprintln!(
+            "model_dump: these runs differ from the reference: {}",
+            mismatches.join("; ")
+        );
+        std::process::exit(1);
+    }
 }

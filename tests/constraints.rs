@@ -16,8 +16,9 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 
 use pathlog::core::builtins::{GT, LT};
-use pathlog::core::engine::{binding_key, solve_body, BindingKey};
+use pathlog::core::engine::{binding_key, BindingKey};
 use pathlog::core::names::Name;
+use pathlog::core::semantics::solve_body;
 use pathlog::core::structure::Oid;
 use pathlog::datagen::{generate_company, generate_genealogy, CompanyParams, GenealogyParams};
 use pathlog::prelude::*;

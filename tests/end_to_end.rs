@@ -6,6 +6,7 @@ use std::collections::BTreeSet;
 
 use pathlog::baseline::relational::{queries as relq, tc};
 use pathlog::baseline::{evaluate_onedim, OneDimQuery, RelationalDb};
+use pathlog::core::semantics::fixpoint;
 use pathlog::prelude::*;
 
 #[test]
@@ -202,21 +203,11 @@ fn engine_options_affect_behaviour_but_not_answers() {
          X[desc ->> {Y}] <- X..desc[kids ->> {Y}].",
     )
     .unwrap();
-    let mut with_delta = structure.clone();
-    let mut without_delta = structure.clone();
-    Engine::with_options(EvalOptions {
-        delta_driven: true,
-        ..EvalOptions::default()
-    })
-    .load_program(&mut with_delta, &program)
-    .unwrap();
-    Engine::with_options(EvalOptions {
-        delta_driven: false,
-        ..EvalOptions::default()
-    })
-    .load_program(&mut without_delta, &program)
-    .unwrap();
-    assert_eq!(with_delta.stats().set_members, without_delta.stats().set_members);
+    let mut engine = structure.clone();
+    let mut reference = structure.clone();
+    Engine::new().load_program(&mut engine, &program).unwrap();
+    fixpoint(&mut reference, &program, &EvalOptions::default()).unwrap();
+    assert_eq!(engine.stats().set_members, reference.stats().set_members);
 
     // disabling virtual objects turns the address rule into an error
     let mut s = pathlog::datagen::company_structure(&CompanyParams::scaled(10));

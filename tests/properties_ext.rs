@@ -9,8 +9,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use pathlog::core::engine::{binding_key, solve_body, BindingKey};
-use pathlog::core::semantics::Bindings;
+use pathlog::core::engine::{binding_key, BindingKey};
+use pathlog::core::semantics::{fixpoint, solve_body, Bindings};
 use pathlog::core::structure::{Oid, Structure};
 use pathlog::core::term::Term;
 use pathlog::flogic::{lower, Translator};
@@ -311,7 +311,7 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // 4. Naive vs semi-naive evaluation: the engine's per-literal delta joins
-//    (`delta_driven: true`) must reach exactly the structure that naive
+//    must reach exactly the structure that the reference fixpoint's naive
 //    re-evaluation reaches, on randomized recursive programs over random
 //    graphs (trees from the genealogy generator plus arbitrary — possibly
 //    cyclic — edge sets).
@@ -326,22 +326,26 @@ const EXTRA_RULES: &[&str] = &[
     "X : deepFamily <- X..desc..desc[self -> Y].",
 ];
 
+/// Load the program with the engine and with the reference [`fixpoint`]:
+/// the reference's result must be a model of the program, and the engine's
+/// must be byte-identical to it.
 fn run_both_modes(structure: &Structure, program_text: &str) -> (Structure, Structure, EvalStats, EvalStats) {
     let program = parse_program(program_text).expect("generated program parses");
     let mut semi = structure.clone();
-    let semi_stats = Engine::with_options(EvalOptions {
-        delta_driven: true,
-        ..EvalOptions::default()
-    })
-    .load_program(&mut semi, &program)
-    .expect("semi-naive evaluation succeeds");
+    let semi_stats = Engine::new()
+        .load_program(&mut semi, &program)
+        .expect("semi-naive evaluation succeeds");
     let mut naive = structure.clone();
-    let naive_stats = Engine::with_options(EvalOptions {
-        delta_driven: false,
-        ..EvalOptions::default()
-    })
-    .load_program(&mut naive, &program)
-    .expect("naive evaluation succeeds");
+    let naive_stats = fixpoint(&mut naive, &program, &EvalOptions::default()).expect("naive evaluation succeeds");
+    assert!(
+        is_model(&naive, &program).expect("the rules check"),
+        "the reference reached no model"
+    );
+    assert_eq!(
+        semi.canonical_dump(),
+        naive.canonical_dump(),
+        "the engine's model is not the reference's"
+    );
     (semi, naive, semi_stats, naive_stats)
 }
 
