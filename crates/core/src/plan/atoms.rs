@@ -12,13 +12,27 @@
 //! of an explicit set) and denotes its receiver; `t : c` is one
 //! [`Atom::Isa`].
 //!
-//! A `Machine` runs a literal's atoms depth-first over each incoming frame:
-//! every atom kind has one step function that picks its index from the
-//! operands already bound — the fully bound case is a probe, an unbound
+//! **Batch steps.**  A `Machine` runs a literal's atoms a step at a time
+//! over one run of rows, a flat buffer: a row holds the body's slots, then
+//! the literal's temporaries, then a tag — the index of the frame it grew
+//! from; the rule's names are resolved once, outside the rows.  Each atom
+//! kind has one step that maps the run to the next run, row by row and in
+//! order.  Per row it picks the index the bound operands select: an unbound
 //! receiver walks the per-method index, an unbound method the per-receiver
-//! one — binds the rest and continues with the next atom.  Temporaries live
-//! in the machine's scratch cells, so frames stay as wide as the body's
-//! variables and a temporary is existentially quantified.
+//! one, and a row's expansions follow in the order the index lists them.  A
+//! fully bound call is a probe: the lookups of the whole run go in one tight
+//! loop, then the step filters the run or gathers the result into a
+//! temporary.  A run that is long next to a class extent or a method's
+//! facts reads them from a table over the objects instead.  A step binds all
+//! of its operands in the rows it emits, so a run binds the same cells in
+//! every row.  Two buffers alternate as the run a step reads and the one it
+//! writes, so no row allocates.  Every step keeps its input order and lists
+//! one row's expansions in index order, so a chain emits its completions in
+//! the depth-first lexicographic order of their derivations, and a run
+//! seeded from an extent or an index leaves with ascending leading keys (see
+//! `FrameRun::sorted`).  Temporaries live in the rows, so frames leaving the
+//! literal stay as wide as the body's variables and a temporary is
+//! existentially quantified.
 //!
 //! **Restricted steps.**  Every step has a window-restricted variant that
 //! reads the same operands but only the [`DeltaView`] slice of its index:
@@ -33,7 +47,15 @@
 //! the product rule of semi-naive evaluation, at the grain of single
 //! applications.  The restricted atom runs first (the window seeds the
 //! chain; the others follow in lowering order and find their operands
-//! bound), except the order-sensitive [`Atom::Superset`].
+//! bound), except the order-sensitive [`Atom::Superset`].  Each chain runs
+//! over the whole input in turn, so a restricted literal emits its
+//! completions chain by chain; the deduplicating sort after the literal
+//! restores the one order every run is committed in.
+//!
+//! **Anti-joins.**  A negated literal runs its chain over the rows of every
+//! frame at once, as a positive one does, and the frames no row completed
+//! stay, in order.  A frame costs the literal's solutions under it — where
+//! stopping at its first completion would cost one — and no more.
 //!
 //! **Ordered steps.**  The atoms of an unrestricted literal — every literal
 //! of a query or a full solve, every literal of a delta pass but the
@@ -283,63 +305,697 @@ impl Lowering<'_> {
     }
 }
 
-/// What a step does with one candidate: continue the chain under the
-/// bindings the step just made.
-trait Cont<'a>: FnMut(&mut Machine<'a>) -> Result<()> {}
-impl<'a, K: FnMut(&mut Machine<'a>) -> Result<()>> Cont<'a> for K {}
-
-/// What [`Machine::each_app`] does with one application: its members and,
-/// on a restricted walk, the member the window entry added.
-trait Visit<'a>: FnMut(&mut Machine<'a>, &OidRun, Option<Oid>) -> Result<()> {}
-impl<'a, V: FnMut(&mut Machine<'a>, &OidRun, Option<Oid>) -> Result<()>> Visit<'a> for V {}
-
 /// `self` and the comparisons apply to any receiver without stored facts.
 fn is_builtin(structure: &Structure, method: Oid) -> bool {
     method == structure.self_method() || structure.is_comparison_method(method)
 }
 
-/// The executor of one pass: the structure, the window, and the cells the
-/// atoms of the literal in hand read and write.
-pub(super) struct Machine<'a> {
+/// The object a cell holds: `0` is unbound, else object id + 1.
+fn object(cell: u32) -> Option<Oid> {
+    (cell != 0).then(|| Oid(cell - 1))
+}
+
+/// What binding the operands of `call` to one stored application binds —
+/// `None` when the application has another arity.
+fn call_binds<'c>(
+    call: &'c Call,
+    method: Oid,
+    receiver: Oid,
+    args: &'c [Oid],
+) -> Option<impl Iterator<Item = (Operand, Oid)> + Clone + 'c> {
+    let operands = [(call.method, method), (call.receiver, receiver)].into_iter();
+    let arity = call.args.len() == args.len();
+    arity.then(|| operands.chain(call.args.iter().copied().zip(args.iter().copied())))
+}
+
+/// What every step reads: the structure, the window, the rule, and the
+/// layout of a row.
+struct Scope<'a> {
     structure: &'a Structure,
     dv: &'a DeltaView,
     rule: &'a CompiledRule,
-    /// One cell per slot, then per name of the rule (resolved once, here),
-    /// then per temporary; `0` = unbound, else object id + 1.
-    cells: Vec<u32>,
-    /// Number of slot cells: where the name cells start.
+    /// One cell per name of the rule, resolved once: object id + 1, `0` when
+    /// the structure does not know the name.
+    names: Vec<u32>,
+    /// Number of slots: where a row's temporaries start.
     slots: usize,
-    /// Where the temporaries start.
-    temp_base: usize,
-    /// The cells bound since the incoming frame was loaded, for backtracking.
-    trail: Vec<usize>,
-    /// The frames the literal in hand has produced.
-    out: FrameRun,
+    /// Words per row: the slots, the temporaries, and the tag — the index
+    /// of the frame the row grew from.
+    width: usize,
+}
+
+/// Buffers a step reuses from row to row, and the steps of a pass from one
+/// to the next.
+#[derive(Default)]
+struct Scratch<'a> {
+    /// The objects of a call's arguments.
+    args: Vec<Oid>,
+    /// A row with the operands of a call bound to one stored application.
+    app: Vec<u32>,
+    /// What a probe found, per row of the run: object id + 1, `0` for
+    /// nothing.
+    found: Vec<u32>,
+    /// The member run a probe found, per row of the run.
+    runs: Vec<&'a OidRun>,
+    /// An index tabulated over the objects (see [`Scope::tabulate`]).
+    table: Vec<u32>,
+}
+
+impl<'a> Scope<'a> {
+    fn rows<'r>(&self, rows: &'r [u32]) -> std::slice::ChunksExact<'r, u32> {
+        rows.chunks_exact(self.width)
+    }
+
+    /// The cell `op` reads in `row`.
+    fn cell(&self, row: &[u32], op: Operand) -> u32 {
+        match op {
+            Operand::Slot(i) => row[i],
+            Operand::Temp(i) => row[self.slots + i],
+            Operand::Name(i) => self.names[i],
+        }
+    }
+
+    fn get(&self, row: &[u32], op: Operand) -> Option<Oid> {
+        object(self.cell(row, op))
+    }
+
+    /// The objects of `ops` in `row`, in `buf`, when all are bound.
+    fn bound<'b>(&self, row: &[u32], ops: &[Operand], buf: &'b mut Vec<Oid>) -> Option<&'b [Oid]> {
+        buf.clear();
+        for &op in ops {
+            buf.push(self.get(row, op)?);
+        }
+        Some(buf)
+    }
+
+    /// The method `op` names, when it is a stored one — a name, and no
+    /// built-in.
+    fn stored_method(&self, op: Operand) -> Option<Oid> {
+        match op {
+            Operand::Name(i) => object(self.names[i]).filter(|&m| !is_builtin(self.structure, m)),
+            _ => None,
+        }
+    }
+
+    /// Are `ops` bound in the rows of `rows`?  A run binds the same cells
+    /// in every row — the incoming frames do, and every step binds all of
+    /// its operands — so its first row tells.
+    fn all_bound(&self, rows: &[u32], ops: impl Iterator<Item = Operand> + Clone) -> bool {
+        let Some(first) = rows.get(..self.width) else {
+            return false;
+        };
+        let bound = |row| ops.clone().map(move |op| self.get(row, op).is_some());
+        debug_assert!(self.rows(rows).all(|row| bound(row).eq(bound(first))));
+        bound(first).all(|b| b)
+    }
+
+    /// Are the receiver and the arguments of `call` bound in `rows`?
+    fn call_bound(&self, rows: &[u32], call: &Call) -> bool {
+        self.all_bound(rows, std::iter::once(call.receiver).chain(call.args.iter().copied()))
+    }
+
+    /// Should a probe of every row of `rows` read a table over the objects
+    /// filled from an index of `entries()` entries, rather than the index?
+    /// Filling one entry costs a fraction of a probe, and clearing the table
+    /// a smaller one per object; when it pays, `table` is cleared to one `0`
+    /// per object.
+    fn tabulate(&self, rows: &[u32], entries: impl FnOnce() -> usize, table: &mut Vec<u32>) -> bool {
+        let (objects, budget) = (self.structure.num_objects(), 8 * (rows.len() / self.width));
+        let pays = objects / 16 <= budget && entries() + objects / 16 <= budget;
+        if pays {
+            table.clear();
+            table.resize(objects, 0);
+        }
+        pays
+    }
+
+    /// Append `row` to `out` with every `(operand, object)` of `binds` bound
+    /// — nothing, when an operand holds another object.  `true` when
+    /// appended.
+    fn emit(&self, out: &mut Vec<u32>, row: &[u32], binds: impl IntoIterator<Item = (Operand, Oid)>) -> bool {
+        let at = out.len();
+        out.extend_from_slice(row);
+        for (op, o) in binds {
+            let cell = match op {
+                Operand::Slot(i) => &mut out[at + i],
+                Operand::Temp(i) => &mut out[at + self.slots + i],
+                Operand::Name(i) if self.names[i] == o.0 + 1 => continue,
+                Operand::Name(_) => {
+                    out.truncate(at);
+                    return false;
+                }
+            };
+            match *cell {
+                0 => *cell = o.0 + 1,
+                v if v == o.0 + 1 => {}
+                _ => {
+                    out.truncate(at);
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Map `rows` through the step of `atom` — window-restricted with
+    /// `restricted` — appending the rows it emits to `out`: row by row, in
+    /// order, and each row's in the order its index lists them.
+    fn step(
+        &self,
+        atom: &Atom,
+        restricted: bool,
+        rows: &[u32],
+        out: &mut Vec<u32>,
+        scratch: &mut Scratch<'a>,
+    ) -> Result<()> {
+        match atom {
+            Atom::Scalar { call, result } => self.scalar(call, *result, restricted, rows, out, scratch),
+            Atom::Member { call, member } => self.member(call, *member, restricted, rows, out, scratch)?,
+            Atom::Isa { instance, class } => self.isa(*instance, *class, restricted, rows, out, scratch),
+            Atom::Object { cell } => {
+                for row in self.rows(rows) {
+                    self.each_object(row, std::iter::once(*cell), restricted, &mut |row| {
+                        out.extend_from_slice(row)
+                    });
+                }
+            }
+            Atom::Superset { call, rhs } => self.superset(call, rhs, restricted, rows, out, scratch)?,
+            Atom::Signature {
+                call,
+                set_valued,
+                results,
+            } => self.signature(call, *set_valued, results, restricted, rows, out),
+        }
+        Ok(())
+    }
+
+    /// Call `f` with `row` extended by every combination of objects for the
+    /// operands of `ops` it leaves unbound — with `need_new`, by the
+    /// combinations in which at least one of them is an object the window
+    /// created (none, when all are bound: a bound operand reads nothing).
+    fn each_object(
+        &self,
+        row: &[u32],
+        ops: impl Iterator<Item = Operand> + Clone,
+        need_new: bool,
+        f: &mut impl FnMut(&[u32]),
+    ) {
+        if ops.clone().all(|op| self.get(row, op).is_some()) {
+            if !need_new {
+                f(row);
+            }
+            return;
+        }
+        // The columns to enumerate, each once, in operand order (a name is
+        // bound).
+        let mut columns: Vec<usize> = Vec::new();
+        for op in ops {
+            let column = match op {
+                Operand::Slot(i) => i,
+                Operand::Temp(i) => self.slots + i,
+                Operand::Name(_) => continue,
+            };
+            if row[column] == 0 && !columns.contains(&column) {
+                columns.push(column);
+            }
+        }
+        self.enumerate(&mut row.to_vec(), &columns, need_new, f);
+    }
+
+    fn enumerate(&self, row: &mut [u32], columns: &[usize], need_new: bool, f: &mut impl FnMut(&[u32])) {
+        let Some((&column, rest)) = columns.split_first() else {
+            if !need_new {
+                f(row);
+            }
+            return;
+        };
+        let new = self.dv.new_objects();
+        // The last column supplies the new object if none has.
+        let candidates = if need_new && rest.is_empty() {
+            new.clone()
+        } else {
+            0..self.structure.num_objects()
+        };
+        for i in candidates {
+            row[column] = i as u32 + 1;
+            self.enumerate(row, rest, need_new && !new.contains(&i), f);
+        }
+    }
+
+    /// A built-in `method` applies through [`Structure::apply_scalar`] to
+    /// any receiver and arguments: unbound ones range over the universe, and
+    /// the only window such an application reads is its new objects.
+    #[allow(clippy::too_many_arguments)]
+    fn builtin(
+        &self,
+        row: &[u32],
+        call: &Call,
+        method: Oid,
+        result: Operand,
+        restricted: bool,
+        out: &mut Vec<u32>,
+        args: &mut Vec<Oid>,
+    ) {
+        let ops = std::iter::once(call.receiver).chain(call.args.iter().copied());
+        self.each_object(row, ops, restricted, &mut |row| {
+            let receiver = self.get(row, call.receiver).expect("enumerated above");
+            let args = self.bound(row, &call.args, args).expect("enumerated above");
+            if let Some(res) = self.structure.apply_scalar(method, receiver, args) {
+                self.emit(out, row, [(call.method, method), (result, res)]);
+            }
+        });
+    }
+
+    fn scalar(
+        &self,
+        call: &Call,
+        result: Operand,
+        restricted: bool,
+        rows: &[u32],
+        out: &mut Vec<u32>,
+        scratch: &mut Scratch<'a>,
+    ) {
+        let (s, dv) = (self.structure, self.dv);
+        let facts = s.facts();
+        let stored = self.stored_method(call.method).filter(|_| !restricted);
+        if let Some(m) = stored.filter(|_| self.call_bound(rows, call)) {
+            // A probe per row, the lookups in one tight loop over the run
+            // (so that those of neighbouring rows overlap) — of the method's
+            // facts tabulated by receiver, when the run is long and the call
+            // has no arguments; the rows whose application is defined go on
+            // with its result gathered into a temporary, or filtered by a
+            // bound one.
+            let table =
+                call.args.is_empty() && self.tabulate(rows, || facts.count_scalar_of_method(m), &mut scratch.table);
+            if table {
+                for f in facts.scalar_facts_of_method(m).filter(|f| f.args.is_empty()) {
+                    scratch.table[f.receiver.index()] = f.result.0 + 1;
+                }
+            }
+            let found = &mut scratch.found;
+            found.clear();
+            found.extend(self.rows(rows).map(|row| {
+                let receiver = self.get(row, call.receiver).expect("bound");
+                if table {
+                    return scratch.table[receiver.index()];
+                }
+                let args = self.bound(row, &call.args, &mut scratch.args).expect("bound");
+                facts.scalar_result(m, receiver, args).map_or(0, |v| v.0 + 1)
+            }));
+            for (row, &v) in self.rows(rows).zip(found.iter()) {
+                if let Some(v) = object(v) {
+                    self.emit(out, row, [(result, v)]);
+                }
+            }
+            return;
+        }
+        let is_self = matches!(call.method, Operand::Name(i) if self.names[i] == s.self_method().0 + 1);
+        if is_self && !restricted && call.args.is_empty() && self.call_bound(rows, call) {
+            // `self` of a bound receiver: a column copy, or a filter.
+            for row in self.rows(rows) {
+                self.emit(out, row, [(result, self.get(row, call.receiver).expect("bound"))]);
+            }
+            return;
+        }
+        for row in self.rows(rows) {
+            let (method, receiver) = (self.get(row, call.method), self.get(row, call.receiver));
+            // An unbound method variable ranges over the stored methods and
+            // `self`, which every object answers to.
+            if method.is_none_or(|m| is_builtin(s, m)) {
+                let method_or_self = method.unwrap_or(s.self_method());
+                self.builtin(row, call, method_or_self, result, restricted, out, &mut scratch.args);
+                if method.is_some() {
+                    continue;
+                }
+            }
+            let mut visit = |f: ScalarFactView<'_>| {
+                if let Some(binds) = call_binds(call, f.method, f.receiver, f.args) {
+                    self.emit(out, row, binds.chain([(result, f.result)]));
+                }
+            };
+            match (method, receiver, self.bound(row, &call.args, &mut scratch.args)) {
+                // A probe: the call is bound, its result is gathered or
+                // filtered.
+                (Some(m), Some(r), Some(args)) => {
+                    if let Some(idx) = facts.scalar_index(m, r, args) {
+                        if !restricted || dv.scalar_is_new(idx) {
+                            self.emit(out, row, [(result, facts.scalar_fact_at(idx).result)]);
+                        }
+                    }
+                }
+                (Some(m), _, _) if restricted => {
+                    for &idx in dv.new_scalar_facts_of_method(m) {
+                        visit(facts.scalar_fact_at(idx));
+                    }
+                }
+                (Some(m), Some(r), _) => facts.scalar_facts_of_method_receiver(m, r).for_each(visit),
+                (Some(m), None, _) => match self.get(row, result) {
+                    Some(v) => facts.scalar_facts_with_result(m, v).for_each(visit),
+                    None => facts.scalar_facts_of_method(m).for_each(visit),
+                },
+                (None, Some(r), _) if !restricted => facts.scalar_facts_of_receiver(r).for_each(visit),
+                (None, _, _) => {
+                    let window = if restricted {
+                        dv.new_scalar_facts()
+                    } else {
+                        0..usize::MAX
+                    };
+                    facts
+                        .scalar_facts_in(window.start, window.end)
+                        .for_each(|(_, f)| visit(f));
+                }
+            }
+        }
+    }
+
+    /// Visit the stored applications `call` can denote in `row` — as `row`
+    /// with the call's operands bound to each — the walk narrowed to those
+    /// `containing` a member, when given.  Restricted: one visit per window
+    /// entry, with the member it added.  A fully bound call is one visit of
+    /// its (possibly undefined, hence empty) application.
+    fn each_app(
+        &self,
+        row: &[u32],
+        call: &Call,
+        containing: Option<Oid>,
+        restricted: bool,
+        scratch: &mut Scratch<'a>,
+        visit: &mut impl FnMut(&[u32], &OidRun, Option<Oid>) -> Result<()>,
+    ) -> Result<()> {
+        let (s, dv) = (self.structure, self.dv);
+        let facts = s.facts();
+        let (method, receiver) = (self.get(row, call.method), self.get(row, call.receiver));
+        if let (Some(m), Some(r), Some(args)) = (method, receiver, self.bound(row, &call.args, &mut scratch.args)) {
+            let members = s.apply_set(m, r, args).unwrap_or(OidRun::empty_ref());
+            if !restricted {
+                return visit(row, members, None);
+            }
+            let new = facts.set_index(m, r, args).and_then(|idx| dv.new_members_of_app(idx));
+            match (new, containing) {
+                (Some(new), Some(x)) if new.binary_search(&x).is_ok() => visit(row, members, Some(x))?,
+                (Some(new), None) => {
+                    for &x in new {
+                        visit(row, members, Some(x))?;
+                    }
+                }
+                _ => {}
+            }
+            return Ok(());
+        }
+        let app = &mut scratch.app;
+        let mut at = |f: SetFactView<'_>, new: Option<Oid>| {
+            app.clear();
+            let bound = call_binds(call, f.method, f.receiver, f.args).is_some_and(|binds| self.emit(app, row, binds));
+            if bound {
+                visit(app, f.members, new)?;
+            }
+            Ok(())
+        };
+        // A window entry adding another member than the one wanted is
+        // rejected before its application is looked at.
+        let wanted = |x: Oid| containing.is_none_or(|c| c == x);
+        match (method, receiver) {
+            (Some(m), _) if restricted => {
+                for &(app, x) in dv.new_set_entries_of_method(m).iter().filter(|e| wanted(e.1)) {
+                    at(facts.set_fact_at(app), Some(x))?;
+                }
+            }
+            (None, _) if restricted => {
+                let window = dv.new_set_entries();
+                for (app, x) in facts.set_members_in(window.start, window.end).filter(|e| wanted(e.1)) {
+                    at(facts.set_fact_at(app), Some(x))?;
+                }
+            }
+            (Some(m), Some(r)) => facts.set_facts_of_method_receiver(m, r).try_for_each(|f| at(f, None))?,
+            (Some(m), None) => match containing {
+                Some(x) => facts.set_facts_containing(m, x).try_for_each(|f| at(f, None))?,
+                None => facts.set_facts_of_method(m).try_for_each(|f| at(f, None))?,
+            },
+            (None, Some(r)) => facts.set_facts_of_receiver(r).try_for_each(|f| at(f, None))?,
+            (None, None) => facts.set_facts().try_for_each(|f| at(f, None))?,
+        }
+        Ok(())
+    }
+
+    fn member(
+        &self,
+        call: &Call,
+        member: Operand,
+        restricted: bool,
+        rows: &[u32],
+        out: &mut Vec<u32>,
+        scratch: &mut Scratch<'a>,
+    ) -> Result<()> {
+        let stored = self.stored_method(call.method).filter(|_| !restricted);
+        if let Some(m) = stored.filter(|_| self.call_bound(rows, call)) {
+            // A probe per row, as for a scalar; each row then goes on once
+            // per member of its application, or, with the member bound, if
+            // it holds it.
+            let runs = &mut scratch.runs;
+            runs.clear();
+            runs.extend(self.rows(rows).map(|row| {
+                let receiver = self.get(row, call.receiver).expect("bound");
+                let args = self.bound(row, &call.args, &mut scratch.args).expect("bound");
+                self.structure
+                    .apply_set(m, receiver, args)
+                    .unwrap_or(OidRun::empty_ref())
+            }));
+            for (row, members) in self.rows(rows).zip(runs.iter()) {
+                match self.get(row, member) {
+                    Some(x) if members.contains(&x) => out.extend_from_slice(row),
+                    Some(_) => {}
+                    None => {
+                        for &x in members.iter() {
+                            self.emit(out, row, [(member, x)]);
+                        }
+                    }
+                }
+            }
+            return Ok(());
+        }
+        for row in self.rows(rows) {
+            let wanted = self.get(row, member);
+            // The call's own operands may bind `member` (`X[m ->> {X}]`):
+            // it is read again in the row the application is visited in.
+            self.each_app(row, call, wanted, restricted, scratch, &mut |row, members, new| {
+                match (new, self.get(row, member)) {
+                    (Some(x), _) => {
+                        self.emit(out, row, [(member, x)]);
+                    }
+                    // A filter.
+                    (None, Some(x)) => {
+                        if members.contains(&x) {
+                            out.extend_from_slice(row);
+                        }
+                    }
+                    // An expansion: one row per member.
+                    (None, None) => {
+                        for &x in members.iter() {
+                            self.emit(out, row, [(member, x)]);
+                        }
+                    }
+                }
+                Ok(())
+            })?;
+        }
+        Ok(())
+    }
+
+    fn superset(
+        &self,
+        call: &Call,
+        rhs: &Term,
+        restricted: bool,
+        rows: &[u32],
+        out: &mut Vec<u32>,
+        scratch: &mut Scratch<'a>,
+    ) -> Result<()> {
+        // The required set is a strict use of an earlier stratum and cannot
+        // change mid-stratum; the application can gain members, which
+        // re-establishes the condition.
+        for row in self.rows(rows) {
+            self.each_app(row, call, None, restricted, scratch, &mut |row, members, _| {
+                let bindings = self.rule.bindings_of(&row[..self.slots]);
+                let required = required_members(self.structure, rhs, &bindings)?;
+                if required.iter().all(|x| members.contains(x)) {
+                    out.extend_from_slice(row);
+                }
+                Ok(())
+            })?;
+        }
+        Ok(())
+    }
+
+    fn isa(
+        &self,
+        instance: Operand,
+        class: Operand,
+        restricted: bool,
+        rows: &[u32],
+        out: &mut Vec<u32>,
+        scratch: &mut Scratch<'a>,
+    ) {
+        let (s, dv) = (self.structure, self.dv);
+        if self.all_bound(rows, [instance, class].into_iter()) {
+            // A probe per row in one tight loop, then a filter on the run;
+            // against the extent of a class the rule names, tabulated when
+            // the run is long.
+            let named = match class {
+                Operand::Name(i) if !restricted => object(self.names[i]),
+                _ => None,
+            };
+            let mut extent: &[Oid] = &[];
+            let table = named.is_some_and(|c| {
+                let size = || {
+                    extent = s.isa().extent_run(c).map_or(&[][..], OidRun::as_slice);
+                    extent.len()
+                };
+                self.tabulate(rows, size, &mut scratch.table)
+            });
+            if table {
+                extent.iter().for_each(|o| scratch.table[o.index()] = 1);
+            }
+            let found = &mut scratch.found;
+            found.clear();
+            found.extend(self.rows(rows).map(|row| {
+                let (o, c) = (
+                    self.get(row, instance).expect("bound"),
+                    self.get(row, class).expect("bound"),
+                );
+                match table {
+                    true => scratch.table[o.index()],
+                    false if restricted => u32::from(dv.isa_is_new(o, c)),
+                    false => u32::from(s.in_class(o, c)),
+                }
+            }));
+            for (row, &holds) in self.rows(rows).zip(found.iter()) {
+                if holds != 0 {
+                    out.extend_from_slice(row);
+                }
+            }
+            return;
+        }
+        for row in self.rows(rows) {
+            let mut pair = |o: Oid, c: Oid| {
+                self.emit(out, row, [(instance, o), (class, c)]);
+            };
+            match (self.get(row, instance), self.get(row, class)) {
+                (None, Some(c)) if restricted => dv.new_instances_of(c).iter().for_each(|&o| pair(o, c)),
+                (None, Some(c)) => s.instances_of(c).for_each(|o| pair(o, c)),
+                (Some(o), None) if !restricted => s.classes_of(o).for_each(|c| pair(o, c)),
+                // The closure's insertion log holds every pair (a run with
+                // both operands bound was probed above).
+                _ => {
+                    let window = if restricted { dv.new_isa_pairs() } else { 0..usize::MAX };
+                    s.isa().pairs_in(window.start, window.end).for_each(|(o, c)| pair(o, c));
+                }
+            }
+        }
+    }
+
+    fn signature(
+        &self,
+        call: &Call,
+        set_valued: bool,
+        results: &[Operand],
+        restricted: bool,
+        rows: &[u32],
+        out: &mut Vec<u32>,
+    ) {
+        // Declarations carry no per-fact stamps: a window that added any
+        // re-matches them all.
+        if restricted && !self.dv.sigs_changed() {
+            return;
+        }
+        let s = self.structure;
+        for row in self.rows(rows) {
+            if let Some(method) = self.get(row, call.method) {
+                self.declared(row, call, method, set_valued, results, out);
+                continue;
+            }
+            // As `answers()` seeds it: an unbound method variable ranges
+            // over the methods with facts stored on the receiver (and
+            // `self`), not over the declarations.
+            self.each_object(row, std::iter::once(call.receiver), false, &mut |row| {
+                let r = self.get(row, call.receiver).expect("enumerated above");
+                let methods: BTreeSet<Oid> = if set_valued {
+                    s.facts().set_facts_of_receiver(r).map(|f| f.method).collect()
+                } else {
+                    let stored = s.facts().scalar_facts_of_receiver(r).map(|f| f.method);
+                    stored.chain([s.self_method()]).collect()
+                };
+                for method in methods {
+                    self.declared(row, call, method, set_valued, results, out);
+                }
+            });
+        }
+    }
+
+    /// Emit `row` bound to each declaration of `method`: its method, class
+    /// and argument classes, and every operand of `results` to one of its
+    /// result classes — every combination, the first operand's class
+    /// varying slowest.
+    fn declared(
+        &self,
+        row: &[u32],
+        call: &Call,
+        method: Oid,
+        set_valued: bool,
+        results: &[Operand],
+        out: &mut Vec<u32>,
+    ) {
+        for sig in self.structure.signatures().for_method(method) {
+            if sig.set_valued != set_valued {
+                continue;
+            }
+            let Some(binds) = call_binds(call, sig.method, sig.class, &sig.arg_classes) else {
+                continue;
+            };
+            let classes = &sig.result_classes;
+            let digit =
+                |k: usize, i: usize| classes[k / classes.len().pow((results.len() - 1 - i) as u32) % classes.len()];
+            for k in 0..classes.len().pow(results.len() as u32) {
+                let chosen = results.iter().enumerate().map(|(i, &op)| (op, digit(k, i)));
+                self.emit(out, row, binds.clone().chain(chosen));
+            }
+        }
+    }
+}
+
+/// The executor of one pass: a literal's atoms run a step at a time over
+/// the rows of every incoming frame (see the module docs).
+pub(super) struct Machine<'a> {
+    scope: Scope<'a>,
+    /// The run the next step reads, and the one it writes: swapped after
+    /// every step and reused from literal to literal.
+    rows: Vec<u32>,
+    next: Vec<u32>,
+    scratch: Scratch<'a>,
     /// `Some` when every completion also emits the object this operand
     /// holds, as one more word of the frame ([`Machine::emit_denoted`]).
     denoted: Option<Operand>,
-    /// `Some` while an anti-join probes a frame: has a completion been seen?
-    probe: Option<bool>,
 }
 
 impl<'a> Machine<'a> {
     pub(super) fn new(structure: &'a Structure, dv: &'a DeltaView, rule: &'a CompiledRule) -> Self {
+        let names = rule
+            .names
+            .iter()
+            .map(|name| structure.lookup_name(name).map_or(0, |o| o.0 + 1));
         let slots = rule.slot_count();
-        let mut cells = vec![0; slots + rule.names.len() + rule.temps];
-        for (cell, name) in cells[slots..].iter_mut().zip(&rule.names) {
-            *cell = structure.lookup_name(name).map_or(0, |o| o.0 + 1);
-        }
         Machine {
-            structure,
-            dv,
-            rule,
-            cells,
-            slots,
-            temp_base: slots + rule.names.len(),
-            trail: Vec::new(),
-            out: FrameRun::new(slots),
+            scope: Scope {
+                structure,
+                dv,
+                rule,
+                names: names.collect(),
+                slots,
+                width: slots + rule.temps + 1,
+            },
+            rows: Vec::new(),
+            next: Vec::new(),
+            scratch: Scratch::default(),
             denoted: None,
-            probe: None,
         }
     }
 
@@ -348,15 +1004,12 @@ impl<'a> Machine<'a> {
     /// path, temporaries included.
     pub(super) fn emit_denoted(&mut self, denoted: Operand) {
         self.denoted = Some(denoted);
-        self.out = FrameRun::new(self.slots + 1);
     }
 
     /// Does the structure know every name of `lit`?  A name it does not know
     /// denotes nothing, so the literal has no solution.
     pub(super) fn knows(&self, lit: &CompiledLiteral) -> bool {
-        self.cells[self.slots + lit.names.start..self.slots + lit.names.end]
-            .iter()
-            .all(|&c| c != 0)
+        self.scope.names[lit.names.clone()].iter().all(|&c| c != 0)
     }
 
     /// The atoms of `lit` in the order of `steps` — in lowering order without.
@@ -365,6 +1018,28 @@ impl<'a> Machine<'a> {
             Some(steps) => steps.iter().map(|s| s.atom).collect(),
             None => (0..lit.atoms.len()).collect(),
         }
+    }
+
+    /// Load `frames` as the run the first step reads: each frame with its
+    /// temporaries unbound, tagged with its index.
+    fn load(&mut self, frames: &FrameRun) {
+        let Scope { slots, width, .. } = self.scope;
+        self.rows.clear();
+        self.rows.reserve(frames.len() * width);
+        for (tag, frame) in frames.frames().enumerate() {
+            self.rows.extend_from_slice(frame);
+            self.rows.resize(self.rows.len() + width - slots - 1, 0);
+            self.rows.push(tag as u32);
+        }
+    }
+
+    /// Map the loaded run through the step of `atom`.
+    fn step(&mut self, atom: &Atom, restricted: bool) -> Result<()> {
+        self.next.clear();
+        self.scope
+            .step(atom, restricted, &self.rows, &mut self.next, &mut self.scratch)?;
+        std::mem::swap(&mut self.rows, &mut self.next);
+        Ok(())
     }
 
     /// Extend every frame of `frames` by the solutions of positive literal
@@ -390,14 +1065,22 @@ impl<'a> Machine<'a> {
         } else {
             vec![chain(None)]
         };
-        for frame in frames.frames() {
-            self.cells[..self.slots].copy_from_slice(frame);
-            for chain in &chains {
-                self.solve(chain)?;
+        let slots = self.scope.slots;
+        let mut out = FrameRun::new(slots + usize::from(self.denoted.is_some()));
+        for chain in &chains {
+            self.load(frames);
+            for &(atom, restricted) in chain {
+                if self.rows.is_empty() {
+                    break;
+                }
+                self.step(atom, restricted)?;
+            }
+            for row in self.scope.rows(&self.rows) {
+                let object = self.denoted.map(|op| self.scope.cell(row, op));
+                out.push_with(&row[..slots], object);
             }
         }
-        let emitted = FrameRun::new(self.out.slots);
-        Ok(std::mem::replace(&mut self.out, emitted))
+        Ok(out)
     }
 
     /// The frames of `frames` that negated literal `lit`, its atoms run in
@@ -408,441 +1091,19 @@ impl<'a> Machine<'a> {
         steps: &[AtomStep],
         frames: &FrameRun,
     ) -> Result<FrameRun> {
-        let chain: Vec<(&Atom, bool)> = steps.iter().map(|s| (&lit.atoms[s.atom], false)).collect();
-        let mut kept = FrameRun::new(self.slots);
-        for frame in frames.frames() {
-            self.cells[..self.slots].copy_from_slice(frame);
-            self.probe = Some(false);
-            self.solve(&chain)?;
-            if self.probe.take() == Some(false) {
-                kept.push(frame);
+        self.load(frames);
+        for step in steps {
+            if self.rows.is_empty() {
+                break;
             }
+            self.step(&lit.atoms[step.atom], false)?;
         }
-        Ok(kept)
-    }
-
-    /// Run `steps` — `(atom, restricted)` — depth-first under the current
-    /// cells; every completion emits the frame.
-    fn solve(&mut self, steps: &[(&'a Atom, bool)]) -> Result<()> {
-        if self.probe == Some(true) {
-            return Ok(());
+        let mut holds = vec![false; frames.len()];
+        for row in self.scope.rows(&self.rows) {
+            holds[row[self.scope.width - 1] as usize] = true;
         }
-        let Some((&(atom, restricted), rest)) = steps.split_first() else {
-            match &mut self.probe {
-                Some(seen) => *seen = true,
-                None => {
-                    let object = self.denoted.map(|op| self.cells[self.index(op)]);
-                    self.out.push_with(&self.cells[..self.slots], object);
-                }
-            }
-            return Ok(());
-        };
-        let k = &mut |m: &mut Self| m.solve(rest);
-        match atom {
-            Atom::Scalar { call, result } => self.scalar(call, *result, restricted, k),
-            Atom::Member { call, member } => self.member(call, *member, restricted, k),
-            Atom::Isa { instance, class } => self.isa(*instance, *class, restricted, k),
-            Atom::Object { cell } => self.each_object(std::iter::once(*cell), restricted, k),
-            Atom::Superset { call, rhs } => self.superset(call, rhs, restricted, k),
-            Atom::Signature {
-                call,
-                set_valued,
-                results,
-            } => self.signature(call, *set_valued, results, restricted, k),
-        }
-    }
-
-    fn index(&self, op: Operand) -> usize {
-        match op {
-            Operand::Slot(i) => i,
-            Operand::Name(i) => self.slots + i,
-            Operand::Temp(i) => self.temp_base + i,
-        }
-    }
-
-    fn get(&self, op: Operand) -> Option<Oid> {
-        let v = self.cells[self.index(op)];
-        (v != 0).then(|| Oid(v - 1))
-    }
-
-    /// The objects of `ops`, when all are bound.
-    fn bound(&self, ops: &[Operand]) -> Option<Vec<Oid>> {
-        ops.iter().map(|&op| self.get(op)).collect()
-    }
-
-    /// Bind `op` to `o`; `false` when it is bound to another object.
-    fn bind(&mut self, op: Operand, o: Oid) -> bool {
-        let at = self.index(op);
-        match self.cells[at] {
-            0 => {
-                self.cells[at] = o.0 + 1;
-                self.trail.push(at);
-                true
-            }
-            v => v == o.0 + 1,
-        }
-    }
-
-    fn undo(&mut self, mark: usize) {
-        while self.trail.len() > mark {
-            let at = self.trail.pop().expect("longer than mark");
-            self.cells[at] = 0;
-        }
-    }
-
-    /// Continue with `op` bound to `o`, unless it is bound otherwise.
-    fn with(&mut self, op: Operand, o: Oid, k: &mut impl Cont<'a>) -> Result<()> {
-        let mark = self.trail.len();
-        let out = if self.bind(op, o) { k(self) } else { Ok(()) };
-        self.undo(mark);
-        out
-    }
-
-    /// Continue with the operands of `call` bound to one stored application.
-    fn with_call(
-        &mut self,
-        call: &Call,
-        method: Oid,
-        receiver: Oid,
-        args: &[Oid],
-        k: &mut impl Cont<'a>,
-    ) -> Result<()> {
-        if call.args.len() != args.len() {
-            return Ok(());
-        }
-        let mark = self.trail.len();
-        let matches = self.bind(call.method, method)
-            && self.bind(call.receiver, receiver)
-            && call.args.iter().zip(args).all(|(&op, &o)| self.bind(op, o));
-        let out = if matches { k(self) } else { Ok(()) };
-        self.undo(mark);
-        out
-    }
-
-    /// Continue with every unbound operand of `ops` ranging over the
-    /// universe — with `need_new`, over the combinations in which at least
-    /// one of them is an object the window created (none, when all are
-    /// bound: a bound operand reads nothing).  `ops` is an iterator so that
-    /// a caller chains its operands without allocating.
-    fn each_object(
-        &mut self,
-        ops: impl Iterator<Item = Operand> + Clone,
-        need_new: bool,
-        k: &mut impl Cont<'a>,
-    ) -> Result<()> {
-        let mut rest = ops;
-        let Some(op) = rest.next() else {
-            return if need_new { Ok(()) } else { k(self) };
-        };
-        if self.get(op).is_some() {
-            return self.each_object(rest, need_new, k);
-        }
-        let new = self.dv.new_objects();
-        // The last unbound operand supplies the new object if none has.
-        let last = rest.clone().all(|r| self.get(r).is_some());
-        let candidates = if need_new && last {
-            new.clone()
-        } else {
-            0..self.structure.num_objects()
-        };
-        for i in candidates {
-            let still = need_new && !new.contains(&i);
-            self.with(op, Oid(i as u32), &mut |m| m.each_object(rest.clone(), still, &mut *k))?;
-        }
-        Ok(())
-    }
-
-    /// A built-in `method` applies through [`Structure::apply_scalar`] to
-    /// any receiver and arguments: unbound ones range over the universe, and
-    /// the only window such an application reads is its new objects.
-    fn builtin(
-        &mut self,
-        call: &Call,
-        method: Oid,
-        result: Operand,
-        restricted: bool,
-        k: &mut impl Cont<'a>,
-    ) -> Result<()> {
-        let ops = std::iter::once(call.receiver).chain(call.args.iter().copied());
-        self.each_object(ops, restricted, &mut |m| {
-            let receiver = m.get(call.receiver).expect("enumerated above");
-            let args = m.bound(&call.args).expect("enumerated above");
-            match m.structure.apply_scalar(method, receiver, &args) {
-                Some(res) => m.with(call.method, method, &mut |m| m.with(result, res, &mut *k)),
-                None => Ok(()),
-            }
-        })
-    }
-
-    fn scalar(&mut self, call: &Call, result: Operand, restricted: bool, k: &mut impl Cont<'a>) -> Result<()> {
-        let (s, dv) = (self.structure, self.dv);
-        let facts = s.facts();
-        let (method, receiver) = (self.get(call.method), self.get(call.receiver));
-        // An unbound method variable ranges over the stored methods and
-        // `self`, which every object answers to.
-        if method.is_none_or(|m| is_builtin(s, m)) {
-            self.builtin(call, method.unwrap_or(s.self_method()), result, restricted, &mut *k)?;
-            if method.is_some() {
-                return Ok(());
-            }
-        }
-        let mut visit = |m: &mut Self, f: ScalarFactView<'_>| {
-            m.with_call(call, f.method, f.receiver, f.args, &mut |m| {
-                m.with(result, f.result, &mut *k)
-            })
-        };
-        match (method, receiver, self.bound(&call.args)) {
-            (Some(m), Some(r), Some(args)) => {
-                if let Some(idx) = facts.scalar_index(m, r, &args) {
-                    if !restricted || dv.scalar_is_new(idx) {
-                        visit(self, facts.scalar_fact_at(idx))?;
-                    }
-                }
-            }
-            (Some(m), _, _) if restricted => {
-                for &idx in dv.new_scalar_facts_of_method(m) {
-                    visit(self, facts.scalar_fact_at(idx))?;
-                }
-            }
-            (Some(m), Some(r), _) => {
-                for f in facts.scalar_facts_of_method_receiver(m, r) {
-                    visit(self, f)?;
-                }
-            }
-            (Some(m), None, _) => match self.get(result) {
-                Some(v) => {
-                    for f in facts.scalar_facts_with_result(m, v) {
-                        visit(self, f)?;
-                    }
-                }
-                None => {
-                    for f in facts.scalar_facts_of_method(m) {
-                        visit(self, f)?;
-                    }
-                }
-            },
-            (None, Some(r), _) if !restricted => {
-                for f in facts.scalar_facts_of_receiver(r) {
-                    visit(self, f)?;
-                }
-            }
-            (None, _, _) => {
-                let window = if restricted {
-                    dv.new_scalar_facts()
-                } else {
-                    0..usize::MAX
-                };
-                for (_, f) in facts.scalar_facts_in(window.start, window.end) {
-                    visit(self, f)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Visit the stored applications `call` can denote under the current
-    /// cells, its operands bound to each — the walk narrowed to those
-    /// `containing` a member, when given.  Restricted: one visit per window
-    /// entry, with the member it added.  A fully bound call is one visit of
-    /// its (possibly undefined, hence empty) application.
-    fn each_app(
-        &mut self,
-        call: &Call,
-        containing: Option<Oid>,
-        restricted: bool,
-        visit: &mut impl Visit<'a>,
-    ) -> Result<()> {
-        let (s, dv) = (self.structure, self.dv);
-        let facts = s.facts();
-        let (method, receiver) = (self.get(call.method), self.get(call.receiver));
-        if let (Some(m), Some(r), Some(args)) = (method, receiver, self.bound(&call.args)) {
-            let members = s.apply_set(m, r, &args).unwrap_or(OidRun::empty_ref());
-            if !restricted {
-                return visit(self, members, None);
-            }
-            let new = facts.set_index(m, r, &args).and_then(|idx| dv.new_members_of_app(idx));
-            match (new, containing) {
-                (Some(new), Some(x)) if new.binary_search(&x).is_ok() => visit(self, members, Some(x))?,
-                (Some(new), None) => {
-                    for &x in new {
-                        visit(self, members, Some(x))?;
-                    }
-                }
-                _ => {}
-            }
-            return Ok(());
-        }
-        let mut at = |m: &mut Self, f: SetFactView<'_>, new: Option<Oid>| {
-            m.with_call(call, f.method, f.receiver, f.args, &mut |m| visit(m, f.members, new))
-        };
-        // A window entry adding another member than the one wanted is
-        // rejected before its application is looked at.
-        let wanted = |x: Oid| containing.is_none_or(|c| c == x);
-        match (method, receiver) {
-            (Some(m), _) if restricted => {
-                for &(app, x) in dv.new_set_entries_of_method(m).iter().filter(|e| wanted(e.1)) {
-                    at(self, facts.set_fact_at(app), Some(x))?;
-                }
-            }
-            (None, _) if restricted => {
-                let window = dv.new_set_entries();
-                for (app, x) in facts.set_members_in(window.start, window.end).filter(|e| wanted(e.1)) {
-                    at(self, facts.set_fact_at(app), Some(x))?;
-                }
-            }
-            (Some(m), Some(r)) => {
-                for f in facts.set_facts_of_method_receiver(m, r) {
-                    at(self, f, None)?;
-                }
-            }
-            (Some(m), None) => match containing {
-                Some(x) => {
-                    for f in facts.set_facts_containing(m, x) {
-                        at(self, f, None)?;
-                    }
-                }
-                None => {
-                    for f in facts.set_facts_of_method(m) {
-                        at(self, f, None)?;
-                    }
-                }
-            },
-            (None, Some(r)) => {
-                for f in facts.set_facts_of_receiver(r) {
-                    at(self, f, None)?;
-                }
-            }
-            (None, None) => {
-                for f in facts.set_facts() {
-                    at(self, f, None)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn member(&mut self, call: &Call, member: Operand, restricted: bool, k: &mut impl Cont<'a>) -> Result<()> {
-        let wanted = self.get(member);
-        // The call's own operands may bind `member` (`X[m ->> {X}]`).
-        self.each_app(
-            call,
-            wanted,
-            restricted,
-            &mut |m, members, new| match (new, m.get(member)) {
-                (Some(x), _) => m.with(member, x, &mut *k),
-                (None, Some(x)) if members.contains(&x) => k(m),
-                (None, Some(_)) => Ok(()),
-                (None, None) => members.iter().try_for_each(|&x| m.with(member, x, &mut *k)),
-            },
-        )
-    }
-
-    fn superset(&mut self, call: &Call, rhs: &Term, restricted: bool, k: &mut impl Cont<'a>) -> Result<()> {
-        // The required set is a strict use of an earlier stratum and cannot
-        // change mid-stratum; the application can gain members, which
-        // re-establishes the condition.
-        self.each_app(call, None, restricted, &mut |m, members, _| {
-            let frame = &m.cells[..m.slots];
-            let required = required_members(m.structure, rhs, &m.rule.bindings_of(frame))?;
-            if required.iter().all(|x| members.contains(x)) {
-                k(m)
-            } else {
-                Ok(())
-            }
-        })
-    }
-
-    fn isa(&mut self, instance: Operand, class: Operand, restricted: bool, k: &mut impl Cont<'a>) -> Result<()> {
-        let (s, dv) = (self.structure, self.dv);
-        let mut pair = |m: &mut Self, o: Oid, c: Oid| m.with(instance, o, &mut |m| m.with(class, c, &mut *k));
-        match (self.get(instance), self.get(class)) {
-            (Some(o), Some(c)) => {
-                let holds = if restricted {
-                    dv.isa_is_new(o, c)
-                } else {
-                    s.in_class(o, c)
-                };
-                if holds {
-                    pair(self, o, c)?;
-                }
-            }
-            (None, Some(c)) if restricted => {
-                for &o in dv.new_instances_of(c) {
-                    pair(self, o, c)?;
-                }
-            }
-            (None, Some(c)) => {
-                for o in s.instances_of(c) {
-                    pair(self, o, c)?;
-                }
-            }
-            (Some(o), None) if !restricted => {
-                for c in s.classes_of(o) {
-                    pair(self, o, c)?;
-                }
-            }
-            // The closure's insertion log holds every pair.
-            (_, None) => {
-                let window = if restricted { dv.new_isa_pairs() } else { 0..usize::MAX };
-                for (o, c) in s.isa().pairs_in(window.start, window.end) {
-                    pair(self, o, c)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn signature(
-        &mut self,
-        call: &Call,
-        set_valued: bool,
-        results: &[Operand],
-        restricted: bool,
-        k: &mut impl Cont<'a>,
-    ) -> Result<()> {
-        // Declarations carry no per-fact stamps: a window that added any
-        // re-matches them all.
-        if restricted && !self.dv.sigs_changed() {
-            return Ok(());
-        }
-        let s = self.structure;
-        let Some(method) = self.get(call.method) else {
-            // As `answers()` seeds it: an unbound method variable ranges
-            // over the methods with facts stored on the receiver (and
-            // `self`), not over the declarations.
-            return self.each_object(std::iter::once(call.receiver), false, &mut |m| {
-                let r = m.get(call.receiver).expect("enumerated above");
-                let methods: BTreeSet<Oid> = if set_valued {
-                    s.facts().set_facts_of_receiver(r).map(|f| f.method).collect()
-                } else {
-                    let stored = s.facts().scalar_facts_of_receiver(r).map(|f| f.method);
-                    stored.chain([s.self_method()]).collect()
-                };
-                methods.into_iter().try_for_each(|method| {
-                    m.with(call.method, method, &mut |m| {
-                        m.signature(call, set_valued, results, false, &mut *k)
-                    })
-                })
-            });
-        };
-        for sig in s.signatures().for_method(method) {
-            if sig.set_valued == set_valued {
-                self.with_call(call, sig.method, sig.class, &sig.arg_classes, &mut |m| {
-                    m.each_result(results, &sig.result_classes, &mut *k)
-                })?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Continue with every operand of `results` bound to one of `classes`.
-    fn each_result(&mut self, results: &[Operand], classes: &[Oid], k: &mut impl Cont<'a>) -> Result<()> {
-        let Some((&r, rest)) = results.split_first() else {
-            return k(self);
-        };
-        classes
-            .iter()
-            .try_for_each(|&c| self.with(r, c, &mut |m| m.each_result(rest, classes, &mut *k)))
+        let mut tags = holds.iter();
+        Ok(frames.filtered(|_| !tags.next().expect("one per frame")))
     }
 }
 
@@ -901,12 +1162,25 @@ pub(crate) fn each_operand(atom: &Atom, f: &mut impl FnMut(Operand)) {
 impl<'a> Machine<'a> {
     /// The marks before any literal has run: the names the structure knows.
     pub(super) fn names_bound(&self) -> Vec<bool> {
-        self.cells.iter().map(|&c| c != 0).collect()
+        let Scope { slots, ref names, .. } = self.scope;
+        let mut bound = vec![false; slots];
+        bound.extend(names.iter().map(|&c| c != 0));
+        bound.resize(bound.len() + self.scope.rule.temps, false);
+        bound
+    }
+
+    /// Where `bound` marks `op`.
+    fn index(&self, op: Operand) -> usize {
+        match op {
+            Operand::Slot(i) => i,
+            Operand::Name(i) => self.scope.slots + i,
+            Operand::Temp(i) => self.scope.slots + self.scope.names.len() + i,
+        }
     }
 
     fn known(&self, op: Operand, bound: &[bool]) -> Known {
-        match (op, self.get(op)) {
-            (Operand::Name(_), Some(object)) => Known::Object(object),
+        match op {
+            Operand::Name(i) if self.scope.names[i] != 0 => Known::Object(Oid(self.scope.names[i] - 1)),
             _ if bound[self.index(op)] => Known::InFrame,
             _ => Known::Free,
         }
@@ -917,7 +1191,7 @@ impl<'a> Machine<'a> {
     /// arms of the step functions above.  `None` when it is a posting-list
     /// length and `read` says not to fetch one.
     fn cardinality(&self, atom: &Atom, bound: &[bool], read: bool) -> Option<usize> {
-        let s = self.structure;
+        let s = self.scope.structure;
         let facts = s.facts();
         let is_bound = |op: Operand| !matches!(self.known(op, bound), Known::Free);
         // One posting list of an index of `all` entries, selected by `key`:
@@ -1001,7 +1275,7 @@ impl<'a> Machine<'a> {
             let unrun = |atom| AtomStep { atom, cardinality: 0 };
             return (0..lit.atoms.len()).map(unrun).collect();
         }
-        bound[self.temp_base..].fill(false);
+        bound[self.scope.slots + self.scope.names.len()..].fill(false);
         let mut steps = Vec::with_capacity(lit.atoms.len());
         let mut segment: Vec<usize> = Vec::new();
         for i in 0..=lit.atoms.len() {

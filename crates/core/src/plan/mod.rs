@@ -28,11 +28,14 @@
 //!   to a short sequence of primitive [`Atom`]s — one method application or
 //!   class test each, joined through slots, per-literal temporaries and
 //!   names resolved once per pass (module [`atoms`]) — and there is no other
-//!   compiled form: no literal shape falls back to term interpretation.
-//!   Stage deduplication sorts the flat frames — no `Arc<str>` clones, no
-//!   per-answer key — and a pass returns frames ([`FrameRun`]);
-//!   [`Bindings`] are materialized from a frame at commit, and under the
-//!   strict right-hand side of an `m ->> t` check, only.
+//!   compiled form: no literal shape falls back to term interpretation.  A
+//!   literal runs a step at a time over all of its incoming frames: each
+//!   atom step maps one flat run of rows — slots and temporaries — to the
+//!   next ([`atoms`], "Batch steps").  Stage deduplication sorts the flat
+//!   frames — no `Arc<str>` clones, no per-answer key — and a pass returns
+//!   frames ([`FrameRun`]); [`Bindings`] are materialized from a frame at
+//!   commit, at the API boundary and under the strict right-hand side of an
+//!   `m ->> t` check, only.
 //!
 //! * **Planning.**  One planner orders every body against the live
 //!   structure ([`plan_pass`]): a query when it is asked ([`plan_query`]), a
@@ -254,15 +257,8 @@ impl CompiledRule {
     /// commit step's input for a head without a compiled form, and what the
     /// strict right-hand side of an `m ->> t` check is valuated under.
     pub fn bindings_of(&self, frame: &[u32]) -> Bindings {
-        let mut b = Bindings::new();
-        for (s, &v) in frame.iter().enumerate() {
-            if v != 0 {
-                b = b
-                    .bind(&self.vars[s], Oid(v - 1))
-                    .expect("distinct slot variables cannot conflict");
-            }
-        }
-        b
+        let bound = self.vars.iter().zip(frame).filter(|(_, &v)| v != 0);
+        Bindings::from_distinct(bound.map(|(var, &v)| (var, Oid(v - 1))))
     }
 }
 
@@ -587,9 +583,8 @@ impl FrameRun {
                 .find(|ord| ord.is_ne())
                 .unwrap_or(std::cmp::Ordering::Equal)
         };
-        let lead = key_order().next().expect("a run with slots has a key");
         let mut idx: Vec<u32> = (0..self.len as u32).collect();
-        if arena[lead..].iter().step_by(slots).is_sorted() {
+        if let Some(lead) = self.ascending_lead(canonical) {
             for segment in idx.chunk_by_mut(|&a, &b| frame(a)[lead] == frame(b)[lead]) {
                 segment.sort_unstable_by(by_key);
             }
@@ -608,6 +603,16 @@ impl FrameRun {
             slots,
             len: idx.len(),
         }
+    }
+
+    /// The word that leads the key of a frame — its first under the
+    /// projection through `canonical`, then the words after the slots — when
+    /// it never descends from frame to frame: [`FrameRun::sorted`] then sorts
+    /// one segment of equal leading words at a time.
+    fn ascending_lead(&self, canonical: &[usize]) -> Option<usize> {
+        let lead = canonical.first().copied().unwrap_or(0);
+        let ascends = self.slots > 0 && self.arena[lead..].iter().step_by(self.slots).is_sorted();
+        ascends.then_some(lead)
     }
 }
 
@@ -646,7 +651,10 @@ pub fn merge_frame_runs(mut runs: Vec<FrameRun>, canonical: &[usize]) -> FrameRu
 /// over-approximation a restricted atom step is allowed — see [`atoms`] — is
 /// absorbed by the deduplicating merge and the idempotent commit).  Every
 /// unrestricted literal runs its planned atom steps; the restricted one runs
-/// with each atom restricted in turn first, the rest in lowering order.
+/// with each atom restricted in turn first, the rest in lowering order —
+/// one chain after the other over all of its input, so it emits chain by
+/// chain rather than frame by frame; the deduplicating sort after it absorbs
+/// that order, as it absorbs any other.
 pub fn execute_delta(
     structure: &Structure,
     compiled: &CompiledRule,
@@ -662,7 +670,10 @@ pub fn execute_delta(
 /// Join the positive literals of `plan` in order from the frames of `start`
 /// — the one empty frame, or the seeds of [`execute_seeded`] — with
 /// `delta_lit` restricted to the machine's window, then drop the frames one
-/// of its negated literals holds of.
+/// of its negated literals holds of.  Each literal is one batch: its atom
+/// steps map all of the stage's frames at once, through the machine's two
+/// reused row buffers ([`atoms`], "Batch steps"), and an anti-join probes
+/// every frame of the stage in one run ("Anti-joins").
 ///
 /// Frames live in one flat arena per stage — one allocation per stage
 /// instead of one per candidate.  With `dedup` every stage deduplicates: a
@@ -1341,6 +1352,65 @@ mod tests {
             [(a, e), (a, e), (d, e), (d, e)],
             "(key, object) order, duplicates kept"
         );
+    }
+
+    #[test]
+    fn an_extent_seeded_chain_emits_in_depth_first_order() {
+        // Three persons among twelve objects, each object with two kids and
+        // an age: the class test is the cheapest seed of
+        // `A : person[kids ->> {B[age -> C]}]`, the kids and the age probes.
+        let mut s = Structure::new();
+        let (person, kids, age) = (s.atom("person"), s.atom("kids"), s.atom("age"));
+        let objects: Vec<Oid> = (0..12).map(|i| s.atom(&format!("o{i}"))).collect();
+        for p in [7, 2, 9] {
+            s.add_isa(objects[p], person);
+        }
+        for (i, &o) in objects.iter().enumerate() {
+            for k in [(i * 5 + 1) % 12, (i * 7 + 3) % 12] {
+                s.assert_set_member(kids, o, &[], objects[k]);
+            }
+            let years = s.int(i as i64 % 4);
+            s.assert_scalar(age, o, &[], years).unwrap();
+        }
+        let term = Term::var("A").isa("person").filter(Filter::set(
+            "kids",
+            vec![Term::var("B").filter(Filter::scalar("age", Term::var("C")))],
+        ));
+        let compiled = compile_query([(true, &term)]);
+        let lit = &compiled.positives()[0];
+        let steps = &plan_query(&s, &compiled).positives[0].atoms;
+        let kinds: Vec<&Atom> = steps.iter().map(|step| &lit.atoms[step.atom]).collect();
+        assert!(
+            matches!(kinds[..], [Atom::Isa { .. }, Atom::Member { .. }, Atom::Scalar { .. }]),
+            "{steps:?}"
+        );
+        let dv = DeltaView::empty(&s);
+        let mut machine = atoms::Machine::new(&s, &dv, &compiled);
+        let joined = machine.join(lit, Some(steps), false, &FrameRun::unit(3)).unwrap();
+        // The nested loops of the depth-first reading: the extent, each
+        // instance's kids, each kid's age — before any sort.
+        let mut nested = Vec::new();
+        for a in s.instances_of(person) {
+            for &b in s.apply_set(kids, a, &[]).unwrap().iter() {
+                let c = s.apply_scalar(age, b, &[]).unwrap();
+                nested.push([a, b, c].map(|o| o.0 + 1).to_vec());
+            }
+        }
+        let frames: Vec<Vec<u32>> = joined.frames().map(<[u32]>::to_vec).collect();
+        assert_eq!(frames, nested);
+        // The extent's variable leads the canonical key and ascends: the
+        // sort after the literal goes one segment of equal leads at a time.
+        assert_eq!(compiled.canonical(), [0, 1, 2]);
+        assert_eq!(joined.ascending_lead(compiled.canonical()), Some(0));
+        let sorted: Vec<Vec<u32>> = joined
+            .sorted(compiled.canonical(), true)
+            .frames()
+            .map(<[u32]>::to_vec)
+            .collect();
+        let mut want = nested;
+        want.sort();
+        want.dedup();
+        assert_eq!(sorted, want);
     }
 
     #[test]

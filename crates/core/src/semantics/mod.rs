@@ -93,6 +93,24 @@ impl Bindings {
         }
     }
 
+    /// The valuation binding every pair of `pairs`, whose variables are
+    /// distinct: the nodes are pushed in order, as the chain of
+    /// [`Bindings::bind`] over `pairs` pushes them, without scanning the list
+    /// for a conflict that distinct variables cannot have.
+    pub(crate) fn from_distinct<'v>(pairs: impl IntoIterator<Item = (&'v Var, Oid)>) -> Self {
+        let mut b = Bindings::new();
+        for (var, oid) in pairs {
+            debug_assert!(!b.is_bound(var), "{var} is bound twice");
+            b.head = Some(std::sync::Arc::new(BindingNode {
+                var: var.clone(),
+                oid,
+                next: b.head.take(),
+            }));
+            b.len += 1;
+        }
+        b
+    }
+
     /// Bind in place (asserts the variable is unbound or equal).
     pub fn bind_mut(&mut self, var: &Var, oid: Oid) -> bool {
         match self.get(var) {
@@ -351,6 +369,24 @@ mod tests {
         assert_eq!(b2.len(), 2);
         assert!(b.bind(&Var::new("X"), Oid(2)).is_none());
         assert!(Bindings::from_pairs([(Var::new("A"), Oid(1)), (Var::new("A"), Oid(2))]).is_none());
+    }
+
+    #[test]
+    fn distinct_pairs_build_what_the_bind_chain_builds() {
+        let pairs = [
+            (Var::new("X"), Oid(4)),
+            (Var::new("B"), Oid(0)),
+            (Var::new("Z"), Oid(9)),
+        ];
+        for n in 0..=pairs.len() {
+            let chained = pairs[..n]
+                .iter()
+                .fold(Bindings::new(), |b, (v, o)| b.bind(v, *o).expect("distinct"));
+            let direct = Bindings::from_distinct(pairs[..n].iter().map(|(v, o)| (v, *o)));
+            assert_eq!(direct, chained);
+            assert_eq!(format!("{direct:?}"), format!("{chained:?}"));
+            assert_eq!(direct.iter().collect::<Vec<_>>(), chained.iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]

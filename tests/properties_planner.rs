@@ -200,6 +200,14 @@ const SHAPES: &[(&str, &str, &str)] = &[
         FRONTIER,
         "X[via ->> {M}] <- X : reached, X[M -> Y].",
     ),
+    // V[m ->> {V}], the member bound by the call's own receiver; and
+    // not V..m, which a frame with several kids completes several times.
+    (
+        "self_member_and_negated_member",
+        DESC,
+        "X : cyclic <- X[desc ->> {X}].\n\
+         Y : leaf <- X[desc ->> {Y}], not Y..kids.",
+    ),
     // not V..m[m -> n], in a stratum whose second rule reads the first's
     // head: a parent of a tip is an uptip unless a kid of its has kids.
     (
@@ -718,14 +726,30 @@ const QUERIES: &[(&str, Expect)] = {
         ("X[age -> A], A[lt@(40) -> A]", Solutions),
         ("A[lt@(40) -> A], X[age -> A]", Solutions),
         ("X : grandparent, X[neq@(Y) -> X], Y : parent", Solutions),
-        // Signatures, with the method bound and unbound.
+        // … with a bound receiver and an unbound argument, and nothing after
+        // it to filter.
+        ("n1[neq@(Y) -> n1]", Solutions),
+        // A selector on a temporary: `self` of the colour, per vehicle.
+        ("X..vehicles.color[Z]", Solutions),
+        // The call's own receiver binds its member; a member only a negated
+        // literal mentions, completed once per kid.
+        ("X[desc ->> {X}]", Solutions),
+        ("X : reached, not X[kids ->> {Y}]", Solutions),
+        ("X : parent, not X[kids ->> {Y}]", Nothing),
+        // An unbound method variable in a molecule.
+        ("X[M -> V]", Solutions),
+        // Signatures, with the method bound and unbound — and unbound under
+        // a receiver an earlier literal bound.
         ("C[kind => R]", Solutions),
         ("C[kind =>> R]", Solutions),
         ("X[M => R]", Solutions),
+        ("X : reached, X[M => R]", Solutions),
         ("reached[M => R]", Nothing),
         // A strict `m ->> t`: bound receiver, unbound receiver, ground
         // right-hand side, and behind a negation.
         ("X : parent, X[desc ->> X..kids]", Solutions),
+        // … whose required set differs between the rows of one receiver.
+        ("X[kids ->> {Y}], X[desc ->> Y..kids]", Solutions),
         ("X[desc ->> X..kids]", Solutions),
         ("X[kids ->> n1..kids]", Solutions),
         ("X[desc ->> X..kids; desc ->> {Y}]", Solutions),
