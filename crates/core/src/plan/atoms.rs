@@ -17,22 +17,28 @@
 //! the literal's temporaries, then a tag — the index of the frame it grew
 //! from; the rule's names are resolved once, outside the rows.  Each atom
 //! kind has one step that maps the run to the next run, row by row and in
-//! order.  Per row it picks the index the bound operands select: an unbound
-//! receiver walks the per-method index, an unbound method the per-receiver
-//! one, and a row's expansions follow in the order the index lists them.  A
-//! fully bound call is a probe: the lookups of the whole run go in one tight
-//! loop, then the step filters the run or gathers the result into a
-//! temporary.  A run that is long next to a class extent or a method's
-//! facts reads them from a table over the objects instead.  A step binds all
-//! of its operands in the rows it emits, so a run binds the same cells in
-//! every row.  Two buffers alternate as the run a step reads and the one it
-//! writes, so no row allocates.  Every step keeps its input order and lists
-//! one row's expansions in index order, so a chain emits its completions in
-//! the depth-first lexicographic order of their derivations, and a run
-//! seeded from an extent or an index leaves with ascending leading keys (see
-//! `FrameRun::sorted`).  Temporaries live in the rows, so frames leaving the
-//! literal stay as wide as the body's variables and a temporary is
-//! existentially quantified.
+//! order.  A fully bound call — method, receiver and arguments, built-ins
+//! included — is a probe: the lookups of the whole run go in one tight loop,
+//! then the step filters the run, gathers the result into a temporary or
+//! expands each row by its members.  A run that is long next to a class
+//! extent or a method's facts reads them from a table over the objects
+//! instead (`Scope::tabulate`).  Otherwise a step picks per row the index
+//! the bound operands select: an unbound receiver walks the per-method
+//! index, an unbound method the per-receiver one, and a row's expansions
+//! follow in the order the index lists them.  A step binds all of its
+//! operands in the rows it emits, so a run binds the same cells in every
+//! row.  Two buffers alternate as the run a step reads and the one it
+//! writes, and a probe or an index walk builds what it needs for a row — a
+//! call's arguments, an application's row — in buffers reused from row to
+//! row; an enumeration over the universe copies the row it extends, and
+//! `Superset` and `Signature` allocate per row (a valuated required set, a
+//! receiver's methods).  Every step keeps its
+//! input order and lists one row's expansions in index order, so a chain
+//! emits its completions in the depth-first lexicographic order of their
+//! derivations, and a run seeded from an extent or an index leaves with
+//! ascending leading keys (see `FrameRun::sorted`).  Temporaries live in the
+//! rows, so frames leaving the literal stay as wide as the body's variables
+//! and a temporary is existentially quantified.
 //!
 //! **Restricted steps.**  Every step has a window-restricted variant that
 //! reads the same operands but only the [`DeltaView`] slice of its index:
@@ -55,7 +61,12 @@
 //! **Anti-joins.**  A negated literal runs its chain over the rows of every
 //! frame at once, as a positive one does, and the frames no row completed
 //! stay, in order.  A frame costs the literal's solutions under it — where
-//! stopping at its first completion would cost one — and no more.
+//! stopping at its first completion would cost one — and no more.  The last
+//! step only tells which frames hold, so it maps the run a part of
+//! `ANTI_JOIN_PART` rows at a time and drops each part's completions once
+//! their tags are read: the rows held at once are what the chain's earlier
+//! steps emit plus one part's completions — one part's, for a one-atom
+//! negation.
 //!
 //! **Ordered steps.**  The atoms of an unrestricted literal — every literal
 //! of a query or a full solve, every literal of a delta pass but the
@@ -107,6 +118,15 @@ pub struct Call {
     pub receiver: Operand,
     /// The argument objects.
     pub args: Vec<Operand>,
+}
+
+impl Call {
+    /// The method, the receiver and the arguments, in that order.
+    fn operands(&self) -> impl Iterator<Item = Operand> + Clone + '_ {
+        [self.method, self.receiver]
+            .into_iter()
+            .chain(self.args.iter().copied())
+    }
 }
 
 /// One primitive step of a compiled literal.
@@ -355,8 +375,9 @@ struct Scratch<'a> {
     /// What a probe found, per row of the run: object id + 1, `0` for
     /// nothing.
     found: Vec<u32>,
-    /// The member run a probe found, per row of the run.
-    runs: Vec<&'a OidRun>,
+    /// What a probe of a set-valued application found, per row of the run:
+    /// its members, and those the step reads (see [`Scope::probe_apps`]).
+    runs: Vec<(&'a [Oid], &'a [Oid])>,
     /// An index tabulated over the objects (see [`Scope::tabulate`]).
     table: Vec<u32>,
 }
@@ -388,11 +409,10 @@ impl<'a> Scope<'a> {
         Some(buf)
     }
 
-    /// The method `op` names, when it is a stored one — a name, and no
-    /// built-in.
-    fn stored_method(&self, op: Operand) -> Option<Oid> {
+    /// The object `op` names, when it is a name: the same in every row.
+    fn named(&self, op: Operand) -> Option<Oid> {
         match op {
-            Operand::Name(i) => object(self.names[i]).filter(|&m| !is_builtin(self.structure, m)),
+            Operand::Name(i) => object(self.names[i]),
             _ => None,
         }
     }
@@ -409,16 +429,12 @@ impl<'a> Scope<'a> {
         bound(first).all(|b| b)
     }
 
-    /// Are the receiver and the arguments of `call` bound in `rows`?
-    fn call_bound(&self, rows: &[u32], call: &Call) -> bool {
-        self.all_bound(rows, std::iter::once(call.receiver).chain(call.args.iter().copied()))
-    }
-
     /// Should a probe of every row of `rows` read a table over the objects
     /// filled from an index of `entries()` entries, rather than the index?
-    /// Filling one entry costs a fraction of a probe, and clearing the table
-    /// a smaller one per object; when it pays, `table` is cleared to one `0`
-    /// per object.
+    /// Yes when filling it — one write per entry, and one cleared word per
+    /// object, counted at 1/16 — costs at most 8 probes per row: a run of
+    /// one row tabulates only over fewer than 144 objects.  When it pays,
+    /// `table` is cleared to one `0` per object.
     fn tabulate(&self, rows: &[u32], entries: impl FnOnce() -> usize, table: &mut Vec<u32>) -> bool {
         let (objects, budget) = (self.structure.num_objects(), 8 * (rows.len() / self.width));
         let pays = objects / 16 <= budget && entries() + objects / 16 <= budget;
@@ -577,43 +593,56 @@ impl<'a> Scope<'a> {
     ) {
         let (s, dv) = (self.structure, self.dv);
         let facts = s.facts();
-        let stored = self.stored_method(call.method).filter(|_| !restricted);
-        if let Some(m) = stored.filter(|_| self.call_bound(rows, call)) {
+        if self.all_bound(rows, call.operands()) {
             // A probe per row, the lookups in one tight loop over the run
             // (so that those of neighbouring rows overlap) — of the method's
-            // facts tabulated by receiver, when the run is long and the call
-            // has no arguments; the rows whose application is defined go on
+            // facts tabulated by receiver, when the rule names a stored
+            // method without arguments and the run is long; the rows whose
+            // application is defined (restricted: entered the window) go on
             // with its result gathered into a temporary, or filtered by a
-            // bound one.
-            let table =
-                call.args.is_empty() && self.tabulate(rows, || facts.count_scalar_of_method(m), &mut scratch.table);
-            if table {
-                for f in facts.scalar_facts_of_method(m).filter(|f| f.args.is_empty()) {
-                    scratch.table[f.receiver.index()] = f.result.0 + 1;
+            // bound one.  A built-in reads no window.
+            let stored = self.named(call.method).filter(|&m| !is_builtin(s, m));
+            let table = match stored {
+                Some(m) if !restricted && call.args.is_empty() => {
+                    let table = self.tabulate(rows, || facts.count_scalar_of_method(m), &mut scratch.table);
+                    if table {
+                        for f in facts.scalar_facts_of_method(m).filter(|f| f.args.is_empty()) {
+                            scratch.table[f.receiver.index()] = f.result.0 + 1;
+                        }
+                    }
+                    table
                 }
-            }
-            let found = &mut scratch.found;
+                _ => false,
+            };
+            let Scratch {
+                args,
+                found,
+                table: objects,
+                ..
+            } = scratch;
+            let named = self.named(call.method);
             found.clear();
             found.extend(self.rows(rows).map(|row| {
                 let receiver = self.get(row, call.receiver).expect("bound");
                 if table {
-                    return scratch.table[receiver.index()];
+                    return objects[receiver.index()];
                 }
-                let args = self.bound(row, &call.args, &mut scratch.args).expect("bound");
-                facts.scalar_result(m, receiver, args).map_or(0, |v| v.0 + 1)
+                let m = named.or_else(|| self.get(row, call.method)).expect("bound");
+                let args = self.bound(row, &call.args, args).expect("bound");
+                let value = match restricted {
+                    false => s.apply_scalar(m, receiver, args),
+                    true if is_builtin(s, m) => None,
+                    true => facts
+                        .scalar_index(m, receiver, args)
+                        .filter(|&idx| dv.scalar_is_new(idx))
+                        .map(|idx| facts.scalar_fact_at(idx).result),
+                };
+                value.map_or(0, |v| v.0 + 1)
             }));
             for (row, &v) in self.rows(rows).zip(found.iter()) {
                 if let Some(v) = object(v) {
                     self.emit(out, row, [(result, v)]);
                 }
-            }
-            return;
-        }
-        let is_self = matches!(call.method, Operand::Name(i) if self.names[i] == s.self_method().0 + 1);
-        if is_self && !restricted && call.args.is_empty() && self.call_bound(rows, call) {
-            // `self` of a bound receiver: a column copy, or a filter.
-            for row in self.rows(rows) {
-                self.emit(out, row, [(result, self.get(row, call.receiver).expect("bound"))]);
             }
             return;
         }
@@ -633,28 +662,21 @@ impl<'a> Scope<'a> {
                     self.emit(out, row, binds.chain([(result, f.result)]));
                 }
             };
-            match (method, receiver, self.bound(row, &call.args, &mut scratch.args)) {
-                // A probe: the call is bound, its result is gathered or
-                // filtered.
-                (Some(m), Some(r), Some(args)) => {
-                    if let Some(idx) = facts.scalar_index(m, r, args) {
-                        if !restricted || dv.scalar_is_new(idx) {
-                            self.emit(out, row, [(result, facts.scalar_fact_at(idx).result)]);
-                        }
-                    }
-                }
-                (Some(m), _, _) if restricted => {
+            // The call is not bound (a bound one was probed above): an index
+            // walk.
+            match (method, receiver) {
+                (Some(m), _) if restricted => {
                     for &idx in dv.new_scalar_facts_of_method(m) {
                         visit(facts.scalar_fact_at(idx));
                     }
                 }
-                (Some(m), Some(r), _) => facts.scalar_facts_of_method_receiver(m, r).for_each(visit),
-                (Some(m), None, _) => match self.get(row, result) {
+                (Some(m), Some(r)) => facts.scalar_facts_of_method_receiver(m, r).for_each(visit),
+                (Some(m), None) => match self.get(row, result) {
                     Some(v) => facts.scalar_facts_with_result(m, v).for_each(visit),
                     None => facts.scalar_facts_of_method(m).for_each(visit),
                 },
-                (None, Some(r), _) if !restricted => facts.scalar_facts_of_receiver(r).for_each(visit),
-                (None, _, _) => {
+                (None, Some(r)) if !restricted => facts.scalar_facts_of_receiver(r).for_each(visit),
+                (None, _) => {
                     let window = if restricted {
                         dv.new_scalar_facts()
                     } else {
@@ -668,11 +690,36 @@ impl<'a> Scope<'a> {
         }
     }
 
-    /// Visit the stored applications `call` can denote in `row` — as `row`
-    /// with the call's operands bound to each — the walk narrowed to those
+    /// Probe the application `call` denotes in every row of `rows`, where
+    /// the call is bound, in one tight loop: per row, in `scratch.runs`, its
+    /// members (none when it is undefined) and the members the step reads —
+    /// all of them, or restricted those the window added.
+    fn probe_apps(&self, rows: &[u32], call: &Call, restricted: bool, scratch: &mut Scratch<'a>) {
+        let (s, dv) = (self.structure, self.dv);
+        let Scratch { args, runs, .. } = scratch;
+        let named = self.named(call.method);
+        runs.clear();
+        runs.extend(self.rows(rows).map(|row| {
+            let m = named.or_else(|| self.get(row, call.method)).expect("bound");
+            let r = self.get(row, call.receiver).expect("bound");
+            let args = self.bound(row, &call.args, args).expect("bound");
+            let members = s.apply_set(m, r, args).map_or(&[][..], OidRun::as_slice);
+            let read = match restricted {
+                false => Some(members),
+                true => s
+                    .facts()
+                    .set_index(m, r, args)
+                    .and_then(|idx| dv.new_members_of_app(idx)),
+            };
+            (members, read.unwrap_or(&[]))
+        }));
+    }
+
+    /// Visit the stored applications `call` can denote in `row` — where the
+    /// call is not bound (see [`Scope::probe_apps`]) — as `row` with the
+    /// call's operands bound to each, the walk narrowed to those
     /// `containing` a member, when given.  Restricted: one visit per window
-    /// entry, with the member it added.  A fully bound call is one visit of
-    /// its (possibly undefined, hence empty) application.
+    /// entry, with the member it added.
     fn each_app(
         &self,
         row: &[u32],
@@ -685,23 +732,6 @@ impl<'a> Scope<'a> {
         let (s, dv) = (self.structure, self.dv);
         let facts = s.facts();
         let (method, receiver) = (self.get(row, call.method), self.get(row, call.receiver));
-        if let (Some(m), Some(r), Some(args)) = (method, receiver, self.bound(row, &call.args, &mut scratch.args)) {
-            let members = s.apply_set(m, r, args).unwrap_or(OidRun::empty_ref());
-            if !restricted {
-                return visit(row, members, None);
-            }
-            let new = facts.set_index(m, r, args).and_then(|idx| dv.new_members_of_app(idx));
-            match (new, containing) {
-                (Some(new), Some(x)) if new.binary_search(&x).is_ok() => visit(row, members, Some(x))?,
-                (Some(new), None) => {
-                    for &x in new {
-                        visit(row, members, Some(x))?;
-                    }
-                }
-                _ => {}
-            }
-            return Ok(());
-        }
         let app = &mut scratch.app;
         let mut at = |f: SetFactView<'_>, new: Option<Oid>| {
             app.clear();
@@ -746,26 +776,17 @@ impl<'a> Scope<'a> {
         out: &mut Vec<u32>,
         scratch: &mut Scratch<'a>,
     ) -> Result<()> {
-        let stored = self.stored_method(call.method).filter(|_| !restricted);
-        if let Some(m) = stored.filter(|_| self.call_bound(rows, call)) {
+        if self.all_bound(rows, call.operands()) {
             // A probe per row, as for a scalar; each row then goes on once
-            // per member of its application, or, with the member bound, if
-            // it holds it.
-            let runs = &mut scratch.runs;
-            runs.clear();
-            runs.extend(self.rows(rows).map(|row| {
-                let receiver = self.get(row, call.receiver).expect("bound");
-                let args = self.bound(row, &call.args, &mut scratch.args).expect("bound");
-                self.structure
-                    .apply_set(m, receiver, args)
-                    .unwrap_or(OidRun::empty_ref())
-            }));
-            for (row, members) in self.rows(rows).zip(runs.iter()) {
+            // per member the step reads, or, with the member bound, if it is
+            // one of them.
+            self.probe_apps(rows, call, restricted, scratch);
+            for (row, &(_, read)) in self.rows(rows).zip(scratch.runs.iter()) {
                 match self.get(row, member) {
-                    Some(x) if members.contains(&x) => out.extend_from_slice(row),
+                    Some(x) if read.binary_search(&x).is_ok() => out.extend_from_slice(row),
                     Some(_) => {}
                     None => {
-                        for &x in members.iter() {
+                        for &x in read {
                             self.emit(out, row, [(member, x)]);
                         }
                     }
@@ -813,11 +834,26 @@ impl<'a> Scope<'a> {
         // The required set is a strict use of an earlier stratum and cannot
         // change mid-stratum; the application can gain members, which
         // re-establishes the condition.
+        let holds = |row: &[u32], members: &[Oid]| -> Result<bool> {
+            let bindings = self.rule.bindings_of(&row[..self.slots]);
+            let required = required_members(self.structure, rhs, &bindings)?;
+            Ok(required.iter().all(|x| members.binary_search(x).is_ok()))
+        };
+        if self.all_bound(rows, call.operands()) {
+            // A probe per row, as for a member; a bound application, even
+            // an undefined one, is checked — restricted, when the window
+            // added to it.
+            self.probe_apps(rows, call, restricted, scratch);
+            for (row, &(members, read)) in self.rows(rows).zip(scratch.runs.iter()) {
+                if !(restricted && read.is_empty()) && holds(row, members)? {
+                    out.extend_from_slice(row);
+                }
+            }
+            return Ok(());
+        }
         for row in self.rows(rows) {
             self.each_app(row, call, None, restricted, scratch, &mut |row, members, _| {
-                let bindings = self.rule.bindings_of(&row[..self.slots]);
-                let required = required_members(self.structure, rhs, &bindings)?;
-                if required.iter().all(|x| members.contains(x)) {
+                if holds(row, members)? {
                     out.extend_from_slice(row);
                 }
                 Ok(())
@@ -840,10 +876,7 @@ impl<'a> Scope<'a> {
             // A probe per row in one tight loop, then a filter on the run;
             // against the extent of a class the rule names, tabulated when
             // the run is long.
-            let named = match class {
-                Operand::Name(i) if !restricted => object(self.names[i]),
-                _ => None,
-            };
+            let named = self.named(class).filter(|_| !restricted);
             let mut extent: &[Oid] = &[];
             let table = named.is_some_and(|c| {
                 let size = || {
@@ -961,6 +994,10 @@ impl<'a> Scope<'a> {
         }
     }
 }
+
+/// The rows of the run an anti-join's last step maps at a time: its output
+/// never holds more than their completions.
+pub(super) const ANTI_JOIN_PART: usize = 1024;
 
 /// The executor of one pass: a literal's atoms run a step at a time over
 /// the rows of every incoming frame (see the module docs).
@@ -1092,15 +1129,25 @@ impl<'a> Machine<'a> {
         frames: &FrameRun,
     ) -> Result<FrameRun> {
         self.load(frames);
-        for step in steps {
+        let (last, init) = steps.split_last().expect("a literal has atoms");
+        for step in init {
             if self.rows.is_empty() {
                 break;
             }
             self.step(&lit.atoms[step.atom], false)?;
         }
+        // The last step only tells which frames hold: it maps the run a
+        // part at a time, and each part's completions are read for their
+        // tags and dropped.
+        let width = self.scope.width;
         let mut holds = vec![false; frames.len()];
-        for row in self.scope.rows(&self.rows) {
-            holds[row[self.scope.width - 1] as usize] = true;
+        for part in self.rows.chunks(ANTI_JOIN_PART * width) {
+            self.next.clear();
+            self.scope
+                .step(&lit.atoms[last.atom], false, part, &mut self.next, &mut self.scratch)?;
+            for row in self.scope.rows(&self.next) {
+                holds[row[width - 1] as usize] = true;
+            }
         }
         let mut tags = holds.iter();
         Ok(frames.filtered(|_| !tags.next().expect("one per frame")))

@@ -414,6 +414,7 @@ impl Structure {
     /// * comparison built-ins (extension) yield the receiver when the
     ///   comparison between the receiver's and the argument's names holds;
     /// * otherwise the stored scalar facts are consulted.
+    #[inline]
     pub fn apply_scalar(&self, method: Oid, receiver: Oid, args: &[Oid]) -> Option<Oid> {
         if method == self.self_method && args.is_empty() {
             return Some(receiver);
@@ -435,6 +436,7 @@ impl Structure {
     /// Apply a set-valued method (no built-ins are set-valued).  The
     /// returned run is the stored member column itself (sorted,
     /// `Arc`-shared).
+    #[inline]
     pub fn apply_set(&self, method: Oid, receiver: Oid, args: &[Oid]) -> Option<&OidRun> {
         self.facts.set_result(method, receiver, args)
     }
