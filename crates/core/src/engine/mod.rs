@@ -1982,6 +1982,88 @@ mod tests {
         );
     }
 
+    /// Three strata, facts written between the rules of each.  At the
+    /// bottom, the `desc` closure of a six-wide genealogy with a three-deep
+    /// chain below it and beside it `parent`, `peter`'s `reach` (seeded from
+    /// a one-member class) and a `boss` virtual object per ancestor; above a
+    /// negation, `leaf` and a `tag` virtual object per leaf; above another,
+    /// `inner`.
+    fn scheduled_program() -> Vec<Rule> {
+        let kids =
+            |who: &str, kid: &str| Rule::fact(Term::name(who).filter(Filter::set("kids", vec![Term::name(kid)])));
+        let x = || Term::var("X");
+        let x_kids_y = || x().filter(Filter::set("kids", vec![Term::var("Y")]));
+        let x_desc_y = || x().filter(Filter::set("desc", vec![Term::var("Y")]));
+        let mut rules = wide_genealogy();
+        let [desc_base, desc_step] = <[Rule; 2]>::try_from(desc_rules()).unwrap();
+        rules.push(desc_base);
+        rules.push(kids("g00", "c1"));
+        rules.push(desc_step);
+        rules.push(kids("c1", "c2"));
+        rules.push(Rule::new(x().isa("parent"), vec![Literal::pos(x_kids_y())]));
+        rules.push(kids("c2", "c3"));
+        rules.push(Rule::fact(Term::name("peter").isa("root")));
+        rules.push(Rule::new(
+            x().filter(Filter::set("reach", vec![Term::var("Y")])),
+            vec![Literal::pos(x_desc_y()), Literal::pos(x().isa("root"))],
+        ));
+        rules.push(Rule::new(
+            x().scalar("boss").filter(Filter::scalar("age", Term::int(50))),
+            vec![Literal::pos(x_desc_y())],
+        ));
+        rules.push(Rule::new(
+            x().isa("leaf"),
+            vec![
+                Literal::pos(Term::name("peter").filter(Filter::set("desc", vec![x()]))),
+                Literal::neg(x().isa("parent")),
+            ],
+        ));
+        rules.push(Rule::fact(Term::name("nobody").isa("leaf")));
+        rules.push(Rule::new(
+            x().scalar("tag").filter(Filter::scalar("of", x())),
+            vec![Literal::pos(x().isa("leaf"))],
+        ));
+        rules.push(Rule::new(
+            x().isa("inner"),
+            vec![Literal::pos(x_desc_y()), Literal::neg(x().isa("leaf"))],
+        ));
+        rules
+    }
+
+    #[test]
+    fn the_schedule_of_a_stratified_run_is_pinned() {
+        // Every counter of one run, scheduling and planner counters
+        // included: which rules an iteration solves in full, per delta
+        // literal or not at all follows from the window alone, so any
+        // change to the stratum loop that moves one shows here.
+        let rules = scheduled_program();
+        let mut s = Structure::new();
+        let stats = Engine::new().run_rules(&mut s, &rules).unwrap();
+        let mut oracle = Structure::new();
+        run_with(true, &mut oracle, &rules, EvalOptions::default()).unwrap();
+        assert_eq!(s.canonical_dump(), oracle.canonical_dump());
+        assert_eq!(
+            stats,
+            EvalStats {
+                strata: 3,
+                iterations: 13,
+                firings: 160,
+                scalar_facts: 58,
+                set_members: 108,
+                isa_edges: 40,
+                signatures: 0,
+                virtual_objects: 29,
+                rules_skipped: 15,
+                delta_solves: 25,
+                full_solves: 8,
+                plans_compiled: 8,
+                replans: 0,
+                seed_flips: 5,
+                ..EvalStats::default()
+            }
+        );
+    }
+
     #[test]
     fn derived_fact_limit_is_enforced_on_facts() {
         let engine = Engine::with_options(EvalOptions {
