@@ -4,13 +4,13 @@
 //! and then computes the least fixpoint stratum by stratum: in each
 //! iteration every (relevant) rule's body is solved against the current
 //! structure and its head asserted for every solution, creating virtual
-//! objects for undefined head paths (see the `virtuals` module).  Iteration stops when
-//! no rule adds new information.
+//! objects for undefined head paths (see the `virtuals` module).  Iteration
+//! stops when no rule adds new information.
 //!
 //! A **fact** — "a ground reference asserted directly" — is data, not a rule
 //! with an empty body to schedule: it is asserted once, with empty bindings,
 //! when its stratum's first iteration commits, and no later iteration looks
-//! at it (no solve task, no delta test, no plan).  It commits *at its
+//! at it (no solve, no delta test, no plan).  It commits *at its
 //! source-order position among the stratum's statements*, between the rules
 //! written before and after it, because the order of asserts is the order in
 //! which names resolve to objects and undefined head paths become virtual
@@ -21,17 +21,17 @@
 //! ([`EvalMarks`](crate::semantics::EvalMarks)) of the structure at every
 //! iteration boundary; the facts between two consecutive watermarks — new
 //! scalar results, set members, is-a closure pairs, objects and signatures —
-//! form the iteration's *delta* ([`DeltaView`], an O(delta) slice of the
-//! fact-store insertion logs).  A rule whose read set intersects the changed
-//! dependency keys is then solved once per affected body literal, with that
-//! literal restricted to solutions whose derivation reads the delta (the
-//! window-restricted atom steps of [`crate::plan::atoms`]) while the
-//! remaining literals join against the full structure.  Any firing that
-//! could add new information reads at least one fact derived in the
-//! previous iteration, so the union of these per-literal delta solves is
-//! complete; rules none of whose keys changed are skipped outright.  On
-//! recursive workloads (the transitive closures of Section 6) this turns
-//! each iteration from O(|closure|) into O(|delta|).
+//! form the iteration's *delta* ([`DeltaView`](crate::semantics::DeltaView),
+//! an O(delta) slice of the fact-store insertion logs).  A rule whose read
+//! set intersects the changed dependency keys is then solved once per
+//! affected body literal, with that literal restricted to solutions whose
+//! derivation reads the delta (the window-restricted atom steps of
+//! [`crate::plan::atoms`]) while the remaining literals join against the
+//! full structure.  Any firing that could add new information reads at least
+//! one fact derived in the previous iteration, so the union of these
+//! per-literal delta solves is complete; rules none of whose keys changed
+//! are skipped outright.  On recursive workloads (the transitive closures of
+//! Section 6) this turns each iteration from O(|closure|) into O(|delta|).
 //!
 //! The **reference** the engine is tested against is
 //! [`crate::semantics::fixpoint`]: the least fixpoint computed the plain
@@ -41,29 +41,19 @@
 //! stratifier and [`assert_head`] with this module, and the tests require
 //! the engine to reproduce its `canonical_dump()` byte for byte.
 //!
-//! There is one schedule, one delta-pass evaluator and one thread.  Every
-//! stratum iteration is a two-phase commit: a single **snapshot window**
-//! ([`SnapshotWindow`], watermarks over the `Facts`/`Isa` insertion logs) is
-//! captured at the iteration boundary and shared by all rules of the
-//! stratum; every affected rule's `(rule, drivable literal)` task — in a
-//! stratum's first iteration, one full solve per proper rule — is planned
-//! into one task list and solved, in order, against the structure as it
-//! stands at the boundary (phase 1, which only reads); then the same thread
-//! commits each rule's solutions in stratum order, in canonical
-//! `binding_key` order (a rule's delta runs merged by
-//! [`merge_frame_runs`](crate::plan::merge_frame_runs)), and in the first
-//! iteration each fact where it stands in that order (phase 2).  Every task
-//! runs through the compiled slot-frame bodies of [`crate::plan`] — each
-//! proper rule compiled once per run, when its stratum starts — and returns
-//! frames, in the literal and atom order the structure's live index
-//! cardinalities suggest: a full solve as a query is
-//! ([`crate::plan::execute_query`]), a rule's delta passes by one plan per
-//! iteration ([`crate::plan::plan_pass`]).  Phase 2 is a deterministic
+//! There is one schedule, one delta-pass evaluator and one thread: the
+//! stratum loop of the `fixpoint` module.  Each iteration of a stratum
+//! first solves its rules one after the other against the structure as it
+//! stood at the iteration boundary — in the first iteration one full solve
+//! per proper rule, after it one delta pass per literal the stratum's
+//! [`SnapshotWindow`](crate::semantics::SnapshotWindow) can drive — and then
+//! commits statement by statement in stratum order, each rule's solutions
+//! in canonical [`binding_key`] order.  The commit is a deterministic
 //! function of the structure's content, so two runs of one program over
 //! equal structures are **bit-identical** — same model, same insertion
-//! logs, same virtual-object ids, same [`EvalStats`] — and since the
-//! commit order is the canonical one whatever plan ran a solve, the engine
-//! and the reference mint the same virtual objects under the same ids.
+//! logs, same virtual-object ids, same [`EvalStats`] — and since the commit
+//! order is the canonical one whatever plan ran a solve, the engine and the
+//! reference mint the same virtual objects under the same ids.
 //!
 //! **The commit step pays once for what it derives.**  A head of the shape
 //! `X[m ->> {Y}]` ([`CompiledHead`](crate::plan::CompiledHead), over the
@@ -87,22 +77,19 @@
 //! statistic, and their answers are sorted into canonical key order, so no
 //! plan shows in a result.
 //!
-//! Because every two-phase commit above is all-or-nothing at the iteration
-//! boundary, the same machinery carries the **check-on-commit** integrity
+//! The same compiled atoms carry the **check-on-commit** integrity
 //! constraints of [`crate::constraints`]: a [`ConstraintChecker`] re-solves
-//! (as queries, on the compiled atoms) only the denial rules whose read
-//! keys a mutation batch touched, for the receivers it touched them at, and
-//! the object store's
-//! transaction layer
-//! (`pathlog_oodb::Transaction::commit`) either commits a batch whose check
-//! passes or rolls the whole batch back — there are no partially-checked
-//! states.  [`EvalOptions::tolerance`] selects what an *inconsistent*
-//! structure means for queries: under [`Tolerance::Strict`] (default)
-//! answers are classical; under [`Tolerance::Tolerant`] quarantined facts
-//! (violations admitted by `ConstraintPolicy::Quarantine`) stay in the
-//! structure but [`crate::constraints::tolerant_query`] annotates every
-//! answer whose derivation needs one as tainted by the implicated
-//! constraints, so degraded stores keep serving.
+//! (as queries) only the denial rules whose read keys a mutation batch
+//! touched, for the receivers it touched them at, and the object store's
+//! transaction layer (`pathlog_oodb::Transaction::commit`) either commits a
+//! batch whose check passes or rolls the whole batch back — there are no
+//! partially-checked states.  [`EvalOptions::tolerance`] selects what an
+//! *inconsistent* structure means for queries: under [`Tolerance::Strict`]
+//! (default) answers are classical; under [`Tolerance::Tolerant`]
+//! quarantined facts (violations admitted by `ConstraintPolicy::Quarantine`)
+//! stay in the structure but [`crate::constraints::tolerant_query`]
+//! annotates every answer whose derivation needs one as tainted by the
+//! implicated constraints, so degraded stores keep serving.
 //!
 //! [`ConstraintChecker`]: crate::constraints::ConstraintChecker
 //!
@@ -124,250 +111,24 @@
 //! runs in `pathlog_shell --check`, the oodb constraint guard and the
 //! reactive installers.
 
-mod runs;
+mod fixpoint;
+mod options;
 mod stratify;
 mod virtuals;
 
-use runs::SolveTask;
-pub use runs::{binding_key, BindingKey};
+pub use fixpoint::{binding_key, BindingKey};
+pub use options::{EvalOptions, EvalStats, StaticChecks, Tolerance};
 pub use stratify::{stratify, Stratification};
 pub use virtuals::{assert_head, AssertEffect, AssertOptions};
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
-use crate::error::{Error, LimitKind, Result};
-use crate::names::{Name, Var};
-use crate::plan::{BodyPlan, CompiledRule};
-use crate::program::{literal_reads, DepKey, Program, Query, Rule};
-use crate::semantics::{Answer, Bindings, DeltaView, FactorizedAnswers, SnapshotWindow};
+use crate::error::{Error, Result};
+use crate::names::Name;
+use crate::program::{Program, Query, Rule};
+use crate::semantics::{Answer, Bindings, FactorizedAnswers};
 use crate::structure::{Oid, Structure};
 use crate::term::Term;
-
-/// How queries treat facts quarantined by an integrity-constraint violation
-/// (see the [`constraints`](crate::constraints) module).
-///
-/// Under the default `Strict` mode quarantined facts are indistinguishable
-/// from ordinary ones — queries answer over the structure as stored.
-/// `Tolerant` opts into inconsistency-tolerant degradation in the spirit of
-/// Laurent/Spyratos' four-valued semantics: answers derivable without any
-/// quarantined fact are reported *clean*, answers that depend on one are
-/// reported *tainted* by the constraints that quarantined their support,
-/// and queries keep being served either way.  On a consistent store (empty
-/// quarantine) the two modes coincide exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Tolerance {
-    /// Classical evaluation: quarantined facts answer like any other (the
-    /// default).
-    #[default]
-    Strict,
-    /// Inconsistency-tolerant evaluation: answers carry a consistency
-    /// status (clean vs. tainted-by-constraint) computed against the
-    /// quarantine ledger.
-    Tolerant,
-}
-
-/// What [`Engine::install_checked`] does with `Error`-severity static
-/// diagnostics (see [`crate::analysis`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StaticChecks {
-    /// Analyze and report, but install the program anyway (the default —
-    /// matches the historical behaviour where validation alone gated
-    /// installation).
-    #[default]
-    WarnOnly,
-    /// Reject programs with `Error`-severity diagnostics before any fact is
-    /// asserted, returning [`crate::error::Error::StaticRejected`] with the
-    /// rendered report.
-    Enforce,
-}
-
-/// Options controlling evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalOptions {
-    /// Maximum number of fixpoint iterations per stratum before giving up.
-    pub max_iterations: usize,
-    /// Maximum number of derived facts (scalar + set members + isa edges)
-    /// before giving up — a guard against runaway virtual-object creation.
-    pub max_derived: usize,
-    /// Create virtual objects for undefined scalar paths in rule heads.
-    pub create_virtuals: bool,
-    /// Whether queries degrade gracefully over quarantined (constraint-
-    /// violating) facts instead of answering classically — see
-    /// [`Tolerance`].
-    pub tolerance: Tolerance,
-    /// Whether [`Engine::install_checked`] rejects programs with
-    /// `Error`-severity static diagnostics — see [`StaticChecks`].
-    pub static_checks: StaticChecks,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions {
-            max_iterations: 100_000,
-            max_derived: 50_000_000,
-            create_virtuals: true,
-            tolerance: Tolerance::Strict,
-            static_checks: StaticChecks::WarnOnly,
-        }
-    }
-}
-
-/// Statistics of one evaluation run.
-///
-/// **Contract:** the derived-fact counters (`firings`, `scalar_facts`,
-/// `set_members`, `isa_edges`, `signatures`, `virtual_objects`) describe the
-/// least fixpoint: the engine's equal those of the reference
-/// [`fixpoint`](crate::semantics::fixpoint).  The *scheduling* counters
-/// (`iterations`, `rules_skipped`, `delta_solves`, `full_solves`) and the
-/// planner counters (`plans_compiled`, `replans`, `seed_flips`) count
-/// **proper rules only**: a fact is committed as data (one of the `firings`
-/// when it adds something) and is never a solve, a skip or a compile, so a
-/// fact-only program reports 0 for all of them.  They are per-iteration
-/// aggregates — a "delta solve" is one (rule, iteration) solve against the
-/// iteration's shared snapshot window — decided from the structure's content
-/// alone, so two runs of one program over equal structures report the same
-/// values.  The reference reports `strata` and `iterations` only.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct EvalStats {
-    /// Number of strata.
-    pub strata: usize,
-    /// Total fixpoint iterations over all strata.
-    pub iterations: usize,
-    /// Number of rule/solution pairs asserted.
-    pub firings: usize,
-    /// Derived scalar facts.
-    pub scalar_facts: usize,
-    /// Derived set members.
-    pub set_members: usize,
-    /// Derived class memberships.
-    pub isa_edges: usize,
-    /// Signature declarations added.
-    pub signatures: usize,
-    /// Virtual objects created.
-    pub virtual_objects: usize,
-    /// Rule evaluations skipped because no dependency changed.
-    pub rules_skipped: usize,
-    /// Rule evaluations solved per-literal against an iteration delta.
-    pub delta_solves: usize,
-    /// Rule evaluations solved against the full structure.
-    pub full_solves: usize,
-    /// Rule bodies lowered to the compiled slot-frame IR of [`crate::plan`]:
-    /// one per proper rule per run, when its stratum starts.
-    pub plans_compiled: usize,
-    /// Always 0: a compiled body holds no estimate that could go stale —
-    /// every plan reads the live index cardinalities.  Kept only because the
-    /// benchmark reports it (`plan.replans`).
-    pub replans: usize,
-    /// Iterations × rules where the planner seeded the join from a literal
-    /// whose posting list is shorter than the delta instead of from a
-    /// delta-driven literal.
-    pub seed_flips: usize,
-    /// Snapshots published by a serving layer the evaluation ran behind
-    /// (see [`crate::snapshot::SnapshotRegistry`]).  Always 0 for direct
-    /// engine runs: the serving counters are outside the contract above and
-    /// only become non-zero when a session layer folds its
-    /// [`SnapshotStats`](crate::snapshot::SnapshotStats) in.
-    pub epochs_published: usize,
-    /// Reader-session pin events recorded by the serving layer; 0 for
-    /// direct engine runs.
-    pub snapshots_pinned: usize,
-    /// Snapshot retention entries freed after their last pin dropped; 0 for
-    /// direct engine runs.
-    pub snapshots_reclaimed: usize,
-}
-
-impl EvalStats {
-    /// Total number of derived facts.
-    pub fn derived(&self) -> usize {
-        self.scalar_facts
-            .saturating_add(self.set_members)
-            .saturating_add(self.isa_edges)
-    }
-
-    /// The counters that describe the model, not how it was computed:
-    /// `firings`, `scalar_facts`, `set_members`, `isa_edges`, `signatures`,
-    /// `virtual_objects` — identical in every configuration (see the
-    /// contract above).
-    pub fn model_counters(&self) -> [usize; 6] {
-        [
-            self.firings,
-            self.scalar_facts,
-            self.set_members,
-            self.isa_edges,
-            self.signatures,
-            self.virtual_objects,
-        ]
-    }
-
-    /// Fold the counters of another run into this one.  Every field is summed with
-    /// saturating arithmetic, so aggregating many large runs pins at
-    /// `usize::MAX` instead of wrapping (or panicking in debug builds).
-    pub fn merge(&mut self, other: &EvalStats) {
-        self.strata = self.strata.saturating_add(other.strata);
-        self.iterations = self.iterations.saturating_add(other.iterations);
-        self.firings = self.firings.saturating_add(other.firings);
-        self.scalar_facts = self.scalar_facts.saturating_add(other.scalar_facts);
-        self.set_members = self.set_members.saturating_add(other.set_members);
-        self.isa_edges = self.isa_edges.saturating_add(other.isa_edges);
-        self.signatures = self.signatures.saturating_add(other.signatures);
-        self.virtual_objects = self.virtual_objects.saturating_add(other.virtual_objects);
-        self.rules_skipped = self.rules_skipped.saturating_add(other.rules_skipped);
-        self.delta_solves = self.delta_solves.saturating_add(other.delta_solves);
-        self.full_solves = self.full_solves.saturating_add(other.full_solves);
-        self.plans_compiled = self.plans_compiled.saturating_add(other.plans_compiled);
-        self.replans = self.replans.saturating_add(other.replans);
-        self.seed_flips = self.seed_flips.saturating_add(other.seed_flips);
-        self.epochs_published = self.epochs_published.saturating_add(other.epochs_published);
-        self.snapshots_pinned = self.snapshots_pinned.saturating_add(other.snapshots_pinned);
-        self.snapshots_reclaimed = self.snapshots_reclaimed.saturating_add(other.snapshots_reclaimed);
-    }
-
-    /// Fold a serving layer's snapshot counters into these stats (the
-    /// bridge used by `pathlog_oodb` sessions and the serving benches).
-    pub fn record_snapshots(&mut self, snap: &crate::snapshot::SnapshotStats) {
-        self.epochs_published = self.epochs_published.saturating_add(snap.epochs_published);
-        self.snapshots_pinned = self.snapshots_pinned.saturating_add(snap.snapshots_pinned);
-        self.snapshots_reclaimed = self.snapshots_reclaimed.saturating_add(snap.snapshots_reclaimed);
-    }
-
-    /// Fold what one head assert added into the model counters.
-    pub(crate) fn absorb(&mut self, e: AssertEffect) {
-        self.scalar_facts = self.scalar_facts.saturating_add(e.scalar_facts);
-        self.set_members = self.set_members.saturating_add(e.set_members);
-        self.isa_edges = self.isa_edges.saturating_add(e.isa_edges);
-        self.signatures = self.signatures.saturating_add(e.signatures);
-        self.virtual_objects = self.virtual_objects.saturating_add(e.virtual_objects);
-    }
-}
-
-/// One statement of a stratum.
-#[derive(Debug, Clone, Copy)]
-enum Step<'a> {
-    /// A fact: data, asserted once when the stratum's first iteration
-    /// commits.
-    Fact(&'a Rule),
-    /// A proper rule, by its index into [`Run::rules`].
-    Rule(usize),
-}
-
-/// One stratum of a [`Run`].
-#[derive(Debug)]
-struct Stratum<'a> {
-    /// Every statement of the stratum, in source order — the commit order
-    /// of its first iteration.
-    steps: Vec<Step<'a>>,
-    /// The proper rules among them: all that later iterations look at.
-    proper: Vec<usize>,
-}
-
-/// What one evaluation run works from (see [`Engine::run`]).
-#[derive(Debug)]
-struct Run<'a> {
-    /// The proper rules: the slice solve tasks index.
-    rules: Vec<&'a Rule>,
-    /// The strata, lowest first.
-    strata: Vec<Stratum<'a>>,
-}
 
 /// The PathLog evaluation engine: an evaluation policy ([`EvalOptions`])
 /// and the entry points that run programs, rules and queries under it.
@@ -395,10 +156,7 @@ impl Engine {
     /// Load a program into `structure`: validate, register every name,
     /// stratify, assert facts and evaluate rules to the fixpoint.
     pub fn load_program(&self, structure: &mut Structure, program: &Program) -> Result<EvalStats> {
-        let infos = crate::program::validate_program(program)?;
-        register_program_names(structure, &program.rules, &program.queries);
-        let stratification = stratify(&infos)?;
-        self.run(structure, &program.rules, &stratification)
+        self.install(structure, &program.rules, &program.queries)
     }
 
     /// Statically analyze `program` without evaluating it — see
@@ -441,334 +199,25 @@ impl Engine {
         };
         program.rules.iter().try_for_each(crate::program::check_valid)?;
         register_program_names(structure, &program.rules, &program.queries);
-        let stats = self.run(structure, &program.rules, stratification)?;
+        let stats = fixpoint::run(&self.options, structure, &program.rules, stratification)?;
         Ok((stats, analysis))
     }
 
     /// Evaluate a set of rules (and facts) against `structure`.
     pub fn run_rules(&self, structure: &mut Structure, rules: &[Rule]) -> Result<EvalStats> {
+        self.install(structure, rules, &[])
+    }
+
+    /// Validate `rules`, register every name of `rules` and then of
+    /// `queries`, stratify, and evaluate to the fixpoint.
+    fn install(&self, structure: &mut Structure, rules: &[Rule], queries: &[Query]) -> Result<EvalStats> {
         let infos = rules
             .iter()
             .map(crate::program::validate_rule)
             .collect::<Result<Vec<_>>>()?;
-        register_program_names(structure, rules, &[]);
+        register_program_names(structure, rules, queries);
         let stratification = stratify(&infos)?;
-        self.run(structure, rules, &stratification)
-    }
-
-    /// Evaluate `rules`, given their stratification.  Each stratum's facts
-    /// are partitioned from its proper rules once, here: only the rules enter
-    /// the slice that solve tasks, delta tests and compiled bodies index.
-    fn run(&self, structure: &mut Structure, rules: &[Rule], stratification: &Stratification) -> Result<EvalStats> {
-        let mut stats = EvalStats {
-            strata: stratification.len(),
-            ..EvalStats::default()
-        };
-        let mut proper_rules: Vec<&Rule> = Vec::new();
-        let steps: Vec<Step> = rules
-            .iter()
-            .map(|rule| {
-                if rule.is_fact() {
-                    Step::Fact(rule)
-                } else {
-                    proper_rules.push(rule);
-                    Step::Rule(proper_rules.len() - 1)
-                }
-            })
-            .collect();
-        let run = Run {
-            rules: proper_rules,
-            strata: stratification
-                .strata
-                .iter()
-                .map(|stratum| {
-                    let steps: Vec<Step> = stratum.iter().map(|&i| steps[i]).collect();
-                    let proper = steps
-                        .iter()
-                        .filter_map(|step| match step {
-                            Step::Rule(r) => Some(*r),
-                            Step::Fact(_) => None,
-                        })
-                        .collect();
-                    Stratum { steps, proper }
-                })
-                .collect(),
-        };
-        self.run_cross_rule(structure, &run, &mut stats)?;
-        Ok(stats)
-    }
-
-    /// Commit a rule's frame runs — its full solve's, or its delta passes':
-    /// merge them into canonical key order and assert the head for each
-    /// frame — through the compiled head when it has one (method oid
-    /// resolved once, head oids read straight out of the frame slots, set
-    /// members asserted a run at a time; counters identical to `assert_head`
-    /// by construction, see [`CompiledHead`](crate::plan::CompiledHead)),
-    /// else through [`assert_head`] on the [`Bindings`] of the first frame of
-    /// each head valuation.  Returns whether anything new was committed.
-    fn commit_frame_runs(
-        &self,
-        structure: &mut Structure,
-        head: &Term,
-        compiled: &CompiledRule,
-        runs: Vec<crate::plan::FrameRun>,
-        stats: &mut EvalStats,
-    ) -> Result<bool> {
-        let merged = crate::plan::merge_frame_runs(runs, compiled.canonical());
-        let Some(fast) = compiled.head() else {
-            let mut fired = HeadValuations::new(head, compiled);
-            let mut changed = false;
-            for f in merged.frames().filter(|f| fired.first(f)) {
-                changed |= self
-                    .assert_solution(structure, head, &compiled.bindings_of(f), stats)?
-                    .changed();
-            }
-            return Ok(changed);
-        };
-        let method = structure.ensure_name(&fast.method);
-        let pair = |f: &[u32]| (Oid(f[fast.receiver_slot] - 1), Oid(f[fast.member_slot] - 1));
-        self.commit_member_runs(structure, method, merged.frames().map(pair), stats)
-    }
-
-    /// Commit the compiled head `X[m ->> {Y}]` (`method` resolved) over
-    /// `pairs` — `(receiver, member)` per solution, in commit order.  Each
-    /// run of consecutive pairs with one receiver and ascending members is
-    /// one bulk assert; a pair repeating the one before it is a re-assertion
-    /// and is dropped.  Returns whether anything new was committed.
-    fn commit_member_runs(
-        &self,
-        structure: &mut Structure,
-        method: Oid,
-        pairs: impl Iterator<Item = (Oid, Oid)>,
-        stats: &mut EvalStats,
-    ) -> Result<bool> {
-        let mut changed = false;
-        let mut receiver: Option<Oid> = None;
-        let mut members: Vec<Oid> = Vec::new();
-        for (r, m) in pairs {
-            match members.last() {
-                Some(&last) if receiver == Some(r) && last == m => {}
-                Some(&last) if receiver == Some(r) && last < m => members.push(m),
-                _ => {
-                    if let Some(prev) = receiver {
-                        changed |= self.commit_members(structure, method, prev, &members, stats)?;
-                    }
-                    receiver = Some(r);
-                    members.clear();
-                    members.push(m);
-                }
-            }
-        }
-        if let Some(prev) = receiver {
-            changed |= self.commit_members(structure, method, prev, &members, stats)?;
-        }
-        Ok(changed)
-    }
-
-    /// Assert `members` — ascending, distinct — into `method(receiver)`, one
-    /// firing per new member, in slices no longer than
-    /// [`EvalOptions::max_derived`] still allows: a batch that crosses the
-    /// limit fails at the same member, with the same count observed, as one
-    /// assert per solution would.
-    fn commit_members(
-        &self,
-        structure: &mut Structure,
-        method: Oid,
-        receiver: Oid,
-        members: &[Oid],
-        stats: &mut EvalStats,
-    ) -> Result<bool> {
-        let mut changed = false;
-        let mut rest = members;
-        while !rest.is_empty() {
-            let room = self
-                .options
-                .max_derived
-                .saturating_sub(stats.derived())
-                .saturating_add(1);
-            let (batch, tail) = rest.split_at(room.min(rest.len()));
-            let new = structure.assert_set_members(method, receiver, &[], batch);
-            stats.firings += new;
-            stats.set_members += new;
-            changed |= new > 0;
-            self.check_max_derived(stats)?;
-            rest = tail;
-        }
-        Ok(changed)
-    }
-
-    /// [`Error::LimitExceeded`] once the run has derived more facts than
-    /// [`EvalOptions::max_derived`] allows.
-    fn check_max_derived(&self, stats: &EvalStats) -> Result<()> {
-        if stats.derived() > self.options.max_derived {
-            return Err(Error::LimitExceeded {
-                kind: LimitKind::DerivedFacts,
-                limit: self.options.max_derived,
-                observed: stats.derived(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Make `head` true under `bindings` and fold what that added into the
-    /// model counters: the commit step for a rule's solution and — with
-    /// empty bindings, the one solution of an empty body — for a fact.
-    fn assert_solution(
-        &self,
-        structure: &mut Structure,
-        head: &Term,
-        bindings: &Bindings,
-        stats: &mut EvalStats,
-    ) -> Result<AssertEffect> {
-        let options = AssertOptions {
-            create_virtuals: self.options.create_virtuals,
-        };
-        let (_, effect) = assert_head(structure, head, bindings, options)?;
-        if effect.changed() {
-            stats.firings += 1;
-            stats.absorb(effect);
-        }
-        self.check_max_derived(stats)?;
-        Ok(effect)
-    }
-
-    /// The snapshot-window cross-rule scheduler.
-    ///
-    /// Each stratum iteration is a two-phase commit.  **Plan + solve
-    /// (phase 1):** slide the stratum's shared [`SnapshotWindow`] to the
-    /// present; for every rule the window can drive, plan its body once
-    /// ([`crate::plan::plan_pass`]) and one task per drivable literal — on
-    /// the first iteration, one full solve per proper rule — and solve the
-    /// list in order; nothing is written meanwhile.  Every proper rule is
-    /// compiled once, when its stratum starts.
-    /// **Commit (phase 2):** merge each rule's frame runs in canonical order
-    /// and assert statement by statement in stratum order; on the first
-    /// iteration that order includes the stratum's facts, each asserted as
-    /// data at its source position (see the module docs).  Both phases are
-    /// deterministic functions of the structure content, so every run
-    /// commits the same facts in the same order and allocates identical
-    /// virtual-object ids.
-    ///
-    /// A rule sees facts derived by its stratum peers one iteration later
-    /// (Jacobi, not Gauss–Seidel, iteration): every solve of an iteration
-    /// reads the structure as it stood at the iteration boundary.
-    fn run_cross_rule(&self, structure: &mut Structure, run: &Run<'_>, stats: &mut EvalStats) -> Result<()> {
-        let rules = &run.rules;
-        // Per-literal read keys, used to pick which body literals an
-        // iteration delta can drive (positive literals only; negated and
-        // set-at-a-time reads are stratified below the current stratum).
-        let body_reads: Vec<Vec<Option<BTreeSet<DepKey>>>> = rules
-            .iter()
-            .map(|rule| {
-                rule.body
-                    .iter()
-                    .map(|lit| lit.positive.then(|| literal_reads(&lit.term)))
-                    .collect()
-            })
-            .collect();
-        for stratum in &run.strata {
-            let mut window = SnapshotWindow::capture(structure);
-            let mut first = true;
-            // Each proper rule is compiled once, for its full solve and every
-            // later delta pass.
-            let compile = |&r: &usize| (r, crate::plan::compile(rules[r]));
-            let compiled: BTreeMap<usize, CompiledRule> = stratum.proper.iter().map(compile).collect();
-            stats.plans_compiled += compiled.len();
-            let mut stratum_iterations = 0usize;
-            loop {
-                stats.iterations += 1;
-                stratum_iterations += 1;
-                if stratum_iterations > self.options.max_iterations {
-                    return Err(Error::LimitExceeded {
-                        kind: LimitKind::Iterations,
-                        limit: self.options.max_iterations,
-                        observed: stratum_iterations,
-                    });
-                }
-                // Phase 1a: plan the iteration's task list and, beside it,
-                // what phase 2 commits: (statement, number of its tasks).
-                let mut tasks: Vec<SolveTask> = Vec::new();
-                let mut plan: Vec<(Step, usize)> = Vec::new();
-                // The window and the plans this iteration's delta tasks
-                // read; `None` while every rule solves in full.
-                let mut delta: Option<(BTreeMap<usize, BodyPlan>, DeltaView)> = None;
-                if first {
-                    // Every rule solves in full the first time it runs: no
-                    // delta exists for it yet.  A fact needs no solve, and
-                    // commits with the first iteration only.
-                    for &step in &stratum.steps {
-                        match step {
-                            Step::Fact(_) => plan.push((step, 0)),
-                            Step::Rule(r) => {
-                                stats.full_solves += 1;
-                                plan.push((step, 1));
-                                tasks.push(SolveTask { rule: r, delta: None });
-                            }
-                        }
-                    }
-                } else {
-                    let dv = window.slide(structure);
-                    // An empty window drives nothing.
-                    let proper = if dv.is_empty() { &[][..] } else { &stratum.proper[..] };
-                    let mut passes = BTreeMap::new();
-                    for &r in proper {
-                        let delta_lits = delta_literals(structure, &body_reads[r], &dv);
-                        if delta_lits.is_empty() {
-                            // Nothing in the window can drive any of this
-                            // rule's literals — its solutions are unchanged.
-                            stats.rules_skipped += 1;
-                            continue;
-                        }
-                        stats.delta_solves += 1;
-                        // One plan per rule and iteration, shared by all of
-                        // the rule's passes.
-                        let body_plan = crate::plan::plan_pass(structure, &compiled[&r], &delta_lits, dv.entry_count());
-                        if !body_plan.seeded_from_delta {
-                            stats.seed_flips += 1;
-                        }
-                        passes.insert(r, body_plan);
-                        plan.push((Step::Rule(r), delta_lits.len()));
-                        tasks.extend(delta_lits.into_iter().map(|l| SolveTask {
-                            rule: r,
-                            delta: Some(l),
-                        }));
-                    }
-                    delta = Some((passes, dv));
-                }
-                if plan.is_empty() {
-                    // Nothing the window could drive: the stratum converged.
-                    break;
-                }
-                // Phase 1b: solve the list; the structure is only read.
-                let delta = delta.as_ref().map(|(passes, dv)| (passes, dv));
-                let outputs = tasks
-                    .iter()
-                    .map(|&task| runs::run_task(structure, &compiled, delta, task))
-                    .collect::<Result<Vec<_>>>()?;
-                let mut outputs = outputs.into_iter();
-                // Phase 2: commit in stratum order.
-                let mut any_change = false;
-                for &(step, count) in &plan {
-                    let r = match step {
-                        Step::Fact(fact) => {
-                            let effect = self.assert_solution(structure, &fact.head, &Bindings::new(), stats)?;
-                            any_change |= effect.changed();
-                            continue;
-                        }
-                        Step::Rule(r) => r,
-                    };
-                    // Every task returns frames over the rule's one compiled
-                    // body; a rule's runs commit together.
-                    let runs = outputs.by_ref().take(count).collect();
-                    any_change |= self.commit_frame_runs(structure, &rules[r].head, &compiled[&r], runs, stats)?;
-                }
-                first = false;
-                if !any_change {
-                    break;
-                }
-            }
-        }
-        Ok(())
+        fixpoint::run(&self.options, structure, rules, &stratification)
     }
 
     /// Answer a query: the variable-valuations that satisfy its body, each
@@ -873,82 +322,6 @@ fn require_registered_names(structure: &Structure, term: &Term) -> Result<()> {
     }
 }
 
-/// The indices of the positive body literals the rule's delta window can
-/// drive.  Selection is against the window's *contents* — not against the
-/// previous iteration's changed-key set, which has the wrong granularity: a
-/// rule's window spans back to its own last solve, so it can hold facts of
-/// keys that only entered the iteration-level changed set earlier (e.g.
-/// facts asserted by an earlier rule within the same iteration).  A literal
-/// qualifies when a key it reads has new facts in the window (or is
-/// `Unknown`); when objects were created or signature declarations changed,
-/// every positive literal qualifies (new objects can satisfy key-less
-/// positions such as bare variables or built-in filters, and declarations
-/// carry no per-key stamps).
-fn delta_literals(structure: &Structure, reads: &[Option<BTreeSet<DepKey>>], dv: &DeltaView) -> Vec<usize> {
-    let all = dv.has_new_objects() || dv.sigs_changed();
-    reads
-        .iter()
-        .enumerate()
-        .filter_map(|(i, keys)| {
-            let keys = keys.as_ref()?;
-            let drivable = all
-                || keys.iter().any(|k| match k {
-                    DepKey::Unknown => true,
-                    DepKey::Known(name) => structure.lookup_name(name).is_some_and(|oid| dv.has_new_facts_for(oid)),
-                });
-            drivable.then_some(i)
-        })
-        .collect()
-}
-
-/// The head valuations a commit batch has fired: a solution reaches a
-/// generic head only when its projection onto the head's variables is new
-/// in the batch.  Re-asserting a head under a valuation it was just asserted
-/// under is a no-op — a head path finds the virtual object the first
-/// assertion made, a set-ref right-hand side is stratified strictly below
-/// the head, every other filter is idempotent — so the skip changes no fact,
-/// log entry, object id or counter.
-struct HeadValuations {
-    /// Positions of the head's variables among the solution's; `None` when
-    /// the head holds every one of them, so that distinct solutions are
-    /// distinct head valuations (or a head variable is no solution's, which
-    /// `assert_head` reports).
-    projection: Option<Vec<usize>>,
-    seen: HashSet<Vec<u32>>,
-    /// The projection of the solution in hand: allocated into `seen` only
-    /// when it is new.
-    key: Vec<u32>,
-}
-
-impl HeadValuations {
-    /// For the frames of `compiled`, committed to `head`.
-    fn new(head: &Term, compiled: &CompiledRule) -> Self {
-        let head_vars = head.variables();
-        let slots: Vec<&Var> = (0..compiled.slot_count()).map(|i| compiled.slot_var(i)).collect();
-        let projection = if slots.iter().all(|v| head_vars.contains(v)) {
-            None
-        } else {
-            head_vars.iter().map(|v| slots.iter().position(|w| *w == v)).collect()
-        };
-        HeadValuations {
-            projection,
-            seen: HashSet::new(),
-            key: Vec::new(),
-        }
-    }
-
-    /// Is this solution's slot frame the first of the batch with its head
-    /// valuation?
-    fn first(&mut self, frame: &[u32]) -> bool {
-        let Some(projection) = &self.projection else {
-            return true;
-        };
-        self.key.clear();
-        self.key.extend(projection.iter().map(|&i| frame[i]));
-        !self.seen.contains(self.key.as_slice()) && self.seen.insert(self.key.clone())
-    }
-}
-
 /// Register every name occurring in a term, making `I_N` total over the
 /// program's alphabet.
 fn register_names(structure: &mut Structure, term: &Term) {
@@ -983,6 +356,7 @@ pub(crate) fn register_program_names(structure: &mut Structure, rules: &[Rule], 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::LimitKind;
     use crate::names::Var;
     use crate::program::{Literal, Program, Query, Rule};
     use crate::term::Filter;
@@ -1650,9 +1024,6 @@ mod tests {
             plans_compiled: 13,
             replans: 14,
             seed_flips: 15,
-            epochs_published: 16,
-            snapshots_pinned: 17,
-            snapshots_reclaimed: 18,
         };
         let b = EvalStats {
             strata: 10,
@@ -1669,9 +1040,6 @@ mod tests {
             plans_compiled: 140,
             replans: 150,
             seed_flips: 160,
-            epochs_published: 170,
-            snapshots_pinned: 180,
-            snapshots_reclaimed: 190,
         };
         a.merge(&b);
         assert_eq!(a.strata, 11);
@@ -1688,9 +1056,6 @@ mod tests {
         assert_eq!(a.plans_compiled, 153);
         assert_eq!(a.replans, 164);
         assert_eq!(a.seed_flips, 175);
-        assert_eq!(a.epochs_published, 186);
-        assert_eq!(a.snapshots_pinned, 197);
-        assert_eq!(a.snapshots_reclaimed, 208);
         // derived() of saturated counters must not overflow either.
         assert_eq!(a.derived(), usize::MAX);
     }
@@ -2059,7 +1424,6 @@ mod tests {
                 plans_compiled: 8,
                 replans: 0,
                 seed_flips: 5,
-                ..EvalStats::default()
             }
         );
     }

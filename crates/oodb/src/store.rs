@@ -91,16 +91,6 @@ impl StoreStats {
     }
 }
 
-/// An image taken away by [`ObjectStore::schema_mut`].
-#[derive(Debug, Clone)]
-struct ParkedImage {
-    image: StoreImage,
-    /// The schema the image was built from.
-    schema: Schema,
-    /// The store's `version` when it was taken away.
-    version: u64,
-}
-
 /// The in-memory object store.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
@@ -124,10 +114,6 @@ pub struct ObjectStore {
     /// [`ObjectStore::to_structure`]; dropped by the two operations it
     /// cannot follow ([`ObjectStore::drop_image`]).
     image: Option<StoreImage>,
-    /// The image [`ObjectStore::schema_mut`] took away, with the schema it
-    /// was built from and the `version` it holds the facts of: the next
-    /// [`ObjectStore::ensure_image`] takes it back if neither moved.
-    parked: Option<Box<ParkedImage>>,
     /// Check-on-commit integrity constraints, if installed (see
     /// [`ObjectStore::set_constraints`]).
     constraints: Option<Box<crate::guard::ConstraintGuard>>,
@@ -158,22 +144,10 @@ impl ObjectStore {
 
     /// Mutable access to the schema (for incremental schema definition).
     /// The image's signatures and class memberships derive from the schema,
-    /// so the image is dropped by the call and the next transaction or
-    /// session rebuilds it — unless the schema is still the one it was
-    /// built from and nothing was written since: then that image is taken
-    /// back as it was, and an installed guard keeps its place on it.
+    /// so the image is dropped by the call, and the next transaction or
+    /// session rebuilds it and re-baselines an installed guard on it.
     pub fn schema_mut(&mut self) -> &mut Schema {
-        let current = self.image.take().map(|image| (image, self.schema.clone()));
-        let parked = self.parked.take().filter(|p| p.version == self.version);
-        let kept = current.or(parked.map(|p| (p.image, p.schema)));
         self.drop_image();
-        self.parked = kept.map(|(image, schema)| {
-            Box::new(ParkedImage {
-                image,
-                schema,
-                version: self.version,
-            })
-        });
         &mut self.schema
     }
 
@@ -221,11 +195,6 @@ impl ObjectStore {
         if self.image.is_some() {
             return;
         }
-        let parked = self.parked.take();
-        if let Some(p) = parked.filter(|p| p.version == self.version && p.schema == self.schema) {
-            self.image = Some(p.image);
-            return;
-        }
         let mut image = StoreImage::of_store(self);
         if let Some(guard) = self.constraints.as_deref_mut() {
             guard.rebaseline(&mut image);
@@ -246,7 +215,6 @@ impl ObjectStore {
     /// change.  The version moves, so no published epoch passes for current.
     fn drop_image(&mut self) {
         self.image = None;
-        self.parked = None;
         self.version += 1;
     }
 

@@ -306,7 +306,7 @@ fn plan_to_json(e: &Explanation) -> String {
 /// With `json` the document is an object, not a bare array: a `"meta"`
 /// block records the invocation's serving-layer counters
 /// (`epochs_published`, `snapshots_pinned` and `snapshots_reclaimed` from
-/// [`EvalStats`]), then the per-file entries follow under `"files"`.  The static gate performs
+/// [`SnapshotStats`]), then the per-file entries follow under `"files"`.  The static gate performs
 /// no evaluation, so its counters are zero; the keys exist so downstream
 /// tooling reads one stable schema whether or not a shell invocation
 /// evaluated anything.
@@ -407,7 +407,7 @@ fn check_files(files: &[String], json: bool, explain: bool) -> i32 {
         }
     }
     if json {
-        let stats = EvalStats::default();
+        let stats = SnapshotStats::default();
         println!(
             "{{\"meta\":{{\"epochs_published\":{},\"snapshots_pinned\":{},\"snapshots_reclaimed\":{}}},\
              \"files\":[{}]}}",
