@@ -65,9 +65,9 @@ pub fn binding_key(b: &Bindings) -> BindingKey {
 
 /// One statement of a stratum.
 enum Statement<'a> {
-    /// A fact: data, asserted once, when the stratum's first iteration
-    /// commits — no solve, no delta test, no plan.
-    Fact(&'a Rule),
+    /// A fact's head: data, asserted once, when the stratum's first
+    /// iteration commits — no solve, no delta test, no plan.
+    Fact(&'a Term),
     /// A proper rule.
     Rule(Box<ProperRule<'a>>),
 }
@@ -89,7 +89,7 @@ struct ProperRule<'a> {
 impl<'a> Statement<'a> {
     fn new(rule: &'a Rule) -> Self {
         if rule.is_fact() {
-            return Statement::Fact(rule);
+            return Statement::Fact(&rule.head);
         }
         Statement::Rule(Box::new(ProperRule {
             head: &rule.head,
@@ -182,8 +182,8 @@ impl Fixpoint<'_> {
             let mut any_change = false;
             for statement in &mut statements {
                 any_change |= match statement {
-                    Statement::Fact(fact) if first => {
-                        self.assert_solution(structure, &fact.head, &Bindings::new())?.changed()
+                    Statement::Fact(head) if first => {
+                        self.assert_solution(structure, head, &Bindings::new())?.changed()
                     }
                     Statement::Fact(_) => false,
                     Statement::Rule(rule) if rule.runs.is_empty() => false,
