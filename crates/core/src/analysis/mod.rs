@@ -18,12 +18,12 @@
 //! Join order is no concern of the analyzer: every body is planned when it
 //! runs, against the live structure ([`crate::plan`]).
 //!
-//! The analyzer never rejects anything itself; `Engine::install_checked`
-//! turns `Error`-severity diagnostics into [`crate::error::Error::StaticRejected`]
-//! when [`crate::engine::StaticChecks::Enforce`] is configured.  The
-//! guarantee the enforcement relies on (and a proptest pins down): every
-//! program [`crate::program::validate_rule`] or the stratifier rejects
-//! carries at least one `Error`-severity diagnostic here.
+//! The analyzer never rejects anything itself.  `Engine::install_checked`
+//! relies on the converse of what it reports: a program with no
+//! `Error`-severity diagnostic is one the engine accepts, because
+//! [`crate::program::validate_rule`] runs the same safety checks (and
+//! rejects with the first one's message) and the stratifier reads the same
+//! graph.
 
 mod cascade;
 mod diagnostics;
@@ -35,6 +35,7 @@ mod stats;
 pub use cascade::{analyze_cascades, CascadeBound, CascadeReport, ReactiveRuleSummary};
 pub use diagnostics::{json_escape, DiagCode, Diagnostic, Diagnostics, Severity, Span};
 pub use graph::{keys_intersect, DependencyGraph, Edge, Polarity, RuleKind, RuleNode};
+pub(crate) use safety::first_rule_error;
 pub use stats::MethodStats;
 
 use crate::constraints::ConstraintSet;

@@ -1,14 +1,13 @@
 //! Safety and range-restriction checks (PL001–PL004, PL008).
 //!
-//! These generalise the per-rule rejections of
-//! [`validate_rule`](crate::program::validate_rule) — well-formedness,
-//! set-valued heads, unsafe head variables, variables only under negation —
-//! into *diagnostics*: instead of stopping at the first problem, the analyzer
-//! reports every one, with spans, and the same checks run over query and
-//! constraint bodies too.  Everything [`validate_rule`] rejects produces an
-//! `Error`-severity diagnostic here (the property the analyzer's proptest
-//! pins down), so `Engine::install_checked` can rely on "no errors" implying
-//! the engine will accept the program.
+//! The one safety checker: well-formedness, set-valued heads, unsafe head
+//! variables and variables only under negation, reported as *diagnostics* —
+//! every problem, with spans, over rules and over query and constraint
+//! bodies alike.  [`validate_rule`](crate::program::validate_rule) runs the
+//! same `Error` checks of a rule and rejects it with the message of the
+//! first ([`first_rule_error`]), so a rule is rejected exactly when it has
+//! an `Error`-severity diagnostic here, and `Engine::install_checked` can
+//! rely on "no errors" implying the engine will accept the program.
 
 use std::cell::OnceCell;
 use std::collections::BTreeSet;
@@ -21,12 +20,31 @@ use crate::wellformed::check_well_formed;
 
 use super::diagnostics::{DiagCode, Diagnostic, Diagnostics, Span};
 
-/// Run the safety checks of [`crate::program::validate_rule`] over one rule,
-/// reporting every violation instead of stopping at the first.
+/// Run the safety checks over one rule, reporting every violation instead of
+/// stopping at the first.
 pub(super) fn check_rule(rule: &Rule, span: Option<Span>, diags: &mut Diagnostics) {
     // Rendered when the first diagnostic needs it: a clean statement (nearly
     // every fact of a loaded text) is never printed back to source.
     let rendered = OnceCell::new();
+    check_rule_errors(rule, span, &rendered, diags);
+    if !rule.is_fact() {
+        check_singletons(rule, span, rendered.get_or_init(|| rule.to_string()), diags);
+    }
+}
+
+/// The message of the first `Error`-severity diagnostic [`check_rule`]
+/// reports for `rule`, in its check order — the reason
+/// [`crate::program::validate_rule`] rejects the rule — or `None`.
+pub(crate) fn first_rule_error(rule: &Rule) -> Option<String> {
+    let mut diags = Diagnostics::new();
+    check_rule_errors(rule, None, &OnceCell::new(), &mut diags);
+    let first = diags.iter().next().map(|d| d.message.clone());
+    first
+}
+
+/// The `Error`-severity checks of one rule, PL001–PL004 in that order;
+/// `rendered` caches the rule's source text for the messages.
+fn check_rule_errors(rule: &Rule, span: Option<Span>, rendered: &OnceCell<String>, diags: &mut Diagnostics) {
     let label = || -> &str { rendered.get_or_init(|| rule.to_string()) };
 
     // PL001 — well-formedness (Definition 3) of head and body references.
@@ -88,34 +106,33 @@ pub(super) fn check_rule(rule: &Rule, span: Option<Span>, diags: &mut Diagnostic
     if !rule.is_fact() {
         // PL004 — range restriction for negated literals.
         check_negation(label(), &rule.body, span, diags);
+    }
+}
 
-        // PL008 — singleton variables (proper rules only: facts with variables
-        // are already PL003, and in queries a single occurrence is the normal
-        // way to project an answer).  The `_` prefix marks intentional
-        // singletons, mirroring the usual logic-programming convention.
-        let mut occurrences: Vec<Var> = Vec::new();
-        var_occurrences(&rule.head, &mut occurrences);
-        for lit in &rule.body {
-            var_occurrences(&lit.term, &mut occurrences);
+/// PL008 — singleton variables (proper rules only: facts with variables are
+/// already PL003, and in queries a single occurrence is the normal way to
+/// project an answer).  The `_` prefix marks intentional singletons,
+/// mirroring the usual logic-programming convention.
+fn check_singletons(rule: &Rule, span: Option<Span>, label: &str, diags: &mut Diagnostics) {
+    let mut occurrences: Vec<Var> = Vec::new();
+    var_occurrences(&rule.head, &mut occurrences);
+    for lit in &rule.body {
+        var_occurrences(&lit.term, &mut occurrences);
+    }
+    let mut seen: Vec<&Var> = Vec::new();
+    for v in &occurrences {
+        if seen.contains(&v) {
+            continue;
         }
-        let mut seen: Vec<&Var> = Vec::new();
-        for v in &occurrences {
-            if seen.contains(&v) {
-                continue;
-            }
-            seen.push(v);
-            let count = occurrences.iter().filter(|o| *o == v).count();
-            if count == 1 && !v.name().starts_with('_') {
-                diags.push(Diagnostic::new(
-                    DiagCode::SingletonVariable,
-                    span,
-                    label().to_string(),
-                    format!(
-                        "variable {v} occurs only once in `{}`; prefix it with `_` if this is intentional",
-                        label()
-                    ),
-                ));
-            }
+        seen.push(v);
+        let count = occurrences.iter().filter(|o| *o == v).count();
+        if count == 1 && !v.name().starts_with('_') {
+            diags.push(Diagnostic::new(
+                DiagCode::SingletonVariable,
+                span,
+                label.to_string(),
+                format!("variable {v} occurs only once in `{label}`; prefix it with `_` if this is intentional"),
+            ));
         }
     }
 }

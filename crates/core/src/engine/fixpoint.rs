@@ -39,7 +39,7 @@
 
 use std::collections::{BTreeSet, HashSet};
 
-use super::{assert_head, AssertEffect, AssertOptions, EvalOptions, EvalStats, Stratification};
+use super::{assert_head, AssertEffect, EvalOptions, EvalStats, Stratification};
 use crate::error::{Error, LimitKind, Result};
 use crate::names::Var;
 use crate::plan::{CompiledRule, FrameRun};
@@ -306,10 +306,7 @@ impl Fixpoint<'_> {
     /// model counters: the commit step for a rule's solution and — with
     /// empty bindings, the one solution of an empty body — for a fact.
     fn assert_solution(&mut self, structure: &mut Structure, head: &Term, bindings: &Bindings) -> Result<AssertEffect> {
-        let options = AssertOptions {
-            create_virtuals: self.options.create_virtuals,
-        };
-        let (_, effect) = assert_head(structure, head, bindings, options)?;
+        let (_, effect) = assert_head(structure, head, bindings)?;
         if effect.changed() {
             self.stats.firings += 1;
             self.stats.absorb(effect);

@@ -103,13 +103,14 @@
 //! The stratifier itself is a thin consumer of the same graph
 //! ([`crate::analysis::DependencyGraph::stratify`]), so the strata the
 //! analyzer reports are bit-identical to the ones evaluation uses.
-//! [`Engine::install_checked`] is `load_program` gated on the report:
-//! under [`StaticChecks::Enforce`] (via [`EvalOptions::static_checks`])
-//! programs with `Error`-severity diagnostics are rejected with
-//! [`Error::StaticRejected`] before any fact is asserted, while the default
-//! [`StaticChecks::WarnOnly`] only attaches the report.  The same analyzer
-//! runs in `pathlog_shell --check`, the oodb constraint guard and the
-//! reactive installers.
+//! [`Engine::install_checked`] is `load_program` with the report attached:
+//! a program the report finds no `Error` in is evaluated from the report's
+//! strata, and any other goes through `load_program`'s own validation,
+//! which rejects the first invalid rule before any fact is asserted.
+//! Validation runs the analyzer's own safety checks, so the two agree on
+//! what is rejected and why.  The same analyzer runs in
+//! `pathlog_shell --check`, the oodb constraint guard and the reactive
+//! installers.
 
 mod fixpoint;
 mod options;
@@ -117,9 +118,9 @@ mod stratify;
 mod virtuals;
 
 pub use fixpoint::{binding_key, BindingKey};
-pub use options::{EvalOptions, EvalStats, StaticChecks, Tolerance};
+pub use options::{EvalOptions, EvalStats, Tolerance};
 pub use stratify::{stratify, Stratification};
-pub use virtuals::{assert_head, AssertEffect, AssertOptions};
+pub use virtuals::{assert_head, AssertEffect};
 
 use std::collections::BTreeSet;
 
@@ -173,33 +174,28 @@ impl Engine {
 
     /// [`Engine::load_program`] preceded by static analysis.
     ///
-    /// Always returns the [`crate::analysis::Analysis`] report alongside the
-    /// evaluation stats.  Under [`StaticChecks::Enforce`] a program with
-    /// `Error`-severity diagnostics is rejected with
-    /// [`Error::StaticRejected`] *before* any fact is asserted; under the
-    /// default [`StaticChecks::WarnOnly`] the diagnostics are informational
-    /// and installation proceeds exactly like `load_program` (including its
-    /// own validation errors, which fire either way).
-    ///
-    /// The evaluation runs from the stratification the analysis just
-    /// computed — one `rule_info` pass and one stratification per install.
+    /// Returns the [`crate::analysis::Analysis`] report alongside the
+    /// evaluation stats.  A program with no `Error`-severity diagnostic is
+    /// evaluated from the stratification the analysis just computed, with
+    /// no second validation: validation runs the analyzer's own safety
+    /// checks, so it would pass.  Any other program is installed exactly as
+    /// by `load_program`: the first invalid rule in source order, then a
+    /// program that cannot be stratified, is reported before any fact is
+    /// asserted, and a program whose errors all lie in its queries is
+    /// installed.
     pub fn install_checked(
         &self,
         structure: &mut Structure,
         program: &Program,
     ) -> Result<(EvalStats, crate::analysis::Analysis)> {
         let analysis = self.analyze(Some(structure), program);
-        if self.options.static_checks == StaticChecks::Enforce && !analysis.no_errors() {
-            return Err(Error::StaticRejected(analysis.diagnostics.render()));
-        }
-        let Some(stratification) = &analysis.strata else {
-            // Not stratifiable (PL005): `load_program` reports it — after
-            // any validation error, in the order it always has.
-            return self.load_program(structure, program).map(|stats| (stats, analysis));
+        let stats = match &analysis.strata {
+            Some(stratification) if analysis.no_errors() => {
+                register_program_names(structure, &program.rules, &program.queries);
+                fixpoint::run(&self.options, structure, &program.rules, stratification)?
+            }
+            _ => self.install(structure, &program.rules, &program.queries)?,
         };
-        program.rules.iter().try_for_each(crate::program::check_valid)?;
-        register_program_names(structure, &program.rules, &program.queries);
-        let stats = fixpoint::run(&self.options, structure, &program.rules, stratification)?;
         Ok((stats, analysis))
     }
 
@@ -1190,29 +1186,6 @@ mod tests {
         assert!(analysis.no_errors());
     }
 
-    #[test]
-    fn install_checked_enforce_rejects_error_diagnostics() {
-        let mut program = Program::new();
-        program.push_rule(Rule::fact(Term::var("X").isa("person"))); // non-ground: PL003
-        let engine = Engine::with_options(EvalOptions {
-            static_checks: StaticChecks::Enforce,
-            ..EvalOptions::default()
-        });
-        let mut s = Structure::new();
-        let err = engine.install_checked(&mut s, &program).unwrap_err();
-        match err {
-            Error::StaticRejected(report) => assert!(report.contains("PL003"), "{report}"),
-            other => panic!("expected StaticRejected, got {other:?}"),
-        }
-        // Nothing was installed.
-        assert_eq!(s.stats().isa_edges, 0);
-
-        // The same program under WarnOnly fails load_program's own
-        // validation instead — enforcement only changes *when*, not *if*.
-        let engine = Engine::new();
-        assert!(engine.install_checked(&mut s, &program).is_err());
-    }
-
     /// One stratum, over a structure already holding `q : person[city ->
     /// paris]`, with facts between the rules and four virtual objects whose
     /// numbering tells when each statement committed.
@@ -1977,19 +1950,13 @@ mod tests {
         let mut program = Program::new();
         program.push_rule(Rule::fact(Term::name("mary").isa("person")));
         program.push_rule(Rule::fact(Term::var("X").isa("person")));
-        for static_checks in [StaticChecks::WarnOnly, StaticChecks::Enforce] {
-            let engine = Engine::with_options(EvalOptions {
-                static_checks,
-                ..EvalOptions::default()
-            });
-            let mut s = Structure::new();
-            let err = engine.install_checked(&mut s, &program).unwrap_err();
-            match static_checks {
-                StaticChecks::WarnOnly => assert!(matches!(err, Error::InvalidRule(_)), "{err:?}"),
-                StaticChecks::Enforce => assert!(matches!(err, Error::StaticRejected(_)), "{err:?}"),
-            }
-            assert_eq!(s.stats().isa_edges, 0, "{static_checks:?}: mary must not be asserted");
-        }
+        let mut s = Structure::new();
+        let err = Engine::new().install_checked(&mut s, &program).unwrap_err();
+        assert_eq!(
+            err,
+            Error::InvalidRule("fact `X : person.` is not ground: variable X has no binding".to_string())
+        );
+        assert_eq!(s.stats().isa_edges, 0, "mary must not be asserted");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! What an evaluation runs under ([`EvalOptions`], with [`Tolerance`] and
-//! [`StaticChecks`]) and what it counts ([`EvalStats`]).
+//! What an evaluation runs under ([`EvalOptions`], with [`Tolerance`]) and
+//! what it counts ([`EvalStats`]).
 
 use super::AssertEffect;
 
@@ -26,21 +26,6 @@ pub enum Tolerance {
     Tolerant,
 }
 
-/// What [`Engine::install_checked`](super::Engine::install_checked) does
-/// with `Error`-severity static diagnostics (see [`crate::analysis`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StaticChecks {
-    /// Analyze and report, but install the program anyway (the default —
-    /// matches the historical behaviour where validation alone gated
-    /// installation).
-    #[default]
-    WarnOnly,
-    /// Reject programs with `Error`-severity diagnostics before any fact is
-    /// asserted, returning [`crate::error::Error::StaticRejected`] with the
-    /// rendered report.
-    Enforce,
-}
-
 /// Options controlling evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalOptions {
@@ -49,16 +34,10 @@ pub struct EvalOptions {
     /// Maximum number of derived facts (scalar + set members + isa edges)
     /// before giving up — a guard against runaway virtual-object creation.
     pub max_derived: usize,
-    /// Create virtual objects for undefined scalar paths in rule heads.
-    pub create_virtuals: bool,
     /// Whether queries degrade gracefully over quarantined (constraint-
     /// violating) facts instead of answering classically — see
     /// [`Tolerance`].
     pub tolerance: Tolerance,
-    /// Whether [`Engine::install_checked`](super::Engine::install_checked)
-    /// rejects programs with `Error`-severity static diagnostics — see
-    /// [`StaticChecks`].
-    pub static_checks: StaticChecks,
 }
 
 impl Default for EvalOptions {
@@ -66,9 +45,7 @@ impl Default for EvalOptions {
         EvalOptions {
             max_iterations: 100_000,
             max_derived: 50_000_000,
-            create_virtuals: true,
             tolerance: Tolerance::Strict,
-            static_checks: StaticChecks::WarnOnly,
         }
     }
 }

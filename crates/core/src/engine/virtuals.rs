@@ -8,6 +8,9 @@
 //! `X`, a fresh unnamed object is created and stored as the scalar result of
 //! `boss` on `X`; because the object is addressed through that stored fact,
 //! re-firing the rule is idempotent — the path itself is the skolem term.
+//! An undefined head path always mints an object; a rule meant to reuse a
+//! `boss` only where one exists (rule (6.2)) writes the path in its body
+//! instead.
 //!
 //! The same mechanism makes the generic transitive closure of Section 6 work:
 //! asserting `X[(kids.tc) ->> {Y}]` first materialises an object for the
@@ -49,43 +52,17 @@ impl AssertEffect {
     }
 }
 
-/// Options controlling head assertion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AssertOptions {
-    /// Create virtual objects for undefined scalar paths in heads.  When
-    /// disabled, such heads are an error (rule (6.2)-style behaviour can be
-    /// obtained by writing the path in the body instead).
-    pub create_virtuals: bool,
-}
-
-impl Default for AssertOptions {
-    fn default() -> Self {
-        AssertOptions { create_virtuals: true }
-    }
-}
-
 /// Make `head` true under `bindings`, adding facts (and virtual objects) as
 /// needed.  Returns the object denoted by the head and the effect counters.
-pub fn assert_head(
-    structure: &mut Structure,
-    head: &Term,
-    bindings: &Bindings,
-    options: AssertOptions,
-) -> Result<(Oid, AssertEffect)> {
+pub fn assert_head(structure: &mut Structure, head: &Term, bindings: &Bindings) -> Result<(Oid, AssertEffect)> {
     let mut effect = AssertEffect::default();
-    let oid = assert_term(structure, head, bindings, options, &mut effect)?;
+    let oid = assert_term(structure, head, bindings, &mut effect)?;
     Ok((oid, effect))
 }
 
 /// Resolve a head sub-reference to an object, creating virtual objects for
 /// undefined scalar paths, and asserting any filters it carries.
-fn assert_term(
-    structure: &mut Structure,
-    term: &Term,
-    bindings: &Bindings,
-    options: AssertOptions,
-    effect: &mut AssertEffect,
-) -> Result<Oid> {
+fn assert_term(structure: &mut Structure, term: &Term, bindings: &Bindings, effect: &mut AssertEffect) -> Result<Oid> {
     match term {
         Term::Name(n) => Ok(structure.ensure_name(n)),
         Term::Var(v) => bindings.get(v).ok_or_else(|| {
@@ -93,27 +70,22 @@ fn assert_term(
                 "head variable {v} is unbound (unsafe rule slipped through validation)"
             ))
         }),
-        Term::Paren(t) => assert_term(structure, t, bindings, options, effect),
+        Term::Paren(t) => assert_term(structure, t, bindings, effect),
         Term::Path(p) => {
             if p.set_valued {
                 return Err(Error::InvalidRule(format!(
                     "set-valued path `{term}` cannot be asserted in a rule head"
                 )));
             }
-            let receiver = assert_term(structure, &p.receiver, bindings, options, effect)?;
-            let method = assert_term(structure, &p.method, bindings, options, effect)?;
+            let receiver = assert_term(structure, &p.receiver, bindings, effect)?;
+            let method = assert_term(structure, &p.method, bindings, effect)?;
             let args = p
                 .args
                 .iter()
-                .map(|a| assert_term(structure, a, bindings, options, effect))
+                .map(|a| assert_term(structure, a, bindings, effect))
                 .collect::<Result<Vec<_>>>()?;
             if let Some(existing) = structure.apply_scalar(method, receiver, &args) {
                 return Ok(existing);
-            }
-            if !options.create_virtuals {
-                return Err(Error::InvalidRule(format!(
-                    "path `{term}` is undefined and virtual-object creation is disabled"
-                )));
             }
             let fresh = structure.new_virtual();
             effect.virtual_objects += 1;
@@ -123,32 +95,32 @@ fn assert_term(
             Ok(fresh)
         }
         Term::IsA(i) => {
-            let receiver = assert_term(structure, &i.receiver, bindings, options, effect)?;
-            let class = assert_term(structure, &i.class, bindings, options, effect)?;
+            let receiver = assert_term(structure, &i.receiver, bindings, effect)?;
+            let class = assert_term(structure, &i.class, bindings, effect)?;
             if structure.add_isa(receiver, class) {
                 effect.isa_edges += 1;
             }
             Ok(receiver)
         }
         Term::Molecule(m) => {
-            let receiver = assert_term(structure, &m.receiver, bindings, options, effect)?;
+            let receiver = assert_term(structure, &m.receiver, bindings, effect)?;
             for f in &m.filters {
-                let method = assert_term(structure, &f.method, bindings, options, effect)?;
+                let method = assert_term(structure, &f.method, bindings, effect)?;
                 let args = f
                     .args
                     .iter()
-                    .map(|a| assert_term(structure, a, bindings, options, effect))
+                    .map(|a| assert_term(structure, a, bindings, effect))
                     .collect::<Result<Vec<_>>>()?;
                 match &f.value {
                     FilterValue::Scalar(value) => {
-                        let result = assert_term(structure, value, bindings, options, effect)?;
+                        let result = assert_term(structure, value, bindings, effect)?;
                         if structure.assert_scalar(method, receiver, &args, result)?.is_new() {
                             effect.scalar_facts += 1;
                         }
                     }
                     FilterValue::SetExplicit(values) => {
                         for value in values {
-                            let member = assert_term(structure, value, bindings, options, effect)?;
+                            let member = assert_term(structure, value, bindings, effect)?;
                             if structure.assert_set_member(method, receiver, &args, member).is_new() {
                                 effect.set_members += 1;
                             }
@@ -171,7 +143,7 @@ fn assert_term(
                         let set_valued = matches!(f.value, FilterValue::SigSet(_));
                         let result_classes = results
                             .iter()
-                            .map(|r| assert_term(structure, r, bindings, options, effect))
+                            .map(|r| assert_term(structure, r, bindings, effect))
                             .collect::<Result<Vec<_>>>()?;
                         let sig = Signature {
                             class: receiver,
@@ -235,14 +207,14 @@ mod tests {
             Filter::scalar("age", Term::int(30)),
             Filter::set("kids", vec![Term::name("tim"), Term::name("sally")]),
         ]);
-        let (obj, eff) = assert_head(&mut s, &head, &Bindings::new(), AssertOptions::default()).unwrap();
+        let (obj, eff) = assert_head(&mut s, &head, &Bindings::new()).unwrap();
         assert_eq!(obj, oid(&s, "mary"));
         assert_eq!(eff.scalar_facts, 1);
         assert_eq!(eff.set_members, 2);
         assert_eq!(eff.virtual_objects, 0);
         assert!(eff.changed());
         // idempotent
-        let (_, eff2) = assert_head(&mut s, &head, &Bindings::new(), AssertOptions::default()).unwrap();
+        let (_, eff2) = assert_head(&mut s, &head, &Bindings::new()).unwrap();
         assert!(!eff2.changed());
     }
 
@@ -250,7 +222,7 @@ mod tests {
     fn asserting_isa_adds_membership() {
         let mut s = Structure::new();
         let head = Term::name("a1").isa("automobile");
-        let (_, eff) = assert_head(&mut s, &head, &Bindings::new(), AssertOptions::default()).unwrap();
+        let (_, eff) = assert_head(&mut s, &head, &Bindings::new()).unwrap();
         assert_eq!(eff.isa_edges, 1);
         assert!(s.in_class(oid(&s, "a1"), oid(&s, "automobile")));
     }
@@ -265,12 +237,12 @@ mod tests {
         let head = Term::var("X")
             .scalar("boss")
             .filter(Filter::scalar("worksFor", Term::var("D")));
-        let (boss, eff) = assert_head(&mut s, &head, &bindings, AssertOptions::default()).unwrap();
+        let (boss, eff) = assert_head(&mut s, &head, &bindings).unwrap();
         assert!(s.is_virtual(boss));
         assert_eq!(eff.virtual_objects, 1);
         assert_eq!(eff.scalar_facts, 2); // boss(p1)=v and worksFor(v)=cs1
                                          // Re-asserting reuses the same virtual object: the path is the skolem.
-        let (boss2, eff2) = assert_head(&mut s, &head, &bindings, AssertOptions::default()).unwrap();
+        let (boss2, eff2) = assert_head(&mut s, &head, &bindings).unwrap();
         assert_eq!(boss, boss2);
         assert!(!eff2.changed());
     }
@@ -283,32 +255,17 @@ mod tests {
         let head = Term::name("p1")
             .scalar("boss")
             .filter(Filter::scalar("age", Term::int(50)));
-        let (obj, eff) = assert_head(&mut s, &head, &Bindings::new(), AssertOptions::default()).unwrap();
+        let (obj, eff) = assert_head(&mut s, &head, &Bindings::new()).unwrap();
         assert_eq!(obj, mary);
         assert_eq!(eff.virtual_objects, 0);
         assert_eq!(eff.scalar_facts, 1);
     }
 
     #[test]
-    fn disabled_virtuals_reject_undefined_paths() {
-        let mut s = Structure::new();
-        s.atom("p1");
-        let head = Term::name("p1").scalar("boss");
-        let err = assert_head(
-            &mut s,
-            &head,
-            &Bindings::new(),
-            AssertOptions { create_virtuals: false },
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("virtual"));
-    }
-
-    #[test]
     fn set_valued_path_in_head_is_rejected() {
         let mut s = Structure::new();
         let head = Term::name("p1").set("kids");
-        assert!(assert_head(&mut s, &head, &Bindings::new(), AssertOptions::default()).is_err());
+        assert!(assert_head(&mut s, &head, &Bindings::new()).is_err());
     }
 
     #[test]
@@ -322,7 +279,7 @@ mod tests {
         s.atom("p2");
         s.atom("friends");
         let head = Term::name("p2").filter(Filter::set_ref("friends", Term::name("p1").set("assistants")));
-        let (_, eff) = assert_head(&mut s, &head, &Bindings::new(), AssertOptions::default()).unwrap();
+        let (_, eff) = assert_head(&mut s, &head, &Bindings::new()).unwrap();
         assert_eq!(eff.set_members, 2);
         let friends = s.apply_set(oid(&s, "friends"), oid(&s, "p2"), &[]).unwrap();
         assert!(friends.contains(&a) && friends.contains(&b));
@@ -339,7 +296,7 @@ mod tests {
             Term::name("kids").scalar("tc").paren(),
             vec![Term::var("Y")],
         ));
-        let (_, eff) = assert_head(&mut s, &head, &bindings, AssertOptions::default()).unwrap();
+        let (_, eff) = assert_head(&mut s, &head, &bindings).unwrap();
         assert_eq!(eff.virtual_objects, 1, "an object for the method kids.tc");
         assert_eq!(eff.set_members, 1);
         // The virtual method is addressable through the path kids.tc.
@@ -364,11 +321,11 @@ mod tests {
                 value: FilterValue::SigSet(vec![Term::name("person")]),
             },
         ]);
-        let (_, eff) = assert_head(&mut s, &head, &Bindings::new(), AssertOptions::default()).unwrap();
+        let (_, eff) = assert_head(&mut s, &head, &Bindings::new()).unwrap();
         assert_eq!(eff.signatures, 2);
         assert_eq!(s.signatures().len(), 2);
         // idempotent
-        let (_, eff2) = assert_head(&mut s, &head, &Bindings::new(), AssertOptions::default()).unwrap();
+        let (_, eff2) = assert_head(&mut s, &head, &Bindings::new()).unwrap();
         assert_eq!(eff2.signatures, 0);
     }
 
@@ -379,14 +336,12 @@ mod tests {
             &mut s,
             &Term::name("mary").filter(Filter::scalar("age", Term::int(30))),
             &Bindings::new(),
-            AssertOptions::default(),
         )
         .unwrap();
         let err = assert_head(
             &mut s,
             &Term::name("mary").filter(Filter::scalar("age", Term::int(31))),
             &Bindings::new(),
-            AssertOptions::default(),
         );
         assert!(err.is_err());
     }

@@ -54,11 +54,6 @@ pub enum Error {
         /// The value actually observed when the limit tripped.
         observed: usize,
     },
-    /// The static analyzer reported `Error`-severity diagnostics and the
-    /// engine was configured to enforce them
-    /// ([`StaticChecks::Enforce`](crate::engine::StaticChecks)).  Carries
-    /// the rendered diagnostics report.
-    StaticRejected(String),
     /// Anything else.
     Other(String),
 }
@@ -74,9 +69,6 @@ impl fmt::Display for Error {
             Error::TypeViolation(m) => write!(f, "type violation: {m}"),
             Error::LimitExceeded { kind, limit, observed } => {
                 write!(f, "limit exceeded: {kind} over budget ({observed} > {limit})")
-            }
-            Error::StaticRejected(report) => {
-                write!(f, "program rejected by static analysis:\n{report}")
             }
             Error::Other(m) => write!(f, "{m}"),
         }

@@ -91,7 +91,7 @@ pub mod prelude {
         tolerant_query, CheckStats, ConsistencyStatus, Constraint, ConstraintChecker, ConstraintPolicy, ConstraintSet,
         ConstraintViolation, Quarantine, TolerantAnswer, TolerantAnswers,
     };
-    pub use crate::engine::{Engine, EvalOptions, EvalStats, StaticChecks, Tolerance};
+    pub use crate::engine::{Engine, EvalOptions, EvalStats, Tolerance};
     pub use crate::error::{Error, Result};
     pub use crate::names::{Name, Var};
     pub use crate::program::{Literal, Program, Query, Rule};
@@ -103,7 +103,7 @@ pub mod prelude {
     pub use crate::snapshot::{Epoch, PinnedSnapshot, Snapshot, SnapshotRegistry, SnapshotStats};
     pub use crate::structure::{Oid, Signature, Structure, StructureStats};
     pub use crate::term::{Filter, FilterValue, Term};
-    pub use crate::typing::{type_check, type_check_with, TypeCheckOptions, TypeError};
+    pub use crate::typing::{type_check, TypeError};
     pub use crate::wellformed::{check_well_formed, is_well_formed};
 }
 

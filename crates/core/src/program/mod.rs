@@ -12,7 +12,6 @@
 
 mod validate;
 
-pub(crate) use validate::check_valid;
 pub use validate::{literal_reads, rule_info, validate_program, validate_rule, DepKey, RuleInfo};
 
 use std::fmt;

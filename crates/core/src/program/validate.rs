@@ -7,10 +7,13 @@
 //! 2. the head must be a *scalar* reference — "the usage of set valued
 //!    references in rule heads should be forbidden";
 //! 3. safety: every head variable and every variable of a negated literal
-//!    must occur in a positive body literal; facts must be ground;
-//! 4. the head must be *assertable*: a name, a scalar path, an `IsA`, or a
-//!    molecule over those (signature filters are allowed and become
-//!    declarations).
+//!    must occur in a positive body literal; facts must be ground.
+//!
+//! They are the `Error` checks of the static analyzer (PL001–PL004, see
+//! [`crate::analysis`]): a rule is rejected with the message of the first
+//! one it fails.  A head that passes them is assertable — a scalar head has
+//! no set-valued path on its receiver chain, and every filter kind becomes
+//! facts or declarations.
 //!
 //! Validation also derives the [`RuleInfo`] dependency summary used by the
 //! stratifier: which method/class names a rule *defines* (through its head)
@@ -23,9 +26,7 @@ use std::collections::BTreeSet;
 use crate::error::{Error, Result};
 use crate::names::Name;
 use crate::program::{Program, Rule};
-use crate::scalarity::is_set_valued;
 use crate::term::{FilterValue, Term};
-use crate::wellformed::check_well_formed;
 
 /// A dependency key: a known method/class name, or "unknown" when the method
 /// or class position is not a plain name (a variable or a parenthesised
@@ -53,46 +54,10 @@ pub struct RuleInfo {
 
 /// Validate a single rule and compute its dependency summary.
 pub fn validate_rule(rule: &Rule) -> Result<RuleInfo> {
-    check_valid(rule)?;
-    Ok(rule_info(rule))
-}
-
-/// The checks of [`validate_rule`] alone, for a caller that already holds
-/// the rule's dependency summary.
-pub(crate) fn check_valid(rule: &Rule) -> Result<()> {
-    check_well_formed(&rule.head).map_err(|e| Error::InvalidRule(format!("head of `{rule}`: {e}")))?;
-    for lit in &rule.body {
-        check_well_formed(&lit.term).map_err(|e| Error::InvalidRule(format!("body of `{rule}`: {e}")))?;
+    match crate::analysis::first_rule_error(rule) {
+        Some(message) => Err(Error::InvalidRule(message)),
+        None => Ok(rule_info(rule)),
     }
-
-    if is_set_valued(&rule.head) {
-        return Err(Error::InvalidRule(format!(
-            "the head of `{rule}` is a set-valued reference; set-valued references cannot be used in rule heads \
-             because the object they describe is not uniquely determined (Section 6 of the paper)"
-        )));
-    }
-    check_head_assertable(&rule.head).map_err(|e| Error::InvalidRule(format!("head of `{rule}`: {e}")))?;
-
-    // Safety.
-    let positive: BTreeSet<_> = rule.positive_body_variables().into_iter().collect();
-    for v in rule.head_variables() {
-        if !positive.contains(&v) {
-            return Err(Error::InvalidRule(format!(
-                "unsafe rule `{rule}`: head variable {v} does not occur in a positive body literal"
-            )));
-        }
-    }
-    for lit in rule.body.iter().filter(|l| !l.positive) {
-        for v in lit.term.variables() {
-            if !positive.contains(&v) {
-                return Err(Error::InvalidRule(format!(
-                    "unsafe rule `{rule}`: variable {v} of negated literal `{}` does not occur in a positive literal",
-                    lit.term
-                )));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Compute a rule's dependency summary without validating it.
@@ -131,29 +96,6 @@ pub fn literal_reads(term: &Term) -> BTreeSet<DepKey> {
     let mut out = BTreeSet::new();
     collect_keys(term, &mut out);
     out
-}
-
-/// Can this reference be made true by adding facts (and virtual objects)?
-fn check_head_assertable(head: &Term) -> Result<()> {
-    match head {
-        Term::Name(_) => Ok(()),
-        Term::Var(_) => Ok(()),
-        Term::Paren(t) => check_head_assertable(t),
-        Term::Path(p) => {
-            if p.set_valued {
-                return Err(Error::InvalidRule(format!(
-                    "set-valued path `{head}` cannot be asserted in a head"
-                )));
-            }
-            check_head_assertable(&p.receiver)
-        }
-        Term::IsA(i) => check_head_assertable(&i.receiver),
-        // Every filter kind is assertable: scalar and set filters become
-        // facts, `->>` with a set-valued reference adds all denoted members,
-        // signature filters become declarations.  Only the receiver chain
-        // needs checking.
-        Term::Molecule(m) => check_head_assertable(&m.receiver),
-    }
 }
 
 /// The dependency key of a method/class position.

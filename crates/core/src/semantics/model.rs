@@ -6,7 +6,7 @@
 //! definitions: [`is_model`] checks that property of any structure, and
 //! [`fixpoint`] computes the least fixpoint the plain way.
 
-use crate::engine::{assert_head, binding_key, stratify, AssertOptions, EvalOptions, EvalStats};
+use crate::engine::{assert_head, binding_key, stratify, EvalOptions, EvalStats};
 use crate::error::{Error, LimitKind, Result};
 use crate::program::{validate_program, Program, Rule};
 use crate::semantics::{entails, solve_body, Bindings};
@@ -26,8 +26,8 @@ use crate::structure::Structure;
 /// solution) in the first iteration only.  That is the engine's commit
 /// order, so the two mint the same virtual objects under the same ids.
 ///
-/// The limits and `create_virtuals` of `options` apply as in the engine: a
-/// limit fails at the same fact, with the same count observed.  Of the
+/// The limits of `options` apply as in the engine: a limit fails at the
+/// same fact, with the same count observed.  Of the
 /// scheduling counters only `strata` and `iterations` are reported.
 pub fn fixpoint(structure: &mut Structure, program: &Program, options: &EvalOptions) -> Result<EvalStats> {
     let infos = validate_program(program)?;
@@ -36,9 +36,6 @@ pub fn fixpoint(structure: &mut Structure, program: &Program, options: &EvalOpti
     let mut stats = EvalStats {
         strata: stratification.len(),
         ..EvalStats::default()
-    };
-    let assert = AssertOptions {
-        create_virtuals: options.create_virtuals,
     };
     for stratum in &stratification.strata {
         for iteration in 1.. {
@@ -61,7 +58,7 @@ pub fn fixpoint(structure: &mut Structure, program: &Program, options: &EvalOpti
             let mut changed = false;
             for (rule, solutions) in solved {
                 for bindings in &solutions {
-                    let (_, effect) = assert_head(structure, &rule.head, bindings, assert)?;
+                    let (_, effect) = assert_head(structure, &rule.head, bindings)?;
                     if effect.changed() {
                         changed = true;
                         stats.firings += 1;

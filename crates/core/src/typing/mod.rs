@@ -12,9 +12,10 @@
 //! `recv` is a member of `c` and each argument is a member of the
 //! corresponding argument class.  The fact is *well-typed* when, for every
 //! applicable signature, the result (each member for set-valued methods) is
-//! a member of every declared result class.  In strict mode every fact whose
-//! method has at least one declaration must be covered by an applicable
-//! signature.
+//! a member of every declared result class.  A fact no signature applies to
+//! is not checked: signatures constrain the applications they cover and say
+//! nothing about the others, so an object outside every declared class may
+//! carry any method.
 
 use std::fmt;
 
@@ -37,31 +38,15 @@ impl fmt::Display for TypeError {
     }
 }
 
-/// Options for the checker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TypeCheckOptions {
-    /// Require every fact of a *declared* method to be covered by at least
-    /// one applicable signature (covers the receiver/argument classes).
-    pub strict_coverage: bool,
-}
-
 /// Check all stored facts of `structure` against its signature declarations.
 pub fn type_check(structure: &Structure) -> Vec<TypeError> {
-    type_check_with(structure, TypeCheckOptions::default())
-}
-
-/// Check with explicit options.
-pub fn type_check_with(structure: &Structure, options: TypeCheckOptions) -> Vec<TypeError> {
     let mut errors = Vec::new();
-    let sigs = structure.signatures();
-    if sigs.is_empty() {
+    if structure.signatures().is_empty() {
         return errors;
     }
-
     for fact in structure.facts().scalar_facts() {
         check_application(
             structure,
-            options,
             fact.method,
             fact.receiver,
             fact.args,
@@ -74,7 +59,6 @@ pub fn type_check_with(structure: &Structure, options: TypeCheckOptions) -> Vec<
         let members: Vec<Oid> = fact.members.iter().copied().collect();
         check_application(
             structure,
-            options,
             fact.method,
             fact.receiver,
             fact.args,
@@ -86,10 +70,8 @@ pub fn type_check_with(structure: &Structure, options: TypeCheckOptions) -> Vec<
     errors
 }
 
-#[allow(clippy::too_many_arguments)]
 fn check_application(
     structure: &Structure,
-    options: TypeCheckOptions,
     method: Oid,
     receiver: Oid,
     args: &[Oid],
@@ -97,12 +79,7 @@ fn check_application(
     set_valued: bool,
     errors: &mut Vec<TypeError>,
 ) {
-    let sigs = structure.signatures();
-    if !sigs.declares_method(method) {
-        return;
-    }
-    let mut covered = false;
-    for sig in sigs.for_method(method) {
+    for sig in structure.signatures().for_method(method) {
         if sig.set_valued != set_valued || sig.arg_classes.len() != args.len() {
             continue;
         }
@@ -116,7 +93,6 @@ fn check_application(
         {
             continue;
         }
-        covered = true;
         for &result in results {
             for &rc in &sig.result_classes {
                 if !structure.in_class(result, rc) {
@@ -135,18 +111,6 @@ fn check_application(
                 }
             }
         }
-    }
-    if options.strict_coverage && !covered {
-        errors.push(TypeError {
-            message: format!(
-                "method {} is declared by signatures, but its application to {} is covered by none \
-                 (receiver or argument classes do not match)",
-                structure.display_name(method),
-                structure.display_name(receiver),
-            ),
-            method,
-            receiver,
-        });
     }
 }
 
@@ -245,17 +209,13 @@ mod tests {
     }
 
     #[test]
-    fn strict_coverage_flags_uncovered_applications() {
+    fn uncovered_applications_are_not_checked() {
         let mut s = typed_world();
         // mary is NOT declared to be a person, so person[age => integer]
-        // does not apply; lenient mode accepts, strict mode complains.
-        let (mary, age) = (s.atom("mary"), s.atom("age"));
-        let thirty = s.int(30);
-        s.assert_scalar(age, mary, &[], thirty).unwrap();
+        // does not apply to her age, whatever it is.
+        let (mary, age, red) = (s.atom("mary"), s.atom("age"), s.atom("red"));
+        s.assert_scalar(age, mary, &[], red).unwrap();
         assert!(type_check(&s).is_empty());
-        let errors = type_check_with(&s, TypeCheckOptions { strict_coverage: true });
-        assert_eq!(errors.len(), 1);
-        assert!(errors[0].to_string().contains("covered by none"));
     }
 
     #[test]
@@ -264,7 +224,6 @@ mod tests {
         let (a, m, b) = (s.atom("a"), s.atom("m"), s.atom("b"));
         s.assert_scalar(m, a, &[], b).unwrap();
         assert!(type_check(&s).is_empty());
-        assert!(type_check_with(&s, TypeCheckOptions { strict_coverage: true }).is_empty());
     }
 
     #[test]

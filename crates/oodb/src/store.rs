@@ -68,14 +68,6 @@ pub struct StoreStats {
     pub scalar_values: usize,
     /// Number of set attribute members.
     pub set_values: usize,
-    /// Snapshot epochs published by the serving layer (0 while no reader
-    /// session ever started — see [`ObjectStore::begin_session`]).
-    pub epochs_published: usize,
-    /// Reader sessions pinned (cumulative pin events, not a live count).
-    pub snapshots_pinned: usize,
-    /// Snapshot retention entries reclaimed after their last session
-    /// dropped.
-    pub snapshots_reclaimed: usize,
 }
 
 impl StoreStats {
@@ -85,9 +77,6 @@ impl StoreStats {
         self.objects = self.objects.saturating_add(other.objects);
         self.scalar_values = self.scalar_values.saturating_add(other.scalar_values);
         self.set_values = self.set_values.saturating_add(other.set_values);
-        self.epochs_published = self.epochs_published.saturating_add(other.epochs_published);
-        self.snapshots_pinned = self.snapshots_pinned.saturating_add(other.snapshots_pinned);
-        self.snapshots_reclaimed = self.snapshots_reclaimed.saturating_add(other.snapshots_reclaimed);
     }
 }
 
@@ -413,16 +402,13 @@ impl ObjectStore {
         self.sets.get(&(id, attr.to_owned()))
     }
 
-    /// Summary statistics, including the serving-layer snapshot counters.
+    /// Summary statistics of the stored data; the serving layer's snapshot
+    /// counters are [`ObjectStore::serving_stats`].
     pub fn stats(&self) -> StoreStats {
-        let snap = self.serving_stats();
         StoreStats {
             objects: self.objects.len(),
             scalar_values: self.scalar.len(),
             set_values: self.sets.values().map(BTreeSet::len).sum(),
-            epochs_published: snap.epochs_published,
-            snapshots_pinned: snap.snapshots_pinned,
-            snapshots_reclaimed: snap.snapshots_reclaimed,
         }
     }
 

@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use pathlog_core::engine::{assert_head, AssertEffect, AssertOptions};
+use pathlog_core::engine::{assert_head, AssertEffect};
 use pathlog_core::semantics::{valuate, Bindings};
 use pathlog_core::structure::{Oid, Structure};
 use pathlog_core::term::{FilterValue, Term};
@@ -72,15 +72,10 @@ impl ActionEffect {
 }
 
 /// Apply one action under a variable valuation.
-pub fn apply_action(
-    structure: &mut Structure,
-    action: &Action,
-    bindings: &Bindings,
-    create_virtuals: bool,
-) -> Result<ActionEffect> {
+pub fn apply_action(structure: &mut Structure, action: &Action, bindings: &Bindings) -> Result<ActionEffect> {
     match action {
         Action::Assert(term) => {
-            let (_, effect) = assert_head(structure, term, bindings, AssertOptions { create_virtuals })?;
+            let (_, effect) = assert_head(structure, term, bindings)?;
             Ok(ActionEffect::from_assert(effect))
         }
         Action::Retract(term) => apply_retract(structure, term, bindings),
@@ -182,7 +177,7 @@ mod tests {
         let term = Term::name("mary")
             .scalar("address")
             .filter(Filter::scalar("city", Term::name("newYork")));
-        let effect = apply_action(&mut s, &Action::Assert(term), &Bindings::new(), true).unwrap();
+        let effect = apply_action(&mut s, &Action::Assert(term), &Bindings::new()).unwrap();
         assert_eq!(effect.virtual_objects, 1);
         assert_eq!(effect.asserted, 2);
         assert!(effect.changed());
@@ -192,7 +187,7 @@ mod tests {
     fn retract_scalar_filters_remove_the_stored_fact() {
         let mut s = family();
         let term = Term::name("mary").filter(Filter::scalar("age", Term::var("A")));
-        let effect = apply_action(&mut s, &Action::Retract(term), &Bindings::new(), true).unwrap();
+        let effect = apply_action(&mut s, &Action::Retract(term), &Bindings::new()).unwrap();
         assert_eq!(effect.retracted, 1);
         let age = s.atom("age");
         let mary = s.atom("mary");
@@ -203,7 +198,7 @@ mod tests {
     fn retract_set_members_removes_only_the_named_members() {
         let mut s = family();
         let term = Term::name("mary").filter(Filter::set("kids", vec![Term::name("tim")]));
-        let effect = apply_action(&mut s, &Action::Retract(term), &Bindings::new(), true).unwrap();
+        let effect = apply_action(&mut s, &Action::Retract(term), &Bindings::new()).unwrap();
         assert_eq!(effect.retracted, 1);
         let kids = s.atom("kids");
         let mary = s.atom("mary");
@@ -216,7 +211,7 @@ mod tests {
         let tom = s.atom("tom");
         let bindings = Bindings::from_pairs([(Var::new("Y"), tom)]).unwrap();
         let term = Term::name("mary").filter(Filter::set("kids", vec![Term::var("Y")]));
-        let effect = apply_action(&mut s, &Action::Retract(term), &bindings, true).unwrap();
+        let effect = apply_action(&mut s, &Action::Retract(term), &bindings).unwrap();
         assert_eq!(effect.retracted, 1);
         let kids = s.atom("kids");
         let mary = s.atom("mary");
@@ -230,7 +225,6 @@ mod tests {
             &mut s,
             &Action::Retract(Term::name("mary").scalar("age")),
             &Bindings::new(),
-            true,
         )
         .unwrap_err();
         assert!(matches!(err, ReactiveError::InvalidAction(_)));
@@ -242,7 +236,7 @@ mod tests {
         // An unbound variable in method position does not pin down which fact
         // to retract; the action must be refused rather than guess.
         let term = Term::name("mary").filter(Filter::scalar(Term::var("M"), Term::var("A")));
-        apply_action(&mut s, &Action::Retract(term), &Bindings::new(), true).unwrap_err();
+        apply_action(&mut s, &Action::Retract(term), &Bindings::new()).unwrap_err();
         // Nothing was removed.
         let age = s.atom("age");
         let mary = s.atom("mary");

@@ -12,7 +12,7 @@
 //!
 //! * [`production`] — a forward-chaining recognise–act production system:
 //!   conditions are PathLog bodies, actions assert or retract references,
-//!   conflict resolution picks one instantiation per cycle.
+//!   the highest-priority instantiation not yet fired fires each cycle.
 //! * [`active`] — an event–condition–action trigger layer over a
 //!   [`Structure`](pathlog_core::structure::Structure): primitive mutations
 //!   raise events, conditions are PathLog bodies seeded with the event's
@@ -61,6 +61,4 @@ pub use active::{ActiveOptions, ActiveStats, ActiveStore, EcaAction, EcaRule, Ev
 pub use analyze::{analyze_eca_rules, analyze_production_rules, summarize_eca, summarize_production};
 pub use error::{ReactiveError, Result};
 pub use notify::{Notification, NotificationKind, Subscription};
-pub use production::{
-    ConflictResolution, Firing, ProductionEngine, ProductionOptions, ProductionRule, ProductionStats,
-};
+pub use production::{Firing, ProductionEngine, ProductionOptions, ProductionRule, ProductionStats};

@@ -9,9 +9,8 @@
 //!   of references), compiled once per run and matched by the same compiled
 //!   atoms that answer queries and check constraints;
 //! * the **actions** assert or retract references ([`Action`]);
-//! * one instantiation fires per cycle, chosen by a conflict-resolution
-//!   strategy; refractoriness prevents the same instantiation from firing
-//!   twice.
+//! * one instantiation fires per cycle, the highest-priority one; a fired
+//!   instantiation never fires again (refraction).
 //!
 //! Unlike the deductive engine, production rules can *retract* facts, so the
 //! fixpoint guarantee of the bottom-up semantics is replaced by explicit
@@ -38,8 +37,11 @@
 //!
 //! The conflict set is an *agenda*: each refresh feeds it the frames its
 //! condition's run gained and takes out the ones it lost, so resolving a
-//! cycle is taking the agenda's first entry.  Refraction is a per-rule set
-//! of fired frames, consulted only when a frame is gained.  A firing's
+//! cycle is popping the agenda's first entry.  Refraction is a per-rule set
+//! of fired frames, consulted only when a frame is gained: a fired
+//! instantiation that is lost and gained again does not return.  A rule set that keeps
+//! making *new* instantiations — each firing mints an object its condition
+//! matches — runs into [`ProductionOptions::max_cycles`].  A firing's
 //! variable bindings are built for the one frame that fires, for its
 //! actions.
 
@@ -53,23 +55,13 @@ use pathlog_core::structure::{Oid, Structure};
 use crate::action::{apply_action, Action, ActionEffect};
 use crate::error::{ReactiveError, Result};
 
-/// How the conflict set is ordered before the first instantiation fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConflictResolution {
-    /// Highest priority first; ties broken by rule definition order, then by
-    /// binding order (the default).
-    #[default]
-    Priority,
-    /// Rule definition order only (priorities ignored).
-    DefinitionOrder,
-}
-
 /// One production rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProductionRule {
     /// A name used in traces and error messages.
     pub name: String,
-    /// Higher priorities fire first under [`ConflictResolution::Priority`].
+    /// Higher priorities fire first; ties go by rule definition order, then
+    /// by binding order.
     pub priority: i64,
     /// The condition: a PathLog body.
     pub condition: Vec<Literal>,
@@ -120,22 +112,11 @@ impl fmt::Display for ProductionRule {
 pub struct ProductionOptions {
     /// Maximum number of recognise–act cycles before giving up.
     pub max_cycles: usize,
-    /// Remember fired instantiations so they never fire again.
-    pub refractory: bool,
-    /// Conflict-resolution strategy.
-    pub conflict_resolution: ConflictResolution,
-    /// Create virtual objects for undefined scalar paths in assert actions.
-    pub create_virtuals: bool,
 }
 
 impl Default for ProductionOptions {
     fn default() -> Self {
-        ProductionOptions {
-            max_cycles: 10_000,
-            refractory: true,
-            conflict_resolution: ConflictResolution::Priority,
-            create_virtuals: true,
-        }
+        ProductionOptions { max_cycles: 10_000 }
     }
 }
 
@@ -299,26 +280,20 @@ impl ProductionEngine {
                     continue;
                 };
                 let canonical = condition.compiled().canonical();
-                let rank = self.rank(r);
+                let rank = -self.rules[r].priority;
                 for frame in change.lost.frames() {
                     agenda.remove(&(rank, r, key_of(canonical, frame)));
                 }
                 for frame in change.gained.frames() {
                     let key = key_of(canonical, frame);
-                    if !(self.options.refractory && fired[r].contains(&key)) {
+                    if !fired[r].contains(&key) {
                         agenda.insert((rank, r, key));
                     }
                 }
             }
 
-            // Resolve: the agenda's first entry.  Without refraction it
-            // stays there until its condition loses it.
-            let next = if self.options.refractory {
-                agenda.pop_first()
-            } else {
-                agenda.first().cloned()
-            };
-            let Some((_, index, key)) = next else {
+            // Resolve: the agenda's first entry.
+            let Some((_, index, key)) = agenda.pop_first() else {
                 break; // quiescence
             };
             let rule = &self.rules[index];
@@ -331,7 +306,7 @@ impl ProductionEngine {
 
             // Act.
             for action in &rule.actions {
-                let effect: ActionEffect = apply_action(structure, action, &bindings, self.options.create_virtuals)?;
+                let effect: ActionEffect = apply_action(structure, action, &bindings)?;
                 stats.asserted = stats.asserted.saturating_add(effect.asserted);
                 stats.retracted = stats.retracted.saturating_add(effect.retracted);
                 stats.virtual_objects = stats.virtual_objects.saturating_add(effect.virtual_objects);
@@ -345,20 +320,9 @@ impl ProductionEngine {
                     .map(|(&slot, &word)| (compiled.slot_var(slot).0.to_string(), Oid(word - 1)))
                     .collect(),
             });
-            if self.options.refractory {
-                fired[index].insert(key);
-            }
+            fired[index].insert(key);
         }
         Ok((stats, trace))
-    }
-
-    /// Rule `r`'s place in the conflict resolution order: smaller fires
-    /// first.
-    fn rank(&self, r: usize) -> i64 {
-        match self.options.conflict_resolution {
-            ConflictResolution::Priority => -self.rules[r].priority,
-            ConflictResolution::DefinitionOrder => 0,
-        }
     }
 }
 
@@ -448,33 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn definition_order_strategy_ignores_priorities() {
-        let mut s = payroll();
-        let mut engine = ProductionEngine::with_options(ProductionOptions {
-            conflict_resolution: ConflictResolution::DefinitionOrder,
-            ..ProductionOptions::default()
-        });
-        engine.add_rule(
-            ProductionRule::new(
-                "first",
-                vec![lit(Term::var("X").isa("employee"))],
-                vec![Action::Assert(Term::var("X").isa("a"))],
-            )
-            .with_priority(-5),
-        );
-        engine.add_rule(
-            ProductionRule::new(
-                "second",
-                vec![lit(Term::var("X").isa("employee"))],
-                vec![Action::Assert(Term::var("X").isa("b"))],
-            )
-            .with_priority(100),
-        );
-        let (_, trace) = engine.run_traced(&mut s).unwrap();
-        assert_eq!(trace[0].rule, "first");
-    }
-
-    #[test]
     fn retracting_the_triggering_fact_reaches_quiescence() {
         let mut s = payroll();
         let mut engine = ProductionEngine::new();
@@ -505,18 +442,19 @@ mod tests {
     #[test]
     fn runaway_rule_sets_hit_the_cycle_limit() {
         let mut s = payroll();
-        let mut engine = ProductionEngine::with_options(ProductionOptions {
-            max_cycles: 5,
-            refractory: false, // the same instantiation may fire forever
-            ..ProductionOptions::default()
-        });
+        let mut engine = ProductionEngine::with_options(ProductionOptions { max_cycles: 5 });
+        // Refraction stops no instantiation here: every firing mints a
+        // fresh employee `X.next`, which is a new instantiation.
         engine.add_rule(ProductionRule::new(
             "loop",
             vec![lit(Term::var("X").isa("employee"))],
-            vec![Action::Assert(Term::var("X").isa("employee"))],
+            vec![Action::Assert(Term::var("X").scalar("next").isa("employee"))],
         ));
         let err = engine.run(&mut s).unwrap_err();
         assert!(matches!(err, ReactiveError::LimitExceeded(_)));
+        let employee = s.atom("employee");
+        let minted = s.instances_of(employee).filter(|&e| s.is_virtual(e)).count();
+        assert_eq!(minted, 5, "one fresh employee per cycle");
     }
 
     #[test]

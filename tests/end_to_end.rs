@@ -209,12 +209,19 @@ fn engine_options_affect_behaviour_but_not_answers() {
     fixpoint(&mut reference, &program, &EvalOptions::default()).unwrap();
     assert_eq!(engine.stats().set_members, reference.stats().set_members);
 
-    // disabling virtual objects turns the address rule into an error
-    let mut s = pathlog::datagen::company_structure(&CompanyParams::scaled(10));
+    // the address rule mints an address object per employee; a derived-fact
+    // budget smaller than that turns it into an error
     let address_rule = parse_program("X.address[city -> X.city] <- X : employee.").unwrap();
-    let strict = Engine::with_options(EvalOptions {
-        create_virtuals: false,
+    let mut s = pathlog::datagen::company_structure(&CompanyParams::scaled(10));
+    let employee = s.atom("employee");
+    let employees = s.instances_of(employee).count();
+    let stats = Engine::new().load_program(&mut s, &address_rule).unwrap();
+    assert!(stats.virtual_objects >= employees, "{stats:?}");
+    let mut s = pathlog::datagen::company_structure(&CompanyParams::scaled(10));
+    let tight = Engine::with_options(EvalOptions {
+        max_derived: 5,
         ..EvalOptions::default()
     });
-    assert!(strict.load_program(&mut s, &address_rule).is_err());
+    let err = tight.load_program(&mut s, &address_rule).unwrap_err();
+    assert!(matches!(err, Error::LimitExceeded { .. }), "{err}");
 }

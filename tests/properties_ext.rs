@@ -15,7 +15,7 @@ use pathlog::core::structure::{Oid, Structure};
 use pathlog::core::term::Term;
 use pathlog::flogic::{lower, Translator};
 use pathlog::prelude::*;
-use pathlog::reactive::{apply_action, Action, ConflictResolution, Firing, ProductionOptions};
+use pathlog::reactive::{apply_action, Action, Firing, ProductionOptions};
 use pathlog::sqlfront;
 
 // ---------------------------------------------------------------------------
@@ -431,23 +431,21 @@ fn company_rule_sets() -> Vec<ProductionEngine> {
 /// the first unfired solution in priority-then-rule-then-key order: the
 /// firing trace.
 fn full_rematch(engine: &ProductionEngine, s: &mut Structure) -> Vec<Firing> {
-    let options = engine.options();
-    let rank = |rule: &ProductionRule| match options.conflict_resolution {
-        ConflictResolution::Priority => -rule.priority,
-        ConflictResolution::DefinitionOrder => 0,
-    };
+    let max_cycles = engine.options().max_cycles;
     let mut fired: Vec<BTreeSet<BindingKey>> = vec![BTreeSet::new(); engine.rules().len()];
     let mut trace = Vec::new();
-    for cycle in 1..=options.max_cycles {
+    for cycle in 1..=max_cycles {
         let mut best: Option<(i64, usize, BindingKey, Bindings)> = None;
         for (r, rule) in engine.rules().iter().enumerate() {
             let solutions = solve_body(s, &rule.condition, &Bindings::new()).expect("reference solve");
             let keyed = solutions.into_iter().map(|b| (binding_key(&b), b));
-            let unfired = keyed.filter(|(key, _)| !(options.refractory && fired[r].contains(key)));
+            let unfired = keyed.filter(|(key, _)| !fired[r].contains(key));
             if let Some((key, bindings)) = unfired.min_by(|a, b| a.0.cmp(&b.0)) {
-                let better = best.as_ref().is_none_or(|b| (b.0, b.1, &b.2) > (rank(rule), r, &key));
+                let better = best
+                    .as_ref()
+                    .is_none_or(|b| (b.0, b.1, &b.2) > (-rule.priority, r, &key));
                 if better {
-                    best = Some((rank(rule), r, key, bindings));
+                    best = Some((-rule.priority, r, key, bindings));
                 }
             }
         }
@@ -455,18 +453,16 @@ fn full_rematch(engine: &ProductionEngine, s: &mut Structure) -> Vec<Firing> {
             return trace;
         };
         for action in &engine.rules()[r].actions {
-            apply_action(s, action, &bindings, options.create_virtuals).expect("reference action");
+            apply_action(s, action, &bindings).expect("reference action");
         }
         trace.push(Firing {
             cycle,
             rule: engine.rules()[r].name.clone(),
             bindings: key.iter().map(|(v, o)| (v.to_string(), Oid(*o))).collect(),
         });
-        if options.refractory {
-            fired[r].insert(key);
-        }
+        fired[r].insert(key);
     }
-    panic!("the reference found no quiescence in {} cycles", options.max_cycles)
+    panic!("the reference found no quiescence in {max_cycles} cycles")
 }
 
 /// Run `engine` and the reference over copies of `structure`: equal firings,
@@ -622,7 +618,7 @@ proptest! {
              X[desc ->> {Y}] <- X..desc[kids ->> {Y}].\n\
              X : lineage <- X[desc ->> {Y}].\n").unwrap().rules;
         let mut engine = ProductionEngine::with_options(
-            ProductionOptions { max_cycles: 100_000, ..ProductionOptions::default() });
+            ProductionOptions { max_cycles: 100_000 });
         for rule in &rules {
             engine.add_rule(ProductionRule::new(
                 "r",

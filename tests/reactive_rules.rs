@@ -143,10 +143,7 @@ fn production_and_deductive_engines_agree_on_monotone_rule_sets() {
 
     // Production: the same two rules as condition/action pairs.
     let mut produced = base.clone();
-    let mut engine = ProductionEngine::with_options(ProductionOptions {
-        max_cycles: 1_000,
-        ..Default::default()
-    });
+    let mut engine = ProductionEngine::with_options(ProductionOptions { max_cycles: 1_000 });
     for rule in &program.rules {
         engine.add_rule(ProductionRule::new(
             "desc",

@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use pathlog::core::analysis::{AnalysisInput, CascadeBound, DiagCode, Severity};
-use pathlog::core::engine::{stratify, StaticChecks, Stratification};
+use pathlog::core::engine::{stratify, Stratification};
 use pathlog::core::program::{validate_program, DepKey, RuleInfo};
 use pathlog::parser::parse_program_spanned;
 use pathlog::prelude::*;
@@ -359,8 +359,9 @@ fn unbounded_cascade_is_flagged_statically_before_runtime_catches_it() {
 }
 
 // ---------------------------------------------------------------------------
-// Shipped corpus: every example program is analyzer-clean, and Enforce mode
-// accepts them while rejecting the unsafe fixtures.
+// Shipped corpus: every example program is analyzer-clean; install_checked
+// installs a clean program and rejects an unsafe one with the analyzer's
+// message.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -387,24 +388,96 @@ fn shipped_example_programs_are_analyzer_clean() {
 
 #[test]
 fn enforce_mode_gates_installation_on_the_analysis() {
-    let engine = Engine::with_options(EvalOptions {
-        static_checks: StaticChecks::Enforce,
-        ..EvalOptions::default()
-    });
+    // The analysis is attached, and a program it finds an invalid rule in is
+    // rejected by the engine's validation, which runs the same checks.
+    let engine = Engine::new();
     // clean program: installs, analysis comes back alongside the stats
     let clean = parse_program("mary : employee. X : person <- X : employee. ?- X : person.").unwrap();
     let mut structure = Structure::new();
     let (_stats, analysis) = engine.install_checked(&mut structure, &clean).unwrap();
     assert!(analysis.no_errors());
 
-    // unsafe program: rejected before any fact lands in the structure
-    let unsafe_program = parse_program("mary : employee. X[bonus -> Y] <- X : employee.").unwrap();
+    // unsafe program: rejected with the analyzer's message before any fact
+    // lands in the structure
+    let source = "mary : employee. X[bonus -> Y] <- X : employee.";
+    let unsafe_program = parse_program(source).unwrap();
     let mut untouched = Structure::new();
     let err = engine.install_checked(&mut untouched, &unsafe_program).unwrap_err();
-    assert!(matches!(err, pathlog::core::error::Error::StaticRejected(_)), "{err}");
+    let report = analyze_source(source).diagnostics;
+    let first_error = report.iter().find(|d| d.severity == Severity::Error).expect("PL003");
+    assert_eq!(first_error.code, DiagCode::UnsafeHeadVariable);
+    assert_eq!(err, Error::InvalidRule(first_error.message.clone()));
     assert_eq!(
         untouched.num_objects(),
         Structure::new().num_objects(),
         "rejection precedes installation: only the builtins remain"
     );
+}
+
+#[test]
+fn validate_rule_rejects_with_the_analyzers_first_error() {
+    let person = || Literal::pos(Term::var("X").isa("person"));
+    let cases = [
+        (DiagCode::UnsafeHeadVariable, Rule::fact(Term::var("X").isa("person"))),
+        (
+            DiagCode::SetValuedHead,
+            Rule::new(
+                Term::var("X").set("kids").filter(Filter::scalar("age", Term::int(5))),
+                vec![person()],
+            ),
+        ),
+        (
+            DiagCode::UnsafeHeadVariable,
+            Rule::new(
+                Term::var("X").filter(Filter::scalar("likes", Term::var("Y"))),
+                vec![person()],
+            ),
+        ),
+        (
+            DiagCode::UnsafeNegationVariable,
+            Rule::new(
+                Term::var("X").isa("lonely"),
+                vec![person(), Literal::neg(Term::var("Y").isa("friendOf"))],
+            ),
+        ),
+        (
+            DiagCode::IllFormed,
+            Rule::fact(Term::name("p2").filter(Filter::scalar("boss", Term::name("p1").set("assistants")))),
+        ),
+    ];
+    for (code, rule) in cases {
+        let mut program = Program::new();
+        program.push_rule(rule.clone());
+        let analysis = AnalysisInput::new().program(&program).run();
+        let first_error = analysis
+            .diagnostics
+            .iter()
+            .find(|d| d.severity == Severity::Error)
+            .unwrap_or_else(|| panic!("no error diagnostic for `{rule}`"));
+        assert_eq!(first_error.code, code, "`{rule}`");
+        let err = pathlog::core::program::validate_rule(&rule).unwrap_err();
+        assert_eq!(err, Error::InvalidRule(first_error.message.clone()), "`{rule}`");
+    }
+}
+
+#[test]
+fn install_checked_installs_a_program_whose_only_error_is_in_a_query() {
+    let program = parse_program("mary : employee. X : person <- X : employee. ?- X : person, not Y : boss.").unwrap();
+    let mut structure = Structure::new();
+    let (stats, analysis) = Engine::new().install_checked(&mut structure, &program).unwrap();
+    let errors: Vec<DiagCode> = analysis
+        .diagnostics
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .map(|d| d.code)
+        .collect();
+    assert_eq!(
+        errors,
+        vec![DiagCode::UnsafeNegationVariable],
+        "{}",
+        analysis.diagnostics
+    );
+    assert_eq!(stats.firings, 2, "the fact and mary : person");
+    let (mary, person) = (structure.atom("mary"), structure.atom("person"));
+    assert!(structure.in_class(mary, person));
 }
