@@ -4,8 +4,10 @@
 //! Runs every `examples/programs/*.pl`, the rules of the `tc_fixpoint`
 //! benchmark workload over its tree of stored facts at depth 6, a program
 //! whose full solve enumerates its solutions in another order than the
-//! canonical one, and one whose facts mint objects between its rules'
-//! firings, each installed by the engine both through
+//! canonical one, one whose facts mint objects between its rules' firings,
+//! two with every head shape a commit runs between them, and the rules of the
+//! `program_load` workload over a small company, each installed by the
+//! engine both through
 //! `Engine::install_checked` and `Engine::load_program`, and loaded by the
 //! reference fixpoint (`pathlog::core::semantics::fixpoint`), and prints per
 //! run the `EvalStats`, the number of answers of each query (the
@@ -78,6 +80,57 @@ p1[city -> berlin].
 p2.boss[age -> 40].
 p2 : employee.
 ?- X.address[city -> C].
+";
+
+/// Every head shape a commit runs but a set right-hand side: a fact with a
+/// head path and a signature fact; a virtual method (`(M.tc)`, the paper's
+/// generic closure); a nested minting chain; two undefined paths minted in
+/// one head; a head path with an argument; an explicit set written out of
+/// ascending order (`zeta` is registered before `alpha`); and a signature
+/// head.
+const HEADS: &str = "tim : person. ann : person. bob : person. kim : person.
+tim[kids ->> {bob, ann}]. ann[kids ->> {kim}].
+tim.boss[name -> \"big\"].
+person[age => integer; kids =>> person].
+kids : baseMethod.
+X[(M.tc) ->> {Y}] <- M : baseMethod, X[M ->> {Y}].
+X[(M.tc) ->> {Y}] <- M : baseMethod, X..(M.tc)[M ->> {Y}].
+X.boss.car[color -> red] <- X : person.
+X.home[near -> X.office] <- X[kids ->> {Y}].
+X.rank@(Y)[of -> X; by -> Y] <- X[kids ->> {Y}].
+X[tags ->> {zeta, Y, alpha}] <- X[kids ->> {Y}].
+C[size => integer] <- X : C, X[kids ->> {Y}].
+?- X.boss.car[color -> C].
+?- X[(kids.tc) ->> {Y}].
+";
+
+/// Set right-hand sides in heads: one stored application (`Y..kids`) and
+/// one that is not (`X..kids..kids`).  The generic closure of `HEADS`
+/// defines an unknown key, which these set-at-a-time reads would depend on,
+/// so they are a program of their own.
+const SET_HEADS: &str = "tim[kids ->> {bob, ann}]. ann[kids ->> {kim}]. bob[kids ->> {eve, dan}].
+X : person <- X[kids ->> {Y}].
+X[friends ->> Y..kids] <- X[kids ->> {Y}].
+X[grand ->> X..kids..kids] <- X : person.
+X.circle[of -> X; members ->> X..kids..kids] <- X : person.
+?- X[grand ->> {Y}].
+";
+
+/// The rule statements of the `program_load` workload over a small written
+/// company: the subclass rules, the two virtual-object rules of Section 6
+/// (`X.address` mints `X.street` and `X.city` where they are undefined) and
+/// the query.
+const COMPANY: &str = "d1 : department. d2 : department.
+e1 : employee[worksFor -> d1; street -> \"1 Main St\"; city -> boston].
+e2 : manager[worksFor -> d2; city -> paris].
+e3 : employee[worksFor -> d1].
+a1 : automobile[color -> red].
+X : employee <- X : manager.
+X : person <- X : employee.
+X : vehicle <- X : automobile.
+X.address[street -> X.street; city -> X.city] <- X : employee.
+X.mentor[worksFor -> D] <- X : employee[worksFor -> D].
+?- X : employee.mentor[worksFor -> D].
 ";
 
 /// The `tc_fixpoint` workload's stored facts, built the way it builds them:
@@ -265,6 +318,9 @@ fn main() {
         .load_program(&mut stored, &q)
         .expect("the stored fact loads");
     runs.push(("interleaved".to_string(), stored, INTERLEAVED.to_string()));
+    runs.push(("heads".to_string(), Structure::new(), HEADS.to_string()));
+    runs.push(("set heads".to_string(), Structure::new(), SET_HEADS.to_string()));
+    runs.push(("company".to_string(), Structure::new(), COMPANY.to_string()));
 
     let mut out = String::new();
     let mut mismatches: Vec<String> = Vec::new();
