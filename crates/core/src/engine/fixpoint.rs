@@ -39,14 +39,13 @@
 
 use std::collections::{BTreeSet, HashSet};
 
-use super::{assert_head, AssertEffect, EvalOptions, EvalStats, Stratification};
+use super::{EvalOptions, EvalStats, Stratification};
 use crate::error::{Error, LimitKind, Result};
-use crate::names::Var;
-use crate::plan::{CompiledRule, FrameRun};
-use crate::program::{literal_reads, DepKey, Rule};
+use crate::plan::{CompiledRule, FrameRun, HeadArena, HeadProgram, HeadScratch};
+use crate::program::{literal_reads, DepKey, Query, Rule};
+use crate::semantics::model::register_names;
 use crate::semantics::{Bindings, DeltaView, SnapshotWindow};
 use crate::structure::{Oid, Structure};
-use crate::term::Term;
 
 /// A canonical, valuation-order independent key for a set of bindings:
 /// the bound `(variable, object)` pairs in sorted order.  Two bindings with
@@ -63,20 +62,56 @@ pub fn binding_key(b: &Bindings) -> BindingKey {
     key
 }
 
+/// A program's rules as installed, in source order: every head lowered
+/// into one arena, every proper rule's body compiled.
+pub(super) struct Installed {
+    heads: HeadArena,
+    /// Per rule, its head and — for a proper rule — its compiled body.
+    rules: Vec<(HeadProgram, Option<CompiledRule>)>,
+}
+
+impl Installed {
+    /// Lower `rules` and register the names of `queries`: per rule in
+    /// source order its head (the lowering registers the head's names),
+    /// then the names of its body; after the rules, the queries' names.
+    /// That is the order in which the reference registers them
+    /// ([`register_program_names`](crate::semantics::model::register_program_names)),
+    /// so every name gets the reference's object id.
+    pub(super) fn new(structure: &mut Structure, rules: &[Rule], queries: &[Query]) -> Result<Self> {
+        let mut heads = HeadArena::default();
+        let rules = rules
+            .iter()
+            .map(|rule| {
+                let compiled = (!rule.is_fact()).then(|| crate::plan::compile(rule));
+                let vars = compiled.as_ref().map_or(&[][..], CompiledRule::slot_vars);
+                let head = heads.lower(structure, &rule.head, vars)?;
+                for lit in &rule.body {
+                    register_names(structure, &lit.term);
+                }
+                Ok((head, compiled))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        for lit in queries.iter().flat_map(|q| &q.body) {
+            register_names(structure, &lit.term);
+        }
+        Ok(Installed { heads, rules })
+    }
+}
+
 /// One statement of a stratum.
 enum Statement<'a> {
     /// A fact's head: data, asserted once, when the stratum's first
     /// iteration commits — no solve, no delta test, no plan.
-    Fact(&'a Term),
+    Fact(&'a HeadProgram),
     /// A proper rule.
     Rule(Box<ProperRule<'a>>),
 }
 
-/// A proper rule of a stratum, compiled, with what the current iteration
-/// solved for it.
+/// A proper rule of a stratum, with what the current iteration solved for
+/// it.
 struct ProperRule<'a> {
-    head: &'a Term,
-    compiled: CompiledRule,
+    head: &'a HeadProgram,
+    compiled: &'a CompiledRule,
     /// Per body literal, the keys it reads: `None` for a negated literal,
     /// which no window drives (negated and set-at-a-time reads are
     /// stratified below the rule).
@@ -87,13 +122,13 @@ struct ProperRule<'a> {
 }
 
 impl<'a> Statement<'a> {
-    fn new(rule: &'a Rule) -> Self {
-        if rule.is_fact() {
-            return Statement::Fact(&rule.head);
-        }
+    fn new(rule: &'a Rule, (head, compiled): &'a (HeadProgram, Option<CompiledRule>)) -> Self {
+        let Some(compiled) = compiled else {
+            return Statement::Fact(head);
+        };
         Statement::Rule(Box::new(ProperRule {
-            head: &rule.head,
-            compiled: crate::plan::compile(rule),
+            head,
+            compiled,
             reads: rule
                 .body
                 .iter()
@@ -104,38 +139,45 @@ impl<'a> Statement<'a> {
     }
 }
 
-/// Evaluate `rules` to the least fixpoint over `structure`, stratum by
-/// stratum as `stratification` orders them.
+/// Evaluate `rules` — lowered into `installed` — to the least fixpoint over
+/// `structure`, stratum by stratum as `stratification` orders them.
 pub(super) fn run(
     options: &EvalOptions,
     structure: &mut Structure,
     rules: &[Rule],
+    installed: &Installed,
     stratification: &Stratification,
 ) -> Result<EvalStats> {
     let mut fixpoint = Fixpoint {
         options,
+        heads: &installed.heads,
+        scratch: HeadScratch::default(),
         stats: EvalStats {
             strata: stratification.len(),
             ..EvalStats::default()
         },
     };
     for stratum in &stratification.strata {
-        fixpoint.stratum(structure, stratum.iter().map(|&i| &rules[i]))?;
+        let statements = stratum.iter().map(|&i| Statement::new(&rules[i], &installed.rules[i]));
+        fixpoint.stratum(structure, statements)?;
     }
     Ok(fixpoint.stats)
 }
 
-/// One evaluation run: the options it runs under and what it has counted.
+/// One evaluation run: the options it runs under, the heads it commits
+/// through and what it has counted.
 struct Fixpoint<'o> {
     options: &'o EvalOptions,
+    heads: &'o HeadArena,
+    scratch: HeadScratch,
     stats: EvalStats,
 }
 
-impl Fixpoint<'_> {
+impl<'o> Fixpoint<'o> {
     /// Run one stratum, its statements in source order, to convergence.
-    fn stratum<'a>(&mut self, structure: &mut Structure, statements: impl Iterator<Item = &'a Rule>) -> Result<()> {
+    fn stratum(&mut self, structure: &mut Structure, statements: impl Iterator<Item = Statement<'o>>) -> Result<()> {
         let mut window = SnapshotWindow::capture(structure);
-        let mut statements: Vec<Statement> = statements.map(Statement::new).collect();
+        let mut statements: Vec<Statement> = statements.collect();
         self.stats.plans_compiled += statements.iter().filter(|s| matches!(s, Statement::Rule(_))).count();
         for iteration in 1.. {
             self.stats.iterations += 1;
@@ -152,7 +194,7 @@ impl Fixpoint<'_> {
                 // No delta exists for a rule the first time it runs.
                 for rule in proper_rules(&mut statements) {
                     self.stats.full_solves += 1;
-                    rule.runs.push(crate::plan::execute_query(structure, &rule.compiled)?);
+                    rule.runs.push(crate::plan::execute_query(structure, rule.compiled)?);
                 }
             } else {
                 let dv = window.slide(structure);
@@ -168,13 +210,13 @@ impl Fixpoint<'_> {
                         continue;
                     }
                     self.stats.delta_solves += 1;
-                    let plan = crate::plan::plan_pass(structure, &rule.compiled, &lits, dv.entry_count());
+                    let plan = crate::plan::plan_pass(structure, rule.compiled, &lits, dv.entry_count());
                     if !plan.seeded_from_delta {
                         self.stats.seed_flips += 1;
                     }
                     for lit in lits {
                         rule.runs
-                            .push(crate::plan::execute_delta(structure, &rule.compiled, &plan, lit, &dv)?);
+                            .push(crate::plan::execute_delta(structure, rule.compiled, &plan, lit, &dv)?);
                     }
                 }
             }
@@ -182,9 +224,7 @@ impl Fixpoint<'_> {
             let mut any_change = false;
             for statement in &mut statements {
                 any_change |= match statement {
-                    Statement::Fact(head) if first => {
-                        self.assert_solution(structure, head, &Bindings::new())?.changed()
-                    }
+                    Statement::Fact(head) if first => self.commit_frame(structure, head, &[], None)?,
                     Statement::Fact(_) => false,
                     Statement::Rule(rule) if rule.runs.is_empty() => false,
                     Statement::Rule(rule) => self.commit_rule(structure, rule)?,
@@ -199,36 +239,33 @@ impl Fixpoint<'_> {
 
     /// Commit the frame runs `rule` was solved into this iteration — its
     /// full solve's, or its delta passes': merge them into canonical key
-    /// order and assert the head for each frame — through the compiled head
-    /// when it has one (method oid resolved once, head oids read straight
-    /// out of the frame slots, set members asserted a run at a time;
-    /// counters identical to `assert_head` by construction, see
-    /// [`CompiledHead`](crate::plan::CompiledHead)), else through
-    /// [`assert_head`] on the [`Bindings`] of the first frame of each head
-    /// valuation.  Returns whether anything new was committed.
+    /// order and run the lowered head over each frame.  A head that is one
+    /// member insert `X[m ->> {Y}]` commits its members a run at a time
+    /// ([`Fixpoint::commit_member_runs`]); any other head runs once per
+    /// head valuation ([`HeadValuations`]).  Returns whether anything new was
+    /// committed.
     fn commit_rule(&mut self, structure: &mut Structure, rule: &mut ProperRule) -> Result<bool> {
-        let (head, compiled) = (rule.head, &rule.compiled);
+        let (head, compiled) = (rule.head, rule.compiled);
         let merged = crate::plan::merge_frame_runs(std::mem::take(&mut rule.runs), compiled.canonical());
-        let Some(fast) = compiled.head() else {
-            let mut fired = HeadValuations::new(head, compiled);
-            let mut changed = false;
-            for f in merged.frames().filter(|f| fired.first(f)) {
-                changed |= self
-                    .assert_solution(structure, head, &compiled.bindings_of(f))?
-                    .changed();
-            }
-            return Ok(changed);
-        };
-        let method = structure.ensure_name(&fast.method);
-        let pair = |f: &[u32]| (Oid(f[fast.receiver_slot] - 1), Oid(f[fast.member_slot] - 1));
-        self.commit_member_runs(structure, method, merged.frames().map(pair))
+        if let Some((receiver, method, member)) = self.heads.member_insert(head) {
+            let pair = |f: &[u32]| (Oid(f[receiver] - 1), Oid(f[member] - 1));
+            return self.commit_member_runs(structure, method, merged.frames().map(pair));
+        }
+        let mut fired = HeadValuations::new(self.heads.slots(head), compiled.slot_count());
+        let mut changed = false;
+        for f in merged.frames().filter(|f| fired.first(f)) {
+            changed |= self.commit_frame(structure, head, f, Some(compiled))?;
+        }
+        Ok(changed)
     }
 
-    /// Commit the compiled head `X[m ->> {Y}]` (`method` resolved) over
+    /// Commit the member insert `X[m ->> {Y}]` (`method` resolved) over
     /// `pairs` — `(receiver, member)` per solution, in commit order.  Each
     /// run of consecutive pairs with one receiver and ascending members is
     /// one bulk assert; a pair repeating the one before it is a re-assertion
-    /// and is dropped.  Returns whether anything new was committed.
+    /// and is dropped.  The effect is the lowered head's, frame by frame:
+    /// one firing per new member.  Returns whether anything new was
+    /// committed.
     fn commit_member_runs(
         &mut self,
         structure: &mut Structure,
@@ -302,17 +339,25 @@ impl Fixpoint<'_> {
         Ok(())
     }
 
-    /// Make `head` true under `bindings` and fold what that added into the
-    /// model counters: the commit step for a rule's solution and — with
-    /// empty bindings, the one solution of an empty body — for a fact.
-    fn assert_solution(&mut self, structure: &mut Structure, head: &Term, bindings: &Bindings) -> Result<AssertEffect> {
-        let (_, effect) = assert_head(structure, head, bindings)?;
+    /// Run `head` over one slot frame of `compiled` and fold what that
+    /// added into the model counters: the commit step for a rule's solution
+    /// and — an empty frame, no body — for a fact.  One firing when the
+    /// frame added anything; the limit is checked after every frame.
+    /// Returns whether anything new was committed.
+    fn commit_frame(
+        &mut self,
+        structure: &mut Structure,
+        head: &HeadProgram,
+        frame: &[u32],
+        compiled: Option<&CompiledRule>,
+    ) -> Result<bool> {
+        let effect = self.heads.run(head, structure, frame, compiled, &mut self.scratch)?;
         if effect.changed() {
             self.stats.firings += 1;
             self.stats.absorb(effect);
         }
         self.check_max_derived()?;
-        Ok(effect)
+        Ok(effect.changed())
     }
 }
 
@@ -353,17 +398,15 @@ fn delta_literals(structure: &Structure, reads: &[Option<BTreeSet<DepKey>>], dv:
 }
 
 /// The head valuations a commit batch has fired: a solution reaches a
-/// generic head only when its projection onto the head's variables is new
-/// in the batch.  Re-asserting a head under a valuation it was just asserted
+/// generic head only when its projection onto the head's slots is new in
+/// the batch.  Re-asserting a head under a valuation it was just asserted
 /// under is a no-op — a head path finds the virtual object the first
 /// assertion made, a set-ref right-hand side is stratified strictly below
 /// the head, every other filter is idempotent — so the skip changes no fact,
 /// log entry, object id or counter.
 struct HeadValuations {
-    /// Positions of the head's variables among the solution's; `None` when
-    /// the head holds every one of them, so that distinct solutions are
-    /// distinct head valuations (or a head variable is no solution's, which
-    /// `assert_head` reports).
+    /// The head's slots; `None` when the head reads every slot of the body,
+    /// so that distinct solutions are distinct head valuations.
     projection: Option<Vec<usize>>,
     seen: HashSet<Vec<u32>>,
     /// The projection of the solution in hand: allocated into `seen` only
@@ -372,15 +415,10 @@ struct HeadValuations {
 }
 
 impl HeadValuations {
-    /// For the frames of `compiled`, committed to `head`.
-    fn new(head: &Term, compiled: &CompiledRule) -> Self {
-        let head_vars = head.variables();
-        let slots: Vec<&Var> = (0..compiled.slot_count()).map(|i| compiled.slot_var(i)).collect();
-        let projection = if slots.iter().all(|v| head_vars.contains(v)) {
-            None
-        } else {
-            head_vars.iter().map(|v| slots.iter().position(|w| *w == v)).collect()
-        };
+    /// For frames of `slot_count` slots, committed to a head reading
+    /// `slots`.
+    fn new(slots: &[usize], slot_count: usize) -> Self {
+        let projection = (0..slot_count).any(|s| !slots.contains(&s)).then(|| slots.to_vec());
         HeadValuations {
             projection,
             seen: HashSet::new(),

@@ -191,8 +191,8 @@ impl Engine {
         let analysis = self.analyze(Some(structure), program);
         let stats = match &analysis.strata {
             Some(stratification) if analysis.no_errors() => {
-                register_program_names(structure, &program.rules, &program.queries);
-                fixpoint::run(&self.options, structure, &program.rules, stratification)?
+                let installed = fixpoint::Installed::new(structure, &program.rules, &program.queries)?;
+                fixpoint::run(&self.options, structure, &program.rules, &installed, stratification)?
             }
             _ => self.install(structure, &program.rules, &program.queries)?,
         };
@@ -204,16 +204,17 @@ impl Engine {
         self.install(structure, rules, &[])
     }
 
-    /// Validate `rules`, register every name of `rules` and then of
-    /// `queries`, stratify, and evaluate to the fixpoint.
+    /// Validate `rules`, lower their heads and register every name of
+    /// `rules` and then of `queries`, stratify, and evaluate to the
+    /// fixpoint.
     fn install(&self, structure: &mut Structure, rules: &[Rule], queries: &[Query]) -> Result<EvalStats> {
         let infos = rules
             .iter()
             .map(crate::program::validate_rule)
             .collect::<Result<Vec<_>>>()?;
-        register_program_names(structure, rules, queries);
+        let installed = fixpoint::Installed::new(structure, rules, queries)?;
         let stratification = stratify(&infos)?;
-        fixpoint::run(&self.options, structure, rules, &stratification)
+        fixpoint::run(&self.options, structure, rules, &installed, &stratification)
     }
 
     /// Answer a query: the variable-valuations that satisfy its body, each
@@ -315,37 +316,6 @@ fn require_registered_names(structure: &Structure, term: &Term) -> Result<()> {
     match missing {
         Some(n) => structure.require_name(&n).map(|_| ()),
         None => Ok(()),
-    }
-}
-
-/// Register every name occurring in a term, making `I_N` total over the
-/// program's alphabet.
-fn register_names(structure: &mut Structure, term: &Term) {
-    let mut names: Vec<Name> = Vec::new();
-    term.visit(&mut |t| {
-        if let Term::Name(n) = t {
-            names.push(n.clone());
-        }
-    });
-    for n in names {
-        structure.ensure_name(&n);
-    }
-}
-
-/// Register every name of a program's rules and then its queries, statement
-/// by statement (object ids follow first registration, so the order is part
-/// of the model's identity).
-pub(crate) fn register_program_names(structure: &mut Structure, rules: &[Rule], queries: &[Query]) {
-    for rule in rules {
-        register_names(structure, &rule.head);
-        for lit in &rule.body {
-            register_names(structure, &lit.term);
-        }
-    }
-    for query in queries {
-        for lit in &query.body {
-            register_names(structure, &lit.term);
-        }
     }
 }
 

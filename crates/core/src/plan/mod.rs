@@ -89,6 +89,7 @@
 
 pub mod atoms;
 pub mod condition;
+pub mod head;
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -99,10 +100,11 @@ use crate::names::{Name, Var};
 use crate::program::Rule;
 use crate::semantics::{Bindings, DeltaView};
 use crate::structure::{Oid, Structure};
-use crate::term::{FilterValue, Term};
+use crate::term::Term;
 
 pub use atoms::{Atom, AtomStep, Call, Operand};
 pub use condition::{Change, Condition, Mark, Recheck, Span};
+pub use head::{HeadArena, HeadCall, HeadOperand, HeadProgram, HeadScratch, HeadStep};
 
 /// One body literal of a [`CompiledRule`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,27 +126,6 @@ pub struct CompiledLiteral {
     names: Range<usize>,
 }
 
-/// A pre-resolved head access path for the dominant recursive head shape
-/// `X[m ->> {Y}]` (a variable receiver, one explicit set filter with a name
-/// method and a single variable member).  The commit loop resolves the
-/// method name to an oid once per rule batch and asserts set members
-/// directly, each run of consecutive solutions with one receiver and
-/// ascending members as one sorted merge
-/// ([`Structure::assert_set_members`]), skipping the generic head-term walk
-/// of `assert_head` — with effect counters identical by construction (this
-/// shape can never create virtual objects, scalar facts, is-a edges or
-/// signatures).  The frames of a full solve and of a delta pass carry it in
-/// their [`CompiledRule`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompiledHead {
-    /// The head method name (resolved to an oid at commit time).
-    pub method: Name,
-    /// The body slot of the receiver variable.
-    pub receiver_slot: usize,
-    /// The body slot of the variable the inserted set member is bound to.
-    pub member_slot: usize,
-}
-
 /// A rule body lowered to the slot-addressed form: fixed slot indices for
 /// every body variable, the atoms of every literal with per-literal slot
 /// lists, and the name-sorted slot permutation that orders frames like their
@@ -164,8 +145,6 @@ pub struct CompiledRule {
     positives: Vec<CompiledLiteral>,
     /// The negated literals, in body order.
     negations: Vec<CompiledLiteral>,
-    /// The head fast path, when the head has the supported shape.
-    head: Option<CompiledHead>,
     /// `true` when a guard enumerates (see [`compile`]): every plan then
     /// keeps the written order.
     written_order: bool,
@@ -180,6 +159,11 @@ impl CompiledRule {
     /// The variable held by slot `i`.
     pub fn slot_var(&self, i: usize) -> &Var {
         &self.vars[i]
+    }
+
+    /// The variables of the slots, slot by slot.
+    pub fn slot_vars(&self) -> &[Var] {
+        &self.vars
     }
 
     /// The names the atoms mention, indexed by [`Operand::Name`].
@@ -210,11 +194,6 @@ impl CompiledRule {
     /// Is every plan of this body its written order (see [`compile`])?
     pub(crate) fn written_order(&self) -> bool {
         self.written_order
-    }
-
-    /// The compiled head fast path, when the head shape supports one.
-    pub fn head(&self) -> Option<&CompiledHead> {
-        self.head.as_ref()
     }
 
     /// Slot indices in variable-name order — the canonical key projection.
@@ -253,9 +232,9 @@ impl CompiledRule {
         }
     }
 
-    /// Materialize the [`Bindings`] of a slot frame (bound slots only): the
-    /// commit step's input for a head without a compiled form, and what the
-    /// strict right-hand side of an `m ->> t` check is valuated under.
+    /// Materialize the [`Bindings`] of a slot frame (bound slots only): what
+    /// a head's `m ->> t` right-hand side kept as a term ([`head`]) and the
+    /// strict right-hand side of an `m ->> t` check are valuated under.
     pub fn bindings_of(&self, frame: &[u32]) -> Bindings {
         let bound = self.vars.iter().zip(frame).filter(|(_, &v)| v != 0);
         Bindings::from_distinct(bound.map(|(var, &v)| (var, Oid(v - 1))))
@@ -277,19 +256,18 @@ impl CompiledRule {
 /// compiles with its written order pinned — every plan of it is the written
 /// order.
 pub fn compile(rule: &Rule) -> CompiledRule {
-    let body = rule.body.iter().map(|lit| (lit.positive, &lit.term));
-    compile_body(body, Some(&rule.head))
+    compile_body(rule.body.iter().map(|lit| (lit.positive, &lit.term)))
 }
 
 /// Lower a query body — `(positive, reference)` per literal — like a rule
 /// body without a head: same slots, same atoms, same guards and the same
 /// written-order pin.
 pub fn compile_query<'t>(body: impl IntoIterator<Item = (bool, &'t Term)>) -> CompiledRule {
-    compile_body(body.into_iter(), None)
+    compile_body(body.into_iter())
 }
 
 /// The lowering [`compile`] and [`compile_query`] share.
-fn compile_body<'t>(body: impl Iterator<Item = (bool, &'t Term)>, head: Option<&Term>) -> CompiledRule {
+fn compile_body<'t>(body: impl Iterator<Item = (bool, &'t Term)>) -> CompiledRule {
     let mut vars: Vec<Var> = Vec::new();
     let slots_of = |term: &Term, vars: &mut Vec<Var>| -> Vec<usize> {
         let mut slots: Vec<usize> = Vec::new();
@@ -345,7 +323,6 @@ fn compile_body<'t>(body: impl Iterator<Item = (bool, &'t Term)>, head: Option<&
 
     let mut canonical: Vec<usize> = (0..vars.len()).collect();
     canonical.sort_by(|&a, &b| vars[a].0.cmp(&vars[b].0));
-    let head = head.and_then(|head| compile_head(head, &vars));
     CompiledRule {
         vars,
         canonical,
@@ -353,7 +330,6 @@ fn compile_body<'t>(body: impl Iterator<Item = (bool, &'t Term)>, head: Option<&
         temps,
         positives,
         negations,
-        head,
         written_order,
     }
 }
@@ -366,30 +342,6 @@ pub(crate) fn is_builtin(op: Operand, names: &[Name]) -> bool {
         Operand::Name(i) => names[i].as_atom().is_some_and(|n| is_comparison(n) || n == SELF_METHOD),
         _ => false,
     }
-}
-
-/// Recognise the `X[m ->> {Y}]` head shape for the commit fast path, with
-/// the receiver and member slots numbered by the body's slot variables
-/// `vars`.  Both head variables must be among them (range restriction);
-/// anything else keeps the generic `assert_head` walk.
-fn compile_head(head: &Term, vars: &[Var]) -> Option<CompiledHead> {
-    let Term::Molecule(m) = head else { return None };
-    let (Term::Var(receiver), [f]) = (&m.receiver, m.filters.as_slice()) else {
-        return None;
-    };
-    let (Term::Name(method), [], FilterValue::SetExplicit(values)) = (&f.method, f.args.as_slice(), &f.value) else {
-        return None;
-    };
-    let [Term::Var(member)] = values.as_slice() else {
-        return None;
-    };
-    let receiver_slot = vars.iter().position(|v| v == receiver)?;
-    let member_slot = vars.iter().position(|v| v == member)?;
-    Some(CompiledHead {
-        method: method.clone(),
-        receiver_slot,
-        member_slot,
-    })
 }
 
 /// The greedy order of [`plan_pass`] under any cost of a literal, from the
@@ -440,9 +392,9 @@ fn literal_order(
 }
 
 /// A pass's solutions as raw slot frames in canonical key order, deduplicated:
-/// what every delta pass and [`execute_query`] return.  The commit loop reads
-/// a compiled head's oids straight out of each frame, and materializes
-/// [`Bindings`] from it for any other head; a query's answers are
+/// what every delta pass and [`execute_query`] return.  The commit loop runs
+/// a lowered head over each frame ([`HeadArena::run`]), reading its slots
+/// straight out of it; a query's answers are
 /// materialized from its frames at the API boundary, as are the violations
 /// of a denial body.  The frames of [`execute_term`] are one word wider — the
 /// denoted object — and keep their duplicates.
@@ -1157,7 +1109,7 @@ mod tests {
     }
 
     #[test]
-    fn literals_lower_to_atoms_and_the_head_is_recognised() {
+    fn literals_lower_to_atoms() {
         use Operand::{Name as N, Slot, Temp};
         let call = |method, receiver| Call {
             method,
@@ -1213,14 +1165,10 @@ mod tests {
             ]
         );
         assert_eq!(c.positives()[2].atoms, vec![Atom::Object { cell: Slot(2) }]);
-        let tc = compile(&tc_rule());
-        let head = tc.head().expect("X[desc ->> {Y}] has the compiled head shape");
-        assert_eq!(head.method, Name::atom("desc"));
-        assert_eq!((head.receiver_slot, head.member_slot), (0, 1));
     }
 
     #[test]
-    fn passes_return_frames_a_compiled_head_reads_directly() {
+    fn passes_return_frames_a_member_insert_reads_directly() {
         let mut s = kids_structure();
         let mut window = SnapshotWindow::capture(&s);
         let kids = s.ensure_name(&Name::atom("kids"));
@@ -1231,10 +1179,14 @@ mod tests {
         let c = compile(&rule);
         let plan = plan_pass(&s, &c, &[0], 1);
         let fr = execute_delta(&s, &c, &plan, 0, &dv).unwrap();
-        let head = c.head().unwrap();
+        let mut heads = HeadArena::default();
+        let head = heads.lower(&mut s, &rule.head, c.slot_vars()).unwrap();
+        let (receiver, _, member) = heads
+            .member_insert(&head)
+            .expect("X[desc ->> {Y}] is one member insert");
         let frames: Vec<(Oid, Oid)> = fr
             .frames()
-            .map(|f| (Oid(f[head.receiver_slot] - 1), Oid(f[head.member_slot] - 1)))
+            .map(|f| (Oid(f[receiver] - 1), Oid(f[member] - 1)))
             .collect();
         assert_eq!(frames, vec![(b, a)]);
     }

@@ -8,9 +8,10 @@
 
 use crate::engine::{assert_head, binding_key, stratify, EvalOptions, EvalStats};
 use crate::error::{Error, LimitKind, Result};
-use crate::program::{validate_program, Program, Rule};
+use crate::program::{validate_program, Program, Query, Rule};
 use crate::semantics::{entails, solve_body, Bindings};
 use crate::structure::Structure;
+use crate::term::Term;
 
 /// Load `program` into `structure` by the least-fixpoint definition of
 /// Section 6: the reference that
@@ -31,7 +32,7 @@ use crate::structure::Structure;
 /// scheduling counters only `strata` and `iterations` are reported.
 pub fn fixpoint(structure: &mut Structure, program: &Program, options: &EvalOptions) -> Result<EvalStats> {
     let infos = validate_program(program)?;
-    crate::engine::register_program_names(structure, &program.rules, &program.queries);
+    register_program_names(structure, &program.rules, &program.queries);
     let stratification = stratify(&infos)?;
     let mut stats = EvalStats {
         strata: stratification.len(),
@@ -79,6 +80,32 @@ pub fn fixpoint(structure: &mut Structure, program: &Program, options: &EvalOpti
         }
     }
     Ok(stats)
+}
+
+/// Register every name occurring in `term`, in [`Term::visit`] pre-order,
+/// making `I_N` total over the program's alphabet.
+pub(crate) fn register_names(structure: &mut Structure, term: &Term) {
+    term.visit(&mut |t| {
+        if let Term::Name(n) = t {
+            structure.ensure_name(n);
+        }
+    });
+}
+
+/// Register every name of a program's rules and then its queries, statement
+/// by statement — per rule its head, then its body (object ids follow first
+/// registration, so the order is part of the model's identity).  The
+/// engine registers in the same order as it lowers the heads.
+pub(crate) fn register_program_names(structure: &mut Structure, rules: &[Rule], queries: &[Query]) {
+    for rule in rules {
+        register_names(structure, &rule.head);
+        for lit in &rule.body {
+            register_names(structure, &lit.term);
+        }
+    }
+    for lit in queries.iter().flat_map(|q| &q.body) {
+        register_names(structure, &lit.term);
+    }
 }
 
 /// A witness that a rule is violated: the offending rule and a body
