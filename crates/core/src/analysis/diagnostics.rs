@@ -248,12 +248,17 @@ impl Diagnostics {
     }
 
     /// Sort by source position, then code, then subject (stable order for
-    /// golden tests and rendered output).
+    /// golden tests and rendered output).  The sort is stable: diagnostics
+    /// equal on all three keep the order they were emitted in, which is the
+    /// order validation checks in — so a statement's first `Error` is the
+    /// one [`validate_rule`](crate::program::validate_rule) reports.
     pub fn sort(&mut self) {
         self.items.sort_by(|a, b| {
-            let ka = (a.span.map(|s| (s.line, s.column)), a.code, &a.subject, &a.message);
-            let kb = (b.span.map(|s| (s.line, s.column)), b.code, &b.subject, &b.message);
-            ka.cmp(&kb)
+            (a.span.map(|s| (s.line, s.column)), a.code, &a.subject).cmp(&(
+                b.span.map(|s| (s.line, s.column)),
+                b.code,
+                &b.subject,
+            ))
         });
     }
 

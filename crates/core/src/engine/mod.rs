@@ -1469,6 +1469,102 @@ mod tests {
         }
     }
 
+    /// Run `rule` over the kids of `wide_genealogy` with the engine, or with
+    /// the reference when `reference`, under `max_derived`: the outcome and
+    /// the structure it leaves.
+    fn run_over_wide_genealogy(rule: &Rule, reference: bool, max_derived: usize) -> (Result<EvalStats>, Structure) {
+        let mut s = Structure::new();
+        Engine::new().run_rules(&mut s, &wide_genealogy()).unwrap();
+        let options = EvalOptions {
+            max_derived,
+            ..EvalOptions::default()
+        };
+        let outcome = run_with(reference, &mut s, std::slice::from_ref(rule), options);
+        (outcome, s)
+    }
+
+    /// `X[kids ->> {Y}]`.
+    fn kids_literal() -> Literal {
+        Literal::pos(Term::var("X").filter(Filter::set("kids", vec![Term::var("Y")])))
+    }
+
+    #[test]
+    fn derived_fact_limit_trips_inside_a_minting_heads_valuation_like_the_reference() {
+        // X.tag[first ->> {Y}; second ->> {Y}]: the first valuation of each X
+        // mints X.tag (one scalar fact), and every valuation adds one member
+        // per filter, `second`'s last.
+        let member = |m: &str| Filter::set(m, vec![Term::var("Y")]);
+        let rule = Rule::new(
+            Term::var("X")
+                .scalar("tag")
+                .filters(vec![member("first"), member("second")]),
+            vec![kids_literal()],
+        );
+        let log = |s: &Structure| s.facts().set_members_since(0).collect::<Vec<_>>();
+        let (stats, full) = run_over_wide_genealogy(&rule, false, usize::MAX);
+        let stats = stats.unwrap();
+        assert_eq!(
+            (
+                stats.firings,
+                stats.scalar_facts,
+                stats.set_members,
+                stats.virtual_objects
+            ),
+            (24, 7, 48, 7)
+        );
+        let full_log = log(&full);
+        let second = oid(&full, "second");
+        let mut second_filter_trips = 0;
+        for limit in 0..stats.derived() {
+            let (outcome, s) = run_over_wide_genealogy(&rule, false, limit);
+            let (expected, oracle) = run_over_wide_genealogy(&rule, true, limit);
+            assert_eq!(outcome, expected, "limit {limit}");
+            assert_eq!(s.canonical_dump(), oracle.canonical_dump(), "limit {limit}");
+            let prefix = log(&s);
+            assert_eq!(prefix, log(&oracle), "limit {limit}");
+            assert_eq!(
+                prefix,
+                full_log[..prefix.len()],
+                "limit {limit}: a prefix of the unlimited log"
+            );
+            let Err(Error::LimitExceeded {
+                kind: LimitKind::DerivedFacts,
+                limit: l,
+                observed,
+            }) = outcome
+            else {
+                panic!("limit {limit}: {outcome:?}");
+            };
+            assert_eq!(l, limit);
+            // The limit is checked after each valuation, which is committed
+            // whole: it trips on the second filter when that filter's member
+            // is the fact one past the limit.
+            let (app, _) = *prefix.last().expect("a member was logged");
+            if observed == limit + 1 && s.facts().set_fact_at(app).method == second {
+                second_filter_trips += 1;
+            }
+        }
+        assert_eq!(second_filter_trips, 24, "once per valuation");
+    }
+
+    #[test]
+    fn conflicting_head_valuations_fail_with_the_references_error() {
+        // X.first[is -> Y]: `peter` has six kids, and the second valuation of
+        // every parent assigns `is` a second value on the object the first
+        // one minted.
+        let rule = Rule::new(
+            Term::var("X")
+                .scalar("first")
+                .filter(Filter::scalar("is", Term::var("Y"))),
+            vec![kids_literal()],
+        );
+        let (outcome, s) = run_over_wide_genealogy(&rule, false, usize::MAX);
+        let (expected, oracle) = run_over_wide_genealogy(&rule, true, usize::MAX);
+        assert!(expected.is_err(), "{expected:?}");
+        assert_eq!(outcome, expected);
+        assert_eq!(s.canonical_dump(), oracle.canonical_dump());
+    }
+
     /// Load `rules` with the engine and with the reference fixpoint: the two
     /// must reach the same model, counters included, and each must be a
     /// model of the rules.  Returns the engine's run.

@@ -438,3 +438,108 @@ impl Lowering<'_> {
         result
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::assert_head;
+    use crate::names::Name;
+    use crate::semantics::model::register_names;
+    use crate::term::Filter;
+
+    /// Heads over `X` and `Y`: a minting chain with a scalar, an explicit
+    /// set out of order with a minted member, a stored and a valuated set
+    /// right-hand side, a path with an argument, an is-a and a signature.
+    fn heads() -> Vec<Term> {
+        let (x, y) = (|| Term::var("X"), || Term::var("Y"));
+        vec![
+            x().scalar("boss")
+                .scalar("car")
+                .filter(Filter::scalar("color", Term::name("red"))),
+            x().filters(vec![
+                Filter::set(
+                    "tags",
+                    vec![Term::name("zeta"), y(), x().scalar("mate"), Term::name("alpha")],
+                ),
+                Filter::set_ref("pals", y().set("kids")),
+                Filter::set_ref("grand", x().set("kids").set("kids")),
+            ]),
+            x().scalar_args("rank", vec![y()])
+                .filter(Filter::scalar("by", y()))
+                .isa("ranked"),
+            Term::name("person").filter(Filter {
+                method: Term::name("age"),
+                args: vec![y()],
+                value: FilterValue::SigScalar(vec![Term::name("integer")]),
+            }),
+        ]
+    }
+
+    #[test]
+    fn lowering_registers_the_names_the_reference_registers() {
+        let vars = [Var::new("X"), Var::new("Y")];
+        for head in heads() {
+            let mut lowered = Structure::new();
+            HeadArena::default().lower(&mut lowered, &head, &vars).unwrap();
+            let mut registered = Structure::new();
+            register_names(&mut registered, &head);
+            assert_eq!(lowered.canonical_dump(), registered.canonical_dump(), "`{head}`");
+        }
+    }
+
+    #[test]
+    fn a_frame_commits_what_assert_head_commits_under_its_bindings() {
+        let vars = [Var::new("Y"), Var::new("X")];
+        let mut s = Structure::new();
+        let (p1, p2, p3, kids) = (s.atom("p1"), s.atom("p2"), s.atom("p3"), s.atom("kids"));
+        s.assert_set_member(kids, p1, &[], p2);
+        s.assert_set_member(kids, p2, &[], p3);
+        let compiled = crate::plan::compile_query([(true, &Term::var("Y")), (true, &Term::var("X"))]);
+        assert_eq!(compiled.slot_vars(), vars);
+        let frame = [p2.0 + 1, p1.0 + 1];
+        for head in heads() {
+            let mut lowered = s.clone();
+            let mut arena = HeadArena::default();
+            let program = arena.lower(&mut lowered, &head, &vars).unwrap();
+            let mut interpreted = lowered.clone();
+            let mut scratch = HeadScratch::default();
+            for _ in 0..2 {
+                let effect = arena
+                    .run(&program, &mut lowered, &frame, Some(&compiled), &mut scratch)
+                    .unwrap();
+                let (_, expected) = assert_head(&mut interpreted, &head, &compiled.bindings_of(&frame)).unwrap();
+                assert_eq!(effect, expected, "`{head}`");
+                assert_eq!(lowered.canonical_dump(), interpreted.canonical_dump(), "`{head}`");
+                let log = |s: &Structure| s.facts().set_members_since(0).collect::<Vec<_>>();
+                assert_eq!(log(&lowered), log(&interpreted), "`{head}`");
+            }
+        }
+    }
+
+    #[test]
+    fn only_one_slot_to_slot_member_insert_is_the_member_insert() {
+        let vars = [Var::new("X"), Var::new("Y")];
+        let mut s = Structure::new();
+        let mut arena = HeadArena::default();
+        let member = |receiver: Term, members: Vec<Term>| receiver.filter(Filter::set("desc", members));
+        let tc = arena
+            .lower(&mut s, &member(Term::var("X"), vec![Term::var("Y")]), &vars)
+            .unwrap();
+        let desc = s.lookup_name(&Name::atom("desc")).unwrap();
+        assert_eq!(arena.member_insert(&tc), Some((0, desc, 1)));
+        assert_eq!(arena.slots(&tc), [0, 1]);
+        for head in [
+            member(Term::name("a"), vec![Term::var("Y")]),
+            member(Term::var("X"), vec![Term::var("Y"), Term::var("X")]),
+            member(Term::var("X"), vec![Term::name("b")]),
+            Term::var("X").filter(Filter {
+                method: Term::name("desc"),
+                args: vec![Term::var("Y")],
+                value: FilterValue::SetExplicit(vec![Term::var("Y")]),
+            }),
+        ] {
+            let program = arena.lower(&mut s, &head, &vars).unwrap();
+            assert_eq!(arena.member_insert(&program), None, "`{head}`");
+        }
+    }
+}

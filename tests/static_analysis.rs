@@ -414,6 +414,29 @@ fn enforce_mode_gates_installation_on_the_analysis() {
     );
 }
 
+/// A rule with two `Error` diagnostics of one code: the analyzer's report
+/// leads with the one `validate_rule` (and so `install_checked`) reports —
+/// the head's ill-formed filter before the body's, `Z` before `A`.
+#[test]
+fn the_first_of_two_errors_of_one_code_is_the_one_validation_reports() {
+    for text in [
+        "X[boss -> p1..assistants] <- X[boss -> p1..assistants].",
+        "X[b -> Z; a -> A] <- X : person.",
+    ] {
+        let program = parse_program(text).expect("parses");
+        let analysis = AnalysisInput::new().program(&program).run();
+        let errors: Vec<_> = analysis
+            .diagnostics
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .collect();
+        assert!(errors.len() >= 2, "`{text}`: {errors:?}");
+        assert_eq!(errors[0].code, errors[1].code, "`{text}`");
+        let err = pathlog::core::program::validate_rule(&program.rules[0]).unwrap_err();
+        assert_eq!(err, Error::InvalidRule(errors[0].message.clone()), "`{text}`");
+    }
+}
+
 #[test]
 fn validate_rule_rejects_with_the_analyzers_first_error() {
     let person = || Literal::pos(Term::var("X").isa("person"));
