@@ -2,8 +2,8 @@
 //! other, each to convergence, on one thread.
 //!
 //! A stratum is its statements in source order ([`Statement`]): facts, and
-//! proper rules, each compiled once when the stratum starts
-//! ([`crate::plan::compile`]).  Every iteration of the stratum has two
+//! proper rules, each with its head lowered and its body compiled once, when
+//! the program is installed ([`Installed`]).  Every iteration of the stratum has two
 //! phases.
 //!
 //! * **Solve.**  Each proper rule in turn is solved into its own frame runs
@@ -17,8 +17,10 @@
 //!   literal restricted to the window ([`crate::plan::execute_delta`]); the
 //!   other rules are skipped.
 //! * **Commit.**  Statement by statement in stratum order, each rule's runs
-//!   merged into canonical key order and its head asserted per solution;
-//!   on the first iteration each fact is asserted where it stands.
+//!   merged into canonical key order and its lowered head
+//!   ([`crate::plan::HeadProgram`], lowered when the program was installed)
+//!   run over each solution's frame; on the first iteration each fact's
+//!   head is run over one empty frame where the fact stands.
 //!
 //! All solves come before any commit, so every solve of an iteration reads
 //! the structure as it stood at the iteration boundary (Jacobi, not

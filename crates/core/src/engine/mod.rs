@@ -8,8 +8,8 @@
 //! stops when no rule adds new information.
 //!
 //! A **fact** — "a ground reference asserted directly" — is data, not a rule
-//! with an empty body to schedule: it is asserted once, with empty bindings,
-//! when its stratum's first iteration commits, and no later iteration looks
+//! with an empty body to schedule: it is asserted once, its head run over one
+//! empty frame, when its stratum's first iteration commits, and no later iteration looks
 //! at it (no solve, no delta test, no plan).  It commits *at its
 //! source-order position among the stratum's statements*, between the rules
 //! written before and after it, because the order of asserts is the order in
@@ -37,9 +37,10 @@
 //! [`crate::semantics::fixpoint`]: the least fixpoint computed the plain
 //! way, every rule re-solved in full, in written order
 //! ([`solve_body`](crate::semantics::solve_body)), each iteration, its
-//! solutions committed in canonical key order.  It shares only the
-//! stratifier and [`assert_head`] with this module, and the tests require
-//! the engine to reproduce its `canonical_dump()` byte for byte.
+//! solutions committed in canonical key order by the head interpreter
+//! [`assert_head`].  It shares only the stratifier with this module, and the
+//! tests require the engine to reproduce its `canonical_dump()` byte for
+//! byte.
 //!
 //! There is one schedule, one delta-pass evaluator and one thread: the
 //! stratum loop of the `fixpoint` module.  Each iteration of a stratum
@@ -55,20 +56,35 @@
 //! order is the canonical one whatever plan ran a solve, the engine and the
 //! reference mint the same virtual objects under the same ids.
 //!
-//! **The commit step pays once for what it derives.**  A head of the shape
-//! `X[m ->> {Y}]` ([`CompiledHead`](crate::plan::CompiledHead), over the
-//! frames of a full solve and of a delta pass alike) commits each run of
-//! consecutive solutions with one receiver and ascending members as one
-//! sorted merge ([`Structure::assert_set_members`]); a `m ->> t` head filter
-//! merges its set the same way — when `t` is one stored application
-//! (`V..m`, `V..m@(A, …)`), the stored run itself.  Any other head fires
-//! once per *head valuation* of a batch: a solution whose projection onto
-//! the head's variables an earlier solution of the same batch already
-//! committed is skipped, because asserting the head again under the same
-//! valuation adds nothing.  Both keep the order of every insertion, and so
-//! the logs, the object ids and every [`EvalStats`] counter, exactly as one
-//! assert per solution would leave them — [`EvalOptions::max_derived`]
-//! included, which fails at the same fact with the same count.
+//! **Heads commit as lowered programs.**  Installing a program lowers every
+//! statement's head once ([`HeadArena::lower`](crate::plan::HeadArena::lower))
+//! into a flat [`HeadProgram`](crate::plan::HeadProgram): the steps of
+//! [`assert_head`] in its order — get or mint a head path, assert a scalar,
+//! insert a member, merge a set right-hand side, add an is-a edge, declare a
+//! signature — over the objects the head names, resolved by the lowering
+//! itself, and the slots of the body's frame.  Per rule in source order the
+//! install lowers the head and then registers the body's names, and after
+//! the rules the queries' names: the order in which the reference registers
+//! them, so every name gets the reference's object id.  A commit then runs
+//! the program over each frame, with no [`Bindings`], no term walk and no
+//! name lookup; only a `m ->> t` right-hand side that is not one stored
+//! application is valuated, under the frame's bindings.
+//!
+//! **The commit step pays once for what it derives.**  A head that is one
+//! member insert `X[m ->> {Y}]` (over the frames of a full solve and of a
+//! delta pass alike) commits each run of consecutive solutions with one
+//! receiver and ascending members as one sorted merge
+//! ([`Structure::assert_set_members`]); a `m ->> t` head filter merges its
+//! set the same way — when `t` is one stored application (`V..m`,
+//! `V..m@(A, …)`), the stored run itself.  Any other head runs once per
+//! *head valuation* of a batch: a solution whose projection onto the head's
+//! slots an earlier solution of the same batch already committed is
+//! skipped, because asserting the head again under the same valuation adds
+//! nothing.  Both keep the order of every insertion, and so the logs, the
+//! object ids and every [`EvalStats`] counter, exactly as one
+//! [`assert_head`] per solution would leave them —
+//! [`EvalOptions::max_derived`] included, which fails at the same fact with
+//! the same count.
 //!
 //! **Queries** ([`Engine::query`], [`Engine::query_term`]) run through the
 //! same compiled atoms as the delta passes, with no literal restricted and
@@ -154,8 +170,9 @@ impl Engine {
         &self.options
     }
 
-    /// Load a program into `structure`: validate, register every name,
-    /// stratify, assert facts and evaluate rules to the fixpoint.
+    /// Load a program into `structure`: validate, lower every head and
+    /// register every name, stratify, assert facts and evaluate rules to the
+    /// fixpoint.
     pub fn load_program(&self, structure: &mut Structure, program: &Program) -> Result<EvalStats> {
         self.install(structure, &program.rules, &program.queries)
     }

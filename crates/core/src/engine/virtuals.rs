@@ -15,6 +15,12 @@
 //! The same mechanism makes the generic transitive closure of Section 6 work:
 //! asserting `X[(kids.tc) ->> {Y}]` first materialises an object for the
 //! *method* `kids.tc` (a virtual method), then adds members to it.
+//!
+//! [`assert_head`] interprets a head term under a set of bindings: it is the
+//! asserter of the reference fixpoint ([`crate::semantics::fixpoint`]) and
+//! of the reactive layer's actions.  The engine commits through the same
+//! steps lowered once per install ([`crate::plan::head`]), which add what
+//! this interpreter adds, in its order.
 
 use crate::error::{Error, Result};
 use crate::semantics::{valuate, Bindings};

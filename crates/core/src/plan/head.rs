@@ -32,79 +32,45 @@ use crate::semantics::{valuate, Bindings};
 use crate::structure::{Oid, OidRun, Signature, Structure};
 use crate::term::{FilterValue, Term};
 
-/// Where a head step finds an object.
+/// Where a step finds an object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HeadOperand {
+enum Operand {
     /// An object the head names.
     Const(Oid),
     /// Slot `i` of the body's frame.
     Slot(usize),
-    /// The object the `k`-th [`HeadStep::Path`] of the program got or minted.
+    /// The object the `k`-th [`Step::Path`] of the program got or minted.
     Path(usize),
 }
 
-/// A method application a step asserts or reads: its arguments are a range
-/// of the arena's operands.
+/// `receiver[method@(args)]`, the arguments a range of the arena's operands.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HeadCall {
-    /// The receiver.
-    pub receiver: HeadOperand,
-    /// The method.
-    pub method: HeadOperand,
+struct Call {
+    receiver: Operand,
+    method: Operand,
     args: Range<usize>,
 }
 
-/// One step of a [`HeadProgram`].
+/// One step of a head program, on the application it asserts.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HeadStep {
+enum Step {
     /// A head path: the scalar result of the call, or — where it is
     /// undefined — a fresh virtual object stored as that result.
-    Path(HeadCall),
+    Path(Call),
     /// `m -> value`.
-    Scalar {
-        /// The application asserted.
-        call: HeadCall,
-        /// Its result.
-        value: HeadOperand,
-    },
+    Scalar(Call, Operand),
     /// One member of `m ->> {…}`.
-    Member {
-        /// The application asserted.
-        call: HeadCall,
-        /// The member.
-        member: HeadOperand,
-    },
+    Member(Call, Operand),
     /// `m ->> t`, `t` one stored application: its run, merged.
-    MergeStored {
-        /// The application asserted.
-        call: HeadCall,
-        /// The application whose stored run is merged in.
-        rhs: HeadCall,
-    },
-    /// `m ->> t` for any other `t`: the arena's `terms[rhs]`, valuated under
+    MergeStored(Call, Call),
+    /// `m ->> t` for any other `t`: the arena's `terms[i]`, valuated under
     /// the frame's bindings and merged.
-    MergeValuated {
-        /// The application asserted.
-        call: HeadCall,
-        /// The index of the right-hand side among the arena's terms.
-        rhs: usize,
-    },
+    MergeValuated(Call, usize),
     /// `instance : class`.
-    Isa {
-        /// The member.
-        instance: HeadOperand,
-        /// The class.
-        class: HeadOperand,
-    },
-    /// `m => (…)` or `m =>> (…)`: a signature declaration.
-    Signature {
-        /// The class (receiver), method and argument classes.
-        call: HeadCall,
-        /// `=>>`.
-        set_valued: bool,
-        /// The result classes, a range of the arena's operands.
-        results: Range<usize>,
-    },
+    Isa(Operand, Operand),
+    /// `m => (…)`, or `m =>> (…)` when set-valued: a signature declaration,
+    /// its result classes a range of the arena's operands.
+    Signature(Call, bool, Range<usize>),
 }
 
 /// The lowered head of one statement: a range of its arena's steps, and the
@@ -115,11 +81,11 @@ pub struct HeadProgram {
     slots: Range<usize>,
 }
 
-/// The heads of a program, lowered into one arena of steps and operands.
+/// The heads of a program, lowered into one arena.
 #[derive(Debug, Clone, Default)]
 pub struct HeadArena {
-    steps: Vec<HeadStep>,
-    operands: Vec<HeadOperand>,
+    steps: Vec<Step>,
+    operands: Vec<Operand>,
     slots: Vec<usize>,
     terms: Vec<Term>,
 }
@@ -153,35 +119,24 @@ impl HeadArena {
         })
     }
 
-    /// The steps of `program`, in commit order.
-    pub fn steps(&self, program: &HeadProgram) -> &[HeadStep] {
-        &self.steps[program.steps.clone()]
-    }
-
     /// The distinct body slots `program` reads: its head valuation.
     pub fn slots(&self, program: &HeadProgram) -> &[usize] {
         &self.slots[program.slots.clone()]
-    }
-
-    /// The arguments of `call`.
-    pub fn args(&self, call: &HeadCall) -> &[HeadOperand] {
-        &self.operands[call.args.clone()]
     }
 
     /// `(receiver slot, method, member slot)` when `program` is the one
     /// member insert `X[m ->> {Y}]`: a constant method, no arguments, a slot
     /// receiver and a slot member.
     pub fn member_insert(&self, program: &HeadProgram) -> Option<(usize, Oid, usize)> {
-        match self.steps(program) {
-            [HeadStep::Member {
-                call:
-                    HeadCall {
-                        receiver: HeadOperand::Slot(receiver),
-                        method: HeadOperand::Const(method),
-                        args,
-                    },
-                member: HeadOperand::Slot(member),
-            }] if args.is_empty() => Some((*receiver, *method, *member)),
+        match &self.steps[program.steps.clone()] {
+            [Step::Member(
+                Call {
+                    receiver: Operand::Slot(receiver),
+                    method: Operand::Const(method),
+                    args,
+                },
+                Operand::Slot(member),
+            )] if args.is_empty() => Some((*receiver, *method, *member)),
             _ => None,
         }
     }
@@ -200,23 +155,23 @@ impl HeadArena {
         let mut effect = AssertEffect::default();
         let HeadScratch { paths, args } = scratch;
         paths.clear();
-        let value = |op: HeadOperand, paths: &[Oid]| match op {
-            HeadOperand::Const(oid) => oid,
-            HeadOperand::Slot(i) => {
+        let value = |op: Operand, paths: &[Oid]| match op {
+            Operand::Const(oid) => oid,
+            Operand::Slot(i) => {
                 debug_assert!(frame[i] != 0, "a head variable is bound by the body");
                 Oid(frame[i] - 1)
             }
-            HeadOperand::Path(k) => paths[k],
+            Operand::Path(k) => paths[k],
         };
         // The method and receiver of `call`, its arguments into `args`.
-        let apply = |call: &HeadCall, paths: &[Oid], args: &mut Vec<Oid>| {
+        let apply = |call: &Call, paths: &[Oid], args: &mut Vec<Oid>| {
             args.clear();
-            args.extend(self.args(call).iter().map(|&a| value(a, paths)));
+            args.extend(self.operands[call.args.clone()].iter().map(|&a| value(a, paths)));
             (value(call.method, paths), value(call.receiver, paths))
         };
-        for step in self.steps(program) {
+        for step in &self.steps[program.steps.clone()] {
             match step {
-                HeadStep::Path(call) => {
+                Step::Path(call) => {
                     let (method, receiver) = apply(call, paths, args);
                     let object = match structure.apply_scalar(method, receiver, args) {
                         Some(existing) => existing,
@@ -231,25 +186,21 @@ impl HeadArena {
                     };
                     paths.push(object);
                 }
-                HeadStep::Scalar { call, value: result } => {
+                Step::Scalar(call, result) => {
                     let (method, receiver) = apply(call, paths, args);
-                    if structure
-                        .assert_scalar(method, receiver, args, value(*result, paths))?
-                        .is_new()
-                    {
+                    let result = value(*result, paths);
+                    if structure.assert_scalar(method, receiver, args, result)?.is_new() {
                         effect.scalar_facts += 1;
                     }
                 }
-                HeadStep::Member { call, member } => {
+                Step::Member(call, member) => {
                     let (method, receiver) = apply(call, paths, args);
-                    if structure
-                        .assert_set_member(method, receiver, args, value(*member, paths))
-                        .is_new()
-                    {
+                    let member = value(*member, paths);
+                    if structure.assert_set_member(method, receiver, args, member).is_new() {
                         effect.set_members += 1;
                     }
                 }
-                HeadStep::MergeStored { call, rhs } => {
+                Step::MergeStored(call, rhs) => {
                     // The run as stored (shared, not copied); an undefined
                     // application is the empty run.
                     let (method, receiver) = apply(rhs, paths, args);
@@ -258,31 +209,25 @@ impl HeadArena {
                     let (method, receiver) = apply(call, paths, args);
                     effect.set_members += structure.assert_set_members(method, receiver, args, &members);
                 }
-                HeadStep::MergeValuated { call, rhs } => {
+                Step::MergeValuated(call, rhs) => {
                     let bindings = compiled.map_or_else(Bindings::new, |c| c.bindings_of(frame));
                     let members: Vec<Oid> = valuate(structure, &self.terms[*rhs], &bindings)?.into_iter().collect();
                     let (method, receiver) = apply(call, paths, args);
                     effect.set_members += structure.assert_set_members(method, receiver, args, &members);
                 }
-                HeadStep::Isa { instance, class } => {
+                Step::Isa(instance, class) => {
                     if structure.add_isa(value(*instance, paths), value(*class, paths)) {
                         effect.isa_edges += 1;
                     }
                 }
-                HeadStep::Signature {
-                    call,
-                    set_valued,
-                    results,
-                } => {
+                Step::Signature(call, set_valued, results) => {
                     let (method, class) = apply(call, paths, args);
+                    let results = self.operands[results.clone()].iter();
                     let sig = Signature {
                         class,
                         method,
                         arg_classes: args.as_slice().into(),
-                        result_classes: self.operands[results.clone()]
-                            .iter()
-                            .map(|&r| value(r, paths))
-                            .collect(),
+                        result_classes: results.map(|&r| value(r, paths)).collect(),
                         set_valued: *set_valued,
                     };
                     if structure.add_signature(sig) {
@@ -310,79 +255,73 @@ struct Lowering<'a> {
 impl Lowering<'_> {
     /// Lower `term`, appending the steps that make it true; returns the
     /// operand of the object it denotes.
-    fn term(&mut self, term: &Term) -> Result<HeadOperand> {
-        match term {
-            Term::Name(n) => Ok(HeadOperand::Const(self.structure.ensure_name(n))),
-            Term::Var(v) => self.slot(v).map(HeadOperand::Slot),
-            Term::Paren(t) => self.term(t),
+    fn term(&mut self, term: &Term) -> Result<Operand> {
+        let step = match term {
+            Term::Name(n) => return Ok(Operand::Const(self.structure.ensure_name(n))),
+            Term::Var(v) => return self.slot(v).map(Operand::Slot),
+            Term::Paren(t) => return self.term(t),
+            Term::Path(p) if p.set_valued => {
+                return Err(Error::InvalidRule(format!(
+                    "set-valued path `{term}` cannot be asserted in a rule head"
+                )))
+            }
             Term::Path(p) => {
-                if p.set_valued {
-                    return Err(Error::InvalidRule(format!(
-                        "set-valued path `{term}` cannot be asserted in a rule head"
-                    )));
-                }
                 let receiver = self.term(&p.receiver)?;
-                let call = self.call(receiver, &p.method, &p.args)?;
-                self.arena.steps.push(HeadStep::Path(call));
-                self.paths += 1;
-                Ok(HeadOperand::Path(self.paths - 1))
+                Step::Path(self.call(receiver, &p.method, &p.args)?)
             }
             Term::IsA(i) => {
                 let instance = self.term(&i.receiver)?;
                 let class = self.term(&i.class)?;
-                self.arena.steps.push(HeadStep::Isa { instance, class });
-                Ok(instance)
+                self.arena.steps.push(Step::Isa(instance, class));
+                return Ok(instance);
             }
             Term::Molecule(m) => {
                 let receiver = self.term(&m.receiver)?;
                 for f in &m.filters {
-                    let call = self.call(receiver, &f.method, &f.args)?;
-                    let step = match &f.value {
-                        FilterValue::Scalar(value) => {
-                            let value = self.term(value)?;
-                            HeadStep::Scalar { call, value }
-                        }
-                        FilterValue::SetExplicit(values) => {
-                            // Each member is asserted before the next is
-                            // lowered: a member path mints in between.
-                            for value in values {
-                                let member = self.term(value)?;
-                                let call = call.clone();
-                                self.arena.steps.push(HeadStep::Member { call, member });
-                            }
-                            continue;
-                        }
-                        FilterValue::SetRef(value) => match self.stored(value)? {
-                            Some(rhs) => HeadStep::MergeStored { call, rhs },
-                            None => {
-                                self.register(value)?;
-                                self.arena.terms.push(value.clone());
-                                let rhs = self.arena.terms.len() - 1;
-                                HeadStep::MergeValuated { call, rhs }
-                            }
-                        },
-                        FilterValue::SigScalar(results) | FilterValue::SigSet(results) => {
-                            let set_valued = matches!(f.value, FilterValue::SigSet(_));
-                            let results = self.operands(results)?;
-                            HeadStep::Signature {
-                                call,
-                                set_valued,
-                                results,
-                            }
-                        }
-                    };
-                    self.arena.steps.push(step);
+                    self.filter(receiver, &f.method, &f.args, &f.value)?;
                 }
-                Ok(receiver)
+                return Ok(receiver);
             }
-        }
+        };
+        self.arena.steps.push(step);
+        self.paths += 1;
+        Ok(Operand::Path(self.paths - 1))
+    }
+
+    /// Lower the filter `method@(args) value` of `receiver`.
+    fn filter(&mut self, receiver: Operand, method: &Term, args: &[Term], value: &FilterValue) -> Result<()> {
+        let call = self.call(receiver, method, args)?;
+        let step = match value {
+            FilterValue::Scalar(value) => Step::Scalar(call, self.term(value)?),
+            FilterValue::SetExplicit(values) => {
+                // Each member is asserted before the next is lowered: a
+                // member path mints in between.
+                for value in values {
+                    let member = self.term(value)?;
+                    self.arena.steps.push(Step::Member(call.clone(), member));
+                }
+                return Ok(());
+            }
+            FilterValue::SetRef(value) => match self.stored(value)? {
+                Some(rhs) => Step::MergeStored(call, rhs),
+                None => {
+                    self.register(value)?;
+                    self.arena.terms.push(value.clone());
+                    Step::MergeValuated(call, self.arena.terms.len() - 1)
+                }
+            },
+            FilterValue::SigScalar(results) => Step::Signature(call, false, self.operands(results)?),
+            FilterValue::SigSet(results) => Step::Signature(call, true, self.operands(results)?),
+        };
+        self.arena.steps.push(step);
+        Ok(())
     }
 
     /// The application of `method` with `args` to `receiver`.
-    fn call(&mut self, receiver: HeadOperand, method: &Term, args: &[Term]) -> Result<HeadCall> {
+    fn call(&mut self, receiver: Operand, method: &Term, args: &[Term]) -> Result<Call> {
         let method = self.term(method)?;
         let args = self.operands(args)?;
-        Ok(HeadCall { receiver, method, args })
+        Ok(Call { receiver, method, args })
     }
 
     /// Lower `terms` — each may add steps of its own — into one range of
@@ -410,7 +349,7 @@ impl Lowering<'_> {
     /// `value` as one stored application — `V..m` or `V..m@(A, …)` whose
     /// receiver, method and arguments are each a name or a slot variable —
     /// lowered; `None` for any other shape, registering nothing.
-    fn stored(&mut self, value: &Term) -> Result<Option<HeadCall>> {
+    fn stored(&mut self, value: &Term) -> Result<Option<Call>> {
         let Term::Path(p) = value else { return Ok(None) };
         let simple = |t: &Term| match t {
             Term::Name(_) => true,

@@ -1,7 +1,8 @@
 //! Cost-based join planning and the compiled body IR: the evaluator of every
-//! rule body the engine solves, of every query and of every commit check.
+//! rule body the engine solves, of every query and of every commit check —
+//! and the lowered heads the engine commits those bodies' solutions through.
 //!
-//! Each proper rule is compiled once per run, when its stratum starts
+//! Each proper rule is compiled once per run, when its program is installed
 //! ([`compile`]).  The stratum's first iteration solves the body in full,
 //! with no literal restricted ([`execute_query`]), as a query is.  Every
 //! later iteration runs per-literal semi-naive *delta passes* over the same
@@ -34,8 +35,9 @@
 //!   next ([`atoms`], "Batch steps").  Stage deduplication sorts the flat
 //!   frames — no `Arc<str>` clones, no per-answer key — and a pass returns
 //!   frames ([`FrameRun`]); [`Bindings`] are materialized from a frame at
-//!   commit, at the API boundary and under the strict right-hand side of an
-//!   `m ->> t` check, only.
+//!   the API boundary, under the strict right-hand side of an `m ->> t`
+//!   check and under a head's `m ->> t` right-hand side that is not one
+//!   stored application, only.
 //!
 //! * **Planning.**  One planner orders every body against the live
 //!   structure ([`plan_pass`]): a query when it is asked ([`plan_query`]), a
@@ -63,6 +65,18 @@
 //!   B : person` — keeps its written order (see [`compile`]).  A plan
 //!   decides how long a solve takes, never what it finds or in which order:
 //!   solutions leave in canonical key order.
+//!
+//! * **Heads.**  Every statement's head is lowered once, when its program is
+//!   installed, into a [`HeadProgram`] ([`head`]): a flat list of steps —
+//!   get or mint a head path, assert a scalar, insert a member, merge a set
+//!   right-hand side, add an is-a edge, declare a signature — over the
+//!   objects the head names (resolved, and registered, by the lowering),
+//!   slots of the body's frame and the objects earlier steps minted.  The
+//!   engine commits a fact by running its program over one empty frame and
+//!   a rule's solutions by running it over each frame; a program that is one
+//!   member insert `X[m ->> {Y}]` commits a run of members at a time.  Heads
+//!   are no part of a [`CompiledRule`]: a query or a condition compiles
+//!   exactly as a rule body does.
 //!
 //! **Why reordering is invisible.**  A full solve's or a delta pass's output
 //! is a frame run in canonical key order and a rule's runs are merged in
@@ -104,7 +118,7 @@ use crate::term::Term;
 
 pub use atoms::{Atom, AtomStep, Call, Operand};
 pub use condition::{Change, Condition, Mark, Recheck, Span};
-pub use head::{HeadArena, HeadCall, HeadOperand, HeadProgram, HeadScratch, HeadStep};
+pub use head::{HeadArena, HeadProgram, HeadScratch};
 
 /// One body literal of a [`CompiledRule`].
 #[derive(Debug, Clone, PartialEq, Eq)]
