@@ -3,8 +3,8 @@
 //!
 //! A stratum is its statements in source order ([`Statement`]): facts, and
 //! proper rules, each with its head lowered and its body compiled once, when
-//! the program is installed ([`Installed`]).  Every iteration of the stratum has two
-//! phases.
+//! the program is installed ([`Installed`]).  Every iteration of the stratum
+//! has two phases.
 //!
 //! * **Solve.**  Each proper rule in turn is solved into its own frame runs
 //!   ([`crate::plan::FrameRun`]); the structure is only read.  On the first
