@@ -43,7 +43,7 @@ use std::collections::{BTreeSet, HashSet};
 
 use super::{EvalOptions, EvalStats, Stratification};
 use crate::error::{Error, LimitKind, Result};
-use crate::plan::{CompiledRule, FrameRun, HeadArena, HeadProgram, HeadScratch};
+use crate::plan::{CompiledRule, FrameRun, HeadArena, HeadBuffers, HeadProgram};
 use crate::program::{literal_reads, DepKey, Query, Rule};
 use crate::semantics::model::register_names;
 use crate::semantics::{Bindings, DeltaView, SnapshotWindow};
@@ -153,7 +153,7 @@ pub(super) fn run(
     let mut fixpoint = Fixpoint {
         options,
         heads: &installed.heads,
-        scratch: HeadScratch::default(),
+        buffers: HeadBuffers::default(),
         stats: EvalStats {
             strata: stratification.len(),
             ..EvalStats::default()
@@ -171,7 +171,7 @@ pub(super) fn run(
 struct Fixpoint<'o> {
     options: &'o EvalOptions,
     heads: &'o HeadArena,
-    scratch: HeadScratch,
+    buffers: HeadBuffers,
     stats: EvalStats,
 }
 
@@ -353,7 +353,7 @@ impl<'o> Fixpoint<'o> {
         frame: &[u32],
         compiled: Option<&CompiledRule>,
     ) -> Result<bool> {
-        let effect = self.heads.run(head, structure, frame, compiled, &mut self.scratch)?;
+        let effect = self.heads.run(head, structure, frame, compiled, &mut self.buffers)?;
         if effect.changed() {
             self.stats.firings += 1;
             self.stats.absorb(effect);

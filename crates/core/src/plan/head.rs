@@ -93,7 +93,7 @@ pub struct HeadArena {
 /// What [`HeadArena::run`] reuses from frame to frame: the objects of the
 /// program's paths, and one application's arguments.
 #[derive(Debug, Default)]
-pub struct HeadScratch {
+pub struct HeadBuffers {
     paths: Vec<Oid>,
     args: Vec<Oid>,
 }
@@ -150,10 +150,10 @@ impl HeadArena {
         structure: &mut Structure,
         frame: &[u32],
         compiled: Option<&CompiledRule>,
-        scratch: &mut HeadScratch,
+        buffers: &mut HeadBuffers,
     ) -> Result<AssertEffect> {
         let mut effect = AssertEffect::default();
-        let HeadScratch { paths, args } = scratch;
+        let HeadBuffers { paths, args } = buffers;
         paths.clear();
         let value = |op: Operand, paths: &[Oid]| match op {
             Operand::Const(oid) => oid,
@@ -441,10 +441,10 @@ mod tests {
             let mut arena = HeadArena::default();
             let program = arena.lower(&mut lowered, &head, &vars).unwrap();
             let mut interpreted = lowered.clone();
-            let mut scratch = HeadScratch::default();
+            let mut buffers = HeadBuffers::default();
             for _ in 0..2 {
                 let effect = arena
-                    .run(&program, &mut lowered, &frame, Some(&compiled), &mut scratch)
+                    .run(&program, &mut lowered, &frame, Some(&compiled), &mut buffers)
                     .unwrap();
                 let (_, expected) = assert_head(&mut interpreted, &head, &compiled.bindings_of(&frame)).unwrap();
                 assert_eq!(effect, expected, "`{head}`");

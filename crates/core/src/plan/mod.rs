@@ -118,7 +118,7 @@ use crate::term::Term;
 
 pub use atoms::{Atom, AtomStep, Call, Operand};
 pub use condition::{Change, Condition, Mark, Recheck, Span};
-pub use head::{HeadArena, HeadProgram, HeadScratch};
+pub use head::{HeadArena, HeadBuffers, HeadProgram};
 
 /// One body literal of a [`CompiledRule`].
 #[derive(Debug, Clone, PartialEq, Eq)]
