@@ -253,7 +253,7 @@ impl<'o> Fixpoint<'o> {
             let pair = |f: &[u32]| (Oid(f[receiver] - 1), Oid(f[member] - 1));
             return self.commit_member_runs(structure, method, merged.frames().map(pair));
         }
-        let mut fired = HeadValuations::new(self.heads.slots(head), compiled.canonical());
+        let mut fired = HeadValuations::new(self.heads.slots(head), compiled.slot_count());
         let mut changed = false;
         for f in merged.frames().filter(|f| fired.first(f)) {
             changed |= self.commit_frame(structure, head, f, Some(compiled))?;
@@ -410,29 +410,21 @@ struct HeadValuations {
     /// The head's slots; `None` when the head reads every slot of the body,
     /// so that distinct solutions are distinct head valuations.
     projection: Option<Vec<usize>>,
-    /// The valuations seen so far; `None` when the head's slots lead the
-    /// canonical slot order, so that a batch's frames with one head
-    /// valuation are consecutive and `key` — the last one — is all there is
-    /// to compare with.
-    seen: Option<HashSet<Vec<u32>>>,
-    /// The projection of the solution in hand (allocated into `seen` only
-    /// when it is new), or of the last one.
+    seen: HashSet<Vec<u32>>,
+    /// The projection of the solution in hand: allocated into `seen` only
+    /// when it is new.
     key: Vec<u32>,
-    /// Has a solution been seen?
-    any: bool,
 }
 
 impl HeadValuations {
-    /// For frames with the canonical slot order `canonical`, committed to a
-    /// head reading `slots`.
-    fn new(slots: &[usize], canonical: &[usize]) -> Self {
-        let projection = canonical.iter().any(|s| !slots.contains(s)).then(|| slots.to_vec());
-        let leading = canonical[..slots.len()].iter().all(|s| slots.contains(s));
+    /// For frames of `slot_count` slots, committed to a head reading
+    /// `slots`.
+    fn new(slots: &[usize], slot_count: usize) -> Self {
+        let projection = (0..slot_count).any(|s| !slots.contains(&s)).then(|| slots.to_vec());
         HeadValuations {
             projection,
-            seen: (!leading).then(HashSet::new),
+            seen: HashSet::new(),
             key: Vec::new(),
-            any: false,
         }
     }
 
@@ -442,18 +434,8 @@ impl HeadValuations {
         let Some(projection) = &self.projection else {
             return true;
         };
-        let key = projection.iter().map(|&i| frame[i]);
-        let Some(seen) = &mut self.seen else {
-            if self.any && self.key.iter().copied().eq(key.clone()) {
-                return false;
-            }
-            self.any = true;
-            self.key.clear();
-            self.key.extend(key);
-            return true;
-        };
         self.key.clear();
-        self.key.extend(key);
-        !seen.contains(self.key.as_slice()) && seen.insert(self.key.clone())
+        self.key.extend(projection.iter().map(|&i| frame[i]));
+        !self.seen.contains(self.key.as_slice()) && self.seen.insert(self.key.clone())
     }
 }
