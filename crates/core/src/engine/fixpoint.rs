@@ -3,8 +3,10 @@
 //!
 //! A stratum is its statements in source order ([`Statement`]): facts, and
 //! proper rules, each with its head lowered and its body compiled once, when
-//! the program is installed ([`Installed`]).  Every iteration of the stratum
-//! has two phases.
+//! the program is installed ([`Installed`]).  The stratum owns them and
+//! drops a rule's compiled body when it ends; the facts' heads, lowered into
+//! an arena of their own, go once every fact has committed.  Every iteration
+//! of the stratum has two phases.
 //!
 //! * **Solve.**  Each proper rule in turn is solved into its own frame runs
 //!   ([`crate::plan::FrameRun`]); the structure is only read.  On the first
@@ -41,7 +43,7 @@
 
 use std::collections::{BTreeSet, HashSet};
 
-use super::{EvalOptions, EvalStats, Stratification};
+use super::{AssertEffect, EvalOptions, EvalStats, Stratification};
 use crate::error::{Error, LimitKind, Result};
 use crate::plan::{CompiledRule, FrameRun, HeadArena, HeadBuffers, HeadProgram};
 use crate::program::{literal_reads, DepKey, Query, Rule};
@@ -64,12 +66,13 @@ pub fn binding_key(b: &Bindings) -> BindingKey {
     key
 }
 
-/// A program's rules as installed, in source order: every head lowered
-/// into one arena, every proper rule's body compiled.
+/// A program's statements as installed, in source order: every head
+/// lowered — the facts' into one arena, the proper rules' into another —
+/// and every proper rule's body compiled.
 pub(super) struct Installed {
-    heads: HeadArena,
-    /// Per rule, its head and — for a proper rule — its compiled body.
-    rules: Vec<(HeadProgram, Option<CompiledRule>)>,
+    facts: HeadArena,
+    rules: HeadArena,
+    statements: Vec<Statement>,
 }
 
 impl Installed {
@@ -80,40 +83,48 @@ impl Installed {
     /// ([`register_program_names`](crate::semantics::model::register_program_names)),
     /// so every name gets the reference's object id.
     pub(super) fn new(structure: &mut Structure, rules: &[Rule], queries: &[Query]) -> Result<Self> {
-        let mut heads = HeadArena::default();
-        let rules = rules
+        let (mut facts, mut heads) = (HeadArena::default(), HeadArena::default());
+        let statements = rules
             .iter()
             .map(|rule| {
-                let compiled = (!rule.is_fact()).then(|| crate::plan::compile(rule));
-                let vars = compiled.as_ref().map_or(&[][..], CompiledRule::slot_vars);
-                let head = heads.lower(structure, &rule.head, vars)?;
+                let statement = if rule.is_fact() {
+                    Statement::Fact(facts.lower(structure, &rule.head, &[])?)
+                } else {
+                    let compiled = crate::plan::compile(rule);
+                    let head = heads.lower(structure, &rule.head, compiled.slot_vars())?;
+                    Statement::Rule(Box::new(ProperRule::new(rule, head, compiled)))
+                };
                 for lit in &rule.body {
                     register_names(structure, &lit.term);
                 }
-                Ok((head, compiled))
+                Ok(statement)
             })
             .collect::<Result<Vec<_>>>()?;
         for lit in queries.iter().flat_map(|q| &q.body) {
             register_names(structure, &lit.term);
         }
-        Ok(Installed { heads, rules })
+        Ok(Installed {
+            facts,
+            rules: heads,
+            statements,
+        })
     }
 }
 
 /// One statement of a stratum.
-enum Statement<'a> {
+enum Statement {
     /// A fact's head: data, asserted once, when the stratum's first
     /// iteration commits — no solve, no delta test, no plan.
-    Fact(&'a HeadProgram),
+    Fact(HeadProgram),
     /// A proper rule.
-    Rule(Box<ProperRule<'a>>),
+    Rule(Box<ProperRule>),
 }
 
 /// A proper rule of a stratum, with what the current iteration solved for
 /// it.
-struct ProperRule<'a> {
-    head: &'a HeadProgram,
-    compiled: &'a CompiledRule,
+struct ProperRule {
+    head: HeadProgram,
+    compiled: CompiledRule,
     /// Per body literal, the keys it reads: `None` for a negated literal,
     /// which no window drives (negated and set-at-a-time reads are
     /// stratified below the rule).
@@ -123,12 +134,9 @@ struct ProperRule<'a> {
     runs: Vec<FrameRun>,
 }
 
-impl<'a> Statement<'a> {
-    fn new(rule: &'a Rule, (head, compiled): &'a (HeadProgram, Option<CompiledRule>)) -> Self {
-        let Some(compiled) = compiled else {
-            return Statement::Fact(head);
-        };
-        Statement::Rule(Box::new(ProperRule {
+impl ProperRule {
+    fn new(rule: &Rule, head: HeadProgram, compiled: CompiledRule) -> Self {
+        ProperRule {
             head,
             compiled,
             reads: rule
@@ -137,49 +145,71 @@ impl<'a> Statement<'a> {
                 .map(|lit| lit.positive.then(|| literal_reads(&lit.term)))
                 .collect(),
             runs: Vec::new(),
-        }))
+        }
     }
 }
 
-/// Evaluate `rules` — lowered into `installed` — to the least fixpoint over
-/// `structure`, stratum by stratum as `stratification` orders them.
+/// Evaluate the `installed` program to the least fixpoint over `structure`,
+/// stratum by stratum as `stratification` orders them.  Each stratum owns
+/// its statements and drops them when it ends; the facts' heads go once
+/// every fact has committed.
 pub(super) fn run(
     options: &EvalOptions,
     structure: &mut Structure,
-    rules: &[Rule],
-    installed: &Installed,
+    installed: Installed,
     stratification: &Stratification,
 ) -> Result<EvalStats> {
+    let Installed {
+        facts,
+        rules,
+        statements,
+    } = installed;
     let mut fixpoint = Fixpoint {
         options,
-        heads: &installed.heads,
+        rules: &rules,
+        facts_left: statements.iter().filter(|s| matches!(s, Statement::Fact(_))).count(),
+        facts: Some(facts),
         buffers: HeadBuffers::default(),
         stats: EvalStats {
             strata: stratification.len(),
             ..EvalStats::default()
         },
     };
-    for stratum in &stratification.strata {
-        let statements = stratum.iter().map(|&i| Statement::new(&rules[i], &installed.rules[i]));
-        fixpoint.stratum(structure, statements)?;
+    for stratum in by_stratum(statements, stratification) {
+        fixpoint.stratum(structure, stratum)?;
     }
     Ok(fixpoint.stats)
 }
 
+/// `statements`, in source order, stratum by stratum as `stratification`
+/// orders them.
+fn by_stratum(statements: Vec<Statement>, stratification: &Stratification) -> Vec<Vec<Statement>> {
+    let mut statements: Vec<Option<Statement>> = statements.into_iter().map(Some).collect();
+    let mut take = |i: usize| statements[i].take().expect("a statement is in one stratum");
+    stratification
+        .strata
+        .iter()
+        .map(|stratum| stratum.iter().map(|&i| take(i)).collect())
+        .collect()
+}
+
 /// One evaluation run: the options it runs under, the heads it commits
-/// through and what it has counted.
+/// through, what its head commits reuse and what it has counted.
 struct Fixpoint<'o> {
     options: &'o EvalOptions,
-    heads: &'o HeadArena,
+    /// The proper rules' heads.
+    rules: &'o HeadArena,
+    /// The facts' heads, until every fact has committed.
+    facts: Option<HeadArena>,
+    facts_left: usize,
     buffers: HeadBuffers,
     stats: EvalStats,
 }
 
-impl<'o> Fixpoint<'o> {
+impl Fixpoint<'_> {
     /// Run one stratum, its statements in source order, to convergence.
-    fn stratum(&mut self, structure: &mut Structure, statements: impl Iterator<Item = Statement<'o>>) -> Result<()> {
+    fn stratum(&mut self, structure: &mut Structure, mut statements: Vec<Statement>) -> Result<()> {
         let mut window = SnapshotWindow::capture(structure);
-        let mut statements: Vec<Statement> = statements.collect();
         self.stats.plans_compiled += statements.iter().filter(|s| matches!(s, Statement::Rule(_))).count();
         for iteration in 1.. {
             self.stats.iterations += 1;
@@ -196,7 +226,7 @@ impl<'o> Fixpoint<'o> {
                 // No delta exists for a rule the first time it runs.
                 for rule in proper_rules(&mut statements) {
                     self.stats.full_solves += 1;
-                    rule.runs.push(crate::plan::execute_query(structure, rule.compiled)?);
+                    rule.runs.push(crate::plan::execute_query(structure, &rule.compiled)?);
                 }
             } else {
                 let dv = window.slide(structure);
@@ -212,13 +242,13 @@ impl<'o> Fixpoint<'o> {
                         continue;
                     }
                     self.stats.delta_solves += 1;
-                    let plan = crate::plan::plan_pass(structure, rule.compiled, &lits, dv.entry_count());
+                    let plan = crate::plan::plan_pass(structure, &rule.compiled, &lits, dv.entry_count());
                     if !plan.seeded_from_delta {
                         self.stats.seed_flips += 1;
                     }
                     for lit in lits {
                         rule.runs
-                            .push(crate::plan::execute_delta(structure, rule.compiled, &plan, lit, &dv)?);
+                            .push(crate::plan::execute_delta(structure, &rule.compiled, &plan, lit, &dv)?);
                     }
                 }
             }
@@ -226,7 +256,7 @@ impl<'o> Fixpoint<'o> {
             let mut any_change = false;
             for statement in &mut statements {
                 any_change |= match statement {
-                    Statement::Fact(head) if first => self.commit_frame(structure, head, &[], None)?,
+                    Statement::Fact(head) if first => self.commit_fact(structure, head)?,
                     Statement::Fact(_) => false,
                     Statement::Rule(rule) if rule.runs.is_empty() => false,
                     Statement::Rule(rule) => self.commit_rule(structure, rule)?,
@@ -247,16 +277,17 @@ impl<'o> Fixpoint<'o> {
     /// head valuation ([`HeadValuations`]).  Returns whether anything new was
     /// committed.
     fn commit_rule(&mut self, structure: &mut Structure, rule: &mut ProperRule) -> Result<bool> {
-        let (head, compiled) = (rule.head, rule.compiled);
+        let (head, compiled) = (&rule.head, &rule.compiled);
         let merged = crate::plan::merge_frame_runs(std::mem::take(&mut rule.runs), compiled.canonical());
-        if let Some((receiver, method, member)) = self.heads.member_insert(head) {
+        if let Some((receiver, method, member)) = self.rules.member_insert(head) {
             let pair = |f: &[u32]| (Oid(f[receiver] - 1), Oid(f[member] - 1));
             return self.commit_member_runs(structure, method, merged.frames().map(pair));
         }
-        let mut fired = HeadValuations::new(self.heads.slots(head), compiled.slot_count());
+        let mut fired = HeadValuations::new(self.rules.slots(head), compiled.slot_count());
         let mut changed = false;
         for f in merged.frames().filter(|f| fired.first(f)) {
-            changed |= self.commit_frame(structure, head, f, Some(compiled))?;
+            let effect = self.rules.run(head, structure, f, Some(compiled), &mut self.buffers)?;
+            changed |= self.absorb(effect)?;
         }
         Ok(changed)
     }
@@ -341,19 +372,23 @@ impl<'o> Fixpoint<'o> {
         Ok(())
     }
 
-    /// Run `head` over one slot frame of `compiled` and fold what that
-    /// added into the model counters: the commit step for a rule's solution
-    /// and — an empty frame, no body — for a fact.  One firing when the
-    /// frame added anything; the limit is checked after every frame.
-    /// Returns whether anything new was committed.
-    fn commit_frame(
-        &mut self,
-        structure: &mut Structure,
-        head: &HeadProgram,
-        frame: &[u32],
-        compiled: Option<&CompiledRule>,
-    ) -> Result<bool> {
-        let effect = self.heads.run(head, structure, frame, compiled, &mut self.buffers)?;
+    /// Commit a fact: run its head over one empty frame.  Once every fact
+    /// has committed, the facts' heads go.  Returns whether anything new
+    /// was committed.
+    fn commit_fact(&mut self, structure: &mut Structure, head: &HeadProgram) -> Result<bool> {
+        let facts = self.facts.as_ref().expect("a fact commits once");
+        let effect = facts.run(head, structure, &[], None, &mut self.buffers)?;
+        self.facts_left -= 1;
+        if self.facts_left == 0 {
+            self.facts = None;
+        }
+        self.absorb(effect)
+    }
+
+    /// Fold what one frame's head commit added into the model counters: one
+    /// firing when it added anything; the limit is checked after every
+    /// frame.  Returns whether anything new was committed.
+    fn absorb(&mut self, effect: AssertEffect) -> Result<bool> {
         if effect.changed() {
             self.stats.firings += 1;
             self.stats.absorb(effect);
@@ -364,7 +399,7 @@ impl<'o> Fixpoint<'o> {
 }
 
 /// The proper rules among `statements`, in stratum order.
-fn proper_rules<'s, 'a>(statements: &'s mut [Statement<'a>]) -> impl Iterator<Item = &'s mut ProperRule<'a>> {
+fn proper_rules(statements: &mut [Statement]) -> impl Iterator<Item = &mut ProperRule> {
     statements.iter_mut().filter_map(|s| match s {
         Statement::Rule(rule) => Some(&mut **rule),
         Statement::Fact(_) => None,

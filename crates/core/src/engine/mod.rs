@@ -209,7 +209,7 @@ impl Engine {
         let stats = match &analysis.strata {
             Some(stratification) if analysis.no_errors() => {
                 let installed = fixpoint::Installed::new(structure, &program.rules, &program.queries)?;
-                fixpoint::run(&self.options, structure, &program.rules, &installed, stratification)?
+                fixpoint::run(&self.options, structure, installed, stratification)?
             }
             _ => self.install(structure, &program.rules, &program.queries)?,
         };
@@ -231,7 +231,7 @@ impl Engine {
             .collect::<Result<Vec<_>>>()?;
         let installed = fixpoint::Installed::new(structure, rules, queries)?;
         let stratification = stratify(&infos)?;
-        fixpoint::run(&self.options, structure, rules, &installed, &stratification)
+        fixpoint::run(&self.options, structure, installed, &stratification)
     }
 
     /// Answer a query: the variable-valuations that satisfy its body, each
