@@ -82,9 +82,10 @@ pub enum DiagCode {
     /// `PL008` — a variable occurs exactly once in a rule.  Often a typo;
     /// prefix intentional singletons with `_`.
     SingletonVariable,
-    /// `PL009` — a scalar (`->`) method is assigned by more than one rule:
-    /// firings may derive conflicting results for the same receiver, which
-    /// the fact store rejects at runtime.
+    /// `PL009` — a scalar (`->`) method is assigned by one rule and assigned,
+    /// or minted by a head path, by another, anywhere in their heads (nested
+    /// assignments included): firings may derive conflicting results for
+    /// the same receiver, which the fact store rejects at runtime.
     ScalarConflict,
     /// `PL010` — reactive rules form a trigger cycle: each rule's actions
     /// can re-trigger the others, so a cascade may only terminate by

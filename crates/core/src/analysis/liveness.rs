@@ -7,24 +7,27 @@
 //!   query, constraint or reactive condition.  Only reported when the
 //!   analyzed input actually has consumers; a bare rule library is not dead,
 //!   merely unused so far.
-//! * PL009 (*scalar conflict*): a scalar (`->`) method is assigned by more
-//!   than one proper rule.  Different firings may then derive different
+//! * PL009 (*scalar conflict*): a scalar (`->`) method is assigned by one
+//!   proper rule and assigned, or minted by a head path, by another —
+//!   anywhere in their heads, an assignment nested in a head value as much
+//!   as a top-level one.  Different firings may then derive different
 //!   results for the same receiver — which the fact store rejects at
 //!   runtime — so the overlap deserves a static warning.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::builtins::ALL_BUILTINS;
 use crate::names::Name;
-use crate::program::{DepKey, Rule};
-use crate::term::{FilterValue, Term};
+use crate::program::{walk_head, DepKey, HeadKey, Rule};
+use crate::structure::Structure;
+use crate::term::Term;
 
 use super::diagnostics::{DiagCode, Diagnostic, Diagnostics, Span};
 use super::graph::{DependencyGraph, RuleKind};
-use super::stats::MethodStats;
 
-/// PL006: report reads of keys nothing defines.
-pub(super) fn check_always_empty(graph: &DependencyGraph, stats: Option<&MethodStats>, diags: &mut Diagnostics) {
+/// PL006: report reads of keys nothing defines and `structure` (when given)
+/// stores nothing under.
+pub(super) fn check_always_empty(graph: &DependencyGraph, structure: Option<&Structure>, diags: &mut Diagnostics) {
     // A wildcard definer (generic rules such as `X[(M.tc) ->> {Y}]`) can
     // define any key — no read is provably empty.
     if graph.defines_key(&DepKey::Unknown) {
@@ -35,7 +38,7 @@ pub(super) fn check_always_empty(graph: &DependencyGraph, stats: Option<&MethodS
             let DepKey::Known(name) = key else { continue };
             let defined = graph.defines_key(key)
                 || name.as_atom().is_some_and(|a| ALL_BUILTINS.contains(&a))
-                || stats.is_some_and(|s| s.count(name).is_some());
+                || structure.is_some_and(|s| stores(s, name));
             if !defined {
                 diags.push(Diagnostic::new(
                     DiagCode::AlwaysEmptyLiteral,
@@ -46,6 +49,15 @@ pub(super) fn check_always_empty(graph: &DependencyGraph, stats: Option<&MethodS
             }
         }
     }
+}
+
+/// Does `structure` store anything under the method or class `name`: a
+/// scalar fact, a set application (a declared-empty one, or one whose
+/// members were all retracted, included) or a directly asserted member?
+fn stores(structure: &Structure, name: &Name) -> bool {
+    structure
+        .lookup_name(name)
+        .is_some_and(|key| structure.facts().has_method(key) || structure.isa().has_direct_members(key))
 }
 
 /// PL007: report rules no consumer transitively reads.
@@ -89,21 +101,27 @@ pub(super) fn check_dead_rules(graph: &DependencyGraph, diags: &mut Diagnostics)
     }
 }
 
-/// PL009: report scalar methods assigned by more than one proper rule.
+/// PL009: report scalar methods assigned by one proper rule and assigned or
+/// minted by another.
 ///
 /// `rules` pairs each proper rule with its graph span/label; facts are the
 /// caller's responsibility to exclude (a fact fixes one receiver, so two
 /// facts only collide if identical receivers disagree — a runtime error the
 /// store already reports eagerly).
 pub(super) fn check_scalar_conflicts(rules: &[(&Rule, Option<Span>)], diags: &mut Diagnostics) {
-    let mut assigners: BTreeMap<Name, Vec<usize>> = BTreeMap::new();
+    // Per method: the rules writing its scalar result, and whether one of
+    // them assigns it.  Two rules that only mint never conflict: a head
+    // path reuses the result another firing stored.
+    let mut writers: BTreeMap<Name, (Vec<usize>, bool)> = BTreeMap::new();
     for (i, (rule, _)) in rules.iter().enumerate() {
-        for m in scalar_head_methods(&rule.head) {
-            assigners.entry(m).or_default().push(i);
+        for (method, assigns) in scalar_head_methods(&rule.head) {
+            let (idxs, assigned) = writers.entry(method).or_default();
+            idxs.push(i);
+            *assigned |= assigns;
         }
     }
-    for (method, idxs) in assigners {
-        if idxs.len() < 2 {
+    for (method, (idxs, assigned)) in writers {
+        if idxs.len() < 2 || !assigned {
             continue;
         }
         // Anchor the warning on the *second* assigning rule: the first one
@@ -122,39 +140,22 @@ pub(super) fn check_scalar_conflicts(rules: &[(&Rule, Option<Span>)], diags: &mu
     }
 }
 
-/// The named methods a head assigns *scalar* results to: `-> value` filters
-/// and scalar path steps.  Set-valued (`->>`) assignments accumulate members
-/// and cannot conflict.
-fn scalar_head_methods(head: &Term) -> BTreeSet<Name> {
-    let mut out = BTreeSet::new();
-    collect_scalar_methods(head, &mut out);
+/// The named methods whose scalar result a head writes, anywhere
+/// `assert_head` asserts: `true` when a `->` filter assigns it, `false`
+/// when `.` paths only mint it.  Set-valued (`->>`) assignments accumulate
+/// members and cannot conflict.
+fn scalar_head_methods(head: &Term) -> BTreeMap<Name, bool> {
+    let mut out = BTreeMap::new();
+    walk_head(head, &mut |key| match key {
+        HeadKey::Assigns(DepKey::Known(name)) => {
+            out.insert(name, true);
+        }
+        HeadKey::Mints(DepKey::Known(name)) => {
+            out.entry(name).or_insert(false);
+        }
+        _ => {}
+    });
     out
-}
-
-fn collect_scalar_methods(term: &Term, out: &mut BTreeSet<Name>) {
-    match term {
-        Term::Name(_) | Term::Var(_) => {}
-        Term::Paren(t) => collect_scalar_methods(t, out),
-        Term::Path(p) => {
-            if !p.set_valued {
-                if let Term::Name(n) = &p.method {
-                    out.insert(n.clone());
-                }
-            }
-            collect_scalar_methods(&p.receiver, out);
-        }
-        Term::IsA(i) => collect_scalar_methods(&i.receiver, out),
-        Term::Molecule(m) => {
-            collect_scalar_methods(&m.receiver, out);
-            for f in &m.filters {
-                if let FilterValue::Scalar(_) = &f.value {
-                    if let Term::Name(n) = &f.method {
-                        out.insert(n.clone());
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -310,5 +311,45 @@ mod tests {
         let mut d = Diagnostics::new();
         check_scalar_conflicts(&[(&s1, None), (&s2, None)], &mut d);
         assert!(d.is_empty());
+    }
+
+    #[test]
+    fn nested_assignments_conflict_and_two_mints_do_not() {
+        // X[m -> Y[n -> 1]] <- X[partner -> Y].  and  Y[n -> 2] <- Y : b.
+        let nested = Rule::new(
+            Term::var("X").filter(Filter::scalar(
+                "m",
+                Term::var("Y").filter(Filter::scalar("n", Term::int(1))),
+            )),
+            vec![Literal::pos(
+                Term::var("X").filter(Filter::scalar("partner", Term::var("Y"))),
+            )],
+        );
+        let top = Rule::new(
+            Term::var("Y").filter(Filter::scalar("n", Term::int(2))),
+            vec![Literal::pos(Term::var("Y").isa("b"))],
+        );
+        let mut d = Diagnostics::new();
+        check_scalar_conflicts(&[(&nested, None), (&top, None)], &mut d);
+        assert_eq!(d.codes(), vec![DiagCode::ScalarConflict]);
+        assert!(d.iter().any(|x| x.message.contains("`n`")));
+
+        // X.boss[age -> 50] <- X : a.  and  X.boss : chief <- X : a.  Both
+        // mint `boss` where it is undefined and reuse it where it is not.
+        let mint = |head: Term| Rule::new(head, vec![Literal::pos(Term::var("X").isa("a"))]);
+        let aged = mint(
+            Term::var("X")
+                .scalar("boss")
+                .filter(Filter::scalar("age", Term::int(50))),
+        );
+        let chief = mint(Term::var("X").scalar("boss").isa("chief"));
+        let mut d = Diagnostics::new();
+        check_scalar_conflicts(&[(&aged, None), (&chief, None)], &mut d);
+        assert!(d.is_empty(), "{d}");
+        // A mint and an assignment do conflict.
+        let assigned = mint(Term::var("X").filter(Filter::scalar("boss", Term::name("ann"))));
+        let mut d = Diagnostics::new();
+        check_scalar_conflicts(&[(&aged, None), (&assigned, None)], &mut d);
+        assert_eq!(d.codes(), vec![DiagCode::ScalarConflict]);
     }
 }

@@ -15,6 +15,12 @@
 //!   uses — `engine/stratify.rs` delegates to the same graph);
 //! * a [`CascadeReport`] bounding reactive trigger cascades statically.
 //!
+//! The keys come from one walk per side of a statement
+//! ([`crate::program::head_info`], [`crate::program::body_info`]): a head
+//! defines what asserting it writes, nested assertions included, so the
+//! strata, the liveness lints (PL006, PL007), the scalar-conflict lint
+//! (PL009) and the reactive summaries all see the same writes.
+//!
 //! Join order is no concern of the analyzer: every body is planned when it
 //! runs, against the live structure ([`crate::plan`]).
 //!
@@ -30,19 +36,16 @@ mod diagnostics;
 mod graph;
 mod liveness;
 mod safety;
-mod stats;
 
 pub use cascade::{analyze_cascades, CascadeBound, CascadeReport, ReactiveRuleSummary};
 pub use diagnostics::{json_escape, DiagCode, Diagnostic, Diagnostics, Severity, Span};
 pub use graph::{keys_intersect, DependencyGraph, Edge, Polarity, RuleKind, RuleNode};
 pub(crate) use safety::first_rule_error;
-pub use stats::MethodStats;
 
 use crate::constraints::ConstraintSet;
 use crate::engine::Stratification;
-use crate::program::{rule_info, Program, Rule, RuleInfo};
+use crate::program::{body_info, rule_info, Program, Rule, RuleInfo};
 use crate::structure::Structure;
-use crate::term::Term;
 
 /// Everything one analysis run looks at.  Build with the fluent setters and
 /// pass to [`analyze`] (or call [`AnalysisInput::run`]).
@@ -151,7 +154,6 @@ pub fn analyze(input: AnalysisInput<'_>) -> Analysis {
         structure,
     } = input;
 
-    let stats = structure.map(MethodStats::capture);
     let mut diags = Diagnostics::new();
     let mut graph = DependencyGraph::new();
 
@@ -198,9 +200,7 @@ pub fn analyze(input: AnalysisInput<'_>) -> Analysis {
     for (i, query) in program.iter().flat_map(|p| p.queries.iter().enumerate()) {
         let span = query_spans.get(i).copied();
         let label = query.to_string();
-        // A query is a body with no head: reuse the rule collectors via a
-        // synthetic ground head that defines nothing.
-        let info = rule_info(&Rule::new(Term::name("__query").empty_filters(), query.body.clone()));
+        let info = body_info(&query.body);
         safety::check_body(&label, &query.body, span, &mut diags);
         graph.push(RuleNode::from_info(RuleKind::Query, label, span, info));
     }
@@ -209,10 +209,7 @@ pub fn analyze(input: AnalysisInput<'_>) -> Analysis {
     if let Some(constraints) = constraints {
         for c in constraints.iter() {
             let label = format!("constraint `{}`", c.name());
-            let info = rule_info(&Rule::new(
-                Term::name("__constraint").empty_filters(),
-                c.body().to_vec(),
-            ));
+            let info = body_info(c.body());
             safety::check_body(&label, c.body(), None, &mut diags);
             graph.push(RuleNode::from_info(RuleKind::Constraint, label, None, info));
         }
@@ -230,7 +227,7 @@ pub fn analyze(input: AnalysisInput<'_>) -> Analysis {
     }
 
     // -- liveness ------------------------------------------------------------
-    liveness::check_always_empty(&graph, stats.as_ref(), &mut diags);
+    liveness::check_always_empty(&graph, structure, &mut diags);
     liveness::check_dead_rules(&graph, &mut diags);
 
     // -- cascades ------------------------------------------------------------
@@ -256,7 +253,7 @@ mod reference;
 mod tests {
     use super::*;
     use crate::program::{Literal, Query};
-    use crate::term::Filter;
+    use crate::term::{Filter, Term};
 
     fn tc_program() -> Program {
         let mut p = Program::new();
@@ -367,6 +364,37 @@ mod tests {
         s.assert_scalar(age, mary, &[], thirty).unwrap();
         let a = AnalysisInput::new().program(&p).structure(&s).run();
         assert!(a.diagnostics.is_empty(), "{}", a.diagnostics);
+    }
+
+    #[test]
+    fn a_set_method_whose_members_were_retracted_stays_stored() {
+        // Rules reading `kids` and `age`; the structure held one fact of
+        // each, both retracted.  The set application stays (declared
+        // empty), the scalar fact leaves its method's index.
+        let mut p = Program::new();
+        for method in ["kids", "age"] {
+            p.push_rule(Rule::new(
+                Term::var("X").isa("flagged"),
+                vec![Literal::pos(
+                    Term::var("X").filter(Filter::scalar(method, Term::var("_V"))),
+                )],
+            ));
+        }
+        let mut s = Structure::new();
+        let (mary, kids, age, tim) = (s.atom("mary"), s.atom("kids"), s.atom("age"), s.atom("tim"));
+        s.assert_set_member(kids, mary, &[], tim);
+        s.assert_scalar(age, mary, &[], tim).unwrap();
+        assert!(s.retract_set_member(kids, mary, &[], tim));
+        assert!(s.retract_scalar(age, mary, &[]).is_some());
+        let a = AnalysisInput::new().program(&p).structure(&s).run();
+        let empty: Vec<&str> = a
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == DiagCode::AlwaysEmptyLiteral)
+            .map(|d| d.message.as_str())
+            .collect();
+        assert_eq!(empty.len(), 1, "{}", a.diagnostics);
+        assert!(empty[0].contains("`age`"), "{}", a.diagnostics);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use crate::error::{Error, Result};
 use crate::semantics::{valuate, Bindings};
-use crate::structure::{Oid, OidRun, Signature, Structure};
+use crate::structure::{Oid, Signature, Structure};
 use crate::term::{FilterValue, Term};
 
 /// Counters describing what one head assertion added.
@@ -135,14 +135,9 @@ fn assert_term(structure: &mut Structure, term: &Term, bindings: &Bindings, effe
                     FilterValue::SetRef(value) => {
                         // The right-hand side is read, not created: its members
                         // must already exist (stratification guarantees the
-                        // defining methods are computed).  One stored
-                        // application hands over its run as stored; any other
-                        // right-hand side is valuated.  Either arrives sorted
-                        // and is merged as one run.
-                        let members = match stored_run(structure, value, bindings) {
-                            Some(run) => run,
-                            None => valuate(structure, value, bindings)?.into_iter().collect(),
-                        };
+                        // defining methods are computed).  It is valuated
+                        // (Definition 4) and merged as one sorted run.
+                        let members: Vec<Oid> = valuate(structure, value, bindings)?.into_iter().collect();
                         effect.set_members += structure.assert_set_members(method, receiver, &args, &members);
                     }
                     FilterValue::SigScalar(results) | FilterValue::SigSet(results) => {
@@ -167,33 +162,6 @@ fn assert_term(structure: &mut Structure, term: &Term, bindings: &Bindings, effe
             Ok(receiver)
         }
     }
-}
-
-/// The set `value` denotes under `bindings` when it is one stored
-/// application — `V..m` or `V..m@(A, …)` whose receiver, method and
-/// arguments are each a name or a bound variable — as the stored run itself
-/// (shared, not copied); an undefined application, or one naming an
-/// unregistered object, is the empty run.  `None` for any other shape, which
-/// [`valuate`] reads.
-fn stored_run(structure: &Structure, value: &Term, bindings: &Bindings) -> Option<OidRun> {
-    let Term::Path(p) = value else { return None };
-    if !p.set_valued {
-        return None;
-    }
-    // `Some(None)`: a name that denotes no object.
-    let operand = |t: &Term| match t {
-        Term::Name(n) => Some(structure.lookup_name(n)),
-        Term::Var(v) => bindings.get(v).map(Some),
-        _ => None,
-    };
-    let receiver = operand(&p.receiver)?;
-    let method = operand(&p.method)?;
-    let args: Vec<Option<Oid>> = p.args.iter().map(operand).collect::<Option<_>>()?;
-    let run = match (receiver, method, args.into_iter().collect::<Option<Vec<Oid>>>()) {
-        (Some(receiver), Some(method), Some(args)) => structure.apply_set(method, receiver, &args),
-        _ => None,
-    };
-    Some(run.unwrap_or(OidRun::empty_ref()).clone())
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@
 
 mod validate;
 
-pub use validate::{literal_reads, rule_info, validate_program, validate_rule, DepKey, RuleInfo};
+pub use validate::{body_info, head_info, literal_reads, rule_info, validate_program, validate_rule, DepKey, RuleInfo};
+pub(crate) use validate::{walk_head, HeadKey};
 
 use std::fmt;
 

@@ -16,16 +16,21 @@
 //! facts or declarations.
 //!
 //! Validation also derives the [`RuleInfo`] dependency summary used by the
-//! stratifier: which method/class names a rule *defines* (through its head)
-//! and which it *uses*, distinguishing ordinary uses from set-at-a-time uses
-//! (the right-hand side of `->>` filters read as whole sets, and everything
-//! under negation), which require stratification as in \[NT89\].
+//! stratifier, from one walk per side of the rule.  A head *defines* what
+//! [`assert_head`](crate::engine::assert_head) writes: the method of every
+//! path and filter and the class of every is-a it asserts, wherever they sit
+//! in the head — receivers, methods, arguments, scalar values, explicit set
+//! elements and signature results alike.  A body *uses* the keys it reads,
+//! and reads some *set-at-a-time*: the right-hand side of a `->>` filter, in
+//! the body or anywhere in the head, and everything under negation.  A
+//! set-at-a-time read must find its set complete, which requires
+//! stratification as in \[NT89\].
 
 use std::collections::BTreeSet;
 
 use crate::error::{Error, Result};
 use crate::names::Name;
-use crate::program::{Program, Rule};
+use crate::program::{Literal, Program, Rule};
 use crate::term::{FilterValue, Term};
 
 /// A dependency key: a known method/class name, or "unknown" when the method
@@ -47,7 +52,7 @@ pub struct RuleInfo {
     pub defines: BTreeSet<DepKey>,
     /// Keys the positive body reads object-at-a-time.
     pub uses: BTreeSet<DepKey>,
-    /// Keys the body reads set-at-a-time (must be fully computed in an
+    /// Keys the rule reads set-at-a-time (must be fully computed in an
     /// earlier stratum): `->>` right-hand sides and negated literals.
     pub strict_uses: BTreeSet<DepKey>,
 }
@@ -60,28 +65,46 @@ pub fn validate_rule(rule: &Rule) -> Result<RuleInfo> {
     }
 }
 
-/// Compute a rule's dependency summary without validating it.
+/// Compute a rule's dependency summary without validating it: the union of
+/// [`head_info`] and [`body_info`].
 ///
 /// This is the collector half of [`validate_rule`], exposed so the static
 /// analyzer can build dependency-graph nodes even for rules that fail one of
 /// the safety checks (it wants to report *all* problems, not stop at the
 /// first).
 pub fn rule_info(rule: &Rule) -> RuleInfo {
+    let mut info = body_info(&rule.body);
+    walk_head(&rule.head, &mut |key| info.add_head_key(key));
+    info
+}
+
+/// What asserting `head` touches: the keys it writes under (`defines`) and
+/// the keys its `->>` right-hand sides read whole (`strict_uses`).
+pub fn head_info(head: &Term) -> RuleInfo {
     let mut info = RuleInfo::default();
-    collect_defines(&rule.head, &mut info.defines);
-    // A `->>` filter in the *head* whose right-hand side is a set-valued
-    // reference copies that set when the rule fires; the methods it reads are
-    // therefore strict uses as well (the set must be complete).
-    collect_head_set_reads(&rule.head, &mut info.strict_uses);
-    for lit in &rule.body {
-        if lit.positive {
-            collect_uses(&lit.term, &mut info.uses, &mut info.strict_uses);
-        } else {
-            // Everything under negation is a strict use.
-            collect_keys(&lit.term, &mut info.strict_uses);
-        }
+    walk_head(head, &mut |key| info.add_head_key(key));
+    info
+}
+
+/// What solving `body` reads: object-at-a-time (`uses`) and set-at-a-time
+/// (`strict_uses`).
+pub fn body_info(body: &[Literal]) -> RuleInfo {
+    let mut info = RuleInfo::default();
+    for lit in body {
+        walk_body(&lit.term, !lit.positive, &mut |key, strict| {
+            if strict { &mut info.strict_uses } else { &mut info.uses }.insert(key);
+        });
     }
     info
+}
+
+impl RuleInfo {
+    fn add_head_key(&mut self, key: HeadKey) {
+        match key {
+            HeadKey::Assigns(key) | HeadKey::Mints(key) | HeadKey::Adds(key) => self.defines.insert(key),
+            HeadKey::ReadsWhole(key) => self.strict_uses.insert(key),
+        };
+    }
 }
 
 /// Validate every rule of a program.
@@ -94,7 +117,9 @@ pub fn validate_program(program: &Program) -> Result<Vec<RuleInfo>> {
 /// which literals an iteration's delta can drive.
 pub fn literal_reads(term: &Term) -> BTreeSet<DepKey> {
     let mut out = BTreeSet::new();
-    collect_keys(term, &mut out);
+    walk_body(term, true, &mut |key, _| {
+        out.insert(key);
+    });
     out
 }
 
@@ -107,156 +132,97 @@ fn dep_key(term: &Term) -> DepKey {
     }
 }
 
-/// Collect the keys defined by a head reference.
-fn collect_defines(head: &Term, out: &mut BTreeSet<DepKey>) {
-    match head {
-        Term::Name(_) | Term::Var(_) => {}
-        Term::Paren(t) => collect_defines(t, out),
-        Term::Path(p) => {
-            // A scalar path in a head defines the method (a virtual object may
-            // be created for it).
-            out.insert(dep_key(&p.method));
-            collect_defines(&p.receiver, out);
-        }
-        Term::IsA(i) => {
-            out.insert(dep_key(&i.class));
-            collect_defines(&i.receiver, out);
-        }
-        Term::Molecule(m) => {
-            collect_defines(&m.receiver, out);
-            for f in &m.filters {
-                out.insert(dep_key(&f.method));
-                // Paths in filter *values* of a head may also create virtual
-                // objects, hence also define their methods.
-                match &f.value {
-                    FilterValue::Scalar(t) => collect_value_defines(t, out),
-                    FilterValue::SetExplicit(ts) => {
-                        for t in ts {
-                            collect_value_defines(t, out);
-                        }
-                    }
-                    FilterValue::SetRef(_) | FilterValue::SigScalar(_) | FilterValue::SigSet(_) => {}
-                }
-            }
-        }
-    }
+/// One key a head touches, as [`walk_head`] reports it.
+pub(crate) enum HeadKey {
+    /// A `->` filter assigns the scalar result of the method.
+    Assigns(DepKey),
+    /// A `.` path reads the scalar result of the method and, where it is
+    /// undefined, stores a fresh virtual object as that result.
+    Mints(DepKey),
+    /// Set members, is-a edges or signatures are added under the key (a
+    /// `->>` filter, an is-a, a signature filter; or a `..` path, which no
+    /// valid head holds).
+    Adds(DepKey),
+    /// A `->>` right-hand side reads the key set-at-a-time.
+    ReadsWhole(DepKey),
 }
 
-/// Keys defined by a head *value* position (only paths create facts there).
-fn collect_value_defines(term: &Term, out: &mut BTreeSet<DepKey>) {
+/// Report every key asserting `head` touches, visiting the positions
+/// [`assert_head`](crate::engine::assert_head) asserts: receiver, method and
+/// arguments of every path and filter, an is-a's class, scalar values,
+/// explicit set elements and signature results, recursively.  A path writes
+/// its method, an is-a its class and a filter its method (a signature
+/// filter declares under it); a `->>` right-hand side is read, not asserted.
+pub(crate) fn walk_head(term: &Term, visit: &mut impl FnMut(HeadKey)) {
     match term {
         Term::Name(_) | Term::Var(_) => {}
-        Term::Paren(t) => collect_value_defines(t, out),
+        Term::Paren(t) => walk_head(t, visit),
         Term::Path(p) => {
-            out.insert(dep_key(&p.method));
-            collect_value_defines(&p.receiver, out);
-        }
-        Term::IsA(i) => collect_value_defines(&i.receiver, out),
-        Term::Molecule(m) => {
-            collect_value_defines(&m.receiver, out);
-            for f in &m.filters {
-                out.insert(dep_key(&f.method));
-            }
-        }
-    }
-}
-
-/// Collect strict (set-at-a-time) reads performed by a head: the right-hand
-/// sides of `->>` filters that are set-valued references.
-fn collect_head_set_reads(head: &Term, strict: &mut BTreeSet<DepKey>) {
-    match head {
-        Term::Name(_) | Term::Var(_) => {}
-        Term::Paren(t) => collect_head_set_reads(t, strict),
-        Term::Path(p) => collect_head_set_reads(&p.receiver, strict),
-        Term::IsA(i) => collect_head_set_reads(&i.receiver, strict),
-        Term::Molecule(m) => {
-            collect_head_set_reads(&m.receiver, strict);
-            for f in &m.filters {
-                if let FilterValue::SetRef(t) = &f.value {
-                    collect_keys(t, strict);
-                }
-            }
-        }
-    }
-}
-
-/// Collect *every* method/class key occurring anywhere in a reference.
-/// Used for positions read set-at-a-time and for negated literals.
-fn collect_keys(term: &Term, out: &mut BTreeSet<DepKey>) {
-    match term {
-        Term::Name(_) | Term::Var(_) => {}
-        Term::Paren(t) => collect_keys(t, out),
-        Term::Path(p) => {
-            out.insert(dep_key(&p.method));
-            collect_keys(&p.receiver, out);
-            for a in &p.args {
-                collect_keys(a, out);
-            }
+            walk_head(&p.receiver, visit);
+            walk_head(&p.method, visit);
+            p.args.iter().for_each(|a| walk_head(a, visit));
+            let key = dep_key(&p.method);
+            visit(if p.set_valued {
+                HeadKey::Adds(key)
+            } else {
+                HeadKey::Mints(key)
+            });
         }
         Term::IsA(i) => {
-            out.insert(dep_key(&i.class));
-            collect_keys(&i.receiver, out);
-            collect_keys(&i.class, out);
+            walk_head(&i.receiver, visit);
+            walk_head(&i.class, visit);
+            visit(HeadKey::Adds(dep_key(&i.class)));
         }
         Term::Molecule(m) => {
-            collect_keys(&m.receiver, out);
+            walk_head(&m.receiver, visit);
             for f in &m.filters {
-                out.insert(dep_key(&f.method));
-                for a in &f.args {
-                    collect_keys(a, out);
-                }
+                walk_head(&f.method, visit);
+                f.args.iter().for_each(|a| walk_head(a, visit));
                 match &f.value {
-                    FilterValue::Scalar(t) | FilterValue::SetRef(t) => collect_keys(t, out),
+                    FilterValue::Scalar(t) => walk_head(t, visit),
+                    FilterValue::SetRef(t) => walk_body(t, true, &mut |key, _| visit(HeadKey::ReadsWhole(key))),
                     FilterValue::SetExplicit(ts) | FilterValue::SigScalar(ts) | FilterValue::SigSet(ts) => {
-                        for t in ts {
-                            collect_keys(t, out);
-                        }
+                        ts.iter().for_each(|t| walk_head(t, visit))
                     }
                 }
+                let key = dep_key(&f.method);
+                visit(match f.value {
+                    FilterValue::Scalar(_) => HeadKey::Assigns(key),
+                    _ => HeadKey::Adds(key),
+                });
             }
         }
     }
 }
 
-/// Collect the keys used by a positive body reference: method/class positions
-/// go to `normal`, except that the right-hand side of a `->>` filter is read
-/// set-at-a-time and all of its keys go to `strict` (cf. the discussion of
-/// `X[friends ->> p1..assistants]` in Section 6).
-fn collect_uses(term: &Term, normal: &mut BTreeSet<DepKey>, strict: &mut BTreeSet<DepKey>) {
+/// Report every method/class key a body reference reads, with whether it is
+/// read set-at-a-time: everything when `strict` (a negated literal, a `->>`
+/// right-hand side), else only what sits under a `->>` right-hand side (cf.
+/// the discussion of `X[friends ->> p1..assistants]` in Section 6).
+fn walk_body(term: &Term, strict: bool, visit: &mut impl FnMut(DepKey, bool)) {
     match term {
         Term::Name(_) | Term::Var(_) => {}
-        Term::Paren(t) => collect_uses(t, normal, strict),
+        Term::Paren(t) => walk_body(t, strict, visit),
         Term::Path(p) => {
-            normal.insert(dep_key(&p.method));
-            collect_uses(&p.receiver, normal, strict);
-            for a in &p.args {
-                collect_uses(a, normal, strict);
-            }
+            visit(dep_key(&p.method), strict);
+            walk_body(&p.receiver, strict, visit);
+            p.args.iter().for_each(|a| walk_body(a, strict, visit));
         }
         Term::IsA(i) => {
-            normal.insert(dep_key(&i.class));
-            collect_uses(&i.receiver, normal, strict);
-            collect_uses(&i.class, normal, strict);
+            visit(dep_key(&i.class), strict);
+            walk_body(&i.receiver, strict, visit);
+            walk_body(&i.class, strict, visit);
         }
         Term::Molecule(m) => {
-            collect_uses(&m.receiver, normal, strict);
+            walk_body(&m.receiver, strict, visit);
             for f in &m.filters {
-                normal.insert(dep_key(&f.method));
-                for a in &f.args {
-                    collect_uses(a, normal, strict);
-                }
+                visit(dep_key(&f.method), strict);
+                f.args.iter().for_each(|a| walk_body(a, strict, visit));
                 match &f.value {
-                    FilterValue::Scalar(t) => collect_uses(t, normal, strict),
-                    FilterValue::SetRef(t) => collect_keys(t, strict),
-                    FilterValue::SetExplicit(ts) => {
-                        for t in ts {
-                            collect_uses(t, normal, strict);
-                        }
-                    }
-                    FilterValue::SigScalar(ts) | FilterValue::SigSet(ts) => {
-                        for t in ts {
-                            collect_uses(t, normal, strict);
-                        }
+                    FilterValue::SetRef(t) => walk_body(t, true, visit),
+                    FilterValue::Scalar(t) => walk_body(t, strict, visit),
+                    FilterValue::SetExplicit(ts) | FilterValue::SigScalar(ts) | FilterValue::SigSet(ts) => {
+                        ts.iter().for_each(|t| walk_body(t, strict, visit))
                     }
                 }
             }
@@ -430,6 +396,45 @@ mod tests {
         assert_eq!(infos.len(), 2);
         assert!(infos[1].uses.contains(&key("desc")));
         assert!(infos[1].defines.contains(&key("desc")));
+    }
+
+    #[test]
+    fn assertions_nested_in_head_values_define_and_read_whole() {
+        // X[m -> Y : c] <- X[partner -> Y].   (the is-a sits in a value)
+        let isa = Rule::new(
+            Term::var("X").filter(Filter::scalar("m", Term::var("Y").isa("c"))),
+            vec![Literal::pos(
+                Term::var("X").filter(Filter::scalar("partner", Term::var("Y"))),
+            )],
+        );
+        assert_eq!(rule_info(&isa).defines, [key("m"), key("c")].into_iter().collect());
+        // X[m -> Y[n ->> Y..q]] <- ...   (a `->>` right-hand side nested in a value)
+        let set_ref = Term::var("X").filter(Filter::scalar(
+            "m",
+            Term::var("Y").filter(Filter::set_ref("n", Term::var("Y").set("q"))),
+        ));
+        let info = head_info(&set_ref);
+        assert_eq!(info.defines, [key("m"), key("n")].into_iter().collect());
+        assert_eq!(info.strict_uses, [key("q")].into_iter().collect());
+        assert!(info.uses.is_empty());
+        // X.f@(X.g)[h ->> {X.k}]   (paths in an argument and a set element)
+        let args = Term::var("X")
+            .scalar_args("f", vec![Term::var("X").scalar("g")])
+            .filter(Filter::set("h", vec![Term::var("X").scalar("k")]));
+        let expected: BTreeSet<DepKey> = ["f", "g", "h", "k"].into_iter().map(key).collect();
+        assert_eq!(head_info(&args).defines, expected);
+    }
+
+    #[test]
+    fn a_body_defines_nothing() {
+        let body = [
+            Literal::pos(Term::var("X").filter(Filter::set_ref("friends", Term::var("X").set("kids")))),
+            Literal::neg(Term::var("X").isa("robot")),
+        ];
+        let info = body_info(&body);
+        assert!(info.defines.is_empty());
+        assert_eq!(info.uses, [key("friends")].into_iter().collect());
+        assert_eq!(info.strict_uses, [key("kids"), key("robot")].into_iter().collect());
     }
 
     #[test]

@@ -84,16 +84,6 @@ pub struct SnapshotStats {
     pub snapshots_reclaimed: usize,
 }
 
-impl SnapshotStats {
-    /// Accumulate `other` with saturating adds (same contract as
-    /// `EvalStats::merge`).
-    pub fn merge(&mut self, other: &SnapshotStats) {
-        self.epochs_published = self.epochs_published.saturating_add(other.epochs_published);
-        self.snapshots_pinned = self.snapshots_pinned.saturating_add(other.snapshots_pinned);
-        self.snapshots_reclaimed = self.snapshots_reclaimed.saturating_add(other.snapshots_reclaimed);
-    }
-}
-
 /// A retained epoch: the snapshot plus its live pin count.
 #[derive(Debug)]
 struct PinEntry {
@@ -376,24 +366,6 @@ mod tests {
         // Equal epoch republish replaces in place (bootstrap after a race).
         registry.publish(5, Arc::new(Structure::new()));
         assert_eq!(registry.current_epoch(), Some(5));
-    }
-
-    #[test]
-    fn stats_merge_saturates() {
-        let mut a = SnapshotStats {
-            epochs_published: usize::MAX,
-            snapshots_pinned: 1,
-            snapshots_reclaimed: 2,
-        };
-        let b = SnapshotStats {
-            epochs_published: 1,
-            snapshots_pinned: 2,
-            snapshots_reclaimed: 3,
-        };
-        a.merge(&b);
-        assert_eq!(a.epochs_published, usize::MAX);
-        assert_eq!(a.snapshots_pinned, 3);
-        assert_eq!(a.snapshots_reclaimed, 5);
     }
 
     #[test]

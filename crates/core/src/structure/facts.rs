@@ -611,10 +611,12 @@ impl Facts {
         posting_len(&self.scalar_by_method_result, &(method, result))
     }
 
-    /// Every method with a stored scalar fact and how many it has — the
-    /// lengths of the per-method posting lists, in no particular order.
-    pub(crate) fn scalar_method_counts(&self) -> impl Iterator<Item = (Oid, usize)> + '_ {
-        self.scalar_by_method.iter().map(|(&method, list)| (method, list.len()))
+    /// Is anything stored under `method`: a scalar fact, or a set
+    /// application — a declared-empty one, or one whose members were all
+    /// retracted, included?  (A scalar method whose facts were all
+    /// retracted has left its index.)
+    pub(crate) fn has_method(&self, method: Oid) -> bool {
+        self.scalar_by_method.contains_key(&method) || self.set_by_method.contains_key(&method)
     }
 
     /// All scalar facts whose receiver is `receiver`.
@@ -851,17 +853,6 @@ impl Facts {
     /// How many applications [`Facts::set_facts_containing`] walks.
     pub fn count_set_containing(&self, method: Oid, member: Oid) -> usize {
         posting_len(&self.set_by_method_member, &(method, member))
-    }
-
-    /// Every method with a set application — declared-empty ones included —
-    /// and how many members its applications hold together: per method, the
-    /// run lengths of the applications on its posting list, in no particular
-    /// order.
-    pub(crate) fn set_method_counts(&self) -> impl Iterator<Item = (Oid, usize)> + '_ {
-        self.set_by_method.iter().map(|(&method, apps)| {
-            let members = apps.iter().map(|&app| self.set_fact_at(app as usize).members.len());
-            (method, members.sum())
-        })
     }
 
     /// All set facts whose receiver is `receiver`.

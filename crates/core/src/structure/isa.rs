@@ -139,10 +139,9 @@ impl Isa {
         all.into_iter()
     }
 
-    /// The classes with at least one directly asserted member, in no
-    /// particular order.
-    pub(crate) fn direct_classes(&self) -> impl Iterator<Item = Oid> + '_ {
-        self.direct_down.iter().map(|(&class, _)| class)
+    /// Has `class` a directly asserted member?
+    pub(crate) fn has_direct_members(&self, class: Oid) -> bool {
+        self.direct_down.contains_key(&class)
     }
 
     /// Number of pairs in the transitive closure.  Doubles as the current

@@ -70,16 +70,6 @@ pub struct StoreStats {
     pub set_values: usize,
 }
 
-impl StoreStats {
-    /// Fold another store's counters into this one with saturating adds
-    /// (same contract as `EvalStats::merge`).
-    pub fn merge(&mut self, other: &StoreStats) {
-        self.objects = self.objects.saturating_add(other.objects);
-        self.scalar_values = self.scalar_values.saturating_add(other.scalar_values);
-        self.set_values = self.set_values.saturating_add(other.set_values);
-    }
-}
-
 /// The in-memory object store.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {

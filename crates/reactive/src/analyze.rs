@@ -17,9 +17,8 @@
 use std::collections::BTreeSet;
 
 use pathlog_core::analysis::{Analysis, AnalysisInput, ReactiveRuleSummary, RuleKind};
-use pathlog_core::program::{literal_reads, rule_info, DepKey, Literal, Program, Query, Rule};
+use pathlog_core::program::{head_info, literal_reads, DepKey, Literal, Program, Query};
 use pathlog_core::structure::Structure;
-use pathlog_core::term::Term;
 
 use crate::action::Action;
 use crate::active::{EcaAction, EcaRule};
@@ -28,11 +27,6 @@ use crate::production::ProductionRule;
 /// The keys every literal of `body` reads (positive and negated alike).
 fn body_reads(body: &[Literal]) -> BTreeSet<DepKey> {
     body.iter().flat_map(|lit| literal_reads(&lit.term)).collect()
-}
-
-/// The keys asserting `term` as a head would write.
-fn assert_writes(term: &Term) -> BTreeSet<DepKey> {
-    rule_info(&Rule::fact(term.clone())).defines
 }
 
 /// The dependency summary of one production rule.  Production rules
@@ -46,7 +40,7 @@ pub fn summarize_production(rule: &ProductionRule) -> ReactiveRuleSummary {
     let mut retracts = BTreeSet::new();
     for action in &rule.actions {
         match action {
-            Action::Assert(term) => writes.extend(assert_writes(term)),
+            Action::Assert(term) => writes.extend(head_info(term).defines),
             Action::Retract(term) => retracts.extend(literal_reads(term)),
         }
     }
@@ -144,7 +138,7 @@ mod tests {
     use super::*;
     use pathlog_core::analysis::{CascadeBound, DiagCode};
     use pathlog_core::names::Name;
-    use pathlog_core::term::Filter;
+    use pathlog_core::term::{Filter, Term};
 
     use crate::active::Event;
 

@@ -120,9 +120,7 @@ impl Default for ProductionOptions {
     }
 }
 
-/// Statistics of one production run.  Counters saturate instead of wrapping,
-/// so aggregating many runs (see [`ProductionStats::merge`]) cannot overflow
-/// in debug builds.
+/// Statistics of one production run.  Counters saturate instead of wrapping.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ProductionStats {
     /// Recognise–act cycles executed.
@@ -141,21 +139,6 @@ pub struct ProductionStats {
     /// Condition solves skipped because the firings since the rule's last
     /// refresh touched nothing its condition reads.
     pub condition_skips: usize,
-}
-
-impl ProductionStats {
-    /// Fold the counters of another run into this one.  Every field is
-    /// summed with saturating arithmetic, mirroring
-    /// [`EvalStats::merge`](pathlog_core::engine::EvalStats::merge).
-    pub fn merge(&mut self, other: &ProductionStats) {
-        self.cycles = self.cycles.saturating_add(other.cycles);
-        self.firings = self.firings.saturating_add(other.firings);
-        self.asserted = self.asserted.saturating_add(other.asserted);
-        self.retracted = self.retracted.saturating_add(other.retracted);
-        self.virtual_objects = self.virtual_objects.saturating_add(other.virtual_objects);
-        self.condition_solves = self.condition_solves.saturating_add(other.condition_solves);
-        self.condition_skips = self.condition_skips.saturating_add(other.condition_skips);
-    }
 }
 
 /// One entry of the firing trace.
@@ -455,24 +438,6 @@ mod tests {
         let employee = s.atom("employee");
         let minted = s.instances_of(employee).filter(|&e| s.is_virtual(e)).count();
         assert_eq!(minted, 5, "one fresh employee per cycle");
-    }
-
-    #[test]
-    fn stats_merge_saturates() {
-        let mut total = ProductionStats {
-            cycles: usize::MAX - 1,
-            firings: 10,
-            ..ProductionStats::default()
-        };
-        total.merge(&ProductionStats {
-            cycles: 5,
-            firings: 2,
-            condition_solves: 7,
-            ..ProductionStats::default()
-        });
-        assert_eq!(total.cycles, usize::MAX, "saturates instead of overflowing");
-        assert_eq!(total.firings, 12);
-        assert_eq!(total.condition_solves, 7);
     }
 
     #[test]

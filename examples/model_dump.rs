@@ -5,18 +5,19 @@
 //! benchmark workload over its tree of stored facts at depth 6, a program
 //! whose full solve enumerates its solutions in another order than the
 //! canonical one, one whose facts mint objects between its rules' firings,
-//! two with every head shape a commit runs between them, and the rules of the
-//! `program_load` workload over a small company, each installed by the
-//! engine both through
+//! two with every head shape a commit runs between them, the rules of the
+//! `program_load` workload over a small company, and four whose heads nest
+//! assertions in their values, each installed by the engine both through
 //! `Engine::install_checked` and `Engine::load_program`, and loaded by the
 //! reference fixpoint (`pathlog::core::semantics::fixpoint`), and prints per
-//! run the `EvalStats`, the number of answers of each query (the
-//! reference's by the written-order `solve_body`), the `canonical_dump()`,
-//! the set-member insertion log and the mutation journal.
+//! run its strata, iterations and model counters by name, the number of
+//! answers of each query (the reference's by the written-order
+//! `solve_body`), the `canonical_dump()`, the set-member insertion log and
+//! the mutation journal.
 //!
 //! It is a gate: it exits non-zero, after printing everything, unless each
 //! engine run left exactly what the reference left — every printed line but
-//! the stats, and the stats' `model_counters()`.  Two builds evaluate
+//! the stats, and the stats' model counters.  Two builds evaluate
 //! identically when their outputs are equal:
 //!
 //! ```sh
@@ -132,6 +133,46 @@ X.address[street -> X.street; city -> X.city] <- X : employee.
 X.mentor[worksFor -> D] <- X : employee[worksFor -> D].
 ?- X : employee.mentor[worksFor -> D].
 ";
+
+/// Assertions nested in head values, which stratify by what the head
+/// writes: an is-a inside a scalar value and inside an explicit set, each
+/// negated by a later rule (`d` is `{b2}`); a set right-hand side inside a
+/// nested molecule, read whole after its definer (`n(b1)` is `{b1}`); and a
+/// scalar assigned inside one head's value and at the top of another's,
+/// which conflict.
+const NESTED: [(&str, &str); 4] = [
+    (
+        "nested is-a",
+        "a1 : a. b1 : b. b2 : b. a1[partner -> b1].
+X[m -> Y : c] <- X : a, X[partner -> Y].
+Z : d <- Z : b, not Z : c.
+?- Z : d.
+",
+    ),
+    (
+        "nested is-a in a set",
+        "a1 : a. b1 : b. b2 : b. a1[partner -> b1].
+X[m ->> {Y : c}] <- X : a, X[partner -> Y].
+Z : d <- Z : b, not Z : c.
+?- Z : d.
+",
+    ),
+    (
+        "nested set head",
+        "a1 : a. b1 : b. a1[partner -> b1]. b1[k ->> {b1}].
+X[m -> Y[n ->> Y..q]] <- X : a, X[partner -> Y].
+Y[q ->> {Z}] <- Y[k ->> {Z}].
+?- b1[n ->> {N}].
+",
+    ),
+    (
+        "nested conflict",
+        "a1 : a. b1 : b. a1[partner -> b1].
+X[m -> Y[n -> 1]] <- X : a, X[partner -> Y].
+Y[n -> 2] <- Y : b.
+",
+    ),
+];
 
 /// The `tc_fixpoint` workload's stored facts, built the way it builds them:
 /// a complete binary tree of depth `depth` whose node `i` is `p<i>`, a
@@ -321,6 +362,9 @@ fn main() {
     runs.push(("heads".to_string(), Structure::new(), HEADS.to_string()));
     runs.push(("set heads".to_string(), Structure::new(), SET_HEADS.to_string()));
     runs.push(("company".to_string(), Structure::new(), COMPANY.to_string()));
+    for (name, text) in NESTED {
+        runs.push((name.to_string(), Structure::new(), text.to_string()));
+    }
 
     let mut out = String::new();
     let mut mismatches: Vec<String> = Vec::new();
@@ -341,7 +385,20 @@ fn main() {
             };
             writeln!(out, "== {name} {}", loader.label()).unwrap();
             match &stats {
-                Ok(stats) => writeln!(out, "stats {stats:?}").unwrap(),
+                Ok(s) => writeln!(
+                    out,
+                    "stats strata {} iterations {} firings {} scalar_facts {} set_members {} isa_edges {} \
+                     signatures {} virtual_objects {}",
+                    s.strata,
+                    s.iterations,
+                    s.firings,
+                    s.scalar_facts,
+                    s.set_members,
+                    s.isa_edges,
+                    s.signatures,
+                    s.virtual_objects
+                )
+                .unwrap(),
                 Err(e) => writeln!(out, "error {e}").unwrap(),
             }
             out.push_str(&block);

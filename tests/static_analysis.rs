@@ -10,8 +10,10 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use pathlog::core::analysis::{AnalysisInput, CascadeBound, DiagCode, Severity};
+use pathlog::core::engine::assert_head;
 use pathlog::core::engine::{stratify, Stratification};
-use pathlog::core::program::{validate_program, DepKey, RuleInfo};
+use pathlog::core::program::{rule_info, validate_program, DepKey, RuleInfo};
+use pathlog::core::structure::Oid;
 use pathlog::parser::parse_program_spanned;
 use pathlog::prelude::*;
 use pathlog::reactive::{ActiveOptions, ActiveStore, EcaAction, EcaRule, Event, ReactiveError};
@@ -503,4 +505,144 @@ fn install_checked_installs_a_program_whose_only_error_is_in_a_query() {
     assert_eq!(stats.firings, 2, "the fact and mary : person");
     let (mary, person) = (structure.atom("mary"), structure.atom("person"));
     assert!(structure.in_class(mary, person));
+}
+
+// ---------------------------------------------------------------------------
+// The head walk: a head defines every key `assert_head` writes under.
+// ---------------------------------------------------------------------------
+
+/// A cursor over generated choices; past the end every choice is 0, so a
+/// decoded term always ends.
+struct Choices<'a>(std::slice::Iter<'a, u8>);
+
+impl Choices<'_> {
+    /// A choice in `0..n`.
+    fn pick(&mut self, n: u8) -> u8 {
+        self.0.next().map_or(0, |c| c % n)
+    }
+}
+
+/// A name among `k0`..`k3`, which serve as objects, methods and classes
+/// alike.
+fn name_term(c: &mut Choices) -> Term {
+    Term::name(format!("k{}", c.pick(4)).as_str())
+}
+
+/// A reference of depth at most `depth`: a name, a variable (`X`, `Y` bound
+/// to objects, `M` to a method), a scalar path with zero or one argument,
+/// an is-a, or a molecule of one or two filters — scalar, explicit-set,
+/// set-ref or signature — each part decoded at `depth - 1`.
+fn head_term(c: &mut Choices, depth: u32) -> Term {
+    let shape = if depth == 0 { c.pick(2) } else { c.pick(5) };
+    match shape {
+        0 => name_term(c),
+        1 => Term::var(["X", "Y", "M"][c.pick(3) as usize]),
+        2 => {
+            let receiver = head_term(c, depth - 1);
+            let method = method_term(c, depth - 1);
+            receiver.scalar_args(method, args_term(c, depth - 1))
+        }
+        3 => head_term(c, depth - 1).isa(method_term(c, depth - 1)),
+        _ => {
+            let receiver = head_term(c, depth - 1);
+            let filters = (0..=c.pick(2)).map(|_| filter_term(c, depth - 1)).collect();
+            receiver.filters(filters)
+        }
+    }
+}
+
+/// A method or class position: mostly a name, else the variable `M` or a
+/// parenthesised reference (a virtual method such as `(M.tc)`).
+fn method_term(c: &mut Choices, depth: u32) -> Term {
+    match c.pick(6) {
+        0 => Term::var("M"),
+        1 => head_term(c, depth).paren(),
+        _ => name_term(c),
+    }
+}
+
+/// Zero or one argument.
+fn args_term(c: &mut Choices, depth: u32) -> Vec<Term> {
+    (0..c.pick(2)).map(|_| head_term(c, depth)).collect()
+}
+
+fn filter_term(c: &mut Choices, depth: u32) -> Filter {
+    let method = method_term(c, depth);
+    let args = args_term(c, depth);
+    let value = match c.pick(4) {
+        0 => FilterValue::Scalar(head_term(c, depth)),
+        1 => FilterValue::SetExplicit((0..=c.pick(2)).map(|_| head_term(c, depth)).collect()),
+        2 => FilterValue::SetRef(head_term(c, depth).set(method_term(c, depth))),
+        _ => FilterValue::SigScalar(vec![head_term(c, depth)]),
+    };
+    Filter { method, args, value }
+}
+
+/// The method or class of every scalar fact, set member, is-a edge and
+/// signature `after` holds beyond `before` (which it extends).
+fn keys_written(before: &Structure, after: &Structure) -> BTreeSet<Oid> {
+    let (old, new) = (before.facts(), after.facts());
+    let scalars: BTreeSet<_> = old
+        .scalar_facts()
+        .map(|f| (f.method, f.receiver, f.args.to_vec(), f.result))
+        .collect();
+    let mut keys: BTreeSet<Oid> = new
+        .scalar_facts()
+        .filter(|f| !scalars.contains(&(f.method, f.receiver, f.args.to_vec(), f.result)))
+        .map(|f| f.method)
+        .collect();
+    let members = old.set_members_since(0).count();
+    keys.extend(
+        new.set_members_since(members)
+            .map(|(app, _)| new.set_fact_at(app).method),
+    );
+    let edges: BTreeSet<_> = before.isa().direct_edges().collect();
+    keys.extend(
+        after
+            .isa()
+            .direct_edges()
+            .filter(|e| !edges.contains(e))
+            .map(|(_, class)| class),
+    );
+    let sigs = before.signatures().len();
+    keys.extend(after.signatures().iter().skip(sigs).map(|s| s.method));
+    keys
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Over generated heads of depth at most 3, asserted over a structure
+    /// with set, scalar and is-a facts to find, every key `assert_head`
+    /// adds a fact under — succeeding or failing midway on a scalar
+    /// conflict — is one the head walk reports in `defines`, or the head
+    /// defines `DepKey::Unknown`.
+    #[test]
+    fn head_walk_defines_every_key_assert_head_writes(
+        choices in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let head = head_term(&mut Choices(choices.iter()), 3);
+        let mut before = Structure::new();
+        let names = parse_program("o0[k0 ->> {o1}; k1 -> o1]. o1[k0 ->> {o0}]. o0 : k2. k3 : k2.").unwrap();
+        Engine::new().load_program(&mut before, &names).unwrap();
+        let bindings = Bindings::from_pairs([
+            (Var::new("X"), before.atom("o0")),
+            (Var::new("Y"), before.atom("o1")),
+            (Var::new("M"), before.atom("k0")),
+        ])
+        .unwrap();
+        let mut after = before.clone();
+        let _ = assert_head(&mut after, &head, &bindings);
+        let defines = rule_info(&Rule::fact(head.clone())).defines;
+        if !defines.contains(&DepKey::Unknown) {
+            for key in keys_written(&before, &after) {
+                let name = after.name_of(key).cloned();
+                prop_assert!(
+                    name.is_some_and(|n| defines.contains(&DepKey::Known(n))),
+                    "`{head}` writes under `{}`, which its walk misses: {defines:?}",
+                    after.display_name(key)
+                );
+            }
+        }
+    }
 }

@@ -180,3 +180,89 @@ fn evaluation_limits_guard_against_runaway_programs() {
         })
     ));
 }
+
+/// The members of the class `class` in `s`, by name.
+fn extent(s: &Structure, class: &str) -> Vec<String> {
+    let Some(class) = s.lookup_name(&Name::atom(class)) else {
+        return Vec::new();
+    };
+    s.instances_of(class).map(|o| s.display_name(o).into_owned()).collect()
+}
+
+#[test]
+fn classes_asserted_in_head_values_are_stratified_below_their_negations() {
+    // The first rule's head makes `b1 : c` true from inside a filter value;
+    // `not Z : c` reads `c` set-at-a-time, so the second rule must wait for
+    // the first.  Loaded as two programs in that order, `d` is `{b2}`.
+    let facts = "a1 : a. b1 : b. b2 : b. a1[partner -> b1].";
+    let negation = "Z : d <- Z : b, not Z : c.";
+    for head in ["X[m -> Y : c]", "X[m ->> {Y : c}]"] {
+        let rule = format!("{head} <- X : a, X[partner -> Y].");
+        let engine = Engine::new();
+        let mut layered = Structure::new();
+        for text in [format!("{facts} {rule}"), negation.to_string()] {
+            engine
+                .load_program(&mut layered, &parse_program(&text).unwrap())
+                .unwrap();
+        }
+        assert_eq!(extent(&layered, "d"), ["b2"], "{head}");
+
+        let program = parse_program(&format!("{facts} {rule} {negation}")).unwrap();
+        let strata = engine.analyze(None, &program).strata.unwrap();
+        assert_eq!(strata.stratum_of[4] + 1, strata.stratum_of[5], "{head}");
+        let mut loaded = Structure::new();
+        engine.load_program(&mut loaded, &program).unwrap();
+        assert_eq!(extent(&loaded, "d"), ["b2"], "{head}: load_program");
+        let mut checked = Structure::new();
+        let (_, analysis) = engine.install_checked(&mut checked, &program).unwrap();
+        assert_eq!(extent(&checked, "d"), ["b2"], "{head}: install_checked");
+        assert_eq!(loaded.canonical_dump(), layered.canonical_dump(), "{head}");
+        assert_eq!(checked.canonical_dump(), layered.canonical_dump(), "{head}");
+        assert!(
+            !analysis.diagnostics.codes().contains(&DiagCode::AlwaysEmptyLiteral),
+            "{head}: {}",
+            analysis.diagnostics
+        );
+    }
+}
+
+#[test]
+fn a_set_right_hand_side_nested_in_a_head_value_reads_a_complete_set() {
+    // `Y..q` sits in the value of `m`: the head reads `q` set-at-a-time, so
+    // its rule runs after the rule defining `q`, and the result is a model.
+    let program = parse_program(
+        "a1 : a. b1 : b. a1[partner -> b1]. b1[k ->> {b1}].
+         X[m -> Y[n ->> Y..q]] <- X : a, X[partner -> Y].
+         Y[q ->> {Z}] <- Y[k ->> {Z}].
+         ?- b1[n ->> {N}].",
+    )
+    .unwrap();
+    let engine = Engine::new();
+    let mut s = Structure::new();
+    let stats = engine.load_program(&mut s, &program).unwrap();
+    assert_eq!(stats.strata, 2);
+    let answers = engine.query(&s, &program.queries[0]).unwrap();
+    let members: Vec<String> = answers
+        .iter()
+        .map(|b| s.display_name(b.get(&Var::new("N")).unwrap()).into_owned())
+        .collect();
+    assert_eq!(members, ["b1"]);
+    assert!(is_model(&s, &program).unwrap());
+}
+
+#[test]
+fn a_scalar_assigned_inside_a_head_value_conflicts_with_its_other_assigner() {
+    let program = parse_program(
+        "a1 : a. b1 : b. a1[partner -> b1].
+         X[m -> Y[n -> 1]] <- X : a, X[partner -> Y].
+         Y[n -> 2] <- Y : b.",
+    )
+    .unwrap();
+    let engine = Engine::new();
+    let analysis = engine.analyze(None, &program);
+    assert_eq!(analysis.diagnostics.codes(), [DiagCode::ScalarConflict]);
+    assert!(analysis.diagnostics.to_string().contains("`n`"));
+    // The fact store rejects what the warning predicts.
+    let err = engine.load_program(&mut Structure::new(), &program).unwrap_err();
+    assert!(err.to_string().contains("conflicting"), "{err}");
+}
