@@ -67,8 +67,8 @@ pub mod colours {
         let colours: BTreeSet<Oid> = engine
             .query_term(structure, &term)
             .expect("query evaluates")
-            .into_iter()
-            .map(|a| a.object)
+            .iter()
+            .filter_map(|a| a.object())
             .collect();
         colours.len()
     }
@@ -138,8 +138,8 @@ pub mod manager_query {
         let managers: BTreeSet<Oid> = engine
             .query_term(structure, &term)
             .expect("query evaluates")
-            .into_iter()
-            .filter_map(|a| a.bindings.get(&Var::new("X")))
+            .iter()
+            .filter_map(|a| a.get(&Var::new("X")))
             .collect();
         managers.len()
     }
@@ -369,8 +369,8 @@ pub mod sql_frontend {
         let colours: BTreeSet<Oid> = Engine::new()
             .query_term(structure, &term)
             .expect("reference evaluates")
-            .into_iter()
-            .filter_map(|a| a.bindings.get(&Var::new("Z")))
+            .iter()
+            .filter_map(|a| a.get(&Var::new("Z")))
             .collect();
         colours.len()
     }
@@ -498,7 +498,7 @@ pub mod columnar_factorized {
     }
 
     /// Materialize the exploded answer tuples of [`QUERY`].
-    pub fn materialized(closed: &Structure) -> Vec<Answer> {
+    pub fn materialized(closed: &Structure) -> Answers {
         let term = parse_term(QUERY).expect("query parses");
         Engine::new().query_term(closed, &term).expect("query evaluates")
     }
@@ -873,11 +873,9 @@ mod tests {
             parse_term("X : employee[age -> 30; city -> newYork]..vehicles : automobile[cylinders -> 4].color[Z]")
                 .unwrap();
         let answers = Engine::new().query_term(&s, &term).unwrap();
-        let colours: BTreeSet<Oid> = answers.iter().map(|a| a.object).collect();
-        let pairs: BTreeSet<(Option<Oid>, Oid)> = answers
-            .iter()
-            .map(|a| (a.bindings.get(&Var::new("X")), a.object))
-            .collect();
+        let colours: BTreeSet<Oid> = answers.iter().filter_map(|a| a.object()).collect();
+        let pairs: BTreeSet<(Option<Oid>, Option<Oid>)> =
+            answers.iter().map(|a| (a.get(&Var::new("X")), a.object())).collect();
         assert!(!colours.is_empty());
         assert_eq!(colours.len(), two_dimensional::relational(&s, &db));
         assert_eq!(pairs.len(), two_dimensional::onedim(&s));

@@ -40,7 +40,7 @@ mod safety;
 pub use cascade::{analyze_cascades, CascadeBound, CascadeReport, ReactiveRuleSummary};
 pub use diagnostics::{json_escape, DiagCode, Diagnostic, Diagnostics, Severity, Span};
 pub use graph::{keys_intersect, DependencyGraph, Edge, Polarity, RuleKind, RuleNode};
-pub(crate) use safety::first_rule_error;
+pub(crate) use safety::{first_body_error, first_rule_error};
 
 use crate::constraints::ConstraintSet;
 use crate::engine::Stratification;

@@ -56,16 +56,7 @@ fn check_rule_errors(rule: &Rule, span: Option<Span>, rendered: &OnceCell<String
             format!("head of `{}` is ill-formed: {e}", label()),
         ));
     }
-    for lit in &rule.body {
-        if let Err(e) = check_well_formed(&lit.term) {
-            diags.push(Diagnostic::new(
-                DiagCode::IllFormed,
-                span,
-                label().to_string(),
-                format!("body literal `{}` is ill-formed: {e}", lit.term),
-            ));
-        }
-    }
+    check_literals(label, "body literal", &rule.body, span, diags);
 
     // PL002 — set-valued head (Section 6: the object a set-valued reference
     // describes is not uniquely determined, so it cannot be asserted).
@@ -137,21 +128,44 @@ fn check_singletons(rule: &Rule, span: Option<Span>, label: &str, diags: &mut Di
     }
 }
 
+/// The message of the first `Error`-severity diagnostic of a rule body —
+/// PL001 on a literal, then PL004 — worded as [`first_rule_error`] words
+/// it, or `None`: the reason a constraint's denial body is rejected.
+pub(crate) fn first_body_error(body: &[Literal]) -> Option<String> {
+    let mut diags = Diagnostics::new();
+    check_literals(|| "", "body literal", body, None, &mut diags);
+    check_negation("", body, None, &mut diags);
+    let first = diags.iter().next().map(|d| d.message.clone());
+    first
+}
+
 /// Range-restriction check (PL004) for a stand-alone body — queries,
 /// constraint denial bodies, reactive conditions.  Also reports PL001 for
 /// ill-formed references in the body.
 pub(super) fn check_body(label: &str, body: &[Literal], span: Option<Span>, diags: &mut Diagnostics) {
+    check_literals(|| label, "literal", body, span, diags);
+    check_negation(label, body, span, diags);
+}
+
+/// PL001 for each literal of `body`, which the message calls a `noun`;
+/// `label` is asked for only when a literal is ill-formed.
+fn check_literals<'l>(
+    label: impl Fn() -> &'l str,
+    noun: &str,
+    body: &[Literal],
+    span: Option<Span>,
+    diags: &mut Diagnostics,
+) {
     for lit in body {
         if let Err(e) = check_well_formed(&lit.term) {
             diags.push(Diagnostic::new(
                 DiagCode::IllFormed,
                 span,
-                label.to_string(),
-                format!("literal `{}` is ill-formed: {e}", lit.term),
+                label().to_string(),
+                format!("{noun} `{}` is ill-formed: {e}", lit.term),
             ));
         }
     }
-    check_negation(label, body, span, diags);
 }
 
 /// PL004 for one body: every variable of a negated literal must occur in a

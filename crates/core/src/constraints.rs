@@ -43,11 +43,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::engine::{Engine, Tolerance};
-use crate::error::Result;
+use crate::engine::{Answers, BindingKey, Engine, Tolerance};
+use crate::error::{Error, Result};
 use crate::names::Name;
 use crate::plan::{Condition, FrameRun, Mark, Recheck, Span};
-use crate::program::{validate_rule, DepKey, Literal, Query, Rule};
+use crate::program::{DepKey, Literal, Query};
 use crate::semantics::Bindings;
 use crate::structure::{Oid, Structure};
 use crate::term::{Filter, FilterValue, IsA, Molecule, Path, Term};
@@ -81,12 +81,14 @@ pub struct Constraint {
 
 impl Constraint {
     /// A denial constraint: `body` must have no solutions.  Validated like
-    /// a rule (well-formedness, safety of negated literals) through a
-    /// synthetic head, so unsafe constraint bodies are rejected with the
-    /// same diagnostics unsafe rules get.
+    /// a rule's body (well-formedness, safety of negated literals), so an
+    /// unsafe constraint body is rejected with the message an unsafe rule
+    /// body gets.
     pub fn new(name: impl Into<Arc<str>>, body: Vec<Literal>, policy: ConstraintPolicy) -> Result<Self> {
         let name = name.into();
-        validate_rule(&Rule::new(Term::Name(Name::atom(format!("ic_{name}"))), body.clone()))?;
+        if let Some(message) = crate::analysis::first_body_error(&body) {
+            return Err(Error::InvalidRule(message));
+        }
         let condition = Condition::new(&body);
         Ok(Constraint {
             name,
@@ -619,52 +621,57 @@ pub fn tolerant_query(
     if engine.options().tolerance == Tolerance::Strict || quarantine.is_empty() {
         return Ok(TolerantAnswers {
             answers: classical
-                .into_iter()
-                .map(|bindings| TolerantAnswer {
-                    bindings,
+                .iter()
+                .map(|row| TolerantAnswer {
+                    bindings: row.bindings(),
                     status: ConsistencyStatus::Clean,
                 })
                 .collect(),
             suppressed: Vec::new(),
         });
     }
-    let key_of = crate::engine::binding_key;
-    let consistent_part = quarantine.scrub(structure, None);
-    let clean_keys: BTreeSet<_> = engine.query(&consistent_part, query)?.iter().map(key_of).collect();
-    let classical_keys: BTreeSet<_> = classical.iter().map(key_of).collect();
+    // A query's rows come each once in ascending key order, so the keys of
+    // one answer set are a sorted vector to search.
+    let keys = |answers: &Answers| answers.iter().map(|row| row.key()).collect::<Vec<BindingKey>>();
+    let consistent = engine.query(&quarantine.scrub(structure, None), query)?;
+    let clean_keys = keys(&consistent);
+    let classical_keys = keys(&classical);
+    let is_clean = |key: &BindingKey| clean_keys.binary_search(key).is_ok();
     // Per-constraint attribution: an answer is tainted by `c` if scrubbing
     // only `c`'s facts makes it underivable.  Answers tainted only by a
     // *joint* dependency (no single constraint's scrub removes them) are
     // attributed to every ledger constraint, the conservative upper bound.
     let all_constraints = quarantine.constraints();
-    let mut tainted_by: BTreeMap<crate::engine::BindingKey, Tags> = BTreeMap::new();
+    let mut tainted_by: BTreeMap<BindingKey, Tags> = BTreeMap::new();
     for name in &all_constraints {
-        let part = quarantine.scrub(structure, Some(name));
-        let surviving: BTreeSet<_> = engine.query(&part, query)?.iter().map(key_of).collect();
-        for b in &classical {
-            let key = key_of(b);
-            if !clean_keys.contains(&key) && !surviving.contains(&key) {
-                tainted_by.entry(key).or_default().insert(Arc::clone(name));
+        let surviving = keys(&engine.query(&quarantine.scrub(structure, Some(name)), query)?);
+        for key in classical_keys.iter().filter(|key| !is_clean(key)) {
+            if surviving.binary_search(key).is_err() {
+                tainted_by.entry(key.clone()).or_default().insert(Arc::clone(name));
             }
         }
     }
     let answers = classical
-        .into_iter()
-        .map(|bindings| {
-            let key = key_of(&bindings);
-            let status = if clean_keys.contains(&key) {
+        .iter()
+        .zip(&classical_keys)
+        .map(|(row, key)| {
+            let status = if is_clean(key) {
                 ConsistencyStatus::Clean
             } else {
-                let by = tainted_by.remove(&key).unwrap_or_else(|| all_constraints.clone());
+                let by = tainted_by.remove(key).unwrap_or_else(|| all_constraints.clone());
                 ConsistencyStatus::Tainted(by)
             };
-            TolerantAnswer { bindings, status }
+            TolerantAnswer {
+                bindings: row.bindings(),
+                status,
+            }
         })
         .collect();
-    let suppressed = engine
-        .query(&consistent_part, query)?
-        .into_iter()
-        .filter(|b| !classical_keys.contains(&key_of(b)))
+    let suppressed = consistent
+        .iter()
+        .zip(&clean_keys)
+        .filter(|(_, key)| classical_keys.binary_search(key).is_err())
+        .map(|(row, _)| row.bindings())
         .collect();
     Ok(TolerantAnswers { answers, suppressed })
 }
@@ -674,6 +681,7 @@ mod tests {
     use super::*;
     use crate::engine::EvalOptions;
     use crate::names::Var;
+    use crate::program::Rule;
 
     /// mary is a manager earning 900; peter a manager earning 1200.
     fn fixture() -> (Structure, Engine) {
@@ -744,6 +752,35 @@ mod tests {
     fn unsafe_constraint_bodies_are_rejected_like_unsafe_rules() {
         let body = vec![Literal::neg(Term::var("X").isa("manager"))];
         assert!(Constraint::new("bad", body, ConstraintPolicy::Reject).is_err());
+    }
+
+    #[test]
+    fn constraint_bodies_are_rejected_with_the_first_body_error() {
+        let reject = |body: Vec<Literal>| {
+            Constraint::new("c", body, ConstraintPolicy::Reject)
+                .unwrap_err()
+                .to_string()
+        };
+        let manager = || Literal::pos(Term::var("X").isa("manager"));
+        let unsafe_negation = Literal::neg(Term::var("X").filter(Filter::scalar("boss", Term::var("Y"))));
+        assert_eq!(
+            reject(vec![manager(), unsafe_negation.clone()]),
+            "invalid rule: variable Y of negated literal `X[boss -> Y]` does not occur in a positive literal"
+        );
+        // PL001 is checked before PL004, and names the literal a body literal.
+        let ill_formed =
+            Literal::pos(Term::name("p2").filter(Filter::scalar("boss", Term::name("p1").set("assistants"))));
+        assert_eq!(
+            reject(vec![manager(), unsafe_negation, ill_formed]),
+            "invalid rule: body literal `p2[boss -> p1..assistants]` is ill-formed: ill-formed reference: \
+             result of a scalar method must be a scalar reference, got set-valued `p1..assistants` \
+             (cf. the ill-formed example p2[boss -> p1..assistants], (4.5) in the paper)"
+        );
+        let safe = vec![
+            manager(),
+            Literal::neg(Term::var("X").filter(Filter::scalar("boss", Term::var("X")))),
+        ];
+        assert!(Constraint::new("c", safe, ConstraintPolicy::Reject).is_ok());
     }
 
     #[test]

@@ -128,11 +128,13 @@
 //! `pathlog_shell --check`, the oodb constraint guard and the reactive
 //! installers.
 
+mod answers;
 mod fixpoint;
 mod options;
 mod stratify;
 mod virtuals;
 
+pub use answers::{AnswerRow, Answers};
 pub use fixpoint::{binding_key, BindingKey};
 pub use options::{EvalOptions, EvalStats, Tolerance};
 pub use stratify::{stratify, Stratification};
@@ -143,7 +145,7 @@ use std::collections::BTreeSet;
 use crate::error::{Error, Result};
 use crate::names::Name;
 use crate::program::{Program, Query, Rule};
-use crate::semantics::{Answer, Bindings, FactorizedAnswers};
+use crate::semantics::{Bindings, FactorizedAnswers};
 use crate::structure::{Oid, Structure};
 use crate::term::Term;
 
@@ -235,32 +237,41 @@ impl Engine {
     }
 
     /// Answer a query: the variable-valuations that satisfy its body, each
-    /// once.
+    /// once, as one [`Answers`].
     ///
     /// **Order.**  Answers come in canonical key order — ascending
     /// [`binding_key`] — whatever order the body
     /// was written in and whatever plan ran it: the body is compiled to the
     /// primitive atoms of [`crate::plan`] and run in the literal and atom
     /// order that the live index cardinalities of `structure` suggest
-    /// ([`plan_query`](crate::plan::plan_query)), as frames; [`Bindings`]
-    /// are built here, at the boundary.
+    /// ([`plan_query`](crate::plan::plan_query)), as frames.
     /// [`solve_body`](crate::semantics::solve_body) is the written-order
     /// reference the answers are tested against, as sets of keys.
+    ///
+    /// **Shape.**  The [`Answers`] hold the sorted frame run itself, under
+    /// the body's variables: a row reads a variable's object
+    /// ([`AnswerRow::get`]) or its key ([`AnswerRow::key`]) in place, and
+    /// [`Bindings`] are built only by a caller that asks a row for them
+    /// ([`AnswerRow::bindings`]) — the answers of
+    /// [`tolerant_query`](crate::constraints::tolerant_query), a shell
+    /// printing a valuation, a test comparing with the reference.
     ///
     /// Unknown names in a query body are permitted and simply denote no
     /// object — queries are often generated (SQL frontend, F-logic
     /// translation) against structures that may lack some attribute, and
     /// "no solutions" is the correct answer there (a negated literal that
     /// mentions one holds of nothing).
-    pub fn query(&self, structure: &Structure, query: &Query) -> Result<Vec<Bindings>> {
+    pub fn query(&self, structure: &Structure, query: &Query) -> Result<Answers> {
         let compiled = crate::plan::compile_query(query.body.iter().map(|lit| (lit.positive, &lit.term)));
         let run = crate::plan::execute_query(structure, &compiled)?;
-        Ok(run.frames().map(|f| compiled.bindings_of(f)).collect())
+        Ok(Answers::new(compiled, run))
     }
 
     /// Answers (valuation + denoted object) of a single reference: one per
     /// derivation path — `e..vehicles.color` answers once per vehicle, not
-    /// once per colour — so equal answers may repeat.
+    /// once per colour — so equal answers may repeat.  A row's denoted
+    /// object is [`AnswerRow::object`]; its valuation reads as for
+    /// [`Engine::query`], with [`Bindings`] built only on request.
     ///
     /// **Order.**  Canonical `(key, object)` order, duplicates kept: by
     /// [`binding_key`] of the valuation, then by object — independent of the
@@ -272,15 +283,11 @@ impl Engine {
     /// seen is reported as [`Error::UnknownName`]: a hand-written reference
     /// such as `peter..dsc` (a typo for `desc`) would otherwise silently
     /// return no answers.  Integer and string literals stay permissive.
-    pub fn query_term(&self, structure: &Structure, term: &Term) -> Result<Vec<Answer>> {
+    pub fn query_term(&self, structure: &Structure, term: &Term) -> Result<Answers> {
         require_registered_names(structure, term)?;
         let compiled = crate::plan::compile_query([(true, term)]);
         let run = crate::plan::execute_term(structure, &compiled)?;
-        let slots = compiled.slot_count();
-        Ok(run
-            .frames()
-            .map(|f| Answer::new(compiled.bindings_of(&f[..slots]), Oid(f[slots] - 1)))
-            .collect())
+        Ok(Answers::new(compiled, run))
     }
 
     /// Answers of a single reference as a factorized representation: a DAG
@@ -2024,7 +2031,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err.to_string(),
-            "conflicting scalar results for method Oid(7) on receiver Oid(6): Oid(8) vs Oid(9)"
+            "conflicting scalar results for method age on receiver mary: 30 vs 31"
         );
     }
 

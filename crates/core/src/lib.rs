@@ -91,7 +91,7 @@ pub mod prelude {
         tolerant_query, CheckStats, ConsistencyStatus, Constraint, ConstraintChecker, ConstraintPolicy, ConstraintSet,
         ConstraintViolation, Quarantine, TolerantAnswer, TolerantAnswers,
     };
-    pub use crate::engine::{Engine, EvalOptions, EvalStats, Tolerance};
+    pub use crate::engine::{AnswerRow, Answers, Engine, EvalOptions, EvalStats, Tolerance};
     pub use crate::error::{Error, Result};
     pub use crate::names::{Name, Var};
     pub use crate::program::{Literal, Program, Query, Rule};

@@ -34,10 +34,11 @@
 //!   atom step maps one flat run of rows — slots and temporaries — to the
 //!   next ([`atoms`], "Batch steps").  Stage deduplication sorts the flat
 //!   frames — no `Arc<str>` clones, no per-answer key — and a pass returns
-//!   frames ([`FrameRun`]); [`Bindings`] are materialized from a frame at
-//!   the API boundary, under the strict right-hand side of an `m ->> t`
-//!   check and under a head's `m ->> t` right-hand side that is not one
-//!   stored application, only.
+//!   frames ([`FrameRun`]).  A query's run leaves the engine as it is, as
+//!   the rows of an [`Answers`](crate::engine::Answers); [`Bindings`] are
+//!   materialized from a frame where a caller asks a row for them, under
+//!   the strict right-hand side of an `m ->> t` check and under a head's
+//!   `m ->> t` right-hand side that is not one stored application, only.
 //!
 //! * **Planning.**  One planner orders every body against the live
 //!   structure ([`plan_pass`]): a query when it is asked ([`plan_query`]), a
@@ -250,9 +251,22 @@ impl CompiledRule {
     /// a head's `m ->> t` right-hand side kept as a term ([`head`]) and the
     /// strict right-hand side of an `m ->> t` check are valuated under.
     pub fn bindings_of(&self, frame: &[u32]) -> Bindings {
-        let bound = self.vars.iter().zip(frame).filter(|(_, &v)| v != 0);
-        Bindings::from_distinct(bound.map(|(var, &v)| (var, Oid(v - 1))))
+        slot_bindings(&self.vars, frame)
     }
+
+    /// The slot variables and the canonical key projection, the rest of the
+    /// compiled body dropped: the header of a query's
+    /// [`Answers`](crate::engine::Answers).
+    pub(crate) fn into_header(self) -> (Vec<Var>, Vec<usize>) {
+        (self.vars, self.canonical)
+    }
+}
+
+/// The [`Bindings`] of the bound slots of `frame`, slot `i` holding the
+/// binding of `vars[i]`; words after the slots are not read.
+pub(crate) fn slot_bindings(vars: &[Var], frame: &[u32]) -> Bindings {
+    let bound = vars.iter().zip(frame).filter(|(_, &v)| v != 0);
+    Bindings::from_distinct(bound.map(|(var, &v)| (var, Oid(v - 1))))
 }
 
 /// Lower `rule`'s body into slot-addressed form.  Nothing is read from a
@@ -408,10 +422,10 @@ fn literal_order(
 /// A pass's solutions as raw slot frames in canonical key order, deduplicated:
 /// what every delta pass and [`execute_query`] return.  The commit loop runs
 /// a lowered head over each frame ([`HeadArena::run`]), reading its slots
-/// straight out of it; a query's answers are
-/// materialized from its frames at the API boundary, as are the violations
-/// of a denial body.  The frames of [`execute_term`] are one word wider — the
-/// denoted object — and keep their duplicates.
+/// straight out of it; a query's run is its
+/// [`Answers`](crate::engine::Answers), and the violations of a denial body
+/// are materialized from its frames.  The frames of [`execute_term`] are one
+/// word wider — the denoted object — and keep their duplicates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameRun {
     /// The frames, `slots` words each.

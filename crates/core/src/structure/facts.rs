@@ -77,8 +77,6 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::error::{Error, Result};
-
 use super::cow::{self, CowVec, FastBuild, ShardMap};
 use super::runs::OidRun;
 use super::Oid;
@@ -526,10 +524,18 @@ impl Facts {
 
     /// Assert `I_->(method)(receiver, args) = result`.
     ///
-    /// Returns an error if a *different* result is already stored for the
-    /// same application: scalar methods are partial functions, so conflicting
-    /// results indicate an inconsistent program.
-    pub fn assert_scalar(&mut self, method: Oid, receiver: Oid, args: &[Oid], result: Oid) -> Result<Assert> {
+    /// Fails with the stored result if a *different* one is already stored
+    /// for the same application: scalar methods are partial functions, so
+    /// conflicting results indicate an inconsistent program
+    /// ([`Structure::assert_scalar`](super::Structure::assert_scalar) names
+    /// them in its error).
+    pub fn assert_scalar(
+        &mut self,
+        method: Oid,
+        receiver: Oid,
+        args: &[Oid],
+        result: Oid,
+    ) -> std::result::Result<Assert, Oid> {
         let vacant = match self.scalar.probe(method, receiver, args) {
             Probe::Vacant(pos) => pos,
             Probe::At(slot) => {
@@ -537,10 +543,7 @@ impl Facts {
                 if existing == result {
                     return Ok(Assert::Unchanged);
                 }
-                return Err(Error::Other(format!(
-                    "conflicting scalar results for method {:?} on receiver {:?}: {:?} vs {:?}",
-                    method, receiver, existing, result
-                )));
+                return Err(existing);
             }
         };
         let slot = self.scalar.insert(method, receiver, args, result, vacant);

@@ -381,6 +381,9 @@ impl Structure {
     // -- facts ----------------------------------------------------------------
 
     /// Assert a scalar fact `I_->(method)(receiver, args) = result`.
+    ///
+    /// A *different* result already stored for the application is an
+    /// error naming the method, the receiver and both results.
     pub fn assert_scalar(
         &mut self,
         method: Oid,
@@ -388,7 +391,21 @@ impl Structure {
         args: &[Oid],
         result: Oid,
     ) -> crate::error::Result<Assert> {
-        self.facts.assert_scalar(method, receiver, args, result)
+        self.facts
+            .assert_scalar(method, receiver, args, result)
+            .map_err(|existing| self.scalar_conflict(method, receiver, existing, result))
+    }
+
+    /// The error of asserting `result` where `existing` is stored, by name.
+    #[cold]
+    fn scalar_conflict(&self, method: Oid, receiver: Oid, existing: Oid, result: Oid) -> crate::error::Error {
+        crate::error::Error::Other(format!(
+            "conflicting scalar results for method {} on receiver {}: {} vs {}",
+            self.display_name(method),
+            self.display_name(receiver),
+            self.display_name(existing),
+            self.display_name(result)
+        ))
     }
 
     /// Assert membership `member ∈ I_->>(method)(receiver, args)`.

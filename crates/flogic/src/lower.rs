@@ -26,7 +26,7 @@
 
 use std::collections::BTreeSet;
 
-use pathlog_core::engine::Engine;
+use pathlog_core::engine::{AnswerRow, Engine};
 use pathlog_core::error::Result;
 use pathlog_core::names::{Name, Var};
 use pathlog_core::program::{Literal, Program, Query, Rule};
@@ -68,13 +68,13 @@ pub fn answers(
     query: &Query,
     answer_variables: &[Var],
 ) -> Result<Vec<Bindings>> {
-    let project = |b: Bindings| {
+    let project = |row: AnswerRow| {
         answer_variables
             .iter()
-            .filter_map(|v| Some((v.clone(), b.get(v)?)))
+            .filter_map(|v| Some((v.clone(), row.get(v)?)))
             .collect()
     };
-    let rows: BTreeSet<Vec<_>> = engine.query(structure, query)?.into_iter().map(project).collect();
+    let rows: BTreeSet<Vec<_>> = engine.query(structure, query)?.iter().map(project).collect();
     Ok(rows
         .into_iter()
         .map(|row| Bindings::from_pairs(row).expect("distinct variables"))

@@ -27,9 +27,8 @@
 use std::sync::Arc;
 
 use pathlog_core::constraints::{tolerant_query, Quarantine, TolerantAnswers};
-use pathlog_core::engine::Engine;
+use pathlog_core::engine::{Answers, Engine};
 use pathlog_core::program::Query;
-use pathlog_core::semantics::{Answer, Bindings};
 use pathlog_core::snapshot::{Epoch, PinnedSnapshot, Snapshot, SnapshotRegistry, SnapshotStats};
 use pathlog_core::structure::Structure;
 use pathlog_core::term::Term;
@@ -155,14 +154,14 @@ impl Session {
         self.structure().canonical_dump()
     }
 
-    /// Answer a query against the pinned snapshot.
-    pub fn query(&self, query: &Query) -> pathlog_core::error::Result<Vec<Bindings>> {
+    /// Answer a query against the pinned snapshot (see [`Engine::query`]).
+    pub fn query(&self, query: &Query) -> pathlog_core::error::Result<Answers> {
         self.engine.query(self.structure(), query)
     }
 
     /// Enumerate the answers of a reference term against the pinned
-    /// snapshot.
-    pub fn query_term(&self, term: &Term) -> pathlog_core::error::Result<Vec<Answer>> {
+    /// snapshot (see [`Engine::query_term`]).
+    pub fn query_term(&self, term: &Term) -> pathlog_core::error::Result<Answers> {
         self.engine.query_term(self.structure(), term)
     }
 

@@ -6,10 +6,10 @@
 //! virtual-object mechanism).  This module only formats the engine's answers
 //! as result rows.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 use pathlog_core::engine::Engine;
-use pathlog_core::structure::Structure;
+use pathlog_core::structure::{Oid, Structure};
 
 use crate::catalog::Catalog;
 use crate::compile::{Compiled, CompiledQuery, Compiler};
@@ -55,20 +55,17 @@ pub fn execute_query(structure: &Structure, compiled: &CompiledQuery) -> Result<
         .query(structure, &compiled.query)
         .map_err(|e| SqlError::message(format!("query evaluation failed: {e}")))?;
     let columns: Vec<String> = compiled.columns.iter().map(|(label, _)| label.clone()).collect();
-    let mut rows: BTreeSet<Vec<String>> = BTreeSet::new();
-    for bindings in answers {
-        let row: Vec<String> = compiled
-            .columns
-            .iter()
-            .map(|(_, var)| {
-                bindings
-                    .get(var)
-                    .map(|o| structure.display_name(o).into_owned())
-                    .unwrap_or_else(|| "?".to_string())
-            })
-            .collect();
-        rows.insert(row);
-    }
+    // Distinct answers can agree on every selected column: de-duplicate the
+    // selected objects first, and render each distinct tuple once.
+    let tuples: HashSet<Vec<Option<Oid>>> = answers
+        .iter()
+        .map(|row| compiled.columns.iter().map(|(_, var)| row.get(var)).collect())
+        .collect();
+    let render = |cell: Option<Oid>| cell.map_or_else(|| "?".to_string(), |o| structure.display_name(o).into_owned());
+    let rows: BTreeSet<Vec<String>> = tuples
+        .into_iter()
+        .map(|tuple| tuple.into_iter().map(render).collect())
+        .collect();
     Ok((columns, rows.into_iter().collect()))
 }
 

@@ -25,7 +25,7 @@ fn main() {
     println!("\nPathLog reference:\n  {reference}");
     let start = Instant::now();
     let answers = engine.query_term(&structure, &reference).unwrap();
-    let colours: BTreeSet<Oid> = answers.iter().map(|a| a.object).collect();
+    let colours: BTreeSet<Oid> = answers.iter().filter_map(|a| a.object()).collect();
     println!(
         "  -> {} colour(s) of 4-cylinder automobiles of 30-year-old New-Yorkers in {:.2?}",
         colours.len(),
@@ -70,8 +70,8 @@ fn main() {
     let managers: BTreeSet<Oid> = engine
         .query_term(&structure, &reference)
         .unwrap()
-        .into_iter()
-        .filter_map(|a| a.bindings.get(&Var::new("X")))
+        .iter()
+        .filter_map(|a| a.get(&Var::new("X")))
         .collect();
     println!(
         "  -> {} manager(s) presiding over the Detroit producer of their red vehicle in {:.2?}",

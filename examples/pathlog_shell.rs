@@ -567,7 +567,8 @@ fn main() {
                         match engine.query(&structure, query) {
                             Ok(solutions) if solutions.is_empty() => println!("no"),
                             Ok(solutions) => {
-                                for bindings in solutions {
+                                for row in solutions.iter() {
+                                    let bindings = row.bindings();
                                     if bindings.is_empty() {
                                         println!("yes");
                                     } else {

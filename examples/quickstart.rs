@@ -44,9 +44,9 @@ fn main() {
     // 4. Ask the paper's query 2.1-style question: colours of 4-cylinder
     //    automobiles owned by employees.
     let query = &program.queries[0];
-    for bindings in engine.query(&structure, query).unwrap() {
-        let x = bindings.get(&Var::new("X")).unwrap();
-        let z = bindings.get(&Var::new("Z")).unwrap();
+    for row in engine.query(&structure, query).unwrap().iter() {
+        let x = row.get(&Var::new("X")).unwrap();
+        let z = row.get(&Var::new("Z")).unwrap();
         println!(
             "employee {} owns a 4-cylinder automobile coloured {}",
             structure.display_name(x),

@@ -47,8 +47,8 @@ fn pathlog_engine_and_baselines_agree_on_generated_data() {
     let pathlog_colours: BTreeSet<Oid> = engine
         .query_term(&structure, &term)
         .unwrap()
-        .into_iter()
-        .map(|a| a.object)
+        .iter()
+        .filter_map(|a| a.object())
         .collect();
     let relational = relq::employee_automobile_colours(&db);
     assert_eq!(pathlog_colours.len(), relational.len());
@@ -68,8 +68,8 @@ fn pathlog_engine_and_baselines_agree_on_generated_data() {
     let pathlog_managers: BTreeSet<Oid> = engine
         .query_term(&structure, &term)
         .unwrap()
-        .into_iter()
-        .filter_map(|a| a.bindings.get(&Var::new("X")))
+        .iter()
+        .filter_map(|a| a.get(&Var::new("X")))
         .collect();
     let relational = relq::manager_red_detroit_presidents(&structure, &db);
     assert_eq!(pathlog_managers, relational);

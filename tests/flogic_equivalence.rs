@@ -33,12 +33,11 @@ fn direct_answers(base: &Structure, program_text: &str) -> Vec<NamedAnswers> {
             engine
                 .query(&structure, query)
                 .expect("direct query succeeds")
-                .into_iter()
-                .map(|bindings| {
+                .iter()
+                .map(|row| {
                     vars.iter()
                         .filter_map(|v| {
-                            bindings
-                                .get(v)
+                            row.get(v)
                                 .map(|o| (v.name().to_string(), structure.display_name(o).into_owned()))
                         })
                         .collect::<BTreeMap<_, _>>()

@@ -75,7 +75,10 @@ fn e1_colours_of_employee_automobiles() {
     let s = company_world();
     let engine = Engine::new();
     let term = parse_term("X : employee..vehicles : automobile.color[Z]").unwrap();
-    let colours = names(&s, engine.query_term(&s, &term).unwrap().into_iter().map(|a| a.object));
+    let colours = names(
+        &s,
+        engine.query_term(&s, &term).unwrap().iter().filter_map(|a| a.object()),
+    );
     // a1 red (mary), a2 green (john), a3 red (frank, a manager and therefore
     // an employee); v1 is not an automobile.
     assert_eq!(colours, ["red", "green"].iter().map(|s| s.to_string()).collect());
@@ -86,7 +89,10 @@ fn e1_query_1_4_adds_the_cylinder_condition() {
     let s = company_world();
     let engine = Engine::new();
     let term = parse_term("X : employee..vehicles : automobile[cylinders -> 4].color[Z]").unwrap();
-    let colours = names(&s, engine.query_term(&s, &term).unwrap().into_iter().map(|a| a.object));
+    let colours = names(
+        &s,
+        engine.query_term(&s, &term).unwrap().iter().filter_map(|a| a.object()),
+    );
     assert_eq!(colours, ["red"].iter().map(|s| s.to_string()).collect());
 }
 
@@ -99,8 +105,9 @@ fn e2_two_dimensional_reference_2_1() {
         parse_term("X : employee[age -> 30; city -> newYork]..vehicles : automobile[cylinders -> 4].color[Z]").unwrap();
     let answers = engine.query_term(&s, &term).unwrap();
     assert_eq!(answers.len(), 1);
-    let x = answers[0].bindings.get(&Var::new("X")).unwrap();
-    let z = answers[0].bindings.get(&Var::new("Z")).unwrap();
+    let answer = answers.iter().next().unwrap();
+    let x = answer.get(&Var::new("X")).unwrap();
+    let z = answer.get(&Var::new("Z")).unwrap();
     assert_eq!(s.display_name(x), "mary");
     assert_eq!(s.display_name(z), "red");
 }
@@ -113,7 +120,10 @@ fn e2_nested_path_2_3_boss_city() {
     let s = company_world();
     let engine = Engine::new();
     let term = parse_term("X : employee[city -> X.boss.city]").unwrap();
-    let xs = names(&s, engine.query_term(&s, &term).unwrap().into_iter().map(|a| a.object));
+    let xs = names(
+        &s,
+        engine.query_term(&s, &term).unwrap().iter().filter_map(|a| a.object()),
+    );
     assert_eq!(xs, ["john"].iter().map(|s| s.to_string()).collect());
 }
 
@@ -127,8 +137,8 @@ fn e3_manager_query_single_reference() {
     let managers: BTreeSet<String> = engine
         .query_term(&s, &term)
         .unwrap()
-        .into_iter()
-        .filter_map(|a| a.bindings.get(&Var::new("X")))
+        .iter()
+        .filter_map(|a| a.get(&Var::new("X")))
         .map(|o| s.display_name(o).into_owned())
         .collect();
     assert_eq!(managers, ["frank"].iter().map(|s| s.to_string()).collect());
@@ -202,7 +212,8 @@ fn e5_set_valued_references_section_4() {
     let t = parse_term("p1[assistants ->> {X[salary -> 1000]}]").unwrap();
     let solutions = engine.query(&s, &Query::single(t)).unwrap();
     assert_eq!(solutions.len(), 1);
-    assert_eq!(s.display_name(solutions[0].get(&Var::new("X")).unwrap()), "anna");
+    let solution = solutions.iter().next().unwrap();
+    assert_eq!(s.display_name(solution.get(&Var::new("X")).unwrap()), "anna");
 }
 
 #[test]

@@ -506,7 +506,12 @@ fn assert_factorized_matches(structure: &Structure, term: &pathlog::core::term::
     let keyed = |answers: &[Answer]| -> Vec<(BindingKey, Oid)> {
         answers.iter().map(|a| (binding_key(&a.bindings), a.object)).collect()
     };
-    let materialized = keyed(&engine.query_term(structure, term).expect("materialized query succeeds"));
+    let materialized: Vec<(BindingKey, Oid)> = engine
+        .query_term(structure, term)
+        .expect("materialized query succeeds")
+        .iter()
+        .map(|row| (row.key(), row.object().expect("a reference row denotes")))
+        .collect();
     assert!(
         materialized.is_sorted(),
         "query_term answers in canonical order: {term:?}"

@@ -259,7 +259,8 @@ fn named_flogic_answers(base: &Structure, text: &str, translated: bool) -> BTree
         engine
             .load_program(&mut structure, &program)
             .expect("direct program runs");
-        engine.query(&structure, &program.queries[0])
+        let answers = engine.query(&structure, &program.queries[0]);
+        answers.map(|a| a.iter().map(|row| row.bindings()).collect())
     };
     let name = |(v, o): (&Var, Oid)| (v.name().to_string(), structure.display_name(o).into_owned());
     let answers = answers.expect("query evaluates").into_iter();
@@ -504,12 +505,8 @@ fn assert_equivalent(semi: &Structure, naive: &Structure, query: &str) {
         Engine::new()
             .query(s, &q.queries[0])
             .expect("query evaluates")
-            .into_iter()
-            .map(|b| {
-                let mut key: Vec<(String, u32)> = b.iter().map(|(v, o)| (v.name().to_string(), o.0)).collect();
-                key.sort();
-                key
-            })
+            .iter()
+            .map(|row| row.key().into_iter().map(|(v, o)| (v.to_string(), o)).collect())
             .collect()
     };
     assert_eq!(answers(semi), answers(naive), "query answers differ");

@@ -21,7 +21,9 @@
 //! those programs, `Engine::query` must equal the written-order reference
 //! `solve_body` as a set of keys and `Engine::query_term` must equal
 //! `answers()` as a multiset of `(key, object)`, both in canonical order,
-//! errors included (the last section).
+//! errors included (the last section) — read through the rows of the
+//! `Answers` they return, whose key, variables and object must be those of
+//! the `Bindings` a row builds.
 
 use proptest::prelude::*;
 
@@ -757,27 +759,40 @@ proptest! {
         edges in prop::collection::vec((0u8..12, 0u8..12), 1..40),
         ages in prop::collection::vec((0u8..12, 28i64..32), 0..12),
     ) {
-        // The model of one program — a different one from case to case —
-        // over a random (possibly cyclic) graph whose nodes carry a few
-        // scalar facts, so that the result index has lists of every length,
-        // empty included.
-        let mut structure = Structure::new();
-        let (kids, age) = (structure.atom("kids"), structure.atom("age"));
-        let nodes: Vec<Oid> = (0..12).map(|i| structure.atom(&format!("n{i}"))).collect();
-        for &(a, b) in &edges {
-            structure.assert_set_member(kids, nodes[a as usize], &[], nodes[b as usize]);
-        }
-        for &(n, years) in &ages {
-            let years = structure.int(years);
-            // First wins: a second age for a node is a conflict, not a fact.
-            let _ = structure.assert_scalar(age, nodes[n as usize], &[], years);
-        }
+        let (name, model) = random_model(program, &edges, &ages);
         let bodies = query_bodies();
-        let (name, text) = &programs()[program];
-        let model = closed(text, &structure);
         assert_queries_match_the_reference(name, &model, &bodies, &mut BTreeSet::new());
         assert_queries_match_the_reference(name, &model, &reversed(&bodies), &mut BTreeSet::new());
     }
+
+    #[test]
+    fn answer_rows_read_like_their_bindings_on_random_graphs(
+        program in 0usize..SHAPES.len() + 1,
+        edges in prop::collection::vec((0u8..12, 0u8..12), 1..40),
+        ages in prop::collection::vec((0u8..12, 28i64..32), 0..12),
+    ) {
+        let (name, model) = random_model(program, &edges, &ages);
+        prop_assert!(assert_rows_read_like_their_bindings(name, &model, &query_bodies()) > 0, "some row is read");
+    }
+}
+
+/// The model of program `program` of [`programs`] over a random (possibly
+/// cyclic) graph of `edges` whose nodes carry the scalar facts `ages`, so
+/// that the result index has lists of every length, empty included.
+fn random_model(program: usize, edges: &[(u8, u8)], ages: &[(u8, i64)]) -> (&'static str, Structure) {
+    let mut structure = Structure::new();
+    let (kids, age) = (structure.atom("kids"), structure.atom("age"));
+    let nodes: Vec<Oid> = (0..12).map(|i| structure.atom(&format!("n{i}"))).collect();
+    for &(a, b) in edges {
+        structure.assert_set_member(kids, nodes[a as usize], &[], nodes[b as usize]);
+    }
+    for &(n, years) in ages {
+        let years = structure.int(years);
+        // First wins: a second age for a node is a conflict, not a fact.
+        let _ = structure.assert_scalar(age, nodes[n as usize], &[], years);
+    }
+    let (name, text) = &programs()[program];
+    (name, closed(text, &structure))
 }
 
 // ---------------------------------------------------------------------------
@@ -962,7 +977,7 @@ fn assert_queries_match_the_reference(
         let reference =
             solve_body(s, body, &Bindings::new()).map(|b| b.iter().map(binding_key).collect::<BTreeSet<_>>());
         let asked = engine.query(s, &Query::new(body.clone()));
-        let asked = asked.map(|b| b.iter().map(binding_key).collect::<Vec<_>>());
+        let asked = asked.map(|a| a.iter().map(|row| row.key()).collect::<Vec<_>>());
         match (&reference, &asked) {
             (Ok(reference), Ok(asked)) => {
                 assert!(
@@ -994,21 +1009,59 @@ fn assert_queries_match_the_reference(
                 );
                 continue;
             }
-            let keyed = |answers: Vec<Answer>| -> Vec<(BindingKey, Oid)> {
-                answers.iter().map(|a| (binding_key(&a.bindings), a.object)).collect()
-            };
             let reference = answers(s, term, &Bindings::new()).map(|a| {
-                let mut a = keyed(a);
+                let mut a: Vec<(BindingKey, Oid)> = a.iter().map(|a| (binding_key(&a.bindings), a.object)).collect();
                 a.sort();
                 a
             });
+            let rows = |a: Answers| -> Vec<(BindingKey, Oid)> {
+                a.iter()
+                    .map(|row| (row.key(), row.object().expect("a reference row denotes")))
+                    .collect()
+            };
             assert_eq!(
-                asked.map(keyed),
+                asked.map(rows),
                 reference,
                 "{label}: `{term}` denotes once per derivation path, in canonical order"
             );
         }
     }
+}
+
+/// Every row `Engine::query` and `Engine::query_term` return on `s` for
+/// the bodies of `bodies` and their positive literals reads like the
+/// `Bindings` it builds: its key is their [`binding_key`], each variable of
+/// the header reads their object, and only a reference's row denotes one.
+/// Returns the number of rows read.
+fn assert_rows_read_like_their_bindings(
+    label: &str,
+    s: &Structure,
+    bodies: &[(String, Vec<Literal>, Expect)],
+) -> usize {
+    let engine = Engine::new();
+    let mut read = 0;
+    let mut check = |text: &str, answers: Answers, denoting: bool| {
+        for row in answers.iter() {
+            let bindings = row.bindings();
+            assert_eq!(row.key(), binding_key(&bindings), "{label}: `{text}`");
+            for var in answers.vars() {
+                assert_eq!(row.get(var), bindings.get(var), "{label}: `{text}`: {var}");
+            }
+            assert_eq!(row.object().is_some(), denoting, "{label}: `{text}`");
+            read += 1;
+        }
+    };
+    for (text, body, _) in bodies {
+        if let Ok(answers) = engine.query(s, &Query::new(body.clone())) {
+            check(text, answers, false);
+        }
+        for lit in body.iter().filter(|l| l.positive) {
+            if let Ok(answers) = engine.query_term(s, &lit.term) {
+                check(text, answers, true);
+            }
+        }
+    }
+    read
 }
 
 /// The model of `text` over `structure`.

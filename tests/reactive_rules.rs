@@ -40,8 +40,8 @@ fn production_rules_with_parsed_conditions_close_over_deductive_output() {
     let detroit_employees: BTreeSet<Oid> = engine
         .query_term(&structure, &parse_term("X : employee[city -> detroit]").unwrap())
         .unwrap()
-        .into_iter()
-        .filter_map(|a| a.bindings.get(&Var::new("X")))
+        .iter()
+        .filter_map(|a| a.get(&Var::new("X")))
         .collect();
     let commuter = structure.lookup_name(&Name::atom("commuter")).unwrap();
     let commuters: BTreeSet<Oid> = structure.instances_of(commuter).collect();

@@ -24,12 +24,8 @@ fn pathlog_answers(structure: &Structure, reference: &str, var: &str) -> BTreeSe
     Engine::new()
         .query_term(structure, &term)
         .expect("PathLog query evaluates")
-        .into_iter()
-        .filter_map(|a| {
-            a.bindings
-                .get(&Var::new(var))
-                .map(|o| structure.display_name(o).into_owned())
-        })
+        .iter()
+        .filter_map(|a| a.get(&Var::new(var)).map(|o| structure.display_name(o).into_owned()))
         .collect()
 }
 
@@ -141,8 +137,8 @@ fn view_6_3_defines_the_same_departments_as_rule_6_1_reports() {
     let employees_with_dept = Engine::new()
         .query_term(&structure, &parse_term("X : employee[worksFor -> D]").unwrap())
         .unwrap()
-        .into_iter()
-        .filter_map(|a| a.bindings.get(&Var::new("X")))
+        .iter()
+        .filter_map(|a| a.get(&Var::new("X")))
         .collect::<BTreeSet<_>>()
         .len();
     assert_eq!(*virtual_objects, employees_with_dept);
@@ -182,13 +178,13 @@ fn compiled_sql_round_trips_through_the_pathlog_parser() {
     let direct: BTreeSet<String> = Engine::new()
         .query(&structure, &compiled.query)
         .unwrap()
-        .into_iter()
+        .iter()
         .filter_map(|b| b.get(&Var::new("Z")).map(|o| structure.display_name(o).into_owned()))
         .collect();
     let roundtrip: BTreeSet<String> = Engine::new()
         .query(&structure, &reparsed)
         .unwrap()
-        .into_iter()
+        .iter()
         .filter_map(|b| b.get(&Var::new("Z")).map(|o| structure.display_name(o).into_owned()))
         .collect();
     assert_eq!(direct, roundtrip);

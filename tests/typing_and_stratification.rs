@@ -87,7 +87,7 @@ fn stratified_negation_behaves_like_negation_as_failure() {
     engine.load_program(&mut s, &program).unwrap();
     let answers = engine.query(&s, &program.queries[0]).unwrap();
     assert_eq!(answers.len(), 1);
-    let x = answers[0].get(&Var::new("X")).unwrap();
+    let x = answers.iter().next().unwrap().get(&Var::new("X")).unwrap();
     assert_eq!(s.display_name(x), "john");
 }
 
