@@ -85,6 +85,7 @@
 //! an unbound method variable from the receiver's facts.  A wrong
 //! cardinality costs time, never an answer.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::ops::Range;
 
@@ -356,7 +357,7 @@ struct Scope<'a> {
     rule: &'a CompiledRule,
     /// One cell per name of the rule, resolved once: object id + 1, `0` when
     /// the structure does not know the name.
-    names: Vec<u32>,
+    names: Cow<'a, [u32]>,
     /// Number of slots: where a row's temporaries start.
     slots: usize,
     /// Words per row: the slots, the temporaries, and the tag — the index
@@ -999,6 +1000,13 @@ impl<'a> Scope<'a> {
 /// never holds more than their completions.
 pub(super) const ANTI_JOIN_PART: usize = 1024;
 
+/// One cell per name of `rule`, as `structure` resolves it: object id + 1,
+/// `0` for a name it does not know.
+pub(super) fn resolve_names(structure: &Structure, rule: &CompiledRule) -> Vec<u32> {
+    let cell = |name: &Name| structure.lookup_name(name).map_or(0, |o| o.0 + 1);
+    rule.names.iter().map(cell).collect()
+}
+
 /// The executor of one pass: a literal's atoms run a step at a time over
 /// the rows of every incoming frame (see the module docs).
 pub(super) struct Machine<'a> {
@@ -1015,17 +1023,26 @@ pub(super) struct Machine<'a> {
 
 impl<'a> Machine<'a> {
     pub(super) fn new(structure: &'a Structure, dv: &'a DeltaView, rule: &'a CompiledRule) -> Self {
-        let names = rule
-            .names
-            .iter()
-            .map(|name| structure.lookup_name(name).map_or(0, |o| o.0 + 1));
+        Machine::with_names(structure, dv, rule, Cow::Owned(resolve_names(structure, rule)))
+    }
+
+    /// A machine over `names`, the cells [`resolve_names`] gave `rule`'s
+    /// names over this structure — earlier, when they are still the cells
+    /// it would give now.
+    pub(super) fn with_names(
+        structure: &'a Structure,
+        dv: &'a DeltaView,
+        rule: &'a CompiledRule,
+        names: Cow<'a, [u32]>,
+    ) -> Self {
+        debug_assert_eq!(names.len(), rule.names.len());
         let slots = rule.slot_count();
         Machine {
             scope: Scope {
                 structure,
                 dv,
                 rule,
-                names: names.collect(),
+                names,
                 slots,
                 width: slots + rule.temps + 1,
             },
@@ -1090,34 +1107,46 @@ impl<'a> Machine<'a> {
         restricted: bool,
         frames: &FrameRun,
     ) -> Result<FrameRun> {
+        let mut out = FrameRun::new(self.scope.slots + usize::from(self.denoted.is_some()));
+        if !restricted {
+            match steps {
+                Some(steps) => self.run_chain(frames, steps.iter().map(|s| (&lit.atoms[s.atom], false)), &mut out)?,
+                None => self.run_chain(frames, lit.atoms.iter().map(|atom| (atom, false)), &mut out)?,
+            }
+            return Ok(out);
+        }
         let order = Self::chain(lit, steps);
-        let chain = |delta: Option<usize>| {
-            let mut chain: Vec<(&Atom, bool)> = order.iter().map(|&i| (&lit.atoms[i], delta == Some(i))).collect();
+        for delta in 0..lit.atoms.len() {
+            let mut chain: Vec<(&Atom, bool)> = order.iter().map(|&i| (&lit.atoms[i], delta == i)).collect();
             // Stable: the restricted atom first, the rest in the given order.
             chain.sort_by_key(|&(atom, restricted)| !restricted || matches!(atom, Atom::Superset { .. }));
-            chain
-        };
-        let chains: Vec<Vec<(&Atom, bool)>> = if restricted {
-            (0..lit.atoms.len()).map(|i| chain(Some(i))).collect()
-        } else {
-            vec![chain(None)]
-        };
-        let slots = self.scope.slots;
-        let mut out = FrameRun::new(slots + usize::from(self.denoted.is_some()));
-        for chain in &chains {
-            self.load(frames);
-            for &(atom, restricted) in chain {
-                if self.rows.is_empty() {
-                    break;
-                }
-                self.step(atom, restricted)?;
-            }
-            for row in self.scope.rows(&self.rows) {
-                let object = self.denoted.map(|op| self.scope.cell(row, op));
-                out.push_with(&row[..slots], object);
-            }
+            self.run_chain(frames, chain, &mut out)?;
         }
         Ok(out)
+    }
+
+    /// Map `frames` through the steps of `chain` — each atom, and whether
+    /// it is restricted to the window — and push the frames of the rows
+    /// that complete it onto `out`.
+    fn run_chain(
+        &mut self,
+        frames: &FrameRun,
+        chain: impl IntoIterator<Item = (&'a Atom, bool)>,
+        out: &mut FrameRun,
+    ) -> Result<()> {
+        self.load(frames);
+        for (atom, restricted) in chain {
+            if self.rows.is_empty() {
+                break;
+            }
+            self.step(atom, restricted)?;
+        }
+        let slots = self.scope.slots;
+        for row in self.scope.rows(&self.rows) {
+            let object = self.denoted.map(|op| self.scope.cell(row, op));
+            out.push_with(&row[..slots], object);
+        }
+        Ok(())
     }
 
     /// The frames of `frames` that negated literal `lit`, its atoms run in

@@ -16,10 +16,12 @@
 //! condition: a denial body or a condition is a query body, compiled once
 //! and matched incrementally ([`Condition`]) — whole, or from seed frames
 //! binding one variable to the objects a span touched ([`execute_seeded`]).
-//! What still runs on the written-order
-//! [`solve_body`](crate::semantics::solve_body) is the trigger conditions of
-//! the active layer and the references — the reference fixpoint
-//! [`crate::semantics::fixpoint`], the model check of
+//! And so does every trigger condition of the active layer: a query body
+//! prepared once with the event's participants as seeded slots
+//! ([`prepare_seeded`]) and run from one frame per event
+//! ([`run_prepared`]).  What still runs on the written-order
+//! [`solve_body`](crate::semantics::solve_body) is the references — the
+//! reference fixpoint [`crate::semantics::fixpoint`], the model check of
 //! [`crate::semantics::is_model`] and the tests' references.
 //!
 //! * **Compilation.**  [`compile`] lowers a rule body once into a
@@ -106,6 +108,7 @@ pub mod atoms;
 pub mod condition;
 pub mod head;
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -447,11 +450,20 @@ impl FrameRun {
         }
     }
 
-    /// The one solution of the empty join: a frame binding nothing.
-    fn unit(slots: usize) -> Self {
-        let mut run = FrameRun::new(slots);
-        run.push(&vec![0; slots]);
-        run
+    /// One frame of `slots` slots binding each slot of `bound` to its
+    /// object and nothing else: the start of a run from one seed frame
+    /// ([`run_prepared`]); binding nothing, the one solution of the empty
+    /// join.
+    pub fn single(slots: usize, bound: impl IntoIterator<Item = (usize, Oid)>) -> Self {
+        let mut frame = vec![0; slots];
+        for (slot, object) in bound {
+            frame[slot] = object.0 + 1;
+        }
+        FrameRun {
+            arena: frame,
+            slots,
+            len: 1,
+        }
     }
 
     fn push(&mut self, frame: &[u32]) {
@@ -643,7 +655,7 @@ pub fn execute_delta(
     dv: &DeltaView,
 ) -> Result<FrameRun> {
     let mut machine = atoms::Machine::new(structure, dv, compiled);
-    let start = FrameRun::unit(compiled.slot_count());
+    let start = FrameRun::single(compiled.slot_count(), []);
     run(&mut machine, compiled, plan, Some(delta_lit), true, start)
 }
 
@@ -859,7 +871,7 @@ fn execute_planned(structure: &Structure, compiled: &CompiledRule, denoting: boo
     if denoting {
         machine.emit_denoted(compiled.positives[0].denoted);
     }
-    let start = FrameRun::unit(compiled.slot_count());
+    let start = FrameRun::single(compiled.slot_count(), []);
     run(&mut machine, compiled, &plan, None, !denoting, start)
 }
 
@@ -869,20 +881,79 @@ fn execute_planned(structure: &Structure, compiled: &CompiledRule, denoting: boo
 /// frame per seed and is planned with the slot bound ([`plan_pass`] costs
 /// the literals that read it as probes), so it costs what the seeds reach,
 /// not what the relation holds.  `slot` must be one a positive literal
-/// binds.
+/// binds.  A prepare ([`prepare_seeded`]) and one run ([`run_prepared`]).
 pub fn execute_seeded(structure: &Structure, compiled: &CompiledRule, slot: usize, seeds: &[Oid]) -> Result<FrameRun> {
-    let dv = DeltaView::empty(structure);
-    let mut machine = atoms::Machine::new(structure, &dv, compiled);
-    let mut bound = machine.names_bound();
-    bound[slot] = true;
-    let plan = plan_with(&machine, compiled, &[], 0, bound);
+    let prepared = prepare_seeded(structure, compiled, &[slot]);
     let mut start = FrameRun::new(compiled.slot_count());
     let mut frame = vec![0; compiled.slot_count()];
     for seed in seeds {
         frame[slot] = seed.0 + 1;
         start.push(&frame);
     }
-    run(&mut machine, compiled, &plan, None, true, start)
+    run_prepared(structure, compiled, &prepared, start)
+}
+
+/// A query body made ready to run from frames that bind some of its slots
+/// ([`prepare_seeded`]): its names resolved against one structure, and its
+/// plan made with those slots bound.  It runs ([`run_prepared`]) over that
+/// structure as it grows: a structure never forgets a name it knows, and a
+/// plan decides how long a run takes, never what it finds.  A name the
+/// structure did not know when the body was prepared denotes nothing in
+/// every run of it, so a body prepared before all of its names were known
+/// is prepared again once they are ([`Prepared::knows_every_name`]); a
+/// structure restored to an earlier state may know fewer names, or other
+/// objects by them, and needs its bodies prepared again too.
+#[derive(Debug, Clone)]
+pub struct Prepared {
+    /// One cell per name of the body: object id + 1, `0` when unknown.
+    names: Vec<u32>,
+    plan: BodyPlan,
+    /// The empty window the machine's restricted steps would read, which a
+    /// run never takes: nothing entered it, wherever it stands.
+    window: DeltaView,
+}
+
+impl Prepared {
+    /// Did the structure know every name of the body when it was prepared?
+    pub fn knows_every_name(&self) -> bool {
+        self.names.iter().all(|&c| c != 0)
+    }
+}
+
+/// Prepare the query body `compiled` to run over `structure` from frames
+/// binding every slot of `seeded` (see [`Prepared`]): resolve its names once
+/// and plan it ([`plan_pass`]) with those slots bound.  A seeded slot need
+/// not be one a positive literal binds: a slot only a negated literal reads
+/// is bound in every frame the anti-join probes.
+pub fn prepare_seeded(structure: &Structure, compiled: &CompiledRule, seeded: &[usize]) -> Prepared {
+    let window = DeltaView::empty(structure);
+    let names = atoms::resolve_names(structure, compiled);
+    let plan = {
+        let machine = atoms::Machine::with_names(structure, &window, compiled, Cow::Borrowed(&names));
+        let mut bound = machine.names_bound();
+        for &slot in seeded {
+            bound[slot] = true;
+        }
+        plan_with(&machine, compiled, &[], 0, bound)
+    };
+    Prepared { names, plan, window }
+}
+
+/// Run the body `prepared` was made of over `structure` from the frames of
+/// `start` — each binding at least the slots it was prepared with — by its
+/// plan, with the names it resolved: the solutions extending a start frame,
+/// in canonical key order, deduplicated.  A start run in that order and
+/// without duplicates is one a body without positive literals returns as
+/// it is, bar the frames a negated literal drops.
+pub fn run_prepared(
+    structure: &Structure,
+    compiled: &CompiledRule,
+    prepared: &Prepared,
+    start: FrameRun,
+) -> Result<FrameRun> {
+    let names = Cow::Borrowed(prepared.names.as_slice());
+    let mut machine = atoms::Machine::with_names(structure, &prepared.window, compiled, names);
+    run(&mut machine, compiled, &prepared.plan, None, true, start)
 }
 
 /// How many candidates a solve of the query body `compiled` starts from:
@@ -1366,7 +1437,7 @@ mod tests {
         );
         let dv = DeltaView::empty(&s);
         let mut machine = atoms::Machine::new(&s, &dv, &compiled);
-        let joined = machine.join(lit, Some(steps), false, &FrameRun::unit(3)).unwrap();
+        let joined = machine.join(lit, Some(steps), false, &FrameRun::single(3, [])).unwrap();
         // The nested loops of the depth-first reading: the extent, each
         // instance's kids, each kid's age — before any sort.
         let mut nested = Vec::new();

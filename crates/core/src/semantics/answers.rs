@@ -99,12 +99,13 @@ pub fn answers_matching(structure: &Structure, term: &Term, seed: &Bindings, exp
 /// variables are bound by then).
 ///
 /// This written-order routine is the reference semantics of a body: the
-/// reference fixpoint ([`super::fixpoint`]), the model check
-/// ([`super::is_model`]) and the reactive layer's trigger conditions run it.
-/// The engine runs no body through it: its delta passes go through
-/// [`crate::plan::execute_delta`], its full solves, its queries and the
-/// constraint checker's denial bodies through [`crate::plan::execute_query`];
-/// a full solve, a query or a check must reach the same set of solutions.
+/// reference fixpoint ([`super::fixpoint`]) and the model check
+/// ([`super::is_model`]) run it.  The engine runs no body through it: its
+/// delta passes go through [`crate::plan::execute_delta`], its full solves,
+/// its queries and the constraint checker's denial bodies through
+/// [`crate::plan::execute_query`], and the reactive layer's trigger
+/// conditions through [`crate::plan::run_prepared`]; a full solve, a query,
+/// a check or a trigger must reach the same set of solutions.
 pub fn solve_body(structure: &Structure, body: &[Literal], seed: &Bindings) -> Result<Vec<Bindings>> {
     let mut states = vec![seed.clone()];
     for lit in body.iter().filter(|l| l.positive) {

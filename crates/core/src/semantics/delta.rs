@@ -69,7 +69,7 @@ impl SnapshotWindow {
 /// Log entries grouped by key: `keys` ascending, `values[i]` the entry filed
 /// under `keys[i]`, and the entries of one key contiguous — a key's group is
 /// a binary search away.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Grouped<K, V> {
     keys: Vec<K>,
     values: Vec<V>,
@@ -112,7 +112,7 @@ impl<K: Ord + Copy, V> Grouped<K, V> {
 /// Building a view slices the insertion logs of the fact store and the is-a
 /// closure and sorts each slice once by method, application or class (see
 /// the module docs).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DeltaView {
     lo: EvalMarks,
     hi: EvalMarks,

@@ -21,6 +21,27 @@
 //! | set member added / removed | `Receiver`, `Member` |
 //! | class membership added | `Object`, `Class` |
 //!
+//! **How a rule is matched.**  Each rule is compiled once, when it is added,
+//! into a trigger program.  Its condition is a query body
+//! ([`compile_query`]) whose slots of the event's reserved variables are
+//! *seeded*: the body is prepared once per store ([`prepare_seeded`] — its
+//! names resolved, its plan made with those slots bound) and every event
+//! runs that plan from one frame binding them ([`run_prepared`]).  A
+//! condition is prepared again while some name of it is still unknown to
+//! the structure (an unknown name denotes nothing, and the structure may
+//! learn it), and after a rollback.  The solutions of one rule fire in
+//! canonical key order — the variables of the condition compared by name,
+//! their objects by id — which is the order of a
+//! [`Condition`](pathlog_core::plan::Condition)'s run and of a query's
+//! [`Answers`](pathlog_core::engine::Answers) rows; each distinct solution
+//! fires once.  An empty condition holds once, of the event.  Each action is
+//! lowered to a primitive-mutation template whose operands are an event
+//! participant, a slot of the condition's frame or a name (interned at its
+//! first firing and cached per store); only an operand that is neither a
+//! variable nor a name is valuated, under the bindings of its solution.
+//! Events find their rules through a `(kind, method)` table filled as
+//! events arrive, so a mutation no rule watches costs one lookup.
+//!
 //! **Errors and partial commits.**  A cascade that exceeds
 //! [`ActiveOptions::max_cascade_depth`] or
 //! [`ActiveOptions::max_total_firings`] (or whose action fails to valuate)
@@ -31,12 +52,16 @@
 //! structure instead; the snapshot it restores from is a
 //! [`Structure::clone`], which shares every table with the live structure.
 
+use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+use pathlog_core::error::Error as CoreError;
 use pathlog_core::names::{Name, Var};
+use pathlog_core::plan::{compile_query, prepare_seeded, run_prepared, CompiledRule, FrameRun, Prepared};
 use pathlog_core::program::Literal;
-use pathlog_core::semantics::{solve_body, valuate, Bindings};
+use pathlog_core::semantics::valuate;
 use pathlog_core::structure::{Oid, Structure};
 use pathlog_core::term::Term;
 
@@ -59,6 +84,17 @@ pub enum Event {
 }
 
 impl Event {
+    /// The kind of mutation the event is.
+    fn kind(&self) -> EventKind {
+        match self {
+            Event::ScalarAsserted(_) => EventKind::ScalarAsserted,
+            Event::ScalarRetracted(_) => EventKind::ScalarRetracted,
+            Event::SetMemberAdded(_) => EventKind::SetMemberAdded,
+            Event::SetMemberRemoved(_) => EventKind::SetMemberRemoved,
+            Event::ClassAdded(_) => EventKind::ClassAdded,
+        }
+    }
+
     /// The method/class name the event watches.
     pub fn name(&self) -> &Name {
         match self {
@@ -282,6 +318,12 @@ pub struct ActiveStore {
     /// Shared, so that a cascade holds the rules while it mutates the store
     /// without copying one.
     rules: Arc<Vec<EcaRule>>,
+    /// The trigger program of each rule, index for index.
+    triggers: Arc<Vec<Trigger>>,
+    /// What the triggers resolved against this store's structure.  Emptied
+    /// when a rollback restores the structure: a name interned in the
+    /// aborted cascade is gone from it.
+    resolved: Resolved,
     options: ActiveOptions,
     /// Notify-stream fan-out (see [`crate::notify`]).  Not cloned with the
     /// store: a clone is an independent store and starts unobserved.
@@ -302,6 +344,8 @@ impl ActiveStore {
         ActiveStore {
             structure,
             rules: Arc::default(),
+            triggers: Arc::default(),
+            resolved: Resolved::default(),
             options,
             subscribers: Subscribers::default(),
             epoch: 0,
@@ -310,6 +354,11 @@ impl ActiveStore {
 
     /// Register a trigger.
     pub fn add_rule(&mut self, rule: EcaRule) -> &mut Self {
+        let trigger = Trigger::compile(&rule, self.resolved.names.len());
+        self.resolved.names.resize(trigger.names_end, 0);
+        self.resolved.prepared.push(None);
+        self.resolved.dispatch.clear();
+        Arc::make_mut(&mut self.triggers).push(trigger);
         Arc::make_mut(&mut self.rules).push(rule);
         self
     }
@@ -491,6 +540,7 @@ impl ActiveStore {
             Err(e) => {
                 if let Some(saved) = snapshot {
                     self.structure = saved;
+                    self.resolved.forget();
                 }
                 self.notify(
                     stats.max_depth_reached,
@@ -501,10 +551,16 @@ impl ActiveStore {
         }
     }
 
-    /// Apply one primitive mutation.  Returns whether the structure actually
-    /// changed, the event seed bindings, and the watched (kind, method/class)
-    /// pair.
-    fn apply_mutation(&mut self, mutation: Mutation) -> Result<(bool, Bindings, (EventKind, Oid))> {
+    /// Apply one primitive mutation: the event it raises, or `None` when
+    /// the structure did not change.
+    fn apply_mutation(&mut self, mutation: Mutation) -> Result<Option<Raised>> {
+        let raised = |changed: bool, kind, watched, participants| {
+            changed.then_some(Raised {
+                kind,
+                watched,
+                participants,
+            })
+        };
         Ok(match mutation {
             Mutation::AssertScalar {
                 method,
@@ -512,29 +568,19 @@ impl ActiveStore {
                 result,
             } => {
                 let changed = self.structure.assert_scalar(method, receiver, &[], result)?.is_new();
-                (
-                    changed,
-                    seed_scalar(receiver, result),
-                    (EventKind::ScalarAsserted, method),
-                )
+                raised(changed, EventKind::ScalarAsserted, method, [receiver, result])
             }
-            Mutation::RetractScalar { method, receiver } => {
-                match self.structure.retract_scalar(method, receiver, &[]) {
-                    Some(old) => (true, seed_scalar(receiver, old), (EventKind::ScalarRetracted, method)),
-                    None => (false, Bindings::new(), (EventKind::ScalarRetracted, method)),
-                }
-            }
+            Mutation::RetractScalar { method, receiver } => self
+                .structure
+                .retract_scalar(method, receiver, &[])
+                .and_then(|old| raised(true, EventKind::ScalarRetracted, method, [receiver, old])),
             Mutation::AddSetMember {
                 method,
                 receiver,
                 member,
             } => {
                 let changed = self.structure.assert_set_member(method, receiver, &[], member).is_new();
-                (
-                    changed,
-                    seed_member(receiver, member),
-                    (EventKind::SetMemberAdded, method),
-                )
+                raised(changed, EventKind::SetMemberAdded, method, [receiver, member])
             }
             Mutation::RemoveSetMember {
                 method,
@@ -542,33 +588,31 @@ impl ActiveStore {
                 member,
             } => {
                 let changed = self.structure.retract_set_member(method, receiver, &[], member);
-                (
-                    changed,
-                    seed_member(receiver, member),
-                    (EventKind::SetMemberRemoved, method),
-                )
+                raised(changed, EventKind::SetMemberRemoved, method, [receiver, member])
             }
             Mutation::AddIsA { object, class } => {
                 let changed = self.structure.add_isa(object, class);
-                (changed, seed_isa(object, class), (EventKind::ClassAdded, class))
+                raised(changed, EventKind::ClassAdded, class, [object, class])
             }
         })
     }
 
-    /// The rule indices matching `(kind, method)`, in firing order
-    /// (priority descending, then definition order).
-    fn matching_rules(&self, kind: EventKind, method: Oid) -> Vec<usize> {
-        let Some(watched_name) = self.structure.name_of(method) else {
-            return Vec::new();
+    /// The rule indices watching `(kind, method)`, in firing order
+    /// (priority descending, then definition order): read from the
+    /// dispatch table, and found by a scan of the rules the first time.
+    fn dispatch(&mut self, kind: EventKind, method: Oid) -> Arc<[usize]> {
+        if let Some(rules) = self.resolved.dispatch.get(&(kind, method)) {
+            return Arc::clone(rules);
+        }
+        let mut matching: Vec<usize> = match self.structure.name_of(method) {
+            Some(watched) => (0..self.rules.len())
+                .filter(|&i| self.rules[i].event.kind() == kind && self.rules[i].event.name() == watched)
+                .collect(),
+            None => Vec::new(),
         };
-        let mut matching: Vec<usize> = self
-            .rules
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| event_matches(&r.event, kind, watched_name))
-            .map(|(i, _)| i)
-            .collect();
         matching.sort_by_key(|&i| (-self.rules[i].priority, i));
+        let matching: Arc<[usize]> = matching.into();
+        self.resolved.dispatch.insert((kind, method), Arc::clone(&matching));
         matching
     }
 
@@ -585,19 +629,22 @@ impl ActiveStore {
 
         // 1. Apply the primitive mutation; only real changes raise events
         // (and change notifications).
-        let (changed, seed, watched) = self.apply_mutation(mutation)?;
-        if !changed {
+        let Some(event) = self.apply_mutation(mutation)? else {
             return Ok(());
-        }
+        };
         stats.mutations = stats.mutations.saturating_add(1);
-        self.notify_change(depth, watched.0, watched.1);
+        self.notify_change(depth, event.kind, event.watched);
 
         // 2. Fire each matching rule for every solution of its condition.
-        let rules = Arc::clone(&self.rules);
-        for index in self.matching_rules(watched.0, watched.1) {
-            let rule = &rules[index];
-            let solutions = solve_body(&self.structure, &rule.condition, &seed)?;
-            for solution in solutions {
+        let matching = self.dispatch(event.kind, event.watched);
+        if matching.is_empty() {
+            return Ok(());
+        }
+        let (rules, triggers) = (Arc::clone(&self.rules), Arc::clone(&self.triggers));
+        for &index in matching.iter() {
+            let trigger = &triggers[index];
+            let solutions = self.solve(index, trigger, &event)?;
+            for frame in solutions.frames() {
                 stats.firings = stats.firings.saturating_add(1);
                 if stats.firings > self.options.max_total_firings {
                     return Err(ReactiveError::LimitExceeded(format!(
@@ -608,11 +655,11 @@ impl ActiveStore {
                 self.notify(
                     depth,
                     NotificationKind::Firing {
-                        rule: rule.name.clone(),
+                        rule: rules[index].name.clone(),
                     },
                 );
-                for action in &rule.actions {
-                    let next = self.compile_action(action, &solution)?;
+                for template in &trigger.actions {
+                    let next = self.instantiate(template, trigger, frame, &event)?;
                     self.mutate(next, depth + 1, stats)?;
                 }
             }
@@ -620,61 +667,115 @@ impl ActiveStore {
         Ok(())
     }
 
-    /// Evaluate an action template into a primitive mutation.
-    fn compile_action(&mut self, action: &EcaAction, bindings: &Bindings) -> Result<Mutation> {
-        Ok(match action {
-            EcaAction::AssertScalar {
+    /// The solutions of rule `index`'s condition for `event`, in canonical
+    /// key order: its prepared plan run from the frame binding the event's
+    /// participants.
+    fn solve(&mut self, index: usize, trigger: &Trigger, event: &Raised) -> Result<FrameRun> {
+        let condition = &trigger.condition;
+        let seeds = trigger.seeded.iter().zip(event.participants);
+        let start = FrameRun::single(condition.slot_count(), seeds.filter_map(|(s, o)| Some(((*s)?, o))));
+        if condition.positives().is_empty() && condition.negations().is_empty() {
+            return Ok(start);
+        }
+        let prepared = match &mut self.resolved.prepared[index] {
+            Some(prepared) if prepared.knows_every_name() => prepared,
+            stale => {
+                let seeded: Vec<usize> = trigger.seeded.iter().flatten().copied().collect();
+                stale.insert(prepare_seeded(&self.structure, condition, &seeded))
+            }
+        };
+        Ok(run_prepared(&self.structure, condition, prepared, start)?)
+    }
+
+    /// The primitive mutation `template` makes of one solution `frame` of
+    /// its trigger's condition for `event`: its name first, then its
+    /// receiver (object), then its value (member) — names are interned in
+    /// the order the action reads them.
+    fn instantiate(
+        &mut self,
+        template: &Template,
+        trigger: &Trigger,
+        frame: &[u32],
+        event: &Raised,
+    ) -> Result<Mutation> {
+        let (cell, name) = &template.name;
+        let name = self.name(*cell, name);
+        let receiver = self.operand(&template.receiver, trigger, frame, event)?;
+        let value = match &template.value {
+            Some(arg) => Some(self.operand(arg, trigger, frame, event)?),
+            None => None,
+        };
+        let value = || value.expect("a template of this kind has a value");
+        Ok(match template.kind {
+            ActionKind::AssertScalar => Mutation::AssertScalar {
+                method: name,
                 receiver,
-                method,
-                value,
-            } => Mutation::AssertScalar {
-                method: self.structure.ensure_name(method),
-                receiver: self.single(receiver, bindings, "action receiver")?,
-                result: self.single(value, bindings, "action value")?,
+                result: value(),
             },
-            EcaAction::AddSetMember {
+            ActionKind::AddSetMember => Mutation::AddSetMember {
+                method: name,
                 receiver,
-                method,
-                member,
-            } => Mutation::AddSetMember {
-                method: self.structure.ensure_name(method),
-                receiver: self.single(receiver, bindings, "action receiver")?,
-                member: self.single(member, bindings, "action member")?,
+                member: value(),
             },
-            EcaAction::AddIsA { object, class } => Mutation::AddIsA {
-                class: self.structure.ensure_name(class),
-                object: self.single(object, bindings, "action object")?,
-            },
-            EcaAction::RetractScalar { receiver, method } => Mutation::RetractScalar {
-                method: self.structure.ensure_name(method),
-                receiver: self.single(receiver, bindings, "action receiver")?,
-            },
-            EcaAction::RemoveSetMember {
+            ActionKind::RemoveSetMember => Mutation::RemoveSetMember {
+                method: name,
                 receiver,
-                method,
-                member,
-            } => Mutation::RemoveSetMember {
-                method: self.structure.ensure_name(method),
-                receiver: self.single(receiver, bindings, "action receiver")?,
-                member: self.single(member, bindings, "action member")?,
+                member: value(),
+            },
+            ActionKind::RetractScalar => Mutation::RetractScalar { method: name, receiver },
+            ActionKind::AddIsA => Mutation::AddIsA {
+                object: receiver,
+                class: name,
             },
         })
     }
 
-    fn single(&mut self, term: &Term, bindings: &Bindings, what: &str) -> Result<Oid> {
-        // Names used in actions may be new to the structure.
-        if let Term::Name(n) = term {
-            return Ok(self.structure.ensure_name(n));
+    /// The object `name` denotes, interned at its first use and then read
+    /// from `cell` of the store's name cache.
+    fn name(&mut self, cell: usize, name: &Name) -> Oid {
+        match self.resolved.names[cell] {
+            0 => {
+                let oid = self.structure.ensure_name(name);
+                self.resolved.names[cell] = oid.0 + 1;
+                oid
+            }
+            c => Oid(c - 1),
         }
-        let objects = valuate(&self.structure, term, bindings)?;
-        match objects.len() {
-            1 => Ok(objects.into_iter().next().expect("len checked")),
-            0 => Err(ReactiveError::InvalidAction(format!(
-                "{what} `{term}` denotes no object"
-            ))),
-            n => Err(ReactiveError::InvalidAction(format!(
-                "{what} `{term}` denotes {n} objects, expected one"
-            ))),
+    }
+
+    /// The one object an action operand denotes for a solution.
+    fn operand(&mut self, operand: &Arg, trigger: &Trigger, frame: &[u32], event: &Raised) -> Result<Oid> {
+        let what = operand.what;
+        match &operand.source {
+            Source::Event(i) => Ok(event.participants[*i]),
+            Source::Slot(s) if frame[*s] != 0 => Ok(Oid(frame[*s] - 1)),
+            Source::Name(cell, name) => Ok(self.name(*cell, name)),
+            // What valuating the variable reports.
+            Source::Slot(_) | Source::Unbound => {
+                Err(CoreError::NotGround(format!("variable {} is unbound", operand.term)).into())
+            }
+            Source::Valuated => {
+                let mut bindings = trigger.condition.bindings_of(frame);
+                for (i, var) in trigger.reserved.iter().enumerate() {
+                    if trigger.seeded[i].is_none() {
+                        bindings = bindings
+                            .bind(var, event.participants[i])
+                            .expect("a reserved variable no slot holds");
+                    }
+                }
+                let objects = valuate(&self.structure, &operand.term, &bindings)?;
+                match objects.len() {
+                    1 => Ok(objects.into_iter().next().expect("len checked")),
+                    0 => Err(ReactiveError::InvalidAction(format!(
+                        "{what} `{}` denotes no object",
+                        operand.term
+                    ))),
+                    n => Err(ReactiveError::InvalidAction(format!(
+                        "{what} `{}` denotes {n} objects, expected one",
+                        operand.term
+                    ))),
+                }
+            }
         }
     }
 }
@@ -689,7 +790,7 @@ enum Mutation {
     AddIsA { object: Oid, class: Oid },
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
     ScalarAsserted,
     ScalarRetracted,
@@ -698,35 +799,199 @@ enum EventKind {
     ClassAdded,
 }
 
-fn event_matches(event: &Event, kind: EventKind, name: &Name) -> bool {
-    match (event, kind) {
-        (Event::ScalarAsserted(n), EventKind::ScalarAsserted)
-        | (Event::ScalarRetracted(n), EventKind::ScalarRetracted)
-        | (Event::SetMemberAdded(n), EventKind::SetMemberAdded)
-        | (Event::SetMemberRemoved(n), EventKind::SetMemberRemoved)
-        | (Event::ClassAdded(n), EventKind::ClassAdded) => n == name,
-        _ => false,
+impl EventKind {
+    /// The reserved variables of the event's two participants.
+    fn reserved(self) -> [&'static str; 2] {
+        match self {
+            EventKind::ScalarAsserted | EventKind::ScalarRetracted => ["Receiver", "Value"],
+            EventKind::SetMemberAdded | EventKind::SetMemberRemoved => ["Receiver", "Member"],
+            EventKind::ClassAdded => ["Object", "Class"],
+        }
     }
 }
 
-fn seed_scalar(receiver: Oid, value: Oid) -> Bindings {
-    Bindings::from_pairs([(Var::new("Receiver"), receiver), (Var::new("Value"), value)])
-        .expect("distinct reserved variables")
+/// The event a mutation that changed the structure raises.
+#[derive(Debug, Clone, Copy)]
+struct Raised {
+    kind: EventKind,
+    /// The method (class) the event is watched under.
+    watched: Oid,
+    /// The objects of the kind's reserved variables, in their order.
+    participants: [Oid; 2],
 }
 
-fn seed_member(receiver: Oid, member: Oid) -> Bindings {
-    Bindings::from_pairs([(Var::new("Receiver"), receiver), (Var::new("Member"), member)])
-        .expect("distinct reserved variables")
+/// What the triggers of one store resolved against its structure, each
+/// part filled as events arrive.
+#[derive(Debug, Clone, Default)]
+struct Resolved {
+    /// The rules watching each `(kind, method)` an event was raised under,
+    /// in firing order.
+    dispatch: BTreeMap<(EventKind, Oid), Arc<[usize]>>,
+    /// Per rule, its condition prepared against the structure.
+    prepared: Vec<Option<Prepared>>,
+    /// Per name of an action, the object it denotes (id + 1) once interned,
+    /// `0` before.
+    names: Vec<u32>,
 }
 
-fn seed_isa(object: Oid, class: Oid) -> Bindings {
-    Bindings::from_pairs([(Var::new("Object"), object), (Var::new("Class"), class)])
-        .expect("distinct reserved variables")
+impl Resolved {
+    /// Forget everything resolved: the structure was restored to an earlier
+    /// state.
+    fn forget(&mut self) {
+        self.dispatch.clear();
+        self.prepared.fill(None);
+        self.names.fill(0);
+    }
+}
+
+/// A rule compiled once: its condition with the event's participants as
+/// seeded slots, and its actions as mutation templates.
+#[derive(Debug, Clone)]
+struct Trigger {
+    condition: CompiledRule,
+    /// The event's reserved variables.
+    reserved: [Var; 2],
+    /// The slot of each reserved variable the condition mentions.
+    seeded: [Option<usize>; 2],
+    actions: Vec<Template>,
+    /// One past the last cell of the store's name cache the templates use.
+    names_end: usize,
+}
+
+/// The mutation an action makes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ActionKind {
+    AssertScalar,
+    AddSetMember,
+    AddIsA,
+    RetractScalar,
+    RemoveSetMember,
+}
+
+/// An action lowered to a primitive-mutation template.
+#[derive(Debug, Clone)]
+struct Template {
+    kind: ActionKind,
+    /// The method (class) name: its cell in the store's name cache, and
+    /// the name.
+    name: (usize, Name),
+    /// The receiver (object).
+    receiver: Arg,
+    /// The value (member), for the kinds that have one.
+    value: Option<Arg>,
+}
+
+/// One operand of a template, with its term and role for error messages.
+#[derive(Debug, Clone)]
+struct Arg {
+    source: Source,
+    term: Term,
+    what: &'static str,
+}
+
+/// Where an operand's object comes from.
+#[derive(Debug, Clone)]
+enum Source {
+    /// The event's participant `i`.
+    Event(usize),
+    /// A slot of the condition's frame; unbound when only a negated literal
+    /// mentions its variable.
+    Slot(usize),
+    /// A name: its cell in the store's name cache, and the name.
+    Name(usize, Name),
+    /// A variable neither the event nor the condition binds.
+    Unbound,
+    /// Any other reference, valuated under the solution's bindings.
+    Valuated,
+}
+
+impl Trigger {
+    /// Compile `rule`, its action names taking the name-cache cells from
+    /// `names` on.
+    fn compile(rule: &EcaRule, names: usize) -> Trigger {
+        let condition = compile_query(rule.condition.iter().map(|l| (l.positive, &l.term)));
+        let reserved = rule.event.kind().reserved().map(Var::new);
+        let slot_of = |var: &Var| condition.slot_vars().iter().position(|v| v == var);
+        let seeded = [slot_of(&reserved[0]), slot_of(&reserved[1])];
+        let next = Cell::new(names);
+        let cell = || next.replace(next.get() + 1);
+        let arg = |term: &Term, what: &'static str| {
+            let source = match term {
+                Term::Var(v) => match reserved.iter().position(|r| r == v) {
+                    Some(i) => Source::Event(i),
+                    None => slot_of(v).map_or(Source::Unbound, Source::Slot),
+                },
+                Term::Name(n) => Source::Name(cell(), n.clone()),
+                _ => Source::Valuated,
+            };
+            Arg {
+                source,
+                term: term.clone(),
+                what,
+            }
+        };
+        let lower = |action: &EcaAction| {
+            let (kind, method, receiver, value) = match action {
+                EcaAction::AssertScalar {
+                    receiver,
+                    method,
+                    value,
+                } => (
+                    ActionKind::AssertScalar,
+                    method,
+                    receiver,
+                    Some((value, "action value")),
+                ),
+                EcaAction::AddSetMember {
+                    receiver,
+                    method,
+                    member,
+                } => (
+                    ActionKind::AddSetMember,
+                    method,
+                    receiver,
+                    Some((member, "action member")),
+                ),
+                EcaAction::RemoveSetMember {
+                    receiver,
+                    method,
+                    member,
+                } => (
+                    ActionKind::RemoveSetMember,
+                    method,
+                    receiver,
+                    Some((member, "action member")),
+                ),
+                EcaAction::RetractScalar { receiver, method } => (ActionKind::RetractScalar, method, receiver, None),
+                EcaAction::AddIsA { object, class } => (ActionKind::AddIsA, class, object, None),
+            };
+            let what = if kind == ActionKind::AddIsA {
+                "action object"
+            } else {
+                "action receiver"
+            };
+            Template {
+                kind,
+                name: (cell(), method.clone()),
+                receiver: arg(receiver, what),
+                value: value.map(|(term, what)| arg(term, what)),
+            }
+        };
+        let actions = rule.actions.iter().map(lower).collect();
+        Trigger {
+            condition,
+            reserved,
+            seeded,
+            actions,
+            names_end: next.get(),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pathlog_core::term::Filter;
 
     fn store() -> ActiveStore {
         let mut s = Structure::new();
@@ -1077,6 +1342,158 @@ mod tests {
             before,
             "rollback must restore the snapshot"
         );
+    }
+
+    #[test]
+    fn a_condition_with_several_solutions_fires_in_canonical_key_order() {
+        let mut store = store();
+        let (kids, pets, mary) = (store.oid("kids"), store.oid("pets"), store.oid("mary"));
+        let (k1, k2, p1, p2) = (store.oid("k1"), store.oid("k2"), store.oid("p1"), store.oid("p2"));
+        for (method, receiver, member) in [(kids, mary, k1), (kids, mary, k2), (pets, k1, p2), (pets, k2, p1)] {
+            store.add_set_member(method, receiver, member).unwrap();
+        }
+        // Slots `Receiver`, `Z`, `A`; the key compares `A` first, so the
+        // solution binding `A = p1` (and `Z = k2`) fires before the one
+        // binding `A = p2`, though `k1` is the first kid.
+        store.add_rule(EcaRule::new(
+            "visit",
+            Event::ScalarAsserted(Name::atom("salary")),
+            vec![
+                Literal::pos(Term::var("Receiver").filter(Filter::set("kids", vec![Term::var("Z")]))),
+                Literal::pos(Term::var("Z").filter(Filter::set("pets", vec![Term::var("A")]))),
+            ],
+            vec![EcaAction::AssertScalar {
+                receiver: Term::var("Z"),
+                method: Name::atom("visited"),
+                value: Term::var("A"),
+            }],
+        ));
+        let salary = store.oid("salary");
+        let amount = store.int(10);
+        let journal = store.structure().facts().mutation_len();
+        let stats = store.assert_scalar(salary, mary, amount).unwrap();
+        assert_eq!(stats.firings, 2);
+        let visited = store.oid("visited");
+        let order: Vec<Oid> = store
+            .structure()
+            .facts()
+            .mutations_since(journal)
+            .filter(|&(method, _)| method == visited)
+            .map(|(_, receiver)| receiver)
+            .collect();
+        assert_eq!(order, [k2, k1]);
+    }
+
+    #[test]
+    fn a_rolled_back_cascade_leaves_no_stale_resolution_behind() {
+        let mut store = ActiveStore::with_options(
+            Structure::new(),
+            ActiveOptions {
+                max_cascade_depth: 2,
+                rollback_on_error: true,
+                ..ActiveOptions::default()
+            },
+        );
+        let assert = |receiver: &str, method: &str| EcaAction::AssertScalar {
+            receiver: Term::var(receiver),
+            method: Name::atom(method),
+            value: Term::var("Value"),
+        };
+        let classify = |object: &str, class: &str| EcaAction::AddIsA {
+            object: Term::var(object),
+            class: Name::atom(class),
+        };
+        let on = |method: &str| Event::ScalarAsserted(Name::atom(method));
+        let is = |class: &str| vec![Literal::pos(Term::var("Receiver").isa(class))];
+        // `fresh`, `welcomed`, `c1`, `c2` and `c3` are interned by the
+        // cascade, in that order; `c2` reaches depth 2, `c3` depth 3.
+        store.add_rule(EcaRule::new(
+            "r1",
+            on("c0"),
+            vec![],
+            vec![classify("Receiver", "fresh"), assert("Receiver", "c1")],
+        ));
+        store.add_rule(EcaRule::new(
+            "r3",
+            Event::ClassAdded(Name::atom("fresh")),
+            vec![],
+            vec![classify("Object", "welcomed")],
+        ));
+        store.add_rule(EcaRule::new(
+            "r2",
+            on("c1"),
+            is("fresh"),
+            vec![assert("Receiver", "c2")],
+        ));
+        store.add_rule(EcaRule::new(
+            "r2b",
+            on("c2"),
+            is("deep"),
+            vec![assert("Receiver", "c3")],
+        ));
+        let (c0, a, b, v, deep) = (
+            store.oid("c0"),
+            store.oid("a"),
+            store.oid("b"),
+            store.oid("v"),
+            store.oid("deep"),
+        );
+        store.add_isa(a, deep).unwrap();
+        let before = store.structure().canonical_dump();
+        let err = store.assert_scalar(c0, a, v).unwrap_err();
+        assert!(matches!(err, ReactiveError::LimitExceeded(_)));
+        assert_eq!(store.structure().canonical_dump(), before);
+        assert_eq!(store.structure().lookup_name(&Name::atom("fresh")), None);
+        // The objects the cascade's names had now denote other names.
+        let taken: Vec<Oid> = ["x1", "x2", "x3", "x4", "x5"].map(|x| store.oid(x)).to_vec();
+
+        let stats = store.assert_scalar(c0, b, v).unwrap();
+        assert_eq!(
+            (stats.firings, stats.mutations),
+            (3, 5),
+            "r1, r3 and r2 fire; r2b does not"
+        );
+        let (fresh, welcomed, c2) = (store.oid("fresh"), store.oid("welcomed"), store.oid("c2"));
+        assert!(!taken.contains(&fresh));
+        assert!(store.structure().in_class(b, fresh));
+        assert!(store.structure().in_class(b, welcomed));
+        assert_eq!(store.structure().apply_scalar(c2, b, &[]), Some(v));
+        for x in taken {
+            assert_eq!(store.structure().instances_of(x).count(), 0, "no member of {x:?}");
+        }
+    }
+
+    #[test]
+    fn a_rule_added_after_dispatch_matches_the_next_event() {
+        let mut store = store();
+        let mark = |class: &str| EcaAction::AddIsA {
+            object: Term::var("Receiver"),
+            class: Name::atom(class),
+        };
+        let on_salary = || Event::ScalarAsserted(Name::atom("salary"));
+        store.add_rule(EcaRule::new("first", on_salary(), vec![], vec![mark("seen")]));
+        let (salary, bonus, mary, john) = (
+            store.oid("salary"),
+            store.oid("bonus"),
+            store.oid("mary"),
+            store.oid("john"),
+        );
+        let amount = store.int(10);
+        assert_eq!(store.assert_scalar(salary, mary, amount).unwrap().firings, 1);
+        assert_eq!(store.assert_scalar(bonus, mary, amount).unwrap().firings, 0);
+
+        store.add_rule(EcaRule::new("second", on_salary(), vec![], vec![mark("twice")]));
+        store.add_rule(EcaRule::new(
+            "bonus",
+            Event::ScalarAsserted(Name::atom("bonus")),
+            vec![],
+            vec![mark("rewarded")],
+        ));
+        assert_eq!(store.assert_scalar(salary, john, amount).unwrap().firings, 2);
+        assert_eq!(store.assert_scalar(bonus, john, amount).unwrap().firings, 1);
+        let (twice, rewarded) = (store.oid("twice"), store.oid("rewarded"));
+        assert!(store.structure().in_class(john, twice));
+        assert!(store.structure().in_class(john, rewarded));
     }
 
     #[test]

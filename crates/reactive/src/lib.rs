@@ -5,10 +5,11 @@
 //! rules or active rules", because path expressions are merely a way to
 //! *reference* objects while rule evaluation is an orthogonal concern.  This
 //! crate substantiates that claim with two additional rule systems that share
-//! the deductive engine's reference syntax; production conditions match on
-//! the compiled atoms ([`Condition`](pathlog_core::plan::Condition)), trigger
-//! conditions on the written-order reference matcher
-//! ([`solve_body`](pathlog_core::semantics::solve_body)):
+//! the deductive engine's reference syntax and its compiled atoms: production
+//! conditions are matched incrementally
+//! ([`Condition`](pathlog_core::plan::Condition)), and each trigger condition
+//! runs a plan prepared once with the event's participants bound
+//! ([`run_prepared`](pathlog_core::plan::run_prepared)):
 //!
 //! * [`production`] — a forward-chaining recognise–act production system:
 //!   conditions are PathLog bodies, actions assert or retract references,

@@ -144,9 +144,22 @@ impl Subscribers {
         self.senders.len()
     }
 
-    /// Deliver to every subscriber, pruning the ones that hung up.
+    /// Deliver to every subscriber, pruning the ones that hung up.  Every
+    /// sender but the last gets a clone; the last one gets `notification`
+    /// itself.
     pub(crate) fn emit(&mut self, notification: Notification) {
-        self.senders.retain(|s| s.send(notification.clone()).is_ok());
+        let last = self.senders.len().saturating_sub(1);
+        let mut notification = Some(notification);
+        let mut index = 0;
+        self.senders.retain(|s| {
+            let item = if index == last {
+                notification.take()
+            } else {
+                notification.clone()
+            };
+            index += 1;
+            s.send(item.expect("only the last sender takes it")).is_ok()
+        });
     }
 }
 
@@ -369,6 +382,21 @@ mod tests {
                 .any(|n| matches!(n.kind, NotificationKind::Change { .. })),
             "queued items are still delivered after the store is gone"
         );
+    }
+
+    #[test]
+    fn every_live_subscriber_receives_the_same_stream() {
+        let mut store = chain_store(1);
+        let first = store.subscribe();
+        let dropped = store.subscribe();
+        let last = store.subscribe();
+        drop(dropped);
+        let (c0, a, b) = (store.oid("c0"), store.oid("a"), store.oid("b"));
+        store.assert_scalar(c0, a, b).unwrap();
+        let (first, last) = (first.drain(), last.drain());
+        assert_eq!(first.len(), 4, "two changes, one firing, the barrier");
+        assert_eq!(first, last);
+        assert_eq!(store.subscriber_count(), 2);
     }
 
     #[test]

@@ -7,9 +7,11 @@ use std::collections::BTreeSet;
 
 use pathlog::core::names::Name;
 use pathlog::core::program::Literal;
+use pathlog::core::structure::Structure;
 use pathlog::core::term::{Filter, Term};
 use pathlog::prelude::*;
 use pathlog::reactive::{ActiveStore, EcaAction, Event, ProductionOptions};
+use proptest::prelude::*;
 
 /// Conditions can be written in concrete PathLog syntax and reused as
 /// production-rule conditions: the body of a parsed rule is a `Vec<Literal>`.
@@ -172,4 +174,405 @@ fn production_and_deductive_engines_agree_on_monotone_rule_sets() {
         8,
         "the paper family has eight descendant pairs"
     );
+}
+
+// ------------------------------------------------- ECA differential property
+
+mod eca_reference {
+    //! The written-order trigger matcher the compiled trigger programs are
+    //! checked against: per event a seed of the reserved variables, the
+    //! rules found by a scan of names, each condition solved by
+    //! `solve_body` from the seed with its solutions sorted into canonical
+    //! key order, and each action term valuated under its solution.
+
+    use pathlog::core::engine::binding_key;
+    use pathlog::core::names::{Name, Var};
+    use pathlog::core::semantics::{solve_body, valuate, Bindings};
+    use pathlog::core::structure::{Oid, Structure};
+    use pathlog::core::term::Term;
+    use pathlog::reactive::{
+        ActiveOptions, ActiveStats, EcaAction, EcaRule, Event, Notification, NotificationKind, ReactiveError,
+    };
+
+    /// A primitive mutation.
+    #[derive(Debug, Clone, Copy)]
+    pub enum Mutation {
+        AssertScalar(Oid, Oid, Oid),
+        RetractScalar(Oid, Oid),
+        AddSetMember(Oid, Oid, Oid),
+        RemoveSetMember(Oid, Oid, Oid),
+        AddIsA(Oid, Oid),
+    }
+
+    type Result<T> = std::result::Result<T, ReactiveError>;
+
+    pub struct ReferenceStore {
+        pub structure: Structure,
+        pub rules: Vec<EcaRule>,
+        pub options: ActiveOptions,
+        pub epoch: u64,
+        pub notifications: Vec<Notification>,
+    }
+
+    impl ReferenceStore {
+        pub fn run_external(&mut self, mutation: Mutation) -> Result<ActiveStats> {
+            self.epoch += 1;
+            let snapshot = self.options.rollback_on_error.then(|| self.structure.clone());
+            let mut stats = ActiveStats::default();
+            match self.mutate(mutation, 0, &mut stats) {
+                Ok(()) => {
+                    self.notify(stats.max_depth_reached, NotificationKind::Quiescent { stats });
+                    Ok(stats)
+                }
+                Err(e) => {
+                    if let Some(saved) = snapshot {
+                        self.structure = saved;
+                    }
+                    let reason = e.to_string();
+                    self.notify(stats.max_depth_reached, NotificationKind::Aborted { reason });
+                    Err(e)
+                }
+            }
+        }
+
+        fn notify(&mut self, round: usize, kind: NotificationKind) {
+            self.notifications.push(Notification {
+                epoch: self.epoch,
+                round,
+                kind,
+            });
+        }
+
+        /// Apply `mutation`: `None` when the structure did not change, else
+        /// the event it raises (`None` for an anonymous method) and its seed.
+        fn apply(&mut self, mutation: Mutation) -> Result<Option<(Option<Event>, Bindings)>> {
+            let seed = |a: &str, x: Oid, b: &str, y: Oid| {
+                Bindings::from_pairs([(Var::new(a), x), (Var::new(b), y)]).expect("distinct")
+            };
+            let s = &mut self.structure;
+            let (changed, event, watched, seed): (bool, fn(Name) -> Event, Oid, Bindings) = match mutation {
+                Mutation::AssertScalar(m, r, v) => (
+                    s.assert_scalar(m, r, &[], v)?.is_new(),
+                    Event::ScalarAsserted,
+                    m,
+                    seed("Receiver", r, "Value", v),
+                ),
+                Mutation::RetractScalar(m, r) => match s.retract_scalar(m, r, &[]) {
+                    Some(old) => (true, Event::ScalarRetracted, m, seed("Receiver", r, "Value", old)),
+                    None => return Ok(None),
+                },
+                Mutation::AddSetMember(m, r, x) => (
+                    s.assert_set_member(m, r, &[], x).is_new(),
+                    Event::SetMemberAdded,
+                    m,
+                    seed("Receiver", r, "Member", x),
+                ),
+                Mutation::RemoveSetMember(m, r, x) => (
+                    s.retract_set_member(m, r, &[], x),
+                    Event::SetMemberRemoved,
+                    m,
+                    seed("Receiver", r, "Member", x),
+                ),
+                Mutation::AddIsA(o, c) => (s.add_isa(o, c), Event::ClassAdded, c, seed("Object", o, "Class", c)),
+            };
+            Ok(changed.then(|| (s.name_of(watched).cloned().map(event), seed)))
+        }
+
+        fn mutate(&mut self, mutation: Mutation, depth: usize, stats: &mut ActiveStats) -> Result<()> {
+            if depth > self.options.max_cascade_depth {
+                return Err(ReactiveError::LimitExceeded(format!(
+                    "trigger cascade exceeded depth {}",
+                    self.options.max_cascade_depth
+                )));
+            }
+            stats.max_depth_reached = stats.max_depth_reached.max(depth);
+            let Some((event, seed)) = self.apply(mutation)? else {
+                return Ok(());
+            };
+            stats.mutations += 1;
+            let Some(event) = event else { return Ok(()) };
+            self.notify(depth, NotificationKind::Change { event: event.clone() });
+            let mut matching: Vec<usize> = (0..self.rules.len())
+                .filter(|&i| self.rules[i].event == event)
+                .collect();
+            matching.sort_by_key(|&i| (-self.rules[i].priority, i));
+            for index in matching {
+                let rule = self.rules[index].clone();
+                let mut solutions = solve_body(&self.structure, &rule.condition, &seed)?;
+                solutions.sort_by_key(binding_key);
+                for solution in solutions {
+                    stats.firings += 1;
+                    if stats.firings > self.options.max_total_firings {
+                        return Err(ReactiveError::LimitExceeded(format!(
+                            "more than {} trigger firings for one mutation",
+                            self.options.max_total_firings
+                        )));
+                    }
+                    self.notify(
+                        depth,
+                        NotificationKind::Firing {
+                            rule: rule.name.clone(),
+                        },
+                    );
+                    for action in &rule.actions {
+                        let next = self.compile_action(action, &solution)?;
+                        self.mutate(next, depth + 1, stats)?;
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        fn compile_action(&mut self, action: &EcaAction, b: &Bindings) -> Result<Mutation> {
+            Ok(match action {
+                EcaAction::AssertScalar {
+                    receiver,
+                    method,
+                    value,
+                } => {
+                    let m = self.structure.ensure_name(method);
+                    let r = self.single(receiver, b, "action receiver")?;
+                    Mutation::AssertScalar(m, r, self.single(value, b, "action value")?)
+                }
+                EcaAction::AddSetMember {
+                    receiver,
+                    method,
+                    member,
+                } => {
+                    let m = self.structure.ensure_name(method);
+                    let r = self.single(receiver, b, "action receiver")?;
+                    Mutation::AddSetMember(m, r, self.single(member, b, "action member")?)
+                }
+                EcaAction::AddIsA { object, class } => {
+                    let c = self.structure.ensure_name(class);
+                    Mutation::AddIsA(self.single(object, b, "action object")?, c)
+                }
+                EcaAction::RetractScalar { receiver, method } => {
+                    let m = self.structure.ensure_name(method);
+                    Mutation::RetractScalar(m, self.single(receiver, b, "action receiver")?)
+                }
+                EcaAction::RemoveSetMember {
+                    receiver,
+                    method,
+                    member,
+                } => {
+                    let m = self.structure.ensure_name(method);
+                    let r = self.single(receiver, b, "action receiver")?;
+                    Mutation::RemoveSetMember(m, r, self.single(member, b, "action member")?)
+                }
+            })
+        }
+
+        fn single(&mut self, term: &Term, bindings: &Bindings, what: &str) -> Result<Oid> {
+            if let Term::Name(n) = term {
+                return Ok(self.structure.ensure_name(n));
+            }
+            let objects = valuate(&self.structure, term, bindings)?;
+            match objects.len() {
+                1 => Ok(objects.into_iter().next().expect("len checked")),
+                0 => Err(ReactiveError::InvalidAction(format!(
+                    "{what} `{term}` denotes no object"
+                ))),
+                n => Err(ReactiveError::InvalidAction(format!(
+                    "{what} `{term}` denotes {n} objects, expected one"
+                ))),
+            }
+        }
+    }
+}
+
+/// The rules a case picks from: every condition shape and every action
+/// shape a trigger program lowers differently.
+fn eca_catalogue() -> Vec<EcaRule> {
+    use pathlog::reactive::EcaRule;
+    let v = |x: &str| Term::var(x);
+    let atom = |x: &str| Name::atom(x);
+    let on = |method: &str| Event::ScalarAsserted(atom(method));
+    let classify = |object: Term, class: &str| EcaAction::AddIsA {
+        object,
+        class: atom(class),
+    };
+    let employee = |x: &str| Literal::pos(v(x).isa("employee"));
+    let vehicles_of = |x: &str, member: &str| Literal::pos(v(x).filter(Filter::set("vehicles", vec![v(member)])));
+    vec![
+        // An empty condition; an action on a variable.
+        EcaRule::new("paid", on("salary"), vec![], vec![classify(v("Receiver"), "paid")]),
+        // `Receiver : c`; a name as the action's value.
+        EcaRule::new(
+            "tag",
+            on("salary"),
+            vec![employee("Receiver")],
+            vec![EcaAction::AssertScalar {
+                receiver: v("Receiver"),
+                method: atom("tag"),
+                value: Term::name("tagged"),
+            }],
+        )
+        .with_priority(1),
+        // A reserved variable only under `not`: no positive literal.
+        EcaRule::new(
+            "keep-history",
+            Event::ScalarRetracted(atom("salary")),
+            vec![Literal::neg(v("Receiver").isa("manager"))],
+            vec![EcaAction::AddSetMember {
+                receiver: v("Receiver"),
+                method: atom("history"),
+                member: v("Value"),
+            }],
+        ),
+        // A built-in guard on `Value`.
+        EcaRule::new(
+            "low",
+            on("salary"),
+            vec![Literal::pos(v("Value").scalar_args("lt", vec![Term::int(90_000)]))],
+            vec![classify(v("Receiver"), "lowPaid")],
+        ),
+        // A further variable with several solutions; a path receiver, which
+        // is valuated.
+        EcaRule::new(
+            "fleet",
+            Event::SetMemberAdded(atom("vehicles")),
+            vec![vehicles_of("Receiver", "V")],
+            vec![EcaAction::AddSetMember {
+                receiver: v("Receiver").scalar("worksFor"),
+                method: atom("fleet"),
+                member: v("V"),
+            }],
+        ),
+        // A class name the structure does not know until the next rule's
+        // action interns it.
+        EcaRule::new(
+            "regular",
+            on("salary"),
+            vec![Literal::pos(v("Receiver").isa("seen"))],
+            vec![classify(v("Receiver"), "regular")],
+        )
+        .with_priority(2),
+        EcaRule::new(
+            "seen",
+            Event::ClassAdded(atom("paid")),
+            vec![],
+            vec![classify(v("Object"), "seen")],
+        ),
+        // A reserved variable of another event kind: `Member` is free on a
+        // scalar event.
+        EcaRule::new(
+            "insure",
+            on("salary"),
+            vec![vehicles_of("Receiver", "Member")],
+            vec![classify(v("Member"), "insured")],
+        ),
+        // An unbound variable: the action errs.
+        EcaRule::new(
+            "ghost",
+            Event::ClassAdded(atom("vip")),
+            vec![],
+            vec![classify(v("Nobody"), "ghost")],
+        ),
+        // Removal events, retractions and a second cascade level.
+        EcaRule::new(
+            "untag",
+            Event::SetMemberRemoved(atom("vehicles")),
+            vec![Literal::neg(v("Member").isa("automobile"))],
+            vec![EcaAction::RetractScalar {
+                receiver: v("Receiver"),
+                method: atom("tag"),
+            }],
+        ),
+        EcaRule::new(
+            "forget",
+            on("tag"),
+            vec![employee("Receiver")],
+            vec![EcaAction::RemoveSetMember {
+                receiver: v("Receiver"),
+                method: atom("history"),
+                member: Term::int(70_000),
+            }],
+        ),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn eca_matches_a_solve_body_reference(
+        seed in 0u64..1_000,
+        picks in proptest::collection::vec(0usize..11, 2..9),
+        events in proptest::collection::vec((0usize..5, 0usize..64, 0usize..64), 1..24),
+        depth in 1usize..5,
+        rollback in any::<bool>(),
+        few_firings in any::<bool>(),
+    ) {
+        use eca_reference::{Mutation, ReferenceStore};
+        use pathlog::reactive::ActiveOptions;
+
+        let mut base = pathlog::datagen::company::generate_structure(&CompanyParams { seed, ..CompanyParams::scaled(6) });
+        let amounts = [50_000, 70_000, 90_000, 120_000].map(|a| base.int(a));
+        let extent = |s: &Structure, classes: &[&str]| {
+            let found = classes.iter().filter_map(|c| s.lookup_name(&Name::atom(*c)));
+            let objects: BTreeSet<_> = found.flat_map(|c| s.instances_of(c).collect::<Vec<_>>()).collect();
+            objects.into_iter().collect::<Vec<_>>()
+        };
+        let employees = extent(&base, &["employee", "manager"]);
+        let vehicles = extent(&base, &["vehicle", "automobile"]);
+        let (salary, vehicles_m) = (base.atom("salary"), base.atom("vehicles"));
+        let classes = [base.atom("manager"), base.atom("vip"), base.atom("paid")];
+        // A salary update retracts the old salary first, so that the assert
+        // does not conflict with it.
+        let mutations: Vec<Mutation> = events
+            .iter()
+            .flat_map(|&(kind, who, what)| {
+                let e = employees[who % employees.len()];
+                let x = vehicles[what % vehicles.len()];
+                let retract = Mutation::RetractScalar(salary, e);
+                match kind {
+                    0 => vec![retract, Mutation::AssertScalar(salary, e, amounts[what % amounts.len()])],
+                    1 => vec![retract],
+                    2 => vec![Mutation::AddSetMember(vehicles_m, e, x)],
+                    3 => vec![Mutation::RemoveSetMember(vehicles_m, e, x)],
+                    _ => vec![Mutation::AddIsA(e, classes[what % classes.len()])],
+                }
+            })
+            .collect();
+
+        let options = ActiveOptions {
+            max_cascade_depth: depth,
+            max_total_firings: if few_firings { 4 } else { 100_000 },
+            rollback_on_error: rollback,
+        };
+        let catalogue = eca_catalogue();
+        let rules: Vec<_> = picks.iter().map(|&i| catalogue[i].clone()).collect();
+        let mut store = ActiveStore::with_options(base.clone(), options);
+        for rule in &rules {
+            store.add_rule(rule.clone());
+        }
+        let stream = store.subscribe();
+        let mut reference = ReferenceStore {
+            structure: base,
+            rules,
+            options,
+            epoch: 0,
+            notifications: Vec::new(),
+        };
+        let case = format!("company seed {seed}, rules {picks:?}, {options:?}");
+        for (i, &mutation) in mutations.iter().enumerate() {
+            let got = match mutation {
+                Mutation::AssertScalar(m, r, v) => store.assert_scalar(m, r, v),
+                Mutation::RetractScalar(m, r) => store.retract_scalar(m, r),
+                Mutation::AddSetMember(m, r, x) => store.add_set_member(m, r, x),
+                Mutation::RemoveSetMember(m, r, x) => store.remove_set_member(m, r, x),
+                Mutation::AddIsA(o, c) => store.add_isa(o, c),
+            };
+            let want = reference.run_external(mutation);
+            let text = |r: pathlog::reactive::Result<_>| r.map_err(|e| e.to_string());
+            prop_assert_eq!(text(got), text(want), "{case}: event {i} {mutation:?}");
+        }
+        prop_assert_eq!(stream.drain(), reference.notifications, "{case}: notification streams");
+        prop_assert_eq!(
+            store.structure().canonical_dump(),
+            reference.structure.canonical_dump(),
+            "{case}: the structures"
+        );
+    }
 }
