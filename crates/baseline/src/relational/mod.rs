@@ -182,7 +182,7 @@ impl RelationalDb {
             if let Name::Atom(a) = name {
                 let rows: Vec<Vec<Oid>> = structure.instances_of(class).map(|o| vec![o]).collect();
                 if !rows.is_empty() {
-                    classes.insert(a.clone(), Relation::from_rows(&["subject"], rows));
+                    classes.insert(a.to_string(), Relation::from_rows(&["subject"], rows));
                 }
             }
         }
@@ -190,7 +190,7 @@ impl RelationalDb {
         for fact in structure.facts().scalar_facts() {
             if let Some(Name::Atom(a)) = structure.name_of(fact.method) {
                 attrs
-                    .entry(a.clone())
+                    .entry(a.to_string())
                     .or_insert_with(|| Relation::new(&["subject", "value"]))
                     .rows
                     .push(vec![fact.receiver, fact.result]);
@@ -199,7 +199,7 @@ impl RelationalDb {
         for fact in structure.facts().set_facts() {
             if let Some(Name::Atom(a)) = structure.name_of(fact.method) {
                 let rel = attrs
-                    .entry(a.clone())
+                    .entry(a.to_string())
                     .or_insert_with(|| Relation::new(&["subject", "value"]));
                 for &m in fact.members {
                     rel.rows.push(vec![fact.receiver, m]);

@@ -105,7 +105,7 @@ pub fn materialize(structure: &mut Structure, view: &ViewDef) -> ViewStats {
             continue;
         }
         // the OID function: View(source), realised as a derived name
-        let skolem = Name::Atom(format!("{}({})", view.name, structure.display_name(source)));
+        let skolem = Name::atom(format!("{}({})", view.name, structure.display_name(source)));
         let existed = structure.lookup_name(&skolem).is_some();
         let view_obj = structure.ensure_name(&skolem);
         if !existed {

@@ -7,11 +7,12 @@
 //! engine's `EvalMarks`/`DeltaView` gating, and edges wherever one node's
 //! definitions intersect another's uses.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::engine::Stratification;
 use crate::error::{Error, Result};
 use crate::program::{DepKey, RuleInfo};
+use crate::structure::FastBuild;
 
 use super::diagnostics::Span;
 
@@ -111,33 +112,74 @@ pub fn keys_intersect(defines: &BTreeSet<DepKey>, uses: &BTreeSet<DepKey>) -> bo
 /// per key, so a node that reads nothing — every fact of a fact-heavy text —
 /// costs O(1) in each traversal, and the analyses are linear in statements
 /// plus edges.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 struct DefinerIndex {
-    /// Key → the nodes whose `defines` contains it, ascending.  The entry
-    /// for [`DepKey::Unknown`] holds the wildcard definers.
-    by_key: BTreeMap<DepKey, Vec<usize>>,
+    /// Key → its slot in `definers`.
+    by_key: BTreeMap<DepKey, usize>,
+    /// Per slot, the nodes whose `defines` contains its key, ascending.  The
+    /// slot of [`DepKey::Unknown`] holds the wildcard definers.
+    definers: Vec<Vec<usize>>,
+    /// The slot of a named key by its
+    /// [`Name::text_address`](crate::names::Name::text_address): a parsed text
+    /// names each key through one allocation, so a fact finds its keys'
+    /// slots without comparing text.  The nodes whose
+    /// keys filled it keep those allocations alive; a key of another
+    /// allocation misses and is looked up in `by_key`.
+    by_text: HashMap<u64, usize, FastBuild>,
     /// The nodes with a non-empty `defines`, ascending: what a read of
     /// [`DepKey::Unknown`] depends on.
     defining: Vec<usize>,
 }
 
+impl PartialEq for DefinerIndex {
+    /// Equal keys and definers; `by_text` only caches `by_key`.
+    fn eq(&self, other: &Self) -> bool {
+        self.by_key == other.by_key && self.definers == other.definers && self.defining == other.defining
+    }
+}
+
+impl Eq for DefinerIndex {}
+
 impl DefinerIndex {
     /// Record node `index` (greater than every node recorded so far) as the
-    /// definer of `defines`.
+    /// definer of `defines`, whose keys the index keeps alive (see
+    /// `by_text`).
     fn add(&mut self, index: usize, defines: &BTreeSet<DepKey>) {
         for key in defines {
-            // Not the entry API: it would clone the key for every definer,
-            // and a text defines few distinct keys many times.
-            match self.by_key.get_mut(key) {
-                Some(nodes) => nodes.push(index),
+            let text = match key {
+                DepKey::Known(name) => name.text_address(),
+                DepKey::Unknown => None,
+            };
+            let slot = match text.and_then(|t| self.by_text.get(&t)) {
+                Some(&slot) => slot,
                 None => {
-                    self.by_key.insert(key.clone(), vec![index]);
+                    // Not the entry API: it would clone the key for every
+                    // definer, and a text defines few distinct keys many
+                    // times.
+                    let slot = match self.by_key.get(key) {
+                        Some(&slot) => slot,
+                        None => {
+                            self.by_key.insert(key.clone(), self.definers.len());
+                            self.definers.push(Vec::new());
+                            self.definers.len() - 1
+                        }
+                    };
+                    if let Some(t) = text {
+                        self.by_text.insert(t, slot);
+                    }
+                    slot
                 }
-            }
+            };
+            self.definers[slot].push(index);
         }
         if !defines.is_empty() {
             self.defining.push(index);
         }
+    }
+
+    /// The nodes defining exactly `key`.
+    fn definers_of(&self, key: &DepKey) -> Option<&Vec<usize>> {
+        self.by_key.get(key).map(|&slot| &self.definers[slot])
     }
 
     /// The nodes whose definitions intersect `keys` (in the sense of
@@ -152,7 +194,7 @@ impl DefinerIndex {
         let mut out: Vec<usize> = keys
             .iter()
             .chain(std::iter::once(&DepKey::Unknown))
-            .filter_map(|key| self.by_key.get(key))
+            .filter_map(|key| self.definers_of(key))
             .flatten()
             .copied()
             .collect();
@@ -322,6 +364,34 @@ mod tests {
             strict_uses: keys(strict),
         };
         RuleNode::from_info(kind, String::new(), None, info)
+    }
+
+    #[test]
+    fn definers_are_found_by_key_whichever_allocation_names_it() {
+        // A parsed text shares one allocation between the atom `m` and the
+        // string `"m"`, which are two keys; another allocation of `m` is
+        // the same key.
+        let text: std::sync::Arc<str> = std::sync::Arc::from("m");
+        let defining = |key: Name| {
+            let info = RuleInfo {
+                defines: [DepKey::Known(key)].into(),
+                ..RuleInfo::default()
+            };
+            RuleNode::from_info(RuleKind::Fact, String::new(), None, info)
+        };
+        let mut g = DependencyGraph::new();
+        g.push(defining(Name::Atom(text.clone())));
+        g.push(defining(Name::Str(text.clone())));
+        g.push(defining(Name::atom("m")));
+        g.push(defining(Name::Str(text)));
+        let reads = |key: Name| g.writers_of(&[DepKey::Known(key)].into());
+        assert_eq!(reads(Name::atom("m")), vec![0, 2]);
+        assert_eq!(reads(Name::string("m")), vec![1, 3]);
+        let mut fresh = DependencyGraph::new();
+        for n in g.nodes() {
+            fresh.push(n.clone());
+        }
+        assert_eq!(fresh, g);
     }
 
     #[test]

@@ -187,7 +187,7 @@ fn substitute(term: &Term, structure: &Structure, b: &Bindings) -> Term {
     match term {
         Term::Name(_) => term.clone(),
         Term::Var(v) => match b.get(v) {
-            Some(oid) => Term::Name(Name::atom(structure.display_name(oid).into_owned())),
+            Some(oid) => Term::Name(Name::atom(structure.display_name(oid))),
             None => term.clone(),
         },
         Term::Paren(t) => Term::Paren(Box::new(substitute(t, structure, b))),

@@ -49,7 +49,7 @@ use crate::plan::{CompiledRule, FrameRun, HeadArena, HeadBuffers, HeadProgram};
 use crate::program::{literal_reads, DepKey, Query, Rule};
 use crate::semantics::model::register_names;
 use crate::semantics::{Bindings, DeltaView, SnapshotWindow};
-use crate::structure::{Oid, Structure};
+use crate::structure::{NameCache, Oid, Structure};
 
 /// A canonical, valuation-order independent key for a set of bindings:
 /// the bound `(variable, object)` pairs in sorted order.  Two bindings with
@@ -82,26 +82,29 @@ impl Installed {
     /// That is the order in which the reference registers them
     /// ([`register_program_names`](crate::semantics::model::register_program_names)),
     /// so every name gets the reference's object id.
+    ///
+    /// Each distinct name is resolved once, through one [`NameCache`].
     pub(super) fn new(structure: &mut Structure, rules: &[Rule], queries: &[Query]) -> Result<Self> {
         let (mut facts, mut heads) = (HeadArena::default(), HeadArena::default());
+        let mut names = NameCache::new(structure);
         let statements = rules
             .iter()
             .map(|rule| {
                 let statement = if rule.is_fact() {
-                    Statement::Fact(facts.lower(structure, &rule.head, &[])?)
+                    Statement::Fact(facts.lower(&mut names, &rule.head, &[])?)
                 } else {
                     let compiled = crate::plan::compile(rule);
-                    let head = heads.lower(structure, &rule.head, compiled.slot_vars())?;
+                    let head = heads.lower(&mut names, &rule.head, compiled.slot_vars())?;
                     Statement::Rule(Box::new(ProperRule::new(rule, head, compiled)))
                 };
                 for lit in &rule.body {
-                    register_names(structure, &lit.term);
+                    register_names(&mut names, &lit.term);
                 }
                 Ok(statement)
             })
             .collect::<Result<Vec<_>>>()?;
         for lit in queries.iter().flat_map(|q| &q.body) {
-            register_names(structure, &lit.term);
+            register_names(&mut names, &lit.term);
         }
         Ok(Installed {
             facts,

@@ -65,7 +65,9 @@
 //! itself, and the slots of the body's frame.  Per rule in source order the
 //! install lowers the head and then registers the body's names, and after
 //! the rules the queries' names: the order in which the reference registers
-//! them, so every name gets the reference's object id.  A commit then runs
+//! them, so every name gets the reference's object id.  Each distinct name
+//! is resolved once per install, through one
+//! [`NameCache`](crate::structure::NameCache).  A commit then runs
 //! the program over each frame, with no [`Bindings`], no term walk and no
 //! name lookup; only a `m ->> t` right-hand side that is not one stored
 //! application is valuated, under the frame's bindings.

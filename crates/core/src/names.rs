@@ -5,6 +5,16 @@
 //! values) and a set of variables `V`.  Names denote objects through the name
 //! interpretation `I_N`; variables are assigned objects by a
 //! variable-valuation.
+//!
+//! **Shared text.**  A program text is mostly names, and a name is copied
+//! at every layer it passes: into the parsed terms, the analyzer's
+//! dependency keys, the name table, change events.  So the text of an atom,
+//! a string and a variable sits behind one `Arc<str>`, and a copy is a
+//! reference-count bump.  The parser interns each distinct spelling once
+//! per text, so every occurrence of a name in a parsed program shares one
+//! allocation (see `pathlog_parser`).  `Hash`, `Eq`, `Ord` and `Display`
+//! see only the `str`: a name hashes, compares, orders and prints exactly as
+//! its text does, whichever allocation holds it.
 
 use std::fmt;
 use std::sync::Arc;
@@ -14,20 +24,21 @@ use std::sync::Arc;
 /// Names denote objects via `I_N` (see
 /// [`Structure`](crate::structure::Structure)).  Because the paper folds
 /// values into the set of names, integers and strings are names too.
+/// Cloning a name never copies its text (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Name {
     /// A symbolic name such as `employee`, `mary` or `color`.
-    Atom(String),
+    Atom(Arc<str>),
     /// An integer literal such as `4` or `1994`.
     Int(i64),
     /// A string literal such as `"red"`.
-    Str(String),
+    Str(Arc<str>),
 }
 
 impl Name {
     /// Construct an atomic (symbolic) name.
-    pub fn atom(s: impl Into<String>) -> Self {
-        Name::Atom(s.into())
+    pub fn atom(s: impl AsRef<str>) -> Self {
+        Name::Atom(Arc::from(s.as_ref()))
     }
 
     /// Construct an integer name.
@@ -36,8 +47,8 @@ impl Name {
     }
 
     /// Construct a string name.
-    pub fn string(s: impl Into<String>) -> Self {
-        Name::Str(s.into())
+    pub fn string(s: impl AsRef<str>) -> Self {
+        Name::Str(Arc::from(s.as_ref()))
     }
 
     /// The symbolic text of an atom, if this name is an atom.
@@ -55,6 +66,20 @@ impl Name {
             _ => None,
         }
     }
+
+    /// The address of an atom's or a string's shared text, tagged with the
+    /// kind in the low bit (an `Arc`'s allocation is word-aligned); `None`
+    /// for an integer.  Occurrences of a spelling the parser shares have one
+    /// address, so while they live it identifies the name without reading
+    /// the text — a key the program makes, for caches under a fast hash.
+    pub(crate) fn text_address(&self) -> Option<u64> {
+        let address = |s: &Arc<str>, tag: u64| Arc::as_ptr(s).cast::<u8>() as usize as u64 | tag;
+        match self {
+            Name::Atom(s) => Some(address(s, 0)),
+            Name::Str(s) => Some(address(s, 1)),
+            Name::Int(_) => None,
+        }
+    }
 }
 
 impl fmt::Display for Name {
@@ -69,13 +94,13 @@ impl fmt::Display for Name {
 
 impl From<&str> for Name {
     fn from(s: &str) -> Self {
-        Name::Atom(s.to_owned())
+        Name::atom(s)
     }
 }
 
 impl From<String> for Name {
     fn from(s: String) -> Self {
-        Name::Atom(s)
+        Name::Atom(s.into())
     }
 }
 
@@ -161,5 +186,27 @@ mod tests {
         s.insert(Name::string("a"));
         s.insert(Name::atom("a"));
         assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn shared_text_hashes_orders_and_prints_as_its_str() {
+        use std::hash::BuildHasher;
+        let hasher = std::collections::hash_map::RandomState::new();
+        // What a `String`-holding name hashed: the same bytes, the same hash.
+        #[derive(Hash)]
+        #[allow(dead_code)]
+        enum Owned {
+            Atom(String),
+            Int(i64),
+            Str(String),
+        }
+        let shared = Name::Atom(Arc::from("employee"));
+        assert_eq!(
+            hasher.hash_one(&shared),
+            hasher.hash_one(Owned::Atom("employee".into()))
+        );
+        assert_eq!(shared, Name::atom(String::from("employee")));
+        assert!(Name::atom("b") > Name::atom("a") && Name::atom("z") < Name::int(0));
+        assert!(Name::int(0) < Name::string("a"));
     }
 }

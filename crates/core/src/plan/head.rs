@@ -5,7 +5,8 @@
 //! path being the skolem term of the object it mints (Section 6).
 //! [`HeadArena::lower`] walks a head once, when the program is installed,
 //! into a flat [`HeadProgram`]: steps over operands that are objects named
-//! in the head (resolved — and registered — by the walk itself), slots of
+//! in the head (resolved — and registered — by the walk itself, each
+//! distinct name once per install through its [`NameCache`]), slots of
 //! the body's compiled frame, or the object an earlier step got or minted.
 //! [`HeadArena::run`] then commits one frame by running the steps in order:
 //! no [`Bindings`], no term walk and no name lookup per solution.
@@ -29,7 +30,7 @@ use crate::engine::AssertEffect;
 use crate::error::{Error, Result};
 use crate::names::Var;
 use crate::semantics::{valuate, Bindings};
-use crate::structure::{Oid, OidRun, Signature, Structure};
+use crate::structure::{NameCache, Oid, OidRun, Signature, Structure};
 use crate::term::{FilterValue, Term};
 
 /// Where a step finds an object.
@@ -100,14 +101,16 @@ pub struct HeadBuffers {
 
 impl HeadArena {
     /// Lower `head`, whose variables are the body slots `vars` (none, for a
-    /// fact), registering every name it mentions in [`Term::visit`]
-    /// pre-order.  A set-valued head path or a head variable no slot holds
-    /// is the interpreter's error; validation rejects both.
-    pub fn lower(&mut self, structure: &mut Structure, head: &Term, vars: &[Var]) -> Result<HeadProgram> {
+    /// fact), resolving — and registering — every name it mentions in
+    /// [`Term::visit`] pre-order through the install's `names` (and so in
+    /// its structure).  A
+    /// set-valued head path or a head variable no slot holds is the
+    /// interpreter's error; validation rejects both.
+    pub fn lower<'n>(&mut self, names: &mut NameCache<'_, 'n>, head: &'n Term, vars: &[Var]) -> Result<HeadProgram> {
         let (steps, slots) = (self.steps.len(), self.slots.len());
         let mut lowering = Lowering {
             arena: self,
-            structure,
+            names,
             vars,
             slots,
             paths: 0,
@@ -241,9 +244,9 @@ impl HeadArena {
 }
 
 /// One head being lowered into an arena.
-struct Lowering<'a> {
+struct Lowering<'a, 's, 'n> {
     arena: &'a mut HeadArena,
-    structure: &'a mut Structure,
+    names: &'a mut NameCache<'s, 'n>,
     /// The body's slot variables.
     vars: &'a [Var],
     /// Where this head's slots start in the arena.
@@ -252,12 +255,12 @@ struct Lowering<'a> {
     paths: usize,
 }
 
-impl Lowering<'_> {
+impl<'n> Lowering<'_, '_, 'n> {
     /// Lower `term`, appending the steps that make it true; returns the
     /// operand of the object it denotes.
-    fn term(&mut self, term: &Term) -> Result<Operand> {
+    fn term(&mut self, term: &'n Term) -> Result<Operand> {
         let step = match term {
-            Term::Name(n) => return Ok(Operand::Const(self.structure.ensure_name(n))),
+            Term::Name(n) => return Ok(Operand::Const(self.names.resolve(n))),
             Term::Var(v) => return self.slot(v).map(Operand::Slot),
             Term::Paren(t) => return self.term(t),
             Term::Path(p) if p.set_valued => {
@@ -289,7 +292,7 @@ impl Lowering<'_> {
     }
 
     /// Lower the filter `method@(args) value` of `receiver`.
-    fn filter(&mut self, receiver: Operand, method: &Term, args: &[Term], value: &FilterValue) -> Result<()> {
+    fn filter(&mut self, receiver: Operand, method: &'n Term, args: &'n [Term], value: &'n FilterValue) -> Result<()> {
         let call = self.call(receiver, method, args)?;
         let step = match value {
             FilterValue::Scalar(value) => Step::Scalar(call, self.term(value)?),
@@ -318,7 +321,7 @@ impl Lowering<'_> {
     }
 
     /// The application of `method` with `args` to `receiver`.
-    fn call(&mut self, receiver: Operand, method: &Term, args: &[Term]) -> Result<Call> {
+    fn call(&mut self, receiver: Operand, method: &'n Term, args: &'n [Term]) -> Result<Call> {
         let method = self.term(method)?;
         let args = self.operands(args)?;
         Ok(Call { receiver, method, args })
@@ -326,7 +329,7 @@ impl Lowering<'_> {
 
     /// Lower `terms` — each may add steps of its own — into one range of
     /// the arena's operands.
-    fn operands(&mut self, terms: &[Term]) -> Result<Range<usize>> {
+    fn operands(&mut self, terms: &'n [Term]) -> Result<Range<usize>> {
         let operands = terms.iter().map(|t| self.term(t)).collect::<Result<Vec<_>>>()?;
         let start = self.arena.operands.len();
         self.arena.operands.extend(operands);
@@ -349,7 +352,7 @@ impl Lowering<'_> {
     /// `value` as one stored application — `V..m` or `V..m@(A, …)` whose
     /// receiver, method and arguments are each a name or a slot variable —
     /// lowered; `None` for any other shape, registering nothing.
-    fn stored(&mut self, value: &Term) -> Result<Option<Call>> {
+    fn stored(&mut self, value: &'n Term) -> Result<Option<Call>> {
         let Term::Path(p) = value else { return Ok(None) };
         let simple = |t: &Term| match t {
             Term::Name(_) => true,
@@ -365,11 +368,11 @@ impl Lowering<'_> {
 
     /// Register the names of a right-hand side kept as a term, and record
     /// the slots of its variables.
-    fn register(&mut self, value: &Term) -> Result<()> {
+    fn register(&mut self, value: &'n Term) -> Result<()> {
         let mut result = Ok(());
         value.visit(&mut |t| match t {
             Term::Name(n) => {
-                self.structure.ensure_name(n);
+                self.names.resolve(n);
             }
             Term::Var(v) if result.is_ok() => result = self.slot(v).map(|_| ()),
             _ => {}
@@ -419,9 +422,11 @@ mod tests {
         let vars = [Var::new("X"), Var::new("Y")];
         for head in heads() {
             let mut lowered = Structure::new();
-            HeadArena::default().lower(&mut lowered, &head, &vars).unwrap();
+            HeadArena::default()
+                .lower(&mut NameCache::new(&mut lowered), &head, &vars)
+                .unwrap();
             let mut registered = Structure::new();
-            register_names(&mut registered, &head);
+            register_names(&mut NameCache::new(&mut registered), &head);
             assert_eq!(lowered.canonical_dump(), registered.canonical_dump(), "`{head}`");
         }
     }
@@ -439,7 +444,7 @@ mod tests {
         for head in heads() {
             let mut lowered = s.clone();
             let mut arena = HeadArena::default();
-            let program = arena.lower(&mut lowered, &head, &vars).unwrap();
+            let program = arena.lower(&mut NameCache::new(&mut lowered), &head, &vars).unwrap();
             let mut interpreted = lowered.clone();
             let mut buffers = HeadBuffers::default();
             for _ in 0..2 {
@@ -462,7 +467,11 @@ mod tests {
         let mut arena = HeadArena::default();
         let member = |receiver: Term, members: Vec<Term>| receiver.filter(Filter::set("desc", members));
         let tc = arena
-            .lower(&mut s, &member(Term::var("X"), vec![Term::var("Y")]), &vars)
+            .lower(
+                &mut NameCache::new(&mut s),
+                &member(Term::var("X"), vec![Term::var("Y")]),
+                &vars,
+            )
             .unwrap();
         let desc = s.lookup_name(&Name::atom("desc")).unwrap();
         assert_eq!(arena.member_insert(&tc), Some((0, desc, 1)));
@@ -477,7 +486,7 @@ mod tests {
                 value: FilterValue::SetExplicit(vec![Term::var("Y")]),
             }),
         ] {
-            let program = arena.lower(&mut s, &head, &vars).unwrap();
+            let program = arena.lower(&mut NameCache::new(&mut s), &head, &vars).unwrap();
             assert_eq!(arena.member_insert(&program), None, "`{head}`");
         }
     }

@@ -1279,7 +1279,9 @@ mod tests {
         let plan = plan_pass(&s, &c, &[0], 1);
         let fr = execute_delta(&s, &c, &plan, 0, &dv).unwrap();
         let mut heads = HeadArena::default();
-        let head = heads.lower(&mut s, &rule.head, c.slot_vars()).unwrap();
+        let head = heads
+            .lower(&mut crate::structure::NameCache::new(&mut s), &rule.head, c.slot_vars())
+            .unwrap();
         let (receiver, _, member) = heads
             .member_insert(&head)
             .expect("X[desc ->> {Y}] is one member insert");

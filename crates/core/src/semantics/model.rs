@@ -10,7 +10,7 @@ use crate::engine::{assert_head, binding_key, stratify, EvalOptions, EvalStats};
 use crate::error::{Error, LimitKind, Result};
 use crate::program::{validate_program, Program, Query, Rule};
 use crate::semantics::{entails, solve_body, Bindings};
-use crate::structure::Structure;
+use crate::structure::{NameCache, Structure};
 use crate::term::Term;
 
 /// Load `program` into `structure` by the least-fixpoint definition of
@@ -83,11 +83,12 @@ pub fn fixpoint(structure: &mut Structure, program: &Program, options: &EvalOpti
 }
 
 /// Register every name occurring in `term`, in [`Term::visit`] pre-order,
-/// making `I_N` total over the program's alphabet.
-pub(crate) fn register_names(structure: &mut Structure, term: &Term) {
+/// making `I_N` total over the program's alphabet; each distinct name goes
+/// through the install's `names` once.
+pub(crate) fn register_names<'n>(names: &mut NameCache<'_, 'n>, term: &'n Term) {
     term.visit(&mut |t| {
         if let Term::Name(n) = t {
-            structure.ensure_name(n);
+            names.resolve(n);
         }
     });
 }
@@ -97,14 +98,15 @@ pub(crate) fn register_names(structure: &mut Structure, term: &Term) {
 /// registration, so the order is part of the model's identity).  The
 /// engine registers in the same order as it lowers the heads.
 pub(crate) fn register_program_names(structure: &mut Structure, rules: &[Rule], queries: &[Query]) {
+    let mut names = NameCache::new(structure);
     for rule in rules {
-        register_names(structure, &rule.head);
+        register_names(&mut names, &rule.head);
         for lit in &rule.body {
-            register_names(structure, &lit.term);
+            register_names(&mut names, &lit.term);
         }
     }
     for lit in queries.iter().flat_map(|q| &q.body) {
-        register_names(structure, &lit.term);
+        register_names(&mut names, &lit.term);
     }
 }
 

@@ -31,13 +31,16 @@ pub use sigs::{Signature, Signatures};
 
 use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::BuildHasher;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::builtins;
 use crate::names::Name;
 
+pub(crate) use cow::FastBuild;
 use cow::{CowVec, ShardMap};
 
 /// An object identifier — a dense index into the universe.
@@ -169,6 +172,54 @@ impl NameTable {
     }
 }
 
+/// The resolve-once cache of one install into one structure: each distinct
+/// name of a program goes through [`Structure::ensure_name`] once, and
+/// every later occurrence is one probe of a map under a multiplicative
+/// hash.
+///
+/// The parser shares one `Arc<str>` among every occurrence of a spelling
+/// (see [`crate::names`]), so the cache is keyed by that allocation's
+/// address and the name's kind — keys the program makes, not text from
+/// outside, so the fast hash is safe here.  The names must outlive the
+/// cache (the lifetime `'n`), which is what makes an address a name's
+/// identity, and the cache borrows the structure whose oids it holds.  A
+/// name built outside the parser — its own allocation per occurrence —
+/// misses and goes through `ensure_name`; integers are keyed by value.  The
+/// cache changes no object id: a name first seen is registered by
+/// `ensure_name` when it is first resolved, in the caller's order.
+#[derive(Debug)]
+pub struct NameCache<'s, 'n> {
+    structure: &'s mut Structure,
+    /// Atoms and strings, by [`Name::text_address`].
+    texts: HashMap<u64, Oid, FastBuild>,
+    ints: HashMap<i64, Oid, FastBuild>,
+    names: PhantomData<&'n Name>,
+}
+
+impl<'s, 'n> NameCache<'s, 'n> {
+    /// An empty cache over `structure`.
+    pub fn new(structure: &'s mut Structure) -> Self {
+        NameCache {
+            structure,
+            texts: HashMap::default(),
+            ints: HashMap::default(),
+            names: PhantomData,
+        }
+    }
+
+    /// The object `name` denotes, registering it if new.
+    pub fn resolve(&mut self, name: &'n Name) -> Oid {
+        let ensure = || self.structure.ensure_name(name);
+        match (name, name.text_address()) {
+            (Name::Int(i), _) => *self.ints.entry(*i).or_insert_with(ensure),
+            (_, address) => *self
+                .texts
+                .entry(address.expect("an atom or a string has one"))
+                .or_insert_with(ensure),
+        }
+    }
+}
+
 /// A mutable semantic structure with indexes.
 ///
 /// A structure is a *persistent* value: every table sits on the
@@ -225,6 +276,13 @@ impl Structure {
 
     /// The object denoted by `name`, creating it if necessary (`I_N` is a
     /// total function in the paper; the engine registers every name it sees).
+    ///
+    /// A probe hashes the name's text with SipHash, probes a shard and
+    /// compares the text.  A new name is stored as an `Arc<Name>`
+    /// beside its object, sharing the caller's text (`Name` clones are
+    /// reference-count bumps).  An install, which meets each name of a
+    /// program text many times, resolves through a [`NameCache`] instead,
+    /// which calls this once per distinct name.
     pub fn ensure_name(&mut self, name: &Name) -> Oid {
         let hash = self.names.hash(name);
         if let Some(oid) = self.names.get(hash, name) {
@@ -285,7 +343,7 @@ impl Structure {
     /// anonymous objects allocate.
     pub fn display_name(&self, oid: Oid) -> Cow<'_, str> {
         match self.name_of(oid) {
-            Some(Name::Atom(s)) => Cow::Borrowed(s.as_str()),
+            Some(Name::Atom(s)) => Cow::Borrowed(s),
             Some(n) => Cow::Owned(n.to_string()),
             None => Cow::Owned(format!("_{oid}")),
         }
@@ -601,6 +659,34 @@ impl cow::Sharing for Structure {
 mod tests {
     use super::cow::Sharing;
     use super::*;
+
+    #[test]
+    fn a_name_cache_resolves_as_ensure_name_does_in_the_same_order() {
+        let shared: Arc<str> = Arc::from("a");
+        // One text shared by an atom and a string, a second allocation of
+        // the atom's text, integers, and repeats of each.
+        let names = [
+            Name::Atom(Arc::clone(&shared)),
+            Name::Int(-3),
+            Name::Str(Arc::clone(&shared)),
+            Name::atom("b"),
+            Name::atom("a"),
+            Name::Atom(Arc::clone(&shared)),
+            Name::Int(-3),
+            Name::Str(Arc::clone(&shared)),
+            Name::atom("b"),
+        ];
+        let mut cached = Structure::new();
+        let mut cache = NameCache::new(&mut cached);
+        let oids: Vec<Oid> = names.iter().map(|n| cache.resolve(n)).collect();
+        let mut plain = Structure::new();
+        let expected: Vec<Oid> = names.iter().map(|n| plain.ensure_name(n)).collect();
+        assert_eq!(oids, expected);
+        assert_ne!(oids[0], oids[2], "an atom and a string of one text are two names");
+        assert_eq!((oids[0], oids[3]), (oids[4], oids[8]));
+        assert_eq!(cached.num_objects(), plain.num_objects());
+        assert!(names.iter().zip(&oids).all(|(n, &o)| cached.name_of(o) == Some(n)));
+    }
 
     /// A store of `n` employees, two friends and a salary each.
     fn store_of(n: usize) -> (Structure, Vec<Oid>, Oid) {

@@ -158,8 +158,8 @@ impl Term {
     }
 
     /// A string-name reference.
-    pub fn string(s: impl Into<String>) -> Self {
-        Term::Name(Name::Str(s.into()))
+    pub fn string(s: impl AsRef<str>) -> Self {
+        Term::Name(Name::string(s))
     }
 
     /// A variable reference.

@@ -392,7 +392,7 @@ impl ConstraintGuard {
             .reads()
             .iter()
             .filter_map(|key| match key {
-                DepKey::Known(Name::Atom(s)) => Some(s.as_str()),
+                DepKey::Known(Name::Atom(s)) => Some(&**s),
                 _ => None,
             })
             .collect();

@@ -39,9 +39,9 @@ impl Value {
 
     pub(crate) fn to_name(&self) -> Name {
         match self {
-            Value::Ref(s) | Value::Atom(s) => Name::Atom(s.clone()),
+            Value::Ref(s) | Value::Atom(s) => Name::atom(s),
             Value::Int(i) => Name::Int(*i),
-            Value::Str(s) => Name::Str(s.clone()),
+            Value::Str(s) => Name::string(s),
         }
     }
 }

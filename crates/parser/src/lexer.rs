@@ -7,20 +7,34 @@
 //! is a path dot; otherwise (whitespace, end of input, a comment, or any
 //! other punctuation) it is a statement terminator.  `..` is always the
 //! set-valued path operator.
+//!
+//! **One pass over bytes.**  The input is scanned once, as bytes: ASCII
+//! identifiers, integers, strings, comments and operators are byte runs,
+//! and a non-ASCII character is decoded only where one appears, so that
+//! `char::is_alphabetic`, `char::is_uppercase` and the reported positions
+//! read exactly as over `char`s.  The 1-based line and column are kept as
+//! the scan goes; a column counts characters, not bytes.  A name, and a
+//! string without escapes, borrows its text from the input: the lexer
+//! allocates nothing per token.  The parser pulls tokens one at a time
+//! ([`Lexer::next_token`]) and interns each distinct spelling once;
+//! [`tokenize`] collects the same tokens.  There is no other lexer, and no
+//! fallback to one.
+
+use std::borrow::Cow;
 
 use crate::error::{ParseError, Result};
 
-/// A lexical token.
+/// A lexical token, its text borrowed from the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
+pub enum Token<'a> {
     /// A lowercase-initial identifier (an atom name).
-    Atom(String),
+    Atom(&'a str),
     /// An uppercase- or underscore-initial identifier (a variable).
-    Variable(String),
+    Variable(&'a str),
     /// An integer literal.
     Int(i64),
-    /// A string literal.
-    Str(String),
+    /// A string literal, unescaped: borrowed unless it holds an escape.
+    Str(Cow<'a, str>),
     /// `.` used as path composition.
     Dot,
     /// `..` — set-valued path composition.
@@ -65,9 +79,9 @@ pub enum Token {
 
 /// A token together with its 1-based source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Spanned {
+pub struct Spanned<'a> {
     /// The token.
-    pub token: Token,
+    pub token: Token<'a>,
     /// 1-based line.
     pub line: usize,
     /// 1-based column.
@@ -75,243 +89,250 @@ pub struct Spanned {
 }
 
 /// Tokenise an input string.
-pub fn tokenize(input: &str) -> Result<Vec<Spanned>> {
-    Lexer::new(input).run()
+pub fn tokenize(input: &str) -> Result<Vec<Spanned<'_>>> {
+    let mut lexer = Lexer::new(input);
+    let mut out = Vec::new();
+    while let Some(token) = lexer.next_token()? {
+        out.push(token);
+    }
+    Ok(out)
 }
 
-struct Lexer<'a> {
-    chars: Vec<char>,
+/// The scan of one input, token by token ([`Lexer::next_token`]).
+pub(crate) struct Lexer<'a> {
+    input: &'a str,
+    bytes: &'a [u8],
+    /// Byte offset of the next character.
     pos: usize,
     line: usize,
     column: usize,
-    out: Vec<Spanned>,
-    _input: &'a str,
 }
 
 impl<'a> Lexer<'a> {
-    fn new(input: &'a str) -> Self {
+    pub(crate) fn new(input: &'a str) -> Self {
         Lexer {
-            chars: input.chars().collect(),
+            input,
+            bytes: input.as_bytes(),
             pos: 0,
             line: 1,
             column: 1,
-            out: Vec::new(),
-            _input: input,
         }
     }
 
-    fn peek(&self, offset: usize) -> Option<char> {
-        self.chars.get(self.pos + offset).copied()
+    /// The character at byte offset `at`, decoded where it is not ASCII.
+    fn char_at(&self, at: usize) -> Option<char> {
+        match *self.bytes.get(at)? {
+            b if b.is_ascii() => Some(char::from(b)),
+            _ => self.input[at..].chars().next(),
+        }
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.chars.get(self.pos).copied();
-        if let Some(c) = c {
-            self.pos += 1;
-            if c == '\n' {
+    /// Step over `n` bytes of one line, `n` characters wide.
+    fn advance(&mut self, n: usize) {
+        self.pos += n;
+        self.column += n;
+    }
+
+    /// Step over the bytes up to `end`, of any characters: a newline starts
+    /// a line, a UTF-8 continuation byte adds no column.
+    fn advance_to(&mut self, end: usize) {
+        for &b in &self.bytes[self.pos..end] {
+            if b == b'\n' {
                 self.line += 1;
                 self.column = 1;
-            } else {
+            } else if b & 0xC0 != 0x80 {
                 self.column += 1;
             }
         }
-        c
+        self.pos = end;
     }
 
-    fn push(&mut self, token: Token, line: usize, column: usize) {
-        self.out.push(Spanned { token, line, column });
+    /// The offset of the first byte at or after `from` that `stop` accepts,
+    /// or the end of the input.
+    fn scan(&self, from: usize, stop: impl Fn(u8) -> bool) -> usize {
+        self.bytes[from..]
+            .iter()
+            .position(|&b| stop(b))
+            .map_or(self.bytes.len(), |k| from + k)
+    }
+
+    /// The `n`-byte operator `token`, stepped over.
+    fn operator(&mut self, token: Token<'a>, n: usize) -> Token<'a> {
+        self.advance(n);
+        token
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {
         ParseError::new(message, self.line, self.column)
     }
 
-    fn run(mut self) -> Result<Vec<Spanned>> {
-        while let Some(c) = self.peek(0) {
+    /// The next token and where it starts; `None` at the end of the input.
+    pub(crate) fn next_token(&mut self) -> Result<Option<Spanned<'a>>> {
+        loop {
+            let Some(&b) = self.bytes.get(self.pos) else {
+                return Ok(None);
+            };
+            let next = self.bytes.get(self.pos + 1).copied();
             let (line, column) = (self.line, self.column);
-            match c {
-                ' ' | '\t' | '\r' | '\n' => {
-                    self.bump();
+            let token = match b {
+                b' ' | b'\t' | b'\r' => {
+                    self.advance(1);
+                    continue;
                 }
-                '%' | '#' => {
-                    while let Some(c) = self.peek(0) {
-                        if c == '\n' {
-                            break;
-                        }
-                        self.bump();
+                b'\n' => {
+                    self.advance_to(self.pos + 1);
+                    continue;
+                }
+                // A comment runs to the end of its line (the newline is
+                // whitespace), so its columns are never reported.
+                b'%' | b'#' => {
+                    self.pos = self.scan(self.pos, |b| b == b'\n');
+                    continue;
+                }
+                b'/' if next == Some(b'/') => {
+                    self.pos = self.scan(self.pos, |b| b == b'\n');
+                    continue;
+                }
+                b'.' if next == Some(b'.') => self.operator(Token::DotDot, 2),
+                b'.' => {
+                    let path = self.char_at(self.pos + 1).is_some_and(starts_reference);
+                    self.operator(if path { Token::Dot } else { Token::End }, 1)
+                }
+                b':' => self.operator(Token::Colon, 1),
+                b'[' => self.operator(Token::LBracket, 1),
+                b']' => self.operator(Token::RBracket, 1),
+                b'(' => self.operator(Token::LParen, 1),
+                b')' => self.operator(Token::RParen, 1),
+                b'{' => self.operator(Token::LBrace, 1),
+                b'}' => self.operator(Token::RBrace, 1),
+                b'@' => self.operator(Token::At, 1),
+                b',' => self.operator(Token::Comma, 1),
+                b';' => self.operator(Token::Semicolon, 1),
+                b'-' => match next {
+                    Some(b'>') if self.bytes.get(self.pos + 2) == Some(&b'>') => self.operator(Token::DoubleArrow, 3),
+                    Some(b'>') => self.operator(Token::Arrow, 2),
+                    Some(d) if d.is_ascii_digit() => {
+                        self.advance(1);
+                        Token::Int(-self.integer()?)
                     }
-                }
-                '/' if self.peek(1) == Some('/') => {
-                    while let Some(c) = self.peek(0) {
-                        if c == '\n' {
-                            break;
-                        }
-                        self.bump();
+                    _ => {
+                        self.advance(1);
+                        return Err(self.error("expected '->', '->>' or a digit after '-'"));
                     }
-                }
-                '.' => {
-                    self.bump();
-                    if self.peek(0) == Some('.') {
-                        self.bump();
-                        self.push(Token::DotDot, line, column);
-                    } else if self.peek(0).is_some_and(starts_reference) {
-                        self.push(Token::Dot, line, column);
-                    } else {
-                        self.push(Token::End, line, column);
+                },
+                b'=' => match next {
+                    Some(b'>') if self.bytes.get(self.pos + 2) == Some(&b'>') => {
+                        self.operator(Token::SigDoubleArrow, 3)
                     }
-                }
-                ':' => {
-                    self.bump();
-                    self.push(Token::Colon, line, column);
-                }
-                '[' => {
-                    self.bump();
-                    self.push(Token::LBracket, line, column);
-                }
-                ']' => {
-                    self.bump();
-                    self.push(Token::RBracket, line, column);
-                }
-                '(' => {
-                    self.bump();
-                    self.push(Token::LParen, line, column);
-                }
-                ')' => {
-                    self.bump();
-                    self.push(Token::RParen, line, column);
-                }
-                '{' => {
-                    self.bump();
-                    self.push(Token::LBrace, line, column);
-                }
-                '}' => {
-                    self.bump();
-                    self.push(Token::RBrace, line, column);
-                }
-                '@' => {
-                    self.bump();
-                    self.push(Token::At, line, column);
-                }
-                ',' => {
-                    self.bump();
-                    self.push(Token::Comma, line, column);
-                }
-                ';' => {
-                    self.bump();
-                    self.push(Token::Semicolon, line, column);
-                }
-                '-' => {
-                    self.bump();
-                    match self.peek(0) {
-                        Some('>') => {
-                            self.bump();
-                            if self.peek(0) == Some('>') {
-                                self.bump();
-                                self.push(Token::DoubleArrow, line, column);
-                            } else {
-                                self.push(Token::Arrow, line, column);
-                            }
-                        }
-                        Some(d) if d.is_ascii_digit() => {
-                            let n = self.lex_integer()?;
-                            self.push(Token::Int(-n), line, column);
-                        }
-                        _ => return Err(self.error("expected '->', '->>' or a digit after '-'")),
-                    }
-                }
-                '=' => {
-                    self.bump();
-                    if self.peek(0) == Some('>') {
-                        self.bump();
-                        if self.peek(0) == Some('>') {
-                            self.bump();
-                            self.push(Token::SigDoubleArrow, line, column);
-                        } else {
-                            self.push(Token::SigArrow, line, column);
-                        }
-                    } else {
+                    Some(b'>') => self.operator(Token::SigArrow, 2),
+                    _ => {
+                        self.advance(1);
                         return Err(self.error("expected '=>' or '=>>'"));
                     }
-                }
-                '<' => {
-                    self.bump();
-                    if self.peek(0) == Some('-') {
-                        self.bump();
-                        self.push(Token::Implies, line, column);
+                },
+                b'<' | b'?' => {
+                    let (token, what) = if b == b'<' {
+                        (Token::Implies, "expected '<-'")
                     } else {
-                        return Err(self.error("expected '<-'"));
-                    }
-                }
-                '?' => {
-                    self.bump();
-                    if self.peek(0) == Some('-') {
-                        self.bump();
-                        self.push(Token::QueryPrefix, line, column);
-                    } else {
-                        return Err(self.error("expected '?-'"));
-                    }
-                }
-                '"' => {
-                    self.bump();
-                    let mut s = String::new();
-                    loop {
-                        match self.bump() {
-                            Some('"') => break,
-                            Some('\\') => match self.bump() {
-                                Some('"') => s.push('"'),
-                                Some('\\') => s.push('\\'),
-                                Some('n') => s.push('\n'),
-                                Some('t') => s.push('\t'),
-                                Some(other) => return Err(self.error(format!("unknown escape sequence '\\{other}'"))),
-                                None => return Err(self.error("unterminated string literal")),
-                            },
-                            Some(c) => s.push(c),
-                            None => return Err(self.error("unterminated string literal")),
-                        }
-                    }
-                    self.push(Token::Str(s), line, column);
-                }
-                c if c.is_ascii_digit() => {
-                    let n = self.lex_integer()?;
-                    self.push(Token::Int(n), line, column);
-                }
-                c if c.is_alphabetic() || c == '_' => {
-                    let mut s = String::new();
-                    while let Some(c) = self.peek(0) {
-                        if c.is_alphanumeric() || c == '_' {
-                            s.push(c);
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                    let token = if s == "not" {
-                        Token::Not
-                    } else if s.starts_with(|c: char| c.is_uppercase() || c == '_') {
-                        Token::Variable(s)
-                    } else {
-                        Token::Atom(s)
+                        (Token::QueryPrefix, "expected '?-'")
                     };
-                    self.push(token, line, column);
+                    if next != Some(b'-') {
+                        self.advance(1);
+                        return Err(self.error(what));
+                    }
+                    self.operator(token, 2)
                 }
-                other => return Err(self.error(format!("unexpected character '{other}'"))),
-            }
+                b'"' => self.string()?,
+                b if b.is_ascii_digit() => Token::Int(self.integer()?),
+                _ => {
+                    let c = self.char_at(self.pos).expect("a character starts here");
+                    if !(c.is_alphabetic() || c == '_') {
+                        return Err(self.error(format!("unexpected character '{c}'")));
+                    }
+                    self.identifier(c)
+                }
+            };
+            return Ok(Some(Spanned { token, line, column }));
         }
-        Ok(self.out)
     }
 
-    fn lex_integer(&mut self) -> Result<i64> {
-        let mut s = String::new();
-        while let Some(c) = self.peek(0) {
-            if c.is_ascii_digit() {
-                s.push(c);
-                self.bump();
-            } else {
-                break;
+    /// An identifier starting with `first`: a run of alphanumeric
+    /// characters and `_`.
+    fn identifier(&mut self, first: char) -> Token<'a> {
+        let start = self.pos;
+        loop {
+            let end = self.scan(self.pos, |b| !(b.is_ascii_alphanumeric() || b == b'_'));
+            self.advance(end - self.pos);
+            match self.char_at(self.pos) {
+                Some(c) if !c.is_ascii() && c.is_alphanumeric() => {
+                    self.pos += c.len_utf8();
+                    self.column += 1;
+                }
+                _ => break,
             }
         }
-        s.parse::<i64>()
-            .map_err(|_| self.error(format!("integer literal '{s}' out of range")))
+        let text = &self.input[start..self.pos];
+        if text == "not" {
+            Token::Not
+        } else if first.is_uppercase() || first == '_' {
+            Token::Variable(text)
+        } else {
+            Token::Atom(text)
+        }
+    }
+
+    /// A string literal, from its opening quote.
+    fn string(&mut self) -> Result<Token<'a>> {
+        self.advance(1);
+        let start = self.pos;
+        let mut owned: Option<String> = None;
+        loop {
+            let end = self.scan(self.pos, |b| b == b'"' || b == b'\\');
+            if let Some(s) = &mut owned {
+                s.push_str(&self.input[self.pos..end]);
+            }
+            self.advance_to(end);
+            match self.bytes.get(self.pos) {
+                Some(b'"') => break,
+                Some(_) => {
+                    // A backslash: the escape's text is `start..` so far.
+                    let s = owned.get_or_insert_with(|| self.input[start..self.pos].to_owned());
+                    let escaped = self.char_at(self.pos + 1);
+                    self.advance(1);
+                    s.push(match escaped {
+                        Some('"') => '"',
+                        Some('\\') => '\\',
+                        Some('n') => '\n',
+                        Some('t') => '\t',
+                        Some(other) => {
+                            self.advance_to(self.pos + other.len_utf8());
+                            return Err(self.error(format!("unknown escape sequence '\\{other}'")));
+                        }
+                        None => return Err(self.error("unterminated string literal")),
+                    });
+                    self.advance(1);
+                }
+                None => return Err(self.error("unterminated string literal")),
+            }
+        }
+        let text = match owned {
+            Some(s) => Cow::Owned(s),
+            None => Cow::Borrowed(&self.input[start..self.pos]),
+        };
+        self.advance(1);
+        Ok(Token::Str(text))
+    }
+
+    /// The ASCII digits at the current position as an integer; out of range
+    /// is an error reported after the digits.
+    fn integer(&mut self) -> Result<i64> {
+        let start = self.pos;
+        let end = self.scan(start, |b| !b.is_ascii_digit());
+        self.advance(end - start);
+        let digits = &self.input[start..end];
+        digits
+            .parse::<i64>()
+            .map_err(|_| self.error(format!("integer literal '{digits}' out of range")))
     }
 }
 
@@ -324,7 +345,7 @@ fn starts_reference(c: char) -> bool {
 mod tests {
     use super::*;
 
-    fn toks(input: &str) -> Vec<Token> {
+    fn toks(input: &str) -> Vec<Token<'_>> {
         tokenize(input).unwrap().into_iter().map(|s| s.token).collect()
     }
 
@@ -332,12 +353,7 @@ mod tests {
     fn simple_path_and_terminator() {
         assert_eq!(
             toks("mary.spouse."),
-            vec![
-                Token::Atom("mary".into()),
-                Token::Dot,
-                Token::Atom("spouse".into()),
-                Token::End
-            ]
+            vec![Token::Atom("mary"), Token::Dot, Token::Atom("spouse"), Token::End]
         );
     }
 
@@ -345,11 +361,7 @@ mod tests {
     fn set_valued_dots() {
         assert_eq!(
             toks("p1..assistants"),
-            vec![
-                Token::Atom("p1".into()),
-                Token::DotDot,
-                Token::Atom("assistants".into())
-            ]
+            vec![Token::Atom("p1"), Token::DotDot, Token::Atom("assistants")]
         );
     }
 
@@ -359,12 +371,12 @@ mod tests {
         assert_eq!(
             t,
             vec![
-                Token::Variable("X".into()),
+                Token::Variable("X"),
                 Token::DotDot,
                 Token::LParen,
-                Token::Variable("M".into()),
+                Token::Variable("M"),
                 Token::Dot,
-                Token::Atom("tc".into()),
+                Token::Atom("tc"),
                 Token::RParen
             ]
         );
@@ -376,14 +388,14 @@ mod tests {
             toks("[age -> 30; kids ->> {tim}]"),
             vec![
                 Token::LBracket,
-                Token::Atom("age".into()),
+                Token::Atom("age"),
                 Token::Arrow,
                 Token::Int(30),
                 Token::Semicolon,
-                Token::Atom("kids".into()),
+                Token::Atom("kids"),
                 Token::DoubleArrow,
                 Token::LBrace,
-                Token::Atom("tim".into()),
+                Token::Atom("tim"),
                 Token::RBrace,
                 Token::RBracket
             ]
@@ -394,11 +406,7 @@ mod tests {
     fn signature_arrows() {
         assert_eq!(
             toks("person[age => integer; kids =>> person]")[2..5].to_vec(),
-            vec![
-                Token::Atom("age".into()),
-                Token::SigArrow,
-                Token::Atom("integer".into())
-            ]
+            vec![Token::Atom("age"), Token::SigArrow, Token::Atom("integer")]
         );
         assert!(toks("a =>> b").contains(&Token::SigDoubleArrow));
     }
@@ -408,12 +416,12 @@ mod tests {
         assert_eq!(
             toks("X <- Y. ?- Z."),
             vec![
-                Token::Variable("X".into()),
+                Token::Variable("X"),
                 Token::Implies,
-                Token::Variable("Y".into()),
+                Token::Variable("Y"),
                 Token::End,
                 Token::QueryPrefix,
-                Token::Variable("Z".into()),
+                Token::Variable("Z"),
                 Token::End
             ]
         );
@@ -424,10 +432,10 @@ mod tests {
         assert_eq!(
             toks("X boss Boss _tmp not"),
             vec![
-                Token::Variable("X".into()),
-                Token::Atom("boss".into()),
-                Token::Variable("Boss".into()),
-                Token::Variable("_tmp".into()),
+                Token::Variable("X"),
+                Token::Atom("boss"),
+                Token::Variable("Boss"),
+                Token::Variable("_tmp"),
                 Token::Not
             ]
         );
@@ -450,12 +458,7 @@ mod tests {
     fn comments_are_skipped() {
         assert_eq!(
             toks("a % comment\nb # another\nc // third\nd"),
-            vec![
-                Token::Atom("a".into()),
-                Token::Atom("b".into()),
-                Token::Atom("c".into()),
-                Token::Atom("d".into()),
-            ]
+            vec![Token::Atom("a"), Token::Atom("b"), Token::Atom("c"), Token::Atom("d"),]
         );
     }
 
@@ -465,11 +468,11 @@ mod tests {
         assert_eq!(
             toks("a.b.c."),
             vec![
-                Token::Atom("a".into()),
+                Token::Atom("a"),
                 Token::Dot,
-                Token::Atom("b".into()),
+                Token::Atom("b"),
                 Token::Dot,
-                Token::Atom("c".into()),
+                Token::Atom("c"),
                 Token::End
             ]
         );
@@ -487,6 +490,116 @@ mod tests {
         let err = tokenize("a\n  $").unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.column >= 3);
+    }
+
+    fn spans(input: &str) -> Vec<(usize, usize, Token<'_>)> {
+        tokenize(input)
+            .unwrap()
+            .into_iter()
+            .map(|s| (s.line, s.column, s.token))
+            .collect()
+    }
+
+    /// `(line, column, message)` of the error tokenizing `input`.
+    fn error_at(input: &str) -> (usize, usize, String) {
+        let e = tokenize(input).unwrap_err();
+        (e.line, e.column, e.message)
+    }
+
+    #[test]
+    fn non_ascii_names_are_atoms_and_variables_by_their_first_char() {
+        assert_eq!(
+            spans("müller : Ärger.\n  x.ürger"),
+            vec![
+                (1, 1, Token::Atom("müller")),
+                (1, 8, Token::Colon),
+                (1, 10, Token::Variable("Ärger")),
+                (1, 15, Token::End),
+                (2, 3, Token::Atom("x")),
+                // A path dot before a non-ASCII letter.
+                (2, 4, Token::Dot),
+                (2, 5, Token::Atom("ürger")),
+            ]
+        );
+        // Columns count characters: `日本` is two columns wide.
+        assert_eq!(spans("日本 a")[1], (1, 4, Token::Atom("a")));
+    }
+
+    #[test]
+    fn negative_integers_start_at_their_sign() {
+        assert_eq!(
+            spans("[a -> -42; b -> -0]"),
+            vec![
+                (1, 1, Token::LBracket),
+                (1, 2, Token::Atom("a")),
+                (1, 4, Token::Arrow),
+                (1, 7, Token::Int(-42)),
+                (1, 10, Token::Semicolon),
+                (1, 12, Token::Atom("b")),
+                (1, 14, Token::Arrow),
+                (1, 17, Token::Int(0)),
+                (1, 19, Token::RBracket),
+            ]
+        );
+        assert_eq!(toks("-9223372036854775807"), vec![Token::Int(-i64::MAX)]);
+    }
+
+    #[test]
+    fn every_escape_and_a_string_across_lines() {
+        let t = spans("\"q\\\"b\\\\s\\nn\\tt\" x \"a\nü\" y");
+        assert_eq!(t[0], (1, 1, Token::Str("q\"b\\s\nn\tt".into())));
+        assert_eq!(t[1], (1, 17, Token::Atom("x")));
+        // A literal newline inside a string starts a line; `ü` is one column.
+        assert_eq!(t[2], (1, 19, Token::Str("a\nü".into())));
+        assert_eq!(t[3], (2, 4, Token::Atom("y")));
+        // Without an escape the text is borrowed from the input.
+        assert!(matches!(toks("\"plain\"")[0], Token::Str(Cow::Borrowed("plain"))));
+    }
+
+    #[test]
+    fn comments_run_to_the_end_of_their_line() {
+        assert_eq!(
+            spans("% one\n  a # two\n// three\n b//four"),
+            vec![(2, 3, Token::Atom("a")), (4, 2, Token::Atom("b"))]
+        );
+    }
+
+    #[test]
+    fn out_of_range_integers_are_reported_after_their_digits() {
+        assert_eq!(
+            error_at("x -> 9223372036854775808."),
+            (1, 25, "integer literal '9223372036854775808' out of range".to_string())
+        );
+        assert_eq!(
+            error_at("\n -9223372036854775808"),
+            (2, 22, "integer literal '9223372036854775808' out of range".to_string())
+        );
+    }
+
+    #[test]
+    fn string_errors_pin_their_text_and_position() {
+        // The end of the input, after the text the string ran over.
+        assert_eq!(
+            error_at("a.\n\"open\nmü"),
+            (3, 3, "unterminated string literal".to_string())
+        );
+        assert_eq!(error_at("\"ab\\"), (1, 5, "unterminated string literal".to_string()));
+        // Just after the escape's character.
+        assert_eq!(
+            error_at("x[s -> \"a\\qb\"]"),
+            (1, 12, "unknown escape sequence '\\q'".to_string())
+        );
+        assert_eq!(error_at("\"\\ü\""), (1, 4, "unknown escape sequence '\\ü'".to_string()));
+    }
+
+    #[test]
+    fn unexpected_characters_are_reported_where_they_stand() {
+        assert_eq!(error_at("ab €"), (1, 4, "unexpected character '€'".to_string()));
+        assert_eq!(error_at("a / b"), (1, 3, "unexpected character '/'".to_string()));
+        assert_eq!(
+            error_at("a -b"),
+            (1, 4, "expected '->', '->>' or a digit after '-'".to_string())
+        );
     }
 
     #[test]

@@ -27,13 +27,16 @@
 //! sigresults := "(" simple ("," simple)* ")" | simple
 //! ```
 
+use std::collections::HashSet;
+use std::sync::Arc;
+
 use pathlog_core::builtins::SELF_METHOD;
 use pathlog_core::names::{Name, Var};
 use pathlog_core::program::{Literal, Program, Query, Rule};
 use pathlog_core::term::{Filter, FilterValue, IsA, Molecule, Path, Term};
 
 use crate::error::{ParseError, Result};
-use crate::lexer::{tokenize, Spanned, Token};
+use crate::lexer::{Lexer, Spanned, Token};
 
 /// Parse a whole program (facts, rules and queries).
 pub fn parse_program(input: &str) -> Result<Program> {
@@ -55,73 +58,123 @@ pub struct SpannedProgram {
 
 /// Parse a whole program, recording where each statement starts.
 pub fn parse_program_spanned(input: &str) -> Result<SpannedProgram> {
-    Parser::new(input)?.program()
+    let mut p = Parser::new(input);
+    let result = p.program();
+    p.finish(result)
 }
 
 /// Parse a single reference (no trailing full stop required).
 pub fn parse_term(input: &str) -> Result<Term> {
-    let mut p = Parser::new(input)?;
-    let t = p.term()?;
-    p.expect_eof_or_end()?;
-    Ok(t)
+    let mut p = Parser::new(input);
+    let result = p.term().and_then(|t| p.expect_eof_or_end().map(|()| t));
+    p.finish(result)
 }
 
 /// Parse a single rule or fact (trailing full stop optional).
 pub fn parse_rule(input: &str) -> Result<Rule> {
-    let mut p = Parser::new(input)?;
-    let r = p.rule()?;
-    p.expect_eof()?;
-    Ok(r)
+    let mut p = Parser::new(input);
+    let result = p.rule().and_then(|r| p.expect_eof().map(|()| r));
+    p.finish(result)
 }
 
 /// Parse a single query (`?-` prefix optional, trailing full stop optional).
 pub fn parse_query(input: &str) -> Result<Query> {
-    let mut p = Parser::new(input)?;
+    let mut p = Parser::new(input);
     if p.peek_is(&Token::QueryPrefix) {
         p.bump();
     }
-    let body = p.body()?;
-    if p.peek_is(&Token::End) {
-        p.bump();
-    }
-    p.expect_eof()?;
-    Ok(Query::new(body))
+    let result = p.body().and_then(|body| {
+        if p.peek_is(&Token::End) {
+            p.bump();
+        }
+        p.expect_eof().map(|()| Query::new(body))
+    });
+    p.finish(result)
 }
 
-struct Parser {
-    tokens: Vec<Spanned>,
-    pos: usize,
+/// A recursive-descent parser, pulling one text's tokens from the lexer as
+/// it goes and taking each by value.  It interns the text of every name,
+/// string and variable: each distinct spelling is allocated once per text
+/// and shared by every occurrence, down to the loaded structure.  The
+/// interner hashes with std's keyed `RandomState`: the text comes from
+/// outside.  A text's first lexical error is its error, wherever it lies
+/// ([`Parser::finish`]).
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The next token; `None` at the end of the input or once the lexer
+    /// failed.
+    next: Option<Spanned<'a>>,
+    /// Where the last token read starts (`(1, 1)` before any): at the end
+    /// of the input, the position of an error.
+    end: (usize, usize),
+    lex_error: Option<ParseError>,
+    names: HashSet<Arc<str>>,
 }
 
-impl Parser {
-    fn new(input: &str) -> Result<Self> {
-        Ok(Parser {
-            tokens: tokenize(input)?,
-            pos: 0,
-        })
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Self {
+        let mut parser = Parser {
+            lexer: Lexer::new(input),
+            next: None,
+            end: (1, 1),
+            lex_error: None,
+            names: HashSet::new(),
+        };
+        parser.read();
+        parser
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|s| &s.token)
+    /// Read the lexer's next token into `next`.
+    fn read(&mut self) {
+        self.next = self.lexer.next_token().unwrap_or_else(|e| {
+            self.lex_error = Some(e);
+            None
+        });
+        if let Some(s) = &self.next {
+            self.end = (s.line, s.column);
+        }
     }
 
-    fn peek_is(&self, token: &Token) -> bool {
+    /// `result`, unless the rest of the text holds a lexical error: then
+    /// the first one.
+    fn finish<T>(mut self, result: Result<T>) -> Result<T> {
+        while self.bump().is_some() {}
+        match self.lex_error {
+            Some(e) => Err(e),
+            None => result,
+        }
+    }
+
+    fn peek(&self) -> Option<&Token<'a>> {
+        self.next.as_ref().map(|s| &s.token)
+    }
+
+    fn peek_is(&self, token: &Token<'_>) -> bool {
         self.peek() == Some(token)
     }
 
-    fn bump(&mut self) -> Option<&Spanned> {
-        let s = self.tokens.get(self.pos);
-        if s.is_some() {
-            self.pos += 1;
+    fn bump(&mut self) -> Option<Token<'a>> {
+        let taken = self.next.take()?;
+        self.read();
+        Some(taken.token)
+    }
+
+    fn at_eof(&self) -> bool {
+        self.next.is_none()
+    }
+
+    /// The shared text of `spelling` (see [`Parser`]).
+    fn intern(&mut self, spelling: &str) -> Arc<str> {
+        if let Some(shared) = self.names.get(spelling) {
+            return Arc::clone(shared);
         }
-        s
+        let shared: Arc<str> = Arc::from(spelling);
+        self.names.insert(Arc::clone(&shared));
+        shared
     }
 
     fn position(&self) -> (usize, usize) {
-        self.tokens
-            .get(self.pos.min(self.tokens.len().saturating_sub(1)))
-            .map(|s| (s.line, s.column))
-            .unwrap_or((1, 1))
+        self.next.as_ref().map_or(self.end, |s| (s.line, s.column))
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {
@@ -129,7 +182,7 @@ impl Parser {
         ParseError::new(message, line, column)
     }
 
-    fn expect(&mut self, token: &Token, what: &str) -> Result<()> {
+    fn expect(&mut self, token: &Token<'_>, what: &str) -> Result<()> {
         if self.peek_is(token) {
             self.bump();
             Ok(())
@@ -139,7 +192,7 @@ impl Parser {
     }
 
     fn expect_eof(&mut self) -> Result<()> {
-        if self.pos == self.tokens.len() {
+        if self.at_eof() {
             Ok(())
         } else {
             Err(self.error(format!("unexpected trailing input: {:?}", self.peek())))
@@ -159,7 +212,7 @@ impl Parser {
         let mut program = Program::new();
         let mut rule_spans = Vec::new();
         let mut query_spans = Vec::new();
-        while self.pos < self.tokens.len() {
+        while !self.at_eof() {
             let span = self.position();
             if self.peek_is(&Token::QueryPrefix) {
                 self.bump();
@@ -190,7 +243,7 @@ impl Parser {
         };
         if self.peek_is(&Token::End) {
             self.bump();
-        } else if self.pos != self.tokens.len() {
+        } else if !self.at_eof() {
             return Err(self.error(format!("expected '.', ',' or '<-', found {:?}", self.peek())));
         }
         Ok(Rule::new(head, body))
@@ -268,33 +321,26 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Term> {
-        match self.peek().cloned() {
-            Some(Token::Atom(s)) => {
-                self.bump();
-                Ok(Term::Name(Name::Atom(s)))
-            }
-            Some(Token::Variable(s)) => {
-                self.bump();
-                Ok(Term::Var(Var::new(s)))
-            }
-            Some(Token::Int(i)) => {
-                self.bump();
-                Ok(Term::Name(Name::Int(i)))
-            }
-            Some(Token::Str(s)) => {
-                self.bump();
-                Ok(Term::Name(Name::Str(s)))
-            }
+        match self.peek() {
+            Some(Token::Atom(_) | Token::Variable(_) | Token::Int(_) | Token::Str(_)) => {}
             Some(Token::LParen) => {
                 self.bump();
                 let inner = self.term()?;
                 self.expect(&Token::RParen, "')'")?;
-                Ok(Term::Paren(Box::new(inner)))
+                return Ok(Term::Paren(Box::new(inner)));
             }
-            other => Err(self.error(format!(
-                "expected a name, variable, integer, string or '(', found {other:?}"
-            ))),
+            other => {
+                let message = format!("expected a name, variable, integer, string or '(', found {other:?}");
+                return Err(self.error(message));
+            }
         }
+        Ok(match self.bump() {
+            Some(Token::Atom(s)) => Term::Name(Name::Atom(self.intern(s))),
+            Some(Token::Variable(s)) => Term::Var(Var(self.intern(s))),
+            Some(Token::Int(i)) => Term::Name(Name::Int(i)),
+            Some(Token::Str(s)) => Term::Name(Name::Str(self.intern(&s))),
+            _ => unreachable!("a name, variable, integer or string was peeked"),
+        })
     }
 
     /// A *simple* reference: the only forms allowed at method and class
@@ -412,7 +458,7 @@ impl Parser {
                     return Err(self.error("an argument list must be followed by '->', '->>', '=>' or '=>>'"));
                 }
                 Ok(Filter {
-                    method: Term::name(SELF_METHOD),
+                    method: Term::Name(Name::Atom(self.intern(SELF_METHOD))),
                     args: Vec::new(),
                     value: FilterValue::Scalar(first),
                 })
@@ -648,6 +694,53 @@ mod tests {
         let err = parse_term("x[a.b -> c]").unwrap_err();
         assert!(err.to_string().contains("method position"));
         assert!(parse_term("x[(a.b) -> c]").is_ok());
+    }
+
+    #[test]
+    fn one_spelling_shares_one_allocation_per_text() {
+        let p = parse_program("a : b.\nc[m -> a; n -> \"a\"].\nX : b <- X : a, X[m -> Y], Y : X.").unwrap();
+        let mut atoms: Vec<Arc<str>> = Vec::new();
+        let mut vars: Vec<Arc<str>> = Vec::new();
+        let mut strings: Vec<Arc<str>> = Vec::new();
+        for rule in &p.rules {
+            for term in std::iter::once(&rule.head).chain(rule.body.iter().map(|l| &l.term)) {
+                term.visit(&mut |t| match t {
+                    Term::Name(Name::Atom(s)) if &**s == "a" => atoms.push(Arc::clone(s)),
+                    Term::Name(Name::Str(s)) => strings.push(Arc::clone(s)),
+                    Term::Var(v) if v.name() == "X" => vars.push(Arc::clone(&v.0)),
+                    _ => {}
+                });
+            }
+        }
+        assert_eq!((atoms.len(), vars.len(), strings.len()), (3, 4, 1));
+        assert!(atoms.iter().all(|s| Arc::ptr_eq(s, &atoms[0])));
+        assert!(vars.iter().all(|s| Arc::ptr_eq(s, &vars[0])));
+        // The string `"a"` and the atom `a` share their text too; they are
+        // different names all the same.
+        assert!(Arc::ptr_eq(&strings[0], &atoms[0]));
+        assert_ne!(Name::Str(Arc::clone(&strings[0])), Name::Atom(Arc::clone(&atoms[0])));
+        // A separate parse allocates afresh.
+        let q = parse_term("a").unwrap();
+        assert!(matches!(q, Term::Name(Name::Atom(s)) if !Arc::ptr_eq(&s, &atoms[0])));
+    }
+
+    #[test]
+    fn a_lexical_error_anywhere_wins_over_a_parse_error() {
+        // As if the whole text were tokenized before parsing.
+        let err = parse_program("a : b c.\nd $ e.").unwrap_err();
+        assert_eq!((err.line, err.column), (2, 3));
+        assert_eq!(err.message, "unexpected character '$'");
+        let err = parse_program("a : b c.\nd.").unwrap_err();
+        assert_eq!((err.line, err.column), (1, 7));
+        // After a complete statement too.
+        assert!(parse_rule("a : b. $")
+            .unwrap_err()
+            .message
+            .contains("unexpected character"));
+        assert!(parse_term("a.b $")
+            .unwrap_err()
+            .message
+            .contains("unexpected character"));
     }
 
     #[test]

@@ -197,8 +197,9 @@ impl fmt::Display for EcaAction {
 /// One event–condition–action rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EcaRule {
-    /// A name used in traces and errors.
-    pub name: String,
+    /// A name used in traces and errors, shared with every firing
+    /// notification of the rule.
+    pub name: Arc<str>,
     /// The triggering event.
     pub event: Event,
     /// The condition: a PathLog body, evaluated with the event's reserved
@@ -212,7 +213,7 @@ pub struct EcaRule {
 
 impl EcaRule {
     /// A rule with priority 0.
-    pub fn new(name: impl Into<String>, event: Event, condition: Vec<Literal>, actions: Vec<EcaAction>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, event: Event, condition: Vec<Literal>, actions: Vec<EcaAction>) -> Self {
         EcaRule {
             name: name.into(),
             event,

@@ -77,7 +77,7 @@ pub fn summarize_eca(rule: &EcaRule) -> ReactiveRuleSummary {
         }
     }
     ReactiveRuleSummary {
-        name: rule.name.clone(),
+        name: rule.name.to_string(),
         kind: RuleKind::Eca,
         trigger,
         condition_reads,

@@ -54,6 +54,7 @@
 //! [`ActiveStore::subscribe`]: crate::ActiveStore::subscribe
 
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::active::{ActiveStats, Event};
@@ -77,8 +78,8 @@ pub enum NotificationKind {
     /// A rule fired (one notification per rule and condition solution, in
     /// commit order).
     Firing {
-        /// The firing rule's name.
-        rule: String,
+        /// The firing rule's name, shared with the rule.
+        rule: Arc<str>,
     },
     /// The epoch's cascade ran to quiescence; its aggregate statistics.
     /// This is the last notification of a successful epoch.

@@ -283,7 +283,7 @@ fn notify_streams() {
             let firings: Vec<&str> = epoch
                 .iter()
                 .filter_map(|n| match &n.kind {
-                    NotificationKind::Firing { rule } => Some(rule.as_str()),
+                    NotificationKind::Firing { rule } => Some(&**rule),
                     _ => None,
                 })
                 .collect();

@@ -38,7 +38,14 @@ fn simple_term() -> impl Strategy<Value = Term> {
 
 /// A reference in parser normal form, with bounded depth.
 fn term_strategy() -> impl Strategy<Value = Term> {
-    simple_term().prop_recursive(3, 24, 4, |inner| {
+    terms_over(simple_term)
+}
+
+/// References in parser normal form over the leaves `simple` makes.  A
+/// negative integer in a path's method position is parenthesised: `x.-3`
+/// would read as the statement end `x.` before `-3`.
+fn terms_over<S: Strategy<Value = Term> + 'static>(simple_term: fn() -> S) -> BoxedStrategy<Term> {
+    simple_term().prop_recursive(3, 24, 4, move |inner| {
         let filter = (
             simple_term(),
             prop::collection::vec(inner.clone(), 0..2),
@@ -58,7 +65,12 @@ fn term_strategy() -> impl Strategy<Value = Term> {
         prop_oneof![
             // paths
             (inner.clone(), simple_term(), any::<bool>()).prop_map(|(recv, method, set)| {
-                let method = if method.is_simple() { method } else { method.paren() };
+                let negative = matches!(method, Term::Name(Name::Int(i)) if i < 0);
+                let method = if method.is_simple() && !negative {
+                    method
+                } else {
+                    method.paren()
+                };
                 // avoid a molecule receiver being re-associated is not a
                 // concern for paths; any receiver is fine
                 if set {
@@ -87,6 +99,52 @@ fn term_strategy() -> impl Strategy<Value = Term> {
     })
 }
 
+/// Leaves for the program round trip: besides the plain ones, non-ASCII
+/// atoms and variables, negative and extreme integers (`i64::MIN` has no
+/// literal: its digits overflow), and strings built from escapes, tabs,
+/// newlines, quotes and non-ASCII text.
+fn rich_simple_term() -> impl Strategy<Value = Term> {
+    let atom = prop::sample::select(vec![
+        "mary", "kids", "müller", "straße", "日本", "ärger", "émile", "x_1",
+    ]);
+    let var = prop::sample::select(vec!["X", "Y", "Ärger", "Öl", "_tmp", "Z9"]);
+    let piece = prop::sample::select(vec!["lit", "\"", "\\", "\n", "\t", "ü", " ", "%", "//", "a.b"]);
+    prop_oneof![
+        atom.prop_map(Term::name),
+        var.prop_map(Term::var),
+        (-200i64..200).prop_map(Term::int),
+        prop::sample::select(vec![i64::MAX, -i64::MAX, 0]).prop_map(Term::int),
+        prop::collection::vec(piece, 0..5).prop_map(|pieces| Term::string(pieces.concat())),
+    ]
+}
+
+/// A program: facts and rules over rich references, then queries.
+fn program_strategy() -> impl Strategy<Value = Program> {
+    let literal = (any::<bool>(), terms_over(rich_simple_term)).prop_map(|(positive, term)| {
+        if positive {
+            Literal::pos(term)
+        } else {
+            Literal::neg(term)
+        }
+    });
+    let rule = (
+        terms_over(rich_simple_term),
+        prop::collection::vec(literal.clone(), 0..3),
+    )
+        .prop_map(|(head, body)| Rule::new(head, body));
+    let query = prop::collection::vec(literal, 1..3).prop_map(Query::new);
+    (prop::collection::vec(rule, 1..6), prop::collection::vec(query, 0..3)).prop_map(|(rules, queries)| {
+        let mut program = Program::new();
+        rules.into_iter().for_each(|r| {
+            program.push_rule(r);
+        });
+        queries.into_iter().for_each(|q| {
+            program.push_query(q);
+        });
+        program
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -97,6 +155,17 @@ proptest! {
         let reparsed = parse_term(&printed)
             .unwrap_or_else(|e| panic!("printed form `{printed}` failed to parse: {e}"));
         prop_assert_eq!(term, reparsed, "printed as `{}`", printed);
+    }
+
+    /// Printing a program and parsing it back yields the same program:
+    /// statement boundaries, negated literals, escapes, negative integers
+    /// and non-ASCII names survive the round trip.
+    #[test]
+    fn program_print_parse_roundtrip(program in program_strategy()) {
+        let printed = program.to_string();
+        let reparsed = parse_program(&printed)
+            .unwrap_or_else(|e| panic!("printed program failed to parse: {e}\n{printed}"));
+        prop_assert_eq!(program, reparsed, "printed as\n{}", printed);
     }
 
     /// Scalarity (Definition 2) is invariant under parenthesisation and is
