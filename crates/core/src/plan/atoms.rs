@@ -22,17 +22,23 @@
 //! then the step filters the run, gathers the result into a temporary or
 //! expands each row by its members.  A run that is long next to a class
 //! extent or a method's facts reads them from a table over the objects
-//! instead (`Scope::tabulate`).  Otherwise a step picks per row the index
-//! the bound operands select: an unbound receiver walks the per-method
-//! index, an unbound method the per-receiver one, and a row's expansions
-//! follow in the order the index lists them.  A step binds all of its
-//! operands in the rows it emits, so a run binds the same cells in every
-//! row.  Two buffers alternate as the run a step reads and the one it
-//! writes, and a probe or an index walk builds what it needs for a row — a
-//! call's arguments, an application's row — in buffers reused from row to
-//! row; an enumeration over the universe copies the row it extends, and
-//! `Superset` and `Signature` allocate per row (a valuated required set, a
-//! receiver's methods).  Every step keeps its
+//! instead (`Scope::tabulate`).  A member step with the method and the
+//! member bound and the receiver free — which applications hold each row's
+//! member; no index lists them — is one pass per method of the run: the
+//! run's members marked (in that table, or as a sorted list when the run is
+//! short), the method's applications walked once for the marked members,
+//! and each row expanded by a binary search over what was found
+//! (`Scope::holding`): O(members of the method + rows + output).
+//! Otherwise a step picks per row the index the bound operands select: an
+//! unbound receiver walks the per-method index, an unbound method the
+//! per-receiver one, and a row's expansions follow in the order the index
+//! lists them.  A step binds all of its operands in the rows it emits, so a
+//! run binds the same cells in every row.  Two buffers alternate as the run
+//! a step reads and the one it writes, and a probe or an index walk builds
+//! what it needs for a row — a call's arguments, an application's row — in
+//! buffers reused from row to row; an enumeration over the universe copies
+//! the row it extends, and `Superset` and `Signature` allocate per row (a
+//! valuated required set, a receiver's methods).  Every step keeps its
 //! input order and lists one row's expansions in index order, so a chain
 //! emits its completions in the depth-first lexicographic order of their
 //! derivations, and a run seeded from an extent or an index leaves with
@@ -77,13 +83,14 @@
 //! literal's atoms greedily by [`AtomStep::cardinality`], the size of the
 //! index the step would walk under the operands bound so far, read in O(1)
 //! from the posting lists of the fact store and the extents of the class
-//! hierarchy — ties in lowering order.  The order depends on which operands
-//! are bound, not on what they hold, so it is computed once per literal, not
-//! per frame.  Two atoms are barriers no atom is moved across:
-//! [`Atom::Superset`] valuates its strict right-hand side under exactly the
-//! bindings written-order evaluation gives it, and [`Atom::Signature`] seeds
-//! an unbound method variable from the receiver's facts.  A wrong
-//! cardinality costs time, never an answer.
+//! hierarchy (a bound member, which no list counts, is charged like a key
+//! only the frame knows) — ties in lowering order.  The order depends on
+//! which operands are bound, not on what they hold, so it is computed once
+//! per literal, not per frame.  Two atoms are barriers no atom is moved
+//! across: [`Atom::Superset`] valuates its strict right-hand side under
+//! exactly the bindings written-order evaluation gives it, and
+//! [`Atom::Signature`] seeds an unbound method variable from the receiver's
+//! facts.  A wrong cardinality costs time, never an answer.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -381,6 +388,10 @@ struct Scratch<'a> {
     runs: Vec<(&'a [Oid], &'a [Oid])>,
     /// An index tabulated over the objects (see [`Scope::tabulate`]).
     table: Vec<u32>,
+    /// What [`Scope::holding`] looks up, `(method, member)`, and finds,
+    /// `(method, member, application)`.
+    wanted: Vec<(Oid, Oid)>,
+    held: Vec<(Oid, Oid, u32)>,
 }
 
 impl<'a> Scope<'a> {
@@ -718,9 +729,9 @@ impl<'a> Scope<'a> {
 
     /// Visit the stored applications `call` can denote in `row` — where the
     /// call is not bound (see [`Scope::probe_apps`]) — as `row` with the
-    /// call's operands bound to each, the walk narrowed to those
-    /// `containing` a member, when given.  Restricted: one visit per window
-    /// entry, with the member it added.
+    /// call's operands bound to each.  Restricted: one visit per window
+    /// entry — one adding the member `containing`, when given — with the
+    /// member it added.
     fn each_app(
         &self,
         row: &[u32],
@@ -758,10 +769,7 @@ impl<'a> Scope<'a> {
                 }
             }
             (Some(m), Some(r)) => facts.set_facts_of_method_receiver(m, r).try_for_each(|f| at(f, None))?,
-            (Some(m), None) => match containing {
-                Some(x) => facts.set_facts_containing(m, x).try_for_each(|f| at(f, None))?,
-                None => facts.set_facts_of_method(m).try_for_each(|f| at(f, None))?,
-            },
+            (Some(m), None) => facts.set_facts_of_method(m).try_for_each(|f| at(f, None))?,
             (None, Some(r)) => facts.set_facts_of_receiver(r).try_for_each(|f| at(f, None))?,
             (None, None) => facts.set_facts().try_for_each(|f| at(f, None))?,
         }
@@ -795,6 +803,11 @@ impl<'a> Scope<'a> {
             }
             return Ok(());
         }
+        let receiver_free = !self.all_bound(rows, std::iter::once(call.receiver));
+        if !restricted && receiver_free && self.all_bound(rows, [call.method, member].into_iter()) {
+            self.holding(call, member, rows, out, scratch);
+            return Ok(());
+        }
         for row in self.rows(rows) {
             let wanted = self.get(row, member);
             // The call's own operands may bind `member` (`X[m ->> {X}]`):
@@ -821,6 +834,61 @@ impl<'a> Scope<'a> {
             })?;
         }
         Ok(())
+    }
+
+    /// The unrestricted member step with the method and the member bound
+    /// and the receiver free: which applications hold each row's member.
+    /// One pass per method of the run instead of a walk per row: mark the
+    /// run's members — in a table over the objects when [`Scope::tabulate`]
+    /// says it pays, else as a sorted list — collect the marked members of
+    /// the method's applications, sort them, and expand each row by a
+    /// binary search, its applications in creation order.  O(members of the
+    /// method + rows + output).
+    fn holding(&self, call: &Call, member: Operand, rows: &[u32], out: &mut Vec<u32>, scratch: &mut Scratch<'a>) {
+        let facts = self.structure.facts();
+        let named = self.named(call.method);
+        let key = |row| {
+            let m = named.or_else(|| self.get(row, call.method));
+            (m.expect("bound"), self.get(row, member).expect("bound"))
+        };
+        let Scratch {
+            wanted, held, table, ..
+        } = scratch;
+        wanted.clear();
+        wanted.extend(self.rows(rows).map(key));
+        wanted.sort_unstable();
+        wanted.dedup();
+        let tabulated = self.tabulate(rows, || wanted.len(), table);
+        held.clear();
+        for group in wanted.chunk_by(|a, b| a.0 == b.0) {
+            let m = group[0].0;
+            // The table marks one method's members at a time.
+            let marks = if tabulated { &group[..] } else { &[] };
+            marks.iter().for_each(|&(_, x)| table[x.index()] = 1);
+            for app in facts.set_apps_of_method(m) {
+                for &x in facts.set_fact_at(app).members.iter() {
+                    let marked = match tabulated {
+                        true => table[x.index()] != 0,
+                        false => group.binary_search(&(m, x)).is_ok(),
+                    };
+                    if marked {
+                        held.push((m, x, app as u32));
+                    }
+                }
+            }
+            marks.iter().for_each(|&(_, x)| table[x.index()] = 0);
+        }
+        held.sort_unstable();
+        for row in self.rows(rows) {
+            let (m, x) = key(row);
+            let from = held.partition_point(|&(n, y, _)| (n, y) < (m, x));
+            for &(_, _, app) in held[from..].iter().take_while(|&&(n, y, _)| (n, y) == (m, x)) {
+                let f = facts.set_fact_at(app as usize);
+                if let Some(binds) = call_binds(call, f.method, f.receiver, f.args) {
+                    self.emit(out, row, binds);
+                }
+            }
+        }
     }
 
     fn superset(
@@ -1295,10 +1363,11 @@ impl<'a> Machine<'a> {
                 _ => Some(facts.num_scalar().saturating_add(s.num_objects())),
             },
             Atom::Member { call, .. } | Atom::Superset { call, .. } if is_bound(call.receiver) => Some(1),
+            // No index lists the applications holding a member: a bound one,
+            // named or in the frame, is charged as a frame-bound key.
             Atom::Member { call, member } => match self.known(call.method, bound) {
-                Known::Object(m) => keyed(*member, &|x| facts.count_set_containing(m, x), &|| {
-                    facts.count_set_of_method(m)
-                }),
+                Known::Object(m) if is_bound(*member) => read.then(|| facts.count_set_of_method(m).isqrt()),
+                Known::Object(m) => read.then(|| facts.count_set_of_method(m)),
                 _ => Some(facts.num_set_applications()),
             },
             Atom::Superset { call, .. } => match self.known(call.method, bound) {

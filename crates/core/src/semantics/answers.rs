@@ -28,6 +28,7 @@ use std::collections::{BTreeSet, HashSet};
 
 use crate::engine::{binding_key, BindingKey};
 use crate::error::{Error, Result};
+use crate::names::Var;
 use crate::program::Literal;
 use crate::structure::{Oid, OidRun, Structure};
 use crate::term::{Filter, FilterValue, Term};
@@ -160,50 +161,36 @@ fn path_answers(structure: &Structure, p: &crate::term::Path, seed: &Bindings) -
     Ok(out)
 }
 
-/// Answers of the receiver of a path.  If the receiver is an unbound
-/// variable and the method is a ground name, seed candidates from the
-/// per-method index instead of the whole universe.
+/// Answers of the receiver of a path.  An unbound variable receiver of a
+/// stored method (not a built-in, which applies without facts) is seeded
+/// from the method's facts instead of the whole universe.
 fn receiver_answers_for_path(structure: &Structure, p: &crate::term::Path, seed: &Bindings) -> Result<Vec<Answer>> {
-    if let Some(method) = resolved_method_oid(structure, &p.method, seed) {
-        if let Some(seeded) = index_seeded_receivers(structure, &p.receiver, seed, method, p.set_valued) {
-            return Ok(seeded);
-        }
-    }
-    answers(structure, &p.receiver, seed)
+    let seeded = unbound_var(&p.receiver, seed).zip(resolved_method_oid(structure, &p.method, seed));
+    let Some((v, m)) = seeded else {
+        return answers(structure, &p.receiver, seed);
+    };
+    let facts = structure.facts();
+    Ok(match p.set_valued {
+        true => bind_each(seed, v, facts.set_facts_of_method(m).map(|f| f.receiver)),
+        false => bind_each(seed, v, facts.scalar_facts_of_method(m).map(|f| f.receiver)),
+    })
 }
 
-/// Receiver candidates for a *known* method object, seeded from the
-/// per-method fact indexes.  Applicable only when the receiver is an
-/// unbound variable and the method is not a built-in (`self` and the
-/// comparison methods apply without stored facts, so the indexes would
-/// wrongly restrict them); returns `None` when the caller must fall back to
-/// full receiver enumeration.
-fn index_seeded_receivers(
-    structure: &Structure,
-    receiver: &Term,
-    seed: &Bindings,
-    method: Oid,
-    set_valued: bool,
-) -> Option<Vec<Answer>> {
-    let Term::Var(v) = receiver else { return None };
-    if seed.get(v).is_some() {
-        return None;
+/// `term`, when it is a variable `seed` leaves unbound.
+fn unbound_var<'t>(term: &'t Term, seed: &Bindings) -> Option<&'t Var> {
+    match term {
+        Term::Var(v) if seed.get(v).is_none() => Some(v),
+        _ => None,
     }
-    if method == structure.self_method() || structure.is_comparison_method(method) {
-        return None;
-    }
-    let mut receivers: BTreeSet<Oid> = BTreeSet::new();
-    if set_valued {
-        receivers.extend(structure.facts().set_facts_of_method(method).map(|f| f.receiver));
-    } else {
-        receivers.extend(structure.facts().scalar_facts_of_method(method).map(|f| f.receiver));
-    }
-    Some(
-        receivers
-            .into_iter()
-            .filter_map(|o| seed.bind(v, o).map(|b| Answer::new(b, o)))
-            .collect(),
-    )
+}
+
+/// `seed` with `v` bound to each of `objects`, ascending and once each.
+fn bind_each(seed: &Bindings, v: &Var, objects: impl IntoIterator<Item = Oid>) -> Vec<Answer> {
+    let objects: BTreeSet<Oid> = objects.into_iter().collect();
+    objects
+        .into_iter()
+        .filter_map(|o| seed.bind(v, o).map(|b| Answer::new(b, o)))
+        .collect()
 }
 
 /// Answers of a method position.  An unbound variable is seeded from the
@@ -216,22 +203,16 @@ fn method_answers(
     receiver: Oid,
     set_valued: bool,
 ) -> Result<Vec<Answer>> {
-    if let Term::Var(v) = method {
-        if seed.get(v).is_none() {
-            let mut methods: BTreeSet<Oid> = BTreeSet::new();
-            if set_valued {
-                methods.extend(structure.facts().set_facts_of_receiver(receiver).map(|f| f.method));
-            } else {
-                methods.extend(structure.facts().scalar_facts_of_receiver(receiver).map(|f| f.method));
-                methods.insert(structure.self_method());
-            }
-            return Ok(methods
-                .into_iter()
-                .filter_map(|m| seed.bind(v, m).map(|b| Answer::new(b, m)))
-                .collect());
-        }
-    }
-    answers(structure, method, seed)
+    let Some(v) = unbound_var(method, seed) else {
+        return answers(structure, method, seed);
+    };
+    let facts = structure.facts();
+    Ok(if set_valued {
+        bind_each(seed, v, facts.set_facts_of_receiver(receiver).map(|f| f.method))
+    } else {
+        let stored = facts.scalar_facts_of_receiver(receiver).map(|f| f.method);
+        bind_each(seed, v, stored.chain([structure.self_method()]))
+    })
 }
 
 /// Enumerate bindings and concrete argument tuples for a call argument list.
@@ -253,32 +234,20 @@ fn arg_answers(structure: &Structure, args: &[Term], seed: &Bindings) -> Result<
 
 /// Answers of `t0 : c`.
 fn isa_answers(structure: &Structure, i: &crate::term::IsA, seed: &Bindings) -> Result<Vec<Answer>> {
-    // Unbound-variable receiver: enumerate the extent of the class.
-    if let Term::Var(v) = &i.receiver {
-        if seed.get(v).is_none() {
-            let mut out = Vec::new();
-            for ca in answers(structure, &i.class, seed)? {
-                for member in structure.instances_of(ca.object) {
-                    if let Some(b) = ca.bindings.bind(v, member) {
-                        out.push(Answer::new(b, member));
-                    }
-                }
-            }
-            return Ok(out);
-        }
-    }
     let mut out = Vec::new();
+    // Unbound-variable receiver: enumerate the extent of the class.
+    if let Some(v) = unbound_var(&i.receiver, seed) {
+        for ca in answers(structure, &i.class, seed)? {
+            out.extend(bind_each(&ca.bindings, v, structure.instances_of(ca.object)));
+        }
+        return Ok(out);
+    }
     for ra in answers(structure, &i.receiver, seed)? {
         // Unbound-variable class: enumerate the classes of the receiver.
-        if let Term::Var(v) = &i.class {
-            if ra.bindings.get(v).is_none() {
-                for class in structure.classes_of(ra.object) {
-                    if let Some(b) = ra.bindings.bind(v, class) {
-                        out.push(Answer::new(b, ra.object));
-                    }
-                }
-                continue;
-            }
+        if let Some(v) = unbound_var(&i.class, &ra.bindings) {
+            let bound = structure.classes_of(ra.object).filter_map(|c| ra.bindings.bind(v, c));
+            out.extend(bound.map(|b| Answer::new(b, ra.object)));
+            continue;
         }
         for ca in answers(structure, &i.class, &ra.bindings)? {
             if structure.in_class(ra.object, ca.object) {
@@ -319,72 +288,37 @@ fn receiver_answers_for_molecule(
     m: &crate::term::Molecule,
     seed: &Bindings,
 ) -> Result<Vec<Answer>> {
-    let Term::Var(v) = &m.receiver else {
+    let Some(v) = unbound_var(&m.receiver, seed) else {
         return answers(structure, &m.receiver, seed);
     };
-    if seed.get(v).is_some() {
-        return answers(structure, &m.receiver, seed);
-    }
-    // Try to find a filter whose method is fully determined; use its index.
+    // Seed it from the smallest receiver set a filter with a determined
+    // method selects through an index (the first of equals).
+    let facts = structure.facts();
     let mut candidates: Option<BTreeSet<Oid>> = None;
     for f in &m.filters {
         let Some(method) = resolved_method_oid(structure, &f.method, seed) else {
             continue;
         };
-        let set = match &f.value {
-            FilterValue::Scalar(rt) => {
-                if let Some(expected) = single_ground_object(structure, rt, seed) {
-                    structure
-                        .facts()
-                        .scalar_facts_with_result(method, expected)
-                        .map(|f| f.receiver)
-                        .collect::<BTreeSet<_>>()
-                } else {
-                    structure
-                        .facts()
-                        .scalar_facts_of_method(method)
-                        .map(|f| f.receiver)
-                        .collect()
-                }
-            }
-            FilterValue::SetExplicit(elems) => {
-                if let Some(first) = elems.iter().find_map(|e| single_ground_object(structure, e, seed)) {
-                    structure
-                        .facts()
-                        .set_facts_containing(method, first)
-                        .map(|f| f.receiver)
-                        .collect()
-                } else {
-                    structure
-                        .facts()
-                        .set_facts_of_method(method)
-                        .map(|f| f.receiver)
-                        .collect()
-                }
-            }
-            FilterValue::SetRef(_) => structure
-                .facts()
-                .set_facts_of_method(method)
-                .map(|f| f.receiver)
-                .collect(),
+        let ground = |t: &Term| single_ground_object(structure, t, seed);
+        let set: BTreeSet<Oid> = match &f.value {
+            FilterValue::Scalar(rt) => match ground(rt) {
+                Some(r) => facts.scalar_facts_with_result(method, r).map(|f| f.receiver).collect(),
+                None => facts.scalar_facts_of_method(method).map(|f| f.receiver).collect(),
+            },
+            // A ground element filters the method's applications.
+            FilterValue::SetExplicit(elems) => match elems.iter().find_map(ground) {
+                Some(first) => facts.set_facts_containing(method, first).map(|f| f.receiver).collect(),
+                None => facts.set_facts_of_method(method).map(|f| f.receiver).collect(),
+            },
+            FilterValue::SetRef(_) => facts.set_facts_of_method(method).map(|f| f.receiver).collect(),
             FilterValue::SigScalar(_) | FilterValue::SigSet(_) => continue,
         };
-        candidates = Some(match candidates {
-            None => set,
-            Some(prev) => {
-                if set.len() < prev.len() {
-                    set
-                } else {
-                    prev
-                }
-            }
-        });
+        if candidates.as_ref().is_none_or(|prev| set.len() < prev.len()) {
+            candidates = Some(set);
+        }
     }
     match candidates {
-        Some(set) => Ok(set
-            .into_iter()
-            .filter_map(|o| seed.bind(v, o).map(|b| Answer::new(b, o)))
-            .collect()),
+        Some(set) => Ok(bind_each(seed, v, set)),
         None => answers(structure, &m.receiver, seed),
     }
 }
@@ -501,18 +435,14 @@ pub(crate) fn required_members(structure: &Structure, rt: &Term, bindings: &Bind
 fn element_answers(structure: &Structure, element: &Term, seed: &Bindings, members: &OidRun) -> Result<Vec<Bindings>> {
     // Unbound variable: bind to every member (this is the paper's
     // "p1[assistants ->> {X[salary -> 1000]}]" access pattern).
-    if let Term::Var(v) = element {
-        if seed.get(v).is_none() {
-            return Ok(members.iter().filter_map(|&o| seed.bind(v, o)).collect());
-        }
+    if let Some(v) = unbound_var(element, seed) {
+        return Ok(members.iter().filter_map(|&o| seed.bind(v, o)).collect());
     }
-    let mut out = Vec::new();
-    for a in answers(structure, element, seed)? {
-        if members.contains(&a.object) {
-            out.push(a.bindings);
-        }
-    }
-    Ok(out)
+    let found = answers(structure, element, seed)?.into_iter();
+    Ok(found
+        .filter(|a| members.contains(&a.object))
+        .map(|a| a.bindings)
+        .collect())
 }
 
 /// If `term` is a ground name (or a bound variable), the object it denotes.
@@ -533,14 +463,9 @@ pub(crate) fn ground_name_oid(structure: &Structure, term: &Term, seed: &Binding
 /// arbitrary receivers without stored facts, so the per-method fact indexes
 /// must not be used to seed receiver candidates for them.
 pub(crate) fn resolved_method_oid(structure: &Structure, method: &Term, seed: &Bindings) -> Option<Oid> {
-    let oid = match ground_name_oid(structure, method, seed) {
-        Some(oid) => oid,
-        None => single_ground_object(structure, method, seed)?,
-    };
-    if oid == structure.self_method() || structure.is_comparison_method(oid) {
-        return None;
-    }
-    Some(oid)
+    let oid = ground_name_oid(structure, method, seed).or_else(|| single_ground_object(structure, method, seed))?;
+    let builtin = oid == structure.self_method() || structure.is_comparison_method(oid);
+    (!builtin).then_some(oid)
 }
 
 /// If `term` evaluates, under `seed`, to exactly one object without needing
@@ -550,11 +475,7 @@ fn single_ground_object(structure: &Structure, term: &Term, seed: &Bindings) -> 
         return None;
     }
     let set = valuate(structure, term, seed).ok()?;
-    if set.len() == 1 {
-        set.into_iter().next()
-    } else {
-        None
-    }
+    set.first().copied().filter(|_| set.len() == 1)
 }
 
 #[cfg(test)]

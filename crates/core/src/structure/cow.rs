@@ -9,8 +9,10 @@
 //! * [`ShardMap`] — a hash map cut into shards of about [`SHARD_TARGET`]
 //!   entries, each an `Arc`-shared `HashMap`, picked from the key's hash.
 //!   Backs the name table (keyed by the name's SipHash), the scalar and set
-//!   application directories, the posting indexes, the is-a maps and the
-//!   signature index.
+//!   application directories, the five posting indexes (scalar facts by
+//!   method, method and result, and receiver; set applications by method
+//!   and receiver — none by member, so a member-bound lookup walks the
+//!   method's applications), the is-a maps and the signature index.
 //!
 //! # Invariants
 //!

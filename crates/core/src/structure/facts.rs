@@ -27,7 +27,7 @@
 //!
 //! # What a clone shares and what a write detaches
 //!
-//! Every table here — the two row tables and their directories, the six
+//! Every table here — the two row tables and their directories, the five
 //! posting indexes, the insertion log and the mutation journal — sits on
 //! the copy-on-write containers of the `cow` module; a row's argument
 //! tuple, a set row's member run and the slot list of a pair with several
@@ -37,24 +37,32 @@
 //! copies only the tables' unsealed tails — bounded by the chunk size, not
 //! by the store.  A write then detaches exactly what it touches: a new row
 //! — a scalar fact or a set application — appends to an owned tail and
-//! detaches the directory shard of its pair; a new set member detaches the
-//! chunk holding its application's row and the member run it inserts into;
-//! and either detaches one shard of each index it updates (short posting
-//! lists sit in their index bucket, long ones append to an owned tail).
-//! Appends to the logs go to owned tails and detach nothing.  A
-//! re-assertion or a retraction that misses probes read-only first and
-//! detaches nothing at all.  What keeping an old clone alive costs is
-//! therefore the chunks, shards and lists detached from it since, and
-//! dropping it frees just those.
+//! detaches the directory shard of its pair and one shard of each index it
+//! joins (short posting lists sit in their index bucket, long ones append
+//! to an owned tail); a new set member detaches the chunk holding its
+//! application's row and the member run it inserts into, and no index.
+//! Appends to the logs detach nothing, and a re-assertion or a retraction
+//! that misses probes read-only first and detaches nothing at all.  What
+//! keeping an old clone alive costs is therefore the chunks, shards and
+//! lists detached from it since, and dropping it frees just those.
 //!
 //! Iteration hands out [`ScalarFactView`]/[`SetFactView`] values — `Copy`
 //! structs of borrowed rows — in fixed orders: global enumeration follows
 //! assertion order (through the dense row tables), per-`(method, receiver)`
 //! enumeration follows argument-tuple order (zero-argument row first), and
-//! secondary indexes (`by_method`, `by_receiver`, `by_method_result`,
-//! `by_method_member`) keep posting lists in assertion order.  Canonical
+//! the posting indexes keep their lists in assertion order.  Canonical
 //! dumps and deterministic enumeration downstream do not depend on the
 //! layout (property-tested against a row-oriented shadow).
+//!
+//! # Posting indexes
+//!
+//! Five: scalar facts by method, by method and result and by receiver; set
+//! applications by method and by receiver — each list as long as its walk,
+//! so a `count_*` is O(1).  None lists the applications holding a member,
+//! so a new member costs its run's merge and a log append, no hash upsert.
+//! A member-bound lookup ([`Facts::set_facts_containing`]) filters the
+//! method's applications, a binary search each; the planner's member step
+//! answers a run of them in one pass over those ([`crate::plan`]).
 //!
 //! Two properties of the storage are load-bearing for the engine's
 //! semi-naive evaluation (see [`crate::semantics::delta`]):
@@ -305,8 +313,8 @@ const INLINE_POSTINGS: usize = 5;
 
 /// A posting list: dense slot / application numbers, in assertion order.
 ///
-/// Most lists are a handful of entries — the facts of one receiver, the
-/// applications holding one member — and live inline in their index bucket:
+/// Most lists are a handful of entries — the facts of one receiver, those
+/// of one method with one result — and live inline in their index bucket:
 /// no allocation of their own, and nothing to clone but the bucket when
 /// their shard is detached.  A list that outgrows the inline slots moves to
 /// a chunked vector like every other table (the per-method lists run to
@@ -491,7 +499,6 @@ pub struct Facts {
     /// Append-only, so a slot is the dense application index.
     sets: AppTable<OidRun>,
     set_by_method: Index<Oid>,
-    set_by_method_member: Index<(Oid, Oid)>,
     set_by_receiver: Index<Oid>,
 
     set_member_count: usize,
@@ -749,9 +756,6 @@ impl Facts {
         };
         self.sets.rows.make_mut(app).value.merge_new(batch, last_at);
         for &member in batch {
-            self.set_by_method_member
-                .get_or_default((method, member))
-                .push(app as u32);
             self.set_log.push((app as u32, member));
         }
         self.journal.push(method, receiver);
@@ -838,24 +842,27 @@ impl Facts {
         self.set_members_in(mark, usize::MAX)
     }
 
-    /// All set facts for a method.
+    /// All set facts for a method, in application-creation order.
     pub fn set_facts_of_method(&self, method: Oid) -> impl Iterator<Item = SetFactView<'_>> + '_ {
-        postings(&self.set_by_method, &method).map(move |&i| self.set_fact_at(i as usize))
+        self.set_apps_of_method(method).map(move |app| self.set_fact_at(app))
     }
 
-    /// All set facts (for a method) that contain `member`.
+    /// The application indexes of [`Facts::set_facts_of_method`], ascending.
+    pub(crate) fn set_apps_of_method(&self, method: Oid) -> impl Iterator<Item = usize> + '_ {
+        postings(&self.set_by_method, &method).map(|&app| app as usize)
+    }
+
+    /// The set facts of a method that contain `member`, in creation order:
+    /// [`Facts::set_facts_of_method`] filtered, a binary search each (no
+    /// index lists a member's applications; see the module docs).
     pub fn set_facts_containing(&self, method: Oid, member: Oid) -> impl Iterator<Item = SetFactView<'_>> + '_ {
-        postings(&self.set_by_method_member, &(method, member)).map(move |&i| self.set_fact_at(i as usize))
+        self.set_facts_of_method(method)
+            .filter(move |f| f.members.contains(&member))
     }
 
     /// How many applications [`Facts::set_facts_of_method`] walks.
     pub fn count_set_of_method(&self, method: Oid) -> usize {
         posting_len(&self.set_by_method, &method)
-    }
-
-    /// How many applications [`Facts::set_facts_containing`] walks.
-    pub fn count_set_containing(&self, method: Oid, member: Oid) -> usize {
-        posting_len(&self.set_by_method_member, &(method, member))
     }
 
     /// All set facts whose receiver is `receiver`.
@@ -891,7 +898,6 @@ impl Facts {
         }
         self.sets.rows.make_mut(app).value.remove(&member);
         self.set_member_count -= 1;
-        remove_index(&mut self.set_by_method_member, &(method, member), app);
         self.retractions += 1;
         self.journal.push(method, receiver);
         true
@@ -949,7 +955,6 @@ impl cow::Sharing for Facts {
             self.sets.rows.parts(),
             self.sets.dir.parts(),
             self.set_by_method.parts(),
-            self.set_by_method_member.parts(),
             self.set_by_receiver.parts(),
             self.set_log.parts(),
             self.journal.log.parts(),
@@ -1183,7 +1188,10 @@ mod tests {
             [(o(2), o(10))],
             "one pair, journaled once after the clone"
         );
-        assert_eq!((f.num_set_members(), f.count_set_containing(o(2), o(32))), (4, 1));
+        assert_eq!(
+            (f.num_set_members(), f.set_facts_containing(o(2), o(32)).count()),
+            (4, 1)
+        );
         // A batch of re-assertions changes nothing and detaches nothing —
         // not even the sealed chunk holding the application's row.
         for r in 100..100 + CHUNK as u32 {
@@ -1251,14 +1259,71 @@ mod tests {
         );
         assert_eq!(f.count_scalar_with_result(o(1), o(99)), 0);
         assert_eq!(f.count_set_of_method(o(2)), f.set_facts_of_method(o(2)).count());
-        assert_eq!(
-            (f.count_set_containing(o(2), o(30)), f.count_set_containing(o(2), o(31))),
-            (1, 11)
-        );
-        assert_eq!(
-            (f.count_set_of_method(o(7)), f.count_set_containing(o(2), o(99))),
-            (0, 0)
-        );
+        assert_eq!(f.count_set_of_method(o(7)), 0);
+        assert_holders_are_filtered(&f);
+    }
+
+    /// `set_facts_containing` of every method and member is the brute-force
+    /// filter of every set fact, in creation order.
+    fn assert_holders_are_filtered(f: &Facts) {
+        let methods: BTreeSet<Oid> = f.set_facts().map(|s| s.method).collect();
+        let members: BTreeSet<Oid> = f.set_facts().flat_map(|s| s.members.iter().copied()).collect();
+        for &m in &methods {
+            for &x in members.iter().chain([&o(999)]) {
+                let brute: Vec<SetFactView<'_>> = f
+                    .set_facts()
+                    .filter(|s| s.method == m && s.members.contains(&x))
+                    .collect();
+                assert_eq!(f.set_facts_containing(m, x).collect::<Vec<_>>(), brute, "{m} {x}");
+            }
+        }
+    }
+
+    /// After histories of single and bulk asserts and retractions over a
+    /// few methods, receivers, argument tuples and members — on the tables
+    /// and on a clone written after the split — the holders of every member
+    /// are the filter of the facts.
+    #[test]
+    fn holders_of_a_member_are_the_filtered_facts_after_any_history() {
+        let mut state = 7u64;
+        let mut draw = |bound: u32| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u32 % bound
+        };
+        for _ in 0..20 {
+            let mut f = Facts::new();
+            let mut clone = None;
+            for step in 0..300 {
+                let (m, r, x) = (o(1 + draw(3)), o(10 + draw(8)), o(30 + draw(12)));
+                let args = [o(5)];
+                let args = &args[..draw(2) as usize];
+                match draw(4) {
+                    0 | 1 => {
+                        f.assert_set_member(m, r, args, x);
+                    }
+                    2 => {
+                        let mut batch: Vec<Oid> = (0..draw(5)).map(|_| o(30 + draw(12))).collect();
+                        batch.sort();
+                        batch.dedup();
+                        f.assert_set_members(m, r, args, &batch);
+                    }
+                    _ => {
+                        f.retract_set_member(m, r, args, x);
+                    }
+                }
+                if step == 150 {
+                    clone = Some(f.clone());
+                }
+            }
+            assert_holders_are_filtered(&f);
+            let mut clone = clone.expect("split at step 150");
+            clone.retract_set_member(o(1), o(10), &[], o(30));
+            clone.assert_set_member(o(2), o(17), &[o(5)], o(41));
+            assert_holders_are_filtered(&clone);
+            assert_holders_are_filtered(&f);
+        }
     }
 
     #[test]

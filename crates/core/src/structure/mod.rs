@@ -729,8 +729,8 @@ mod tests {
         };
         let (small, small_tuple, small_parts) = detached_at(1_500);
         let (large, large_tuple, large_parts) = detached_at(12_000);
-        // The row's chunk and the member index's shard; the logs and the
-        // posting list only grow their owned tails.
+        // The row's chunk: no index lists members, and the logs only grow
+        // their owned tails.
         assert!((1..=4).contains(&small), "{small} parts detached");
         assert!(large <= 4, "{large} parts detached");
         // The new row goes to the owned tail: the directory shard of its

@@ -16,7 +16,7 @@
 //! that programmatically constructed terms are checked like parsed ones.
 
 use crate::error::{Error, Result};
-use crate::scalarity::{is_scalar, is_set_valued};
+use crate::scalarity::is_set_valued;
 use crate::term::{Filter, FilterValue, Term};
 
 /// Check a reference for well-formedness; returns the first violation found.
@@ -142,12 +142,6 @@ fn check_filter(filter: &Filter) -> Result<()> {
             Ok(())
         }
     }
-}
-
-// keep is_scalar imported usage explicit for readers of this module
-#[allow(dead_code)]
-fn _scalar_is_the_negation_of_set_valued(t: &Term) -> bool {
-    is_scalar(t) != is_set_valued(t)
 }
 
 #[cfg(test)]

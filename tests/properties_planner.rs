@@ -30,7 +30,7 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 use pathlog::core::engine::{binding_key, BindingKey};
-use pathlog::core::plan::{compile, compile_query, execute_delta, plan_in_order, plan_query, AtomStep};
+use pathlog::core::plan::{compile, compile_query, execute_delta, execute_seeded, plan_in_order, plan_query, AtomStep};
 use pathlog::core::program::Literal;
 use pathlog::core::semantics::{fixpoint, solve_body, Bindings, SnapshotWindow};
 use pathlog::core::structure::{Oid, Structure};
@@ -1181,4 +1181,148 @@ fn query_plans_start_from_the_shortest_posting_list() {
         strict.positives[0].atoms.iter().map(|s| s.atom).collect::<Vec<_>>(),
         [0, 1]
     );
+}
+
+/// E11's query — `X : employee..vehicles : automobile[cylinders -> 4]` —
+/// starts from the `cylinders -> 4` result list and reaches the vehicles'
+/// owners last, a member step with its member bound (answered in one pass
+/// over the `vehicles` applications), then the class test on the owner, at
+/// every scale the experiment runs.
+#[test]
+fn e11_plans_cylinders_first_and_the_owners_last() {
+    for employees in [200, 1_000, 5_000] {
+        let company = pathlog::datagen::company_structure(&pathlog::datagen::CompanyParams::scaled(employees));
+        let body = parse_query("X : employee..vehicles : automobile[cylinders -> 4].color[Z]")
+            .expect("parses")
+            .body;
+        let compiled = compile_query(body.iter().map(|l| (l.positive, &l.term)));
+        let texts: Vec<String> = compiled.positives()[0]
+            .atoms
+            .iter()
+            .map(|a| compiled.atom_text(a))
+            .collect();
+        let plan = plan_query(&company, &compiled);
+        let order: Vec<&str> = plan.positives[0].atoms.iter().map(|s| texts[s.atom].as_str()).collect();
+        let written: Vec<&str> = [3, 2, 4, 5, 1, 0].iter().map(|&i| texts[i].as_str()).collect();
+        assert_eq!(order, written, "{employees} employees: {plan:?}");
+        let steps = &plan.positives[0].atoms;
+        assert!(steps[1..4].iter().all(|s| s.cardinality == 1), "{steps:?}");
+        assert!(steps[0].cardinality > steps[4].cardinality, "{steps:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Member steps with the member bound and the receiver free.
+// ---------------------------------------------------------------------------
+
+/// Bodies whose member steps run with the member bound and the receiver
+/// free — a named member (a run of one row), a member an earlier literal
+/// binds (a run per solution of it), a method with an argument, free or
+/// bound, a method variable whose methods want different members — and
+/// their neighbours: the receiver's own member, a named receiver.
+const MEMBER_BOUND: &[&str] = &[
+    "X[kids ->> {n3}]",
+    "X[link@(A) ->> {n5}]",
+    "X[link@(n1) ->> {n5}]",
+    "X[kids ->> {Y}], Z[kids ->> {Y}]",
+    "X[link@(A) ->> {Y}], Z[link@(A) ->> {Y}]",
+    "X[kids ->> {Y}], Z[link@(A) ->> {Y}]",
+    "M : base, X[M ->> {n5}]",
+    "M : base, M[tag ->> {Y}], X[M ->> {Y}]",
+    "X[kids ->> {X}]",
+    "n0[kids ->> {Y}], X[kids ->> {Y}; link@(n1) ->> {Y}]",
+];
+
+/// Bodies run from frames binding `Y` alone: a member-bound step over a run
+/// of one row, or of one per node.
+const MEMBER_SEEDED: &[&str] = &[
+    "X[kids ->> {Y}]",
+    "X[link@(A) ->> {Y}]",
+    "M : base, X[M ->> {Y}]",
+    "X[kids ->> {Y}; link@(n2) ->> {Y}]",
+];
+
+/// How many nodes a member graph has: enough that a run of one row marks
+/// its members in a sorted list, not a table over the objects.
+const MEMBER_NODES: usize = 160;
+
+/// A graph of `edges` — receiver, member, and which method: `kids`,
+/// `link@(n1)`, `link@(n2)` or `link` — over `MEMBER_NODES` nodes of class `node`,
+/// with the `retracted` edges (indexes, wrapped) taken out again.  The two
+/// methods are of class `base` and tagged with the even and the odd nodes
+/// below 8.
+fn member_graph(edges: &[(u8, u8, u8)], retracted: &[usize]) -> (Structure, Vec<Oid>) {
+    let mut s = Structure::new();
+    let (kids, link, base, node) = (s.atom("kids"), s.atom("link"), s.atom("base"), s.atom("node"));
+    let tag = s.atom("tag");
+    s.add_isa(kids, base);
+    s.add_isa(link, base);
+    let nodes: Vec<Oid> = (0..MEMBER_NODES).map(|i| s.atom(&format!("n{i}"))).collect();
+    for (i, &n) in nodes.iter().enumerate() {
+        s.add_isa(n, node);
+        if i < 8 {
+            s.assert_set_member(tag, if i % 2 == 0 { kids } else { link }, &[], n);
+        }
+    }
+    let call = |&(a, b, kind): &(u8, u8, u8)| {
+        let args = if kind % 3 == 0 {
+            vec![]
+        } else {
+            vec![nodes[usize::from(kind)]]
+        };
+        let method = if kind == 0 { kids } else { link };
+        (method, nodes[usize::from(a)], args, nodes[usize::from(b)])
+    };
+    for edge in edges {
+        let (m, r, args, x) = call(edge);
+        s.assert_set_member(m, r, &args, x);
+    }
+    for &k in retracted {
+        let (m, r, args, x) = call(&edges[k % edges.len()]);
+        s.retract_set_member(m, r, &args, x);
+    }
+    (s, nodes)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Over random graphs — sparse edges over every node, dense ones over
+    /// the first 8 — with retracted members, every body of
+    /// `MEMBER_BOUND` answers like the written-order reference (queries and
+    /// references), and every body of `MEMBER_SEEDED` run from one `Y` or
+    /// from every node finds the reference's solutions holding that `Y`.
+    #[test]
+    fn member_steps_match_the_reference_on_random_graphs(
+        sparse in prop::collection::vec((0u8..24, 0u8..MEMBER_NODES as u8, 0u8..4), 1..120),
+        dense in prop::collection::vec((0u8..24, 0u8..8, 0u8..4), 1..60),
+        retracted in prop::collection::vec(0usize..180, 0..40),
+        seed in 0usize..MEMBER_NODES,
+    ) {
+        let edges: Vec<(u8, u8, u8)> = sparse.into_iter().chain(dense).collect();
+        let (s, nodes) = member_graph(&edges, &retracted);
+        let bodies: Vec<(String, Vec<Literal>, Expect)> = MEMBER_BOUND
+            .iter()
+            .map(|text| (text.to_string(), parse_query(text).expect("parses").body, Expect::Nothing))
+            .collect();
+        assert_queries_match_the_reference("member graph", &s, &bodies, &mut BTreeSet::new());
+        for text in MEMBER_SEEDED {
+            let body = parse_query(text).expect("parses").body;
+            let compiled = compile_query(body.iter().map(|l| (l.positive, &l.term)));
+            let slot = compiled.slot_vars().iter().position(|v| &*v.0 == "Y").expect("binds Y");
+            let reference: Vec<BindingKey> = solve_body(&s, &body, &Bindings::new())
+                .expect("solves")
+                .iter()
+                .map(binding_key)
+                .collect();
+            for seeds in [&nodes[seed..=seed], &nodes[..]] {
+                let run = execute_seeded(&s, &compiled, slot, seeds).expect("runs");
+                let found: Vec<BindingKey> = run.frames().map(|f| binding_key(&compiled.bindings_of(f))).collect();
+                let holding = |key: &&BindingKey| key.iter().any(|(v, o)| &**v == "Y" && seeds.iter().any(|y| y.0 == *o));
+                let expected: BTreeSet<BindingKey> = reference.iter().filter(holding).cloned().collect();
+                prop_assert!(found.windows(2).all(|w| w[0] < w[1]), "`{text}`: canonical, each once");
+                prop_assert_eq!(found.into_iter().collect::<BTreeSet<_>>(), expected, "`{}`", text);
+            }
+        }
+    }
 }
