@@ -10,7 +10,12 @@
 //! one [`Atom::Scalar`] / [`Atom::Member`] into a fresh temporary; a molecule
 //! is its receiver's atoms and one application atom per filter (per element
 //! of an explicit set) and denotes its receiver; `t : c` is one
-//! [`Atom::Isa`].
+//! [`Atom::Isa`].  An argument-less `self` equating a temporary with a slot
+//! or a temporary (a selector `t[Z]`, `t.self`) folds away, the other side
+//! taking the temporary's place: `e..vehicles.color[Z]` is two atoms.  That
+//! is exact: `self` is the identity and a function (no completion and no
+//! derivation count changes), and a temporary is bound only by the path
+//! atom that made it, whose restricted chain covers the `self` atom's.
 //!
 //! **Batch steps.**  A `Machine` runs a literal's atoms a step at a time
 //! over one run of rows, a flat buffer: a row holds the body's slots, then
@@ -22,7 +27,8 @@
 //! then the step filters the run, gathers the result into a temporary or
 //! expands each row by its members.  A run that is long next to a class
 //! extent or a method's facts reads them from a table over the objects
-//! instead (`Scope::tabulate`).  A member step with the method and the
+//! instead (`Scope::tabulate`): a result, or a set-valued application, per
+//! receiver.  A member step with the method and the
 //! member bound and the receiver free — which applications hold each row's
 //! member; no index lists them — is one pass per method of the run: the
 //! run's members marked (in that table, or as a sorted list when the run is
@@ -96,6 +102,7 @@ use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::ops::Range;
 
+use crate::builtins::SELF_METHOD;
 use crate::error::Result;
 use crate::names::{Name, Var};
 use crate::semantics::answers::required_members;
@@ -218,10 +225,11 @@ pub(super) fn lower(term: &Term, vars: &[Var], names: &mut Vec<Name>) -> Lowered
         temps: 0,
         atoms: Vec::new(),
     };
-    let denoted = l.term(term);
+    let mut denoted = l.term(term);
     if l.atoms.is_empty() {
         l.atoms.push(Atom::Object { cell: denoted });
     }
+    l.fold_self(&mut denoted);
     Lowered {
         atoms: l.atoms,
         names: first_name..l.names.len(),
@@ -287,6 +295,45 @@ impl Lowering<'_> {
                 }
                 receiver
             }
+        }
+    }
+
+    /// Drop each argument-less `self` atom that equates a temporary with a
+    /// slot or another temporary, the other side put in the temporary's place
+    /// (see the module docs).  Not in a literal with a barrier (a strict
+    /// check's free receiver ranges over the defined applications only), nor
+    /// the literal's only atom (a guard stays a guard).
+    fn fold_self(&mut self, denoted: &mut Operand) {
+        let is_self = |op| matches!(op, Operand::Name(i) if self.names[i].as_atom() == Some(SELF_METHOD));
+        // The temporary to replace (the result, when both sides are) and by what.
+        let fold = |atom: &Atom| match *atom {
+            Atom::Scalar { ref call, result } if call.args.is_empty() && is_self(call.method) => {
+                let folds = |(t, o)| matches!(t, Operand::Temp(_)) && !matches!(o, Operand::Name(_));
+                let sides = [(result, call.receiver), (call.receiver, result)];
+                sides.into_iter().find(|&p| folds(p))
+            }
+            _ => None,
+        };
+        while self.atoms.len() > 1 && !self.atoms.iter().any(is_barrier) {
+            let Some((at, (from, to))) = self.atoms.iter().enumerate().find_map(|(at, a)| Some((at, fold(a)?))) else {
+                break;
+            };
+            self.atoms.remove(at);
+            let sub = |op: &mut Operand| *op = if *op == from { to } else { *op };
+            for atom in &mut self.atoms {
+                match atom {
+                    Atom::Scalar { call, result: v } | Atom::Member { call, member: v } => {
+                        let call_ops = [&mut call.method, &mut call.receiver].into_iter().chain(&mut call.args);
+                        call_ops.chain([v]).for_each(sub)
+                    }
+                    Atom::Isa { instance, class } => [instance, class].into_iter().for_each(sub),
+                    Atom::Object { cell } => sub(cell),
+                    Atom::Superset { .. } | Atom::Signature { .. } => unreachable!("a barrier keeps `self`"),
+                }
+            }
+            sub(denoted);
+            // The last temporary — what a selector usually folds — goes.
+            self.temps -= usize::from(from == Operand::Temp(self.temps - 1));
         }
     }
 
@@ -457,6 +504,14 @@ impl<'a> Scope<'a> {
         pays
     }
 
+    /// The method of `call` when a long run of its probes can read a table
+    /// over the objects (see [`Scope::tabulate`]): a stored one the rule
+    /// names, applied without arguments, unrestricted.
+    fn tabulable(&self, call: &Call, restricted: bool) -> Option<Oid> {
+        let stored = |&m: &Oid| !restricted && call.args.is_empty() && !is_builtin(self.structure, m);
+        self.named(call.method).filter(stored)
+    }
+
     /// Append `row` to `out` with every `(operand, object)` of `binds` bound
     /// — nothing, when an operand holds another object.  `true` when
     /// appended.
@@ -613,19 +668,14 @@ impl<'a> Scope<'a> {
             // application is defined (restricted: entered the window) go on
             // with its result gathered into a temporary, or filtered by a
             // bound one.  A built-in reads no window.
-            let stored = self.named(call.method).filter(|&m| !is_builtin(s, m));
-            let table = match stored {
-                Some(m) if !restricted && call.args.is_empty() => {
-                    let table = self.tabulate(rows, || facts.count_scalar_of_method(m), &mut scratch.table);
-                    if table {
-                        for f in facts.scalar_facts_of_method(m).filter(|f| f.args.is_empty()) {
-                            scratch.table[f.receiver.index()] = f.result.0 + 1;
-                        }
-                    }
-                    table
-                }
-                _ => false,
-            };
+            let stored = self.tabulable(call, restricted);
+            let entries = |m| facts.count_scalar_of_method(m);
+            let table = stored.filter(|&m| self.tabulate(rows, || entries(m), &mut scratch.table));
+            let fill = table.into_iter().flat_map(|m| facts.scalar_facts_of_method(m));
+            for f in fill.filter(|f| f.args.is_empty()) {
+                scratch.table[f.receiver.index()] = f.result.0 + 1;
+            }
+            let table = table.is_some();
             let Scratch {
                 args,
                 found,
@@ -705,23 +755,34 @@ impl<'a> Scope<'a> {
     /// Probe the application `call` denotes in every row of `rows`, where
     /// the call is bound, in one tight loop: per row, in `scratch.runs`, its
     /// members (none when it is undefined) and the members the step reads —
-    /// all of them, or restricted those the window added.
+    /// all of them, or restricted those the window added.  A long run reads
+    /// each receiver's application from a table, as a scalar probe does.
     fn probe_apps(&self, rows: &[u32], call: &Call, restricted: bool, scratch: &mut Scratch<'a>) {
         let (s, dv) = (self.structure, self.dv);
-        let Scratch { args, runs, .. } = scratch;
+        let facts = s.facts();
+        let stored = self.tabulable(call, restricted);
+        let entries = |m| facts.count_set_of_method(m);
+        let table = stored.filter(|&m| self.tabulate(rows, || entries(m), &mut scratch.table));
+        let fill = table.into_iter().flat_map(|m| facts.set_apps_of_method(m));
+        for app in fill.filter(|&app| facts.set_fact_at(app).args.is_empty()) {
+            scratch.table[facts.set_fact_at(app).receiver.index()] = app as u32 + 1;
+        }
+        let (args, runs, apps) = (&mut scratch.args, &mut scratch.runs, &scratch.table);
         let named = self.named(call.method);
         runs.clear();
         runs.extend(self.rows(rows).map(|row| {
-            let m = named.or_else(|| self.get(row, call.method)).expect("bound");
             let r = self.get(row, call.receiver).expect("bound");
+            if table.is_some() {
+                let app = apps[r.index()].checked_sub(1);
+                let members = app.map_or(&[][..], |app| facts.set_fact_at(app as usize).members.as_slice());
+                return (members, members);
+            }
+            let m = named.or_else(|| self.get(row, call.method)).expect("bound");
             let args = self.bound(row, &call.args, args).expect("bound");
             let members = s.apply_set(m, r, args).map_or(&[][..], OidRun::as_slice);
             let read = match restricted {
                 false => Some(members),
-                true => s
-                    .facts()
-                    .set_index(m, r, args)
-                    .and_then(|idx| dv.new_members_of_app(idx)),
+                true => facts.set_index(m, r, args).and_then(|idx| dv.new_members_of_app(idx)),
             };
             (members, read.unwrap_or(&[]))
         }));
@@ -863,7 +924,7 @@ impl<'a> Scope<'a> {
         for group in wanted.chunk_by(|a, b| a.0 == b.0) {
             let m = group[0].0;
             // The table marks one method's members at a time.
-            let marks = if tabulated { &group[..] } else { &[] };
+            let marks = if tabulated { group } else { &[] };
             marks.iter().for_each(|&(_, x)| table[x.index()] = 1);
             for app in facts.set_apps_of_method(m) {
                 for &x in facts.set_fact_at(app).members.iter() {
@@ -1450,4 +1511,62 @@ impl<'a> Machine<'a> {
 /// No atom is moved across one of these (see the module docs).
 fn is_barrier(atom: &Atom) -> bool {
     matches!(atom, Atom::Superset { .. } | Atom::Signature { .. })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::term::Filter;
+
+    /// `X[kids ->> {Y}]` run from one frame per node, over nodes with an
+    /// argument-less `kids` application (one emptied by retraction), one
+    /// with an argument-carrying application too, and one with that alone:
+    /// a run long enough that `Scope::tabulate` pays reads each receiver's
+    /// application from the table, a run of one row from the index, and
+    /// both expand each row as `apply_set` does.
+    #[test]
+    fn a_long_run_of_set_probes_reads_a_table() {
+        let mut s = Structure::new();
+        let kids = s.atom("kids");
+        let nodes: Vec<Oid> = (0..200).map(|i| s.atom(&format!("n{i}"))).collect();
+        for (i, &n) in nodes.iter().enumerate() {
+            if i != 9 {
+                s.assert_set_member(kids, n, &[], nodes[(i * 7 + 3) % 200]);
+                s.assert_set_member(kids, n, &[], nodes[(i + 1) % 200]);
+            }
+            if i % 3 == 0 {
+                s.assert_set_member(kids, n, &[nodes[i % 5]], nodes[(i + 2) % 200]);
+            }
+        }
+        for x in [nodes[7 * 4 + 3], nodes[5]] {
+            s.retract_set_member(kids, nodes[4], &[], x);
+        }
+        let term = Term::var("X").filter(Filter::set("kids", vec![Term::var("Y")]));
+        let compiled = super::super::compile_query([(true, &term)]);
+        let dv = DeltaView::empty(&s);
+        let run = |from: &[Oid]| {
+            let mut frames = FrameRun::new(2);
+            from.iter().for_each(|n| frames.push(&[n.0 + 1, 0]));
+            let mut machine = Machine::new(&s, &dv, &compiled);
+            let joined = machine.join(&compiled.positives()[0], None, false, &frames).unwrap();
+            let expected: Vec<[u32; 2]> = from
+                .iter()
+                .flat_map(|&n| {
+                    s.apply_set(kids, n, &[])
+                        .into_iter()
+                        .flat_map(|m| m.iter())
+                        .map(move |y| [n.0 + 1, y.0 + 1])
+                })
+                .collect();
+            assert_eq!(joined.frames().collect::<Vec<_>>(), expected);
+            machine.scratch.table
+        };
+        let table = run(&nodes);
+        assert_eq!(table.len(), s.num_objects(), "the long run tabulates");
+        for &n in &nodes {
+            let app = s.facts().set_index(kids, n, &[]);
+            assert_eq!(table[n.index()], app.map_or(0, |app| app as u32 + 1));
+        }
+        assert!(run(&nodes[..1]).is_empty(), "a run of one row probes the index");
+    }
 }

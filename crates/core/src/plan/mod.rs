@@ -540,61 +540,76 @@ impl FrameRun {
         })
     }
 
-    /// The run in canonical key order (the projection through `canonical`),
-    /// duplicates dropped.  Frames that compare equal under the projection
-    /// are equal outright — `canonical` permutes every slot — so adjacent
-    /// deduplication after the sort is exact.  Sorting an index permutation
-    /// over the flat arena beats a hash set: no per-frame allocation, and
-    /// the rebuilt arena is scanned in order by the next stage.
-    fn sorted_dedup(self, canonical: &[usize]) -> FrameRun {
-        self.sorted(canonical, true)
-    }
-
     /// The run in the order of its projection through `canonical` — the
-    /// slots — and then of any words after the slots, with duplicates
-    /// dropped (`dedup`) or kept.
+    /// slots, canonical key order — and then of any words after the slots,
+    /// with duplicates dropped (`dedup`) or kept (equal keys: equal frames).
     ///
     /// A run whose leading key never descends — what a first atom seeded
-    /// from an extent or an index enumerates — is sorted one segment of
-    /// equal leading keys at a time; any other run, as a whole.
-    fn sorted(self, canonical: &[usize], dedup: bool) -> FrameRun {
-        let slots = self.slots;
-        if self.len < 2 {
+    /// from an extent or an index enumerates — is sorted in place a segment
+    /// of equal leading keys at a time: one in order is left as it is, one
+    /// of at most `INSERTION_SORT_CAP` frames insertion-sorted, a longer one
+    /// sorted through an index.  Any other run is sorted through an index
+    /// and rebuilt.
+    fn sorted(mut self, canonical: &[usize], dedup: bool) -> FrameRun {
+        let w = self.slots;
+        if self.len < 2 || w == 0 {
+            self.len = self.len.min(1);
             return self;
         }
-        if slots == 0 {
-            return FrameRun { len: 1, ..self };
-        }
-        let arena = &self.arena;
-        let frame = |i: u32| &arena[i as usize * slots..i as usize * slots + slots];
-        let key_order = || canonical.iter().copied().chain(canonical.len()..slots);
-        let by_key = |&a: &u32, &b: &u32| {
-            let (fa, fb) = (frame(a), frame(b));
-            key_order()
-                .map(|s| fa[s].cmp(&fb[s]))
-                .find(|ord| ord.is_ne())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        };
-        let mut idx: Vec<u32> = (0..self.len as u32).collect();
-        if let Some(lead) = self.ascending_lead(canonical) {
-            for segment in idx.chunk_by_mut(|&a, &b| frame(a)[lead] == frame(b)[lead]) {
-                segment.sort_unstable_by(by_key);
+        let order: Vec<usize> = canonical.iter().copied().chain(canonical.len()..w).collect();
+        let by_key = |a: &[u32], b: &[u32]| key_cmp(&order, a, b);
+        let Some(lead) = self.ascending_lead(canonical) else {
+            let frame = |&i: &u32| &self.arena[i as usize * w..(i as usize + 1) * w];
+            let mut idx: Vec<u32> = (0..self.len as u32).collect();
+            idx.sort_unstable_by(|a, b| by_key(frame(a), frame(b)));
+            if dedup {
+                idx.dedup_by(|a, b| frame(a) == frame(b));
             }
-        } else {
-            idx.sort_unstable_by(by_key);
+            let mut arena = Vec::with_capacity(idx.len() * w);
+            idx.iter().for_each(|i| arena.extend_from_slice(frame(i)));
+            return FrameRun {
+                arena,
+                slots: w,
+                len: idx.len(),
+            };
+        };
+        let (mut idx, mut buf) = (Vec::new(), Vec::new());
+        let mut rest = &mut self.arena[..];
+        while !rest.is_empty() {
+            let len = rest.chunks_exact(w).take_while(|f| f[lead] == rest[lead]).count();
+            let (segment, tail) = std::mem::take(&mut rest).split_at_mut(len * w);
+            rest = tail;
+            let frame = |i: usize| &segment[i * w..(i + 1) * w];
+            if len <= INSERTION_SORT_CAP {
+                for i in 1..len {
+                    let past = |&j: &usize| by_key(&segment[j * w..(j + 1) * w], &segment[i * w..(i + 1) * w]).is_gt();
+                    if let Some(to) = (0..i).rev().take_while(past).last() {
+                        segment[to * w..(i + 1) * w].rotate_right(w);
+                    }
+                }
+            } else if (1..len).any(|i| by_key(frame(i - 1), frame(i)).is_gt()) {
+                idx.clear();
+                idx.extend(0..len);
+                idx.sort_unstable_by(|&a, &b| by_key(frame(a), frame(b)));
+                buf.clear();
+                idx.iter().for_each(|&i| buf.extend_from_slice(frame(i)));
+                segment.copy_from_slice(&buf);
+            }
         }
         if dedup {
-            idx.dedup_by(|&mut a, &mut b| frame(a) == frame(b));
+            let mut kept = 1;
+            for i in 1..self.len {
+                if self.arena[i * w..(i + 1) * w] != self.arena[(kept - 1) * w..kept * w] {
+                    if kept < i {
+                        self.arena.copy_within(i * w..(i + 1) * w, kept * w);
+                    }
+                    kept += 1;
+                }
+            }
+            self.arena.truncate(kept * w);
+            self.len = kept;
         }
-        let mut out = Vec::with_capacity(idx.len() * slots);
-        for &i in &idx {
-            out.extend_from_slice(frame(i));
-        }
-        FrameRun {
-            arena: out,
-            slots,
-            len: idx.len(),
-        }
+        self
     }
 
     /// The word that leads the key of a frame — its first under the
@@ -608,7 +623,10 @@ impl FrameRun {
     }
 }
 
-/// Compare two frames by their projection through `canonical`.
+/// The longest segment [`FrameRun::sorted`] insertion-sorts.
+const INSERTION_SORT_CAP: usize = 16;
+
+/// Compare two frames word by word, in the order `canonical` lists them.
 fn key_cmp(canonical: &[usize], a: &[u32], b: &[u32]) -> Ordering {
     canonical
         .iter()
@@ -631,7 +649,7 @@ pub fn merge_frame_runs(mut runs: Vec<FrameRun>, canonical: &[usize]) -> FrameRu
         all.arena.extend_from_slice(&r.arena);
         all.len += r.len;
     }
-    all.sorted_dedup(canonical)
+    all.sorted(canonical, true)
 }
 
 /// Execute one delta pass of `compiled` by its iteration's `plan`
@@ -967,6 +985,7 @@ pub fn start_cardinality(structure: &Structure, compiled: &CompiledRule) -> usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::BTreeSet;
 
     use crate::builtins::{LT, NEQ};
@@ -1480,7 +1499,7 @@ mod tests {
         let frames: Vec<&[u32]> = merged.frames().collect();
         assert_eq!(frames, [[9, 1], [2, 2], [1, 3]], "Y-major order, the shared frame once");
         // How the solutions are split into runs does not change the order.
-        let one = run(&[[1, 3], [2, 2], [9, 1], [2, 2]]).sorted_dedup(&canonical);
+        let one = run(&[[1, 3], [2, 2], [9, 1], [2, 2]]).sorted(&canonical, true);
         assert_eq!(one, merged);
         assert_eq!(merge_frame_runs(vec![b, a], &canonical), merged);
         // Without slots a run holds at most the one empty frame.
@@ -1514,54 +1533,62 @@ mod tests {
         }
     }
 
-    #[test]
-    fn segment_sorted_runs_equal_a_full_sort() {
-        let both = [false, true];
-        // Slots X, Y, Z with canonical order [2, 0, 1]: the lead is slot 2.
-        let canonical = [2, 0, 1];
-        let ascending = vec![
-            vec![9, 4, 1],
-            vec![3, 8, 1],
-            vec![9, 4, 1],
-            vec![3, 2, 1],
-            vec![5, 5, 2],
-            vec![1, 9, 3],
-            vec![7, 1, 3],
-            vec![1, 9, 3],
-            vec![1, 0, 3],
-        ];
-        assert_sorts_like_a_full_sort(&ascending, 3, &canonical, &both);
-        // The lead descends once: at the first pair, at the last.
-        let mut first = ascending.clone();
-        first[0][2] = 4;
-        assert_sorts_like_a_full_sort(&first, 3, &canonical, &both);
-        let mut last = ascending.clone();
-        last[8][2] = 0;
-        assert_sorts_like_a_full_sort(&last, 3, &canonical, &both);
-        // Every lead distinct, every lead equal.
-        let distinct: Vec<Vec<u32>> = (0..6).map(|i| vec![6 - i, i, i]).collect();
-        assert_sorts_like_a_full_sort(&distinct, 3, &canonical, &both);
-        let equal: Vec<Vec<u32>> = (0..6).map(|i| vec![i % 2, 6 - i, 4]).collect();
-        assert_sorts_like_a_full_sort(&equal, 3, &canonical, &both);
-        // No frame, one frame.
-        assert_sorts_like_a_full_sort(&[], 3, &canonical, &both);
-        assert_sorts_like_a_full_sort(&[vec![2, 1, 0]], 3, &canonical, &both);
-        // The denoted word after the slots (`execute_term`): it orders
-        // frames of equal keys, and is the whole key of a body without
-        // variables.
-        let denoting = vec![
-            vec![5, 1, 7],
-            vec![5, 1, 3],
-            vec![2, 1, 3],
-            vec![2, 1, 3],
-            vec![4, 2, 1],
-        ];
-        assert_sorts_like_a_full_sort(&denoting, 3, &[1, 0], &both);
-        let ground = vec![vec![4], vec![4], vec![6], vec![5]];
-        assert_sorts_like_a_full_sort(&ground, 1, &[], &both);
-        // A body with no slots: its runs hold the one empty frame at most.
-        assert_sorts_like_a_full_sort(&[vec![], vec![], vec![]], 0, &[], &[true]);
-        assert_sorts_like_a_full_sort(&[], 0, &[], &[true]);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `FrameRun::sorted` over random runs equals a full sort, with
+        /// duplicates dropped and kept: widths 1–4, the last word a slot or
+        /// the denoted word after the slots (the whole key, without slots),
+        /// any slot leading; runs of segments of one leading word each in
+        /// order, reversed, all equal or shuffled, some longer than the
+        /// insertion cap — sorted a segment at a time — and the same runs
+        /// with the lead descending once, sorted as a whole.
+        #[test]
+        fn segment_sorted_runs_equal_a_full_sort(
+            (width, denoting, turn) in (1usize..5, any::<bool>(), 0usize..4),
+            segments in prop::collection::vec((0u8..4, 1usize..40), 0..10),
+            words in prop::collection::vec(0u32..4, 512..513),
+            descent in 0usize..400,
+        ) {
+            let slots = width - usize::from(denoting);
+            let mut canonical: Vec<usize> = (0..slots).collect();
+            canonical.rotate_left(turn % slots.max(1));
+            let lead = canonical.first().copied().unwrap_or(0);
+            let order: Vec<usize> = canonical.iter().copied().chain(slots..width).collect();
+            let key = |f: &Vec<u32>| -> Vec<u32> { order.iter().map(|&s| f[s]).collect() };
+            let mut word = words.iter().copied().cycle();
+            let mut frames: Vec<Vec<u32>> = Vec::new();
+            for (i, &(shape, len)) in segments.iter().enumerate() {
+                let mut frame = || -> Vec<u32> {
+                    let mut f: Vec<u32> = word.by_ref().take(width).collect();
+                    f[lead] = i as u32 + 1;
+                    f
+                };
+                let mut segment: Vec<Vec<u32>> = match shape {
+                    2 => vec![frame(); len],
+                    _ => (0..len).map(|_| frame()).collect(),
+                };
+                match shape {
+                    0 => segment.sort_by_key(key),
+                    1 => segment.sort_by_key(|f| std::cmp::Reverse(key(f))),
+                    _ => {}
+                }
+                frames.extend(segment);
+            }
+            let run = |frames: &[Vec<u32>]| {
+                let mut run = FrameRun::new(width);
+                frames.iter().for_each(|f| run.push(f));
+                run
+            };
+            prop_assert!(frames.is_empty() || run(&frames).ascending_lead(&canonical) == Some(lead));
+            assert_sorts_like_a_full_sort(&frames, width, &canonical, &[false, true]);
+            if frames.len() > 1 {
+                let at = 1 + descent % (frames.len() - 1);
+                frames[at][lead] = 0;
+                prop_assert_eq!(run(&frames).ascending_lead(&canonical), None);
+                assert_sorts_like_a_full_sort(&frames, width, &canonical, &[false, true]);
+            }
+        }
     }
 
     #[test]

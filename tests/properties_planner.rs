@@ -867,6 +867,23 @@ const QUERIES: &[(&str, Expect)] = {
         ("n1[neq@(Y) -> n1]", Solutions),
         // A selector on a temporary: `self` of the colour, per vehicle.
         ("X..vehicles.color[Z]", Solutions),
+        // `self` folds away where it equates a temporary with a slot or a
+        // temporary: a path's last step binds the selector's variable, a
+        // bound slot filters the step that made the temporary, a folded
+        // negation; a bare `X.self` keeps its one atom, and `X[self -> Y]`
+        // (two slots) stays.
+        ("X.self", Solutions),
+        ("X..kids.self[Y]", Solutions),
+        ("X..kids[Y]", Solutions),
+        ("X.boss[self -> X]", Nothing),
+        ("X..kids[self -> X]", Nothing),
+        ("X[self -> Y], Y..kids[Z]", Solutions),
+        ("X : reached, not X..kids[self -> X]", Solutions),
+        ("X : reached, X..next.self[Y], Y..kids[self -> Z]", Solutions),
+        // … but not beside a strict `m ->> t`, whose receiver, were `X`
+        // put in `_1`'s place, would range over the defined applications
+        // only and miss every leaf.
+        ("X.self[desc ->> X..kids]", Solutions),
         // The call's own receiver binds its member; a member only a negated
         // literal mentions, completed once per kid.
         ("X[desc ->> {X}]", Solutions),
@@ -1183,11 +1200,12 @@ fn query_plans_start_from_the_shortest_posting_list() {
     );
 }
 
-/// E11's query — `X : employee..vehicles : automobile[cylinders -> 4]` —
-/// starts from the `cylinders -> 4` result list and reaches the vehicles'
-/// owners last, a member step with its member bound (answered in one pass
-/// over the `vehicles` applications), then the class test on the owner, at
-/// every scale the experiment runs.
+/// E11's query — `X : employee..vehicles : automobile[cylinders -> 4].color[Z]`,
+/// lowered to five atoms (the selector's `self` folds away: `color` binds
+/// `Z` itself) — starts from the `cylinders -> 4` result list and reaches
+/// the vehicles' owners last, a member step with its member bound (answered
+/// in one pass over the `vehicles` applications), then the class test on
+/// the owner, at every scale the experiment runs.
 #[test]
 fn e11_plans_cylinders_first_and_the_owners_last() {
     for employees in [200, 1_000, 5_000] {
@@ -1203,11 +1221,12 @@ fn e11_plans_cylinders_first_and_the_owners_last() {
             .collect();
         let plan = plan_query(&company, &compiled);
         let order: Vec<&str> = plan.positives[0].atoms.iter().map(|s| texts[s.atom].as_str()).collect();
-        let written: Vec<&str> = [3, 2, 4, 5, 1, 0].iter().map(|&i| texts[i].as_str()).collect();
+        assert_eq!(texts[4], "_1[color -> Z]", "{texts:?}");
+        let written: Vec<&str> = [3, 2, 4, 1, 0].iter().map(|&i| texts[i].as_str()).collect();
         assert_eq!(order, written, "{employees} employees: {plan:?}");
         let steps = &plan.positives[0].atoms;
-        assert!(steps[1..4].iter().all(|s| s.cardinality == 1), "{steps:?}");
-        assert!(steps[0].cardinality > steps[4].cardinality, "{steps:?}");
+        assert!(steps[1..3].iter().all(|s| s.cardinality == 1), "{steps:?}");
+        assert!(steps[0].cardinality > steps[3].cardinality, "{steps:?}");
     }
 }
 
@@ -1234,12 +1253,16 @@ const MEMBER_BOUND: &[&str] = &[
 ];
 
 /// Bodies run from frames binding `Y` alone: a member-bound step over a run
-/// of one row, or of one per node.
+/// of one row, or of one per node — and a set probe of `Y`'s own `link`
+/// application, argument-less among argument-carrying ones, over a run of
+/// one row (an index probe) or of one per node (read from a table).
 const MEMBER_SEEDED: &[&str] = &[
     "X[kids ->> {Y}]",
     "X[link@(A) ->> {Y}]",
     "M : base, X[M ->> {Y}]",
     "X[kids ->> {Y}; link@(n2) ->> {Y}]",
+    "Y[link ->> {X}]",
+    "Y..link[X], X[kids ->> {Z}]",
 ];
 
 /// How many nodes a member graph has: enough that a run of one row marks
