@@ -1,4 +1,4 @@
-//! The answers of a query, as the join produced them: one flat run of slot
+//! The answers of a query, as the join produced them: one run of slot
 //! frames in canonical order under a header of slot variables.
 //!
 //! [`Engine::query`](super::Engine::query) and
@@ -8,11 +8,30 @@
 //! [`AnswerRow::key`] one `Arc<str>` clone per bound variable, and only
 //! [`AnswerRow::bindings`] builds a [`Bindings`] — a caller that counts
 //! answers, or reads a column, allocates nothing per answer.
+//!
+//! **Stored runs.**  A set-valued path such as `X..desc` denotes, per
+//! receiver, a set the store already holds as one sorted [`OidRun`].  When a
+//! reference's last step expands such runs — a member step into the object
+//! the reference denotes, its method, receiver and arguments slots or
+//! names, in a literal whose other steps read no temporary (`X..m`,
+//! `X..m@(Y)`, `peter..m`, `X : c..m`; see
+//! [`execute_term`](crate::plan::execute_term)) — its answers keep one
+//! frame per application, the *prefix* of the rows it denotes, and beside
+//! it the application's stored run: an `Arc` clone, not a copy of the
+//! members.  Each prefix is one application and each run is sorted, so
+//! reading the runs prefix by prefix, in the prefixes' canonical order, is
+//! reading the rows in `(key, object)` order.  [`Answers::len`] sums the
+//! runs and [`Answers::iter`] expands them as it goes.  Which form a
+//! reference gets depends on its shape alone; every other reference, and
+//! every [`Engine::query`](super::Engine::query), holds one frame per row.
+//! A run is copy-on-write: a structure written to while its answers are
+//! held copies the run it changes, and the answers read the run as it was
+//! when the query ran.
 
 use crate::names::Var;
 use crate::plan::{slot_bindings, CompiledRule, FrameRun};
 use crate::semantics::Bindings;
-use crate::structure::Oid;
+use crate::structure::{Oid, OidRun};
 
 use super::BindingKey;
 
@@ -27,24 +46,37 @@ pub struct Answers {
     /// Slot indices in variable-name order: a row's key reads its bound
     /// slots in this order.
     canonical: Vec<usize>,
-    /// The rows: the slots, then — for a reference — the denoted object.
+    /// The rows: the slots, then — for a reference — the denoted object, or
+    /// the prefixes of the rows, each followed by the index of its run in
+    /// `members`.
     run: FrameRun,
+    /// The non-empty stored runs the prefixes of `run` denote, when the
+    /// reference's answers keep them (see the module docs).
+    members: Option<Vec<OidRun>>,
 }
 
 impl Answers {
-    /// The answers `run` holds, solutions of the body `compiled` was compiled
-    /// from.
-    pub(crate) fn new(compiled: CompiledRule, run: FrameRun) -> Self {
+    /// The answers `run` holds — with `members`, the runs its prefixes
+    /// index — solutions of the body `compiled` was compiled from.
+    pub(crate) fn new(compiled: CompiledRule, run: FrameRun, members: Option<Vec<OidRun>>) -> Self {
         let (vars, canonical) = compiled.into_header();
-        Answers { vars, canonical, run }
+        Answers {
+            vars,
+            canonical,
+            run,
+            members,
+        }
     }
 
     /// Number of answers.
     pub fn len(&self) -> usize {
-        self.run.len()
+        match &self.members {
+            Some(runs) => runs.iter().map(|run| run.len()).sum(),
+            None => self.run.len(),
+        }
     }
 
-    /// Are there none?
+    /// Are there none?  (No kept run is empty.)
     pub fn is_empty(&self) -> bool {
         self.run.is_empty()
     }
@@ -57,7 +89,18 @@ impl Answers {
 
     /// The rows, in canonical order.
     pub fn iter(&self) -> impl Iterator<Item = AnswerRow<'_>> + '_ {
-        self.run.frames().map(move |frame| AnswerRow { answers: self, frame })
+        let slots = self.vars.len();
+        self.run.frames().flat_map(move |frame| {
+            let run = self.members.as_ref().map(|runs| runs[frame[slots] as usize].as_slice());
+            let framed = run.is_none().then(|| frame.get(slots).copied().and_then(word_oid));
+            let kept = run.unwrap_or_default().iter().map(|&o| Some(o));
+            let row = move |object| AnswerRow {
+                answers: self,
+                frame,
+                object,
+            };
+            framed.into_iter().chain(kept).map(row)
+        })
     }
 }
 
@@ -65,7 +108,9 @@ impl Answers {
 #[derive(Clone, Copy)]
 pub struct AnswerRow<'a> {
     answers: &'a Answers,
+    /// The frame, or the prefix, the row reads its slots from.
     frame: &'a [u32],
+    object: Option<Oid>,
 }
 
 impl AnswerRow<'_> {
@@ -80,7 +125,7 @@ impl AnswerRow<'_> {
     /// (a [`Engine::query_term`](super::Engine::query_term) row); `None` for
     /// a row of [`Engine::query`](super::Engine::query).
     pub fn object(&self) -> Option<Oid> {
-        self.frame.get(self.answers.vars.len()).copied().and_then(word_oid)
+        self.object
     }
 
     /// The canonical key of this answer's valuation — what
@@ -108,7 +153,7 @@ mod tests {
     use super::*;
     use crate::engine::{binding_key, Engine};
     use crate::plan::{compile_query, execute_query, execute_term};
-    use crate::program::{Literal, Query};
+    use crate::program::{Literal, Query, Rule};
     use crate::structure::Structure;
     use crate::term::{Filter, Term};
 
@@ -216,7 +261,8 @@ mod tests {
 
         let term = Term::var("X").set("kids").filter(Filter::scalar("age", Term::var("A")));
         let compiled = compile_query([(true, &term)]);
-        let run = execute_term(&s, &compiled).unwrap();
+        let (run, members) = execute_term(&s, &compiled).unwrap();
+        assert!(members.is_none(), "the molecule's check reads the path's temporary");
         let answers = engine.query_term(&s, &term).unwrap();
         assert_eq!(answers.len(), run.len());
         assert!(!answers.is_empty());
@@ -225,5 +271,89 @@ mod tests {
             assert_eq!(row.bindings(), compiled.bindings_of(&frame[..slots]));
             assert_eq!(row.object(), Some(Oid(frame[slots] - 1)));
         }
+    }
+
+    /// The `desc` closure of a complete binary `kids` tree of `depth` levels.
+    fn closed_tree(depth: u32) -> Structure {
+        let mut s = Structure::new();
+        let kids = s.atom("kids");
+        let nodes: Vec<Oid> = (0..(1 << depth) - 1).map(|i| s.atom(&format!("n{i}"))).collect();
+        for i in 1..nodes.len() {
+            s.assert_set_member(kids, nodes[(i - 1) / 2], &[], nodes[i]);
+        }
+        let member = |m: &str| Term::var("X").filter(Filter::set(m, vec![Term::var("Y")]));
+        let closure = [
+            Rule::new(member("desc"), vec![Literal::pos(member("kids"))]),
+            Rule::new(
+                member("desc"),
+                vec![Literal::pos(
+                    Term::var("X")
+                        .set("desc")
+                        .filter(Filter::set("kids", vec![Term::var("Y")])),
+                )],
+            ),
+        ];
+        Engine::new().run_rules(&mut s, &closure).unwrap();
+        s
+    }
+
+    /// `X..desc` keeps one prefix and the stored run per `desc`
+    /// application, not one frame per answer: the kept part grows with the
+    /// receivers while the answers grow with the receivers times their
+    /// depth below.  The rows it expands are those of a copy, in order.
+    #[test]
+    fn x_desc_over_a_closed_genealogy_keeps_one_segment_per_desc_application() {
+        let mut segments_per_answer = Vec::new();
+        for depth in [4, 6, 8] {
+            let s = closed_tree(depth);
+            let desc = s.lookup_name(&crate::names::Name::atom("desc")).unwrap();
+            let answers = Engine::new().query_term(&s, &Term::var("X").set("desc")).unwrap();
+            let runs = answers.members.as_ref().expect("the last step keeps its runs");
+            assert_eq!(runs.len(), s.facts().set_facts_of_method(desc).count());
+            assert_eq!(answers.run.len(), runs.len(), "one prefix per application");
+            for frame in answers.run.frames() {
+                let stored = s.apply_set(desc, Oid(frame[0] - 1), &[]).unwrap();
+                let kept = &runs[frame[1] as usize];
+                assert_eq!(
+                    kept.as_slice().as_ptr(),
+                    stored.as_slice().as_ptr(),
+                    "shared, not copied"
+                );
+            }
+            let rows: Vec<(BindingKey, Oid)> = answers.iter().map(|row| (row.key(), row.object().unwrap())).collect();
+            assert!(rows.is_sorted());
+            let copied: usize = s.facts().set_facts_of_method(desc).map(|f| f.members.len()).sum();
+            assert_eq!((answers.len(), rows.len()), (copied, copied));
+            assert!(runs.len() < answers.len(), "depth {depth}");
+            segments_per_answer.push(runs.len() as f64 / answers.len() as f64);
+        }
+        assert!(
+            segments_per_answer.is_sorted_by(|a, b| a > b),
+            "{segments_per_answer:?}"
+        );
+    }
+
+    /// A literal whose other steps read slots only runs the member step last
+    /// and keeps its runs, in whatever order the plan put it; a path into a
+    /// path, or a check on the denoted object, keeps one frame per row.
+    #[test]
+    fn which_references_keep_their_runs_is_a_matter_of_shape() {
+        let s = diamond();
+        let engine = Engine::new();
+        let kept = |term: &Term| engine.query_term(&s, term).unwrap().members.is_some();
+        let person_kids = Term::var("X").isa("person").set("kids");
+        assert!(kept(&person_kids) && kept(&Term::name("n0").set("kids")));
+        assert!(!kept(&Term::var("X").set("kids").set("kids")));
+        assert!(!kept(&Term::var("X").set("kids").isa("person")));
+        let answers = engine.query_term(&s, &person_kids).unwrap();
+        let rows: Vec<(BindingKey, Oid)> = answers.iter().map(|row| (row.key(), row.object().unwrap())).collect();
+        let mut reference: Vec<(BindingKey, Oid)> = crate::semantics::answers(&s, &person_kids, &Default::default())
+            .unwrap()
+            .into_iter()
+            .map(|a| (binding_key(&a.bindings), a.object))
+            .collect();
+        reference.sort();
+        assert_eq!(rows, reference);
+        assert_eq!(answers.len(), 3, "n0 has n1 and n4, n1 has n2, n3 none");
     }
 }

@@ -68,7 +68,7 @@
 //! them, so every name gets the reference's object id.  Each distinct name
 //! is resolved once per install, through one
 //! [`NameCache`](crate::structure::NameCache).  A commit then runs
-//! the program over each frame, with no [`Bindings`], no term walk and no
+//! the program over each frame, with no [`Bindings`](crate::semantics::Bindings), no term walk and no
 //! name lookup; only a `m ->> t` right-hand side that is not one stored
 //! application is valuated, under the frame's bindings.
 //!
@@ -147,7 +147,6 @@ use std::collections::BTreeSet;
 use crate::error::{Error, Result};
 use crate::names::Name;
 use crate::program::{Program, Query, Rule};
-use crate::semantics::{Bindings, FactorizedAnswers};
 use crate::structure::{Oid, Structure};
 use crate::term::Term;
 
@@ -253,7 +252,7 @@ impl Engine {
     /// **Shape.**  The [`Answers`] hold the sorted frame run itself, under
     /// the body's variables: a row reads a variable's object
     /// ([`AnswerRow::get`]) or its key ([`AnswerRow::key`]) in place, and
-    /// [`Bindings`] are built only by a caller that asks a row for them
+    /// [`Bindings`](crate::semantics::Bindings) are built only by a caller that asks a row for them
     /// ([`AnswerRow::bindings`]) — the answers of
     /// [`tolerant_query`](crate::constraints::tolerant_query), a shell
     /// printing a valuation, a test comparing with the reference.
@@ -266,20 +265,28 @@ impl Engine {
     pub fn query(&self, structure: &Structure, query: &Query) -> Result<Answers> {
         let compiled = crate::plan::compile_query(query.body.iter().map(|lit| (lit.positive, &lit.term)));
         let run = crate::plan::execute_query(structure, &compiled)?;
-        Ok(Answers::new(compiled, run))
+        Ok(Answers::new(compiled, run, None))
     }
 
     /// Answers (valuation + denoted object) of a single reference: one per
     /// derivation path — `e..vehicles.color` answers once per vehicle, not
     /// once per colour — so equal answers may repeat.  A row's denoted
     /// object is [`AnswerRow::object`]; its valuation reads as for
-    /// [`Engine::query`], with [`Bindings`] built only on request.
+    /// [`Engine::query`], with [`Bindings`](crate::semantics::Bindings) built only on request.
     ///
     /// **Order.**  Canonical `(key, object)` order, duplicates kept: by
     /// [`binding_key`] of the valuation, then by object — independent of the
     /// plan, as for [`Engine::query`].  The written-order reference is
     /// [`answers()`](crate::semantics::answers()), which yields the same
     /// multiset in enumeration order.
+    ///
+    /// **Stored runs.**  When the reference's last step expands the stored
+    /// member runs of applications its slots and names select — `X..desc`,
+    /// `X..m@(Y)`, `peter..kids` — the answers keep one prefix frame and an
+    /// `Arc` clone of the stored run per application instead of one frame
+    /// per member: [`Answers::len`] sums the runs, [`Answers::iter`] expands
+    /// them, and a later write to the structure leaves the held answers as
+    /// they were (see [`Answers`]).
     ///
     /// Unlike [`Engine::query`], a *symbolic* name the structure has never
     /// seen is reported as [`Error::UnknownName`]: a hand-written reference
@@ -288,20 +295,8 @@ impl Engine {
     pub fn query_term(&self, structure: &Structure, term: &Term) -> Result<Answers> {
         require_registered_names(structure, term)?;
         let compiled = crate::plan::compile_query([(true, term)]);
-        let run = crate::plan::execute_term(structure, &compiled)?;
-        Ok(Answers::new(compiled, run))
-    }
-
-    /// Answers of a single reference as a factorized representation: a DAG
-    /// of unions and products over shared fact-table runs when `term` has a
-    /// supported path shape, exploded tuples otherwise.  Enumeration is, in
-    /// order, that of the written-order reference
-    /// [`answers()`](crate::semantics::answers()), and so the same multiset
-    /// as [`Engine::query_term`] (which sorts) — but for product-shaped
-    /// answer sets the DAG is asymptotically smaller than the tuple list.
-    pub fn query_term_factorized(&self, structure: &Structure, term: &Term) -> Result<FactorizedAnswers> {
-        require_registered_names(structure, term)?;
-        crate::semantics::factorized_answers(structure, term, &Bindings::new())
+        let (run, members) = crate::plan::execute_term(structure, &compiled)?;
+        Ok(Answers::new(compiled, run, members))
     }
 
     /// The objects denoted by a ground reference ([`Engine::query_term`]'s
@@ -317,8 +312,9 @@ impl Engine {
                 compiled.slot_var(0)
             )));
         }
-        let run = crate::plan::execute_term(structure, &compiled)?;
-        Ok(run.frames().map(|f| Oid(f[0] - 1)).collect())
+        let (run, members) = crate::plan::execute_term(structure, &compiled)?;
+        let answers = Answers::new(compiled, run, members);
+        Ok(answers.iter().filter_map(|row| row.object()).collect())
     }
 }
 
@@ -351,6 +347,7 @@ mod tests {
     use crate::error::LimitKind;
     use crate::names::Var;
     use crate::program::{Literal, Program, Query, Rule};
+    use crate::semantics::Bindings;
     use crate::term::Filter;
 
     /// Run `rules` over `s` with the engine, or with the reference

@@ -96,10 +96,7 @@ pub mod prelude {
     pub use crate::names::{Name, Var};
     pub use crate::program::{Literal, Program, Query, Rule};
     pub use crate::scalarity::{is_scalar, is_set_valued, Scalarity};
-    pub use crate::semantics::{
-        answers, entails, factorized_answers, is_model, valuate, violations, Answer, AnswerDag, Bindings,
-        FactorizedAnswers, Violation,
-    };
+    pub use crate::semantics::{answers, entails, is_model, valuate, violations, Answer, Bindings, Violation};
     pub use crate::snapshot::{Epoch, PinnedSnapshot, Snapshot, SnapshotRegistry, SnapshotStats};
     pub use crate::structure::{Oid, Signature, Structure, StructureStats};
     pub use crate::term::{Filter, FilterValue, Term};

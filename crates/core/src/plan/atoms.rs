@@ -432,7 +432,7 @@ struct Scratch<'a> {
     found: Vec<u32>,
     /// What a probe of a set-valued application found, per row of the run:
     /// its members, and those the step reads (see [`Scope::probe_apps`]).
-    runs: Vec<(&'a [Oid], &'a [Oid])>,
+    runs: Vec<(&'a OidRun, &'a [Oid])>,
     /// An index tabulated over the objects (see [`Scope::tabulate`]).
     table: Vec<u32>,
     /// What [`Scope::holding`] looks up, `(method, member)`, and finds,
@@ -774,14 +774,14 @@ impl<'a> Scope<'a> {
             let r = self.get(row, call.receiver).expect("bound");
             if table.is_some() {
                 let app = apps[r.index()].checked_sub(1);
-                let members = app.map_or(&[][..], |app| facts.set_fact_at(app as usize).members.as_slice());
-                return (members, members);
+                let members = app.map_or(OidRun::empty_ref(), |app| facts.set_fact_at(app as usize).members);
+                return (members, members.as_slice());
             }
             let m = named.or_else(|| self.get(row, call.method)).expect("bound");
             let args = self.bound(row, &call.args, args).expect("bound");
-            let members = s.apply_set(m, r, args).map_or(&[][..], OidRun::as_slice);
+            let members = s.apply_set(m, r, args).unwrap_or(OidRun::empty_ref());
             let read = match restricted {
-                false => Some(members),
+                false => Some(members.as_slice()),
                 true => facts.set_index(m, r, args).and_then(|idx| dv.new_members_of_app(idx)),
             };
             (members, read.unwrap_or(&[]))
@@ -891,6 +891,41 @@ impl<'a> Scope<'a> {
                         }
                     }
                 }
+                Ok(())
+            })?;
+        }
+        Ok(())
+    }
+
+    /// The last step of a reference whose answers keep the stored member
+    /// runs ([`aliased_member`]): per row, each non-empty application `call`
+    /// denotes — probed, or visited with the call's operands bound — as the
+    /// row's slots followed by the index of its members in `runs`, where
+    /// the stored run is pushed, shared and not copied.
+    fn member_runs(
+        &self,
+        call: &Call,
+        rows: &[u32],
+        out: &mut FrameRun,
+        runs: &mut Vec<OidRun>,
+        scratch: &mut Scratch<'a>,
+    ) -> Result<()> {
+        let mut keep = |row: &[u32], members: &OidRun| {
+            if !members.is_empty() {
+                out.push_with(&row[..self.slots], Some(runs.len() as u32));
+                runs.push(members.clone());
+            }
+        };
+        if self.all_bound(rows, call.operands()) {
+            self.probe_apps(rows, call, false, scratch);
+            for (row, &(members, _)) in self.rows(rows).zip(&scratch.runs) {
+                keep(row, members);
+            }
+            return Ok(());
+        }
+        for row in self.rows(rows) {
+            self.each_app(row, call, None, false, scratch, &mut |row, members, _| {
+                keep(row, members);
                 Ok(())
             })?;
         }
@@ -1148,6 +1183,9 @@ pub(super) struct Machine<'a> {
     /// `Some` when every completion also emits the object this operand
     /// holds, as one more word of the frame ([`Machine::emit_denoted`]).
     denoted: Option<Operand>,
+    /// `Some` when a chain's last step keeps the stored member runs it reads
+    /// ([`Machine::keep_member_runs`]): those it kept so far.
+    members: Option<Vec<OidRun>>,
 }
 
 impl<'a> Machine<'a> {
@@ -1179,6 +1217,7 @@ impl<'a> Machine<'a> {
             next: Vec::new(),
             scratch: Scratch::default(),
             denoted: None,
+            members: None,
         }
     }
 
@@ -1187,6 +1226,19 @@ impl<'a> Machine<'a> {
     /// path, temporaries included.
     pub(super) fn emit_denoted(&mut self, denoted: Operand) {
         self.denoted = Some(denoted);
+    }
+
+    /// From here on a chain ending in a member step — the one
+    /// [`aliased_member`] picks — emits, instead of one frame per member,
+    /// one per application, whose word after the slots indexes its stored
+    /// run among those [`Machine::take_member_runs`] hands back.
+    pub(super) fn keep_member_runs(&mut self) {
+        self.members = Some(Vec::new());
+    }
+
+    /// The stored runs the frames emitted so far index, when kept.
+    pub(super) fn take_member_runs(&mut self) -> Option<Vec<OidRun>> {
+        self.members.take()
     }
 
     /// Does the structure know every name of `lit`?  A name it does not know
@@ -1264,9 +1316,14 @@ impl<'a> Machine<'a> {
         out: &mut FrameRun,
     ) -> Result<()> {
         self.load(frames);
-        for (atom, restricted) in chain {
+        let mut chain = chain.into_iter().peekable();
+        while let Some((atom, restricted)) = chain.next() {
             if self.rows.is_empty() {
                 break;
+            }
+            let last = chain.peek().is_none();
+            if let (true, Atom::Member { call, .. }, Some(runs)) = (last, atom, self.members.as_mut()) {
+                return self.scope.member_runs(call, &self.rows, out, runs, &mut self.scratch);
             }
             self.step(atom, restricted)?;
         }
@@ -1511,6 +1568,22 @@ impl<'a> Machine<'a> {
 /// No atom is moved across one of these (see the module docs).
 fn is_barrier(atom: &Atom) -> bool {
     matches!(atom, Atom::Superset { .. } | Atom::Signature { .. })
+}
+
+/// The atom of `lit`, a reference, whose stored member runs its answers can
+/// keep instead of copying their members: the member step into the denoted
+/// temporary, in a literal without barriers where no other operand is a
+/// temporary.  Run last, it sees each application once per row, and each
+/// row once: every other step reads and binds slots and names only.
+pub(super) fn aliased_member(lit: &CompiledLiteral) -> Option<usize> {
+    let is_temp = |op| matches!(op, Operand::Temp(_));
+    let into_denoted = |a: &Atom| matches!(a, Atom::Member { member, .. } if *member == lit.denoted);
+    let at = lit.atoms.iter().position(into_denoted)?;
+    let mut temps = 0;
+    for atom in &lit.atoms {
+        each_operand(atom, &mut |op| temps += usize::from(is_temp(op)));
+    }
+    (is_temp(lit.denoted) && temps == 1 && !lit.atoms.iter().any(is_barrier)).then_some(at)
 }
 
 #[cfg(test)]

@@ -37,7 +37,9 @@
 //!   next ([`atoms`], "Batch steps").  Stage deduplication sorts the flat
 //!   frames — no `Arc<str>` clones, no per-answer key — and a pass returns
 //!   frames ([`FrameRun`]).  A query's run leaves the engine as it is, as
-//!   the rows of an [`Answers`](crate::engine::Answers); [`Bindings`] are
+//!   the rows of an [`Answers`](crate::engine::Answers) — a reference whose
+//!   last step expands stored member runs keeps the runs themselves, one
+//!   frame per application ([`execute_term`]); [`Bindings`] are
 //!   materialized from a frame where a caller asks a row for them, under
 //!   the strict right-hand side of an `m ->> t` check and under a head's
 //!   `m ->> t` right-hand side that is not one stored application, only.
@@ -117,7 +119,7 @@ use crate::error::Result;
 use crate::names::{Name, Var};
 use crate::program::Rule;
 use crate::semantics::{Bindings, DeltaView};
-use crate::structure::{Oid, Structure};
+use crate::structure::{Oid, OidRun, Structure};
 use crate::term::Term;
 
 pub use atoms::{Atom, AtomStep, Call, Operand};
@@ -618,7 +620,8 @@ impl FrameRun {
     /// one segment of equal leading words at a time.
     fn ascending_lead(&self, canonical: &[usize]) -> Option<usize> {
         let lead = canonical.first().copied().unwrap_or(0);
-        let ascends = self.slots > 0 && self.arena[lead..].iter().step_by(self.slots).is_sorted();
+        let leads = self.arena.get(lead..).unwrap_or_default();
+        let ascends = self.slots > 0 && leads.iter().step_by(self.slots).is_sorted();
         ascends.then_some(lead)
     }
 }
@@ -868,7 +871,11 @@ fn steps_in_order(
 /// literal restricted, over the empty window, in the order of
 /// [`plan_query`].
 pub fn execute_query(structure: &Structure, compiled: &CompiledRule) -> Result<FrameRun> {
-    execute_planned(structure, compiled, false)
+    let dv = DeltaView::empty(structure);
+    let mut machine = atoms::Machine::new(structure, &dv, compiled);
+    let plan = plan_with(&machine, compiled, &[], 0, machine.names_bound());
+    let start = FrameRun::single(compiled.slot_count(), []);
+    run(&mut machine, compiled, &plan, None, true, start)
 }
 
 /// Answer the single reference `compiled` was compiled from
@@ -877,20 +884,33 @@ pub fn execute_query(structure: &Structure, compiled: &CompiledRule) -> Result<F
 /// followed by one more word, the object the reference denotes along that
 /// path (object id + 1).  `e..vehicles.color` answers once per vehicle.
 /// Frames are in canonical `(key, object)` order; duplicates are kept.
-pub fn execute_term(structure: &Structure, compiled: &CompiledRule) -> Result<FrameRun> {
+///
+/// A reference whose last step expands the stored member runs of the
+/// applications its slots and names select (`X..m`, `X..m@(Y)`, `peter..m`:
+/// see [`atoms::aliased_member`]) keeps those runs instead, returned beside
+/// the frames: one frame per application, its word after the slots the
+/// index of its run, in canonical key order — each key once, so reading the
+/// runs frame by frame is reading `(key, object)` order.
+pub fn execute_term(structure: &Structure, compiled: &CompiledRule) -> Result<(FrameRun, Option<Vec<OidRun>>)> {
     debug_assert_eq!((compiled.positives.len(), compiled.negations.len()), (1, 0));
-    execute_planned(structure, compiled, true)
-}
-
-fn execute_planned(structure: &Structure, compiled: &CompiledRule, denoting: bool) -> Result<FrameRun> {
     let dv = DeltaView::empty(structure);
     let mut machine = atoms::Machine::new(structure, &dv, compiled);
-    let plan = plan_with(&machine, compiled, &[], 0, machine.names_bound());
-    if denoting {
-        machine.emit_denoted(compiled.positives[0].denoted);
+    let mut plan = plan_with(&machine, compiled, &[], 0, machine.names_bound());
+    let lit = &compiled.positives[0];
+    machine.emit_denoted(lit.denoted);
+    if let Some(at) = atoms::aliased_member(lit) {
+        // Run last: every other step reads slots and names only.
+        let steps = &mut plan.positives[0].atoms;
+        let step = steps.remove(steps.iter().position(|s| s.atom == at).expect("every atom is planned"));
+        steps.push(step);
+        machine.keep_member_runs();
     }
     let start = FrameRun::single(compiled.slot_count(), []);
-    run(&mut machine, compiled, &plan, None, !denoting, start)
+    let run = run(&mut machine, compiled, &plan, None, false, start)?;
+    let members = machine.take_member_runs();
+    let prefixes = || run.frames().map(|f| &f[..compiled.slot_count()]);
+    debug_assert!(members.is_none() || prefixes().zip(prefixes().skip(1)).all(|(a, b)| a != b));
+    Ok((run, members))
 }
 
 /// The solutions of the query body `compiled` that bind `slot` to one of
@@ -1417,7 +1437,8 @@ mod tests {
         assert_eq!(lit.denoted, Operand::Temp(1));
         let texts: Vec<String> = lit.atoms.iter().map(|a| compiled.atom_text(a)).collect();
         assert_eq!(texts, ["X[kids ->> {_1}]", "_1[kids ->> {_2}]"]);
-        let run = execute_term(&s, &compiled).unwrap();
+        let (run, members) = execute_term(&s, &compiled).unwrap();
+        assert!(members.is_none(), "the second step's receiver is a temporary");
         let answers: Vec<(Oid, Oid)> = run.frames().map(|f| (Oid(f[0] - 1), Oid(f[1] - 1))).collect();
         assert_eq!(
             answers,
@@ -1510,6 +1531,13 @@ mod tests {
         };
         assert_eq!(merge_frame_runs(vec![unit(), FrameRun::new(0), unit()], &[]).len(), 1);
         assert!(merge_frame_runs(vec![FrameRun::new(0), FrameRun::new(0)], &[]).is_empty());
+    }
+
+    #[test]
+    fn an_empty_run_whose_key_leads_with_a_later_slot_sorts_to_itself() {
+        let empty = FrameRun::new(2);
+        assert_eq!(empty.ascending_lead(&[1, 0]), Some(1));
+        assert!(empty.sorted(&[1, 0], false).is_empty());
     }
 
     /// `FrameRun::sorted` over `frames` equals a plain full sort by the key

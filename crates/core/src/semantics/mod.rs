@@ -18,12 +18,10 @@
 
 pub mod answers;
 pub mod delta;
-pub mod factorized;
 pub mod model;
 
 pub use answers::{answers, answers_matching, solve_body, Answer};
 pub use delta::{DeltaView, EvalMarks, SnapshotWindow};
-pub use factorized::{factorized_answers, AnswerDag, FactorizedAnswers};
 pub use model::{fixpoint, is_model, violations, Violation};
 
 use std::collections::BTreeSet;

@@ -13,8 +13,9 @@
 //! method, receiver, value, and the argument tuple as an `Arc`-shared slice
 //! (none for a zero-argument row, which so allocates nothing).  A scalar
 //! row's value is its result; a set row's is its members, an [`OidRun`]:
-//! sorted, deduplicated, `Arc`-shared — the engine's factorized answer DAGs
-//! ([`crate::semantics::factorized`]) reference them zero-copy.
+//! sorted, deduplicated, `Arc`-shared — the answers of a reference whose
+//! last step reads them ([`Answers`](crate::engine::Answers)) keep them
+//! zero-copy.
 //!
 //! Each table's `(method, receiver)` directory maps a pair to the slots of
 //! its rows, kept **in argument-tuple order** (the zero-argument row

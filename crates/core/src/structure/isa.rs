@@ -16,8 +16,8 @@
 //! Extents and ancestor sets are stored as [`OidRun`] columns: sorted,
 //! deduplicated, `Arc`-shared.  Membership tests are binary searches over a
 //! contiguous run and iteration is ascending-`Oid` (the same order the
-//! previous `BTreeSet` backing produced).  Class extents are handed to the
-//! factorized answer DAGs ([`crate::semantics::factorized`]) zero-copy.
+//! previous `BTreeSet` backing produced).  A class extent is read in place,
+//! as one run, by the executor's class probes.
 //!
 //! The four object → run maps and the closure log sit on the copy-on-write
 //! containers of the `cow` module: cloning the hierarchy bumps one
@@ -115,8 +115,7 @@ impl Isa {
     }
 
     /// The extent of `class` as a sorted run, if non-empty — the stored
-    /// column itself (`Arc`-shared), for zero-copy hand-off to factorized
-    /// answers.
+    /// column itself (`Arc`-shared), read in place.
     pub fn extent_run(&self, class: Oid) -> Option<&OidRun> {
         self.down.get(&class)
     }

@@ -11,9 +11,9 @@
 //! * iteration order is ascending `Oid` order — the same order the previous
 //!   `BTreeSet<Oid>` backing produced, so every canonical dump and
 //!   deterministic enumeration downstream is byte-identical,
-//! * whole runs can be handed to the factorized answer representation
-//!   ([`crate::semantics::factorized`]) zero-copy: an answer DAG leaf holds
-//!   the same `Arc` as the fact table.
+//! * whole runs can be handed to a reference's answers
+//!   ([`Answers`](crate::engine::Answers)) zero-copy: they hold the same
+//!   `Arc` as the fact table, and a later write copies the run it changes.
 
 use std::collections::BTreeSet;
 use std::ops::Deref;

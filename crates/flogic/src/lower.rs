@@ -31,7 +31,7 @@ use pathlog_core::error::Result;
 use pathlog_core::names::{Name, Var};
 use pathlog_core::program::{Literal, Program, Query, Rule};
 use pathlog_core::semantics::Bindings;
-use pathlog_core::structure::Structure;
+use pathlog_core::structure::{Oid, Structure};
 use pathlog_core::term::{Filter, FilterValue, Term};
 
 use crate::flat::{FlatAtom, FlatLiteral, FlatProgram, FlatTerm};
@@ -61,24 +61,35 @@ pub fn lower(flat: &FlatProgram) -> Program {
 
 /// Answer a lowered query as its flat query is read: every answer projected
 /// onto `answer_variables` (the PathLog query's own variables) and each
-/// projection once, in ascending order of the projected objects.
+/// projection once, in ascending order of the projected objects.  The rows
+/// are ordered and deduplicated by their object words; only the distinct
+/// projections are built as [`Bindings`].
 pub fn answers(
     engine: &Engine,
     structure: &Structure,
     query: &Query,
     answer_variables: &[Var],
 ) -> Result<Vec<Bindings>> {
-    let project = |row: AnswerRow| {
-        answer_variables
-            .iter()
-            .filter_map(|v| Some((v.clone(), row.get(v)?)))
-            .collect()
+    let answers = engine.query(structure, query)?;
+    if answer_variables.is_empty() {
+        return Ok(answers.iter().take(1).map(|_| Bindings::new()).collect());
+    }
+    // One word per answer variable: object id + 1, `0` unbound.  Every row
+    // binds the same variables (one a negation reads only is unbound in
+    // all), so word order is the order of the projections.
+    let word = |row: &AnswerRow, v| row.get(v).map_or(0, |o| o.0 + 1);
+    let words: Vec<u32> = answers
+        .iter()
+        .flat_map(|row| answer_variables.iter().map(move |v| word(&row, v)))
+        .collect();
+    let mut rows: Vec<&[u32]> = words.chunks_exact(answer_variables.len()).collect();
+    rows.sort_unstable();
+    rows.dedup();
+    let bound = |row: &[u32]| {
+        let pairs = answer_variables.iter().zip(row).filter(|(_, &w)| w != 0);
+        Bindings::from_pairs(pairs.map(|(v, &w)| (v.clone(), Oid(w - 1)))).expect("distinct variables")
     };
-    let rows: BTreeSet<Vec<_>> = engine.query(structure, query)?.iter().map(project).collect();
-    Ok(rows
-        .into_iter()
-        .map(|row| Bindings::from_pairs(row).expect("distinct variables"))
-        .collect())
+    Ok(rows.into_iter().map(bound).collect())
 }
 
 #[derive(Default)]

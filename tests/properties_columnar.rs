@@ -1,6 +1,5 @@
-//! Property-based tests for the columnar fact store and the factorized
-//! answer representation (the "stop materializing product-shaped answer
-//! sets" PR):
+//! Property-based tests for the columnar fact store and the reference
+//! answers that keep its member runs:
 //!
 //! 1. the columnar `Facts`/`Isa` backend agrees, line for line, with an
 //!    independent row-oriented shadow model of `canonical_dump()` under any
@@ -10,16 +9,18 @@
 //! 2. `canonical_dump()` is invariant under the insertion order of the
 //!    surviving facts — the per-`(method, receiver)` run grouping must not
 //!    leak arrival order into the canonical form;
-//! 3. factorized path answers enumerate bit-identically to the materialized
-//!    tuples — same answers, same bindings, same order — and unsupported
-//!    shapes fall back to materialization with identical results.
+//! 3. `Engine::query_term`'s answers — which keep the stored member runs of
+//!    a reference's last step where its shape allows, and one frame per row
+//!    otherwise — read, row by row and in `len()`, like the written-order
+//!    reference's, and stay as they were when the structure is written to
+//!    after the query.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
 use pathlog::core::engine::{binding_key, BindingKey};
-use pathlog::core::semantics::{answers, Answer, Bindings};
+use pathlog::core::semantics::{answers, Bindings};
 use pathlog::core::structure::{Oid, Structure};
 use pathlog::prelude::*;
 
@@ -468,58 +469,31 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Factorized answers enumerate bit-identically to materialized tuples.
+// 3. Reference answers that keep the store's member runs read like the
+//    reference's.
 // ---------------------------------------------------------------------------
 
-/// Factorized answers must agree answer-for-answer — same bindings, same
-/// object, same enumeration order — with the written-order reference
-/// `answers()`, and as a multiset of `(key, object)` with
-/// `Engine::query_term`, which returns it in canonical order.
-fn assert_factorized_matches(structure: &Structure, term: &pathlog::core::term::Term, expect_factorized: bool) {
-    let engine = Engine::new();
-    let reference = answers(structure, term, &Bindings::new()).expect("the reference enumerates");
-    let factorized = engine
-        .query_term_factorized(structure, term)
-        .expect("factorized query succeeds");
-    assert_eq!(
-        factorized.is_factorized(),
-        expect_factorized,
-        "unexpected representation for {term:?}"
-    );
-    assert_eq!(
-        factorized.count(),
-        reference.len() as u64,
-        "answer counts differ for {term:?}"
-    );
-    let mut index = 0usize;
-    factorized.for_each(&mut |bindings, object| {
-        let expected = &reference[index];
-        assert_eq!(object, expected.object, "object differs at answer {index} of {term:?}");
-        assert_eq!(
-            bindings, &expected.bindings,
-            "bindings differ at answer {index} of {term:?}"
-        );
-        index += 1;
-    });
-    assert_eq!(index, reference.len(), "enumeration lengths differ for {term:?}");
+/// `(key, object)` per row, in iteration order.
+fn keyed_rows(answers: &Answers) -> Vec<(BindingKey, Oid)> {
+    let row = |row: AnswerRow| (row.key(), row.object().expect("a reference row denotes"));
+    answers.iter().map(row).collect()
+}
 
-    let keyed = |answers: &[Answer]| -> Vec<(BindingKey, Oid)> {
-        answers.iter().map(|a| (binding_key(&a.bindings), a.object)).collect()
-    };
-    let materialized: Vec<(BindingKey, Oid)> = engine
-        .query_term(structure, term)
-        .expect("materialized query succeeds")
-        .iter()
-        .map(|row| (row.key(), row.object().expect("a reference row denotes")))
-        .collect();
-    assert!(
-        materialized.is_sorted(),
-        "query_term answers in canonical order: {term:?}"
-    );
-    let mut collected = keyed(&factorized.into_answers());
-    assert_eq!(collected, keyed(&reference), "collected answers differ for {term:?}");
-    collected.sort();
-    assert_eq!(collected, materialized, "answer multisets differ for {term:?}");
+/// `Engine::query_term`'s rows — expanded from the stored member runs its
+/// answers keep when the reference's last step reads them (`X..m`,
+/// `o..m@(A)`), read frame by frame otherwise — and its `len()` against the
+/// written-order reference `answers()`, as multisets of `(key, object)`: the
+/// rows in canonical order, the same multiset, the same count.  Returns the
+/// answers.
+fn assert_rows_match_the_reference(structure: &Structure, term: &pathlog::core::term::Term) -> Answers {
+    let reference = answers(structure, term, &Bindings::new()).expect("the reference enumerates");
+    let mut expected: Vec<(BindingKey, Oid)> = reference.iter().map(|a| (binding_key(&a.bindings), a.object)).collect();
+    expected.sort();
+    let held = Engine::new().query_term(structure, term).expect("the query runs");
+    assert_eq!(keyed_rows(&held), expected, "rows of {term}");
+    assert_eq!(held.len(), expected.len(), "len of {term}");
+    assert_eq!(held.is_empty(), expected.is_empty(), "emptiness of {term}");
+    held
 }
 
 proptest! {
@@ -528,13 +502,30 @@ proptest! {
     #[test]
     fn factorized_enumeration_matches_materialized_answers(
         set_facts in prop::collection::vec((0u8..NUM_METHODS, 0u8..NUM_OBJECTS, 0u8..NUM_OBJECTS), 0..50),
+        arg_facts in prop::collection::vec(
+            (0u8..NUM_METHODS, 0u8..NUM_OBJECTS, 0u8..NUM_OBJECTS, 0u8..NUM_OBJECTS),
+            0..25,
+        ),
+        retracted in prop::collection::vec((0u8..NUM_METHODS, 0u8..NUM_OBJECTS, 0u8..NUM_OBJECTS), 0..30),
         scalar_facts in prop::collection::vec((0u8..NUM_METHODS, 0u8..NUM_OBJECTS, 0u8..NUM_OBJECTS), 0..25),
         ground in 0u8..NUM_OBJECTS,
+        emptied in 0u8..NUM_OBJECTS,
     ) {
         let mut structure = Structure::new();
         let (methods, objects) = intern_universe(&mut structure);
         for &(m, r, v) in &set_facts {
             structure.assert_set_member(methods[m as usize], objects[r as usize], &[], objects[v as usize]);
+        }
+        for &(m, r, a, v) in &arg_facts {
+            let (m, r, a, v) = (methods[m as usize], objects[r as usize], objects[a as usize], objects[v as usize]);
+            structure.assert_set_member(m, r, &[a], v);
+        }
+        // Retracted members, and one application of `m0` left empty.
+        for &(m, r, v) in &retracted {
+            structure.retract_set_member(methods[m as usize], objects[r as usize], &[], objects[v as usize]);
+        }
+        for v in objects.clone() {
+            structure.retract_set_member(methods[0], objects[emptied as usize], &[], v);
         }
         for &(m, r, v) in &scalar_facts {
             // First-wins: conflicting scalar asserts are rejected, which is
@@ -542,60 +533,74 @@ proptest! {
             let _ = structure.assert_scalar(methods[m as usize], objects[r as usize], &[], objects[v as usize]);
         }
         let ground_name = format!("o{ground}");
+        let ground = || Term::name(ground_name.as_str());
         for m in 0..NUM_METHODS {
             let method = format!("m{m}");
-            // Unbound-variable receivers: the factorized builder must kick in.
-            assert_factorized_matches(&structure, &Term::var("X").set(method.as_str()), true);
-            assert_factorized_matches(&structure, &Term::var("X").scalar(method.as_str()), true);
-            // Ground receivers stay factorized too (single run / unit node).
-            assert_factorized_matches(&structure, &Term::name(ground_name.as_str()).set(method.as_str()), true);
-            assert_factorized_matches(
-                &structure,
-                &Term::name(ground_name.as_str()).scalar(method.as_str()),
-                true,
-            );
+            let method = method.as_str();
+            // The receiver unbound, and a ground one.
+            assert_rows_match_the_reference(&structure, &Term::var("X").set(method));
+            assert_rows_match_the_reference(&structure, &Term::var("X").scalar(method));
+            assert_rows_match_the_reference(&structure, &ground().set(method));
+            assert_rows_match_the_reference(&structure, &ground().scalar(method));
+            // A method with an argument, bound by the reference or not.
+            assert_rows_match_the_reference(&structure, &Term::var("X").set_args(method, vec![Term::var("A")]));
+            assert_rows_match_the_reference(&structure, &ground().set_args(method, vec![Term::name("o1")]));
         }
-        // Multi-step paths are outside the factorizable fragment: the
-        // fallback must materialize and still agree with `answers()`.
-        assert_factorized_matches(&structure, &Term::var("X").set("m0").set("m1"), false);
-        assert_factorized_matches(&structure, &Term::var("X").scalar("m0").set("m1"), false);
+        assert_rows_match_the_reference(&structure, &Term::var("X").set(Term::var("M")));
+        // A path into a path: the receiver of the last step is a temporary,
+        // so its answers keep one frame per row.
+        assert_rows_match_the_reference(&structure, &Term::var("X").set("m0").set("m1"));
+        assert_rows_match_the_reference(&structure, &Term::var("X").scalar("m0").set("m1"));
+
+        // Held answers read the structure as it was when the query ran.
+        let query = Term::var("X").set("m1");
+        let held = assert_rows_match_the_reference(&structure, &query);
+        let before = keyed_rows(&held);
+        for (i, &o) in objects.iter().enumerate() {
+            structure.retract_set_member(methods[1], o, &[], objects[(i + 1) % objects.len()]);
+            structure.assert_set_member(methods[1], o, &[], objects[(i + 2) % objects.len()]);
+        }
+        prop_assert_eq!(keyed_rows(&held), before);
+        prop_assert_eq!(held.len(), before.len());
+        assert_rows_match_the_reference(&structure, &query);
     }
 }
 
-/// What factorizing buys (experiment E19's size claim, a pure count): over
-/// the `desc` closure of a fan-out-2 genealogy the answer DAG of `X..desc`
-/// shares the fact table's member runs, so it has fewer nodes than there are
-/// answers at every depth, and fewer per answer the deeper the tree.
+/// `X..desc` over the `desc` closure of fan-out-2 genealogies of growing
+/// depth (experiment E19's input): its rows and its `len()` are the
+/// reference's, and the answers held stay as they were while the closure
+/// is written to.  (That they keep one shared run per application, not one
+/// frame per answer, the core's `engine::answers` tests assert.)
 #[test]
-fn factorized_closure_answers_grow_sublinearly_in_the_answer_count() {
+fn closure_answers_match_the_reference_at_every_depth() {
     let rules = pathlog::parser::parse_program(
         "X[desc ->> {Y}] <- X[kids ->> {Y}].\n\
          X[desc ->> {Y}] <- X..desc[kids ->> {Y}].",
     )
     .expect("closure rules parse");
     let query = Term::var("X").set("desc");
-    let nodes_per_answer: Vec<f64> = [4, 6, 8, 10]
-        .into_iter()
-        .map(|depth| {
-            let mut closed = pathlog::datagen::genealogy_structure(&GenealogyParams {
-                roots: 1,
-                depth,
-                fanout: 2,
-                seed: 42,
-            });
-            Engine::new()
-                .load_program(&mut closed, &rules)
-                .expect("closure evaluates");
-            assert_factorized_matches(&closed, &query, true);
-            let dag = Engine::new()
-                .query_term_factorized(&closed, &query)
-                .expect("factorized query succeeds");
-            let (nodes, answers) = (dag.node_count() as u64, dag.count());
-            assert!(nodes < answers, "depth {depth}: {nodes} nodes for {answers} answers");
-            nodes as f64 / answers as f64
-        })
-        .collect();
-    assert!(nodes_per_answer[3] < nodes_per_answer[0], "{nodes_per_answer:?}");
+    for depth in [4, 6, 8, 10] {
+        let mut closed = pathlog::datagen::genealogy_structure(&GenealogyParams {
+            roots: 1,
+            depth,
+            fanout: 2,
+            seed: 42,
+        });
+        Engine::new()
+            .load_program(&mut closed, &rules)
+            .expect("closure evaluates");
+        let held = assert_rows_match_the_reference(&closed, &query);
+        let before = keyed_rows(&held);
+        let desc = closed.lookup_name(&Name::atom("desc")).expect("desc is a name");
+        let receivers: Vec<Oid> = closed.facts().set_facts_of_method(desc).map(|f| f.receiver).collect();
+        for &r in &receivers {
+            let first = closed.apply_set(desc, r, &[]).expect("a receiver of desc")[0];
+            closed.retract_set_member(desc, r, &[], first);
+            closed.assert_set_member(desc, r, &[], r);
+        }
+        assert_eq!(keyed_rows(&held), before, "depth {depth}");
+        assert_eq!(held.len(), before.len());
+    }
 }
 
 // ---------------------------------------------------------------------------
