@@ -597,7 +597,12 @@ fn factorized_closure_answers_grow_sublinearly_in_the_answer_count() {
         let before = keyed_rows(&held);
         let desc = closed.lookup_name(&Name::atom("desc")).expect("desc is a name");
         let receivers: Vec<Oid> = closed.facts().set_facts_of_method(desc).map(|f| f.receiver).collect();
-        assert!(receivers.len() < held.len(), "depth {depth}: {} applications for {} answers", receivers.len(), held.len());
+        assert!(
+            receivers.len() < held.len(),
+            "depth {depth}: {} applications for {} answers",
+            receivers.len(),
+            held.len()
+        );
         applications_per_answer.push(receivers.len() as f64 / held.len() as f64);
         for &r in &receivers {
             let first = closed.apply_set(desc, r, &[]).expect("a receiver of desc")[0];
